@@ -18,8 +18,11 @@ test:
 race:
 	$(GO) test -race -timeout 20m ./internal/amt ./internal/core ./internal/serve ./internal/dist ./internal/trace ./internal/load
 
+# bench/ is a module of its own that imports internal/...: vetting it here
+# makes deleting a name the benchmark uses fail in ci, not in the pipeline.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # Project-specific concurrency & determinism checkers (see DESIGN.md,
 # "Invariant catalog"). Exits non-zero on any finding.
@@ -88,21 +91,24 @@ bench-load:
 load-smoke:
 	LOAD_PHASES="cold:2s:5,warm:4s:20" scripts/bench.sh load
 
-# Chaos harness: full cube/sphere x Laplace/Yukawa evaluations over a
-# fault-injected parcel wire (drop/duplicate/reorder/slow-rank), gated at
-# 1e-12 against the fault-free potentials. chaos-short keeps only the
-# combined acceptance profile (still all four workloads).
+# Chaos harness: full cube/sphere x Laplace/Yukawa evaluations by four
+# in-process ranks over real unix sockets, with a fault-injecting decorator
+# (drop/duplicate/reorder/slow-rank) between every rank's delivery engine
+# and its socket, gated at 1e-12 against the sequential potentials.
+# chaos-short keeps only the combined acceptance profile (still all four
+# workloads).
 chaos:
 	$(GO) test ./internal/amt -run TestChaosProfiles -v -count=1 -timeout 15m
 
 chaos-short:
 	$(GO) test ./internal/amt -run TestChaosProfiles -short -count=1 -timeout 10m
 
-# Crash-recovery chaos harness: kill one of four localities at 25/50/75%
-# DAG progress (plus the combined crash-on-faulty-wire profile) on every
-# workload, gated at 1e-12 against the fault-free potentials. The full
-# matrix is cheap enough to run in ci; the race job picks the crash tests
-# up via ./internal/amt ./internal/core with the shrunk -short shapes.
+# Crash-recovery chaos harness: one of the four ranks drops dead (cluster
+# closed: heartbeats stop, sockets sever) at 25/50/75% of its local progress
+# (plus the combined death-on-faulty-wire profile) on every workload, gated
+# at 1e-12 against the sequential potentials. The full matrix is cheap
+# enough to run in ci; the race job picks the crash tests up via
+# ./internal/amt ./internal/core with the shrunk -short shapes.
 chaos-crash:
 	$(GO) test ./internal/amt -run TestChaosCrash -v -count=1 -timeout 15m
 

@@ -7,8 +7,11 @@
 //	        128-core run, grouped into the three panels of the paper: the
 //	        operations up the source tree, the operations bridging the
 //	        trees, and the operations producing the target values.
-//	-real   run the goroutine runtime on this machine (single locality)
-//	        instead of the simulator and report measured utilization.
+//	-real   run the goroutine runtime on this machine instead of the
+//	        simulator and report measured utilization: -locs N splits the
+//	        workers across N shared-memory localities of this process, -net
+//	        tcp|unix forks them as N real rank processes over a socket mesh
+//	        (where the fault and kill knobs apply).
 //
 // The simulated runs replay the explicit DAG under the Table II cost model
 // with HPX-5-style oblivious FIFO scheduling (see DESIGN.md), which is what
@@ -52,35 +55,49 @@ func main() {
 		digits   = flag.Int("digits", 3, "accuracy digits")
 		thr      = flag.Int("threshold", 60, "refinement threshold")
 
-		// Fault-injection knobs for -real runs: the parcel wire becomes an
-		// amt.FaultyTransport with reliable ack/retry delivery on top, and
-		// the transport counters are reported so the run is inspectable.
-		locs      = flag.Int("locs", 1, "with -real: localities to split the workers across")
-		drop      = flag.Float64("drop", 0, "with -real: parcel drop probability")
-		dup       = flag.Float64("dup", 0, "with -real: parcel duplication probability")
-		reorder   = flag.Bool("reorder", false, "with -real: randomly reorder parcel arrivals")
-		slowRank  = flag.Int("slow-rank", -1, "with -real: rank to pause (requires -slow-delay)")
-		slowDelay = flag.Duration("slow-delay", 0, "with -real: extra delay per parcel to/from -slow-rank")
-		faultSeed = flag.Int64("fault-seed", 1, "with -real: fault RNG seed")
-
-		// Crash-recovery knobs for -real runs: arm the heartbeat failure
-		// detector and optionally kill a locality mid-run; the recovery
-		// counters (ranks killed, subgraph nodes re-executed, recovery wall
-		// time) are reported after the run.
-		detect   = flag.Bool("detect", false, "with -real: arm the heartbeat failure detector")
-		killRank = flag.Int("kill-rank", -1, "with -real: locality to crash mid-run (implies -detect); with -net: worker rank to SIGKILL")
-		killAt   = flag.Float64("kill-at", 0.5, "with -real: DAG progress fraction at which -kill-rank dies")
+		locs = flag.Int("locs", 1, "with -real: localities to split the workers across")
 
 		// Multi-process mode: -net forks -locs real OS processes joined over
-		// a socket mesh; -kill-rank then SIGKILLs that worker process at
-		// -kill-at of its local progress and the run must still verify.
-		netMode  = flag.String("net", "", "with -real: run -locs separate processes over this network (tcp|unix)")
+		// a socket mesh. The fault knobs wrap every rank's outbound frame
+		// wire in an amt.FaultyTransport under the reliable ack/retry
+		// delivery engine; -kill-rank SIGKILLs that worker process at
+		// -kill-at of its local progress. The run must still verify, and the
+		// transport and recovery counters are reported.
+		netMode   = flag.String("net", "", "with -real: run -locs separate processes over this network (tcp|unix)")
+		drop      = flag.Float64("drop", 0, "with -net: frame drop probability")
+		dup       = flag.Float64("dup", 0, "with -net: frame duplication probability")
+		reorder   = flag.Bool("reorder", false, "with -net: randomly reorder frame arrivals")
+		slowRank  = flag.Int("slow-rank", -1, "with -net: rank to pause (requires -slow-delay)")
+		slowDelay = flag.Duration("slow-delay", 0, "with -net: extra delay per frame to/from -slow-rank")
+		faultSeed = flag.Int64("fault-seed", 1, "with -net: fault RNG seed")
+		killRank  = flag.Int("kill-rank", -1, "with -net: worker rank to SIGKILL mid-run")
+		killAt    = flag.Float64("kill-at", 0.5, "with -net: local progress fraction at which -kill-rank dies")
+
 		distRank = flag.Int("dist-rank", -1, "internal: rank of a forked -net worker process")
 		distAddr = flag.String("dist-addr", "", "internal: coordinator address for a forked -net worker")
 	)
 	flag.Parse()
 	if !*fig4 && !*fig5 && !*real {
 		*fig4, *fig5 = true, true
+	}
+	// The fault and kill knobs exist only on the frame wire between rank
+	// processes; the set ones are forwarded verbatim to the forked workers.
+	var wireArgs []string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "drop", "dup", "reorder", "slow-rank", "slow-delay", "fault-seed", "kill-rank", "kill-at":
+			if *netMode == "" {
+				log.Fatalf("-%s needs -net: faults and kills are injected between rank processes", f.Name)
+			}
+			wireArgs = append(wireArgs, "-"+f.Name+"="+f.Value.String())
+		}
+	})
+	var fault *amt.FaultProfile
+	if *drop > 0 || *dup > 0 || *reorder || (*slowRank >= 0 && *slowDelay > 0) {
+		fault = &amt.FaultProfile{
+			Seed: *faultSeed, Drop: *drop, Duplicate: *dup, Reorder: *reorder,
+			SlowRank: *slowRank, SlowDelay: *slowDelay,
+		}
 	}
 
 	sp := points.Generate(points.Cube, *n, 1)
@@ -92,32 +109,17 @@ func main() {
 	}
 	if *distRank > 0 {
 		os.Exit(runDistWorker(plan, *distRank, *locs, *netMode, *distAddr,
-			distStamp(*n, *digits, *thr, *locs), *killRank, *killAt))
+			distStamp(*n, *digits, *thr, *locs), fault, *killRank, *killAt))
 	}
 	fmt.Printf("# dashmm-bench: N=%d, %d DAG nodes, %d edges\n",
 		*n, len(plan.Graph.Nodes), plan.Graph.NumEdges())
 
 	if *real && *netMode != "" {
-		runDistCoordinator(plan, *n, *netMode, *locs, *killRank, *killAt, *digits, *thr)
+		runDistCoordinator(plan, *n, *netMode, *locs, fault, *killRank, wireArgs, *digits, *thr)
 		return
 	}
 	if *real {
-		var fault *amt.FaultProfile
-		if *drop > 0 || *dup > 0 || *reorder || (*slowRank >= 0 && *slowDelay > 0) {
-			fault = &amt.FaultProfile{
-				Seed: *faultSeed, Drop: *drop, Duplicate: *dup, Reorder: *reorder,
-				SlowRank: *slowRank, SlowDelay: *slowDelay,
-			}
-		}
-		var det *amt.FailureDetectorConfig
-		if *detect || *killRank >= 0 {
-			det = &amt.FailureDetectorConfig{}
-		}
-		var crash []core.CrashPlan
-		if *killRank >= 0 {
-			crash = []core.CrashPlan{{Rank: *killRank, At: *killAt}}
-		}
-		runReal(plan, *n, *traceOut, *locs, fault, det, crash)
+		runReal(plan, *n, *traceOut, *locs)
 	}
 
 	cm := sim.PaperCostModel()
@@ -232,7 +234,7 @@ func coordinatorAddr(network string) string {
 // ranks as child processes of this same binary, evaluates over the socket
 // mesh, verifies the gathered potentials against the sequential evaluation
 // at 1e-12, and reports the transport and recovery counters.
-func runDistCoordinator(plan *core.Plan, n int, network string, locs, killRank int, killAt float64, digits, thr int) {
+func runDistCoordinator(plan *core.Plan, n int, network string, locs int, fault *amt.FaultProfile, killRank int, wireArgs []string, digits, thr int) {
 	if locs < 2 {
 		log.Fatal("-net requires -locs >= 2")
 	}
@@ -258,11 +260,11 @@ func runDistCoordinator(plan *core.Plan, n int, network string, locs, killRank i
 	}
 	kids := make([]*exec.Cmd, 0, locs-1)
 	for r := 1; r < locs; r++ {
-		cmd := exec.Command(self,
+		cmd := exec.Command(self, append([]string{
 			"-dist-rank", strconv.Itoa(r), "-dist-addr", addr,
 			"-net", network, "-locs", strconv.Itoa(locs),
 			"-n", strconv.Itoa(n), "-digits", strconv.Itoa(digits), "-threshold", strconv.Itoa(thr),
-			"-kill-rank", strconv.Itoa(killRank), "-kill-at", fmt.Sprint(killAt))
+		}, wireArgs...)...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -273,7 +275,7 @@ func runDistCoordinator(plan *core.Plan, n int, network string, locs, killRank i
 
 	q := points.Charges(n, 3)
 	got, rep, err := core.DistRun(plan, cl, q, core.DistOptions{
-		Workers: distWorkers(locs), Seed: 1, Timeout: 5 * time.Minute,
+		Workers: distWorkers(locs), Seed: 1, Timeout: 5 * time.Minute, Fault: fault,
 	})
 	for i, cmd := range kids {
 		werr := cmd.Wait()
@@ -295,8 +297,8 @@ func runDistCoordinator(plan *core.Plan, n int, network string, locs, killRank i
 	ts := rep.Runtime.Transport
 	fmt.Printf("# wire: messages=%d bytes-out=%d bytes-in=%d reconnects=%d handshake-failures=%d\n",
 		ts.WireMessages, ts.BytesOut, ts.BytesIn, ts.Reconnects, ts.HandshakeFailures)
-	fmt.Printf("# delivery: sent=%d acked=%d retried=%d deadline-exceeded=%d dropped=%d\n",
-		ts.Sent, ts.Acked, ts.Retried, ts.DeadlineExceeded, ts.Dropped)
+	fmt.Printf("# delivery: sent=%d acked=%d retried=%d delivered=%d deduped=%d deadline-exceeded=%d dropped=%d duplicated=%d\n",
+		ts.Sent, ts.Acked, ts.Retried, ts.Delivered, ts.Deduped, ts.DeadlineExceeded, ts.Dropped, ts.Duplicated)
 	r := rep.Recovery
 	fmt.Printf("# recovery: ranks-killed=%d subgraph-nodes-reexecuted=%d edges-replayed=%d\n",
 		r.RanksKilled, r.NodesRebuilt, r.EdgesReplayed)
@@ -326,7 +328,7 @@ func runDistCoordinator(plan *core.Plan, n int, network string, locs, killRank i
 // runDistWorker is one forked worker rank: join the cluster, evaluate, and
 // — when chosen as the chaos victim — SIGKILL itself at the requested local
 // progress fraction, leaving the survivors to detect and recover.
-func runDistWorker(plan *core.Plan, rank, locs int, network, addr, stamp string, killRank int, killAt float64) int {
+func runDistWorker(plan *core.Plan, rank, locs int, network, addr, stamp string, fault *amt.FaultProfile, killRank int, killAt float64) int {
 	cl, err := amt.NewCluster(amt.ClusterConfig{
 		Rank: rank, World: locs, Network: network, Addr: addr,
 		Stamp: stamp, Heartbeat: distHeartbeat(),
@@ -336,7 +338,7 @@ func runDistWorker(plan *core.Plan, rank, locs int, network, addr, stamp string,
 		return 1
 	}
 	defer cl.Close()
-	opts := core.DistOptions{Workers: distWorkers(locs), Seed: int64(rank) + 1, Timeout: 5 * time.Minute}
+	opts := core.DistOptions{Workers: distWorkers(locs), Seed: int64(rank) + 1, Timeout: 5 * time.Minute, Fault: fault}
 	if killRank == rank {
 		opts.OnProgress = func(fired, owned int) {
 			if owned > 0 && float64(fired) >= killAt*float64(owned) {
@@ -367,11 +369,9 @@ func simulate(g *dag.Graph, cm sim.CostModel, cores int) (*trace.Utilization, si
 }
 
 // runReal executes the DAG on the goroutine runtime of this machine
-// (optionally split across simulated localities with an injected-fault
-// parcel wire) and prints measured utilization, per-op averages, and the
-// transport counters.
-func runReal(plan *core.Plan, n int, traceOut string, locs int, fault *amt.FaultProfile,
-	det *amt.FailureDetectorConfig, crash []core.CrashPlan) {
+// (optionally split across shared-memory localities) and prints measured
+// utilization and per-op averages.
+func runReal(plan *core.Plan, n int, traceOut string, locs int) {
 	if locs < 1 {
 		locs = 1
 	}
@@ -382,8 +382,7 @@ func runReal(plan *core.Plan, n int, traceOut string, locs int, fault *amt.Fault
 	q := points.Charges(n, 3)
 	tr := trace.New(locs * w)
 	_, rep, err := plan.Evaluate(q, core.ExecOptions{
-		Localities: locs, Workers: w, Tracer: tr, Fault: fault,
-		Detector: det, Crash: crash,
+		Localities: locs, Workers: w, Tracer: tr,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -405,14 +404,6 @@ func runReal(plan *core.Plan, n int, traceOut string, locs int, fault *amt.Fault
 	totalW := locs * w
 	fmt.Printf("\n# real runtime: %d localities x %d workers, elapsed %v, %s\n",
 		locs, w, rep.Elapsed, rep.Runtime)
-	ts := rep.Runtime.Transport
-	fmt.Printf("# transport: sent=%d retried=%d acked=%d delivered=%d deduped=%d dropped=%d duplicated=%d deadline-exceeded=%d\n",
-		ts.Sent, ts.Retried, ts.Acked, ts.Delivered, ts.Deduped, ts.Dropped, ts.Duplicated, ts.DeadlineExceeded)
-	if det != nil {
-		r := rep.Recovery
-		fmt.Printf("# recovery: ranks-killed=%d recoveries=%d subgraph-nodes-reexecuted=%d edges-replayed=%d stale-dropped=%d recovery-wall=%v\n",
-			r.RanksKilled, r.Recoveries, r.NodesRebuilt, r.EdgesReplayed, r.StaleDropped, r.RecoveryWall)
-	}
 	start, end := trace.Span(events)
 	u := trace.Analyze(events, totalW, 100, start, end)
 	var avg float64
@@ -427,29 +418,7 @@ func runReal(plan *core.Plan, n int, traceOut string, locs int, fault *amt.Fault
 		ops = append(ops, int(c))
 	}
 	sort.Ints(ops)
-	netEvents := map[string]int{}
-	for _, ev := range events {
-		if name := trace.NetClassName(ev.Class); name != "" {
-			netEvents[name]++
-		}
-	}
 	for _, c := range ops {
-		// Transport fault markers are zero-duration; report their counts
-		// separately instead of a meaningless average.
-		if trace.NetClassName(uint8(c)) != "" {
-			continue
-		}
 		fmt.Printf("#   %-5v %10.2f\n", dag.OpKind(c), am[uint8(c)])
-	}
-	if len(netEvents) > 0 {
-		var names []string
-		for name := range netEvents {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Printf("# transport fault events:\n")
-		for _, name := range names {
-			fmt.Printf("#   %-12s %6d\n", name, netEvents[name])
-		}
 	}
 }

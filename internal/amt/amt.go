@@ -11,11 +11,13 @@
 //     with input slots, a trigger predicate (input count), and dynamically
 //     registered continuations executed as tasks once triggered.
 //
-// The runtime executes in one OS process: the "network" between localities
-// is a delivery queue with modeled byte counts (and optional injected
-// latency), and the global address space is the process heap partitioned by
-// locality ownership. DESIGN.md records why this preserves the behaviours
-// the paper measures.
+// A Runtime hosts either N localities sharing this process's memory — a
+// parcel between them is a direct spawn with modeled byte counts, and the
+// global address space is the process heap partitioned by locality ownership
+// — or, in wire mode (Config.World > 1), the one locality of a multi-process
+// cluster whose parcels are encoded frames carried by a Transport under the
+// reliable-delivery engine (delivery.go). DESIGN.md records why this
+// preserves the behaviours the paper measures.
 package amt
 
 import (
@@ -34,41 +36,28 @@ type Task func(w *Worker)
 
 // Config configures a Runtime.
 type Config struct {
-	// Localities is the number of simulated localities (default 1).
+	// Localities is the number of shared-memory localities hosted by this
+	// process (default 1; forced to 1 in wire mode).
 	Localities int
 	// Workers is the number of scheduler threads per locality (default 1).
 	Workers int
-	// Latency is an optional injected delay per remote parcel (honored by
-	// the default PerfectTransport; a custom Transport models its own
-	// delays).
-	Latency time.Duration
 	// Seed seeds the per-worker steal RNGs (deterministic scheduling noise)
 	// and the delivery layer's backoff jitter.
 	Seed int64
-	// Transport is the wire remote parcels travel over; nil defaults to
-	// the in-process PerfectTransport honoring Latency. An unreliable
-	// transport (e.g. a FaultyTransport) automatically engages the
-	// sequence/ack/retry delivery layer tuned by Delivery.
-	Transport Transport
-	// Delivery tunes the reliable-delivery layer used over unreliable
-	// transports (zero value = defaults).
-	Delivery DeliveryConfig
-	// Tracer, if non-nil, receives transport fault events (retry, drop,
-	// duplicate, deadline-exceeded) as virtual trace events.
-	Tracer *trace.Tracer
-	// Detector, when non-nil, arms the heartbeat failure detector
-	// (failure.go): every locality emits periodic heartbeats, a monitor
-	// declares ranks dead after the configured missed-beat threshold, and
-	// registered OnFailure handlers run on each verdict. Required for
-	// Kill — a crash without a detector would hang the run.
-	Detector *FailureDetectorConfig
 	// World and Rank switch the runtime into wire mode (World > 1): this
 	// process hosts exactly one locality whose Rank is the global rank in
-	// [0, World), and remote parcels travel Transport as encoded frames
-	// (SendWire / DeliverWireFrame in wiredelivery.go) instead of closures.
-	// Membership — heartbeats, death verdicts — is the Cluster's job
-	// (cluster.go), not the in-process Detector's.
+	// [0, World), and parcels to other ranks travel Transport as encoded
+	// frames (SendWire / DeliverWireFrame in delivery.go). Membership —
+	// heartbeats, death verdicts — is the Cluster's job (cluster.go).
 	World, Rank int
+	// Transport is the frame wire of wire mode (required there, unused
+	// otherwise); Delivery tunes the reliable-delivery engine on top of it
+	// (zero value = defaults).
+	Transport Transport
+	Delivery  DeliveryConfig
+	// Tracer, if non-nil, receives delivery events (retry,
+	// deadline-exceeded) as virtual trace events.
+	Tracer *trace.Tracer
 }
 
 // Runtime is the in-process AMT runtime.
@@ -85,27 +74,18 @@ type Runtime struct {
 	// allocation cost of New per evaluation.
 	gen int
 
-	// killable gates the (cheap) dead-locality checks on the spawn and
-	// scheduling hot paths; it is set only when a failure detector is
-	// configured, so detector-less runs pay nothing.
-	killable bool
 	// shuttingDown is set once Run has finished its final leftover sweep;
 	// from then on stray spawns (e.g. a parcel copy arriving after the
 	// delivery deadline settled it) are counted instead of silently lost.
 	shuttingDown atomic.Bool
-	// Failure detection state (failure.go).
-	det          *FailureDetectorConfig
-	handlers     []func(rank int)
-	lastBeat     []atomic.Int64 // per rank, UnixNano of the last heartbeat
-	deadDeclared []atomic.Bool  // per rank, detector verdict issued
 
 	// Global address space (gas.go).
 	mem *gas
 
-	// Parcel delivery engine over cfg.Transport (delivery.go).
-	net *delivery
-	// wireHandler consumes inbound data frames in wire mode
-	// (wiredelivery.go). Written once before the data plane starts.
+	// net is the parcel delivery engine over cfg.Transport (delivery.go);
+	// nil outside wire mode. wireHandler consumes its inbound data frames and
+	// is written once before the data plane starts.
+	net         *delivery
 	wireHandler WireHandler
 
 	// Stats.
@@ -114,9 +94,6 @@ type Runtime struct {
 	tasksRun     atomic.Int64
 	stealsOK     atomic.Int64
 	stealsFailed atomic.Int64
-	ranksKilled  atomic.Int64
-	tasksDropped atomic.Int64 // tasks discarded from a crashed locality's queues
-	spawnsToDead atomic.Int64 // spawns rejected because the target rank is dead
 	lateSpawns   atomic.Int64 // spawns rejected because the runtime has shut down
 }
 
@@ -126,9 +103,6 @@ type Locality struct {
 	Rank    int
 	workers []*Worker
 	spawnRR atomic.Int64
-	// dead marks a crashed locality: its workers stop, its queues are
-	// dropped, and all spawns and parcels addressed to it are rejected.
-	dead atomic.Bool
 }
 
 // Worker is one scheduler thread of a locality.
@@ -148,7 +122,7 @@ type Worker struct {
 	normal wsDeque
 	high   wsDeque
 	// in receives tasks from goroutines that do not own this worker's
-	// deques (Locality.Spawn, latency-delayed parcels); the owner drains
+	// deques (Locality.Spawn, parcels, inbound frames); the owner drains
 	// it ahead of its own deques so injected priority tasks keep beating
 	// queued normal tasks.
 	in inbox
@@ -163,6 +137,9 @@ func New(cfg Config) *Runtime {
 	if cfg.World > 1 {
 		// Wire mode: one locality per process, globally ranked.
 		cfg.Localities = 1
+		if cfg.Transport == nil {
+			panic("amt: wire mode (Config.World > 1) requires Config.Transport")
+		}
 	}
 	if cfg.Localities <= 0 {
 		cfg.Localities = 1
@@ -170,21 +147,7 @@ func New(cfg Config) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.Transport == nil {
-		cfg.Transport = &PerfectTransport{Latency: cfg.Latency}
-	}
-	if ft, ok := cfg.Transport.(*FaultyTransport); ok && ft.Tracer == nil {
-		ft.Tracer = cfg.Tracer
-	}
 	rt := &Runtime{cfg: cfg, done: make(chan struct{})}
-	if cfg.Detector != nil {
-		d := cfg.Detector.withDefaults()
-		rt.det = &d
-		rt.killable = true
-		rt.lastBeat = make([]atomic.Int64, cfg.Localities)
-		rt.deadDeclared = make([]atomic.Bool, cfg.Localities)
-	}
-	rt.net = newDelivery(rt, cfg.Transport, cfg.Delivery, cfg.Seed)
 	gid := 0
 	for l := 0; l < cfg.Localities; l++ {
 		loc := &Locality{rt: rt, Rank: l}
@@ -204,6 +167,7 @@ func New(cfg Config) *Runtime {
 	}
 	if cfg.World > 1 {
 		rt.locs[0].Rank = cfg.Rank
+		rt.net = newDelivery(rt, cfg.Transport, cfg.Delivery, cfg.Seed, cfg.World)
 	}
 	return rt
 }
@@ -270,9 +234,7 @@ func (w *Worker) SpawnHigh(t Task) {
 // Spawn schedules a task on the locality, round-robin across its workers'
 // inboxes. It is the entry point for work arriving from outside any worker
 // (initial tasks, parcel delivery, cross-worker LCO continuations). A spawn
-// on a crashed locality is rejected and counted (the task is dropped, as
-// the parcel would be at a dead rank's NIC); a spawn after the runtime has
-// shut down is likewise counted rather than silently lost.
+// after the runtime has shut down is counted rather than silently lost.
 func (l *Locality) Spawn(t Task) { l.spawn(t, false) }
 
 // SpawnHigh is the priority variant of Spawn.
@@ -281,31 +243,23 @@ func (l *Locality) SpawnHigh(t Task) { l.spawn(t, true) }
 //dashmm:noalloc
 func (l *Locality) spawn(t Task, high bool) {
 	rt := l.rt
-	if rt.killable && l.dead.Load() {
-		rt.spawnsToDead.Add(1)
-		return
-	}
 	if rt.shuttingDown.Load() {
 		rt.lateSpawns.Add(1)
 		return
 	}
 	rt.pending.Add(1)
 	i := int(l.spawnRR.Add(1)-1) % len(l.workers)
-	if !l.workers[i].in.add(t, high) {
-		// The inbox closed between the dead check and the add (crash in
-		// flight): release the pending unit and count the drop.
-		rt.spawnsToDead.Add(1)
-		rt.finish()
-	}
+	l.workers[i].in.add(t, high)
 }
 
 // SendParcel sends an active-message parcel of the given payload size to
-// the destination locality, where action runs as a lightweight thread.
-// Sending to the local rank is a plain spawn (no network accounting), which
-// is how HPX-5 abstracts shared- vs distributed-memory execution. Remote
-// sends travel the configured Transport; over an unreliable wire the
-// delivery layer guarantees the action is spawned at most once (exactly
-// once unless the delivery deadline is exceeded).
+// another locality of this process, where action runs as a lightweight
+// thread. Sending to the local rank is a plain spawn (no network
+// accounting), which is how HPX-5 abstracts shared- vs distributed-memory
+// execution; a remote send is accounted as a parcel of the modeled size and
+// spawned directly on the destination — localities of one process share its
+// memory, so there is no wire to lose it. Parcels between processes are
+// encoded frames and go through SendWire.
 //
 //dashmm:noalloc
 func (w *Worker) SendParcel(dest int, bytes int, action Task) {
@@ -316,11 +270,7 @@ func (w *Worker) SendParcel(dest int, bytes int, action Task) {
 	}
 	rt.parcelsSent.Add(1)
 	rt.parcelBytes.Add(int64(bytes))
-	if rt.net.fastPath {
-		rt.locs[dest].Spawn(action)
-		return
-	}
-	rt.net.send(w.loc.Rank, dest, bytes, action)
+	rt.locs[dest].Spawn(action)
 }
 
 // finish marks one pending unit complete.
@@ -343,15 +293,12 @@ func (rt *Runtime) signalDone() {
 // and blocks until all spawned work has drained (or Abort is called). It
 // returns basic execution statistics. A Runtime runs one generation at a
 // time: after Run returns, call Reset to re-arm it for another Run (the
-// long-lived-service path), or create a new one. Reset refuses the
-// configurations that are genuinely single-shot (armed failure detector,
-// unreliable transport, aborted runs).
+// long-lived-service path), or create a new one. Reset refuses what is
+// genuinely single-shot (wire mode, aborted runs).
 func (rt *Runtime) Run(setup func()) Stats {
 	// Guard against an immediate empty run.
 	rt.pending.Add(1)
 	setup()
-
-	stopDet := rt.startDetector()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -368,40 +315,42 @@ func (rt *Runtime) Run(setup func()) Stats {
 	<-rt.done
 	close(stop)
 	wg.Wait()
-	stopDet()
 	// Shutdown drain: a task spawned between the pending counter reaching
 	// zero and the workers returning (a late parcel copy, a straggling
 	// continuation) may still sit in an inbox. Execute everything left,
 	// then raise the shutdown flag so anything arriving later is counted
-	// (TransportStats.LateDrops / spawn counters) instead of silently lost.
+	// (TransportStats.LateDrops / Stats.LateSpawns) instead of silently lost.
 	rt.sweepLeftovers()
 	rt.shuttingDown.Store(true)
 	rt.sweepLeftovers() // whatever raced the flag
-	// Settle whatever this run never got acked. A failed or aborted run
-	// leaves unacked parcels whose retransmission timers would otherwise
-	// outlive Run by up to the delivery deadline — and on a shared wire a
-	// retransmitted frame is re-stamped with the current cluster generation,
-	// so a dead run's stragglers would pass the next run's fence.
-	rt.net.purge()
+	if rt.net != nil {
+		// Settle whatever this run never got acked (see delivery.purge).
+		rt.net.purge()
+	}
 	return rt.StatsNow()
 }
 
 // StatsNow assembles the current counter values. Run returns the same
-// snapshot; StatsNow additionally lets tests observe post-run activity
-// (late parcel copies, severed retransmissions).
+// snapshot; StatsNow additionally lets callers observe a live or finished
+// run (a timeout diagnosis, late parcel copies, severed retransmissions).
 func (rt *Runtime) StatsNow() Stats {
-	return Stats{
+	s := Stats{
 		TasksRun:     rt.tasksRun.Load(),
 		ParcelsSent:  rt.parcelsSent.Load(),
 		ParcelBytes:  rt.parcelBytes.Load(),
 		Steals:       rt.stealsOK.Load(),
 		FailedSteals: rt.stealsFailed.Load(),
-		RanksKilled:  rt.ranksKilled.Load(),
-		TasksDropped: rt.tasksDropped.Load() + rt.spawnsToDead.Load(),
 		LateSpawns:   rt.lateSpawns.Load(),
-		Transport:    rt.net.stats(),
 	}
+	if rt.net != nil {
+		s.Transport = rt.net.stats()
+	}
+	return s
 }
+
+// TasksExecuted returns the number of tasks run so far. Watchdogs sample it
+// as a cheap progress indicator.
+func (rt *Runtime) TasksExecuted() int64 { return rt.tasksRun.Load() }
 
 // Generation returns how many times the runtime has been Reset. A fresh
 // runtime is generation 0.
@@ -410,32 +359,22 @@ func (rt *Runtime) Generation() int { return rt.gen }
 // Reset re-arms the runtime for another Run, making it multi-shot: the
 // completion latch is recreated, the shutdown flag cleared and the stats
 // counters zeroed, while the expensive structures New builds — worker
-// structs, their lock-free deques and inboxes, the delivery engine — are
-// kept. The caller must only Reset a quiesced runtime: Run has returned and
-// no external goroutine is still delivering work to it.
+// structs, their lock-free deques and inboxes — are kept. The caller must
+// only Reset a quiesced runtime: Run has returned and no external goroutine
+// is still delivering work to it.
 //
 // Reset refuses (returning an error, leaving the runtime unusable for
-// further Runs) when the previous run did not drain cleanly or when the
-// configuration pins state that is only correct single-shot:
-//
-//   - pending work remains (an aborted or stalled run — queues may hold
-//     tasks whose context is gone);
-//   - a failure detector is armed (a crashed locality's workers, inboxes
-//     and fencing tombstones are not revivable);
-//   - the transport is unreliable (the delivery layer's sequence windows
-//     and retransmission state encode one run's history).
-//
-// Callers handle an error by discarding the runtime and calling New — the
-// pool-and-recreate fallback.
+// further Runs) when pending work remains (an aborted or stalled run —
+// queues may hold tasks whose context is gone) and in wire mode (the
+// delivery engine's sequence windows and dedup filter encode one run's
+// history). Callers handle an error by discarding the runtime and calling
+// New — the pool-and-recreate fallback.
 func (rt *Runtime) Reset() error {
 	if n := rt.pending.Load(); n != 0 {
 		return fmt.Errorf("amt: Reset with %d pending units (aborted run?)", n)
 	}
-	if rt.det != nil {
-		return fmt.Errorf("amt: Reset on a detector-armed runtime")
-	}
-	if !rt.net.fastPath {
-		return fmt.Errorf("amt: Reset over an unreliable transport")
+	if rt.net != nil {
+		return fmt.Errorf("amt: Reset in wire mode")
 	}
 	rt.done = make(chan struct{})
 	rt.doneOnce = sync.Once{}
@@ -445,9 +384,6 @@ func (rt *Runtime) Reset() error {
 	rt.tasksRun.Store(0)
 	rt.stealsOK.Store(0)
 	rt.stealsFailed.Store(0)
-	rt.ranksKilled.Store(0)
-	rt.tasksDropped.Store(0)
-	rt.spawnsToDead.Store(0)
 	rt.lateSpawns.Store(0)
 	rt.gen++
 	return nil
@@ -468,9 +404,6 @@ func (rt *Runtime) sweepLeftovers() {
 	for {
 		n := 0
 		for _, loc := range rt.locs {
-			if rt.killable && loc.dead.Load() {
-				continue
-			}
 			for _, w := range loc.workers {
 				w.in.drain(w)
 				for {
@@ -497,10 +430,6 @@ func (w *Worker) run(stop <-chan struct{}) {
 	rt := w.loc.rt
 	backoff := time.Microsecond
 	for {
-		if rt.killable && w.loc.dead.Load() {
-			w.drainDead()
-			return
-		}
 		w.in.drain(w)
 		if t, ok := w.pop(); ok {
 			w.execute(t)
@@ -516,9 +445,9 @@ func (w *Worker) run(stop <-chan struct{}) {
 		rt.stealsFailed.Add(1)
 		select {
 		case <-stop:
-			// Shutdown, not crash: execute (never drop) anything that
-			// slipped into the inbox or deques after the last drain, so a
-			// task spawned during shutdown is not silently lost.
+			// Execute (never drop) anything that slipped into the inbox or
+			// deques after the last drain, so a task spawned during shutdown
+			// is not silently lost.
 			w.in.drain(w)
 			for {
 				t, ok := w.pop()
@@ -533,30 +462,6 @@ func (w *Worker) run(stop <-chan struct{}) {
 		if backoff < 64*time.Microsecond {
 			backoff *= 2
 		}
-	}
-}
-
-// drainDead discards the queues of a crashed locality's worker: the inbox is
-// closed (racing with Kill's own close, which is idempotent — whichever close
-// wins observes the queued tasks and must settle them), and the lock-free
-// deques are owner-drained here. Each dropped task settles its pending unit
-// so the run can complete without the dead rank.
-func (w *Worker) drainDead() {
-	rt := w.loc.rt
-	if dropped := w.in.close(); dropped > 0 {
-		rt.tasksDropped.Add(int64(dropped))
-		for i := 0; i < dropped; i++ {
-			rt.finish()
-		}
-	}
-	for {
-		t, ok := w.pop()
-		if !ok {
-			return
-		}
-		_ = t
-		rt.tasksDropped.Add(1)
-		rt.finish()
 	}
 }
 
@@ -606,16 +511,10 @@ type Stats struct {
 	ParcelBytes  int64
 	Steals       int64
 	FailedSteals int64
-	// RanksKilled counts localities crashed during the run (injected or
-	// detector fencing); TasksDropped counts tasks discarded with them
-	// (queued work plus spawns addressed to a dead rank); LateSpawns counts
-	// spawns rejected after shutdown.
-	RanksKilled  int64
-	TasksDropped int64
-	LateSpawns   int64
+	// LateSpawns counts spawns rejected after shutdown.
+	LateSpawns int64
 	// Transport counts delivery-layer and wire activity (retries, dedups,
-	// injected faults). All-zero except Sent/Acked-style fields when the
-	// wire is unreliable; fully zero on the perfect fast path.
+	// wire faults) in wire mode; all-zero for an in-process runtime.
 	Transport TransportStats
 }
 
@@ -626,9 +525,8 @@ func (s Stats) String() string {
 		out += fmt.Sprintf(" transport[sent=%d retried=%d acked=%d delivered=%d deduped=%d dropped=%d duplicated=%d deadline=%d]",
 			t.Sent, t.Retried, t.Acked, t.Delivered, t.Deduped, t.Dropped, t.Duplicated, t.DeadlineExceeded)
 	}
-	if s.RanksKilled+s.TasksDropped+s.LateSpawns > 0 {
-		out += fmt.Sprintf(" crash[killed=%d dropped=%d late=%d]",
-			s.RanksKilled, s.TasksDropped, s.LateSpawns)
+	if s.LateSpawns > 0 {
+		out += fmt.Sprintf(" lateSpawns=%d", s.LateSpawns)
 	}
 	if t := s.Transport; t.BytesOut+t.BytesIn+t.Reconnects+t.HandshakeFailures > 0 {
 		out += fmt.Sprintf(" wire[msgs=%d bytesOut=%d bytesIn=%d reconnects=%d handshakeFails=%d]",

@@ -1,10 +1,13 @@
-// Crash-recovery chaos harness: the PR 3 counterpart of TestChaosProfiles.
-// Full multipole evaluations (cube/sphere x Laplace/Yukawa) with one of
-// four localities killed at 25/50/75% DAG progress — plus a combined
-// profile layering the crash on the PR 2 acceptance wire (drops, dups,
-// reorder, slow rank) — gated at 1e-12 relative against the fault-free
-// potentials. Run the full matrix with `make chaos-crash`; `go test -short`
-// (the ci target) keeps one mid-run crash point and the combined profile.
+// Crash-recovery chaos harness: the rank-death counterpart of
+// TestChaosProfiles. Full multipole evaluations (cube/sphere x
+// Laplace/Yukawa) across four socket-joined ranks with one worker rank
+// dropping dead at 25/50/75% of its local progress — plus a combined profile
+// layering the death on the acceptance wire (drops, dups, reorder, slow
+// rank) — gated at 1e-12 relative against the sequential evaluation. The
+// death is detected by rank 0's heartbeat monitor and recovered by
+// distExec.applyDeath on every survivor: the code a SIGKILLed production
+// rank exercises. Run the full matrix with `make chaos-crash`; `go test
+// -short` (the ci target) keeps one mid-run death and the combined profile.
 package amt_test
 
 import (
@@ -12,20 +15,14 @@ import (
 	"time"
 
 	"repro/internal/amt"
-	"repro/internal/core"
-	"repro/internal/points"
 )
 
-// chaosCrashDetector: quick beats so the harness spends milliseconds, not
-// seconds, inside the detection window.
-func chaosCrashDetector() *amt.FailureDetectorConfig {
-	return &amt.FailureDetectorConfig{Interval: time.Millisecond, MissedBeats: 8}
-}
+const chaosVictim = 1
 
 type chaosCrashCase struct {
 	name  string
 	at    float64
-	wired bool // layer the PR 2 acceptance wire profile under the crash
+	wired bool // layer the acceptance wire profile under the death
 }
 
 func chaosCrashCases(short bool) []chaosCrashCase {
@@ -45,67 +42,46 @@ func chaosCrashCases(short bool) []chaosCrashCase {
 
 // TestChaosCrash is the crash-recovery chaos entry point.
 func TestChaosCrash(t *testing.T) {
-	n := 1500
-	if chaosRace {
-		n = 800
-	}
 	cases := chaosCrashCases(testing.Short() || chaosRace)
 
 	for _, wl := range chaosWorkloads() {
 		wl := wl
 		t.Run(wl.name, func(t *testing.T) {
-			sp := points.Generate(wl.dist, n, 1)
-			tp := points.Generate(wl.dist, n, 2)
-			q := points.Charges(n, 3)
-			plan, err := core.NewPlan(sp, tp, wl.kern(), core.Options{Threshold: 40})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _, err := plan.Evaluate(q, core.ExecOptions{
-				Localities: chaosLocalities, Workers: chaosWorkers, Seed: 99,
-			})
-			if err != nil {
-				t.Fatalf("fault-free reference run: %v", err)
-			}
-
+			cw := newChaosWorld(t, wl)
 			for _, tc := range cases {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					opts := core.ExecOptions{
-						Localities: chaosLocalities, Workers: chaosWorkers, Seed: 99,
-						Detector: chaosCrashDetector(),
-						Crash:    []core.CrashPlan{{Rank: 1, At: tc.at}},
-					}
+					var fault *amt.FaultProfile
 					if tc.wired {
-						opts.Fault = &amt.FaultProfile{
-							Seed: 42,
+						fault = &amt.FaultProfile{
 							Drop: 0.10, Duplicate: 0.10,
 							Reorder: true, ReorderJitter: time.Millisecond,
 							SlowRank: 2, SlowDelay: 3 * time.Millisecond,
 						}
-						opts.Delivery = chaosDelivery()
 					}
-					got, rep, err := plan.Evaluate(q, opts)
-					if err != nil {
-						t.Fatalf("%s under %s: %v", wl.name, tc.name, err)
+					got, reps, errs := cw.run(t, fault, map[int]float64{chaosVictim: tc.at})
+					for r, err := range errs {
+						if r == chaosVictim {
+							if err == nil {
+								t.Errorf("victim rank %d finished cleanly after closing its cluster", r)
+							}
+							continue
+						}
+						if err != nil {
+							t.Fatalf("%s under %s: rank %d: %v", wl.name, tc.name, r, err)
+						}
 					}
-					assertChaosClose(t, got, want)
+					assertChaosClose(t, got, cw.want)
 
-					r := rep.Recovery
-					t.Logf("%s/%s: %s", wl.name, tc.name, r)
-					if r.RanksKilled != 1 || r.Recoveries != 1 {
-						t.Errorf("killed=%d recoveries=%d, want 1/1", r.RanksKilled, r.Recoveries)
+					// NodesRebuilt is logged, not asserted: each survivor
+					// counts only the nodes it inherited, and rank 0 may
+					// inherit few.
+					rec := reps[0].Recovery
+					t.Logf("%s/%s: %s", wl.name, tc.name, rec)
+					if rec.RanksKilled != 1 {
+						t.Errorf("RanksKilled = %d, want 1", rec.RanksKilled)
 					}
-					// NodesRebuilt is logged, not asserted: a kill can
-					// legitimately rebuild nothing when the verdict lands
-					// after the dead rank's nodes have all discharged (a
-					// loaded machine stretches the detection window). The
-					// kill/recovery counters above are deterministic — the
-					// crash tombstone guarantees the verdict fires.
-					if r.RecoveryWall <= 0 {
-						t.Error("recovery wall time not recorded")
-					}
-					if tc.wired && rep.Runtime.Transport.Retried == 0 {
+					if ts := sumTransport(reps); tc.wired && ts.Retried == 0 {
 						t.Error("wired profile observed no retry")
 					}
 				})

@@ -3,6 +3,7 @@ package amt
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -24,11 +25,11 @@ import (
 // present broadcasts START carrying the full peer address list. From then
 // on the data plane is a mesh of SocketTransport connections (socket.go),
 // while heartbeats keep flowing worker→rank 0 over the control star: rank 0
-// is the single membership authority, declaring a silent rank dead after
-// the missed-beat threshold (the same policy as the in-process detector in
-// failure.go, now over a real wire) and broadcasting the verdict, with an
-// epoch number, to every survivor. A worker that loses its control
-// connection treats the coordinator as dead and aborts.
+// is the single membership authority — the one failure detector of the
+// system — declaring a silent rank dead after the missed-beat threshold and
+// broadcasting the verdict, with an epoch number, to every survivor. A
+// worker that loses its control connection treats the coordinator as dead
+// and aborts.
 //
 // A standing cluster (the serve worker pool) additionally supports
 // generation-based re-admission: a respawned worker presents a REJOIN
@@ -63,6 +64,22 @@ const (
 // off and retry the handshake instead of giving up.
 const retryPrefix = "retry: "
 
+// FailureDetectorConfig tunes the heartbeat failure detector: every worker
+// rank emits a heartbeat each Interval, and rank 0 declares a rank dead once
+// its last heartbeat is older than Interval × MissedBeats. This is the
+// classic heartbeat detector (the fixed-threshold special case of a
+// phi-accrual detector): complete (a crashed rank stops beating and is
+// eventually declared) but only eventually accurate (a tight threshold
+// misjudges a slow rank). A false verdict is made harmless by fencing: the
+// survivors sever the suspect and fail its work over, and the suspect itself
+// fails fast when it sees its own verdict.
+type FailureDetectorConfig struct {
+	// Interval between heartbeats.
+	Interval time.Duration
+	// MissedBeats before a silent rank is declared dead.
+	MissedBeats int
+}
+
 // ClusterConfig configures one rank's view of a multi-process cluster.
 type ClusterConfig struct {
 	// Rank is this process's locality id in [0, World); rank 0 coordinates.
@@ -75,8 +92,8 @@ type ClusterConfig struct {
 	// Stamp is the build/version + scenario stamp; every rank must present
 	// an identical stamp or the join is rejected.
 	Stamp string
-	// Heartbeat tunes the membership detector (zero value = the failure.go
-	// defaults scaled for a real wire: 25ms interval, 8 missed beats).
+	// Heartbeat tunes the membership detector (zero value = 25ms interval, 8
+	// missed beats).
 	Heartbeat FailureDetectorConfig
 	// DialBase/DialMax bound the data-plane dial retry backoff (defaults
 	// 5ms and 500ms).
@@ -628,6 +645,11 @@ func (c *Cluster) adoptMembership(payload []byte) error {
 // that already started (a standing pool running many jobs, a rejoined
 // worker) Start returns immediately.
 func (c *Cluster) Start() error {
+	select {
+	case <-c.quit:
+		return errClusterClosed
+	default:
+	}
 	if c.cfg.Rank == 0 {
 		c.mu.Lock()
 		already := c.started
@@ -650,7 +672,7 @@ func (c *Cluster) Start() error {
 			case <-deadline.C:
 				return fmt.Errorf("amt: join barrier timed out with %d/%d workers", n, c.cfg.World-1)
 			case <-c.quit:
-				return fmt.Errorf("amt: cluster closed during join barrier")
+				return errClusterClosed
 			case <-tick.C:
 			}
 		}
@@ -682,7 +704,7 @@ func (c *Cluster) Start() error {
 	case <-c.startCh:
 		return nil
 	case <-c.quit:
-		return fmt.Errorf("amt: cluster closed before START")
+		return errClusterClosed
 	case <-time.After(c.cfg.JoinTimeout):
 		return fmt.Errorf("amt: rank %d timed out waiting for START", c.cfg.Rank)
 	}
@@ -1144,8 +1166,14 @@ func (c *Cluster) broadcastCtl(kind uint16) {
 	}
 }
 
+var errClusterClosed = errors.New("amt: cluster closed")
+
 // Close tears the cluster down: listener, control connections, data-plane
-// peers, and every cluster goroutine is stopped and joined.
+// peers, and every cluster goroutine is stopped and joined. A run still in
+// flight on this rank is failed at once through its coordinator-lost
+// handler — without a cluster it can neither finish nor be told it cannot.
+// Close joins the cluster's reader goroutines, which invoke run callbacks,
+// so it must not be called from inside one.
 func (c *Cluster) Close() error {
 	c.closeMu.Lock()
 	if c.closed {
@@ -1155,6 +1183,7 @@ func (c *Cluster) Close() error {
 	c.closed = true
 	c.closeMu.Unlock()
 	close(c.quit)
+	c.fireCoordLost(errClusterClosed)
 	c.ln.Close()
 	if c.ctl != nil {
 		c.ctl.conn.Close()

@@ -1,0 +1,471 @@
+package amt
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/trace"
+)
+
+// framePipe is a test-only in-memory Transport joining wire-mode runtimes
+// of one process: every message is encoded with AppendFrame, decoded back
+// with ReadFrame, and handed to the destination runtime's DeliverWireFrame —
+// the codec round trip a socket performs, without the socket.
+type framePipe struct {
+	rts      []*Runtime // indexed by rank; set before any Send
+	messages atomic.Int64
+	bytesOut atomic.Int64
+}
+
+func (p *framePipe) Name() string { return "pipe" }
+
+func (p *framePipe) Stats() WireStats {
+	return WireStats{Messages: p.messages.Load(), BytesOut: p.bytesOut.Load()}
+}
+
+func (p *framePipe) Send(m Message) {
+	f := Frame{Kind: m.Kind, Src: m.Src, Dst: m.Dst, Epoch: m.Epoch, Seq: m.Seq, Payload: m.Payload}
+	if m.Ack {
+		f.Flags |= FlagAck
+	}
+	enc := AppendFrame(nil, &f)
+	p.messages.Add(1)
+	p.bytesOut.Add(int64(len(enc)))
+	got, err := ReadFrame(bufio.NewReader(bytes.NewReader(enc)))
+	if err != nil {
+		panic("framePipe: frame did not survive its own codec: " + err.Error())
+	}
+	p.rts[m.Dst].DeliverWireFrame(got)
+}
+
+// pipeWorld is a set of wire-mode runtimes joined by a framePipe, optionally
+// behind one shared FaultyTransport (so both ends report its fault counters).
+type pipeWorld struct {
+	rts []*Runtime
+}
+
+func newPipeWorld(world int, fault *FaultProfile, dcfg DeliveryConfig, tr *trace.Tracer) *pipeWorld {
+	pipe := &framePipe{}
+	var wire Transport = pipe
+	if fault != nil {
+		wire = NewFaultyTransport(pipe, *fault)
+	}
+	pw := &pipeWorld{}
+	for r := 0; r < world; r++ {
+		pw.rts = append(pw.rts, New(Config{
+			World: world, Rank: r, Workers: 2, Seed: int64(r) + 1,
+			Transport: wire, Delivery: dcfg, Tracer: tr,
+		}))
+	}
+	pipe.rts = pw.rts
+	return pw
+}
+
+// run executes setup on rank 0 while every other rank stays open for
+// inbound frames; when rank 0's Run returns — every parcel it sent has
+// settled — the receivers are released and drained. It returns each rank's
+// stats.
+func (pw *pipeWorld) run(setup func(rt0 *Runtime)) []Stats {
+	stats := make([]Stats, len(pw.rts))
+	var wg sync.WaitGroup
+	held := make(chan struct{}, len(pw.rts))
+	for r := 1; r < len(pw.rts); r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rt := pw.rts[r]
+			stats[r] = rt.Run(func() { rt.Hold(); held <- struct{}{} })
+		}(r)
+	}
+	for r := 1; r < len(pw.rts); r++ {
+		<-held
+	}
+	rt0 := pw.rts[0]
+	stats[0] = rt0.Run(func() { setup(rt0) })
+	for r := 1; r < len(pw.rts); r++ {
+		pw.rts[r].Release()
+	}
+	wg.Wait()
+	return stats
+}
+
+// sendN fires n indexed parcels from rank 0, round-robin over the other
+// ranks, and returns how many times each was handed to a wire handler plus
+// every rank's stats.
+func sendN(pw *pipeWorld, n int) ([]int64, []Stats) {
+	runs := make([]int64, n)
+	for r := 1; r < len(pw.rts); r++ {
+		pw.rts[r].OnWire(func(w *Worker, f Frame) {
+			atomic.AddInt64(&runs[binary.LittleEndian.Uint32(f.Payload)], 1)
+		})
+	}
+	stats := pw.run(func(rt0 *Runtime) {
+		for i := 0; i < n; i++ {
+			payload := binary.LittleEndian.AppendUint32(nil, uint32(i))
+			rt0.SendWire(1+i%(len(pw.rts)-1), 1, 0, payload)
+		}
+	})
+	return runs, stats
+}
+
+func assertExactlyOnce(t *testing.T, runs []int64) {
+	t.Helper()
+	for i, r := range runs {
+		if r != 1 {
+			t.Fatalf("parcel %d was handled %d times, want exactly 1", i, r)
+		}
+	}
+}
+
+// Parcels between localities of one process are direct spawns: no sequence
+// numbers, no acks, no wire — the transport counters stay all-zero while
+// the parcel accounting still moves.
+func TestInProcessParcelsBypassDelivery(t *testing.T) {
+	const n = 50
+	rt := New(Config{Localities: 2, Workers: 2})
+	runs := make([]int64, n)
+	stats := rt.Run(func() {
+		rt.Locality(0).Spawn(func(w *Worker) {
+			for i := 0; i < n; i++ {
+				i := i
+				w.SendParcel(1, 64, func(*Worker) { atomic.AddInt64(&runs[i], 1) })
+			}
+		})
+	})
+	assertExactlyOnce(t, runs)
+	if stats.Transport != (TransportStats{}) {
+		t.Errorf("in-process parcels touched the delivery engine: %+v", stats.Transport)
+	}
+	if stats.ParcelsSent != n || stats.ParcelBytes != 64*n {
+		t.Errorf("parcel accounting = %d parcels / %d bytes, want %d / %d",
+			stats.ParcelsSent, stats.ParcelBytes, n, 64*n)
+	}
+}
+
+func TestReliableDeliveryUnderDrop(t *testing.T) {
+	const n = 200
+	tr := trace.New(1)
+	pw := newPipeWorld(2, &FaultProfile{Seed: 1, Drop: 0.3},
+		DeliveryConfig{RetryBase: time.Millisecond, Deadline: 20 * time.Second}, tr)
+	runs, stats := sendN(pw, n)
+	assertExactlyOnce(t, runs)
+	snd, rcv := stats[0].Transport, stats[1].Transport
+	if snd.Sent != n {
+		t.Errorf("sent = %d, want %d", snd.Sent, n)
+	}
+	if rcv.Delivered != n {
+		t.Errorf("delivered = %d, want %d", rcv.Delivered, n)
+	}
+	if snd.Dropped == 0 {
+		t.Error("30% drop rate injected no drops")
+	}
+	if snd.Retried == 0 {
+		t.Error("drops recovered without a single retry")
+	}
+	if snd.DeadlineExceeded != 0 {
+		t.Errorf("%d parcels exceeded the deadline", snd.DeadlineExceeded)
+	}
+	if snd.Acked != n {
+		t.Errorf("acked = %d, want %d", snd.Acked, n)
+	}
+	// Each retransmission leaves a marker in the trace.
+	var marked int64
+	for _, ev := range tr.Snapshot() {
+		if ev.Class == trace.ClassNetRetry {
+			marked++
+		}
+	}
+	if marked != snd.Retried+rcv.Retried {
+		t.Errorf("trace holds %d retry markers for %d retries", marked, snd.Retried+rcv.Retried)
+	}
+}
+
+func TestDedupUnderDuplication(t *testing.T) {
+	const n = 200
+	pw := newPipeWorld(2, &FaultProfile{Seed: 2, Duplicate: 0.5}, DeliveryConfig{}, nil)
+	runs, stats := sendN(pw, n)
+	assertExactlyOnce(t, runs)
+	if stats[0].Transport.Duplicated == 0 {
+		t.Error("50% duplication injected no duplicates")
+	}
+	if stats[1].Transport.Deduped == 0 {
+		t.Error("duplicated deliveries were not deduplicated")
+	}
+}
+
+func TestReorderAndDelayStillDeliverAll(t *testing.T) {
+	pw := newPipeWorld(3, &FaultProfile{
+		Seed: 3, Delay: 200 * time.Microsecond,
+		Reorder: true, ReorderJitter: 2 * time.Millisecond,
+	}, DeliveryConfig{}, nil)
+	runs, _ := sendN(pw, 100)
+	assertExactlyOnce(t, runs)
+}
+
+func TestSlowRankDelaysItsParcels(t *testing.T) {
+	const pause = 10 * time.Millisecond
+	pw := newPipeWorld(2, &FaultProfile{Seed: 4, SlowRank: 1, SlowDelay: pause}, DeliveryConfig{}, nil)
+	var arrived atomic.Int64
+	start := time.Now()
+	pw.rts[1].OnWire(func(*Worker, Frame) { arrived.Store(int64(time.Since(start))) })
+	pw.run(func(rt0 *Runtime) { rt0.SendWire(1, 1, 0, nil) })
+	if got := time.Duration(arrived.Load()); got < pause {
+		t.Errorf("parcel to the paused rank arrived after %v, want >= %v", got, pause)
+	}
+}
+
+// TestDeliveryDeadlineExceeded: with every message dropped the sender must
+// eventually give up, count the failure, and let the runtime drain rather
+// than hang.
+func TestDeliveryDeadlineExceeded(t *testing.T) {
+	const n = 5
+	pw := newPipeWorld(2, &FaultProfile{Seed: 5, Drop: 1.0}, DeliveryConfig{
+		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
+		Deadline: 50 * time.Millisecond,
+	}, nil)
+	done := make(chan struct{})
+	var runs []int64
+	var stats []Stats
+	go func() {
+		runs, stats = sendN(pw, n)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("runtime hung on undeliverable parcels")
+	}
+	for i, r := range runs {
+		if r != 0 {
+			t.Errorf("parcel %d was handled %d times over a fully lossy wire", i, r)
+		}
+	}
+	if got := stats[0].Transport.DeadlineExceeded; got != n {
+		t.Errorf("deadlineExceeded = %d, want %d", got, n)
+	}
+}
+
+// TestLCOExactlyOnceOverFaultyWire wires the two halves together: parcel
+// inputs into an LCO over a dropping+duplicating wire must trigger it
+// exactly once with zero overflow — the delivery layer dedups before the
+// LCO ever sees an input.
+func TestLCOExactlyOnceOverFaultyWire(t *testing.T) {
+	const inputs = 64
+	pw := newPipeWorld(2, &FaultProfile{Seed: 6, Drop: 0.2, Duplicate: 0.2},
+		DeliveryConfig{RetryBase: time.Millisecond}, nil)
+	var sum, fired atomic.Int64
+	lco := NewLCO(pw.rts[1].LocalLocality(), inputs)
+	lco.Register(func(*Worker) { fired.Add(1) })
+	pw.rts[1].OnWire(func(_ *Worker, f Frame) {
+		v := int64(binary.LittleEndian.Uint32(f.Payload))
+		lco.Input(func() { sum.Add(v) })
+	})
+	pw.run(func(rt0 *Runtime) {
+		for i := 1; i <= inputs; i++ {
+			rt0.SendWire(1, 1, 0, binary.LittleEndian.AppendUint32(nil, uint32(i)))
+		}
+	})
+	if fired.Load() != 1 {
+		t.Fatalf("LCO fired %d times", fired.Load())
+	}
+	if sum.Load() != inputs*(inputs+1)/2 {
+		t.Errorf("reduction = %d, want %d", sum.Load(), inputs*(inputs+1)/2)
+	}
+	if lco.Overflow() != 0 {
+		t.Errorf("overflow = %d: duplicate wire deliveries reached the LCO", lco.Overflow())
+	}
+}
+
+// recordingWire is a transport that swallows every data message (recording
+// its send time) so the delivery layer's retransmission schedule can be
+// observed directly.
+type recordingWire struct {
+	mu    sync.Mutex
+	times []time.Time
+}
+
+func (r *recordingWire) Name() string     { return "recording" }
+func (r *recordingWire) Stats() WireStats { return WireStats{} }
+
+func (r *recordingWire) Send(m Message) {
+	if m.Ack {
+		return
+	}
+	r.mu.Lock()
+	r.times = append(r.times, time.Now())
+	r.mu.Unlock()
+}
+
+func (r *recordingWire) sends() []time.Time {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]time.Time(nil), r.times...)
+}
+
+// The retransmission schedule is a contract the chaos suites lean on: each
+// gap at least the current backoff step, at most the step widened by the
+// jitter factor (plus scheduling slack), the step doubling up to RetryMax
+// and then pinned there, and the whole loop ending at the deadline with the
+// parcel counted abandoned — not retried forever, not given up early.
+func TestDeliveryBackoffEnvelope(t *testing.T) {
+	const (
+		base     = 20 * time.Millisecond
+		max      = 80 * time.Millisecond
+		jitter   = 0.5
+		deadline = 700 * time.Millisecond
+		slack    = 60 * time.Millisecond // timer-firing lateness under CI load
+	)
+	rw := &recordingWire{}
+	rt := New(Config{
+		World: 2, Rank: 0, Workers: 1, Seed: 3, Transport: rw,
+		Delivery: DeliveryConfig{RetryBase: base, RetryMax: max, RetryJitter: jitter, Deadline: deadline},
+	})
+	start := time.Now()
+	stats := rt.Run(func() {
+		rt.SendWire(1, 1, 0, []byte("never acked"))
+	})
+	elapsed := time.Since(start)
+
+	if got := stats.Transport.DeadlineExceeded; got != 1 {
+		t.Fatalf("DeadlineExceeded = %d, want 1", got)
+	}
+	if stats.Transport.Acked != 0 {
+		t.Fatalf("Acked = %d, want 0", stats.Transport.Acked)
+	}
+	if elapsed < deadline {
+		t.Fatalf("run settled after %v, before the %v deadline", elapsed, deadline)
+	}
+
+	times := rw.sends()
+	if len(times) < 4 {
+		t.Fatalf("only %d transmissions before the deadline; backoff cap not honored?", len(times))
+	}
+	if int64(stats.Transport.Retried) != int64(len(times)-1) {
+		t.Fatalf("Retried = %d, but %d retransmissions hit the wire", stats.Transport.Retried, len(times)-1)
+	}
+	// Expected backoff step per gap: base doubling to max, then flat.
+	step := base
+	for i := 1; i < len(times); i++ {
+		gap := times[i].Sub(times[i-1])
+		lo := step - 2*time.Millisecond // timer granularity
+		hi := time.Duration(float64(step)*(1+jitter)) + slack
+		if gap < lo || gap > hi {
+			t.Fatalf("gap %d = %v outside jittered envelope [%v, %v] (step %v)", i, gap, lo, hi, step)
+		}
+		if step < max {
+			step *= 2
+			if step > max {
+				step = max
+			}
+		}
+	}
+	// The loop must stop at the deadline: the last transmission fits inside
+	// it, and the count is bounded by the capped schedule.
+	if last := times[len(times)-1].Sub(times[0]); last > deadline+time.Duration(float64(max)*(1+jitter))+slack {
+		t.Fatalf("last retransmission at %v, past the deadline window", last)
+	}
+	if len(times) > 16 {
+		t.Fatalf("%d transmissions in %v: backoff not slowing down", len(times), deadline)
+	}
+}
+
+// An ack settles the entry and stops the retransmission loop immediately.
+func TestDeliveryBackoffStopsOnAck(t *testing.T) {
+	rw := &recordingWire{}
+	rt := New(Config{
+		World: 2, Rank: 0, Workers: 1, Seed: 4, Transport: rw,
+		Delivery: DeliveryConfig{RetryBase: 10 * time.Millisecond, RetryMax: 40 * time.Millisecond, Deadline: 5 * time.Second},
+	})
+	start := time.Now()
+	stats := rt.Run(func() {
+		rt.SendWire(1, 1, 0, []byte("acked late"))
+		// Let two copies hit the wire, then deliver the ack.
+		go func() {
+			for {
+				if len(rw.sends()) >= 2 {
+					// The ack frame as rank 1 would emit it: src 1, dst 0,
+					// settling rank 0's entry for (0→1, seq 1).
+					rt.DeliverWireFrame(Frame{Flags: FlagAck, Src: 1, Dst: 0, Seq: 1})
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	})
+	elapsed := time.Since(start)
+	if stats.Transport.Acked != 1 {
+		t.Fatalf("Acked = %d, want 1", stats.Transport.Acked)
+	}
+	if stats.Transport.DeadlineExceeded != 0 {
+		t.Fatalf("DeadlineExceeded = %d, want 0", stats.Transport.DeadlineExceeded)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("run took %v; ack did not stop the retransmission loop", elapsed)
+	}
+	n := len(rw.sends())
+	time.Sleep(100 * time.Millisecond)
+	if m := len(rw.sends()); m != n {
+		t.Fatalf("%d transmissions after the ack settled the entry", m-n)
+	}
+}
+
+// TestSeverStopsRetransmissionToDeadRank is the delivery-teardown test: a
+// dead rank never acks, so senders retransmit until the death verdict severs
+// its endpoints — at which point every unacked entry settles (Severed), the
+// retry timers die (Retried stops moving), later sends are refused, and
+// nothing is left spinning on the dead destination.
+func TestSeverStopsRetransmissionToDeadRank(t *testing.T) {
+	const n = 8
+	rw := &recordingWire{} // rank 1 is a corpse: everything sent to it vanishes
+	rt := New(Config{
+		World: 2, Rank: 0, Workers: 1, Transport: rw,
+		Delivery: DeliveryConfig{
+			RetryBase: time.Millisecond,
+			RetryMax:  4 * time.Millisecond,
+			Deadline:  120 * time.Second,
+		},
+	})
+	severed := make(chan struct{})
+	rt.Run(func() {
+		for i := 0; i < n; i++ {
+			rt.SendWire(1, 1, 0, []byte{byte(i)})
+		}
+		// The verdict lands after the retransmission loop has been
+		// exercised; Run cannot return before it, the unacked entries hold
+		// pending units.
+		go func() {
+			defer close(severed)
+			for len(rw.sends()) < 3*n {
+				time.Sleep(time.Millisecond)
+			}
+			rt.SeverRank(1)
+			rt.SendWire(1, 1, 0, []byte("to a corpse"))
+		}()
+	})
+	<-severed
+	ts := rt.StatsNow().Transport
+	if ts.Severed != n+1 {
+		t.Errorf("Severed = %d, want %d unacked parcels settled by the sever + 1 send refused after it", ts.Severed, n)
+	}
+	if ts.Sent != n {
+		t.Errorf("Sent = %d, want %d: a send to a severed rank must not reach the wire", ts.Sent, n)
+	}
+	if ts.Retried == 0 {
+		t.Error("no retransmissions before the verdict; the loop was never exercised")
+	}
+	if ts.DeadlineExceeded != 0 {
+		t.Errorf("%d parcels hit the deadline; sever should have settled them first", ts.DeadlineExceeded)
+	}
+	// Leak check: all retry timers must be dead. Any survivor would bump
+	// Retried after the run.
+	before := rt.StatsNow().Transport.Retried
+	time.Sleep(30 * time.Millisecond)
+	if after := rt.StatsNow().Transport.Retried; after != before {
+		t.Errorf("retransmissions continued after the run: %d -> %d", before, after)
+	}
+}

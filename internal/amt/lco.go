@@ -82,11 +82,11 @@ func (l *LCO) Input(reduce func()) bool {
 }
 
 // Reset re-arms the LCO to expect `inputs` fresh inputs, discarding its
-// arrival/overflow counts and any still-registered continuations. Crash
-// recovery uses it to rebuild an LCO whose partial state was lost with its
-// owner: the payload is re-zeroed by the caller (outside the LCO, which
-// does not own it), the counts restart, and re-sent contributions reduce
-// into it again — idempotent re-registration instead of double-counting.
+// arrival/overflow counts and any still-registered continuations. It is the
+// rebuild step for an LCO whose partial state was lost with its owner: the
+// payload is re-zeroed by the caller (outside the LCO, which does not own
+// it), the counts restart, and re-sent contributions reduce into it again —
+// idempotent re-registration instead of double-counting.
 // It also re-homes the LCO if the owner moved. Resetting to zero inputs
 // leaves the LCO triggered (matching NewLCO).
 func (l *LCO) Reset(home *Locality, inputs int) {

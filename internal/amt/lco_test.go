@@ -136,3 +136,69 @@ func TestLCORegisterInputRaceSpawnsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestLCOReset: Reset re-arms a triggered LCO for crash-recovery rebuild —
+// fresh input count, cleared continuations, optional re-homing — and the
+// re-armed LCO fires again after exactly the new number of inputs.
+func TestLCOReset(t *testing.T) {
+	rt := New(Config{Localities: 2, Workers: 1})
+	lco := NewLCO(rt.Locality(0), 2)
+	var fired atomic.Int64
+	firedOn := make(chan int, 4)
+	rt.Run(func() {
+		loc := rt.Locality(0)
+		lco.Register(func(w *Worker) { fired.Add(1); firedOn <- w.Rank() })
+		loc.Spawn(func(w *Worker) {
+			lco.Input(nil)
+			lco.Input(nil)
+		})
+	})
+	if fired.Load() != 1 {
+		t.Fatalf("LCO fired %d times before reset, want 1", fired.Load())
+	}
+
+	// Re-arm with one more input than before, homed on the other locality.
+	lco.Reset(rt.Locality(1), 3)
+	if lco.Triggered() || lco.Arrived() != 0 || lco.Needed() != 3 || lco.Overflow() != 0 {
+		t.Fatalf("reset LCO state: triggered=%v arrived=%d needed=%d overflow=%d",
+			lco.Triggered(), lco.Arrived(), lco.Needed(), lco.Overflow())
+	}
+	if lco.Home() != rt.Locality(1) {
+		t.Fatal("reset did not re-home the LCO")
+	}
+
+	rt2 := New(Config{Localities: 2, Workers: 1})
+	// The LCO's home locality belongs to the finished runtime; re-home it
+	// onto the fresh one (recovery re-homes onto live localities the same
+	// way).
+	lco.Reset(rt2.Locality(1), 3)
+	rt2.Run(func() {
+		lco.Register(func(w *Worker) { fired.Add(1); firedOn <- w.Rank() })
+		rt2.Locality(0).Spawn(func(w *Worker) {
+			lco.Input(nil)
+			lco.Input(nil)
+			lco.Input(nil)
+			lco.Input(nil) // overflow: must not double-fire
+		})
+	})
+	if fired.Load() != 2 {
+		t.Fatalf("LCO fired %d times total, want 2", fired.Load())
+	}
+	if lco.Overflow() != 1 {
+		t.Errorf("overflow = %d, want 1", lco.Overflow())
+	}
+	close(firedOn)
+	ranks := []int{}
+	for r := range firedOn {
+		ranks = append(ranks, r)
+	}
+	if len(ranks) != 2 || ranks[0] != 0 || ranks[1] != 1 {
+		t.Errorf("continuations ran on ranks %v, want [0 1] (pre/post re-home)", ranks)
+	}
+
+	// Reset to zero inputs leaves the LCO triggered, matching NewLCO.
+	lco.Reset(nil, 0)
+	if !lco.Triggered() {
+		t.Error("reset to zero inputs should leave the LCO triggered")
+	}
+}

@@ -10,8 +10,7 @@ import (
 )
 
 // SocketTransport is the multi-process data plane: a mesh of TCP or
-// unix-domain connections between ranks, implementing the same Transport
-// interface as the in-process wires. Each peer gets a dedicated writer
+// unix-domain connections between ranks. Each peer gets a dedicated writer
 // goroutine draining a bounded outbound queue, so sends never block the
 // scheduler and consecutive frames to the same destination coalesce into
 // one buffered write + flush (the per-destination batching seam from the
@@ -22,7 +21,7 @@ import (
 // jitter; a broken or unavailable connection is never an error surfaced to
 // the caller — queued and in-flight frames are simply lost, which the
 // delivery layer (delivery.go) observes as wire loss and repairs with
-// seq/ack/retransmit. Reliable() is therefore false by construction.
+// seq/ack/retransmit.
 type SocketTransport struct {
 	cl *Cluster
 
@@ -63,10 +62,6 @@ func newSocketTransport(cl *Cluster) *SocketTransport {
 
 // Name implements Transport.
 func (t *SocketTransport) Name() string { return t.cl.cfg.Network }
-
-// Reliable implements Transport: sockets lose whatever a broken connection
-// had queued or in flight, so the delivery layer must engage.
-func (t *SocketTransport) Reliable() bool { return false }
 
 // Stats implements Transport.
 func (t *SocketTransport) Stats() WireStats {

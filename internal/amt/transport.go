@@ -5,120 +5,62 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // The parcel wire. HPX-5 assumes a reliable network (Photon/MPI underneath);
-// this runtime makes that assumption explicit and pluggable: parcels between
-// localities travel over a Transport, and an unreliable Transport is wrapped
-// by the delivery layer (delivery.go) that restores at-least-once wire
-// delivery with exactly-once effect at the receiver. DESIGN.md ("Robustness")
-// records the deviation from the paper's reliable-network model.
+// this runtime does not: ranks in separate processes exchange encoded frames
+// over a Transport that may lose, duplicate, delay or reorder them, and the
+// delivery engine (delivery.go) restores at-least-once wire delivery with
+// exactly-once effect at the receiver. Localities sharing one process need
+// no wire at all — a parcel between them is a direct Locality.Spawn.
+// DESIGN.md ("Failure handling") records the deviation from the paper's
+// reliable-network model.
 
-// Message is one wire-level transmission between localities: either a data
-// parcel (carrying the coalesced-edge action) or an ack flowing back to the
-// sender. Deliver runs when the message "arrives"; a Transport may invoke it
-// zero times (drop), once, or several times (duplication), possibly delayed
-// and out of order with respect to other messages.
-//
-// In-process transports carry the action as the Deliver closure and Bytes is
-// a modeled payload size. A multi-process transport (SocketTransport) cannot
-// ship a closure: such messages instead carry a typed, encoded Payload plus
-// its Kind tag (see codec.go), and the receiving process reconstructs the
-// action through the runtime's registered wire handler.
+// Message is one wire-level transmission between ranks: either a data parcel
+// (a typed, encoded Payload plus its Kind tag, see codec.go) or an ack
+// flowing back to the sender. A Transport may deliver it zero times, once,
+// or several times, possibly delayed and out of order with respect to other
+// messages.
 type Message struct {
 	Src, Dst int
-	Bytes    int
 	Seq      uint64
 	Ack      bool
-	Deliver  func()
-	// Kind tags the encoded payload type for wire transports; Payload is the
-	// encoded bytes. Both are nil/zero for in-process closure delivery.
-	Kind    uint16
-	Epoch   uint32
-	Payload []byte
+	Kind     uint16
+	Epoch    uint32
+	Payload  []byte
 }
 
 // WireStats counts what a Transport did to the messages it carried: the
 // injected or genuine faults (dropped, duplicated, delayed) plus the carried
-// traffic itself. In-process transports report modeled byte counts (the
-// Message.Bytes field); socket transports report real encoded frame bytes,
-// so amt.Stats/ExecReport byte totals stay meaningful on both wires.
+// traffic itself in encoded frame bytes.
 type WireStats struct {
 	Dropped    int64
 	Duplicated int64
 	Delayed    int64
-	// Messages counts messages handed to the wire (data + acks, before
-	// faults). BytesOut is the total outbound payload volume: modeled bytes
-	// for in-process transports, encoded frame bytes for socket transports.
-	// BytesIn counts received frame bytes (zero for in-process transports,
-	// whose deliveries never cross an encode/decode boundary).
+	// Messages counts messages handed to the wire (data + acks). BytesOut and
+	// BytesIn are encoded frame bytes sent and received.
 	Messages int64
 	BytesOut int64
 	BytesIn  int64
 	// Reconnects counts re-established peer connections and
-	// HandshakeFailures rejected connection attempts (socket transports).
+	// HandshakeFailures rejected connection attempts.
 	Reconnects        int64
 	HandshakeFailures int64
 	// StaleFenced counts inbound frames dropped by the generation fence: a
 	// dead incarnation's stragglers, or early frames from a generation this
-	// rank had not yet adopted (socket transports).
+	// rank had not yet adopted.
 	StaleFenced int64
 }
 
-// Transport is the pluggable wire between localities.
+// Transport is the frame wire between ranks. No implementation is assumed
+// reliable: the delivery engine always runs on top.
 type Transport interface {
 	// Name identifies the transport in reports.
 	Name() string
-	// Reliable reports whether the wire delivers every message exactly
-	// once. For a reliable wire the runtime skips the sequence/ack/retry
-	// bookkeeping entirely; for an unreliable one the delivery layer
-	// engages.
-	Reliable() bool
-	// Send conveys one message toward Message.Dst, invoking
-	// Message.Deliver per the transport's fault model.
+	// Send conveys one message toward Message.Dst.
 	Send(m Message)
-	// Stats returns the wire-level fault counters.
+	// Stats returns the wire-level counters.
 	Stats() WireStats
-}
-
-// PerfectTransport is the in-process wire the runtime has always had: every
-// message arrives exactly once, optionally after a fixed injected latency.
-type PerfectTransport struct {
-	Latency time.Duration
-
-	messages atomic.Int64
-	bytesOut atomic.Int64
-}
-
-// Name implements Transport.
-func (t *PerfectTransport) Name() string { return "perfect" }
-
-// Reliable implements Transport.
-func (t *PerfectTransport) Reliable() bool { return true }
-
-// Stats implements Transport: the perfect wire injects no faults but still
-// accounts the (modeled) traffic it carried. Note the zero-latency perfect
-// wire is bypassed entirely by the delivery fast path, so these counters
-// only move when Latency > 0; the runtime-level ParcelBytes counter covers
-// the fast path.
-func (t *PerfectTransport) Stats() WireStats {
-	return WireStats{
-		Messages: t.messages.Load(),
-		BytesOut: t.bytesOut.Load(),
-	}
-}
-
-// Send implements Transport.
-func (t *PerfectTransport) Send(m Message) {
-	t.messages.Add(1)
-	t.bytesOut.Add(int64(m.Bytes))
-	if t.Latency > 0 {
-		time.AfterFunc(t.Latency, m.Deliver)
-		return
-	}
-	m.Deliver()
 }
 
 // FaultProfile configures a FaultyTransport. The zero value injects nothing;
@@ -139,20 +81,18 @@ type FaultProfile struct {
 	// ReorderJitter bounds the reorder delay (default 1ms when Reorder is
 	// set).
 	ReorderJitter time.Duration
-	// SlowRank pauses one locality: every message to or from this rank is
-	// delayed by an extra SlowDelay. Active only when SlowDelay > 0.
+	// SlowRank pauses one rank: every message to or from it is delayed by an
+	// extra SlowDelay. Active only when SlowDelay > 0.
 	SlowRank  int
 	SlowDelay time.Duration
 }
 
-// FaultyTransport injects configurable drop/duplicate/delay/reorder faults
-// and a per-locality pause from a seeded RNG. It is safe for concurrent use.
+// FaultyTransport decorates a Transport with seeded drop / duplicate / delay
+// / reorder / slow-rank faults, applied to each Message before it reaches
+// the inner wire. It is safe for concurrent use.
 type FaultyTransport struct {
-	// Tracer, when enabled, receives one virtual event per injected drop
-	// and duplication (trace.ClassNetDrop / trace.ClassNetDup).
-	Tracer *trace.Tracer
-
-	prof FaultProfile
+	inner Transport
+	prof  FaultProfile
 
 	mu  sync.Mutex
 	rng *rand.Rand // guarded by mu
@@ -160,44 +100,37 @@ type FaultyTransport struct {
 	dropped    atomic.Int64
 	duplicated atomic.Int64
 	delayed    atomic.Int64
-	messages   atomic.Int64
-	bytesOut   atomic.Int64
 }
 
-// NewFaultyTransport builds a transport injecting the profile's faults.
-func NewFaultyTransport(p FaultProfile) *FaultyTransport {
+// NewFaultyTransport wraps inner with the profile's faults.
+func NewFaultyTransport(inner Transport, p FaultProfile) *FaultyTransport {
 	if p.Reorder && p.ReorderJitter <= 0 {
 		p.ReorderJitter = time.Millisecond
 	}
 	return &FaultyTransport{
-		prof: p,
-		rng:  rand.New(rand.NewSource(p.Seed*2654435761 + 97)),
+		inner: inner,
+		prof:  p,
+		rng:   rand.New(rand.NewSource(p.Seed*2654435761 + 97)),
 	}
 }
 
 // Name implements Transport.
-func (t *FaultyTransport) Name() string { return "faulty" }
+func (t *FaultyTransport) Name() string { return "faulty+" + t.inner.Name() }
 
-// Reliable implements Transport: a faulty wire needs the delivery layer.
-func (t *FaultyTransport) Reliable() bool { return false }
-
-// Stats implements Transport.
+// Stats implements Transport: the inner wire's counters plus the injected
+// faults.
 func (t *FaultyTransport) Stats() WireStats {
-	return WireStats{
-		Dropped:    t.dropped.Load(),
-		Duplicated: t.duplicated.Load(),
-		Delayed:    t.delayed.Load(),
-		Messages:   t.messages.Load(),
-		BytesOut:   t.bytesOut.Load(),
-	}
+	s := t.inner.Stats()
+	s.Dropped += t.dropped.Load()
+	s.Duplicated += t.duplicated.Load()
+	s.Delayed += t.delayed.Load()
+	return s
 }
 
 // Send implements Transport: draw the fate of the message (drop, duplicate,
-// or single delivery) and a delay for each surviving copy, then schedule the
-// deliveries.
+// or single delivery) and a delay for each surviving copy, then hand the
+// copies to the inner wire.
 func (t *FaultyTransport) Send(m Message) {
-	t.messages.Add(1)
-	t.bytesOut.Add(int64(m.Bytes))
 	var delays [2]time.Duration
 	t.mu.Lock()
 	copies := 1
@@ -222,26 +155,16 @@ func (t *FaultyTransport) Send(m Message) {
 	switch copies {
 	case 0:
 		t.dropped.Add(1)
-		t.record(trace.ClassNetDrop)
 		return
 	case 2:
 		t.duplicated.Add(1)
-		t.record(trace.ClassNetDup)
 	}
 	for i := 0; i < copies; i++ {
 		if d := delays[i]; d > 0 {
 			t.delayed.Add(1)
-			time.AfterFunc(d, m.Deliver)
+			time.AfterFunc(d, func() { t.inner.Send(m) })
 		} else {
-			m.Deliver()
+			t.inner.Send(m)
 		}
 	}
-}
-
-func (t *FaultyTransport) record(class uint8) {
-	if !t.Tracer.Enabled() {
-		return
-	}
-	now := t.Tracer.Now()
-	t.Tracer.RecordVirtual(trace.Event{Class: class, Worker: -1, Locality: -1, Start: now, End: now})
 }

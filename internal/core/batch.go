@@ -19,18 +19,7 @@ import (
 // the ordinary LCO bookkeeping per edge — target lock, reduction, input
 // countdown, trigger — so downstream scheduling is identical to per-edge
 // execution. Batches complete in shared memory: the member edges bypass
-// the parcel wire (they are skipped by the coalescing loop), which is why
-// latency-modeled runs disable batching.
-//
-// Under crash recovery the batch aggregates only the scheduling: the batch
-// task applies its members through deliverRecov, one edge at a time, so the
-// per-edge applied bits, staleness epochs and exactly-once dedupe keep
-// working unchanged when a batch is replayed. After a crash verdict the
-// batch counters are abandoned entirely — sources that complete post-crash
-// deliver their batched edges inline (runNodeRecov), and the coordinator's
-// demotion scan (recover.go) re-delivers any member edge of an
-// already-complete source that a lost or never-fired batch task left
-// unapplied.
+// the parcel accounting (they are skipped by the coalescing loop).
 
 // batchBlock is the far-field GEMM block: 16 right-hand sides of scratch
 // (25.6 KB at p=9) keep the accumulation out of the target locks while the
@@ -48,12 +37,11 @@ type batchScratch struct {
 // initBatches wires the plan's batch descriptors into the executor:
 // per-batch pending counters, prebuilt batch tasks and the scratch pool.
 // Batching is an execution strategy with a per-shape gate — PerEdge opts
-// out wholesale, latency-modeled runs stay per-edge (batches bypass the
-// modeled wire), and gradient runs keep the near field per-edge (the tiled
+// out wholesale, and gradient runs keep the near field per-edge (the tiled
 // P2P computes potentials only).
 func (ex *executor) initBatches(p *Plan, opts ExecOptions) {
 	bk, isBatch := p.Kernel.(kernel.BatchKernel)
-	if !isBatch || p.batches.Empty() || opts.PerEdge || opts.Latency != 0 {
+	if !isBatch || p.batches.Empty() || opts.PerEdge {
 		return
 	}
 	ex.batches = p.batches
@@ -151,10 +139,6 @@ func (ex *executor) noteBatchSources(w *amt.Worker, id int32) {
 //dashmm:noalloc
 func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 	mb := &ex.batches.M2L[bi]
-	if ex.rec != nil {
-		ex.runBatchRecov(w, mb.Edges)
-		return
-	}
 	sc := ex.batchScratch.Get().(*batchScratch)
 	st := ex.st
 	for lo := 0; lo < len(mb.Edges); lo += batchBlock {
@@ -212,10 +196,6 @@ func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 //dashmm:noalloc
 func (ex *executor) runBatchP2P(w *amt.Worker, pi int32) {
 	pb := &ex.batches.P2P[pi]
-	if ex.rec != nil {
-		ex.runBatchRecov(w, pb.Edges)
-		return
-	}
 	sc := ex.batchScratch.Get().(*batchScratch)
 	st := ex.st
 	sc.chunks = sc.chunks[:0]
@@ -256,17 +236,4 @@ func (ex *executor) runBatchP2P(w *amt.Worker, pi int32) {
 		ex.fireNode(w, pb.Target)
 	}
 	ex.batchScratch.Put(sc)
-}
-
-// runBatchRecov is the crash-recovery form of a batch task: the aggregation
-// bought the scheduling (one task for the whole batch), but every member
-// edge is applied through deliverRecov so the applied bits, epochs and
-// exactly-once dedupe behave exactly as on the per-edge path.
-func (ex *executor) runBatchRecov(w *amt.Worker, edges []dag.BatchEdge) {
-	rec := ex.rec
-	ep := rec.epoch.Load()
-	for _, be := range edges {
-		from := &ex.g.Nodes[be.From]
-		ex.deliverRecov(w, from, rec.edgeBase[be.From]+be.Out, from.Out[be.Out], ep)
-	}
 }

@@ -157,28 +157,3 @@ func TestBatchedSteadyStateAllocsPerEdge(t *testing.T) {
 		t.Errorf("batched steady-state allocations %.4f per edge exceed 0.05 (%.0f per run)", perEdge, allocs)
 	}
 }
-
-// TestBatchedCrashRecoveryMatchesSequential crosses the tentpole with the
-// recovery subsystem: under the Basic method every list-2 edge belongs to a
-// batch, a rank dies mid-run, and the per-edge applied bits plus the batch
-// demotion scan must still deliver exactly-once semantics to 1e-12.
-func TestBatchedCrashRecoveryMatchesSequential(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Basic, 1500)
-	if plan.batches.Empty() {
-		t.Fatal("no batches built for the Basic-method plan")
-	}
-	for _, at := range []float64{0.25, 0.50, 0.75} {
-		got, rep, err := plan.Evaluate(q, ExecOptions{
-			Localities: 4, Workers: 2, Seed: 7,
-			Detector: testDetector(),
-			Crash:    []CrashPlan{{Rank: 1, At: at}},
-		})
-		if err != nil {
-			t.Fatalf("crash at %.0f%%: %v", at*100, err)
-		}
-		assertSame(t, got, want, 1e-12)
-		if r := rep.Recovery; r.RanksKilled != 1 || r.Recoveries != 1 {
-			t.Errorf("at %.0f%%: killed=%d recoveries=%d, want 1/1", at*100, r.RanksKilled, r.Recoveries)
-		}
-	}
-}

@@ -21,9 +21,10 @@ import (
 // cluster's socket mesh with the amt delivery layer's seq/ack/retransmit
 // underneath.
 //
-// Process death is handled with the same DAG-recomputation insight as the
-// in-process coordinator (recover.go), adapted to the fact that a dead
-// process takes a whole address space with it: on a death verdict —
+// Process death is the one crash model of the system (DESIGN.md, "Failure
+// handling"). The DAG itself carries enough dependency information to
+// re-derive everything a dead rank took with it — the insight of the
+// data-driven FMM literature the paper builds on: on a death verdict —
 // broadcast by rank 0 in a total order every rank observes identically —
 // each survivor independently (1) fences the corpse's wire endpoints,
 // (2) takes the rebuild set to be every node homed on the dead rank,
@@ -36,10 +37,36 @@ import (
 //
 // Concurrency discipline: node fires and parcel applies run under a shared
 // read lock; a death verdict takes the write lock, so recovery observes a
-// quiesced executor — no node is mid-fire, no parcel mid-install — and the
-// subtle orderings the in-process fast path needs (epoch snapshots,
-// staleness guards) are unnecessary here. The wire is the bottleneck in
-// this mode, not the lock.
+// quiesced executor — no node is mid-fire, no parcel mid-install. The wire
+// is the bottleneck in this mode, not the lock.
+
+// RecoveryStats reports the rank-death recovery work of one distributed
+// evaluation, as seen by the reporting rank.
+type RecoveryStats struct {
+	// RanksKilled counts death verdicts this rank applied.
+	RanksKilled int
+	// NodesRebuilt counts DAG nodes this rank reset and re-executed after
+	// inheriting them from a dead rank.
+	NodesRebuilt int64
+	// EdgesReplayed counts in-edges of rebuilt nodes this rank re-sent from
+	// its already-fired nodes.
+	EdgesReplayed int64
+	// StaleDropped counts parcels discarded because their source node had
+	// been failed over to this rank (a corpse's in-flight frame).
+	StaleDropped int64
+}
+
+func (r RecoveryStats) String() string {
+	return fmt.Sprintf("killed=%d rebuilt=%d replayed=%d stale=%d",
+		r.RanksKilled, r.NodesRebuilt, r.EdgesReplayed, r.StaleDropped)
+}
+
+// inRef locates one in-edge of a node: source node and the index of the
+// edge within the source's Out list.
+type inRef struct {
+	src int32
+	out int32
+}
 
 // DistOptions configures one rank's participation in a distributed
 // evaluation.
@@ -54,6 +81,10 @@ type DistOptions struct {
 	// Delivery tunes the reliable-delivery layer (zero value = amt
 	// defaults).
 	Delivery amt.DeliveryConfig
+	// Fault, when non-nil, wraps this rank's outbound wire in an
+	// amt.FaultyTransport built from the profile (fresh per run, so the
+	// seeded fault sequence is reproducible): the chaos harness's knob.
+	Fault *amt.FaultProfile
 	// Timeout bounds the whole evaluation; a rank that cannot finish —
 	// coordinator gone, peers wedged — errors out instead of hanging
 	// (default 2 minutes).
@@ -197,7 +228,6 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 		Workers:     opts.Workers,
 		Recovery: RecoveryStats{
 			RanksKilled:   int(dx.deaths.Load()),
-			Recoveries:    int(dx.deaths.Load()),
 			NodesRebuilt:  dx.rebuilt.Load(),
 			EdgesReplayed: dx.replayed.Load(),
 			StaleDropped:  dx.staleDrops.Load(),
@@ -319,15 +349,19 @@ func newDistExec(p *Plan, st *state, cl *amt.Cluster, opts DistOptions) (*distEx
 	dx.ownedLeft.Store(owned)
 	for i := range dx.tasks {
 		id := int32(i)
-		dx.tasks[i] = func(w *amt.Worker) { dx.runNode(w, id) }
+		dx.tasks[i] = func(*amt.Worker) { dx.runNode(id) }
 	}
 
+	var wire amt.Transport = cl.Transport()
+	if opts.Fault != nil {
+		wire = amt.NewFaultyTransport(wire, *opts.Fault)
+	}
 	dx.rt = amt.New(amt.Config{
 		World:     dx.world,
 		Rank:      dx.rank,
 		Workers:   opts.Workers,
 		Seed:      opts.Seed,
-		Transport: cl.Transport(),
+		Transport: wire,
 		Delivery:  opts.Delivery,
 	})
 	dx.rt.OnWire(dx.onWire)
@@ -519,14 +553,26 @@ func (dx *distExec) deliverEdge(from *dag.Node, gidx int32, e dag.Edge) {
 	}
 }
 
-// runNode is the distributed node continuation: local edges apply
-// directly, remote edges coalesce into one typed parcel per destination
-// rank carrying the node's payload values.
-func (dx *distExec) runNode(w *amt.Worker, id int32) {
+// runNode is the distributed node continuation. The progress callback runs
+// after the run lock is dropped: it is caller-supplied code (the chaos
+// harness closes the rank's cluster from it), and Cluster.Close joins
+// readers that may be waiting for the write half.
+func (dx *distExec) runNode(id int32) {
+	fired := dx.fireNode(id)
+	if fired > 0 && dx.opts.OnProgress != nil {
+		dx.opts.OnProgress(fired, int(dx.ownedTotal.Load()))
+	}
+}
+
+// fireNode processes a fired node's out-edge list — local edges apply
+// directly, remote edges coalesce into one typed parcel per destination rank
+// carrying the node's payload values — and returns the cumulative fire
+// count (0 for a duplicate trigger).
+func (dx *distExec) fireNode(id int32) int {
 	dx.runMu.RLock()
 	defer dx.runMu.RUnlock()
 	if dx.fired[id].Swap(true) {
-		return
+		return 0
 	}
 	n := &dx.g.Nodes[id]
 	base := dx.edgeBase[id]
@@ -560,14 +606,11 @@ func (dx *distExec) runNode(w *amt.Worker, id int32) {
 		}
 		batch.release()
 	}
-	fired := dx.firedCnt.Add(1)
-	if dx.opts.OnProgress != nil {
-		dx.opts.OnProgress(int(fired), int(dx.ownedTotal.Load()))
-	}
 	if dx.ownedLeft.Add(-1) == 0 {
 		//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
 		dx.completeLocal()
 	}
+	return int(dx.firedCnt.Add(1))
 }
 
 // completeLocal reports this rank's completed targets: rank 0 marks its own

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/amt"
 )
 
 // A standing cluster serves several runs back to back (the serve pool's
@@ -13,59 +10,30 @@ import (
 // PreDead: the survivors replay the death before the next run starts, place
 // nothing on the corpse, and still hit the 1e-12 gate.
 func TestDistRunStandingClusterPreDead(t *testing.T) {
-	const world, n = 3, 1500
+	const world = 3
 	const victim = world - 1
-	refPlan, q := distScenario(t, n)
-	want, err := refPlan.EvaluateSequential(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dw := newDistWorld(t, world, 1500)
+	cls := distClusters(t, world)
 
-	cls := distClusters(t, world, func(c *amt.ClusterConfig) {
-		c.Heartbeat = amt.FailureDetectorConfig{Interval: 50 * time.Millisecond, MissedBeats: 20}
-	})
-	plans := make([]*Plan, world)
-	for r := 0; r < world; r++ {
-		plans[r], _ = distScenario(t, n)
-	}
-
-	// runAll executes one fault-free run on the given ranks of the standing
-	// cluster; dead ranks pass a nil cluster slot.
-	runAll := func(seed int64, gen uint32, preDead []int) []float64 {
+	// runAll executes one fault-free run on the live ranks of the standing
+	// cluster.
+	runAll := func(gen uint32, preDead []int) []float64 {
 		t.Helper()
-		pots := make([][]float64, world)
-		errs := make([]error, world)
-		var wg sync.WaitGroup
-		for r := 0; r < world; r++ {
-			if cls[r] == nil {
-				continue
-			}
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				charges := q
-				if r != 0 {
-					charges = nil
-				}
-				pots[r], _, errs[r] = DistRun(plans[r], cls[r], charges, DistOptions{
-					Seed: seed, Timeout: 60 * time.Second,
-					Generation: gen, PreDead: preDead,
-				})
-			}(r)
-		}
-		wg.Wait()
-		for r, err := range errs {
-			if cls[r] != nil && err != nil {
-				t.Fatalf("rank %d (seed %d): %v", r, seed, err)
-			}
-		}
-		return pots[0]
+		pots, _, errs := dw.run(cls, func(r int) DistOptions {
+			o := distOpts(r)
+			o.Generation, o.PreDead = gen, preDead
+			return o
+		})
+		assertSurvivorsOK(t, errs)
+		return pots
 	}
 
-	// Two warm runs on the full world: the second reuses every socket and
-	// runtime the first set up.
-	assertSame(t, runAll(301, 0, nil), want, 1e-12)
-	assertSame(t, runAll(302, 0, nil), want, 1e-12)
+	// Two warm runs on the full world: the second reuses every socket the
+	// first set up. Each run gets its own wire generation, as StartJob gives
+	// every pool job: a retransmitted copy still in flight when its run ends
+	// must be fenced, not fed to the next run's fresh sequence filter.
+	assertSame(t, runAll(1, nil), dw.want, 1e-12)
+	assertSame(t, runAll(2, nil), dw.want, 1e-12)
 
 	// The victim dies between runs; every survivor records the verdict.
 	cls[victim].Close()
@@ -93,6 +61,5 @@ func TestDistRunStandingClusterPreDead(t *testing.T) {
 
 	// The next run starts from the shrunken membership (PreDead replay, a
 	// bumped generation fencing any straggler frames) and must still match.
-	got := runAll(303, 1, order)
-	assertSame(t, got, want, 1e-12)
+	assertSame(t, runAll(3, order), dw.want, 1e-12)
 }

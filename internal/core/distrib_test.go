@@ -2,6 +2,7 @@ package core
 
 import (
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,25 +13,116 @@ import (
 	"repro/internal/points"
 )
 
-// distScenario builds the plan every rank constructs identically from the
-// shared scenario parameters (SPMD: no plan is ever shipped over the wire).
-func distScenario(t *testing.T, n int) (*Plan, []float64) {
+// distWorld is one scenario prepared for in-process multi-rank runs. The
+// model is SPMD — no plan is ever shipped over the wire — so every rank owns
+// an identically-built plan (placement is written into the plan's graph),
+// but all of them share one kernel instance: its operator tables are built
+// once per scenario, not once per rank. The plans are built back to back
+// before anything evaluates; Kernel.Prepare is not safe against a concurrent
+// evaluation.
+type distWorld struct {
+	plans []*Plan
+	q     []float64
+	want  []float64 // plans[0].EvaluateSequential(q)
+}
+
+func newDistWorld(t *testing.T, world, n int) *distWorld {
 	t.Helper()
+	if raceEnabled {
+		n /= 2 // every evaluation is ~10x slower instrumented
+	}
 	sp := points.Generate(points.Cube, n, 1)
 	tp := points.Generate(points.Cube, n, 2)
-	q := points.Charges(n, 3)
 	k := kernel.NewLaplace(6)
-	plan, err := NewPlan(sp, tp, k, Options{Method: dag.Advanced, Threshold: 40})
-	if err != nil {
+	dw := &distWorld{q: points.Charges(n, 3)}
+	for r := 0; r < world; r++ {
+		plan, err := NewPlan(sp, tp, k, Options{Method: dag.Advanced, Threshold: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dw.plans = append(dw.plans, plan)
+	}
+	var err error
+	if dw.want, err = dw.plans[0].EvaluateSequential(dw.q); err != nil {
 		t.Fatal(err)
 	}
-	return plan, q
+	return dw
+}
+
+// run executes one DistRun on every rank whose cluster slot is non-nil
+// (dead ranks pass nil) and returns rank 0's potentials plus every rank's
+// report and error. opts renders each rank's options.
+func (dw *distWorld) run(cls []*amt.Cluster, opts func(rank int) DistOptions) ([]float64, []ExecReport, []error) {
+	pots := make([][]float64, len(cls))
+	reps := make([]ExecReport, len(cls))
+	errs := make([]error, len(cls))
+	var wg sync.WaitGroup
+	for r, cl := range cls {
+		if cl == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(r int, cl *amt.Cluster) {
+			defer wg.Done()
+			var charges []float64
+			if r == 0 {
+				charges = dw.q
+			}
+			pots[r], reps[r], errs[r] = DistRun(dw.plans[r], cl, charges, opts(r))
+		}(r, cl)
+	}
+	wg.Wait()
+	return pots[0], reps, errs
+}
+
+// distOpts is the common option set of the in-process multi-rank tests.
+func distOpts(rank int) DistOptions {
+	return DistOptions{Workers: 2, Seed: int64(100 + rank), Timeout: 90 * time.Second}
+}
+
+// dieAt returns a progress callback that drops the rank dead once it has
+// fired the given fraction of its owned nodes: Cluster.Close silences its
+// heartbeats and tears down every socket, so from the survivors' side this
+// is indistinguishable from a SIGKILLed process.
+func dieAt(cl *amt.Cluster, at float64) func(fired, owned int) {
+	var once sync.Once
+	return func(fired, owned int) {
+		if owned > 0 && float64(fired) >= at*float64(owned) {
+			once.Do(func() { cl.Close() })
+		}
+	}
+}
+
+// assertSurvivorsOK fails the test unless every victim errored out and every
+// other live rank finished cleanly.
+func assertSurvivorsOK(t *testing.T, errs []error, victims ...int) {
+	t.Helper()
+	dead := map[int]bool{}
+	for _, v := range victims {
+		dead[v] = true
+	}
+	for r, err := range errs {
+		switch {
+		case dead[r] && err == nil:
+			t.Errorf("victim rank %d finished cleanly after closing its cluster", r)
+		case !dead[r] && err != nil:
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// lazyHeartbeat gives the detector a full second before a verdict: several
+// clusters plus their runtimes share this test process, and the 200ms
+// default can declare a busy rank dead on loaded CI or under -race. A real
+// death is still detected within a second.
+func lazyHeartbeat(c *amt.ClusterConfig) {
+	c.Heartbeat = amt.FailureDetectorConfig{Interval: 50 * time.Millisecond, MissedBeats: 20}
 }
 
 // distClusters brings up a world of in-process clusters joined over unix
 // sockets: rank 0 first (its listener must exist before workers dial), then
 // the workers concurrently (their NewCluster blocks until WELCOME).
-func distClusters(t *testing.T, world int, mut func(*amt.ClusterConfig)) []*amt.Cluster {
+func distClusters(t *testing.T, world int) []*amt.Cluster {
 	t.Helper()
 	addr := filepath.Join(t.TempDir(), "rank0.sock")
 	cfg := func(rank int) amt.ClusterConfig {
@@ -38,9 +130,7 @@ func distClusters(t *testing.T, world int, mut func(*amt.ClusterConfig)) []*amt.
 			Rank: rank, World: world, Network: "unix", Addr: addr,
 			Stamp: "distrib-test-v1",
 		}
-		if mut != nil {
-			mut(&c)
-		}
+		lazyHeartbeat(&c)
 		return c
 	}
 	cls := make([]*amt.Cluster, world)
@@ -58,8 +148,9 @@ func distClusters(t *testing.T, world int, mut func(*amt.ClusterConfig)) []*amt.
 		}(r)
 	}
 	wg.Wait()
+	all := append([]*amt.Cluster(nil), cls...) // tests nil out the slots of ranks they kill
 	t.Cleanup(func() {
-		for _, cl := range cls {
+		for _, cl := range all {
 			if cl != nil {
 				cl.Close()
 			}
@@ -77,49 +168,11 @@ func distClusters(t *testing.T, world int, mut func(*amt.ClusterConfig)) []*amt.
 // potentials exactly (modulo summation-order rounding): the 1e-12 gate the
 // multi-process smoke run enforces.
 func TestDistRunMatchesSequential(t *testing.T) {
-	const world, n = 4, 1500
-	refPlan, q := distScenario(t, n)
-	want, err := refPlan.EvaluateSequential(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Four clusters plus four runtimes share this test process: the 200ms
-	// default detector can falsely declare a busy rank dead on loaded CI, so
-	// give heartbeats a full second of slack (detection speed is irrelevant
-	// in a fault-free run).
-	cls := distClusters(t, world, func(c *amt.ClusterConfig) {
-		c.Heartbeat = amt.FailureDetectorConfig{Interval: 50 * time.Millisecond, MissedBeats: 20}
-	})
-	pots := make([][]float64, world)
-	reps := make([]ExecReport, world)
-	errs := make([]error, world)
-	var wg sync.WaitGroup
-	for r := 0; r < world; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			plan, charges := distScenario(t, n)
-			if r != 0 {
-				charges = nil
-			}
-			pots[r], reps[r], errs[r] = DistRun(plan, cls[r], charges, DistOptions{
-				Seed: int64(100 + r), Timeout: 60 * time.Second,
-			})
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	assertSame(t, pots[0], want, 1e-12)
-	for r := 1; r < world; r++ {
-		if pots[r] != nil {
-			t.Errorf("rank %d returned potentials; only rank 0 gathers", r)
-		}
-	}
+	const world = 4
+	dw := newDistWorld(t, world, 1500)
+	pots, reps, errs := dw.run(distClusters(t, world), distOpts)
+	assertSurvivorsOK(t, errs)
+	assertSame(t, pots, dw.want, 1e-12)
 	rep := reps[0]
 	if rep.Localities != world {
 		t.Errorf("Localities = %d, want %d", rep.Localities, world)
@@ -130,78 +183,85 @@ func TestDistRunMatchesSequential(t *testing.T) {
 	if tr := rep.Runtime.Transport; tr.WireMessages == 0 || tr.BytesOut == 0 {
 		t.Errorf("transport counters empty: %+v", tr)
 	}
-	if rep.Recovery.RanksKilled != 0 {
-		t.Errorf("fault-free run reported %d killed ranks", rep.Recovery.RanksKilled)
+}
+
+// Killing a worker rank mid-run must still produce 1e-12 potentials at rank
+// 0, with the recovery counters reporting the failover.
+func TestDistRunRecoversFromRankDeath(t *testing.T) {
+	const world = 4
+	const victim = world - 1
+	dw := newDistWorld(t, world, 1500)
+	cls := distClusters(t, world)
+	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+		o := distOpts(r)
+		if r == victim {
+			o.OnProgress = dieAt(cls[r], 0.5)
+		}
+		return o
+	})
+	assertSurvivorsOK(t, errs, victim)
+	assertSame(t, pots, dw.want, 1e-12)
+	if got := reps[0].Recovery.RanksKilled; got != 1 {
+		t.Errorf("RanksKilled = %d, want 1", got)
+	}
+	var rebuilt int64
+	for _, rep := range reps {
+		rebuilt += rep.Recovery.NodesRebuilt
+	}
+	if rebuilt == 0 {
+		t.Error("no nodes rebuilt despite a rank death")
 	}
 }
 
-// Killing a worker rank mid-run (simulated by closing its cluster, which
-// silences its heartbeats and severs its sockets exactly as SIGKILL would)
-// must still produce 1e-12 potentials at rank 0, with the recovery counters
-// reporting the failover.
-func TestDistRunRecoversFromRankDeath(t *testing.T) {
-	const world, n = 4, 1500
-	const victim = world - 1
-	refPlan, q := distScenario(t, n)
-	want, err := refPlan.EvaluateSequential(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A lazier detector than the 200ms default keeps loaded CI (and -race)
-	// from declaring healthy ranks dead; the victim's silence is still
-	// detected within a second.
-	cls := distClusters(t, world, func(c *amt.ClusterConfig) {
-		c.Heartbeat = amt.FailureDetectorConfig{Interval: 50 * time.Millisecond, MissedBeats: 20}
-	})
-
-	pots := make([][]float64, world)
-	reps := make([]ExecReport, world)
-	errs := make([]error, world)
-	var die sync.Once
-	var wg sync.WaitGroup
-	for r := 0; r < world; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			plan, charges := distScenario(t, n)
-			if r != 0 {
-				charges = nil
-			}
-			opts := DistOptions{Seed: int64(200 + r), Timeout: 90 * time.Second}
-			if r == victim {
-				// Drop dead at half of the victim's local progress. Close
-				// tears down every socket and stops the heartbeat sender, so
-				// from the survivors' side this is indistinguishable from a
-				// SIGKILL'd process.
-				opts.Timeout = 10 * time.Second
-				opts.OnProgress = func(fired, owned int) {
-					if owned > 0 && fired*2 >= owned {
-						die.Do(func() { cls[victim].Close() })
+// Closing a rank's cluster under a running evaluation must fail that rank's
+// DistRun at once — not leave it idling until DistOptions.Timeout — whichever
+// role the rank plays.
+func TestDistRunFailsAtOnceOnClusterClose(t *testing.T) {
+	for _, closer := range []int{1, 0} {
+		dw := newDistWorld(t, 2, 1500)
+		cls := distClusters(t, 2)
+		var closedAt time.Time
+		returned := make([]time.Time, 2)
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for r := range cls {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				o := distOpts(r)
+				var charges []float64
+				if r == 0 {
+					charges = dw.q
+				}
+				if r == closer {
+					var once sync.Once
+					o.OnProgress = func(fired, owned int) {
+						if fired*2 >= owned {
+							once.Do(func() {
+								cls[r].Close()
+								closedAt = time.Now()
+							})
+						}
 					}
 				}
-			}
-			pots[r], reps[r], errs[r] = DistRun(plan, cls[r], charges, opts)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if r == victim {
-			if err == nil {
-				t.Errorf("victim rank %d finished cleanly; expected an error after Close", r)
-			}
-			continue
+				_, _, errs[r] = DistRun(dw.plans[r], cls[r], charges, o)
+				returned[r] = time.Now()
+			}(r)
 		}
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+		wg.Wait()
+		if closedAt.IsZero() {
+			t.Fatalf("rank %d never reached its close point", closer)
 		}
-	}
-	assertSame(t, pots[0], want, 1e-12)
-	rec := reps[0].Recovery
-	if rec.RanksKilled != 1 {
-		t.Errorf("RanksKilled = %d, want 1", rec.RanksKilled)
-	}
-	if rec.NodesRebuilt == 0 {
-		t.Error("no nodes rebuilt despite a rank death")
+		if err := errs[closer]; err == nil || !strings.Contains(err.Error(), "cluster closed") {
+			t.Errorf("rank %d closed its cluster mid-run; DistRun returned %v", closer, err)
+		}
+		if d := returned[closer].Sub(closedAt); d > time.Second {
+			t.Errorf("rank %d's DistRun outlived its Close by %v", closer, d)
+		}
+		// The other rank: a worker loses its coordinator and fails; rank 0
+		// outlives a closed worker by recovering its share.
+		if other := errs[1-closer]; (closer == 0) != (other != nil) {
+			t.Errorf("closer %d: rank %d returned %v", closer, 1-closer, other)
+		}
 	}
 }

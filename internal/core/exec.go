@@ -25,8 +25,6 @@ type ExecOptions struct {
 	// Tracer, if non-nil, records one event per operator application for
 	// the utilization analysis.
 	Tracer *trace.Tracer
-	// Latency is injected per remote parcel.
-	Latency time.Duration
 	// Seed makes the scheduler's steal order reproducible.
 	Seed int64
 	// Priority enables the binary priority hints the paper proposes in
@@ -37,29 +35,11 @@ type ExecOptions struct {
 	// and tiled P2P of batch.go): every DAG edge is applied individually, as
 	// before the batching work. The accuracy gates evaluate both paths and
 	// compare them; it is also the escape hatch if a batch-ineligible
-	// configuration is wanted explicitly. Latency-modeled runs are per-edge
-	// regardless, since batches complete in shared memory and would bypass
-	// the modeled wire.
+	// configuration is wanted explicitly.
 	PerEdge bool
 	// Gradient also computes the potential gradient at every target;
 	// retrieve it with EvaluateGrad.
 	Gradient bool
-	// Fault injects wire faults: when non-nil every remote parcel travels
-	// an amt.FaultyTransport built from this profile (fresh per Run, so the
-	// seeded fault sequence is reproducible), with the reliable ack/retry
-	// delivery layer engaged on top. Nil keeps the perfect in-process wire.
-	Fault *amt.FaultProfile
-	// Delivery tunes the reliable-delivery layer used when Fault is set
-	// (zero value = amt defaults).
-	Delivery amt.DeliveryConfig
-	// Detector arms the runtime's heartbeat failure detector and this
-	// package's crash-recovery coordinator (recover.go): a rank declared
-	// dead has its nodes failed over to the survivors and its orphaned DAG
-	// subgraph rebuilt and re-executed. Required when Crash is non-empty.
-	Detector *amt.FailureDetectorConfig
-	// Crash schedules injected locality crashes at DAG progress fractions
-	// (the chaos harness's knob). Requires Detector.
-	Crash []CrashPlan
 	// StallWindow, when positive, arms a watchdog that aborts the run with
 	// a diagnostic listing the unsatisfied LCOs (owner rank, arrived/needed
 	// counts) if no task executes for a full window, instead of hanging.
@@ -94,8 +74,8 @@ type ExecReport struct {
 	// RuntimeReused reports that the evaluation ran on a pooled runtime
 	// re-armed from a previous Run instead of a freshly built one.
 	RuntimeReused bool
-	// Recovery reports crash-recovery activity (zero-valued when no
-	// detector was armed or no rank died).
+	// Recovery reports rank-death recovery activity of a distributed run
+	// (DistRun; zero-valued in-process and when no rank died).
 	Recovery RecoveryStats
 }
 
@@ -124,17 +104,14 @@ func (p *Plan) Evaluate(charges []float64, opts ExecOptions) ([]float64, ExecRep
 // ParallelEvaluation is a reusable parallel evaluation context over one
 // Plan: the expansion payloads, the LCO trigger counters and the node
 // continuations are allocated once, so steady-state runs allocate nothing
-// per evaluated edge. On the perfect-wire, detector-less configuration the
-// runtime itself is kept across Runs too (amt.Runtime.Reset re-arms it per
-// generation), so repeated evaluations skip the amt.New worker/deque setup;
-// fault-injected and detector-armed shapes fall back to a fresh single-shot
-// runtime per Run.
+// per evaluated edge. The runtime itself is kept across Runs too
+// (amt.Runtime.Reset re-arms it per generation), so repeated evaluations
+// skip the amt.New worker/deque setup.
 type ParallelEvaluation struct {
 	plan *Plan
 	opts ExecOptions
 	ex   *executor
-	// rt is the pooled runtime of the reusable configuration (nil until the
-	// first Run, and always nil for single-shot configurations).
+	// rt is the pooled runtime (nil until the first Run and after a Reset).
 	rt *amt.Runtime
 }
 
@@ -165,16 +142,6 @@ func (p *Plan) NewParallelEvaluation(opts ExecOptions) (*ParallelEvaluation, err
 		ex.tasks[i] = func(w *amt.Worker) { ex.runNode(w, id) }
 	}
 	ex.initBatches(p, opts)
-	if len(opts.Crash) > 0 && opts.Detector == nil {
-		return nil, fmt.Errorf("core: ExecOptions.Crash requires ExecOptions.Detector")
-	}
-	if opts.Detector != nil {
-		rec, err := newRecovery(ex)
-		if err != nil {
-			return nil, err
-		}
-		ex.rec = rec
-	}
 	pe := &ParallelEvaluation{plan: p, opts: opts, ex: ex}
 	p.registerCtx(pe)
 	return pe, nil
@@ -201,8 +168,14 @@ func (e *ParallelEvaluation) Reset() {
 	e.rt = nil
 }
 
-// Run evaluates the DAG for one charge vector on a fresh runtime, reusing
-// the context's payload buffers and LCO network.
+// Close retires the context: the plan stops tracking it, so a long-lived
+// plan that outlives many contexts (the serve cache cycling execution
+// shapes) does not pin every payload buffer ever allocated against it. The
+// context must not be used afterwards.
+func (e *ParallelEvaluation) Close() { e.plan.unregisterCtx(e) }
+
+// Run evaluates the DAG for one charge vector, reusing the context's payload
+// buffers, LCO network and pooled runtime.
 func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, error) {
 	p, ex, opts := e.plan, e.ex, e.opts
 	if len(charges) != len(p.Source.Pts) {
@@ -215,20 +188,14 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 		ex.remaining[i].Store(g.Nodes[i].In)
 	}
 	ex.resetBatchPending()
-	if ex.rec != nil {
-		ex.rec.resetRun(opts.Localities, opts.Workers)
-	}
 	ex.stallMu.Lock()
 	ex.stallErr = nil
 	ex.stallMu.Unlock()
 
-	// Runtime: the perfect-wire, detector-less configuration (the serving
-	// hot path) keeps one runtime across Runs and re-arms it per generation
-	// (amt.Runtime.Reset), skipping the worker/deque/delivery allocation of
-	// amt.New. Fault-injected, latency-modeled and detector-armed shapes are
-	// genuinely single-shot — their wire and fencing state encode one run's
-	// history — and get a fresh runtime every time.
-	reusable := opts.Fault == nil && opts.Detector == nil && opts.Latency == 0
+	// One runtime serves every Run, re-armed per generation
+	// (amt.Runtime.Reset) to skip the worker/deque allocation of amt.New; a
+	// runtime that refuses the re-arm (an aborted run left work behind) is
+	// replaced.
 	rt := e.rt
 	runtimeReused := false
 	if rt != nil {
@@ -239,33 +206,16 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 		}
 	}
 	if rt == nil {
-		var tp amt.Transport
-		if opts.Fault != nil {
-			tp = amt.NewFaultyTransport(*opts.Fault)
-		}
 		rt = amt.New(amt.Config{
 			Localities: opts.Localities,
 			Workers:    opts.Workers,
-			Latency:    opts.Latency,
 			Seed:       opts.Seed,
-			Transport:  tp,
-			Delivery:   opts.Delivery,
-			Tracer:     opts.Tracer,
-			Detector:   opts.Detector,
 		})
 	}
-	if reusable {
-		e.rt = rt
-	}
+	e.rt = rt
 	ex.rt = rt
-	if ex.rec != nil {
-		rt.OnFailure(ex.rec.onRankFailure)
-	}
 
 	var stopWatchdog func()
-	if len(opts.Crash) > 0 {
-		ex.rec.armCrash(opts.Crash, len(g.Nodes))
-	}
 	if opts.StallWindow > 0 {
 		stopWatchdog = ex.runWatchdog(rt, opts.StallWindow)
 	}
@@ -287,31 +237,15 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 		stopWatchdog()
 	}
 
-	var recStats RecoveryStats
-	if ex.rec != nil {
-		recStats = ex.rec.stats()
-		recStats.RanksKilled = int(stats.RanksKilled)
-		if err := ex.rec.fatal(); err != nil {
-			return nil, ExecReport{}, err
-		}
-	}
 	if err := ex.stallError(); err != nil {
 		return nil, ExecReport{}, err
 	}
 
-	// Sanity: every node must have fired. Parcels abandoned at the delivery
-	// deadline are the one legitimate way inputs can go missing — name them.
+	// Sanity: every node must have fired.
 	for i := range ex.remaining {
 		if ex.remaining[i].Load() > 0 {
-			err := fmt.Errorf("core: node %d (%v) never triggered (%d inputs missing)",
+			return nil, ExecReport{}, fmt.Errorf("core: node %d (%v) never triggered (%d inputs missing)",
 				i, g.Nodes[i].Kind, ex.remaining[i].Load())
-			if ded := stats.Transport.DeadlineExceeded; ded > 0 {
-				err = fmt.Errorf("%w; %d parcels exceeded the delivery deadline", err, ded)
-			}
-			if stats.RanksKilled > 0 {
-				err = fmt.Errorf("%w; %d ranks crashed during the run", err, stats.RanksKilled)
-			}
-			return nil, ExecReport{}, err
 		}
 	}
 	return ex.st.potentials(), ExecReport{
@@ -323,7 +257,6 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 		Localities:    opts.Localities,
 		Workers:       opts.Workers,
 		RuntimeReused: runtimeReused,
-		Recovery:      recStats,
 	}, nil
 }
 
@@ -346,11 +279,7 @@ type executor struct {
 	batchPending []atomic.Int32
 	batchTasks   []amt.Task
 	batchScratch sync.Pool
-	// rec, when non-nil, switches node execution to the crash-recovery
-	// path (recover.go); nil leaves the hot path untouched.
-	rec *recovery
-	// stallMu/stallErr carry the watchdog diagnosis when no recovery state
-	// exists (the rec-armed variant lives on recovery).
+	// stallMu/stallErr carry the watchdog diagnosis (recover.go).
 	stallMu  sync.Mutex
 	stallErr error // guarded by stallMu
 }
@@ -368,7 +297,8 @@ func (ex *executor) isHigh(id int32) bool {
 // parcelEdges is a pooled remote-edge list: the out edges of one node
 // bound for one destination locality. Ownership passes to the parcel
 // action, which recycles it after delivering every edge. idx carries the
-// matching global edge indexes in recovery mode (empty on the hot path).
+// matching out-edge indexes for the distributed executor, whose receiver
+// derives its dedup index from them (empty in-process).
 type parcelEdges struct {
 	edges []dag.Edge
 	idx   []int32
@@ -400,21 +330,21 @@ func (b *remoteBatch) add(dest int32, e dag.Edge) {
 	b.lists = append(b.lists, pe)
 }
 
-// addIdx is the recovery-mode variant of add: it also records the edge's
-// global index so the receiver can mark the applied bit.
+// addIdx is the distributed-executor variant of add: it also records the
+// edge's index within its source's Out list.
 //
 //dashmm:noalloc
-func (b *remoteBatch) addIdx(dest int32, e dag.Edge, gidx int32) {
+func (b *remoteBatch) addIdx(dest int32, e dag.Edge, out int32) {
 	for i, d := range b.dests {
 		if d == dest {
 			b.lists[i].edges = append(b.lists[i].edges, e)
-			b.lists[i].idx = append(b.lists[i].idx, gidx)
+			b.lists[i].idx = append(b.lists[i].idx, out)
 			return
 		}
 	}
 	pe := parcelEdgesPool.Get().(*parcelEdges)
 	pe.edges = append(pe.edges[:0], e)
-	pe.idx = append(pe.idx[:0], gidx)
+	pe.idx = append(pe.idx[:0], out)
 	b.dests = append(b.dests, dest)
 	b.lists = append(b.lists, pe)
 }
@@ -433,10 +363,6 @@ func (b *remoteBatch) release() {
 // runs once per evaluation, when the node's LCO triggers (all inputs
 // arrived).
 func (ex *executor) runNode(w *amt.Worker, id int32) {
-	if ex.rec != nil {
-		ex.runNodeRecov(w, id)
-		return
-	}
 	n := &ex.g.Nodes[id]
 	myLoc := int32(w.Rank())
 	// Local edges first, sequentially: the large input payload is reused

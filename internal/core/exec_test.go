@@ -2,11 +2,8 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/amt"
 	"repro/internal/dag"
 	"repro/internal/dist"
 	"repro/internal/kernel"
@@ -151,85 +148,6 @@ func TestTraceEventsCoverAllOps(t *testing.T) {
 	if maxU <= 0 {
 		t.Error("utilization all zero")
 	}
-}
-
-// TestFaultInjectedEvaluationMatches: a lossy, duplicating, reordering wire
-// must not change the computed potentials — the delivery layer retries lost
-// parcels and dedups duplicated ones before any LCO input is applied.
-func TestFaultInjectedEvaluationMatches(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 2500)
-	tr := trace.New(4 * 2)
-	got, rep, err := plan.Evaluate(q, ExecOptions{
-		Localities: 4, Workers: 2, Seed: 11, Tracer: tr,
-		Fault: &amt.FaultProfile{Seed: 11, Drop: 0.1, Duplicate: 0.1, Reorder: true},
-		Delivery: amt.DeliveryConfig{
-			RetryBase: 2 * time.Millisecond,
-			Deadline:  60 * time.Second,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, got, want, 1e-12)
-	ts := rep.Runtime.Transport
-	if ts.Dropped == 0 || ts.Duplicated == 0 {
-		t.Errorf("fault profile injected nothing: %+v", ts)
-	}
-	if ts.Retried == 0 {
-		t.Error("no retries despite 10%% drop")
-	}
-	if ts.Deduped == 0 {
-		t.Error("no dedups despite 10%% duplication")
-	}
-	if ts.DeadlineExceeded != 0 {
-		t.Errorf("%d parcels exceeded the deadline", ts.DeadlineExceeded)
-	}
-	// The fault markers land in the trace alongside operator events.
-	var retries, wireFaults int
-	for _, ev := range tr.Snapshot() {
-		switch ev.Class {
-		case trace.ClassNetRetry:
-			retries++
-		case trace.ClassNetDrop, trace.ClassNetDup:
-			wireFaults++
-		}
-	}
-	if retries == 0 || wireFaults == 0 {
-		t.Errorf("trace recorded %d retry and %d wire-fault events, want both > 0", retries, wireFaults)
-	}
-}
-
-// TestDeliveryDeadlineSurfacesInError: when parcels are abandoned the
-// evaluation must fail loudly and name the transport as the cause.
-func TestDeliveryDeadlineSurfacesInError(t *testing.T) {
-	plan, q, _ := testPlan(t, dag.Advanced, 1000)
-	_, _, err := plan.Evaluate(q, ExecOptions{
-		Localities: 2, Workers: 1, Seed: 3,
-		Fault: &amt.FaultProfile{Seed: 3, Drop: 1.0},
-		Delivery: amt.DeliveryConfig{
-			RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
-			Deadline: 50 * time.Millisecond,
-		},
-	})
-	if err == nil {
-		t.Fatal("evaluation over a fully lossy wire reported success")
-	}
-	if !strings.Contains(err.Error(), "delivery deadline") {
-		t.Errorf("error does not name the transport: %v", err)
-	}
-}
-
-func TestLatencyInjection(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 1000)
-	t0 := time.Now()
-	got, _, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 1, Latency: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(t0) < 2*time.Millisecond {
-		t.Error("run finished faster than one latency")
-	}
-	assertSame(t, got, want, 1e-9)
 }
 
 func TestPriorityExecutionMatchesAndBiasesOrder(t *testing.T) {

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/dag"
@@ -72,6 +73,16 @@ type resettable interface{ Reset() }
 func (p *Plan) registerCtx(c resettable) {
 	p.ctxMu.Lock()
 	p.ctxs = append(p.ctxs, c)
+	p.ctxMu.Unlock()
+}
+
+// unregisterCtx drops a closed evaluation context, releasing the plan's
+// reference to its buffers.
+func (p *Plan) unregisterCtx(c resettable) {
+	p.ctxMu.Lock()
+	if i := slices.Index(p.ctxs, c); i >= 0 {
+		p.ctxs = slices.Delete(p.ctxs, i, i+1) // zeroes the vacated tail slot
+	}
 	p.ctxMu.Unlock()
 }
 

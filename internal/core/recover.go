@@ -2,475 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/amt"
-	"repro/internal/dag"
-	"repro/internal/dist"
-	"repro/internal/trace"
 )
 
-// Crash recovery (DESIGN.md, "Robustness"): when the failure detector
-// declares a locality dead, the DAG itself carries enough dependency
-// information to re-derive everything the dead rank took with it — the
-// insight of the data-driven FMM literature the paper builds on. The
-// coordinator below (1) fails ownership of the dead rank's nodes over to
-// the survivors (dist.Failover, deterministic), (2) computes the orphaned
-// subgraph — every lost node that had not fully discharged its role, plus
-// the upstream closure needed to recompute it — (3) resets those LCOs
-// idempotently (payload re-zeroed, inputs re-armed, per-edge applied bits
-// cleared so contributions are applied exactly once no matter how often a
-// copy arrives), and (4) re-drives the subgraph's frontier: inputs from
-// already-triggered surviving nodes are re-applied directly, roots are
-// re-seeded, and everything else re-flows through normal data-driven
-// execution.
-
-// CrashPlan schedules one injected locality crash.
-type CrashPlan struct {
-	// Rank to kill.
-	Rank int
-	// At is the DAG progress fraction (triggered nodes / total nodes) at
-	// which the kill fires.
-	At float64
-}
-
-// RecoveryStats reports the crash-recovery work of one evaluation.
-type RecoveryStats struct {
-	// RanksKilled counts localities that died (injected or fenced).
-	RanksKilled int
-	// Recoveries counts detector verdicts handled by the coordinator.
-	Recoveries int
-	// NodesRebuilt counts DAG nodes whose LCO was reset and re-executed.
-	NodesRebuilt int64
-	// EdgesReplayed counts frontier inputs re-applied by the coordinator
-	// (re-sent contributions from already-triggered surviving nodes).
-	EdgesReplayed int64
-	// StaleDropped counts deliveries and triggers discarded because their
-	// source was rebuilt after they were issued (the exactly-once filter).
-	StaleDropped int64
-	// RecoveryWall is the total wall time spent inside the coordinator.
-	RecoveryWall time.Duration
-}
-
-func (r RecoveryStats) String() string {
-	return fmt.Sprintf("killed=%d recoveries=%d rebuilt=%d replayed=%d stale=%d wall=%s",
-		r.RanksKilled, r.Recoveries, r.NodesRebuilt, r.EdgesReplayed, r.StaleDropped, r.RecoveryWall)
-}
-
-// inRef locates one in-edge of a node: source node and the index of the
-// edge within the source's Out list.
-type inRef struct {
-	src int32
-	out int32
-}
-
-// inflightSlot is one worker's in-flight fast-path delivery counter, padded
-// to its own cache line (adjacent counters would false-share on every edge).
-type inflightSlot struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// recovery is the crash-recovery state of one evaluation context. It is
-// allocated only when ExecOptions.Detector is set; a nil recovery leaves
-// the PR 1 hot path byte-identical.
-type recovery struct {
-	ex *executor
-
-	// crashed flips once per run at the first failure verdict and stays
-	// set. Until then deliveries take the pre-crash fast path — the target
-	// lock only, exactly like the crash-free executor, plus the applied-bit
-	// bookkeeping a later recovery depends on. The coordinator drains
-	// inflight (one counter per worker) after setting crashed and before
-	// touching any node state, so no fast-path apply — which does not hold
-	// its source's lock — can overlap a reset that zeroes that source.
-	crashed  atomic.Bool
-	inflight []inflightSlot
-
-	// mu serializes failure verdicts (one coordinator at a time) and guards
-	// the plain-slice bookkeeping below it.
-	mu          sync.Mutex
-	deadRanks   []bool // guarded by mu
-	lostPayload []bool // guarded by mu; node had un-recomputed state on a rank that died
-	fatalErr    error  // guarded by mu; set when recovery is impossible (no survivors)
-
-	// epoch increments per recovery; rebuiltAt[id] is the epoch at which a
-	// node was last reset. A delivery or trigger carrying an older epoch
-	// than its source's rebuild is stale: the payload it saw is gone.
-	epoch     atomic.Int64
-	rebuiltAt []atomic.Int64
-
-	// homes is the live node→locality assignment. The executor reads it
-	// instead of dag.Node.Locality so failover cannot race the hot path.
-	homes []atomic.Int32
-
-	// applied[edgeBase[id]+j] records that out-edge j of node id has been
-	// reduced into its target — the idempotence bit that makes re-delivery
-	// (replay, duplicate, stale race) apply-at-most-once.
-	edgeBase []int32
-	applied  []atomic.Bool
-
-	// inEdges is the reverse adjacency, for resets and frontier replay.
-	inEdges [][]inRef
-
-	// revTopo is the graph's topological order reversed (sinks first), the
-	// direction the orphaned-subgraph closure is computed in.
-	revTopo []int32
-
-	// triggers counts unique node-incarnation executions — the DAG progress
-	// the crash injector and the watchdog sample. firedAt[id] is the rebuild
-	// incarnation (rebuiltAt value) whose trigger has already been counted,
-	// so a stale pre-rebuild trigger racing the rebuilt node's own re-trigger
-	// cannot double-count progress (execution itself is not gated — the
-	// applied bits dedupe deliveries, and gating execution could drop the
-	// incarnation's only live trigger).
-	triggers atomic.Int64
-	firedAt  []atomic.Int64
-
-	// Armed crash schedule (see armCrash/maybeKill): plans sorted by At,
-	// their thresholds in trigger counts, and the index of the next unfired
-	// plan.
-	killPlans  []CrashPlan
-	killThresh []int64
-	killNext   atomic.Int32
-
-	nodesRebuilt  atomic.Int64
-	edgesReplayed atomic.Int64
-	staleDropped  atomic.Int64
-	recoveries    atomic.Int64
-	recoveryWall  atomic.Int64 // ns
-
-	stallMu  sync.Mutex
-	stallErr error // guarded by stallMu
-}
-
-// newRecovery builds the per-context recovery state (graph-shaped arrays,
-// reverse adjacency, reverse topological order).
-func newRecovery(ex *executor) (*recovery, error) {
-	g := ex.g
-	n := len(g.Nodes)
-	rec := &recovery{
-		ex:        ex,
-		rebuiltAt: make([]atomic.Int64, n),
-		firedAt:   make([]atomic.Int64, n),
-		homes:     make([]atomic.Int32, n),
-		edgeBase:  make([]int32, n+1),
-		inEdges:   make([][]inRef, n),
-	}
-	var edges int32
-	for i := range g.Nodes {
-		rec.edgeBase[i] = edges
-		edges += int32(len(g.Nodes[i].Out))
-	}
-	rec.edgeBase[n] = edges
-	rec.applied = make([]atomic.Bool, edges)
-	for i := range g.Nodes {
-		for j, e := range g.Nodes[i].Out {
-			rec.inEdges[e.To] = append(rec.inEdges[e.To], inRef{src: int32(i), out: int32(j)})
-		}
-	}
-	topo := g.TopoOrder()
-	if len(topo) != n {
-		return nil, fmt.Errorf("core: graph is not a DAG")
-	}
-	rec.revTopo = make([]int32, n)
-	for i, id := range topo {
-		rec.revTopo[n-1-i] = id
-	}
-	return rec, nil
-}
-
-// resetRun re-arms the recovery state for a fresh evaluation of the same
-// context.
-func (rec *recovery) resetRun(localities, workers int) {
-	g := rec.ex.g
-	rec.mu.Lock()
-	rec.deadRanks = make([]bool, localities)
-	rec.lostPayload = make([]bool, len(g.Nodes))
-	rec.fatalErr = nil
-	rec.mu.Unlock()
-	rec.crashed.Store(false)
-	if tw := localities * workers; len(rec.inflight) != tw {
-		rec.inflight = make([]inflightSlot, tw)
-	} else {
-		for i := range rec.inflight {
-			rec.inflight[i].n.Store(0)
-		}
-	}
-	rec.epoch.Store(0)
-	for i := range rec.rebuiltAt {
-		rec.rebuiltAt[i].Store(0)
-		rec.firedAt[i].Store(-1)
-		rec.homes[i].Store(g.Nodes[i].Locality)
-	}
-	for i := range rec.applied {
-		rec.applied[i].Store(false)
-	}
-	rec.triggers.Store(0)
-	rec.killPlans = nil
-	rec.killThresh = rec.killThresh[:0]
-	rec.killNext.Store(0)
-	rec.nodesRebuilt.Store(0)
-	rec.edgesReplayed.Store(0)
-	rec.staleDropped.Store(0)
-	rec.recoveries.Store(0)
-	rec.recoveryWall.Store(0)
-	rec.stallMu.Lock()
-	rec.stallErr = nil
-	rec.stallMu.Unlock()
-}
-
-func (rec *recovery) stats() RecoveryStats {
-	return RecoveryStats{
-		Recoveries:    int(rec.recoveries.Load()),
-		NodesRebuilt:  rec.nodesRebuilt.Load(),
-		EdgesReplayed: rec.edgesReplayed.Load(),
-		StaleDropped:  rec.staleDropped.Load(),
-		RecoveryWall:  time.Duration(rec.recoveryWall.Load()),
-	}
-}
-
-func (rec *recovery) fatal() error {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return rec.fatalErr
-}
-
-// allOutApplied reports whether every out-edge of a node has been reduced
-// into its target (racy reads; callers tolerate a conservative false).
-func (rec *recovery) allOutApplied(id int32) bool {
-	base := rec.edgeBase[id]
-	for j := base; j < rec.edgeBase[id+1]; j++ {
-		if !rec.applied[j].Load() {
-			return false
-		}
-	}
-	return true
-}
-
-// onRankFailure is the OnFailure handler: it runs on the detector goroutine
-// after the dead rank has been fenced (killed and severed), while the crash
-// tombstone still holds the run open.
-func (rec *recovery) onRankFailure(rank int) {
-	start := time.Now()
-	ex := rec.ex
-	g := ex.g
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	defer func() { rec.recoveryWall.Add(int64(time.Since(start))) }()
-
-	// Quiesce the pre-crash fast path: once crashed is set, every new
-	// delivery takes the two-lock slow path; draining the in-flight
-	// counters then guarantees no fast-path apply — which holds only its
-	// target's lock — is still reading a source payload the reset pass
-	// below may zero.
-	rec.crashed.Store(true)
-	for i := range rec.inflight {
-		for rec.inflight[i].n.Load() != 0 {
-			//lint:ignore lockorder deliberate stop-the-world quiesce: the failure handler spins under rec.mu until in-flight appliers drain, and appliers never take rec.mu, so the wait cannot deadlock
-			time.Sleep(10 * time.Microsecond)
-		}
-	}
-
-	rec.deadRanks[rank] = true
-	var survivors []int32
-	for r, dead := range rec.deadRanks {
-		if !dead {
-			survivors = append(survivors, int32(r))
-		}
-	}
-	if len(survivors) == 0 {
-		rec.fatalErr = fmt.Errorf("core: all %d localities dead, recovery impossible", len(rec.deadRanks))
-		ex.rt.Abort()
-		return
-	}
-	ep := rec.epoch.Add(1)
-
-	// Anything whose live state sat on the dead rank is lost. The flag
-	// persists across recoveries: a lost-but-finished node may still be
-	// pulled into a later rebuild set when a future crash orphans one of
-	// its dependents, and only an actual rebuild (recompute on a survivor)
-	// clears it.
-	for i := range g.Nodes {
-		if rec.homes[i].Load() == int32(rank) {
-			rec.lostPayload[i] = true
-		}
-	}
-
-	// Orphaned-subgraph closure, sinks first: a lost node is rebuilt if it
-	// has not fully discharged its role — it never triggered, some out-edge
-	// was never applied, or a dependent being rebuilt needs its payload
-	// re-sent. (Racy counter/bit reads only over-approximate the set, which
-	// is safe: a rebuild too many is recomputation, never corruption.)
-	inSet := make([]bool, len(g.Nodes))
-	var setIDs []int32
-	for _, id := range rec.revTopo {
-		if !rec.lostPayload[id] {
-			continue
-		}
-		need := ex.remaining[id].Load() != 0 || !rec.allOutApplied(id)
-		if !need {
-			for _, e := range g.Nodes[id].Out {
-				if inSet[e.To] {
-					need = true
-					break
-				}
-			}
-		}
-		if need {
-			inSet[id] = true
-			setIDs = append(setIDs, id)
-		}
-	}
-
-	// Ownership failover: deterministic round-robin of the dead rank's
-	// nodes over the sorted survivors, stored back into the atomic homes
-	// the executor reads. Every re-execution of the same failure scenario
-	// picks identical new owners.
-	plain := make([]int32, len(g.Nodes))
-	for i := range plain {
-		plain[i] = rec.homes[i].Load()
-	}
-	dist.Failover(plain, int32(rank), survivors)
-	for i := range plain {
-		rec.homes[i].Store(plain[i])
-	}
-	if tr := ex.tracer; tr.Enabled() {
-		now := tr.Now()
-		tr.RecordVirtual(trace.Event{Class: trace.ClassRecoveryFailover, Locality: int32(rank), Start: now, End: now})
-	}
-
-	// Reset each orphaned LCO under its lock: stamp the rebuild epoch
-	// (stale-dropping every in-flight delivery and trigger that saw the old
-	// payload), zero the payload, clear the in-edge applied bits, re-arm
-	// the input count. Holding the target's lock excludes concurrent
-	// deliveries into it (they take both endpoint locks).
-	for _, id := range setIDs {
-		n := &g.Nodes[id]
-		ex.locks[id].Lock()
-		rec.rebuiltAt[id].Store(ep)
-		ex.st.zeroNode(n)
-		for _, ref := range rec.inEdges[id] {
-			rec.applied[rec.edgeBase[ref.src]+ref.out].Store(false)
-		}
-		ex.remaining[id].Store(n.In)
-		rec.lostPayload[id] = false
-		ex.locks[id].Unlock()
-	}
-	rec.nodesRebuilt.Add(int64(len(setIDs)))
-
-	// Frontier replay: an in-edge of a rebuilt node whose source survives
-	// and has already triggered will never be re-sent naturally — re-apply
-	// it here (the applied bit dedupes against any racing copy). Sources
-	// inside the set re-trigger and re-send on their own; untriggered
-	// sources deliver in due course. Rebuilt roots are re-seeded.
-	replayed := int64(0)
-	for _, id := range setIDs {
-		for _, ref := range rec.inEdges[id] {
-			if inSet[ref.src] || ex.remaining[ref.src].Load() != 0 {
-				continue
-			}
-			src, out := ref.src, ref.out
-			home := ex.rt.Locality(int(rec.homes[id].Load()))
-			replayed++
-			home.Spawn(func(w *amt.Worker) {
-				from := &ex.g.Nodes[src]
-				ex.deliverRecov(w, from, rec.edgeBase[src]+out, from.Out[out], ep)
-			})
-		}
-		if g.Nodes[id].In == 0 {
-			home := ex.rt.Locality(int(rec.homes[id].Load()))
-			if ex.isHigh(id) {
-				home.SpawnHigh(ex.tasks[id])
-			} else {
-				home.Spawn(ex.tasks[id])
-			}
-		}
-	}
-	// Batch demotion: the crash retires the batch pending counters (see
-	// runNodeRecov) and may have lost in-flight batch tasks with the dead
-	// rank, so any batched edge of an already-complete source that no batch
-	// applied would otherwise never be delivered — its source will not
-	// re-trigger, and post-crash triggers only carry their own edges. Scan
-	// every enabled batch's members and replay the unapplied ones whose
-	// source is complete; sources being rebuilt (or still accumulating)
-	// re-send inline when they re-trigger, and the applied bits dedupe
-	// against any batch task that raced the verdict.
-	if ex.m2lOn || ex.p2pOn {
-		demote := func(edges []dag.BatchEdge) {
-			for _, be := range edges {
-				gidx := rec.edgeBase[be.From] + be.Out
-				if rec.applied[gidx].Load() || inSet[be.From] {
-					continue
-				}
-				if g.Nodes[be.From].In > 0 && ex.remaining[be.From].Load() != 0 {
-					continue
-				}
-				src, out := be.From, be.Out
-				home := ex.rt.Locality(int(rec.homes[be.To].Load()))
-				replayed++
-				home.Spawn(func(w *amt.Worker) {
-					from := &ex.g.Nodes[src]
-					ex.deliverRecov(w, from, rec.edgeBase[src]+out, from.Out[out], ep)
-				})
-			}
-		}
-		if ex.m2lOn {
-			for i := range ex.batches.M2L {
-				demote(ex.batches.M2L[i].Edges)
-			}
-		}
-		if ex.p2pOn {
-			for i := range ex.batches.P2P {
-				demote(ex.batches.P2P[i].Edges)
-			}
-		}
-	}
-	rec.edgesReplayed.Add(replayed)
-	rec.recoveries.Add(1)
-	if tr := ex.tracer; tr.Enabled() {
-		now := tr.Now()
-		tr.RecordVirtual(trace.Event{Class: trace.ClassRecoveryReplay, Locality: int32(rank), Start: now, End: now})
-	}
-}
-
-// armCrash schedules the planned kills for the coming run. Plans fire
-// synchronously from the trigger path (maybeKill) the moment DAG progress
-// crosses each threshold — not from a polling goroutine, which could be
-// starved past run completion and land its Kill on a finished runtime where
-// no detector verdict (and hence no recovery) can ever fire. Firing inside
-// a trigger also pins the exact progress fraction: the crash lands at the
-// planned trigger count, deterministically, while the firing task's own
-// pending unit keeps the run live until Kill's tombstone is in place.
-func (rec *recovery) armCrash(plans []CrashPlan, totalNodes int) {
-	sorted := append([]CrashPlan(nil), plans...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	rec.killPlans = sorted
-	rec.killThresh = rec.killThresh[:0]
-	for _, p := range sorted {
-		rec.killThresh = append(rec.killThresh, int64(p.At*float64(totalNodes)))
-	}
-	rec.killNext.Store(0)
-}
-
-// maybeKill fires every armed crash plan whose threshold the given progress
-// count has reached. The CAS on killNext makes each plan fire exactly once
-// even when triggers race past a threshold on several workers at once.
-func (rec *recovery) maybeKill(progress int64) {
-	for {
-		i := rec.killNext.Load()
-		if int(i) >= len(rec.killThresh) || progress < rec.killThresh[i] {
-			return
-		}
-		if rec.killNext.CompareAndSwap(i, i+1) {
-			rec.ex.rt.Kill(rec.killPlans[i].Rank)
-		}
-	}
-}
+// The stall watchdog (ExecOptions.StallWindow): the defense against a run
+// that is live but stuck — an LCO that can never be satisfied — as opposed
+// to a dead rank, which the cluster's heartbeat detector and
+// distExec.applyDeath (distrib.go) handle.
 
 // runWatchdog samples execution progress and, if no task runs for a full
 // window, diagnoses the stall — listing every unsatisfied LCO with its
@@ -500,15 +41,9 @@ func (ex *executor) runWatchdog(rt *amt.Runtime, window time.Duration) func() {
 					continue
 				}
 				err := ex.diagnoseStall(window)
-				if ex.rec != nil {
-					ex.rec.stallMu.Lock()
-					ex.rec.stallErr = err
-					ex.rec.stallMu.Unlock()
-				} else {
-					ex.stallMu.Lock()
-					ex.stallErr = err
-					ex.stallMu.Unlock()
-				}
+				ex.stallMu.Lock()
+				ex.stallErr = err
+				ex.stallMu.Unlock()
 				rt.Abort()
 				return
 			}
@@ -535,12 +70,8 @@ func (ex *executor) diagnoseStall(window time.Duration) error {
 			continue
 		}
 		n := &ex.g.Nodes[i]
-		owner := n.Locality
-		if ex.rec != nil {
-			owner = ex.rec.homes[i].Load()
-		}
 		fmt.Fprintf(&sb, "\n  node %d (%v) on rank %d: %d/%d inputs arrived",
-			i, n.Kind, owner, n.In-rem, n.In)
+			i, n.Kind, n.Locality, n.In-rem, n.In)
 	}
 	if stuck > maxListed {
 		fmt.Fprintf(&sb, "\n  ... and %d more", stuck-maxListed)
@@ -551,234 +82,7 @@ func (ex *executor) diagnoseStall(window time.Duration) error {
 
 // stallError returns the watchdog's diagnosis, if any.
 func (ex *executor) stallError() error {
-	if ex.rec != nil {
-		ex.rec.stallMu.Lock()
-		defer ex.rec.stallMu.Unlock()
-		return ex.rec.stallErr
-	}
 	ex.stallMu.Lock()
 	defer ex.stallMu.Unlock()
 	return ex.stallErr
-}
-
-// runNodeRecov is the recovery-mode node continuation: the hot-path
-// semantics of runNode plus the bookkeeping that makes re-execution safe —
-// a staleness guard against triggers outliving a rebuild, an epoch snapshot
-// pinned to every delivery this trigger issues, and ownership reads from
-// the live homes table instead of the static placement.
-func (ex *executor) runNodeRecov(w *amt.Worker, id int32) {
-	rec := ex.rec
-	if ex.remaining[id].Load() != 0 {
-		// The node was reset after this trigger was spawned: its payload is
-		// no longer the one that fired. The rebuilt incarnation re-triggers.
-		rec.staleDropped.Add(1)
-		return
-	}
-	ep := rec.epoch.Load()
-	// Count DAG progress once per node incarnation: a stale pre-rebuild
-	// trigger that slipped past the staleness check above (the rebuilt node
-	// has already re-satisfied) must not advance the injector's progress
-	// fraction a second time. It still executes — applied bits make the
-	// duplicate deliveries no-ops.
-	inc := rec.rebuiltAt[id].Load()
-	for {
-		prev := rec.firedAt[id].Load()
-		if prev >= inc {
-			break
-		}
-		if rec.firedAt[id].CompareAndSwap(prev, inc) {
-			rec.maybeKill(rec.triggers.Add(1))
-			break
-		}
-	}
-	n := &ex.g.Nodes[id]
-	myLoc := int32(w.Rank())
-	base := rec.edgeBase[id]
-	var batch *remoteBatch
-	for j, e := range n.Out {
-		// Pre-crash, batched edges ride their batch task (the counter
-		// decrement below fires it). After a crash verdict the batch
-		// counters are abandoned — deliver inline; the applied bits dedupe
-		// against any batch task that did fire.
-		if e.Batched && ex.batchEdgeOn(e.Op) && !rec.crashed.Load() {
-			continue
-		}
-		dest := rec.homes[e.To].Load()
-		if dest == myLoc {
-			ex.deliverRecov(w, n, base+int32(j), e, ep)
-			continue
-		}
-		if batch == nil {
-			batch = remoteBatchPool.Get().(*remoteBatch)
-		}
-		batch.addIdx(dest, e, base+int32(j))
-	}
-	if batch != nil {
-		for i, dest := range batch.dests {
-			pe := batch.lists[i]
-			bytes := int(n.Bytes) + parcelOverhead*len(pe.edges)
-			w.SendParcel(int(dest), bytes, func(w2 *amt.Worker) {
-				for k, e := range pe.edges {
-					ex.deliverRecov(w2, n, pe.idx[k], e, ep)
-				}
-				pe.edges = pe.edges[:0]
-				pe.idx = pe.idx[:0]
-				parcelEdgesPool.Put(pe)
-			})
-		}
-		batch.release()
-	}
-	// A node whose batched edges were skipped above must still count
-	// against its batches — but only pre-crash: once crashed is set, the
-	// counters are dead (a skipped edge here and a skipped decrement there
-	// would deadlock a batch) and the demotion scan in onRankFailure plus
-	// the inline path above carry every batched edge. If the verdict lands
-	// between the loop and this check, the skipped edges are unapplied
-	// edges of a complete source — exactly what the demotion scan replays.
-	if !rec.crashed.Load() {
-		ex.noteBatchSources(w, id)
-	}
-}
-
-// deliverRecov applies one edge with exactly-once semantics under crash
-// recovery. Both endpoint locks are taken (ordered by node ID) so the
-// source payload cannot be zeroed mid-read and the target's applied bit,
-// payload reduction and input count move as one unit against a concurrent
-// reset. A delivery whose source was rebuilt after the carried epoch is
-// stale — the payload it was computed from no longer exists — and is
-// dropped; the rebuilt source re-sends.
-//
-//dashmm:noalloc
-func (ex *executor) deliverRecov(w *amt.Worker, from *dag.Node, gidx int32, e dag.Edge, ep int64) {
-	rec := ex.rec
-	if !rec.crashed.Load() {
-		// Pre-crash fast path, guarded by this worker's in-flight counter:
-		// re-checking crashed after the increment closes the race with a
-		// concurrent verdict — either the coordinator's store is visible
-		// here (fall through to the slow path) or the increment is visible
-		// to the coordinator's quiescence drain, which then waits the apply
-		// out before resetting anything.
-		slot := &rec.inflight[w.GlobalID].n
-		slot.Add(1)
-		if !rec.crashed.Load() {
-			ex.deliverRecovFast(w, from, gidx, e)
-			slot.Add(-1)
-			return
-		}
-		slot.Add(-1)
-	}
-	var t0 int64
-	if ex.tracer.Enabled() {
-		t0 = ex.tracer.Now()
-	}
-	a, b := from.ID, e.To
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	ex.locks[lo].Lock()
-	//lint:ignore lockorder two-lock protocol acquires in global index order (lo < hi after the swap above); the type-granular lock graph cannot see the ordering
-	ex.locks[hi].Lock()
-	if rec.rebuiltAt[a].Load() > ep {
-		ex.locks[hi].Unlock()
-		ex.locks[lo].Unlock()
-		rec.staleDropped.Add(1)
-		return
-	}
-	// The payload is not carried by the delivery — st.apply reads the
-	// source's live buffers — so the epoch alone cannot prove validity: a
-	// trigger that slipped in between the coordinator's epoch bump and its
-	// reset pass snapshots the new epoch yet may deliver after its source
-	// was zeroed. What an apply actually requires is that the source is
-	// complete *right now*, under its lock: all inputs reduced (roots are
-	// always complete — their payload is the static input). If the source
-	// is mid-(re)accumulation this copy is stale; its re-trigger re-sends.
-	if from.In > 0 && ex.remaining[a].Load() != 0 {
-		ex.locks[hi].Unlock()
-		ex.locks[lo].Unlock()
-		rec.staleDropped.Add(1)
-		return
-	}
-	if rec.applied[gidx].Load() {
-		ex.locks[hi].Unlock()
-		ex.locks[lo].Unlock()
-		return
-	}
-	ex.st.apply(from, e)
-	rec.applied[gidx].Store(true)
-	rem := ex.remaining[b].Add(-1)
-	ex.locks[hi].Unlock()
-	ex.locks[lo].Unlock()
-	if ex.tracer.Enabled() {
-		ex.tracer.Record(w.GlobalID, trace.Event{
-			Class:    uint8(e.Op),
-			Worker:   int32(w.GlobalID),
-			Locality: int32(w.Rank()),
-			Start:    t0,
-			End:      ex.tracer.Now(),
-		})
-	}
-	if rem == 0 {
-		home := rec.homes[b].Load()
-		high := ex.isHigh(b)
-		switch {
-		case int32(w.Rank()) == home && high:
-			w.SpawnHigh(ex.tasks[b])
-		case int32(w.Rank()) == home:
-			w.Spawn(ex.tasks[b])
-		case high:
-			ex.rt.Locality(int(home)).SpawnHigh(ex.tasks[b])
-		default:
-			ex.rt.Locality(int(home)).Spawn(ex.tasks[b])
-		}
-	}
-}
-
-// deliverRecovFast applies one edge before any failure has been declared:
-// no node has ever been reset, a triggered source is complete and stays
-// complete (the quiescence guard in deliverRecov keeps the first reset from
-// overlapping this call), so the single target lock of the crash-free path
-// suffices. Only the applied bit is recorded on top — the orphaned-closure
-// computation and replay dedupe of a later crash depend on it.
-//
-//dashmm:noalloc
-func (ex *executor) deliverRecovFast(w *amt.Worker, from *dag.Node, gidx int32, e dag.Edge) {
-	rec := ex.rec
-	var t0 int64
-	if ex.tracer.Enabled() {
-		t0 = ex.tracer.Now()
-	}
-	b := e.To
-	ex.locks[b].Lock()
-	if rec.applied[gidx].Load() {
-		ex.locks[b].Unlock()
-		return
-	}
-	ex.st.apply(from, e)
-	rec.applied[gidx].Store(true)
-	rem := ex.remaining[b].Add(-1)
-	ex.locks[b].Unlock()
-	if ex.tracer.Enabled() {
-		ex.tracer.Record(w.GlobalID, trace.Event{
-			Class:    uint8(e.Op),
-			Worker:   int32(w.GlobalID),
-			Locality: int32(w.Rank()),
-			Start:    t0,
-			End:      ex.tracer.Now(),
-		})
-	}
-	if rem == 0 {
-		home := rec.homes[b].Load()
-		high := ex.isHigh(b)
-		switch {
-		case int32(w.Rank()) == home && high:
-			w.SpawnHigh(ex.tasks[b])
-		case int32(w.Rank()) == home:
-			w.Spawn(ex.tasks[b])
-		case high:
-			ex.rt.Locality(int(home)).SpawnHigh(ex.tasks[b])
-		default:
-			ex.rt.Locality(int(home)).Spawn(ex.tasks[b])
-		}
-	}
 }

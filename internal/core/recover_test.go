@@ -1,219 +1,50 @@
 package core
 
 import (
-	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/amt"
 	"repro/internal/dag"
-	"repro/internal/trace"
+	"repro/internal/geom"
+	"repro/internal/kernel"
+	"repro/internal/points"
 )
 
-// testDetector is fast enough to keep the recovery tests snappy while
-// leaving a slow CI machine plenty of beats before a false positive.
-func testDetector() *amt.FailureDetectorConfig {
-	return &amt.FailureDetectorConfig{Interval: time.Millisecond, MissedBeats: 8}
+// wedgedKernel blocks its first S->M projection until released: an operator
+// stuck on something outside the runtime's control.
+type wedgedKernel struct {
+	kernel.Kernel
+	wedged  atomic.Bool
+	release chan struct{}
 }
 
-// TestCrashRecoveryMatchesSequential is the tentpole gate at unit scale:
-// kill one of four localities at 25/50/75% DAG progress and require the
-// recovered potentials to match the fault-free evaluation to 1e-12.
-func TestCrashRecoveryMatchesSequential(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 3000)
-	for _, at := range []float64{0.25, 0.50, 0.75} {
-		got, rep, err := plan.Evaluate(q, ExecOptions{
-			Localities: 4, Workers: 2, Seed: 7,
-			Detector: testDetector(),
-			Crash:    []CrashPlan{{Rank: 1, At: at}},
-		})
-		if err != nil {
-			t.Fatalf("crash at %.0f%%: %v", at*100, err)
-		}
-		assertSame(t, got, want, 1e-12)
-		r := rep.Recovery
-		if r.RanksKilled != 1 || r.Recoveries != 1 {
-			t.Errorf("at %.0f%%: killed=%d recoveries=%d, want 1/1", at*100, r.RanksKilled, r.Recoveries)
-		}
-		// Late kills can legitimately rebuild nothing when the verdict lands
-		// after the dead rank's nodes have all discharged (a loaded machine
-		// stretches the detection window); an early kill must rebuild.
-		if at <= 0.25 && r.NodesRebuilt == 0 {
-			t.Errorf("at %.0f%%: no nodes rebuilt after an early crash", at*100)
-		}
-		if r.RecoveryWall <= 0 {
-			t.Errorf("at %.0f%%: recovery wall time not recorded", at*100)
-		}
-		t.Logf("crash at %.0f%%: %s", at*100, r)
+func (k *wedgedKernel) S2M(c geom.Point, spts []geom.Point, q []float64, out []complex128) {
+	if k.wedged.CompareAndSwap(false, true) {
+		<-k.release
 	}
+	k.Kernel.S2M(c, spts, q, out)
 }
 
-// TestCrashRecoveryWithGradient: the rebuilt T nodes must re-zero their
-// gradient slices too, or the force output double-counts. Gradients are
-// gated at 1e-9 like TestGradientParallelMatchesSequential — signed
-// component sums cancel, so parallel reassociation alone already exceeds
-// 1e-12 on a fault-free run (potentials, mostly same-signed, stay at 1e-12).
-func TestCrashRecoveryWithGradient(t *testing.T) {
-	plan, q, _ := testPlan(t, dag.Advanced, 2000)
-	wantPot, wantGrad, err := plan.EvaluateSequentialGrad(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, rep, err := plan.Evaluate(q, ExecOptions{
-		Localities: 4, Workers: 2, Seed: 5, Gradient: true,
-		Detector: testDetector(),
-		Crash:    []CrashPlan{{Rank: 2, At: 0.5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, got, wantPot, 1e-12)
-	var den float64
-	for _, g := range wantGrad {
-		for _, c := range []float64{g.X, g.Y, g.Z} {
-			if m := math.Abs(c); m > den {
-				den = m
-			}
-		}
-	}
-	for i := range wantGrad {
-		dx := math.Abs(rep.Gradients[i].X - wantGrad[i].X)
-		dy := math.Abs(rep.Gradients[i].Y - wantGrad[i].Y)
-		dz := math.Abs(rep.Gradients[i].Z - wantGrad[i].Z)
-		if (dx+dy+dz)/den > 1e-9 {
-			t.Fatalf("gradient %d differs: %v vs %v", i, rep.Gradients[i], wantGrad[i])
-		}
-	}
-	t.Logf("recovery: %s", rep.Recovery)
-}
-
-// TestCrashRecoveryDoubleCrash: two ranks dying at different progress
-// points must still recover exactly — including re-deriving state a
-// first-crash survivor recomputed and then lost to the second crash.
-func TestCrashRecoveryDoubleCrash(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 2500)
-	got, rep, err := plan.Evaluate(q, ExecOptions{
-		Localities: 4, Workers: 2, Seed: 13,
-		Detector: testDetector(),
-		Crash:    []CrashPlan{{Rank: 3, At: 0.3}, {Rank: 1, At: 0.7}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, got, want, 1e-12)
-	if rep.Recovery.RanksKilled != 2 || rep.Recovery.Recoveries != 2 {
-		t.Errorf("killed=%d recoveries=%d, want 2/2", rep.Recovery.RanksKilled, rep.Recovery.Recoveries)
-	}
-}
-
-// TestCrashRecoveryOverFaultyWire combines the PR 2 acceptance wire profile
-// with a rank crash: reliability and recovery must compose.
-func TestCrashRecoveryOverFaultyWire(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 2000)
-	got, rep, err := plan.Evaluate(q, ExecOptions{
-		Localities: 4, Workers: 2, Seed: 21,
-		Fault: &amt.FaultProfile{Seed: 21, Drop: 0.10, Duplicate: 0.10, Reorder: true},
-		Delivery: amt.DeliveryConfig{
-			RetryBase: 2 * time.Millisecond, Deadline: 120 * time.Second,
-		},
-		Detector: testDetector(),
-		Crash:    []CrashPlan{{Rank: 1, At: 0.5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, got, want, 1e-12)
-	t.Logf("recovery: %s", rep.Recovery)
-	if rep.Runtime.Transport.Retried == 0 {
-		t.Error("no retries under a 10% drop wire")
-	}
-}
-
-// TestDetectorOnlyRunMatches: arming the detector without any crash must
-// not change results, and must report zero recovery activity.
-func TestDetectorOnlyRunMatches(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 2000)
-	got, rep, err := plan.Evaluate(q, ExecOptions{
-		Localities: 4, Workers: 2, Seed: 3,
-		Detector: testDetector(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, got, want, 1e-9)
-	r := rep.Recovery
-	if r.RanksKilled != 0 || r.Recoveries != 0 || r.NodesRebuilt != 0 || r.EdgesReplayed != 0 {
-		t.Errorf("idle detector reported recovery work: %s", r)
-	}
-}
-
-// TestCrashRecoveryReuse: a ParallelEvaluation context must be reusable
-// after a crash-recovery run — the next Run resets the recovery state.
-func TestCrashRecoveryReuse(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 1500)
-	pe, err := plan.NewParallelEvaluation(ExecOptions{
-		Localities: 4, Workers: 2, Seed: 9,
-		Detector: testDetector(),
-		Crash:    []CrashPlan{{Rank: 2, At: 0.4}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		got, rep, err := pe.Run(q)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		assertSame(t, got, want, 1e-12)
-		if rep.Recovery.Recoveries != 1 {
-			t.Fatalf("round %d: %d recoveries, want 1", round, rep.Recovery.Recoveries)
-		}
-	}
-}
-
-// TestAllRanksDeadFails: killing every locality must surface a fatal
-// recovery error instead of hanging or fabricating results.
-func TestAllRanksDeadFails(t *testing.T) {
-	plan, q, _ := testPlan(t, dag.Advanced, 1000)
-	_, _, err := plan.Evaluate(q, ExecOptions{
-		Localities: 2, Workers: 1, Seed: 17,
-		Detector: testDetector(),
-		Crash:    []CrashPlan{{Rank: 0, At: 0.2}, {Rank: 1, At: 0.3}},
-	})
-	if err == nil {
-		t.Fatal("evaluation with every locality dead reported success")
-	}
-	if !strings.Contains(err.Error(), "recovery impossible") {
-		t.Errorf("error does not name the cause: %v", err)
-	}
-}
-
-// TestCrashRequiresDetector: scheduling a crash without a detector is a
-// configuration error, caught at context construction.
-func TestCrashRequiresDetector(t *testing.T) {
-	plan, q, _ := testPlan(t, dag.Advanced, 1000)
-	_, _, err := plan.Evaluate(q, ExecOptions{
-		Localities: 2, Crash: []CrashPlan{{Rank: 1, At: 0.5}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "requires ExecOptions.Detector") {
-		t.Fatalf("want a Detector configuration error, got %v", err)
-	}
-}
-
-// TestWatchdogDiagnosesStall: a run that can make no progress (every
-// remote parcel dropped, deadline far away) must be aborted by the
+// TestWatchdogDiagnosesStall: a run that is live but stuck — one task
+// wedged, everything downstream of it starved — must be aborted by the
 // watchdog with a diagnostic listing the unsatisfied LCOs.
 func TestWatchdogDiagnosesStall(t *testing.T) {
-	plan, q, _ := testPlan(t, dag.Advanced, 1000)
+	const n = 1000
+	k := &wedgedKernel{Kernel: kernel.NewLaplace(6), release: make(chan struct{})}
+	plan, err := NewPlan(points.Generate(points.Cube, n, 1), points.Generate(points.Cube, n, 2),
+		k, Options{Method: dag.Advanced, Threshold: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := points.Charges(n, 3)
+	// Run cannot return before its wedged worker does; let it go well after
+	// the watchdog has had its window.
+	defer time.AfterFunc(2*time.Second, func() { close(k.release) }).Stop()
 	start := time.Now()
-	_, _, err := plan.Evaluate(q, ExecOptions{
+	_, _, err = plan.Evaluate(q, ExecOptions{
 		Localities: 2, Workers: 1, Seed: 3,
-		Fault: &amt.FaultProfile{Seed: 3, Drop: 1.0},
-		Delivery: amt.DeliveryConfig{
-			RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
-			Deadline: 120 * time.Second,
-		},
 		StallWindow: 300 * time.Millisecond,
 	})
 	if err == nil {
@@ -245,29 +76,4 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSame(t, got, want, 1e-9)
-}
-
-// TestRecoveryTraceMarkers: a crash-recovery run records the full marker
-// lifecycle — kill, detect, failover, replay.
-func TestRecoveryTraceMarkers(t *testing.T) {
-	plan, q, _ := testPlan(t, dag.Advanced, 1500)
-	tr := trace.New(4 * 2)
-	_, _, err := plan.Evaluate(q, ExecOptions{
-		Localities: 4, Workers: 2, Seed: 7, Tracer: tr,
-		Detector: testDetector(),
-		Crash:    []CrashPlan{{Rank: 1, At: 0.5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint8]int{}
-	for _, ev := range tr.Snapshot() {
-		seen[ev.Class]++
-	}
-	for _, c := range []uint8{trace.ClassRecoveryKill, trace.ClassRecoveryDetect,
-		trace.ClassRecoveryFailover, trace.ClassRecoveryReplay} {
-		if seen[c] != 1 {
-			t.Errorf("marker %s recorded %d times, want 1", trace.NetClassName(c), seen[c])
-		}
-	}
 }

@@ -89,24 +89,28 @@ func TestPlanResetReexecutable(t *testing.T) {
 	}
 }
 
-// Single-shot configurations (fault wire, detector) must not pool the
-// runtime: their wire and fencing state encode one run's history.
-func TestRuntimeNotReusedWithDetector(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 1500)
-	pe, err := plan.NewParallelEvaluation(ExecOptions{
-		Localities: 2, Workers: 2, Detector: testDetector(),
-	})
+// A closed context must leave the plan's registry, so a long-lived plan that
+// outlives many contexts does not pin their buffers.
+func TestParallelEvaluationCloseReleasesContext(t *testing.T) {
+	plan, q, want := testPlan(t, dag.Advanced, 800)
+	keep, err := plan.NewParallelEvaluation(ExecOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for run := 0; run < 2; run++ {
-		got, rep, err := pe.Run(q)
+	before := len(plan.ctxs)
+	for i := 0; i < 3; i++ {
+		pe, err := plan.NewParallelEvaluation(ExecOptions{Workers: 1 + i})
 		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
+			t.Fatal(err)
 		}
-		assertSame(t, got, want, 1e-9)
-		if rep.RuntimeReused {
-			t.Fatalf("run %d reused a detector-armed runtime", run)
-		}
+		pe.Close()
 	}
+	if got := len(plan.ctxs); got != before {
+		t.Fatalf("plan tracks %d contexts after three open/close cycles, want %d", got, before)
+	}
+	got, _, err := keep.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, got, want, 1e-9)
 }

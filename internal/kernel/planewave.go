@@ -295,7 +295,8 @@ func (b *base) I2I(dir geom.Direction, level int, shift geom.Point, in, out []co
 		base := r.off[k]
 		for j := 0; j < r.m[k]; j++ {
 			ph := r.u[k] * (v.X*r.cosA[k][j] + v.Y*r.sinA[k][j])
-			f := complex(e*math.Cos(ph), e*math.Sin(ph))
+			sin, cos := math.Sincos(ph) // bit-identical to Sin+Cos, one range reduction
+			f := complex(e*cos, e*sin)
 			out[base+j] += in[base+j] * f
 		}
 	}

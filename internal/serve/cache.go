@@ -9,12 +9,17 @@ import (
 	"repro/internal/trace"
 )
 
+// maxShapesPerPlan caps the pooled evaluation contexts of one plan entry.
+// Each holds a full set of per-node payload buffers, so a client cycling
+// execution shapes on one cached key must recycle them, not grow the daemon.
+const maxShapesPerPlan = 4
+
 // planEntry is one cached plan: the built tree + DAG + kernel tables, plus
-// one long-lived ParallelEvaluation context per execution shape that has
-// been requested against it. The entry mutex serializes evaluations on the
-// plan — ExecOptions.Policy.Assign mutates the shared Graph's node
-// placement per Run, so two shapes (or even two runs of one shape) must not
-// overlap.
+// a long-lived ParallelEvaluation context for each of the most recently
+// used execution shapes requested against it. The entry mutex serializes
+// evaluations on the plan — ExecOptions.Policy.Assign mutates the shared
+// Graph's node placement per Run, so two shapes (or even two runs of one
+// shape) must not overlap.
 type planEntry struct {
 	key string
 
@@ -23,8 +28,9 @@ type planEntry struct {
 	plan      *core.Plan
 	buildTime time.Duration
 
-	mu    sync.Mutex          // serializes build-shape + evaluate on this plan
-	evals map[string]*evalCtx // "LxW" -> context; guarded by mu
+	mu        sync.Mutex          // serializes build-shape + evaluate on this plan
+	evals     map[string]*evalCtx // "LxW" -> context, at most maxShapesPerPlan; guarded by mu
+	evalClock int64               // shape-LRU tick; guarded by mu
 
 	// fromStore marks an entry revived from the persistent plan store
 	// (set before the entry is published, read-only after). stored marks
@@ -40,8 +46,9 @@ type planEntry struct {
 // permanently attached tracer that is enabled only for requests asking for
 // a capture.
 type evalCtx struct {
-	pe     *core.ParallelEvaluation
-	tracer *trace.Tracer
+	pe       *core.ParallelEvaluation
+	tracer   *trace.Tracer
+	lastUsed int64 // planEntry.evalClock at the last request; guarded by planEntry.mu
 }
 
 // planCache is an LRU cache of built plans keyed by Request.planKey().
@@ -144,13 +151,26 @@ func (e *planEntry) ensureBuilt(r *Request) error {
 }
 
 // shape returns (building if needed) the pooled evaluation context for the
-// request's execution shape. Caller must hold e.mu.
+// request's execution shape, closing the least recently used one when the
+// entry is at its cap. Caller must hold e.mu.
 //
 //dashmm:locked planEntry.mu — documented precondition: handleEvaluate calls shape inside the entry's critical section.
 func (e *planEntry) shape(r *Request) (*evalCtx, error) {
 	key := fmt.Sprintf("%dx%d", r.Localities, r.Workers)
+	e.evalClock++
 	if ctx := e.evals[key]; ctx != nil {
+		ctx.lastUsed = e.evalClock
 		return ctx, nil
+	}
+	for len(e.evals) >= maxShapesPerPlan {
+		oldest := ""
+		for k, ctx := range e.evals {
+			if oldest == "" || ctx.lastUsed < e.evals[oldest].lastUsed {
+				oldest = k
+			}
+		}
+		e.evals[oldest].pe.Close()
+		delete(e.evals, oldest)
 	}
 	tr := trace.New(r.Localities * r.Workers)
 	tr.SetEnabled(false)
@@ -162,7 +182,7 @@ func (e *planEntry) shape(r *Request) (*evalCtx, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &evalCtx{pe: pe, tracer: tr}
+	ctx := &evalCtx{pe: pe, tracer: tr, lastUsed: e.evalClock}
 	e.evals[key] = ctx
 	return ctx, nil
 }

@@ -93,6 +93,11 @@ type errorBody struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
+// maxShapeThreads bounds localities × workers of one request: every thread
+// is a scheduler goroutine plus a tracer lane, so the product — not each
+// factor — is what one admitted request costs.
+const maxShapeThreads = 256
+
 // normalize applies defaults and validates the request against the server
 // limits. It returns a user-facing error for malformed requests.
 func (r *Request) normalize(limits Config) error {
@@ -155,8 +160,9 @@ func (r *Request) normalize(limits Config) error {
 	if r.Workers <= 0 {
 		r.Workers = 1
 	}
-	if r.Localities > 64 || r.Workers > 256 {
-		return fmt.Errorf("execution shape %dx%d too large", r.Localities, r.Workers)
+	if r.Localities > 64 || r.Workers > 256 || r.Localities*r.Workers > maxShapeThreads {
+		return fmt.Errorf("execution shape %dx%d too large (at most %d scheduler threads per request)",
+			r.Localities, r.Workers, maxShapeThreads)
 	}
 	if len(r.Charges) > 0 && len(r.Charges) != r.N {
 		return fmt.Errorf("%d charges for %d sources", len(r.Charges), r.N)

@@ -294,6 +294,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"bad kernel", Request{N: 100, Kernel: "helmholtz"}, "unknown kernel"},
 		{"bad digits", Request{N: 100, Digits: 13}, "out of range"},
 		{"charge mismatch", Request{N: 100, Charges: []float64{1, 2}}, "charges for"},
+		{"shape product", Request{N: 100, Localities: 64, Workers: 256}, "too large"},
 	}
 	for _, c := range cases {
 		code, _, eb := post(t, ts.URL, c.req)
@@ -307,6 +308,46 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	}
 	if got := s.metrics.BadRequest.Load(); got != int64(len(cases)) {
 		t.Errorf("bad_request counter = %d, want %d", got, len(cases))
+	}
+}
+
+// A client cycling execution shapes on one cached plan must recycle the
+// entry's pooled evaluation contexts, not grow them without bound — and the
+// answers must not depend on which context served them.
+func TestServeShapePoolIsBounded(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var first []float64
+	for i := 0; i < maxShapesPerPlan+3; i++ {
+		req := Request{N: 900, Localities: 1 + i%2, Workers: 1 + i}
+		code, resp, eb := post(t, ts.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("shape %dx%d: HTTP %d %+v", req.Localities, req.Workers, code, eb)
+		}
+		if first == nil {
+			first = resp.Potentials
+		}
+		var den, worst float64
+		for j, w := range first {
+			den = math.Max(den, math.Abs(w))
+			worst = math.Max(worst, math.Abs(resp.Potentials[j]-w))
+		}
+		if worst/den > 1e-12 {
+			t.Errorf("shape %dx%d differs from the first by %.3e relative", req.Localities, req.Workers, worst/den)
+		}
+		if s.cache.len() != 1 {
+			t.Fatalf("%d plans cached, want the one shared key", s.cache.len())
+		}
+		for _, e := range s.cache.entries {
+			e.mu.Lock()
+			pooled := len(e.evals)
+			e.mu.Unlock()
+			if pooled > maxShapesPerPlan {
+				t.Fatalf("after %d shapes the entry pools %d contexts, cap is %d", i+1, pooled, maxShapesPerPlan)
+			}
+		}
 	}
 }
 
