@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint escape-gate fuzz-smoke fmt-check bench bench-smoke bench-serve bench-load load-smoke serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
+.PHONY: build test race vet lint escape-gate fuzz-smoke fmt-check bench bench-check bench-smoke bench-serve bench-load load-smoke serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -12,17 +12,25 @@ test:
 	$(GO) test ./...
 
 # The scheduler, executor, server, distributed driver, load harness and
-# tracer are the concurrency-touching packages; run them under the race
-# detector (the remaining packages are sequential, and the full tree under
-# -race is slow on small machines without adding coverage).
+# tracer are the concurrency-touching packages, and the kernel's lock-free
+# shift table and Prepare are raced by its own tests; run them under the
+# race detector (the remaining packages are sequential, and the full tree
+# under -race is slow on small machines without adding coverage).
 race:
-	$(GO) test -race -timeout 20m ./internal/amt ./internal/core ./internal/serve ./internal/dist ./internal/trace ./internal/load
+	$(GO) test -race -timeout 25m ./internal/amt ./internal/core ./internal/kernel ./internal/serve ./internal/dist ./internal/trace ./internal/load
 
 # bench/ is a module of its own that imports internal/...: vetting it here
 # makes deleting a name the benchmark uses fail in ci, not in the pipeline.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
+
+# The benchmark's own smoke-sized tests (~40 s), including its direct-sum
+# check of every workload's output: a kernel change meets the checker the
+# pipeline will apply before it leaves the machine.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # Project-specific concurrency & determinism checkers (see DESIGN.md,
 # "Invariant catalog"). Exits non-zero on any finding.
@@ -119,4 +127,4 @@ chaos-crash:
 dist-smoke: build
 	$(GO) run ./cmd/dashmm-bench -real -n 20000 -locs 4 -net unix -kill-rank 2 -kill-at 0.5
 
-ci: build vet fmt-check lint escape-gate test fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke bench-smoke load-smoke
+ci: build vet fmt-check lint escape-gate test bench-check fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke bench-smoke load-smoke

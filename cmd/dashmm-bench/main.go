@@ -421,4 +421,6 @@ func runReal(plan *core.Plan, n int, traceOut string, locs int) {
 	for _, c := range ops {
 		fmt.Printf("#   %-5v %10.2f\n", dag.OpKind(c), am[uint8(c)])
 	}
+	st := kernel.ShiftTableStats()
+	fmt.Printf("# I->I shift table: slots=%d bytes=%d off-lattice-calls=%d\n", st.Slots, st.Bytes, st.OffLatticeCalls)
 }

@@ -142,6 +142,9 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	if cl.Rank() == 0 && len(charges) != len(p.Source.Pts) {
 		return nil, ExecReport{}, fmt.Errorf("core: %d charges for %d sources", len(charges), len(p.Source.Pts))
 	}
+	if err := p.checkKernel(); err != nil {
+		return nil, ExecReport{}, err
+	}
 	st, err := p.newState(make([]float64, len(p.Source.Pts)), opts.Gradient)
 	if err != nil {
 		return nil, ExecReport{}, err
@@ -217,6 +220,9 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	cl.ClearRunHandlers()
 
 	if err := dx.err(); err != nil {
+		return nil, ExecReport{}, err
+	}
+	if err := p.checkKernel(); err != nil {
 		return nil, ExecReport{}, err
 	}
 	rep := ExecReport{

@@ -181,6 +181,9 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 	if len(charges) != len(p.Source.Pts) {
 		return nil, ExecReport{}, fmt.Errorf("core: %d charges for %d sources", len(charges), len(p.Source.Pts))
 	}
+	if err := p.checkKernel(); err != nil {
+		return nil, ExecReport{}, err
+	}
 	ex.st.reset(charges)
 	g := p.Graph
 	opts.Policy.Assign(g, opts.Localities)
@@ -238,6 +241,9 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 	}
 
 	if err := ex.stallError(); err != nil {
+		return nil, ExecReport{}, err
+	}
+	if err := p.checkKernel(); err != nil {
 		return nil, ExecReport{}, err
 	}
 

@@ -1,0 +1,176 @@
+package core
+
+import (
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/amt"
+	"repro/internal/dag"
+	"repro/internal/geom"
+	"repro/internal/kernel"
+	"repro/internal/points"
+)
+
+// affine maps every point x to s*x + t.
+func affine(pts []geom.Point, s float64, t geom.Point) []geom.Point {
+	out := make([]geom.Point, len(pts))
+	for i, p := range pts {
+		out[i] = p.Scale(s).Add(t)
+	}
+	return out
+}
+
+func scaled(pts []geom.Point, s float64) []geom.Point { return affine(pts, s, geom.Point{}) }
+
+func advancedPlan(t *testing.T, sp, tp []geom.Point, k kernel.Kernel) *Plan {
+	t.Helper()
+	plan, err := NewPlan(sp, tp, k, Options{Method: dag.Advanced})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// The reproducer of the Prepare bug: plan A, then plan B over a x3-scaled
+// ensemble with the same kernel value, then plan A again. Before the fix
+// B's Prepare silently replaced the level tables A translates with and A's
+// error against direct summation went 7.9e-6 -> 9.5e-4. Now every executor
+// refuses to run A while the kernel is bound to B's cube, and A returns its
+// original vector once the kernel is bound back.
+func TestSharedKernelAcrossRootCubes(t *testing.T) {
+	n := 4000
+	if raceEnabled {
+		n = 1500
+	}
+	sp := points.Generate(points.Cube, n, 1)
+	tp := points.Generate(points.Cube, n, 2)
+	q := points.Charges(n, 3)
+	k := kernel.NewLaplace(kernel.OrderForDigits(3))
+
+	planA := advancedPlan(t, sp, tp, k)
+	rank1 := advancedPlan(t, sp, tp, k) // same cube: the chaos matrix's sharing, must stay legal
+	want, err := planA.EvaluateSequential(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := planA.NewEvaluation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := planA.NewParallelEvaluation(ExecOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.Close()
+
+	advancedPlan(t, scaled(sp, 3), scaled(tp, 3), k) // plan B rebinds k
+
+	refused := func(path string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "root cube") {
+			t.Errorf("%s on a rebound kernel: err = %v, want a root-cube error", path, err)
+		}
+	}
+	_, err = planA.EvaluateSequential(q)
+	refused("EvaluateSequential", err)
+	_, err = seq.Run(q)
+	refused("Evaluation.Run", err)
+	_, _, err = par.Run(q)
+	refused("ParallelEvaluation.Run", err)
+	cls := distClusters(t, 2)
+	var wg sync.WaitGroup
+	for r, plan := range []*Plan{planA, rank1} {
+		wg.Add(1)
+		go func(r int, plan *Plan, cl *amt.Cluster) {
+			defer wg.Done()
+			var charges []float64
+			if r == 0 {
+				charges = q
+			}
+			_, _, err := DistRun(plan, cl, charges, distOpts(r))
+			refused("DistRun", err)
+		}(r, plan, cls[r])
+	}
+	wg.Wait()
+
+	// Building another plan over A's ensembles binds the kernel back to A's
+	// cube (tables rebuilt), and A is runnable again.
+	advancedPlan(t, sp, tp, k)
+	got, err := planA.EvaluateSequential(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, got, want, 1e-12)
+	if got, err = seq.Run(q); err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, got, want, 1e-12)
+	if got, _, err = par.Run(q); err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, got, want, 1e-12)
+}
+
+// Building plans on a kernel while another plan runs on it: for the same
+// root cube Prepare is a no-op and the run is undisturbed; for a different
+// one the run either finished first (right answer) or reports the rebind —
+// never a quietly different vector, and never a data race (`make race`).
+func TestPrepareWhilePlanRuns(t *testing.T) {
+	n := 3000
+	if raceEnabled {
+		n = 1200
+	}
+	sp := points.Generate(points.Sphere, n, 4)
+	tp := points.Generate(points.Sphere, n, 5)
+	q := points.Charges(n, 6)
+	for _, k := range []kernel.Kernel{
+		kernel.NewLaplace(kernel.OrderForDigits(3)),
+		kernel.NewYukawa(kernel.OrderForDigits(3), 4.0),
+	} {
+		planA := advancedPlan(t, sp, tp, k)
+		want, err := planA.EvaluateSequential(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := planA.NewParallelEvaluation(ExecOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		during := func(build func()) ([]float64, error) {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				build()
+			}()
+			got, _, err := par.Run(q)
+			<-done
+			return got, err
+		}
+
+		got, err := during(func() {
+			for i := 0; i < 3; i++ {
+				advancedPlan(t, sp, tp, k)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: same-cube plan build disturbed a running plan: %v", k.Name(), err)
+		}
+		assertSame(t, got, want, 1e-12)
+
+		if k.Name() != "laplace" {
+			// A mid-run rebind of a scale-variant kernel changes the wave
+			// lengths under the running operators; the contract makes that
+			// a caller error, not something to survive.
+			par.Close()
+			continue
+		}
+		got, err = during(func() { advancedPlan(t, scaled(sp, 3), scaled(tp, 3), k) })
+		if err == nil {
+			assertSame(t, got, want, 1e-12)
+		} else if !strings.Contains(err.Error(), "root cube") {
+			t.Fatalf("%s: rebind during a run: %v", k.Name(), err)
+		}
+		par.Close()
+	}
+}

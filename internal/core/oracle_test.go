@@ -1,0 +1,172 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/kernel"
+	"repro/internal/points"
+)
+
+// Oracle and metamorphic gates on the default (Advanced) path. Unlike the
+// 1e-12 path-vs-path gates these compare the evaluator with mathematics —
+// a direct sum, or a property the potential must have — so they keep
+// meaning when a change rewrites every coefficient (compressed rules,
+// real-only storage) and the old build is no longer a reference.
+
+type oracleCase struct {
+	distr  points.Distribution
+	name   string
+	kernel func(p int) kernel.Kernel
+}
+
+func oracleCases() []oracleCase {
+	lap := func(p int) kernel.Kernel { return kernel.NewLaplace(p) }
+	yuk := func(p int) kernel.Kernel { return kernel.NewYukawa(p, 4.0) }
+	var cs []oracleCase
+	for _, d := range []points.Distribution{points.Cube, points.Sphere} {
+		cs = append(cs,
+			oracleCase{d, fmt.Sprintf("%v/laplace", d), lap},
+			oracleCase{d, fmt.Sprintf("%v/yukawa", d), yuk})
+	}
+	return cs
+}
+
+// relL2 is ||got - want|| / ||want|| over the given target indices (all of
+// them when idx is nil).
+func relL2(got, want []float64, idx []int) float64 {
+	var num, den float64
+	add := func(i int) {
+		num += (got[i] - want[i]) * (got[i] - want[i])
+		den += want[i] * want[i]
+	}
+	if idx == nil {
+		for i := range want {
+			add(i)
+		}
+	} else {
+		for _, i := range idx {
+			add(i)
+		}
+	}
+	return math.Sqrt(num / den)
+}
+
+// (i) The evaluator is linear in the charges.
+func TestOracleLinearityInCharges(t *testing.T) {
+	n := 3000
+	if raceEnabled {
+		t.Skip("sequential property: nothing to instrument")
+	}
+	const a = -2.75
+	for _, oc := range oracleCases() {
+		sp := points.Generate(oc.distr, n, 51)
+		tp := points.Generate(oc.distr, n, 52)
+		q1, q2 := points.Charges(n, 53), points.Charges(n, 54)
+		mix := make([]float64, n)
+		for i := range mix {
+			mix[i] = a*q1[i] + q2[i]
+		}
+		plan := advancedPlan(t, sp, tp, oc.kernel(kernel.OrderForDigits(3)))
+		ev, err := plan.NewEvaluation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var phi [3][]float64
+		for i, q := range [][]float64{q1, q2, mix} {
+			if phi[i], err = ev.Run(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = a*phi[0][i] + phi[1][i]
+		}
+		if e := relL2(phi[2], want, nil); e > 1e-10 {
+			t.Errorf("%s: Phi(a q1 + q2) vs a Phi(q1) + Phi(q2): rel L2 %.2e > 1e-10", oc.name, e)
+		}
+	}
+}
+
+// (ii) 1/r is translation invariant and homogeneous of degree -1: moving
+// and scaling both ensembles rigidly, x -> s x + t, gives Phi/s. Each plan
+// gets a fresh kernel (a kernel serves one root cube).
+func TestOracleLaplaceTranslationAndScale(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sequential property: nothing to instrument")
+	}
+	const n = 3000
+	maps := []struct {
+		s float64
+		t geom.Point
+	}{
+		{1, geom.Point{X: 0.3, Y: -1.7, Z: 2.2}},
+		{0.37, geom.Point{X: -5, Y: 0.125, Z: 40}},
+	}
+	for _, d := range []points.Distribution{points.Cube, points.Sphere} {
+		sp := points.Generate(d, n, 61)
+		tp := points.Generate(d, n, 62)
+		q := points.Charges(n, 63)
+		p := kernel.OrderForDigits(3)
+		base, err := advancedPlan(t, sp, tp, kernel.NewLaplace(p)).EvaluateSequential(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range maps {
+			got, err := advancedPlan(t, affine(sp, m.s, m.t), affine(tp, m.s, m.t), kernel.NewLaplace(p)).EvaluateSequential(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, n)
+			for i := range want {
+				want[i] = base[i] / m.s
+			}
+			if e := relL2(got, want, nil); e > 1e-10 {
+				t.Errorf("%v: x -> %g x + %v: rel L2 %.2e > 1e-10", d, m.s, m.t, e)
+			}
+		}
+	}
+}
+
+// (iii) The potentials match direct summation to the requested digits on
+// 200 seeded targets. Six digits costs ~10 s a case (p = 18 tables), so it
+// runs on one case per shape and per kernel, at N = 2000. (Known floor, the
+// same before the shift table: the plane-wave rule does not grow with the
+// requested digits, and sphere/Yukawa at N = 3000 stalls at 4.4e-6 whether
+// 3 or 6 digits are asked for — ROADMAP, item 1d.)
+func TestOracleDirectSumAtRequestedDigits(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sequential accuracy gate: nothing to instrument")
+	}
+	const n = 2000
+	for ci, oc := range oracleCases() {
+		sp := points.Generate(oc.distr, n, 71)
+		tp := points.Generate(oc.distr, n, 72)
+		q := points.Charges(n, 73)
+		for _, digits := range []int{3, 6} {
+			if digits == 6 && ci != 0 && ci != 3 {
+				continue
+			}
+			k := oc.kernel(kernel.OrderForDigits(digits))
+			got, err := advancedPlan(t, sp, tp, k).EvaluateSequential(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := sampleIdx(rand.New(rand.NewSource(74)), n, 200)
+			ref := directRef(k, sp, q, tp, idx)
+			want := make([]float64, n)
+			for i, v := range ref {
+				want[i] = v
+			}
+			tol := math.Pow(10, -float64(digits))
+			if e := relL2(got, want, idx); e > tol {
+				t.Errorf("%s at %d digits: rel L2 %.2e > %.0e", oc.name, digits, e, tol)
+			} else {
+				t.Logf("%s at %d digits: rel L2 %.2e", oc.name, digits, e)
+			}
+		}
+	}
+}

@@ -149,6 +149,25 @@ func NewPlanFromTrees(src, tgt *tree.Tree, k kernel.Kernel, opts Options) (*Plan
 	}, nil
 }
 
+// checkKernel fails when the plan's kernel is no longer prepared for the
+// plan's root cube. A kernel's level-indexed tables describe one root cube
+// at a time (kernel.Prepare), so building a second plan over a different
+// domain with the same kernel value rebinds it; the first plan would then
+// translate with the wrong box sides and return quietly degraded numbers.
+// Every executor calls this on entry and again before handing out results,
+// so a rebind that lands mid-run is reported too.
+func (p *Plan) checkKernel() error {
+	rb, ok := p.Kernel.(interface{ RootSide() float64 })
+	if !ok {
+		return nil
+	}
+	if got, want := rb.RootSide(), p.Source.Domain.Side; got != want {
+		return fmt.Errorf("core: kernel %s is prepared for a root cube of side %g, this plan's is %g: "+
+			"a kernel value serves one root cube at a time — give each plan its own kernel", p.Kernel.Name(), got, want)
+	}
+	return nil
+}
+
 // state holds the payloads of one evaluation of the DAG.
 type state struct {
 	p *Plan
@@ -443,6 +462,9 @@ func (p *Plan) EvaluateSequentialGrad(charges []float64) ([]float64, []geom.Poin
 }
 
 func (p *Plan) evalSeq(charges []float64, withGrad bool) ([]float64, []geom.Point, error) {
+	if err := p.checkKernel(); err != nil {
+		return nil, nil, err
+	}
 	st, err := p.newState(charges, withGrad)
 	if err != nil {
 		return nil, nil, err
@@ -456,6 +478,9 @@ func (p *Plan) evalSeq(charges []float64, withGrad bool) ([]float64, []geom.Poin
 		for _, e := range n.Out {
 			st.apply(n, e)
 		}
+	}
+	if err := p.checkKernel(); err != nil {
+		return nil, nil, err
 	}
 	return st.potentials(), st.gradients(), nil
 }
@@ -504,12 +529,18 @@ func (e *Evaluation) Run(charges []float64) ([]float64, error) {
 	if len(charges) != len(e.plan.Source.Pts) {
 		return nil, fmt.Errorf("core: %d charges for %d sources", len(charges), len(e.plan.Source.Pts))
 	}
+	if err := e.plan.checkKernel(); err != nil {
+		return nil, err
+	}
 	e.st.reset(charges)
 	for _, id := range e.order {
 		n := &e.plan.Graph.Nodes[id]
 		for _, ed := range n.Out {
 			e.st.apply(n, ed)
 		}
+	}
+	if err := e.plan.checkKernel(); err != nil {
+		return nil, err
 	}
 	return e.st.potentials(), nil
 }

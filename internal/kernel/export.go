@@ -69,8 +69,8 @@ func (b *base) ExportOperators() []OperatorTable {
 		})
 		return true
 	})
-	if b.pw != nil {
-		for l, lv := range b.pw.levels {
+	if pw := b.pw.Load(); pw != nil {
+		for l, lv := range pw.levels {
 			for dir := geom.Direction(0); dir < geom.NumDirections; dir++ {
 				if lv.m2i[dir] == nil {
 					continue

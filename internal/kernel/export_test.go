@@ -21,8 +21,8 @@ func TestOperatorExportImportRoundTrip(t *testing.T) {
 	k1.M2M(geom.Point{X: 0.125, Y: 0.125, Z: 0.125}, geom.Point{X: 0.25, Y: 0.25, Z: 0.25}, 0.25, in, out)
 	k1.L2L(geom.Point{X: 0.25, Y: 0.25, Z: 0.25}, geom.Point{X: 0.125, Y: 0.125, Z: 0.125}, 0.25, in, out)
 	k1.M2L(geom.Point{X: 0.125, Y: 0.125, Z: 0.125}, geom.Point{X: 0.625, Y: 0.125, Z: 0.125}, 0.25, in, out)
-	k1.pw.matrices(geom.Direction(0), 2)
-	k1.pw.matrices(geom.Direction(3), 1)
+	k1.pw.Load().matrices(geom.Direction(0), 2)
+	k1.pw.Load().matrices(geom.Direction(3), 1)
 
 	ops := k1.ExportOperators()
 	if len(ops) < 3+4 {
@@ -46,8 +46,8 @@ func TestOperatorExportImportRoundTrip(t *testing.T) {
 		t.Errorf("imported xl cache holds %d matrices, want 3", xlCount)
 	}
 	// Plane-wave tables adopted without a rebuild: same backing arrays.
-	m2i1, i2l1 := k1.pw.matrices(geom.Direction(0), 2)
-	m2i2, i2l2 := k2.pw.matrices(geom.Direction(0), 2)
+	m2i1, i2l1 := k1.pw.Load().matrices(geom.Direction(0), 2)
+	m2i2, i2l2 := k2.pw.Load().matrices(geom.Direction(0), 2)
 	if &m2i2[0] != &m2i1[0] || &i2l2[0] != &i2l1[0] {
 		t.Error("plane-wave tables rebuilt instead of adopted from the import")
 	}
@@ -61,7 +61,7 @@ func TestOperatorExportImportRoundTrip(t *testing.T) {
 	if xlCount != 0 {
 		t.Errorf("wrong-accuracy import adopted %d dense matrices", xlCount)
 	}
-	m2i3, _ := k3.pw.matrices(geom.Direction(0), 2)
+	m2i3, _ := k3.pw.Load().matrices(geom.Direction(0), 2)
 	if &m2i3[0] == &m2i1[0] {
 		t.Error("wrong-accuracy plane-wave table adopted")
 	}

@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/cmplx"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/sphharm"
@@ -49,7 +50,12 @@ type Kernel interface {
 
 	// Prepare precomputes per-level tables for a domain whose root cube has
 	// the given side, for tree levels 0..maxLevel. It must be called before
-	// any operator is used and is not safe to call concurrently with them.
+	// any operator is used. A kernel serves one root cube at a time:
+	// preparing again for the identical side is idempotent (built tables are
+	// kept, deeper levels appended) and safe while operators run; preparing
+	// for a different side rebinds the kernel and invalidates every plan
+	// built on the old binding (the built-in kernels report their binding
+	// through a RootSide method, which core.Plan checks on every run).
 	Prepare(rootSide float64, maxLevel int)
 
 	// Direct evaluates the kernel G(t, s) for one pair of points.
@@ -118,8 +124,12 @@ type base struct {
 	p2pF     p2pFunc                                 // tiled near-field apply (p2p.go)
 	pwNodes  func(side float64) (u, mu, w []float64) // box-unit quadrature generator
 	pwParams pwGenParams
-	pw       *pwTables // plane-wave machinery, set up by Prepare
-	wsp      wsChan    // scratch workspace free list
+	// pwScaleFree marks a kernel whose box-unit quadrature is the same at
+	// every box side (Laplace): its I->I shift table is shared process-wide.
+	pwScaleFree bool
+	prepMu      sync.Mutex               // serializes Prepare
+	pw          atomic.Pointer[pwTables] // plane-wave machinery, published by Prepare
+	wsp         wsChan                   // scratch workspace free list
 
 	// xl caches dense translation matrices for the eight fixed
 	// parent/child offsets of M->M and L->L and for the per-(side,

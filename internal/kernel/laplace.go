@@ -30,6 +30,7 @@ func NewLaplace(p int) Kernel {
 	b.gradF = func(r float64) float64 { return -1 / (r * r) }
 	b.p2pF = laplaceP2PTile
 	b.pwParams = defaultPWParams
+	b.pwScaleFree = true
 	b.pwNodes = func(side float64) (u, mu, w []float64) {
 		return laplaceNodes(b.pwParams)
 	}

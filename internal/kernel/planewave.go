@@ -14,7 +14,8 @@
 //
 // about the box center, where (xi, eta, zeta) are source coordinates rotated
 // so the expansion direction plays the role of +z. Translating X to a new
-// center is a pointwise multiply (the paper's cheap, numerous I->I edge);
+// center is a pointwise multiply (the paper's cheap, numerous I->I edge)
+// whose factors are tabulated on the box lattice (shifttable.go);
 // M->I and I->L are dense matrices precomputed per (direction, level) by
 // projecting the plane-wave basis functions — which satisfy the same PDE as
 // the kernel — onto the spherical-harmonic basis (see DESIGN.md for why
@@ -35,11 +36,16 @@ import (
 	"repro/internal/sphharm"
 )
 
-// pwRule is a plane-wave quadrature in world units for one tree level.
+// pwRule is a plane-wave quadrature for one tree level: the nodes in world
+// units (u, mu, w — what the M->I / I->L projections integrate against) and
+// in box units (uh, muh — what the I->I shift factors are tabulated on, see
+// shifttable.go).
 type pwRule struct {
 	u     []float64 // radial (oscillation) frequencies
 	mu    []float64 // decay rates (Laplace: mu = u)
 	w     []float64 // weights, including the u/mu factor for Yukawa
+	uh    []float64 // u * side: box-unit frequencies
+	muh   []float64 // mu * side: box-unit decay rates
 	m     []int     // alpha nodes per u-node
 	off   []int     // start of the k-th block of coefficients
 	total int       // sum of m: complex coefficients per direction
@@ -64,10 +70,12 @@ const pwRhoMax = 5.657 // 4*sqrt(2): max lateral offset in box units
 // the given world side.
 func makeRule(uh, muh, wh []float64, side float64, prm pwGenParams) *pwRule {
 	r := &pwRule{
-		u:  make([]float64, len(uh)),
-		mu: make([]float64, len(uh)),
-		w:  make([]float64, len(uh)),
-		m:  make([]int, len(uh)),
+		u:   make([]float64, len(uh)),
+		mu:  make([]float64, len(uh)),
+		w:   make([]float64, len(uh)),
+		uh:  uh,
+		muh: muh,
+		m:   make([]int, len(uh)),
 	}
 	for k := range uh {
 		r.u[k] = uh[k] / side
@@ -131,33 +139,69 @@ func yukawaNodes(x float64, prm pwGenParams) (u, mu, w []float64) {
 }
 
 // pwTables holds, per tree level, the quadrature rule and the lazily built
-// M->I and I->L matrices for each of the six directions.
+// M->I and I->L matrices for each of the six directions. A published
+// pwTables is immutable (Prepare swaps in a new one; the levels it shares
+// with its predecessor are the same *pwLevel values), so operators read it
+// with one atomic load and no lock.
 type pwTables struct {
-	b      *base
-	levels []*pwLevel
+	b        *base
+	rootSide float64
+	levels   []*pwLevel
 }
 
 type pwLevel struct {
-	rule *pwRule
-	side float64
-	once [geom.NumDirections]sync.Once
-	m2i  [geom.NumDirections][]complex128 // total x sq, row-major per coefficient
-	i2l  [geom.NumDirections][]complex128 // sq x total, weights folded in
+	rule  *pwRule
+	side  float64
+	shift *shiftTable // I->I factors on the box lattice (shifttable.go)
+	once  [geom.NumDirections]sync.Once
+	m2i   [geom.NumDirections][]complex128 // total x sq, row-major per coefficient
+	i2l   [geom.NumDirections][]complex128 // sq x total, weights folded in
 }
 
+// preparePW binds the kernel to a root cube. A kernel serves one root cube
+// at a time — the operators take a tree level, and level -> box side is
+// rootSide / 2^level — so preparing again for the identical side keeps every
+// built table and only appends the levels a deeper tree needs, while
+// preparing for a different side rebinds the kernel (plans built on the old
+// binding then refuse to run, see core.Plan). Prepare calls serialize on
+// prepMu; operators never take it.
 func (b *base) preparePW(rootSide float64, maxLevel int) {
-	t := &pwTables{b: b}
-	for l := 0; l <= maxLevel; l++ {
+	b.prepMu.Lock()
+	defer b.prepMu.Unlock()
+	t := &pwTables{b: b, rootSide: rootSide}
+	if cur := b.pw.Load(); cur != nil && cur.rootSide == rootSide {
+		if maxLevel < len(cur.levels) {
+			return
+		}
+		t.levels = append(t.levels, cur.levels...)
+	}
+	for l := len(t.levels); l <= maxLevel; l++ {
 		side := rootSide / float64(int64(1)<<uint(l))
 		uh, muh, wh := b.pwNodes(side)
 		lv := &pwLevel{
-			rule: makeRule(uh, muh, wh, side, b.pwParams),
-			side: side,
+			rule:  makeRule(uh, muh, wh, side, b.pwParams),
+			side:  side,
+			shift: &shiftTable{},
+		}
+		if b.pwScaleFree && b.pwParams == defaultPWParams {
+			// The box-unit rule does not depend on the side: one table for
+			// every level, kernel and plan of the process.
+			lv.shift = &laplaceShift
 		}
 		b.adoptPendingPW(lv)
 		t.levels = append(t.levels, lv)
 	}
-	b.pw = t
+	b.pw.Store(t)
+}
+
+// RootSide reports the root-cube side the kernel is currently prepared for
+// (0 before the first Prepare). core.Plan compares it against its own
+// domain to detect a kernel that was rebound under it.
+func (b *base) RootSide() float64 {
+	if t := b.pw.Load(); t != nil {
+		return t.rootSide
+	}
+	return 0
 }
 
 // adoptPendingPW installs imported plane-wave matrices (ImportOperators)
@@ -182,14 +226,10 @@ func (b *base) adoptPendingPW(lv *pwLevel) {
 	}
 }
 
-func (t *pwTables) level(l int) *pwLevel {
-	return t.levels[l]
-}
-
 // matrices returns the M->I and I->L matrices for (dir, level), building
 // them on first use.
 func (t *pwTables) matrices(dir geom.Direction, l int) (m2i, i2l []complex128) {
-	lv := t.level(l)
+	lv := t.levels[l]
 	lv.once[dir].Do(func() { t.build(dir, lv) })
 	return lv.m2i[dir], lv.i2l[dir]
 }
@@ -267,11 +307,11 @@ func projectSphere(b *base, f []complex128, rad []float64, coef []complex128) {
 }
 
 // ISize implements Kernel.
-func (b *base) ISize(level int) int { return b.pw.level(level).rule.total }
+func (b *base) ISize(level int) int { return b.pw.Load().levels[level].rule.total }
 
 // M2I implements Kernel: out[t] += sum_idx A[t, idx] in[idx].
 func (b *base) M2I(dir geom.Direction, level int, in, out []complex128) {
-	m2i, _ := b.pw.matrices(dir, level)
+	m2i, _ := b.pw.Load().matrices(dir, level)
 	sq := len(in)
 	for t := range out {
 		row := m2i[t*sq : (t+1)*sq]
@@ -285,26 +325,26 @@ func (b *base) M2I(dir geom.Direction, level int, in, out []complex128) {
 
 // I2I implements Kernel: the diagonal translation out[t] += in[t]*E_t(shift).
 // shift is the world-frame vector from the old center to the new center.
+// Outgoing expansions about c satisfy X_{c'}[t] = X_c[t] * E_t(c'-c); every
+// shift the merge-and-shift DAG uses is a half-box lattice vector, so E is
+// read from the level's shift table and the operator is the pointwise
+// multiply the paper prices it as. A shift off the lattice (no DAG edge
+// produces one) computes its factors for the call.
+//
+//dashmm:noalloc
 func (b *base) I2I(dir geom.Direction, level int, shift geom.Point, in, out []complex128) {
-	r := b.pw.level(level).rule
-	v := dir.RotateToUp(shift)
-	for k := range r.u {
-		// Outgoing expansions about c satisfy X_{c'}[t] = X_c[t] * E_t(c'-c)
-		// with E_t(v) = e^{-mu zeta + i u (xi cos a + eta sin a)}.
-		e := math.Exp(-r.mu[k] * v.Z)
-		base := r.off[k]
-		for j := 0; j < r.m[k]; j++ {
-			ph := r.u[k] * (v.X*r.cosA[k][j] + v.Y*r.sinA[k][j])
-			sin, cos := math.Sincos(ph) // bit-identical to Sin+Cos, one range reduction
-			f := complex(e*cos, e*sin)
-			out[base+j] += in[base+j] * f
-		}
+	lv := b.pw.Load().levels[level]
+	v := dir.RotateToUp(shift).Scale(1 / lv.side) // box units, direction's frame
+	if slot, ok := shiftSlotOf(v); ok {
+		mulAcc(lv.shift.factors(slot, lv.rule), in, out)
+		return
 	}
+	i2iOffLattice(lv.rule, v, in, out)
 }
 
 // I2L implements Kernel: out[n,m] += sum_t B[(n,m), t] in[t].
 func (b *base) I2L(dir geom.Direction, level int, in, out []complex128) {
-	_, i2l := b.pw.matrices(dir, level)
+	_, i2l := b.pw.Load().matrices(dir, level)
 	total := len(in)
 	for idx := range out {
 		row := i2l[idx*total : (idx+1)*total]

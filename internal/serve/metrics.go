@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/amt"
+	"repro/internal/kernel"
 )
 
 // Metrics is the server's expvar-style counter set, exposed as JSON at
@@ -230,6 +231,13 @@ type MetricsSnapshot struct {
 	QueueDepth int64 `json:"queue_depth"`
 	Inflight   int64 `json:"inflight"`
 
+	// The process-wide I->I shift table (kernel.ShiftTableStats): resident
+	// slots and bytes, and how many I->I applications missed the lattice
+	// and paid the transcendental price per call — 0 in a healthy daemon.
+	ShiftTableSlots int   `json:"shift_table_slots"`
+	ShiftTableBytes int64 `json:"shift_table_bytes"`
+	ShiftOffLattice int64 `json:"shift_off_lattice_calls"`
+
 	QueueWait HistogramSnapshot `json:"queue_wait"`
 	PlanBuild HistogramSnapshot `json:"plan_build"`
 	Evaluate  HistogramSnapshot `json:"evaluate"`
@@ -241,6 +249,7 @@ type MetricsSnapshot struct {
 }
 
 func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot {
+	shift := kernel.ShiftTableStats()
 	return MetricsSnapshot{
 		Requests:      m.Requests.Load(),
 		OK:            m.OK.Load(),
@@ -278,6 +287,9 @@ func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot 
 		WireStaleFenced:  m.WireStaleFenced.Load(),
 		QueueDepth:       m.queued.Load(),
 		Inflight:         m.inflight.Load(),
+		ShiftTableSlots:  shift.Slots,
+		ShiftTableBytes:  shift.Bytes,
+		ShiftOffLattice:  shift.OffLatticeCalls,
 		QueueWait:        m.QueueWait.Snapshot(),
 		PlanBuild:        m.PlanBuild.Snapshot(),
 		Evaluate:         m.Evaluate.Snapshot(),

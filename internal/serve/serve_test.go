@@ -127,6 +127,10 @@ func TestServeCacheHitMatchesDirectEvaluation(t *testing.T) {
 	if m.RuntimeReuses != 1 {
 		t.Errorf("runtime_reuses=%d, want 1", m.RuntimeReuses)
 	}
+	if m.ShiftTableSlots == 0 || m.ShiftTableBytes == 0 || m.ShiftOffLattice != 0 {
+		t.Errorf("shift table after a Laplace evaluation: %d slots, %d bytes, %d off-lattice calls; want > 0, > 0, 0",
+			m.ShiftTableSlots, m.ShiftTableBytes, m.ShiftOffLattice)
+	}
 }
 
 // Identical concurrent requests coalesce into one evaluation: with the only
@@ -467,6 +471,9 @@ func TestServeSmoke(t *testing.T) {
 		t.Error(err)
 	}
 
+	// A handler decrements its in-flight gauge after the reply is written,
+	// so the last client can be back before the last handler has returned.
+	waitFor(t, "handlers to return", func() bool { return s.metrics.inflight.Load() == 0 })
 	m := s.metrics.snapshot(s.cache.len(), nil)
 	if m.Requests != int64(len(reqs)) {
 		t.Errorf("requests=%d, want %d", m.Requests, len(reqs))
