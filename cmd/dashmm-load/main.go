@@ -45,6 +45,7 @@ func main() {
 
 		n         = flag.Int("n", 4000, "points per evaluation request")
 		digits    = flag.Int("digits", 3, "accuracy digits per request")
+		threshold = flag.Int("threshold", 0, "refinement threshold per request (0 = the server tunes it)")
 		workers   = flag.Int("workers", 1, "workers per request")
 		deadline  = flag.Int("deadline-ms", 0, "per-request deadline (0 = server default)")
 		variants  = flag.Int("charge-variants", 4, "charge seeds cycled per key (coalescing pressure)")
@@ -84,6 +85,7 @@ func main() {
 		ZipfV:          *zipfV,
 		N:              *n,
 		Digits:         *digits,
+		Threshold:      *threshold,
 		Workers:        *workers,
 		ChargeVariants: *variants,
 		DeadlineMS:     *deadline,

@@ -11,6 +11,12 @@
 //
 //	scaling -n 1000000 -max-cores 4096 -model paper
 //	scaling -n 200000 -model calibrate   # costs measured on this machine
+//
+// With -model calibrate every workload also prints, per operator class, the
+// busy seconds the calibration run traced beside the ones the compiled-in
+// cost table (internal/kernel/cost.go) prices for the same DAG: the ratio is
+// the factor by which that table's constant is off on this machine, which is
+// how its constants were taken and how they are regenerated.
 package main
 
 import (
@@ -44,7 +50,7 @@ func main() {
 		maxCores = flag.Int("max-cores", 4096, "largest core count (paper: 4096)")
 		model    = flag.String("model", "paper", "cost model: paper | calibrate")
 		digits   = flag.Int("digits", 3, "accuracy digits")
-		thr      = flag.Int("threshold", 60, "refinement threshold")
+		thr      = flag.Int("threshold", 60, "refinement threshold (the paper's 60; 0: chosen by the cost model)")
 		prio     = flag.Bool("priority", true, "also run the Section VI priority-scheduling estimate")
 	)
 	flag.Parse()
@@ -199,8 +205,27 @@ func calibrationRun(wl workload, digits, thr int) sim.CostModel {
 	}
 	w := runtime.GOMAXPROCS(0)
 	tr := trace.New(w)
-	if _, _, err := plan.Evaluate(q, core.ExecOptions{Workers: w, Tracer: tr}); err != nil {
+	pe, err := plan.NewParallelEvaluation(core.ExecOptions{Workers: w, Tracer: tr})
+	if err != nil {
 		log.Fatal(err)
 	}
-	return sim.Calibrate(plan.Graph, tr.Snapshot())
+	defer pe.Close()
+	// The first evaluation builds the lazy operator tables inside the
+	// operators; calibrate on the warm second.
+	for i := 0; i < 2; i++ {
+		tr.Reset()
+		if _, _, err := pe.Run(q); err != nil {
+			log.Fatal(err)
+		}
+	}
+	cal := sim.Calibrate(plan.Graph, tr.Snapshot())
+	traced, priced := cal.Predict(plan.Graph), plan.Predicted()
+	fmt.Printf("# calibration, %s N=%d threshold %d: busy seconds traced / priced by internal/kernel/cost.go\n",
+		wl.name, n, plan.Threshold())
+	for op := dag.OpKind(0); op < dag.NumOpKinds; op++ {
+		if traced[op] > 0 {
+			fmt.Printf("#   %-4v %9.4f / %9.4f = %5.2f\n", op, traced[op]/1e9, priced[op]/1e9, traced[op]/priced[op])
+		}
+	}
+	return cal
 }

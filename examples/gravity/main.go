@@ -22,6 +22,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/points"
+	"repro/internal/tree"
 )
 
 func main() {
@@ -43,7 +44,10 @@ func main() {
 	exact := baseline.DirectSample(k, stars, masses, stars, sample)
 
 	for _, m := range []dag.Method{dag.BarnesHut, dag.Advanced} {
-		plan, err := core.NewPlan(stars, stars, k, core.Options{Method: m, Theta: 0.5})
+		// The paper's threshold, so both methods show the DAG they are: left
+		// to the cost model, Barnes–Hut with order-9 multipoles at this N is
+		// priced above the double loop and becomes a level-1 tree of S→T.
+		plan, err := core.NewPlan(stars, stars, k, core.Options{Method: m, Theta: 0.5, Threshold: tree.Threshold})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -66,13 +66,14 @@ const retryPrefix = "retry: "
 
 // FailureDetectorConfig tunes the heartbeat failure detector: every worker
 // rank emits a heartbeat each Interval, and rank 0 declares a rank dead once
-// its last heartbeat is older than Interval × MissedBeats. This is the
-// classic heartbeat detector (the fixed-threshold special case of a
-// phi-accrual detector): complete (a crashed rank stops beating and is
-// eventually declared) but only eventually accurate (a tight threshold
-// misjudges a slow rank). A false verdict is made harmless by fencing: the
-// survivors sever the suspect and fail its work over, and the suspect itself
-// fails fast when it sees its own verdict.
+// MissedBeats consecutive ticks of its own Interval monitor saw no new one
+// (Interval × MissedBeats of silence on an unloaded coordinator, longer on
+// a starved one — see monitorLoop). This is the classic heartbeat detector
+// (the fixed-threshold special case of a phi-accrual detector): complete (a
+// crashed rank stops beating and is eventually declared) but only eventually
+// accurate (a tight threshold misjudges a slow rank). A false verdict is
+// made harmless by fencing: the survivors sever the suspect and fail its
+// work over, and the suspect itself fails fast when it sees its own verdict.
 type FailureDetectorConfig struct {
 	// Interval between heartbeats.
 	Interval time.Duration
@@ -200,9 +201,14 @@ type Cluster struct {
 	onDeath     func(rank, epoch int)            // guarded by cbMu
 	onShutdown  func()                           // guarded by cbMu
 	onCoordLost func(err error)                  // guarded by cbMu
+	coordLost   error                            // guarded by cbMu: set once the coordinator is gone
 	onJob       func(gen uint32, payload []byte) // guarded by cbMu
 	onRejoin    func(rank int, gen uint32)       // guarded by cbMu; rank0
 	pendingJob  *pendingJob                      // guarded by cbMu: job that beat OnJob registration
+	// earlyShutdown parks a run-complete signal no run could take (see
+	// fireShutdown); earlyShutdownGen is the wire generation it ended.
+	earlyShutdown    bool   // guarded by cbMu
+	earlyShutdownGen uint32 // guarded by cbMu
 
 	deaths chan DeathEvent // buffered verdict feed for a supervisor (rank0)
 
@@ -370,16 +376,41 @@ func (c *Cluster) fireDeath(rank, epoch int) {
 	c.cbMu.Unlock()
 }
 
-func (c *Cluster) fireShutdown() {
+// fireShutdown delivers rank 0's run-complete signal for the run of the
+// given wire generation. Rank 0 can finish a DAG in which this rank owns no
+// target (a single-leaf plan, more ranks than target leaves) before this
+// rank has entered its run and registered a handler — or adopted the run's
+// generation. Dropping the signal then would leave the rank waiting for it
+// until its timeout, so it is parked for the run to collect (TakeShutdown).
+func (c *Cluster) fireShutdown(gen uint32) {
 	c.cbMu.Lock()
-	if c.onShutdown != nil {
+	if c.onShutdown != nil && gen == c.gen.Load() {
 		c.onShutdown()
+	} else {
+		c.earlyShutdown, c.earlyShutdownGen = true, gen
 	}
 	c.cbMu.Unlock()
 }
 
+// TakeShutdown reports, once, whether the run-complete signal of the given
+// wire generation arrived before the run could take it. A run calls it
+// after registering OnShutdown and adopting its generation; a signal parked
+// by an earlier generation is discarded.
+func (c *Cluster) TakeShutdown(gen uint32) bool {
+	c.cbMu.Lock()
+	defer c.cbMu.Unlock()
+	early := c.earlyShutdown && c.earlyShutdownGen == gen
+	c.earlyShutdown = false
+	return early
+}
+
+// fireCoordLost fails the run in flight, and remembers the loss for a run
+// that has not registered its handler yet: Start refuses it.
 func (c *Cluster) fireCoordLost(err error) {
 	c.cbMu.Lock()
+	if c.coordLost == nil {
+		c.coordLost = err
+	}
 	if c.onCoordLost != nil {
 		c.onCoordLost(err)
 	}
@@ -643,12 +674,20 @@ func (c *Cluster) adoptMembership(payload []byte) error {
 // broadcasts START with the peer address list; workers wait for START.
 // After Start returns successfully the data plane is usable. On a cluster
 // that already started (a standing pool running many jobs, a rejoined
-// worker) Start returns immediately.
+// worker) Start returns immediately — with the error, when the coordinator
+// was lost in the meantime: the handler of a run entering only now was not
+// registered when that was reported, and nothing else would ever end it.
 func (c *Cluster) Start() error {
 	select {
 	case <-c.quit:
 		return errClusterClosed
 	default:
+	}
+	c.cbMu.Lock()
+	lost := c.coordLost
+	c.cbMu.Unlock()
+	if lost != nil {
+		return lost
 	}
 	if c.cfg.Rank == 0 {
 		c.mu.Lock()
@@ -1028,7 +1067,7 @@ func (c *Cluster) workerControlLoop(br *bufio.Reader) {
 		case ctlJob:
 			c.fireJob(f.Epoch, f.Payload)
 		case ctlShutdown:
-			c.fireShutdown()
+			c.fireShutdown(f.Epoch)
 		case ctlExit:
 			c.signalDone()
 		}
@@ -1055,27 +1094,34 @@ func (c *Cluster) beatLoop() {
 	}
 }
 
-// monitorLoop is rank 0's membership detector: a rank whose last heartbeat
-// is older than Interval×MissedBeats is declared dead.
+// monitorLoop is rank 0's membership detector: a rank from which no new
+// heartbeat arrived on MissedBeats consecutive ticks of the monitor's own
+// Interval ticker is declared dead. Silence is counted in ticks the monitor
+// lived through, not read off the wall clock: when this process is starved
+// or paused, the readers that would have taken the waiting beats off their
+// sockets are not running either, and a late tick must count as one tick,
+// not as the workers' silence for however long it was late.
 //
 //dashmm:detached exits on c.quit; Close closes quit and c.wg.Wait joins
 func (c *Cluster) monitorLoop() {
 	defer c.wg.Done()
 	hb := c.cfg.Heartbeat
-	thresh := int64(hb.Interval) * int64(hb.MissedBeats)
 	tick := time.NewTicker(hb.Interval)
 	defer tick.Stop()
+	seen := make([]int64, c.cfg.World) // lastBeat as of the previous tick
+	missed := make([]int, c.cfg.World) // consecutive ticks it did not move
 	for {
 		select {
 		case <-c.quit:
 			return
 		case <-tick.C:
-			now := time.Now().UnixNano()
 			for r := 1; r < c.cfg.World; r++ {
 				if c.dead[r].Load() {
 					continue
 				}
-				if now-c.lastBeat[r].Load() > thresh {
+				if b := c.lastBeat[r].Load(); b != seen[r] {
+					seen[r], missed[r] = b, 0
+				} else if missed[r]++; missed[r] >= hb.MissedBeats {
 					c.DeclareDead(r)
 				}
 			}
@@ -1085,8 +1131,8 @@ func (c *Cluster) monitorLoop() {
 
 // DeclareDead issues a death verdict for a rank (rank 0 only; also the
 // test hook for injected deaths): mark, fence the transport, broadcast the
-// verdict with its epoch to every surviving worker, and run the local
-// OnDeath handler. Idempotent.
+// verdict with its epoch to every surviving worker and then to the suspect
+// itself, and run the local OnDeath handler. Idempotent.
 func (c *Cluster) DeclareDead(rank int) {
 	if c.cfg.Rank != 0 || rank <= 0 || rank >= c.cfg.World {
 		return
@@ -1105,6 +1151,7 @@ func (c *Cluster) DeclareDead(rank int) {
 	binary.LittleEndian.PutUint32(payload[2:], uint32(epoch))
 	c.mu.Lock()
 	c.deadOrder = append(c.deadOrder, rank)
+	suspect := c.joined[rank]
 	conns := make(map[int]*controlConn, len(c.joined))
 	for r, cc := range c.joined {
 		if !c.dead[r].Load() {
@@ -1116,6 +1163,13 @@ func (c *Cluster) DeclareDead(rank int) {
 	for _, cc := range conns {
 		//lint:ignore lockorder bcastMu held across the fan-out IS the total-order guarantee for control frames; each send is bounded by CtlWriteTimeout
 		cc.send(f) // a failed send surfaces via that rank's own heartbeat
+	}
+	if suspect != nil {
+		// Last, and best effort: a corpse's connection is gone, but a live
+		// suspect (a false verdict) must learn it has been fenced — it fails
+		// its run at once instead of computing on, unheard, to its timeout.
+		//lint:ignore lockorder same fan-out as above; bounded by CtlWriteTimeout
+		suspect.send(f)
 	}
 	c.bcastMu.Unlock()
 	c.fireDeath(rank, epoch)
@@ -1139,7 +1193,7 @@ func (c *Cluster) applyVerdict(rank, epoch int) {
 }
 
 // Shutdown broadcasts the run-complete signal to every live worker (rank 0
-// only).
+// only), stamped with the wire generation of the run it ends.
 func (c *Cluster) Shutdown() {
 	c.broadcastCtl(ctlShutdown)
 }
@@ -1159,7 +1213,7 @@ func (c *Cluster) broadcastCtl(kind uint16) {
 	c.mu.Lock()
 	conns := c.liveConnsLocked()
 	c.mu.Unlock()
-	f := &Frame{Kind: kind, Src: 0}
+	f := &Frame{Kind: kind, Src: 0, Epoch: c.gen.Load()}
 	for _, cc := range conns {
 		//lint:ignore lockorder bcastMu held across the fan-out IS the total-order guarantee for control frames; each send is bounded by CtlWriteTimeout
 		cc.send(f)

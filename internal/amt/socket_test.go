@@ -271,8 +271,11 @@ func TestHandshakeJunkDoesNotWedgeAcceptor(t *testing.T) {
 // A rank that goes silent (its process died) is detected over the real wire
 // by rank 0's heartbeat monitor, and the verdict reaches every survivor.
 func TestHeartbeatDeathDetection(t *testing.T) {
+	// 100ms of silence, not the 40ms this used to allow: with the rest of
+	// the suite sharing the cores a live rank's beat is late by that much
+	// (seen: rank 1 declared dead beside rank 2).
 	fast := func(cfg *ClusterConfig) {
-		cfg.Heartbeat = FailureDetectorConfig{Interval: 10 * time.Millisecond, MissedBeats: 4}
+		cfg.Heartbeat = FailureDetectorConfig{Interval: 10 * time.Millisecond, MissedBeats: 10}
 	}
 	verdicts := make(chan [2]int, 4)
 	cls := startTestCluster(t, t.TempDir(), 3, fast, func(rank int, c *Cluster) {
@@ -304,6 +307,67 @@ func TestHeartbeatDeathDetection(t *testing.T) {
 	}
 	if cls[0].Epoch() != 1 {
 		t.Fatalf("epoch = %d, want 1", cls[0].Epoch())
+	}
+}
+
+// The monitor counts its own ticks without a new beat, it does not read
+// silence off the wall clock: a coordinator that was starved or paused finds
+// timestamps as old as its stall — the beats are waiting in sockets its
+// readers did not get to either — and must not take that for the workers'
+// deaths. (It did: under `go test ./...` on two cores a live rank of the
+// crash-recovery matrix was declared dead after 1.3s of "silence" the whole
+// process had shared, and ran on as a zombie until its timeout.)
+func TestMonitorCountsTicksNotWallClock(t *testing.T) {
+	cfg := testClusterConfig(t.TempDir(), 0, 2)
+	cfg.Heartbeat = FailureDetectorConfig{Interval: 10 * time.Millisecond, MissedBeats: 50}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// What the monitor finds after an hour's stall, then beats as usual.
+	c.lastBeat[1].Store(time.Now().Add(-time.Hour).UnixNano())
+	c.wg.Add(1)
+	go c.monitorLoop()
+	for i := 0; i < 10; i++ {
+		time.Sleep(cfg.Heartbeat.Interval)
+		c.lastBeat[1].Store(time.Now().UnixNano())
+	}
+	if !c.Alive(1) {
+		t.Fatal("a beating rank was declared dead off a stale timestamp")
+	}
+	// The beats stop: MissedBeats ticks later the rank is dead.
+	select {
+	case ev := <-c.Deaths():
+		if ev.Rank != 1 {
+			t.Fatalf("verdict for rank %d, want 1", ev.Rank)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a silent rank was never declared dead")
+	}
+}
+
+// A live rank that is declared dead (a false verdict) is told: it sees its
+// own verdict and can fail its run at once, as FailureDetectorConfig
+// promises. The broadcast used to skip the suspect, which then ran on,
+// fenced by everyone and unheard, until its own timeout.
+func TestFalseVerdictReachesTheSuspect(t *testing.T) {
+	verdicts := make(chan [2]int, 4)
+	cls := startTestCluster(t, t.TempDir(), 3, nil, func(rank int, c *Cluster) {
+		c.OnDeath(func(dead, epoch int) { verdicts <- [2]int{rank, dead} })
+	})
+	cls[0].DeclareDead(2)
+	saw := map[int]bool{}
+	for len(saw) < 3 {
+		select {
+		case v := <-verdicts:
+			if v[1] != 2 {
+				t.Fatalf("rank %d got a verdict for rank %d, want 2", v[0], v[1])
+			}
+			saw[v[0]] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("verdict for rank 2 seen by ranks %v, want all three", saw)
+		}
 	}
 }
 
@@ -374,5 +438,61 @@ func TestWriterReconnect(t *testing.T) {
 	}
 	if got := tp.Stats().Reconnects; got < 1 {
 		t.Fatalf("Reconnects = %d, want >= 1", got)
+	}
+}
+
+// A run-complete signal that beats the worker into its run is parked, handed
+// to the run of that wire generation once, and discarded by any other: rank
+// 0 finishes a DAG in which a worker owns no target without that worker.
+func TestShutdownBeforeHandlerIsParked(t *testing.T) {
+	cls := startTestCluster(t, t.TempDir(), 2, nil, nil)
+	gen := cls[0].Generation()
+	took := func(g uint32) bool {
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			if cls[1].TakeShutdown(g) {
+				return true
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return false
+	}
+
+	cls[0].Shutdown() // no handler on the worker yet
+	if !took(gen) {
+		t.Fatal("the early run-complete signal was dropped")
+	}
+	if cls[1].TakeShutdown(gen) {
+		t.Error("the parked signal was handed out twice")
+	}
+
+	// With a handler registered and the generation adopted the signal goes
+	// to the handler, and nothing is parked.
+	fired := make(chan struct{}, 1)
+	cls[1].OnShutdown(func() { fired <- struct{}{} })
+	cls[0].Shutdown()
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("registered handler never saw the signal")
+	}
+	if cls[1].TakeShutdown(gen) {
+		t.Error("a delivered signal was parked as well")
+	}
+
+	// A signal of another generation is not this run's: the handler stays
+	// silent, the signal is parked under its own generation, and a run of a
+	// later generation throws it away.
+	cls[0].AdoptGeneration(gen + 1)
+	cls[0].Shutdown()
+	cls[0].AdoptGeneration(gen + 2)
+	cls[0].Shutdown()
+	if !took(gen + 2) {
+		t.Fatal("the signal of the worker's next generation was dropped")
+	}
+	select {
+	case <-fired:
+		t.Error("the handler of generation", gen, "took another generation's signal")
+	default:
 	}
 }

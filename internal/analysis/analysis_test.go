@@ -185,6 +185,17 @@ func TestDeterminismScoping(t *testing.T) {
 	}
 }
 
+// TestDeterminismFileScoping verifies a ".go" entry: it covers the named
+// file of its package and nothing else.
+func TestDeterminismFileScoping(t *testing.T) {
+	runFixture(t, "determinism", &Determinism{Packages: []string{"fixture/determinism/determinism.go"}})
+	_, pass := loadFixture(t, "determinism")
+	diags := Run([]*Pass{pass}, []Analyzer{&Determinism{Packages: []string{"fixture/determinism/other.go"}}})
+	if len(diags) != 0 {
+		t.Fatalf("determinism fired outside the named file: %v", diags)
+	}
+}
+
 // TestMalformedSuppressions asserts that //lint:ignore directives lacking a
 // check list or reason surface as pseudo-check "lint" diagnostics, that they
 // do not suppress anything, and that the well-formed control both stays

@@ -3,6 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"path"
+	"path/filepath"
 	"strings"
 )
 
@@ -22,14 +24,19 @@ import (
 //     order, so any output built from it is nondeterministic. Iterations
 //     that provably commute can be suppressed with //lint:ignore.
 type Determinism struct {
-	// Packages lists the import-path suffixes the checker applies to.
+	// Packages lists the import-path suffixes the checker applies to. An
+	// entry ending in ".go" names one file of its package: the rest of that
+	// package may read the clock, the named file may not.
 	Packages []string
 }
 
 // NewDeterminism returns the determinism analyzer with the default package
 // list: the numeric core, plus tree construction and DAG derivation — the
 // ROADMAP's incremental-repair work diffs Morton orders and DAG regions
-// between time steps, which only means anything if both are reproducible.
+// between time steps, which only means anything if both are reproducible —
+// plus the two files outside them that decide a plan's leaf size (the cost
+// sum and the tuner): SPMD ranks, the plan cache and the plan store all
+// assume equal inputs give equal trees.
 func NewDeterminism() *Determinism {
 	return &Determinism{Packages: []string{
 		"internal/points",
@@ -38,6 +45,8 @@ func NewDeterminism() *Determinism {
 		"internal/geom",
 		"internal/tree",
 		"internal/dag",
+		"internal/sim/cost.go",
+		"internal/core/tune.go",
 	}}
 }
 
@@ -49,14 +58,28 @@ func (*Determinism) Doc() string {
 	return "numeric-core packages may not use wall clock, global math/rand, or map iteration order"
 }
 
-// applies reports whether the pass's package is on the checker's list.
-func (c *Determinism) applies(p *Pass) bool {
-	for _, suffix := range c.Packages {
-		if p.Path == suffix || strings.HasSuffix(p.Path, "/"+suffix) {
-			return true
+// files returns the files of the pass the checker's list covers.
+func (c *Determinism) files(p *Pass) []*ast.File {
+	var out []*ast.File
+	for _, entry := range c.Packages {
+		pkg, file := entry, ""
+		if strings.HasSuffix(entry, ".go") {
+			pkg, file = path.Split(entry)
+			pkg = strings.TrimSuffix(pkg, "/")
+		}
+		if p.Path != pkg && !strings.HasSuffix(p.Path, "/"+pkg) {
+			continue
+		}
+		if file == "" {
+			return p.Files
+		}
+		for _, f := range p.Files {
+			if filepath.Base(p.Fset.Position(f.Pos()).Filename) == file {
+				out = append(out, f)
+			}
 		}
 	}
-	return false
+	return out
 }
 
 // randAllowed are the math/rand package-level functions that don't touch the
@@ -65,10 +88,7 @@ var randAllowed = map[string]bool{"New": true, "NewSource": true}
 
 // Run implements Analyzer.
 func (c *Determinism) Run(p *Pass) {
-	if !c.applies(p) {
-		return
-	}
-	for _, f := range p.Files {
+	for _, f := range c.files(p) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.CallExpr:

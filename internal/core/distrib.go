@@ -175,6 +175,13 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 		dx.applyDeath(r)
 	}
 	dx.syncDeaths()
+	// Rank 0 may already be done: where this rank owns no target (a
+	// single-leaf plan, more ranks than target leaves) nothing rank 0 waits
+	// for comes from here, and its run-complete signal can beat this rank
+	// into the run.
+	if cl.TakeShutdown(cl.Generation()) {
+		dx.release()
+	}
 
 	if opts.Cancel != nil {
 		cancelStop := make(chan struct{})

@@ -265,6 +265,35 @@ func TestDistRunFailsAtOnceOnClusterClose(t *testing.T) {
 	}
 }
 
+// A worker that enters its run only after the coordinator is gone was not
+// listening when the loss was reported; it must still fail at once (it used
+// to wait for charges nobody would send until DistOptions.Timeout — seen as
+// a 90s TestAllRanksDeadFails when rank 0 died before a starved rank 1 got
+// into DistRun).
+func TestDistRunFailsAtOnceWhenCoordinatorAlreadyLost(t *testing.T) {
+	dw := newDistWorld(t, 2, 500)
+	cls := distClusters(t, 2)
+	for _, cl := range cls {
+		if err := cl.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cls[0].Close()
+	select {
+	case <-cls[1].Done(): // the worker has noticed
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker never noticed its coordinator was gone")
+	}
+	start := time.Now()
+	_, _, err := DistRun(dw.plans[1], cls[1], nil, distOpts(1))
+	if err == nil || !strings.Contains(err.Error(), "rank 0 lost") {
+		t.Errorf("DistRun on a worker without a coordinator returned %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("DistRun took %v to refuse", d)
+	}
+}
+
 // Per-rank kernels, as separate OS processes have them: each rank's shift
 // tables are filled by whichever I->I edges that rank happens to own, in
 // whatever order its workers reach them. The slots are filled from the
@@ -305,4 +334,68 @@ func TestDistRunPerRankKernels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Regression: a DAG in which a worker rank owns no target (the one-point
+// plan here, whose two nodes live on rank 0; more ranks than target leaves
+// in general) lets rank 0 finish without that worker, and rank 0's
+// run-complete signal used to be dropped when it beat the worker into its
+// run — the worker then sat in DistRun until its timeout. The cluster now
+// parks the signal for the run to take.
+func TestDistRunWorkerLateToFinishedRun(t *testing.T) {
+	sp := points.Generate(points.Cube, 1, 1)
+	tp := points.Generate(points.Cube, 1, 2)
+	q := points.Charges(1, 3)
+	k := kernel.NewLaplace(4)
+	var plans [2]*Plan
+	for r := range plans {
+		var err error
+		if plans[r], err = NewPlan(sp, tp, k, Options{Threshold: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := plans[0].EvaluateSequential(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := distClusters(t, 2)
+	opts := func(r int) DistOptions {
+		o := distOpts(r)
+		o.Timeout = 20 * time.Second
+		return o
+	}
+	// Rank 0 fires both nodes, gathers its own target, broadcasts the
+	// run-complete signal and then only waits for the worker to acknowledge
+	// the charge broadcast. The worker enters its run after that; the grace
+	// period only biases the interleaving towards the one that used to hang
+	// (without it the signal finds the handler registered and the test
+	// passes for the ordinary reason).
+	fired := make(chan struct{})
+	o0 := opts(0)
+	o0.OnProgress = func(done, owned int) {
+		if done == owned {
+			close(fired)
+		}
+	}
+	var got []float64
+	var err0 error
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		got, _, err0 = DistRun(plans[0], cls[0], q, o0)
+	}()
+	<-fired
+	time.Sleep(200 * time.Millisecond)
+	start := time.Now()
+	if _, _, err := DistRun(plans[1], cls[1], nil, opts(1)); err != nil {
+		t.Fatalf("the late worker: %v", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("the late worker took %v to learn the run was over", d)
+	}
+	<-ran
+	if err0 != nil {
+		t.Fatal(err0)
+	}
+	assertSame(t, got, want, 1e-12)
 }

@@ -7,9 +7,11 @@ import (
 
 	"repro/internal/amt"
 	"repro/internal/dag"
+	"repro/internal/dag/dagtest"
 	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/points"
+	"repro/internal/tree"
 )
 
 // affine maps every point x to s*x + t.
@@ -23,12 +25,17 @@ func affine(pts []geom.Point, s float64, t geom.Point) []geom.Point {
 
 func scaled(pts []geom.Point, s float64) []geom.Point { return affine(pts, s, geom.Point{}) }
 
+// advancedPlan builds the fixture of the rebind tests and of every oracle
+// and metamorphic gate on the plane-wave path: the paper's threshold, so the
+// few thousand points they use keep a far field (left to the tuner they
+// would be a level-1 tree of S→T edges).
 func advancedPlan(t *testing.T, sp, tp []geom.Point, k kernel.Kernel) *Plan {
 	t.Helper()
-	plan, err := NewPlan(sp, tp, k, Options{Method: dag.Advanced})
+	plan, err := NewPlan(sp, tp, k, Options{Method: dag.Advanced, Threshold: tree.Threshold})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dagtest.RequireFarField(t, plan.Graph)
 	return plan
 }
 

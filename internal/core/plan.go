@@ -13,10 +13,12 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/geom"
 	"repro/internal/kernel"
+	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -25,8 +27,10 @@ type Options struct {
 	// Method selects the HMM variant (default: advanced merge-and-shift
 	// FMM).
 	Method dag.Method
-	// Threshold is the tree refinement threshold (default 60, the paper's
-	// setting).
+	// Threshold is the tree refinement threshold: a box holding more points
+	// is split. Zero lets NewPlan choose it from the operator-cost model
+	// (tune.go); a positive value is used as given — tree.Threshold, 60, is
+	// the paper's setting.
 	Threshold int
 	// Theta is the Barnes–Hut opening angle (default 0.5).
 	Theta float64
@@ -34,14 +38,6 @@ type Options struct {
 	// three-step tree construction (coarse sort, concurrent partitioning,
 	// compact stitch) instead of the sequential builder.
 	TreeWorkers int
-}
-
-func (o *Options) withDefaults() Options {
-	v := *o
-	if v.Threshold == 0 {
-		v.Threshold = tree.Threshold
-	}
-	return v
 }
 
 // Plan is a prepared evaluation: trees, lists, explicit DAG and the
@@ -52,7 +48,14 @@ type Plan struct {
 	Target *tree.Tree
 	Lists  []tree.Lists
 	Graph  *dag.Graph
-	opts   Options
+
+	// threshold is the refinement threshold the trees were built with,
+	// predicted the cost model's busy nanoseconds of one evaluation per
+	// operator class, tuning the ladder that chose the threshold (nil when
+	// it was given).
+	threshold int
+	predicted [dag.NumOpKinds]float64
+	tuning    *Tuning
 
 	// batches carries the plan-build-time batch descriptors (dag.BuildBatches):
 	// far-field edges grouped per dense operator, near-field edges per target
@@ -104,22 +107,41 @@ func (p *Plan) Reset() {
 }
 
 // NewPlan partitions the ensembles, computes the dual-tree lists, and builds
-// the explicit DAG.
+// the explicit DAG. With Options.Threshold zero the leaf size is the one
+// the operator-cost model predicts to be cheapest for these points, this
+// kernel and this method (see tune).
 func NewPlan(sources, targets []geom.Point, k kernel.Kernel, opts Options) (*Plan, error) {
 	if len(sources) == 0 || len(targets) == 0 {
 		return nil, fmt.Errorf("core: empty ensemble (%d sources, %d targets)", len(sources), len(targets))
 	}
-	o := opts.withDefaults()
-	dom := geom.BoundingCube(sources, targets)
+	if opts.Threshold < 0 {
+		return nil, fmt.Errorf("core: negative refinement threshold %d", opts.Threshold)
+	}
+	var p *Plan
+	if opts.Threshold == 0 {
+		tunerEntries.Add(1)
+		start := time.Now()
+		p = tune(sources, targets, k, opts)
+		p.tuning.Elapsed = time.Since(start)
+	} else {
+		p = assemble(sources, targets, geom.BoundingCube(sources, targets), k, opts, opts.Threshold)
+	}
+	p.batches = dag.BuildBatches(p.Graph, k)
+	return p, nil
+}
+
+// assemble builds the trees for one threshold and everything of a plan that
+// follows from them except the batch descriptors.
+func assemble(sources, targets []geom.Point, dom geom.Cube, k kernel.Kernel, o Options, threshold int) *Plan {
 	var src, tgt *tree.Tree
 	if o.TreeWorkers > 1 {
-		src = tree.BuildParallel(sources, dom, o.Threshold, o.TreeWorkers)
-		tgt = tree.BuildParallel(targets, dom, o.Threshold, o.TreeWorkers)
+		src = tree.BuildParallel(sources, dom, threshold, o.TreeWorkers)
+		tgt = tree.BuildParallel(targets, dom, threshold, o.TreeWorkers)
 	} else {
-		src = tree.Build(sources, dom, o.Threshold)
-		tgt = tree.Build(targets, dom, o.Threshold)
+		src = tree.Build(sources, dom, threshold)
+		tgt = tree.Build(targets, dom, threshold)
 	}
-	return NewPlanFromTrees(src, tgt, k, opts)
+	return fromTrees(src, tgt, k, o, threshold)
 }
 
 // NewPlanFromTrees assembles a plan from already-built source and target
@@ -127,7 +149,9 @@ func NewPlan(sources, targets []geom.Point, k kernel.Kernel, opts Options) (*Pla
 // explicit DAG. It is the second half of NewPlan, split out so the
 // persistent plan store can revive a spilled tree skeleton (see
 // tree.FromSkeleton) without re-partitioning the ensembles. The target
-// tree's pruning marks are (re)computed here.
+// tree's pruning marks are (re)computed here. The trees are what they are:
+// Options.Threshold is never tuned here, only recorded (Plan.Threshold) as
+// the value the caller says they were built with.
 func NewPlanFromTrees(src, tgt *tree.Tree, k kernel.Kernel, opts Options) (*Plan, error) {
 	if src == nil || tgt == nil || len(src.Pts) == 0 || len(tgt.Pts) == 0 {
 		return nil, fmt.Errorf("core: empty tree")
@@ -135,19 +159,48 @@ func NewPlanFromTrees(src, tgt *tree.Tree, k kernel.Kernel, opts Options) (*Plan
 	if src.Domain != tgt.Domain {
 		return nil, fmt.Errorf("core: source and target trees disagree on the domain")
 	}
-	o := opts.withDefaults()
+	p := fromTrees(src, tgt, k, opts, opts.Threshold)
+	p.batches = dag.BuildBatches(p.Graph, k)
+	return p, nil
+}
+
+// fromTrees computes the lists, prepares the kernel, builds the DAG and
+// prices it with the kernel's cost model.
+func fromTrees(src, tgt *tree.Tree, k kernel.Kernel, o Options, threshold int) *Plan {
 	lists := tree.DualLists(tgt, src)
-	maxLevel := src.MaxLevel
-	if tgt.MaxLevel > maxLevel {
-		maxLevel = tgt.MaxLevel
-	}
+	maxLevel := max(src.MaxLevel, tgt.MaxLevel)
 	k.Prepare(src.Domain.Side, maxLevel+1)
 	g := dag.Build(dag.Config{Method: o.Method, Theta: o.Theta}, src, tgt, lists, k)
+	model := sim.KernelModel(k, maxLevel)
 	return &Plan{
-		Kernel: k, Source: src, Target: tgt, Lists: lists, Graph: g, opts: o,
-		batches: dag.BuildBatches(g, k),
-	}, nil
+		Kernel: k, Source: src, Target: tgt, Lists: lists, Graph: g,
+		threshold: threshold, predicted: model.Predict(g),
+	}
 }
+
+// Threshold returns the refinement threshold the plan's trees were built
+// with: Options.Threshold, or the value the tuner chose when that was zero.
+// Building with this value explicitly reproduces the plan without tuning,
+// which is how worker ranks and a restarted daemon get rank 0's tree.
+func (p *Plan) Threshold() int { return p.threshold }
+
+// Predicted returns the cost model's busy nanoseconds of one evaluation of
+// the plan, per operator class (sim.KernelModel summed over the DAG).
+func (p *Plan) Predicted() [dag.NumOpKinds]float64 { return p.predicted }
+
+// PredictedNanos is the total of Predicted: the core-nanoseconds one
+// evaluation is expected to keep busy.
+func (p *Plan) PredictedNanos() float64 { return sumOps(p.predicted) }
+
+// Leaves returns the number of source plus target leaves.
+func (p *Plan) Leaves() int { return len(p.Source.Leaves) + len(p.Target.Leaves) }
+
+// MaxLevel returns the level of the deepest box of either tree.
+func (p *Plan) MaxLevel() int { return max(p.Source.MaxLevel, p.Target.MaxLevel) }
+
+// Tuning returns the ladder of candidate thresholds NewPlan priced to pick
+// this plan's leaf size, or nil when the threshold was given.
+func (p *Plan) Tuning() *Tuning { return p.tuning }
 
 // checkKernel fails when the plan's kernel is no longer prepared for the
 // plan's root cube. A kernel's level-indexed tables describe one root cube

@@ -1,0 +1,236 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/dag"
+	"repro/internal/kernel"
+	"repro/internal/points"
+	"repro/internal/tree"
+)
+
+// The leaf-size tuner, tested without a stopwatch: what it decides, that it
+// decides the same thing every time and everywhere, and that it stays out
+// of the way when the threshold is given.
+
+func tunedPlan(t *testing.T, d points.Distribution, n, digits int, method dag.Method, treeWorkers int) *Plan {
+	t.Helper()
+	sp := points.Generate(d, n, 1)
+	tp := points.Generate(d, n, 2)
+	plan, err := NewPlan(sp, tp, kernel.NewLaplace(kernel.OrderForDigits(digits)),
+		Options{Method: method, TreeWorkers: treeWorkers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Tuning() == nil {
+		t.Fatal("Threshold 0 built a plan without running the tuner")
+	}
+	return plan
+}
+
+// The decision table of the issue: below the crossover the plan is the
+// level-1 near field, the benchmark's 16k cube sits at level 2 with about
+// 250 points per leaf, and a larger cube goes deeper.
+func TestTunerDecisionTable(t *testing.T) {
+	small := tunedPlan(t, points.Cube, 2000, 3, dag.Advanced, 0)
+	if l := small.MaxLevel(); l != 1 {
+		t.Errorf("cube N=2000: level %d (threshold %d), want 1", l, small.Threshold())
+	}
+	if far := small.PredictedNanos() - small.Predicted()[dag.OpS2T]; far != 0 {
+		t.Errorf("cube N=2000: %.0f ns of far field predicted, want an S→T-only plan", far)
+	}
+
+	mid := tunedPlan(t, points.Cube, 16000, 3, dag.Advanced, 0)
+	if l := mid.MaxLevel(); l != 2 {
+		t.Errorf("cube N=16000: level %d (threshold %d), want 2", l, mid.Threshold())
+	}
+	if per := float64(2*16000) / float64(mid.Leaves()); per < 200 || per > 300 {
+		t.Errorf("cube N=16000: %.0f points per leaf, want about 250", per)
+	}
+	if mid.Graph.EdgeCount[dag.OpM2I] == 0 || mid.Graph.EdgeCount[dag.OpI2L] == 0 {
+		t.Errorf("cube N=16000: no plane-wave edges at threshold %d", mid.Threshold())
+	}
+
+	if raceEnabled || testing.Short() {
+		return // the 128k ladder prices a 4096-leaf DAG: seconds when instrumented
+	}
+	large := tunedPlan(t, points.Cube, 128000, 3, dag.Advanced, 0)
+	if l := large.MaxLevel(); l <= 2 {
+		t.Errorf("cube N=128000: level %d (threshold %d), want deeper than 2", l, large.Threshold())
+	}
+}
+
+// More digits make every far-field operator dearer and leave S→T alone, so
+// six digits never pick a finer tree than three on the same points.
+func TestTunerMoreDigitsNeverFiner(t *testing.T) {
+	for _, c := range []struct {
+		d points.Distribution
+		n int
+	}{{points.Cube, 16000}, {points.Sphere, 12000}, {points.Cube, 5000}} {
+		three := tunedPlan(t, c.d, c.n, 3, dag.Advanced, 0)
+		six := tunedPlan(t, c.d, c.n, 6, dag.Advanced, 0)
+		if six.Threshold() < three.Threshold() {
+			t.Errorf("%v N=%d: 6 digits chose threshold %d, finer than 3 digits' %d",
+				c.d, c.n, six.Threshold(), three.Threshold())
+		}
+	}
+}
+
+// The chosen candidate is the finest one within the tie band of the
+// cheapest, on every method.
+func TestTunerChoosesCheapestUpToTies(t *testing.T) {
+	for _, m := range []dag.Method{dag.Advanced, dag.Basic, dag.BarnesHut} {
+		for _, n := range []int{3000, 9000} {
+			plan := tunedPlan(t, points.Sphere, n, 3, m, 0)
+			tn := plan.Tuning()
+			cheapest := tn.Candidates[0].Total()
+			for _, c := range tn.Candidates {
+				cheapest = min(cheapest, c.Total())
+			}
+			chosen := tn.Candidates[tn.Chosen]
+			if chosen.Total() > tieBand*cheapest {
+				t.Errorf("%v N=%d: chose %.3g ns, cheapest candidate is %.3g", m, n, chosen.Total(), cheapest)
+			}
+			for _, c := range tn.Candidates[tn.Chosen+1:] {
+				if c.Total() <= tieBand*cheapest {
+					t.Errorf("%v N=%d: threshold %d (%.3g ns) is finer than the chosen %d and within the tie band of %.3g",
+						m, n, c.Threshold, c.Total(), chosen.Threshold, cheapest)
+				}
+			}
+			if chosen.Threshold != plan.Threshold() || chosen.Nanos != plan.Predicted() ||
+				chosen.Leaves != plan.Leaves() {
+				t.Errorf("%v N=%d: the plan is not the chosen candidate: %+v vs threshold %d", m, n, chosen, plan.Threshold())
+			}
+			for i := 1; i < len(tn.Candidates); i++ {
+				if tn.Candidates[i].Threshold*2 != tn.Candidates[i-1].Threshold {
+					t.Errorf("%v N=%d: ladder %d -> %d is not a halving", m, n, tn.Candidates[i-1].Threshold, tn.Candidates[i].Threshold)
+				}
+			}
+		}
+	}
+}
+
+// An ensemble larger than the finest candidate never gets a root-leaf tree:
+// the executor, and the benchmark's micro-timings, want a leaf below the
+// root and at least eight near-field tasks.
+func TestTunerNeverRootLeafAboveSmallestCandidate(t *testing.T) {
+	for _, n := range []int{minThreshold + 1, 100, 700, 2000} {
+		plan := tunedPlan(t, points.Cube, n, 3, dag.Advanced, 0)
+		if plan.MaxLevel() < 1 {
+			t.Errorf("N=%d: root-leaf tree at threshold %d", n, plan.Threshold())
+		}
+	}
+	plan := tunedPlan(t, points.Cube, minThreshold, 3, dag.Advanced, 0)
+	if plan.MaxLevel() != 0 || plan.Threshold() != minThreshold {
+		t.Errorf("N=%d: level %d at threshold %d, want the single leaf", minThreshold, plan.MaxLevel(), plan.Threshold())
+	}
+}
+
+// Equal inputs give equal trees: call after call, whatever builds the
+// candidate trees, and on two ranks tuning at once.
+func TestTunerIsDeterministic(t *testing.T) {
+	const n = 7000 // past the crossover: the ladder prices far-field candidates
+	ref := tunedPlan(t, points.Cube, n, 3, dag.Advanced, 0)
+	same := func(what string, p *Plan) {
+		t.Helper()
+		if p.Threshold() != ref.Threshold() || len(p.Graph.Nodes) != len(ref.Graph.Nodes) ||
+			p.Graph.EdgeCount != ref.Graph.EdgeCount || p.Predicted() != ref.Predicted() {
+			t.Fatalf("%s: threshold %d, %d nodes, edges %v; first call gave %d, %d, %v",
+				what, p.Threshold(), len(p.Graph.Nodes), p.Graph.EdgeCount,
+				ref.Threshold(), len(ref.Graph.Nodes), ref.Graph.EdgeCount)
+		}
+	}
+	calls := 50
+	if raceEnabled {
+		calls = 5
+	}
+	for i := 1; i < calls; i++ {
+		same(fmt.Sprintf("call %d", i), tunedPlan(t, points.Cube, n, 3, dag.Advanced, 0))
+	}
+	same("TreeWorkers 4", tunedPlan(t, points.Cube, n, 3, dag.Advanced, 4))
+
+	var ranks [2]*Plan
+	var wg sync.WaitGroup
+	for r := range ranks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp := points.Generate(points.Cube, n, 1)
+			tp := points.Generate(points.Cube, n, 2)
+			ranks[r], _ = NewPlan(sp, tp, kernel.NewLaplace(kernel.OrderForDigits(3)), Options{})
+		}()
+	}
+	wg.Wait()
+	for r, p := range ranks {
+		if p == nil {
+			t.Fatalf("rank %d: NewPlan failed", r)
+		}
+		same(fmt.Sprintf("rank %d of two tuning at once", r), p)
+	}
+}
+
+// A given threshold means what it always meant: the tuner is not entered
+// (counted, not timed), neither by NewPlan nor by a revival from trees, and
+// building with the tuner's resolved value reproduces the tuned plan bit for
+// bit — which is how worker ranks and a restarted daemon get rank 0's tree.
+func TestExplicitThresholdBypassesTuner(t *testing.T) {
+	const n = 7000
+	sp := points.Generate(points.Cube, n, 1)
+	tp := points.Generate(points.Cube, n, 2)
+	q := points.Charges(n, 3)
+	p := kernel.OrderForDigits(3)
+
+	before := TunerEntries()
+	tuned, err := NewPlan(sp, tp, kernel.NewLaplace(p), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := TunerEntries() - before; got != 1 {
+		t.Fatalf("Threshold 0 entered the tuner %d times, want 1", got)
+	}
+
+	before = TunerEntries()
+	given, err := NewPlan(sp, tp, kernel.NewLaplace(p), Options{Threshold: tuned.Threshold()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := tuned.Source.Domain
+	revived, err := NewPlanFromTrees(tree.Build(sp, dom, tuned.Threshold()), tree.Build(tp, dom, tuned.Threshold()),
+		kernel.NewLaplace(p), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := TunerEntries() - before; got != 0 {
+		t.Errorf("an explicit threshold and a revival from trees entered the tuner %d times", got)
+	}
+	want, err := tuned.EvaluateSequential(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, plan := range map[string]*Plan{"explicit": given, "revived": revived} {
+		if plan.Tuning() != nil {
+			t.Errorf("%s plan carries a tuning ladder", name)
+		}
+		if plan.Graph.EdgeCount != tuned.Graph.EdgeCount || len(plan.Graph.Nodes) != len(tuned.Graph.Nodes) {
+			t.Fatalf("%s plan at threshold %d: %d nodes, edges %v; the tuned plan has %d, %v", name, tuned.Threshold(),
+				len(plan.Graph.Nodes), plan.Graph.EdgeCount, len(tuned.Graph.Nodes), tuned.Graph.EdgeCount)
+		}
+		got, err := plan.EvaluateSequential(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s plan: potential %d is %v, the tuned plan's %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	if given.Threshold() != tuned.Threshold() {
+		t.Errorf("explicit plan reports threshold %d, want %d", given.Threshold(), tuned.Threshold())
+	}
+	if _, err := NewPlan(sp, tp, kernel.NewLaplace(p), Options{Threshold: -1}); err == nil {
+		t.Error("negative threshold accepted")
+	}
+}

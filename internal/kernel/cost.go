@@ -1,0 +1,85 @@
+package kernel
+
+// Operator pricing: what one application of each operator costs, from the
+// kernel's own sizes. This is the one cost table of the repository — the
+// leaf-size tuner (core.NewPlan), the daemon's admission check and the
+// printed ladder of dashmm-bench all read it through sim.KernelModel — and
+// it is a pure function of the kernel: no clock, no micro-benchmark. When an
+// expansion shrinks (fewer coefficients per M/L, a compacter plane-wave
+// rule) or grows (more digits), MLSize and ISize move and every price, and
+// with it the chosen tree, moves by itself.
+
+// The machine constants: nanoseconds per elementary step on the reference
+// box (2-vCPU Xeon 2.1 GHz guest, go1.24), measured in situ — per-class busy
+// time of a traced warm evaluation divided by the class's steps in the DAG,
+// the Table II methodology of sim.Calibrate — on cube N=16k Laplace/Advanced
+// at leaf levels 1–3 and sphere N=100k Yukawa/Basic at thresholds 60–960.
+// They sit between the box's quiet and slow modes (the dense rows move 1.5x
+// between the two, the Laplace pair 1.1x). Regenerate with
+//
+//	go run ./cmd/scaling -model calibrate -n 16000 -threshold 0 -max-cores 32
+//
+// which prints the calibrated price of every operator class beside the one
+// this table predicts.
+const (
+	// One source point folded into, or one target point evaluated from, one
+	// M/L coefficient (S→M, S→L, M→T, L→T): the Y_n^m recurrence and one
+	// complex multiply-add.
+	nsPointTerm = 8
+	// One complex multiply-add of a dense operator row streamed once per
+	// application (M→M, L→L, unbatched M→L).
+	nsDenseMAC = 2.3
+	// The same inside the blocked multi-RHS M→L, where the operator stays in
+	// L2 across a block of right-hand sides.
+	nsBatchMAC = 1.5
+	// The same in M→I and I→L, whose 1.5 MB per-direction matrices stream
+	// from memory on every application.
+	nsWaveMAC = 1.8
+	// One tabulated I→I shift factor: load, complex multiply, accumulate.
+	nsShiftTerm = 3.0
+	// One source–target pair of the tiled near field: a square root and a
+	// divide for 1/r; an exponential on top for the Yukawa kernel.
+	nsLaplacePair = 3.8
+	nsYukawaPair  = 19
+)
+
+// OpNanos is a kernel's price list in nanoseconds: per pair, per point or
+// per application as noted. The three plane-wave prices are per direction
+// and depend on the tree level the list was asked for (ISize does, for the
+// scale-variant Yukawa kernel).
+type OpNanos struct {
+	S2T           float64 // per source–target pair
+	S2M, S2L      float64 // per source point
+	M2T, L2T      float64 // per target point
+	M2M, M2L, L2L float64 // per application
+	M2I, I2I, I2L float64 // per direction, on a wave of the priced level
+}
+
+// PairNanos reports the kernel's near-field cost per source–target pair.
+func (b *base) PairNanos() float64 { return b.pairNanos }
+
+// Price returns what the kernel charges for its operators at a tree level.
+// The kernel must be prepared at least that deep (ISize reads the level's
+// plane-wave rule). A kernel that does not report its own pair cost is
+// charged the Laplace one.
+func Price(k Kernel, level int) OpNanos {
+	pair := float64(nsLaplacePair)
+	if pk, ok := k.(interface{ PairNanos() float64 }); ok {
+		pair = pk.PairNanos()
+	}
+	ml := float64(k.MLSize())
+	wave := float64(k.ISize(level))
+	return OpNanos{
+		S2T: pair,
+		S2M: nsPointTerm * ml,
+		S2L: nsPointTerm * ml,
+		M2T: nsPointTerm * ml,
+		L2T: nsPointTerm * ml,
+		M2M: nsDenseMAC * ml * ml,
+		M2L: nsBatchMAC * ml * ml,
+		L2L: nsDenseMAC * ml * ml,
+		M2I: nsWaveMAC * wave * ml,
+		I2I: nsShiftTerm * wave,
+		I2L: nsWaveMAC * wave * ml,
+	}
+}

@@ -124,6 +124,8 @@ type base struct {
 	p2pF     p2pFunc                                 // tiled near-field apply (p2p.go)
 	pwNodes  func(side float64) (u, mu, w []float64) // box-unit quadrature generator
 	pwParams pwGenParams
+	// pairNanos is what one near-field pair costs (cost.go).
+	pairNanos float64
 	// pwScaleFree marks a kernel whose box-unit quadrature is the same at
 	// every box side (Laplace): its I->I shift table is shared process-wide.
 	pwScaleFree bool

@@ -29,6 +29,7 @@ func NewLaplace(p int) Kernel {
 	b.directF = func(r float64) float64 { return 1 / r }
 	b.gradF = func(r float64) float64 { return -1 / (r * r) }
 	b.p2pF = laplaceP2PTile
+	b.pairNanos = nsLaplacePair
 	b.pwParams = defaultPWParams
 	b.pwScaleFree = true
 	b.pwNodes = func(side float64) (u, mu, w []float64) {

@@ -32,11 +32,15 @@ type planEntry struct {
 	evals     map[string]*evalCtx // "LxW" -> context, at most maxShapesPerPlan; guarded by mu
 	evalClock int64               // shape-LRU tick; guarded by mu
 
-	// fromStore marks an entry revived from the persistent plan store
-	// (set before the entry is published, read-only after). stored marks
-	// an entry already spilled, revived, or unspillable — guarded by mu
+	// fromStore marks an entry revived from the persistent plan store, at
+	// start-up (RecoverFromStore) or by the build that found its record;
+	// reviveErr is why a record that was there could not be used. Both are
+	// written before the entry is published or inside build, read-only
+	// after.
 	fromStore bool
-	stored    bool
+	reviveErr error
+	// stored marks an entry already spilled or unspillable.
+	stored bool // guarded by mu
 
 	lastUsed int64 // cache clock tick; guarded by planCache.mu
 }
@@ -137,15 +141,28 @@ func (c *planCache) drop(key string, e *planEntry) {
 	}
 }
 
-// ensureBuilt builds the plan on first use: ensembles are materialized, the
-// kernel constructed, and core.NewPlan runs the tree + list + DAG pipeline.
-// Every later request for the same key skips all of it.
-func (e *planEntry) ensureBuilt(r *Request) error {
+// ensureBuilt builds the plan on first use. With a store it first looks the
+// key's record up and revives that — the cache holds CacheSize plans, the
+// store every plan ever spilled, so a restarted daemon answers any of them
+// from the store however many there are. Otherwise ensembles are
+// materialized, the kernel constructed, and core.NewPlan runs the tree +
+// list + DAG pipeline. Every later request for the same key skips all of it.
+func (e *planEntry) ensureBuilt(r *Request, st *Store) error {
 	e.build.Do(func() {
 		start := time.Now()
+		defer func() { e.buildTime = time.Since(start) }()
+		if st != nil && len(r.Sources) == 0 {
+			if rec, err := st.Get(r.planKey()); err != nil {
+				e.reviveErr = err
+			} else if rec != nil {
+				if e.plan, e.reviveErr = rec.rebuild(); e.reviveErr == nil {
+					e.fromStore = true
+					return
+				}
+			}
+		}
 		src, tgt := r.ensembles()
 		e.plan, e.buildErr = core.NewPlan(src, tgt, r.newKernel(), core.Options{Threshold: r.Threshold})
-		e.buildTime = time.Since(start)
 	})
 	return e.buildErr
 }

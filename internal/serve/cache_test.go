@@ -18,7 +18,7 @@ func TestServeTransientBuildFailureDoesNotPoisonKey(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req := Request{N: 900}
+	req := Request{N: 900, Threshold: paperThr}
 	nr := req
 	if err := nr.normalize(s.cfg); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dag/dagtest"
 	"repro/internal/kernel"
 	"repro/internal/points"
 )
@@ -31,14 +32,15 @@ func TestServeChaos(t *testing.T) {
 
 	// Sequential references, one per charge vector in play, built exactly
 	// as planEntry.ensureBuilt builds the served plan (digits-derived order,
-	// default method and threshold).
+	// default method, the requests' threshold).
 	sp := points.Generate(points.Cube, n, 1)
 	tp := points.Generate(points.Cube, n, 2)
 	k := kernel.NewLaplace(kernel.OrderForDigits(3))
-	refPlan, err := core.NewPlan(sp, tp, k, core.Options{})
+	refPlan, err := core.NewPlan(sp, tp, k, core.Options{Threshold: paperThr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dagtest.RequireFarField(t, refPlan.Graph)
 	want := make(map[int64][]float64, chargeSeeds)
 	for seed := int64(3); seed < 3+chargeSeeds; seed++ {
 		w, err := refPlan.EvaluateSequential(points.Charges(n, seed))
@@ -83,7 +85,7 @@ func TestServeChaos(t *testing.T) {
 	}
 
 	// Warm-up: the first request must go over the fabric and hit the gate.
-	status, resp, eb := post(t, hs.URL, Request{N: n, ChargeSeed: 3, DeadlineMS: 60_000})
+	status, resp, eb := post(t, hs.URL, Request{N: n, Threshold: paperThr, ChargeSeed: 3, DeadlineMS: 60_000})
 	if status != http.StatusOK || !resp.Report.Distributed {
 		t.Fatalf("warm-up: status=%d report=%+v err=%+v", status, resp, eb)
 	}
@@ -104,7 +106,7 @@ func TestServeChaos(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < chargeSeeds; i++ {
 				seed := int64(3 + (g+i)%chargeSeeds)
-				st, r, e := post(t, hs.URL, Request{N: n, ChargeSeed: seed, DeadlineMS: 60_000})
+				st, r, e := post(t, hs.URL, Request{N: n, Threshold: paperThr, ChargeSeed: seed, DeadlineMS: 60_000})
 				results <- result{seed, st, r, e}
 			}
 		}(g)
@@ -160,7 +162,7 @@ func TestServeChaos(t *testing.T) {
 	// the fabric again).
 	deadline = time.Now().Add(60 * time.Second)
 	for {
-		status, resp, eb = post(t, hs.URL, Request{N: n, ChargeSeed: 4, DeadlineMS: 60_000})
+		status, resp, eb = post(t, hs.URL, Request{N: n, Threshold: paperThr, ChargeSeed: 4, DeadlineMS: 60_000})
 		if check(t, 4, status, resp, eb) {
 			break
 		}

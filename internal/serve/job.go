@@ -48,8 +48,12 @@ func decodeJobSpec(b []byte) (*jobSpec, error) {
 	return &j, nil
 }
 
-// jobSpecFrom captures a normalized request's plan-defining fields.
-func jobSpecFrom(r *Request) *jobSpec {
+// jobSpecFrom captures a normalized request's plan-defining fields, with
+// the threshold rank 0's plan was actually built with in place of the
+// request's (which may be 0, "choose for me"): worker ranks build with an
+// explicit value and never run the tuner, so every rank has rank 0's tree
+// whatever cost table its binary carries.
+func jobSpecFrom(r *Request, threshold int) *jobSpec {
 	return &jobSpec{
 		Distribution: r.Distribution,
 		N:            r.N,
@@ -57,7 +61,7 @@ func jobSpecFrom(r *Request) *jobSpec {
 		Kernel:       r.Kernel,
 		Lambda:       r.Lambda,
 		Digits:       r.Digits,
-		Threshold:    r.Threshold,
+		Threshold:    threshold,
 	}
 }
 

@@ -3,11 +3,14 @@ package serve
 import (
 	"math"
 	"math/bits"
+	"net/http"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/amt"
+	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/tree"
 )
 
 // Metrics is the server's expvar-style counter set, exposed as JSON at
@@ -54,6 +57,12 @@ type Metrics struct {
 	WireDeadlineLost atomic.Int64 // parcels abandoned at the delivery deadline
 	WireStaleFenced  atomic.Int64 // frames dropped by the generation fence
 
+	// PlansByLevel counts plans built (not revived) by the deeper tree's
+	// max level: where the leaf-size tuner, or the requests' explicit
+	// thresholds, put this daemon's work. Level 1 is the all-near-field
+	// plan small ensembles fall through to.
+	PlansByLevel [tree.MaxDepth + 1]atomic.Int64
+
 	queued   atomic.Int64 // requests waiting for an evaluation slot (gauge)
 	inflight atomic.Int64 // evaluations currently running (gauge)
 
@@ -62,6 +71,22 @@ type Metrics struct {
 	PlanBuild Histogram
 	Evaluate  Histogram
 	Total     Histogram
+}
+
+// observePlanLevel counts one freshly built plan under its max tree level
+// (tree.Build stops at tree.MaxDepth).
+func (m *Metrics) observePlanLevel(p *core.Plan) {
+	m.PlansByLevel[p.MaxLevel()].Add(1)
+}
+
+// observeError counts one failed evaluation: a plan refused as too
+// expensive is the client's 400, anything else a server-side failure.
+func (m *Metrics) observeError(status int) {
+	if status == http.StatusBadRequest {
+		m.BadRequest.Add(1)
+		return
+	}
+	m.Failed.Add(1)
 }
 
 // observeTransport folds one evaluation's transport counters into the
@@ -203,6 +228,9 @@ type MetricsSnapshot struct {
 	CacheEvicted int64 `json:"cache_evicted"`
 	CachedPlans  int64 `json:"cached_plans"`
 	Coalesced    int64 `json:"coalesced"`
+	// PlansByLevel[l] is the number of plans built with max tree level l
+	// (trailing zero levels trimmed).
+	PlansByLevel []int64 `json:"plans_by_max_level"`
 
 	StoreRecovered int64 `json:"store_recovered"`
 	StoreHits      int64 `json:"store_hits"`
@@ -250,6 +278,13 @@ type MetricsSnapshot struct {
 
 func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot {
 	shift := kernel.ShiftTableStats()
+	var byLevel []int64
+	for l := range m.PlansByLevel {
+		if n := m.PlansByLevel[l].Load(); n > 0 {
+			byLevel = append(byLevel, make([]int64, l+1-len(byLevel))...)
+			byLevel[l] = n
+		}
+	}
 	return MetricsSnapshot{
 		Requests:      m.Requests.Load(),
 		OK:            m.OK.Load(),
@@ -262,6 +297,7 @@ func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot 
 		CacheEvicted:  m.CacheEvicted.Load(),
 		CachedPlans:   int64(cachedPlans),
 		Coalesced:     m.Coalesced.Load(),
+		PlansByLevel:  byLevel,
 		RuntimeReuses: m.RuntimeReuses.Load(),
 		Traces:        m.Traces.Load(),
 

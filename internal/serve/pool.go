@@ -268,7 +268,7 @@ func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charg
 			return nil, core.ExecReport{}, context.DeadlineExceeded
 		}
 	}
-	spec := jobSpecFrom(req)
+	spec := jobSpecFrom(req, entry.plan.Threshold())
 	spec.TimeoutMS = timeout.Milliseconds()
 	//lint:ignore lockorder jobMu serializes whole distributed jobs by design — the standing cluster runs one collective job at a time, so the critical section IS the job
 	gen, deadOrder := p.cl.StartJob(func(gen uint32, deadOrder []int) []byte {

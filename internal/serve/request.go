@@ -83,6 +83,14 @@ type Report struct {
 	// no live workers, or a mid-run failure that exhausted the retry).
 	Distributed bool `json:"distributed,omitempty"`
 	Degraded    bool `json:"degraded,omitempty"`
+	// The plan's leaf size and what the cost model expects of it: the
+	// refinement threshold the trees were built with (the request's, or the
+	// tuner's choice), source plus target leaves, and the predicted busy
+	// core-nanoseconds of one evaluation — compare with evaluate_ns x
+	// localities x workers.
+	Threshold       int   `json:"threshold"`
+	Leaves          int   `json:"leaves"`
+	PredictedEvalNS int64 `json:"predicted_eval_ns"`
 }
 
 // errorBody is the JSON error payload.
@@ -178,8 +186,10 @@ func (r *Request) normalize(limits Config) error {
 
 // planKey identifies the cacheable part of a request: everything that goes
 // into building the tree, the DAG and the kernel tables — (distribution, N,
-// seed, kernel, accuracy, threshold). Inline ensembles key on a content
-// hash so a client replaying the same geometry still hits the cache.
+// seed, kernel, accuracy, threshold). The threshold is the request's, so a
+// tuned plan keys on thr=0 whatever value the tuner resolved it to. Inline
+// ensembles key on a content hash so a client replaying the same geometry
+// still hits the cache.
 func (r *Request) planKey() string {
 	if len(r.Sources) > 0 {
 		h := fnv.New64a()

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -184,11 +185,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(&req))
 	defer cancel()
 
 	// Coalescing: an identical request already in flight (same plan, shape,
@@ -243,7 +240,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	resp, status, errb := s.evaluate(ctx, &req, queueWait, t0)
 	if errb != nil {
 		s.finishCall(key, c, status, nil, errb)
-		s.metrics.Failed.Add(1)
+		s.metrics.observeError(status)
 		if status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
 		}
@@ -254,6 +251,14 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	s.finishCall(key, c, http.StatusOK, resp, nil)
 	s.metrics.OK.Add(1)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// deadline is the request's own deadline_ms, or the server default.
+func (s *Server) deadline(req *Request) time.Duration {
+	if req.DeadlineMS > 0 {
+		return time.Duration(req.DeadlineMS) * time.Millisecond
+	}
+	return s.cfg.DefaultDeadline
 }
 
 // finishCall publishes the leader's outcome and unregisters the call so a
@@ -281,7 +286,7 @@ func (s *Server) awaitCall(w http.ResponseWriter, ctx context.Context, c *call, 
 	case <-c.done:
 	}
 	if c.status != http.StatusOK {
-		s.metrics.Failed.Add(1)
+		s.metrics.observeError(c.status)
 		writeJSON(w, c.status, *c.errBody)
 		return
 	}
@@ -294,8 +299,9 @@ func (s *Server) awaitCall(w http.ResponseWriter, ctx context.Context, c *call, 
 }
 
 // evaluate serves one admitted request through the plan cache. On error it
-// returns the HTTP status alongside the body (500 for evaluation failures,
-// 503 when the degraded fallback could not fit in the deadline).
+// returns the HTTP status alongside the body (400 for a plan the cost model
+// prices beyond the deadline, 500 for evaluation failures, 503 when the
+// degraded fallback could not fit in the deadline).
 func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.Duration, t0 time.Time) (*Response, int, *errorBody) {
 	entry, hit, evicted := s.cache.get(req.planKey())
 	if evicted > 0 {
@@ -303,22 +309,69 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 	}
 	if hit {
 		s.metrics.CacheHits.Add(1)
-		if entry.fromStore {
-			s.metrics.StoreHits.Add(1)
-		}
 	} else {
 		s.metrics.CacheMisses.Add(1)
 	}
-	if err := entry.ensureBuilt(req); err != nil {
+	if err := entry.ensureBuilt(req, s.store); err != nil {
 		// A failed build latches its error in the entry forever; drop it so
 		// a transient failure does not poison the key until LRU eviction.
 		s.cache.drop(req.planKey(), entry)
 		return nil, http.StatusInternalServerError, &errorBody{Error: "plan build failed: " + err.Error()}
 	}
+	if entry.fromStore {
+		s.metrics.StoreHits.Add(1)
+	}
 	var planBuild time.Duration
-	if !hit {
+	switch {
+	case hit:
+	case entry.fromStore: // revived by this request, not built
+		planBuild = entry.buildTime
+		s.metrics.StoreRecovered.Add(1)
+	default:
 		planBuild = entry.buildTime
 		s.metrics.PlanBuild.Observe(planBuild)
+		s.metrics.observePlanLevel(entry.plan)
+		if entry.reviveErr != nil {
+			s.metrics.StoreCorrupt.Add(1)
+		}
+	}
+
+	// The plan is priced before any operator table is built: a request
+	// whose predicted run time exceeds its own deadline is refused now
+	// instead of holding a slot past it (a single-leaf plan is one S→T task
+	// nothing can cancel).
+	plan := entry.plan
+	predicted := time.Duration(plan.PredictedNanos() / float64(req.Localities*req.Workers))
+	if limit := s.deadline(req); predicted > limit {
+		if !hit {
+			s.cache.drop(req.planKey(), entry) // built for a request it was refused to: not worth a cache slot
+		}
+		return nil, http.StatusBadRequest, &errorBody{Error: fmt.Sprintf(
+			"predicted evaluation time %.1fs (%.1f core-seconds on %dx%d threads, threshold %d, %d leaves) exceeds the %v deadline: "+
+				"raise deadline_ms or the thread count, or leave threshold unset",
+			predicted.Seconds(), plan.PredictedNanos()/1e9, req.Localities, req.Workers,
+			plan.Threshold(), plan.Leaves(), limit)}
+	}
+	report := func(rep core.ExecReport, evalDur time.Duration) Report {
+		return Report{
+			CacheHit:        hit,
+			StoreHit:        entry.fromStore,
+			RuntimeReused:   rep.RuntimeReused,
+			QueueWait:       queueWait,
+			PlanBuild:       planBuild,
+			Evaluate:        evalDur,
+			Total:           time.Since(t0),
+			Localities:      rep.Localities,
+			Workers:         rep.Workers,
+			DAGNodes:        len(plan.Graph.Nodes),
+			DAGEdges:        plan.Graph.NumEdges(),
+			TasksRun:        rep.Runtime.TasksRun,
+			ParcelsSent:     rep.Runtime.ParcelsSent,
+			Steals:          rep.Runtime.Steals,
+			Threshold:       plan.Threshold(),
+			Leaves:          plan.Leaves(),
+			PredictedEvalNS: int64(plan.PredictedNanos()),
+		}
 	}
 
 	// Evaluations on one plan serialize: the placement policy mutates the
@@ -346,27 +399,9 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 			s.metrics.Evaluate.Observe(evalDur)
 			s.metrics.observeTransport(rep.Runtime.Transport)
 			s.persistPlan(req, entry)
-			g := entry.plan.Graph
-			return &Response{
-				Potentials: pots,
-				Report: Report{
-					CacheHit:      hit,
-					StoreHit:      entry.fromStore,
-					RuntimeReused: rep.RuntimeReused,
-					QueueWait:     queueWait,
-					PlanBuild:     planBuild,
-					Evaluate:      evalDur,
-					Total:         time.Since(t0),
-					Localities:    rep.Localities,
-					Workers:       rep.Workers,
-					DAGNodes:      len(g.Nodes),
-					DAGEdges:      g.NumEdges(),
-					TasksRun:      rep.Runtime.TasksRun,
-					ParcelsSent:   rep.Runtime.ParcelsSent,
-					Steals:        rep.Runtime.Steals,
-					Distributed:   true,
-				},
-			}, 0, nil
+			r := report(rep, evalDur)
+			r.Distributed = true
+			return &Response{Potentials: pots, Report: r}, 0, nil
 		}
 		s.metrics.DistFailed.Add(1)
 		if reqCtx.Err() != nil {
@@ -416,26 +451,7 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 	}
 	s.persistPlan(req, entry)
 
-	g := entry.plan.Graph
-	return &Response{
-		Potentials: potentials,
-		Report: Report{
-			CacheHit:      hit,
-			StoreHit:      entry.fromStore,
-			RuntimeReused: rep.RuntimeReused,
-			QueueWait:     queueWait,
-			PlanBuild:     planBuild,
-			Evaluate:      evalDur,
-			Total:         time.Since(t0),
-			Localities:    rep.Localities,
-			Workers:       rep.Workers,
-			DAGNodes:      len(g.Nodes),
-			DAGEdges:      g.NumEdges(),
-			TasksRun:      rep.Runtime.TasksRun,
-			ParcelsSent:   rep.Runtime.ParcelsSent,
-			Steals:        rep.Runtime.Steals,
-			Degraded:      degraded,
-		},
-		TraceJSONL: traceJSONL,
-	}, 0, nil
+	r := report(rep, evalDur)
+	r.Degraded = degraded
+	return &Response{Potentials: potentials, Report: r, TraceJSONL: traceJSONL}, 0, nil
 }

@@ -14,10 +14,20 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dag/dagtest"
 	"repro/internal/kernel"
 	"repro/internal/points"
 	"repro/internal/trace"
+	"repro/internal/tree"
 )
+
+// paperThr pins this suite's requests and reference plans to the paper's
+// refinement threshold. At the few thousand points they use, a request that
+// leaves the threshold to the tuner is served by a level-1 tree with no far
+// field at all; the gates here — 1e-12 against a direct core evaluation,
+// the store's operator round trip, failover mid-run — are about the far
+// field too. The tuned default has its own tests (tune_test.go).
+const paperThr = tree.Threshold
 
 func post(t *testing.T, url string, req Request) (int, *Response, *errorBody) {
 	t.Helper()
@@ -63,7 +73,7 @@ func TestServeCacheHitMatchesDirectEvaluation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req := Request{N: 2000, Workers: 1, Localities: 1}
+	req := Request{N: 2000, Threshold: paperThr, Workers: 1, Localities: 1}
 	code, cold, _ := post(t, ts.URL, req)
 	if code != http.StatusOK {
 		t.Fatalf("cold request: HTTP %d", code)
@@ -96,10 +106,11 @@ func TestServeCacheHitMatchesDirectEvaluation(t *testing.T) {
 	sp := points.Generate(points.Cube, 2000, 1)
 	tp := points.Generate(points.Cube, 2000, 2)
 	k := kernel.NewLaplace(kernel.OrderForDigits(3))
-	plan, err := core.NewPlan(sp, tp, k, core.Options{})
+	plan, err := core.NewPlan(sp, tp, k, core.Options{Threshold: paperThr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dagtest.RequireFarField(t, plan.Graph)
 	want, _, err := plan.Evaluate(points.Charges(2000, 3), core.ExecOptions{Localities: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +153,7 @@ func TestServeCoalescesDuplicates(t *testing.T) {
 	defer ts.Close()
 
 	s.sem <- struct{}{} // hold the only evaluation slot
-	req := Request{N: 1200, Workers: 2}
+	req := Request{N: 1200, Threshold: paperThr, Workers: 2}
 
 	const dupes = 3
 	results := make(chan *Response, 1+dupes)
@@ -219,7 +230,7 @@ func TestServeShedsUnderLoad(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		code, _, _ := post(t, ts.URL, Request{N: 800, ChargeSeed: 10})
+		code, _, _ := post(t, ts.URL, Request{N: 800, Threshold: paperThr, ChargeSeed: 10})
 		if code != http.StatusOK {
 			t.Errorf("queued request: HTTP %d", code)
 		}
@@ -227,7 +238,7 @@ func TestServeShedsUnderLoad(t *testing.T) {
 	waitFor(t, "queue to fill", func() bool { return s.metrics.queued.Load() == 1 })
 
 	// A distinct request now overflows the queue.
-	code, _, eb := post(t, ts.URL, Request{N: 800, ChargeSeed: 11})
+	code, _, eb := post(t, ts.URL, Request{N: 800, Threshold: paperThr, ChargeSeed: 11})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: HTTP %d, want 429", code)
 	}
@@ -240,7 +251,7 @@ func TestServeShedsUnderLoad(t *testing.T) {
 
 	// A duplicate of the queued leader still coalesces (no queue slot
 	// needed) but then times out on its own deadline.
-	code, _, eb = post(t, ts.URL, Request{N: 800, ChargeSeed: 10, DeadlineMS: 50})
+	code, _, eb = post(t, ts.URL, Request{N: 800, Threshold: paperThr, ChargeSeed: 10, DeadlineMS: 50})
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("deadline duplicate: HTTP %d, want 503", code)
 	}
@@ -252,7 +263,7 @@ func TestServeShedsUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	// The server still serves after shedding.
-	if code, _, _ := post(t, ts.URL, Request{N: 800, ChargeSeed: 12}); code != http.StatusOK {
+	if code, _, _ := post(t, ts.URL, Request{N: 800, Threshold: paperThr, ChargeSeed: 12}); code != http.StatusOK {
 		t.Fatalf("post-shed request: HTTP %d", code)
 	}
 }
@@ -265,7 +276,7 @@ func TestServeDeadlineWhileQueued(t *testing.T) {
 	defer ts.Close()
 
 	s.sem <- struct{}{}
-	code, _, eb := post(t, ts.URL, Request{N: 800, DeadlineMS: 50})
+	code, _, eb := post(t, ts.URL, Request{N: 800, Threshold: paperThr, DeadlineMS: 50})
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("HTTP %d, want 503", code)
 	}
@@ -276,7 +287,7 @@ func TestServeDeadlineWhileQueued(t *testing.T) {
 		t.Errorf("deadline counter = %d, want 1", s.metrics.Deadline.Load())
 	}
 	<-s.sem
-	if code, _, _ := post(t, ts.URL, Request{N: 800}); code != http.StatusOK {
+	if code, _, _ := post(t, ts.URL, Request{N: 800, Threshold: paperThr}); code != http.StatusOK {
 		t.Fatalf("follow-up request: HTTP %d (stale in-flight registration?)", code)
 	}
 }
@@ -325,7 +336,7 @@ func TestServeShapePoolIsBounded(t *testing.T) {
 
 	var first []float64
 	for i := 0; i < maxShapesPerPlan+3; i++ {
-		req := Request{N: 900, Localities: 1 + i%2, Workers: 1 + i}
+		req := Request{N: 900, Threshold: paperThr, Localities: 1 + i%2, Workers: 1 + i}
 		code, resp, eb := post(t, ts.URL, req)
 		if code != http.StatusOK {
 			t.Fatalf("shape %dx%d: HTTP %d %+v", req.Localities, req.Workers, code, eb)
@@ -362,7 +373,7 @@ func TestServePerRequestTrace(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, resp, _ := post(t, ts.URL, Request{N: 1200, Workers: 2, Trace: true})
+	code, resp, _ := post(t, ts.URL, Request{N: 1200, Threshold: paperThr, Workers: 2, Trace: true})
 	if code != http.StatusOK {
 		t.Fatalf("traced request: HTTP %d", code)
 	}
@@ -380,7 +391,7 @@ func TestServePerRequestTrace(t *testing.T) {
 		t.Errorf("trace has %d events for %d tasks", len(events), resp.Report.TasksRun)
 	}
 
-	code, resp, _ = post(t, ts.URL, Request{N: 1200, Workers: 2})
+	code, resp, _ = post(t, ts.URL, Request{N: 1200, Threshold: paperThr, Workers: 2})
 	if code != http.StatusOK {
 		t.Fatalf("untraced request: HTTP %d", code)
 	}
@@ -408,7 +419,7 @@ func TestServeObservabilityEndpoints(t *testing.T) {
 		t.Errorf("healthz status = %v", health["status"])
 	}
 
-	if code, _, _ := post(t, ts.URL, Request{N: 600}); code != http.StatusOK {
+	if code, _, _ := post(t, ts.URL, Request{N: 600, Threshold: paperThr}); code != http.StatusOK {
 		t.Fatalf("request: HTTP %d", code)
 	}
 	hr, err = http.Get(ts.URL + "/metrics")
@@ -449,6 +460,7 @@ func TestServeSmoke(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, len(reqs))
 	for i, r := range reqs {
+		r.Threshold = paperThr
 		wg.Add(1)
 		go func(i int, r Request) {
 			defer wg.Done()

@@ -23,7 +23,9 @@ import (
 // plan that is not re-derivable for free:
 //
 //   - the request spec (distribution, n, seed, kernel, accuracy) — the
-//     cheap part: points regenerate deterministically from the seed;
+//     cheap part: points regenerate deterministically from the seed — and
+//     beside it the refinement threshold the trees were built with, which
+//     for a request that left it to the tuner is not in the spec;
 //   - the tree skeletons (Morton-order permutation + box structure) for
 //     both ensembles — recovery skips the recursive octant partitioning;
 //   - the kernel's cached dense translation operators (M->M, M->L, L->L)
@@ -90,11 +92,24 @@ func (st *Store) Dir() string { return st.dir }
 
 // PlanRecord is the spilled state of one warm plan.
 type PlanRecord struct {
-	Key    string
-	Spec   Request // plan-determining spec fields only
-	Source tree.Skeleton
-	Target tree.Skeleton
-	Ops    []kernel.OperatorTable
+	Key  string
+	Spec Request // plan-determining spec fields only
+	// Threshold is the refinement threshold the skeletons were built with.
+	// Spec.Threshold keeps the request's value (0 = tuned) so the key still
+	// matches; this one makes the record self-describing, so a later change
+	// of the cost table never invalidates it. Zero in a record written
+	// before the tuner existed, when an unset threshold meant the paper's.
+	Threshold int
+	Source    tree.Skeleton
+	Target    tree.Skeleton
+	Ops       []kernel.OperatorTable
+}
+
+// storedSpec is the JSON section of a record: the spec with the resolved
+// threshold beside it.
+type storedSpec struct {
+	Request
+	ResolvedThreshold int `json:"resolved_threshold,omitempty"`
 }
 
 // recordPath names the record file for a plan key: a stable content hash of
@@ -133,6 +148,23 @@ func (st *Store) Put(rec *PlanRecord) (int64, error) {
 		return 0, err
 	}
 	return int64(len(buf)), nil
+}
+
+// Get reads the record of one plan key: nil without an error when the store
+// holds none (or holds another key's under the same file name), an error
+// when the record is there and unreadable.
+func (st *Store) Get(key string) (*PlanRecord, error) {
+	rec, err := readRecordFile(st.recordPath(key))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if rec.Key != key {
+		return nil, nil
+	}
+	return rec, nil
 }
 
 // Load reads every record in the store. Corrupt, truncated or
@@ -194,7 +226,7 @@ func readRecordFile(path string) (*PlanRecord, error) {
 //dashmm:wire planrecord encode PlanRecord
 func appendRecord(dst []byte, rec *PlanRecord) []byte {
 	dst = appendBytes(dst, []byte(rec.Key))
-	spec, _ := json.Marshal(rec.Spec)
+	spec, _ := json.Marshal(storedSpec{Request: rec.Spec, ResolvedThreshold: rec.Threshold})
 	dst = appendBytes(dst, spec)
 	dst = appendSkeleton(dst, rec.Source)
 	dst = appendSkeleton(dst, rec.Target)
@@ -329,9 +361,11 @@ func decodeRecord(payload []byte) (*PlanRecord, error) {
 	rec := &PlanRecord{Key: string(r.bytes())}
 	specJSON := r.bytes()
 	if r.err == nil {
-		if err := json.Unmarshal(specJSON, &rec.Spec); err != nil {
+		var spec storedSpec
+		if err := json.Unmarshal(specJSON, &spec); err != nil {
 			return nil, fmt.Errorf("serve: store record spec: %w", err)
 		}
+		rec.Spec, rec.Threshold = spec.Request, spec.ResolvedThreshold
 	}
 	rec.Source = readSkeleton(r)
 	rec.Target = readSkeleton(r)
@@ -407,8 +441,9 @@ func recordFor(req *Request, plan *core.Plan) *PlanRecord {
 			Digits:       req.Digits,
 			Threshold:    req.Threshold,
 		},
-		Source: plan.Source.Skeleton(),
-		Target: plan.Target.Skeleton(),
+		Threshold: plan.Threshold(),
+		Source:    plan.Source.Skeleton(),
+		Target:    plan.Target.Skeleton(),
 	}
 	if oc, ok := plan.Kernel.(kernel.OperatorCache); ok {
 		rec.Ops = oc.ExportOperators()
@@ -444,7 +479,20 @@ func (rec *PlanRecord) rebuild() (*core.Plan, error) {
 	if oc, ok := k.(kernel.OperatorCache); ok {
 		oc.ImportOperators(rec.Ops)
 	}
-	plan, err := core.NewPlanFromTrees(src, tgt, k, core.Options{Threshold: spec.Threshold})
+	// The trees come from the skeletons, never from a tuner run; the
+	// threshold only has to say truthfully what they were built with, for
+	// the job specs that ship it to worker ranks.
+	thr := rec.Threshold
+	if thr < 0 {
+		return nil, fmt.Errorf("serve: store record resolved threshold %d", thr)
+	}
+	if thr == 0 {
+		thr = spec.Threshold
+	}
+	if thr == 0 {
+		thr = tree.Threshold
+	}
+	plan, err := core.NewPlanFromTrees(src, tgt, k, core.Options{Threshold: thr})
 	if err != nil {
 		return nil, fmt.Errorf("serve: store record plan: %w", err)
 	}
@@ -465,7 +513,9 @@ func (s *Server) Store() *Store { return s.store }
 // installs the revived plans in the cache, so the first request on a
 // previously-warm key is a cache hit with zero plan rebuilds. Unreadable
 // records — corrupt, truncated, version-skewed, or no longer revivable —
-// are skipped and counted (store_corrupt in /metrics), never fatal.
+// are skipped and counted (store_corrupt in /metrics), never fatal. Records
+// beyond the cache's capacity are evicted again as they load; their keys
+// are revived on first request instead (planEntry.ensureBuilt).
 func (s *Server) RecoverFromStore() (recovered, skipped int, err error) {
 	if s.store == nil {
 		return 0, 0, errors.New("serve: no store attached")
@@ -481,7 +531,7 @@ func (s *Server) RecoverFromStore() (recovered, skipped int, err error) {
 			skipped++
 			continue
 		}
-		e := &planEntry{key: rec.Key, evals: make(map[string]*evalCtx), fromStore: true, stored: true}
+		e := &planEntry{key: rec.Key, evals: make(map[string]*evalCtx), fromStore: true}
 		e.build.Do(func() { e.plan = plan })
 		s.cache.put(rec.Key, e)
 		recovered++
@@ -498,7 +548,7 @@ func (s *Server) RecoverFromStore() (recovered, skipped int, err error) {
 //
 //dashmm:locked planEntry.mu — documented precondition: evaluate calls persistPlan inside the entry's critical section.
 func (s *Server) persistPlan(req *Request, entry *planEntry) {
-	if s.store == nil || entry.stored || len(req.Sources) > 0 {
+	if s.store == nil || entry.stored || entry.fromStore || len(req.Sources) > 0 {
 		return
 	}
 	entry.stored = true

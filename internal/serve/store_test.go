@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dag/dagtest"
 	"repro/internal/kernel"
 	"repro/internal/points"
 )
@@ -22,15 +23,16 @@ func TestStoreRecordCodecRoundTrip(t *testing.T) {
 	// Deep enough that the multipole path runs: the operator tables are
 	// built lazily by the first evaluation's M->M / M->L / L->L calls, and a
 	// shallow all-near-field problem would never touch them.
-	req := Request{N: 2000}
+	req := Request{N: 2000, Threshold: paperThr}
 	if err := req.normalize(Config{}); err != nil {
 		t.Fatal(err)
 	}
 	src, tgt := req.ensembles()
-	plan, err := core.NewPlan(src, tgt, req.newKernel(), core.Options{})
+	plan, err := core.NewPlan(src, tgt, req.newKernel(), core.Options{Threshold: req.Threshold})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dagtest.RequireFarField(t, plan.Graph)
 	// Evaluate once so the kernel's lazily built operator tables exist.
 	if _, _, err := plan.Evaluate(req.chargeVector(), core.ExecOptions{Localities: 1, Workers: 1}); err != nil {
 		t.Fatal(err)
@@ -80,7 +82,7 @@ func TestStoreRecordCodecRoundTrip(t *testing.T) {
 // direct evaluation of the same problem to 1e-12.
 func TestStoreRestartServesWarmKeyWithoutRebuild(t *testing.T) {
 	dir := t.TempDir()
-	req := Request{N: 1500, Workers: 1, Localities: 1}
+	req := Request{N: 1500, Threshold: paperThr, Workers: 1, Localities: 1}
 
 	// First life: cold build + evaluation spills the record.
 	s1 := New(Config{})
@@ -144,10 +146,11 @@ func TestStoreRestartServesWarmKeyWithoutRebuild(t *testing.T) {
 	// Both lives match a direct core evaluation of the identical problem.
 	sp := points.Generate(points.Cube, 1500, 1)
 	tp := points.Generate(points.Cube, 1500, 2)
-	plan, err := core.NewPlan(sp, tp, kernel.NewLaplace(kernel.OrderForDigits(3)), core.Options{})
+	plan, err := core.NewPlan(sp, tp, kernel.NewLaplace(kernel.OrderForDigits(3)), core.Options{Threshold: paperThr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dagtest.RequireFarField(t, plan.Graph)
 	want, _, err := plan.Evaluate(points.Charges(1500, 3), core.ExecOptions{Localities: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -173,12 +176,12 @@ func TestStoreCorruptRecordsSkippedNeverFatal(t *testing.T) {
 	}
 
 	// One good record.
-	req := Request{N: 400}
+	req := Request{N: 400, Threshold: paperThr}
 	if err := req.normalize(Config{}); err != nil {
 		t.Fatal(err)
 	}
 	src, tgt := req.ensembles()
-	plan, err := core.NewPlan(src, tgt, req.newKernel(), core.Options{})
+	plan, err := core.NewPlan(src, tgt, req.newKernel(), core.Options{Threshold: req.Threshold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +241,17 @@ func TestStoreKeyMismatchSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{N: 400}
+	req := Request{N: 400, Threshold: paperThr}
 	if err := req.normalize(Config{}); err != nil {
 		t.Fatal(err)
 	}
 	src, tgt := req.ensembles()
-	plan, err := core.NewPlan(src, tgt, req.newKernel(), core.Options{})
+	plan, err := core.NewPlan(src, tgt, req.newKernel(), core.Options{Threshold: req.Threshold})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := recordFor(&req, plan)
-	rec.Key = "cube/n=999/seed=1/laplace/d=3/thr=0" // lies about the spec
+	rec.Key = "cube/n=999/seed=1/laplace/d=3/thr=60" // lies about the spec
 	if _, err := st.Put(rec); err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func runWorkerJob(cl *amt.Cluster, cache *planCache, threads int, gen uint32, pa
 		return fmt.Errorf("bad job scenario: %w", err)
 	}
 	entry, _, _ := cache.get(req.planKey())
-	if err := entry.ensureBuilt(req); err != nil {
+	if err := entry.ensureBuilt(req, nil); err != nil {
 		cache.drop(req.planKey(), entry)
 		return fmt.Errorf("plan build: %w", err)
 	}

@@ -155,7 +155,7 @@ func TestSupervisorRestartBudgetAbandonsCrashLoop(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	req := &Request{N: 5000}
+	req := &Request{N: 5000, Threshold: paperThr}
 	if err := req.normalize(Config{}.withDefaults()); err != nil {
 		t.Fatal(err)
 	}

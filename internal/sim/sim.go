@@ -17,41 +17,6 @@ import (
 	"repro/internal/trace"
 )
 
-// CostModel maps DAG edges to virtual execution times in nanoseconds.
-type CostModel struct {
-	// OpNanos is the cost per work unit of each operator class; see Units.
-	OpNanos [dag.NumOpKinds]float64
-	// TaskOverhead is the fixed scheduling cost per task (thread spawn,
-	// LCO bookkeeping).
-	TaskOverhead float64
-	// LatencyNanos is the per-parcel network latency between localities.
-	LatencyNanos float64
-	// BytesPerNano is the network bandwidth (0 = infinite).
-	BytesPerNano float64
-	// RecvNanosPerByte is the unattributed receiver-side cost of a parcel
-	// (memory copies and dynamic allocation for non-local out-edge
-	// handling): the paper blames exactly these for the ~10% utilization
-	// deficit of multi-locality runs (Section V-B).
-	RecvNanosPerByte float64
-}
-
-// Units returns the number of cost units of an edge: point-dependent
-// operators scale with the number of points involved, expansion-to-
-// expansion operators cost one unit.
-func Units(g *dag.Graph, from *dag.Node, e dag.Edge) float64 {
-	to := &g.Nodes[e.To]
-	switch e.Op {
-	case dag.OpS2T:
-		return float64(from.Box.NPoints()) * float64(to.Box.NPoints())
-	case dag.OpS2M, dag.OpS2L:
-		return float64(from.Box.NPoints())
-	case dag.OpM2T, dag.OpL2T:
-		return float64(to.Box.NPoints())
-	default:
-		return 1
-	}
-}
-
 // Scheduler selects the task-ordering discipline of each locality's ready
 // pool.
 type Scheduler int

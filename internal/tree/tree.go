@@ -68,11 +68,17 @@ type Tree struct {
 	byKey map[uint64]*Box
 }
 
-// Threshold is the default refinement threshold from the paper.
+// Threshold is the paper's refinement threshold.
 const Threshold = 60
 
+// MaxDepth is the deepest level a box is split to, whatever it holds:
+// coincident (or closer than 2^-15 of the domain) points cannot be
+// separated by halving, and geom.Index.Key holds the level in four bits.
+const MaxDepth = 15
+
 // Build constructs the adaptive octree of the points over the domain,
-// refining until each leaf holds at most threshold points.
+// refining until each leaf holds at most threshold points or sits at
+// MaxDepth.
 func Build(pts []geom.Point, domain geom.Cube, threshold int) *Tree {
 	if threshold < 1 {
 		panic("tree: threshold must be at least 1")
@@ -123,7 +129,7 @@ func Build(pts []geom.Point, domain geom.Cube, threshold int) *Tree {
 
 // split recursively partitions box b.
 func (t *Tree) split(b *Box, threshold int, scratchP []geom.Point, scratchI []int) {
-	if b.NPoints() <= threshold {
+	if b.NPoints() <= threshold || b.Level() >= MaxDepth {
 		return
 	}
 	// Bucket the points of b by octant with a stable counting pass.
