@@ -3,13 +3,22 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint escape-gate fuzz-smoke fmt-check bench bench-check bench-smoke bench-serve bench-load load-smoke serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
+.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check bench bench-check bench-smoke bench-serve bench-load load-smoke serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The portable pair loop, and the tests whose fixtures depend on the pair
+# price, on a box whose CPU binds a vector loop (internal/kernel/p2p.go):
+# the purego tag drops the assembly, so every kernel binds and prices the Go
+# loop. A subset that keeps it to a few minutes: pair loops, tuner, oracle,
+# degenerate-input, batched and accuracy gates, the daemon's admission.
+purego:
+	$(GO) test -tags purego -run 'Pair|P2P|S2T|Yukawa|Tuner|Oracle|Degenerate|Batched|Accuracy|RefusesPlan|JobSpec|SmallRequest' \
+		./internal/kernel ./internal/core ./internal/serve
 
 # The scheduler, executor, server, distributed driver, load harness and
 # tracer are the concurrency-touching packages, and the kernel's lock-free
@@ -21,9 +30,12 @@ race:
 
 # bench/ is a module of its own that imports internal/...: vetting it here
 # makes deleting a name the benchmark uses fail in ci, not in the pipeline.
+# The arm64 pass cross-compiles offline from GOROOT: a platform file
+# without its non-amd64 counterpart fails here, not on someone's laptop.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # The benchmark's own smoke-sized tests (~40 s), including its direct-sum
 # check of every workload's output: a kernel change meets the checker the
@@ -131,4 +143,4 @@ chaos-crash:
 dist-smoke: build
 	$(GO) run ./cmd/dashmm-bench -real -n 20000 -threshold 60 -locs 4 -net unix -kill-rank 2 -kill-at 0.5
 
-ci: build vet fmt-check lint escape-gate test bench-check fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke bench-smoke load-smoke
+ci: build vet fmt-check lint escape-gate test purego bench-check fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke bench-smoke load-smoke

@@ -632,10 +632,13 @@ func BenchmarkEvaluateHotPathBatched(b *testing.B) {
 
 // BenchmarkTunerLadder bounds what leaving Options.Threshold at zero costs
 // at plan build: the leaf-size tuner on the benchmark's cube N=16k points
-// must stay under 25 ms and under 15 % of one predicted evaluation of the
+// must stay under 25 ms and under 20 % of one predicted evaluation of the
 // plan it picks (the fastest iteration is held to the bounds — this box
-// steals cores — and the mean is what is reported). The time is never an
-// input of the choice, so it is bounded here and not in tier-1.
+// steals cores — and the mean is what is reported; the share is 6–7 % where
+// the portable pair loop makes that evaluation 0.34 s and 16 % where the
+// AVX-512 one makes it 0.13 s — the ladder costs the same 22 ms either way).
+// The time is never an input of the choice, so it is bounded here and not
+// in tier-1.
 func BenchmarkTunerLadder(b *testing.B) {
 	const n = 16000
 	sp := points.Generate(points.Cube, n, 1)
@@ -663,8 +666,8 @@ func BenchmarkTunerLadder(b *testing.B) {
 	if b.N < 5 {
 		return // the harness's one-iteration probe is a cold process
 	}
-	if fastest > 25*time.Millisecond || share > 0.15 {
-		b.Errorf("tuner took %v, %.0f%% of the predicted evaluation (%.3f s): bounds are 25 ms and 15%%",
+	if fastest > 25*time.Millisecond || share > 0.20 {
+		b.Errorf("tuner took %v, %.0f%% of the predicted evaluation (%.3f s): bounds are 25 ms and 20%%",
 			fastest, 100*share, plan.PredictedNanos()/1e9)
 	}
 }

@@ -124,10 +124,10 @@ func main() {
 		os.Exit(runDistWorker(plan, *distRank, *locs, *netMode, *distAddr,
 			sc.stamp(*locs), fault, *killRank, *killAt))
 	}
-	fmt.Printf("# dashmm-bench: N=%d %s %s %s, threshold %d, %d leaves to level %d, %d DAG nodes, %d edges\n",
+	fmt.Printf("# dashmm-bench: N=%d %s %s %s, threshold %d, %d leaves to level %d, %d DAG nodes, %d edges, pair kernel %s\n",
 		*n, *distr, plan.Kernel.Name(), plan.Graph.Method, plan.Threshold(),
 		plan.Leaves(), plan.MaxLevel(),
-		len(plan.Graph.Nodes), plan.Graph.NumEdges())
+		len(plan.Graph.Nodes), plan.Graph.NumEdges(), kernel.PairKernel(plan.Kernel))
 	printLadder(plan)
 
 	if *real && *netMode != "" {

@@ -130,8 +130,8 @@ func main() {
 		close(done)
 	}()
 
-	log.Printf("dashmm-serve: listening on %s (queue=%d, concurrent=%d, cache=%d plans)",
-		*addr, *maxQueue, *maxConc, *cacheSize)
+	log.Printf("dashmm-serve: listening on %s (queue=%d, concurrent=%d, cache=%d plans, pair kernel %s)",
+		*addr, *maxQueue, *maxConc, *cacheSize, serve.PairKernel())
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		if pool != nil {
 			pool.Close()

@@ -21,7 +21,11 @@ import (
 // this file reads a clock, draws a random number or ranges over a map
 // (dashmm-lint's determinism checker covers it), because SPMD ranks, the
 // plan cache and the plan store all assume that equal inputs give equal
-// trees.
+// trees. Pure per process: the kernel's pair price is that of the pair loop
+// its CPU let it bind (kernel/p2p.go), so two machines may resolve the same
+// points to different thresholds. That is safe because a threshold is only
+// ever resolved by one process — job specs and store records carry the
+// resolved value, and whoever receives one builds with it and never tunes.
 
 const (
 	// minThreshold is the finest rung of the ladder; the rungs double from

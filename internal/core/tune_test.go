@@ -17,10 +17,14 @@ import (
 
 func tunedPlan(t *testing.T, d points.Distribution, n, digits int, method dag.Method, treeWorkers int) *Plan {
 	t.Helper()
+	return tunedPlanOn(t, kernel.NewLaplace(kernel.OrderForDigits(digits)), d, n, method, treeWorkers)
+}
+
+func tunedPlanOn(t *testing.T, k kernel.Kernel, d points.Distribution, n int, method dag.Method, treeWorkers int) *Plan {
+	t.Helper()
 	sp := points.Generate(d, n, 1)
 	tp := points.Generate(d, n, 2)
-	plan, err := NewPlan(sp, tp, kernel.NewLaplace(kernel.OrderForDigits(digits)),
-		Options{Method: method, TreeWorkers: treeWorkers})
+	plan, err := NewPlan(sp, tp, k, Options{Method: method, TreeWorkers: treeWorkers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,35 +34,65 @@ func tunedPlan(t *testing.T, d points.Distribution, n, digits int, method dag.Me
 	return plan
 }
 
+// pricedKernel is a built-in kernel — batched, gradient and root-side
+// surfaces included — that charges a given price per near-field pair,
+// whichever pair loop the test machine binds (kernel.Price asks for
+// PairNanos): what the tuner decides for it is the same on every CPU.
+type pricedKernel struct {
+	builtinKernel
+	pairNanos float64
+}
+
+type builtinKernel interface {
+	kernel.BatchKernel
+	kernel.GradKernel
+	RootSide() float64
+}
+
+func (k pricedKernel) PairNanos() float64 { return k.pairNanos }
+
+// portablePriced prices k's near field as the portable Laplace loop, the
+// price the N of the far-field fixtures were chosen at.
+func portablePriced(k kernel.Kernel) kernel.Kernel {
+	return pricedKernel{k.(builtinKernel), kernel.LaplacePairNanos()[0]}
+}
+
 // The decision table of the issue: below the crossover the plan is the
 // level-1 near field, the benchmark's 16k cube sits at level 2 with about
-// 250 points per leaf, and a larger cube goes deeper.
+// 250 points per leaf, and a larger cube goes deeper — at the price of every
+// Laplace pair loop, so the table holds on whatever CPU builds the plan.
 func TestTunerDecisionTable(t *testing.T) {
-	small := tunedPlan(t, points.Cube, 2000, 3, dag.Advanced, 0)
-	if l := small.MaxLevel(); l != 1 {
-		t.Errorf("cube N=2000: level %d (threshold %d), want 1", l, small.Threshold())
-	}
-	if far := small.PredictedNanos() - small.Predicted()[dag.OpS2T]; far != 0 {
-		t.Errorf("cube N=2000: %.0f ns of far field predicted, want an S→T-only plan", far)
-	}
+	for _, pair := range kernel.LaplacePairNanos() {
+		tuned := func(n int) *Plan {
+			k := pricedKernel{kernel.NewLaplace(kernel.OrderForDigits(3)).(builtinKernel), pair}
+			return tunedPlanOn(t, k, points.Cube, n, dag.Advanced, 0)
+		}
+		small := tuned(2000)
+		if l := small.MaxLevel(); l != 1 {
+			t.Errorf("%.1f ns/pair, cube N=2000: level %d (threshold %d), want 1", pair, l, small.Threshold())
+		}
+		if far := small.PredictedNanos() - small.Predicted()[dag.OpS2T]; far != 0 {
+			t.Errorf("%.1f ns/pair, cube N=2000: %.0f ns of far field predicted, want an S→T-only plan", pair, far)
+		}
 
-	mid := tunedPlan(t, points.Cube, 16000, 3, dag.Advanced, 0)
-	if l := mid.MaxLevel(); l != 2 {
-		t.Errorf("cube N=16000: level %d (threshold %d), want 2", l, mid.Threshold())
-	}
-	if per := float64(2*16000) / float64(mid.Leaves()); per < 200 || per > 300 {
-		t.Errorf("cube N=16000: %.0f points per leaf, want about 250", per)
-	}
-	if mid.Graph.EdgeCount[dag.OpM2I] == 0 || mid.Graph.EdgeCount[dag.OpI2L] == 0 {
-		t.Errorf("cube N=16000: no plane-wave edges at threshold %d", mid.Threshold())
-	}
+		mid := tuned(16000)
+		if l := mid.MaxLevel(); l != 2 {
+			t.Errorf("%.1f ns/pair, cube N=16000: level %d (threshold %d), want 2", pair, l, mid.Threshold())
+		}
+		if per := float64(2*16000) / float64(mid.Leaves()); per < 200 || per > 300 {
+			t.Errorf("%.1f ns/pair, cube N=16000: %.0f points per leaf, want about 250", pair, per)
+		}
+		if mid.Graph.EdgeCount[dag.OpM2I] == 0 || mid.Graph.EdgeCount[dag.OpI2L] == 0 {
+			t.Errorf("%.1f ns/pair, cube N=16000: no plane-wave edges at threshold %d", pair, mid.Threshold())
+		}
 
-	if raceEnabled || testing.Short() {
-		return // the 128k ladder prices a 4096-leaf DAG: seconds when instrumented
-	}
-	large := tunedPlan(t, points.Cube, 128000, 3, dag.Advanced, 0)
-	if l := large.MaxLevel(); l <= 2 {
-		t.Errorf("cube N=128000: level %d (threshold %d), want deeper than 2", l, large.Threshold())
+		if raceEnabled || testing.Short() {
+			continue // the 128k ladder prices a 4096-leaf DAG: seconds when instrumented
+		}
+		large := tuned(128000)
+		if l := large.MaxLevel(); l <= 2 {
+			t.Errorf("%.1f ns/pair, cube N=128000: level %d (threshold %d), want deeper than 2", pair, l, large.Threshold())
+		}
 	}
 }
 

@@ -24,23 +24,6 @@ func (b *base) Direct(t, s geom.Point) float64 {
 	return b.directF(r)
 }
 
-// S2T implements Kernel. Coincident source/target pairs contribute nothing,
-// which makes the traditional identical-ensemble N-body case (where each
-// point is both a source and a target) come out right.
-func (b *base) S2T(spts []geom.Point, q []float64, tpts []geom.Point, pot []float64) {
-	for ti, t := range tpts {
-		var acc float64
-		for si, s := range spts {
-			r := t.Dist(s)
-			if r == 0 {
-				continue
-			}
-			acc += q[si] * b.directF(r)
-		}
-		pot[ti] += acc
-	}
-}
-
 // S2M implements Kernel.
 func (b *base) S2M(c geom.Point, spts []geom.Point, q []float64, out []complex128) {
 	ws := b.wsp.get(b)

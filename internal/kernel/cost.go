@@ -4,10 +4,10 @@ package kernel
 // kernel's own sizes. This is the one cost table of the repository — the
 // leaf-size tuner (core.NewPlan), the daemon's admission check and the
 // printed ladder of dashmm-bench all read it through sim.KernelModel — and
-// it is a pure function of the kernel: no clock, no micro-benchmark. When an
-// expansion shrinks (fewer coefficients per M/L, a compacter plane-wave
-// rule) or grows (more digits), MLSize and ISize move and every price, and
-// with it the chosen tree, moves by itself.
+// it is a pure function of the kernel, the pair loop it bound included: no
+// clock, no micro-benchmark. When an expansion shrinks (fewer coefficients
+// per M/L, a compacter plane-wave rule) or grows (more digits), MLSize and
+// ISize move and every price, and with it the chosen tree, moves by itself.
 
 // The machine constants: nanoseconds per elementary step on the reference
 // box (2-vCPU Xeon 2.1 GHz guest, go1.24), measured in situ — per-class busy
@@ -37,11 +37,19 @@ const (
 	nsWaveMAC = 1.8
 	// One tabulated I→I shift factor: load, complex multiply, accumulate.
 	nsShiftTerm = 3.0
-	// One source–target pair of the tiled near field: a square root and a
-	// divide for 1/r; an exponential on top for the Yukawa kernel.
-	nsLaplacePair = 3.8
-	nsYukawaPair  = 19
 )
+
+// pairNanos is the price of one source–target pair of the near field by the
+// pair loop the kernel bound (p2p.go), so the price follows the binding: for
+// 1/r a scalar square root and divide, the same four lanes at a time, or
+// eight lanes of rsqrt estimate and two Newton steps; an exponential on top
+// for the Yukawa kernel.
+var pairNanos = [...]float64{laplaceGo: 3.8, laplaceAVX2: 1.9, laplaceAVX512: 0.6, yukawaGo: 19}
+
+// LaplacePairNanos lists the price of every Laplace pair loop, portable
+// first, whichever one this process bound: the tuner's decisions are tested
+// at each.
+func LaplacePairNanos() []float64 { return append([]float64(nil), pairNanos[:yukawaGo]...) }
 
 // OpNanos is a kernel's price list in nanoseconds: per pair, per point or
 // per application as noted. The three plane-wave prices are per direction
@@ -56,14 +64,14 @@ type OpNanos struct {
 }
 
 // PairNanos reports the kernel's near-field cost per source–target pair.
-func (b *base) PairNanos() float64 { return b.pairNanos }
+func (b *base) PairNanos() float64 { return pairNanos[b.pair] }
 
 // Price returns what the kernel charges for its operators at a tree level.
 // The kernel must be prepared at least that deep (ISize reads the level's
 // plane-wave rule). A kernel that does not report its own pair cost is
-// charged the Laplace one.
+// charged the portable Laplace loop's.
 func Price(k Kernel, level int) OpNanos {
-	pair := float64(nsLaplacePair)
+	pair := pairNanos[laplaceGo]
 	if pk, ok := k.(interface{ PairNanos() float64 }); ok {
 		pair = pk.PairNanos()
 	}

@@ -121,11 +121,12 @@ type base struct {
 
 	directF  func(r float64) float64                 // pointwise kernel G(r)
 	gradF    func(r float64) float64                 // dG/dr, for gradient eval
-	p2pF     p2pFunc                                 // tiled near-field apply (p2p.go)
 	pwNodes  func(side float64) (u, mu, w []float64) // box-unit quadrature generator
 	pwParams pwGenParams
-	// pairNanos is what one near-field pair costs (cost.go).
-	pairNanos float64
+	// pair is the near-field pair loop behind S2T and P2P (p2p.go), bound at
+	// construction; lambda is the screening parameter its Yukawa loop reads.
+	pair   pairLoop
+	lambda float64
 	// pwScaleFree marks a kernel whose box-unit quadrature is the same at
 	// every box side (Laplace): its I->I shift table is shared process-wide.
 	pwScaleFree bool
@@ -165,7 +166,6 @@ func newBase(name string, p int, radReg, radOut radialFunc, cn []float64) *base 
 		aM2L:   1.05,
 		aL2L:   1.0,
 	}
-	b.p2pF = genericP2PTile(b)
 	nth := p + 1 + sphOversample
 	nph := 2*p + 2 + 2*sphOversample
 	xs, ws := sphharm.GaussLegendre(nth)

@@ -28,8 +28,7 @@ func NewLaplace(p int) Kernel {
 		cn)
 	b.directF = func(r float64) float64 { return 1 / r }
 	b.gradF = func(r float64) float64 { return -1 / (r * r) }
-	b.p2pF = laplaceP2PTile
-	b.pairNanos = nsLaplacePair
+	b.pair = bestLaplacePair
 	b.pwParams = defaultPWParams
 	b.pwScaleFree = true
 	b.pwNodes = func(side float64) (u, mu, w []float64) {

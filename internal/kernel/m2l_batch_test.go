@@ -88,33 +88,6 @@ func TestM2LBatchAccumulates(t *testing.T) {
 	}
 }
 
-// TestP2PTiledMatchesDirect checks the cache-tiled multi-chunk P2P against
-// the per-pair S2T it replaces, including the specialized Laplace and
-// Yukawa tile loops, with more targets than one tile to cover the
-// remainder handling.
-func TestP2PTiledMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, tc := range kernels(t) {
-		k := tc.k.(BatchKernel)
-		center := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
-		tpts := randBox(rng, center, 0.125, 150) // > 2 tiles of 64
-		var chunks []P2PChunk
-		want := make([]float64, len(tpts))
-		for c := 0; c < 3; c++ {
-			sc := center.Add(geom.Point{X: float64(c+1) * 0.125})
-			spts := randBox(rng, sc, 0.125, 37)
-			q := randCharges(rng, 37)
-			chunks = append(chunks, P2PChunk{Pts: spts, Q: q})
-			k.S2T(spts, q, tpts, want)
-		}
-		got := make([]float64, len(tpts))
-		k.P2P(chunks, tpts, got)
-		if e := relErr(got, want); e > 1e-13 {
-			t.Errorf("%s: tiled P2P vs per-chunk S2T rel err %.2e", tc.name, e)
-		}
-	}
-}
-
 // TestM2LBatchSteadyStateAllocs gates the batched apply at zero
 // steady-state allocations for both the GEMM path and the projection
 // fallback (cache off), matching the //dashmm:noalloc annotations.

@@ -1,0 +1,58 @@
+//go:build !purego
+
+package kernel
+
+import "repro/internal/geom"
+
+// bestLaplacePair is the fastest Laplace pair loop this CPU and operating
+// system run, probed once per process.
+var bestLaplacePair = probePairLoop()
+
+func probePairLoop() pairLoop {
+	const (
+		osxsave, avx  = 1 << 27, 1 << 28 // CPUID.1:ECX
+		avx2, avx512f = 1 << 5, 1 << 16  // CPUID.7.0:EBX
+		ymm, zmm      = 0x6, 0xe6        // XCR0: state the OS saves (zmm includes the opmasks)
+	)
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, c1, _ := cpuid(1, 0)
+	if maxLeaf < 7 || c1&osxsave == 0 || c1&avx == 0 {
+		return laplaceGo
+	}
+	_, b7, _, _ := cpuid(7, 0)
+	switch xcr0 := xgetbv(); {
+	case b7&avx512f != 0 && xcr0&zmm == zmm:
+		return laplaceAVX512
+	case b7&avx2 != 0 && xcr0&ymm == ymm:
+		return laplaceAVX2
+	}
+	return laplaceGo
+}
+
+// laplacePairsOn runs the named Laplace pair loop.
+func laplacePairsOn(l pairLoop, src []geom.Point, q []float64, blk *pairBlock) {
+	switch l {
+	case laplaceAVX512:
+		laplacePairsAVX512(src, q, blk)
+	case laplaceAVX2:
+		laplacePairsAVX2(src, q, blk)
+	default:
+		laplacePairs(src, q, blk)
+	}
+}
+
+// laplacePairsAVX512 computes 1/r as a 14-bit reciprocal-square-root
+// estimate refined by two Newton steps: within 2 ulp of 1/math.Sqrt(r²) for
+// a normal r², i.e. 1.5e-154 < r < 1.3e154; r² = 0 and an overflowed r²
+// contribute nothing, a subnormal r² is outside the domain.
+//
+//go:noescape
+func laplacePairsAVX512(src []geom.Point, q []float64, blk *pairBlock)
+
+// laplacePairsAVX2 is laplacePairs four lanes at a time, bit for bit.
+//
+//go:noescape
+func laplacePairsAVX2(src []geom.Point, q []float64, blk *pairBlock)
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax uint32)

@@ -1,0 +1,334 @@
+package kernel
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/geom"
+)
+
+// The pair loops, each held to the portable one. A loop this CPU lacks is
+// not run (under -tags purego or off amd64 only the portable loop is).
+
+// laplaceLoops lists the Laplace pair loops this process can run: the
+// probe returns the best one and each implies the ones before it.
+func laplaceLoops() []pairLoop {
+	var ls []pairLoop
+	for l := laplaceGo; l <= bestLaplacePair; l++ {
+		ls = append(ls, l)
+	}
+	return ls
+}
+
+// laplaceOn returns a Laplace kernel bound to the given pair loop.
+func laplaceOn(l pairLoop) *base {
+	b := NewLaplace(2).(*base)
+	b.pair = l
+	return b
+}
+
+// pairFixture is one near-field apply: source chunks (an empty and a
+// one-point chunk among them, all sub-slices at odd element offsets) and nt
+// targets, a quarter of them coincident with sources, in a box scaled by
+// scale. sign picks the charges: +1 same sign, 0 all zero, -1 both signs.
+func pairFixture(rng *rand.Rand, nt int, scale float64, sign int) ([]P2PChunk, []geom.Point) {
+	c := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
+	tpts := randBox(rng, c, 0.25, nt+1)[1:]
+	var chunks []P2PChunk
+	for ci, ns := range []int{37, 0, 1, 64, 23} {
+		spts := randBox(rng, c.Add(geom.Point{X: 0.25 * float64(ci%3-1)}), 0.25, ns+1)[1:]
+		q := randCharges(rng, ns+3)[3:]
+		for i := range spts {
+			if ti := 4*i + ci; ci != 1 && ti < nt {
+				spts[i] = tpts[ti]
+			}
+			switch sign {
+			case 1:
+				q[i] = math.Abs(q[i])
+			case 0:
+				q[i] = 0
+			}
+		}
+		chunks = append(chunks, P2PChunk{Pts: spts, Q: q})
+	}
+	scaleAll := func(pts []geom.Point) {
+		for i := range pts {
+			pts[i] = pts[i].Scale(scale)
+		}
+	}
+	scaleAll(tpts)
+	for _, ch := range chunks {
+		scaleAll(ch.Pts)
+	}
+	return chunks, tpts
+}
+
+var pairTargetCounts = []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 250}
+
+func TestPairLoopsMatchPortable(t *testing.T) {
+	portable := laplaceOn(laplaceGo)
+	for _, l := range laplaceLoops() {
+		k := laplaceOn(l)
+		for _, scale := range []float64{1e-12, 1, 1e12} {
+			for _, sign := range []int{1, 0, -1} {
+				for _, nt := range pairTargetCounts {
+					rng := rand.New(rand.NewSource(int64(nt) + 7))
+					chunks, tpts := pairFixture(rng, nt, scale, sign)
+					want, got := make([]float64, nt+3)[3:], make([]float64, nt+3)[3:]
+					portable.P2P(chunks, tpts, want)
+					k.P2P(chunks, tpts, got)
+					name := fmt.Sprintf("%v scale %g sign %d targets %d", l, scale, sign, nt)
+					// The driver adds to what pot holds: x + x is exact.
+					twice := append([]float64(nil), got...)
+					k.P2P(chunks, tpts, twice)
+					for i := range twice {
+						if twice[i] != 2*got[i] {
+							t.Fatalf("%s: a second apply made potential %d %v from %v", name, i, twice[i], got[i])
+						}
+					}
+					if l != laplaceAVX512 {
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s: potential %d is %x, the portable loop's %x", name, i,
+									math.Float64bits(got[i]), math.Float64bits(want[i]))
+							}
+						}
+						continue
+					}
+					var maxAbs float64
+					for _, v := range want {
+						maxAbs = math.Max(maxAbs, math.Abs(v))
+					}
+					// Both loops are within about an ulp of the true 1/r per
+					// pair and round some 125 partial sums each their own
+					// way: same-sign potentials agree to a few ulp (worst
+					// 6.3e-16 over 200 seeds of this fixture), the others
+					// to that much of the largest.
+					for i := range want {
+						d := math.Abs(got[i] - want[i])
+						if sign >= 0 && d > 1e-15*math.Abs(want[i]) {
+							t.Fatalf("%s: potential %d off by %.2e relative", name, i, d/math.Abs(want[i]))
+						}
+						if d > 1e-13*maxAbs {
+							t.Fatalf("%s: potential %d off by %.2e of max |phi|", name, i, d/maxAbs)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// One source at the origin and targets on an axis make r² a single rounded
+// square with or without fused multiply-add, so every loop can be held to
+// 1/math.Sqrt of the same number: the exact loops to its bits, the Newton
+// loop to 2 ulp (it is at worst 1.1 ulp from the true value, where
+// 1/math.Sqrt is 0.97), over sixty decades of r².
+func TestPairLoopsPerPairAccuracy(t *testing.T) {
+	n := 1000000
+	if testing.Short() {
+		n = 50000
+	}
+	src, q := []geom.Point{{}}, []float64{1}
+	for _, l := range laplaceLoops() {
+		rng := rand.New(rand.NewSource(5))
+		var worst float64
+		var tpts [blockTargets]geom.Point
+		var blk pairBlock
+		for done := 0; done < n; done += blockTargets {
+			for i := range tpts {
+				tpts[i] = geom.Point{X: math.Pow(10, 30*rng.Float64()-15)} // r² in 1e-30…1e30
+				if rng.Intn(2) == 0 {
+					tpts[i].X = -tpts[i].X
+				}
+			}
+			blk.load(tpts[:])
+			laplacePairsOn(l, src, q, &blk)
+			for i, tp := range tpts {
+				want := 1 / math.Sqrt(tp.X*tp.X)
+				ulps := math.Abs(float64(int64(math.Float64bits(blk.acc[i])) - int64(math.Float64bits(want))))
+				if worst = math.Max(worst, ulps); l != laplaceAVX512 && ulps != 0 || ulps > 2 {
+					t.Fatalf("%v: 1/r at r=%g is %v, %v ulp from %v", l, tp.X, blk.acc[i], ulps, want)
+				}
+			}
+		}
+		t.Logf("%v: worst %v ulp over %d pairs", l, worst, n)
+	}
+}
+
+// The edges of the domain: an overflowed r² contributes q/√∞ = 0 — never a
+// NaN — beside pairs that do contribute, r at the ends of the stated range
+// still gives 1/r, and a coincident pair gives exactly nothing.
+func TestPairLoopsDomainEdges(t *testing.T) {
+	src := []geom.Point{{}, {X: 1}, {X: 3e153}}
+	q := []float64{2, -3, 0} // the third only places a far source
+	tpts := make([]geom.Point, 21)
+	for i := range tpts {
+		tpts[i] = geom.Point{X: 1e200, Y: -1e200} // r² = +Inf to every source
+	}
+	tpts[3] = geom.Point{X: 1e-153}       // coincident with nothing, r² barely normal
+	tpts[4] = geom.Point{X: 1, Y: 1e-170} // dy² underflows to zero: coincident with source 1 in effect
+	tpts[17] = geom.Point{X: -1e153}
+	tpts[20] = geom.Point{} // coincident with source 0
+	for _, l := range laplaceLoops() {
+		pot := make([]float64, len(tpts))
+		laplaceOn(l).S2T(src, q, tpts, pot)
+		for i, v := range pot {
+			var want float64
+			switch i {
+			case 3:
+				want = 2/1e-153 - 3
+			case 4:
+				want = 2
+			case 17:
+				want = 2/1e153 - 3/1e153
+			case 20:
+				want = -3
+			}
+			if math.IsNaN(v) || math.Abs(v-want) > 1e-15*math.Abs(want) {
+				t.Errorf("%v: target %d (%v): potential %v, want %v", l, i, tpts[i], v, want)
+			}
+		}
+	}
+}
+
+// TestP2PTiledMatchesDirect checks the blocked multi-chunk P2P of both
+// kernels against a scalar loop over Kernel.Direct, which shares no code
+// with the pair loops, with more targets than two blocks to cover the
+// remainder handling.
+func TestP2PTiledMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, k := range []BatchKernel{NewLaplace(2).(BatchKernel), NewYukawa(2, 4.0).(BatchKernel)} {
+		center := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
+		tpts := randBox(rng, center, 0.125, 150)
+		var chunks []P2PChunk
+		want := make([]float64, len(tpts))
+		for c := 0; c < 3; c++ {
+			sc := center.Add(geom.Point{X: float64(c+1) * 0.125})
+			spts := randBox(rng, sc, 0.125, 37)
+			q := randCharges(rng, 37)
+			chunks = append(chunks, P2PChunk{Pts: spts, Q: q})
+			for ti, tp := range tpts {
+				for si, sp := range spts {
+					want[ti] += q[si] * k.Direct(tp, sp)
+				}
+			}
+		}
+		got := make([]float64, len(tpts))
+		k.P2P(chunks, tpts, got)
+		if e := relErr(got, want); e > 1e-13 {
+			t.Errorf("%s: blocked P2P vs the scalar Direct loop rel err %.2e", k.Name(), e)
+		}
+	}
+}
+
+// One driver: S2T is P2P with one chunk, on every loop and both kernels.
+func TestS2TIsP2PWithOneChunk(t *testing.T) {
+	ks := []*base{NewYukawa(2, 4.0).(*base)}
+	for _, l := range laplaceLoops() {
+		ks = append(ks, laplaceOn(l))
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, k := range ks {
+		for _, nt := range pairTargetCounts {
+			chunks, tpts := pairFixture(rng, nt, 1, -1)
+			ch := chunks[3]
+			a, b := make([]float64, nt), make([]float64, nt)
+			k.S2T(ch.Pts, ch.Q, tpts, a)
+			k.P2P([]P2PChunk{ch}, tpts, b)
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Fatalf("%s/%v, %d targets: S2T gives %v at %d, P2P %v", k.name, k.pair, nt, a[i], i, b[i])
+				}
+			}
+		}
+	}
+}
+
+func TestPairDriverNoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	chunks, tpts := pairFixture(rng, 150, 1, -1)
+	pot := make([]float64, len(tpts))
+	for _, k := range []BatchKernel{NewLaplace(2).(BatchKernel), NewYukawa(2, 4.0).(BatchKernel)} {
+		if a := testing.AllocsPerRun(20, func() { k.P2P(chunks, tpts, pot) }); a != 0 {
+			t.Errorf("%s: P2P allocates %.0f times per call", k.Name(), a)
+		}
+		if a := testing.AllocsPerRun(20, func() { k.S2T(chunks[0].Pts, chunks[0].Q, tpts, pot) }); a != 0 {
+			t.Errorf("%s: S2T allocates %.0f times per call", k.Name(), a)
+		}
+	}
+}
+
+// The Yukawa pair loop computes what it computed before it moved onto the
+// block layout — the same operations in the same order — so the potentials
+// of a fixed fixture through P2P, recorded at the commit before, compare
+// equal. (Recorded on amd64; elsewhere math.Exp and fused multiply-adds
+// round differently.)
+func TestYukawaP2PGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden recorded on amd64")
+	}
+	rng := rand.New(rand.NewSource(97))
+	center := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
+	tpts := randBox(rng, center, 0.125, 70)
+	var chunks []P2PChunk
+	for c, n := range []int{37, 1, 25} {
+		spts := randBox(rng, center.Add(geom.Point{X: float64(c) * 0.125}), 0.125, n)
+		if c == 0 {
+			copy(spts, tpts[:5]) // coincident pairs are skipped
+		}
+		chunks = append(chunks, P2PChunk{Pts: spts, Q: randCharges(rng, n)})
+	}
+	pot := make([]float64, len(tpts))
+	NewYukawa(OrderForDigits(3), 4.0).(BatchKernel).P2P(chunks, tpts, pot)
+	for i, v := range pot {
+		if math.Float64bits(v) != yukawaP2PGolden[i] {
+			t.Errorf("potential %d is %x, recorded %x", i, math.Float64bits(v), yukawaP2PGolden[i])
+		}
+	}
+}
+
+var yukawaP2PGolden = [70]uint64{
+	0xc043b7a828c4c527, 0xc038a49ec5886c58, 0xc04a0ea9da7f4e44, 0xc02fb8ab43c1ce36,
+	0xc0474f1f17ee6c04, 0xc06378a518cf04a3, 0xc034b864685aaaff, 0xc040e79de0b439f0,
+	0xc0417c67d548f4dd, 0xc05b346f05ac620b, 0xc04a9efcc83f6696, 0xc043d861fc6ccdb4,
+	0xc04e98285194d9d1, 0xc02f0d95d36e5616, 0xc0529d7f5991db73, 0xc0500c384df698ee,
+	0xc06da9adf76f00d6, 0xc04b42272433ad6e, 0xc04942b0f94ef26f, 0xc02fa6eaba6ee99c,
+	0xc050bf7828c680da, 0xc02f924ec5563daf, 0x4041cc25eef76d22, 0xc04959233509b068,
+	0xc04d1910e4e9e1e4, 0xc036648895b75f61, 0xc041d95fe4c8e223, 0xc050f55086f7f22d,
+	0xc0419bb7d293f464, 0xc0425d8118ba2234, 0xc061605c8872e74a, 0xc051b92c928bbba0,
+	0xc0583f0bd144183a, 0xc04baae2a2657387, 0xc075b30e63e660b6, 0xc05e30084308ec9c,
+	0xc049ffd9eba54abc, 0xc054b74630790592, 0xc02146b292630033, 0xc05292c143055c82,
+	0xc053a217546b857c, 0xc05315a2609ec38d, 0xc04f9b8a1884a90e, 0xc04a2a8a9ab4cf5b,
+	0xc0313eb113d734a6, 0x3fdc2ecc932a2f8a, 0xc05b428a5e0edf87, 0xc06079151bfc3dea,
+	0xc0453a614e0e6973, 0xc031b2d64adae6d7, 0xc03e70c8bc39c556, 0xc031bb0865a8f1bb,
+	0xc0437361515c3ec6, 0xc0605b8f33517a34, 0xc049001be9d32cf6, 0xc04f43c2e2b7c517,
+	0xc04b9a8297dc4baa, 0xc03b54c48c1e2882, 0xc0537cdcfd6c59a0, 0xc04d11a8d2c259e2,
+	0xc048c43f3d157901, 0xc04bd5979c8fa473, 0xc034ed3382a08b75, 0xc03131701177d281,
+	0xc034d6409b3bab83, 0xc04a120470dbd4a6, 0xc04cb2fca1f15dca, 0xc01cab0e019046e9,
+	0xc0680ee7360f46b6, 0xc04c690e87999550,
+}
+
+func BenchmarkLaplacePairs(b *testing.B) {
+	// The level-2 leaf shape of the N=16k cube: 27 chunks of 250 sources
+	// against 250 targets.
+	rng := rand.New(rand.NewSource(1))
+	tpts := randBox(rng, geom.Point{}, 1, 250)
+	var chunks []P2PChunk
+	for c := 0; c < 27; c++ {
+		chunks = append(chunks, P2PChunk{Pts: randBox(rng, geom.Point{}, 3, 250), Q: randCharges(rng, 250)})
+	}
+	pot := make([]float64, len(tpts))
+	for _, l := range laplaceLoops() {
+		k := laplaceOn(l)
+		b.Run(l.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.P2P(chunks, tpts, pot)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(27*250*250), "ns/pair")
+		})
+	}
+}

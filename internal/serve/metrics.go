@@ -266,6 +266,10 @@ type MetricsSnapshot struct {
 	ShiftTableBytes int64 `json:"shift_table_bytes"`
 	ShiftOffLattice int64 `json:"shift_off_lattice_calls"`
 
+	// PairKernel is the near-field pair loop the numbers above ran on
+	// (PairKernel): "avx512", "avx2" or "go".
+	PairKernel string `json:"pair_kernel"`
+
 	QueueWait HistogramSnapshot `json:"queue_wait"`
 	PlanBuild HistogramSnapshot `json:"plan_build"`
 	Evaluate  HistogramSnapshot `json:"evaluate"`
@@ -275,6 +279,15 @@ type MetricsSnapshot struct {
 	// per-rank supervision state, restart counts, breaker state, generation.
 	Dist *PoolSnapshot `json:"dist,omitempty"`
 }
+
+// pairKernel is probed once: every Laplace kernel of a process binds the same
+// loop.
+var pairKernel = kernel.PairKernel(kernel.NewLaplace(0))
+
+// PairKernel names the near-field pair loop this process's Laplace kernels
+// run (kernel.PairKernel; a Yukawa kernel's is always the portable one), so
+// a latency can be attributed to a CPU tier from the daemon's own output.
+func PairKernel() string { return pairKernel }
 
 func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot {
 	shift := kernel.ShiftTableStats()
@@ -326,6 +339,7 @@ func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot 
 		ShiftTableSlots:  shift.Slots,
 		ShiftTableBytes:  shift.Bytes,
 		ShiftOffLattice:  shift.OffLatticeCalls,
+		PairKernel:       pairKernel,
 		QueueWait:        m.QueueWait.Snapshot(),
 		PlanBuild:        m.PlanBuild.Snapshot(),
 		Evaluate:         m.Evaluate.Snapshot(),

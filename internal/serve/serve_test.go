@@ -142,6 +142,9 @@ func TestServeCacheHitMatchesDirectEvaluation(t *testing.T) {
 		t.Errorf("shift table after a Laplace evaluation: %d slots, %d bytes, %d off-lattice calls; want > 0, > 0, 0",
 			m.ShiftTableSlots, m.ShiftTableBytes, m.ShiftOffLattice)
 	}
+	if m.PairKernel != "avx512" && m.PairKernel != "avx2" && m.PairKernel != "go" {
+		t.Errorf("pair_kernel=%q, want the name of a pair loop", m.PairKernel)
+	}
 }
 
 // Identical concurrent requests coalesce into one evaluation: with the only

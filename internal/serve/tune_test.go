@@ -69,7 +69,7 @@ func TestServeSmallRequestFallsThroughToNearField(t *testing.T) {
 // the tuner, through the same decode + planRequest + ensureBuilt path
 // runWorkerJob takes.
 func TestJobSpecShipsResolvedThreshold(t *testing.T) {
-	req := &Request{N: 7000} // past the crossover: the tuned tree has a far field
+	req := &Request{N: 20000} // past the crossover at every pair loop's price: the tuned tree has a far field
 	if err := req.normalize(Config{}.withDefaults()); err != nil {
 		t.Fatal(err)
 	}
@@ -228,20 +228,29 @@ func TestStoreRevivesPreTunerRecord(t *testing.T) {
 // threshold=200000 was admitted, built a single-leaf plan and ran 4e10 pairs
 // in one uncancellable S→T task, minutes past its deadline. The plan is now
 // priced before anything runs and the request refused with a 400 that says
-// why.
+// why. The pair price depends on the pair loop the machine binds (a factor
+// of six between them), so the deadlines and sizes here are derived from it:
+// the refusals are refusals on every tier and under -tags purego.
 func TestServeRefusesPlanPricedBeyondDeadline(t *testing.T) {
-	s := New(Config{})
+	k := kernel.NewLaplace(kernel.OrderForDigits(3))
+	k.Prepare(1, 0)
+	pairNanos := kernel.Price(k, 0).S2T
+
+	// Half of what 4e10 pairs are priced at: 12 s to 76 s.
+	const big = 200000
+	limit := time.Duration(big * big * pairNanos / 2).Round(time.Second)
+	s := New(Config{DefaultDeadline: limit})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	start := time.Now()
-	code, _, eb := post(t, ts.URL, Request{N: 200000, Threshold: 200000})
+	code, _, eb := post(t, ts.URL, Request{N: big, Threshold: big})
 	took := time.Since(start)
 	if code != http.StatusBadRequest {
 		t.Fatalf("HTTP %d, want 400", code)
 	}
-	if !strings.Contains(eb.Error, "predicted evaluation time") || !strings.Contains(eb.Error, "30s deadline") {
-		t.Errorf("error %q does not carry the predicted seconds and the deadline", eb.Error)
+	if !strings.Contains(eb.Error, "predicted evaluation time") || !strings.Contains(eb.Error, limit.String()+" deadline") {
+		t.Errorf("error %q does not carry the predicted seconds and the %v deadline", eb.Error, limit)
 	}
 	if took > time.Second {
 		t.Errorf("refusal took %v, want under a second", took)
@@ -256,17 +265,19 @@ func TestServeRefusesPlanPricedBeyondDeadline(t *testing.T) {
 
 	// The same plan fits a deadline long enough, so the refusal is the
 	// request's, not the key's; nobody waits for that here. A request that
-	// states its own short deadline is held to it...
-	code, _, eb = post(t, ts.URL, Request{N: 3000, Threshold: 3000, DeadlineMS: 10})
+	// states its own short deadline is held to it: a single leaf priced at
+	// 25 ms (2.6k to 6.5k points) against 10 ms...
+	n := int(math.Sqrt(25e6 / pairNanos))
+	code, _, eb = post(t, ts.URL, Request{N: n, Threshold: n, DeadlineMS: 10})
 	if code != http.StatusBadRequest || !strings.Contains(eb.Error, "10ms deadline") {
-		t.Errorf("9e6 pairs against a 10ms deadline: HTTP %d %v, want a 400 naming the deadline", code, eb)
+		t.Errorf("%d^2 pairs against a 10ms deadline: HTTP %d %v, want a 400 naming the deadline", n, code, eb)
 	}
 	// ... more threads buy it time, and a tuned request of the same size is
 	// nowhere near any of this.
-	if code, _, eb := post(t, ts.URL, Request{N: 3000, Threshold: 3000, DeadlineMS: 10, Workers: 8}); code != http.StatusOK {
+	if code, _, eb := post(t, ts.URL, Request{N: n, Threshold: n, DeadlineMS: 10, Workers: 8}); code != http.StatusOK {
 		t.Errorf("the same plan on 8 workers: HTTP %d %v", code, eb)
 	}
-	code, resp, eb := post(t, ts.URL, Request{N: 3000})
+	code, resp, eb := post(t, ts.URL, Request{N: n})
 	if code != http.StatusOK {
 		t.Fatalf("tuned request: HTTP %d %v", code, eb)
 	}
