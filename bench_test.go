@@ -634,9 +634,12 @@ func BenchmarkEvaluateHotPathBatched(b *testing.B) {
 // at plan build: the leaf-size tuner on the benchmark's cube N=16k points
 // must stay under 25 ms and under 20 % of one predicted evaluation of the
 // plan it picks (the fastest iteration is held to the bounds — this box
-// steals cores — and the mean is what is reported; the share is 6–7 % where
-// the portable pair loop makes that evaluation 0.34 s and 16 % where the
-// AVX-512 one makes it 0.13 s — the ladder costs the same 22 ms either way).
+// steals cores — and the mean is what is reported; the ladder costs the same
+// 18–22 ms on every binding, so the share is 8 % where the portable pair loop
+// makes that evaluation 0.28 s and 13 % at AVX2's 0.16 s, but 22–27 % where
+// the AVX-512 one makes it 0.081 s: since PR 19 halved the far field this
+// benchmark FAILS its share bound there. The bound stands; the ladder — four
+// tree and DAG builds — is what has to get cheaper (ROADMAP item 1f).
 // The time is never an input of the choice, so it is bounded here and not
 // in tier-1.
 func BenchmarkTunerLadder(b *testing.B) {

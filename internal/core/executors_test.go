@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/dag/dagtest"
 	"repro/internal/geom"
 	"repro/internal/kernel"
@@ -21,12 +22,12 @@ import (
 // while every fixture sat at 40 or 60.
 
 // executors runs one charge vector through all four executors on plans
-// built with the given threshold and returns each one's potentials. Rank 1
-// of the distributed run builds its own plan from the threshold rank 0's
-// plan resolved, as a worker rank handed the job spec does.
-func executors(t *testing.T, sp, tp []geom.Point, q []float64, k kernel.Kernel, threshold int) (*Plan, map[string][]float64) {
+// built with the given method and threshold and returns each one's
+// potentials. Rank 1 of the distributed run builds its own plan from the
+// threshold rank 0's plan resolved, as a worker rank handed the job spec does.
+func executors(t *testing.T, sp, tp []geom.Point, q []float64, k kernel.Kernel, opts Options) (*Plan, map[string][]float64) {
 	t.Helper()
-	plan, err := NewPlan(sp, tp, k, Options{Threshold: threshold})
+	plan, err := NewPlan(sp, tp, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func executors(t *testing.T, sp, tp []geom.Point, q []float64, k kernel.Kernel, 
 		t.Fatal(err)
 	}
 	before := TunerEntries()
-	rank1, err := NewPlan(sp, tp, k, Options{Threshold: plan.Threshold()})
+	rank1, err := NewPlan(sp, tp, k, Options{Method: opts.Method, Threshold: plan.Threshold()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestOracleEveryExecutorEveryLeafSize(t *testing.T) {
 		}
 		for _, th := range ths {
 			k := c.kernel(kernel.OrderForDigits(c.digits))
-			plan, pots := executors(t, sp, tp, q, k, th.threshold)
+			plan, pots := executors(t, sp, tp, q, k, Options{Threshold: th.threshold})
 			if th.threshold == 0 && c.farField && !raceEnabled {
 				dagtest.RequireFarField(t, plan.Graph)
 			}
@@ -169,7 +170,9 @@ func TestOracleEveryExecutorEveryLeafSize(t *testing.T) {
 // Reordering the sources (charges with them) or the targets permutes the
 // potentials and nothing else, at 1e-10, through every executor at every
 // leaf size: the tree sorts points into leaves, and only the summation order
-// inside a leaf may notice where they came from.
+// inside a leaf may notice where they came from. The Basic method runs where
+// it differs from the default one — at the paper's threshold, which leaves
+// these points a far field.
 func TestOraclePermutationInvariance(t *testing.T) {
 	n := 4000
 	if raceEnabled {
@@ -186,16 +189,25 @@ func TestOraclePermutationInvariance(t *testing.T) {
 		tp2[i] = tp[pt[i]]
 	}
 	p := kernel.OrderForDigits(3)
+	type run struct {
+		leafSize
+		method dag.Method
+	}
+	runs := []run{{paperLeaves, dag.Basic}}
 	for _, th := range append(thresholdsFor(n), paperLeaves) {
-		_, base := executors(t, sp, tp, q, kernel.NewLaplace(p), th.threshold)
-		_, perm := executors(t, sp2, tp2, q2, kernel.NewLaplace(p), th.threshold)
+		runs = append(runs, run{th, dag.Advanced})
+	}
+	for _, r := range runs {
+		opts := Options{Method: r.method, Threshold: r.threshold}
+		_, base := executors(t, sp, tp, q, kernel.NewLaplace(p), opts)
+		_, perm := executors(t, sp2, tp2, q2, kernel.NewLaplace(p), opts)
 		for name, got := range perm {
 			want := make([]float64, n)
 			for i := range want {
 				want[i] = base[name][pt[i]]
 			}
 			if e := relL2(got, want, nil); e > 1e-10 {
-				t.Errorf("%s, %s: permuted ensembles differ by rel L2 %.2e > 1e-10", th.name, name, e)
+				t.Errorf("%s %v, %s: permuted ensembles differ by rel L2 %.2e > 1e-10", r.name, r.method, name, e)
 			}
 		}
 	}
@@ -241,7 +253,7 @@ func TestDegenerateEnsembles(t *testing.T) {
 		}
 		for _, th := range ths {
 			k := kernel.NewLaplace(kernel.OrderForDigits(3))
-			plan, pots := executors(t, c.pts, c.pts, q, k, th.threshold)
+			plan, pots := executors(t, c.pts, c.pts, q, k, Options{Threshold: th.threshold})
 			for name, pot := range pots {
 				what := fmt.Sprintf("%s, %s (threshold %d, level %d), %s", c.name, th.name, plan.Threshold(), plan.MaxLevel(), name)
 				againstDirect(t, what, pot, k, c.pts, q, c.pts, idx, 1e-3)

@@ -31,7 +31,20 @@ func scaled(pts []geom.Point, s float64) []geom.Point { return affine(pts, s, ge
 // would be a level-1 tree of S→T edges).
 func advancedPlan(t *testing.T, sp, tp []geom.Point, k kernel.Kernel) *Plan {
 	t.Helper()
-	plan, err := NewPlan(sp, tp, k, Options{Method: dag.Advanced, Threshold: tree.Threshold})
+	return paperPlan(t, dag.Advanced, sp, tp, k)
+}
+
+// paperPlan is the same fixture on either FMM method (the metamorphic gates
+// run on both).
+func paperPlan(t *testing.T, m dag.Method, sp, tp []geom.Point, k kernel.Kernel) *Plan {
+	t.Helper()
+	return farFieldPlan(t, sp, tp, k, Options{Method: m, Threshold: tree.Threshold})
+}
+
+// farFieldPlan builds a plan that must have a far field.
+func farFieldPlan(t *testing.T, sp, tp []geom.Point, k kernel.Kernel, opts Options) *Plan {
+	t.Helper()
+	plan, err := NewPlan(sp, tp, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

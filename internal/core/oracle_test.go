@@ -6,16 +6,23 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/points"
+	"repro/internal/tree"
 )
 
-// Oracle and metamorphic gates on the default (Advanced) path. Unlike the
-// 1e-12 path-vs-path gates these compare the evaluator with mathematics —
-// a direct sum, or a property the potential must have — so they keep
-// meaning when a change rewrites every coefficient (compressed rules,
-// real-only storage) and the old build is no longer a reference.
+// Oracle and metamorphic gates on both FMM methods — Advanced, the default
+// plane-wave path, and Basic, the dense M->L one. Unlike the 1e-12
+// path-vs-path gates these compare the evaluator with mathematics — a
+// direct sum, or a property the potential must have — so they keep meaning
+// when a change rewrites every coefficient (compressed rules, real-only
+// storage) and the old build is no longer a reference.
+
+// fmmMethods are the two methods every metamorphic gate runs on (paperPlan:
+// at the paper's threshold, so that a few thousand points keep a far field).
+var fmmMethods = []dag.Method{dag.Advanced, dag.Basic}
 
 type oracleCase struct {
 	distr  points.Distribution
@@ -70,23 +77,25 @@ func TestOracleLinearityInCharges(t *testing.T) {
 		for i := range mix {
 			mix[i] = a*q1[i] + q2[i]
 		}
-		plan := advancedPlan(t, sp, tp, oc.kernel(kernel.OrderForDigits(3)))
-		ev, err := plan.NewEvaluation()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var phi [3][]float64
-		for i, q := range [][]float64{q1, q2, mix} {
-			if phi[i], err = ev.Run(q); err != nil {
+		for _, m := range fmmMethods {
+			plan := paperPlan(t, m, sp, tp, oc.kernel(kernel.OrderForDigits(3)))
+			ev, err := plan.NewEvaluation()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = a*phi[0][i] + phi[1][i]
-		}
-		if e := relL2(phi[2], want, nil); e > 1e-10 {
-			t.Errorf("%s: Phi(a q1 + q2) vs a Phi(q1) + Phi(q2): rel L2 %.2e > 1e-10", oc.name, e)
+			var phi [3][]float64
+			for i, q := range [][]float64{q1, q2, mix} {
+				if phi[i], err = ev.Run(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := make([]float64, n)
+			for i := range want {
+				want[i] = a*phi[0][i] + phi[1][i]
+			}
+			if e := relL2(phi[2], want, nil); e > 1e-10 {
+				t.Errorf("%s %v: Phi(a q1 + q2) vs a Phi(q1) + Phi(q2): rel L2 %.2e > 1e-10", oc.name, m, e)
+			}
 		}
 	}
 }
@@ -111,21 +120,23 @@ func TestOracleLaplaceTranslationAndScale(t *testing.T) {
 		tp := points.Generate(d, n, 62)
 		q := points.Charges(n, 63)
 		p := kernel.OrderForDigits(3)
-		base, err := advancedPlan(t, sp, tp, kernel.NewLaplace(p)).EvaluateSequential(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range maps {
-			got, err := advancedPlan(t, affine(sp, m.s, m.t), affine(tp, m.s, m.t), kernel.NewLaplace(p)).EvaluateSequential(q)
+		for _, method := range fmmMethods {
+			base, err := paperPlan(t, method, sp, tp, kernel.NewLaplace(p)).EvaluateSequential(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]float64, n)
-			for i := range want {
-				want[i] = base[i] / m.s
-			}
-			if e := relL2(got, want, nil); e > 1e-10 {
-				t.Errorf("%v: x -> %g x + %v: rel L2 %.2e > 1e-10", d, m.s, m.t, e)
+			for _, m := range maps {
+				got, err := paperPlan(t, method, affine(sp, m.s, m.t), affine(tp, m.s, m.t), kernel.NewLaplace(p)).EvaluateSequential(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, n)
+				for i := range want {
+					want[i] = base[i] / m.s
+				}
+				if e := relL2(got, want, nil); e > 1e-10 {
+					t.Errorf("%v %v: x -> %g x + %v: rel L2 %.2e > 1e-10", d, method, m.s, m.t, e)
+				}
 			}
 		}
 	}
@@ -166,6 +177,62 @@ func TestOracleDirectSumAtRequestedDigits(t *testing.T) {
 				t.Errorf("%s at %d digits: rel L2 %.2e > %.0e", oc.name, digits, e, tol)
 			} else {
 				t.Logf("%s at %d digits: rel L2 %.2e", oc.name, digits, e)
+			}
+		}
+	}
+}
+
+// (iv) Superposition of ensembles: Phi[A ∪ B] = Phi[A] + Phi[B] at the same
+// targets. Three plans over different source sets agree to rounding rather
+// than to truncation error only if they expand about the same boxes, so B
+// shadows A — the same points moved by 1e-9, far below any box size, with
+// charges of their own — and the union's plan, whose every box then holds
+// exactly twice the sources and (its targets shadowed too) twice the
+// targets, refines at twice the threshold: the same trees, lists and DAG,
+// checked. On the sphere that covers the adaptive lists (M->T, S->L) too.
+func TestOracleSuperpositionOfEnsembles(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sequential property: nothing to instrument")
+	}
+	const n = 3000
+	shadow := func(pts []geom.Point) []geom.Point {
+		return affine(pts, 1, geom.Point{X: 1e-9, Y: -1e-9, Z: 1e-9})
+	}
+	for _, oc := range oracleCases() {
+		a := points.Generate(oc.distr, n, 111)
+		b := shadow(a)
+		tp := points.Generate(oc.distr, n, 112)
+		qa, qb := points.Charges(n, 113), points.Charges(n, 114)
+		for _, m := range fmmMethods {
+			k := func() kernel.Kernel { return oc.kernel(kernel.OrderForDigits(3)) }
+			planA := paperPlan(t, m, a, tp, k())
+			planB := paperPlan(t, m, b, tp, k())
+			union := farFieldPlan(t, append(append([]geom.Point{}, a...), b...), append(append([]geom.Point{}, tp...), shadow(tp)...),
+				k(), Options{Method: m, Threshold: 2 * tree.Threshold})
+			for _, p := range []*Plan{planB, union} {
+				if len(p.Graph.Nodes) != len(planA.Graph.Nodes) || p.Graph.EdgeCount != planA.Graph.EdgeCount {
+					t.Fatalf("%s %v: fixture: plans differ in structure: %d nodes / edges %v against %d / %v",
+						oc.name, m, len(p.Graph.Nodes), p.Graph.EdgeCount, len(planA.Graph.Nodes), planA.Graph.EdgeCount)
+				}
+			}
+			phiA, err := planA.EvaluateSequential(qa)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phiB, err := planB.EvaluateSequential(qb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phiU, err := union.EvaluateSequential(append(append([]float64{}, qa...), qb...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, n)
+			for i := range want {
+				want[i] = phiA[i] + phiB[i]
+			}
+			if e := relL2(phiU[:n], want, nil); e > 1e-10 {
+				t.Errorf("%s %v: Phi[A ∪ B] vs Phi[A] + Phi[B]: rel L2 %.2e > 1e-10", oc.name, m, e)
 			}
 		}
 	}

@@ -6,8 +6,8 @@ import (
 	"repro/internal/geom"
 )
 
-// The exported operator set, implemented on the shared engine. Each method
-// borrows a scratch workspace from the kernel's free list so concurrent
+// The exported operator set, implemented on the shared engine, which borrows
+// a scratch workspace from the kernel's free list per call so concurrent
 // callers do not contend or allocate in steady state.
 
 // Prepare implements Kernel.
@@ -26,142 +26,141 @@ func (b *base) Direct(t, s geom.Point) float64 {
 
 // S2M implements Kernel.
 func (b *base) S2M(c geom.Point, spts []geom.Point, q []float64, out []complex128) {
-	ws := b.wsp.get(b)
-	b.s2m(ws, c, spts, q, out)
-	b.wsp.put(ws)
+	b.project(c, spts, q, b.radReg, out)
 }
 
 // S2L implements Kernel.
 func (b *base) S2L(c geom.Point, spts []geom.Point, q []float64, out []complex128) {
-	ws := b.wsp.get(b)
-	b.s2l(ws, c, spts, q, out)
-	b.wsp.put(ws)
+	b.project(c, spts, q, b.radOut, out)
 }
 
 // M2T implements Kernel.
 func (b *base) M2T(c geom.Point, m []complex128, tpts []geom.Point, pot []float64) {
-	ws := b.wsp.get(b)
-	b.m2t(ws, c, m, tpts, pot)
-	b.wsp.put(ws)
+	b.evalAt(c, m, b.radOut, tpts, pot)
 }
 
 // L2T implements Kernel.
 func (b *base) L2T(c geom.Point, l []complex128, tpts []geom.Point, pot []float64) {
-	ws := b.wsp.get(b)
-	b.l2t(ws, c, l, tpts, pot)
-	b.wsp.put(ws)
+	b.evalAt(c, l, b.radReg, tpts, pot)
 }
 
 // M2M implements Kernel. The projection sphere radius scales with the
 // parent box so aliasing stays level-independent. The eight parent/child
-// offsets recur for every box of a level, so the dense translation matrix
-// is built once per (level, octant) and replayed (exactly the same linear
-// operator, precomputed).
+// offsets recur for every box of a level, so the translation table is built
+// once per (level, octant) and replayed (exactly the same linear operator,
+// precomputed).
 func (b *base) M2M(from, to geom.Point, childSide float64, in, out []complex128) {
-	if mx := b.xlMatrix(0, to.Sub(from), childSide, b.radOut, b.radOut, b.aM2M*2*childSide); mx != nil {
-		applyMatrix(mx, in, out)
-		return
-	}
-	ws := b.wsp.get(b)
-	b.translate(ws, from, to, b.aM2M*2*childSide, in, b.radOut, b.radOut, out)
-	b.wsp.put(ws)
+	b.xlate(m2mKind, from, to, childSide, in, out)
 }
 
 // M2L implements Kernel. The list-2 interaction offsets of same-level
 // boxes recur for every box of a level (the classic 189-offset interaction
 // list, up to 316 distinct lattice offsets with |d|∞ in [2,3]), so the
-// dense M->L operator is built once per (kernel, box side, lattice offset)
-// and replayed as a single matrix–vector multiply. Geometry off that
-// lattice (or with the cache disabled) falls back to spectral projection.
+// M->L table is built once per (kernel, box side, lattice offset) and
+// replayed as a single apply. Geometry off that lattice (or with the cache
+// disabled) falls back to spectral projection.
 func (b *base) M2L(from, to geom.Point, side float64, in, out []complex128) {
-	if mx := b.m2lMatrix(from, to, side); mx != nil {
-		applyMatrix(mx, in, out)
-		return
-	}
-	ws := b.wsp.get(b)
-	b.translate(ws, from, to, b.aM2L*side, in, b.radOut, b.radReg, out)
-	b.wsp.put(ws)
+	b.xlate(m2lKind, from, to, side, in, out)
 }
 
-// L2L implements Kernel. Like M2M, the eight offsets are matrix-cached.
+// L2L implements Kernel. Like M2M, the eight offsets are table-cached.
 func (b *base) L2L(from, to geom.Point, childSide float64, in, out []complex128) {
-	if mx := b.xlMatrix(1, to.Sub(from), childSide, b.radReg, b.radReg, b.aL2L*childSide); mx != nil {
-		applyMatrix(mx, in, out)
+	b.xlate(l2lKind, from, to, childSide, in, out)
+}
+
+// The three translations: they differ in their radial families, in the
+// projection radius and in the lattice their centre differences live on
+// (the child's octant for M->M and L->L, the list-2 offset for M->L).
+const (
+	m2mKind = iota
+	l2lKind
+	m2lKind
+)
+
+// xlParams returns the input and output radial families and the projection
+// radius of a translation between boxes of the given side (the child's, for
+// the parent/child kinds).
+func (b *base) xlParams(kind uint8, side float64) (inRF, outRF radialFunc, a float64) {
+	switch kind {
+	case m2mKind:
+		return b.radOut, b.radOut, b.aM2M * 2 * side
+	case l2lKind:
+		return b.radReg, b.radReg, b.aL2L * side
+	}
+	return b.radOut, b.radReg, b.aM2L * side
+}
+
+// xlate applies one translation: through the cached table when the centre
+// difference is on the kind's lattice, by projection otherwise.
+func (b *base) xlate(kind uint8, from, to geom.Point, side float64, in, out []complex128) {
+	if tab := b.xlTableFor(kind, to.Sub(from), side); tab != nil {
+		applyTable(tab, [][]complex128{in}, [][]complex128{out})
 		return
 	}
+	inRF, outRF, a := b.xlParams(kind, side)
 	ws := b.wsp.get(b)
-	b.translate(ws, from, to, b.aL2L*childSide, in, b.radReg, b.radReg, out)
+	b.translate(ws, from, to, a, in, inRF, outRF, out)
 	b.wsp.put(ws)
 }
 
-// xlKey identifies one cached translation matrix: operator kind, box side
+// xlKey identifies one cached translation table: operator kind, box side
 // (exact halvings of the root side, so float bits are a stable key) and the
-// octant sign pattern of the offset.
+// octant sign pattern or lattice offset.
 type xlKey struct {
 	kind       uint8
 	sideBits   uint64
 	ox, oy, oz int8
 }
 
-// xlMatrix returns the cached dense matrix for a parent/child translation,
-// building it on first use, or nil when the offset is not one of the eight
-// half-side octant offsets (callers then fall back to direct projection).
-func (b *base) xlMatrix(kind uint8, off geom.Point, childSide float64, inRF, outRF radialFunc, a float64) []complex128 {
-	h := childSide / 2
+// xlTableFor resolves a centre difference to its cached table, or nil when
+// it is not on the kind's lattice (callers then fall back to projection).
+func (b *base) xlTableFor(kind uint8, off geom.Point, side float64) []complex128 {
+	if kind == m2lKind {
+		o, ok := b.M2LOffsetOf(geom.Point{}, off, side)
+		if !ok {
+			return nil
+		}
+		return b.m2lTable(o, side)
+	}
+	h := side / 2
 	ox, okx := signOf(off.X, h)
 	oy, oky := signOf(off.Y, h)
 	oz, okz := signOf(off.Z, h)
 	if !okx || !oky || !okz {
 		return nil
 	}
-	key := xlKey{kind: kind, sideBits: math.Float64bits(childSide), ox: ox, oy: oy, oz: oz}
+	o := M2LOffset{DX: ox, DY: oy, DZ: oz}
+	return b.xlTable(kind, side, o, o.Scale(h))
+}
+
+// xlTable returns the cached table of (kind, side, lattice vector o),
+// building it on first use from the canonical centre difference `to`. The
+// operator depends only on that vector (never on the absolute centers),
+// which is what makes one table serve every edge of a batch.
+func (b *base) xlTable(kind uint8, side float64, o M2LOffset, to geom.Point) []complex128 {
+	key := xlKey{kind: kind, sideBits: math.Float64bits(side), ox: o.DX, oy: o.DY, oz: o.DZ}
 	if v, ok := b.xl.Load(key); ok {
 		return v.([]complex128)
 	}
-	sq := b.MLSize()
-	mx := make([]complex128, sq*sq)
-	ws := b.newWorkspace()
-	e := make([]complex128, sq)
-	col := make([]complex128, sq)
-	to := geom.Point{X: float64(ox) * h, Y: float64(oy) * h, Z: float64(oz) * h}
-	for j := 0; j < sq; j++ {
-		e[j] = 1
-		for i := range col {
-			col[i] = 0
-		}
-		b.translate(ws, geom.Point{}, to, a, e, inRF, outRF, col)
-		for i := range col {
-			mx[i*sq+j] = col[i]
-		}
-		e[j] = 0
-	}
-	actual, _ := b.xl.LoadOrStore(key, mx)
+	inRF, outRF, a := b.xlParams(kind, side)
+	actual, _ := b.xl.LoadOrStore(key, b.translationTable(to, a, inRF, outRF))
 	return actual.([]complex128)
 }
 
-// m2lCacheKinds start above the M2M/L2L kinds in the shared xl cache.
-const m2lKind = 2
-
 // SetM2LCache enables or disables the cached-operator M->L path (enabled
-// by default). The accuracy tests toggle it to compare the cached matrices
+// by default). The accuracy tests toggle it to compare the cached tables
 // against pure spectral projection; it is not safe to flip concurrently
 // with operator calls.
 func (b *base) SetM2LCache(on bool) { b.m2lCacheOff = !on }
 
-// m2lMatrix returns the cached dense M->L matrix for a same-level list-2
-// translation, building it on first use, or nil when the offset is not on
-// the well-separated interaction lattice (callers then fall back to
-// projection). Keyed by exact box side bits plus the integer offset, so
-// the scale-variant Yukawa kernel gets per-level operators for free.
-func (b *base) m2lMatrix(from, to geom.Point, side float64) []complex128 {
+// m2lTable returns the cached M->L table of one lattice offset, or nil with
+// the cache disabled. Keyed by exact box side bits plus the integer offset,
+// so the scale-variant Yukawa kernel gets per-level operators for free.
+func (b *base) m2lTable(off M2LOffset, side float64) []complex128 {
 	if b.m2lCacheOff {
 		return nil
 	}
-	off, ok := b.M2LOffsetOf(from, to, side)
-	if !ok {
-		return nil
-	}
-	return b.m2lMatrixOff(off, side)
+	return b.xlTable(m2lKind, side, off, off.Scale(side))
 }
 
 // M2LOffsetOf implements BatchKernel: it classifies the translation from ->
@@ -189,39 +188,6 @@ func (b *base) M2LOffsetOf(from, to geom.Point, side float64) (M2LOffset, bool) 
 		return M2LOffset{}, false
 	}
 	return M2LOffset{DX: dx, DY: dy, DZ: dz}, true
-}
-
-// m2lMatrixOff returns the cached dense M->L operator for one lattice
-// offset, building it on first use, or nil with the cache disabled. The
-// operator depends only on the offset vector (never on the absolute
-// centers), which is what makes one matrix serve every edge of a batch.
-func (b *base) m2lMatrixOff(off M2LOffset, side float64) []complex128 {
-	if b.m2lCacheOff {
-		return nil
-	}
-	key := xlKey{kind: m2lKind, sideBits: math.Float64bits(side), ox: off.DX, oy: off.DY, oz: off.DZ}
-	if v, ok := b.xl.Load(key); ok {
-		return v.([]complex128)
-	}
-	sq := b.MLSize()
-	mx := make([]complex128, sq*sq)
-	ws := b.newWorkspace()
-	e := make([]complex128, sq)
-	col := make([]complex128, sq)
-	toP := off.Scale(side)
-	for j := 0; j < sq; j++ {
-		e[j] = 1
-		for i := range col {
-			col[i] = 0
-		}
-		b.translate(ws, geom.Point{}, toP, b.aM2L*side, e, b.radOut, b.radReg, col)
-		for i := range col {
-			mx[i*sq+j] = col[i]
-		}
-		e[j] = 0
-	}
-	actual, _ := b.xl.LoadOrStore(key, mx)
-	return actual.([]complex128)
 }
 
 // latticeCoord reports whether v is (to rounding) an integer multiple of
@@ -252,19 +218,6 @@ func signOf(v, h float64) (int8, bool) {
 		return -1, true
 	}
 	return 0, false
-}
-
-// applyMatrix accumulates out += mx * in for a dense sq x sq matrix.
-func applyMatrix(mx, in, out []complex128) {
-	sq := len(in)
-	for i := range out {
-		row := mx[i*sq : (i+1)*sq]
-		var acc complex128
-		for j, v := range in {
-			acc += row[j] * v
-		}
-		out[i] += acc
-	}
 }
 
 // OrderForDigits returns the truncation order p that delivers roughly the

@@ -5,7 +5,7 @@ import "repro/internal/geom"
 // Batched kernel execution (DESIGN.md, "Batched execution"): the list-2
 // far field applies the same small set of dense M->L operators across
 // thousands of edges per level, and the per-edge cached apply of api.go is
-// memory-bandwidth bound — each 160 KB operator streams through the cache
+// memory-bandwidth bound — each 97 KB operator streams through the cache
 // once per edge. Grouping the edges that share one (side, lattice-offset)
 // operator into a multi-RHS apply streams the operator once per block of
 // right-hand sides instead, turning many GEMVs into one small GEMM.
@@ -56,55 +56,20 @@ func (b *base) M2LBatch(offs []M2LOffset, side float64, level int, ins, outs [][
 		for hi < len(offs) && offs[hi] == offs[lo] {
 			hi++
 		}
-		if mx := b.m2lMatrixOff(offs[lo], side); mx != nil {
-			applyMatrixMulti(mx, ins[lo:hi], outs[lo:hi])
+		if tab := b.m2lTable(offs[lo], side); tab != nil {
+			applyTable(tab, ins[lo:hi], outs[lo:hi])
 		} else {
 			// Cache disabled: per-RHS spectral projection about the origin —
 			// the operator depends only on the offset vector, so projecting
 			// from the origin to offset*side reproduces the per-edge result.
 			//lint:ignore escape-gate pool miss path: newWorkspace (inlined here) allocates only when the free list is empty; steady state recycles workspaces, so the hot path stays allocation-free
 			ws := b.wsp.get(b)
-			toP := offs[lo].Scale(side)
+			inRF, outRF, a := b.xlParams(m2lKind, side)
 			for i := lo; i < hi; i++ {
-				b.translate(ws, geom.Point{}, toP, b.aM2L*side, ins[i], b.radOut, b.radReg, outs[i])
+				b.translate(ws, geom.Point{}, offs[lo].Scale(side), a, ins[i], inRF, outRF, outs[i])
 			}
 			b.wsp.put(ws)
 		}
 		lo = hi
-	}
-}
-
-// applyMatrixMulti accumulates outs[r] += mx * ins[r] for a dense sq x sq
-// operator shared by every right-hand side. Two RHS travel per pass over
-// the operator: each 16-byte matrix element fetched feeds two
-// multiply-adds, and the two independent accumulator chains double the
-// instruction-level parallelism of the scalarized complex inner loop.
-// Width 2 is the measured sweet spot on amd64 — a 4-wide unroll needs more
-// live float64 values than the 16 XMM registers hold and spills, coming
-// out slower than 2-wide despite touching the operator half as often.
-//
-//dashmm:noalloc
-func applyMatrixMulti(mx []complex128, ins, outs [][]complex128) {
-	if len(ins) == 0 {
-		return
-	}
-	sq := len(ins[0])
-	r := 0
-	for ; r+2 <= len(ins); r += 2 {
-		in0, in1 := ins[r][:sq], ins[r+1][:sq]
-		out0, out1 := outs[r], outs[r+1]
-		for i := 0; i < sq; i++ {
-			row := mx[i*sq : (i+1)*sq : (i+1)*sq]
-			var a0, a1 complex128
-			for j, v := range row {
-				a0 += v * in0[j]
-				a1 += v * in1[j]
-			}
-			out0[i] += a0
-			out1[i] += a1
-		}
-	}
-	for ; r < len(ins); r++ {
-		applyMatrix(mx, ins[r], outs[r])
 	}
 }

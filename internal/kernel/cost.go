@@ -13,8 +13,8 @@ package kernel
 // box (2-vCPU Xeon 2.1 GHz guest, go1.24), measured in situ — per-class busy
 // time of a traced warm evaluation divided by the class's steps in the DAG,
 // the Table II methodology of sim.Calibrate — on cube N=16k Laplace/Advanced
-// at leaf levels 1–3 and sphere N=100k Yukawa/Basic at thresholds 60–960.
-// They sit between the box's quiet and slow modes (the dense rows move 1.5x
+// at leaf levels 2–3 and sphere N=100k Yukawa/Basic at threshold 240. They
+// sit between the box's quiet and slow modes (the dense rows move 1.5x
 // between the two, the Laplace pair 1.1x). Regenerate with
 //
 //	go run ./cmd/scaling -model calibrate -n 16000 -threshold 0 -max-cores 32
@@ -23,19 +23,20 @@ package kernel
 // this table predicts.
 const (
 	// One source point folded into, or one target point evaluated from, one
-	// M/L coefficient (S→M, S→L, M→T, L→T): the Y_n^m recurrence and one
-	// complex multiply-add.
-	nsPointTerm = 8
-	// One complex multiply-add of a dense operator row streamed once per
-	// application (M→M, L→L, unbatched M→L).
-	nsDenseMAC = 2.3
-	// The same inside the blocked multi-RHS M→L, where the operator stays in
-	// L2 across a block of right-hand sides.
-	nsBatchMAC = 1.5
-	// The same in M→I and I→L, whose 1.5 MB per-direction matrices stream
+	// stored (m >= 0) M/L coefficient (S→M, S→L, M→T, L→T): its share of the
+	// Y_n^m and radial recurrences and one real-by-complex multiply-add.
+	nsPointTerm = 10.5
+	// One entry of a real-linear table (dense.go: four real multiply-adds)
+	// streamed once per application (M→M, L→L, unbatched M→L).
+	nsDenseMAC = 2.7
+	// The same inside the blocked multi-RHS M→L, where the table stays in L2
+	// across a block of right-hand sides.
+	nsBatchMAC = 1.4
+	// The same in M→I and I→L, whose 0.84 MB per-direction tables stream
 	// from memory on every application.
-	nsWaveMAC = 1.8
-	// One tabulated I→I shift factor: load, complex multiply, accumulate.
+	nsWaveMAC = 2.2
+	// One tabulated I→I shift factor of a kept wave term: load, complex
+	// multiply, accumulate.
 	nsShiftTerm = 3.0
 )
 

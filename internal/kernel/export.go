@@ -13,7 +13,7 @@ import (
 //
 //   - the translation matrices in base.xl — the eight M->M and L->L
 //     parent/child octant operators and the per-(side, lattice-offset)
-//     list-2 M->L operators — each costing MLSize() spectral projections;
+//     list-2 M->L operators — each one sampled-and-projected table build;
 //   - the plane-wave M->I and I->L projection matrices, built once per
 //     (level, direction) by the exponential list-2 pipeline the DAG uses
 //     by default (see planewave.go).
@@ -21,7 +21,8 @@ import (
 // A warm server spills both so a restarted process replays them instead of
 // rebuilding.
 
-// OperatorTable is one cached dense operator matrix in serializable form.
+// OperatorTable is one cached dense operator table (dense.go) in
+// serializable form.
 // Kinds 0-2 (M->M, L->L, M->L) mirror the internal xlKey: SideBits is the
 // math.Float64bits of the box side the operator was built for (so the key
 // survives a round trip through disk bit-exactly) and DX/DY/DZ are the
@@ -102,10 +103,10 @@ func (b *base) ExportOperators() []OperatorTable {
 }
 
 // ImportOperators implements OperatorCache. Plane-wave tables (whose sizes
-// depend on the per-level quadrature rule) are parked in pwPending and
-// adopted — after a size check — when Prepare builds the level tables.
+// depend on the per-level quadrature rule) are parked in pwPending until
+// Prepare reaches their level and, after a size check, adopts or drops them.
 func (b *base) ImportOperators(ts []OperatorTable) {
-	sq := b.MLSize()
+	ml := b.MLSize()
 	for _, t := range ts {
 		switch t.Kind {
 		case pwM2IKind, pwI2LKind:
@@ -114,7 +115,7 @@ func (b *base) ImportOperators(ts []OperatorTable) {
 			}
 			b.pwPending[xlKey{kind: t.Kind, sideBits: t.SideBits, ox: t.DX}] = t.Mx
 		default:
-			if len(t.Mx) != sq*sq {
+			if len(t.Mx) != 2*ml*ml {
 				continue
 			}
 			key := xlKey{kind: t.Kind, sideBits: t.SideBits, ox: t.DX, oy: t.DY, oz: t.DZ}

@@ -1,9 +1,11 @@
 package kernel
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/sphharm"
 )
 
 // Exported operators re-imported into a fresh kernel are adopted verbatim:
@@ -64,5 +66,54 @@ func TestOperatorExportImportRoundTrip(t *testing.T) {
 	m2i3, _ := k3.pw.Load().matrices(geom.Direction(0), 2)
 	if &m2i3[0] == &m2i1[0] {
 		t.Error("wrong-accuracy plane-wave table adopted")
+	}
+}
+
+// A table set in the shape the previous layout spilled — (p+1)^2-square
+// translation matrices, plane-wave matrices over every alpha-node of an
+// unpaired rule — fails the size checks: nothing is adopted, nothing stays
+// parked once Prepare has reached the level (12 x 1.5 MB per revived plan
+// used to stay referenced for the kernel's lifetime), and the operators are
+// rebuilt in the current layout and deliver the accuracy.
+func TestImportOfPreviousLayoutIsDroppedAndRebuilt(t *testing.T) {
+	p := OrderForDigits(3)
+	k := NewLaplace(p).(*base)
+	sqOld := sphharm.SqSize(p)
+	totalOld := 0
+	uh, _, _ := laplaceNodes(k.pwParams)
+	for _, u := range uh {
+		totalOld += int(math.Ceil(k.pwParams.alphaC*u*pwRhoMax)) + k.pwParams.alphaB
+	}
+	side := func(level int) uint64 { return math.Float64bits(1.0 / float64(int(1)<<level)) }
+	ops := []OperatorTable{
+		{Kind: m2mKind, SideBits: side(3), DX: 1, DY: 1, DZ: 1, Mx: make([]complex128, sqOld*sqOld)},
+		{Kind: m2lKind, SideBits: side(2), DX: 2, Mx: make([]complex128, sqOld*sqOld)},
+	}
+	for _, level := range []int{2, 4} {
+		for dir := int8(0); dir < int8(geom.NumDirections); dir++ {
+			ops = append(ops,
+				OperatorTable{Kind: pwM2IKind, SideBits: side(level), DX: dir, DY: int8(level), Mx: make([]complex128, totalOld*sqOld)},
+				OperatorTable{Kind: pwI2LKind, SideBits: side(level), DX: dir, DY: int8(level), Mx: make([]complex128, sqOld*totalOld)})
+		}
+	}
+	k.ImportOperators(ops)
+	k.Prepare(1.0, 3)
+	if n := len(k.pwPending); n != 2*int(geom.NumDirections) {
+		t.Errorf("after Prepare to level 3, %d tables parked; want only level 4's %d", n, 2*int(geom.NumDirections))
+	}
+	k.Prepare(1.0, 4)
+	if n := len(k.pwPending); n != 0 {
+		t.Errorf("after Prepare to level 4, %d tables still parked", n)
+	}
+	k.xl.Range(func(key, _ any) bool {
+		t.Errorf("previous-layout translation matrix adopted: %+v", key)
+		return true
+	})
+	m2i, i2l := k.pw.Load().matrices(geom.Up, 2)
+	if want := 2 * k.ISize(2) * k.MLSize(); len(m2i) != want || len(i2l) != want {
+		t.Errorf("level-2 tables hold %d and %d elements, want %d each", len(m2i), len(i2l), want)
+	}
+	if e := runPW(t, k, 2, 0.25, 1, -1, 2, 31); e > 1e-3 {
+		t.Errorf("rebuilt plane-wave operators: rel err %.2e > 1e-3", e)
 	}
 }

@@ -67,7 +67,7 @@ func (b *base) expGrad(c geom.Point, coeff []complex128, rf radialFunc, tpts []g
 	ws := b.wsp.get(b)
 	defer b.wsp.put(ws)
 	for ti, t := range tpts {
-		pot[ti] += real(b.evalExpansion(ws, c, coeff, rf, t))
+		pot[ti] += b.evalExpansion(ws, c, coeff, rf, t)
 		// Step scaled to the evaluation geometry: small relative to the
 		// distance from the center, large relative to float64 granularity.
 		h := 1e-6 * t.Dist(c)
@@ -76,11 +76,11 @@ func (b *base) expGrad(c geom.Point, coeff []complex128, rf radialFunc, tpts []g
 		}
 		inv := 1 / (2 * h)
 		var g geom.Point
-		g.X = inv * real(b.evalExpansion(ws, c, coeff, rf, t.Add(geom.Point{X: h}))-
+		g.X = inv * (b.evalExpansion(ws, c, coeff, rf, t.Add(geom.Point{X: h})) -
 			b.evalExpansion(ws, c, coeff, rf, t.Sub(geom.Point{X: h})))
-		g.Y = inv * real(b.evalExpansion(ws, c, coeff, rf, t.Add(geom.Point{Y: h}))-
+		g.Y = inv * (b.evalExpansion(ws, c, coeff, rf, t.Add(geom.Point{Y: h})) -
 			b.evalExpansion(ws, c, coeff, rf, t.Sub(geom.Point{Y: h})))
-		g.Z = inv * real(b.evalExpansion(ws, c, coeff, rf, t.Add(geom.Point{Z: h}))-
+		g.Z = inv * (b.evalExpansion(ws, c, coeff, rf, t.Add(geom.Point{Z: h})) -
 			b.evalExpansion(ws, c, coeff, rf, t.Sub(geom.Point{Z: h})))
 		grad[ti] = grad[ti].Add(g)
 	}

@@ -19,7 +19,7 @@ func RefShiftFactors(k Kernel, dir geom.Direction, level int, shift geom.Point) 
 	f := make([]complex128, r.total)
 	for kk := range r.u {
 		e := math.Exp(-r.mu[kk] * v.Z)
-		for j := 0; j < r.m[kk]; j++ {
+		for j := range r.cosA[kk] { // the kept half of the alpha-nodes
 			sin, cos := math.Sincos(r.u[kk] * (v.X*r.cosA[kk][j] + v.Y*r.sinA[kk][j]))
 			f[r.off[kk]+j] = complex(e*cos, e*sin)
 		}

@@ -6,9 +6,13 @@
 //	S->M, M->M, M->L, L->L, L->T, M->T, S->L, S->T    (basic FMM, Fig. 1c)
 //	M->I, I->I, I->L                                  (advanced FMM)
 //
-// Both kernels share one spherical-harmonic framework. Multipole (M) and
-// local (L) expansions hold (p+1)^2 complex coefficients in the dense
-// sphharm.SqIndex layout. The translation operators M->M, M->L and L->L are
+// Both kernels share one spherical-harmonic framework. Potentials are real,
+// so the m < 0 half of a multipole (M) or local (L) expansion is the
+// conjugate of the m >= 0 half and is never stored: an expansion holds the
+// (p+1)(p+2)/2 complex coefficients with m >= 0 in the packed
+// sphharm.TriIndex layout (Im of an m = 0 coefficient is ignored on input
+// and zero on output), and every dense operator is a real-linear map on that
+// vector (dense.go). The translation operators M->M, M->L and L->L are
 // realized by spectral projection: the expansion's field is evaluated on a
 // Gauss–Legendre x trapezoid sphere about the new center and projected back
 // onto the basis by orthogonality. For the harmonic (Laplace) and modified
@@ -23,7 +27,6 @@ package kernel
 
 import (
 	"math"
-	"math/cmplx"
 	"sync"
 	"sync/atomic"
 
@@ -142,14 +145,14 @@ type base struct {
 	// accuracy tests can compare it against pure projection.
 	m2lCacheOff bool
 	// pwPending holds imported plane-wave matrices (ImportOperators) until
-	// Prepare builds the level tables that adopt them (see preparePW).
+	// Prepare reaches their level and adopts or drops them (see preparePW).
 	pwPending map[xlKey][]complex128
 }
 
 type sphNode struct {
-	dir geom.Point // unit direction
-	w   float64    // quadrature weight (sums to 4 pi)
-	y   []complex128
+	dir geom.Point   // unit direction
+	w   float64      // quadrature weight (sums to 4 pi)
+	y   []complex128 // Y_n^m(dir), m >= 0, packed
 }
 
 const sphOversample = 3 // extra theta rows beyond exactness
@@ -178,9 +181,9 @@ func newBase(name string, p int, radReg, radOut radialFunc, cn []float64) *base 
 			n := sphNode{
 				dir: geom.Point{X: st * math.Cos(phi), Y: st * math.Sin(phi), Z: ct},
 				w:   ws[i] * 2 * math.Pi / float64(nph),
-				y:   make([]complex128, sphharm.SqSize(p)),
+				y:   make([]complex128, sphharm.TriSize(p)),
 			}
-			b.coef.Ynm(ct, phi, n.y, scratch)
+			b.coef.YnmPacked(ct, phi, n.y, scratch)
 			b.sph = append(b.sph, n)
 		}
 	}
@@ -189,7 +192,7 @@ func newBase(name string, p int, radReg, radOut radialFunc, cn []float64) *base 
 
 func (b *base) Name() string { return b.name }
 func (b *base) P() int       { return b.p }
-func (b *base) MLSize() int  { return sphharm.SqSize(b.p) }
+func (b *base) MLSize() int  { return sphharm.TriSize(b.p) }
 
 // workspace bundles the per-call scratch buffers so the hot paths do not
 // allocate. Callers on distinct goroutines get distinct workspaces via the
@@ -198,7 +201,6 @@ type workspace struct {
 	rad     []float64
 	tri     []float64
 	ylm     []complex128
-	field   []complex128
 	scratch []complex128
 }
 
@@ -206,9 +208,8 @@ func (b *base) newWorkspace() *workspace {
 	return &workspace{
 		rad:     make([]float64, b.p+1),
 		tri:     make([]float64, sphharm.TriSize(b.p)),
-		ylm:     make([]complex128, sphharm.SqSize(b.p)),
-		field:   make([]complex128, len(b.sph)),
-		scratch: make([]complex128, sphharm.SqSize(b.p)),
+		ylm:     make([]complex128, sphharm.TriSize(b.p)),
+		scratch: make([]complex128, sphharm.TriSize(b.p)),
 	}
 }
 
@@ -234,102 +235,96 @@ func (c wsChan) put(w *workspace) {
 	}
 }
 
-// S2M accumulates the multipole expansion about c:
+// project accumulates the moments of the sources about c in the radial
+// family rf, m >= 0 only. With the regular family it is S->M,
 //
-//	M_n^m = sum_s q_s c_n R_n(r_s) conj(Y_n^m(s_hat))
+//	M_n^m = sum_s q_s c_n R_n(r_s) conj(Y_n^m(s_hat)),
 //
-// so that the far field is Phi(t) = sum M_n^m O_n(r_t) Y_n^m(t_hat).
-func (b *base) s2m(ws *workspace, c geom.Point, spts []geom.Point, q []float64, out []complex128) {
-	b.project(ws, c, spts, q, b.radReg, out)
-}
-
-// S2L accumulates the local expansion about c due to distant sources:
-//
-//	L_n^m = sum_s q_s c_n O_n(r_s) conj(Y_n^m(s_hat))
-//
+// so that the far field is Phi(t) = sum M_n^m O_n(r_t) Y_n^m(t_hat) over all
+// m, with M_n^{-m} = conj(M_n^m) because the charges are real; with the
+// outer family it is S->L, L_n^m = sum_s q_s c_n O_n(r_s) conj(Y_n^m(s_hat)),
 // so that Phi(t) = sum L_n^m R_n(r_t) Y_n^m(t_hat) for targets nearer to c
 // than every source.
-func (b *base) s2l(ws *workspace, c geom.Point, spts []geom.Point, q []float64, out []complex128) {
-	b.project(ws, c, spts, q, b.radOut, out)
-}
-
-func (b *base) project(ws *workspace, c geom.Point, spts []geom.Point, q []float64, rf radialFunc, out []complex128) {
-	p := b.p
+func (b *base) project(c geom.Point, spts []geom.Point, q []float64, rf radialFunc, out []complex128) {
+	ws := b.wsp.get(b)
 	for i, s := range spts {
 		v := s.Sub(c)
 		r := v.Norm()
 		ct, phi := angles(v, r)
 		rf(r, ws.rad)
-		b.coef.Ynm(ct, phi, ws.ylm, ws.tri)
-		for n := 0; n <= p; n++ {
-			f := complex(q[i]*b.cn[n]*ws.rad[n], 0)
-			for m := -n; m <= n; m++ {
-				idx := sphharm.SqIndex(n, m)
-				out[idx] += f * cmplx.Conj(ws.ylm[idx])
+		b.coef.YnmPacked(ct, phi, ws.ylm, ws.tri)
+		idx := 0
+		for n := 0; n <= b.p; n++ {
+			f := q[i] * b.cn[n] * ws.rad[n]
+			for m := 0; m <= n; m++ {
+				y := ws.ylm[idx]
+				out[idx] += complex(f*real(y), -f*imag(y))
+				idx++
 			}
 		}
 	}
+	b.wsp.put(ws)
 }
 
-// evalExpansion evaluates sum coeff_n^m rad_n(r) Y_n^m(t_hat) at point t
-// relative to center c.
-func (b *base) evalExpansion(ws *workspace, c geom.Point, coeff []complex128, rf radialFunc, t geom.Point) complex128 {
+// evalExpansion evaluates the real field of a packed expansion,
+//
+//	sum_n rad_n(r) [c_n^0 Y_n^0 + 2 Re sum_{m>0} c_n^m Y_n^m](t_hat),
+//
+// at point t relative to center c.
+func (b *base) evalExpansion(ws *workspace, c geom.Point, coeff []complex128, rf radialFunc, t geom.Point) float64 {
 	v := t.Sub(c)
 	r := v.Norm()
 	ct, phi := angles(v, r)
 	rf(r, ws.rad)
-	b.coef.Ynm(ct, phi, ws.ylm, ws.tri)
-	var acc complex128
+	b.coef.YnmPacked(ct, phi, ws.ylm, ws.tri)
+	var acc float64
+	idx := 0
 	for n := 0; n <= b.p; n++ {
-		var sn complex128
-		for m := -n; m <= n; m++ {
-			idx := sphharm.SqIndex(n, m)
-			sn += coeff[idx] * ws.ylm[idx]
+		sn := 0.5 * real(coeff[idx]) * real(ws.ylm[idx]) // Y_n^0 is real
+		idx++
+		for m := 1; m <= n; m++ {
+			y := ws.ylm[idx]
+			sn += real(coeff[idx])*real(y) - imag(coeff[idx])*imag(y)
+			idx++
 		}
-		acc += sn * complex(ws.rad[n], 0)
+		acc += 2 * sn * ws.rad[n]
 	}
 	return acc
 }
 
-func (b *base) m2t(ws *workspace, c geom.Point, m []complex128, tpts []geom.Point, pot []float64) {
+// evalAt accumulates the expansion's field at every target: M->T with the
+// outer radial family, L->T with the regular one.
+func (b *base) evalAt(c geom.Point, coeff []complex128, rf radialFunc, tpts []geom.Point, pot []float64) {
+	ws := b.wsp.get(b)
 	for i, t := range tpts {
-		pot[i] += real(b.evalExpansion(ws, c, m, b.radOut, t))
+		pot[i] += b.evalExpansion(ws, c, coeff, rf, t)
 	}
+	b.wsp.put(ws)
 }
 
-func (b *base) l2t(ws *workspace, c geom.Point, l []complex128, tpts []geom.Point, pot []float64) {
-	for i, t := range tpts {
-		pot[i] += real(b.evalExpansion(ws, c, l, b.radReg, t))
-	}
-}
-
-// translate implements the projection-based translations. The field of the
-// input expansion (with radial family inRF about center from) is sampled on
-// the sphere of radius a about to and projected onto the output radial
-// family outRF; the result is accumulated into out.
+// translate implements the projection-based translations for geometry no
+// cached table covers (dense.go builds the same operator as a table). The
+// field of the input expansion (with radial family inRF about center from)
+// is sampled on the sphere of radius a about to and projected onto the
+// output radial family outRF; the result is accumulated into out.
 func (b *base) translate(ws *workspace, from, to geom.Point, a float64, in []complex128, inRF, outRF radialFunc, out []complex128) {
-	p := b.p
-	// Sample the field.
-	for i, n := range b.sph {
-		pt := to.Add(n.dir.Scale(a))
-		ws.field[i] = b.evalExpansion(ws, from, in, inRF, pt)
-	}
-	// Project: coeff_n^m = int f(a Omega) conj(Y_n^m) dOmega / outRF_n(a).
+	// coeff_n^m = int f(a Omega) conj(Y_n^m) dOmega / outRF_n(a).
 	for i := range ws.scratch {
 		ws.scratch[i] = 0
 	}
-	for i, n := range b.sph {
-		fw := ws.field[i] * complex(n.w, 0)
-		for idx := 0; idx < sphharm.SqSize(p); idx++ {
-			ws.scratch[idx] += fw * cmplx.Conj(n.y[idx])
+	for _, n := range b.sph {
+		fw := n.w * b.evalExpansion(ws, from, in, inRF, to.Add(n.dir.Scale(a)))
+		for idx, y := range n.y {
+			ws.scratch[idx] += complex(fw*real(y), -fw*imag(y))
 		}
 	}
 	outRF(a, ws.rad)
-	for n := 0; n <= p; n++ {
-		inv := complex(1/ws.rad[n], 0)
-		for m := -n; m <= n; m++ {
-			idx := sphharm.SqIndex(n, m)
-			out[idx] += ws.scratch[idx] * inv
+	idx := 0
+	for n := 0; n <= b.p; n++ {
+		inv := 1 / ws.rad[n]
+		for m := 0; m <= n; m++ {
+			out[idx] += complex(inv*real(ws.scratch[idx]), inv*imag(ws.scratch[idx]))
+			idx++
 		}
 	}
 }

@@ -13,13 +13,17 @@
 //	X[k,j] = sum_s q_s e^{+mu_k zeta_s} e^{-i u_k (xi_s cos a_j + eta_s sin a_j)}
 //
 // about the box center, where (xi, eta, zeta) are source coordinates rotated
-// so the expansion direction plays the role of +z. Translating X to a new
-// center is a pointwise multiply (the paper's cheap, numerous I->I edge)
-// whose factors are tabulated on the box lattice (shifttable.go);
-// M->I and I->L are dense matrices precomputed per (direction, level) by
-// projecting the plane-wave basis functions — which satisfy the same PDE as
-// the kernel — onto the spherical-harmonic basis (see DESIGN.md for why
-// this substitutes for the Yarvin–Rokhlin generalized quadratures).
+// so the expansion direction plays the role of +z. Every M is even, so the
+// alpha-nodes pair as (a, a + pi), and because the charges are real the
+// coefficients of a pair are conjugates: an I expansion keeps j < M/2 only,
+// and a pair contributes 2 Re(X[k,j] E_kj) to the incoming field. Translating
+// X to a new center is a pointwise multiply (the paper's cheap, numerous
+// I->I edge) whose factors are tabulated on the box lattice (shifttable.go);
+// M->I and I->L are dense real-linear tables (dense.go) precomputed per
+// (direction, level) by projecting the plane-wave basis functions — which
+// satisfy the same PDE as the kernel — onto the spherical-harmonic basis
+// (see DESIGN.md for why this substitutes for the Yarvin–Rokhlin generalized
+// quadratures).
 //
 // The quadrature is generated in box units (z in [1, 4], rho <= 4*sqrt(2))
 // and rescaled per tree level; for the scale-variant Yukawa kernel the
@@ -29,7 +33,6 @@ package kernel
 
 import (
 	"math"
-	"math/cmplx"
 	"sync"
 
 	"repro/internal/geom"
@@ -46,11 +49,12 @@ type pwRule struct {
 	w     []float64 // weights, including the u/mu factor for Yukawa
 	uh    []float64 // u * side: box-unit frequencies
 	muh   []float64 // mu * side: box-unit decay rates
-	m     []int     // alpha nodes per u-node
-	off   []int     // start of the k-th block of coefficients
-	total int       // sum of m: complex coefficients per direction
-	cosA  [][]float64
-	sinA  [][]float64
+	off   []int     // start of the k-th block of kept coefficients
+	total int       // sum of m_k/2: complex coefficients kept per direction
+	// cos and sin of the kept alpha-nodes a_j = 2 pi j / m_k, j < m_k/2 (m_k
+	// is even, so the dropped node j + m_k/2 is a_j + pi).
+	cosA [][]float64
+	sinA [][]float64
 }
 
 // pwGenParams tunes the quadrature generation; exercised by the ablation
@@ -58,7 +62,7 @@ type pwRule struct {
 type pwGenParams struct {
 	umax   float64 // box-unit integration cutoff (Laplace)
 	nu     int     // number of Gauss–Legendre u-nodes (Laplace)
-	alphaC float64 // alpha count: m_k = ceil(alphaC * u_k * rhoMax) + alphaB
+	alphaC float64 // alpha count: m_k = ceil(alphaC * u_k * rhoMax) + alphaB, rounded up to even
 	alphaB int
 }
 
@@ -75,19 +79,18 @@ func makeRule(uh, muh, wh []float64, side float64, prm pwGenParams) *pwRule {
 		w:   make([]float64, len(uh)),
 		uh:  uh,
 		muh: muh,
-		m:   make([]int, len(uh)),
 	}
 	for k := range uh {
 		r.u[k] = uh[k] / side
 		r.mu[k] = muh[k] / side
 		r.w[k] = wh[k] / side
 		mk := int(math.Ceil(prm.alphaC*uh[k]*pwRhoMax)) + prm.alphaB
-		r.m[k] = mk
+		mk += mk & 1
 		r.off = append(r.off, r.total)
-		r.total += mk
-		ca := make([]float64, mk)
-		sa := make([]float64, mk)
-		for j := 0; j < mk; j++ {
+		r.total += mk / 2
+		ca := make([]float64, mk/2)
+		sa := make([]float64, mk/2)
+		for j := range ca {
 			a := 2 * math.Pi * float64(j) / float64(mk)
 			ca[j] = math.Cos(a)
 			sa[j] = math.Sin(a)
@@ -154,8 +157,8 @@ type pwLevel struct {
 	side  float64
 	shift *shiftTable // I->I factors on the box lattice (shifttable.go)
 	once  [geom.NumDirections]sync.Once
-	m2i   [geom.NumDirections][]complex128 // total x sq, row-major per coefficient
-	i2l   [geom.NumDirections][]complex128 // sq x total, weights folded in
+	m2i   [geom.NumDirections][]complex128 // total x MLSize table
+	i2l   [geom.NumDirections][]complex128 // MLSize x total table, weights folded in
 }
 
 // preparePW binds the kernel to a root cube. A kernel serves one root cube
@@ -170,9 +173,6 @@ func (b *base) preparePW(rootSide float64, maxLevel int) {
 	defer b.prepMu.Unlock()
 	t := &pwTables{b: b, rootSide: rootSide}
 	if cur := b.pw.Load(); cur != nil && cur.rootSide == rootSide {
-		if maxLevel < len(cur.levels) {
-			return
-		}
 		t.levels = append(t.levels, cur.levels...)
 	}
 	for l := len(t.levels); l <= maxLevel; l++ {
@@ -188,8 +188,10 @@ func (b *base) preparePW(rootSide float64, maxLevel int) {
 			// every level, kernel and plan of the process.
 			lv.shift = &laplaceShift
 		}
-		b.adoptPendingPW(lv)
 		t.levels = append(t.levels, lv)
+	}
+	for _, lv := range t.levels {
+		b.adoptPendingPW(lv)
 	}
 	b.pw.Store(t)
 }
@@ -204,25 +206,27 @@ func (b *base) RootSide() float64 {
 	return 0
 }
 
-// adoptPendingPW installs imported plane-wave matrices (ImportOperators)
-// whose side matches this level bit-exactly and whose sizes match the
-// level's quadrature rule — a record from different accuracy settings must
-// not corrupt the tables. An adopted direction trips its once so matrices()
-// never rebuilds it.
+// adoptPendingPW settles the imported plane-wave tables (ImportOperators)
+// whose side matches this level bit-exactly: a direction whose two tables
+// fit the level's quadrature rule and is not built yet adopts them — its
+// once fires, so matrices() never rebuilds it — and any other is dropped (a
+// record from different accuracy settings, or from a build with another
+// table layout, must neither corrupt the tables nor stay referenced).
 func (b *base) adoptPendingPW(lv *pwLevel) {
 	if len(b.pwPending) == 0 {
 		return
 	}
-	sq := sphharm.SqSize(b.p)
+	want := 2 * lv.rule.total * b.MLSize()
 	sideBits := math.Float64bits(lv.side)
 	for dir := geom.Direction(0); dir < geom.NumDirections; dir++ {
-		m2i := b.pwPending[xlKey{kind: pwM2IKind, sideBits: sideBits, ox: int8(dir)}]
-		i2l := b.pwPending[xlKey{kind: pwI2LKind, sideBits: sideBits, ox: int8(dir)}]
-		if len(m2i) != lv.rule.total*sq || len(i2l) != sq*lv.rule.total {
-			continue
+		km := xlKey{kind: pwM2IKind, sideBits: sideBits, ox: int8(dir)}
+		kl := xlKey{kind: pwI2LKind, sideBits: sideBits, ox: int8(dir)}
+		m2i, i2l := b.pwPending[km], b.pwPending[kl]
+		delete(b.pwPending, km)
+		delete(b.pwPending, kl)
+		if len(m2i) == want && len(i2l) == want {
+			lv.once[dir].Do(func() { lv.m2i[dir], lv.i2l[dir] = m2i, i2l })
 		}
-		lv.m2i[dir], lv.i2l[dir] = m2i, i2l
-		lv.once[dir].Do(func() {})
 	}
 }
 
@@ -234,93 +238,62 @@ func (t *pwTables) matrices(dir geom.Direction, l int) (m2i, i2l []complex128) {
 	return lv.m2i[dir], lv.i2l[dir]
 }
 
-// build constructs both matrices by projecting the plane-wave basis
-// functions onto the spherical-harmonic basis on a sphere of radius
-// 0.9*side (enclosing every in-box point) about the box center.
+// build constructs both tables by projecting the plane-wave basis functions
+// onto the spherical-harmonic basis on a sphere of radius 0.9*side
+// (enclosing every in-box point) about the box center. With g_t = e^{+mu
+// zeta - i u (.)} the outgoing and E_t = e^{-mu zeta + i u (.)} the incoming
+// basis function of kept term t = (k, j):
+//
+//   - M->I: X[t] = sum_s q_s g_t(s), and g_t is regular, so its expansion
+//     coefficients g_n^m about the center give X[t] = sum (g_n^{-m} / c_n)
+//     M_n^m over all m — in terms of the packed M, row t is g_t at the nodes
+//     and column (n, m)'s samples are (c_m / c_n) w_q conj(Y_n^m(q)) /
+//     R_n(a), c_0 = 1 and c_m = 2 otherwise: the projector's row, scaled;
+//   - I->L: the pair (a_j, a_j + pi) puts (w_k / M_k) 2 Re(X[t] E_t) into the
+//     incoming field, which is projected like any sampled field.
 func (t *pwTables) build(dir geom.Direction, lv *pwLevel) {
 	b := t.b
-	p := b.p
-	sq := sphharm.SqSize(p)
-	r := lv.rule
+	ml, nq, r := b.MLSize(), len(b.sph), lv.rule
 	a := 0.9 * lv.side
-	radA := make([]float64, p+1)
-	b.radReg(a, radA)
-
-	m2i := make([]complex128, r.total*sq)
-	i2l := make([]complex128, sq*r.total)
-	// Per-coefficient work buffers.
-	gOut := make([]complex128, len(b.sph)) // outgoing basis g at sphere nodes
-	gIn := make([]complex128, len(b.sph))  // incoming basis E at sphere nodes
-	coef := make([]complex128, sq)
-
-	for k := range r.u {
-		for j := 0; j < r.m[k]; j++ {
-			tcoef := r.off[k] + j
-			// Evaluate both basis functions at the sphere nodes.
-			for q, n := range b.sph {
-				v := dir.RotateToUp(n.dir.Scale(a))
-				ph := r.u[k] * (v.X*r.cosA[k][j] + v.Y*r.sinA[k][j])
-				// Outgoing: e^{+mu zeta - i u (.)} ; incoming: e^{-mu zeta + i u (.)}.
-				e := math.Exp(r.mu[k] * v.Z)
-				gOut[q] = complex(e*math.Cos(ph), -e*math.Sin(ph))
-				gIn[q] = complex(math.Cos(ph)/e, math.Sin(ph)/e)
-			}
-			// M->I row: X[t] = sum_nm (gcoef_{n,-m} / c_n) M[n,m].
-			projectSphere(b, gOut, radA, coef)
-			row := m2i[tcoef*sq : (tcoef+1)*sq]
-			for n := 0; n <= p; n++ {
-				for m := -n; m <= n; m++ {
-					row[sphharm.SqIndex(n, m)] = coef[sphharm.SqIndex(n, -m)] / complex(b.cn[n], 0)
-				}
-			}
-			// I->L column: L[n,m] += (w_k / M_k) Ecoef_{n,m} X[t].
-			projectSphere(b, gIn, radA, coef)
-			wk := complex(r.w[k]/float64(r.m[k]), 0)
-			for idx := 0; idx < sq; idx++ {
-				i2l[idx*r.total+tcoef] = wk * coef[idx]
+	gOut := make([]complex128, r.total*nq)
+	eIn := make([]complex128, r.total*nq)
+	for q, node := range b.sph {
+		v := dir.RotateToUp(node.dir.Scale(a))
+		for k, cosA := range r.cosA {
+			e := math.Exp(r.mu[k] * v.Z)
+			wk := r.w[k] / float64(len(cosA)) / e
+			for j := range cosA {
+				sin, cos := math.Sincos(r.u[k] * (v.X*cosA[j] + v.Y*r.sinA[k][j]))
+				tc := (r.off[k]+j)*nq + q
+				gOut[tc] = complex(e*cos, -e*sin)
+				eIn[tc] = complex(wk*cos, -wk*sin)
 			}
 		}
 	}
-	lv.m2i[dir] = m2i
-	lv.i2l[dir] = i2l
-}
-
-// projectSphere computes coef[n,m] = (sum_q w_q f(q) conj(Y_nm(q))) / rad[n]
-// from samples f at the base's sphere nodes.
-func projectSphere(b *base, f []complex128, rad []float64, coef []complex128) {
-	sq := sphharm.SqSize(b.p)
-	for i := range coef {
-		coef[i] = 0
-	}
-	for q, n := range b.sph {
-		fw := f[q] * complex(n.w, 0)
-		for idx := 0; idx < sq; idx++ {
-			coef[idx] += fw * cmplx.Conj(n.y[idx])
+	proj := b.projector(b.radReg, a)
+	lv.i2l[dir] = denseTable(ml, r.total, proj, eIn)
+	// The projector's rows, scaled in place, are M->I's samples.
+	idx := 0
+	for n := 0; n <= b.p; n++ {
+		f := 1 / b.cn[n]
+		for m := 0; m <= n; m++ {
+			for q, pv := range proj[idx*nq : (idx+1)*nq] {
+				proj[idx*nq+q] = complex(f*real(pv), f*imag(pv))
+			}
+			f = 2 / b.cn[n]
+			idx++
 		}
 	}
-	for nn := 0; nn <= b.p; nn++ {
-		inv := complex(1/rad[nn], 0)
-		for m := -nn; m <= nn; m++ {
-			coef[sphharm.SqIndex(nn, m)] *= inv
-		}
-	}
+	lv.m2i[dir] = denseTable(r.total, ml, gOut, proj)
 }
 
 // ISize implements Kernel.
 func (b *base) ISize(level int) int { return b.pw.Load().levels[level].rule.total }
 
-// M2I implements Kernel: out[t] += sum_idx A[t, idx] in[idx].
+// M2I implements Kernel: the level's (dir) table applied to a packed M.
 func (b *base) M2I(dir geom.Direction, level int, in, out []complex128) {
 	m2i, _ := b.pw.Load().matrices(dir, level)
-	sq := len(in)
-	for t := range out {
-		row := m2i[t*sq : (t+1)*sq]
-		var acc complex128
-		for idx, mv := range in {
-			acc += row[idx] * mv
-		}
-		out[t] += acc
-	}
+	applyTable(m2i, [][]complex128{in}, [][]complex128{out})
 }
 
 // I2I implements Kernel: the diagonal translation out[t] += in[t]*E_t(shift).
@@ -342,16 +315,8 @@ func (b *base) I2I(dir geom.Direction, level int, shift geom.Point, in, out []co
 	i2iOffLattice(lv.rule, v, in, out)
 }
 
-// I2L implements Kernel: out[n,m] += sum_t B[(n,m), t] in[t].
+// I2L implements Kernel: the level's (dir) table applied to a half wave.
 func (b *base) I2L(dir geom.Direction, level int, in, out []complex128) {
 	_, i2l := b.pw.Load().matrices(dir, level)
-	total := len(in)
-	for idx := range out {
-		row := i2l[idx*total : (idx+1)*total]
-		var acc complex128
-		for t, xv := range in {
-			acc += row[t] * xv
-		}
-		out[idx] += acc
-	}
+	applyTable(i2l, [][]complex128{in}, [][]complex128{out})
 }

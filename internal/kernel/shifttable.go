@@ -26,9 +26,9 @@
 //     load. Racing fillers compute identical bits and all but one discard.
 //
 // The table is bounded by the lattice, (2*shiftReach+1)^3 slots, of which a
-// DAG touches ~100 (15 KB each at 3 digits). It is deliberately not part of
+// DAG touches ~100 (7.7 KB each at 3 digits). It is deliberately not part of
 // ExportOperators: refilling every slot a plan uses costs ~2 ms, spilling
-// them would grow each store record by ~9 %.
+// them would grow each store record by ~8 %.
 package kernel
 
 import (
@@ -116,14 +116,16 @@ func (t *shiftTable) fill(slot int, r *pwRule) []complex128 {
 	return f
 }
 
-// shiftFactors writes E_t(v) for every term of the rule into dst; v is the
-// shift in box units in the direction's rotated frame. It is the only place
-// the factors are computed: table slots and off-lattice calls both use it.
+// shiftFactors writes E_t(v) for every kept term of the rule into dst (the
+// factor of a dropped term is the conjugate, like its coefficient, so the
+// kept half translates by itself); v is the shift in box units in the
+// direction's rotated frame. It is the only place the factors are computed:
+// table slots and off-lattice calls both use it.
 func (r *pwRule) shiftFactors(v geom.Point, dst []complex128) {
 	for k := range r.uh {
 		e := math.Exp(-r.muh[k] * v.Z)
 		cosA, sinA := r.cosA[k], r.sinA[k]
-		row := dst[r.off[k] : r.off[k]+r.m[k]]
+		row := dst[r.off[k] : r.off[k]+len(cosA)]
 		for j := range row {
 			sin, cos := math.Sincos(r.uh[k] * (v.X*cosA[j] + v.Y*sinA[j]))
 			row[j] = complex(e*cos, e*sin)

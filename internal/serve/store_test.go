@@ -166,6 +166,86 @@ func TestStoreRestartServesWarmKeyWithoutRebuild(t *testing.T) {
 	}
 }
 
+// A record spilled by a build with the previous table layout — full
+// (p+1)^2-square translation matrices and plane-wave matrices over every
+// alpha-node — still revives: spec, skeletons and resolved threshold are
+// layout-free, and its tables fail the kernel's size checks, so they are
+// dropped and rebuilt lazily. The restarted daemon answers store_hit with
+// the potentials a cold build computes.
+func TestStoreRevivesRecordOfPreviousTableLayout(t *testing.T) {
+	// What the previous layout held at 3 digits (p = 9): 100 coefficients
+	// per expansion, 947 plane-wave terms per direction.
+	const sqOld, totalOld = 100, 947
+	dir := t.TempDir()
+	// Enough points for a level-3 tree: M->M and L->L tables beside the
+	// plane-wave ones.
+	req := Request{N: 5000, Threshold: paperThr, Workers: 1, Localities: 1}
+
+	s1 := New(Config{})
+	st1, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.UseStore(st1)
+	ts1 := httptest.NewServer(s1.Handler())
+	code, cold, _ := post(t, ts1.URL, req)
+	ts1.Close()
+	if code != http.StatusOK {
+		t.Fatalf("first-life request: HTTP %d", code)
+	}
+
+	// Rewrite the spilled record's tables in the old sizes, keys untouched.
+	if err := req.normalize(Config{}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st1.Get(req.planKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	planeWave := 0
+	for i, op := range rec.Ops {
+		size := sqOld * sqOld
+		if op.Kind >= 3 { // the plane-wave kinds
+			size = totalOld * sqOld
+			planeWave++
+		}
+		if size == len(op.Mx) {
+			t.Fatalf("table %d already has the previous layout's size %d: the fixture tests nothing", i, size)
+		}
+		rec.Ops[i].Mx = make([]complex128, size)
+	}
+	if planeWave == 0 || planeWave == len(rec.Ops) {
+		t.Fatalf("fixture: %d plane-wave tables of %d, want both families", planeWave, len(rec.Ops))
+	}
+	if _, err := st1.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{})
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.UseStore(st2)
+	if recovered, skipped, err := s2.RecoverFromStore(); err != nil || recovered != 1 || skipped != 0 {
+		t.Fatalf("recovered %d, skipped %d, err %v; want 1, 0, nil", recovered, skipped, err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	code, warm, _ := post(t, ts2.URL, req)
+	if code != http.StatusOK {
+		t.Fatalf("post-restart request: HTTP %d", code)
+	}
+	if !warm.Report.StoreHit || warm.Report.PlanBuild != 0 {
+		t.Fatalf("post-restart request not served from the store: %+v", warm.Report)
+	}
+	for i, want := range cold.Potentials {
+		if d := math.Abs(warm.Potentials[i]-want) / math.Max(1, math.Abs(want)); d > 1e-12 {
+			t.Fatalf("potential %d from the revived plan off the cold build's by %.2e", i, d)
+		}
+	}
+}
+
 // Corrupt, truncated and alien records are skipped and counted during
 // recovery — never a crash, and they never block the readable records.
 func TestStoreCorruptRecordsSkippedNeverFatal(t *testing.T) {

@@ -97,19 +97,37 @@ func (c *Coef) K(n, m int) float64 {
 // cosTheta and phi, storing Y_n^m at out[SqIndex(n, m)]. scratch must have
 // length at least TriSize(p); out at least SqSize(p).
 func (c *Coef) Ynm(cosTheta, phi float64, out []complex128, scratch []float64) {
+	// The packed half goes to the tail of out and is scattered from there in
+	// ascending order: the tail starts TriSize(p-1) slots in, so no write at
+	// SqIndex(n, ±m) passes the packed slot being read.
+	sq := SqSize(c.P)
+	packed := out[sq-TriSize(c.P) : sq]
+	c.YnmPacked(cosTheta, phi, packed, scratch)
+	for n := 0; n <= c.P; n++ {
+		for m := 0; m <= n; m++ {
+			y := packed[TriIndex(n, m)]
+			// No Condon–Shortley phase: Y_n^{-m} = conj(Y_n^m).
+			out[SqIndex(n, -m)] = cmplx.Conj(y)
+			out[SqIndex(n, m)] = y
+		}
+	}
+}
+
+// YnmPacked evaluates the m >= 0 half, Y_n^m at out[TriIndex(n, m)] — all a
+// real field needs, the other half being the conjugate. scratch and out must
+// have length at least TriSize(p).
+func (c *Coef) YnmPacked(cosTheta, phi float64, out []complex128, scratch []float64) {
 	p := c.P
 	AssocLegendre(p, cosTheta, scratch)
 	// e^{i m phi} for m = 0..p, built incrementally.
-	eiphi := cmplx.Exp(complex(0, phi))
+	sin, cos := math.Sincos(phi)
+	eiphi := complex(cos, sin)
 	em := complex(1, 0)
 	for m := 0; m <= p; m++ {
 		for n := m; n <= p; n++ {
-			v := complex(c.k[TriIndex(n, m)]*scratch[TriIndex(n, m)], 0)
-			out[SqIndex(n, m)] = v * em
-			if m > 0 {
-				// No Condon–Shortley phase: Y_n^{-m} = conj(Y_n^m).
-				out[SqIndex(n, -m)] = cmplx.Conj(v * em)
-			}
+			t := TriIndex(n, m)
+			v := c.k[t] * scratch[t]
+			out[t] = complex(v*real(em), v*imag(em))
 		}
 		em *= eiphi
 	}

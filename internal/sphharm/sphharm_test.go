@@ -305,3 +305,33 @@ func TestTriSqIndexing(t *testing.T) {
 		t.Fatalf("SqIndex covers %d of %d slots", len(seen), SqSize(p))
 	}
 }
+
+func TestYnmPackedIsTheNonNegativeHalf(t *testing.T) {
+	// YnmPacked holds exactly Ynm's m >= 0 values, and Ynm's m < 0 values are
+	// their conjugates: the packed half determines the full set. Ynm scatters
+	// in place out of its own output buffer, so every order is checked on a
+	// poisoned buffer.
+	for p := 0; p <= 12; p++ {
+		c := NewCoef(p)
+		full := make([]complex128, SqSize(p))
+		packed := make([]complex128, TriSize(p))
+		scratch := make([]float64, TriSize(p))
+		for _, dir := range [][2]float64{{1, 0}, {-1, 2.5}, {0.3, 1.1}, {-0.77, -2.9}, {0, 4}} {
+			for i := range full {
+				full[i] = cmplx.NaN()
+			}
+			c.Ynm(dir[0], dir[1], full, scratch)
+			c.YnmPacked(dir[0], dir[1], packed, scratch)
+			for n := 0; n <= p; n++ {
+				for m := 0; m <= n; m++ {
+					if packed[TriIndex(n, m)] != full[SqIndex(n, m)] {
+						t.Errorf("p %d dir %v: packed Y_%d^%d = %v, full %v", p, dir, n, m, packed[TriIndex(n, m)], full[SqIndex(n, m)])
+					}
+					if full[SqIndex(n, -m)] != cmplx.Conj(full[SqIndex(n, m)]) {
+						t.Errorf("p %d dir %v: Y_%d^%d = %v is not the conjugate of %v", p, dir, n, -m, full[SqIndex(n, -m)], full[SqIndex(n, m)])
+					}
+				}
+			}
+		}
+	}
+}
