@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check bench bench-check bench-smoke bench-serve bench-load load-smoke serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
+.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check bench-check bench-serve bench-load load-smoke serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -69,17 +69,6 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Hot-path benchmark suite (deque, M2L cache, end-to-end evaluation);
-# writes BENCH_hotpath.json next to the raw output.
-bench:
-	scripts/bench.sh
-
-# One-iteration pass over the batched-execution benchmarks: compiles and
-# exercises the multi-RHS M2L and the batched/per-edge hot-path variants
-# end to end without the full bench.sh measurement run.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkM2LBatchedVsSingle|BenchmarkEvaluateHotPathBatched' -benchtime 1x -timeout 30m .
-
 # Evaluation-service smoke test: concurrent mixed requests against an
 # in-process server (httptest), asserting every response is a 200 and the
 # cache/coalescing/queue metrics add up, plus a goroutine-leak check.
@@ -144,4 +133,4 @@ chaos-crash:
 dist-smoke: build
 	$(GO) run ./cmd/dashmm-bench -real -n 20000 -threshold 60 -locs 4 -net unix -kill-rank 2 -kill-at 0.5
 
-ci: build vet fmt-check lint escape-gate test purego bench-check fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke bench-smoke load-smoke
+ci: build vet fmt-check lint escape-gate test purego bench-check fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke load-smoke

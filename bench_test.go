@@ -57,7 +57,7 @@ func cachedPlan(b *testing.B, key string, build func() *core.Plan) *core.Plan {
 
 // paperOpts pins a benchmark's plan to the paper's refinement threshold:
 // these benchmarks reproduce the paper's census and time its far-field
-// operators, and their committed numbers (BENCH_hotpath.json) are at 60.
+// operators at the depth the paper ran them.
 func paperOpts(method dag.Method) core.Options {
 	return core.Options{Method: method, Threshold: tree.Threshold}
 }
@@ -543,8 +543,7 @@ func BenchmarkEvaluateRealRuntime(b *testing.B) {
 // hotPathLoop runs the steady-state evaluation loop with per-edge
 // normalized memory metrics: bytes/edge and allocs/edge from MemStats
 // deltas across the timed region, plus the raw edge census. These are the
-// numbers the alloc gates bound, reported so scripts/bench.sh tracks them
-// run over run in BENCH_hotpath.json.
+// numbers the alloc gates bound.
 func hotPathLoop(b *testing.B, p *core.Plan, pe *core.ParallelEvaluation, q []float64) {
 	b.Helper()
 	if _, _, err := pe.Run(q); err != nil { // warm the operator caches
@@ -595,12 +594,10 @@ func BenchmarkEvaluateHotPath(b *testing.B) {
 	hotPathLoop(b, p, pe, q)
 }
 
-// BenchmarkEvaluateHotPathBatched is the batched-execution end-to-end
-// gate on the method it targets hardest: the basic FMM carries all list-2
-// traffic as dense M->L edges, which the batch descriptors group by cached
-// operator into multi-RHS applies. The per-edge reference is the same plan
-// with ExecOptions.PerEdge, reported as the "per-edge" sub-benchmark; the
-// ratio is the end-to-end batching win.
+// BenchmarkEvaluateHotPathBatched is the same loop on the method batched
+// execution targets hardest: the basic FMM carries all list-2 traffic as
+// dense M->L edges, which the batch descriptors group by cached operator
+// into multi-RHS applies.
 func BenchmarkEvaluateHotPathBatched(b *testing.B) {
 	const n = 50000
 	p := cachedPlan(b, "hotpath-basic", func() *core.Plan {
@@ -613,21 +610,11 @@ func BenchmarkEvaluateHotPathBatched(b *testing.B) {
 		return pl
 	})
 	q := points.Charges(n, 3)
-	for _, mode := range []struct {
-		name    string
-		perEdge bool
-	}{
-		{"batched", false},
-		{"per-edge", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			pe, err := p.NewParallelEvaluation(core.ExecOptions{Workers: 2, PerEdge: mode.perEdge})
-			if err != nil {
-				b.Fatal(err)
-			}
-			hotPathLoop(b, p, pe, q)
-		})
+	pe, err := p.NewParallelEvaluation(core.ExecOptions{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
 	}
+	hotPathLoop(b, p, pe, q)
 }
 
 // BenchmarkTunerLadder bounds what leaving Options.Threshold at zero costs

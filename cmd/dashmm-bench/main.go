@@ -519,7 +519,6 @@ func runReal(plan *core.Plan, n int, traceOut string, locs int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer pe.Close()
 	// The first evaluation builds the lazy operator tables inside the
 	// operators that need them. Of the warm traced ones that follow, the
 	// fastest is kept: on a shared box a run that lost its cores to a

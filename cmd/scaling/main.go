@@ -209,7 +209,6 @@ func calibrationRun(wl workload, digits, thr int) sim.CostModel {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer pe.Close()
 	// The first evaluation builds the lazy operator tables inside the
 	// operators; calibrate on the warm second.
 	for i := 0; i < 2; i++ {

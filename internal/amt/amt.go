@@ -7,15 +7,18 @@
 //   - Parcels: active messages sent to a locality; delivering a parcel
 //     spawns a lightweight thread there (the parcel–thread equivalence of
 //     HPX-5). Sending a parcel is the only way to spawn work.
-//   - LCOs: local control objects — event-driven synchronization objects
-//     with input slots, a trigger predicate (input count), and dynamically
-//     registered continuations executed as tasks once triggered.
+//
+// The runtime ships no LCO, future or global-address-space type. The one
+// control object the paper's application needs — an expansion that reduces
+// its inputs and triggers a continuation on the last one — is the node slot
+// of the executor in internal/core (a lock, an input countdown and a
+// prebuilt Task per DAG node), built directly on Spawn and SendParcel; a
+// second, general LCO API here had no caller.
 //
 // A Runtime hosts either N localities sharing this process's memory — a
-// parcel between them is a direct spawn with modeled byte counts, and the
-// global address space is the process heap partitioned by locality ownership
-// — or, in wire mode (Config.World > 1), the one locality of a multi-process
-// cluster whose parcels are encoded frames carried by a Transport under the
+// parcel between them is a direct spawn with modeled byte counts — or, in
+// wire mode (Config.World > 1), the one locality of a multi-process cluster
+// whose parcels are encoded frames carried by a Transport under the
 // reliable-delivery engine (delivery.go). DESIGN.md records why this
 // preserves the behaviours the paper measures.
 package amt
@@ -68,19 +71,10 @@ type Runtime struct {
 	pending  atomic.Int64 // outstanding tasks + parcels
 	done     chan struct{}
 	doneOnce sync.Once
-	// gen counts completed Reset cycles: a runtime is born at generation 0
-	// and each successful Reset re-arms it for another Run. Long-lived
-	// callers (the serving layer) use generations to avoid paying the
-	// allocation cost of New per evaluation.
-	gen int
-
 	// shuttingDown is set once Run has finished its final leftover sweep;
 	// from then on stray spawns (e.g. a parcel copy arriving after the
 	// delivery deadline settled it) are counted instead of silently lost.
 	shuttingDown atomic.Bool
-
-	// Global address space (gas.go).
-	mem *gas
 
 	// net is the parcel delivery engine over cfg.Transport (delivery.go);
 	// nil outside wire mode. wireHandler consumes its inbound data frames and
@@ -172,26 +166,11 @@ func New(cfg Config) *Runtime {
 	return rt
 }
 
-// Localities returns the number of localities.
-func (rt *Runtime) Localities() int { return len(rt.locs) }
-
-// Workers returns the number of workers per locality.
-func (rt *Runtime) Workers() int { return rt.cfg.Workers }
-
-// TotalWorkers returns the total scheduler thread count n.
-func (rt *Runtime) TotalWorkers() int { return len(rt.locs) * rt.cfg.Workers }
-
 // Locality returns locality l.
 func (rt *Runtime) Locality(l int) *Locality { return rt.locs[l] }
 
-// Locality returns the worker's locality.
-func (w *Worker) Locality() *Locality { return w.loc }
-
 // Rank returns the locality rank the worker belongs to.
 func (w *Worker) Rank() int { return w.loc.Rank }
-
-// Runtime returns the owning runtime.
-func (l *Locality) Runtime() *Runtime { return l.rt }
 
 // pop removes the most recently pushed task (LIFO: cache locality, as in
 // HPX-5's default scheduler), draining the priority lane first. Owner only.
@@ -233,8 +212,9 @@ func (w *Worker) SpawnHigh(t Task) {
 
 // Spawn schedules a task on the locality, round-robin across its workers'
 // inboxes. It is the entry point for work arriving from outside any worker
-// (initial tasks, parcel delivery, cross-worker LCO continuations). A spawn
-// after the runtime has shut down is counted rather than silently lost.
+// (initial tasks, parcel delivery, continuations fired from another
+// locality). A spawn after the runtime has shut down is counted rather than
+// silently lost.
 func (l *Locality) Spawn(t Task) { l.spawn(t, false) }
 
 // SpawnHigh is the priority variant of Spawn.
@@ -352,10 +332,6 @@ func (rt *Runtime) StatsNow() Stats {
 // as a cheap progress indicator.
 func (rt *Runtime) TasksExecuted() int64 { return rt.tasksRun.Load() }
 
-// Generation returns how many times the runtime has been Reset. A fresh
-// runtime is generation 0.
-func (rt *Runtime) Generation() int { return rt.gen }
-
 // Reset re-arms the runtime for another Run, making it multi-shot: the
 // completion latch is recreated, the shutdown flag cleared and the stats
 // counters zeroed, while the expensive structures New builds — worker
@@ -385,7 +361,6 @@ func (rt *Runtime) Reset() error {
 	rt.stealsOK.Store(0)
 	rt.stealsFailed.Store(0)
 	rt.lateSpawns.Store(0)
-	rt.gen++
 	return nil
 }
 

@@ -250,34 +250,33 @@ func TestDeliveryDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestLCOExactlyOnceOverFaultyWire wires the two halves together: parcel
-// inputs into an LCO over a dropping+duplicating wire must trigger it
-// exactly once with zero overflow — the delivery layer dedups before the
-// LCO ever sees an input.
+// TestLCOExactlyOnceOverFaultyWire gates the delivery engine's exactly-once
+// effect the way an LCO input counter sees it: over a dropping+duplicating
+// wire the handler must run once per parcel — exactly `inputs` times, the
+// reduction exact — because the sequence filter dedups before the handler
+// is ever invoked.
 func TestLCOExactlyOnceOverFaultyWire(t *testing.T) {
 	const inputs = 64
 	pw := newPipeWorld(2, &FaultProfile{Seed: 6, Drop: 0.2, Duplicate: 0.2},
 		DeliveryConfig{RetryBase: time.Millisecond}, nil)
-	var sum, fired atomic.Int64
-	lco := NewLCO(pw.rts[1].LocalLocality(), inputs)
-	lco.Register(func(*Worker) { fired.Add(1) })
+	var sum, handled atomic.Int64
 	pw.rts[1].OnWire(func(_ *Worker, f Frame) {
-		v := int64(binary.LittleEndian.Uint32(f.Payload))
-		lco.Input(func() { sum.Add(v) })
+		handled.Add(1)
+		sum.Add(int64(binary.LittleEndian.Uint32(f.Payload)))
 	})
-	pw.run(func(rt0 *Runtime) {
+	stats := pw.run(func(rt0 *Runtime) {
 		for i := 1; i <= inputs; i++ {
 			rt0.SendWire(1, 1, 0, binary.LittleEndian.AppendUint32(nil, uint32(i)))
 		}
 	})
-	if fired.Load() != 1 {
-		t.Fatalf("LCO fired %d times", fired.Load())
+	if handled.Load() != inputs {
+		t.Fatalf("handler invoked %d times for %d parcels", handled.Load(), inputs)
 	}
 	if sum.Load() != inputs*(inputs+1)/2 {
 		t.Errorf("reduction = %d, want %d", sum.Load(), inputs*(inputs+1)/2)
 	}
-	if lco.Overflow() != 0 {
-		t.Errorf("overflow = %d: duplicate wire deliveries reached the LCO", lco.Overflow())
+	if tr := stats[0].Transport; tr.Retried == 0 || stats[1].Transport.Deduped == 0 {
+		t.Errorf("wire was not faulty enough to prove anything: retried=%d deduped=%d", tr.Retried, stats[1].Transport.Deduped)
 	}
 }
 

@@ -190,11 +190,11 @@ func (d *wsDeque) capacity() int {
 }
 
 // inbox is the multi-producer side entrance of a worker: Locality.Spawn,
-// parcel delivery and LCO continuations arrive here from goroutines that
-// do not own the worker's deques. The owner drains it into its lock-free
-// deques before popping; idle thieves may take single tasks with a
-// non-blocking TryLock so an inbox backlog behind a busy owner cannot
-// starve the locality.
+// parcel delivery and continuations fired from another locality arrive
+// here from goroutines that do not own the worker's deques. The owner
+// drains it into its lock-free deques before popping; idle thieves may take
+// single tasks with a non-blocking TryLock so an inbox backlog behind a busy
+// owner cannot starve the locality.
 //
 // Backing arrays are recycled: the owner swaps in spare buffers on drain
 // and clears task references before reuse, so steady-state submission is

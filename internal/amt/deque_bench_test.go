@@ -7,141 +7,68 @@ import (
 	"testing"
 )
 
-// mutexDeque replicates the pre-lock-free scheduler queue (one mutex
-// around a slice pair) so the benchmarks can quantify the change; it is
-// kept test-only.
-type mutexDeque struct {
-	mu    sync.Mutex
-	tasks []Task
-}
-
-func (d *mutexDeque) push(t Task) {
-	d.mu.Lock()
-	d.tasks = append(d.tasks, t)
-	d.mu.Unlock()
-}
-
-func (d *mutexDeque) pop() (Task, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.tasks)
-	if n == 0 {
-		return nil, false
-	}
-	t := d.tasks[n-1]
-	d.tasks[n-1] = nil
-	d.tasks = d.tasks[:n-1]
-	return t, true
-}
-
-func (d *mutexDeque) steal() (Task, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.tasks) == 0 {
-		return nil, false
-	}
-	t := d.tasks[0]
-	d.tasks[0] = nil
-	d.tasks = d.tasks[1:]
-	return t, true
-}
-
-// taskDeque is the owner/thief surface both implementations share.
-type taskDeque interface {
-	push(Task)
-	pop() (Task, bool)
-	steal() (Task, bool)
-}
-
-func newLockFree() taskDeque {
-	d := &wsDeque{}
-	d.init()
-	return d
-}
-
 // BenchmarkDequePushPop measures the uncontended owner fast path: one
 // goroutine alternating push and pop (the dominant pattern during the
 // saturated plateau, when every worker feeds on its own deque).
 func BenchmarkDequePushPop(b *testing.B) {
 	nop := Task(func(*Worker) {})
-	for _, impl := range []struct {
-		name string
-		d    taskDeque
-	}{
-		{"lockfree", newLockFree()},
-		{"mutex", &mutexDeque{}},
-	} {
-		b.Run(impl.name, func(b *testing.B) {
-			d := impl.d
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d.push(nop)
-				if _, ok := d.pop(); !ok {
-					b.Fatal("pop failed")
-				}
-			}
-		})
+	var d wsDeque
+	d.init()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.push(nop)
+		if _, ok := d.pop(); !ok {
+			b.Fatal("pop failed")
+		}
 	}
 }
 
-// BenchmarkStealContention is the ISSUE acceptance benchmark: one owner
-// working its deque while the other 7 simulated workers steal from it.
-// The owner produces a net surplus (two pushes, one pop per iteration) so
-// steals land on a non-empty deque and the thieves perform real deque
-// mutations; a thief that finds nothing yields, like the scheduler's
-// backoff loop, rather than burning the timeslice. Reported ns/op is the
-// owner's push/push/pop cycle under that steal traffic: for the mutex
-// deque every owner operation queues on the lock behind the thieves
-// (and a preemption inside the critical section stalls the whole system),
-// while the Chase–Lev owner is wait-free and at worst loses a last-element
-// CAS. steals/op close to 1.0 confirms the thieves kept up with the
-// surplus.
+// BenchmarkStealContention has one owner working its deque while the other
+// 7 simulated workers steal from it. The owner produces a net surplus (two
+// pushes, one pop per iteration) so steals land on a non-empty deque and
+// the thieves perform real deque mutations; a thief that finds nothing
+// yields, like the scheduler's backoff loop, rather than burning the
+// timeslice. Reported ns/op is the owner's push/push/pop cycle under that
+// steal traffic — the Chase–Lev owner is wait-free and at worst loses a
+// last-element CAS. steals/op close to 1.0 confirms the thieves kept up
+// with the surplus.
 func BenchmarkStealContention(b *testing.B) {
 	const workers = 8
 	prev := runtime.GOMAXPROCS(workers)
 	defer runtime.GOMAXPROCS(prev)
 	nop := Task(func(*Worker) {})
-	for _, impl := range []struct {
-		name string
-		mk   func() taskDeque
-	}{
-		{"lockfree", newLockFree},
-		{"mutex", func() taskDeque { return &mutexDeque{} }},
-	} {
-		b.Run(impl.name, func(b *testing.B) {
-			d := impl.mk()
-			var stop atomic.Bool
-			var stolen atomic.Int64
-			var wg sync.WaitGroup
-			for i := 0; i < workers-1; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for !stop.Load() {
-						if _, ok := d.steal(); ok {
-							stolen.Add(1)
-						} else {
-							runtime.Gosched()
-						}
-					}
-				}()
+	var d wsDeque
+	d.init()
+	var stop atomic.Bool
+	var stolen atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < workers-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if _, ok := d.steal(); ok {
+					stolen.Add(1)
+				} else {
+					runtime.Gosched()
+				}
 			}
-			// Seed the deque so thieves have work from the first iteration.
-			for i := 0; i < 256; i++ {
-				d.push(nop)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.push(nop)
-				d.push(nop)
-				d.pop()
-			}
-			b.StopTimer()
-			stop.Store(true)
-			wg.Wait()
-			for _, ok := d.steal(); ok; _, ok = d.steal() {
-			}
-			b.ReportMetric(float64(stolen.Load())/float64(b.N), "steals/op")
-		})
+		}()
 	}
+	// Seed the deque so thieves have work from the first iteration.
+	for i := 0; i < 256; i++ {
+		d.push(nop)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.push(nop)
+		d.push(nop)
+		d.pop()
+	}
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
+	for _, ok := d.steal(); ok; _, ok = d.steal() {
+	}
+	b.ReportMetric(float64(stolen.Load())/float64(b.N), "steals/op")
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // NoAlloc enforces //dashmm:noalloc: functions so annotated are the
-// runtime's hot paths (spawn, deque push/pop, LCO input, parcel delivery)
+// runtime's hot paths (spawn, deque push/pop, edge delivery, parcel send)
 // and must not contain allocation idioms. The check is syntactic — it flags
 // the constructs that allocate or that famously escape, not a full escape
 // analysis:

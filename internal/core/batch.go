@@ -6,7 +6,6 @@ import (
 	"repro/internal/amt"
 	"repro/internal/dag"
 	"repro/internal/kernel"
-	"repro/internal/trace"
 )
 
 // Batched execution (DESIGN.md, "Batched execution"). The plan carries
@@ -36,22 +35,18 @@ type batchScratch struct {
 
 // initBatches wires the plan's batch descriptors into the executor:
 // per-batch pending counters, prebuilt batch tasks and the scratch pool.
-// Batching is an execution strategy with a per-shape gate — PerEdge opts
-// out wholesale, and gradient runs keep the near field per-edge (the tiled
-// P2P computes potentials only).
-func (ex *executor) initBatches(p *Plan, opts ExecOptions) {
+// Batching is an execution strategy with a per-shape gate: gradient runs
+// keep the near field per-edge (the tiled P2P computes potentials only),
+// and an executor under a fabric never calls this — batches complete in
+// shared memory.
+func (ex *executor) initBatches() {
+	p := ex.st.p
 	bk, isBatch := p.Kernel.(kernel.BatchKernel)
-	if !isBatch || p.batches.Empty() || opts.PerEdge {
+	p2pOn := len(p.batches.P2P) > 0 && ex.st.grad == nil
+	if !isBatch || (len(p.batches.M2L) == 0 && !p2pOn) {
 		return
 	}
-	ex.batches = p.batches
-	ex.bk = bk
-	ex.m2lOn = len(p.batches.M2L) > 0
-	ex.p2pOn = len(p.batches.P2P) > 0 && !opts.Gradient
-	if !ex.m2lOn && !ex.p2pOn {
-		ex.batches = nil
-		return
-	}
+	ex.batches, ex.bk, ex.p2pOn = p.batches, bk, p2pOn
 	nb := p.batches.NumBatches()
 	ex.batchPending = make([]atomic.Int32, nb)
 	ex.batchTasks = make([]amt.Task, nb)
@@ -76,38 +71,15 @@ func (ex *executor) initBatches(p *Plan, opts ExecOptions) {
 		}
 		return sc
 	}
-	ex.resetBatchPending()
 }
 
-// resetBatchPending re-arms every batch counter to its source count.
-func (ex *executor) resetBatchPending() {
-	if ex.batches == nil {
-		return
-	}
-	for i := range ex.batchPending {
-		ex.batchPending[i].Store(int32(ex.batches.SrcCount(int32(i))))
-	}
-}
-
-// batchEdgeOn reports whether edges of the operator class are being
-// executed through batches in this context.
+// batchedHere reports whether a Batched edge of the operator class (M->L or
+// S->T: an edge is only marked when descriptors of its class exist) runs
+// through a batch task in this context.
 //
 //dashmm:noalloc
-func (ex *executor) batchEdgeOn(op dag.OpKind) bool {
-	if op == dag.OpM2L {
-		return ex.m2lOn
-	}
-	return ex.p2pOn
-}
-
-// batchIDOn reports whether batch bi's kind is enabled.
-//
-//dashmm:noalloc
-func (ex *executor) batchIDOn(bi int32) bool {
-	if int(bi) < len(ex.batches.M2L) {
-		return ex.m2lOn
-	}
-	return ex.p2pOn
+func (ex *executor) batchedHere(op dag.OpKind) bool {
+	return ex.batches != nil && (op == dag.OpM2L || ex.p2pOn)
 }
 
 // noteBatchSources records that node id has triggered against every batch
@@ -116,12 +88,12 @@ func (ex *executor) batchIDOn(bi int32) bool {
 //
 //dashmm:noalloc
 func (ex *executor) noteBatchSources(w *amt.Worker, id int32) {
-	if !ex.m2lOn && !ex.p2pOn {
+	if ex.batches == nil {
 		return
 	}
 	for _, bi := range ex.batches.SrcBatches[id] {
-		if !ex.batchIDOn(bi) {
-			continue
+		if !ex.p2pOn && int(bi) >= len(ex.batches.M2L) {
+			continue // a near-field batch of a gradient run
 		}
 		if ex.batchPending[bi].Add(-1) == 0 {
 			w.Spawn(ex.batchTasks[bi])
@@ -172,13 +144,7 @@ func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 				// One event per member edge, partitioning the block's wall
 				// time so the utilization analysis conserves operator mass.
 				now := ex.tracer.Now()
-				ex.tracer.Record(w.GlobalID, trace.Event{
-					Class:    uint8(dag.OpM2L),
-					Worker:   int32(w.GlobalID),
-					Locality: int32(w.Rank()),
-					Start:    t0,
-					End:      now,
-				})
+				ex.record(w, dag.OpM2L, t0, now)
 				t0 = now
 			}
 			if ex.remaining[be.To].Add(-1) == 0 {
@@ -223,13 +189,7 @@ func (ex *executor) runBatchP2P(w *amt.Worker, pi int32) {
 			if k == 0 {
 				start = t0
 			}
-			ex.tracer.Record(w.GlobalID, trace.Event{
-				Class:    uint8(dag.OpS2T),
-				Worker:   int32(w.GlobalID),
-				Locality: int32(w.Rank()),
-				Start:    start,
-				End:      end,
-			})
+			ex.record(w, dag.OpS2T, start, end)
 		}
 	}
 	if ex.remaining[pb.Target].Add(-int32(len(pb.Edges))) == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dag"
@@ -9,29 +10,55 @@ import (
 	"repro/internal/points"
 )
 
-// batchTestPlan builds a plan over the given distribution and kernel, plus
-// its sequential reference.
-func batchTestPlan(t *testing.T, method dag.Method, d points.Distribution, k kernel.Kernel, n int) (*Plan, []float64, []float64) {
+// batchTestPlan builds a plan over the given distribution and kernel.
+func batchTestPlan(t *testing.T, method dag.Method, d points.Distribution, k kernel.Kernel, n int) (*Plan, []float64) {
 	t.Helper()
 	sp := points.Generate(d, n, 1)
 	tp := points.Generate(d, n, 2)
-	q := points.Charges(n, 3)
 	plan, err := NewPlan(sp, tp, k, Options{Method: method, Threshold: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.EvaluateSequential(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan, q, want
+	return plan, points.Charges(n, 3)
 }
 
-// TestBatchedEvaluateMatchesPerEdge is the tentpole accuracy gate: on both
-// geometries and both kernels, for the method with dense M->L list-2
+// assertBatchedMatchesSequential runs the plan on the parallel executor —
+// batched wherever the plan carries batches — with and without gradients,
+// and holds the potentials to 1e-12 of the sequential walker, which is
+// per-edge through state.apply by construction. Gradients are held to 1e-9,
+// the gate of TestGradientParallelMatchesSequential: the expansion gradient
+// is a symmetric difference with a 1e-6 relative step, which magnifies the
+// summation-order rounding of the coefficients a million times.
+func assertBatchedMatchesSequential(t *testing.T, what string, plan *Plan, q []float64) {
+	t.Helper()
+	want, err := plan.EvaluateSequential(q)
+	if err != nil {
+		t.Fatalf("%s sequential: %v", what, err)
+	}
+	got, _, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2})
+	if err != nil {
+		t.Fatalf("%s batched: %v", what, err)
+	}
+	assertSame(t, got, want, 1e-12)
+
+	wantPot, wantGrad, err := plan.EvaluateSequentialGrad(q)
+	if err != nil {
+		t.Fatalf("%s sequential gradient: %v", what, err)
+	}
+	gotPot, rep, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2, Gradient: true})
+	if err != nil {
+		t.Fatalf("%s batched gradient: %v", what, err)
+	}
+	assertSame(t, gotPot, wantPot, 1e-12)
+	assertSameGrad(t, rep.Gradients, wantGrad, 1e-9)
+}
+
+// TestBatchedEvaluateMatchesPerEdge is the batched-execution accuracy gate:
+// on both geometries and both kernels, for the method with dense M->L list-2
 // traffic (Basic) and the default plane-wave method (Advanced, where only
 // the near field batches), the batched evaluation must agree with the
-// forced per-edge evaluation and with the sequential reference to 1e-12.
+// per-edge sequential reference to 1e-12, with and without gradients (a
+// gradient run keeps the near field per-edge and batches the far field).
 func TestBatchedEvaluateMatchesPerEdge(t *testing.T) {
 	p := kernel.OrderForDigits(3)
 	for _, kc := range []struct {
@@ -49,23 +76,15 @@ func TestBatchedEvaluateMatchesPerEdge(t *testing.T) {
 			{"sphere", points.Sphere},
 		} {
 			for _, m := range []dag.Method{dag.Basic, dag.Advanced} {
-				plan, q, want := batchTestPlan(t, m, d.dist, kc.k, 1500)
+				what := fmt.Sprintf("%s/%s/%v", kc.name, d.name, m)
+				plan, q := batchTestPlan(t, m, d.dist, kc.k, 1500)
 				if m == dag.Basic && len(plan.batches.M2L) == 0 {
-					t.Fatalf("%s/%s/%v: no M2L batches built", kc.name, d.name, m)
+					t.Fatalf("%s: no M2L batches built", what)
 				}
 				if len(plan.batches.P2P) == 0 {
-					t.Fatalf("%s/%s/%v: no P2P batches built", kc.name, d.name, m)
+					t.Fatalf("%s: no P2P batches built", what)
 				}
-				batched, _, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2})
-				if err != nil {
-					t.Fatalf("%s/%s/%v batched: %v", kc.name, d.name, m, err)
-				}
-				perEdge, _, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2, PerEdge: true})
-				if err != nil {
-					t.Fatalf("%s/%s/%v per-edge: %v", kc.name, d.name, m, err)
-				}
-				assertSame(t, batched, perEdge, 1e-12)
-				assertSame(t, batched, want, 1e-9)
+				assertBatchedMatchesSequential(t, what, plan, q)
 			}
 		}
 	}
@@ -75,7 +94,7 @@ func TestBatchedEvaluateMatchesPerEdge(t *testing.T) {
 // kernel.TestM2LCacheFallsBackOffLattice: with part of the list-2 geometry
 // pushed off the interaction lattice, BuildBatches must leave those edges
 // unbatched, the executor must run the resulting batched/per-edge mix, and
-// the potentials must match a fully per-edge evaluation to 1e-12.
+// the potentials must match the per-edge sequential reference to 1e-12.
 func TestBatchedMixedLatticeFallsBackPerEdge(t *testing.T) {
 	plan, q, _ := testPlan(t, dag.Basic, 1500)
 
@@ -114,16 +133,7 @@ func TestBatchedMixedLatticeFallsBackPerEdge(t *testing.T) {
 	if batchedEdges == 0 || fallbackEdges == 0 {
 		t.Fatalf("want a batched/per-edge mix, got %d batched, %d fallback", batchedEdges, fallbackEdges)
 	}
-
-	got, _, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2, PerEdge: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, got, want, 1e-12)
+	assertBatchedMatchesSequential(t, "mixed lattice", plan, q)
 }
 
 // TestBatchedSteadyStateAllocsPerEdge extends the zero-allocation gate to

@@ -35,6 +35,14 @@ import (
 // by a later death, and the per-edge applied bits make every replayed or
 // duplicated contribution apply exactly once.
 //
+// A rank runs the same executor as an in-process evaluation (exec.go): its
+// runNode walks a fired node's out edges and its deliver applies them. What
+// this file adds is the fabric that executor holds — where the placement
+// can change under it (failover), what quiesces it meanwhile (runMu), what
+// makes an edge apply once however often it arrives (applied bits), what
+// holds parcels back until they can be applied (the charge/verdict gate),
+// and how the result gets home (the rank-0 gather).
+//
 // Concurrency discipline: node fires and parcel applies run under a shared
 // read lock; a death verdict takes the write lock, so recovery observes a
 // quiesced executor — no node is mid-fire, no parcel mid-install. The wire
@@ -145,15 +153,14 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	if err := p.checkKernel(); err != nil {
 		return nil, ExecReport{}, err
 	}
-	st, err := p.newState(make([]float64, len(p.Source.Pts)), opts.Gradient)
+	st, err := p.newState(opts.Gradient)
 	if err != nil {
 		return nil, ExecReport{}, err
 	}
-	dx, err := newDistExec(p, st, cl, opts)
-	if err != nil {
-		return nil, ExecReport{}, err
-	}
-	// The membership callbacks registered by newDistExec must not outlive
+	// SPMD placement: every rank computes the same assignment.
+	ex := newExecutor(st, dist.MinComm{}, cl.World())
+	fb := newFabric(ex, cl, opts)
+	// The membership callbacks registered by newFabric must not outlive
 	// this run: a standing cluster keeps issuing verdicts between jobs, and
 	// one landing in a discarded executor would corrupt the next run's
 	// state. Cleared explicitly after rt.Run below (before the results are
@@ -172,15 +179,15 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 		if r == cl.Rank() {
 			return nil, ExecReport{}, fmt.Errorf("core: rank %d is listed dead in the job placement", r)
 		}
-		dx.applyDeath(r)
+		fb.applyDeath(r)
 	}
-	dx.syncDeaths()
+	fb.syncDeaths()
 	// Rank 0 may already be done: where this rank owns no target (a
 	// single-leaf plan, more ranks than target leaves) nothing rank 0 waits
 	// for comes from here, and its run-complete signal can beat this rank
 	// into the run.
 	if cl.TakeShutdown(cl.Generation()) {
-		dx.release()
+		fb.release()
 	}
 
 	if opts.Cancel != nil {
@@ -189,34 +196,34 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 		go func() {
 			select {
 			case <-opts.Cancel:
-				dx.fail(fmt.Errorf("core: rank %d distributed evaluation canceled", cl.Rank()))
+				ex.fail(fmt.Errorf("core: rank %d distributed evaluation canceled", cl.Rank()))
 			case <-cancelStop:
 			}
 		}()
 	}
 
 	timeout := time.AfterFunc(opts.Timeout, func() {
-		dx.gateMu.Lock()
-		parked := len(dx.deferred)
-		dx.gateMu.Unlock()
-		tr := dx.rt.StatsNow().Transport
-		dx.fail(fmt.Errorf("core: rank %d distributed evaluation timed out after %s "+
+		fb.gateMu.Lock()
+		parked := len(fb.deferred)
+		fb.gateMu.Unlock()
+		tr := ex.rt.StatsNow().Transport
+		ex.fail(fmt.Errorf("core: rank %d distributed evaluation timed out after %s "+
 			"(%d/%d owned nodes fired, %d parcels parked, %d decode errors; "+
 			"wire sent=%d acked=%d retried=%d expired=%d dropped=%d)",
-			dx.rank, opts.Timeout, dx.firedCnt.Load(), dx.ownedTotal.Load(),
-			parked, dx.decodeErrs.Load(),
+			fb.rank, opts.Timeout, fb.firedCnt.Load(), fb.ownedTotal.Load(),
+			parked, fb.decodeErrs.Load(),
 			tr.Sent, tr.Acked, tr.Retried, tr.DeadlineExceeded, tr.Dropped))
 	})
 	defer timeout.Stop()
 
 	start := time.Now()
-	stats := dx.rt.Run(func() {
-		dx.rt.Hold()
-		if dx.rank == 0 {
-			dx.applyCharges(charges)
+	stats := ex.rt.Run(func() {
+		ex.rt.Hold()
+		if fb.rank == 0 {
+			fb.applyCharges(charges)
 			enc := encodeCharges(charges)
-			for r := 1; r < dx.world; r++ {
-				dx.rt.SendWire(r, wireKindCharges, 0, enc)
+			for r := 1; r < fb.world; r++ {
+				ex.rt.SendWire(r, wireKindCharges, 0, enc)
 			}
 		}
 	})
@@ -226,7 +233,7 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	// late to stop a straggling verdict from mutating st under the copy.
 	cl.ClearRunHandlers()
 
-	if err := dx.err(); err != nil {
+	if err := ex.err(); err != nil {
 		return nil, ExecReport{}, err
 	}
 	if err := p.checkKernel(); err != nil {
@@ -235,37 +242,37 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	rep := ExecReport{
 		Runtime:     stats,
 		Elapsed:     elapsed,
-		RemoteBytes: dist.RemoteBytes(p.Graph),
-		RemoteEdges: dist.RemoteEdges(p.Graph),
-		Localities:  dx.world,
+		RemoteBytes: ex.remoteBytes,
+		RemoteEdges: ex.remoteEdges,
+		Localities:  fb.world,
 		Workers:     opts.Workers,
 		Recovery: RecoveryStats{
-			RanksKilled:   int(dx.deaths.Load()),
-			NodesRebuilt:  dx.rebuilt.Load(),
-			EdgesReplayed: dx.replayed.Load(),
-			StaleDropped:  dx.staleDrops.Load(),
+			RanksKilled:   int(fb.deaths.Load()),
+			NodesRebuilt:  fb.rebuilt.Load(),
+			EdgesReplayed: fb.replayed.Load(),
+			StaleDropped:  fb.staleDrops.Load(),
 		},
 	}
-	if dx.rank != 0 {
+	if fb.rank != 0 {
 		return nil, rep, nil
 	}
-	dx.covMu.Lock()
-	done := dx.done
-	covered := len(dx.covered)
-	dx.covMu.Unlock()
+	fb.covMu.Lock()
+	done := fb.done
+	covered := len(fb.covered)
+	fb.covMu.Unlock()
 	if !done {
-		return nil, ExecReport{}, fmt.Errorf("core: run ended with %d/%d target nodes gathered", covered, len(dx.tnodes))
+		return nil, ExecReport{}, fmt.Errorf("core: run ended with %d/%d target nodes gathered", covered, len(fb.tnodes))
 	}
 	rep.Gradients = st.gradients()
 	return st.potentials(), rep, nil
 }
 
-// distExec is the per-rank distributed executor.
-type distExec struct {
-	p           *Plan
-	st          *state
-	g           *dag.Graph
-	rt          *amt.Runtime
+// fabric is one rank's side of a distributed run: everything DistRun needs
+// beyond the executor it shares with the in-process path. The executor owns
+// the per-node locks, countdowns, continuations and the homes table; the
+// fabric owns what makes those survive a wire and a death.
+type fabric struct {
+	ex          *executor
 	cl          *amt.Cluster
 	rank, world int
 	opts        DistOptions
@@ -274,15 +281,15 @@ type distExec struct {
 	// applies hold it shared, a death verdict holds it exclusively.
 	runMu sync.RWMutex
 
-	locks     []sync.Mutex
-	remaining []atomic.Int32
-	tasks     []amt.Task
-	homes     []atomic.Int32
-	fired     []atomic.Bool
-	edgeBase  []int32
-	applied   []atomic.Bool
-	inEdges   [][]inRef
-	tnodes    []int32
+	// fired fences a node against a second trigger; applied (indexed
+	// edgeBase[source] + out-edge index) fences an edge against a second
+	// application, under the target's lock. inEdges is the reverse
+	// adjacency recovery walks; tnodes the target nodes rank 0 gathers.
+	fired    []atomic.Bool
+	edgeBase []int32
+	applied  []atomic.Bool
+	inEdges  [][]inRef
+	tnodes   []int32
 
 	// ownedTotal/ownedLeft count this rank's homed nodes (grown by
 	// failover); ownedLeft hitting zero triggers the result report.
@@ -309,8 +316,6 @@ type distExec struct {
 	done    bool           // guarded by covMu
 
 	relOnce sync.Once
-	errMu   sync.Mutex
-	runErr  error // guarded by errMu
 
 	deaths     atomic.Int64
 	rebuilt    atomic.Int64
@@ -319,135 +324,106 @@ type distExec struct {
 	staleDrops atomic.Int64
 }
 
-func newDistExec(p *Plan, st *state, cl *amt.Cluster, opts DistOptions) (*distExec, error) {
-	g := p.Graph
+// newFabric puts an executor on the cluster: the dedup and recovery indexes
+// over its graph, a wire-mode runtime on the cluster's transport, node
+// continuations that run under the fabric, and the membership callbacks.
+func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
+	g := ex.g
 	n := len(g.Nodes)
-	dx := &distExec{
-		p: p, st: st, g: g, cl: cl,
+	fb := &fabric{
+		ex: ex, cl: cl,
 		rank: cl.Rank(), world: cl.World(), opts: opts,
-		locks:     make([]sync.Mutex, n),
-		remaining: make([]atomic.Int32, n),
-		tasks:     make([]amt.Task, n),
-		homes:     make([]atomic.Int32, n),
 		fired:     make([]atomic.Bool, n),
 		edgeBase:  make([]int32, n+1),
 		inEdges:   make([][]inRef, n),
 		deadRanks: make([]bool, cl.World()),
 		covered:   make(map[int32]bool),
 	}
-	// SPMD placement: every rank computes the same assignment.
-	dist.MinComm{}.Assign(g, dx.world)
 	var edges int32
 	owned := int64(0)
 	for i := range g.Nodes {
-		dx.edgeBase[i] = edges
+		fb.edgeBase[i] = edges
 		edges += int32(len(g.Nodes[i].Out))
-		dx.homes[i].Store(g.Nodes[i].Locality)
-		dx.remaining[i].Store(g.Nodes[i].In)
-		if int(g.Nodes[i].Locality) == dx.rank {
+		if int(ex.homes[i].Load()) == fb.rank {
 			owned++
 		}
 		if g.Nodes[i].Kind == dag.NodeT {
-			dx.tnodes = append(dx.tnodes, g.Nodes[i].ID)
+			fb.tnodes = append(fb.tnodes, g.Nodes[i].ID)
 		}
-	}
-	dx.edgeBase[n] = edges
-	dx.applied = make([]atomic.Bool, edges)
-	for i := range g.Nodes {
 		for j, e := range g.Nodes[i].Out {
-			dx.inEdges[e.To] = append(dx.inEdges[e.To], inRef{src: int32(i), out: int32(j)})
+			fb.inEdges[e.To] = append(fb.inEdges[e.To], inRef{src: int32(i), out: int32(j)})
 		}
-	}
-	dx.ownedTotal.Store(owned)
-	dx.ownedLeft.Store(owned)
-	for i := range dx.tasks {
 		id := int32(i)
-		dx.tasks[i] = func(*amt.Worker) { dx.runNode(id) }
+		ex.tasks[i] = func(w *amt.Worker) { fb.runNode(w, id) }
 	}
+	fb.edgeBase[n] = edges
+	fb.applied = make([]atomic.Bool, edges)
+	fb.ownedTotal.Store(owned)
+	fb.ownedLeft.Store(owned)
 
 	var wire amt.Transport = cl.Transport()
 	if opts.Fault != nil {
 		wire = amt.NewFaultyTransport(wire, *opts.Fault)
 	}
-	dx.rt = amt.New(amt.Config{
-		World:     dx.world,
-		Rank:      dx.rank,
+	ex.fab = fb
+	ex.rt = amt.New(amt.Config{
+		World:     fb.world,
+		Rank:      fb.rank,
 		Workers:   opts.Workers,
 		Seed:      opts.Seed,
 		Transport: wire,
 		Delivery:  opts.Delivery,
 	})
-	dx.rt.OnWire(dx.onWire)
-	cl.Transport().OnFrame(dx.rt.DeliverWireFrame)
-	cl.OnDeath(dx.onDeath)
-	cl.OnShutdown(func() { dx.release() })
-	cl.OnCoordinatorLost(func(err error) { dx.fail(err) })
-	return dx, nil
+	ex.arm()
+	ex.rt.OnWire(fb.onWire)
+	cl.Transport().OnFrame(ex.rt.DeliverWireFrame)
+	cl.OnDeath(fb.onDeath)
+	cl.OnShutdown(fb.release)
+	cl.OnCoordinatorLost(ex.fail)
+	return fb
 }
 
 // release lets Run drain (idempotent).
-func (dx *distExec) release() { dx.relOnce.Do(dx.rt.Release) }
-
-// fail records a fatal error and unblocks Run.
-func (dx *distExec) fail(err error) {
-	dx.errMu.Lock()
-	if dx.runErr == nil {
-		dx.runErr = err
-	}
-	dx.errMu.Unlock()
-	dx.release()
-	dx.rt.Abort()
-}
-
-func (dx *distExec) err() error {
-	dx.errMu.Lock()
-	defer dx.errMu.Unlock()
-	return dx.runErr
-}
+func (fb *fabric) release() { fb.relOnce.Do(fb.ex.rt.Release) }
 
 // applyCharges installs the charge vector, opens the data-parcel gate and
 // seeds this rank's roots. Runs once, at setup (rank 0) or on the charge
 // broadcast (workers).
-func (dx *distExec) applyCharges(charges []float64) {
-	dx.st.reset(charges)
-	dx.chargesReady.Store(true)
-	dx.gateGen.Add(1)
-	loc := dx.rt.LocalLocality()
-	for _, id := range dx.g.Roots() {
-		if int(dx.homes[id].Load()) == dx.rank {
-			loc.Spawn(dx.tasks[id])
-		}
-	}
+func (fb *fabric) applyCharges(charges []float64) {
+	fb.ex.st.reset(charges)
+	fb.chargesReady.Store(true)
+	fb.gateGen.Add(1)
+	fb.ex.seedRoots()
 	// A rank that owns nothing (tiny DAG, many ranks) completes immediately.
-	if dx.ownedLeft.Load() == 0 {
-		dx.runMu.RLock()
+	if fb.ownedLeft.Load() == 0 {
+		fb.runMu.RLock()
 		//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
-		dx.completeLocal()
-		dx.runMu.RUnlock()
+		fb.completeLocal()
+		fb.runMu.RUnlock()
 	}
-	dx.drainDeferred()
+	fb.drainDeferred()
 }
 
 // onWire is the inbound frame handler, running as a task on this rank's
 // scheduler.
-func (dx *distExec) onWire(w *amt.Worker, f amt.Frame) {
+func (fb *fabric) onWire(w *amt.Worker, f amt.Frame) {
 	switch f.Kind {
 	case wireKindCharges:
-		if dx.chargesReady.Load() {
+		if fb.chargesReady.Load() {
 			return // duplicate broadcast (retransmit): already installed
 		}
-		charges, err := decodeCharges(f.Payload, len(dx.p.Source.Pts))
+		charges, err := decodeCharges(f.Payload, len(fb.ex.st.q))
 		if err != nil {
-			dx.fail(fmt.Errorf("core: rank %d: bad charge broadcast: %w", dx.rank, err))
+			fb.ex.fail(fmt.Errorf("core: rank %d: bad charge broadcast: %w", fb.rank, err))
 			return
 		}
-		dx.applyCharges(charges)
+		fb.applyCharges(charges)
 	case wireKindParcel:
-		dx.handleParcel(w, f)
+		fb.handleParcel(w, f)
 	case wireKindResult:
-		dx.handleResult(f)
+		fb.handleResult(f)
 	default:
-		dx.decodeErrs.Add(1)
+		fb.decodeErrs.Add(1)
 	}
 }
 
@@ -456,239 +432,200 @@ func (dx *distExec) onWire(w *amt.Worker, f amt.Frame) {
 // yet observed) are outstanding. The defer/retry loop re-checks the gate
 // generation so a verdict landing between the attempt and the enqueue
 // cannot strand a frame.
-func (dx *distExec) handleParcel(w *amt.Worker, f amt.Frame) {
+func (fb *fabric) handleParcel(w *amt.Worker, f amt.Frame) {
 	for {
-		gen := dx.gateGen.Load()
-		dx.runMu.RLock()
-		ok := dx.tryParcel(w, f)
-		dx.runMu.RUnlock()
+		gen := fb.gateGen.Load()
+		fb.runMu.RLock()
+		ok := fb.tryParcel(w, f)
+		fb.runMu.RUnlock()
 		if ok {
 			return
 		}
-		dx.gateMu.Lock()
-		if dx.gateGen.Load() == gen {
-			dx.deferred = append(dx.deferred, f)
-			dx.gateMu.Unlock()
+		fb.gateMu.Lock()
+		if fb.gateGen.Load() == gen {
+			fb.deferred = append(fb.deferred, f)
+			fb.gateMu.Unlock()
 			return
 		}
-		dx.gateMu.Unlock()
+		fb.gateMu.Unlock()
 	}
 }
 
-// tryParcel installs and applies one parcel; false means "not yet" — the
-// frame must wait for the gate to advance. A parcel routed here names only
-// targets this rank homes; seeing a foreign target means the sender has
-// processed a death verdict this rank has not, so the frame waits for it.
-func (dx *distExec) tryParcel(w *amt.Worker, f amt.Frame) bool {
-	if !dx.chargesReady.Load() {
+// tryParcel installs one parcel's payload and hands its edges to the
+// executor's deliver; false means "not yet" — the frame must wait for the
+// gate to advance. A parcel routed here names only targets this rank homes;
+// seeing a foreign target means the sender has processed a death verdict
+// this rank has not, so the frame waits for it.
+func (fb *fabric) tryParcel(w *amt.Worker, f amt.Frame) bool {
+	if !fb.chargesReady.Load() {
 		return false
 	}
-	src, outIdx, r, err := decodeParcelHeader(dx.g, f.Payload)
+	ex := fb.ex
+	src, outIdx, r, err := decodeParcelHeader(ex.g, f.Payload)
 	if err != nil {
-		dx.decodeErrs.Add(1)
+		fb.decodeErrs.Add(1)
 		return true // malformed: consume and drop, never wedge the gate
 	}
-	if int(dx.homes[src].Load()) == dx.rank {
+	if int(ex.homes[src].Load()) == fb.rank {
 		// Only the owner may hold the authoritative copy of a node, and we
 		// are it: this parcel is a corpse's in-flight frame for a node a
 		// failover just rebuilt here. Installing its payload on top of the
 		// reset node would double the replayed contributions; the rebuild
 		// re-derives and re-delivers everything the frame carried, so drop
 		// it.
-		dx.staleDrops.Add(1)
+		fb.staleDrops.Add(1)
 		return true
 	}
-	n := &dx.g.Nodes[src]
+	n := &ex.g.Nodes[src]
 	for _, j := range outIdx {
-		if int(dx.homes[n.Out[j].To].Load()) != dx.rank {
+		if int(ex.homes[n.Out[j].To].Load()) != fb.rank {
 			return false
 		}
 	}
-	dx.locks[src].Lock()
-	err = dx.st.installNodePayload(n, r)
+	ex.locks[src].Lock()
+	err = ex.st.installNodePayload(n, r)
 	if err == nil {
 		err = r.done()
 	}
-	dx.locks[src].Unlock()
+	ex.locks[src].Unlock()
 	if err != nil {
-		dx.decodeErrs.Add(1)
+		fb.decodeErrs.Add(1)
 		return true
 	}
 	for _, j := range outIdx {
-		dx.deliverEdge(n, dx.edgeBase[src]+j, n.Out[j])
+		ex.deliver(w, n, j)
 	}
 	return true
 }
 
 // drainDeferred re-dispatches every deferred parcel after the gate
 // advanced (charges arrived or a verdict was processed).
-func (dx *distExec) drainDeferred() {
-	dx.gateMu.Lock()
-	frames := dx.deferred
-	dx.deferred = nil
-	dx.gateMu.Unlock()
+func (fb *fabric) drainDeferred() {
+	fb.gateMu.Lock()
+	frames := fb.deferred
+	fb.deferred = nil
+	fb.gateMu.Unlock()
 	if len(frames) == 0 {
 		return
 	}
-	loc := dx.rt.LocalLocality()
+	loc := fb.ex.rt.LocalLocality()
 	for _, f := range frames {
 		f := f
-		loc.Spawn(func(w *amt.Worker) { dx.handleParcel(w, f) })
+		loc.Spawn(func(w *amt.Worker) { fb.handleParcel(w, f) })
 	}
 }
 
-// deliverEdge applies one edge into its target with exactly-once effect:
-// both endpoint locks (ordered) so the source payload cannot be rewritten
-// mid-read, the applied bit as the dedup filter, and the final input
-// firing the target. Callers hold runMu (shared) or are the verdict path
-// (exclusive).
-func (dx *distExec) deliverEdge(from *dag.Node, gidx int32, e dag.Edge) {
-	a, b := from.ID, e.To
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
+// claim is the exactly-once filter of executor.deliver: it takes both
+// endpoint locks of the edge (ordered), so the source payload cannot be
+// rewritten mid-read, and tests the edge's applied bit. True leaves both
+// locks held and the bit set — the caller applies the edge and unlocks;
+// false (already applied) leaves nothing held. Callers hold runMu (shared)
+// or are the verdict path (exclusive).
+//
+//dashmm:noalloc
+func (fb *fabric) claim(src, dst, out int32) bool {
+	ex := fb.ex
+	lo, hi := min(src, dst), max(src, dst)
+	ex.locks[lo].Lock()
+	//lint:ignore lockorder two-lock protocol acquires in global index order (lo < hi by construction); the type-granular lock graph cannot see the ordering
+	ex.locks[hi].Lock()
+	if fb.applied[fb.edgeBase[src]+out].Swap(true) {
+		ex.locks[hi].Unlock()
+		ex.locks[lo].Unlock()
+		return false
 	}
-	dx.locks[lo].Lock()
-	//lint:ignore lockorder two-lock protocol acquires in global index order (lo < hi after the swap above); the type-granular lock graph cannot see the ordering
-	dx.locks[hi].Lock()
-	if dx.applied[gidx].Load() {
-		dx.locks[hi].Unlock()
-		dx.locks[lo].Unlock()
-		return
-	}
-	dx.st.apply(from, e)
-	dx.applied[gidx].Store(true)
-	rem := dx.remaining[b].Add(-1)
-	dx.locks[hi].Unlock()
-	dx.locks[lo].Unlock()
-	if rem == 0 {
-		dx.rt.LocalLocality().Spawn(dx.tasks[b])
-	}
+	return true
 }
 
-// runNode is the distributed node continuation. The progress callback runs
-// after the run lock is dropped: it is caller-supplied code (the chaos
-// harness closes the rank's cluster from it), and Cluster.Close joins
-// readers that may be waiting for the write half.
-func (dx *distExec) runNode(id int32) {
-	fired := dx.fireNode(id)
-	if fired > 0 && dx.opts.OnProgress != nil {
-		dx.opts.OnProgress(fired, int(dx.ownedTotal.Load()))
-	}
-}
-
-// fireNode processes a fired node's out-edge list — local edges apply
-// directly, remote edges coalesce into one typed parcel per destination rank
-// carrying the node's payload values — and returns the cumulative fire
-// count (0 for a duplicate trigger).
-func (dx *distExec) fireNode(id int32) int {
-	dx.runMu.RLock()
-	defer dx.runMu.RUnlock()
-	if dx.fired[id].Swap(true) {
-		return 0
-	}
-	n := &dx.g.Nodes[id]
-	base := dx.edgeBase[id]
-	var batch *remoteBatch
-	for j, e := range n.Out {
-		dest := dx.homes[e.To].Load()
-		if int(dest) == dx.rank {
-			dx.deliverEdge(n, base+int32(j), e)
-			continue
-		}
-		if batch == nil {
-			batch = remoteBatchPool.Get().(*remoteBatch)
-		}
-		// idx carries the out-edge index within n.Out; the receiver derives
-		// the global dedup index from its own edgeBase.
-		batch.addIdx(dest, e, int32(j))
-	}
-	if batch != nil {
-		epoch := uint32(dx.deaths.Load())
-		for i, dest := range batch.dests {
-			pe := batch.lists[i]
-			// The payload read is unsynchronized but safe: all inputs are
-			// applied (the node just fired), resets are excluded by runMu,
-			// and no peer installs into a node this rank homes.
-			payload := dx.st.encodeParcel(n, pe.idx)
-			//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
-			dx.rt.SendWire(int(dest), wireKindParcel, epoch, payload)
-			pe.edges = pe.edges[:0]
-			pe.idx = pe.idx[:0]
-			parcelEdgesPool.Put(pe)
-		}
-		batch.release()
-	}
-	if dx.ownedLeft.Add(-1) == 0 {
+// runNode is the node continuation under a fabric: the executor's out-edge
+// walk with failover excluded and a duplicate trigger fenced, then the node
+// counts towards this rank's completion. The progress callback runs after
+// the run lock is dropped: it is caller-supplied code (the chaos harness
+// closes the rank's cluster from it), and Cluster.Close joins readers that
+// may be waiting for the write half.
+func (fb *fabric) runNode(w *amt.Worker, id int32) {
+	fb.runMu.RLock()
+	fired := 0
+	if !fb.fired[id].Swap(true) {
 		//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
-		dx.completeLocal()
+		fb.ex.runNode(w, id)
+		if fb.ownedLeft.Add(-1) == 0 {
+			//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
+			fb.completeLocal()
+		}
+		fired = int(fb.firedCnt.Add(1))
 	}
-	return int(dx.firedCnt.Add(1))
+	fb.runMu.RUnlock()
+	if fired > 0 && fb.opts.OnProgress != nil {
+		fb.opts.OnProgress(fired, int(fb.ownedTotal.Load()))
+	}
 }
 
 // completeLocal reports this rank's completed targets: rank 0 marks its own
 // coverage, workers ship potentials to rank 0. Re-entered after a failover
 // grows the owned set back above zero and drains again; re-reports are
 // idempotent. Callers hold runMu (shared).
-func (dx *distExec) completeLocal() {
+func (fb *fabric) completeLocal() {
 	var ids []int32
-	for _, id := range dx.tnodes {
-		if int(dx.homes[id].Load()) == dx.rank && dx.fired[id].Load() {
+	for _, id := range fb.tnodes {
+		if int(fb.ex.homes[id].Load()) == fb.rank && fb.fired[id].Load() {
 			ids = append(ids, id)
 		}
 	}
-	if dx.rank == 0 {
-		dx.markCovered(ids)
+	if fb.rank == 0 {
+		fb.markCovered(ids)
 		return
 	}
-	dx.rt.SendWire(0, wireKindResult, uint32(dx.deaths.Load()), dx.st.encodeResult(ids))
+	fb.ex.rt.SendWire(0, wireKindResult, uint32(fb.deaths.Load()), fb.ex.st.encodeResult(ids))
 }
 
-// handleResult installs a worker's completed-targets report (rank 0).
-func (dx *distExec) handleResult(f amt.Frame) {
-	if dx.rank != 0 {
-		dx.decodeErrs.Add(1)
+// handleResult installs a worker's completed-targets report (rank 0). The
+// install writes target potentials, so it excludes a failover reset (runMu)
+// and another report's install (covMu); the completion decision after it
+// needs neither.
+func (fb *fabric) handleResult(f amt.Frame) {
+	if fb.rank != 0 {
+		fb.decodeErrs.Add(1)
 		return
 	}
-	dx.runMu.RLock()
-	defer dx.runMu.RUnlock()
-	dx.covMu.Lock()
-	ids, err := dx.st.installResult(f.Payload)
-	dx.covMu.Unlock()
+	fb.runMu.RLock()
+	fb.covMu.Lock()
+	ids, err := fb.ex.st.installResult(f.Payload)
+	fb.covMu.Unlock()
+	fb.runMu.RUnlock()
 	if err != nil {
-		dx.decodeErrs.Add(1)
+		fb.decodeErrs.Add(1)
 		return
 	}
-	//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
-	dx.markCovered(ids)
+	fb.markCovered(ids)
 }
 
 // markCovered records gathered target nodes and completes the run once
 // every target is in: shut the cluster down and let everyone drain.
-func (dx *distExec) markCovered(ids []int32) {
-	dx.covMu.Lock()
+func (fb *fabric) markCovered(ids []int32) {
+	fb.covMu.Lock()
 	for _, id := range ids {
-		dx.covered[id] = true
+		fb.covered[id] = true
 	}
-	finished := !dx.done && len(dx.covered) == len(dx.tnodes)
+	finished := !fb.done && len(fb.covered) == len(fb.tnodes)
 	if finished {
-		dx.done = true
+		fb.done = true
 	}
-	dx.covMu.Unlock()
+	fb.covMu.Unlock()
 	if finished {
-		dx.cl.Shutdown()
-		dx.release()
+		fb.cl.Shutdown()
+		fb.release()
 	}
 }
 
 // onDeath is the membership callback: one death verdict, observed in the
 // same order by every rank.
-func (dx *distExec) onDeath(deadRank, epoch int) {
-	if deadRank == dx.rank {
+func (fb *fabric) onDeath(deadRank, epoch int) {
+	if deadRank == fb.rank {
 		// The cluster declared *us* dead (a false heartbeat verdict under
 		// load): the survivors have fenced this rank and rebuilt its work,
 		// so fail fast instead of running to the timeout.
-		dx.fail(fmt.Errorf("core: rank %d declared dead by the cluster at epoch %d", dx.rank, epoch))
+		fb.ex.fail(fmt.Errorf("core: rank %d declared dead by the cluster at epoch %d", fb.rank, epoch))
 		return
 	}
 	// Failover composition is order-sensitive: process every verdict this
@@ -697,15 +634,15 @@ func (dx *distExec) onDeath(deadRank, epoch int) {
 	// verdict can predate the callback registration (it reaches the run
 	// via DeadOrder replay in DistRun); whoever gets there first applies
 	// it, in order, and the other path no-ops.
-	dx.syncDeaths()
+	fb.syncDeaths()
 }
 
 // syncDeaths applies, in verdict order, every death this executor has not
 // yet processed.
-func (dx *distExec) syncDeaths() {
-	for _, r := range dx.cl.DeadOrder() {
-		if r != dx.rank {
-			dx.applyDeath(r)
+func (fb *fabric) syncDeaths() {
+	for _, r := range fb.cl.DeadOrder() {
+		if r != fb.rank {
+			fb.applyDeath(r)
 		}
 	}
 }
@@ -713,17 +650,18 @@ func (dx *distExec) syncDeaths() {
 // applyDeath performs one rank's failover. It runs with the executor
 // quiesced (write lock), so the recovery below never races a node fire or
 // parcel apply. Idempotent: a verdict already applied is a no-op.
-func (dx *distExec) applyDeath(deadRank int) {
-	dx.runMu.Lock()
-	if dx.deadRanks[deadRank] {
-		dx.runMu.Unlock()
+func (fb *fabric) applyDeath(deadRank int) {
+	fb.runMu.Lock()
+	if fb.deadRanks[deadRank] {
+		fb.runMu.Unlock()
 		return
 	}
-	dx.rt.SeverRank(deadRank)
-	g := dx.g
-	dx.deadRanks[deadRank] = true
+	ex := fb.ex
+	ex.rt.SeverRank(deadRank)
+	g := ex.g
+	fb.deadRanks[deadRank] = true
 	var survivors []int32
-	for r, dead := range dx.deadRanks {
+	for r, dead := range fb.deadRanks {
 		if !dead {
 			survivors = append(survivors, int32(r))
 		}
@@ -736,7 +674,7 @@ func (dx *distExec) applyDeath(deadRank int) {
 	inSet := make([]bool, len(g.Nodes))
 	var set []int32
 	for i := range g.Nodes {
-		if int(dx.homes[i].Load()) == deadRank {
+		if int(ex.homes[i].Load()) == deadRank {
 			inSet[i] = true
 			set = append(set, int32(i))
 		}
@@ -745,11 +683,11 @@ func (dx *distExec) applyDeath(deadRank int) {
 	// Deterministic failover: every survivor computes the same new homes.
 	plain := make([]int32, len(g.Nodes))
 	for i := range plain {
-		plain[i] = dx.homes[i].Load()
+		plain[i] = ex.homes[i].Load()
 	}
 	dist.Failover(plain, int32(deadRank), survivors)
 	for i := range plain {
-		dx.homes[i].Store(plain[i])
+		ex.homes[i].Store(plain[i])
 	}
 
 	// Reset the rebuild-set nodes that are now this rank's: payload zeroed,
@@ -757,24 +695,24 @@ func (dx *distExec) applyDeath(deadRank int) {
 	// contributions land exactly once.
 	newMine := int64(0)
 	for _, id := range set {
-		if int(plain[id]) != dx.rank {
+		if int(plain[id]) != fb.rank {
 			continue
 		}
 		n := &g.Nodes[id]
-		dx.locks[id].Lock()
-		dx.st.zeroNode(n)
-		for _, ref := range dx.inEdges[id] {
-			dx.applied[dx.edgeBase[ref.src]+ref.out].Store(false)
+		ex.locks[id].Lock()
+		ex.st.zeroNode(n)
+		for _, ref := range fb.inEdges[id] {
+			fb.applied[fb.edgeBase[ref.src]+ref.out].Store(false)
 		}
-		dx.remaining[id].Store(n.In)
-		dx.locks[id].Unlock()
-		dx.fired[id].Store(false)
+		ex.remaining[id].Store(n.In)
+		ex.locks[id].Unlock()
+		fb.fired[id].Store(false)
 		newMine++
 	}
 	if newMine > 0 {
-		dx.rebuilt.Add(newMine)
-		dx.ownedTotal.Add(newMine)
-		dx.ownedLeft.Add(newMine)
+		fb.rebuilt.Add(newMine)
+		fb.ownedTotal.Add(newMine)
+		fb.ownedLeft.Add(newMine)
 	}
 
 	// Replay: an in-edge of a rebuild-set node whose source this rank owns
@@ -783,18 +721,15 @@ func (dx *distExec) applyDeath(deadRank int) {
 	// re-fire; unfired sources deliver in due course. Re-seed rebuilt roots.
 	type replayKey struct{ src, dest int32 }
 	replays := make(map[replayKey][]int32)
-	loc := dx.rt.LocalLocality()
 	replayed := int64(0)
 	for _, id := range set {
-		for _, ref := range dx.inEdges[id] {
-			if inSet[ref.src] || int(dx.homes[ref.src].Load()) != dx.rank || !dx.fired[ref.src].Load() {
+		for _, ref := range fb.inEdges[id] {
+			if inSet[ref.src] || int(plain[ref.src]) != fb.rank || !fb.fired[ref.src].Load() {
 				continue
 			}
 			replayed++
-			n := &g.Nodes[ref.src]
-			e := n.Out[ref.out]
-			if int(plain[id]) == dx.rank {
-				dx.deliverEdge(n, dx.edgeBase[ref.src]+ref.out, e)
+			if int(plain[id]) == fb.rank {
+				ex.deliver(nil, &g.Nodes[ref.src], ref.out)
 				continue
 			}
 			k := replayKey{ref.src, plain[id]}
@@ -807,24 +742,23 @@ func (dx *distExec) applyDeath(deadRank int) {
 		// homes, from the already-updated placement. The store/load order
 		// (homes then chargesReady here; chargesReady then homes there) makes
 		// the handoff airtight: at least one side sees the other's write.
-		if g.Nodes[id].In == 0 && int(plain[id]) == dx.rank && dx.chargesReady.Load() {
-			loc.Spawn(dx.tasks[id])
+		if g.Nodes[id].In == 0 && int(plain[id]) == fb.rank && fb.chargesReady.Load() {
+			ex.fireNode(nil, id)
 		}
 	}
-	ep := uint32(dx.deaths.Add(1))
+	ep := uint32(fb.deaths.Add(1))
 	for k, outIdx := range replays {
-		n := &g.Nodes[k.src]
 		//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
-		dx.rt.SendWire(int(k.dest), wireKindParcel, ep, dx.st.encodeParcel(n, outIdx))
+		ex.rt.SendWire(int(k.dest), wireKindParcel, ep, ex.st.encodeParcel(&g.Nodes[k.src], outIdx))
 	}
-	dx.replayed.Add(replayed)
-	dx.runMu.Unlock()
+	fb.replayed.Add(replayed)
+	fb.runMu.Unlock()
 
 	// A failover can only shrink a rank's unfinished set to empty outside
 	// runNode when the rank owned nothing new; re-check completion for the
 	// degenerate already-drained case (owned nothing, still owns nothing —
 	// covered elsewhere) and unwedge any frames that waited for this
 	// verdict.
-	dx.gateGen.Add(1)
-	dx.drainDeferred()
+	fb.gateGen.Add(1)
+	fb.drainDeferred()
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/amt"
 	"repro/internal/dag"
+	"repro/internal/dist"
 	"repro/internal/kernel"
 	"repro/internal/points"
 )
@@ -398,4 +399,48 @@ func TestDistRunWorkerLateToFinishedRun(t *testing.T) {
 		t.Fatal(err0)
 	}
 	assertSame(t, got, want, 1e-12)
+}
+
+// The exactly-once filter's contract, edge by edge: a first claim leaves
+// both endpoint locks held (the source's too — a parcel install or a
+// failover reset must not rewrite the payload under the apply) and the
+// applied bit set; a second claim of the same edge is refused and leaves
+// nothing held. No end-to-end gate sees a missing source lock (the torn read
+// it permits mixes two copies of the same values), so it is pinned here.
+func TestFabricClaimContract(t *testing.T) {
+	dw := newDistWorld(t, 2, 600)
+	cls := distClusters(t, 2)
+	st, err := dw.plans[0].newState(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := newExecutor(st, dist.MinComm{}, 2)
+	fb := newFabric(ex, cls[0], distOpts(0).withDefaults())
+	defer cls[0].ClearRunHandlers()
+	held := func(id int32) bool {
+		if ex.locks[id].TryLock() {
+			ex.locks[id].Unlock()
+			return false
+		}
+		return true
+	}
+	for i := range ex.g.Nodes {
+		src := int32(i)
+		for out, e := range ex.g.Nodes[i].Out {
+			if !fb.claim(src, e.To, int32(out)) {
+				t.Fatalf("edge %d/%d: first claim refused", src, out)
+			}
+			if !held(src) || !held(e.To) {
+				t.Fatalf("edge %d/%d -> %d: claim holds source %v, target %v; want both", src, out, e.To, held(src), held(e.To))
+			}
+			ex.locks[e.To].Unlock()
+			ex.locks[src].Unlock()
+			if fb.claim(src, e.To, int32(out)) {
+				t.Fatalf("edge %d/%d: claimed twice", src, out)
+			}
+			if held(src) || held(e.To) {
+				t.Fatalf("edge %d/%d: a refused claim left a lock held", src, out)
+			}
+		}
+	}
 }

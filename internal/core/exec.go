@@ -31,12 +31,6 @@ type ExecOptions struct {
 	// Section VI: tasks of the upward source-tree sweep (S and M nodes) run
 	// before everything else, pulling the critical path forward.
 	Priority bool
-	// PerEdge disables batched kernel execution (the multi-RHS M->L batches
-	// and tiled P2P of batch.go): every DAG edge is applied individually, as
-	// before the batching work. The accuracy gates evaluate both paths and
-	// compare them; it is also the escape hatch if a batch-ineligible
-	// configuration is wanted explicitly.
-	PerEdge bool
 	// Gradient also computes the potential gradient at every target;
 	// retrieve it with EvaluateGrad.
 	Gradient bool
@@ -83,12 +77,12 @@ type ExecReport struct {
 // parcel (operation type + target global address), as in Section IV.
 const parcelOverhead = 16
 
-// Evaluate runs the DAG on the AMT runtime: every expansion node becomes a
-// custom LCO holding its payload and out-edge list; the last arriving input
-// triggers a continuation that processes the out edges — local edges
-// sequentially (the paper's cache-locality choice), remote edges coalesced
-// into one parcel per destination locality carrying the expansion data and
-// the relevant edges.
+// Evaluate runs the DAG on the AMT runtime: every expansion node is an LCO
+// — its payload, a lock, an input countdown and a prebuilt continuation —
+// and the last arriving input spawns the continuation, which processes the
+// out edges: local edges sequentially (the paper's cache-locality choice),
+// remote edges coalesced into one parcel per destination locality carrying
+// the expansion data and the relevant edges.
 //
 // For the paper's iterative use case (many charge vectors over one DAG)
 // prefer NewParallelEvaluation, which allocates the payloads and the LCO
@@ -106,76 +100,37 @@ func (p *Plan) Evaluate(charges []float64, opts ExecOptions) ([]float64, ExecRep
 // continuations are allocated once, so steady-state runs allocate nothing
 // per evaluated edge. The runtime itself is kept across Runs too
 // (amt.Runtime.Reset re-arms it per generation), so repeated evaluations
-// skip the amt.New worker/deque setup.
+// skip the amt.New worker/deque setup. The plan holds no reference to its
+// contexts: one is garbage as soon as its last user drops it.
 type ParallelEvaluation struct {
 	plan *Plan
 	opts ExecOptions
 	ex   *executor
-	// rt is the pooled runtime (nil until the first Run and after a Reset).
+	// rt is the pooled runtime (nil until the first Run and after a failed
+	// one).
 	rt *amt.Runtime
 }
 
-// NewParallelEvaluation allocates a parallel evaluation context. The DAG
-// placement is computed per Run (it depends only on the policy and the
-// locality count, but reassigning keeps Plan sharing across contexts with
-// different shapes correct).
+// NewParallelEvaluation allocates a parallel evaluation context and places
+// the DAG for its shape. The placement lives in the context, not in the
+// plan's graph, so contexts of different shapes may share a plan and run
+// concurrently.
 func (p *Plan) NewParallelEvaluation(opts ExecOptions) (*ParallelEvaluation, error) {
 	opts = opts.withDefaults()
-	st, err := p.newState(make([]float64, len(p.Source.Pts)), opts.Gradient)
+	st, err := p.newState(opts.Gradient)
 	if err != nil {
 		return nil, err
 	}
-	g := p.Graph
-	ex := &executor{
-		st:        st,
-		g:         g,
-		tracer:    opts.Tracer,
-		priority:  opts.Priority,
-		remaining: make([]atomic.Int32, len(g.Nodes)),
-		locks:     make([]sync.Mutex, len(g.Nodes)),
-		tasks:     make([]amt.Task, len(g.Nodes)),
-	}
-	// One continuation closure per node, built once and spawned by pointer
-	// on every trigger — the hot path never allocates a closure.
-	for i := range ex.tasks {
-		id := int32(i)
-		ex.tasks[i] = func(w *amt.Worker) { ex.runNode(w, id) }
-	}
-	ex.initBatches(p, opts)
-	pe := &ParallelEvaluation{plan: p, opts: opts, ex: ex}
-	p.registerCtx(pe)
-	return pe, nil
+	ex := newExecutor(st, opts.Policy, opts.Localities)
+	ex.tracer, ex.priority = opts.Tracer, opts.Priority
+	ex.initBatches()
+	return &ParallelEvaluation{plan: p, opts: opts, ex: ex}, nil
 }
-
-// Reset re-arms the context for a fresh run: payloads zeroed, every node's
-// trigger counter restored to its input count, the watchdog diagnosis
-// cleared, and any pooled runtime discarded. Run re-arms itself at entry,
-// so Reset matters for scrubbing a context whose last Run failed mid-way
-// (see Plan.Reset).
-func (e *ParallelEvaluation) Reset() {
-	ex := e.ex
-	ex.st.zeroAll()
-	for i := range ex.remaining {
-		ex.remaining[i].Store(ex.g.Nodes[i].In)
-	}
-	ex.resetBatchPending()
-	ex.stallMu.Lock()
-	ex.stallErr = nil
-	ex.stallMu.Unlock()
-	// A mid-run failure may have left the pooled runtime with undrained
-	// queues; drop it rather than reason about its state (amt.Runtime.Reset
-	// would refuse it anyway).
-	e.rt = nil
-}
-
-// Close retires the context: the plan stops tracking it, so a long-lived
-// plan that outlives many contexts (the serve cache cycling execution
-// shapes) does not pin every payload buffer ever allocated against it. The
-// context must not be used afterwards.
-func (e *ParallelEvaluation) Close() { e.plan.unregisterCtx(e) }
 
 // Run evaluates the DAG for one charge vector, reusing the context's payload
-// buffers, LCO network and pooled runtime.
+// buffers, LCO network and pooled runtime. Everything a run leaves behind —
+// payloads, countdowns, batch counters, a stall diagnosis — is re-armed
+// here, so a context whose last Run failed mid-way needs no scrubbing.
 func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, error) {
 	p, ex, opts := e.plan, e.ex, e.opts
 	if len(charges) != len(p.Source.Pts) {
@@ -185,62 +140,34 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 		return nil, ExecReport{}, err
 	}
 	ex.st.reset(charges)
-	g := p.Graph
-	opts.Policy.Assign(g, opts.Localities)
-	for i := range g.Nodes {
-		ex.remaining[i].Store(g.Nodes[i].In)
-	}
-	ex.resetBatchPending()
-	ex.stallMu.Lock()
-	ex.stallErr = nil
-	ex.stallMu.Unlock()
+	ex.arm()
 
 	// One runtime serves every Run, re-armed per generation
 	// (amt.Runtime.Reset) to skip the worker/deque allocation of amt.New; a
 	// runtime that refuses the re-arm (an aborted run left work behind) is
-	// replaced.
+	// replaced, and a failed run below does not pool its runtime at all.
 	rt := e.rt
-	runtimeReused := false
-	if rt != nil {
-		if err := rt.Reset(); err == nil {
-			runtimeReused = true
-		} else {
-			rt = nil
-		}
-	}
-	if rt == nil {
+	e.rt = nil
+	runtimeReused := rt != nil && rt.Reset() == nil
+	if !runtimeReused {
 		rt = amt.New(amt.Config{
 			Localities: opts.Localities,
 			Workers:    opts.Workers,
 			Seed:       opts.Seed,
 		})
 	}
-	e.rt = rt
 	ex.rt = rt
 
-	var stopWatchdog func()
+	stopWatchdog := func() {}
 	if opts.StallWindow > 0 {
-		stopWatchdog = ex.runWatchdog(rt, opts.StallWindow)
+		stopWatchdog = ex.runWatchdog(opts.StallWindow)
 	}
-
 	start := time.Now()
-	stats := rt.Run(func() {
-		for _, id := range g.Roots() {
-			n := &g.Nodes[id]
-			loc := rt.Locality(int(n.Locality))
-			if ex.isHigh(id) {
-				loc.SpawnHigh(ex.tasks[id])
-			} else {
-				loc.Spawn(ex.tasks[id])
-			}
-		}
-	})
+	stats := rt.Run(ex.seedRoots)
 	elapsed := time.Since(start)
-	if stopWatchdog != nil {
-		stopWatchdog()
-	}
+	stopWatchdog()
 
-	if err := ex.stallError(); err != nil {
+	if err := ex.err(); err != nil {
 		return nil, ExecReport{}, err
 	}
 	if err := p.checkKernel(); err != nil {
@@ -251,43 +178,130 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 	for i := range ex.remaining {
 		if ex.remaining[i].Load() > 0 {
 			return nil, ExecReport{}, fmt.Errorf("core: node %d (%v) never triggered (%d inputs missing)",
-				i, g.Nodes[i].Kind, ex.remaining[i].Load())
+				i, ex.g.Nodes[i].Kind, ex.remaining[i].Load())
 		}
 	}
+	e.rt = rt
 	return ex.st.potentials(), ExecReport{
 		Gradients:     ex.st.gradients(),
 		Runtime:       stats,
 		Elapsed:       elapsed,
-		RemoteBytes:   dist.RemoteBytes(g),
-		RemoteEdges:   dist.RemoteEdges(g),
+		RemoteBytes:   ex.remoteBytes,
+		RemoteEdges:   ex.remoteEdges,
 		Localities:    opts.Localities,
 		Workers:       opts.Workers,
 		RuntimeReused: runtimeReused,
 	}, nil
 }
 
-// executor is the LCO network of one evaluation context.
+// executor is the LCO network of one evaluation context, and the one
+// implementation of "node fired → walk Out → apply local edges → coalesce
+// remote edges per destination → count the target down → spawn it": a DAG
+// node's slot in locks/remaining/tasks, with its payload in st, is the
+// paper's expansion LCO. ParallelEvaluation runs it over the localities of
+// one process; DistRun runs the same code as one rank of a cluster, with the
+// two things distribution adds — parcels that cross a process boundary, edges
+// that may arrive twice — switched on the fabric it then holds.
 type executor struct {
-	st        *state
-	g         *dag.Graph
-	rt        *amt.Runtime // the current run's runtime
-	tracer    *trace.Tracer
-	priority  bool
-	remaining []atomic.Int32
-	locks     []sync.Mutex
-	tasks     []amt.Task // prebuilt node continuations, indexed by node ID
-	// Batched execution (batch.go): descriptors from the plan, the
-	// per-kind enable switches, one pending-source counter and prebuilt
-	// task per batch, and the pooled GEMM/chunk scratch.
+	st       *state
+	g        *dag.Graph
+	rt       *amt.Runtime // the current run's runtime
+	tracer   *trace.Tracer
+	priority bool
+	// fab is the distributed side of a DistRun (distrib.go); nil in-process.
+	fab *fabric
+	// homes is the placement: node → locality in-process, node → rank under
+	// a fabric, whose failover is the only writer after construction.
+	// remoteBytes and remoteEdges are the communication volume it implied
+	// when it was computed.
+	homes                    []atomic.Int32
+	remoteBytes, remoteEdges int64
+	remaining                []atomic.Int32
+	locks                    []sync.Mutex
+	tasks                    []amt.Task // prebuilt node continuations, indexed by node ID
+	// Batched execution (batch.go): descriptors from the plan (nil when the
+	// context batches nothing), whether their near-field half runs (not in a
+	// gradient run), one pending-source counter and prebuilt task per batch,
+	// and the pooled GEMM/chunk scratch.
 	batches      *dag.Batches
 	bk           kernel.BatchKernel
-	m2lOn, p2pOn bool
+	p2pOn        bool
 	batchPending []atomic.Int32
 	batchTasks   []amt.Task
 	batchScratch sync.Pool
-	// stallMu/stallErr carry the watchdog diagnosis (recover.go).
-	stallMu  sync.Mutex
-	stallErr error // guarded by stallMu
+	// errMu/runErr hold the first fatal error of the current run: the stall
+	// watchdog's diagnosis (recover.go) or, under a fabric, a timeout, a
+	// cancellation, a lost coordinator, a bad charge broadcast.
+	errMu  sync.Mutex
+	runErr error // guarded by errMu
+}
+
+// newExecutor builds the LCO network of a state and places it: the policy
+// runs once, here, and the executor keeps its own copy of the result.
+func newExecutor(st *state, policy dist.Policy, localities int) *executor {
+	g := st.p.Graph
+	homes, remoteBytes, remoteEdges := st.p.place(policy, localities)
+	ex := &executor{
+		st:          st,
+		g:           g,
+		remoteBytes: remoteBytes,
+		remoteEdges: remoteEdges,
+		homes:       make([]atomic.Int32, len(g.Nodes)),
+		remaining:   make([]atomic.Int32, len(g.Nodes)),
+		locks:       make([]sync.Mutex, len(g.Nodes)),
+		tasks:       make([]amt.Task, len(g.Nodes)),
+	}
+	// One continuation closure per node, built once and spawned by pointer
+	// on every trigger — the hot path never allocates a closure.
+	for i := range ex.tasks {
+		id := int32(i)
+		ex.homes[i].Store(homes[i])
+		ex.tasks[i] = func(w *amt.Worker) { ex.runNode(w, id) }
+	}
+	return ex
+}
+
+// arm readies the network for a run: every countdown at its node's input
+// count, every batch counter at its source count, no error on record.
+func (ex *executor) arm() {
+	for i := range ex.remaining {
+		ex.remaining[i].Store(ex.g.Nodes[i].In)
+	}
+	for i := range ex.batchPending {
+		ex.batchPending[i].Store(int32(ex.batches.SrcCount(int32(i))))
+	}
+	ex.errMu.Lock()
+	ex.runErr = nil
+	ex.errMu.Unlock()
+}
+
+// fail records the run's first fatal error and makes rt.Run return.
+func (ex *executor) fail(err error) {
+	ex.errMu.Lock()
+	if ex.runErr == nil {
+		ex.runErr = err
+	}
+	ex.errMu.Unlock()
+	if ex.fab != nil {
+		ex.fab.release()
+	}
+	ex.rt.Abort()
+}
+
+func (ex *executor) err() error {
+	ex.errMu.Lock()
+	defer ex.errMu.Unlock()
+	return ex.runErr
+}
+
+// seedRoots spawns the continuation of every input-free node this runtime
+// hosts: all of them in-process, this rank's under a fabric.
+func (ex *executor) seedRoots() {
+	for _, id := range ex.g.Roots() {
+		if ex.fab == nil || int(ex.homes[id].Load()) == ex.fab.rank {
+			ex.fireNode(nil, id)
+		}
+	}
 }
 
 // isHigh reports whether a node's continuation carries the high priority
@@ -300,17 +314,18 @@ func (ex *executor) isHigh(id int32) bool {
 	return k == dag.NodeS || k == dag.NodeM
 }
 
-// parcelEdges is a pooled remote-edge list: the out edges of one node
-// bound for one destination locality. Ownership passes to the parcel
-// action, which recycles it after delivering every edge. idx carries the
-// matching out-edge indexes for the distributed executor, whose receiver
-// derives its dedup index from them (empty in-process).
-type parcelEdges struct {
-	edges []dag.Edge
-	idx   []int32
-}
+// parcelEdges is a pooled remote-edge list: the indexes, within the source
+// node's Out list, of the edges bound for one destination. Ownership passes
+// to the parcel, which recycles the list once every edge is delivered
+// (in-process) or encoded (under a fabric).
+type parcelEdges struct{ idx []int32 }
 
 var parcelEdgesPool = sync.Pool{New: func() any { return new(parcelEdges) }}
+
+func (pe *parcelEdges) recycle() {
+	pe.idx = pe.idx[:0]
+	parcelEdgesPool.Put(pe)
+}
 
 // remoteBatch groups one node's remote out-edges by destination locality.
 // Nodes touch only a few localities, so a linear scan over a small pooled
@@ -323,33 +338,14 @@ type remoteBatch struct {
 var remoteBatchPool = sync.Pool{New: func() any { return new(remoteBatch) }}
 
 //dashmm:noalloc
-func (b *remoteBatch) add(dest int32, e dag.Edge) {
+func (b *remoteBatch) add(dest, out int32) {
 	for i, d := range b.dests {
 		if d == dest {
-			b.lists[i].edges = append(b.lists[i].edges, e)
-			return
-		}
-	}
-	pe := parcelEdgesPool.Get().(*parcelEdges)
-	pe.edges = append(pe.edges[:0], e)
-	b.dests = append(b.dests, dest)
-	b.lists = append(b.lists, pe)
-}
-
-// addIdx is the distributed-executor variant of add: it also records the
-// edge's index within its source's Out list.
-//
-//dashmm:noalloc
-func (b *remoteBatch) addIdx(dest int32, e dag.Edge, out int32) {
-	for i, d := range b.dests {
-		if d == dest {
-			b.lists[i].edges = append(b.lists[i].edges, e)
 			b.lists[i].idx = append(b.lists[i].idx, out)
 			return
 		}
 	}
 	pe := parcelEdgesPool.Get().(*parcelEdges)
-	pe.edges = append(pe.edges[:0], e)
 	pe.idx = append(pe.idx[:0], out)
 	b.dests = append(b.dests, dest)
 	b.lists = append(b.lists, pe)
@@ -358,7 +354,7 @@ func (b *remoteBatch) addIdx(dest int32, e dag.Edge, out int32) {
 //dashmm:noalloc
 func (b *remoteBatch) release() {
 	for i := range b.lists {
-		b.lists[i] = nil // ownership moved to the parcel actions
+		b.lists[i] = nil // ownership moved to the parcels
 	}
 	b.dests = b.dests[:0]
 	b.lists = b.lists[:0]
@@ -367,91 +363,140 @@ func (b *remoteBatch) release() {
 
 // runNode is the continuation of node id: process the out-edge list. It
 // runs once per evaluation, when the node's LCO triggers (all inputs
-// arrived).
+// arrived); under a fabric, fabric.runNode wraps it in the failover
+// exclusion and the duplicate-trigger fence.
 func (ex *executor) runNode(w *amt.Worker, id int32) {
 	n := &ex.g.Nodes[id]
-	myLoc := int32(w.Rank())
+	me := int32(w.Rank())
 	// Local edges first, sequentially: the large input payload is reused
 	// while hot (Section VI discusses this trade-off).
 	var batch *remoteBatch
-	for _, e := range n.Out {
-		if e.Batched && ex.batchEdgeOn(e.Op) {
+	for j, e := range n.Out {
+		if e.Batched && ex.batchedHere(e.Op) {
 			// A batch task owns this edge; it fires when every source of
 			// its batch has triggered (noteBatchSources below).
 			continue
 		}
-		dest := ex.g.Nodes[e.To].Locality
-		if dest == myLoc {
-			ex.deliver(w, n, e)
+		dest := ex.homes[e.To].Load()
+		if dest == me {
+			ex.deliver(w, n, int32(j))
 			continue
 		}
 		if batch == nil {
 			batch = remoteBatchPool.Get().(*remoteBatch)
 		}
-		batch.add(dest, e)
+		batch.add(dest, int32(j))
 	}
 	if batch != nil {
-		// One coalesced parcel per destination locality: expansion data +
-		// edge descriptors travel once, the transforms run at the receiver.
+		// One coalesced parcel per destination: expansion data + edge
+		// descriptors travel once, the transforms run at the receiver.
 		for i, dest := range batch.dests {
-			pe := batch.lists[i]
-			bytes := int(n.Bytes) + parcelOverhead*len(pe.edges)
-			w.SendParcel(int(dest), bytes, func(w2 *amt.Worker) {
-				for _, e := range pe.edges {
-					ex.deliver(w2, n, e)
-				}
-				pe.edges = pe.edges[:0]
-				parcelEdgesPool.Put(pe)
-			})
+			ex.send(w, n, dest, batch.lists[i])
 		}
 		batch.release()
 	}
 	ex.noteBatchSources(w, id)
 }
 
-// deliver applies one edge into its target LCO: the transform plus
-// reduction runs under the target's lock; the final input triggers the
-// target's continuation.
+// send ships the out-edges of a fired node bound for one destination. Between
+// localities of one process the parcel is a closure over the shared state,
+// accounted at the modeled size; between ranks it is the node's payload by
+// value plus the edge indexes (wire.go), which the receiving fabric installs
+// and hands to deliver — the first of the two things distribution changes.
+func (ex *executor) send(w *amt.Worker, n *dag.Node, dest int32, pe *parcelEdges) {
+	if fb := ex.fab; fb != nil {
+		// The payload read is unsynchronized but safe: all inputs are
+		// applied (the node just fired), resets are excluded by runMu, and
+		// no peer installs into a node this rank homes.
+		ex.rt.SendWire(int(dest), wireKindParcel, uint32(fb.deaths.Load()), ex.st.encodeParcel(n, pe.idx))
+		pe.recycle()
+		return
+	}
+	bytes := int(n.Bytes) + parcelOverhead*len(pe.idx)
+	w.SendParcel(int(dest), bytes, func(w2 *amt.Worker) {
+		for _, j := range pe.idx {
+			ex.deliver(w2, n, j)
+		}
+		pe.recycle()
+	})
+}
+
+// deliver applies out-edge `out` of a fired node into its target LCO: the
+// transform plus reduction runs under the target's lock, and the final
+// input triggers the target's continuation. Under a fabric the edge is
+// claimed first (fabric.claim) — the second thing distribution changes: a
+// replayed or duplicated contribution finds its applied bit set and is
+// dropped, and the source's lock is held as well so a parcel install or a
+// failover reset cannot rewrite the payload mid-read. w is nil on the
+// fabric's failover replay, which runs on no worker.
 //
 //dashmm:noalloc
-func (ex *executor) deliver(w *amt.Worker, from *dag.Node, e dag.Edge) {
+func (ex *executor) deliver(w *amt.Worker, from *dag.Node, out int32) {
+	e := from.Out[out]
 	var t0 int64
 	if ex.tracer.Enabled() {
 		t0 = ex.tracer.Now()
 	}
-	ex.locks[e.To].Lock()
-	ex.st.apply(from, e)
-	ex.locks[e.To].Unlock()
-	if ex.tracer.Enabled() {
-		ex.tracer.Record(w.GlobalID, trace.Event{
-			Class:    uint8(e.Op),
-			Worker:   int32(w.GlobalID),
-			Locality: int32(w.Rank()),
-			Start:    t0,
-			End:      ex.tracer.Now(),
-		})
+	fb := ex.fab
+	if fb == nil {
+		ex.locks[e.To].Lock()
+	} else if !fb.claim(from.ID, e.To, out) {
+		return
 	}
-	if ex.remaining[e.To].Add(-1) == 0 {
+	ex.st.apply(from, e)
+	rem := ex.remaining[e.To].Add(-1)
+	ex.locks[e.To].Unlock()
+	if fb != nil {
+		ex.locks[from.ID].Unlock()
+	}
+	if ex.tracer.Enabled() {
+		ex.record(w, e.Op, t0, ex.tracer.Now())
+	}
+	if rem == 0 {
 		ex.fireNode(w, e.To)
 	}
 }
 
-// fireNode spawns the continuation of a node whose last input just arrived,
-// on its home locality (the LCO lives there) with the priority hint of its
-// class. Shared by the per-edge delivery and the batch completion paths.
+// record traces one operator application on worker w.
+//
+//dashmm:noalloc
+func (ex *executor) record(w *amt.Worker, op dag.OpKind, start, end int64) {
+	ex.tracer.Record(w.GlobalID, trace.Event{
+		Class:    uint8(op),
+		Worker:   int32(w.GlobalID),
+		Locality: int32(w.Rank()),
+		Start:    start,
+		End:      end,
+	})
+}
+
+// fireNode spawns the continuation of a node whose last input just arrived
+// (or that has none: seedRoots), on its home locality — the LCO lives there
+// — with the priority hint of its class: onto the worker's own deque when it
+// is at home, through the locality's inbox otherwise (another locality of
+// this process, or no worker at all). Shared by the per-edge delivery and
+// the batch completion paths.
 //
 //dashmm:noalloc
 func (ex *executor) fireNode(w *amt.Worker, id int32) {
-	to := &ex.g.Nodes[id]
-	high := ex.isHigh(to.ID)
+	task, high := ex.tasks[id], ex.isHigh(id)
+	home := int(ex.homes[id].Load())
 	switch {
-	case int32(w.Rank()) == to.Locality && high:
-		w.SpawnHigh(ex.tasks[to.ID])
-	case int32(w.Rank()) == to.Locality:
-		w.Spawn(ex.tasks[to.ID])
+	case w == nil || w.Rank() != home:
+		// Under a fabric only nodes this rank homes are ever fired here, and
+		// the runtime hosts that one locality.
+		loc := ex.rt.LocalLocality()
+		if ex.fab == nil {
+			loc = ex.rt.Locality(home)
+		}
+		if high {
+			loc.SpawnHigh(task)
+		} else {
+			loc.Spawn(task)
+		}
 	case high:
-		ex.rt.Locality(int(to.Locality)).SpawnHigh(ex.tasks[to.ID])
+		w.SpawnHigh(task)
 	default:
-		ex.rt.Locality(int(to.Locality)).Spawn(ex.tasks[to.ID])
+		w.Spawn(task)
 	}
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/dag"
 	"repro/internal/dist"
+	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/points"
 	"repro/internal/trace"
@@ -44,6 +46,20 @@ func assertSame(t *testing.T, got, want []float64, tol float64) {
 	}
 }
 
+// assertSameGrad holds gradients to a tolerance relative to the largest one.
+func assertSameGrad(t *testing.T, got, want []geom.Point, tol float64) {
+	t.Helper()
+	var den float64
+	for i := range want {
+		den = math.Max(den, want[i].Norm())
+	}
+	for i := range want {
+		if d := got[i].Sub(want[i]).Norm(); d > tol*den {
+			t.Fatalf("gradient %d differs by %.2e of the largest", i, d/den)
+		}
+	}
+}
+
 func TestParallelMatchesSequential(t *testing.T) {
 	plan, q, want := testPlan(t, dag.Advanced, 3000)
 	for _, cfg := range []struct{ locs, workers int }{
@@ -65,6 +81,54 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Errorf("single locality sent %d parcels", rep.Runtime.ParcelsSent)
 		}
 	}
+}
+
+// Contexts of different shapes share a plan: each holds its own placement,
+// computed once at construction, so a one-locality and a two-locality
+// context may be built and run at the same time (Run used to re-place the
+// plan's shared graph on every call, racing on Node.Locality and routing the
+// one-locality context's edges to a locality it does not have).
+func TestContextsOfDifferentShapesRunConcurrently(t *testing.T) {
+	plan, q, want := testPlan(t, dag.Advanced, 2000)
+	var den float64
+	for i := range want {
+		den = math.Max(den, math.Abs(want[i]))
+	}
+	var wg sync.WaitGroup
+	for _, locs := range []int{1, 2} {
+		wg.Add(1)
+		go func(locs int) {
+			defer wg.Done()
+			var pe *ParallelEvaluation
+			for run := 0; run < 6; run++ {
+				// A fresh context every other run places the graph while the
+				// other goroutine's context is running on it.
+				if run%2 == 0 {
+					var err error
+					if pe, err = plan.NewParallelEvaluation(ExecOptions{Localities: locs, Workers: 2}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				got, rep, err := pe.Run(q)
+				if err != nil {
+					t.Errorf("localities %d run %d: %v", locs, run, err)
+					return
+				}
+				if (rep.RemoteEdges > 0) != (locs > 1) {
+					t.Errorf("localities %d: report carries %d remote edges", locs, rep.RemoteEdges)
+				}
+				var worst float64
+				for i := range want {
+					worst = math.Max(worst, math.Abs(got[i]-want[i])/den)
+				}
+				if worst > 1e-12 {
+					t.Errorf("localities %d run %d: potentials differ from sequential by %.2e", locs, run, worst)
+				}
+			}
+		}(locs)
+	}
+	wg.Wait()
 }
 
 func TestParallelAllPolicies(t *testing.T) {

@@ -46,7 +46,6 @@ func executors(t *testing.T, sp, tp []geom.Point, q []float64, k kernel.Kernel, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pe.Close()
 	if out["ParallelEvaluation.Run"], _, err = pe.Run(q); err != nil {
 		t.Fatal(err)
 	}

@@ -107,17 +107,7 @@ func TestGradientParallelMatchesSequential(t *testing.T) {
 	if rep.Gradients == nil {
 		t.Fatal("no gradients returned")
 	}
-	var den float64
-	for i := range want {
-		if m := want[i].Norm(); m > den {
-			den = m
-		}
-	}
-	for i := range want {
-		if rep.Gradients[i].Sub(want[i]).Norm()/den > 1e-9 {
-			t.Fatalf("gradient mismatch at %d", i)
-		}
-	}
+	assertSameGrad(t, rep.Gradients, want, 1e-9)
 }
 
 func TestNewtonThirdLawOnIdenticalEnsembles(t *testing.T) {

@@ -82,7 +82,6 @@ func TestSharedKernelAcrossRootCubes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer par.Close()
 
 	advancedPlan(t, scaled(sp, 3), scaled(tp, 3), k) // plan B rebinds k
 
@@ -182,7 +181,6 @@ func TestPrepareWhilePlanRuns(t *testing.T) {
 			// A mid-run rebind of a scale-variant kernel changes the wave
 			// lengths under the running operators; the contract makes that
 			// a caller error, not something to survive.
-			par.Close()
 			continue
 		}
 		got, err = during(func() { advancedPlan(t, scaled(sp, 3), scaled(tp, 3), k) })
@@ -191,6 +189,5 @@ func TestPrepareWhilePlanRuns(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "root cube") {
 			t.Fatalf("%s: rebind during a run: %v", k.Name(), err)
 		}
-		par.Close()
 	}
 }

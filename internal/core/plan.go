@@ -1,7 +1,15 @@
 // Package core is the DASHMM-style user-facing layer: it assembles the dual
 // tree, the interaction lists and the explicit DAG for a (sources, targets,
 // kernel, method) problem, owns the expansion payloads, and evaluates the
-// DAG either sequentially (reference) or on the AMT runtime (see exec.go).
+// DAG either sequentially (the reference walker below) or on the AMT runtime.
+//
+// There is one executor (exec.go): a fired node walks its out edges, applies
+// the local ones through state.apply, coalesces the remote ones into a parcel
+// per destination, counts each target down and spawns it at zero. The
+// in-process ParallelEvaluation and the multi-process DistRun (distrib.go)
+// both run it; DistRun adds a fabric — failover-mutable homes, exactly-once
+// edge claims, the charge/verdict gate, the rank-0 gather — that the executor
+// holds when there is a cluster and does not otherwise.
 //
 // As in the paper, the same Plan can be evaluated many times for different
 // charge inputs, amortizing the setup cost (Section IV: "the FMM is widely
@@ -11,11 +19,11 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/dag"
+	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -62,48 +70,26 @@ type Plan struct {
 	// leaf. The serve plan cache reuses them along with the rest of the plan.
 	batches *dag.Batches
 
-	// ctxMu guards ctxs, the evaluation contexts handed out by
-	// NewEvaluation / NewParallelEvaluation. Plan.Reset re-arms them all so
-	// a cached plan is re-executable without being rebuilt.
-	ctxMu sync.Mutex
-	ctxs  []resettable // guarded by ctxMu
+	// placeMu serializes placements: a distribution policy writes
+	// Node.Locality on the shared graph, so place copies the result out
+	// under this lock and no executor reads the graph's copy afterwards.
+	placeMu sync.Mutex
 }
 
-// resettable is an evaluation context that can be re-armed for a fresh run.
-type resettable interface{ Reset() }
-
-// registerCtx records an evaluation context for Plan.Reset.
-func (p *Plan) registerCtx(c resettable) {
-	p.ctxMu.Lock()
-	p.ctxs = append(p.ctxs, c)
-	p.ctxMu.Unlock()
-}
-
-// unregisterCtx drops a closed evaluation context, releasing the plan's
-// reference to its buffers.
-func (p *Plan) unregisterCtx(c resettable) {
-	p.ctxMu.Lock()
-	if i := slices.Index(p.ctxs, c); i >= 0 {
-		p.ctxs = slices.Delete(p.ctxs, i, i+1) // zeroes the vacated tail slot
+// place runs a distribution policy over the plan's graph and returns the
+// node → locality table with the communication volume it implies. Computed
+// once per evaluation context; contexts of different shapes on one plan each
+// hold their own table.
+func (p *Plan) place(policy dist.Policy, localities int) (homes []int32, remoteBytes, remoteEdges int64) {
+	p.placeMu.Lock()
+	defer p.placeMu.Unlock()
+	g := p.Graph
+	policy.Assign(g, localities)
+	homes = make([]int32, len(g.Nodes))
+	for i := range g.Nodes {
+		homes[i] = g.Nodes[i].Locality
 	}
-	p.ctxMu.Unlock()
-}
-
-// Reset re-arms every evaluation context created from this plan: payload
-// buffers are zeroed and the LCO trigger counters restored to their input
-// counts (the amt.LCO.Reset semantics lifted to the whole plan). A cached
-// plan whose last evaluation failed mid-run (stall abort, unrecovered
-// crash) is re-executable after Reset instead of being rebuilt from the
-// ensembles. Runs themselves re-arm their own context at entry, so Reset
-// is only needed to scrub state outside a Run — it must not be called
-// concurrently with one.
-func (p *Plan) Reset() {
-	p.ctxMu.Lock()
-	ctxs := append([]resettable(nil), p.ctxs...)
-	p.ctxMu.Unlock()
-	for _, c := range ctxs {
-		c.Reset()
-	}
+	return homes, dist.RemoteBytes(g), dist.RemoteEdges(g)
 }
 
 // NewPlan partitions the ensembles, computes the dual-tree lists, and builds
@@ -239,12 +225,10 @@ type state struct {
 	grad []geom.Point
 }
 
-// newState allocates payloads for every node of the graph; withGrad also
-// allocates the gradient accumulators (requires a kernel.GradKernel).
-func (p *Plan) newState(charges []float64, withGrad bool) (*state, error) {
-	if len(charges) != len(p.Source.Pts) {
-		return nil, fmt.Errorf("core: %d charges for %d sources", len(charges), len(p.Source.Pts))
-	}
+// newState allocates zeroed payloads for every node of the graph; withGrad
+// also allocates the gradient accumulators (requires a kernel.GradKernel).
+// Charges arrive per run, through reset.
+func (p *Plan) newState(withGrad bool) (*state, error) {
 	g := p.Graph
 	k := p.Kernel
 	s := &state{
@@ -252,7 +236,7 @@ func (p *Plan) newState(charges []float64, withGrad bool) (*state, error) {
 		exp: make([][]complex128, len(g.Nodes)),
 		own: make([][geom.NumDirections][]complex128, len(g.Nodes)),
 		mrg: make([][geom.NumDirections][]complex128, len(g.Nodes)),
-		q:   make([]float64, len(charges)),
+		q:   make([]float64, len(p.Source.Pts)),
 		pot: make([]float64, len(p.Target.Pts)),
 	}
 	if withGrad {
@@ -260,9 +244,6 @@ func (p *Plan) newState(charges []float64, withGrad bool) (*state, error) {
 			return nil, fmt.Errorf("core: kernel %s does not support gradients", k.Name())
 		}
 		s.grad = make([]geom.Point, len(p.Target.Pts))
-	}
-	for i, orig := range p.Source.Perm {
-		s.q[i] = charges[orig]
 	}
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
@@ -292,44 +273,39 @@ func (p *Plan) newState(charges []float64, withGrad bool) (*state, error) {
 	return s, nil
 }
 
-// reset zeroes all payloads so the state can be reused for another charge
-// vector.
+// vectors returns the coefficient vectors of node id's payload, in wire
+// order: the M or L expansion, then the own-level and the merged directional
+// waves in direction order. A vector the node does not have (its kind, its
+// masks) is empty; S and T nodes have none.
+func (s *state) vectors(id int32) (v [1 + 2*geom.NumDirections][]complex128) {
+	v[0] = s.exp[id]
+	copy(v[1:], s.own[id][:])
+	copy(v[1+geom.NumDirections:], s.mrg[id][:])
+	return v
+}
+
+// reset installs a charge vector and zeroes everything computed from the
+// previous one — potentials, gradients and all expansion payloads — so the
+// state can be reused run over run.
 func (s *state) reset(charges []float64) {
 	for i, orig := range s.p.Source.Perm {
 		s.q[i] = charges[orig]
 	}
-	s.zeroDerived()
-}
-
-// zeroAll clears every payload including the charge vector: the state of a
-// freshly allocated context.
-func (s *state) zeroAll() {
-	for i := range s.q {
-		s.q[i] = 0
-	}
-	s.zeroDerived()
-}
-
-// zeroDerived zeroes everything computed from the charges: potentials,
-// gradients and all expansion payloads.
-func (s *state) zeroDerived() {
 	for i := range s.pot {
 		s.pot[i] = 0
 	}
 	for i := range s.grad {
 		s.grad[i] = geom.Point{}
 	}
-	zero := func(v []complex128) {
-		for j := range v {
-			v[j] = 0
-		}
-	}
 	for i := range s.exp {
-		zero(s.exp[i])
-		for d := 0; d < geom.NumDirections; d++ {
-			zero(s.own[i][d])
-			zero(s.mrg[i][d])
-		}
+		s.zeroVectors(int32(i))
+	}
+}
+
+// zeroVectors clears the coefficient vectors of node id.
+func (s *state) zeroVectors(id int32) {
+	for _, v := range s.vectors(id) {
+		clear(v)
 	}
 }
 
@@ -340,21 +316,8 @@ func (s *state) zeroDerived() {
 // own their box's slice of the potential (and gradient) accumulators.
 // Callers serialize against concurrent deliveries via the node's lock.
 func (s *state) zeroNode(n *dag.Node) {
-	switch n.Kind {
-	case dag.NodeM, dag.NodeL:
-		for j := range s.exp[n.ID] {
-			s.exp[n.ID][j] = 0
-		}
-	case dag.NodeIs, dag.NodeIt:
-		for d := 0; d < geom.NumDirections; d++ {
-			for j := range s.own[n.ID][d] {
-				s.own[n.ID][d][j] = 0
-			}
-			for j := range s.mrg[n.ID][d] {
-				s.mrg[n.ID][d][j] = 0
-			}
-		}
-	case dag.NodeT:
+	s.zeroVectors(n.ID)
+	if n.Kind == dag.NodeT {
 		b := n.Box
 		for j := b.Lo; j < b.Hi; j++ {
 			s.pot[j] = 0
@@ -500,42 +463,30 @@ func (s *state) srcPts(b *tree.Box) []geom.Point { return s.p.Source.Pts[b.Lo:b.
 func (s *state) tgtPts(b *tree.Box) []geom.Point { return s.p.Target.Pts[b.Lo:b.Hi] }
 
 // EvaluateSequential runs the DAG in one goroutine in topological order and
-// returns the potentials in the caller's target order. It is the reference
-// executor used by the correctness tests and by the cost calibration of the
-// simulator.
+// returns the potentials in the caller's target order: a one-shot
+// Evaluation. It is the reference executor used by the correctness tests and
+// by the cost calibration of the simulator — per-edge through state.apply by
+// construction, no batches, no runtime.
 func (p *Plan) EvaluateSequential(charges []float64) ([]float64, error) {
-	pot, _, err := p.evalSeq(charges, false)
-	return pot, err
+	e, err := p.newEvaluation(false)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(charges)
 }
 
 // EvaluateSequentialGrad also computes the potential gradient (field /
 // force) at every target.
 func (p *Plan) EvaluateSequentialGrad(charges []float64) ([]float64, []geom.Point, error) {
-	return p.evalSeq(charges, true)
-}
-
-func (p *Plan) evalSeq(charges []float64, withGrad bool) ([]float64, []geom.Point, error) {
-	if err := p.checkKernel(); err != nil {
-		return nil, nil, err
-	}
-	st, err := p.newState(charges, withGrad)
+	e, err := p.newEvaluation(true)
 	if err != nil {
 		return nil, nil, err
 	}
-	order := p.Graph.TopoOrder()
-	if len(order) != len(p.Graph.Nodes) {
-		return nil, nil, fmt.Errorf("core: graph is not a DAG")
-	}
-	for _, id := range order {
-		n := &p.Graph.Nodes[id]
-		for _, e := range n.Out {
-			st.apply(n, e)
-		}
-	}
-	if err := p.checkKernel(); err != nil {
+	pot, err := e.Run(charges)
+	if err != nil {
 		return nil, nil, err
 	}
-	return st.potentials(), st.gradients(), nil
+	return pot, e.st.gradients(), nil
 }
 
 // Stats summarizes the plan for diagnostics.
@@ -557,8 +508,10 @@ type Evaluation struct {
 }
 
 // NewEvaluation allocates an evaluation context.
-func (p *Plan) NewEvaluation() (*Evaluation, error) {
-	st, err := p.newState(make([]float64, len(p.Source.Pts)), false)
+func (p *Plan) NewEvaluation() (*Evaluation, error) { return p.newEvaluation(false) }
+
+func (p *Plan) newEvaluation(withGrad bool) (*Evaluation, error) {
+	st, err := p.newState(withGrad)
 	if err != nil {
 		return nil, err
 	}
@@ -566,18 +519,13 @@ func (p *Plan) NewEvaluation() (*Evaluation, error) {
 	if len(order) != len(p.Graph.Nodes) {
 		return nil, fmt.Errorf("core: graph is not a DAG")
 	}
-	e := &Evaluation{plan: p, st: st, order: order}
-	p.registerCtx(e)
-	return e, nil
+	return &Evaluation{plan: p, st: st, order: order}, nil
 }
 
-// Reset zeroes the context's payload buffers; the next Run starts from a
-// clean state. Run re-arms itself at entry, so Reset is only needed when
-// scrubbing a cached context outside a Run (see Plan.Reset).
-func (e *Evaluation) Reset() { e.st.zeroAll() }
-
 // Run evaluates the DAG for one charge vector, reusing the context's
-// buffers, and returns the potentials in the caller's target order.
+// buffers, and returns the potentials in the caller's target order. It is
+// the one sequential walker: every edge in topological order, each through
+// state.apply.
 func (e *Evaluation) Run(charges []float64) ([]float64, error) {
 	if len(charges) != len(e.plan.Source.Pts) {
 		return nil, fmt.Errorf("core: %d charges for %d sources", len(charges), len(e.plan.Source.Pts))

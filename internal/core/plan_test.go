@@ -81,14 +81,25 @@ func TestAccuracyEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAccuracyM2LPaths extends the E9 gate to the hot-path overhaul's
-// M→L operator cache: the basic method's M2L edges are evaluated once
-// through the cached dense translation matrices and once through the
-// projection fallback, and both must pass the 3-digit gate against direct
-// summation — for both kernels, on the cube and sphere distributions.
-// The two paths must also agree with each other to near machine
-// precision, since the cached matrix is built from the same translation
-// operator it replaces.
+// offLatticeM2L presents every M->L translation to the wrapped kernel with
+// the box side inflated by one part in 1e8: the centre difference is then
+// no integer multiple of the side, so the kernel takes the path production
+// takes for off-lattice geometry — spectral projection — for the same
+// translation, with a projection radius that differs in the eighth digit.
+type offLatticeM2L struct{ kernel.Kernel }
+
+func (k offLatticeM2L) M2L(from, to geom.Point, side float64, in, out []complex128) {
+	k.Kernel.M2L(from, to, side*(1+1e-8), in, out)
+}
+
+// TestAccuracyM2LPaths extends the E9 gate to the M→L operator tables: the
+// basic method's M2L edges are evaluated once through the cached dense
+// translation tables and once through the projection fallback (reached as
+// production reaches it, by an off-lattice offset), and both must pass the
+// 3-digit gate against direct summation — for both kernels, on the cube and
+// sphere distributions. The two paths must also agree with each other to
+// near machine precision, since the table is built from the same
+// translation operator it replaces.
 func TestAccuracyM2LPaths(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sequential accuracy gate: no concurrency to instrument, ~10x slower under race")
@@ -100,16 +111,12 @@ func TestAccuracyM2LPaths(t *testing.T) {
 		tp := points.Generate(distrib, n, 22)
 		q := points.Charges(n, 33)
 		for _, k := range []kernel.Kernel{kernel.NewLaplace(p), kernel.NewYukawa(p, 4.0)} {
-			ck, ok := k.(interface{ SetM2LCache(bool) })
-			if !ok {
-				t.Fatalf("%s kernel does not expose the M2L cache toggle", k.Name())
-			}
 			plan, err := NewPlan(sp, tp, k, Options{Method: dag.Basic, Threshold: 60})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Guard against a vacuous pass: the plan must actually carry
-			// M2L edges for the cache to translate.
+			// M2L edges for the tables to translate.
 			if plan.Graph.EdgeCount[dag.OpM2L] == 0 {
 				t.Fatalf("%v/%s: basic plan has no M2L edges", distrib, k.Name())
 			}
@@ -117,9 +124,13 @@ func TestAccuracyM2LPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ck.SetM2LCache(false)
-			projected, err := plan.EvaluateSequential(q)
-			ck.SetM2LCache(true)
+			// The same trees, lists and DAG over the same prepared kernel;
+			// only M2L is rerouted.
+			offPlan, err := NewPlanFromTrees(plan.Source, plan.Target, offLatticeM2L{k}, Options{Method: dag.Basic, Threshold: 60})
+			if err != nil {
+				t.Fatal(err)
+			}
+			projected, err := offPlan.EvaluateSequential(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,18 +142,22 @@ func TestAccuracyM2LPaths(t *testing.T) {
 			if e := maxRelErr(projected, ref); e > 1.5e-3 {
 				t.Errorf("%v/%s projected M2L: rel err %.2e > 1.5e-3", distrib, k.Name(), e)
 			}
-			var den float64
+			var den, worst float64
 			for i := range projected {
-				if m := math.Abs(projected[i]); m > den {
-					den = m
-				}
+				den = math.Max(den, math.Abs(projected[i]))
 			}
+			same := true
 			for i := range cached {
-				if math.Abs(cached[i]-projected[i])/den > 1e-9 {
-					t.Fatalf("%v/%s: cached and projected M2L diverge at %d: %v vs %v",
-						distrib, k.Name(), i, cached[i], projected[i])
-				}
+				worst = math.Max(worst, math.Abs(cached[i]-projected[i])/den)
+				same = same && cached[i] == projected[i]
 			}
+			if same {
+				t.Fatalf("%v/%s: bit-identical potentials — the off-lattice wrapper did not reroute M2L", distrib, k.Name())
+			}
+			if worst > 1e-9 {
+				t.Fatalf("%v/%s: cached and projected M2L diverge by %.2e", distrib, k.Name(), worst)
+			}
+			t.Logf("%v/%s: cached vs projected M2L %.2e", distrib, k.Name(), worst)
 		}
 	}
 }

@@ -4,20 +4,19 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/amt"
 )
 
 // The stall watchdog (ExecOptions.StallWindow): the defense against a run
 // that is live but stuck — an LCO that can never be satisfied — as opposed
 // to a dead rank, which the cluster's heartbeat detector and
-// distExec.applyDeath (distrib.go) handle.
+// fabric.applyDeath (distrib.go) handle.
 
 // runWatchdog samples execution progress and, if no task runs for a full
 // window, diagnoses the stall — listing every unsatisfied LCO with its
 // owner rank and arrived/needed counts — and aborts the run instead of
 // hanging. The returned stop function joins the goroutine.
-func (ex *executor) runWatchdog(rt *amt.Runtime, window time.Duration) func() {
+func (ex *executor) runWatchdog(window time.Duration) func() {
+	rt := ex.rt
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -40,11 +39,7 @@ func (ex *executor) runWatchdog(rt *amt.Runtime, window time.Duration) func() {
 				if time.Since(lastChange) < window {
 					continue
 				}
-				err := ex.diagnoseStall(window)
-				ex.stallMu.Lock()
-				ex.stallErr = err
-				ex.stallMu.Unlock()
-				rt.Abort()
+				ex.fail(ex.diagnoseStall(window))
 				return
 			}
 		}
@@ -71,18 +66,11 @@ func (ex *executor) diagnoseStall(window time.Duration) error {
 		}
 		n := &ex.g.Nodes[i]
 		fmt.Fprintf(&sb, "\n  node %d (%v) on rank %d: %d/%d inputs arrived",
-			i, n.Kind, n.Locality, n.In-rem, n.In)
+			i, n.Kind, ex.homes[i].Load(), n.In-rem, n.In)
 	}
 	if stuck > maxListed {
 		fmt.Fprintf(&sb, "\n  ... and %d more", stuck-maxListed)
 	}
 	return fmt.Errorf("core: evaluation stalled (no task ran for %s); %d unsatisfied LCOs:%s",
 		window, stuck, sb.String())
-}
-
-// stallError returns the watchdog's diagnosis, if any.
-func (ex *executor) stallError() error {
-	ex.stallMu.Lock()
-	defer ex.stallMu.Unlock()
-	return ex.stallErr
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dag"
+	"repro/internal/kernel"
 	"repro/internal/points"
 )
 
@@ -49,68 +53,95 @@ func TestParallelEvaluationRuntimeReuse(t *testing.T) {
 	assertSame(t, got, want2, 1e-9)
 }
 
-// Plan.Reset re-arms every evaluation context created from the plan: after
-// a Reset (as the serving layer issues following a failed request) both the
-// sequential and the parallel contexts still produce correct results.
+// A context needs no scrubbing after a failed Run: the stalled run below (the
+// wedged kernel and watchdog of recover_test.go) leaves payloads, countdowns
+// and a runtime with work behind, and the next Run on the same context —
+// which re-arms all of it at entry — answers correctly on a fresh runtime;
+// the one after pools again. (This is what Plan.Reset used to be called
+// for.)
 func TestPlanResetReexecutable(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 1500)
-	ev, err := plan.NewEvaluation()
+	const n = 1000
+	k := &wedgedKernel{Kernel: kernel.NewLaplace(6), release: make(chan struct{})}
+	plan, err := NewPlan(points.Generate(points.Cube, n, 1), points.Generate(points.Cube, n, 2),
+		k, Options{Method: dag.Advanced, Threshold: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := plan.NewParallelEvaluation(ExecOptions{Localities: 1, Workers: 2})
+	q := points.Charges(n, 3)
+	pe, err := plan.NewParallelEvaluation(ExecOptions{
+		Localities: 2, Workers: 1, Seed: 3, StallWindow: 200 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dirty both contexts with a run, then Reset the plan and re-run.
-	if _, err := ev.Run(q); err != nil {
-		t.Fatal(err)
+	// Run cannot return before its wedged worker does; let it go well after
+	// the watchdog has had its window.
+	defer time.AfterFunc(time.Second, func() { close(k.release) }).Stop()
+	if _, _, err := pe.Run(q); err == nil || !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("wedged run: err = %v, want a stall diagnosis", err)
 	}
-	if _, _, err := pe.Run(q); err != nil {
-		t.Fatal(err)
-	}
-	plan.Reset()
-	got, err := ev.Run(q)
+	want, err := plan.EvaluateSequential(q) // the wedge is spent
 	if err != nil {
 		t.Fatal(err)
+	}
+	got, rep, err := pe.Run(q)
+	if err != nil {
+		t.Fatalf("run after the failed one: %v", err)
 	}
 	assertSame(t, got, want, 1e-12)
-	pgot, rep, err := pe.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, pgot, want, 1e-9)
 	if rep.RuntimeReused {
-		t.Error("Plan.Reset must discard the pooled runtime (conservative re-arm)")
+		t.Error("the run after a failed one reused its runtime")
 	}
-	// The run after the post-Reset one pools again.
-	if _, rep, err = pe.Run(q); err != nil || !rep.RuntimeReused {
-		t.Errorf("pooling did not resume after Reset: reused=%v err=%v", rep.RuntimeReused, err)
+	if got, rep, err = pe.Run(q); err != nil || !rep.RuntimeReused {
+		t.Errorf("pooling did not resume: reused=%v err=%v", rep.RuntimeReused, err)
 	}
+	assertSame(t, got, want, 1e-12)
 }
 
-// A closed context must leave the plan's registry, so a long-lived plan that
-// outlives many contexts does not pin their buffers.
-func TestParallelEvaluationCloseReleasesContext(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 800)
-	keep, err := plan.NewParallelEvaluation(ExecOptions{Workers: 2})
+// A plan must not pin the contexts made from it: every one-shot Evaluate
+// used to leave its full payload state reachable from the plan for the
+// plan's lifetime. Thirty of them may grow the live heap by less than two
+// states' worth.
+func TestEvaluateDoesNotPinContexts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is not meaningful under the race detector")
+	}
+	plan, q, _ := testPlan(t, dag.Advanced, 1500)
+	opts := ExecOptions{Workers: 2}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle empties the sync.Pool victim caches
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	if _, _, err := plan.Evaluate(q, opts); err != nil { // build the lazy operator tables
+		t.Fatal(err)
+	}
+	base := live()
+	keep, err := plan.NewParallelEvaluation(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(plan.ctxs)
-	for i := 0; i < 3; i++ {
-		pe, err := plan.NewParallelEvaluation(ExecOptions{Workers: 1 + i})
-		if err != nil {
+	if _, _, err := keep.Run(q); err != nil {
+		t.Fatal(err)
+	}
+	oneState := int64(live()) - int64(base)
+	runtime.KeepAlive(keep)
+	if oneState < 1<<20 {
+		t.Fatalf("fixture too small to measure: one live context is %d bytes", oneState)
+	}
+	keep = nil
+	before := live()
+	for i := 0; i < 30; i++ {
+		if _, _, err := plan.Evaluate(q, opts); err != nil {
 			t.Fatal(err)
 		}
-		pe.Close()
 	}
-	if got := len(plan.ctxs); got != before {
-		t.Fatalf("plan tracks %d contexts after three open/close cycles, want %d", got, before)
+	growth := int64(live()) - int64(before)
+	runtime.KeepAlive(plan) // or the plan is garbage too, with whatever it pins
+	t.Logf("one context %d KB, growth over 30 one-shot evaluations %d KB", oneState>>10, growth>>10)
+	if growth > 2*oneState {
+		t.Errorf("30 x Plan.Evaluate grew the live heap by %d bytes, more than two contexts of %d", growth, oneState)
 	}
-	got, _, err := keep.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, got, want, 1e-9)
 }

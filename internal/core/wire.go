@@ -35,28 +35,18 @@ const (
 	wireKindResult uint16 = 3
 )
 
-func appendU32(b []byte, v uint32) []byte {
-	var u [4]byte
-	binary.LittleEndian.PutUint32(u[:], v)
-	return append(b, u[:]...)
-}
+func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 
-func appendF64s(b []byte, vs []float64) []byte {
-	var u [8]byte
+func appendF64s(b []byte, vs ...float64) []byte {
 	for _, v := range vs {
-		binary.LittleEndian.PutUint64(u[:], math.Float64bits(v))
-		b = append(b, u[:]...)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	return b
 }
 
 func appendC128s(b []byte, vs []complex128) []byte {
-	var u [8]byte
 	for _, v := range vs {
-		binary.LittleEndian.PutUint64(u[:], math.Float64bits(real(v)))
-		b = append(b, u[:]...)
-		binary.LittleEndian.PutUint64(u[:], math.Float64bits(imag(v)))
-		b = append(b, u[:]...)
+		b = appendF64s(b, real(v), imag(v))
 	}
 	return b
 }
@@ -112,7 +102,7 @@ func (r *wireReader) done() error {
 func encodeCharges(charges []float64) []byte {
 	buf := make([]byte, 0, 4+8*len(charges))
 	buf = appendU32(buf, uint32(len(charges)))
-	return appendF64s(buf, charges)
+	return appendF64s(buf, charges...)
 }
 
 func decodeCharges(b []byte, want int) ([]float64, error) {
@@ -131,23 +121,14 @@ func decodeCharges(b []byte, want int) ([]float64, error) {
 	return out, r.done()
 }
 
-// appendNodePayload serializes the live expansion payload of one node. The
-// layout is implied by the node's kind and masks plus the kernel sizes, all
-// of which every rank derives from the shared Plan: M/L nodes carry their
-// expansion coefficients; I nodes carry their own-level then merged
-// directional waves in direction order; S nodes carry nothing (the charge
+// appendNodePayload serializes the live expansion payload of one node: its
+// coefficient vectors in the order of state.vectors. Their lengths are
+// implied by the node's kind and masks plus the kernel sizes, all of which
+// every rank derives from the shared Plan; S nodes carry nothing (the charge
 // vector is globally broadcast) and T nodes are sinks that never send.
 func (s *state) appendNodePayload(n *dag.Node, buf []byte) []byte {
-	switch n.Kind {
-	case dag.NodeM, dag.NodeL:
-		buf = appendC128s(buf, s.exp[n.ID])
-	case dag.NodeIs, dag.NodeIt:
-		for d := 0; d < geom.NumDirections; d++ {
-			buf = appendC128s(buf, s.own[n.ID][d])
-		}
-		for d := 0; d < geom.NumDirections; d++ {
-			buf = appendC128s(buf, s.mrg[n.ID][d])
-		}
+	for _, v := range s.vectors(n.ID) {
+		buf = appendC128s(buf, v)
 	}
 	return buf
 }
@@ -158,19 +139,9 @@ func (s *state) appendNodePayload(n *dag.Node, buf []byte) []byte {
 // surface as errors). Callers serialize against readers of the node's
 // payload via the node's lock.
 func (s *state) installNodePayload(n *dag.Node, r *wireReader) error {
-	switch n.Kind {
-	case dag.NodeM, dag.NodeL:
-		return r.c128s(s.exp[n.ID])
-	case dag.NodeIs, dag.NodeIt:
-		for d := 0; d < geom.NumDirections; d++ {
-			if err := r.c128s(s.own[n.ID][d]); err != nil {
-				return err
-			}
-		}
-		for d := 0; d < geom.NumDirections; d++ {
-			if err := r.c128s(s.mrg[n.ID][d]); err != nil {
-				return err
-			}
+	for _, v := range s.vectors(n.ID) {
+		if err := r.c128s(v); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -236,10 +207,10 @@ func (s *state) encodeResult(ids []int32) []byte {
 	for _, id := range ids {
 		b := g.Nodes[id].Box
 		buf = appendU32(buf, uint32(id))
-		buf = appendF64s(buf, s.pot[b.Lo:b.Hi])
+		buf = appendF64s(buf, s.pot[b.Lo:b.Hi]...)
 		if s.grad != nil {
 			for _, gp := range s.grad[b.Lo:b.Hi] {
-				buf = appendF64s(buf, []float64{gp.X, gp.Y, gp.Z})
+				buf = appendF64s(buf, gp.X, gp.Y, gp.Z)
 			}
 		}
 	}

@@ -57,8 +57,8 @@ func (b *base) M2M(from, to geom.Point, childSide float64, in, out []complex128)
 // boxes recur for every box of a level (the classic 189-offset interaction
 // list, up to 316 distinct lattice offsets with |d|∞ in [2,3]), so the
 // M->L table is built once per (kernel, box side, lattice offset) and
-// replayed as a single apply. Geometry off that lattice (or with the cache
-// disabled) falls back to spectral projection.
+// replayed as a single apply. Geometry off that lattice falls back to
+// spectral projection.
 func (b *base) M2L(from, to geom.Point, side float64, in, out []complex128) {
 	b.xlate(m2lKind, from, to, side, in, out)
 }
@@ -147,19 +147,10 @@ func (b *base) xlTable(kind uint8, side float64, o M2LOffset, to geom.Point) []c
 	return actual.([]complex128)
 }
 
-// SetM2LCache enables or disables the cached-operator M->L path (enabled
-// by default). The accuracy tests toggle it to compare the cached tables
-// against pure spectral projection; it is not safe to flip concurrently
-// with operator calls.
-func (b *base) SetM2LCache(on bool) { b.m2lCacheOff = !on }
-
-// m2lTable returns the cached M->L table of one lattice offset, or nil with
-// the cache disabled. Keyed by exact box side bits plus the integer offset,
-// so the scale-variant Yukawa kernel gets per-level operators for free.
+// m2lTable returns the cached M->L table of one lattice offset. Keyed by
+// exact box side bits plus the integer offset, so the scale-variant Yukawa
+// kernel gets per-level operators for free.
 func (b *base) m2lTable(off M2LOffset, side float64) []complex128 {
-	if b.m2lCacheOff {
-		return nil
-	}
 	return b.xlTable(m2lKind, side, off, off.Scale(side))
 }
 

@@ -37,8 +37,8 @@ type BatchKernel interface {
 	// `side` at tree level `level`) to ins[i], accumulating into outs[i].
 	// Runs of equal consecutive offsets share one operator fetch and one
 	// blocked multi-RHS apply; callers sort their batches by offset to
-	// maximize run length. With the operator cache disabled every edge
-	// falls back to spectral projection, matching M2L exactly.
+	// maximize run length. Every offset is on the lattice (M2LOffsetOf
+	// said so), so every edge goes through a table.
 	M2LBatch(offs []M2LOffset, side float64, level int, ins, outs [][]complex128)
 	// P2P accumulates the direct interaction of the source chunks into the
 	// targets, tiled for cache reuse (see p2p.go).
@@ -56,20 +56,7 @@ func (b *base) M2LBatch(offs []M2LOffset, side float64, level int, ins, outs [][
 		for hi < len(offs) && offs[hi] == offs[lo] {
 			hi++
 		}
-		if tab := b.m2lTable(offs[lo], side); tab != nil {
-			applyTable(tab, ins[lo:hi], outs[lo:hi])
-		} else {
-			// Cache disabled: per-RHS spectral projection about the origin —
-			// the operator depends only on the offset vector, so projecting
-			// from the origin to offset*side reproduces the per-edge result.
-			//lint:ignore escape-gate pool miss path: newWorkspace (inlined here) allocates only when the free list is empty; steady state recycles workspaces, so the hot path stays allocation-free
-			ws := b.wsp.get(b)
-			inRF, outRF, a := b.xlParams(m2lKind, side)
-			for i := lo; i < hi; i++ {
-				b.translate(ws, geom.Point{}, offs[lo].Scale(side), a, ins[i], inRF, outRF, outs[i])
-			}
-			b.wsp.put(ws)
-		}
+		applyTable(b.m2lTable(offs[lo], side), ins[lo:hi], outs[lo:hi])
 		lo = hi
 	}
 }

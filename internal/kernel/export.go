@@ -42,8 +42,7 @@ const (
 )
 
 // OperatorCache is implemented by the built-in kernels: it exposes the
-// dense-operator cache for persistence. Callers type-assert, matching how
-// the accuracy tests reach SetM2LCache.
+// dense-operator cache for persistence. Callers type-assert.
 type OperatorCache interface {
 	// ExportOperators snapshots every cached dense operator, in a
 	// deterministic order (so spilled records are byte-stable).

@@ -141,9 +141,6 @@ type base struct {
 	// parent/child offsets of M->M and L->L and for the per-(side,
 	// lattice-offset) list-2 M->L operators (see api.go).
 	xl sync.Map
-	// m2lCacheOff disables the cached M->L path (SetM2LCache), so the
-	// accuracy tests can compare it against pure projection.
-	m2lCacheOff bool
 	// pwPending holds imported plane-wave matrices (ImportOperators) until
 	// Prepare reaches their level and adopts or drops them (see preparePW).
 	pwPending map[xlKey][]complex128

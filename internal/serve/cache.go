@@ -168,8 +168,9 @@ func (e *planEntry) ensureBuilt(r *Request, st *Store) error {
 }
 
 // shape returns (building if needed) the pooled evaluation context for the
-// request's execution shape, closing the least recently used one when the
-// entry is at its cap. Caller must hold e.mu.
+// request's execution shape, dropping the least recently used one when the
+// entry is at its cap (the plan holds no reference to its contexts, so a
+// dropped one is garbage). Caller must hold e.mu.
 //
 //dashmm:locked planEntry.mu — documented precondition: handleEvaluate calls shape inside the entry's critical section.
 func (e *planEntry) shape(r *Request) (*evalCtx, error) {
@@ -186,7 +187,6 @@ func (e *planEntry) shape(r *Request) (*evalCtx, error) {
 				oldest = k
 			}
 		}
-		e.evals[oldest].pe.Close()
 		delete(e.evals, oldest)
 	}
 	tr := trace.New(r.Localities * r.Workers)

@@ -439,8 +439,8 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 		}
 	}
 	if err != nil {
-		// Scrub the dirty mid-run state so the cached plan stays usable.
-		entry.plan.Reset()
+		// The cached context stays usable: its next Run re-arms everything
+		// this one left behind, on a fresh runtime.
 		return nil, http.StatusInternalServerError,
 			&errorBody{Error: "evaluation failed: " + err.Error(), Degraded: degraded}
 	}

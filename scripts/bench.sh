@@ -1,16 +1,10 @@
 #!/bin/sh
-# Runs the hot-path benchmark suite (lock-free deque, cached M→L
-# operators, batched multi-RHS M→L, zero-allocation evaluation — the
-# 'BenchmarkEvaluateHotPath' pattern matches the plain and Batched
-# variants) and writes the results as machine-readable JSON to
-# BENCH_hotpath.json in the repository root.
-# A pre-existing BENCH_hotpath.json is kept as BENCH_hotpath.prev.json and
-# a ns/op comparison is printed; a missing prior file is fine — the
-# comparison is simply skipped.
+# Usage: scripts/bench.sh serve [extra go test args...]   # warm-vs-cold serving benchmark -> BENCH_serve.json
+#        scripts/bench.sh load [extra dashmm-load args...] # production load harness -> BENCH_load.json
 #
-# Usage: scripts/bench.sh [extra go test args...]
-#        scripts/bench.sh serve   # warm-vs-cold serving benchmark -> BENCH_serve.json
-#        scripts/bench.sh load    # production load harness -> BENCH_load.json
+# The repository's yardstick is bench/ (`go run -C bench .`, BENCHMARK.json);
+# these two modes are what is left of the older harness until ROADMAP item 4
+# folds them into it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -125,83 +119,5 @@ if [ "${1:-}" = "serve" ]; then
     exit 0
 fi
 
-prev=""
-if [ -f BENCH_hotpath.json ]; then
-    prev=BENCH_hotpath.prev.json
-    cp BENCH_hotpath.json "$prev"
-else
-    echo "no prior BENCH_hotpath.json — skipping comparison"
-fi
-
-raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
-
-run_bench ./internal/amt -run '^$' \
-    -bench 'BenchmarkDequePushPop|BenchmarkStealContention' \
-    -benchmem "$@"
-run_bench ./internal/kernel -run '^$' \
-    -bench 'BenchmarkM2LCachedVsProjected' \
-    -benchmem "$@"
-run_bench . -run '^$' \
-    -bench 'BenchmarkEvaluateHotPath|BenchmarkM2LBatchedVsSingle' \
-    -benchtime 3x -timeout 40m "$@"
-
-# Convert `go test -bench` lines into a JSON array: one object per
-# benchmark with ns/op, allocations, and any custom ReportMetric columns.
-awk '
-BEGIN { print "["; first = 1 }
-/^Benchmark/ {
-    name = $1; iters = $2
-    if (!first) printf ",\n"
-    first = 0
-    printf "  {\"name\": \"%s\", \"iterations\": %s", name, iters
-    for (i = 3; i < NF; i += 2) {
-        unit = $(i + 1)
-        gsub(/\//, "_per_", unit)
-        gsub(/[^A-Za-z0-9_]/, "_", unit)
-        printf ", \"%s\": %s", unit, $i
-    }
-    printf "}"
-}
-END { print "\n]" }
-' "$raw" > BENCH_hotpath.json
-
-echo "wrote BENCH_hotpath.json"
-
-# Batched-execution win on the dense-M2L method: the per-edge sub-benchmark
-# of the Basic-method hot path against the batched default from the same
-# run (tentpole acceptance: batched must be faster end to end).
-awk '
-match($0, /"name": "[^"]*"/) {
-    name = substr($0, RSTART + 9, RLENGTH - 10)
-    if (match($0, /"ns_per_op": [0-9.e+]*/))
-        ns[name] = substr($0, RSTART + 13, RLENGTH - 13)
-}
-END {
-    per = ns["BenchmarkEvaluateHotPathBatched/per-edge"]
-    bat = ns["BenchmarkEvaluateHotPathBatched/batched"]
-    if (per + 0 > 0 && bat + 0 > 0)
-        printf "batched-execution end-to-end win: per-edge %s -> batched %s ns/op (%.2fx)\n", per, bat, per / bat
-}
-' BENCH_hotpath.json
-
-# Compare ns/op against the prior run, when one exists.
-if [ -n "$prev" ]; then
-    echo "ns/op vs $prev:"
-    awk '
-    # Both files are one-object-per-line JSON arrays produced above; pull
-    # out (name, ns_per_op) pairs without needing a JSON parser.
-    match($0, /"name": "[^"]*"/) {
-        name = substr($0, RSTART + 9, RLENGTH - 10)
-        ns = ""
-        if (match($0, /"ns_per_op": [0-9.e+]*/))
-            ns = substr($0, RSTART + 13, RLENGTH - 13)
-        if (ns == "") next
-        if (NR == FNR) { old[name] = ns; next }
-        if (name in old && old[name] + 0 > 0)
-            printf "  %-60s %12s -> %12s  (%+.1f%%)\n", name, old[name], ns, (ns - old[name]) / old[name] * 100
-        else
-            printf "  %-60s %12s -> %12s  (new)\n", name, "-", ns
-    }
-    ' "$prev" BENCH_hotpath.json
-fi
+echo "usage: scripts/bench.sh serve|load [extra args...]" >&2
+exit 2
