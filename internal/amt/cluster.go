@@ -2,13 +2,13 @@ package amt
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,40 +22,53 @@ import (
 // keeps the join connection open as its control channel. Rank 0 validates
 // joins — wrong stamp, out-of-range or duplicate rank, and joins after the
 // run has started are rejected with a reason — and once all ranks are
-// present broadcasts START carrying the full peer address list. From then
-// on the data plane is a mesh of SocketTransport connections (socket.go),
-// while heartbeats keep flowing worker→rank 0 over the control star: rank 0
-// is the single membership authority — the one failure detector of the
-// system — declaring a silent rank dead after the missed-beat threshold and
-// broadcasting the verdict, with an epoch number, to every survivor. A
-// worker that loses its control connection treats the coordinator as dead
-// and aborts.
+// present broadcasts the first membership frame (the START) carrying the
+// full peer address list. From then on the data plane is a mesh of
+// SocketTransport connections (socket.go), while heartbeats keep flowing
+// worker→rank 0 over the control star: rank 0 is the single membership
+// authority — the one failure detector of the system — declaring a silent
+// rank dead after the missed-beat threshold and broadcasting the verdict,
+// with an epoch number, to every survivor. A worker that loses its control
+// connection treats the coordinator as dead and aborts.
 //
 // A standing cluster (the serve worker pool) additionally supports
 // generation-based re-admission: a respawned worker presents a REJOIN
 // handshake, which rank 0 admits between runs — allocating a fresh wire
 // generation, resurrecting the rank's transport links and broadcasting the
-// updated membership to every survivor. Every data frame is stamped with
-// the sender's adopted generation (socket.go) and fenced at the receiver
-// (serveData), so a corpse's stragglers from an earlier incarnation can
-// never leak into a later run. Jobs are application payloads rank 0
-// broadcasts over the control star (StartJob); while a job is running,
-// re-admission is deferred so membership never shifts under a placement.
+// updated membership to every live rank, the joiner included. Every data
+// frame is stamped with the sender's adopted generation (socket.go) and
+// fenced at the receiver (serveData), so a corpse's stragglers from an
+// earlier incarnation can never leak into a later run. Jobs are application
+// payloads rank 0 broadcasts over the control star (StartJob); while a job
+// is running, re-admission is deferred so membership never shifts under a
+// placement.
+//
+// Between the control plane and whoever acts on it there is one mechanism:
+// an ordered event log per rank (Event, Subscribe). A verdict, a
+// re-admission, a job, a run-complete signal, the loss of the coordinator —
+// each is appended in the same critical section of Cluster.mu that makes it
+// true, and on rank 0 that section also queues the frame that tells the
+// workers, so the order of those sections is the order of rank 0's log, of
+// every control connection's byte stream and of every worker's log.
+// Consumers read through a cursor of their own and may attach late: an
+// event that precedes its consumer is replayed, not parked in a slot of its
+// own. Frames leave rank 0 through a bounded queue and a writer goroutine
+// per connection: no socket write happens under a Cluster mutex, and one
+// wedged worker delays nobody but itself.
 
 // Cluster-internal control frame kinds. Application payload kinds must stay
 // below ctlBase.
 const (
 	ctlBase     uint16 = 0xff00
-	ctlHello    uint16 = 0xff01 // worker → rank0: join request
+	ctlHello    uint16 = 0xff01 // worker → rank0: join request (payload: hello)
 	ctlWelcome  uint16 = 0xff02 // rank0 → worker: join accepted
 	ctlReject   uint16 = 0xff03 // rank0 → worker: join refused (payload: reason)
-	ctlStart    uint16 = 0xff04 // rank0 → workers: peer address list, run begins
 	ctlBeat     uint16 = 0xff05 // worker → rank0: heartbeat
-	ctlDead     uint16 = 0xff06 // rank0 → workers: death verdict (payload: rank, epoch)
-	ctlShutdown uint16 = 0xff07 // rank0 → workers: run complete, drain and exit
-	ctlAttach   uint16 = 0xff08 // data-plane connection preamble
-	ctlRejoin   uint16 = 0xff09 // worker → rank0: re-admission request after a respawn
-	ctlGen      uint16 = 0xff0a // rank0 → workers: membership update (generation, epoch, addrs, dead ranks)
+	ctlDead     uint16 = 0xff06 // rank0 → workers: death verdict (frame dst = the dead rank, frame epoch = verdict epoch)
+	ctlShutdown uint16 = 0xff07 // rank0 → workers: run complete, drain (frame epoch = the run's wire generation)
+	ctlAttach   uint16 = 0xff08 // data-plane connection preamble (payload: hello)
+	ctlRejoin   uint16 = 0xff09 // worker → rank0: re-admission request after a respawn (payload: hello)
+	ctlGen      uint16 = 0xff0a // rank0 → workers: membership (payload: membership) — START is the first, each re-admission sends the next
 	ctlJob      uint16 = 0xff0b // rank0 → workers: application job broadcast (frame epoch = wire generation)
 	ctlExit     uint16 = 0xff0c // rank0 → workers: pool teardown, exit the process
 )
@@ -96,25 +109,12 @@ type ClusterConfig struct {
 	// Heartbeat tunes the membership detector (zero value = 25ms interval, 8
 	// missed beats).
 	Heartbeat FailureDetectorConfig
-	// DialBase/DialMax bound the data-plane dial retry backoff (defaults
-	// 5ms and 500ms).
-	DialBase, DialMax time.Duration
-	// MaxQueue bounds each peer's outbound frame queue; overflow is dropped
-	// and surfaces as wire loss (default 8192).
-	MaxQueue int
 	// JoinTimeout bounds the bootstrap: workers dialing rank 0 and rank 0
 	// awaiting the full roster (default 30s).
 	JoinTimeout time.Duration
-	// CtlWriteTimeout bounds each control-plane frame write. Without it, a
-	// wedged peer socket (full buffer, half-dead host) blocks
-	// controlConn.send forever while the sender holds wmu — and bcastMu
-	// above it — freezing every broadcast on rank 0, including the death
-	// verdict that would have severed the wedged peer (default 5s).
-	CtlWriteTimeout time.Duration
 	// Rejoin makes a worker re-enter an already-started cluster (a
-	// respawned rank): the handshake is a REJOIN, and the WELCOME carries
-	// the live membership (generation, epoch, peer addresses, dead ranks)
-	// instead of waiting for a START broadcast.
+	// respawned rank): the handshake is a REJOIN, admitted only between
+	// runs and only for a rank with a standing death verdict.
 	Rejoin bool
 }
 
@@ -125,46 +125,189 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Heartbeat.MissedBeats <= 0 {
 		c.Heartbeat.MissedBeats = 8
 	}
-	if c.DialBase <= 0 {
-		c.DialBase = 5 * time.Millisecond
-	}
-	if c.DialMax <= 0 {
-		c.DialMax = 500 * time.Millisecond
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 8192
-	}
 	if c.JoinTimeout <= 0 {
 		c.JoinTimeout = 30 * time.Second
-	}
-	if c.CtlWriteTimeout <= 0 {
-		c.CtlWriteTimeout = 5 * time.Second
 	}
 	return c
 }
 
-// controlConn is one end of a control-star connection with a write lock (the
-// monitor, Start and Shutdown broadcast concurrently).
-type controlConn struct {
-	conn net.Conn
-	wmu  sync.Mutex
-	// writeTimeout bounds each Write (ClusterConfig.CtlWriteTimeout): a
-	// wedged peer must error out of the wmu critical section, not park in
-	// it with every broadcaster queued behind.
-	writeTimeout time.Duration
+// EventKind names what an Event reports.
+type EventKind uint8
+
+const (
+	// EventDead is a death verdict for Rank, the Epoch-th of this cluster.
+	// Rank 0 logs it when it issues the verdict, every rank the verdict
+	// reaches when it arrives — the suspect included.
+	EventDead EventKind = iota + 1
+	// EventRejoin is the re-admission of a respawned Rank at wire
+	// generation Gen: logged by rank 0 when it admits the rank and by every
+	// survivor when the membership that revives it arrives.
+	EventRejoin
+	// EventJob is an application job broadcast (StartJob): Payload to run
+	// at wire generation Gen.
+	EventJob
+	// EventRunDone is rank 0's run-complete signal (Shutdown) for the run of
+	// wire generation Gen.
+	EventRunDone
+	// EventCoordLost ends this rank's part in the cluster: the control
+	// connection to rank 0 broke, or the cluster was closed; Err says which.
+	EventCoordLost
+	// EventExit is the pool teardown (BroadcastExit): exit the process.
+	EventExit
+)
+
+// Event is one entry of a rank's membership log.
+type Event struct {
+	Kind    EventKind
+	Rank    int    // EventDead, EventRejoin
+	Epoch   int    // EventDead
+	Gen     uint32 // EventRejoin, EventJob, EventRunDone
+	Payload []byte // EventJob; shared between subscribers, read-only
+	Err     error  // EventCoordLost
 }
 
-func (cc *controlConn) send(f *Frame) error {
-	buf := AppendFrame(nil, f)
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	if cc.writeTimeout > 0 {
-		cc.conn.SetWriteDeadline(time.Now().Add(cc.writeTimeout))
-		defer cc.conn.SetWriteDeadline(time.Time{})
+// Subscription is one consumer's cursor into a cluster's event log.
+type Subscription struct {
+	c    *Cluster
+	next int // guarded by Cluster.mu: log position of the next event to hand out
+}
+
+// Subscribe attaches a cursor to the event log. A run passes its wire
+// generation and reads from that generation's EventJob on; a consumer that
+// lives as long as the cluster passes 0. When the log holds no job of that
+// generation — 0 names none, a one-shot cluster starts none, a later job
+// may have displaced it — the cursor starts at the oldest retained event;
+// for a run started by the consumer that was handed its job that is the
+// event after the job, since that consumer's cursor has kept everything
+// since. Replay from there is how an event reaches a late consumer.
+func (c *Cluster) Subscribe(gen uint32) *Subscription {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := &Subscription{c: c, next: c.logBase}
+	isJob := func(ev Event) bool { return ev.Kind == EventJob && ev.Gen == gen }
+	if i := slices.IndexFunc(c.log, isJob); i >= 0 && gen != 0 {
+		s.next = c.logBase + i
 	}
-	//lint:ignore lockorder the write IS wmu's critical section (wmu only serializes concurrent control writes) and writeTimeout bounds it
-	_, err := cc.conn.Write(buf)
-	return err
+	c.subs[s] = struct{}{}
+	return s
+}
+
+// Next blocks until the log holds an event this subscription has not been
+// handed and returns it; false once the subscription is closed, or the
+// cluster is and the log is read to its end.
+func (s *Subscription) Next() (Event, bool) {
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		_, live := c.subs[s]
+		if i := s.next - c.logBase; live && i < len(c.log) {
+			s.next++
+			return c.log[i], true
+		}
+		if !live || c.closed {
+			return Event{}, false
+		}
+		c.cond.Wait()
+	}
+}
+
+// Close detaches the cursor: no Next hands out an event once Close has
+// returned, and the log stops retaining events on its behalf. A consumer
+// that must also have finished with the event it was handed last joins its
+// own goroutine.
+func (s *Subscription) Close() {
+	c := s.c
+	c.mu.Lock()
+	delete(c.subs, s)
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
+// publish appends one event to the log, wakes the subscribers and drops
+// what nobody can ask for any more: a run attaches at its job and every
+// live cursor reads forward, so the log is retained from the latest job or
+// the slowest live cursor, whichever is older — a standing pool's log stays
+// a few events long however many jobs it has run.
+//
+//dashmm:locked Cluster.mu — documented precondition: an event is appended in the critical section that made it true.
+func (c *Cluster) publish(ev Event) {
+	if ev.Kind == EventJob {
+		c.jobPos = c.logBase + len(c.log)
+	}
+	c.log = append(c.log, ev)
+	floor := c.jobPos
+	for s := range c.subs {
+		floor = min(floor, s.next)
+	}
+	if k := floor - c.logBase; k > 0 {
+		n := copy(c.log, c.log[k:])
+		clear(c.log[n:])
+		c.log = c.log[:n]
+		c.logBase = floor
+	}
+	c.cond.Broadcast()
+}
+
+// ctlQueueMax bounds a control link's outbound queue. Control traffic is two
+// frames per worker and evaluation plus the odd verdict, and a writer that
+// gets to run drains them in microseconds; a worker this many frames behind
+// is not slow, it is gone.
+const ctlQueueMax = 256
+
+// ctlLink is rank 0's outbound half of one worker's control connection: a
+// bounded queue of encoded frames and the one goroutine that writes them.
+// A full queue or a failed write closes the link, and a closed link stays
+// closed: the worker's heartbeats are no longer credited, and silence then
+// does what silence does — a verdict.
+type ctlLink struct {
+	conn net.Conn
+	q    chan []byte   // encoded frames (shared between links, read-only), ctlQueueMax deep
+	shut chan struct{} // closed when the link is
+	once sync.Once
+}
+
+func (l *ctlLink) enqueue(enc []byte) {
+	select {
+	case l.q <- enc:
+	default:
+		l.close()
+	}
+}
+
+func (l *ctlLink) close() { l.once.Do(func() { close(l.shut) }) }
+
+func (l *ctlLink) open() bool {
+	select {
+	case <-l.shut:
+		return false
+	default:
+		return true
+	}
+}
+
+// writeLoop writes the queue to the connection until the link closes, then
+// hangs up between frames, and the write half only: the worker reads whole
+// frames up to a clean end of stream (closing outright while its unread
+// heartbeats sit in our receive queue would reset the connection under what
+// it has not read yet). The reader (serveConn) closes the rest once the
+// worker has hung up too.
+func (l *ctlLink) writeLoop(wg *sync.WaitGroup) {
+	defer wg.Done()
+	for l.open() {
+		select {
+		case <-l.shut:
+		case enc := <-l.q:
+			if _, err := l.conn.Write(enc); err != nil {
+				l.close() // part of the frame may be on the wire: nothing may follow it
+			}
+		}
+	}
+	if half, ok := l.conn.(interface{ CloseWrite() error }); ok {
+		half.CloseWrite()
+	} else {
+		l.conn.Close()
+	}
 }
 
 // Cluster is one rank's membership endpoint.
@@ -173,65 +316,37 @@ type Cluster struct {
 	ln  net.Listener
 	tp  *SocketTransport
 
+	// mu is the membership lock: state, log and (rank 0) the link queues
+	// change together under it, and nothing under it blocks.
 	mu        sync.Mutex
-	started   bool                 // guarded by mu: START sent/received
-	running   bool                 // guarded by mu; rank0: a job is in flight, defer rejoins
-	joined    map[int]*controlConn // guarded by mu; rank0 only
-	peerAddrs []string             // guarded by mu: data-plane listen address per rank
-	deadOrder []int                // guarded by mu: dead ranks in verdict broadcast order
-	genCount  uint32               // guarded by mu; rank0: last allocated wire generation
+	cond      *sync.Cond                 // on mu: the log grew, the roster grew, started or closed flipped
+	started   bool                       // guarded by mu: first membership sent/adopted
+	running   bool                       // guarded by mu; rank0: a job is in flight, defer rejoins
+	closed    bool                       // guarded by mu: Close ran
+	links     map[int]*ctlLink           // guarded by mu; rank0: control link per joined worker
+	peerAddrs []string                   // guarded by mu: data-plane listen address per rank
+	deadOrder []int                      // guarded by mu: dead ranks in verdict order
+	genCount  uint32                     // guarded by mu; rank0: last allocated wire generation
+	log       []Event                    // guarded by mu: retained events, oldest first
+	logBase   int                        // guarded by mu: log position of log[0]
+	jobPos    int                        // guarded by mu: log position of the latest EventJob
+	subs      map[*Subscription]struct{} // guarded by mu: live cursors
+	conns     map[net.Conn]struct{}      // guarded by mu: accepted connections, for Close to unblock their readers
 
-	ctl *controlConn // worker side: the join connection to rank 0
+	ctl net.Conn // worker side: the join connection to rank 0; after the handshake beatLoop is its only writer
 
 	dead     []atomic.Bool
 	epoch    atomic.Int32  // death verdicts issued/processed
 	gen      atomic.Uint32 // adopted wire generation, stamped into data frames
 	lastBeat []atomic.Int64
 
-	// bcastMu serializes every rank-0 control broadcast (verdicts, jobs,
-	// membership updates, shutdown, exit) so all workers observe them in one
-	// total order; membership admission happens under it too, which pins the
-	// gen→job ordering a rejoin depends on. Lock order: bcastMu before mu.
-	bcastMu sync.Mutex
-
-	// cbMu guards the callback slots and is held across an invocation, so
-	// ClearRunHandlers quiesces in-flight callbacks before a run's executor
-	// is torn down.
-	cbMu        sync.Mutex
-	onDeath     func(rank, epoch int)            // guarded by cbMu
-	onShutdown  func()                           // guarded by cbMu
-	onCoordLost func(err error)                  // guarded by cbMu
-	coordLost   error                            // guarded by cbMu: set once the coordinator is gone
-	onJob       func(gen uint32, payload []byte) // guarded by cbMu
-	onRejoin    func(rank int, gen uint32)       // guarded by cbMu; rank0
-	pendingJob  *pendingJob                      // guarded by cbMu: job that beat OnJob registration
-	// earlyShutdown parks a run-complete signal no run could take (see
-	// fireShutdown); earlyShutdownGen is the wire generation it ended.
-	earlyShutdown    bool   // guarded by cbMu
-	earlyShutdownGen uint32 // guarded by cbMu
-
-	deaths chan DeathEvent // buffered verdict feed for a supervisor (rank0)
-
-	startCh   chan struct{} // closed when START is received/sent
-	startOnce sync.Once
-	doneCh    chan struct{} // closed on ctlExit or coordinator loss (workers)
-	doneOnce  sync.Once
-	quit      chan struct{}
-	wg        sync.WaitGroup
-	closeMu   sync.Mutex
-	closed    bool
-
-	// connMu/conns tracks every accepted connection so Close can unblock
-	// their reader goroutines without waiting for the peer to hang up.
-	connMu    sync.Mutex
-	conns     map[net.Conn]struct{} // guarded by connMu
-	connsDone bool                  // guarded by connMu: Close ran, admit no more
+	quit chan struct{}
+	wg   sync.WaitGroup
 }
 
 // NewCluster binds this rank's listener and, on workers, joins rank 0's
 // control star (blocking until the join is accepted or rejected). Rank 0
 // returns immediately after binding; call Start to run the join barrier.
-// Register callbacks (OnDeath, OnShutdown, OnCoordinatorLost) before Start.
 //
 //dashmm:detached acceptLoop exits when Close closes the listener and quit; c.wg.Wait joins it
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
@@ -245,16 +360,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Network != "tcp" && cfg.Network != "unix" {
 		return nil, fmt.Errorf("amt: unsupported network %q (want tcp or unix)", cfg.Network)
 	}
-	c := &Cluster{
-		cfg:      cfg,
-		dead:     make([]atomic.Bool, cfg.World),
-		lastBeat: make([]atomic.Int64, cfg.World),
-		deaths:   make(chan DeathEvent, 4*cfg.World),
-		startCh:  make(chan struct{}),
-		doneCh:   make(chan struct{}),
-		quit:     make(chan struct{}),
-		conns:    map[net.Conn]struct{}{},
-	}
 	bind := cfg.Addr
 	if cfg.Rank != 0 {
 		bind = workerBindAddr(cfg)
@@ -263,16 +368,22 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("amt: rank %d listen %s %s: %w", cfg.Rank, cfg.Network, bind, err)
 	}
-	c.ln = ln
-	c.tp = newSocketTransport(c)
-	c.mu.Lock()
-	c.peerAddrs = make([]string, cfg.World)
-	c.peerAddrs[0] = cfg.Addr
-	c.peerAddrs[cfg.Rank] = ln.Addr().String()
-	if cfg.Rank == 0 {
-		c.joined = map[int]*controlConn{}
+	addrs := make([]string, cfg.World)
+	addrs[0] = cfg.Addr
+	addrs[cfg.Rank] = ln.Addr().String()
+	c := &Cluster{
+		cfg:       cfg,
+		ln:        ln,
+		links:     map[int]*ctlLink{},
+		peerAddrs: addrs,
+		subs:      map[*Subscription]struct{}{},
+		dead:      make([]atomic.Bool, cfg.World),
+		lastBeat:  make([]atomic.Int64, cfg.World),
+		quit:      make(chan struct{}),
+		conns:     map[net.Conn]struct{}{},
 	}
-	c.mu.Unlock()
+	c.cond = sync.NewCond(&c.mu)
+	c.tp = newSocketTransport(c)
 	c.wg.Add(1)
 	go c.acceptLoop()
 	if cfg.Rank != 0 {
@@ -298,168 +409,8 @@ func workerBindAddr(cfg ClusterConfig) string {
 	return filepath.Join(dir, fmt.Sprintf("dashmm-r%d-%d-%d.sock", cfg.Rank, os.Getpid(), bindSerial.Add(1)))
 }
 
-// DeathEvent is one death verdict, delivered on the Deaths channel.
-type DeathEvent struct {
-	Rank, Epoch int
-}
-
-// OnDeath registers the death-verdict handler (survivor ranks, including
-// rank 0). Invoked from a cluster goroutine under the callback lock.
-func (c *Cluster) OnDeath(fn func(rank, epoch int)) {
-	c.cbMu.Lock()
-	c.onDeath = fn
-	c.cbMu.Unlock()
-}
-
-// OnShutdown registers the run-complete handler (worker ranks).
-func (c *Cluster) OnShutdown(fn func()) {
-	c.cbMu.Lock()
-	c.onShutdown = fn
-	c.cbMu.Unlock()
-}
-
-// OnCoordinatorLost registers the handler for a broken control connection
-// to rank 0 (worker ranks): the coordinator is gone and the run cannot
-// complete.
-func (c *Cluster) OnCoordinatorLost(fn func(err error)) {
-	c.cbMu.Lock()
-	c.onCoordLost = fn
-	c.cbMu.Unlock()
-}
-
-// pendingJob parks a job broadcast that arrived before OnJob was
-// registered (a worker admitted into a busy pool can see the first job
-// frame land between the handshake and its handler registration).
-type pendingJob struct {
-	gen     uint32
-	payload []byte
-}
-
-// OnJob registers the job-broadcast handler (worker ranks). Unlike the
-// per-run handlers it is persistent: ClearRunHandlers leaves it in place.
-// A job that arrived before registration is delivered immediately.
-func (c *Cluster) OnJob(fn func(gen uint32, payload []byte)) {
-	c.cbMu.Lock()
-	c.onJob = fn
-	if p := c.pendingJob; p != nil {
-		c.pendingJob = nil
-		fn(p.gen, p.payload)
-	}
-	c.cbMu.Unlock()
-}
-
-// OnRejoin registers the re-admission handler (rank 0): invoked after a
-// respawned rank is welcomed back, with its fresh wire generation.
-func (c *Cluster) OnRejoin(fn func(rank int, gen uint32)) {
-	c.cbMu.Lock()
-	c.onRejoin = fn
-	c.cbMu.Unlock()
-}
-
-// ClearRunHandlers detaches the per-run membership callbacks (OnDeath,
-// OnShutdown, OnCoordinatorLost), blocking until any in-flight invocation
-// returns. A run that shares a standing cluster calls this before its
-// executor state is discarded, so a between-runs verdict can never land in
-// a dead executor. OnJob and OnRejoin survive: they belong to the pool,
-// not the run.
-func (c *Cluster) ClearRunHandlers() {
-	c.cbMu.Lock()
-	c.onDeath, c.onShutdown, c.onCoordLost = nil, nil, nil
-	c.cbMu.Unlock()
-}
-
-func (c *Cluster) fireDeath(rank, epoch int) {
-	c.cbMu.Lock()
-	if c.onDeath != nil {
-		c.onDeath(rank, epoch)
-	}
-	c.cbMu.Unlock()
-}
-
-// fireShutdown delivers rank 0's run-complete signal for the run of the
-// given wire generation. Rank 0 can finish a DAG in which this rank owns no
-// target (a single-leaf plan, more ranks than target leaves) before this
-// rank has entered its run and registered a handler — or adopted the run's
-// generation. Dropping the signal then would leave the rank waiting for it
-// until its timeout, so it is parked for the run to collect (TakeShutdown).
-func (c *Cluster) fireShutdown(gen uint32) {
-	c.cbMu.Lock()
-	if c.onShutdown != nil && gen == c.gen.Load() {
-		c.onShutdown()
-	} else {
-		c.earlyShutdown, c.earlyShutdownGen = true, gen
-	}
-	c.cbMu.Unlock()
-}
-
-// TakeShutdown reports, once, whether the run-complete signal of the given
-// wire generation arrived before the run could take it. A run calls it
-// after registering OnShutdown and adopting its generation; a signal parked
-// by an earlier generation is discarded.
-func (c *Cluster) TakeShutdown(gen uint32) bool {
-	c.cbMu.Lock()
-	defer c.cbMu.Unlock()
-	early := c.earlyShutdown && c.earlyShutdownGen == gen
-	c.earlyShutdown = false
-	return early
-}
-
-// fireCoordLost fails the run in flight, and remembers the loss for a run
-// that has not registered its handler yet: Start refuses it.
-func (c *Cluster) fireCoordLost(err error) {
-	c.cbMu.Lock()
-	if c.coordLost == nil {
-		c.coordLost = err
-	}
-	if c.onCoordLost != nil {
-		c.onCoordLost(err)
-	}
-	c.cbMu.Unlock()
-}
-
-func (c *Cluster) fireJob(gen uint32, payload []byte) {
-	c.cbMu.Lock()
-	if c.onJob != nil {
-		c.onJob(gen, payload)
-	} else {
-		c.pendingJob = &pendingJob{gen: gen, payload: append([]byte(nil), payload...)}
-	}
-	c.cbMu.Unlock()
-}
-
-func (c *Cluster) fireRejoin(rank int, gen uint32) {
-	c.cbMu.Lock()
-	if c.onRejoin != nil {
-		c.onRejoin(rank, gen)
-	}
-	c.cbMu.Unlock()
-}
-
-// Deaths exposes the verdict feed: every death verdict this rank issues
-// (rank 0) is also delivered here, for a supervisor that respawns ranks.
-func (c *Cluster) Deaths() <-chan DeathEvent { return c.deaths }
-
-func (c *Cluster) emitDeath(ev DeathEvent) {
-	select {
-	case c.deaths <- ev:
-	default: // supervisor far behind: the rank state is still authoritative
-	}
-}
-
-// Done is closed when this rank should exit: the coordinator broadcast
-// EXIT, or (workers) the control connection to rank 0 broke.
-func (c *Cluster) Done() <-chan struct{} { return c.doneCh }
-
-func (c *Cluster) signalDone() { c.doneOnce.Do(func() { close(c.doneCh) }) }
-
-func (c *Cluster) markStarted() { c.startOnce.Do(func() { close(c.startCh) }) }
-
 // Transport returns the cluster's data-plane transport.
 func (c *Cluster) Transport() *SocketTransport { return c.tp }
-
-// Epoch returns the number of death verdicts issued (rank 0) or processed
-// (workers) so far.
-func (c *Cluster) Epoch() uint32 { return uint32(c.epoch.Load()) }
 
 // Generation returns this rank's adopted wire generation. The transport
 // stamps it into every outbound data frame; serveData fences inbound
@@ -492,28 +443,55 @@ func (c *Cluster) LiveWorkers() int {
 	return n
 }
 
+// Rank returns this process's rank.
+func (c *Cluster) Rank() int { return c.cfg.Rank }
+
+// World returns the cluster size.
+func (c *Cluster) World() int { return c.cfg.World }
+
+// broadcast queues one frame on the link of every live worker (rank 0) and
+// returns its encoding.
+//
+//dashmm:locked Cluster.mu — documented precondition: the caller's critical section is the frame's place in the total order.
+func (c *Cluster) broadcast(f *Frame) []byte {
+	enc := AppendFrame(nil, f)
+	for r, l := range c.links {
+		if !c.dead[r].Load() {
+			l.enqueue(enc)
+		}
+	}
+	return enc
+}
+
+// broadcastMembership queues rank 0's current view on every live link.
+//
+//dashmm:locked Cluster.mu — documented precondition: called from the critical section that changed the membership.
+func (c *Cluster) broadcastMembership() {
+	m := membership{Gen: c.gen.Load(), Epoch: uint32(c.epoch.Load()), Addrs: c.peerAddrs, DeadOrder: c.deadOrder}
+	c.broadcast(&Frame{Kind: ctlGen, Payload: appendMembership(nil, &m)})
+}
+
 // StartJob allocates a fresh wire generation, snapshots the dead-rank
 // order, and broadcasts an application job to every live worker (rank 0
 // only). The build callback renders the job payload from that consistent
-// (generation, deadOrder) pair. Until EndJob, re-admissions are deferred —
-// membership cannot shift under the job's placement. The broadcast and the
-// admission path share bcastMu, so every worker observes membership
-// updates and jobs in the same order.
+// (generation, deadOrder) pair; it runs under the membership lock — that is
+// what makes the pair consistent with the job's place in the log — and must
+// only render bytes. Until EndJob, re-admissions are deferred: membership
+// cannot shift under the job's placement.
 func (c *Cluster) StartJob(build func(gen uint32, deadOrder []int) []byte) (uint32, []int) {
-	c.bcastMu.Lock()
-	defer c.bcastMu.Unlock()
 	c.mu.Lock()
 	c.running = true
 	c.genCount++
 	gen := c.genCount
 	deadOrder := append([]int(nil), c.deadOrder...)
-	conns := c.liveConnsLocked()
+	payload := build(gen, deadOrder)
+	c.broadcast(&Frame{Kind: ctlJob, Epoch: gen, Payload: payload})
+	c.publish(Event{Kind: EventJob, Gen: gen, Payload: payload})
 	c.mu.Unlock()
-	f := &Frame{Kind: ctlJob, Src: 0, Epoch: gen, Payload: build(gen, deadOrder)}
-	for _, cc := range conns {
-		//lint:ignore lockorder bcastMu held across the fan-out IS the total-order guarantee for control frames; each send is bounded by CtlWriteTimeout
-		cc.send(f) // a failed send surfaces via that rank's own heartbeat
-	}
+	// The job should be on the wire before rank 0 starts on its own side of
+	// it — a data frame that beats the job's generation to a worker is fenced
+	// and costs a retransmission interval: let the links' writers run first.
+	runtime.Gosched()
 	return gen, deadOrder
 }
 
@@ -524,70 +502,37 @@ func (c *Cluster) EndJob() {
 	c.mu.Unlock()
 }
 
-// liveConnsLocked snapshots the control connections of live workers.
-//
-//dashmm:locked Cluster.mu — documented precondition: every caller snapshots under the membership lock.
-func (c *Cluster) liveConnsLocked() []*controlConn {
-	conns := make([]*controlConn, 0, len(c.joined))
-	for r, cc := range c.joined {
-		if !c.dead[r].Load() {
-			conns = append(conns, cc)
-		}
-	}
-	return conns
-}
-
-// Alive reports whether a rank has not been declared dead.
-func (c *Cluster) Alive(rank int) bool { return !c.dead[rank].Load() }
-
-// Rank returns this process's rank.
-func (c *Cluster) Rank() int { return c.cfg.Rank }
-
-// World returns the cluster size.
-func (c *Cluster) World() int { return c.cfg.World }
-
 // join dials rank 0 and runs the worker side of the handshake; the accepted
 // connection becomes the control channel.
 //
 //dashmm:detached workerControlLoop exits when the control conn closes and beatLoop on c.quit; Close closes both and c.wg.Wait joins
 func (c *Cluster) join() error {
 	deadline := time.Now().Add(c.cfg.JoinTimeout)
-	// Full jitter on the dial/retry backoff (the same policy as
-	// SocketTransport.dialPeer): N respawned workers racing back to a
-	// recovering coordinator must not stampede it in lockstep.
-	rng := rand.New(rand.NewSource(int64(c.cfg.Rank)*1_000_003 + int64(os.Getpid())*7919 + 1))
-	backoff := c.cfg.DialBase
-	sleepJittered := func() {
-		time.Sleep(backoff + time.Duration(rng.Int63n(int64(backoff)+1)))
-		if backoff *= 2; backoff > c.cfg.DialMax {
-			backoff = c.cfg.DialMax
-		}
-	}
+	// N respawned workers racing back to a recovering coordinator must not
+	// stampede it in lockstep: the seed separates ranks and incarnations.
+	bo := newBackoff(int64(c.cfg.Rank)*1_000_003 + int64(os.Getpid())*7919 + 1)
 	kind := ctlHello
 	if c.cfg.Rejoin {
 		kind = ctlRejoin
 	}
-	var lastErr error
+	h := hello{Rank: c.cfg.Rank, World: c.cfg.World, Stamp: c.cfg.Stamp, Addr: c.ln.Addr().String()}
+	request := AppendFrame(nil, &Frame{Kind: kind, Src: c.cfg.Rank, Payload: appendHello(nil, &h)})
+	lastErr := errors.New("join timeout")
 	for {
 		if time.Now().After(deadline) {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("join timeout")
-			}
 			return fmt.Errorf("amt: rank %d join %s: %w", c.cfg.Rank, c.cfg.Addr, lastErr)
 		}
 		conn, err := net.DialTimeout(c.cfg.Network, c.cfg.Addr, time.Second)
 		if err != nil {
 			lastErr = err
-			sleepJittered()
+			bo.sleep()
 			continue
 		}
-		cc := &controlConn{conn: conn, writeTimeout: c.cfg.CtlWriteTimeout}
-		hello := &Frame{Kind: kind, Src: c.cfg.Rank, Payload: encodeHello(c.cfg, c.ln.Addr().String())}
-		if err := cc.send(hello); err != nil {
+		conn.SetDeadline(time.Now().Add(c.cfg.JoinTimeout))
+		if _, err := conn.Write(request); err != nil {
 			conn.Close()
 			return fmt.Errorf("amt: rank %d hello: %w", c.cfg.Rank, err)
 		}
-		conn.SetReadDeadline(time.Now().Add(c.cfg.JoinTimeout))
 		br := bufio.NewReader(conn)
 		resp, err := ReadFrame(br)
 		if err != nil {
@@ -603,7 +548,7 @@ func (c *Cluster) join() error {
 			// place instead of burning a whole process respawn.
 			if c.cfg.Rejoin && strings.HasPrefix(reason, retryPrefix) {
 				lastErr = fmt.Errorf("rejected: %s", reason)
-				sleepJittered()
+				bo.sleep()
 				continue
 			}
 			return fmt.Errorf("amt: rank %d join rejected: %s", c.cfg.Rank, reason)
@@ -611,16 +556,8 @@ func (c *Cluster) join() error {
 			conn.Close()
 			return fmt.Errorf("amt: rank %d unexpected join response kind %#x", c.cfg.Rank, resp.Kind)
 		}
-		conn.SetReadDeadline(time.Time{})
-		// A rejoin WELCOME carries the live membership: adopt it and mark
-		// the cluster started without waiting for a START broadcast.
-		if len(resp.Payload) > 0 {
-			if err := c.adoptMembership(resp.Payload); err != nil {
-				conn.Close()
-				return fmt.Errorf("amt: rank %d rejoin welcome: %w", c.cfg.Rank, err)
-			}
-		}
-		c.ctl = cc
+		conn.SetDeadline(time.Time{})
+		c.ctl = conn
 		c.wg.Add(2)
 		go c.workerControlLoop(br)
 		go c.beatLoop()
@@ -628,125 +565,98 @@ func (c *Cluster) join() error {
 	}
 }
 
-// adoptMembership installs a membership snapshot broadcast by rank 0: the
-// wire generation, verdict epoch, peer addresses and dead-rank order. A
-// rank listed dead is severed; a rank no longer listed (a re-admitted
-// respawn) is revived at its new address.
+// adoptMembership installs a membership frame from rank 0 (workers): the
+// wire generation, verdict epoch, peer addresses and dead-rank order. The
+// first one is the START. A rank listed dead is severed; a rank no longer
+// listed (a re-admitted respawn) is revived at its new address and logged.
 func (c *Cluster) adoptMembership(payload []byte) error {
-	gen, epoch, addrs, deadOrder, err := decodeMembership(payload)
+	m, err := decodeMembership(payload, c.cfg.World)
 	if err != nil {
 		return err
 	}
-	if len(addrs) != c.cfg.World {
-		return fmt.Errorf("membership lists %d ranks, world is %d", len(addrs), c.cfg.World)
-	}
-	deadSet := make([]bool, c.cfg.World)
-	for _, r := range deadOrder {
-		if r >= 0 && r < c.cfg.World {
-			deadSet[r] = true
-		}
-	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.started = true
-	c.peerAddrs = append([]string(nil), addrs...)
-	c.deadOrder = append([]int(nil), deadOrder...)
-	c.mu.Unlock()
-	for r := 0; r < c.cfg.World; r++ {
-		if r == c.cfg.Rank {
-			continue
-		}
-		if deadSet[r] {
+	c.peerAddrs, c.deadOrder = m.Addrs, m.DeadOrder
+	c.epoch.Store(int32(m.Epoch))
+	c.gen.Store(m.Gen)
+	for r := range c.dead {
+		switch {
+		case r == c.cfg.Rank:
+		case slices.Contains(m.DeadOrder, r):
 			if c.dead[r].CompareAndSwap(false, true) {
 				c.tp.severPeer(r)
 			}
-		} else if c.dead[r].CompareAndSwap(true, false) {
-			c.tp.revivePeer(r, addrs[r])
+		case c.dead[r].CompareAndSwap(true, false):
+			c.tp.revivePeer(r, m.Addrs[r])
+			c.publish(Event{Kind: EventRejoin, Rank: r, Gen: m.Gen})
 		}
 	}
-	c.epoch.Store(int32(epoch))
-	c.gen.Store(gen)
-	c.tp.setPeers(addrs, c.dead[:])
-	c.markStarted()
+	c.tp.setPeers(m.Addrs, c.dead[:])
+	c.cond.Broadcast()
+	return nil
+}
+
+// lost returns what ended this rank's part in the cluster, once the log has
+// come to that: nothing is appended behind an EventCoordLost but another.
+//
+//dashmm:locked Cluster.mu — documented precondition: reads the log.
+func (c *Cluster) lost() error {
+	if n := len(c.log); n > 0 && c.log[n-1].Kind == EventCoordLost {
+		return c.log[n-1].Err
+	}
 	return nil
 }
 
 // Start runs the join barrier: rank 0 waits for the full roster and
-// broadcasts START with the peer address list; workers wait for START.
+// broadcasts the first membership with the peer address list; workers wait
+// for it — or for the loss of the coordinator, which is then the error.
 // After Start returns successfully the data plane is usable. On a cluster
 // that already started (a standing pool running many jobs, a rejoined
-// worker) Start returns immediately — with the error, when the coordinator
-// was lost in the meantime: the handler of a run entering only now was not
-// registered when that was reported, and nothing else would ever end it.
+// worker) Start returns at once.
+//
+//dashmm:detached monitorLoop exits on c.quit; Close closes quit and c.wg.Wait joins
 func (c *Cluster) Start() error {
-	select {
-	case <-c.quit:
-		return errClusterClosed
-	default:
-	}
-	c.cbMu.Lock()
-	lost := c.coordLost
-	c.cbMu.Unlock()
-	if lost != nil {
-		return lost
-	}
-	if c.cfg.Rank == 0 {
-		c.mu.Lock()
-		already := c.started
-		c.mu.Unlock()
-		if already {
-			return nil
-		}
-		deadline := time.NewTimer(c.cfg.JoinTimeout)
-		defer deadline.Stop()
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	late := false
+	if !c.started {
+		wake := time.AfterFunc(c.cfg.JoinTimeout, func() {
 			c.mu.Lock()
-			n := len(c.joined)
+			late = true
+			c.cond.Broadcast()
 			c.mu.Unlock()
-			if n == c.cfg.World-1 {
-				break
-			}
-			select {
-			case <-deadline.C:
-				return fmt.Errorf("amt: join barrier timed out with %d/%d workers", n, c.cfg.World-1)
-			case <-c.quit:
-				return errClusterClosed
-			case <-tick.C:
-			}
-		}
-		c.mu.Lock()
-		c.started = true
-		addrs := append([]string(nil), c.peerAddrs...)
-		conns := make(map[int]*controlConn, len(c.joined))
-		for r, cc := range c.joined {
-			conns[r] = cc
-		}
-		c.mu.Unlock()
-		now := time.Now().UnixNano()
-		for r := range c.lastBeat {
-			c.lastBeat[r].Store(now)
-		}
-		start := &Frame{Kind: ctlStart, Src: 0, Payload: encodeAddrs(addrs)}
-		for r, cc := range conns {
-			if err := cc.send(start); err != nil {
-				return fmt.Errorf("amt: START to rank %d: %w", r, err)
-			}
-		}
-		c.markStarted()
-		c.tp.setPeers(addrs, c.dead[:])
-		c.wg.Add(1)
-		go c.monitorLoop()
-		return nil
+		})
+		defer wake.Stop()
 	}
-	select {
-	case <-c.startCh:
-		return nil
-	case <-c.quit:
+	short := func() bool { return c.cfg.Rank != 0 || len(c.links) < c.cfg.World-1 }
+	for !c.started && !late && c.lost() == nil && short() {
+		c.cond.Wait()
+	}
+	switch {
+	case c.closed:
 		return errClusterClosed
-	case <-time.After(c.cfg.JoinTimeout):
+	case c.started:
+		return nil
+	case c.lost() != nil:
+		return c.lost()
+	case c.cfg.Rank != 0:
 		return fmt.Errorf("amt: rank %d timed out waiting for START", c.cfg.Rank)
+	case short():
+		return fmt.Errorf("amt: join barrier timed out with %d/%d workers", len(c.links), c.cfg.World-1)
 	}
+	// Rank 0 releases the barrier. Every rank's silence is counted from
+	// here, not from its join.
+	c.started = true
+	now := time.Now().UnixNano()
+	for r := range c.lastBeat {
+		c.lastBeat[r].Store(now)
+	}
+	c.tp.setPeers(c.peerAddrs, c.dead[:])
+	c.broadcastMembership()
+	c.wg.Add(1)
+	go c.monitorLoop()
+	return nil
 }
 
 // acceptLoop serves the rank's listener: first frame classifies the
@@ -755,6 +665,7 @@ func (c *Cluster) Start() error {
 //dashmm:detached joined by Close: close(c.quit) unblocks the loop via listener Close and c.wg.Wait joins it
 func (c *Cluster) acceptLoop() {
 	defer c.wg.Done()
+	bo := newBackoff(int64(c.cfg.Rank) + 1)
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
@@ -764,209 +675,158 @@ func (c *Cluster) acceptLoop() {
 			default:
 			}
 			// Transient accept error: keep serving unless shutting down.
-			time.Sleep(time.Millisecond)
+			bo.sleep()
 			continue
 		}
+		bo.reset()
 		c.wg.Add(1)
 		go c.serveConn(conn)
 	}
 }
 
-// serveConn classifies and serves one inbound connection.
-//
-//dashmm:detached reader goroutines exit when their conn closes; Close closes every conn and c.wg.Wait joins them
+// serveConn classifies and serves one inbound connection, and closes it
+// when whoever served it is done.
 func (c *Cluster) serveConn(conn net.Conn) {
 	defer c.wg.Done()
+	defer conn.Close()
 	if !c.trackConn(conn) {
-		conn.Close()
 		return
 	}
 	defer c.untrackConn(conn)
-	// A peer that connects and never completes its preamble must not wedge
-	// the acceptor's bookkeeping: bound the handshake.
-	conn.SetReadDeadline(time.Now().Add(c.cfg.JoinTimeout))
+	// A peer that connects and never completes its preamble — or never
+	// reads its rejection — must not wedge the acceptor's bookkeeping:
+	// bound the handshake, both ways.
+	conn.SetDeadline(time.Now().Add(c.cfg.JoinTimeout))
 	br := bufio.NewReaderSize(conn, 64<<10)
 	first, err := ReadFrame(br)
-	if err != nil {
+	switch {
+	case err != nil:
 		c.tp.handshakeFails.Add(1)
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	switch first.Kind {
-	case ctlHello:
-		c.serveJoin(conn, br, first, false)
-	case ctlRejoin:
-		c.serveJoin(conn, br, first, true)
-	case ctlAttach:
+	case first.Kind == ctlHello || first.Kind == ctlRejoin:
+		c.serveJoin(conn, br, first)
+	case first.Kind == ctlAttach:
 		c.serveData(conn, br, first)
 	default:
 		c.tp.handshakeFails.Add(1)
-		conn.Close()
 	}
 }
 
-// serveJoin handles one worker's join (or rejoin) request on rank 0.
+// serveJoin handles one worker's join (or rejoin) request on rank 0:
+// validate the preamble, admit the rank, then read its heartbeats for as
+// long as the link lives.
 //
-//dashmm:detached coordControlLoop exits when its conn closes; Close closes every joined conn and c.wg.Wait joins
-func (c *Cluster) serveJoin(conn net.Conn, br *bufio.Reader, hello Frame, rejoin bool) {
-	reject := func(reason string) {
+//dashmm:detached the link's writer exits when the link closes: the reader below closes it on its way out, Close closes every link, and c.wg.Wait joins
+func (c *Cluster) serveJoin(conn net.Conn, br *bufio.Reader, first Frame) {
+	h, err := decodeHello(first.Payload)
+	var reason string
+	var l *ctlLink
+	switch {
+	case c.cfg.Rank != 0:
+		reason = "join sent to a non-coordinator rank"
+	case err != nil:
+		reason = "malformed hello: " + err.Error()
+	case h.World != c.cfg.World:
+		reason = fmt.Sprintf("world size mismatch: coordinator runs %d, joiner built for %d", c.cfg.World, h.World)
+	case h.Stamp != c.cfg.Stamp:
+		reason = fmt.Sprintf("version stamp mismatch: coordinator %q, joiner %q", c.cfg.Stamp, h.Stamp)
+	case h.Rank <= 0 || h.Rank >= c.cfg.World:
+		reason = fmt.Sprintf("rank %d out of range [1,%d)", h.Rank, c.cfg.World)
+	default:
+		l = &ctlLink{conn: conn, q: make(chan []byte, ctlQueueMax), shut: make(chan struct{})}
+		reason = c.admit(h.Rank, h.Addr, l, first.Kind == ctlRejoin)
+	}
+	if reason != "" {
 		c.tp.handshakeFails.Add(1)
-		cc := &controlConn{conn: conn, writeTimeout: c.cfg.CtlWriteTimeout}
-		cc.send(&Frame{Kind: ctlReject, Src: 0, Payload: []byte(reason)})
-		conn.Close()
-	}
-	if c.cfg.Rank != 0 {
-		reject("join sent to a non-coordinator rank")
+		conn.Write(AppendFrame(nil, &Frame{Kind: ctlReject, Payload: []byte(reason)}))
 		return
 	}
-	rank, world, stamp, addr, err := decodeHello(hello.Payload)
-	if err != nil {
-		reject("malformed hello: " + err.Error())
-		return
+	conn.SetDeadline(time.Time{})
+	c.wg.Add(1)
+	go l.writeLoop(&c.wg)
+	// Heartbeats in, for as long as the worker keeps the connection up;
+	// silence is the monitor's to judge, and a closed link is silent. A
+	// broken connection is not an immediate verdict either — the monitor
+	// owns those — but the link is done.
+	defer l.close()
+	for {
+		f, err := ReadFrame(br)
+		if err != nil {
+			return
+		}
+		if f.Kind == ctlBeat && l.open() {
+			c.lastBeat[h.Rank].Store(time.Now().UnixNano())
+		}
 	}
-	if world != c.cfg.World {
-		reject(fmt.Sprintf("world size mismatch: coordinator runs %d, joiner built for %d", c.cfg.World, world))
-		return
-	}
-	if stamp != c.cfg.Stamp {
-		reject(fmt.Sprintf("version stamp mismatch: coordinator %q, joiner %q", c.cfg.Stamp, stamp))
-		return
-	}
-	if rank <= 0 || rank >= c.cfg.World {
-		reject(fmt.Sprintf("rank %d out of range [1,%d)", rank, c.cfg.World))
-		return
-	}
-	// Admission and the membership broadcast it triggers are one atomic
-	// step with respect to every other rank-0 broadcast (jobs, verdicts):
-	// workers must observe "rank r is back, generation g" strictly before
-	// any job placed against that membership.
-	c.bcastMu.Lock()
+}
+
+// admit installs a validated joiner's link: the whole effect of a join on
+// the membership, in one critical section. It returns the reason when the
+// join is refused. Before START the roster simply fills in (a respawn
+// racing the initial bootstrap lands here too and is indistinguishable from
+// a first join); after it only a REJOIN of a rank with a standing verdict
+// is admitted, between jobs: the rank gets a fresh wire generation — frames
+// of the corpse's incarnation carry an older one and are fenced — and the
+// new membership goes to every live rank, the joiner included, before any
+// job placed against it can.
+func (c *Cluster) admit(rank int, addr string, l *ctlLink, rejoin bool) string {
 	c.mu.Lock()
-	if !c.started {
-		// Pre-START (re)join: the barrier has not released, the roster
-		// simply fills in. A respawn racing the initial bootstrap lands
-		// here too and is indistinguishable from a first join.
-		if _, dup := c.joined[rank]; dup {
-			c.mu.Unlock()
-			c.bcastMu.Unlock()
-			reject(fmt.Sprintf("rank %d already joined", rank))
-			return
+	defer c.mu.Unlock()
+	switch {
+	case !c.started:
+		if c.links[rank] != nil {
+			return fmt.Sprintf("rank %d already joined", rank)
 		}
-		cc := &controlConn{conn: conn, writeTimeout: c.cfg.CtlWriteTimeout}
-		c.joined[rank] = cc
-		c.peerAddrs[rank] = addr
-		c.mu.Unlock()
-		c.bcastMu.Unlock()
-		c.lastBeat[rank].Store(time.Now().UnixNano())
-		if err := cc.send(&Frame{Kind: ctlWelcome, Src: 0}); err != nil {
-			conn.Close()
-			return
-		}
-		c.wg.Add(1)
-		go c.coordControlLoop(rank, br)
-		return
+	case !rejoin:
+		// A plain join after START — including a crashed rank's restart
+		// that predates re-admission — would run against a stale peer list.
+		return "run already started: late joiners are not admitted"
+	case !c.dead[rank].Load():
+		// Either a duplicate process, or the old incarnation's silence has
+		// not yet crossed the verdict threshold. The latter resolves itself.
+		return fmt.Sprintf(retryPrefix+"rank %d is still a live member (no death verdict yet)", rank)
+	case c.running:
+		// Membership must not shift under a placed job.
+		return retryPrefix + "job in flight: re-admission is deferred between runs"
 	}
-	if !rejoin {
-		// After START a plain join — including a crashed rank's restart
-		// that predates re-admission — would be handed a stale peer list
-		// mid-run; only the REJOIN handshake is admitted.
-		c.mu.Unlock()
-		c.bcastMu.Unlock()
-		reject("run already started: late joiners are not admitted")
-		return
-	}
-	if !c.dead[rank].Load() {
-		// The rank is still a live member: either a duplicate process, or
-		// the old incarnation's silence has not yet crossed the verdict
-		// threshold. The latter resolves itself — tell the joiner to retry.
-		c.mu.Unlock()
-		c.bcastMu.Unlock()
-		reject(fmt.Sprintf(retryPrefix+"rank %d is still a live member (no death verdict yet)", rank))
-		return
-	}
-	if c.running {
-		// Membership must not shift under a placed job; the joiner backs
-		// off and retries between runs.
-		c.mu.Unlock()
-		c.bcastMu.Unlock()
-		reject(retryPrefix + "job in flight: re-admission is deferred between runs")
-		return
-	}
-	// Re-admission: allocate a fresh wire generation, resurrect the rank,
-	// and broadcast the new membership to every survivor. Frames from the
-	// corpse's incarnation carry an older generation and are fenced.
-	c.genCount++
-	gen := c.genCount
-	if old := c.joined[rank]; old != nil {
+	if old := c.links[rank]; old != nil {
+		old.close()
 		old.conn.Close() // the corpse's control conn, if still half-open
 	}
-	cc := &controlConn{conn: conn, writeTimeout: c.cfg.CtlWriteTimeout}
-	c.joined[rank] = cc
+	c.links[rank] = l
 	c.peerAddrs[rank] = addr
-	do := c.deadOrder[:0]
-	for _, r := range c.deadOrder {
-		if r != rank {
-			do = append(do, r)
-		}
-	}
-	c.deadOrder = do
-	addrs := append([]string(nil), c.peerAddrs...)
-	deadOrder := append([]int(nil), c.deadOrder...)
-	epoch := uint32(c.epoch.Load())
-	c.mu.Unlock()
-	// Fresh heartbeat before clearing the dead flag, or the monitor would
+	l.enqueue(AppendFrame(nil, &Frame{Kind: ctlWelcome}))
+	// Fresh heartbeat before the dead flag clears, or the monitor would
 	// re-verdict the rank off the corpse's stale timestamp.
 	c.lastBeat[rank].Store(time.Now().UnixNano())
-	c.dead[rank].Store(false)
-	c.tp.revivePeer(rank, addr)
-	c.gen.Store(gen)
-	payload := encodeMembership(gen, epoch, addrs, deadOrder)
-	gf := &Frame{Kind: ctlGen, Src: 0, Payload: payload}
-	c.mu.Lock()
-	conns := make(map[int]*controlConn, len(c.joined))
-	for r, occ := range c.joined {
-		if r != rank && !c.dead[r].Load() {
-			conns[r] = occ
-		}
+	if c.started {
+		c.genCount++
+		c.gen.Store(c.genCount)
+		c.deadOrder = slices.DeleteFunc(c.deadOrder, func(r int) bool { return r == rank })
+		c.dead[rank].Store(false)
+		c.tp.revivePeer(rank, addr)
+		c.broadcastMembership()
+		c.publish(Event{Kind: EventRejoin, Rank: rank, Gen: c.genCount})
 	}
-	c.mu.Unlock()
-	for _, occ := range conns {
-		//lint:ignore lockorder bcastMu held across the fan-out IS the total-order guarantee for control frames; each send is bounded by CtlWriteTimeout
-		occ.send(gf) // a failed send surfaces via that rank's own heartbeat
-	}
-	//lint:ignore lockorder the welcome must be ordered after the revive broadcast (bcastMu holds that order); send is bounded by CtlWriteTimeout
-	welcomeErr := cc.send(&Frame{Kind: ctlWelcome, Src: 0, Payload: payload})
-	c.bcastMu.Unlock()
-	if welcomeErr != nil {
-		// The joiner vanished mid-handshake; it is now marked live with a
-		// dead control conn, so the heartbeat monitor re-verdicts it and
-		// the supervisor tries again.
-		conn.Close()
-		return
-	}
-	c.wg.Add(1)
-	go c.coordControlLoop(rank, br)
-	c.fireRejoin(rank, gen)
+	c.cond.Broadcast()
+	return ""
 }
 
 // serveData validates a data-plane attach and runs its read loop,
 // delivering decoded frames to the transport sink.
 func (c *Cluster) serveData(conn net.Conn, br *bufio.Reader, attach Frame) {
-	rank, world, stamp, _, err := decodeHello(attach.Payload)
-	if err != nil || world != c.cfg.World || stamp != c.cfg.Stamp ||
-		rank < 0 || rank >= c.cfg.World || c.dead[rank].Load() {
+	h, err := decodeHello(attach.Payload)
+	if err != nil || h.World != c.cfg.World || h.Stamp != c.cfg.Stamp ||
+		h.Rank < 0 || h.Rank >= c.cfg.World || c.dead[h.Rank].Load() {
 		c.tp.handshakeFails.Add(1)
-		conn.Close()
 		return
 	}
+	conn.SetDeadline(time.Time{})
 	for {
 		f, err := ReadFrame(br)
 		if err != nil {
 			// EOF, truncation or corruption: drop the connection. Whatever
 			// was in flight is wire loss; the peer redials and the delivery
 			// layer retransmits.
-			conn.Close()
 			return
 		}
 		c.tp.noteReceived(FrameHeaderSize + len(f.Payload))
@@ -986,91 +846,44 @@ func (c *Cluster) serveData(conn net.Conn, br *bufio.Reader, attach Frame) {
 	}
 }
 
-// coordControlLoop is rank 0's per-worker control reader: heartbeats in,
-// silence handled by the monitor.
-//
-//dashmm:detached exits when the worker's control conn closes; Close closes all conns and c.wg.Wait joins
-func (c *Cluster) coordControlLoop(rank int, br *bufio.Reader) {
-	defer c.wg.Done()
-	for {
-		f, err := ReadFrame(br)
-		if err != nil {
-			// The control connection broke. Not an immediate verdict — the
-			// heartbeat monitor owns death declarations — but stop reading.
-			return
-		}
-		if f.Kind == ctlBeat {
-			c.lastBeat[rank].Store(time.Now().UnixNano())
-		}
-	}
-}
-
-// workerControlLoop is the worker-side control reader: START, death
-// verdicts, membership updates, jobs, shutdown; a read error means the
-// coordinator is gone.
+// workerControlLoop is the worker-side control reader: it turns rank 0's
+// frames into membership changes and log entries, in arrival order. A read
+// error — a broken connection or a frame that does not decode — means the
+// coordinator is out of reach.
 //
 //dashmm:detached exits when the control conn closes; Close closes it and c.wg.Wait joins
 func (c *Cluster) workerControlLoop(br *bufio.Reader) {
 	defer c.wg.Done()
 	for {
 		f, err := ReadFrame(br)
+		if err == nil && f.Kind == ctlGen {
+			err = c.adoptMembership(f.Payload)
+		}
 		if err != nil {
-			select {
-			case <-c.quit:
-				return
-			default:
-			}
+			// Rank 0 must lose this rank too: hang up, so its beats stop
+			// with the connection and the monitor gets its silence.
+			c.ctl.Close()
 			c.mu.Lock()
-			started := c.started
-			c.mu.Unlock()
-			if started {
-				c.fireCoordLost(fmt.Errorf("amt: control connection to rank 0 lost: %w", err))
+			if !c.closed {
+				c.publish(Event{Kind: EventCoordLost, Err: fmt.Errorf("amt: control connection to rank 0 lost: %w", err)})
 			}
-			// Without a coordinator there is nothing left to wait for: a
-			// pool worker parked on Done must exit and be respawned against
-			// whatever coordinator comes next.
-			c.signalDone()
+			c.mu.Unlock()
 			return
 		}
+		c.mu.Lock()
 		switch f.Kind {
-		case ctlStart:
-			addrs, err := decodeAddrs(f.Payload)
-			if err != nil || len(addrs) != c.cfg.World {
-				c.fireCoordLost(fmt.Errorf("amt: malformed START frame"))
-				c.signalDone()
-				return
-			}
-			c.mu.Lock()
-			already := c.started
-			c.started = true
-			c.peerAddrs = addrs
-			c.mu.Unlock()
-			if !already {
-				c.tp.setPeers(addrs, c.dead[:])
-				c.markStarted()
-			}
 		case ctlDead:
-			if len(f.Payload) < 6 {
-				continue
-			}
-			rank := int(binary.LittleEndian.Uint16(f.Payload))
-			epoch := int(binary.LittleEndian.Uint32(f.Payload[2:]))
-			c.applyVerdict(rank, epoch)
-		case ctlGen:
-			// Membership update after a re-admission elsewhere in the
-			// cluster: adopt the new generation, addresses and dead set.
-			if err := c.adoptMembership(f.Payload); err != nil {
-				c.fireCoordLost(fmt.Errorf("amt: malformed membership update: %w", err))
-				c.signalDone()
-				return
+			if f.Dst < c.cfg.World {
+				c.markDead(f.Dst, int(f.Epoch))
 			}
 		case ctlJob:
-			c.fireJob(f.Epoch, f.Payload)
+			c.publish(Event{Kind: EventJob, Gen: f.Epoch, Payload: f.Payload})
 		case ctlShutdown:
-			c.fireShutdown(f.Epoch)
+			c.publish(Event{Kind: EventRunDone, Gen: f.Epoch})
 		case ctlExit:
-			c.signalDone()
+			c.publish(Event{Kind: EventExit, Gen: f.Epoch})
 		}
+		c.mu.Unlock()
 	}
 }
 
@@ -1079,6 +892,7 @@ func (c *Cluster) workerControlLoop(br *bufio.Reader) {
 //dashmm:detached ticker goroutine exits on c.quit; Close closes quit and c.wg.Wait joins
 func (c *Cluster) beatLoop() {
 	defer c.wg.Done()
+	beat := AppendFrame(nil, &Frame{Kind: ctlBeat, Src: c.cfg.Rank})
 	tick := time.NewTicker(c.cfg.Heartbeat.Interval)
 	defer tick.Stop()
 	for {
@@ -1086,9 +900,8 @@ func (c *Cluster) beatLoop() {
 		case <-c.quit:
 			return
 		case <-tick.C:
-			if err := c.ctl.send(&Frame{Kind: ctlBeat, Src: c.cfg.Rank}); err != nil {
-				// The control conn is gone; workerControlLoop reports it.
-				return
+			if _, err := c.ctl.Write(beat); err != nil {
+				return // the control conn is gone; workerControlLoop reports it
 			}
 		}
 	}
@@ -1129,132 +942,91 @@ func (c *Cluster) monitorLoop() {
 	}
 }
 
+// markDead records one death verdict on this rank — flag, epoch, verdict
+// order, transport fence, log — and reports whether it was news.
+//
+//dashmm:locked Cluster.mu — documented precondition: rank 0 issues and a worker applies a verdict inside one critical section.
+func (c *Cluster) markDead(rank, epoch int) bool {
+	if !c.dead[rank].CompareAndSwap(false, true) {
+		return false
+	}
+	c.epoch.Store(int32(epoch))
+	c.deadOrder = append(c.deadOrder, rank)
+	c.tp.severPeer(rank)
+	c.publish(Event{Kind: EventDead, Rank: rank, Epoch: epoch})
+	return true
+}
+
 // DeclareDead issues a death verdict for a rank (rank 0 only; also the
-// test hook for injected deaths): mark, fence the transport, broadcast the
-// verdict with its epoch to every surviving worker and then to the suspect
-// itself, and run the local OnDeath handler. Idempotent.
+// test hook for injected deaths): mark, fence the transport, log, and queue
+// the verdict with its epoch for every surviving worker and for the suspect
+// itself. It returns once the verdict is in the log and the queues, not
+// once anyone has acted on it. Idempotent.
 func (c *Cluster) DeclareDead(rank int) {
 	if c.cfg.Rank != 0 || rank <= 0 || rank >= c.cfg.World {
 		return
 	}
-	// Serialized with jobs and re-admissions: a verdict broadcast must not
-	// interleave into the middle of a membership update.
-	c.bcastMu.Lock()
-	if !c.dead[rank].CompareAndSwap(false, true) {
-		c.bcastMu.Unlock()
-		return
-	}
-	epoch := int(c.epoch.Add(1))
-	c.tp.severPeer(rank)
-	var payload [6]byte
-	binary.LittleEndian.PutUint16(payload[0:], uint16(rank))
-	binary.LittleEndian.PutUint32(payload[2:], uint32(epoch))
 	c.mu.Lock()
-	c.deadOrder = append(c.deadOrder, rank)
-	suspect := c.joined[rank]
-	conns := make(map[int]*controlConn, len(c.joined))
-	for r, cc := range c.joined {
-		if !c.dead[r].Load() {
-			conns[r] = cc
-		}
-	}
-	c.mu.Unlock()
-	f := &Frame{Kind: ctlDead, Src: 0, Payload: payload[:]}
-	for _, cc := range conns {
-		//lint:ignore lockorder bcastMu held across the fan-out IS the total-order guarantee for control frames; each send is bounded by CtlWriteTimeout
-		cc.send(f) // a failed send surfaces via that rank's own heartbeat
-	}
-	if suspect != nil {
-		// Last, and best effort: a corpse's connection is gone, but a live
-		// suspect (a false verdict) must learn it has been fenced — it fails
-		// its run at once instead of computing on, unheard, to its timeout.
-		//lint:ignore lockorder same fan-out as above; bounded by CtlWriteTimeout
-		suspect.send(f)
-	}
-	c.bcastMu.Unlock()
-	c.fireDeath(rank, epoch)
-	c.emitDeath(DeathEvent{Rank: rank, Epoch: epoch})
-}
-
-// applyVerdict processes a death verdict on a worker.
-func (c *Cluster) applyVerdict(rank, epoch int) {
-	if rank < 0 || rank >= c.cfg.World {
+	defer c.mu.Unlock()
+	if !c.markDead(rank, int(c.epoch.Load())+1) {
 		return
 	}
-	if !c.dead[rank].CompareAndSwap(false, true) {
-		return
+	verdict := c.broadcast(&Frame{Kind: ctlDead, Dst: rank, Epoch: uint32(c.epoch.Load())})
+	if suspect := c.links[rank]; suspect != nil {
+		// Best effort: a corpse's connection is gone, but a live suspect (a
+		// false verdict) must learn it has been fenced — it fails its run
+		// at once instead of computing on, unheard, to its timeout.
+		suspect.enqueue(verdict)
 	}
-	c.epoch.Store(int32(epoch))
-	c.mu.Lock()
-	c.deadOrder = append(c.deadOrder, rank)
-	c.mu.Unlock()
-	c.tp.severPeer(rank)
-	c.fireDeath(rank, epoch)
 }
 
 // Shutdown broadcasts the run-complete signal to every live worker (rank 0
 // only), stamped with the wire generation of the run it ends.
-func (c *Cluster) Shutdown() {
-	c.broadcastCtl(ctlShutdown)
-}
+func (c *Cluster) Shutdown() { c.signal(ctlShutdown, EventRunDone) }
 
 // BroadcastExit tells every live worker to exit its process: the pool is
-// being torn down (rank 0 only). Workers observe it via Done.
-func (c *Cluster) BroadcastExit() {
-	c.broadcastCtl(ctlExit)
-}
+// being torn down (rank 0 only).
+func (c *Cluster) BroadcastExit() { c.signal(ctlExit, EventExit) }
 
-func (c *Cluster) broadcastCtl(kind uint16) {
+func (c *Cluster) signal(kind uint16, ev EventKind) {
 	if c.cfg.Rank != 0 {
 		return
 	}
-	c.bcastMu.Lock()
-	defer c.bcastMu.Unlock()
 	c.mu.Lock()
-	conns := c.liveConnsLocked()
-	c.mu.Unlock()
-	f := &Frame{Kind: kind, Src: 0, Epoch: c.gen.Load()}
-	for _, cc := range conns {
-		//lint:ignore lockorder bcastMu held across the fan-out IS the total-order guarantee for control frames; each send is bounded by CtlWriteTimeout
-		cc.send(f)
-	}
+	defer c.mu.Unlock()
+	c.broadcast(&Frame{Kind: kind, Epoch: c.gen.Load()})
+	c.publish(Event{Kind: ev, Gen: c.gen.Load()})
 }
 
 var errClusterClosed = errors.New("amt: cluster closed")
 
 // Close tears the cluster down: listener, control connections, data-plane
 // peers, and every cluster goroutine is stopped and joined. A run still in
-// flight on this rank is failed at once through its coordinator-lost
-// handler — without a cluster it can neither finish nor be told it cannot.
-// Close joins the cluster's reader goroutines, which invoke run callbacks,
-// so it must not be called from inside one.
+// flight on this rank finds the closure in the log and fails at once —
+// without a cluster it can neither finish nor be told it cannot.
 func (c *Cluster) Close() error {
-	c.closeMu.Lock()
+	c.mu.Lock()
 	if c.closed {
-		c.closeMu.Unlock()
+		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	c.closeMu.Unlock()
-	close(c.quit)
-	c.fireCoordLost(errClusterClosed)
-	c.ln.Close()
-	if c.ctl != nil {
-		c.ctl.conn.Close()
+	c.publish(Event{Kind: EventCoordLost, Err: errClusterClosed})
+	for _, l := range c.links {
+		l.close()
 	}
-	c.mu.Lock()
-	for _, cc := range c.joined {
-		cc.conn.Close()
-	}
-	c.mu.Unlock()
-	// Unblock every accepted-connection reader: a peer that never hangs up
-	// (or is this same process, in tests) must not stall the teardown.
-	c.connMu.Lock()
-	c.connsDone = true
+	// Unblock every accepted-connection reader, and a link's writer parked
+	// in a wedged worker's socket: a peer that never hangs up (or is this
+	// same process, in tests) must not stall the teardown.
 	for conn := range c.conns {
 		conn.Close()
 	}
-	c.connMu.Unlock()
+	c.mu.Unlock()
+	close(c.quit)
+	c.ln.Close()
+	if c.ctl != nil {
+		c.ctl.Close()
+	}
 	c.tp.close()
 	c.wg.Wait()
 	return nil
@@ -1263,158 +1035,16 @@ func (c *Cluster) Close() error {
 // trackConn registers an accepted connection for teardown; false means the
 // cluster is already closing and the conn must not be served.
 func (c *Cluster) trackConn(conn net.Conn) bool {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	if c.connsDone {
-		return false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.closed {
+		c.conns[conn] = struct{}{}
 	}
-	c.conns[conn] = struct{}{}
-	return true
+	return !c.closed
 }
 
 func (c *Cluster) untrackConn(conn net.Conn) {
-	c.connMu.Lock()
+	c.mu.Lock()
 	delete(c.conns, conn)
-	c.connMu.Unlock()
-}
-
-// encodeHello serializes a join/attach preamble.
-func encodeHello(cfg ClusterConfig, listenAddr string) []byte {
-	buf := make([]byte, 0, 8+len(cfg.Stamp)+len(listenAddr))
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(cfg.Rank))
-	buf = append(buf, u16[:]...)
-	binary.LittleEndian.PutUint16(u16[:], uint16(cfg.World))
-	buf = append(buf, u16[:]...)
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(cfg.Stamp)))
-	buf = append(buf, u16[:]...)
-	buf = append(buf, cfg.Stamp...)
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(listenAddr)))
-	buf = append(buf, u16[:]...)
-	buf = append(buf, listenAddr...)
-	return buf
-}
-
-func decodeHello(b []byte) (rank, world int, stamp, addr string, err error) {
-	get16 := func() (int, bool) {
-		if len(b) < 2 {
-			return 0, false
-		}
-		v := int(binary.LittleEndian.Uint16(b))
-		b = b[2:]
-		return v, true
-	}
-	getStr := func() (string, bool) {
-		n, ok := get16()
-		if !ok || len(b) < n {
-			return "", false
-		}
-		s := string(b[:n])
-		b = b[n:]
-		return s, true
-	}
-	var ok bool
-	if rank, ok = get16(); !ok {
-		return 0, 0, "", "", fmt.Errorf("short hello (rank)")
-	}
-	if world, ok = get16(); !ok {
-		return 0, 0, "", "", fmt.Errorf("short hello (world)")
-	}
-	if stamp, ok = getStr(); !ok {
-		return 0, 0, "", "", fmt.Errorf("short hello (stamp)")
-	}
-	if addr, ok = getStr(); !ok {
-		return 0, 0, "", "", fmt.Errorf("short hello (addr)")
-	}
-	return rank, world, stamp, addr, nil
-}
-
-// encodeAddrs serializes the START peer-address list.
-func encodeAddrs(addrs []string) []byte {
-	var buf []byte
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(addrs)))
-	buf = append(buf, u16[:]...)
-	for _, a := range addrs {
-		binary.LittleEndian.PutUint16(u16[:], uint16(len(a)))
-		buf = append(buf, u16[:]...)
-		buf = append(buf, a...)
-	}
-	return buf
-}
-
-func decodeAddrs(b []byte) ([]string, error) {
-	addrs, rest, err := decodeAddrsRest(b)
-	if err != nil {
-		return nil, err
-	}
-	_ = rest
-	return addrs, nil
-}
-
-func decodeAddrsRest(b []byte) ([]string, []byte, error) {
-	if len(b) < 2 {
-		return nil, nil, fmt.Errorf("short address list")
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	addrs := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 2 {
-			return nil, nil, fmt.Errorf("short address list entry")
-		}
-		l := int(binary.LittleEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < l {
-			return nil, nil, fmt.Errorf("short address list entry")
-		}
-		addrs = append(addrs, string(b[:l]))
-		b = b[l:]
-	}
-	return addrs, b, nil
-}
-
-// encodeMembership serializes a membership snapshot: wire generation,
-// verdict epoch, peer address list, and the dead ranks in verdict order.
-func encodeMembership(gen, epoch uint32, addrs []string, deadOrder []int) []byte {
-	var u32 [4]byte
-	var u16 [2]byte
-	buf := make([]byte, 0, 10+16*len(addrs)+2*len(deadOrder))
-	binary.LittleEndian.PutUint32(u32[:], gen)
-	buf = append(buf, u32[:]...)
-	binary.LittleEndian.PutUint32(u32[:], epoch)
-	buf = append(buf, u32[:]...)
-	buf = append(buf, encodeAddrs(addrs)...)
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(deadOrder)))
-	buf = append(buf, u16[:]...)
-	for _, r := range deadOrder {
-		binary.LittleEndian.PutUint16(u16[:], uint16(r))
-		buf = append(buf, u16[:]...)
-	}
-	return buf
-}
-
-func decodeMembership(b []byte) (gen, epoch uint32, addrs []string, deadOrder []int, err error) {
-	if len(b) < 8 {
-		return 0, 0, nil, nil, fmt.Errorf("short membership")
-	}
-	gen = binary.LittleEndian.Uint32(b)
-	epoch = binary.LittleEndian.Uint32(b[4:])
-	addrs, rest, err := decodeAddrsRest(b[8:])
-	if err != nil {
-		return 0, 0, nil, nil, err
-	}
-	if len(rest) < 2 {
-		return 0, 0, nil, nil, fmt.Errorf("short membership (dead list)")
-	}
-	n := int(binary.LittleEndian.Uint16(rest))
-	rest = rest[2:]
-	if len(rest) < 2*n {
-		return 0, 0, nil, nil, fmt.Errorf("short membership (dead entries)")
-	}
-	deadOrder = make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		deadOrder = append(deadOrder, int(binary.LittleEndian.Uint16(rest[2*i:])))
-	}
-	return gen, epoch, addrs, deadOrder, nil
+	c.mu.Unlock()
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // The wire frame codec for multi-process parcel transport (DESIGN.md,
@@ -162,4 +163,145 @@ func readPayload(br *bufio.Reader, n int) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// Control-plane payloads (cluster.go): the join preamble and the membership
+// snapshot. Same discipline as the frame around them — little endian, u16
+// counts and string lengths, decoders that error and never panic — plus
+// two rules of their own: a list is sized from the local world, never from
+// a count off the wire, and only the canonical encoding is accepted (no
+// trailing bytes), so accept ⇒ re-encode is byte-identical.
+
+// hello is the preamble of a control join (HELLO, REJOIN) and of a
+// data-plane connection (ATTACH, which leaves Addr empty).
+type hello struct {
+	Rank, World int
+	Stamp       string // build/version + scenario; must equal the acceptor's
+	Addr        string // the joiner's data-plane listen address
+}
+
+// membership is rank 0's view of the cluster, sent whole whenever a join
+// changes it: the START that releases the barrier is the first one, every
+// re-admission sends the next.
+type membership struct {
+	Gen       uint32   // wire generation every receiver adopts
+	Epoch     uint32   // death verdicts issued so far
+	Addrs     []string // data-plane listen address per rank
+	DeadOrder []int    // currently-dead ranks in verdict order
+}
+
+var errShortControl = errors.New("amt: truncated control payload")
+
+func appendU16(dst []byte, v int) []byte { return binary.LittleEndian.AppendUint16(dst, uint16(v)) }
+
+func appendStr(dst []byte, s string) []byte { return append(appendU16(dst, len(s)), s...) }
+
+// ctlReader consumes a control payload front to back; the first short read
+// sticks and every later read yields zero values, so a decoder checks once.
+type ctlReader struct {
+	b     []byte
+	short bool
+}
+
+func (r *ctlReader) take(n int) []byte {
+	if r.short || len(r.b) < n {
+		r.short = true
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *ctlReader) u16() int {
+	if v := r.take(2); v != nil {
+		return int(binary.LittleEndian.Uint16(v))
+	}
+	return 0
+}
+
+func (r *ctlReader) u32() uint32 {
+	if v := r.take(4); v != nil {
+		return binary.LittleEndian.Uint32(v)
+	}
+	return 0
+}
+
+func (r *ctlReader) str() string { return string(r.take(r.u16())) }
+
+// done reports a payload that ended early or late.
+func (r *ctlReader) done() error {
+	switch {
+	case r.short:
+		return errShortControl
+	case len(r.b) != 0:
+		return fmt.Errorf("amt: %d trailing bytes in control payload", len(r.b))
+	}
+	return nil
+}
+
+//dashmm:wire hello encode hello
+func appendHello(dst []byte, h *hello) []byte {
+	dst = appendU16(dst, h.Rank)
+	dst = appendU16(dst, h.World)
+	dst = appendStr(dst, h.Stamp)
+	return appendStr(dst, h.Addr)
+}
+
+//dashmm:wire hello decode hello
+func decodeHello(b []byte) (hello, error) {
+	r := ctlReader{b: b}
+	var h hello
+	h.Rank = r.u16()
+	h.World = r.u16()
+	h.Stamp = r.str()
+	h.Addr = r.str()
+	return h, r.done()
+}
+
+//dashmm:wire membership encode membership
+func appendMembership(dst []byte, m *membership) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, m.Gen)
+	dst = binary.LittleEndian.AppendUint32(dst, m.Epoch)
+	dst = appendU16(dst, len(m.Addrs))
+	for _, a := range m.Addrs {
+		dst = appendStr(dst, a)
+	}
+	dst = appendU16(dst, len(m.DeadOrder))
+	for _, r := range m.DeadOrder {
+		dst = appendU16(dst, r)
+	}
+	return dst
+}
+
+// decodeMembership decodes a membership for a cluster of the given size: it
+// must list exactly world addresses, and its dead ranks must be distinct
+// worker ranks of that world.
+//
+//dashmm:wire membership decode membership
+func decodeMembership(b []byte, world int) (membership, error) {
+	r := ctlReader{b: b}
+	var m membership
+	m.Gen = r.u32()
+	m.Epoch = r.u32()
+	if n := r.u16(); !r.short && n != world {
+		return m, fmt.Errorf("amt: membership lists %d ranks, world is %d", n, world)
+	}
+	m.Addrs = make([]string, world)
+	for i := range m.Addrs {
+		m.Addrs[i] = r.str()
+	}
+	n := r.u16()
+	if n >= world {
+		return m, fmt.Errorf("amt: membership lists %d dead ranks in a world of %d", n, world)
+	}
+	m.DeadOrder = make([]int, n)
+	for i := range m.DeadOrder {
+		d := r.u16()
+		if !r.short && (d < 1 || d >= world || slices.Contains(m.DeadOrder[:i], d)) {
+			return m, fmt.Errorf("amt: membership lists dead rank %d (world %d, each worker at most once)", d, world)
+		}
+		m.DeadOrder[i] = d
+	}
+	return m, r.done()
 }

@@ -53,3 +53,82 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
+
+// controlSeed is one named seed of FuzzDecodeControl.
+type controlSeed struct {
+	name string
+	data []byte
+}
+
+// controlSeeds are a golden payload of each kind and the ways a hostile or
+// damaged one goes wrong, for a world of 4.
+func controlSeeds() []controlSeed {
+	h := appendHello(nil, &hello{Rank: 3, World: 4, Stamp: "stamp-v1", Addr: "/tmp/r3.sock"})
+	m := appendMembership(nil, &membership{Gen: 7, Epoch: 2,
+		Addrs: []string{"/tmp/r0.sock", "/tmp/r1.sock", "", "/tmp/r3.sock"}, DeadOrder: []int{2, 1}})
+	patch := func(b []byte, off int, v ...byte) []byte {
+		out := append([]byte(nil), b...)
+		copy(out[off:], v)
+		return out
+	}
+	return []controlSeed{
+		{"golden-hello", h},
+		{"golden-membership", m},
+		{"hello-truncated-addr", h[:len(h)-3]},
+		{"hello-trailing-bytes", append(append([]byte(nil), h...), 0)},
+		{"truncated-addr-list", m[:8+2+14+5]},
+		{"truncated-dead-list", m[:len(m)-1]},
+		{"oversized-addr-count", patch(m, 8, 0xff, 0xff)},
+		{"oversized-dead-count", patch(m, len(m)-6, 0xff, 0xff)},
+		{"dead-rank-beyond-world", patch(m, len(m)-4, 4, 0)},
+		{"dead-rank-twice", patch(m, len(m)-2, 2, 0)},
+		{"dead-coordinator", patch(m, len(m)-2, 0, 0)},
+	}
+}
+
+// FuzzDecodeControl drives the control-plane payload decoders with arbitrary
+// bytes. They must never panic, never size an allocation from a count the
+// payload supplies (the world bounds every list), and accept only the
+// canonical encoding: re-encoding what they accepted reproduces the input.
+func FuzzDecodeControl(f *testing.F) {
+	for _, seed := range controlSeeds() {
+		f.Add(uint16(4), seed.data)
+	}
+	f.Fuzz(func(t *testing.T, world uint16, data []byte) {
+		if h, err := decodeHello(data); err == nil {
+			if enc := appendHello(nil, &h); !bytes.Equal(enc, data) {
+				t.Fatalf("hello: encode(decode(x)) != x:\n got %x\nwant %x", enc, data)
+			}
+		}
+		m, err := decodeMembership(data, int(world))
+		if err != nil {
+			return
+		}
+		if len(m.Addrs) != int(world) || len(m.DeadOrder) >= max(int(world), 1) {
+			t.Fatalf("membership of %d ranks, %d of them dead, accepted for a world of %d", len(m.Addrs), len(m.DeadOrder), world)
+		}
+		for _, r := range m.DeadOrder {
+			if r < 1 || r >= int(world) {
+				t.Fatalf("dead rank %d accepted in a world of %d", r, world)
+			}
+		}
+		if enc := appendMembership(nil, &m); !bytes.Equal(enc, data) {
+			t.Fatalf("membership: encode(decode(x)) != x:\n got %x\nwant %x", enc, data)
+		}
+	})
+}
+
+// The seeds decode as their names say: the golden ones by their own decoder
+// only, the others by neither.
+func TestControlSeeds(t *testing.T) {
+	for _, seed := range controlSeeds() {
+		_, herr := decodeHello(seed.data)
+		_, merr := decodeMembership(seed.data, 4)
+		if (herr == nil) != (seed.name == "golden-hello") {
+			t.Errorf("%s: decodeHello error %v", seed.name, herr)
+		}
+		if (merr == nil) != (seed.name == "golden-membership") {
+			t.Errorf("%s: decodeMembership error %v", seed.name, merr)
+		}
+	}
+}

@@ -14,21 +14,13 @@ func TestRejoinReadmission(t *testing.T) {
 	fast := func(cfg *ClusterConfig) {
 		cfg.Heartbeat = FailureDetectorConfig{Interval: 10 * time.Millisecond, MissedBeats: 6}
 	}
-	rejoined := make(chan [2]uint32, 1)
-	cls := startTestCluster(t, dir, 3, fast, nil)
-	cls[0].OnRejoin(func(rank int, gen uint32) {
-		rejoined <- [2]uint32{uint32(rank), gen}
-	})
+	cls := startTestCluster(t, dir, 3, fast)
+	log0, log2 := watch(t, cls[0]), watch(t, cls[2])
 
 	// Rank 1 dies; rank 0's monitor issues the verdict.
 	cls[1].Close()
-	select {
-	case ev := <-cls[0].Deaths():
-		if ev.Rank != 1 {
-			t.Fatalf("verdict for rank %d, want 1", ev.Rank)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no death verdict for rank 1")
+	if ev := await(t, log0, EventDead); ev.Rank != 1 {
+		t.Fatalf("verdict for rank %d, want 1", ev.Rank)
 	}
 
 	// A fresh incarnation rejoins. NewCluster's handshake waits out the
@@ -45,29 +37,24 @@ func TestRejoinReadmission(t *testing.T) {
 		t.Fatalf("rejoin start: %v", err)
 	}
 
-	select {
-	case ev := <-rejoined:
-		if ev[0] != 1 || ev[1] != 1 {
-			t.Fatalf("OnRejoin(rank=%d, gen=%d), want (1, 1)", ev[0], ev[1])
+	// Rank 0 logs the re-admission when it makes it, the survivor when the
+	// membership that revives the rank arrives.
+	for r, log := range map[int]<-chan Event{0: log0, 2: log2} {
+		if ev := await(t, log, EventRejoin); ev.Rank != 1 || ev.Gen != 1 {
+			t.Fatalf("rank %d logged the re-admission %+v, want rank 1 at generation 1", r, ev)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnRejoin never fired on rank 0")
 	}
-	if !cls[0].Alive(1) {
+	if cls[0].dead[1].Load() {
 		t.Fatal("rank 1 still marked dead on rank 0 after re-admission")
 	}
 	if got := nc.Generation(); got != 1 {
 		t.Fatalf("rejoiner generation = %d, want 1", got)
 	}
 
-	// The survivors adopt the new generation via the membership broadcast.
-	deadline := time.Now().Add(5 * time.Second)
-	for cls[2].Generation() != 1 || !cls[2].Alive(1) {
-		if time.Now().After(deadline) {
-			t.Fatalf("rank 2 never adopted gen 1 (gen=%d alive1=%v)",
-				cls[2].Generation(), cls[2].Alive(1))
-		}
-		time.Sleep(time.Millisecond)
+	// The survivor adopted the new generation with that membership.
+	if cls[2].Generation() != 1 || cls[2].dead[1].Load() {
+		t.Fatalf("rank 2 logged the re-admission before adopting it (gen=%d alive1=%v)",
+			cls[2].Generation(), !cls[2].dead[1].Load())
 	}
 
 	// Data flows at the new generation: fresh rank 1 -> survivor rank 2.
@@ -79,7 +66,7 @@ func TestRejoinReadmission(t *testing.T) {
 		mu.Unlock()
 	})
 	cls[1].Transport().Send(Message{Src: 1, Dst: 2, Seq: 9, Kind: 7, Epoch: 42, Payload: []byte("hello again")})
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		mu.Lock()
 		n := len(got)
@@ -106,7 +93,7 @@ func TestRejoinReadmission(t *testing.T) {
 // only re-admits ranks with a standing death verdict.
 func TestRejoinWithoutVerdictRejected(t *testing.T) {
 	dir := t.TempDir()
-	startTestCluster(t, dir, 2, nil, nil)
+	startTestCluster(t, dir, 2, nil)
 	cfg := testClusterConfig(dir, 1, 2)
 	cfg.Rejoin = true
 	cfg.JoinTimeout = 500 * time.Millisecond
@@ -119,7 +106,7 @@ func TestRejoinWithoutVerdictRejected(t *testing.T) {
 // Frames stamped with a stale wire generation are dropped at the receiver
 // (counted, never delivered); frames at the adopted generation flow.
 func TestGenerationFenceDropsStaleFrames(t *testing.T) {
-	cls := startTestCluster(t, t.TempDir(), 2, nil, nil)
+	cls := startTestCluster(t, t.TempDir(), 2, nil)
 	var mu sync.Mutex
 	var got []Frame
 	cls[0].Transport().OnFrame(func(f Frame) {

@@ -51,7 +51,6 @@ type peerLink struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  [][]byte // guarded by mu
-	qbytes int      // guarded by mu
 	dead   bool     // guarded by mu: rank declared dead, stop dialing
 	closed bool     // guarded by mu: transport shutting down
 }
@@ -59,6 +58,38 @@ type peerLink struct {
 func newSocketTransport(cl *Cluster) *SocketTransport {
 	return &SocketTransport{cl: cl}
 }
+
+// peerQueueMax bounds each peer's outbound frame queue; overflow is dropped
+// and surfaces as wire loss.
+const peerQueueMax = 8192
+
+// Retry pacing, shared by every loop of this package that waits for a peer
+// to come (back) up — a worker dialing rank 0, a writer dialing a peer, an
+// acceptor whose Accept failed: exponential from dialBase to dialMax, each
+// sleep stretched by a uniform jitter of up to its own length, which keeps
+// simultaneous retries from synchronizing against one recovering peer.
+const (
+	dialBase = 5 * time.Millisecond
+	dialMax  = 500 * time.Millisecond
+)
+
+type backoff struct {
+	rng  *rand.Rand
+	step time.Duration
+}
+
+func newBackoff(seed int64) *backoff {
+	return &backoff{rng: rand.New(rand.NewSource(seed)), step: dialBase}
+}
+
+// sleep waits out the current step and its jitter, then doubles the step.
+func (b *backoff) sleep() {
+	time.Sleep(b.step + time.Duration(b.rng.Int63n(int64(b.step)+1)))
+	b.step = min(2*b.step, dialMax)
+}
+
+// reset restarts the pacing after a success.
+func (b *backoff) reset() { b.step = dialBase }
 
 // Name implements Transport.
 func (t *SocketTransport) Name() string { return t.cl.cfg.Network }
@@ -144,13 +175,12 @@ func (t *SocketTransport) Send(m Message) {
 		return
 	}
 	p.mu.Lock()
-	if p.dead || p.closed || len(p.queue) >= t.cl.cfg.MaxQueue {
+	if p.dead || p.closed || len(p.queue) >= peerQueueMax {
 		p.mu.Unlock()
 		t.dropped.Add(1)
 		return
 	}
 	p.queue = append(p.queue, enc)
-	p.qbytes += len(enc)
 	p.mu.Unlock()
 	p.cond.Signal()
 	t.bytesOut.Add(int64(len(enc)))
@@ -172,7 +202,6 @@ func (t *SocketTransport) severPeer(rank int) {
 	p.dead = true
 	t.dropped.Add(int64(len(p.queue)))
 	p.queue = nil
-	p.qbytes = 0
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
@@ -193,7 +222,6 @@ func (t *SocketTransport) revivePeer(rank int, addr string) {
 		old.closed = true
 		t.dropped.Add(int64(len(old.queue)))
 		old.queue = nil
-		old.qbytes = 0
 		old.mu.Unlock()
 		old.cond.Broadcast()
 	}
@@ -220,7 +248,6 @@ func (t *SocketTransport) close() {
 		p.mu.Lock()
 		p.closed = true
 		p.queue = nil
-		p.qbytes = 0
 		p.mu.Unlock()
 		p.cond.Broadcast()
 	}
@@ -235,7 +262,7 @@ func (t *SocketTransport) close() {
 // delivery layer retransmits).
 func (t *SocketTransport) writerLoop(p *peerLink) {
 	defer t.wg.Done()
-	rng := rand.New(rand.NewSource(int64(t.cl.cfg.Rank)*1_000_003 + int64(p.rank)*7919 + 1))
+	bo := newBackoff(int64(t.cl.cfg.Rank)*1_000_003 + int64(p.rank)*7919 + 1)
 	var conn net.Conn
 	var bw *bufio.Writer
 	dropConn := func() {
@@ -254,17 +281,15 @@ func (t *SocketTransport) writerLoop(p *peerLink) {
 		if p.closed || p.dead {
 			t.dropped.Add(int64(len(p.queue)))
 			p.queue = nil
-			p.qbytes = 0
 			p.mu.Unlock()
 			return
 		}
 		batch := p.queue
 		p.queue = nil
-		p.qbytes = 0
 		p.mu.Unlock()
 
 		if conn == nil {
-			conn = t.dialPeer(p, rng)
+			conn = t.dialPeer(p, bo)
 			if conn == nil {
 				// Link closed or peer declared dead while dialing: the batch
 				// is lost.
@@ -276,8 +301,9 @@ func (t *SocketTransport) writerLoop(p *peerLink) {
 			}
 			everConnected = true
 			bw = bufio.NewWriterSize(conn, 256<<10)
-			attach := &Frame{Kind: ctlAttach, Src: t.cl.cfg.Rank, Dst: p.rank,
-				Payload: encodeHello(t.cl.cfg, "")}
+			cfg := t.cl.cfg
+			attach := &Frame{Kind: ctlAttach, Src: cfg.Rank, Dst: p.rank,
+				Payload: appendHello(nil, &hello{Rank: cfg.Rank, World: cfg.World, Stamp: cfg.Stamp})}
 			if _, err := bw.Write(AppendFrame(nil, attach)); err != nil {
 				dropConn()
 				t.dropped.Add(int64(len(batch)))
@@ -304,10 +330,10 @@ func (t *SocketTransport) writerLoop(p *peerLink) {
 	}
 }
 
-// dialPeer connects to a peer with exponential backoff and jitter,
-// returning nil once the link is closed or the peer is declared dead.
-func (t *SocketTransport) dialPeer(p *peerLink, rng *rand.Rand) net.Conn {
-	backoff := t.cl.cfg.DialBase
+// dialPeer connects to a peer, retrying on the shared backoff, and returns
+// nil once the link is closed or the peer is declared dead.
+func (t *SocketTransport) dialPeer(p *peerLink, bo *backoff) net.Conn {
+	bo.reset()
 	for {
 		p.mu.Lock()
 		stop := p.closed || p.dead
@@ -319,12 +345,6 @@ func (t *SocketTransport) dialPeer(p *peerLink, rng *rand.Rand) net.Conn {
 		if err == nil {
 			return conn
 		}
-		// Full jitter on the current backoff step keeps simultaneous
-		// redials from synchronizing against one recovering peer.
-		sleep := backoff + time.Duration(rng.Int63n(int64(backoff)+1))
-		time.Sleep(sleep)
-		if backoff *= 2; backoff > t.cl.cfg.DialMax {
-			backoff = t.cl.cfg.DialMax
-		}
+		bo.sleep()
 	}
 }

@@ -25,9 +25,8 @@ func testClusterConfig(dir string, rank, world int) ClusterConfig {
 // startTestCluster brings up a full world of in-process clusters: rank 0
 // first (it must be accepting before workers dial), workers concurrently
 // (their NewCluster blocks in the join handshake), then the Start barrier
-// everywhere. reg, when non-nil, registers callbacks on each cluster before
-// Start (the documented registration window).
-func startTestCluster(t *testing.T, dir string, world int, mut func(*ClusterConfig), reg func(rank int, c *Cluster)) []*Cluster {
+// everywhere.
+func startTestCluster(t *testing.T, dir string, world int, mut func(*ClusterConfig)) []*Cluster {
 	t.Helper()
 	cls := make([]*Cluster, world)
 	cfg0 := testClusterConfig(dir, 0, world)
@@ -58,11 +57,6 @@ func startTestCluster(t *testing.T, dir string, world int, mut func(*ClusterConf
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	if reg != nil {
-		for r, c := range cls {
-			reg(r, c)
-		}
-	}
 	for r := world - 1; r >= 0; r-- {
 		wg.Add(1)
 		go func(r int) {
@@ -86,10 +80,54 @@ func startTestCluster(t *testing.T, dir string, world int, mut func(*ClusterConf
 	return cls
 }
 
+// watch pumps a rank's event log, from its oldest retained event on, into a
+// channel a test can wait on with a deadline.
+func watch(t *testing.T, c *Cluster) <-chan Event {
+	t.Helper()
+	sub := c.Subscribe(0)
+	t.Cleanup(sub.Close)
+	ch := make(chan Event, 1024) // the pump must never block the test's own Close
+	//dashmm:detached exits when the cleanup above closes the subscription
+	go func() {
+		defer close(ch)
+		for {
+			ev, ok := sub.Next()
+			if !ok {
+				return
+			}
+			ch <- ev
+		}
+	}()
+	return ch
+}
+
+// await returns the next event of the given kind, skipping others — except
+// the loss of the coordinator, which no test waits through.
+func await(t *testing.T, ch <-chan Event, kind EventKind) Event {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case ev, ok := <-ch:
+			if !ok {
+				t.Fatalf("event log ended while waiting for an event of kind %d", kind)
+			}
+			if ev.Kind == kind {
+				return ev
+			}
+			if ev.Kind == EventCoordLost {
+				t.Fatalf("waiting for an event of kind %d: %v", kind, ev.Err)
+			}
+		case <-deadline:
+			t.Fatalf("no event of kind %d within 10s", kind)
+		}
+	}
+}
+
 // Frames sent over the data plane arrive at the addressed rank, and the
 // byte/message counters move on both ends.
 func TestClusterDataPlane(t *testing.T) {
-	cls := startTestCluster(t, t.TempDir(), 3, nil, nil)
+	cls := startTestCluster(t, t.TempDir(), 3, nil)
 	type rx struct {
 		mu     sync.Mutex
 		frames []Frame
@@ -187,7 +225,7 @@ func TestJoinDuplicateRankRejected(t *testing.T) {
 // trying to rejoin under its old id.
 func TestJoinAfterStartRejected(t *testing.T) {
 	dir := t.TempDir()
-	cls := startTestCluster(t, dir, 2, nil, nil)
+	cls := startTestCluster(t, dir, 2, nil)
 	_ = cls
 	_, err := NewCluster(testClusterConfig(dir, 1, 2))
 	if err == nil || !strings.Contains(err.Error(), "already started") {
@@ -234,7 +272,7 @@ func TestHandshakeJunkDoesNotWedgeAcceptor(t *testing.T) {
 	conn.Close()
 
 	// A frame truncated mid-header.
-	f := Frame{Kind: ctlHello, Src: 1, Payload: encodeHello(testClusterConfig(dir, 1, 2), "x")}
+	f := Frame{Kind: ctlHello, Src: 1, Payload: appendHello(nil, &hello{Rank: 1, World: 2, Stamp: cfg0.Stamp, Addr: "x"})}
 	enc := AppendFrame(nil, &f)
 	conn, err = net.Dial("unix", cfg0.Addr)
 	if err != nil {
@@ -277,36 +315,23 @@ func TestHeartbeatDeathDetection(t *testing.T) {
 	fast := func(cfg *ClusterConfig) {
 		cfg.Heartbeat = FailureDetectorConfig{Interval: 10 * time.Millisecond, MissedBeats: 10}
 	}
-	verdicts := make(chan [2]int, 4)
-	cls := startTestCluster(t, t.TempDir(), 3, fast, func(rank int, c *Cluster) {
-		if rank < 2 {
-			r := rank
-			c.OnDeath(func(dead, epoch int) { verdicts <- [2]int{r, dead} })
-		}
-	})
+	cls := startTestCluster(t, t.TempDir(), 3, fast)
+	logs := []<-chan Event{watch(t, cls[0]), watch(t, cls[1])}
 
 	// Rank 2 "dies": its heartbeats stop, its sockets close.
 	cls[2].Close()
 	cls[2] = nil
 
-	want := map[int]bool{0: false, 1: false}
-	deadline := time.After(5 * time.Second)
-	for !want[0] || !want[1] {
-		select {
-		case v := <-verdicts:
-			if v[1] != 2 {
-				t.Fatalf("rank %d got verdict for rank %d, want 2", v[0], v[1])
-			}
-			want[v[0]] = true
-		case <-deadline:
-			t.Fatalf("verdicts seen: rank0=%v rank1=%v", want[0], want[1])
+	for r, log := range logs {
+		if ev := await(t, log, EventDead); ev.Rank != 2 || ev.Epoch != 1 {
+			t.Fatalf("rank %d logged the verdict %+v, want rank 2 at epoch 1", r, ev)
 		}
 	}
-	if cls[0].Alive(2) || cls[1].Alive(2) {
+	if !cls[0].dead[2].Load() || !cls[1].dead[2].Load() {
 		t.Fatal("rank 2 still marked alive after the verdict")
 	}
-	if cls[0].Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", cls[0].Epoch())
+	if cls[0].epoch.Load() != 1 {
+		t.Fatalf("epoch = %d, want 1", cls[0].epoch.Load())
 	}
 }
 
@@ -333,17 +358,12 @@ func TestMonitorCountsTicksNotWallClock(t *testing.T) {
 		time.Sleep(cfg.Heartbeat.Interval)
 		c.lastBeat[1].Store(time.Now().UnixNano())
 	}
-	if !c.Alive(1) {
+	if c.dead[1].Load() {
 		t.Fatal("a beating rank was declared dead off a stale timestamp")
 	}
 	// The beats stop: MissedBeats ticks later the rank is dead.
-	select {
-	case ev := <-c.Deaths():
-		if ev.Rank != 1 {
-			t.Fatalf("verdict for rank %d, want 1", ev.Rank)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a silent rank was never declared dead")
+	if ev := await(t, watch(t, c), EventDead); ev.Rank != 1 {
+		t.Fatalf("verdict for rank %d, want 1", ev.Rank)
 	}
 }
 
@@ -352,21 +372,11 @@ func TestMonitorCountsTicksNotWallClock(t *testing.T) {
 // promises. The broadcast used to skip the suspect, which then ran on,
 // fenced by everyone and unheard, until its own timeout.
 func TestFalseVerdictReachesTheSuspect(t *testing.T) {
-	verdicts := make(chan [2]int, 4)
-	cls := startTestCluster(t, t.TempDir(), 3, nil, func(rank int, c *Cluster) {
-		c.OnDeath(func(dead, epoch int) { verdicts <- [2]int{rank, dead} })
-	})
+	cls := startTestCluster(t, t.TempDir(), 3, nil)
 	cls[0].DeclareDead(2)
-	saw := map[int]bool{}
-	for len(saw) < 3 {
-		select {
-		case v := <-verdicts:
-			if v[1] != 2 {
-				t.Fatalf("rank %d got a verdict for rank %d, want 2", v[0], v[1])
-			}
-			saw[v[0]] = true
-		case <-time.After(5 * time.Second):
-			t.Fatalf("verdict for rank 2 seen by ranks %v, want all three", saw)
+	for r, c := range cls {
+		if ev := await(t, watch(t, c), EventDead); ev.Rank != 2 {
+			t.Fatalf("rank %d logged a verdict for rank %d, want 2", r, ev.Rank)
 		}
 	}
 }
@@ -438,61 +448,5 @@ func TestWriterReconnect(t *testing.T) {
 	}
 	if got := tp.Stats().Reconnects; got < 1 {
 		t.Fatalf("Reconnects = %d, want >= 1", got)
-	}
-}
-
-// A run-complete signal that beats the worker into its run is parked, handed
-// to the run of that wire generation once, and discarded by any other: rank
-// 0 finishes a DAG in which a worker owns no target without that worker.
-func TestShutdownBeforeHandlerIsParked(t *testing.T) {
-	cls := startTestCluster(t, t.TempDir(), 2, nil, nil)
-	gen := cls[0].Generation()
-	took := func(g uint32) bool {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if cls[1].TakeShutdown(g) {
-				return true
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return false
-	}
-
-	cls[0].Shutdown() // no handler on the worker yet
-	if !took(gen) {
-		t.Fatal("the early run-complete signal was dropped")
-	}
-	if cls[1].TakeShutdown(gen) {
-		t.Error("the parked signal was handed out twice")
-	}
-
-	// With a handler registered and the generation adopted the signal goes
-	// to the handler, and nothing is parked.
-	fired := make(chan struct{}, 1)
-	cls[1].OnShutdown(func() { fired <- struct{}{} })
-	cls[0].Shutdown()
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("registered handler never saw the signal")
-	}
-	if cls[1].TakeShutdown(gen) {
-		t.Error("a delivered signal was parked as well")
-	}
-
-	// A signal of another generation is not this run's: the handler stays
-	// silent, the signal is parked under its own generation, and a run of a
-	// later generation throws it away.
-	cls[0].AdoptGeneration(gen + 1)
-	cls[0].Shutdown()
-	cls[0].AdoptGeneration(gen + 2)
-	cls[0].Shutdown()
-	if !took(gen + 2) {
-		t.Fatal("the signal of the worker's next generation was dropped")
-	}
-	select {
-	case <-fired:
-		t.Error("the handler of generation", gen, "took another generation's signal")
-	default:
 	}
 }

@@ -143,8 +143,7 @@ func (o DistOptions) withDefaults() DistOptions {
 // must call it with an identically-built plan; rank 0 supplies the charge
 // vector and receives the potentials (and gradients, via the report), the
 // workers pass nil charges and receive nil potentials. DistRun runs the
-// cluster's join barrier itself (registering its membership callbacks
-// first), so callers go NewCluster → DistRun → Close.
+// cluster's join barrier itself, so callers go NewCluster → DistRun → Close.
 func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]float64, ExecReport, error) {
 	opts = opts.withDefaults()
 	if cl.Rank() == 0 && len(charges) != len(p.Source.Pts) {
@@ -160,35 +159,41 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	// SPMD placement: every rank computes the same assignment.
 	ex := newExecutor(st, dist.MinComm{}, cl.World())
 	fb := newFabric(ex, cl, opts)
-	// The membership callbacks registered by newFabric must not outlive
-	// this run: a standing cluster keeps issuing verdicts between jobs, and
-	// one landing in a discarded executor would corrupt the next run's
-	// state. Cleared explicitly after rt.Run below (before the results are
-	// read); the defer covers the error paths.
-	defer cl.ClearRunHandlers()
 	if err := cl.Start(); err != nil {
 		return nil, ExecReport{}, err
 	}
 	if opts.Generation != 0 {
 		cl.AdoptGeneration(opts.Generation)
 	}
-	// Replay pre-run death verdicts in their broadcast order: first the
-	// job's consistent base, then anything the cluster has verdicted since
-	// (idempotent — a concurrent callback for the same rank is a no-op).
+	// The job's consistent base first: every death before the job, in
+	// verdict order. Everything since comes from the log.
 	for _, r := range opts.PreDead {
 		if r == cl.Rank() {
 			return nil, ExecReport{}, fmt.Errorf("core: rank %d is listed dead in the job placement", r)
 		}
 		fb.applyDeath(r)
 	}
-	fb.syncDeaths()
-	// Rank 0 may already be done: where this rank owns no target (a
-	// single-leaf plan, more ranks than target leaves) nothing rank 0 waits
-	// for comes from here, and its run-complete signal can beat this rank
-	// into the run.
-	if cl.TakeShutdown(cl.Generation()) {
-		fb.release()
+	// One watcher per run reads the cluster's event log from this run's job
+	// on (a one-shot cluster: from the beginning). What happened before the
+	// run got here — a verdict, rank 0 finishing a DAG in which this rank
+	// owns no target, the coordinator going away — is replayed to it in log
+	// order like anything that happens from now on. The watcher must not
+	// outlive the run: a standing cluster keeps logging between jobs, and a
+	// verdict landing in a discarded executor would corrupt the next run's
+	// state. Joined explicitly after rt.Run below, before the results are
+	// read; the defer covers the error paths.
+	gen := cl.Generation()
+	sub := cl.Subscribe(gen)
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		fb.watch(sub, gen)
+	}()
+	quiesce := func() {
+		sub.Close()
+		<-watched
 	}
+	defer quiesce()
 
 	if opts.Cancel != nil {
 		cancelStop := make(chan struct{})
@@ -231,7 +236,7 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	// Quiesce before reading any run state: the defer above runs only
 	// after the return values (st.potentials()) have been evaluated, too
 	// late to stop a straggling verdict from mutating st under the copy.
-	cl.ClearRunHandlers()
+	quiesce()
 
 	if err := ex.err(); err != nil {
 		return nil, ExecReport{}, err
@@ -326,7 +331,7 @@ type fabric struct {
 
 // newFabric puts an executor on the cluster: the dedup and recovery indexes
 // over its graph, a wire-mode runtime on the cluster's transport, node
-// continuations that run under the fabric, and the membership callbacks.
+// and node continuations that run under the fabric.
 func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 	g := ex.g
 	n := len(g.Nodes)
@@ -377,9 +382,6 @@ func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 	ex.arm()
 	ex.rt.OnWire(fb.onWire)
 	cl.Transport().OnFrame(ex.rt.DeliverWireFrame)
-	cl.OnDeath(fb.onDeath)
-	cl.OnShutdown(fb.release)
-	cl.OnCoordinatorLost(ex.fail)
 	return fb
 }
 
@@ -541,8 +543,8 @@ func (fb *fabric) claim(src, dst, out int32) bool {
 // walk with failover excluded and a duplicate trigger fenced, then the node
 // counts towards this rank's completion. The progress callback runs after
 // the run lock is dropped: it is caller-supplied code (the chaos harness
-// closes the rank's cluster from it), and Cluster.Close joins readers that
-// may be waiting for the write half.
+// closes the rank's cluster from it) and a verdict may be waiting for the
+// write half.
 func (fb *fabric) runNode(w *amt.Worker, id int32) {
 	fb.runMu.RLock()
 	fired := 0
@@ -618,31 +620,29 @@ func (fb *fabric) markCovered(ids []int32) {
 	}
 }
 
-// onDeath is the membership callback: one death verdict, observed in the
-// same order by every rank.
-func (fb *fabric) onDeath(deadRank, epoch int) {
-	if deadRank == fb.rank {
-		// The cluster declared *us* dead (a false heartbeat verdict under
-		// load): the survivors have fenced this rank and rebuilt its work,
-		// so fail fast instead of running to the timeout.
-		fb.ex.fail(fmt.Errorf("core: rank %d declared dead by the cluster at epoch %d", fb.rank, epoch))
-		return
-	}
-	// Failover composition is order-sensitive: process every verdict this
-	// executor has not yet applied in the cluster's authoritative order,
-	// not just the one that fired the callback. On a standing cluster a
-	// verdict can predate the callback registration (it reaches the run
-	// via DeadOrder replay in DistRun); whoever gets there first applies
-	// it, in order, and the other path no-ops.
-	fb.syncDeaths()
-}
-
-// syncDeaths applies, in verdict order, every death this executor has not
-// yet processed.
-func (fb *fabric) syncDeaths() {
-	for _, r := range fb.cl.DeadOrder() {
-		if r != fb.rank {
-			fb.applyDeath(r)
+// watch is the run's one consumer of the cluster's event log: death
+// verdicts fail their ranks over in log order — the same order on every
+// rank, which failover composition depends on — the run-complete signal of
+// this run's generation lets it drain, and losing the coordinator (or the
+// cluster) fails it.
+func (fb *fabric) watch(sub *amt.Subscription, gen uint32) {
+	for {
+		ev, ok := sub.Next()
+		if !ok {
+			return
+		}
+		switch {
+		case ev.Kind == amt.EventDead && ev.Rank == fb.rank:
+			// The cluster declared *us* dead (a false heartbeat verdict under
+			// load): the survivors have fenced this rank and rebuilt its work,
+			// so fail fast instead of running to the timeout.
+			fb.ex.fail(fmt.Errorf("core: rank %d declared dead by the cluster at epoch %d", fb.rank, ev.Epoch))
+		case ev.Kind == amt.EventDead:
+			fb.applyDeath(ev.Rank)
+		case ev.Kind == amt.EventRunDone && ev.Gen == gen:
+			fb.release()
+		case ev.Kind == amt.EventCoordLost:
+			fb.ex.fail(ev.Err)
 		}
 	}
 }

@@ -63,3 +63,35 @@ func TestDistRunStandingClusterPreDead(t *testing.T) {
 	// bumped generation fencing any straggler frames) and must still match.
 	assertSame(t, runAll(3, order), dw.want, 1e-12)
 }
+
+// Verdicts that precede a run on a one-shot cluster reach it through the
+// log alone — there is no job to carry them as PreDead: every survivor's
+// watcher replays them from the head of its log, one after the other in
+// log order, and because failover composition is order-sensitive that is
+// what makes the survivors' placements agree.
+func TestDistRunReplaysEarlierVerdictsInLogOrder(t *testing.T) {
+	const world = 4
+	dw := newDistWorld(t, world, 1500)
+	cls := distClusters(t, world)
+	for _, cl := range cls {
+		if err := cl.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// False verdicts: both suspects are fenced and stay out of the run.
+	cls[0].DeclareDead(3)
+	cls[0].DeclareDead(1)
+	cls[1], cls[3] = nil, nil
+	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+		o := distOpts(r)
+		o.Timeout = 20 * time.Second
+		return o
+	})
+	assertSurvivorsOK(t, errs)
+	assertSame(t, pots, dw.want, 1e-12)
+	for _, r := range []int{0, 2} {
+		if got := reps[r].Recovery.RanksKilled; got != 2 {
+			t.Errorf("rank %d replayed %d verdicts, want 2", r, got)
+		}
+	}
+}

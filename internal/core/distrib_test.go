@@ -164,6 +164,25 @@ func distClusters(t *testing.T, world int) []*amt.Cluster {
 	return cls
 }
 
+// awaitEvent blocks until the rank's log, read from its oldest retained
+// event, yields an event of the given kind.
+func awaitEvent(t *testing.T, cl *amt.Cluster, kind amt.EventKind) amt.Event {
+	t.Helper()
+	sub := cl.Subscribe(0)
+	defer sub.Close()
+	timeout := time.AfterFunc(10*time.Second, sub.Close)
+	defer timeout.Stop()
+	for {
+		ev, ok := sub.Next()
+		if !ok {
+			t.Fatalf("rank %d's log held no event of kind %d within 10s", cl.Rank(), kind)
+		}
+		if ev.Kind == kind {
+			return ev
+		}
+	}
+}
+
 // Four ranks over a real unix-socket mesh must reproduce the sequential
 // potentials exactly (modulo summation-order rounding): the 1e-12 gate the
 // multi-process smoke run enforces.
@@ -280,11 +299,7 @@ func TestDistRunFailsAtOnceWhenCoordinatorAlreadyLost(t *testing.T) {
 		}
 	}
 	cls[0].Close()
-	select {
-	case <-cls[1].Done(): // the worker has noticed
-	case <-time.After(10 * time.Second):
-		t.Fatal("the worker never noticed its coordinator was gone")
-	}
+	awaitEvent(t, cls[1], amt.EventCoordLost) // the worker has noticed
 	start := time.Now()
 	_, _, err := DistRun(dw.plans[1], cls[1], nil, distOpts(1))
 	if err == nil || !strings.Contains(err.Error(), "rank 0 lost") {
@@ -341,8 +356,8 @@ func TestDistRunPerRankKernels(t *testing.T) {
 // plan here, whose two nodes live on rank 0; more ranks than target leaves
 // in general) lets rank 0 finish without that worker, and rank 0's
 // run-complete signal used to be dropped when it beat the worker into its
-// run — the worker then sat in DistRun until its timeout. The cluster now
-// parks the signal for the run to take.
+// run — the worker then sat in DistRun until its timeout. The signal is in
+// the cluster's log, and the run reads the log from its beginning.
 func TestDistRunWorkerLateToFinishedRun(t *testing.T) {
 	sp := points.Generate(points.Cube, 1, 1)
 	tp := points.Generate(points.Cube, 1, 2)
@@ -369,7 +384,7 @@ func TestDistRunWorkerLateToFinishedRun(t *testing.T) {
 	// run-complete signal and then only waits for the worker to acknowledge
 	// the charge broadcast. The worker enters its run after that; the grace
 	// period only biases the interleaving towards the one that used to hang
-	// (without it the signal finds the handler registered and the test
+	// (without it the signal finds the run's watcher waiting and the test
 	// passes for the ordinary reason).
 	fired := make(chan struct{})
 	o0 := opts(0)
@@ -401,6 +416,50 @@ func TestDistRunWorkerLateToFinishedRun(t *testing.T) {
 	assertSame(t, got, want, 1e-12)
 }
 
+// A run-complete signal releases the run of its generation and no other.
+// Rank 0 ends runs 7 and 9 before the worker has entered either (it needed
+// nothing from it); both signals sit in the worker's log when run 8 starts
+// there and reads the log from its head — it must take neither, and
+// evaluate — and the worker's run 9, entered late, is over at once.
+func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
+	dw := newDistWorld(t, 2, 600)
+	cls := distClusters(t, 2)
+	for _, cl := range cls {
+		if err := cl.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, gen := range []uint32{7, 9} {
+		cls[0].AdoptGeneration(gen)
+		cls[0].Shutdown()
+	}
+	sub := cls[1].Subscribe(0)
+	for n := 0; n < 2; {
+		if ev, _ := sub.Next(); ev.Kind == amt.EventRunDone {
+			n++
+		}
+	}
+	sub.Close()
+	opts := func(gen uint32) func(int) DistOptions {
+		return func(r int) DistOptions {
+			o := distOpts(r)
+			o.Generation, o.Timeout = gen, 20*time.Second
+			return o
+		}
+	}
+	pots, _, errs := dw.run(cls, opts(8))
+	assertSurvivorsOK(t, errs)
+	assertSame(t, pots, dw.want, 1e-12)
+
+	start := time.Now()
+	if _, _, err := DistRun(dw.plans[1], cls[1], nil, opts(9)(1)); err != nil {
+		t.Fatalf("the worker's late run 9: %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("the worker took %v to learn that run 9 was over", d)
+	}
+}
+
 // The exactly-once filter's contract, edge by edge: a first claim leaves
 // both endpoint locks held (the source's too — a parcel install or a
 // failover reset must not rewrite the payload under the apply) and the
@@ -416,7 +475,6 @@ func TestFabricClaimContract(t *testing.T) {
 	}
 	ex := newExecutor(st, dist.MinComm{}, 2)
 	fb := newFabric(ex, cls[0], distOpts(0).withDefaults())
-	defer cls[0].ClearRunHandlers()
 	held := func(id int32) bool {
 		if ex.locks[id].TryLock() {
 			ex.locks[id].Unlock()

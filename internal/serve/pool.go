@@ -28,6 +28,7 @@ type Pool struct {
 	cfg     PoolConfig
 	stamp   string // handshake stamp, fixed at construction
 	cl      *amt.Cluster
+	events  *amt.Subscription // the supervisor's cursor: verdicts and re-admissions, from the cluster's first event
 	breaker *breaker
 
 	// jobMu serializes distributed evaluations: the cluster runs one job at
@@ -135,7 +136,7 @@ var ErrDegraded = errors.New("serve: distributed fabric degraded")
 // barrier, start the supervisor. On any bootstrap error the forked workers
 // are killed before returning.
 //
-//dashmm:detached supervise exits on p.quit; Pool.Close closes quit and p.wg.Wait joins
+//dashmm:detached supervise exits when Pool.Close closes its subscription; p.wg.Wait joins
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -164,6 +165,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	p := &Pool{
 		cfg:     cfg,
 		cl:      cl,
+		events:  cl.Subscribe(0),
 		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		ranks:   make([]*rankState, world),
 		cmd:     cfg.WorkerCommand,
@@ -172,8 +174,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	for r := 1; r < world; r++ {
 		p.ranks[r] = &rankState{rank: r, state: "starting"}
 	}
-	cl.OnRejoin(p.noteRejoin)
-
 	p.stamp = stamp
 	for r := 1; r < world; r++ {
 		if err := p.spawn(p.ranks[r], false); err != nil {
@@ -314,6 +314,7 @@ func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charg
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
 		close(p.quit)
+		p.events.Close()
 		p.cl.BroadcastExit()
 		deadline := time.Now().Add(3 * time.Second)
 		for r := 1; r < len(p.ranks); r++ {

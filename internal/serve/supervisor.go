@@ -9,8 +9,8 @@ import (
 	"repro/internal/amt"
 )
 
-// Supervision: rank 0 watches the cluster's death-verdict feed and brings
-// dead ranks back. The state machine per rank is
+// Supervision: rank 0 reads the cluster's event log and brings dead ranks
+// back. The state machine per rank is
 //
 //	starting → up → (verdict) → respawning → up        (re-admitted)
 //	                          ↘ dead                   (budget exhausted)
@@ -37,7 +37,7 @@ type rankState struct {
 	exited chan struct{} // guarded by mu: closed when proc is reaped
 
 	admitMu  sync.Mutex
-	admitted chan uint32 // guarded by admitMu: signaled by OnRejoin
+	admitted chan uint32 // guarded by admitMu: signaled by the rank's EventRejoin
 }
 
 func (rs *rankState) setState(s string) {
@@ -145,18 +145,26 @@ func (rs *rankState) health(now time.Time, window time.Duration) RankHealth {
 	}
 }
 
-// supervise is the pool's supervisor loop: one goroutine consuming the
-// verdict feed and dispatching respawns.
+// supervise is the pool's supervisor loop: one goroutine reading verdicts
+// and re-admissions off the cluster's event log, in the order rank 0 made
+// them, dispatching respawns and signaling the respawn that was admitted.
 //
-//dashmm:detached exits on p.quit; Pool.Close closes quit and p.wg.Wait joins
+//dashmm:detached exits when Pool.Close closes the subscription; p.wg.Wait joins
 func (p *Pool) supervise() {
 	defer p.wg.Done()
 	for {
-		select {
-		case <-p.quit:
+		ev, ok := p.events.Next()
+		if !ok {
 			return
-		case ev := <-p.cl.Deaths():
-			p.onWorkerDeath(ev)
+		}
+		if ev.Rank < 1 || ev.Rank >= len(p.ranks) {
+			continue
+		}
+		switch ev.Kind {
+		case amt.EventDead:
+			p.onWorkerDeath(p.ranks[ev.Rank])
+		case amt.EventRejoin:
+			p.ranks[ev.Rank].noteAdmitted(ev.Gen)
 		}
 	}
 }
@@ -165,11 +173,7 @@ func (p *Pool) supervise() {
 // launch its respawn loop or abandon it.
 //
 //dashmm:detached respawnLoop exits on p.quit or at admission/abandonment; Pool.Close closes quit and p.wg.Wait joins
-func (p *Pool) onWorkerDeath(ev amt.DeathEvent) {
-	if ev.Rank < 1 || ev.Rank >= len(p.ranks) {
-		return
-	}
-	rs := p.ranks[ev.Rank]
+func (p *Pool) onWorkerDeath(rs *rankState) {
 	rs.mu.Lock()
 	if rs.state == "respawning" || rs.state == "dead" {
 		// Already being handled (a re-verdict against a failed respawn's
@@ -264,13 +268,4 @@ func (p *Pool) abandon(rs *rankState) {
 	rs.kill()
 	rs.setState("dead")
 	p.breaker.forceOpen()
-}
-
-// noteRejoin is the cluster's OnRejoin callback: a respawned rank completed
-// its REJOIN handshake.
-func (p *Pool) noteRejoin(rank int, gen uint32) {
-	if rank < 1 || rank >= len(p.ranks) {
-		return
-	}
-	p.ranks[rank].noteAdmitted(gen)
 }

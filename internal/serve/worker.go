@@ -152,36 +152,32 @@ func RunWorker(env WorkerEnv) error {
 	}
 	defer cl.Close()
 
-	// Jobs arrive on the control goroutine; run them here so the control
-	// loop stays responsive (verdicts, membership updates) during a run.
-	type jobMsg struct {
-		gen     uint32
-		payload []byte
-	}
-	jobs := make(chan jobMsg, 4)
-	cl.OnJob(func(gen uint32, payload []byte) {
-		select {
-		case jobs <- jobMsg{gen: gen, payload: append([]byte(nil), payload...)}:
-		default:
-			// Jobs are serialized on rank 0; a full buffer means this worker
-			// is wedged beyond repair. Crash-only: die, respawn.
-			panic("serve: worker job buffer overrun")
-		}
-	})
 	if err := cl.Start(); err != nil {
 		return err
 	}
 
+	// The worker's main loop is a reader of the cluster's event log: a job
+	// that landed between the handshake and this line is in it. While a job
+	// runs nothing is read here — the run has a cursor of its own — and the
+	// next job waits in the log.
+	events := cl.Subscribe(0)
+	defer events.Close()
 	// Plans cached across jobs, exactly like the daemon's cache: a pool
 	// serving a warm key re-runs without rebuilding anything.
 	cache := newPlanCache(8)
 	for {
-		select {
-		case <-cl.Done():
+		ev, ok := events.Next()
+		if !ok {
 			return nil
-		case j := <-jobs:
-			if err := runWorkerJob(cl, cache, env.Threads, j.gen, j.payload); err != nil {
-				return fmt.Errorf("rank %d job (gen %d): %w", env.Rank, j.gen, err)
+		}
+		switch ev.Kind {
+		case amt.EventExit, amt.EventCoordLost:
+			// Without a coordinator there is nothing left to wait for: exit
+			// and be respawned against whatever coordinator comes next.
+			return nil
+		case amt.EventJob:
+			if err := runWorkerJob(cl, cache, env.Threads, ev.Gen, ev.Payload); err != nil {
+				return fmt.Errorf("rank %d job (gen %d): %w", env.Rank, ev.Gen, err)
 			}
 		}
 	}

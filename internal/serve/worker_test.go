@@ -94,9 +94,8 @@ func TestWorkerExitsOnCoordinatorLossMidRun(t *testing.T) {
 	}
 }
 
-// An idle worker whose coordinator disappears also exits (cleanly: the
-// Done signal, not an error, when the control conn just closes is still a
-// return — no orphan loop).
+// An idle worker whose coordinator disappears also exits (cleanly: its
+// main loop reads the loss off the event log and returns — no orphan loop).
 func TestWorkerExitsOnCoordinatorLossIdle(t *testing.T) {
 	dir := t.TempDir()
 	addr := filepath.Join(dir, "coord.sock")
