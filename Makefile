@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check bench-check bench-serve bench-load load-smoke serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
+.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check bench-check serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -21,13 +21,13 @@ purego:
 	$(GO) test -tags purego -run 'Pair|P2P|S2T|Yukawa|Tuner|Oracle|Realness|Degenerate|Batched|Accuracy|RefusesPlan|JobSpec|SmallRequest' \
 		./internal/kernel ./internal/core ./internal/serve
 
-# The scheduler, executor, server, distributed driver, load harness and
-# tracer are the concurrency-touching packages, and the kernel's lock-free
-# shift table and Prepare are raced by its own tests; run them under the
-# race detector (the remaining packages are sequential, and the full tree
-# under -race is slow on small machines without adding coverage).
+# The scheduler, executor, server, distributed driver and tracer are the
+# concurrency-touching packages, and the kernel's lock-free shift table and
+# Prepare are raced by its own tests; run them under the race detector (the
+# remaining packages are sequential, and the full tree under -race is slow
+# on small machines without adding coverage).
 race:
-	$(GO) test -race -timeout 25m ./internal/amt ./internal/core ./internal/kernel ./internal/serve ./internal/dist ./internal/trace ./internal/load
+	$(GO) test -race -timeout 25m ./internal/amt ./internal/core ./internal/kernel ./internal/serve ./internal/dist ./internal/trace
 
 # bench/ is a module of its own that imports internal/...: vetting it here
 # makes deleting a name the benchmark uses fail in ci, not in the pipeline.
@@ -85,26 +85,6 @@ serve-smoke:
 serve-chaos:
 	$(GO) test ./internal/serve -run TestServeChaos -v -count=1 -timeout 10m
 
-# Warm-vs-cold serving benchmark (plan cache + pooled runtime against
-# per-request setup); writes BENCH_serve.json.
-bench-serve:
-	scripts/bench.sh serve
-
-# Production load harness: a live dashmm-serve (persistent plan store in a
-# scratch dir) driven through scripted cold/warm/mixed phases with open-loop
-# Poisson arrivals and Zipf-skewed tenant keys; writes BENCH_load.json with
-# per-phase p50/p99/p999 and shed/deadline/coalesce/degraded rates.
-bench-load:
-	scripts/bench.sh load
-
-# Short harness run against a live server: asserts the emitted
-# BENCH_load.json is well-formed and that warm traffic actually hit the
-# plan cache (nonzero warm hits), exiting non-zero otherwise. The requests
-# carry the paper's threshold: left to the tuner, 2000 points are a level-1
-# tree and the smoke would never touch the far field or the store's tables.
-load-smoke:
-	LOAD_PHASES="cold:2s:5,warm:4s:20" scripts/bench.sh load -threshold 60
-
 # Chaos harness: full cube/sphere x Laplace/Yukawa evaluations by four
 # in-process ranks over real unix sockets, with a fault-injecting decorator
 # (drop/duplicate/reorder/slow-rank) between every rank's delivery engine
@@ -135,4 +115,4 @@ chaos-crash:
 dist-smoke: build
 	$(GO) run ./cmd/dashmm-bench -real -n 20000 -threshold 60 -locs 4 -net unix -kill-rank 2 -kill-at 0.5
 
-ci: build vet fmt-check lint escape-gate test purego bench-check fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke load-smoke
+ci: build vet fmt-check lint escape-gate test purego bench-check fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke

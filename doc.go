@@ -9,7 +9,8 @@
 // The library lives under internal/: see internal/core for the DASHMM-style
 // user API, internal/amt for the runtime, internal/kernel for the Laplace
 // and Yukawa operators, and DESIGN.md for the full system inventory. The
-// benchmarks in bench_test.go index the paper's tables and figures; the
-// companion commands cmd/dagstat, cmd/scaling and cmd/dashmm-bench print
-// them in the paper's layout.
+// commands cmd/dagstat, cmd/scaling and cmd/dashmm-bench print the paper's
+// tables and figures in the paper's layout (DESIGN.md, "Per-experiment
+// index"); bench/, a module of its own, is the one place timings are
+// measured (BENCHMARK.json).
 package repro

@@ -82,6 +82,8 @@ func TestMergeAndShiftReducesTransfers(t *testing.T) {
 	// method (paper: ~189 -> ~40).
 	adv := buildGraph(t, Advanced, points.Cube, 30000, 60)
 	bas := buildGraph(t, Basic, points.Cube, 30000, 60)
+	t.Logf("I->I %d / M->L %d = %.3f", adv.EdgeCount[OpI2I], bas.EdgeCount[OpM2L],
+		float64(adv.EdgeCount[OpI2I])/float64(bas.EdgeCount[OpM2L]))
 	if adv.EdgeCount[OpI2I] >= bas.EdgeCount[OpM2L] {
 		t.Errorf("merge-and-shift did not reduce translations: I->I %d vs M->L %d",
 			adv.EdgeCount[OpI2I], bas.EdgeCount[OpM2L])

@@ -75,6 +75,7 @@ func TestPolicyTrafficOrdering(t *testing.T) {
 	for _, pol := range []Policy{Block{}, Cyclic{}, MinComm{}} {
 		pol.Assign(g, L)
 		bytes[pol.Name()] = RemoteBytes(g)
+		t.Logf("%s: %d remote bytes on %d localities", pol.Name(), bytes[pol.Name()], L)
 	}
 	if bytes["mincomm"] > bytes["block"] {
 		t.Errorf("mincomm (%d) worse than block (%d)", bytes["mincomm"], bytes["block"])

@@ -17,9 +17,13 @@ const maxShapesPerPlan = 4
 // planEntry is one cached plan: the built tree + DAG + kernel tables, plus
 // a long-lived ParallelEvaluation context for each of the most recently
 // used execution shapes requested against it. The entry mutex serializes
-// evaluations on the plan — ExecOptions.Policy.Assign mutates the shared
-// Graph's node placement per Run, so two shapes (or even two runs of one
-// shape) must not overlap.
+// evaluations on the plan. What it protects is the shape map, stored, and
+// the one pooled context each shape has: a context's payload buffers hold
+// one run at a time. Placement lives in the context, not in the plan's
+// graph (core.NewParallelEvaluation), so the plan itself would bear
+// overlapping runs; a second context per plan was weighed for that and
+// rejected — 7 MB for each warm key, +13 % live heap on the served
+// workload, over its bound (CHANGES.md, PR 14 re-check).
 type planEntry struct {
 	key string
 
@@ -88,6 +92,18 @@ func (c *planCache) get(key string) (e *planEntry, hit bool, evicted int) {
 		e.lastUsed = c.clock
 		return e, true, 0
 	}
+	evicted = c.makeRoom()
+	e = &planEntry{key: key, evals: make(map[string]*evalCtx)}
+	e.lastUsed = c.clock
+	c.entries[key] = e
+	return e, false, evicted
+}
+
+// makeRoom drops least recently used entries until one more fits, and
+// returns how many went. Caller must hold c.mu.
+//
+//dashmm:locked planCache.mu — documented precondition: get and put call makeRoom inside their critical sections.
+func (c *planCache) makeRoom() (evicted int) {
 	for len(c.entries) >= c.max {
 		var oldest *planEntry
 		for _, cand := range c.entries {
@@ -98,10 +114,7 @@ func (c *planCache) get(key string) (e *planEntry, hit bool, evicted int) {
 		delete(c.entries, oldest.key)
 		evicted++
 	}
-	e = &planEntry{key: key, evals: make(map[string]*evalCtx)}
-	e.lastUsed = c.clock
-	c.entries[key] = e
-	return e, false, evicted
+	return evicted
 }
 
 // put installs a pre-built entry (plan-store recovery), evicting LRU
@@ -112,16 +125,7 @@ func (c *planCache) put(key string, e *planEntry) (evicted int) {
 	defer c.mu.Unlock()
 	c.clock++
 	if _, exists := c.entries[key]; !exists {
-		for len(c.entries) >= c.max {
-			var oldest *planEntry
-			for _, cand := range c.entries {
-				if oldest == nil || cand.lastUsed < oldest.lastUsed {
-					oldest = cand
-				}
-			}
-			delete(c.entries, oldest.key)
-			evicted++
-		}
+		evicted = c.makeRoom()
 	}
 	e.lastUsed = c.clock
 	c.entries[key] = e

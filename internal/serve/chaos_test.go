@@ -171,4 +171,33 @@ func TestServeChaos(t *testing.T) {
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
+
+	// A pool run that fails because the request's deadline is gone is one
+	// degraded 503 and one count. The cached plan's lock is held past the
+	// deadline, so the run the handler then starts has no time left.
+	var entry *planEntry
+	srv.cache.mu.Lock()
+	for _, e := range srv.cache.entries {
+		entry = e // every request above asked for the one plan
+	}
+	srv.cache.mu.Unlock()
+	before := srv.metrics.snapshot(srv.cache.len(), nil)
+	const lateMS = 500
+	late := make(chan result, 1)
+	entry.mu.Lock()
+	go func() {
+		st, r, e := post(t, hs.URL, Request{N: n, Threshold: paperThr, ChargeSeed: 4, DeadlineMS: lateMS})
+		late <- result{4, st, r, e}
+	}()
+	waitFor(t, "the request to reach the plan's lock", func() bool { return srv.metrics.inflight.Load() == 1 })
+	time.Sleep(lateMS * time.Millisecond)
+	entry.mu.Unlock()
+	if r := <-late; r.status != http.StatusServiceUnavailable || r.eb == nil || !r.eb.Degraded {
+		t.Fatalf("request whose deadline passed before its pool run: status=%d err=%+v, want a degraded 503", r.status, r.eb)
+	}
+	after := srv.metrics.snapshot(srv.cache.len(), nil) // a handler counts before it replies
+	if d, f := after.Deadline-before.Deadline, after.Failed-before.Failed; d != 1 || f != 0 {
+		t.Errorf("one expired distributed request moved deadline by %d and failed by %d, want 1 and 0", d, f)
+	}
+	requireConserved(t, srv)
 }

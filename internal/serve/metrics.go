@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -21,8 +22,8 @@ type Metrics struct {
 	OK         atomic.Int64 // 200 responses
 	BadRequest atomic.Int64 // 400 responses
 	Shed       atomic.Int64 // 429 responses (queue full)
-	Deadline   atomic.Int64 // 503 responses (deadline expired while queued)
-	Failed     atomic.Int64 // 500 responses (evaluation errors)
+	Deadline   atomic.Int64 // 503 responses (deadline expired: queued, coalesced, or with a failed pool run)
+	Failed     atomic.Int64 // 500 responses (plan build and evaluation errors)
 
 	CacheHits    atomic.Int64 // plan served from the cache
 	CacheMisses  atomic.Int64 // plan built for the request
@@ -79,14 +80,20 @@ func (m *Metrics) observePlanLevel(p *core.Plan) {
 	m.PlansByLevel[p.MaxLevel()].Add(1)
 }
 
-// observeError counts one failed evaluation: a plan refused as too
-// expensive is the client's 400, anything else a server-side failure.
+// observeError counts one evaluation that did not end in a 200, under the
+// status it was answered with — by its leader or by a coalesced duplicate
+// mirroring it: a plan refused as too expensive is the client's 400, an
+// expired deadline a 503, anything else a server-side failure. Every
+// request moves exactly one outcome counter.
 func (m *Metrics) observeError(status int) {
-	if status == http.StatusBadRequest {
+	switch status {
+	case http.StatusBadRequest:
 		m.BadRequest.Add(1)
-		return
+	case http.StatusServiceUnavailable:
+		m.Deadline.Add(1)
+	default:
+		m.Failed.Add(1)
 	}
-	m.Failed.Add(1)
 }
 
 // observeTransport folds one evaluation's transport counters into the
@@ -197,21 +204,7 @@ func bucketLabel(i int) string {
 	if i == 0 {
 		return "us<=1"
 	}
-	return "us<=" + itoa(1<<uint(i))
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
+	return "us<=" + strconv.FormatInt(1<<uint(i), 10)
 }
 
 // MetricsSnapshot is the JSON body of /metrics.

@@ -95,7 +95,7 @@ func (c PoolConfig) withDefaults() (PoolConfig, error) {
 		return c, fmt.Errorf("serve: unsupported pool network %q", c.Network)
 	}
 	if c.RankThreads <= 0 {
-		c.RankThreads = maxInt(1, runtimeGOMAXPROCS()/(c.Workers+1))
+		c.RankThreads = max(1, runtime.GOMAXPROCS(0)/(c.Workers+1))
 	}
 	if c.Heartbeat.Interval <= 0 {
 		c.Heartbeat.Interval = 25 * time.Millisecond
@@ -423,12 +423,3 @@ func (p *Pool) Snapshot() *PoolSnapshot {
 	}
 	return s
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func runtimeGOMAXPROCS() int { return runtime.GOMAXPROCS(0) }

@@ -374,9 +374,9 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 		}
 	}
 
-	// Evaluations on one plan serialize: the placement policy mutates the
-	// shared graph per run. Different plans still run concurrently up to
-	// MaxConcurrent.
+	// Evaluations on one plan serialize on its pooled contexts (one per
+	// shape, one run at a time each; see planEntry). Different plans still
+	// run concurrently up to MaxConcurrent.
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 
@@ -405,7 +405,6 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 		}
 		s.metrics.DistFailed.Add(1)
 		if reqCtx.Err() != nil {
-			s.metrics.Deadline.Add(1)
 			return nil, http.StatusServiceUnavailable, &errorBody{
 				Error:    "distributed evaluation failed and the deadline expired: " + derr.Error(),
 				Degraded: true,

@@ -65,6 +65,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// requireConserved waits for the server's handlers to return and holds its
+// outcome counters to their conservation identity: every request it
+// received moved exactly one of them.
+func requireConserved(t *testing.T, s *Server) {
+	t.Helper()
+	waitFor(t, "handlers to return", func() bool { return s.metrics.inflight.Load() == 0 })
+	m := s.metrics.snapshot(s.cache.len(), nil)
+	if sum := m.OK + m.BadRequest + m.Shed + m.Deadline + m.Failed; m.Requests != sum {
+		t.Errorf("requests=%d but ok=%d + bad_request=%d + shed=%d + deadline=%d + failed=%d = %d",
+			m.Requests, m.OK, m.BadRequest, m.Shed, m.Deadline, m.Failed, sum)
+	}
+}
+
 // Cold vs warm requests: the first request builds the plan (cache miss), the
 // second serves from the cache on a pooled runtime, and both match a direct
 // core evaluation of the same problem to 1e-12.
@@ -269,25 +282,43 @@ func TestServeShedsUnderLoad(t *testing.T) {
 	if code, _, _ := post(t, ts.URL, Request{N: 800, Threshold: paperThr, ChargeSeed: 12}); code != http.StatusOK {
 		t.Fatalf("post-shed request: HTTP %d", code)
 	}
+	requireConserved(t, s)
 }
 
 // A request with deadline_ms expiring while queued is refused with 503 and
-// unregistered, so a later identical request succeeds.
+// unregistered, so a later identical request succeeds. A duplicate coalesced
+// on it mirrors that 503 well inside its own, longer deadline, and both are
+// counted as what they were: two deadline refusals, no failure.
 func TestServeDeadlineWhileQueued(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	s.sem <- struct{}{}
-	code, _, eb := post(t, ts.URL, Request{N: 800, Threshold: paperThr, DeadlineMS: 50})
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("HTTP %d, want 503", code)
+	type reply struct {
+		code int
+		eb   *errorBody
 	}
-	if !strings.Contains(eb.Error, "deadline") {
-		t.Errorf("error = %q", eb.Error)
+	leader := make(chan reply, 1)
+	go func() {
+		code, _, eb := post(t, ts.URL, Request{N: 800, Threshold: paperThr, DeadlineMS: 1000})
+		leader <- reply{code, eb}
+	}()
+	waitFor(t, "leader to queue", func() bool { return s.metrics.queued.Load() == 1 })
+	dupCode, _, dupErr := post(t, ts.URL, Request{N: 800, Threshold: paperThr, DeadlineMS: 10_000})
+	if s.metrics.Coalesced.Load() != 1 {
+		t.Fatal("the duplicate did not coalesce on the queued leader")
 	}
-	if s.metrics.Deadline.Load() != 1 {
-		t.Errorf("deadline counter = %d, want 1", s.metrics.Deadline.Load())
+	for who, r := range map[string]reply{"leader": <-leader, "duplicate": {dupCode, dupErr}} {
+		if r.code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: HTTP %d, want 503", who, r.code)
+		}
+		if !strings.Contains(r.eb.Error, "deadline expired while queued") {
+			t.Errorf("%s: error = %q", who, r.eb.Error)
+		}
+	}
+	if m := s.metrics.snapshot(s.cache.len(), nil); m.Deadline != 2 || m.Failed != 0 {
+		t.Errorf("deadline=%d failed=%d after two 503s, want 2 and 0", m.Deadline, m.Failed)
 	}
 	<-s.sem
 	if code, _, _ := post(t, ts.URL, Request{N: 800, Threshold: paperThr}); code != http.StatusOK {
@@ -514,6 +545,7 @@ func TestServeSmoke(t *testing.T) {
 	if m.Total.Count != m.OK-m.Coalesced {
 		t.Errorf("total histogram count=%d, want %d", m.Total.Count, m.OK-m.Coalesced)
 	}
+	requireConserved(t, s)
 
 	ts.Close()
 	// Goroutine-leak soft check: pooled runtimes park their workers inside

@@ -119,6 +119,7 @@ func TestPriorityBeatsFIFOAtScale(t *testing.T) {
 	dist.MinComm{}.Assign(g, 16)
 	fifo := Run(g, Config{Localities: 16, Cores: 32, Model: m, Sched: FIFO})
 	prio := Run(g, Config{Localities: 16, Cores: 32, Model: m, Sched: Priority})
+	t.Logf("priority / fifo makespan = %.4f", prio.Makespan/fifo.Makespan)
 	if prio.Makespan > fifo.Makespan*1.001 {
 		t.Errorf("priority (%v) worse than fifo (%v)", prio.Makespan, fifo.Makespan)
 	}
@@ -132,6 +133,7 @@ func TestLevelwiseWorseThanAsync(t *testing.T) {
 	dist.MinComm{}.Assign(g, 8)
 	fifo := Run(g, Config{Localities: 8, Cores: 32, Model: m, Sched: FIFO})
 	lvl := Run(g, Config{Localities: 8, Cores: 32, Model: m, Sched: Levelwise})
+	t.Logf("levelwise / async makespan = %.4f", lvl.Makespan/fifo.Makespan)
 	if lvl.Makespan < fifo.Makespan {
 		t.Errorf("levelwise (%v) beats async (%v); expected the opposite",
 			lvl.Makespan, fifo.Makespan)
