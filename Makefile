@@ -57,12 +57,15 @@ escape-gate:
 	$(GO) run ./cmd/dashmm-lint -escape ./...
 
 # Native-fuzz every decode surface for 20s each: the wire frame codec, the
-# control-plane payloads inside it (join preamble, membership), the job
-# spec, and the persistent plan-store record. The seed
-# corpora live in testdata/fuzz/ and replay under plain `go test` too.
+# control-plane payloads inside it (join preamble, membership), the
+# data-plane payloads inside it (node parcel, result report), the job spec,
+# and the persistent plan-store record. The seed corpora live in
+# testdata/fuzz/ and replay under plain `go test` too.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 20s ./internal/amt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeControl$$' -fuzztime 20s ./internal/amt
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeParcel$$' -fuzztime 20s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime 20s ./internal/serve
 

@@ -64,21 +64,6 @@ func main() {
 	for _, c := range classes {
 		fmt.Printf("  %-5v %10d x %10.2f µs\n", dag.OpKind(c), counts[uint8(c)], avg[uint8(c)])
 	}
-	// Transport/recovery markers are zero-duration occurrence counters and
-	// are excluded from the averages; list their counts separately.
-	var markers []int
-	for c := range counts {
-		if trace.NetClassName(c) != "" {
-			markers = append(markers, int(c))
-		}
-	}
-	if len(markers) > 0 {
-		sort.Ints(markers)
-		fmt.Println("\nmarker events:")
-		for _, c := range markers {
-			fmt.Printf("  %-17s %10d\n", trace.NetClassName(uint8(c)), counts[uint8(c)])
-		}
-	}
 
 	u := trace.Analyze(events, *workers, *intervals, start, end)
 	fmt.Printf("\nutilization profile (f_k, n=%d, M=%d):\n", *workers, *intervals)

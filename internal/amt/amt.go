@@ -29,8 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // Task is a unit of lightweight work. The worker executing the task is
@@ -58,9 +56,6 @@ type Config struct {
 	// (zero value = defaults).
 	Transport Transport
 	Delivery  DeliveryConfig
-	// Tracer, if non-nil, receives delivery events (retry,
-	// deadline-exceeded) as virtual trace events.
-	Tracer *trace.Tracer
 }
 
 // Runtime is the in-process AMT runtime.

@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -35,13 +34,16 @@ import (
 // generation-based re-admission: a respawned worker presents a REJOIN
 // handshake, which rank 0 admits between runs — allocating a fresh wire
 // generation, resurrecting the rank's transport links and broadcasting the
-// updated membership to every live rank, the joiner included. Every data
-// frame is stamped with the sender's adopted generation (socket.go) and
-// fenced at the receiver (serveData), so a corpse's stragglers from an
-// earlier incarnation can never leak into a later run. Jobs are application
-// payloads rank 0 broadcasts over the control star (StartJob); while a job
-// is running, re-admission is deferred so membership never shifts under a
-// placement.
+// updated membership to every live rank, the joiner included.
+//
+// The cluster owns the job (Job): rank 0 allocates one at a time (StartJob)
+// and every worker's control loop rebuilds the same value from the job frame
+// — verdicts, memberships and jobs share one ordered link, so a worker's
+// dead-rank order at that frame is rank 0's at the allocation. Until the job
+// ends, re-admission is deferred: membership never shifts under a placement.
+// A run puts itself on its rank with one call (Attach), and every data frame
+// meets a three-way generation fence at the receiver (socket.go, fence): a
+// frame cannot reach a rank too early, only too late.
 //
 // Between the control plane and whoever acts on it there is one mechanism:
 // an ordered event log per rank (Event, Subscribe). A verdict, a
@@ -143,8 +145,8 @@ const (
 	// generation Gen: logged by rank 0 when it admits the rank and by every
 	// survivor when the membership that revives it arrives.
 	EventRejoin
-	// EventJob is an application job broadcast (StartJob): Payload to run
-	// at wire generation Gen.
+	// EventJob is an application job broadcast (StartJob): Job, of wire
+	// generation Gen.
 	EventJob
 	// EventRunDone is rank 0's run-complete signal (Shutdown) for the run of
 	// wire generation Gen.
@@ -158,12 +160,30 @@ const (
 
 // Event is one entry of a rank's membership log.
 type Event struct {
-	Kind    EventKind
-	Rank    int    // EventDead, EventRejoin
-	Epoch   int    // EventDead
-	Gen     uint32 // EventRejoin, EventJob, EventRunDone
-	Payload []byte // EventJob; shared between subscribers, read-only
-	Err     error  // EventCoordLost
+	Kind  EventKind
+	Rank  int    // EventDead, EventRejoin
+	Epoch int    // EventDead
+	Gen   uint32 // EventRejoin, EventJob, EventRunDone
+	Job   *Job   // EventJob; shared between subscribers, read-only
+	Err   error  // EventCoordLost
+}
+
+// Job is one run's identity on the cluster, the same value on every rank:
+// rank 0 allocates it (StartJob), a worker's control loop rebuilds it from
+// the job frame. The zero Job is the only run of a one-shot cluster, which
+// starts none: generation 0, nobody dead beforehand.
+type Job struct {
+	// Gen is the job's wire generation, fresh per job. It doubles as the
+	// run's seed wherever every rank wants the same one.
+	Gen uint32
+	// DeadOrder lists the ranks dead when the job was placed, in verdict
+	// order (failover composition is order-sensitive): the base of every
+	// rank's placement. Verdicts since are in the log behind the job.
+	DeadOrder []int
+	// Payload is the application's job description.
+	Payload []byte
+
+	c *Cluster
 }
 
 // Subscription is one consumer's cursor into a cluster's event log.
@@ -172,20 +192,36 @@ type Subscription struct {
 	next int // guarded by Cluster.mu: log position of the next event to hand out
 }
 
-// Subscribe attaches a cursor to the event log. A run passes its wire
-// generation and reads from that generation's EventJob on; a consumer that
-// lives as long as the cluster passes 0. When the log holds no job of that
-// generation — 0 names none, a one-shot cluster starts none, a later job
-// may have displaced it — the cursor starts at the oldest retained event;
-// for a run started by the consumer that was handed its job that is the
-// event after the job, since that consumer's cursor has kept everything
-// since. Replay from there is how an event reaches a late consumer.
-func (c *Cluster) Subscribe(gen uint32) *Subscription {
+// Subscribe opens a cursor at the oldest retained event, for a consumer that
+// lives as long as the cluster: replay is how an event reaches a late one.
+func (c *Cluster) Subscribe() *Subscription { return c.subscribe(0) }
+
+// Attach puts a run on this rank, in one step: sink receives the data
+// frames of the job's generation — those that got here first were parked
+// and are handed over now, in arrival order — outbound frames are stamped
+// with it, and the returned cursor reads the log from the job's event on.
+// There is no other way to set a rank's generation or its frame sink, so no
+// order to get wrong between them. sink is called on the connection readers'
+// goroutines (the caller's for parked frames), under no lock, and must not
+// block. It stays until the next run's Attach replaces it: a peer
+// whose acknowledgment was lost retransmits to a rank that has finished and
+// cannot finish itself until the finished run's runtime answers.
+func (c *Cluster) Attach(j *Job, sink func(Frame)) *Subscription {
+	s := c.subscribe(j.Gen)
+	c.tp.attach(j.Gen, sink)
+	return s
+}
+
+// subscribe opens a cursor at the job of generation gen, or, when the log
+// holds none (a later job displaced it; no job has generation 0), at the
+// oldest retained event: for a run started by the consumer that was handed
+// its job the event after it, since that consumer's cursor kept the rest.
+func (c *Cluster) subscribe(gen uint32) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := &Subscription{c: c, next: c.logBase}
 	isJob := func(ev Event) bool { return ev.Kind == EventJob && ev.Gen == gen }
-	if i := slices.IndexFunc(c.log, isJob); i >= 0 && gen != 0 {
+	if i := slices.IndexFunc(c.log, isJob); i >= 0 {
 		s.next = c.logBase + i
 	}
 	c.subs[s] = struct{}{}
@@ -319,9 +355,9 @@ type Cluster struct {
 	// mu is the membership lock: state, log and (rank 0) the link queues
 	// change together under it, and nothing under it blocks.
 	mu        sync.Mutex
-	cond      *sync.Cond                 // on mu: the log grew, the roster grew, started or closed flipped
+	cond      *sync.Cond                 // on mu: the log grew, the roster grew, started, running or closed flipped
 	started   bool                       // guarded by mu: first membership sent/adopted
-	running   bool                       // guarded by mu; rank0: a job is in flight, defer rejoins
+	running   bool                       // guarded by mu; rank0: a job is in flight — the next one waits, rejoins are deferred
 	closed    bool                       // guarded by mu: Close ran
 	links     map[int]*ctlLink           // guarded by mu; rank0: control link per joined worker
 	peerAddrs []string                   // guarded by mu: data-plane listen address per rank
@@ -337,7 +373,7 @@ type Cluster struct {
 
 	dead     []atomic.Bool
 	epoch    atomic.Int32  // death verdicts issued/processed
-	gen      atomic.Uint32 // adopted wire generation, stamped into data frames
+	gen      atomic.Uint32 // this rank's wire generation: a membership's, then each attached run's (written by tp.attach under its fence lock)
 	lastBeat []atomic.Int64
 
 	quit chan struct{}
@@ -383,7 +419,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		conns:     map[net.Conn]struct{}{},
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.tp = newSocketTransport(c)
+	c.tp = &SocketTransport{cl: c}
 	c.wg.Add(1)
 	go c.acceptLoop()
 	if cfg.Rank != 0 {
@@ -412,25 +448,10 @@ func workerBindAddr(cfg ClusterConfig) string {
 // Transport returns the cluster's data-plane transport.
 func (c *Cluster) Transport() *SocketTransport { return c.tp }
 
-// Generation returns this rank's adopted wire generation. The transport
-// stamps it into every outbound data frame; serveData fences inbound
-// frames whose stamp disagrees.
+// Generation returns this rank's wire generation: its latest membership's
+// or, since, that of the run attached last. The transport stamps it into
+// every outbound data frame and fences inbound frames against it.
 func (c *Cluster) Generation() uint32 { return c.gen.Load() }
-
-// AdoptGeneration switches this rank's wire generation. A run adopts its
-// job's generation only after its frame sink is registered, so a frame of
-// the new generation can never be acked-and-dropped by the previous run's
-// shut-down runtime.
-func (c *Cluster) AdoptGeneration(gen uint32) { c.gen.Store(gen) }
-
-// DeadOrder returns the currently-dead ranks in verdict broadcast order.
-// Failover composition is order-sensitive, so a run starting with pre-dead
-// ranks must replay their failovers in exactly this order.
-func (c *Cluster) DeadOrder() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]int(nil), c.deadOrder...)
-}
 
 // LiveWorkers counts worker ranks not currently declared dead.
 func (c *Cluster) LiveWorkers() int {
@@ -471,35 +492,34 @@ func (c *Cluster) broadcastMembership() {
 	c.broadcast(&Frame{Kind: ctlGen, Payload: appendMembership(nil, &m)})
 }
 
-// StartJob allocates a fresh wire generation, snapshots the dead-rank
-// order, and broadcasts an application job to every live worker (rank 0
-// only). The build callback renders the job payload from that consistent
-// (generation, deadOrder) pair; it runs under the membership lock — that is
-// what makes the pair consistent with the job's place in the log — and must
-// only render bytes. Until EndJob, re-admissions are deferred: membership
-// cannot shift under the job's placement.
-func (c *Cluster) StartJob(build func(gen uint32, deadOrder []int) []byte) (uint32, []int) {
+// StartJob starts the cluster's next job (rank 0 only): it waits until the
+// previous one has ended, then, in one critical section, allocates a fresh
+// wire generation, snapshots the dead-rank order, queues the job frame for
+// every live worker and logs the job — the snapshot is the membership at the
+// job's place in the log, here and on every worker. Until the job's End,
+// re-admissions are deferred. (On a closed cluster it does not wait: the run
+// will find the closure in the log and fail at once.)
+func (c *Cluster) StartJob(payload []byte) *Job {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.running && !c.closed {
+		c.cond.Wait()
+	}
 	c.running = true
 	c.genCount++
-	gen := c.genCount
-	deadOrder := append([]int(nil), c.deadOrder...)
-	payload := build(gen, deadOrder)
-	c.broadcast(&Frame{Kind: ctlJob, Epoch: gen, Payload: payload})
-	c.publish(Event{Kind: EventJob, Gen: gen, Payload: payload})
-	c.mu.Unlock()
-	// The job should be on the wire before rank 0 starts on its own side of
-	// it — a data frame that beats the job's generation to a worker is fenced
-	// and costs a retransmission interval: let the links' writers run first.
-	runtime.Gosched()
-	return gen, deadOrder
+	j := &Job{Gen: c.genCount, DeadOrder: slices.Clone(c.deadOrder), Payload: payload, c: c}
+	c.broadcast(&Frame{Kind: ctlJob, Epoch: j.Gen, Payload: payload})
+	c.publish(Event{Kind: EventJob, Gen: j.Gen, Job: j})
+	return j
 }
 
-// EndJob re-opens re-admission after a job completes (rank 0 only).
-func (c *Cluster) EndJob() {
-	c.mu.Lock()
-	c.running = false
-	c.mu.Unlock()
+// End ends the job (rank 0 only; call it once): the next StartJob may
+// proceed, and so may a re-admission.
+func (j *Job) End() {
+	j.c.mu.Lock()
+	j.c.running = false
+	j.c.cond.Broadcast()
+	j.c.mu.Unlock()
 }
 
 // join dials rank 0 and runs the worker side of the handshake; the accepted
@@ -811,8 +831,8 @@ func (c *Cluster) admit(rank int, addr string, l *ctlLink, rejoin bool) string {
 	return ""
 }
 
-// serveData validates a data-plane attach and runs its read loop,
-// delivering decoded frames to the transport sink.
+// serveData validates a data-plane attach and runs its read loop, handing
+// decoded frames to the transport's fence.
 func (c *Cluster) serveData(conn net.Conn, br *bufio.Reader, attach Frame) {
 	h, err := decodeHello(attach.Payload)
 	if err != nil || h.World != c.cfg.World || h.Stamp != c.cfg.Stamp ||
@@ -829,20 +849,8 @@ func (c *Cluster) serveData(conn net.Conn, br *bufio.Reader, attach Frame) {
 			// layer retransmits.
 			return
 		}
-		c.tp.noteReceived(FrameHeaderSize + len(f.Payload))
-		// Generation fence: the sender stamped its adopted wire generation
-		// into the frame epoch's high 16 bits (socket.go). A mismatch means
-		// the frame belongs to another incarnation of the cluster — a
-		// corpse's straggler, or a fresh generation arriving before this
-		// rank adopts it. Drop it unacknowledged: the former dies with its
-		// sender, the latter is retransmitted once the gap closes.
-		fgen := uint16(f.Epoch >> 16)
-		if fgen != uint16(c.gen.Load()) {
-			c.tp.staleFenced.Add(1)
-			continue
-		}
-		f.Epoch &= 0xffff
-		c.tp.deliver(f)
+		c.tp.bytesIn.Add(int64(FrameHeaderSize + len(f.Payload)))
+		c.tp.fence(f)
 	}
 }
 
@@ -877,7 +885,11 @@ func (c *Cluster) workerControlLoop(br *bufio.Reader) {
 				c.markDead(f.Dst, int(f.Epoch))
 			}
 		case ctlJob:
-			c.publish(Event{Kind: EventJob, Gen: f.Epoch, Payload: f.Payload})
+			// deadOrder at this frame is rank 0's at the allocation: every
+			// verdict and membership before it on the link has been applied,
+			// none behind it has.
+			j := &Job{Gen: f.Epoch, DeadOrder: slices.Clone(c.deadOrder), Payload: f.Payload, c: c}
+			c.publish(Event{Kind: EventJob, Gen: j.Gen, Job: j})
 		case ctlShutdown:
 			c.publish(Event{Kind: EventRunDone, Gen: f.Epoch})
 		case ctlExit:

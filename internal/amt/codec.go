@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 )
 
@@ -190,55 +191,127 @@ type membership struct {
 	DeadOrder []int    // currently-dead ranks in verdict order
 }
 
-var errShortControl = errors.New("amt: truncated control payload")
-
-func appendU16(dst []byte, v int) []byte { return binary.LittleEndian.AppendUint16(dst, uint16(v)) }
-
-func appendStr(dst []byte, s string) []byte { return append(appendU16(dst, len(s)), s...) }
-
-// ctlReader consumes a control payload front to back; the first short read
-// sticks and every later read yields zero values, so a decoder checks once.
-type ctlReader struct {
-	b     []byte
+// Cursor reads a payload that crossed a process boundary — a control frame,
+// a parcel, a plan-store record — front to back, little endian. Every read is
+// bounds-checked; the first one the remaining bytes cannot satisfy sticks and
+// it and every later read yield zero values, so a decoder runs straight
+// through and asks Done once (and Short where a zero would mislead a branch).
+type Cursor struct {
+	b     []byte // the unread rest
 	short bool
 }
 
-func (r *ctlReader) take(n int) []byte {
-	if r.short || len(r.b) < n {
+// NewCursor starts a cursor at the head of b.
+func NewCursor(b []byte) Cursor { return Cursor{b: b} }
+
+var errTruncated = errors.New("amt: truncated payload")
+
+func (r *Cursor) take(n int) []byte {
+	if r.short || n > len(r.b) {
 		r.short = true
 		return nil
 	}
-	v := r.b[:n]
+	v := r.b[:n:n]
 	r.b = r.b[n:]
 	return v
 }
 
-func (r *ctlReader) u16() int {
-	if v := r.take(2); v != nil {
-		return int(binary.LittleEndian.Uint16(v))
-	}
-	return 0
+// Short reports whether a read has already failed.
+func (r *Cursor) Short() bool { return r.short }
+
+// uint reads an n-byte unsigned integer, n ≤ 8.
+func (r *Cursor) uint(n int) uint64 {
+	var v [8]byte
+	copy(v[:], r.take(n))
+	return binary.LittleEndian.Uint64(v[:])
 }
 
-func (r *ctlReader) u32() uint32 {
-	if v := r.take(4); v != nil {
-		return binary.LittleEndian.Uint32(v)
+func (r *Cursor) U8() uint8   { return uint8(r.uint(1)) }
+func (r *Cursor) U16() uint16 { return uint16(r.uint(2)) }
+func (r *Cursor) U32() uint32 { return uint32(r.uint(4)) }
+func (r *Cursor) U64() uint64 { return r.uint(8) }
+
+func (r *Cursor) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Bytes reads a u32 length and that many bytes, aliasing the payload.
+func (r *Cursor) Bytes() []byte { return r.take(r.Count(1)) }
+
+// Str reads a u16 length and a string of that many bytes.
+func (r *Cursor) Str() string { return string(r.take(int(r.U16()))) }
+
+// F64s fills dst from the next 8·len(dst) bytes: one bounds check for the
+// whole vector, and on a short payload dst is left untouched.
+func (r *Cursor) F64s(dst []float64) {
+	if b := r.take(8 * len(dst)); b != nil {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
-	return 0
 }
 
-func (r *ctlReader) str() string { return string(r.take(r.u16())) }
+// C128s fills dst from the next 16·len(dst) bytes (real, then imaginary
+// part), under the same terms as F64s.
+func (r *Cursor) C128s(dst []complex128) {
+	if b := r.take(16 * len(dst)); b != nil {
+		for i := range dst {
+			re := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:]))
+			im := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
+			dst[i] = complex(re, im)
+		}
+	}
+}
 
-// done reports a payload that ended early or late.
-func (r *ctlReader) done() error {
+// Count reads a u32 element count and refuses one the remaining bytes cannot
+// hold at elemSize bytes or more an element: what a decoder allocates tracks
+// the bytes it was given, never a length they advertise (readPayload's rule).
+func (r *Cursor) Count(elemSize int) int {
+	n := uint64(r.U32())
+	if n*uint64(elemSize) > uint64(len(r.b)) {
+		r.short = true
+		return 0
+	}
+	return int(n)
+}
+
+// Done reports a payload that ended early or late.
+func (r *Cursor) Done() error {
 	switch {
 	case r.short:
-		return errShortControl
+		return errTruncated
 	case len(r.b) != 0:
-		return fmt.Errorf("amt: %d trailing bytes in control payload", len(r.b))
+		return fmt.Errorf("amt: %d trailing bytes in payload", len(r.b))
 	}
 	return nil
 }
+
+// AppendBytes appends v behind its u32 length (Cursor.Bytes). The append
+// side of the cursor is binary.LittleEndian.AppendUintNN plus these three.
+func AppendBytes(dst, v []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(v))), v...)
+}
+
+// AppendF64s appends the values' IEEE bits (Cursor.F64s).
+func AppendF64s(dst []byte, vs ...float64) []byte {
+	dst = slices.Grow(dst, 8*len(vs))
+	for _, v := range vs {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// AppendC128s appends real and imaginary part of each value (Cursor.C128s).
+func AppendC128s(dst []byte, vs []complex128) []byte {
+	dst = slices.Grow(dst, 16*len(vs))
+	for _, v := range vs {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(v)))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(v)))
+	}
+	return dst
+}
+
+func appendU16(dst []byte, v int) []byte { return binary.LittleEndian.AppendUint16(dst, uint16(v)) }
+
+func appendStr(dst []byte, s string) []byte { return append(appendU16(dst, len(s)), s...) }
 
 //dashmm:wire hello encode hello
 func appendHello(dst []byte, h *hello) []byte {
@@ -250,13 +323,13 @@ func appendHello(dst []byte, h *hello) []byte {
 
 //dashmm:wire hello decode hello
 func decodeHello(b []byte) (hello, error) {
-	r := ctlReader{b: b}
+	r := NewCursor(b)
 	var h hello
-	h.Rank = r.u16()
-	h.World = r.u16()
-	h.Stamp = r.str()
-	h.Addr = r.str()
-	return h, r.done()
+	h.Rank = int(r.U16())
+	h.World = int(r.U16())
+	h.Stamp = r.Str()
+	h.Addr = r.Str()
+	return h, r.Done()
 }
 
 //dashmm:wire membership encode membership
@@ -280,28 +353,28 @@ func appendMembership(dst []byte, m *membership) []byte {
 //
 //dashmm:wire membership decode membership
 func decodeMembership(b []byte, world int) (membership, error) {
-	r := ctlReader{b: b}
+	r := NewCursor(b)
 	var m membership
-	m.Gen = r.u32()
-	m.Epoch = r.u32()
-	if n := r.u16(); !r.short && n != world {
+	m.Gen = r.U32()
+	m.Epoch = r.U32()
+	if n := int(r.U16()); !r.Short() && n != world {
 		return m, fmt.Errorf("amt: membership lists %d ranks, world is %d", n, world)
 	}
 	m.Addrs = make([]string, world)
 	for i := range m.Addrs {
-		m.Addrs[i] = r.str()
+		m.Addrs[i] = r.Str()
 	}
-	n := r.u16()
+	n := int(r.U16())
 	if n >= world {
 		return m, fmt.Errorf("amt: membership lists %d dead ranks in a world of %d", n, world)
 	}
 	m.DeadOrder = make([]int, n)
 	for i := range m.DeadOrder {
-		d := r.u16()
-		if !r.short && (d < 1 || d >= world || slices.Contains(m.DeadOrder[:i], d)) {
+		d := int(r.U16())
+		if !r.Short() && (d < 1 || d >= world || slices.Contains(m.DeadOrder[:i], d)) {
 			return m, fmt.Errorf("amt: membership lists dead rank %d (world %d, each worker at most once)", d, world)
 		}
 		m.DeadOrder[i] = d
 	}
-	return m, r.done()
+	return m, r.Done()
 }

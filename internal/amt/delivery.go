@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // Reliable parcel delivery between ranks (wire mode, Config.World > 1):
@@ -54,8 +52,10 @@ func (c DeliveryConfig) withDefaults() DeliveryConfig {
 
 // TransportStats counts parcel-transport activity during one Run: the
 // delivery layer's view (sent/retried/acked/deadline, delivered/deduped) plus
-// the wire's own counters. All-zero for an in-process runtime, whose parcels
-// never touch a wire.
+// the wire's own counters over the same stretch — the engine is one run
+// long and subtracts what the wire read when it was built, so a run on a
+// standing cluster reports its own traffic. All-zero for an in-process
+// runtime, whose parcels never touch a wire.
 type TransportStats struct {
 	// Sender side.
 	Sent             int64 // application parcels handed to the wire
@@ -108,6 +108,7 @@ type delivery struct {
 	rt   *Runtime
 	cfg  DeliveryConfig
 	wire Transport
+	base WireStats // the wire's counters when this engine was built
 
 	mu      sync.Mutex
 	rng     *rand.Rand                        // guarded by mu
@@ -137,6 +138,7 @@ func newDelivery(rt *Runtime, wire Transport, cfg DeliveryConfig, seed int64, wo
 		rt:      rt,
 		cfg:     cfg.withDefaults(),
 		wire:    wire,
+		base:    wire.Stats(),
 		rng:     rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407)),
 		nextSeq: make(map[pairKey]uint64),
 		unacked: make(map[pairKey]map[uint64]*sendEntry),
@@ -176,11 +178,12 @@ func (rt *Runtime) SendWire(dst int, kind uint16, epoch uint32, payload []byte) 
 	rt.net.send(rt.locs[0].Rank, dst, kind, epoch, payload)
 }
 
-// DeliverWireFrame is the inbound edge of wire mode, called by the cluster's
-// connection readers for every decoded frame. Acks settle sender entries;
-// data frames are deduplicated, acked, and handed to the wire handler on a
-// scheduler worker. Frames from a fenced (dead) source rank are dropped
-// unacknowledged — a corpse gets no replies.
+// DeliverWireFrame is the inbound edge of wire mode — the frame sink a run
+// attaches to its cluster — called for every decoded frame of its
+// generation. Acks settle sender entries; data frames are deduplicated,
+// acked, and handed to the wire handler on a scheduler worker. Frames from a
+// fenced (dead) source rank are dropped unacknowledged — a corpse gets no
+// replies.
 func (rt *Runtime) DeliverWireFrame(f Frame) {
 	d := rt.net
 	key := pairKey{int32(f.Src), int32(f.Dst)}
@@ -277,9 +280,10 @@ func (d *delivery) purge() {
 	d.deadlineExceeded.Add(int64(n))
 }
 
-// stats merges the delivery-layer counters with the wire's counters.
+// stats merges the delivery-layer counters with what the wire has counted
+// since this engine was built.
 func (d *delivery) stats() TransportStats {
-	w := d.wire.Stats()
+	w, b := d.wire.Stats(), d.base
 	return TransportStats{
 		Sent:              d.sent.Load(),
 		Retried:           d.retried.Load(),
@@ -289,14 +293,14 @@ func (d *delivery) stats() TransportStats {
 		Deduped:           d.deduped.Load(),
 		Severed:           d.severed.Load(),
 		LateDrops:         d.lateDrops.Load(),
-		Dropped:           w.Dropped,
-		Duplicated:        w.Duplicated,
-		WireMessages:      w.Messages,
-		BytesOut:          w.BytesOut,
-		BytesIn:           w.BytesIn,
-		Reconnects:        w.Reconnects,
-		HandshakeFailures: w.HandshakeFailures,
-		StaleFenced:       w.StaleFenced,
+		Dropped:           w.Dropped - b.Dropped,
+		Duplicated:        w.Duplicated - b.Duplicated,
+		WireMessages:      w.Messages - b.Messages,
+		BytesOut:          w.BytesOut - b.BytesOut,
+		BytesIn:           w.BytesIn - b.BytesIn,
+		Reconnects:        w.Reconnects - b.Reconnects,
+		HandshakeFailures: w.HandshakeFailures - b.HandshakeFailures,
+		StaleFenced:       w.StaleFenced - b.StaleFenced,
 	}
 }
 
@@ -380,11 +384,9 @@ func (d *delivery) retry(e *sendEntry) {
 		d.rt.finish()
 	case expired:
 		d.deadlineExceeded.Add(1)
-		d.record(trace.ClassNetDeadline)
 		d.rt.finish()
 	default:
 		d.retried.Add(1)
-		d.record(trace.ClassNetRetry)
 		d.transmit(e)
 	}
 }
@@ -407,13 +409,4 @@ func (d *delivery) onAck(key pairKey, seq uint64) {
 	}
 	d.acked.Add(1)
 	d.rt.finish()
-}
-
-func (d *delivery) record(class uint8) {
-	tr := d.rt.cfg.Tracer
-	if !tr.Enabled() {
-		return
-	}
-	now := tr.Now()
-	tr.RecordVirtual(trace.Event{Class: class, Worker: -1, Locality: -1, Start: now, End: now})
 }

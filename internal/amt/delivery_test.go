@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // framePipe is a test-only in-memory Transport joining wire-mode runtimes
@@ -49,7 +47,7 @@ type pipeWorld struct {
 	rts []*Runtime
 }
 
-func newPipeWorld(world int, fault *FaultProfile, dcfg DeliveryConfig, tr *trace.Tracer) *pipeWorld {
+func newPipeWorld(world int, fault *FaultProfile, dcfg DeliveryConfig) *pipeWorld {
 	pipe := &framePipe{}
 	var wire Transport = pipe
 	if fault != nil {
@@ -59,7 +57,7 @@ func newPipeWorld(world int, fault *FaultProfile, dcfg DeliveryConfig, tr *trace
 	for r := 0; r < world; r++ {
 		pw.rts = append(pw.rts, New(Config{
 			World: world, Rank: r, Workers: 2, Seed: int64(r) + 1,
-			Transport: wire, Delivery: dcfg, Tracer: tr,
+			Transport: wire, Delivery: dcfg,
 		}))
 	}
 	pipe.rts = pw.rts
@@ -149,9 +147,8 @@ func TestInProcessParcelsBypassDelivery(t *testing.T) {
 
 func TestReliableDeliveryUnderDrop(t *testing.T) {
 	const n = 200
-	tr := trace.New(1)
 	pw := newPipeWorld(2, &FaultProfile{Seed: 1, Drop: 0.3},
-		DeliveryConfig{RetryBase: time.Millisecond, Deadline: 20 * time.Second}, tr)
+		DeliveryConfig{RetryBase: time.Millisecond, Deadline: 20 * time.Second})
 	runs, stats := sendN(pw, n)
 	assertExactlyOnce(t, runs)
 	snd, rcv := stats[0].Transport, stats[1].Transport
@@ -173,21 +170,11 @@ func TestReliableDeliveryUnderDrop(t *testing.T) {
 	if snd.Acked != n {
 		t.Errorf("acked = %d, want %d", snd.Acked, n)
 	}
-	// Each retransmission leaves a marker in the trace.
-	var marked int64
-	for _, ev := range tr.Snapshot() {
-		if ev.Class == trace.ClassNetRetry {
-			marked++
-		}
-	}
-	if marked != snd.Retried+rcv.Retried {
-		t.Errorf("trace holds %d retry markers for %d retries", marked, snd.Retried+rcv.Retried)
-	}
 }
 
 func TestDedupUnderDuplication(t *testing.T) {
 	const n = 200
-	pw := newPipeWorld(2, &FaultProfile{Seed: 2, Duplicate: 0.5}, DeliveryConfig{}, nil)
+	pw := newPipeWorld(2, &FaultProfile{Seed: 2, Duplicate: 0.5}, DeliveryConfig{})
 	runs, stats := sendN(pw, n)
 	assertExactlyOnce(t, runs)
 	if stats[0].Transport.Duplicated == 0 {
@@ -202,14 +189,14 @@ func TestReorderAndDelayStillDeliverAll(t *testing.T) {
 	pw := newPipeWorld(3, &FaultProfile{
 		Seed: 3, Delay: 200 * time.Microsecond,
 		Reorder: true, ReorderJitter: 2 * time.Millisecond,
-	}, DeliveryConfig{}, nil)
+	}, DeliveryConfig{})
 	runs, _ := sendN(pw, 100)
 	assertExactlyOnce(t, runs)
 }
 
 func TestSlowRankDelaysItsParcels(t *testing.T) {
 	const pause = 10 * time.Millisecond
-	pw := newPipeWorld(2, &FaultProfile{Seed: 4, SlowRank: 1, SlowDelay: pause}, DeliveryConfig{}, nil)
+	pw := newPipeWorld(2, &FaultProfile{Seed: 4, SlowRank: 1, SlowDelay: pause}, DeliveryConfig{})
 	var arrived atomic.Int64
 	start := time.Now()
 	pw.rts[1].OnWire(func(*Worker, Frame) { arrived.Store(int64(time.Since(start))) })
@@ -227,7 +214,7 @@ func TestDeliveryDeadlineExceeded(t *testing.T) {
 	pw := newPipeWorld(2, &FaultProfile{Seed: 5, Drop: 1.0}, DeliveryConfig{
 		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
 		Deadline: 50 * time.Millisecond,
-	}, nil)
+	})
 	done := make(chan struct{})
 	var runs []int64
 	var stats []Stats
@@ -258,7 +245,7 @@ func TestDeliveryDeadlineExceeded(t *testing.T) {
 func TestLCOExactlyOnceOverFaultyWire(t *testing.T) {
 	const inputs = 64
 	pw := newPipeWorld(2, &FaultProfile{Seed: 6, Drop: 0.2, Duplicate: 0.2},
-		DeliveryConfig{RetryBase: time.Millisecond}, nil)
+		DeliveryConfig{RetryBase: time.Millisecond})
 	var sum, handled atomic.Int64
 	pw.rts[1].OnWire(func(_ *Worker, f Frame) {
 		handled.Add(1)

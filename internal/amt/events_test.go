@@ -22,7 +22,11 @@ func lazyDetector(cfg *ClusterConfig) {
 
 func (ev Event) String() string {
 	kind := [...]string{"?", "dead", "rejoin", "job", "rundone", "coordlost", "exit"}[ev.Kind]
-	return fmt.Sprintf("%s rank=%d epoch=%d gen=%d %q", kind, ev.Rank, ev.Epoch, ev.Gen, ev.Payload)
+	job := ""
+	if ev.Job != nil {
+		job = fmt.Sprintf(" placed with %v dead, payload %q", ev.Job.DeadOrder, ev.Job.Payload)
+	}
+	return fmt.Sprintf("%s rank=%d epoch=%d gen=%d%s", kind, ev.Rank, ev.Epoch, ev.Gen, job)
 }
 
 // lines renders a stretch of a log for comparison and for the eye.
@@ -54,7 +58,9 @@ type record struct {
 
 // follow reads sub to its end — EXIT, this rank's own verdict, or the
 // closing of the cluster — on a goroutine of its own. attach, when set,
-// makes it open a run-style cursor at every fourth job it is handed.
+// makes it open a run's cursor (the cursor alone: these stay open side by
+// side to the end of the log, and a rank has one data plane) at every fourth
+// job it is handed.
 func follow(c *Cluster, sub *Subscription, attach bool) *record {
 	rec := &record{done: make(chan struct{})}
 	//dashmm:detached ends with the log; every caller waits on rec.done
@@ -71,7 +77,7 @@ func follow(c *Cluster, sub *Subscription, attach bool) *record {
 			case ev.Kind == EventJob:
 				rec.jobs = append(rec.jobs, jobSeen{gen: ev.Gen, adopted: c.Generation(), rank2Dead: c.dead[2].Load()})
 				if attach && ev.Gen%4 == 0 {
-					rec.subs = append(rec.subs, follow(c, c.Subscribe(ev.Gen), false))
+					rec.subs = append(rec.subs, follow(c, c.subscribe(ev.Gen), false))
 					rec.from = append(rec.from, ev.Gen)
 				}
 			case ev.Kind == EventExit, ev.Kind == EventDead && ev.Rank == c.Rank():
@@ -115,7 +121,7 @@ func eventOrderProperty(t *testing.T, seed int64) {
 	cls := startTestCluster(t, dir, world, lazyDetector)
 	recs := make([]*record, world)
 	for r, c := range cls {
-		recs[r] = follow(c, c.Subscribe(0), r <= 1)
+		recs[r] = follow(c, c.Subscribe(), r <= 1)
 	}
 	rank3 := []*record{recs[3]} // one record per incarnation of rank 3
 
@@ -153,9 +159,9 @@ func eventOrderProperty(t *testing.T, seed int64) {
 			for backlog() > ctlQueueMax/4 {
 				time.Sleep(100 * time.Microsecond)
 			}
-			cls[0].StartJob(func(gen uint32, deadOrder []int) []byte { return []byte(fmt.Sprint(deadOrder)) })
+			job := cls[0].StartJob(nil)
 			cls[0].Shutdown()
-			cls[0].EndJob()
+			job.End()
 			pause(rng, 300*time.Microsecond) // re-admission needs the gap: it is refused while a job is in flight
 		}
 	}()
@@ -206,7 +212,7 @@ func eventOrderProperty(t *testing.T, seed int64) {
 				return
 			}
 			cls[3] = nc // startTestCluster's cleanup closes whatever is in the slot
-			rank3 = append(rank3, follow(nc, nc.Subscribe(0), false))
+			rank3 = append(rank3, follow(nc, nc.Subscribe(), false))
 		}
 	}()
 	scripted.Wait()
@@ -247,8 +253,8 @@ func eventOrderProperty(t *testing.T, seed int64) {
 			lastRejoinGen = ev.Gen
 			back3 = append(back3, i+1)
 		case EventJob:
-			if string(ev.Payload) != fmt.Sprint(dead) {
-				t.Errorf("event %d: job of generation %d was placed against dead ranks %s, the log says %v", i, ev.Gen, ev.Payload, dead)
+			if !slices.Equal(ev.Job.DeadOrder, dead) {
+				t.Errorf("event %d: job of generation %d was placed against dead ranks %v, the log says %v", i, ev.Gen, ev.Job.DeadOrder, dead)
 			}
 			membershipAt[ev.Gen] = jobSeen{adopted: lastRejoinGen, rank2Dead: died2 != 0}
 			jobAt[ev.Gen] = i
@@ -258,10 +264,10 @@ func eventOrderProperty(t *testing.T, seed int64) {
 		t.Fatalf("rank 0's log holds %d verdicts and %d re-admissions of rank 3 (want %d each), rank 2's verdict at %d:\n%s",
 			len(died3), len(back3), rejoins, died2, lines(order))
 	}
-	if got := cls[0].DeadOrder(); !slices.Equal(got, dead) {
+	if got := cls[0].deadNow(); !slices.Equal(got, dead) {
 		t.Errorf("rank 0's DeadOrder() = %v, its log folds to %v", got, dead)
 	}
-	if got := cls[1].DeadOrder(); !slices.Equal(got, dead) {
+	if got := cls[1].deadNow(); !slices.Equal(got, dead) {
 		t.Errorf("rank 1's DeadOrder() = %v, rank 0's log folds to %v", got, dead)
 	}
 
@@ -339,6 +345,13 @@ func held(s *Subscription) []Event {
 	}
 }
 
+// deadNow returns the currently-dead ranks in verdict order.
+func (c *Cluster) deadNow() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.deadOrder)
+}
+
 func (c *Cluster) logLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -355,14 +368,17 @@ func TestRunDoneBeforeTheRunIsReplayed(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
 	// The worker's main loop, busy elsewhere: it reads nothing while rank 0
 	// runs two jobs to the end without it.
-	main := cls[1].Subscribe(0)
+	main := cls[1].Subscribe()
 	defer main.Close()
+	nowhere := func(Frame) {}
 	var gens [2]uint32
 	for i := range gens {
-		gens[i], _ = cls[0].StartJob(func(uint32, []int) []byte { return nil })
-		cls[0].AdoptGeneration(gens[i]) // as rank 0's side of the run would
+		job := cls[0].StartJob(nil)
+		gens[i] = job.Gen
+		run := cls[0].Attach(job, nowhere) // as rank 0's side of the run would
 		cls[0].Shutdown()
-		cls[0].EndJob()
+		run.Close()
+		job.End()
 	}
 	for deadline := time.Now().Add(10 * time.Second); cls[1].logLen() < 4; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -371,9 +387,11 @@ func TestRunDoneBeforeTheRunIsReplayed(t *testing.T) {
 	}
 	for i, gen := range gens {
 		// The main loop is handed the next job and starts its run.
-		for ev, _ := main.Next(); ev.Kind != EventJob || ev.Gen != gen; ev, _ = main.Next() {
+		ev, _ := main.Next()
+		for ev.Kind != EventJob || ev.Gen != gen {
+			ev, _ = main.Next()
 		}
-		run := cls[1].Subscribe(gen)
+		run := cls[1].Attach(ev.Job, nowhere)
 		evs := held(run)
 		run.Close()
 		if len(evs) == 0 || evs[0].Kind != EventJob || evs[0].Gen != gen {
@@ -397,13 +415,14 @@ func TestEventLogStaysShort(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
 	logs := []<-chan Event{watch(t, cls[0]), watch(t, cls[1])}
 	for i := 0; i < 2000; i++ {
-		gen, _ := cls[0].StartJob(func(uint32, []int) []byte { return []byte("spec") })
-		cls[0].AdoptGeneration(gen)
+		job := cls[0].StartJob([]byte("spec"))
+		run := cls[0].Attach(job, func(Frame) {})
 		cls[0].Shutdown()
-		cls[0].EndJob()
+		run.Close()
+		job.End()
 		for r, log := range logs {
-			if ev := await(t, log, EventRunDone); ev.Gen != gen {
-				t.Fatalf("cycle %d: rank %d read the run-complete signal of generation %d, want %d", i, r, ev.Gen, gen)
+			if ev := await(t, log, EventRunDone); ev.Gen != job.Gen {
+				t.Fatalf("cycle %d: rank %d read the run-complete signal of generation %d, want %d", i, r, ev.Gen, job.Gen)
 			}
 		}
 	}
@@ -487,7 +506,7 @@ func TestWedgedPeerDelaysNobody(t *testing.T) {
 	// of its link is now parked in the middle of a frame.
 	big := make([]byte, 512<<10)
 	for i := 0; i < 4; i++ {
-		c0.StartJob(func(uint32, []int) []byte { return big })
+		c0.StartJob(big).End()
 		await(t, log1, EventJob)
 	}
 	// (a) Broadcasts still reach rank 1 at once — the slowest of several,
@@ -495,7 +514,7 @@ func TestWedgedPeerDelaysNobody(t *testing.T) {
 	var slowest time.Duration
 	for i := 0; i < 5; i++ {
 		start := time.Now()
-		c0.StartJob(func(uint32, []int) []byte { return nil })
+		c0.StartJob(nil).End()
 		await(t, log1, EventJob)
 		slowest = max(slowest, time.Since(start))
 	}

@@ -1,0 +1,444 @@
+package amt
+
+import (
+	"encoding/binary"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// The job, the one attach and the three-way generation fence: a frame that
+// reaches a rank before its run waits for it.
+
+// wireRank is one rank's side of a run on a test cluster: a wire-mode
+// runtime whose handler counts how often each indexed parcel was handled,
+// attached through a sink that records the order frames were handed over.
+type wireRank struct {
+	rt      *Runtime
+	handled []int64 // per parcel index; atomic
+	total   atomic.Int64
+	mu      sync.Mutex
+	sunk    []uint32 // parcel indexes in the order the sink was handed them
+}
+
+func newWireRank(c *Cluster, parcels int, dcfg DeliveryConfig) *wireRank {
+	w := &wireRank{handled: make([]int64, parcels)}
+	w.rt = New(Config{World: c.World(), Rank: c.Rank(), Workers: 1, Seed: int64(c.Rank()) + 1,
+		Transport: c.Transport(), Delivery: dcfg})
+	w.rt.OnWire(func(_ *Worker, f Frame) {
+		atomic.AddInt64(&w.handled[binary.LittleEndian.Uint32(f.Payload)], 1)
+		w.total.Add(1)
+	})
+	return w
+}
+
+func (w *wireRank) sink(f Frame) {
+	if !f.Ack() {
+		w.mu.Lock()
+		w.sunk = append(w.sunk, binary.LittleEndian.Uint32(f.Payload))
+		w.mu.Unlock()
+	}
+	w.rt.DeliverWireFrame(f)
+}
+
+func (w *wireRank) send(dst int, idx ...int) {
+	for _, i := range idx {
+		w.rt.SendWire(dst, 1, 0, binary.LittleEndian.AppendUint32(nil, uint32(i)))
+	}
+}
+
+// receive runs the rank until it has handled want parcels.
+func (w *wireRank) receive(t *testing.T, want int) Stats {
+	t.Helper()
+	return w.rt.Run(func() {
+		w.rt.Hold()
+		//dashmm:detached ends with the parcel count or its deadline, well inside the test
+		go func() {
+			defer w.rt.Release()
+			for deadline := time.Now().Add(20 * time.Second); w.total.Load() < int64(want); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("%d of %d parcels handled in 20s", w.total.Load(), want)
+					return
+				}
+			}
+		}()
+	})
+}
+
+// socketDelivery is a retry clock of the scale core.DistRun runs a socket
+// mesh on (200 ms there), with headroom for a loaded test box.
+var socketDelivery = DeliveryConfig{RetryBase: 500 * time.Millisecond, RetryMax: 2 * time.Second, Deadline: 30 * time.Second}
+
+// (a) Rank 0 starts a job, attaches and sends at once; rank 1 is still
+// busy — building its plan, in the daemon — and attaches 50 ms after it read
+// the job. The frames wait for it at the fence: all arrive once, in order,
+// well inside one retransmission interval, and nothing was fenced or sent
+// twice. (They used to be dropped as "not this rank's generation" and came
+// back a RetryBase later.)
+func TestFrameBeforeItsRunWaitsForIt(t *testing.T) {
+	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
+	log1 := watch(t, cls[1])
+	w0, w1 := newWireRank(cls[0], 3, socketDelivery), newWireRank(cls[1], 3, socketDelivery)
+
+	job := cls[0].StartJob(nil)
+	defer job.End()
+	start := time.Now()
+	var st0 Stats
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		defer cls[0].Attach(job, w0.sink).Close()
+		st0 = w0.rt.Run(func() { w0.send(1, 0, 1, 2) })
+	}()
+	ev := await(t, log1, EventJob)
+	time.Sleep(50 * time.Millisecond)
+	awaitParked(t, cls[1], 3)
+	run1 := cls[1].Attach(ev.Job, w1.sink)
+	st1 := w1.receive(t, 3)
+	run1.Close()
+	<-sent
+	if d := time.Since(start); d >= socketDelivery.RetryBase {
+		t.Errorf("the frames took %v, a retransmission interval (%v) or more", d, socketDelivery.RetryBase)
+	}
+	assertExactlyOnce(t, w1.handled)
+	if !slices.Equal(w1.sunk, []uint32{0, 1, 2}) {
+		t.Errorf("the run was handed parcels %v, want them in arrival order", w1.sunk)
+	}
+	for r, st := range []Stats{st0, st1} {
+		if tr := st.Transport; tr.StaleFenced != 0 || tr.Retried != 0 || tr.Dropped != 0 {
+			t.Errorf("rank %d: fenced=%d retried=%d dropped=%d, want none of it", r, tr.StaleFenced, tr.Retried, tr.Dropped)
+		}
+	}
+}
+
+// rawSend puts frames on the wire without a delivery engine: whatever the
+// fence does with them is final.
+func rawSend(c *Cluster, dst int, payloads ...string) {
+	for i, p := range payloads {
+		c.Transport().Send(Message{Src: c.Rank(), Dst: dst, Seq: uint64(i), Kind: 7, Payload: []byte(p)})
+	}
+}
+
+func payloads(fs []Frame) []string {
+	var out []string
+	for _, f := range fs {
+		out = append(out, string(f.Payload))
+	}
+	return out
+}
+
+// awaitParked waits until at least n frames wait at the rank's fence.
+func awaitParked(t *testing.T, c *Cluster, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); c.tp.parkedLen() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d holds %d parked frames after 10s, want %d", c.Rank(), c.tp.parkedLen(), n)
+		}
+	}
+}
+
+// (b) Two generations pending: rank 0 ran job g to its end without rank 1
+// and is into g+1. Rank 1's run of g is handed the frames of g and none of
+// g+1; its run of g+1 is handed all of those.
+func TestParkedFramesWaitForTheirOwnRun(t *testing.T) {
+	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
+	log1 := watch(t, cls[1])
+	nowhere := func(Frame) {}
+
+	first := cls[0].StartJob(nil)
+	run := cls[0].Attach(first, nowhere)
+	rawSend(cls[0], 1, "g/0", "g/1")
+	cls[0].Shutdown()
+	run.Close()
+	first.End()
+	second := cls[0].StartJob(nil)
+	defer second.End()
+	defer cls[0].Attach(second, nowhere).Close()
+	rawSend(cls[0], 1, "h/0", "h/1", "h/2")
+	awaitParked(t, cls[1], 5)
+
+	var got frameLog
+	run = cls[1].Attach(await(t, log1, EventJob).Job, got.sink)
+	if p := payloads(got.wait(t, 2)); !slices.Equal(p, []string{"g/0", "g/1"}) || cls[1].tp.parkedLen() != 3 {
+		t.Fatalf("the run of generation %d was handed %q and %d frames stay parked; want its own two and the next run's three", first.Gen, p, cls[1].tp.parkedLen())
+	}
+	run.Close()
+	var next frameLog
+	defer cls[1].Attach(await(t, log1, EventJob).Job, next.sink).Close()
+	if p := payloads(next.wait(t, 3)); !slices.Equal(p, []string{"h/0", "h/1", "h/2"}) || cls[1].tp.parkedLen() != 0 {
+		t.Fatalf("the run of generation %d was handed %q, %d frames stay parked; want its three and none", second.Gen, p, cls[1].tp.parkedLen())
+	}
+	if n := got.len(); n != 2 {
+		t.Errorf("the finished run's sink was handed %d frames in the end, want its 2", n)
+	}
+	if st := cls[1].Transport().Stats(); st.StaleFenced != 0 || st.Dropped != 0 {
+		t.Errorf("rank 1 fenced %d frames and dropped %d, want none", st.StaleFenced, st.Dropped)
+	}
+}
+
+// (d) The park buffer is bounded: what does not fit is dropped and counted
+// like any other wire loss, the sender's delivery engine repairs it, and
+// the effect is still exactly-once.
+func TestParkOverflowIsWireLoss(t *testing.T) {
+	const extra = 40
+	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
+	log1 := watch(t, cls[1])
+	dcfg := DeliveryConfig{RetryBase: 300 * time.Millisecond, RetryMax: time.Second, Deadline: 60 * time.Second}
+	w0, w1 := newWireRank(cls[0], peerQueueMax+extra, dcfg), newWireRank(cls[1], peerQueueMax+extra, dcfg)
+
+	job := cls[0].StartJob(nil)
+	defer job.End()
+	var st0 Stats
+	held, sent := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sent)
+		defer cls[0].Attach(job, w0.sink).Close()
+		st0 = w0.rt.Run(func() { w0.rt.Hold(); close(held) })
+	}()
+	<-held
+	for i := 0; i < peerQueueMax; i++ {
+		w0.send(1, i)
+		if i%1024 == 1023 {
+			awaitParked(t, cls[1], i+1) // the outbound queue has the same bound: stay below it
+		}
+	}
+	for i := 0; i < extra; i++ {
+		w0.send(1, peerQueueMax+i)
+	}
+	w0.rt.Release()
+	for deadline := time.Now().Add(10 * time.Second); cls[1].Transport().Stats().Dropped < extra; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rank 1 dropped %d frames at its full park buffer, want %d", cls[1].Transport().Stats().Dropped, extra)
+		}
+	}
+	if n := cls[1].tp.parkedLen(); n != peerQueueMax {
+		t.Fatalf("%d frames parked, the bound is %d", n, peerQueueMax)
+	}
+	run1 := cls[1].Attach(await(t, log1, EventJob).Job, w1.sink)
+	w1.receive(t, peerQueueMax+extra)
+	run1.Close()
+	<-sent
+	assertExactlyOnce(t, w1.handled)
+	if st0.Transport.Retried < extra {
+		t.Errorf("rank 0 retransmitted %d parcels, want at least the %d dropped", st0.Transport.Retried, extra)
+	}
+	if n := cls[1].tp.parkedLen(); n != 0 {
+		t.Errorf("%d frames still parked behind the run they belong to", n)
+	}
+}
+
+// (e) A stamp is the generation's low 16 bits and wraps; newer and older
+// are told apart across the wrap.
+func TestGenerationFenceAcrossStampWrap(t *testing.T) {
+	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
+	log1 := watch(t, cls[1])
+	nowhere := func(Frame) {}
+	cls[0].mu.Lock()
+	cls[0].genCount = 1<<16 - 3
+	cls[0].mu.Unlock()
+	// A rank follows the jobs: bring rank 1 to within half a wrap of them.
+	cls[0].StartJob(nil).End()
+	cls[1].Attach(await(t, log1, EventJob).Job, nowhere).Close()
+
+	last := cls[0].StartJob(nil) // stamp 0xffff
+	last.End()
+	wrapped := cls[0].StartJob(nil) // stamp 0
+	defer wrapped.End()
+	if last.Gen != 1<<16-1 || wrapped.Gen != 1<<16 {
+		t.Fatalf("generations %d and %d, want 65535 and 65536", last.Gen, wrapped.Gen)
+	}
+	cls[0].Attach(last, nowhere).Close()
+	rawSend(cls[0], 1, "before the wrap")
+	cls[0].Attach(wrapped, nowhere).Close()
+	rawSend(cls[0], 1, "after the wrap")
+	awaitParked(t, cls[1], 2)
+
+	// Stamp 0 is newer than 0xffff: it stays parked while its predecessor runs.
+	var got frameLog
+	cls[1].Attach(await(t, log1, EventJob).Job, got.sink).Close()
+	if p := payloads(got.wait(t, 1)); p[0] != "before the wrap" || cls[1].tp.parkedLen() != 1 {
+		t.Fatalf("the run of generation 65535 was handed %q and %d frames stay parked; want its own and the next run's", p, cls[1].tp.parkedLen())
+	}
+	defer cls[1].Attach(await(t, log1, EventJob).Job, got.sink).Close()
+	if p := payloads(got.wait(t, 2)); p[1] != "after the wrap" {
+		t.Fatalf("the run of generation 65536 was handed %q", p[1:])
+	}
+	// Stamp 0xffff is older than 0: a straggler, fenced.
+	cls[0].Attach(last, nowhere).Close()
+	rawSend(cls[0], 1, "straggler")
+	for deadline := time.Now().Add(10 * time.Second); cls[1].Transport().Stats().StaleFenced == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the straggler of generation 65535 was not fenced at generation 65536 (%d delivered, %d parked)", got.len(), cls[1].tp.parkedLen())
+		}
+	}
+	if got.len() != 2 || cls[1].tp.parkedLen() != 0 {
+		t.Errorf("the straggler was delivered or parked: %q, %d parked", payloads(got.wait(t, 2)), cls[1].tp.parkedLen())
+	}
+}
+
+// (f) The cluster runs one job at a time: a second StartJob returns only
+// after the first job ended, and a re-admission waits for the gap between
+// them — or, when the second job got into it first, for that job's end.
+func TestStartJobWaitsForThePreviousEnd(t *testing.T) {
+	dir := t.TempDir()
+	cls := startTestCluster(t, dir, 2, lazyDetector)
+	log0 := watch(t, cls[0])
+	cls[1].Close()
+	cls[0].DeclareDead(1)
+
+	first := cls[0].StartJob(nil)
+	var firstEnded atomic.Bool
+	started := make(chan *Job)
+	go func() { started <- cls[0].StartJob(nil) }()
+	rejoined := make(chan error, 1)
+	go func() {
+		cfg := testClusterConfig(dir, 1, 2)
+		lazyDetector(&cfg)
+		cfg.Rejoin = true
+		nc, err := NewCluster(cfg)
+		if err == nil {
+			cls[1] = nc // Cleanup closes it
+		}
+		rejoined <- err
+	}()
+	select {
+	case j := <-started:
+		t.Fatalf("job %d started while job %d was in flight", j.Gen, first.Gen)
+	case err := <-rejoined:
+		t.Fatalf("rank 1 was re-admitted while job %d was in flight (%v)", first.Gen, err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	firstEnded.Store(true)
+	first.End()
+
+	var second *Job
+	select {
+	case second = <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second job never started after the first ended")
+	}
+	if !firstEnded.Load() || second.Gen <= first.Gen {
+		t.Fatalf("second job (generation %d) started before the first (%d) ended", second.Gen, first.Gen)
+	}
+	// Whichever of the two got the gap: the job's base and the log agree on
+	// the membership it was placed against.
+	if len(second.DeadOrder) == 1 {
+		// The job got in first: the rank stays out until its end.
+		select {
+		case err := <-rejoined:
+			t.Fatalf("rank 1 was re-admitted under job %d, which was placed without it (%v)", second.Gen, err)
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	second.End()
+	if err := <-rejoined; err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	ev := await(t, log0, EventRejoin)
+	if before := ev.Gen < second.Gen; before != (len(second.DeadOrder) == 0) {
+		t.Errorf("re-admission at generation %d, job %d placed against dead ranks %v: the job's base and the log disagree", ev.Gen, second.Gen, second.DeadOrder)
+	}
+}
+
+// (g) A run's transport report is its own traffic on every rank of a
+// standing cluster: the delivery engine is one run long and subtracts what
+// the wire had counted when it was built.
+func TestTransportStatsArePerRun(t *testing.T) {
+	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
+	log1 := watch(t, cls[1])
+	data := int64(len(AppendFrame(nil, &Frame{Payload: make([]byte, 4)})))
+	ack := int64(len(AppendFrame(nil, &Frame{})))
+	for _, n := range []int{10, 3} {
+		w0, w1 := newWireRank(cls[0], n, socketDelivery), newWireRank(cls[1], n, socketDelivery)
+		job := cls[0].StartJob(nil)
+		var st0 Stats
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			defer cls[0].Attach(job, w0.sink).Close()
+			st0 = w0.rt.Run(func() {
+				for i := 0; i < n; i++ {
+					w0.send(1, i)
+				}
+			})
+		}()
+		run1 := cls[1].Attach(await(t, log1, EventJob).Job, w1.sink)
+		w1.receive(t, n)
+		run1.Close()
+		<-sent // every acknowledgment is in, so every one has been counted out
+		st1 := w1.rt.StatsNow()
+		job.End()
+		assertExactlyOnce(t, w1.handled)
+		nn := int64(n)
+		if tr := st0.Transport; tr.BytesOut != nn*data || tr.BytesIn != nn*ack || tr.WireMessages != nn {
+			t.Errorf("rank 0, run of %d parcels: %d bytes out, %d in, %d messages; want %d, %d, %d", n, tr.BytesOut, tr.BytesIn, tr.WireMessages, nn*data, nn*ack, nn)
+		}
+		if tr := st1.Transport; tr.BytesOut != nn*ack || tr.BytesIn != nn*data || tr.WireMessages != nn {
+			t.Errorf("rank 1, run of %d parcels: %d bytes out, %d in, %d messages; want %d, %d, %d", n, tr.BytesOut, tr.BytesIn, tr.WireMessages, nn*ack, nn*data, nn)
+		}
+	}
+}
+
+// A run's sink stays until the next run's Attach replaces it: a peer whose
+// acknowledgment was lost retransmits to a rank that has finished, and cannot
+// finish itself until the finished run's runtime answers (under a lossy wire
+// that is every other evaluation: TestChaosProfiles times out without it).
+func TestFinishedRunStillAcknowledges(t *testing.T) {
+	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
+	log1 := watch(t, cls[1])
+	w1 := newWireRank(cls[1], 1, socketDelivery)
+	job := cls[0].StartJob(nil)
+	defer job.End()
+	var got frameLog
+	defer cls[0].Attach(job, got.sink).Close()
+
+	parcel := Message{Src: 0, Dst: 1, Seq: 1, Kind: 1, Payload: []byte{0, 0, 0, 0}}
+	run1 := cls[1].Attach(await(t, log1, EventJob).Job, w1.sink)
+	cls[0].Transport().Send(parcel)
+	w1.receive(t, 1)
+	run1.Close()
+	if f := got.wait(t, 1)[0]; !f.Ack() || f.Seq != parcel.Seq {
+		t.Fatalf("rank 0 was answered %+v, want the acknowledgment of parcel %d", f, parcel.Seq)
+	}
+	// The acknowledgment "was lost": rank 0 sends the parcel again.
+	cls[0].Transport().Send(parcel)
+	if f := got.wait(t, 2)[1]; !f.Ack() || f.Seq != parcel.Seq {
+		t.Fatalf("the finished run answered the late copy with %+v, want another acknowledgment", f)
+	}
+	assertExactlyOnce(t, w1.handled)
+	if st := w1.rt.StatsNow().Transport; st.LateDrops != 1 || cls[1].tp.parkedLen() != 0 {
+		t.Errorf("late copy: counted %d times by the finished run, %d frames parked; want 1 and 0", st.LateDrops, cls[1].tp.parkedLen())
+	}
+}
+
+// A job's dead-rank base is the membership at the job's place in the log,
+// on a worker as on rank 0: a verdict queued right before the job is in it,
+// one right behind it is not — that one is the run's to replay.
+func TestJobBaseIsTheMembershipAtItsFrame(t *testing.T) {
+	cls := startTestCluster(t, t.TempDir(), 4, lazyDetector)
+	log1 := watch(t, cls[1])
+	cls[0].DeclareDead(3)
+	first := cls[0].StartJob(nil)
+	cls[0].DeclareDead(2)
+	first.End()
+	second := cls[0].StartJob(nil)
+	defer second.End()
+
+	seen1 := await(t, log1, EventJob).Job
+	if ev := await(t, log1, EventDead); ev.Rank != 2 {
+		t.Fatalf("rank 1 read the verdict of rank %d behind the first job, want rank 2's", ev.Rank)
+	}
+	seen2 := await(t, log1, EventJob).Job
+	for _, j := range []*Job{first, seen1} {
+		if j.Gen != first.Gen || !slices.Equal(j.DeadOrder, []int{3}) {
+			t.Errorf("first job: generation %d placed against dead ranks %v, want %d and [3]", j.Gen, j.DeadOrder, first.Gen)
+		}
+	}
+	for _, j := range []*Job{second, seen2} {
+		if j.Gen != second.Gen || !slices.Equal(j.DeadOrder, []int{3, 2}) {
+			t.Errorf("second job: generation %d placed against dead ranks %v, want %d and [3 2]", j.Gen, j.DeadOrder, second.Gen)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package amt
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -57,35 +56,20 @@ func TestRejoinReadmission(t *testing.T) {
 			cls[2].Generation(), !cls[2].dead[1].Load())
 	}
 
-	// Data flows at the new generation: fresh rank 1 -> survivor rank 2.
-	var mu sync.Mutex
-	var got []Frame
-	cls[2].Transport().OnFrame(func(f Frame) {
-		mu.Lock()
-		got = append(got, f)
-		mu.Unlock()
-	})
+	// Data flows at the generation of the next job: fresh rank 1 -> survivor
+	// rank 2.
+	job := cls[0].StartJob(nil)
+	defer job.End()
+	var got frameLog
+	defer cls[1].Attach(await(t, watch(t, nc), EventJob).Job, func(Frame) {}).Close()
+	defer cls[2].Attach(await(t, log2, EventJob).Job, got.sink).Close()
+	if gen := cls[2].Generation(); gen != job.Gen || gen <= 1 {
+		t.Fatalf("rank 2 runs the job at generation %d, rank 0 allocated %d behind the re-admission's 1", gen, job.Gen)
+	}
 	cls[1].Transport().Send(Message{Src: 1, Dst: 2, Seq: 9, Kind: 7, Epoch: 42, Payload: []byte("hello again")})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		var f Frame
-		if n > 0 {
-			f = got[0]
-		}
-		mu.Unlock()
-		if n > 0 {
-			// The wire generation is stripped back off before delivery.
-			if f.Epoch != 42 || string(f.Payload) != "hello again" {
-				t.Fatalf("delivered frame = %+v", f)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("post-rejoin frame 1→2 never arrived")
-		}
-		time.Sleep(time.Millisecond)
+	// The wire generation is stripped back off before delivery.
+	if f := got.wait(t, 1)[0]; f.Epoch != 42 || string(f.Payload) != "hello again" {
+		t.Fatalf("delivered frame = %+v", f)
 	}
 }
 
@@ -103,20 +87,19 @@ func TestRejoinWithoutVerdictRejected(t *testing.T) {
 	}
 }
 
-// Frames stamped with a stale wire generation are dropped at the receiver
-// (counted, never delivered); frames at the adopted generation flow.
+// Frames stamped with an older wire generation than the receiver's are
+// dropped there (counted, never delivered, never parked); frames of the
+// attached run's generation flow.
 func TestGenerationFenceDropsStaleFrames(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, nil)
-	var mu sync.Mutex
-	var got []Frame
-	cls[0].Transport().OnFrame(func(f Frame) {
-		mu.Lock()
-		got = append(got, f)
-		mu.Unlock()
-	})
+	log1 := watch(t, cls[1])
+	var got frameLog
 
-	// Rank 0 has moved to generation 1; rank 1 still stamps generation 0.
-	cls[0].AdoptGeneration(1)
+	// Rank 0 has moved to the job's generation; rank 1 has not attached yet
+	// and still stamps generation 0.
+	job := cls[0].StartJob(nil)
+	defer job.End()
+	defer cls[0].Attach(job, got.sink).Close()
 	cls[1].Transport().Send(Message{Src: 1, Dst: 0, Seq: 1, Kind: 7, Payload: []byte("stale")})
 	deadline := time.Now().Add(5 * time.Second)
 	for cls[0].Transport().Stats().StaleFenced == 0 {
@@ -125,33 +108,14 @@ func TestGenerationFenceDropsStaleFrames(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	mu.Lock()
-	if len(got) != 0 {
-		t.Fatalf("stale frame delivered: %+v", got)
+	if n, parked := got.len(), cls[0].tp.parkedLen(); n != 0 || parked != 0 {
+		t.Fatalf("stale frame: %d delivered, %d parked", n, parked)
 	}
-	mu.Unlock()
 
-	// Rank 1 adopts the generation; its next frame passes the fence.
-	cls[1].AdoptGeneration(1)
+	// Rank 1 attaches to the job; its next frame passes the fence.
+	defer cls[1].Attach(await(t, log1, EventJob).Job, func(Frame) {}).Close()
 	cls[1].Transport().Send(Message{Src: 1, Dst: 0, Seq: 2, Kind: 7, Epoch: 7, Payload: []byte("fresh")})
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		var f Frame
-		if n > 0 {
-			f = got[0]
-		}
-		mu.Unlock()
-		if n > 0 {
-			if string(f.Payload) != "fresh" || f.Epoch != 7 {
-				t.Fatalf("delivered frame = %+v", f)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("fresh frame never arrived")
-		}
-		time.Sleep(time.Millisecond)
+	if f := got.wait(t, 1)[0]; string(f.Payload) != "fresh" || f.Epoch != 7 {
+		t.Fatalf("delivered frame = %+v", f)
 	}
 }

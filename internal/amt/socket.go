@@ -17,8 +17,8 @@ import (
 // executor extends down to the syscall layer). Connections are asymmetric:
 // a dialed connection is write-only (its first frame is an ATTACH preamble
 // carrying rank/world/stamp), an accepted connection is read-only (served
-// by Cluster.serveData). Dialing retries with exponential backoff and
-// jitter; a broken or unavailable connection is never an error surfaced to
+// by Cluster.serveData, which hands every frame to the generation fence).
+// Dialing retries with exponential backoff and jitter; a broken or unavailable connection is never an error surfaced to
 // the caller — queued and in-flight frames are simply lost, which the
 // delivery layer (delivery.go) observes as wire loss and repairs with
 // seq/ack/retransmit.
@@ -28,7 +28,11 @@ type SocketTransport struct {
 	mu    sync.Mutex
 	peers []*peerLink // guarded by mu until setPeers, immutable after
 
-	sink atomic.Pointer[func(Frame)]
+	// The generation fence (fence, attach).
+	fenceMu     sync.Mutex
+	sink        func(Frame) // guarded by fenceMu: the run attached last; nil before the first
+	parked      []Frame     // guarded by fenceMu: in arrival order, stamps still on
+	parkedBytes int         // guarded by fenceMu: payload bytes in parked
 
 	dropped        atomic.Int64
 	messages       atomic.Int64
@@ -36,7 +40,7 @@ type SocketTransport struct {
 	bytesIn        atomic.Int64
 	reconnects     atomic.Int64
 	handshakeFails atomic.Int64
-	staleFenced    atomic.Int64 // inbound frames dropped by the generation fence
+	staleFenced    atomic.Int64 // inbound frames of an older generation, dropped by the fence
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -55,13 +59,13 @@ type peerLink struct {
 	closed bool     // guarded by mu: transport shutting down
 }
 
-func newSocketTransport(cl *Cluster) *SocketTransport {
-	return &SocketTransport{cl: cl}
-}
-
-// peerQueueMax bounds each peer's outbound frame queue; overflow is dropped
-// and surfaces as wire loss.
+// peerQueueMax bounds each peer's outbound frame queue, and the inbound park
+// buffer; overflow is dropped and surfaces as wire loss.
 const peerQueueMax = 8192
+
+// parkBytesMax bounds the payload bytes the park buffer holds: several charge
+// broadcasts with their first parcels at the sizes the daemon admits (8 MB).
+const parkBytesMax = 64 << 20
 
 // Retry pacing, shared by every loop of this package that waits for a peer
 // to come (back) up — a worker dialing rank 0, a writer dialing a peer, an
@@ -107,18 +111,54 @@ func (t *SocketTransport) Stats() WireStats {
 	}
 }
 
-// OnFrame registers the inbound frame handler. Frames decoded from peer
-// connections are handed to fn on the reader goroutine; fn must not block
-// indefinitely.
-func (t *SocketTransport) OnFrame(fn func(Frame)) { t.sink.Store(&fn) }
-
-func (t *SocketTransport) deliver(f Frame) {
-	if fn := t.sink.Load(); fn != nil {
-		(*fn)(f)
+// fence is the generation fence every inbound data frame meets, three ways
+// on the signed distance from this rank's generation to the frame's stamp —
+// the sender's generation, low 16 bits, riding in the epoch's high half
+// (Send). A generation counts up by one per job or re-admission and its stamp
+// wraps every 65 536 of them, so within half a wrap the sign tells newer from
+// older. Older: a corpse's straggler or a finished run's retransmission —
+// dropped unacknowledged, it dies with its sender. Of this rank's generation
+// with a run attached: delivered, the stamp stripped back off. Newer, or of
+// this rank's generation with no run attached yet: the frame beat its run
+// here — parked, unacknowledged, until that run attaches. A full park buffer
+// drops the frame: wire loss, which the sender's delivery engine repairs like
+// any other. The sink is chosen under the lock, called outside it.
+func (t *SocketTransport) fence(f Frame) {
+	t.fenceMu.Lock()
+	var sink func(Frame)
+	switch d := int16(uint16(f.Epoch>>16) - uint16(t.cl.gen.Load())); {
+	case d < 0:
+		t.staleFenced.Add(1)
+	case d == 0 && t.sink != nil:
+		sink = t.sink
+	case len(t.parked) >= peerQueueMax || t.parkedBytes+len(f.Payload) > parkBytesMax:
+		t.dropped.Add(1)
+	default:
+		t.parked = append(t.parked, f)
+		t.parkedBytes += len(f.Payload)
+	}
+	t.fenceMu.Unlock()
+	if sink != nil {
+		f.Epoch &= 0xffff
+		sink(f)
 	}
 }
 
-func (t *SocketTransport) noteReceived(n int) { t.bytesIn.Add(int64(n)) }
+// attach moves this rank to a run's generation and installs its frame sink
+// (Cluster.Attach) in one critical section, then puts the parked frames
+// through the fence again, in arrival order; one of a generation the rank
+// skipped is stale now, and one that arrives meanwhile may overtake them.
+func (t *SocketTransport) attach(gen uint32, sink func(Frame)) {
+	t.fenceMu.Lock()
+	t.cl.gen.Store(gen)
+	t.sink = sink
+	parked := t.parked
+	t.parked, t.parkedBytes = nil, 0
+	t.fenceMu.Unlock()
+	for _, f := range parked {
+		t.fence(f)
+	}
+}
 
 // setPeers installs the data-plane address list at START and spawns one
 // writer goroutine per remote peer.
@@ -151,10 +191,10 @@ func (t *SocketTransport) Send(m Message) {
 		Kind: m.Kind,
 		Src:  m.Src,
 		Dst:  m.Dst,
-		// The adopted wire generation rides in the epoch's high 16 bits;
-		// the receiver's fence (Cluster.serveData) strips it back off. The
-		// run-level epoch in the low bits stays far below 2^16 (it counts
-		// death verdicts), so nothing is lost to the split.
+		// This rank's wire generation rides in the epoch's high 16 bits; the
+		// receiver's fence strips it back off. The run-level epoch in the low
+		// bits stays far below 2^16 (it counts death verdicts), so nothing is
+		// lost to the split.
 		Epoch:   (m.Epoch & 0xffff) | uint32(uint16(t.cl.gen.Load()))<<16,
 		Seq:     m.Seq,
 		Payload: m.Payload,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"net"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,7 +85,7 @@ func startTestCluster(t *testing.T, dir string, world int, mut func(*ClusterConf
 // channel a test can wait on with a deadline.
 func watch(t *testing.T, c *Cluster) <-chan Event {
 	t.Helper()
-	sub := c.Subscribe(0)
+	sub := c.Subscribe()
 	t.Cleanup(sub.Close)
 	ch := make(chan Event, 1024) // the pump must never block the test's own Close
 	//dashmm:detached exits when the cleanup above closes the subscription
@@ -124,6 +125,43 @@ func await(t *testing.T, ch <-chan Event, kind EventKind) Event {
 	}
 }
 
+// frameLog is a frame sink a test can wait on.
+type frameLog struct {
+	mu  sync.Mutex
+	got []Frame
+}
+
+func (l *frameLog) sink(f Frame) {
+	l.mu.Lock()
+	l.got = append(l.got, f)
+	l.mu.Unlock()
+}
+
+func (l *frameLog) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.got)
+}
+
+// wait returns the frames received once there are n of them.
+func (l *frameLog) wait(t *testing.T, n int) []Frame {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); l.len() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames arrived in 10s, want %d", l.len(), n)
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.got)
+}
+
+func (t *SocketTransport) parkedLen() int {
+	t.fenceMu.Lock()
+	defer t.fenceMu.Unlock()
+	return len(t.parked)
+}
+
 // Frames sent over the data plane arrive at the addressed rank, and the
 // byte/message counters move on both ends.
 func TestClusterDataPlane(t *testing.T) {
@@ -136,11 +174,11 @@ func TestClusterDataPlane(t *testing.T) {
 	for r, c := range cls {
 		s := &rx{}
 		sinks[r] = s
-		c.Transport().OnFrame(func(f Frame) {
+		defer c.Attach(&Job{}, func(f Frame) {
 			s.mu.Lock()
 			s.frames = append(s.frames, f)
 			s.mu.Unlock()
-		})
+		}).Close()
 	}
 	sends := []struct {
 		src, dst int
@@ -387,7 +425,7 @@ func TestFalseVerdictReachesTheSuspect(t *testing.T) {
 func TestWriterReconnect(t *testing.T) {
 	cl := &Cluster{cfg: testClusterConfig(t.TempDir(), 1, 2).withDefaults()}
 	cl.cfg.Network = "tcp"
-	tp := newSocketTransport(cl)
+	tp := &SocketTransport{cl: cl}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -46,9 +46,8 @@ type WireStats struct {
 	// HandshakeFailures rejected connection attempts.
 	Reconnects        int64
 	HandshakeFailures int64
-	// StaleFenced counts inbound frames dropped by the generation fence: a
-	// dead incarnation's stragglers, or early frames from a generation this
-	// rank had not yet adopted.
+	// StaleFenced counts inbound frames of an older generation than the
+	// rank's, dropped by the fence: a dead incarnation's stragglers.
 	StaleFenced int64
 }
 

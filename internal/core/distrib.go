@@ -102,17 +102,11 @@ type DistOptions struct {
 	// total. The chaos harness uses it to SIGKILL the process at a chosen
 	// local progress fraction; core stays OS-agnostic.
 	OnProgress func(fired, ownedTotal int)
-	// Generation, when non-zero, is the wire generation this run adopts (a
-	// standing cluster allocates one per job via StartJob). It is adopted
-	// only after the run's frame sink is live, so frames of the new
-	// generation are fenced — not acked and dropped — until this run can
-	// accept them.
-	Generation uint32
-	// PreDead lists ranks already declared dead when the run begins, in
-	// verdict order. Every rank of a job must pass the same list (the job
-	// broadcast carries it), so all ranks derive the identical starting
-	// placement; failover composition is order-sensitive.
-	PreDead []int
+	// Job is the cluster job this run is one rank's side of — rank 0 passes
+	// what StartJob returned, a worker what its log handed it — so every rank
+	// starts from the same wire generation and the same dead ranks. Nil on a
+	// one-shot cluster: generation 0, verdicts from the head of the log.
+	Job *amt.Job
 	// Cancel, when non-nil, aborts the run when closed (a serve request's
 	// deadline propagating into the fabric).
 	Cancel <-chan struct{}
@@ -162,35 +156,38 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	if err := cl.Start(); err != nil {
 		return nil, ExecReport{}, err
 	}
-	if opts.Generation != 0 {
-		cl.AdoptGeneration(opts.Generation)
+	job := opts.Job
+	if job == nil {
+		job = &amt.Job{}
 	}
 	// The job's consistent base first: every death before the job, in
 	// verdict order. Everything since comes from the log.
-	for _, r := range opts.PreDead {
+	for _, r := range job.DeadOrder {
 		if r == cl.Rank() {
 			return nil, ExecReport{}, fmt.Errorf("core: rank %d is listed dead in the job placement", r)
 		}
 		fb.applyDeath(r)
 	}
-	// One watcher per run reads the cluster's event log from this run's job
-	// on (a one-shot cluster: from the beginning). What happened before the
-	// run got here — a verdict, rank 0 finishing a DAG in which this rank
-	// owns no target, the coordinator going away — is replayed to it in log
-	// order like anything that happens from now on. The watcher must not
-	// outlive the run: a standing cluster keeps logging between jobs, and a
-	// verdict landing in a discarded executor would corrupt the next run's
-	// state. Joined explicitly after rt.Run below, before the results are
-	// read; the defer covers the error paths.
-	gen := cl.Generation()
-	sub := cl.Subscribe(gen)
+	// The run goes onto its rank in one step — frame sink, outbound stamp
+	// and log cursor, all at the job's generation; frames of this run that
+	// got here first were waiting at the fence and now queue in the runtime
+	// until Run starts. One watcher reads the cluster's event log from this
+	// run's job on (a one-shot cluster: from the beginning): what happened
+	// before the run got here — a verdict, rank 0 finishing a DAG in which
+	// this rank owns no target, the coordinator going away — is replayed to
+	// it in log order like anything that happens from now on. The watcher
+	// must not outlive the run: a standing cluster keeps logging between
+	// jobs, and a verdict landing in a discarded executor would corrupt the
+	// next run's state. Joined explicitly after rt.Run below, before the
+	// results are read; the defer covers the error paths.
+	run := cl.Attach(job, ex.rt.DeliverWireFrame)
 	watched := make(chan struct{})
 	go func() {
 		defer close(watched)
-		fb.watch(sub, gen)
+		fb.watch(run, job.Gen)
 	}()
 	quiesce := func() {
-		sub.Close()
+		run.Close()
 		<-watched
 	}
 	defer quiesce()
@@ -381,7 +378,6 @@ func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 	})
 	ex.arm()
 	ex.rt.OnWire(fb.onWire)
-	cl.Transport().OnFrame(ex.rt.DeliverWireFrame)
 	return fb
 }
 
@@ -392,16 +388,16 @@ func (fb *fabric) release() { fb.relOnce.Do(fb.ex.rt.Release) }
 // seeds this rank's roots. Runs once, at setup (rank 0) or on the charge
 // broadcast (workers).
 func (fb *fabric) applyCharges(charges []float64) {
+	fb.runMu.RLock() // a verdict replayed from the log zeroes nodes too (applyDeath, the write half)
+	defer fb.runMu.RUnlock()
 	fb.ex.st.reset(charges)
 	fb.chargesReady.Store(true)
 	fb.gateGen.Add(1)
 	fb.ex.seedRoots()
 	// A rank that owns nothing (tiny DAG, many ranks) completes immediately.
 	if fb.ownedLeft.Load() == 0 {
-		fb.runMu.RLock()
 		//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
 		fb.completeLocal()
-		fb.runMu.RUnlock()
 	}
 	fb.drainDeferred()
 }
@@ -463,7 +459,8 @@ func (fb *fabric) tryParcel(w *amt.Worker, f amt.Frame) bool {
 		return false
 	}
 	ex := fb.ex
-	src, outIdx, r, err := decodeParcelHeader(ex.g, f.Payload)
+	r := amt.NewCursor(f.Payload)
+	src, outIdx, err := decodeParcelHeader(ex.g, &r)
 	if err != nil {
 		fb.decodeErrs.Add(1)
 		return true // malformed: consume and drop, never wedge the gate
@@ -485,12 +482,9 @@ func (fb *fabric) tryParcel(w *amt.Worker, f amt.Frame) bool {
 		}
 	}
 	ex.locks[src].Lock()
-	err = ex.st.installNodePayload(n, r)
-	if err == nil {
-		err = r.done()
-	}
+	ex.st.installNodePayload(n, &r)
 	ex.locks[src].Unlock()
-	if err != nil {
+	if r.Done() != nil {
 		fb.decodeErrs.Add(1)
 		return true
 	}
@@ -592,7 +586,7 @@ func (fb *fabric) handleResult(f amt.Frame) {
 	}
 	fb.runMu.RLock()
 	fb.covMu.Lock()
-	ids, err := fb.ex.st.installResult(f.Payload)
+	ids, err := fb.ex.st.installResult(f.Payload, len(fb.tnodes))
 	fb.covMu.Unlock()
 	fb.runMu.RUnlock()
 	if err != nil {
@@ -736,7 +730,7 @@ func (fb *fabric) applyDeath(deadRank int) {
 			replays[k] = append(replays[k], ref.out)
 		}
 		// Re-seed rebuilt roots — but only once charges are installed. Before
-		// that (a PreDead replay, or a verdict racing the broadcast) the task
+		// that (the job's dead-rank base, or a verdict racing the broadcast) the task
 		// would fire on zero charges and its applied bits would then shadow
 		// the real contributions; applyCharges spawns every root this rank
 		// homes, from the already-updated placement. The store/load order

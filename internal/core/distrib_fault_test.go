@@ -232,9 +232,9 @@ func TestDetectorOnlyRunMatches(t *testing.T) {
 }
 
 // TestCrashRecoveryReuse: a standing cluster must stay usable after a run
-// that lost a rank mid-flight — the next run starts from the shrunken
-// membership (PreDead replay, a bumped generation fencing the dead run's
-// stragglers) and still matches.
+// that lost a rank mid-flight — the next job is placed against the shrunken
+// membership (its dead-rank base replayed, a fresh generation fencing the
+// dead run's stragglers) and still matches.
 func TestCrashRecoveryReuse(t *testing.T) {
 	const world, victim = 4, 2
 	dw := newDistWorld(t, world, 1500)
@@ -250,19 +250,10 @@ func TestCrashRecoveryReuse(t *testing.T) {
 	assertSame(t, pots, dw.want, 1e-12)
 
 	cls[victim] = nil
-	order := cls[0].DeadOrder()
-	if len(order) != 1 || order[0] != victim {
-		t.Fatalf("DeadOrder = %v, want [%d]", order, victim)
-	}
-	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
-		o := distOpts(r)
-		o.Generation, o.PreDead = 1, order
-		return o
-	})
-	assertSurvivorsOK(t, errs)
+	pots, reps := dw.runJob(t, cls)
 	assertSame(t, pots, dw.want, 1e-12)
 	if got := reps[0].Recovery.RanksKilled; got != 1 {
-		t.Errorf("second run replayed %d deaths, want the 1 pre-dead rank", got)
+		t.Errorf("second run replayed %d deaths, want the 1 rank of the job's base", got)
 	}
 }
 

@@ -165,22 +165,54 @@ func distClusters(t *testing.T, world int) []*amt.Cluster {
 }
 
 // awaitEvent blocks until the rank's log, read from its oldest retained
-// event, yields an event of the given kind.
-func awaitEvent(t *testing.T, cl *amt.Cluster, kind amt.EventKind) amt.Event {
+// event, yields an event of the given kind and, for the kinds that carry
+// one, wire generation (0: any).
+func awaitEvent(t *testing.T, cl *amt.Cluster, kind amt.EventKind, gen uint32) amt.Event {
 	t.Helper()
-	sub := cl.Subscribe(0)
+	sub := cl.Subscribe()
 	defer sub.Close()
 	timeout := time.AfterFunc(10*time.Second, sub.Close)
 	defer timeout.Stop()
 	for {
 		ev, ok := sub.Next()
 		if !ok {
-			t.Fatalf("rank %d's log held no event of kind %d within 10s", cl.Rank(), kind)
+			t.Fatalf("rank %d's log held no event of kind %d (generation %d) within 10s", cl.Rank(), kind, gen)
 		}
-		if ev.Kind == kind {
+		if ev.Kind == kind && (gen == 0 || ev.Gen == gen) {
 			return ev
 		}
 	}
+}
+
+// startJob starts the standing cluster's next job on rank 0 and returns,
+// rank by rank, what each live rank passes to its DistRun: rank 0 the job
+// it allocated, a worker the one its own log hands it. The caller ends
+// jobs[0] after the run.
+func startJob(t *testing.T, cls []*amt.Cluster) []*amt.Job {
+	t.Helper()
+	jobs := make([]*amt.Job, len(cls))
+	jobs[0] = cls[0].StartJob(nil)
+	for r := 1; r < len(cls); r++ {
+		if cls[r] != nil {
+			jobs[r] = awaitEvent(t, cls[r], amt.EventJob, jobs[0].Gen).Job
+		}
+	}
+	return jobs
+}
+
+// runJob is one fault-free job on the live ranks of a standing cluster,
+// start to end.
+func (dw *distWorld) runJob(t *testing.T, cls []*amt.Cluster) ([]float64, []ExecReport) {
+	t.Helper()
+	jobs := startJob(t, cls)
+	defer jobs[0].End()
+	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+		o := distOpts(r)
+		o.Job = jobs[r]
+		return o
+	})
+	assertSurvivorsOK(t, errs)
+	return pots, reps
 }
 
 // Four ranks over a real unix-socket mesh must reproduce the sequential
@@ -299,7 +331,7 @@ func TestDistRunFailsAtOnceWhenCoordinatorAlreadyLost(t *testing.T) {
 		}
 	}
 	cls[0].Close()
-	awaitEvent(t, cls[1], amt.EventCoordLost) // the worker has noticed
+	awaitEvent(t, cls[1], amt.EventCoordLost, 0) // the worker has noticed
 	start := time.Now()
 	_, _, err := DistRun(dw.plans[1], cls[1], nil, distOpts(1))
 	if err == nil || !strings.Contains(err.Error(), "rank 0 lost") {
@@ -417,10 +449,12 @@ func TestDistRunWorkerLateToFinishedRun(t *testing.T) {
 }
 
 // A run-complete signal releases the run of its generation and no other.
-// Rank 0 ends runs 7 and 9 before the worker has entered either (it needed
-// nothing from it); both signals sit in the worker's log when run 8 starts
-// there and reads the log from its head — it must take neither, and
-// evaluate — and the worker's run 9, entered late, is over at once.
+// Rank 0 starts three jobs and ends the first and the third at once, before
+// the worker has entered either (it needed nothing from it); the third's
+// signal sits in the worker's log behind the second job when that one's run
+// starts there and reads the log from its job on — it must not take it, and
+// evaluate — and the worker's run of the third job, entered late, is over at
+// once.
 func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
 	dw := newDistWorld(t, 2, 600)
 	cls := distClusters(t, 2)
@@ -429,34 +463,37 @@ func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, gen := range []uint32{7, 9} {
-		cls[0].AdoptGeneration(gen)
-		cls[0].Shutdown()
-	}
-	sub := cls[1].Subscribe(0)
-	for n := 0; n < 2; {
-		if ev, _ := sub.Next(); ev.Kind == amt.EventRunDone {
-			n++
+	main := cls[1].Subscribe() // the worker's main loop: it keeps the log
+	defer main.Close()
+	var jobs [3][2]*amt.Job
+	for i := range jobs {
+		jobs[i][0] = cls[0].StartJob(nil)
+		if i != 1 {
+			run := cls[0].Attach(jobs[i][0], func(amt.Frame) {})
+			cls[0].Shutdown()
+			run.Close()
 		}
+		jobs[i][0].End()
+		jobs[i][1] = awaitEvent(t, cls[1], amt.EventJob, jobs[i][0].Gen).Job
 	}
-	sub.Close()
-	opts := func(gen uint32) func(int) DistOptions {
+	awaitEvent(t, cls[1], amt.EventRunDone, jobs[2][0].Gen)
+	opts := func(job [2]*amt.Job) func(int) DistOptions {
 		return func(r int) DistOptions {
 			o := distOpts(r)
-			o.Generation, o.Timeout = gen, 20*time.Second
+			o.Job, o.Timeout = job[r], 20*time.Second
 			return o
 		}
 	}
-	pots, _, errs := dw.run(cls, opts(8))
+	pots, _, errs := dw.run(cls, opts(jobs[1]))
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, dw.want, 1e-12)
 
 	start := time.Now()
-	if _, _, err := DistRun(dw.plans[1], cls[1], nil, opts(9)(1)); err != nil {
-		t.Fatalf("the worker's late run 9: %v", err)
+	if _, _, err := DistRun(dw.plans[1], cls[1], nil, opts(jobs[2])(1)); err != nil {
+		t.Fatalf("the worker's late run of the third job: %v", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("the worker took %v to learn that run 9 was over", d)
+		t.Errorf("the worker took %v to learn that the third job was over", d)
 	}
 }
 

@@ -12,17 +12,17 @@ import (
 
 // FuzzJobSpec drives the control-plane job codec with arbitrary bytes.
 // Decode must never panic; a spec it accepts must reach a fixpoint after
-// one canonicalizing round trip (the first decode may normalize, e.g. an
-// explicit empty pre_dead list re-encodes as absent, but after that the
-// encoding must be stable).
+// one canonicalizing round trip (the first decode may normalize, e.g. a
+// field of an older spec — gen, pre_dead, run_seed: the cluster carries
+// those now — is dropped, but after that the encoding must be stable).
 func FuzzJobSpec(f *testing.F) {
 	f.Add((&jobSpec{
-		Gen: 1, Distribution: "cube", N: 64, Seed: 1,
-		Kernel: "laplace", Digits: 3, Threshold: 40, RunSeed: 1, TimeoutMS: 500,
+		Distribution: "cube", N: 64, Seed: 1,
+		Kernel: "laplace", Digits: 3, Threshold: 40, TimeoutMS: 500,
 	}).encode())
 	f.Add((&jobSpec{
-		Gen: 2, PreDead: []int{1, 3}, Distribution: "sphere", N: 10, Seed: 3,
-		Kernel: "yukawa", Lambda: 2.5, Digits: 6, Threshold: 10, RunSeed: 4, TimeoutMS: 100,
+		Distribution: "sphere", N: 10, Seed: 3,
+		Kernel: "yukawa", Lambda: 2.5, Digits: 6, Threshold: 10, TimeoutMS: 100,
 	}).encode())
 	f.Add([]byte(`{"gen":7,"pre_dead":[],"n":-1,"lambda":1e300}`))
 	f.Add([]byte(`{"gen":`))

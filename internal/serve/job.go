@@ -5,14 +5,12 @@ import "encoding/json"
 // jobSpec is the job payload rank 0 broadcasts over the cluster's control
 // star for one distributed evaluation. It carries everything a worker rank
 // needs to build the identical plan (SPMD: every rank derives the same
-// tree, DAG and placement from the same scenario) plus the job's wire
-// generation and the dead-rank base the placement starts from. Charges are
-// deliberately absent — rank 0 broadcasts them in-band once the run is up
-// (core.DistRun), so the control frame stays small.
+// tree, DAG and placement from the same scenario). What identifies the run
+// — its wire generation, which also seeds it, and the dead-rank base of the
+// placement — is the cluster's to carry (amt.Job). Charges are deliberately
+// absent — rank 0 broadcasts them in-band once the run is up (core.DistRun),
+// so the control frame stays small.
 type jobSpec struct {
-	Gen     uint32 `json:"gen"`
-	PreDead []int  `json:"pre_dead,omitempty"`
-
 	Distribution string  `json:"distribution"`
 	N            int     `json:"n"`
 	Seed         int64   `json:"seed"`
@@ -21,8 +19,6 @@ type jobSpec struct {
 	Digits       int     `json:"digits"`
 	Threshold    int     `json:"threshold"`
 
-	// RunSeed seeds the runtime's steal/backoff RNGs (never the results).
-	RunSeed int64 `json:"run_seed"`
 	// TimeoutMS is rank 0's evaluation budget; workers add a grace margin
 	// on top so a coordinator-side timeout resolves the run before the
 	// workers give up on their own.

@@ -31,11 +31,6 @@ type Pool struct {
 	events  *amt.Subscription // the supervisor's cursor: verdicts and re-admissions, from the cluster's first event
 	breaker *breaker
 
-	// jobMu serializes distributed evaluations: the cluster runs one job at
-	// a time (StartJob defers re-admission until EndJob).
-	jobMu    sync.Mutex
-	prevWire amt.WireStats // guarded by jobMu: last run's cumulative wire counters
-
 	ranks []*rankState // index 1..World-1; [0] unused
 
 	requests atomic.Int64
@@ -165,7 +160,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	p := &Pool{
 		cfg:     cfg,
 		cl:      cl,
-		events:  cl.Subscribe(0),
+		events:  cl.Subscribe(),
 		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		ranks:   make([]*rankState, world),
 		cmd:     cfg.WorkerCommand,
@@ -230,13 +225,10 @@ func (p *Pool) Evaluate(ctx context.Context, req *Request, entry *planEntry, cha
 		return nil, core.ExecReport{}, fmt.Errorf("%w: breaker %s", ErrDegraded, p.breaker.current())
 	}
 	p.requests.Add(1)
-	p.jobMu.Lock()
-	defer p.jobMu.Unlock()
 	if p.cl.LiveWorkers() == 0 {
 		p.breaker.failure()
 		return nil, core.ExecReport{}, fmt.Errorf("%w: no live workers", ErrDegraded)
 	}
-	//lint:ignore lockorder jobMu serializes whole distributed jobs by design — the standing cluster runs one collective job at a time, so the critical section IS the job
 	pots, rep, err := p.runJob(ctx, req, entry, charges)
 	if err != nil && ctx.Err() == nil && p.cl.LiveWorkers() > 0 {
 		// A worker died mid-run (or the run otherwise broke) and time
@@ -244,7 +236,6 @@ func (p *Pool) Evaluate(ctx context.Context, req *Request, entry *planEntry, cha
 		// carries the updated dead-rank base, so the retry places nothing
 		// on the corpse.
 		p.retries.Add(1)
-		//lint:ignore lockorder jobMu serializes whole distributed jobs by design — the standing cluster runs one collective job at a time, so the critical section IS the job
 		pots, rep, err = p.runJob(ctx, req, entry, charges)
 	}
 	if err != nil {
@@ -257,9 +248,9 @@ func (p *Pool) Evaluate(ctx context.Context, req *Request, entry *planEntry, cha
 	return pots, rep, nil
 }
 
-// runJob broadcasts one job and runs rank 0's side of it.
-//
-//dashmm:locked Pool.jobMu — documented precondition: Evaluate serializes jobs on jobMu before calling.
+// runJob starts one job — the cluster makes it wait for the one before it:
+// a standing cluster runs one collective job at a time — and runs rank 0's
+// side of it.
 func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charges []float64) ([]float64, core.ExecReport, error) {
 	timeout := 2 * time.Minute
 	if d, ok := ctx.Deadline(); ok {
@@ -270,42 +261,20 @@ func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charg
 	}
 	spec := jobSpecFrom(req, entry.plan.Threshold())
 	spec.TimeoutMS = timeout.Milliseconds()
-	//lint:ignore lockorder jobMu serializes whole distributed jobs by design — the standing cluster runs one collective job at a time, so the critical section IS the job
-	gen, deadOrder := p.cl.StartJob(func(gen uint32, deadOrder []int) []byte {
-		spec.Gen = gen
-		spec.PreDead = deadOrder
-		spec.RunSeed = int64(gen)
-		return spec.encode()
-	})
-	defer p.cl.EndJob()
-	//lint:ignore lockorder jobMu serializes whole distributed jobs by design — the standing cluster runs one collective job at a time, so the critical section IS the job
+	job := p.cl.StartJob(spec.encode())
+	defer job.End()
 	pots, rep, err := core.DistRun(entry.plan, p.cl, charges, core.DistOptions{
-		Workers:    p.cfg.RankThreads,
-		Seed:       spec.RunSeed,
-		Timeout:    timeout,
-		Generation: gen,
-		PreDead:    deadOrder,
-		Cancel:     ctx.Done(),
+		Workers: p.cfg.RankThreads,
+		Seed:    int64(job.Gen),
+		Timeout: timeout,
+		Job:     job,
+		Cancel:  ctx.Done(),
 	})
 	if err != nil {
 		// Release the surviving workers' runs: their rank≠0 DistRun returns
 		// cleanly on Shutdown and they stay alive for the retry.
-		//lint:ignore lockorder jobMu serializes whole distributed jobs by design — the standing cluster runs one collective job at a time, so the critical section IS the job
 		p.cl.Shutdown()
 	}
-	// The transport's wire counters are cumulative over the standing
-	// cluster; report this run's delta so /metrics aggregation stays
-	// additive per request.
-	cur := p.cl.Transport().Stats()
-	tr := &rep.Runtime.Transport
-	tr.Dropped = cur.Dropped - p.prevWire.Dropped
-	tr.WireMessages = cur.Messages - p.prevWire.Messages
-	tr.BytesOut = cur.BytesOut - p.prevWire.BytesOut
-	tr.BytesIn = cur.BytesIn - p.prevWire.BytesIn
-	tr.Reconnects = cur.Reconnects - p.prevWire.Reconnects
-	tr.HandshakeFailures = cur.HandshakeFailures - p.prevWire.HandshakeFailures
-	tr.StaleFenced = cur.StaleFenced - p.prevWire.StaleFenced
-	p.prevWire = cur
 	return pots, rep, err
 }
 
@@ -324,9 +293,6 @@ func (p *Pool) Close() {
 		p.wg.Wait()
 	})
 }
-
-// Generation exposes the cluster's current wire generation (metrics).
-func (p *Pool) Generation() uint32 { return p.cl.Generation() }
 
 // SetWorkerCommand swaps the argv used for future respawns (tests: point
 // respawns at a fast-fail stub to exercise the restart budget).
@@ -358,7 +324,7 @@ func (p *Pool) spawn(rs *rankState, rejoin bool) error {
 		JoinTimeout: p.cfg.JoinTimeout,
 	}
 	cmd := exec.Command(argv[0], argv[1:]...)
-	cmd.Env = append(os.Environ(), env.environ()...)
+	cmd.Env = append(os.Environ(), env.environ())
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {

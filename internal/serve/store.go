@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/amt"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/tree"
@@ -74,6 +74,8 @@ var (
 	errStoreShort    = errors.New("serve: truncated store record")
 )
 
+var le = binary.LittleEndian
+
 // Store is a directory of plan records, one file per plan key.
 type Store struct {
 	dir string
@@ -125,10 +127,10 @@ func (st *Store) recordPath(key string) string {
 func (st *Store) Put(rec *PlanRecord) (int64, error) {
 	payload := appendRecord(nil, rec)
 	buf := make([]byte, storeHeaderSize, storeHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], storeMagic)
+	le.PutUint32(buf[0:], storeMagic)
 	buf[4] = storeVersion
-	binary.LittleEndian.PutUint64(buf[8:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(buf[16:], crc32.ChecksumIEEE(payload))
+	le.PutUint64(buf[8:], uint64(len(payload)))
+	le.PutUint32(buf[16:], crc32.ChecksumIEEE(payload))
 	buf = append(buf, payload...)
 
 	path := st.recordPath(rec.Key)
@@ -197,13 +199,13 @@ func readRecordFile(path string) (*PlanRecord, error) {
 	if len(buf) < storeHeaderSize {
 		return nil, errStoreShort
 	}
-	if binary.LittleEndian.Uint32(buf[0:]) != storeMagic {
+	if le.Uint32(buf[0:]) != storeMagic {
 		return nil, errStoreMagic
 	}
 	if buf[4] != storeVersion {
 		return nil, fmt.Errorf("%w: got %d, want %d", errStoreVersion, buf[4], storeVersion)
 	}
-	plen := binary.LittleEndian.Uint64(buf[8:])
+	plen := le.Uint64(buf[8:])
 	if plen > maxStoreRecord {
 		return nil, fmt.Errorf("%w: %d bytes", errStoreTooBig, plen)
 	}
@@ -211,7 +213,7 @@ func readRecordFile(path string) (*PlanRecord, error) {
 		return nil, errStoreShort
 	}
 	payload := buf[storeHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[16:]) {
+	if crc32.ChecksumIEEE(payload) != le.Uint32(buf[16:]) {
 		return nil, errStoreChecksum
 	}
 	return decodeRecord(payload)
@@ -225,172 +227,72 @@ func readRecordFile(path string) (*PlanRecord, error) {
 //
 //dashmm:wire planrecord encode PlanRecord
 func appendRecord(dst []byte, rec *PlanRecord) []byte {
-	dst = appendBytes(dst, []byte(rec.Key))
+	dst = amt.AppendBytes(dst, []byte(rec.Key))
 	spec, _ := json.Marshal(storedSpec{Request: rec.Spec, ResolvedThreshold: rec.Threshold})
-	dst = appendBytes(dst, spec)
+	dst = amt.AppendBytes(dst, spec)
 	dst = appendSkeleton(dst, rec.Source)
 	dst = appendSkeleton(dst, rec.Target)
-	dst = appendU32(dst, uint32(len(rec.Ops)))
+	dst = le.AppendUint32(dst, uint32(len(rec.Ops)))
 	for _, op := range rec.Ops {
 		dst = append(dst, op.Kind)
-		dst = appendU64(dst, op.SideBits)
+		dst = le.AppendUint64(dst, op.SideBits)
 		dst = append(dst, byte(op.DX), byte(op.DY), byte(op.DZ))
-		dst = appendU32(dst, uint32(len(op.Mx)))
-		for _, v := range op.Mx {
-			dst = appendU64(dst, math.Float64bits(real(v)))
-			dst = appendU64(dst, math.Float64bits(imag(v)))
-		}
+		dst = le.AppendUint32(dst, uint32(len(op.Mx)))
+		dst = amt.AppendC128s(dst, op.Mx)
 	}
 	return dst
 }
 
 func appendSkeleton(dst []byte, sk tree.Skeleton) []byte {
-	dst = appendU64(dst, math.Float64bits(sk.Domain.Low.X))
-	dst = appendU64(dst, math.Float64bits(sk.Domain.Low.Y))
-	dst = appendU64(dst, math.Float64bits(sk.Domain.Low.Z))
-	dst = appendU64(dst, math.Float64bits(sk.Domain.Side))
-	dst = appendU32(dst, uint32(len(sk.Perm)))
+	dst = amt.AppendF64s(dst, sk.Domain.Low.X, sk.Domain.Low.Y, sk.Domain.Low.Z, sk.Domain.Side)
+	dst = le.AppendUint32(dst, uint32(len(sk.Perm)))
 	for _, p := range sk.Perm {
-		dst = appendU32(dst, uint32(p))
+		dst = le.AppendUint32(dst, uint32(p))
 	}
-	dst = appendU32(dst, uint32(len(sk.Boxes)))
+	dst = le.AppendUint32(dst, uint32(len(sk.Boxes)))
 	for _, b := range sk.Boxes {
 		dst = append(dst, byte(b.Index.Level))
-		dst = appendU32(dst, uint32(b.Index.X))
-		dst = appendU32(dst, uint32(b.Index.Y))
-		dst = appendU32(dst, uint32(b.Index.Z))
-		dst = appendU32(dst, uint32(b.Lo))
-		dst = appendU32(dst, uint32(b.Hi))
+		dst = le.AppendUint32(dst, uint32(b.Index.X))
+		dst = le.AppendUint32(dst, uint32(b.Index.Y))
+		dst = le.AppendUint32(dst, uint32(b.Index.Z))
+		dst = le.AppendUint32(dst, uint32(b.Lo))
+		dst = le.AppendUint32(dst, uint32(b.Hi))
 	}
 	return dst
 }
 
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendBytes(dst, v []byte) []byte {
-	dst = appendU32(dst, uint32(len(v)))
-	return append(dst, v...)
-}
-
-// recReader is a bounds-checked cursor over a record payload. Every read
-// checks remaining length; the first failure latches err and subsequent
-// reads return zero values, so decode paths stay straight-line.
-type recReader struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (r *recReader) fail() {
-	if r.err == nil {
-		r.err = errStoreShort
-	}
-}
-
-func (r *recReader) u8() byte {
-	if r.err != nil || r.pos+1 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *recReader) u32() uint32 {
-	if r.err != nil || r.pos+4 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *recReader) u64() uint64 {
-	if r.err != nil || r.pos+8 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return v
-}
-
-func (r *recReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *recReader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.pos+n > len(r.buf) {
-		r.fail()
-		return nil
-	}
-	v := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return v
-}
-
-// count reads a u32 element count and sanity-bounds it against the bytes
-// that remain (each element needs at least elemSize bytes), so a corrupted
-// count cannot drive a huge allocation.
-func (r *recReader) count(elemSize int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || n*elemSize > len(r.buf)-r.pos {
-		r.fail()
-		return 0
-	}
-	return n
-}
-
+// Every count below is checked against the bytes that remain before
+// anything is sized from it (amt.Cursor.Count), so a corrupted count cannot
+// drive a huge allocation.
+//
 //dashmm:wire planrecord decode PlanRecord
 func decodeRecord(payload []byte) (*PlanRecord, error) {
-	r := &recReader{buf: payload}
-	rec := &PlanRecord{Key: string(r.bytes())}
-	specJSON := r.bytes()
-	if r.err == nil {
+	r := amt.NewCursor(payload)
+	rec := &PlanRecord{Key: string(r.Bytes())}
+	specJSON := r.Bytes()
+	if !r.Short() {
 		var spec storedSpec
 		if err := json.Unmarshal(specJSON, &spec); err != nil {
 			return nil, fmt.Errorf("serve: store record spec: %w", err)
 		}
 		rec.Spec, rec.Threshold = spec.Request, spec.ResolvedThreshold
 	}
-	rec.Source = readSkeleton(r)
-	rec.Target = readSkeleton(r)
-	nOps := r.count(1 + 8 + 3 + 4)
-	for i := 0; i < nOps && r.err == nil; i++ {
+	rec.Source = readSkeleton(&r)
+	rec.Target = readSkeleton(&r)
+	for i, nOps := 0, r.Count(1+8+3+4); i < nOps && !r.Short(); i++ {
 		op := kernel.OperatorTable{
-			Kind:     r.u8(),
-			SideBits: r.u64(),
-			DX:       int8(r.u8()),
-			DY:       int8(r.u8()),
-			DZ:       int8(r.u8()),
+			Kind:     r.U8(),
+			SideBits: r.U64(),
+			DX:       int8(r.U8()),
+			DY:       int8(r.U8()),
+			DZ:       int8(r.U8()),
 		}
-		nMx := r.count(16)
-		op.Mx = make([]complex128, 0, nMx)
-		for j := 0; j < nMx && r.err == nil; j++ {
-			re, im := r.f64(), r.f64()
-			op.Mx = append(op.Mx, complex(re, im))
-		}
+		op.Mx = make([]complex128, r.Count(16))
+		r.C128s(op.Mx)
 		rec.Ops = append(rec.Ops, op)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(r.buf) {
-		return nil, fmt.Errorf("serve: %d trailing bytes in store record", len(r.buf)-r.pos)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("serve: store record: %w", err)
 	}
 	if rec.Key == "" {
 		return nil, errors.New("serve: store record has an empty plan key")
@@ -398,28 +300,25 @@ func decodeRecord(payload []byte) (*PlanRecord, error) {
 	return rec, nil
 }
 
-func readSkeleton(r *recReader) tree.Skeleton {
+func readSkeleton(r *amt.Cursor) tree.Skeleton {
 	var sk tree.Skeleton
-	sk.Domain.Low.X = r.f64()
-	sk.Domain.Low.Y = r.f64()
-	sk.Domain.Low.Z = r.f64()
-	sk.Domain.Side = r.f64()
-	nPerm := r.count(4)
-	sk.Perm = make([]int, 0, nPerm)
-	for i := 0; i < nPerm && r.err == nil; i++ {
-		sk.Perm = append(sk.Perm, int(r.u32()))
+	sk.Domain.Low.X = r.F64()
+	sk.Domain.Low.Y = r.F64()
+	sk.Domain.Low.Z = r.F64()
+	sk.Domain.Side = r.F64()
+	sk.Perm = make([]int, r.Count(4))
+	for i := range sk.Perm {
+		sk.Perm[i] = int(r.U32())
 	}
-	nBoxes := r.count(1 + 4*5)
-	sk.Boxes = make([]tree.SkeletonBox, 0, nBoxes)
-	for i := 0; i < nBoxes && r.err == nil; i++ {
-		var b tree.SkeletonBox
-		b.Index.Level = int8(r.u8())
-		b.Index.X = int32(r.u32())
-		b.Index.Y = int32(r.u32())
-		b.Index.Z = int32(r.u32())
-		b.Lo = int(r.u32())
-		b.Hi = int(r.u32())
-		sk.Boxes = append(sk.Boxes, b)
+	sk.Boxes = make([]tree.SkeletonBox, r.Count(1+4*5))
+	for i := range sk.Boxes {
+		b := &sk.Boxes[i]
+		b.Index.Level = int8(r.U8())
+		b.Index.X = int32(r.U32())
+		b.Index.Y = int32(r.U32())
+		b.Index.Z = int32(r.U32())
+		b.Lo = int(r.U32())
+		b.Hi = int(r.U32())
 	}
 	return sk
 }

@@ -1,9 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/amt"
@@ -11,7 +11,7 @@ import (
 )
 
 // Worker-rank side of the serve pool. A worker is the same binary as the
-// daemon, re-executed with DASHMM_SERVE_WORKER=1 (the stamped self-exec
+// daemon, re-executed with DASHMM_SERVE_WORKER set (the stamped self-exec
 // pattern from cmd/dashmm-bench): MaybeWorker intercepts startup, joins the
 // coordinator's cluster, and loops — build the broadcast job's plan from a
 // local cache, run core.DistRun as its rank, repeat — until the coordinator
@@ -22,20 +22,9 @@ import (
 // exit; the supervisor on rank 0 observes the death verdict and respawns a
 // fresh incarnation that REJOINs. No in-place repair, no half-alive states.
 
-// Environment variable names for the worker re-exec handshake.
-const (
-	envWorkerFlag    = "DASHMM_SERVE_WORKER"
-	envWorkerRank    = "DASHMM_SERVE_RANK"
-	envWorkerWorld   = "DASHMM_SERVE_WORLD"
-	envWorkerNet     = "DASHMM_SERVE_NET"
-	envWorkerAddr    = "DASHMM_SERVE_ADDR"
-	envWorkerStamp   = "DASHMM_SERVE_STAMP"
-	envWorkerThreads = "DASHMM_SERVE_THREADS"
-	envWorkerRejoin  = "DASHMM_SERVE_REJOIN"
-	envWorkerHBMS    = "DASHMM_SERVE_HB_MS"
-	envWorkerHBMiss  = "DASHMM_SERVE_HB_MISS"
-	envWorkerJoinMS  = "DASHMM_SERVE_JOIN_MS"
-)
+// envWorker is the one environment variable of the worker re-exec handshake:
+// it carries the encoded WorkerEnv, and its presence makes a process a worker.
+const envWorker = "DASHMM_SERVE_WORKER"
 
 // WorkerEnv is the spawn contract between the supervisor and a worker
 // process.
@@ -46,82 +35,29 @@ type WorkerEnv struct {
 	Stamp       string
 	Threads     int
 	Rejoin      bool
-	Heartbeat   amt.FailureDetectorConfig
+	Heartbeat   amt.FailureDetectorConfig // durations travel as integer nanoseconds
 	JoinTimeout time.Duration
 }
 
-// environ renders the env entries the supervisor appends to the worker's
+// environ renders the env entry the supervisor appends to the worker's
 // command environment.
-func (e WorkerEnv) environ() []string {
-	rejoin := "0"
-	if e.Rejoin {
-		rejoin = "1"
-	}
-	return []string{
-		envWorkerFlag + "=1",
-		envWorkerRank + "=" + strconv.Itoa(e.Rank),
-		envWorkerWorld + "=" + strconv.Itoa(e.World),
-		envWorkerNet + "=" + e.Network,
-		envWorkerAddr + "=" + e.Addr,
-		envWorkerStamp + "=" + e.Stamp,
-		envWorkerThreads + "=" + strconv.Itoa(e.Threads),
-		envWorkerRejoin + "=" + rejoin,
-		envWorkerHBMS + "=" + strconv.FormatInt(e.Heartbeat.Interval.Milliseconds(), 10),
-		envWorkerHBMiss + "=" + strconv.Itoa(e.Heartbeat.MissedBeats),
-		envWorkerJoinMS + "=" + strconv.FormatInt(e.JoinTimeout.Milliseconds(), 10),
-	}
-}
-
-func workerEnvFromOS() (WorkerEnv, error) {
-	geti := func(key string) (int, error) {
-		v, err := strconv.Atoi(os.Getenv(key))
-		if err != nil {
-			return 0, fmt.Errorf("%s=%q: %w", key, os.Getenv(key), err)
-		}
-		return v, nil
-	}
-	var e WorkerEnv
-	var err error
-	if e.Rank, err = geti(envWorkerRank); err != nil {
-		return e, err
-	}
-	if e.World, err = geti(envWorkerWorld); err != nil {
-		return e, err
-	}
-	if e.Threads, err = geti(envWorkerThreads); err != nil {
-		return e, err
-	}
-	hbms, err := geti(envWorkerHBMS)
-	if err != nil {
-		return e, err
-	}
-	if e.Heartbeat.MissedBeats, err = geti(envWorkerHBMiss); err != nil {
-		return e, err
-	}
-	joinms, err := geti(envWorkerJoinMS)
-	if err != nil {
-		return e, err
-	}
-	e.Heartbeat.Interval = time.Duration(hbms) * time.Millisecond
-	e.JoinTimeout = time.Duration(joinms) * time.Millisecond
-	e.Network = os.Getenv(envWorkerNet)
-	e.Addr = os.Getenv(envWorkerAddr)
-	e.Stamp = os.Getenv(envWorkerStamp)
-	e.Rejoin = os.Getenv(envWorkerRejoin) == "1"
-	return e, nil
+func (e WorkerEnv) environ() string {
+	b, _ := json.Marshal(e) // plain scalars all the way down: cannot fail
+	return envWorker + "=" + string(b)
 }
 
 // MaybeWorker intercepts a process started as a pool worker: if the worker
-// environment flag is set it runs the worker loop and exits the process
-// (status 0 on a clean EXIT, 1 on any error). Call it first thing in main
-// (and in TestMain for packages whose tests spawn pools). Returns false in
-// an ordinary daemon process.
+// environment variable is set it decodes it, runs the worker loop and exits
+// the process (status 0 on a clean EXIT, 1 on any error). Call it first thing
+// in main (and in TestMain for packages whose tests spawn pools). Returns
+// false in an ordinary daemon process.
 func MaybeWorker() bool {
-	if os.Getenv(envWorkerFlag) != "1" {
+	enc, ok := os.LookupEnv(envWorker)
+	if !ok {
 		return false
 	}
-	env, err := workerEnvFromOS()
-	if err != nil {
+	var env WorkerEnv
+	if err := json.Unmarshal([]byte(enc), &env); err != nil {
 		fmt.Fprintln(os.Stderr, "dashmm-serve worker: bad environment:", err)
 		os.Exit(1)
 	}
@@ -160,7 +96,7 @@ func RunWorker(env WorkerEnv) error {
 	// that landed between the handshake and this line is in it. While a job
 	// runs nothing is read here — the run has a cursor of its own — and the
 	// next job waits in the log.
-	events := cl.Subscribe(0)
+	events := cl.Subscribe()
 	defer events.Close()
 	// Plans cached across jobs, exactly like the daemon's cache: a pool
 	// serving a warm key re-runs without rebuilding anything.
@@ -176,7 +112,7 @@ func RunWorker(env WorkerEnv) error {
 			// and be respawned against whatever coordinator comes next.
 			return nil
 		case amt.EventJob:
-			if err := runWorkerJob(cl, cache, env.Threads, ev.Gen, ev.Payload); err != nil {
+			if err := runWorkerJob(cl, cache, env.Threads, ev.Job); err != nil {
 				return fmt.Errorf("rank %d job (gen %d): %w", env.Rank, ev.Gen, err)
 			}
 		}
@@ -184,8 +120,8 @@ func RunWorker(env WorkerEnv) error {
 }
 
 // runWorkerJob executes one broadcast job on a worker rank.
-func runWorkerJob(cl *amt.Cluster, cache *planCache, threads int, gen uint32, payload []byte) error {
-	spec, err := decodeJobSpec(payload)
+func runWorkerJob(cl *amt.Cluster, cache *planCache, threads int, job *amt.Job) error {
+	spec, err := decodeJobSpec(job.Payload)
 	if err != nil {
 		return fmt.Errorf("bad job payload: %w", err)
 	}
@@ -207,11 +143,10 @@ func runWorkerJob(cl *amt.Cluster, cache *planCache, threads int, gen uint32, pa
 	defer entry.mu.Unlock()
 	//lint:ignore lockorder entry.mu serializes evaluation of one plan by design (stampede protection): the critical section is the evaluation itself
 	_, _, err = core.DistRun(entry.plan, cl, nil, core.DistOptions{
-		Workers:    threads,
-		Seed:       spec.RunSeed,
-		Timeout:    timeout,
-		Generation: gen,
-		PreDead:    spec.PreDead,
+		Workers: threads,
+		Seed:    int64(job.Gen),
+		Timeout: timeout,
+		Job:     job,
 	})
 	return err
 }

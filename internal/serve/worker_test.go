@@ -3,8 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -73,12 +76,8 @@ func TestWorkerExitsOnCoordinatorLossMidRun(t *testing.T) {
 	// Broadcast a job but never run rank 0's side of it: the worker enters
 	// DistRun and blocks waiting for the charge broadcast...
 	spec := &jobSpec{Distribution: "cube", N: 400, Seed: 1, Kernel: "laplace",
-		Digits: 3, RunSeed: 7, TimeoutMS: 60_000}
-	coord.StartJob(func(gen uint32, deadOrder []int) []byte {
-		spec.Gen = gen
-		spec.PreDead = deadOrder
-		return spec.encode()
-	})
+		Digits: 3, TimeoutMS: 60_000}
+	coord.StartJob(spec.encode())
 
 	// ...give it a moment to get there, then the coordinator dies.
 	time.Sleep(300 * time.Millisecond)
@@ -163,5 +162,50 @@ func TestSupervisorRestartBudgetAbandonsCrashLoop(t *testing.T) {
 	_, _, err := p.Evaluate(ctx, req, nil, nil)
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Evaluate after abandon: %v, want ErrDegraded", err)
+	}
+}
+
+// Back-to-back distributed evaluations on a standing pool: the client sends
+// its next request the moment it has decoded the last reply, so rank 0's
+// charge broadcast for job g+1 reaches the worker while that is still
+// leaving job g (or, on a never-seen key, building its plan). The frames
+// wait at the worker's generation fence for the run they belong to; they
+// used to be dropped there as "not this rank's generation" and came back
+// one retransmission interval (200 ms) later, about once per three
+// evaluations. The log line is the latency distribution ROADMAP item 6
+// quotes.
+func TestBackToBackJobsNeedNoRetransmission(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks worker processes")
+	}
+	const n, requests = 4000, 200
+	pool := fastPool(t, 1, nil)
+	srv := New(Config{DistThreshold: 1000})
+	srv.AttachPool(pool)
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	req := Request{N: n, DeadlineMS: 60_000}
+	if status, resp, eb := post(t, hs.URL, req); status != http.StatusOK || !resp.Report.Distributed {
+		t.Fatalf("cold request: status=%d report=%+v err=%+v", status, resp, eb)
+	}
+	before := srv.metrics.WireRetried.Load()
+	lat := make([]time.Duration, requests)
+	var sum time.Duration
+	for i := range lat {
+		start := time.Now()
+		status, resp, eb := post(t, hs.URL, req)
+		lat[i] = time.Since(start)
+		sum += lat[i]
+		if status != http.StatusOK || !resp.Report.Distributed {
+			t.Fatalf("request %d: status=%d report=%+v err=%+v", i, status, resp, eb)
+		}
+	}
+	retried := srv.metrics.WireRetried.Load() - before
+	slices.Sort(lat)
+	t.Logf("%d back-to-back evaluations, N=%d, 2 ranks: p50 %v, p90 %v, max %v, mean %v; %d retransmissions (%.3f per evaluation)",
+		requests, n, lat[requests/2], lat[requests*9/10], lat[requests-1], sum/requests, retried, float64(retried)/requests)
+	if retried > 2 {
+		t.Errorf("%d frames were retransmitted over %d fault-free evaluations, want none (2 tolerated)", retried, requests)
 	}
 }

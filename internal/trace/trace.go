@@ -18,55 +18,6 @@ import (
 	"time"
 )
 
-// Transport event classes: the parcel delivery layer records one
-// zero-duration marker event per injected or recovered fault (retry,
-// wire drop, wire duplication, delivery deadline exceeded). The values sit
-// at the top of the uint8 range, far above the dag.OpKind operator classes,
-// so fault markers never collide with operator events in an analysis.
-const (
-	ClassNetRetry    uint8 = 0xF0
-	ClassNetDrop     uint8 = 0xF1
-	ClassNetDup      uint8 = 0xF2
-	ClassNetDeadline uint8 = 0xF3
-)
-
-// Recovery event classes: the crash-recovery machinery records one
-// zero-duration marker per lifecycle step — a locality killed (injected
-// crash or detector fencing), a failure-detector verdict, an ownership
-// failover, and the seeding of an orphaned-subgraph replay. They occupy
-// 0xE0.. so they collide with neither operator classes nor the 0xF0..
-// transport markers.
-const (
-	ClassRecoveryKill     uint8 = 0xE0
-	ClassRecoveryDetect   uint8 = 0xE1
-	ClassRecoveryFailover uint8 = 0xE2
-	ClassRecoveryReplay   uint8 = 0xE3
-)
-
-// NetClassName names a transport or recovery marker event class ("" for
-// operator classes).
-func NetClassName(c uint8) string {
-	switch c {
-	case ClassNetRetry:
-		return "net-retry"
-	case ClassNetDrop:
-		return "net-drop"
-	case ClassNetDup:
-		return "net-dup"
-	case ClassNetDeadline:
-		return "net-deadline"
-	case ClassRecoveryKill:
-		return "recovery-kill"
-	case ClassRecoveryDetect:
-		return "recovery-detect"
-	case ClassRecoveryFailover:
-		return "recovery-failover"
-	case ClassRecoveryReplay:
-		return "recovery-replay"
-	}
-	return ""
-}
-
 // Event is one recorded operator execution. Times are nanoseconds on the
 // executor's clock (wall time for the real runtime, virtual time for the
 // simulator).
@@ -79,16 +30,13 @@ type Event struct {
 }
 
 // Tracer collects events from concurrent workers. Each worker writes to its
-// own buffer; virtual events (simulator, transport fault markers) go to a
-// separate mutex-guarded buffer so they never race a live worker's
-// lock-free appends. Snapshot merges everything.
+// own buffer; Snapshot merges them.
 type Tracer struct {
 	mu sync.Mutex
 	// buffers is sliced per worker: buffers[w] is owned by worker w while it
 	// runs (see Record), and the whole slice is guarded by mu whenever any
 	// cross-worker reader (Snapshot, Reset) touches it.
 	buffers [][]Event // guarded by mu
-	virtual []Event   // guarded by mu
 	epoch   time.Time // guarded by mu
 	enabled bool
 }
@@ -129,17 +77,6 @@ func (t *Tracer) Record(w int, ev Event) {
 	t.buffers[w] = append(t.buffers[w], ev)
 }
 
-// RecordVirtual appends an event on behalf of a simulator or the parcel
-// transport (any goroutine); it takes the tracer lock.
-func (t *Tracer) RecordVirtual(ev Event) {
-	if t == nil || !t.enabled {
-		return
-	}
-	t.mu.Lock()
-	t.virtual = append(t.virtual, ev)
-	t.mu.Unlock()
-}
-
 // Snapshot returns all events recorded so far, sorted by start time.
 func (t *Tracer) Snapshot() []Event {
 	t.mu.Lock()
@@ -148,7 +85,6 @@ func (t *Tracer) Snapshot() []Event {
 	for _, b := range t.buffers {
 		all = append(all, b...)
 	}
-	all = append(all, t.virtual...)
 	sort.Slice(all, func(i, j int) bool { return all[i].Start < all[j].Start })
 	return all
 }
@@ -160,7 +96,6 @@ func (t *Tracer) Reset() {
 	for i := range t.buffers {
 		t.buffers[i] = t.buffers[i][:0]
 	}
-	t.virtual = t.virtual[:0]
 	t.epoch = time.Now()
 }
 
@@ -261,17 +196,11 @@ func Span(events []Event) (start, end int64) {
 }
 
 // AvgMicrosByClass returns the average event duration per class in
-// microseconds (the t_avg column of Table II). Transport and recovery
-// marker classes (the zero-duration 0xE0../0xF0.. events) are excluded:
-// they are occurrence counters, not timed operator executions, and
-// averaging them would emit meaningless 0µs rows in the Table II output.
+// microseconds (the t_avg column of Table II).
 func AvgMicrosByClass(events []Event) map[uint8]float64 {
 	sum := map[uint8]float64{}
 	cnt := map[uint8]int{}
 	for _, ev := range events {
-		if NetClassName(ev.Class) != "" {
-			continue
-		}
 		sum[ev.Class] += float64(ev.End - ev.Start)
 		cnt[ev.Class]++
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -233,41 +232,12 @@ func TestTracerRoundTrip(t *testing.T) {
 	}
 }
 
-// Worker-local Record and any-goroutine RecordVirtual must be safe to mix:
-// the transport layer records fault markers while workers are live.
-func TestRecordVirtualConcurrentWithRecord(t *testing.T) {
-	const workers, perWorker, virtual = 4, 100, 200
-	tr := New(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				tr.Record(w, Event{Class: 1, Worker: int32(w), Start: int64(i), End: int64(i + 1)})
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < virtual; i++ {
-			tr.RecordVirtual(Event{Class: 2, Worker: -1, Start: int64(i), End: int64(i)})
-		}
-	}()
-	wg.Wait()
-	if got := len(tr.Snapshot()); got != workers*perWorker+virtual {
-		t.Fatalf("got %d events, want %d", got, workers*perWorker+virtual)
-	}
-}
-
 func TestNilTracerIsDisabled(t *testing.T) {
 	var tr *Tracer
 	if tr.Enabled() {
 		t.Error("nil tracer enabled")
 	}
 	tr.Record(0, Event{}) // must not panic
-	tr.RecordVirtual(Event{})
 }
 
 func TestAvgMicrosByClass(t *testing.T) {
@@ -282,33 +252,6 @@ func TestAvgMicrosByClass(t *testing.T) {
 	}
 	if math.Abs(avg[9]-0.5) > 1e-9 {
 		t.Errorf("avg class 9 = %v, want 0.5", avg[9])
-	}
-}
-
-// Regression: the zero-duration transport/recovery marker classes must not
-// appear in the Table II averages — they are occurrence counters, and their
-// 0µs rows used to pollute the table (and any operator class that shared a
-// class byte with a marker would have had its average dragged down).
-func TestAvgMicrosByClassExcludesMarkers(t *testing.T) {
-	events := []Event{
-		{Class: 7, Start: 0, End: 2000},
-		{Class: ClassNetRetry, Start: 100, End: 100},
-		{Class: ClassNetDrop, Start: 200, End: 200},
-		{Class: ClassRecoveryKill, Start: 300, End: 300},
-		{Class: ClassRecoveryReplay, Start: 400, End: 400},
-	}
-	avg := AvgMicrosByClass(events)
-	if len(avg) != 1 {
-		t.Fatalf("got %d classes, want only the operator class: %v", len(avg), avg)
-	}
-	if math.Abs(avg[7]-2) > 1e-9 {
-		t.Errorf("avg class 7 = %v, want 2", avg[7])
-	}
-	for _, c := range []uint8{ClassNetRetry, ClassNetDrop, ClassNetDup, ClassNetDeadline,
-		ClassRecoveryKill, ClassRecoveryDetect, ClassRecoveryFailover, ClassRecoveryReplay} {
-		if _, ok := avg[c]; ok {
-			t.Errorf("marker class %#x (%s) present in averages", c, NetClassName(c))
-		}
 	}
 }
 
@@ -351,36 +294,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if got, err := ReadJSON(&buf); err != nil || len(got) != 0 {
 		t.Errorf("empty round trip: %v %v", got, err)
-	}
-}
-
-// Round trip including the zero-duration transport/recovery marker classes:
-// markers travel the same serialization as operator events and must survive
-// unchanged (class byte, zero duration, negative worker id).
-func TestJSONRoundTripMarkerClasses(t *testing.T) {
-	events := []Event{
-		{Class: 1, Worker: 0, Locality: 0, Start: 10, End: 20},
-		{Class: ClassNetRetry, Worker: -1, Locality: 2, Start: 15, End: 15},
-		{Class: ClassNetDeadline, Worker: -1, Locality: 0, Start: 16, End: 16},
-		{Class: ClassRecoveryKill, Worker: -1, Locality: 1, Start: 17, End: 17},
-		{Class: ClassRecoveryFailover, Worker: -1, Locality: 3, Start: 18, End: 18},
-		{Class: 9, Worker: 3, Locality: 1, Start: 25, End: 40},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("got %d events, want %d", len(got), len(events))
-	}
-	for i := range got {
-		if got[i] != events[i] {
-			t.Errorf("event %d: %+v vs %+v", i, got[i], events[i])
-		}
 	}
 }
 
