@@ -161,8 +161,9 @@ func New(cfg Config) *Runtime {
 	return rt
 }
 
-// Locality returns locality l.
-func (rt *Runtime) Locality(l int) *Locality { return rt.locs[l] }
+// Locality returns the hosted locality of rank l: any of them in-process, the
+// process's own in wire mode.
+func (rt *Runtime) Locality(l int) *Locality { return rt.locs[l-rt.locs[0].Rank] }
 
 // Rank returns the locality rank the worker belongs to.
 func (w *Worker) Rank() int { return w.loc.Rank }

@@ -257,7 +257,7 @@ func TestRuntimeResetRefusals(t *testing.T) {
 	}
 
 	wired := New(Config{World: 2, Rank: 0, Workers: 1, Transport: &recordingWire{}})
-	wired.Run(func() { wired.LocalLocality().Spawn(func(*Worker) {}) })
+	wired.Run(func() { wired.Locality(0).Spawn(func(*Worker) {}) })
 	if err := wired.Reset(); err == nil {
 		t.Fatal("Reset accepted a wire-mode runtime")
 	}

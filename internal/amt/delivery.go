@@ -151,10 +151,6 @@ func newDelivery(rt *Runtime, wire Transport, cfg DeliveryConfig, seed int64, wo
 // can arrive, i.e. before the cluster's data plane starts.
 func (rt *Runtime) OnWire(h WireHandler) { rt.wireHandler = h }
 
-// LocalLocality returns the single locality hosted by this process (wire
-// mode), or locality 0.
-func (rt *Runtime) LocalLocality() *Locality { return rt.locs[0] }
-
 // Hold acquires one pending unit, keeping Run alive while remote input may
 // still arrive: a wire-mode rank cannot infer global quiescence from its
 // local counter, so the driver holds the runtime open until the cluster

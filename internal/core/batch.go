@@ -10,62 +10,66 @@ import (
 
 // Batched execution (DESIGN.md, "Batched execution"). The plan carries
 // batch descriptors (dag.BuildBatches); the executor turns each into one
-// prebuilt task guarded by a pending-source counter. A triggering node
+// prebuilt task.
+//
+// A near list belongs to its target leaf. Its inputs — source points, and
+// charges once a run has them — are on every locality and rank at t = 0, so
+// its task is seeded with the roots on the leaf's home, waits for nothing
+// and applies every S->T edge of the leaf under one target lock. No source
+// node walks an S->T edge and none crosses a locality or a rank: one path
+// under every AMT executor, gradients or not, batch-capable kernel or not.
+//
+// An M->L batch is guarded by a pending-source counter: a triggering node
 // skips its batched out-edges on the per-edge path and decrements the
 // counters of the batches it feeds; the last source in spawns the batch
 // task, which applies every member edge through the kernel's blocked
-// multi-RHS M->L (far field) or cache-tiled P2P (near field) and then runs
-// the ordinary LCO bookkeeping per edge — target lock, reduction, input
-// countdown, trigger — so downstream scheduling is identical to per-edge
-// execution. Batches complete in shared memory: the member edges bypass
-// the parcel accounting (they are skipped by the coalescing loop).
+// multi-RHS M->L and then runs the ordinary LCO bookkeeping per edge —
+// target lock, reduction, input countdown, trigger — so downstream
+// scheduling is identical to per-edge execution. These complete in shared
+// memory (the member edges bypass the parcel accounting), so an executor
+// under a fabric runs list 2 per edge.
 
 // batchBlock is the far-field GEMM block: 16 right-hand sides of scratch
 // (25.6 KB at p=9) keep the accumulation out of the target locks while the
 // 160 KB operator plus the block stays L2-resident.
 const batchBlock = 16
 
-// batchScratch is the pooled per-task scratch of the batch paths.
+// batchScratch is the pooled per-task scratch of the M->L batches.
 type batchScratch struct {
-	buf    []complex128 // batchBlock contiguous out vectors
-	ins    [batchBlock][]complex128
-	outs   [batchBlock][]complex128
-	chunks []kernel.P2PChunk
+	buf  []complex128 // batchBlock contiguous out vectors
+	ins  [batchBlock][]complex128
+	outs [batchBlock][]complex128
 }
 
-// initBatches wires the plan's batch descriptors into the executor:
-// per-batch pending counters, prebuilt batch tasks and the scratch pool.
-// Batching is an execution strategy with a per-shape gate: gradient runs
-// keep the near field per-edge (the tiled P2P computes potentials only),
-// and an executor under a fabric never calls this — batches complete in
-// shared memory.
+// initBatches wires the plan's descriptors into the executor: per target
+// leaf the source chunks of its near list (points and charge slots do not
+// move for the life of the state) and a prebuilt near task; for a
+// batch-capable kernel per-batch pending counters, prebuilt M->L batch tasks
+// and their scratch pool.
 func (ex *executor) initBatches() {
-	p := ex.st.p
-	bk, isBatch := p.Kernel.(kernel.BatchKernel)
-	p2pOn := len(p.batches.P2P) > 0 && ex.st.grad == nil
-	if !isBatch || (len(p.batches.M2L) == 0 && !p2pOn) {
+	st, b := ex.st, ex.st.p.batches
+	ex.near = make([]amt.Task, len(b.P2P))
+	ex.nearChunks = make([][]kernel.P2PChunk, len(b.P2P))
+	for i, pb := range b.P2P {
+		pi := int32(i)
+		ex.near[i] = func(w *amt.Worker) { ex.runNear(w, pi) }
+		for _, be := range pb.Edges {
+			sb := ex.g.Nodes[be.From].Box
+			ex.nearChunks[i] = append(ex.nearChunks[i], kernel.P2PChunk{Pts: st.srcPts(sb), Q: st.q[sb.Lo:sb.Hi]})
+		}
+	}
+	if ex.bk, _ = st.p.Kernel.(kernel.BatchKernel); ex.bk == nil {
 		return
 	}
-	ex.batches, ex.bk, ex.p2pOn = p.batches, bk, p2pOn
-	nb := p.batches.NumBatches()
-	ex.batchPending = make([]atomic.Int32, nb)
-	ex.batchTasks = make([]amt.Task, nb)
-	nm2l := int32(len(p.batches.M2L))
+	ex.batchPending = make([]atomic.Int32, len(b.M2L))
+	ex.batchTasks = make([]amt.Task, len(b.M2L))
 	for i := range ex.batchTasks {
 		bi := int32(i)
-		if bi < nm2l {
-			ex.batchTasks[i] = func(w *amt.Worker) { ex.runBatchM2L(w, bi) }
-		} else {
-			pi := bi - nm2l
-			ex.batchTasks[i] = func(w *amt.Worker) { ex.runBatchP2P(w, pi) }
-		}
+		ex.batchTasks[i] = func(w *amt.Worker) { ex.runBatchM2L(w, bi) }
 	}
-	sq := p.Kernel.MLSize()
+	sq := st.p.Kernel.MLSize()
 	ex.batchScratch.New = func() any {
-		sc := &batchScratch{
-			buf:    make([]complex128, batchBlock*sq),
-			chunks: make([]kernel.P2PChunk, 0, 64),
-		}
+		sc := &batchScratch{buf: make([]complex128, batchBlock*sq)}
 		for k := 0; k < batchBlock; k++ {
 			sc.outs[k] = sc.buf[k*sq : (k+1)*sq]
 		}
@@ -73,28 +77,16 @@ func (ex *executor) initBatches() {
 	}
 }
 
-// batchedHere reports whether a Batched edge of the operator class (M->L or
-// S->T: an edge is only marked when descriptors of its class exist) runs
-// through a batch task in this context.
-//
-//dashmm:noalloc
-func (ex *executor) batchedHere(op dag.OpKind) bool {
-	return ex.batches != nil && (op == dag.OpM2L || ex.p2pOn)
-}
-
-// noteBatchSources records that node id has triggered against every batch
-// it feeds; the last source in spawns the batch task on the triggering
+// noteBatchSources records that node id has triggered against every M->L
+// batch it feeds; the last source in spawns the batch task on the triggering
 // worker's locality.
 //
 //dashmm:noalloc
 func (ex *executor) noteBatchSources(w *amt.Worker, id int32) {
-	if ex.batches == nil {
+	if ex.batchTasks == nil {
 		return
 	}
-	for _, bi := range ex.batches.SrcBatches[id] {
-		if !ex.p2pOn && int(bi) >= len(ex.batches.M2L) {
-			continue // a near-field batch of a gradient run
-		}
+	for _, bi := range ex.st.p.batches.SrcBatches[id] {
 		if ex.batchPending[bi].Add(-1) == 0 {
 			w.Spawn(ex.batchTasks[bi])
 		}
@@ -110,7 +102,7 @@ func (ex *executor) noteBatchSources(w *amt.Worker, id int32) {
 //
 //dashmm:noalloc
 func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
-	mb := &ex.batches.M2L[bi]
+	mb := &ex.st.p.batches.M2L[bi]
 	sc := ex.batchScratch.Get().(*batchScratch)
 	st := ex.st
 	for lo := 0; lo < len(mb.Edges); lo += batchBlock {
@@ -155,30 +147,43 @@ func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 	ex.batchScratch.Put(sc)
 }
 
-// runBatchP2P applies one near-field batch: the source leaves of every
-// member edge are gathered into chunks and swept through the kernel's tiled
-// P2P under the single target lock, then the LCO countdown runs per edge.
+// runNear is the near task of one target leaf: its source chunks applied
+// under the single target lock — swept through the kernel's tiled P2P, or
+// chunk by chunk where that does not reach (a gradient run: the tiles compute
+// potentials only; a kernel without the batched surface) — then the target
+// counted down by the whole list. Under a fabric failover is excluded
+// meanwhile, a second run is fenced and a leaf homed elsewhere left alone.
 //
 //dashmm:noalloc
-func (ex *executor) runBatchP2P(w *amt.Worker, pi int32) {
-	pb := &ex.batches.P2P[pi]
-	sc := ex.batchScratch.Get().(*batchScratch)
-	st := ex.st
-	sc.chunks = sc.chunks[:0]
-	for _, be := range pb.Edges {
-		sb := ex.g.Nodes[be.From].Box
-		sc.chunks = append(sc.chunks, kernel.P2PChunk{
-			Pts: st.srcPts(sb),
-			Q:   st.q[sb.Lo:sb.Hi],
-		})
+func (ex *executor) runNear(w *amt.Worker, pi int32) {
+	pb, chunks, st := &ex.st.p.batches.P2P[pi], ex.nearChunks[pi], ex.st
+	if fb := ex.fab; fb != nil {
+		fb.runMu.RLock()
+		defer fb.runMu.RUnlock()
+		if !ex.hosts(pb.Target) || fb.nearDone[pb.Target].Swap(true) {
+			return
+		}
 	}
 	tb := ex.g.Nodes[pb.Target].Box
+	tpts, pot := st.tgtPts(tb), st.pot[tb.Lo:tb.Hi]
 	var t0 int64
 	if ex.tracer.Enabled() {
 		t0 = ex.tracer.Now()
 	}
 	ex.locks[pb.Target].Lock()
-	ex.bk.P2P(sc.chunks, st.tgtPts(tb), st.pot[tb.Lo:tb.Hi])
+	switch {
+	case st.grad != nil:
+		gk, grad := st.p.Kernel.(kernel.GradKernel), st.grad[tb.Lo:tb.Hi]
+		for _, ch := range chunks {
+			gk.S2TGrad(ch.Pts, ch.Q, tpts, pot, grad)
+		}
+	case ex.bk != nil:
+		ex.bk.P2P(chunks, tpts, pot)
+	default:
+		for _, ch := range chunks {
+			st.p.Kernel.S2T(ch.Pts, ch.Q, tpts, pot)
+		}
+	}
 	ex.locks[pb.Target].Unlock()
 	if ex.tracer.Enabled() {
 		// One event per member edge: the first spans the sweep, the rest are
@@ -195,5 +200,4 @@ func (ex *executor) runBatchP2P(w *amt.Worker, pi int32) {
 	if ex.remaining[pb.Target].Add(-int32(len(pb.Edges))) == 0 {
 		ex.fireNode(w, pb.Target)
 	}
-	ex.batchScratch.Put(sc)
 }

@@ -23,9 +23,10 @@ func batchTestPlan(t *testing.T, method dag.Method, d points.Distribution, k ker
 }
 
 // assertBatchedMatchesSequential runs the plan on the parallel executor —
-// batched wherever the plan carries batches — with and without gradients,
-// and holds the potentials to 1e-12 of the sequential walker, which is
-// per-edge through state.apply by construction. Gradients are held to 1e-9,
+// M->L batched wherever the plan carries batches, the near field one task
+// per target leaf — with and without gradients, and holds the potentials to
+// 1e-12 of the sequential walker, which is per-edge through state.apply by
+// construction. Gradients are held to 1e-9,
 // the gate of TestGradientParallelMatchesSequential: the expansion gradient
 // is a symmetric difference with a 1e-6 relative step, which magnifies the
 // summation-order rounding of the coefficients a million times.
@@ -58,7 +59,9 @@ func assertBatchedMatchesSequential(t *testing.T, what string, plan *Plan, q []f
 // traffic (Basic) and the default plane-wave method (Advanced, where only
 // the near field batches), the batched evaluation must agree with the
 // per-edge sequential reference to 1e-12, with and without gradients (a
-// gradient run keeps the near field per-edge and batches the far field).
+// gradient run has the same near task per target leaf and the same M->L
+// batches as a potential run; the task applies its chunks through S2TGrad
+// where a potential run sweeps them through the tiled P2P).
 func TestBatchedEvaluateMatchesPerEdge(t *testing.T) {
 	p := kernel.OrderForDigits(3)
 	for _, kc := range []struct {
@@ -143,7 +146,7 @@ func TestBatchedSteadyStateAllocsPerEdge(t *testing.T) {
 		t.Skip("allocation accounting is not meaningful under the race detector")
 	}
 	plan, q, _ := testPlan(t, dag.Basic, 2500)
-	if plan.batches.Empty() {
+	if len(plan.batches.M2L) == 0 || len(plan.batches.P2P) == 0 {
 		t.Fatal("no batches built for the Basic-method plan")
 	}
 	pe, err := plan.NewParallelEvaluation(ExecOptions{Workers: 2})

@@ -36,12 +36,14 @@ import (
 // duplicated contribution apply exactly once.
 //
 // A rank runs the same executor as an in-process evaluation (exec.go): its
-// runNode walks a fired node's out edges and its deliver applies them. What
-// this file adds is the fabric that executor holds — where the placement
-// can change under it (failover), what quiesces it meanwhile (runMu), what
-// makes an edge apply once however often it arrives (applied bits), what
-// holds parcels back until they can be applied (the charge/verdict gate),
-// and how the result gets home (the rank-0 gather).
+// runNode walks a fired node's out edges, its deliver applies them and its
+// near tasks apply the S->T edges of the leaves the rank homes (the near
+// field never touches the wire). What this file adds is the fabric that
+// executor holds — where the placement can change under it (failover), what
+// quiesces it meanwhile (runMu), what makes an edge or a near list apply
+// once however often it arrives (applied bits, nearDone), what holds parcels
+// back until they can be applied (the charge/verdict gate), and how the
+// result gets home (the rank-0 gather).
 //
 // Concurrency discipline: node fires and parcel applies run under a shared
 // read lock; a death verdict takes the write lock, so recovery observes a
@@ -57,7 +59,8 @@ type RecoveryStats struct {
 	// inheriting them from a dead rank.
 	NodesRebuilt int64
 	// EdgesReplayed counts in-edges of rebuilt nodes this rank re-sent from
-	// its already-fired nodes.
+	// its already-fired nodes (never an S->T edge: a rebuilt target leaf
+	// re-runs its near task).
 	EdgesReplayed int64
 	// StaleDropped counts parcels discarded because their source node had
 	// been failed over to this rank (a corpse's in-flight frame).
@@ -285,11 +288,14 @@ type fabric struct {
 
 	// fired fences a node against a second trigger; applied (indexed
 	// edgeBase[source] + out-edge index) fences an edge against a second
-	// application, under the target's lock. inEdges is the reverse
-	// adjacency recovery walks; tnodes the target nodes rank 0 gathers.
+	// application, under the target's lock; nearDone fences a target leaf's
+	// near task against a second run. inEdges is the reverse adjacency
+	// recovery walks, without the S->T edges (never delivered, replayed or
+	// claimed); tnodes the target nodes rank 0 gathers.
 	fired    []atomic.Bool
 	edgeBase []int32
 	applied  []atomic.Bool
+	nearDone []atomic.Bool
 	inEdges  [][]inRef
 	tnodes   []int32
 
@@ -327,8 +333,8 @@ type fabric struct {
 }
 
 // newFabric puts an executor on the cluster: the dedup and recovery indexes
-// over its graph, a wire-mode runtime on the cluster's transport, node
-// and node continuations that run under the fabric.
+// over its graph, a wire-mode runtime on the cluster's transport, and node
+// continuations that run under the fabric.
 func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 	g := ex.g
 	n := len(g.Nodes)
@@ -336,6 +342,7 @@ func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 		ex: ex, cl: cl,
 		rank: cl.Rank(), world: cl.World(), opts: opts,
 		fired:     make([]atomic.Bool, n),
+		nearDone:  make([]atomic.Bool, n),
 		edgeBase:  make([]int32, n+1),
 		inEdges:   make([][]inRef, n),
 		deadRanks: make([]bool, cl.World()),
@@ -353,11 +360,15 @@ func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 			fb.tnodes = append(fb.tnodes, g.Nodes[i].ID)
 		}
 		for j, e := range g.Nodes[i].Out {
-			fb.inEdges[e.To] = append(fb.inEdges[e.To], inRef{src: int32(i), out: int32(j)})
+			if e.Op != dag.OpS2T {
+				fb.inEdges[e.To] = append(fb.inEdges[e.To], inRef{src: int32(i), out: int32(j)})
+			}
 		}
 		id := int32(i)
 		ex.tasks[i] = func(w *amt.Worker) { fb.runNode(w, id) }
 	}
+	// M->L batches complete in shared memory: list 2 runs per edge here.
+	ex.batchPending, ex.batchTasks = nil, nil
 	fb.edgeBase[n] = edges
 	fb.applied = make([]atomic.Bool, edges)
 	fb.ownedTotal.Store(owned)
@@ -384,9 +395,9 @@ func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 // release lets Run drain (idempotent).
 func (fb *fabric) release() { fb.relOnce.Do(fb.ex.rt.Release) }
 
-// applyCharges installs the charge vector, opens the data-parcel gate and
-// seeds this rank's roots. Runs once, at setup (rank 0) or on the charge
-// broadcast (workers).
+// applyCharges installs the charge vector — the near tasks read it — opens
+// the data-parcel gate and seeds this rank's near tasks and roots. Runs
+// once, at setup (rank 0) or on the charge broadcast (workers).
 func (fb *fabric) applyCharges(charges []float64) {
 	fb.runMu.RLock() // a verdict replayed from the log zeroes nodes too (applyDeath, the write half)
 	defer fb.runMu.RUnlock()
@@ -504,7 +515,7 @@ func (fb *fabric) drainDeferred() {
 	if len(frames) == 0 {
 		return
 	}
-	loc := fb.ex.rt.LocalLocality()
+	loc := fb.ex.rt.Locality(fb.rank)
 	for _, f := range frames {
 		f := f
 		loc.Spawn(func(w *amt.Worker) { fb.handleParcel(w, f) })
@@ -686,7 +697,7 @@ func (fb *fabric) applyDeath(deadRank int) {
 
 	// Reset the rebuild-set nodes that are now this rank's: payload zeroed,
 	// inputs re-armed, in-edge applied bits cleared so replayed
-	// contributions land exactly once.
+	// contributions land exactly once and a leaf's near task may run again.
 	newMine := int64(0)
 	for _, id := range set {
 		if int(plain[id]) != fb.rank {
@@ -701,6 +712,7 @@ func (fb *fabric) applyDeath(deadRank int) {
 		ex.remaining[id].Store(n.In)
 		ex.locks[id].Unlock()
 		fb.fired[id].Store(false)
+		fb.nearDone[id].Store(false)
 		newMine++
 	}
 	if newMine > 0 {
@@ -712,7 +724,7 @@ func (fb *fabric) applyDeath(deadRank int) {
 	// Replay: an in-edge of a rebuild-set node whose source this rank owns
 	// and has fired will never be re-sent naturally — re-send it (coalesced
 	// per source and destination). Sources inside the set re-send when they
-	// re-fire; unfired sources deliver in due course. Re-seed rebuilt roots.
+	// re-fire; unfired sources deliver in due course.
 	type replayKey struct{ src, dest int32 }
 	replays := make(map[replayKey][]int32)
 	replayed := int64(0)
@@ -729,16 +741,17 @@ func (fb *fabric) applyDeath(deadRank int) {
 			k := replayKey{ref.src, plain[id]}
 			replays[k] = append(replays[k], ref.out)
 		}
-		// Re-seed rebuilt roots — but only once charges are installed. Before
-		// that (the job's dead-rank base, or a verdict racing the broadcast) the task
-		// would fire on zero charges and its applied bits would then shadow
-		// the real contributions; applyCharges spawns every root this rank
-		// homes, from the already-updated placement. The store/load order
-		// (homes then chargesReady here; chargesReady then homes there) makes
-		// the handoff airtight: at least one side sees the other's write.
-		if g.Nodes[id].In == 0 && int(plain[id]) == fb.rank && fb.chargesReady.Load() {
-			ex.fireNode(nil, id)
-		}
+	}
+	// Re-seed the rebuilt roots and leaves' near tasks along with everything
+	// else this rank seeds (what already ran is fenced: fired, nearDone) — but
+	// only once charges are installed. Before that (the job's dead-rank base,
+	// or a verdict racing the broadcast) a task would run on zero charges and
+	// its fence would then shadow the real contributions; applyCharges seeds
+	// from the already-updated placement. The store/load order (homes then
+	// chargesReady here; chargesReady then homes there) makes the handoff
+	// airtight: at least one side sees the other's write.
+	if fb.chargesReady.Load() {
+		ex.seedRoots()
 	}
 	ep := uint32(fb.deaths.Add(1))
 	for k, outIdx := range replays {

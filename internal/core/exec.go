@@ -82,7 +82,9 @@ const parcelOverhead = 16
 // and the last arriving input spawns the continuation, which processes the
 // out edges: local edges sequentially (the paper's cache-locality choice),
 // remote edges coalesced into one parcel per destination locality carrying
-// the expansion data and the relevant edges.
+// the expansion data and the relevant edges — except the S->T edges, whose
+// inputs are all there at t = 0: each target leaf applies its whole near
+// list in one task of its own (batch.go).
 //
 // For the paper's iterative use case (many charge vectors over one DAG)
 // prefer NewParallelEvaluation, which allocates the payloads and the LCO
@@ -123,7 +125,6 @@ func (p *Plan) NewParallelEvaluation(opts ExecOptions) (*ParallelEvaluation, err
 	}
 	ex := newExecutor(st, opts.Policy, opts.Localities)
 	ex.tracer, ex.priority = opts.Tracer, opts.Priority
-	ex.initBatches()
 	return &ParallelEvaluation{plan: p, opts: opts, ex: ex}, nil
 }
 
@@ -200,7 +201,7 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 // node's slot in locks/remaining/tasks, with its payload in st, is the
 // paper's expansion LCO. ParallelEvaluation runs it over the localities of
 // one process; DistRun runs the same code as one rank of a cluster, with the
-// two things distribution adds — parcels that cross a process boundary, edges
+// two things distribution adds — parcels that cross a process boundary, work
 // that may arrive twice — switched on the fabric it then holds.
 type executor struct {
 	st       *state
@@ -219,13 +220,14 @@ type executor struct {
 	remaining                []atomic.Int32
 	locks                    []sync.Mutex
 	tasks                    []amt.Task // prebuilt node continuations, indexed by node ID
-	// Batched execution (batch.go): descriptors from the plan (nil when the
-	// context batches nothing), whether their near-field half runs (not in a
-	// gradient run), one pending-source counter and prebuilt task per batch,
-	// and the pooled GEMM/chunk scratch.
-	batches      *dag.Batches
+	// Batched execution (batch.go): the kernel's batched surface (nil when it
+	// has none), per target leaf a prebuilt near task and its source chunks,
+	// one pending-source counter and prebuilt task per M->L batch (nil when the
+	// context runs list 2 per edge: under a fabric, on a kernel without the
+	// surface), and the pooled GEMM scratch.
 	bk           kernel.BatchKernel
-	p2pOn        bool
+	near         []amt.Task
+	nearChunks   [][]kernel.P2PChunk
 	batchPending []atomic.Int32
 	batchTasks   []amt.Task
 	batchScratch sync.Pool
@@ -258,6 +260,7 @@ func newExecutor(st *state, policy dist.Policy, localities int) *executor {
 		ex.homes[i].Store(homes[i])
 		ex.tasks[i] = func(w *amt.Worker) { ex.runNode(w, id) }
 	}
+	ex.initBatches()
 	return ex
 }
 
@@ -268,7 +271,7 @@ func (ex *executor) arm() {
 		ex.remaining[i].Store(ex.g.Nodes[i].In)
 	}
 	for i := range ex.batchPending {
-		ex.batchPending[i].Store(int32(ex.batches.SrcCount(int32(i))))
+		ex.batchPending[i].Store(int32(len(ex.st.p.batches.M2L[i].Srcs)))
 	}
 	ex.errMu.Lock()
 	ex.runErr = nil
@@ -294,14 +297,28 @@ func (ex *executor) err() error {
 	return ex.runErr
 }
 
-// seedRoots spawns the continuation of every input-free node this runtime
-// hosts: all of them in-process, this rank's under a fabric.
+// seedRoots spawns what waits for nothing, on the nodes this runtime hosts:
+// the near task of every target leaf, then the continuation of every
+// input-free node. In that order: a worker pops the newest task of its deque,
+// so it starts on the upward sweep — the head of the far-field chain — and
+// the near field stays at the old end, where thieves take from, as filler.
 func (ex *executor) seedRoots() {
+	for pi, pb := range ex.st.p.batches.P2P {
+		if ex.hosts(pb.Target) {
+			ex.rt.Locality(int(ex.homes[pb.Target].Load())).Spawn(ex.near[pi])
+		}
+	}
 	for _, id := range ex.g.Roots() {
-		if ex.fab == nil || int(ex.homes[id].Load()) == ex.fab.rank {
+		if ex.hosts(id) {
 			ex.fireNode(nil, id)
 		}
 	}
+}
+
+// hosts reports whether this runtime runs node id's tasks: every node's
+// in-process, those the rank homes under a fabric.
+func (ex *executor) hosts(id int32) bool {
+	return ex.fab == nil || int(ex.homes[id].Load()) == ex.fab.rank
 }
 
 // isHigh reports whether a node's continuation carries the high priority
@@ -372,9 +389,10 @@ func (ex *executor) runNode(w *amt.Worker, id int32) {
 	// while hot (Section VI discusses this trade-off).
 	var batch *remoteBatch
 	for j, e := range n.Out {
-		if e.Batched && ex.batchedHere(e.Op) {
-			// A batch task owns this edge; it fires when every source of
-			// its batch has triggered (noteBatchSources below).
+		if e.Op == dag.OpS2T || (e.Batched && ex.batchTasks != nil) {
+			// Not this node's to walk: an S->T edge belongs to its target's
+			// near task, a batched M->L edge to the batch task that fires when
+			// every source of the batch has triggered (noteBatchSources below).
 			continue
 		}
 		dest := ex.homes[e.To].Load()
@@ -474,8 +492,8 @@ func (ex *executor) record(w *amt.Worker, op dag.OpKind, start, end int64) {
 // (or that has none: seedRoots), on its home locality — the LCO lives there
 // — with the priority hint of its class: onto the worker's own deque when it
 // is at home, through the locality's inbox otherwise (another locality of
-// this process, or no worker at all). Shared by the per-edge delivery and
-// the batch completion paths.
+// this process, or no worker at all). Shared by the per-edge delivery, the
+// near tasks and the batch completion path.
 //
 //dashmm:noalloc
 func (ex *executor) fireNode(w *amt.Worker, id int32) {
@@ -483,12 +501,8 @@ func (ex *executor) fireNode(w *amt.Worker, id int32) {
 	home := int(ex.homes[id].Load())
 	switch {
 	case w == nil || w.Rank() != home:
-		// Under a fabric only nodes this rank homes are ever fired here, and
-		// the runtime hosts that one locality.
-		loc := ex.rt.LocalLocality()
-		if ex.fab == nil {
-			loc = ex.rt.Locality(home)
-		}
+		// Under a fabric only nodes this rank homes are ever fired here.
+		loc := ex.rt.Locality(home)
 		if high {
 			loc.SpawnHigh(task)
 		} else {

@@ -10,13 +10,14 @@ import (
 // Batch descriptors (DESIGN.md, "Batched execution"): the graph's list-2
 // M->L edges are aggregated at plan-build time by the dense operator they
 // apply — one batch per (level, side, lattice offset) — and the near-field
-// S->T edges by their target leaf. A batch-aware executor fires a batch
-// once every source feeding it has triggered, replacing many per-edge
-// operator applications with one blocked multi-RHS apply (far field) or one
-// cache-tiled sweep (near field). Edges whose geometry falls off the
+// S->T edges by their target leaf. An M->L batch fires once every source
+// feeding it has triggered, replacing many per-edge operator applications
+// with one blocked multi-RHS apply; edges whose geometry falls off the
 // interaction lattice are left unbatched and flow through the ordinary
-// per-edge path, so batching is an execution strategy, never a semantics
-// change.
+// per-edge path. A near list has nothing to wait for — every rank holds
+// every source point and, once a run has its charges, every charge — so it
+// names no sources: the AMT executors run it as one task of its target leaf.
+// Either way it is an execution strategy, never a semantics change.
 
 // BatchEdge locates one member edge of a batch: out-edge Out of node From,
 // delivering into To (denormalized from Nodes[From].Out[Out].To so the
@@ -45,43 +46,21 @@ type M2LBatch struct {
 	Srcs []int32
 }
 
-// P2PBatch groups the S->T edges into one terminal target node.
+// P2PBatch is the near list of one target leaf: every S->T edge into the
+// terminal target node, in source-id order.
 type P2PBatch struct {
 	Target int32
 	Edges  []BatchEdge
-	Srcs   []int32
 }
 
 // Batches is the batch-descriptor set carried by a core.Plan (and therefore
-// reused by the serve plan cache along with the rest of the plan). Batch
-// ids are M2L batches first, then P2P batches offset by len(M2L).
+// reused by the serve plan cache along with the rest of the plan).
 type Batches struct {
 	M2L []M2LBatch
 	P2P []P2PBatch
-	// SrcBatches[node] lists the batch ids the node feeds; the executor
+	// SrcBatches[node] lists the M2L batches the node feeds; the executor
 	// decrements each batch's pending counter once when the node triggers.
 	SrcBatches [][]int32
-}
-
-// Empty reports whether there is nothing to batch.
-func (b *Batches) Empty() bool {
-	return b == nil || (len(b.M2L) == 0 && len(b.P2P) == 0)
-}
-
-// NumBatches returns the total batch count; ids range over [0, NumBatches).
-func (b *Batches) NumBatches() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.M2L) + len(b.P2P)
-}
-
-// SrcCount returns the pending-source count of batch id.
-func (b *Batches) SrcCount(id int32) int {
-	if int(id) < len(b.M2L) {
-		return len(b.M2L[id].Srcs)
-	}
-	return len(b.P2P[int(id)-len(b.M2L)].Srcs)
 }
 
 // m2lGroupKey identifies one far-field batch.
@@ -90,33 +69,38 @@ type m2lGroupKey struct {
 	off      kernel.M2LOffset
 }
 
-// BuildBatches aggregates the graph's batchable edges and marks them with
-// Edge.Batched. It is deterministic (same graph, same descriptors) and
-// idempotent: every flag is recomputed from the current geometry, so a
-// graph whose box centers were perturbed after a previous build reclassifies
-// cleanly. A kernel that does not implement kernel.BatchKernel yields an
-// empty descriptor set and a fully per-edge graph.
+// BuildBatches aggregates the graph's list-2 and near-field edges and marks
+// the batched M->L edges with Edge.Batched. It is deterministic (same graph,
+// same descriptors) and idempotent: every flag is recomputed from the
+// current geometry, so a graph whose box centers were perturbed after a
+// previous build reclassifies cleanly. A kernel that does not implement
+// kernel.BatchKernel gets the near lists and no M->L batch.
 func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 	b := &Batches{SrcBatches: make([][]int32, len(g.Nodes))}
-	bk, ok := k.(kernel.BatchKernel)
-	for i := range g.Nodes {
-		for j := range g.Nodes[i].Out {
-			g.Nodes[i].Out[j].Batched = false
-		}
-	}
-	if !ok {
-		return b
-	}
+	bk, batchable := k.(kernel.BatchKernel)
 
 	// Far field: group list-2 edges by (side, offset); off-lattice edges
-	// keep flowing per-edge.
+	// keep flowing per-edge. Near field: one list per target, a map from the
+	// target to its index in b.P2P while the nodes are walked in id order.
 	m2l := make(map[m2lGroupKey]*M2LBatch)
 	var m2lKeys []m2lGroupKey
+	near := make(map[int32]int)
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		for j := range n.Out {
 			e := &n.Out[j]
-			if e.Op != OpM2L {
+			e.Batched = false
+			if e.Op == OpS2T {
+				pi, ok := near[e.To]
+				if !ok {
+					pi = len(b.P2P)
+					near[e.To] = pi
+					b.P2P = append(b.P2P, P2PBatch{Target: e.To})
+				}
+				b.P2P[pi].Edges = append(b.P2P[pi].Edges, BatchEdge{From: int32(i), Out: int32(j), To: e.To})
+				continue
+			}
+			if e.Op != OpM2L || !batchable {
 				continue
 			}
 			from, to := n.Box, g.Nodes[e.To].Box
@@ -134,6 +118,9 @@ func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 			e.Batched = true
 			mb.Edges = append(mb.Edges, BatchEdge{From: int32(i), Out: int32(j), To: e.To})
 			mb.Offs = append(mb.Offs, off)
+			if n := len(mb.Srcs); n == 0 || mb.Srcs[n-1] != int32(i) {
+				mb.Srcs = append(mb.Srcs, int32(i)) // nodes are walked in id order
+			}
 		}
 	}
 	// Deterministic batch order: by level (coarse first), then offset.
@@ -150,66 +137,14 @@ func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 		}
 		return ka.off.DZ < kc.off.DZ
 	})
-	for _, key := range m2lKeys {
+	for bi, key := range m2lKeys {
 		mb := m2l[key]
-		mb.Srcs = distinctSources(mb.Edges)
 		b.M2L = append(b.M2L, *mb)
-	}
-
-	// Near field: group S->T edges by target. Single-edge groups still
-	// batch — the tiled apply beats the closure-per-pair S2T either way.
-	p2p := make(map[int32]*P2PBatch)
-	var tgts []int32
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		for j := range n.Out {
-			e := &n.Out[j]
-			if e.Op != OpS2T {
-				continue
-			}
-			pb := p2p[e.To]
-			if pb == nil {
-				pb = &P2PBatch{Target: e.To}
-				p2p[e.To] = pb
-				tgts = append(tgts, e.To)
-			}
-			e.Batched = true
-			pb.Edges = append(pb.Edges, BatchEdge{From: int32(i), Out: int32(j), To: e.To})
-		}
-	}
-	sort.Slice(tgts, func(a, c int) bool { return tgts[a] < tgts[c] })
-	for _, t := range tgts {
-		pb := p2p[t]
-		pb.Srcs = distinctSources(pb.Edges)
-		b.P2P = append(b.P2P, *pb)
-	}
-
-	for bi := range b.M2L {
-		for _, s := range b.M2L[bi].Srcs {
+		for _, s := range mb.Srcs {
 			b.SrcBatches[s] = append(b.SrcBatches[s], int32(bi))
 		}
 	}
-	off := int32(len(b.M2L))
-	for bi := range b.P2P {
-		for _, s := range b.P2P[bi].Srcs {
-			b.SrcBatches[s] = append(b.SrcBatches[s], off+int32(bi))
-		}
-	}
+	// Deterministic near-list order: by target.
+	sort.Slice(b.P2P, func(a, c int) bool { return b.P2P[a].Target < b.P2P[c].Target })
 	return b
-}
-
-// distinctSources returns the sorted distinct From nodes of the edges.
-func distinctSources(edges []BatchEdge) []int32 {
-	srcs := make([]int32, 0, len(edges))
-	for _, e := range edges {
-		srcs = append(srcs, e.From)
-	}
-	sort.Slice(srcs, func(a, c int) bool { return srcs[a] < srcs[c] })
-	out := srcs[:0]
-	for i, s := range srcs {
-		if i == 0 || s != out[len(out)-1] {
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -87,9 +87,9 @@ type Edge struct {
 	// merged/shared child-level waves rather than its own-level
 	// accumulation.
 	ToMerged bool
-	// Batched marks an edge owned by a batch descriptor (see BuildBatches):
-	// a batch-aware executor skips it on the per-edge path and applies it
-	// through the batch instead. Off-lattice M->L edges stay unbatched.
+	// Batched marks an M->L edge owned by a batch descriptor (see
+	// BuildBatches): an executor that runs the batches skips it on the
+	// per-edge path. Off-lattice M->L edges stay unbatched.
 	Batched bool
 	// Bytes is the payload size transferred along the edge, for the network
 	// model and the Table II census.

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -103,13 +105,37 @@ func (b *base) xlate(kind uint8, from, to geom.Point, side float64, in, out []co
 	b.wsp.put(ws)
 }
 
-// xlKey identifies one cached translation table: operator kind, box side
-// (exact halvings of the root side, so float bits are a stable key) and the
-// octant sign pattern or lattice offset.
+// xlKey identifies one cached dense table: operator kind, box side (exact
+// halvings of the root side, so float bits are a stable key) and, for the
+// translations, the octant sign pattern or lattice offset; for the
+// plane-wave kinds (planewave.go) ox is the direction and oy the tree level.
+// It is the key OperatorTable spells out field by field (export.go).
 type xlKey struct {
 	kind       uint8
 	sideBits   uint64
 	ox, oy, oz int8
+}
+
+// tableEntry is one slot of the kernel's dense-table cache (base.tabs).
+// ImportOperators fills mx and leaves the rest to the first lookup, which
+// keeps a table of the size the key's rule calls for and builds over any
+// other: a record from other accuracy settings or from a build with another
+// table layout must neither corrupt the cache nor stay referenced. ok is set
+// once mx is that validated table, and is all a hit and ExportOperators
+// read; once makes racing first lookups build one table, not one each.
+type tableEntry struct {
+	once sync.Once
+	ok   atomic.Bool
+	mx   []complex128
+}
+
+// entry returns the cache slot of key, creating it empty.
+func (b *base) entry(key xlKey) *tableEntry {
+	if v, ok := b.tabs.Load(key); ok {
+		return v.(*tableEntry)
+	}
+	v, _ := b.tabs.LoadOrStore(key, new(tableEntry))
+	return v.(*tableEntry)
 }
 
 // xlTableFor resolves a centre difference to its cached table, or nil when
@@ -138,13 +164,17 @@ func (b *base) xlTableFor(kind uint8, off geom.Point, side float64) []complex128
 // operator depends only on that vector (never on the absolute centers),
 // which is what makes one table serve every edge of a batch.
 func (b *base) xlTable(kind uint8, side float64, o M2LOffset, to geom.Point) []complex128 {
-	key := xlKey{kind: kind, sideBits: math.Float64bits(side), ox: o.DX, oy: o.DY, oz: o.DZ}
-	if v, ok := b.xl.Load(key); ok {
-		return v.([]complex128)
+	e := b.entry(xlKey{kind: kind, sideBits: math.Float64bits(side), ox: o.DX, oy: o.DY, oz: o.DZ})
+	if !e.ok.Load() {
+		e.once.Do(func() {
+			if ml := b.MLSize(); len(e.mx) != 2*ml*ml {
+				inRF, outRF, a := b.xlParams(kind, side)
+				e.mx = b.translationTable(to, a, inRF, outRF)
+			}
+			e.ok.Store(true)
+		})
 	}
-	inRF, outRF, a := b.xlParams(kind, side)
-	actual, _ := b.xl.LoadOrStore(key, b.translationTable(to, a, inRF, outRF))
-	return actual.([]complex128)
+	return e.mx
 }
 
 // m2lTable returns the cached M->L table of one lattice offset. Keyed by

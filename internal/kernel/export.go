@@ -1,33 +1,28 @@
 package kernel
 
-import (
-	"math"
-	"sort"
-
-	"repro/internal/geom"
-)
+import "sort"
 
 // Operator-table export/import for the persistent plan store (see
 // internal/serve/store.go). Two families of lazily built dense operators
-// make a kernel warm:
+// make a kernel warm, and both live in the one cache base.tabs:
 //
-//   - the translation matrices in base.xl — the eight M->M and L->L
-//     parent/child octant operators and the per-(side, lattice-offset)
-//     list-2 M->L operators — each one sampled-and-projected table build;
-//   - the plane-wave M->I and I->L projection matrices, built once per
-//     (level, direction) by the exponential list-2 pipeline the DAG uses
-//     by default (see planewave.go).
+//   - the translation matrices — the eight M->M and L->L parent/child
+//     octant operators and the per-(side, lattice-offset) list-2 M->L
+//     operators — each one sampled-and-projected table build;
+//   - the plane-wave M->I and I->L projection matrices, built as a pair per
+//     (level, direction) by the exponential list-2 pipeline the DAG uses by
+//     default (see planewave.go).
 //
 // A warm server spills both so a restarted process replays them instead of
 // rebuilding.
 
 // OperatorTable is one cached dense operator table (dense.go) in
-// serializable form.
-// Kinds 0-2 (M->M, L->L, M->L) mirror the internal xlKey: SideBits is the
-// math.Float64bits of the box side the operator was built for (so the key
-// survives a round trip through disk bit-exactly) and DX/DY/DZ are the
-// octant or lattice offset. Kinds 3-4 are the plane-wave M->I and I->L
-// matrices: DX carries the direction, DY the tree level.
+// serializable form: the cache's xlKey, field by field, and the table.
+// SideBits is the math.Float64bits of the box side the operator was built
+// for (so the key survives a round trip through disk bit-exactly). For kinds
+// 0-2 (M->M, L->L, M->L) DX/DY/DZ are the octant or lattice offset; for
+// kinds 3-4, the plane-wave M->I and I->L matrices, DX carries the direction
+// and DY the tree level.
 type OperatorTable struct {
 	Kind       uint8
 	SideBits   uint64
@@ -35,7 +30,8 @@ type OperatorTable struct {
 	Mx         []complex128
 }
 
-// Plane-wave table kinds, above the xlKey kinds (0 M->M, 1 L->L, 2 M->L).
+// Plane-wave table kinds, above the translation kinds (0 M->M, 1 L->L,
+// 2 M->L).
 const (
 	pwM2IKind = 3
 	pwI2LKind = 4
@@ -48,40 +44,32 @@ type OperatorCache interface {
 	// deterministic order (so spilled records are byte-stable).
 	ExportOperators() []OperatorTable
 	// ImportOperators seeds the cache with previously exported operators.
-	// Tables whose matrix size does not match the kernel's MLSize are
-	// ignored (a record from a different accuracy must not corrupt the
-	// cache). Not safe to call concurrently with operator use.
+	// A table is validated when an operator first asks for it: one whose
+	// size does not match what the kernel's order and the level's quadrature
+	// rule call for is rebuilt in place (a record from a different accuracy
+	// must not corrupt the cache). Not safe to call concurrently with
+	// operator use.
 	ImportOperators([]OperatorTable)
 }
 
-// ExportOperators implements OperatorCache.
+// ExportOperators implements OperatorCache: every table an operator has
+// built or validated. An imported table nothing has asked for yet is not
+// vouched for and stays out.
 func (b *base) ExportOperators() []OperatorTable {
 	var out []OperatorTable
-	b.xl.Range(func(k, v any) bool {
-		key := k.(xlKey)
-		out = append(out, OperatorTable{
-			Kind:     key.kind,
-			SideBits: key.sideBits,
-			DX:       key.ox,
-			DY:       key.oy,
-			DZ:       key.oz,
-			Mx:       v.([]complex128),
-		})
+	b.tabs.Range(func(k, v any) bool {
+		if key, e := k.(xlKey), v.(*tableEntry); e.ok.Load() {
+			out = append(out, OperatorTable{
+				Kind:     key.kind,
+				SideBits: key.sideBits,
+				DX:       key.ox,
+				DY:       key.oy,
+				DZ:       key.oz,
+				Mx:       e.mx,
+			})
+		}
 		return true
 	})
-	if pw := b.pw.Load(); pw != nil {
-		for l, lv := range pw.levels {
-			for dir := geom.Direction(0); dir < geom.NumDirections; dir++ {
-				if lv.m2i[dir] == nil {
-					continue
-				}
-				sideBits := math.Float64bits(lv.side)
-				out = append(out,
-					OperatorTable{Kind: pwM2IKind, SideBits: sideBits, DX: int8(dir), DY: int8(l), Mx: lv.m2i[dir]},
-					OperatorTable{Kind: pwI2LKind, SideBits: sideBits, DX: int8(dir), DY: int8(l), Mx: lv.i2l[dir]})
-			}
-		}
-	}
 	sort.Slice(out, func(i, j int) bool {
 		a, c := out[i], out[j]
 		if a.Kind != c.Kind {
@@ -101,24 +89,10 @@ func (b *base) ExportOperators() []OperatorTable {
 	return out
 }
 
-// ImportOperators implements OperatorCache. Plane-wave tables (whose sizes
-// depend on the per-level quadrature rule) are parked in pwPending until
-// Prepare reaches their level and, after a size check, adopts or drops them.
+// ImportOperators implements OperatorCache.
 func (b *base) ImportOperators(ts []OperatorTable) {
-	ml := b.MLSize()
 	for _, t := range ts {
-		switch t.Kind {
-		case pwM2IKind, pwI2LKind:
-			if b.pwPending == nil {
-				b.pwPending = make(map[xlKey][]complex128)
-			}
-			b.pwPending[xlKey{kind: t.Kind, sideBits: t.SideBits, ox: t.DX}] = t.Mx
-		default:
-			if len(t.Mx) != 2*ml*ml {
-				continue
-			}
-			key := xlKey{kind: t.Kind, sideBits: t.SideBits, ox: t.DX, oy: t.DY, oz: t.DZ}
-			b.xl.Store(key, t.Mx)
-		}
+		key := xlKey{kind: t.Kind, sideBits: t.SideBits, ox: t.DX, oy: t.DY, oz: t.DZ}
+		b.tabs.Store(key, &tableEntry{mx: t.Mx})
 	}
 }

@@ -116,16 +116,16 @@ type base struct {
 
 	// Sphere quadrature for the projection-based translations: directions
 	// and weights integrating spherical harmonics of degree <= band exactly,
-	// with oversampling to suppress aliasing of out-of-band modes.
+	// with oversampling to suppress aliasing of out-of-band modes. Borrowed,
+	// like coef, from the one rule of the order (sphereFor): read-only.
 	sph []sphNode
 
 	// Projection radii, as multiples of the relevant box side.
 	aM2M, aM2L, aL2L float64
 
-	directF  func(r float64) float64                 // pointwise kernel G(r)
-	gradF    func(r float64) float64                 // dG/dr, for gradient eval
-	pwNodes  func(side float64) (u, mu, w []float64) // box-unit quadrature generator
-	pwParams pwGenParams
+	directF func(r float64) float64                 // pointwise kernel G(r)
+	gradF   func(r float64) float64                 // dG/dr, for gradient eval
+	pwNodes func(side float64) (u, mu, w []float64) // box-unit quadrature generator
 	// pair is the near-field pair loop behind S2T and P2P (p2p.go), bound at
 	// construction; lambda is the screening parameter its Yukawa loop reads.
 	pair   pairLoop
@@ -137,13 +137,11 @@ type base struct {
 	pw          atomic.Pointer[pwTables] // plane-wave machinery, published by Prepare
 	wsp         wsChan                   // scratch workspace free list
 
-	// xl caches dense translation matrices for the eight fixed
-	// parent/child offsets of M->M and L->L and for the per-(side,
-	// lattice-offset) list-2 M->L operators (see api.go).
-	xl sync.Map
-	// pwPending holds imported plane-wave matrices (ImportOperators) until
-	// Prepare reaches their level and adopts or drops them (see preparePW).
-	pwPending map[xlKey][]complex128
+	// tabs is the kernel's one dense-table cache, xlKey -> *tableEntry: the
+	// eight parent/child translations of M->M and L->L and the per-lattice-
+	// offset list-2 M->L operators of every box side, and the M->I / I->L
+	// pair of every (level, direction) (api.go: tableEntry).
+	tabs sync.Map
 }
 
 type sphNode struct {
@@ -154,18 +152,28 @@ type sphNode struct {
 
 const sphOversample = 3 // extra theta rows beyond exactness
 
-func newBase(name string, p int, radReg, radOut radialFunc, cn []float64) *base {
-	b := &base{
-		name:   name,
-		p:      p,
-		coef:   sphharm.NewCoef(p),
-		radReg: radReg,
-		radOut: radOut,
-		cn:     cn,
-		aM2M:   1.5,
-		aM2L:   1.05,
-		aL2L:   1.0,
+// sphRule is the sphere quadrature of one truncation order with the
+// harmonics' normalization constants: (p+4)(2p+8) nodes each carrying
+// TriSize(p) packed Y_n^m — 0.34 MB at three digits, 29 MB at twelve — a
+// function of p alone and immutable once built.
+type sphRule struct {
+	coef  *sphharm.Coef
+	nodes []sphNode
+}
+
+// sphRules holds one sphRule per order for the life of the process, so a
+// daemon with a kernel value per cached plan holds one quadrature, not one
+// per plan. Keyed on p only, which requests bound (serve admits digits 1-12):
+// a Yukawa lambda comes off the wire and must not key anything immortal.
+var sphRules sync.Map // int -> *sphRule
+
+// sphereFor returns the shared rule of order p, building it on first use
+// (racing first users build identical rules and all but one discard).
+func sphereFor(p int) *sphRule {
+	if r, ok := sphRules.Load(p); ok {
+		return r.(*sphRule)
 	}
+	r := &sphRule{coef: sphharm.NewCoef(p)}
 	nth := p + 1 + sphOversample
 	nph := 2*p + 2 + 2*sphOversample
 	xs, ws := sphharm.GaussLegendre(nth)
@@ -180,11 +188,28 @@ func newBase(name string, p int, radReg, radOut radialFunc, cn []float64) *base 
 				w:   ws[i] * 2 * math.Pi / float64(nph),
 				y:   make([]complex128, sphharm.TriSize(p)),
 			}
-			b.coef.YnmPacked(ct, phi, n.y, scratch)
-			b.sph = append(b.sph, n)
+			r.coef.YnmPacked(ct, phi, n.y, scratch)
+			r.nodes = append(r.nodes, n)
 		}
 	}
-	return b
+	shared, _ := sphRules.LoadOrStore(p, r)
+	return shared.(*sphRule)
+}
+
+func newBase(name string, p int, radReg, radOut radialFunc, cn []float64) *base {
+	sph := sphereFor(p)
+	return &base{
+		name:   name,
+		p:      p,
+		coef:   sph.coef,
+		sph:    sph.nodes,
+		radReg: radReg,
+		radOut: radOut,
+		cn:     cn,
+		aM2M:   1.5,
+		aM2L:   1.05,
+		aL2L:   1.0,
+	}
 }
 
 func (b *base) Name() string { return b.name }

@@ -29,11 +29,8 @@ func NewLaplace(p int) Kernel {
 	b.directF = func(r float64) float64 { return 1 / r }
 	b.gradF = func(r float64) float64 { return -1 / (r * r) }
 	b.pair = bestLaplacePair
-	b.pwParams = defaultPWParams
 	b.pwScaleFree = true
-	b.pwNodes = func(side float64) (u, mu, w []float64) {
-		return laplaceNodes(b.pwParams)
-	}
+	b.pwNodes = func(side float64) (u, mu, w []float64) { return laplaceNodes() }
 	b.wsp = newWSChan(b)
 	return b
 }

@@ -162,7 +162,7 @@ func TestM2LCacheFallsBackOffLattice(t *testing.T) {
 			t.Fatalf("%s: off-lattice offset resolved to a table", tc.name)
 		}
 		tables := func() (n int) {
-			b.xl.Range(func(any, any) bool { n++; return true })
+			b.tabs.Range(func(any, any) bool { n++; return true })
 			return n
 		}
 		before := tables()

@@ -33,7 +33,6 @@ package kernel
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/sphharm"
@@ -57,22 +56,21 @@ type pwRule struct {
 	sinA [][]float64
 }
 
-// pwGenParams tunes the quadrature generation; exercised by the ablation
-// benchmarks.
-type pwGenParams struct {
-	umax   float64 // box-unit integration cutoff (Laplace)
-	nu     int     // number of Gauss–Legendre u-nodes (Laplace)
-	alphaC float64 // alpha count: m_k = ceil(alphaC * u_k * rhoMax) + alphaB, rounded up to even
-	alphaB int
-}
-
-var defaultPWParams = pwGenParams{umax: 13, nu: 20, alphaC: 1.0, alphaB: 10}
-
-const pwRhoMax = 5.657 // 4*sqrt(2): max lateral offset in box units
+// The quadrature generation constants: one rule, whatever accuracy is asked
+// (ROADMAP item 2 owns a per-accuracy one).
+const (
+	pwUmax   = 13.0  // box-unit integration cutoff (Laplace)
+	pwNu     = 20    // number of Gauss–Legendre u-nodes (Laplace)
+	pwRhoMax = 5.657 // 4*sqrt(2): max lateral offset in box units
+	// Alpha count: m_k = ceil(pwAlphaC * u_k * pwRhoMax) + pwAlphaB, rounded
+	// up to even.
+	pwAlphaC = 1.0
+	pwAlphaB = 10
+)
 
 // makeRule assembles a rule from box-unit nodes (uh, muh, wh) for boxes of
 // the given world side.
-func makeRule(uh, muh, wh []float64, side float64, prm pwGenParams) *pwRule {
+func makeRule(uh, muh, wh []float64, side float64) *pwRule {
 	r := &pwRule{
 		u:   make([]float64, len(uh)),
 		mu:  make([]float64, len(uh)),
@@ -84,7 +82,7 @@ func makeRule(uh, muh, wh []float64, side float64, prm pwGenParams) *pwRule {
 		r.u[k] = uh[k] / side
 		r.mu[k] = muh[k] / side
 		r.w[k] = wh[k] / side
-		mk := int(math.Ceil(prm.alphaC*uh[k]*pwRhoMax)) + prm.alphaB
+		mk := int(math.Ceil(pwAlphaC*uh[k]*pwRhoMax)) + pwAlphaB
 		mk += mk & 1
 		r.off = append(r.off, r.total)
 		r.total += mk / 2
@@ -103,15 +101,15 @@ func makeRule(uh, muh, wh []float64, side float64, prm pwGenParams) *pwRule {
 
 // laplaceNodes returns box-unit Gauss–Legendre nodes for the Laplace
 // exponential integral on [0, umax].
-func laplaceNodes(prm pwGenParams) (u, mu, w []float64) {
-	xs, ws := sphharm.GaussLegendre(prm.nu)
-	u = make([]float64, prm.nu)
-	mu = make([]float64, prm.nu)
-	w = make([]float64, prm.nu)
+func laplaceNodes() (u, mu, w []float64) {
+	xs, ws := sphharm.GaussLegendre(pwNu)
+	u = make([]float64, pwNu)
+	mu = make([]float64, pwNu)
+	w = make([]float64, pwNu)
 	for k := range xs {
-		u[k] = prm.umax * (xs[k] + 1) / 2
+		u[k] = pwUmax * (xs[k] + 1) / 2
 		mu[k] = u[k]
-		w[k] = ws[k] * prm.umax / 2
+		w[k] = ws[k] * pwUmax / 2
 	}
 	return u, mu, w
 }
@@ -121,11 +119,11 @@ func laplaceNodes(prm pwGenParams) (u, mu, w []float64) {
 // e^{-mu z_min} is below eps relative to the leading e^{-x} scale, so
 // umax = sqrt((x+umax0)^2 - x^2); fewer oscillations are needed for large
 // x, which is the scale variance the paper exploits.
-func yukawaNodes(x float64, prm pwGenParams) (u, mu, w []float64) {
-	umax := math.Sqrt((x+prm.umax)*(x+prm.umax) - x*x)
-	nu := prm.nu
-	if grow := umax / prm.umax; grow > 1 {
-		nu = int(math.Ceil(float64(prm.nu) * grow))
+func yukawaNodes(x float64) (u, mu, w []float64) {
+	umax := math.Sqrt((x+pwUmax)*(x+pwUmax) - x*x)
+	nu := pwNu
+	if grow := umax / pwUmax; grow > 1 {
+		nu = int(math.Ceil(pwNu * grow))
 	}
 	xs, ws := sphharm.GaussLegendre(nu)
 	u = make([]float64, nu)
@@ -141,11 +139,11 @@ func yukawaNodes(x float64, prm pwGenParams) (u, mu, w []float64) {
 	return u, mu, w
 }
 
-// pwTables holds, per tree level, the quadrature rule and the lazily built
-// M->I and I->L matrices for each of the six directions. A published
-// pwTables is immutable (Prepare swaps in a new one; the levels it shares
-// with its predecessor are the same *pwLevel values), so operators read it
-// with one atomic load and no lock.
+// pwTables holds, per tree level, the quadrature rule the level's M->I and
+// I->L tables (in base.tabs, built lazily per direction) and I->I factors
+// are made from. A published pwTables is immutable (Prepare swaps in a new
+// one; the levels it shares with its predecessor are the same *pwLevel
+// values), so operators read it with one atomic load and no lock.
 type pwTables struct {
 	b        *base
 	rootSide float64
@@ -156,42 +154,44 @@ type pwLevel struct {
 	rule  *pwRule
 	side  float64
 	shift *shiftTable // I->I factors on the box lattice (shifttable.go)
-	once  [geom.NumDirections]sync.Once
-	m2i   [geom.NumDirections][]complex128 // total x MLSize table
-	i2l   [geom.NumDirections][]complex128 // MLSize x total table, weights folded in
 }
 
 // preparePW binds the kernel to a root cube. A kernel serves one root cube
 // at a time — the operators take a tree level, and level -> box side is
 // rootSide / 2^level — so preparing again for the identical side keeps every
 // built table and only appends the levels a deeper tree needs, while
-// preparing for a different side rebinds the kernel (plans built on the old
-// binding then refuse to run, see core.Plan). Prepare calls serialize on
-// prepMu; operators never take it.
+// preparing for a different side rebinds the kernel: plans built on the old
+// binding then refuse to run (see core.Plan), and every table of theirs is
+// dropped with it. Prepare calls serialize on prepMu; operators never take
+// it.
 func (b *base) preparePW(rootSide float64, maxLevel int) {
 	b.prepMu.Lock()
 	defer b.prepMu.Unlock()
 	t := &pwTables{b: b, rootSide: rootSide}
-	if cur := b.pw.Load(); cur != nil && cur.rootSide == rootSide {
+	switch cur := b.pw.Load(); {
+	case cur == nil: // first binding: whatever was imported waits for its lookup
+	case cur.rootSide == rootSide:
 		t.levels = append(t.levels, cur.levels...)
+	default:
+		b.tabs.Range(func(k, _ any) bool {
+			b.tabs.Delete(k)
+			return true
+		})
 	}
 	for l := len(t.levels); l <= maxLevel; l++ {
 		side := rootSide / float64(int64(1)<<uint(l))
 		uh, muh, wh := b.pwNodes(side)
 		lv := &pwLevel{
-			rule:  makeRule(uh, muh, wh, side, b.pwParams),
+			rule:  makeRule(uh, muh, wh, side),
 			side:  side,
 			shift: &shiftTable{},
 		}
-		if b.pwScaleFree && b.pwParams == defaultPWParams {
+		if b.pwScaleFree {
 			// The box-unit rule does not depend on the side: one table for
 			// every level, kernel and plan of the process.
 			lv.shift = &laplaceShift
 		}
 		t.levels = append(t.levels, lv)
-	}
-	for _, lv := range t.levels {
-		b.adoptPendingPW(lv)
 	}
 	b.pw.Store(t)
 }
@@ -206,36 +206,31 @@ func (b *base) RootSide() float64 {
 	return 0
 }
 
-// adoptPendingPW settles the imported plane-wave tables (ImportOperators)
-// whose side matches this level bit-exactly: a direction whose two tables
-// fit the level's quadrature rule and is not built yet adopts them — its
-// once fires, so matrices() never rebuilds it — and any other is dropped (a
-// record from different accuracy settings, or from a build with another
-// table layout, must neither corrupt the tables nor stay referenced).
-func (b *base) adoptPendingPW(lv *pwLevel) {
-	if len(b.pwPending) == 0 {
-		return
-	}
-	want := 2 * lv.rule.total * b.MLSize()
-	sideBits := math.Float64bits(lv.side)
-	for dir := geom.Direction(0); dir < geom.NumDirections; dir++ {
-		km := xlKey{kind: pwM2IKind, sideBits: sideBits, ox: int8(dir)}
-		kl := xlKey{kind: pwI2LKind, sideBits: sideBits, ox: int8(dir)}
-		m2i, i2l := b.pwPending[km], b.pwPending[kl]
-		delete(b.pwPending, km)
-		delete(b.pwPending, kl)
-		if len(m2i) == want && len(i2l) == want {
-			lv.once[dir].Do(func() { lv.m2i[dir], lv.i2l[dir] = m2i, i2l })
-		}
-	}
-}
-
-// matrices returns the M->I and I->L matrices for (dir, level), building
-// them on first use.
-func (t *pwTables) matrices(dir geom.Direction, l int) (m2i, i2l []complex128) {
+// table returns the M->I (pwM2IKind) or I->L (pwI2LKind) table of (dir,
+// level): total x MLSize entries, and MLSize x total with the weights folded
+// in. The two are built as a pair on the first use of either.
+func (t *pwTables) table(kind uint8, dir geom.Direction, l int) []complex128 {
 	lv := t.levels[l]
-	lv.once[dir].Do(func() { t.build(dir, lv) })
-	return lv.m2i[dir], lv.i2l[dir]
+	key := xlKey{kind: kind, sideBits: math.Float64bits(lv.side), ox: int8(dir), oy: int8(l)}
+	e := t.b.entry(key)
+	if !e.ok.Load() {
+		// The M->I entry's once guards the pair: the two tables come out of
+		// one sampling pass and one projector, and two workers that race for
+		// either build the 47-57 ms pair once. An imported pair is kept when
+		// both tables fit the level's rule and rebuilt otherwise.
+		key.kind = pwM2IKind
+		m2i := t.b.entry(key)
+		key.kind = pwI2LKind
+		i2l := t.b.entry(key)
+		m2i.once.Do(func() {
+			if want := 2 * lv.rule.total * t.b.MLSize(); len(m2i.mx) != want || len(i2l.mx) != want {
+				m2i.mx, i2l.mx = t.build(dir, lv)
+			}
+			m2i.ok.Store(true)
+			i2l.ok.Store(true)
+		})
+	}
+	return e.mx
 }
 
 // build constructs both tables by projecting the plane-wave basis functions
@@ -251,7 +246,7 @@ func (t *pwTables) matrices(dir geom.Direction, l int) (m2i, i2l []complex128) {
 //     R_n(a), c_0 = 1 and c_m = 2 otherwise: the projector's row, scaled;
 //   - I->L: the pair (a_j, a_j + pi) puts (w_k / M_k) 2 Re(X[t] E_t) into the
 //     incoming field, which is projected like any sampled field.
-func (t *pwTables) build(dir geom.Direction, lv *pwLevel) {
+func (t *pwTables) build(dir geom.Direction, lv *pwLevel) (m2i, i2l []complex128) {
 	b := t.b
 	ml, nq, r := b.MLSize(), len(b.sph), lv.rule
 	a := 0.9 * lv.side
@@ -271,7 +266,7 @@ func (t *pwTables) build(dir geom.Direction, lv *pwLevel) {
 		}
 	}
 	proj := b.projector(b.radReg, a)
-	lv.i2l[dir] = denseTable(ml, r.total, proj, eIn)
+	i2l = denseTable(ml, r.total, proj, eIn)
 	// The projector's rows, scaled in place, are M->I's samples.
 	idx := 0
 	for n := 0; n <= b.p; n++ {
@@ -284,7 +279,7 @@ func (t *pwTables) build(dir geom.Direction, lv *pwLevel) {
 			idx++
 		}
 	}
-	lv.m2i[dir] = denseTable(r.total, ml, gOut, proj)
+	return denseTable(r.total, ml, gOut, proj), i2l
 }
 
 // ISize implements Kernel.
@@ -292,8 +287,7 @@ func (b *base) ISize(level int) int { return b.pw.Load().levels[level].rule.tota
 
 // M2I implements Kernel: the level's (dir) table applied to a packed M.
 func (b *base) M2I(dir geom.Direction, level int, in, out []complex128) {
-	m2i, _ := b.pw.Load().matrices(dir, level)
-	applyTable(m2i, [][]complex128{in}, [][]complex128{out})
+	applyTable(b.pw.Load().table(pwM2IKind, dir, level), [][]complex128{in}, [][]complex128{out})
 }
 
 // I2I implements Kernel: the diagonal translation out[t] += in[t]*E_t(shift).
@@ -317,6 +311,5 @@ func (b *base) I2I(dir geom.Direction, level int, shift geom.Point, in, out []co
 
 // I2L implements Kernel: the level's (dir) table applied to a half wave.
 func (b *base) I2L(dir geom.Direction, level int, in, out []complex128) {
-	_, i2l := b.pw.Load().matrices(dir, level)
-	applyTable(i2l, [][]complex128{in}, [][]complex128{out})
+	applyTable(b.pw.Load().table(pwI2LKind, dir, level), [][]complex128{in}, [][]complex128{out})
 }

@@ -224,7 +224,7 @@ func TestShiftTableStats(t *testing.T) {
 func TestPrepareIdempotentPerRootSide(t *testing.T) {
 	for _, tc := range kernels(t) { // prepared for side 1.0, levels 0..5
 		b := tc.k.(*base)
-		m2i, _ := b.pw.Load().matrices(geom.Up, 2)
+		m2i := b.pw.Load().table(pwM2IKind, geom.Up, 2)
 		lv2 := b.pw.Load().levels[2]
 
 		tc.k.Prepare(1.0, 3) // shallower: nothing to do
@@ -236,7 +236,7 @@ func TestPrepareIdempotentPerRootSide(t *testing.T) {
 		if len(pw.levels) != 8 || pw.levels[2] != lv2 {
 			t.Errorf("%s: deeper Prepare rebuilt existing levels (%d levels)", tc.name, len(pw.levels))
 		}
-		if again, _ := pw.matrices(geom.Up, 2); &again[0] != &m2i[0] {
+		if again := pw.table(pwM2IKind, geom.Up, 2); &again[0] != &m2i[0] {
 			t.Errorf("%s: Prepare for the same side discarded a built M->I table", tc.name)
 		}
 		if b.RootSide() != 1.0 {

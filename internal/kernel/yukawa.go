@@ -57,10 +57,7 @@ func NewYukawa(p int, lambda float64) Kernel {
 		return -math.Exp(-lambda*r) * (lambda*r + 1) / (r * r)
 	}
 	b.pair, b.lambda = yukawaGo, lambda
-	b.pwParams = defaultPWParams
-	b.pwNodes = func(side float64) (u, mu, w []float64) {
-		return yukawaNodes(lambda*side, b.pwParams)
-	}
+	b.pwNodes = func(side float64) (u, mu, w []float64) { return yukawaNodes(lambda * side) }
 	b.wsp = newWSChan(b)
 	return b
 }

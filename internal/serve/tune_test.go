@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -262,6 +264,16 @@ func TestServeRefusesPlanPricedBeyondDeadline(t *testing.T) {
 	if got := s.cache.len(); got != 0 {
 		t.Errorf("the refused plan (400k points) holds a cache slot: %d cached plans", got)
 	}
+	// Threads the machine does not have buy no time: the same plan asked for
+	// on 256 workers is priced on the cores there are — against half of what
+	// they need — and refused, in words that say so. (Priced on the 256, it
+	// was admitted and held a slot for minutes.)
+	cores := runtime.GOMAXPROCS(0)
+	short := int((limit / time.Duration(cores)).Milliseconds())
+	code, _, eb = post(t, ts.URL, Request{N: big, Threshold: big, Workers: 256, DeadlineMS: short})
+	if code != http.StatusBadRequest || !strings.Contains(eb.Error, fmt.Sprintf("on %d of this machine's %d cores, 1x256 threads asked for", cores, cores)) {
+		t.Errorf("256 workers on %d cores against %d ms: HTTP %d %v, want a 400 naming the cores it priced", cores, short, code, eb)
+	}
 
 	// The same plan fits a deadline long enough, so the refusal is the
 	// request's, not the key's; nobody waits for that here. A request that
@@ -272,10 +284,15 @@ func TestServeRefusesPlanPricedBeyondDeadline(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(eb.Error, "10ms deadline") {
 		t.Errorf("%d^2 pairs against a 10ms deadline: HTTP %d %v, want a 400 naming the deadline", n, code, eb)
 	}
-	// ... more threads buy it time, and a tuned request of the same size is
-	// nowhere near any of this.
-	if code, _, eb := post(t, ts.URL, Request{N: n, Threshold: n, DeadlineMS: 10, Workers: 8}); code != http.StatusOK {
-		t.Errorf("the same plan on 8 workers: HTTP %d %v", code, eb)
+	// ... a second thread buys it time (15 ms fit 12.5) where there is a
+	// second core, and a tuned request of the same size is nowhere near any
+	// of this.
+	want := http.StatusOK
+	if cores < 2 {
+		want = http.StatusBadRequest
+	}
+	if code, _, eb := post(t, ts.URL, Request{N: n, Threshold: n, DeadlineMS: 15, Workers: 2}); code != want {
+		t.Errorf("the same plan on 2 workers and %d cores against 15 ms: HTTP %d %v, want %d", cores, code, eb, want)
 	}
 	code, resp, eb := post(t, ts.URL, Request{N: n})
 	if code != http.StatusOK {
