@@ -130,8 +130,9 @@ func main() {
 		close(done)
 	}()
 
-	log.Printf("dashmm-serve: listening on %s (queue=%d, concurrent=%d, cache=%d plans, pair kernel %s)",
-		*addr, *maxQueue, *maxConc, *cacheSize, serve.PairKernel())
+	laplacePair, yukawaPair := serve.PairKernels()
+	log.Printf("dashmm-serve: listening on %s (queue=%d, concurrent=%d, cache=%d plans, pair kernels laplace %s, yukawa %s)",
+		*addr, *maxQueue, *maxConc, *cacheSize, laplacePair, yukawaPair)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		if pool != nil {
 			pool.Close()

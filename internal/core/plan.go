@@ -104,13 +104,19 @@ func NewPlan(sources, targets []geom.Point, k kernel.Kernel, opts Options) (*Pla
 		return nil, fmt.Errorf("core: negative refinement threshold %d", opts.Threshold)
 	}
 	var p *Plan
+	var err error
 	if opts.Threshold == 0 {
 		tunerEntries.Add(1)
 		start := time.Now()
-		p = tune(sources, targets, k, opts)
-		p.tuning.Elapsed = time.Since(start)
+		p, err = tune(sources, targets, k, opts)
+		if err == nil {
+			p.tuning.Elapsed = time.Since(start)
+		}
 	} else {
-		p = assemble(sources, targets, geom.BoundingCube(sources, targets), k, opts, opts.Threshold)
+		p, err = assemble(sources, targets, geom.BoundingCube(sources, targets), k, opts, opts.Threshold)
+	}
+	if err != nil {
+		return nil, err
 	}
 	p.batches = dag.BuildBatches(p.Graph, k)
 	return p, nil
@@ -118,7 +124,7 @@ func NewPlan(sources, targets []geom.Point, k kernel.Kernel, opts Options) (*Pla
 
 // assemble builds the trees for one threshold and everything of a plan that
 // follows from them except the batch descriptors.
-func assemble(sources, targets []geom.Point, dom geom.Cube, k kernel.Kernel, o Options, threshold int) *Plan {
+func assemble(sources, targets []geom.Point, dom geom.Cube, k kernel.Kernel, o Options, threshold int) (*Plan, error) {
 	var src, tgt *tree.Tree
 	if o.TreeWorkers > 1 {
 		src = tree.BuildParallel(sources, dom, threshold, o.TreeWorkers)
@@ -145,23 +151,29 @@ func NewPlanFromTrees(src, tgt *tree.Tree, k kernel.Kernel, opts Options) (*Plan
 	if src.Domain != tgt.Domain {
 		return nil, fmt.Errorf("core: source and target trees disagree on the domain")
 	}
-	p := fromTrees(src, tgt, k, opts, opts.Threshold)
+	p, err := fromTrees(src, tgt, k, opts, opts.Threshold)
+	if err != nil {
+		return nil, err
+	}
 	p.batches = dag.BuildBatches(p.Graph, k)
 	return p, nil
 }
 
-// fromTrees computes the lists, prepares the kernel, builds the DAG and
-// prices it with the kernel's cost model.
-func fromTrees(src, tgt *tree.Tree, k kernel.Kernel, o Options, threshold int) *Plan {
-	lists := tree.DualLists(tgt, src)
+// fromTrees prepares the kernel, computes the lists, builds the DAG and
+// prices it with the kernel's cost model. A root cube the kernel refuses
+// (kernel.ErrRuleTooLarge) is an error before any of it.
+func fromTrees(src, tgt *tree.Tree, k kernel.Kernel, o Options, threshold int) (*Plan, error) {
 	maxLevel := max(src.MaxLevel, tgt.MaxLevel)
-	k.Prepare(src.Domain.Side, maxLevel+1)
+	if err := k.Prepare(src.Domain.Side, maxLevel+1); err != nil {
+		return nil, err
+	}
+	lists := tree.DualLists(tgt, src)
 	g := dag.Build(dag.Config{Method: o.Method, Theta: o.Theta}, src, tgt, lists, k)
 	model := sim.KernelModel(k, maxLevel)
 	return &Plan{
 		Kernel: k, Source: src, Target: tgt, Lists: lists, Graph: g,
 		threshold: threshold, predicted: model.Predict(g),
-	}
+	}, nil
 }
 
 // Threshold returns the refinement threshold the plan's trees were built

@@ -87,7 +87,7 @@ func TunerEntries() int64 { return tunerEntries.Load() }
 // at the first whose far field alone costs more than the best whole plan:
 // refining further only moves work out of S→T into a far field that does
 // not shrink, so nothing finer can win.
-func tune(sources, targets []geom.Point, k kernel.Kernel, o Options) *Plan {
+func tune(sources, targets []geom.Point, k kernel.Kernel, o Options) (*Plan, error) {
 	dom := geom.BoundingCube(sources, targets)
 	t := minThreshold
 	for n := max(len(sources), len(targets)); 2*t < n; {
@@ -104,7 +104,10 @@ func tune(sources, targets []geom.Point, k kernel.Kernel, o Options) *Plan {
 			plans = append(plans, plans[i])
 			continue
 		}
-		p := assemble(sources, targets, dom, k, o, t)
+		p, err := assemble(sources, targets, dom, k, o, t)
+		if err != nil {
+			return nil, err
+		}
 		c := Candidate{
 			Threshold: t,
 			Leaves:    p.Leaves(),
@@ -131,7 +134,7 @@ func tune(sources, targets []geom.Point, k kernel.Kernel, o Options) *Plan {
 	p := plans[tn.Chosen]
 	p.threshold = tn.Candidates[tn.Chosen].Threshold
 	p.tuning = tn
-	return p
+	return p, nil
 }
 
 // maxLeaf is the largest leaf population of the plan's two trees: every

@@ -55,7 +55,7 @@ func (k pricedKernel) PairNanos() float64 { return k.pairNanos }
 // portablePriced prices k's near field as the portable Laplace loop, the
 // price the N of the far-field fixtures were chosen at.
 func portablePriced(k kernel.Kernel) kernel.Kernel {
-	return pricedKernel{k.(builtinKernel), kernel.LaplacePairNanos()[0]}
+	return pricedKernel{k.(builtinKernel), kernel.PairPrices(kernel.NewLaplace(0))[0]}
 }
 
 // The decision table of the issue: below the crossover the plan is the
@@ -63,7 +63,7 @@ func portablePriced(k kernel.Kernel) kernel.Kernel {
 // 250 points per leaf, and a larger cube goes deeper — at the price of every
 // Laplace pair loop, so the table holds on whatever CPU builds the plan.
 func TestTunerDecisionTable(t *testing.T) {
-	for _, pair := range kernel.LaplacePairNanos() {
+	for _, pair := range kernel.PairPrices(kernel.NewLaplace(0)) {
 		tuned := func(n int) *Plan {
 			k := pricedKernel{kernel.NewLaplace(kernel.OrderForDigits(3)).(builtinKernel), pair}
 			return tunedPlanOn(t, k, points.Cube, n, dag.Advanced, 0)
@@ -94,6 +94,23 @@ func TestTunerDecisionTable(t *testing.T) {
 		if l := large.MaxLevel(); l <= 2 {
 			t.Errorf("%.1f ns/pair, cube N=128000: level %d (threshold %d), want deeper than 2", pair, l, large.Threshold())
 		}
+	}
+}
+
+// A cheaper pair never buys a finer tree: on the same Yukawa/Basic sphere,
+// priced at each Yukawa pair loop from the dearest to the cheapest, the
+// chosen threshold never decreases.
+func TestTunerCheaperPairNeverFiner(t *testing.T) {
+	yukawa := kernel.NewYukawa(kernel.OrderForDigits(3), 4.0)
+	prev := 0
+	for _, pair := range kernel.PairPrices(yukawa) {
+		k := pricedKernel{kernel.NewYukawa(kernel.OrderForDigits(3), 4.0).(builtinKernel), pair}
+		plan := tunedPlanOn(t, k, points.Sphere, 12000, dag.Basic, 0)
+		t.Logf("%.1f ns/pair: threshold %d, level %d, %d leaves", pair, plan.Threshold(), plan.MaxLevel(), plan.Leaves())
+		if plan.Threshold() < prev {
+			t.Errorf("%.1f ns/pair chose threshold %d, finer than the dearer pair's %d", pair, plan.Threshold(), prev)
+		}
+		prev = plan.Threshold()
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // callers do not contend or allocate in steady state.
 
 // Prepare implements Kernel.
-func (b *base) Prepare(rootSide float64, maxLevel int) {
-	b.preparePW(rootSide, maxLevel)
+func (b *base) Prepare(rootSide float64, maxLevel int) error {
+	return b.preparePW(rootSide, maxLevel)
 }
 
 // Direct implements Kernel.

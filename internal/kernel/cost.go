@@ -43,14 +43,24 @@ const (
 // pairNanos is the price of one source–target pair of the near field by the
 // pair loop the kernel bound (p2p.go), so the price follows the binding: for
 // 1/r a scalar square root and divide, the same four lanes at a time, or
-// eight lanes of rsqrt estimate and two Newton steps; an exponential on top
-// for the Yukawa kernel.
-var pairNanos = [...]float64{laplaceGo: 3.8, laplaceAVX2: 1.9, laplaceAVX512: 0.6, yukawaGo: 19}
+// eight lanes of rsqrt estimate and two Newton steps; for e^{-λr}/r a
+// scalar math.Exp, or a polynomial exponential four lanes at a time with an
+// exact divide or eight with a Newton reciprocal. The Yukawa prices are in
+// situ on sphere N=100k Yukawa/Basic at threshold 240.
+var pairNanos = [...]float64{
+	laplaceGo: 3.8, laplaceAVX2: 1.9, laplaceAVX512: 0.6,
+	yukawaGo: 12.7, yukawaAVX2: 2.5, yukawaAVX512: 1.6,
+}
 
-// LaplacePairNanos lists the price of every Laplace pair loop, portable
-// first, whichever one this process bound: the tuner's decisions are tested
-// at each.
-func LaplacePairNanos() []float64 { return append([]float64(nil), pairNanos[:yukawaGo]...) }
+// PairPrices lists the price of every pair loop of k's kernel, portable
+// (dearest) first, whichever one this process bound: the tuner's decisions
+// are tested at each. A kernel that is not built in gets Laplace's list.
+func PairPrices(k Kernel) []float64 {
+	if b, ok := k.(*base); ok && b.pair >= yukawaGo {
+		return append([]float64(nil), pairNanos[yukawaGo:]...)
+	}
+	return append([]float64(nil), pairNanos[:yukawaGo]...)
+}
 
 // OpNanos is a kernel's price list in nanoseconds: per pair, per point or
 // per application as noted. The three plane-wave prices are per direction

@@ -58,8 +58,11 @@ type Kernel interface {
 	// kept, deeper levels appended) and safe while operators run; preparing
 	// for a different side rebinds the kernel and invalidates every plan
 	// built on the old binding (the built-in kernels report their binding
-	// through a RootSide method, which core.Plan checks on every run).
-	Prepare(rootSide float64, maxLevel int)
+	// through a RootSide method, which core.Plan checks on every run). A root
+	// cube whose plane-wave rule would exceed the size bound (a Yukawa λ·side
+	// too large: ErrRuleTooLarge) is refused before anything is allocated and
+	// leaves the kernel as it was.
+	Prepare(rootSide float64, maxLevel int) error
 
 	// Direct evaluates the kernel G(t, s) for one pair of points.
 	Direct(t, s geom.Point) float64

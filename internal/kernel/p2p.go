@@ -66,11 +66,15 @@ const (
 	laplaceGo     pairLoop = iota // portable loop: the fallback and the oracle of the other two
 	laplaceAVX2                   // p2p_amd64.s: the portable loop's operations, four lanes at a time
 	laplaceAVX512                 // p2p_amd64.s: rsqrt estimate + two Newton steps, eight lanes at a time
-	yukawaGo
+	yukawaGo                      // portable loop: math.Exp, the oracle of the other two
+	yukawaAVX2                    // p2p_amd64.s: polynomial exp and an exact divide, four lanes at a time
+	yukawaAVX512                  // p2p_amd64.s: polynomial exp and a Newton reciprocal, eight lanes at a time
 )
 
 // String is the name PairKernel reports.
-func (l pairLoop) String() string { return [...]string{"go", "avx2", "avx512", "go"}[l] }
+func (l pairLoop) String() string {
+	return [...]string{"go", "avx2", "avx512", "go", "avx2", "avx512"}[l]
+}
 
 // PairKernel names the implementation of k's near-field pair loop: "avx512",
 // "avx2" or "go" (the portable loop; also any kernel that is not built in).
@@ -82,18 +86,13 @@ func PairKernel(k Kernel) string {
 	return "go"
 }
 
-// pairs runs the bound pair loop. The dispatch is a switch and not a
-// function value so that the block stays on the driver's stack: an argument
-// of an indirect call escapes.
+// pairs runs the bound pair loop. The dispatch (pairsOn) is a switch and
+// not a function value so that the block stays on the driver's stack: an
+// argument of an indirect call escapes.
 //
 //dashmm:noalloc
 func (b *base) pairs(src []geom.Point, q []float64, blk *pairBlock) {
-	q = q[:len(src)] // the assembly trusts the lengths
-	if b.pair == yukawaGo {
-		yukawaPairs(b.lambda, src, q, blk)
-	} else {
-		laplacePairsOn(b.pair, src, q, blk)
-	}
+	pairsOn(b.pair, b.lambda, src, q[:len(src)], blk) // the assembly trusts the lengths
 }
 
 // P2P implements BatchKernel: the near-field lists of one target leaf
@@ -146,7 +145,8 @@ func laplacePairs(src []geom.Point, q []float64, blk *pairBlock) {
 	}
 }
 
-// yukawaPairs is the e^{-lambda r}/r pair loop.
+// yukawaPairs is the portable e^{-lambda r}/r pair loop: one math.Sqrt, one
+// math.Exp and one divide per pair.
 func yukawaPairs(lambda float64, src []geom.Point, q []float64, blk *pairBlock) {
 	x, y, z, acc := blk.x[:blk.n], blk.y[:blk.n], blk.z[:blk.n], blk.acc[:blk.n]
 	for si, s := range src {

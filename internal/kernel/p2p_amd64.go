@@ -4,38 +4,46 @@ package kernel
 
 import "repro/internal/geom"
 
-// bestLaplacePair is the fastest Laplace pair loop this CPU and operating
-// system run, probed once per process.
-var bestLaplacePair = probePairLoop()
+// bestLaplacePair and bestYukawaPair are the fastest pair loops of each
+// kernel this CPU and operating system run, probed once per process.
+var bestLaplacePair, bestYukawaPair = probePairLoops()
 
-func probePairLoop() pairLoop {
+func probePairLoops() (laplace, yukawa pairLoop) {
 	const (
-		osxsave, avx  = 1 << 27, 1 << 28 // CPUID.1:ECX
-		avx2, avx512f = 1 << 5, 1 << 16  // CPUID.7.0:EBX
-		ymm, zmm      = 0x6, 0xe6        // XCR0: state the OS saves (zmm includes the opmasks)
+		fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28 // CPUID.1:ECX
+		avx2, avx512f     = 1 << 5, 1 << 16           // CPUID.7.0:EBX
+		ymm, zmm          = 0x6, 0xe6                 // XCR0: state the OS saves (zmm includes the opmasks)
 	)
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, c1, _ := cpuid(1, 0)
 	if maxLeaf < 7 || c1&osxsave == 0 || c1&avx == 0 {
-		return laplaceGo
+		return laplaceGo, yukawaGo
 	}
 	_, b7, _, _ := cpuid(7, 0)
 	switch xcr0 := xgetbv(); {
 	case b7&avx512f != 0 && xcr0&zmm == zmm:
-		return laplaceAVX512
+		return laplaceAVX512, yukawaAVX512
+	case b7&avx2 != 0 && xcr0&ymm == ymm && c1&fma != 0:
+		return laplaceAVX2, yukawaAVX2
 	case b7&avx2 != 0 && xcr0&ymm == ymm:
-		return laplaceAVX2
+		return laplaceAVX2, yukawaGo // the AVX2 Yukawa loop reduces and sums by FMA
 	}
-	return laplaceGo
+	return laplaceGo, yukawaGo
 }
 
-// laplacePairsOn runs the named Laplace pair loop.
-func laplacePairsOn(l pairLoop, src []geom.Point, q []float64, blk *pairBlock) {
+// pairsOn runs the named pair loop; lambda is read by the Yukawa ones.
+func pairsOn(l pairLoop, lambda float64, src []geom.Point, q []float64, blk *pairBlock) {
 	switch l {
 	case laplaceAVX512:
 		laplacePairsAVX512(src, q, blk)
 	case laplaceAVX2:
 		laplacePairsAVX2(src, q, blk)
+	case yukawaAVX512:
+		yukawaPairsAVX512(lambda, src, q, blk)
+	case yukawaAVX2:
+		yukawaPairsAVX2(lambda, src, q, blk)
+	case yukawaGo:
+		yukawaPairs(lambda, src, q, blk)
 	default:
 		laplacePairs(src, q, blk)
 	}
@@ -53,6 +61,18 @@ func laplacePairsAVX512(src []geom.Point, q []float64, blk *pairBlock)
 //
 //go:noescape
 func laplacePairsAVX2(src []geom.Point, q []float64, blk *pairBlock)
+
+// yukawaPairsAVX512 is yukawaPairs eight lanes at a time with a polynomial
+// e^t and a Newton reciprocal: within 4 ulp of it per pair where its value
+// is normal, for r in the Laplace AVX-512 loop's domain and any λ > 0.
+//
+//go:noescape
+func yukawaPairsAVX512(lambda float64, src []geom.Point, q []float64, blk *pairBlock)
+
+// yukawaPairsAVX2 is the same four lanes at a time, 1/r by an exact divide.
+//
+//go:noescape
+func yukawaPairsAVX2(lambda float64, src []geom.Point, q []float64, blk *pairBlock)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)

@@ -5,8 +5,12 @@ package kernel
 import "repro/internal/geom"
 
 // Without the assembly every kernel binds its portable pair loop.
-const bestLaplacePair = laplaceGo
+const bestLaplacePair, bestYukawaPair = laplaceGo, yukawaGo
 
-func laplacePairsOn(_ pairLoop, src []geom.Point, q []float64, blk *pairBlock) {
+func pairsOn(l pairLoop, lambda float64, src []geom.Point, q []float64, blk *pairBlock) {
+	if l == yukawaGo {
+		yukawaPairs(lambda, src, q, blk)
+		return
+	}
 	laplacePairs(src, q, blk)
 }

@@ -32,6 +32,8 @@
 package kernel
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -114,17 +116,56 @@ func laplaceNodes() (u, mu, w []float64) {
 	return u, mu, w
 }
 
-// yukawaNodes returns box-unit nodes for the Sommerfeld integral with
-// kappa*side = x. The cutoff adapts to x: the tail is negligible once
-// e^{-mu z_min} is below eps relative to the leading e^{-x} scale, so
-// umax = sqrt((x+umax0)^2 - x^2); fewer oscillations are needed for large
-// x, which is the scale variance the paper exploits.
-func yukawaNodes(x float64) (u, mu, w []float64) {
-	umax := math.Sqrt((x+pwUmax)*(x+pwUmax) - x*x)
-	nu := pwNu
-	if grow := umax / pwUmax; grow > 1 {
-		nu = int(math.Ceil(pwNu * grow))
+// yukawaCutoff returns the integration cutoff and the node count of the
+// Sommerfeld rule with kappa*side = x. The cutoff adapts to x: the tail is
+// negligible once e^{-mu z_min} is below eps relative to the leading e^{-x}
+// scale, so umax = sqrt((x+umax0)^2 - x^2), computed as sqrt(2 x umax0 +
+// umax0^2), which does not become Inf - Inf for a large x; fewer
+// oscillations are needed for large x, which is the scale variance the
+// paper exploits.
+func yukawaCutoff(x float64) (umax, nu float64) {
+	umax = math.Sqrt(2*x*pwUmax + pwUmax*pwUmax)
+	return umax, math.Ceil(pwNu * max(1, umax/pwUmax))
+}
+
+// maxRuleTerms bounds the plane-wave rule of a level: the complex
+// coefficients one direction keeps. Laplace's rule is 477 terms at every
+// level; Yukawa's grows as about 57·λ·side (yukawaRuleTerms), so the bound
+// is λ·side ≲ 18 000 on the root cube — λ up to that on the unit-cube
+// ensembles of points.Generate.
+const maxRuleTerms = 1 << 20
+
+// yukawaRuleTerms bounds from above, without building it, the terms per
+// direction of the rule yukawaNodes(x) makes: the Gauss–Legendre nodes are
+// symmetric, so the u_k average umax/2 and Σ m_k/2 is at most nu·(umax·ρ/2 +
+// pwAlphaB + 2)/2.
+func yukawaRuleTerms(x float64) float64 {
+	umax, nu := yukawaCutoff(x)
+	return nu * (pwAlphaC*umax*pwRhoMax/2 + pwAlphaB + 2) / 2
+}
+
+// ErrRuleTooLarge is the error Prepare returns for a root cube whose
+// plane-wave rule would exceed maxRuleTerms.
+var ErrRuleTooLarge = errors.New("kernel: plane-wave rule too large")
+
+// checkRule refuses a root cube whose level-0 rule — the largest of any
+// level, x halves with the side — would exceed the bound.
+func (b *base) checkRule(rootSide float64) error {
+	if b.pwScaleFree {
+		return nil
 	}
+	if n := yukawaRuleTerms(b.lambda * rootSide); !(n <= maxRuleTerms) {
+		return fmt.Errorf("%w: yukawa lambda %g on a root cube of side %g needs %.3g plane-wave terms per direction, over the bound of %d (lambda·side at most about 18000)",
+			ErrRuleTooLarge, b.lambda, rootSide, n, maxRuleTerms)
+	}
+	return nil
+}
+
+// yukawaNodes returns box-unit nodes for the Sommerfeld integral with
+// kappa*side = x (yukawaCutoff).
+func yukawaNodes(x float64) (u, mu, w []float64) {
+	umax, fnu := yukawaCutoff(x)
+	nu := int(fnu)
 	xs, ws := sphharm.GaussLegendre(nu)
 	u = make([]float64, nu)
 	mu = make([]float64, nu)
@@ -163,8 +204,11 @@ type pwLevel struct {
 // preparing for a different side rebinds the kernel: plans built on the old
 // binding then refuse to run (see core.Plan), and every table of theirs is
 // dropped with it. Prepare calls serialize on prepMu; operators never take
-// it.
-func (b *base) preparePW(rootSide float64, maxLevel int) {
+// it. A root cube checkRule refuses changes nothing.
+func (b *base) preparePW(rootSide float64, maxLevel int) error {
+	if err := b.checkRule(rootSide); err != nil {
+		return err
+	}
 	b.prepMu.Lock()
 	defer b.prepMu.Unlock()
 	t := &pwTables{b: b, rootSide: rootSide}
@@ -194,6 +238,7 @@ func (b *base) preparePW(rootSide float64, maxLevel int) {
 		t.levels = append(t.levels, lv)
 	}
 	b.pw.Store(t)
+	return nil
 }
 
 // RootSide reports the root-cube side the kernel is currently prepared for

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -173,6 +174,36 @@ func TestYukawaISizeVariesWithDepth(t *testing.T) {
 	}
 	if lap.ISize(0) != lap.ISize(6) {
 		t.Errorf("laplace ISize varies: %d vs %d", lap.ISize(0), lap.ISize(6))
+	}
+}
+
+// The Yukawa rule's size bound: yukawaRuleTerms bounds the rule each level
+// really gets from above, by at most one term per node, and a root cube
+// past maxRuleTerms — λ·side 1e7, 1e300, overflowed — is ErrRuleTooLarge
+// from Prepare, which leaves the kernel as it was.
+func TestYukawaRuleBound(t *testing.T) {
+	for _, x := range []float64{0, 0.5, 4, 40, 1e3, 1e4} {
+		uh, muh, wh := yukawaNodes(x)
+		r := makeRule(uh, muh, wh, 1)
+		if est := yukawaRuleTerms(x); est < float64(r.total) || est > float64(r.total+len(uh)) {
+			t.Errorf("λ·side %g: rule of %d terms on %d nodes, bounded at %.0f", x, r.total, len(uh), est)
+		}
+	}
+	k := NewYukawa(2, 1e4)
+	if err := k.Prepare(1, 2); err != nil {
+		t.Fatalf("λ = 1e4 on a unit cube: %v", err)
+	}
+	before := k.ISize(0)
+	for _, side := range []float64{1e3, 1e296, math.MaxFloat64} {
+		if err := k.Prepare(side, 2); !errors.Is(err, ErrRuleTooLarge) {
+			t.Errorf("λ·side %g: Prepare returned %v, want ErrRuleTooLarge", 1e4*side, err)
+		}
+	}
+	if got := k.(*base).RootSide(); got != 1 || k.ISize(0) != before {
+		t.Errorf("a refused Prepare rebound the kernel: root side %g, ISize(0) %d (was 1, %d)", got, k.ISize(0), before)
+	}
+	if err := NewLaplace(2).Prepare(1e300, 2); err != nil {
+		t.Errorf("Laplace is scale-free, yet: %v", err)
 	}
 }
 

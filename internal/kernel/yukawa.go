@@ -56,7 +56,7 @@ func NewYukawa(p int, lambda float64) Kernel {
 		// d/dr e^{-lr}/r = -e^{-lr} (l r + 1) / r^2
 		return -math.Exp(-lambda*r) * (lambda*r + 1) / (r * r)
 	}
-	b.pair, b.lambda = yukawaGo, lambda
+	b.pair, b.lambda = bestYukawaPair, lambda
 	b.pwNodes = func(side float64) (u, mu, w []float64) { return yukawaNodes(lambda * side) }
 	b.wsp = newWSChan(b)
 	return b

@@ -259,8 +259,8 @@ type MetricsSnapshot struct {
 	ShiftTableBytes int64 `json:"shift_table_bytes"`
 	ShiftOffLattice int64 `json:"shift_off_lattice_calls"`
 
-	// PairKernel is the near-field pair loop the numbers above ran on
-	// (PairKernel): "avx512", "avx2" or "go".
+	// PairKernel is the near-field pair loop the Laplace numbers above ran
+	// on (PairKernels): "avx512", "avx2" or "go".
 	PairKernel string `json:"pair_kernel"`
 
 	QueueWait HistogramSnapshot `json:"queue_wait"`
@@ -273,14 +273,14 @@ type MetricsSnapshot struct {
 	Dist *PoolSnapshot `json:"dist,omitempty"`
 }
 
-// pairKernel is probed once: every Laplace kernel of a process binds the same
-// loop.
-var pairKernel = kernel.PairKernel(kernel.NewLaplace(0))
+// pairKernel and yukawaPairKernel are probed once: every kernel of a family
+// binds the same loop in a process.
+var pairKernel, yukawaPairKernel = kernel.PairKernel(kernel.NewLaplace(0)), kernel.PairKernel(kernel.NewYukawa(0, 1))
 
-// PairKernel names the near-field pair loop this process's Laplace kernels
-// run (kernel.PairKernel; a Yukawa kernel's is always the portable one), so
-// a latency can be attributed to a CPU tier from the daemon's own output.
-func PairKernel() string { return pairKernel }
+// PairKernels names the near-field pair loops this process's Laplace and
+// Yukawa kernels run (kernel.PairKernel), so a latency can be attributed to
+// a CPU tier from the daemon's own output.
+func PairKernels() (laplace, yukawa string) { return pairKernel, yukawaPairKernel }
 
 func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot {
 	shift := kernel.ShiftTableStats()

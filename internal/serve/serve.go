@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -27,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/trace"
 )
 
@@ -300,9 +302,10 @@ func (s *Server) awaitCall(w http.ResponseWriter, ctx context.Context, c *call, 
 }
 
 // evaluate serves one admitted request through the plan cache. On error it
-// returns the HTTP status alongside the body (400 for a plan the cost model
-// prices beyond the deadline, 500 for evaluation failures, 503 when the
-// degraded fallback could not fit in the deadline).
+// returns the HTTP status alongside the body (400 for a λ whose plane-wave
+// rule on the request's geometry is past the kernel's size bound and for a
+// plan the cost model prices beyond the deadline, 500 for evaluation
+// failures, 503 when the degraded fallback could not fit in the deadline).
 func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.Duration, t0 time.Time) (*Response, int, *errorBody) {
 	entry, hit, evicted := s.cache.get(req.planKey())
 	if evicted > 0 {
@@ -317,6 +320,10 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 		// A failed build latches its error in the entry forever; drop it so
 		// a transient failure does not poison the key until LRU eviction.
 		s.cache.drop(req.planKey(), entry)
+		if errors.Is(err, kernel.ErrRuleTooLarge) {
+			// The request's λ on its geometry: nothing was built.
+			return nil, http.StatusBadRequest, &errorBody{Error: err.Error()}
+		}
 		return nil, http.StatusInternalServerError, &errorBody{Error: "plan build failed: " + err.Error()}
 	}
 	if entry.fromStore {

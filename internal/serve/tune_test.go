@@ -303,6 +303,68 @@ func TestServeRefusesPlanPricedBeyondDeadline(t *testing.T) {
 	}
 }
 
+// Regression: every finite λ > 0 passes validation, and a large one either
+// panicked the plan build — at λ = 1e300 the plane-wave cutoff was Inf − Inf
+// = NaN and the rule a slice of impossible length: the connection dropped,
+// the key stayed latched so each later request for it waited out its
+// deadline for a 503, and /metrics lost the outcome — or built a rule that
+// grows linearly in λ (28 M terms at λ = 1e6). A rule past the kernel's
+// bound is now a 400 that names λ, before anything is built; smaller λ are
+// served as before.
+func TestServeRefusesLambdaPastRuleBound(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const n = 3000
+	for _, lambda := range []float64{1e7, 1e300} {
+		for try := 0; try < 2; try++ { // the second request for the key is answered alike, not latched
+			start := time.Now()
+			code, _, eb := post(t, ts.URL, Request{N: n, Kernel: "yukawa", Lambda: lambda})
+			took := time.Since(start)
+			if code != http.StatusBadRequest || !strings.Contains(eb.Error, fmt.Sprintf("lambda %g", lambda)) {
+				t.Fatalf("λ = %g, request %d: HTTP %d %v, want a 400 naming λ", lambda, try, code, eb)
+			}
+			if took > time.Second {
+				t.Errorf("λ = %g, request %d: refusal took %v, want under a second", lambda, try, took)
+			}
+		}
+	}
+	if got := s.cache.len(); got != 0 {
+		t.Errorf("the refused keys hold %d cache slots", got)
+	}
+	if code, _, eb := post(t, ts.URL, Request{N: n}); code != http.StatusOK {
+		t.Errorf("Laplace request after the refusals: HTTP %d %v", code, eb)
+	}
+	sp := points.Generate(points.Cube, n, 1)
+	tp := points.Generate(points.Cube, n, 2)
+	q := points.Charges(n, 3)
+	for _, lambda := range []float64{4, 1e4} {
+		code, resp, eb := post(t, ts.URL, Request{N: n, Kernel: "yukawa", Lambda: lambda})
+		if code != http.StatusOK {
+			t.Errorf("λ = %g: HTTP %d %v", lambda, code, eb)
+			continue
+		}
+		k := kernel.NewYukawa(kernel.OrderForDigits(3), lambda)
+		var num, den float64
+		for i := 0; i < n; i += 15 {
+			var want float64
+			for j, p := range sp {
+				want += q[j] * k.Direct(tp[i], p)
+			}
+			d := resp.Potentials[i] - want
+			num, den = num+d*d, den+want*want
+		}
+		if !(den > 0) || math.Sqrt(num/den) > 1e-3 {
+			t.Errorf("λ = %g: error norm %.3g against a direct-sum norm of %.3g", lambda, math.Sqrt(num), math.Sqrt(den))
+		}
+	}
+	requireConserved(t, s)
+	if m := s.metrics.snapshot(s.cache.len(), nil); m.BadRequest != 4 || m.OK != 3 || m.Failed != 0 {
+		t.Errorf("bad_request=%d ok=%d failed=%d, want 4, 3, 0", m.BadRequest, m.OK, m.Failed)
+	}
+}
+
 // Degenerate inline ensembles through POST /evaluate: a 200 with the direct
 // sum's numbers (or a 400 that names the problem) — never a 500, a hang or a
 // NaN.
