@@ -24,8 +24,10 @@ package kernel
 const (
 	// One source point folded into, or one target point evaluated from, one
 	// stored (m >= 0) M/L coefficient (S→M, S→L, M→T, L→T): its share of the
-	// Y_n^m and radial recurrences and one real-by-complex multiply-add.
-	nsPointTerm = 10.5
+	// Cartesian Y_n^m recurrence and the radial functions, and one
+	// real-by-complex multiply-add. Laplace and Yukawa read the same in situ
+	// (4.5 and 4.6 in the quiet mode), so one constant serves both.
+	nsPointTerm = 5.5
 	// One entry of a real-linear table (dense.go: four real multiply-adds)
 	// streamed once per application (M→M, L→L, unbatched M→L).
 	nsDenseMAC = 2.7

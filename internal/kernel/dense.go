@@ -1,6 +1,9 @@
 package kernel
 
-import "repro/internal/geom"
+import (
+	"repro/internal/geom"
+	"repro/internal/sphharm"
+)
 
 // Dense operators as real-linear tables.
 //
@@ -135,10 +138,9 @@ func (b *base) translationTable(to geom.Point, a float64, inRF, outRF radialFunc
 	samp := make([]complex128, ml*nq)
 	for q, node := range b.sph {
 		v := to.Add(node.dir.Scale(a))
-		r := v.Norm()
-		ct, phi := angles(v, r)
+		x, y, z, r := sphharm.Direction(v.X, v.Y, v.Z)
 		inRF(r, ws.rad)
-		b.coef.YnmPacked(ct, phi, ws.ylm, ws.tri)
+		b.coef.YnmPackedXYZ(x, y, z, ws.ylm)
 		idx := 0
 		for n := 0; n <= b.p; n++ {
 			f := ws.rad[n]

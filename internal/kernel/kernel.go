@@ -180,7 +180,6 @@ func sphereFor(p int) *sphRule {
 	nth := p + 1 + sphOversample
 	nph := 2*p + 2 + 2*sphOversample
 	xs, ws := sphharm.GaussLegendre(nth)
-	scratch := make([]float64, sphharm.TriSize(p))
 	for i := 0; i < nth; i++ {
 		ct := xs[i]
 		st := math.Sqrt(1 - ct*ct)
@@ -191,7 +190,7 @@ func sphereFor(p int) *sphRule {
 				w:   ws[i] * 2 * math.Pi / float64(nph),
 				y:   make([]complex128, sphharm.TriSize(p)),
 			}
-			r.coef.YnmPacked(ct, phi, n.y, scratch)
+			r.coef.YnmPackedXYZ(n.dir.X, n.dir.Y, n.dir.Z, n.y)
 			r.nodes = append(r.nodes, n)
 		}
 	}
@@ -224,7 +223,6 @@ func (b *base) MLSize() int  { return sphharm.TriSize(b.p) }
 // free list below.
 type workspace struct {
 	rad     []float64
-	tri     []float64
 	ylm     []complex128
 	scratch []complex128
 }
@@ -232,7 +230,6 @@ type workspace struct {
 func (b *base) newWorkspace() *workspace {
 	return &workspace{
 		rad:     make([]float64, b.p+1),
-		tri:     make([]float64, sphharm.TriSize(b.p)),
 		ylm:     make([]complex128, sphharm.TriSize(b.p)),
 		scratch: make([]complex128, sphharm.TriSize(b.p)),
 	}
@@ -272,20 +269,21 @@ func (c wsChan) put(w *workspace) {
 // than every source.
 func (b *base) project(c geom.Point, spts []geom.Point, q []float64, rf radialFunc, out []complex128) {
 	ws := b.wsp.get(b)
+	out = out[:len(ws.ylm)]
 	for i, s := range spts {
-		v := s.Sub(c)
-		r := v.Norm()
-		ct, phi := angles(v, r)
+		x, y, z, r := sphharm.Direction(s.X-c.X, s.Y-c.Y, s.Z-c.Z)
 		rf(r, ws.rad)
-		b.coef.YnmPacked(ct, phi, ws.ylm, ws.tri)
-		idx := 0
-		for n := 0; n <= b.p; n++ {
-			f := q[i] * b.cn[n] * ws.rad[n]
-			for m := 0; m <= n; m++ {
-				y := ws.ylm[idx]
-				out[idx] += complex(f*real(y), -f*imag(y))
-				idx++
+		b.coef.YnmPackedXYZ(x, y, z, ws.ylm)
+		row := 0
+		for n, cn := range b.cn {
+			f := q[i] * cn * ws.rad[n]
+			ys := ws.ylm[row : row+n+1]
+			os := out[row : row+n+1]
+			os = os[:len(ys)]
+			for m, y := range ys {
+				os[m] += complex(f*real(y), -f*imag(y))
 			}
+			row += n + 1
 		}
 	}
 	b.wsp.put(ws)
@@ -297,22 +295,22 @@ func (b *base) project(c geom.Point, spts []geom.Point, q []float64, rf radialFu
 //
 // at point t relative to center c.
 func (b *base) evalExpansion(ws *workspace, c geom.Point, coeff []complex128, rf radialFunc, t geom.Point) float64 {
-	v := t.Sub(c)
-	r := v.Norm()
-	ct, phi := angles(v, r)
+	x, y, z, r := sphharm.Direction(t.X-c.X, t.Y-c.Y, t.Z-c.Z)
 	rf(r, ws.rad)
-	b.coef.YnmPacked(ct, phi, ws.ylm, ws.tri)
+	b.coef.YnmPackedXYZ(x, y, z, ws.ylm)
+	coeff = coeff[:len(ws.ylm)]
 	var acc float64
-	idx := 0
-	for n := 0; n <= b.p; n++ {
-		sn := 0.5 * real(coeff[idx]) * real(ws.ylm[idx]) // Y_n^0 is real
-		idx++
-		for m := 1; m <= n; m++ {
-			y := ws.ylm[idx]
-			sn += real(coeff[idx])*real(y) - imag(coeff[idx])*imag(y)
-			idx++
+	row := 0
+	for n, rad := range ws.rad {
+		ys := ws.ylm[row : row+n+1]
+		cs := coeff[row : row+n+1]
+		cs = cs[:len(ys)]
+		sn := 0.5 * real(cs[0]) * real(ys[0]) // Y_n^0 is real
+		for m := 1; m < len(ys); m++ {
+			sn += real(cs[m])*real(ys[m]) - imag(cs[m])*imag(ys[m])
 		}
-		acc += 2 * sn * ws.rad[n]
+		acc += 2 * sn * rad
+		row += n + 1
 	}
 	return acc
 }
@@ -352,20 +350,4 @@ func (b *base) translate(ws *workspace, from, to geom.Point, a float64, in []com
 			idx++
 		}
 	}
-}
-
-// angles returns (cos theta, phi) of the vector v with |v| = r, mapping the
-// zero vector to the north pole.
-func angles(v geom.Point, r float64) (ct, phi float64) {
-	if r == 0 {
-		return 1, 0
-	}
-	ct = v.Z / r
-	if ct > 1 {
-		ct = 1
-	} else if ct < -1 {
-		ct = -1
-	}
-	phi = math.Atan2(v.Y, v.X)
-	return ct, phi
 }

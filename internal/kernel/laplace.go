@@ -19,10 +19,11 @@ func NewLaplace(p int) Kernel {
 			}
 		},
 		func(r float64, out []float64) { // O_n = r^{-n-1}
-			v := 1 / r
+			inv := 1 / r
+			v := inv
 			for n := 0; n <= p; n++ {
 				out[n] = v
-				v /= r
+				v *= inv
 			}
 		},
 		cn)

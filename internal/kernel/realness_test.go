@@ -278,6 +278,69 @@ func TestRealnessEvaluations(t *testing.T) {
 	}
 }
 
+// The four point operators at p = 9 against the reference, whose Y_n^m
+// comes through the angles and sphharm.AssocLegendre, not through the
+// engine's Cartesian recurrence: random points, plus the ones the angle
+// path special-cased — the centre itself (the zero vector, read as the north
+// pole) where the regular family allows it, and points straight above and
+// below the centre (phi = 0 by convention there, x + iy = 0 here).
+func TestPointOperatorsMatchLegendreReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(106))
+	for _, tc := range kernels(t) {
+		b := tc.k.(*base)
+		if b.p != 9 {
+			t.Fatalf("%s: p = %d, this test is about p = 9", tc.name, b.p)
+		}
+		ref := newRefEngine(tc.k)
+		c := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
+		onAxis := func(pts []geom.Point, dz ...float64) []geom.Point {
+			for _, d := range dz {
+				pts = append(pts, c.Add(geom.Point{Z: d}))
+			}
+			return pts
+		}
+		near := onAxis(randBox(rng, c, 0.25, 40), 0, 0.1, -0.07)
+		far := onAxis(randBox(rng, c.Add(geom.Point{X: -0.5, Y: 0.5, Z: 0.25}), 0.25, 40), 0.6, -0.7)
+		q := randCharges(rng, len(near))
+		for _, op := range []struct {
+			name   string
+			spts   []geom.Point
+			rf     radialFunc
+			packed func(geom.Point, []geom.Point, []float64, []complex128)
+		}{
+			{"S2M", near, b.radReg, tc.k.S2M},
+			{"S2L", far, b.radOut, tc.k.S2L},
+		} {
+			got := make([]complex128, tc.k.MLSize())
+			op.packed(c, op.spts, q[:len(op.spts)], got)
+			if e := maxCoefDiff(got, packML(b.p, ref.project(c, op.spts, q[:len(op.spts)], op.rf))); e > 1e-12 {
+				t.Errorf("%s %s: vs the Legendre reference rel diff %.2e > 1e-12", tc.name, op.name, e)
+			}
+		}
+		coeff := randPacked(rng, tc.k.MLSize())
+		full := unpackML(b.p, coeff)
+		for _, op := range []struct {
+			name string
+			tpts []geom.Point
+			rf   radialFunc
+			eval func(geom.Point, []complex128, []geom.Point, []float64)
+		}{
+			{"M2T", far, b.radOut, tc.k.M2T},
+			{"L2T", near, b.radReg, tc.k.L2T},
+		} {
+			want := make([]float64, len(op.tpts))
+			for i, tp := range op.tpts {
+				want[i] = real(ref.eval(c, full, op.rf, tp))
+			}
+			got := make([]float64, len(op.tpts))
+			op.eval(c, coeff, op.tpts, got)
+			if e := relErr(got, want); e > 1e-12 {
+				t.Errorf("%s %s: vs the Legendre reference rel err %.2e > 1e-12", tc.name, op.name, e)
+			}
+		}
+	}
+}
+
 // (e) The one apply allocates nothing, behind every operator that calls it:
 // the single right-hand-side wrappers build their one-element blocks on the
 // stack.

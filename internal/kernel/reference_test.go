@@ -13,7 +13,9 @@ import (
 // every alpha-node of the plane-wave rule, complex arithmetic throughout —
 // kept as test-only code. It shares the kernel's radial functions, sphere
 // nodes and quadrature rule (the things that did not change) and none of
-// its operators.
+// its operators, and it reaches Y_n^m through the angles and the associated
+// Legendre functions (legendreYnm), not through the engine's Cartesian
+// recurrence.
 
 type refEngine struct {
 	b   *base
@@ -33,7 +35,7 @@ func newRefEngine(k Kernel) *refEngine {
 	}
 	for _, n := range b.sph {
 		y := make([]complex128, sphharm.SqSize(b.p))
-		b.coef.Ynm(n.dir.Z, math.Atan2(n.dir.Y, n.dir.X), y, r.tri)
+		legendreYnm(b.coef, n.dir.Z, math.Atan2(n.dir.Y, n.dir.X), y, r.tri)
 		r.y = append(r.y, y)
 	}
 	return r
@@ -48,7 +50,7 @@ func (r *refEngine) project(c geom.Point, spts []geom.Point, q []float64, rf rad
 		d := v.Norm()
 		ct, phi := angles(v, d)
 		rf(d, r.rad)
-		b.coef.Ynm(ct, phi, r.ylm, r.tri)
+		legendreYnm(b.coef, ct, phi, r.ylm, r.tri)
 		for n := 0; n <= b.p; n++ {
 			f := complex(q[i]*b.cn[n]*r.rad[n], 0)
 			for m := -n; m <= n; m++ {
@@ -67,7 +69,7 @@ func (r *refEngine) eval(c geom.Point, coeff []complex128, rf radialFunc, t geom
 	d := v.Norm()
 	ct, phi := angles(v, d)
 	rf(d, r.rad)
-	b.coef.Ynm(ct, phi, r.ylm, r.tri)
+	legendreYnm(b.coef, ct, phi, r.ylm, r.tri)
 	var acc complex128
 	for n := 0; n <= b.p; n++ {
 		var sn complex128
@@ -258,4 +260,38 @@ func packWave(rule *pwRule, full []complex128) []complex128 {
 		lo += mk
 	}
 	return x
+}
+
+// legendreYnm fills the full layout, Y_n^m at out[SqIndex(n, m)], from
+// sphharm.AssocLegendre, the K_n^m of coef and e^{i m phi} taken afresh per
+// m: the evaluator the engine used before YnmPackedXYZ. tri is scratch of
+// TriSize(p).
+func legendreYnm(coef *sphharm.Coef, ct, phi float64, out []complex128, tri []float64) {
+	p := coef.P
+	sphharm.AssocLegendre(p, ct, tri)
+	for m := 0; m <= p; m++ {
+		sin, cos := math.Sincos(float64(m) * phi)
+		for n := m; n <= p; n++ {
+			v := coef.K(n, m) * tri[sphharm.TriIndex(n, m)]
+			out[sphharm.SqIndex(n, m)] = complex(v*cos, v*sin)
+			out[sphharm.SqIndex(n, -m)] = complex(v*cos, -v*sin)
+		}
+	}
+}
+
+// angles returns (cos theta, phi) of the vector v with |v| = r, mapping the
+// zero vector to the north pole: the reference reaches Y_n^m through the
+// angles, as the engine did before it evaluated at the unit vector.
+func angles(v geom.Point, r float64) (ct, phi float64) {
+	if r == 0 {
+		return 1, 0
+	}
+	ct = v.Z / r
+	if ct > 1 {
+		ct = 1
+	} else if ct < -1 {
+		ct = -1
+	}
+	phi = math.Atan2(v.Y, v.X)
+	return ct, phi
 }

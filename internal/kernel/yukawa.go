@@ -24,30 +24,31 @@ func NewYukawa(p int, lambda float64) Kernel {
 	if lambda <= 0 {
 		panic("kernel: Yukawa lambda must be positive")
 	}
+	// The two scale rows, (2n+1)!!/lambda^n and 2 lambda^{n+1}/(pi (2n-1)!!),
+	// are fixed per kernel: the radial functions multiply by them.
 	cn := make([]float64, p+1)
-	dfOdd := make([]float64, p+2) // (2n+1)!! for n = -1..p at index n+1
-	dfOdd[0] = 1                  // (2*(-1)+1)!! = (-1)!! = 1
+	regScale := make([]float64, p+1)
+	outScale := make([]float64, p+1)
+	dfOdd := 1.0 // (2n-1)!!, starting from (-1)!! = 1
+	ln := 1.0    // lambda^n
 	for n := 0; n <= p; n++ {
 		cn[n] = 4 * math.Pi / float64(2*n+1)
-		dfOdd[n+1] = dfOdd[n] * float64(2*n+1)
+		outScale[n] = 2 * ln * lambda / (math.Pi * dfOdd)
+		dfOdd *= float64(2*n + 1)
+		regScale[n] = dfOdd / ln
+		ln *= lambda
 	}
 	b := newBase("yukawa", p,
 		func(r float64, out []float64) { // R_n = i_n(lr) (2n+1)!!/l^n
-			x := lambda * r
-			sphharm.BesselI(p, x, out)
-			ln := 1.0
-			for n := 0; n <= p; n++ {
-				out[n] *= dfOdd[n+1] / ln
-				ln *= lambda
+			sphharm.BesselI(p, lambda*r, out)
+			for n, s := range regScale {
+				out[n] *= s
 			}
 		},
 		func(r float64, out []float64) { // O_n = k_n(lr) 2 l^{n+1}/(pi (2n-1)!!)
-			x := lambda * r
-			sphharm.BesselK(p, x, out)
-			ln := lambda
-			for n := 0; n <= p; n++ {
-				out[n] *= 2 * ln / (math.Pi * dfOdd[n])
-				ln *= lambda
+			sphharm.BesselK(p, lambda*r, out)
+			for n, s := range outScale {
+				out[n] *= s
 			}
 		},
 		cn)

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -145,16 +147,31 @@ func (c *planCache) drop(key string, e *planEntry) {
 	}
 }
 
+// newPlan is the plan build behind ensureBuilt. It is a variable so a test
+// can swap in a build that panics.
+var newPlan = core.NewPlan
+
 // ensureBuilt builds the plan on first use. With a store it first looks the
 // key's record up and revives that — the cache holds CacheSize plans, the
 // store every plan ever spilled, so a restarted daemon answers any of them
 // from the store however many there are. Otherwise ensembles are
 // materialized, the kernel constructed, and core.NewPlan runs the tree +
 // list + DAG pipeline. Every later request for the same key skips all of it.
+// A panic anywhere in the build is the key's failure, not the daemon's: it
+// becomes the build error (its stack logged once, here), so the request is
+// answered with a 500 and the caller drops the entry, instead of net/http
+// dropping the connection with the entry latched done, planless and
+// errorless.
 func (e *planEntry) ensureBuilt(r *Request, st *Store) error {
 	e.build.Do(func() {
 		start := time.Now()
 		defer func() { e.buildTime = time.Since(start) }()
+		defer func() {
+			if v := recover(); v != nil {
+				e.plan, e.buildErr = nil, fmt.Errorf("panic: %v", v)
+				log.Printf("serve: plan build for key %q panicked: %v\n%s", e.key, v, debug.Stack())
+			}
+		}()
 		if st != nil && len(r.Sources) == 0 {
 			if rec, err := st.Get(r.planKey()); err != nil {
 				e.reviveErr = err
@@ -166,7 +183,7 @@ func (e *planEntry) ensureBuilt(r *Request, st *Store) error {
 			}
 		}
 		src, tgt := r.ensembles()
-		e.plan, e.buildErr = core.NewPlan(src, tgt, r.newKernel(), core.Options{Threshold: r.Threshold})
+		e.plan, e.buildErr = newPlan(src, tgt, r.newKernel(), core.Options{Threshold: r.Threshold})
 	})
 	return e.buildErr
 }

@@ -181,6 +181,10 @@ func TestServeChaos(t *testing.T) {
 		entry = e // every request above asked for the one plan
 	}
 	srv.cache.mu.Unlock()
+	// The last request's handler may still be on its way out after its
+	// reply: until it is, "inflight == 1" below would not mean the late
+	// request, and the sleep could end before the late deadline does.
+	waitFor(t, "the earlier handlers to return", func() bool { return srv.metrics.inflight.Load() == 0 })
 	before := srv.metrics.snapshot(srv.cache.len(), nil)
 	const lateMS = 500
 	late := make(chan result, 1)

@@ -1,7 +1,8 @@
 // Package sphharm supplies the special functions underlying the multipole
-// kernels: associated Legendre functions, orthonormal complex spherical
-// harmonics, Gauss–Legendre quadrature, and modified spherical Bessel
-// functions i_n and k_n.
+// kernels: orthonormal complex spherical harmonics (evaluated at a unit
+// vector by a Cartesian recurrence, YnmPackedXYZ; the associated Legendre
+// functions remain as its test oracle), Gauss–Legendre quadrature, and
+// modified spherical Bessel functions i_n and k_n.
 //
 // Spherical-harmonic convention: Y_n^m(theta, phi) =
 // K_n^m P_n^{|m|}(cos theta) e^{i m phi} with
@@ -61,15 +62,22 @@ func TriIndex(n, m int) int { return n*(n+1)/2 + m }
 // TriSize is the packed size needed for orders up to p inclusive.
 func TriSize(p int) int { return (p + 1) * (p + 2) / 2 }
 
-// Coef holds the orthonormalization constants K_n^m for n <= p.
+// Coef holds, per truncation order p, the orthonormalization constants
+// K_n^m and the coefficients of the Cartesian recurrence that evaluates
+// Y_n^m with them folded in (YnmPackedXYZ).
 type Coef struct {
-	P int
-	k []float64 // K_n^m at TriIndex(n, m), m >= 0
+	P   int
+	k   []float64 // K_n^m at TriIndex(n, m), m >= 0
+	rec []recStep // the recurrence's step into (n, m), at TriIndex(n, m)
 }
 
-// NewCoef precomputes the K_n^m constants up to order p.
+// recStep is one step of the recurrence: (a_n^m, b_n^m) for m < n, (d_n, 0)
+// on the diagonal m = n.
+type recStep struct{ a, b float64 }
+
+// NewCoef precomputes the K_n^m constants and the recurrence up to order p.
 func NewCoef(p int) *Coef {
-	c := &Coef{P: p, k: make([]float64, TriSize(p))}
+	c := &Coef{P: p, k: make([]float64, TriSize(p)), rec: make([]recStep, TriSize(p))}
 	for n := 0; n <= p; n++ {
 		for m := 0; m <= n; m++ {
 			// K = sqrt((2n+1)/(4 pi) * (n-m)!/(n+m)!), computed as a product
@@ -79,6 +87,15 @@ func NewCoef(p int) *Coef {
 				v /= float64(k)
 			}
 			c.k[TriIndex(n, m)] = math.Sqrt(v)
+			fn, fm := float64(n), float64(m)
+			st := &c.rec[TriIndex(n, m)]
+			switch {
+			case m == n && n > 0:
+				st.a = math.Sqrt((2*fn + 1) / (2 * fn))
+			case m < n:
+				st.a = math.Sqrt((4*fn*fn - 1) / ((fn - fm) * (fn + fm)))
+				st.b = math.Sqrt((2*fn + 1) * ((fn-1)*(fn-1) - fm*fm) / ((2*fn - 3) * (fn - fm) * (fn + fm)))
+			}
 		}
 	}
 	return c
@@ -94,43 +111,95 @@ func (c *Coef) K(n, m int) float64 {
 
 // Ynm evaluates the full set of orthonormal spherical harmonics
 // Y_n^m(theta, phi) for 0 <= n <= p, -n <= m <= n at the direction given by
-// cosTheta and phi, storing Y_n^m at out[SqIndex(n, m)]. scratch must have
-// length at least TriSize(p); out at least SqSize(p).
+// cosTheta and phi, storing Y_n^m at out[SqIndex(n, m)]. out must have
+// length at least SqSize(p); scratch is not used (the evaluator needs none)
+// and may be nil.
 func (c *Coef) Ynm(cosTheta, phi float64, out []complex128, scratch []float64) {
 	// The packed half goes to the tail of out and is scattered from there in
 	// ascending order: the tail starts TriSize(p-1) slots in, so no write at
 	// SqIndex(n, ±m) passes the packed slot being read.
 	sq := SqSize(c.P)
 	packed := out[sq-TriSize(c.P) : sq]
-	c.YnmPacked(cosTheta, phi, packed, scratch)
+	c.YnmPacked(cosTheta, phi, packed)
 	for n := 0; n <= c.P; n++ {
-		for m := 0; m <= n; m++ {
-			y := packed[TriIndex(n, m)]
+		row := packed[TriIndex(n, 0) : TriIndex(n, 0)+n+1]
+		full := out[n*n : n*n+2*n+1] // m = -n..n
+		for m, y := range row {
 			// No Condon–Shortley phase: Y_n^{-m} = conj(Y_n^m).
-			out[SqIndex(n, -m)] = cmplx.Conj(y)
-			out[SqIndex(n, m)] = y
+			full[n-m] = cmplx.Conj(y)
+			full[n+m] = y
 		}
 	}
 }
 
 // YnmPacked evaluates the m >= 0 half, Y_n^m at out[TriIndex(n, m)] — all a
-// real field needs, the other half being the conjugate. scratch and out must
-// have length at least TriSize(p).
-func (c *Coef) YnmPacked(cosTheta, phi float64, out []complex128, scratch []float64) {
-	p := c.P
-	AssocLegendre(p, cosTheta, scratch)
-	// e^{i m phi} for m = 0..p, built incrementally.
+// real field needs, the other half being the conjugate — at the direction
+// given by cosTheta and phi. out must have length at least TriSize(p).
+func (c *Coef) YnmPacked(cosTheta, phi float64, out []complex128) {
 	sin, cos := math.Sincos(phi)
-	eiphi := complex(cos, sin)
-	em := complex(1, 0)
-	for m := 0; m <= p; m++ {
-		for n := m; n <= p; n++ {
-			t := TriIndex(n, m)
-			v := c.k[t] * scratch[t]
-			out[t] = complex(v*real(em), v*imag(em))
-		}
-		em *= eiphi
+	st := math.Sqrt((1 - cosTheta) * (1 + cosTheta))
+	c.YnmPackedXYZ(st*cos, st*sin, cosTheta, out)
+}
+
+// YnmPackedXYZ evaluates the m >= 0 half, Y_n^m at out[TriIndex(n, m)], at
+// the unit vector (x, y, z) (Direction makes one), without an angle: there
+// sin(theta) e^{i phi} = x + iy and cos(theta) = z, so
+//
+//	Y_0^0 = K_0^0,
+//	Y_n^n = d_n (x + iy) Y_{n-1}^{n-1},
+//	Y_n^m = a_n^m z Y_{n-1}^m - b_n^m Y_{n-2}^m    (m < n; b_{m+1}^m = 0),
+//
+// with d_n = sqrt((2n+1)/(2n)), a_n^m = sqrt((4n^2-1)/(n^2-m^2)) (sqrt(2n+1)
+// at m = n-1) and b_n^m = sqrt((2n+1)((n-1)^2-m^2)/((2n-3)(n^2-m^2))): the
+// associated Legendre recurrences with K_n^m folded into real coefficients.
+// Nothing is divided and nothing is rounded into an angle — a direction near
+// the z-axis keeps its x + iy to the last bit, where sqrt((1-z)(1+z)) would
+// not. Row n reads rows n-1 and n-2 only, so its entries are independent of
+// each other. out must have length at least TriSize(p).
+//
+//dashmm:noalloc
+func (c *Coef) YnmPackedXYZ(x, y, z float64, out []complex128) {
+	p := c.P
+	out = out[:TriSize(p)]
+	rec := c.rec[:len(out)]
+	y00 := c.k[0]
+	out[0] = complex(y00, 0)
+	if p == 0 {
+		return
 	}
+	out[1] = complex(rec[1].a*z*y00, 0)
+	out[2] = complex(rec[2].a*x*y00, rec[2].a*y*y00)
+	for n := 2; n <= p; n++ {
+		row := TriIndex(n, 0)
+		prev2 := out[row-2*n+1 : row-n] // row n-2: m < n-1
+		prev := out[row-n : row]        // row n-1
+		cur := out[row : row+n+1]
+		steps := rec[row : row+n+1]
+		ymm := prev[n-1] // Y_{n-1}^{n-1}
+		az, d := steps[n-1].a*z, steps[n].a
+		cur[n-1] = complex(az*real(ymm), az*imag(ymm))
+		cur[n] = complex(d*(x*real(ymm)-y*imag(ymm)), d*(x*imag(ymm)+y*real(ymm)))
+		k := len(prev2)
+		prev, cur, steps = prev[:k], cur[:k], steps[:k]
+		for m, y2 := range prev2 {
+			y1, st := prev[m], steps[m]
+			az := st.a * z
+			cur[m] = complex(az*real(y1)-st.b*real(y2), az*imag(y1)-st.b*imag(y2))
+		}
+	}
+}
+
+// Direction returns the unit vector along (x, y, z) and the length r: the
+// arguments of YnmPackedXYZ and of a radial function. The zero vector maps
+// to the north pole (0, 0, 1), where every Y_n^m with m > 0 vanishes; a NaN
+// coordinate gives a NaN direction.
+func Direction(x, y, z float64) (ux, uy, uz, r float64) {
+	r = math.Sqrt(x*x + y*y + z*z)
+	if r == 0 {
+		return 0, 0, 1, 0
+	}
+	inv := 1 / r
+	return x * inv, y * inv, z * inv, r
 }
 
 // SqIndex maps (n, m) with -n <= m <= n to a linear index in the dense
@@ -177,12 +246,6 @@ func GaussLegendre(n int) (x, w []float64) {
 	return x, w
 }
 
-// besselScratch is the stack buffer covering the Miller-recurrence scratch
-// of every argument the FMM operators produce (start = p + 16 + x for the
-// unscaled recurrence): the downward passes stay allocation-free on the hot
-// M->L projection path, with a heap fallback for extreme arguments.
-const besselScratch = 192
-
 // BesselI fills out[n] with the modified spherical Bessel functions of the
 // first kind i_n(x) = sqrt(pi/(2x)) I_{n+1/2}(x) for n = 0..p, using
 // downward (Miller) recurrence normalized by i_0 = sinh(x)/x. out must have
@@ -205,57 +268,59 @@ func BesselI(p int, x float64, out []float64) {
 		}
 		return
 	}
-	// Miller's algorithm: run the downward recurrence
-	// f_{n-1} = f_{n+1} + (2n+1)/x f_n from a start order well above p,
-	// then scale so that f_0 matches sinh(x)/x.
-	start := p + 16 + int(x)
-	fp1, fn := 0.0, 1.0
-	var buf [besselScratch]float64
-	vals := buf[:]
-	if start+1 > len(buf) {
-		vals = make([]float64, start+1)
-	} else {
-		vals = vals[:start+1]
-	}
-	vals[start] = fn
-	for n := start; n >= 1; n-- {
-		fm1 := fp1 + float64(2*n+1)/x*fn
-		fp1, fn = fn, fm1
-		vals[n-1] = fn
-		if math.Abs(fn) > 1e250 {
-			// Rescale to avoid overflow.
-			for k := n - 1; k <= start; k++ {
-				vals[k] *= 1e-250
-			}
-			fn *= 1e-250
-			fp1 *= 1e-250
-		}
-	}
+	inv := 1 / x
+	millerDown(p, p+16+int(x), inv, out)
 	var i0 float64
 	if x > 300 {
 		i0 = math.Exp(x-math.Log(2*x)) * (1 - math.Exp(-2*x))
 	} else {
-		i0 = math.Sinh(x) / x
+		i0 = math.Sinh(x) * inv
 	}
-	scale := i0 / vals[0]
+	scale := i0 / out[0]
 	for n := 0; n <= p; n++ {
-		out[n] = vals[n] * scale
+		out[n] *= scale
+	}
+}
+
+// millerDown runs Miller's downward recurrence
+// f_{n-1} = f_{n+1} + (2n+1)/x f_n from f_start = 1, f_{start+1} = 0 and
+// leaves f_0..f_p, unnormalized, in out: the caller scales them so f_0
+// matches its i_0. inv is 1/x, taken once so the recurrence multiplies;
+// only the orders asked for are stored, the ones above p run in registers.
+func millerDown(p, start int, inv float64, out []float64) {
+	out = out[:p+1]
+	fp1, fn := 0.0, 1.0
+	for n := start; n >= 1; n-- {
+		fp1, fn = fn, fp1+float64(2*n+1)*inv*fn
+		if n <= len(out) {
+			out[n-1] = fn
+		}
+		if math.Abs(fn) > 1e250 {
+			// Rescale to avoid overflow: every value stored so far too.
+			for k := n - 1; k < len(out); k++ {
+				out[k] *= 1e-250
+			}
+			fn *= 1e-250
+			fp1 *= 1e-250
+		}
 	}
 }
 
 // BesselK fills out[n] with the modified spherical Bessel functions of the
 // second kind k_n(x) = sqrt(pi/(2x)) K_{n+1/2}(x) for n = 0..p using the
 // stable upward recurrence from k_0 = (pi/2) e^{-x}/x and
-// k_1 = (pi/2) e^{-x} (1/x + 1/x^2). x must be positive.
+// k_1 = (pi/2) e^{-x} (1/x + 1/x^2), multiplying by 1/x. x must be
+// positive.
 func BesselK(p int, x float64, out []float64) {
 	e := math.Exp(-x) * math.Pi / 2
-	out[0] = e / x
+	inv := 1 / x
+	out[0] = e * inv
 	if p == 0 {
 		return
 	}
-	out[1] = e * (1/x + 1/(x*x))
+	out[1] = e * (inv + inv*inv)
 	for n := 2; n <= p; n++ {
-		out[n] = out[n-2] + float64(2*n-1)/x*out[n-1]
+		out[n] = out[n-2] + float64(2*n-1)*inv*out[n-1]
 	}
 }
 
@@ -272,31 +337,9 @@ func BesselIScaled(p int, x float64, out []float64) {
 	}
 	// Downward recurrence directly on the scaled values; the scaled i_0 is
 	// (1 - e^{-2x}) / (2x).
-	start := p + 16 + int(math.Sqrt(x))
-	fp1, fn := 0.0, 1.0
-	var buf [besselScratch]float64
-	vals := buf[:]
-	if start+1 > len(buf) {
-		vals = make([]float64, start+1)
-	} else {
-		vals = vals[:start+1]
-	}
-	vals[start] = fn
-	for n := start; n >= 1; n-- {
-		fm1 := fp1 + float64(2*n+1)/x*fn
-		fp1, fn = fn, fm1
-		vals[n-1] = fn
-		if math.Abs(fn) > 1e250 {
-			for k := n - 1; k <= start; k++ {
-				vals[k] *= 1e-250
-			}
-			fn *= 1e-250
-			fp1 *= 1e-250
-		}
-	}
-	i0 := (1 - math.Exp(-2*x)) / (2 * x)
-	scale := i0 / vals[0]
+	millerDown(p, p+16+int(math.Sqrt(x)), 1/x, out)
+	scale := (1 - math.Exp(-2*x)) / (2 * x) / out[0]
 	for n := 0; n <= p; n++ {
-		out[n] = vals[n] * scale
+		out[n] *= scale
 	}
 }

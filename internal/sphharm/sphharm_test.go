@@ -315,13 +315,12 @@ func TestYnmPackedIsTheNonNegativeHalf(t *testing.T) {
 		c := NewCoef(p)
 		full := make([]complex128, SqSize(p))
 		packed := make([]complex128, TriSize(p))
-		scratch := make([]float64, TriSize(p))
 		for _, dir := range [][2]float64{{1, 0}, {-1, 2.5}, {0.3, 1.1}, {-0.77, -2.9}, {0, 4}} {
 			for i := range full {
 				full[i] = cmplx.NaN()
 			}
-			c.Ynm(dir[0], dir[1], full, scratch)
-			c.YnmPacked(dir[0], dir[1], packed, scratch)
+			c.Ynm(dir[0], dir[1], full, nil)
+			c.YnmPacked(dir[0], dir[1], packed)
 			for n := 0; n <= p; n++ {
 				for m := 0; m <= n; m++ {
 					if packed[TriIndex(n, m)] != full[SqIndex(n, m)] {
@@ -334,4 +333,171 @@ func TestYnmPackedIsTheNonNegativeHalf(t *testing.T) {
 			}
 		}
 	}
+}
+
+// legendreYnmPacked is the evaluator YnmPackedXYZ replaced, kept as its
+// oracle: the associated Legendre functions at cos(theta), K_n^m, and
+// e^{i m phi} by repeated multiplication.
+func legendreYnmPacked(c *Coef, cosTheta, phi float64, out []complex128) {
+	p := c.P
+	tri := make([]float64, TriSize(p))
+	AssocLegendre(p, cosTheta, tri)
+	sin, cos := math.Sincos(phi)
+	eiphi := complex(cos, sin)
+	em := complex(1, 0)
+	for m := 0; m <= p; m++ {
+		for n := m; n <= p; n++ {
+			t := TriIndex(n, m)
+			v := c.k[t] * tri[t]
+			out[t] = complex(v*real(em), v*imag(em))
+		}
+		em *= eiphi
+	}
+}
+
+// legendreAt is the oracle at the unit vector (x, y, z), reached through
+// its angles as the kernels once did.
+func legendreAt(c *Coef, x, y, z float64, out []complex128) {
+	legendreYnmPacked(c, math.Max(-1, math.Min(1, z)), math.Atan2(y, x), out)
+}
+
+// finiteDiff returns max |got - want| over the entries where both are
+// finite, relative to the largest finite |want|.
+func finiteDiff(got, want []complex128) float64 {
+	var num, den float64
+	for i := range want {
+		if cmplx.IsNaN(got[i]) || cmplx.IsInf(got[i]) || cmplx.IsNaN(want[i]) || cmplx.IsInf(want[i]) {
+			continue
+		}
+		num = math.Max(num, cmplx.Abs(got[i]-want[i]))
+		den = math.Max(den, cmplx.Abs(want[i]))
+	}
+	if den == 0 {
+		return num
+	}
+	return num / den
+}
+
+// The Cartesian recurrence against the Legendre evaluator it replaced, at
+// every order the daemon serves between 1 and 12 digits' worth, and at the
+// directions the angle path handled specially or badly.
+func TestYnmCartesianMatchesLegendre(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, p := range []int{2, 9, 17, 34} {
+		c := NewCoef(p)
+		got := make([]complex128, TriSize(p))
+		want := make([]complex128, TriSize(p))
+		var worst float64
+		for i := 0; i < 10000; i++ {
+			x, y, z, _ := Direction(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+			c.YnmPackedXYZ(x, y, z, got)
+			legendreAt(c, x, y, z, want)
+			worst = math.Max(worst, finiteDiff(got, want))
+		}
+		t.Logf("p=%d: worst difference %.2e of max|Y| over 10000 directions", p, worst)
+		if worst > 1e-12 {
+			t.Errorf("p=%d: Cartesian vs Legendre differ by %.2e of max|Y|, want <= 1e-12", p, worst)
+		}
+
+		// The poles: Y_n^0 = K_n^0 (±1)^n, and nothing else.
+		for _, sign := range []float64{1, -1} {
+			c.YnmPackedXYZ(0, 0, sign, got)
+			for n := 0; n <= p; n++ {
+				for m := 0; m <= n; m++ {
+					w := 0.0
+					if m == 0 {
+						w = c.K(n, 0) * math.Pow(sign, float64(n))
+					}
+					if y := got[TriIndex(n, m)]; cmplx.Abs(y-complex(w, 0)) > 1e-13*math.Max(1, math.Abs(w)) {
+						t.Errorf("p=%d pole %+g: Y_%d^%d = %v, want %g", p, sign, n, m, y, w)
+					}
+				}
+			}
+		}
+
+		// The zero vector is the north pole, as it was through the angles.
+		x, y, z, r := Direction(0, 0, 0)
+		c.YnmPackedXYZ(x, y, z, got)
+		c.YnmPackedXYZ(0, 0, 1, want)
+		if r != 0 || x != 0 || y != 0 || z != 1 {
+			t.Errorf("Direction(0, 0, 0) = (%g, %g, %g), r %g; want the north pole, r 0", x, y, z, r)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("p=%d: zero vector Y[%d] = %v, north pole %v", p, i, got[i], want[i])
+			}
+		}
+
+		// A NaN coordinate propagates to every degree above 0 (Y_0^0 is the
+		// constant K_0^0).
+		x, y, z, _ = Direction(0.3, math.NaN(), 0.4)
+		c.YnmPackedXYZ(x, y, z, got)
+		if got[0] != complex(c.K(0, 0), 0) {
+			t.Errorf("p=%d NaN direction: Y_0^0 = %v, want K_0^0", p, got[0])
+		}
+		for i := 1; i < len(got); i++ {
+			if !cmplx.IsNaN(got[i]) {
+				t.Errorf("p=%d NaN direction: Y[%d] = %v, want NaN", p, i, got[i])
+			}
+		}
+	}
+
+	// Near the axis: x and y at 1e-4 and 1e-9 of r. Y_1^1 is K_1^1 (x + iy)
+	// to the rounding of one product. The angle path loses sin(theta) to
+	// sqrt((1 - cos)(1 + cos)): at 1e-4 it keeps about eight digits of it,
+	// and at 1e-9 cos(theta) rounds to ±1 and it returns Y_1^1 = 0.
+	c := NewCoef(9)
+	got := make([]complex128, TriSize(9))
+	for _, eps := range []float64{1e-4, 1e-9} {
+		for _, v := range [][3]float64{{eps, eps, 1}, {-eps, 0.5 * eps, -1}, {0, -eps, 1}} {
+			const r = 3.0
+			x, y, z, _ := Direction(r*v[0], r*v[1], r*v[2])
+			c.YnmPackedXYZ(x, y, z, got)
+			want := complex(c.K(1, 1)*x, c.K(1, 1)*y)
+			if d := cmplx.Abs(got[TriIndex(1, 1)]-want) / cmplx.Abs(want); d > 1e-15 {
+				t.Errorf("direction %v·%g: Y_1^1 = %v, want K_1^1 (x+iy) = %v (rel %.2e)", v, r, got[TriIndex(1, 1)], want, d)
+			}
+		}
+	}
+}
+
+// FuzzYnmCartesian: any float64 triple — normalised first when it is
+// finite and non-zero, so subnormal and ±1e300 coordinates give a direction
+// — evaluates without a panic, to finite values unless a coordinate is NaN
+// or infinite, and agrees with the Legendre evaluator wherever both are
+// finite. The seed corpus in testdata/fuzz replays under plain go test.
+func FuzzYnmCartesian(f *testing.F) {
+	f.Add(0.3, -0.4, 0.5)
+	coefs := []*Coef{NewCoef(2), NewCoef(9), NewCoef(34)}
+	f.Fuzz(func(t *testing.T, x, y, z float64) {
+		if s := max(math.Abs(x), math.Abs(y), math.Abs(z)); s > 0 && !math.IsInf(s, 0) && !math.IsNaN(s) {
+			x, y, z = x/s, y/s, z/s
+		}
+		ux, uy, uz, _ := Direction(x, y, z)
+		// The oracle reads a direction through its angles, and its
+		// sin(theta) = sqrt((1-z)(1+z)) differs from |x + iy| of the same
+		// rounded unit vector by up to 1e-16/sin(theta) — all of it at 1e-9
+		// of the axis, which TestYnmCartesianMatchesLegendre pins. So the
+		// recurrence is evaluated at the direction the oracle's angles name:
+		// the two evaluators are compared, not two readings of one vector.
+		ct, phi := math.Max(-1, math.Min(1, uz)), math.Atan2(uy, ux)
+		sin, cos := math.Sincos(phi)
+		st := math.Sqrt((1 - ct) * (1 + ct))
+		finite := !math.IsNaN(ux + uy + uz)
+		for _, c := range coefs {
+			got := make([]complex128, TriSize(c.P))
+			want := make([]complex128, TriSize(c.P))
+			c.YnmPackedXYZ(ux, uy, uz, got)
+			for i, v := range got {
+				if finite && (cmplx.IsNaN(v) || cmplx.IsInf(v)) {
+					t.Fatalf("p=%d (%g, %g, %g) -> (%g, %g, %g): Y[%d] = %v", c.P, x, y, z, ux, uy, uz, i, v)
+				}
+			}
+			c.YnmPackedXYZ(st*cos, st*sin, ct, got)
+			legendreYnmPacked(c, ct, phi, want)
+			if d := finiteDiff(got, want); d > 1e-12 {
+				t.Fatalf("p=%d (%g, %g, %g) -> (%g, %g, %g): Cartesian vs Legendre differ by %.2e of max|Y|", c.P, x, y, z, ux, uy, uz, d)
+			}
+		}
+	})
 }
