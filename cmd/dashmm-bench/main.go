@@ -379,7 +379,7 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 	}
 	cl, err := amt.NewCluster(amt.ClusterConfig{
 		Rank: 0, World: locs, Network: network, Addr: addr,
-		Stamp: sc.stamp(locs), Heartbeat: distHeartbeat(),
+		Stamp: sc.stamp(locs), Heartbeat: distHeartbeat(), Fault: fault,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -407,7 +407,7 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 
 	q := points.Charges(sc.n, 3)
 	got, rep, err := core.DistRun(plan, cl, q, core.DistOptions{
-		Workers: distWorkers(locs), Seed: 1, Timeout: 5 * time.Minute, Fault: fault,
+		Workers: distWorkers(locs), Timeout: 5 * time.Minute,
 	})
 	for i, cmd := range kids {
 		werr := cmd.Wait()
@@ -463,14 +463,14 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 func runDistWorker(plan *core.Plan, rank, locs int, network, addr, stamp string, fault *amt.FaultProfile, killRank int, killAt float64) int {
 	cl, err := amt.NewCluster(amt.ClusterConfig{
 		Rank: rank, World: locs, Network: network, Addr: addr,
-		Stamp: stamp, Heartbeat: distHeartbeat(),
+		Stamp: stamp, Heartbeat: distHeartbeat(), Fault: fault,
 	})
 	if err != nil {
 		log.Printf("rank %d join: %v", rank, err)
 		return 1
 	}
 	defer cl.Close()
-	opts := core.DistOptions{Workers: distWorkers(locs), Seed: int64(rank) + 1, Timeout: 5 * time.Minute, Fault: fault}
+	opts := core.DistOptions{Workers: distWorkers(locs), Timeout: 5 * time.Minute}
 	if killRank == rank {
 		opts.OnProgress = func(fired, owned int) {
 			if owned > 0 && float64(fired) >= killAt*float64(owned) {

@@ -15,12 +15,11 @@
 // prebuilt Task per DAG node), built directly on Spawn and SendParcel; a
 // second, general LCO API here had no caller.
 //
-// A Runtime hosts either N localities sharing this process's memory — a
-// parcel between them is a direct spawn with modeled byte counts — or, in
-// wire mode (Config.World > 1), the one locality of a multi-process cluster
-// whose parcels are encoded frames carried by a Transport under the
-// reliable-delivery engine (delivery.go). DESIGN.md records why this
-// preserves the behaviours the paper measures.
+// A Runtime is a scheduler and nothing else: it hosts N localities sharing
+// this process's memory — a parcel between them is a direct spawn with
+// modeled byte counts — or one rank of a multi-process cluster, whose wire
+// and delivery engine belong to the Cluster (cluster.go, delivery.go).
+// DESIGN.md records why this preserves the behaviours the paper measures.
 package amt
 
 import (
@@ -38,24 +37,15 @@ type Task func(w *Worker)
 // Config configures a Runtime.
 type Config struct {
 	// Localities is the number of shared-memory localities hosted by this
-	// process (default 1; forced to 1 in wire mode).
+	// process (default 1).
 	Localities int
 	// Workers is the number of scheduler threads per locality (default 1).
 	Workers int
-	// Seed seeds the per-worker steal RNGs (deterministic scheduling noise)
-	// and the delivery layer's backoff jitter.
+	// Seed seeds the per-worker steal RNGs (deterministic scheduling noise).
 	Seed int64
-	// World and Rank switch the runtime into wire mode (World > 1): this
-	// process hosts exactly one locality whose Rank is the global rank in
-	// [0, World), and parcels to other ranks travel Transport as encoded
-	// frames (SendWire / DeliverWireFrame in delivery.go). Membership —
-	// heartbeats, death verdicts — is the Cluster's job (cluster.go).
-	World, Rank int
-	// Transport is the frame wire of wire mode (required there, unused
-	// otherwise); Delivery tunes the reliable-delivery engine on top of it
-	// (zero value = defaults).
-	Transport Transport
-	Delivery  DeliveryConfig
+	// Rank is the rank of the first hosted locality: 0 in-process, the
+	// cluster rank for the one locality of a rank's runtime.
+	Rank int
 }
 
 // Runtime is the in-process AMT runtime.
@@ -67,15 +57,8 @@ type Runtime struct {
 	done     chan struct{}
 	doneOnce sync.Once
 	// shuttingDown is set once Run has finished its final leftover sweep;
-	// from then on stray spawns (e.g. a parcel copy arriving after the
-	// delivery deadline settled it) are counted instead of silently lost.
+	// from then on stray spawns are counted instead of silently lost.
 	shuttingDown atomic.Bool
-
-	// net is the parcel delivery engine over cfg.Transport (delivery.go);
-	// nil outside wire mode. wireHandler consumes its inbound data frames and
-	// is written once before the data plane starts.
-	net         *delivery
-	wireHandler WireHandler
 
 	// Stats.
 	parcelsSent  atomic.Int64
@@ -123,13 +106,6 @@ type Worker struct {
 // New creates a runtime with the given configuration. Call Run to execute
 // work.
 func New(cfg Config) *Runtime {
-	if cfg.World > 1 {
-		// Wire mode: one locality per process, globally ranked.
-		cfg.Localities = 1
-		if cfg.Transport == nil {
-			panic("amt: wire mode (Config.World > 1) requires Config.Transport")
-		}
-	}
 	if cfg.Localities <= 0 {
 		cfg.Localities = 1
 	}
@@ -139,7 +115,7 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{cfg: cfg, done: make(chan struct{})}
 	gid := 0
 	for l := 0; l < cfg.Localities; l++ {
-		loc := &Locality{rt: rt, Rank: l}
+		loc := &Locality{rt: rt, Rank: cfg.Rank + l}
 		for w := 0; w < cfg.Workers; w++ {
 			wk := &Worker{
 				loc:      loc,
@@ -154,15 +130,10 @@ func New(cfg Config) *Runtime {
 		}
 		rt.locs = append(rt.locs, loc)
 	}
-	if cfg.World > 1 {
-		rt.locs[0].Rank = cfg.Rank
-		rt.net = newDelivery(rt, cfg.Transport, cfg.Delivery, cfg.Seed, cfg.World)
-	}
 	return rt
 }
 
-// Locality returns the hosted locality of rank l: any of them in-process, the
-// process's own in wire mode.
+// Locality returns the hosted locality of rank l.
 func (rt *Runtime) Locality(l int) *Locality { return rt.locs[l-rt.locs[0].Rank] }
 
 // Rank returns the locality rank the worker belongs to.
@@ -235,7 +206,7 @@ func (l *Locality) spawn(t Task, high bool) {
 // execution; a remote send is accounted as a parcel of the modeled size and
 // spawned directly on the destination — localities of one process share its
 // memory, so there is no wire to lose it. Parcels between processes are
-// encoded frames and go through SendWire.
+// encoded frames and go through Cluster.Send.
 //
 //dashmm:noalloc
 func (w *Worker) SendParcel(dest int, bytes int, action Task) {
@@ -269,8 +240,8 @@ func (rt *Runtime) signalDone() {
 // and blocks until all spawned work has drained (or Abort is called). It
 // returns basic execution statistics. A Runtime runs one generation at a
 // time: after Run returns, call Reset to re-arm it for another Run (the
-// long-lived-service path), or create a new one. Reset refuses what is
-// genuinely single-shot (wire mode, aborted runs).
+// long-lived-service path), or create a new one. Reset refuses an aborted
+// run's runtime.
 func (rt *Runtime) Run(setup func()) Stats {
 	// Guard against an immediate empty run.
 	rt.pending.Add(1)
@@ -295,22 +266,18 @@ func (rt *Runtime) Run(setup func()) Stats {
 	// zero and the workers returning (a late parcel copy, a straggling
 	// continuation) may still sit in an inbox. Execute everything left,
 	// then raise the shutdown flag so anything arriving later is counted
-	// (TransportStats.LateDrops / Stats.LateSpawns) instead of silently lost.
+	// (Stats.LateSpawns) instead of silently lost.
 	rt.sweepLeftovers()
 	rt.shuttingDown.Store(true)
 	rt.sweepLeftovers() // whatever raced the flag
-	if rt.net != nil {
-		// Settle whatever this run never got acked (see delivery.purge).
-		rt.net.purge()
-	}
 	return rt.StatsNow()
 }
 
 // StatsNow assembles the current counter values. Run returns the same
 // snapshot; StatsNow additionally lets callers observe a live or finished
-// run (a timeout diagnosis, late parcel copies, severed retransmissions).
+// run (a timeout diagnosis).
 func (rt *Runtime) StatsNow() Stats {
-	s := Stats{
+	return Stats{
 		TasksRun:     rt.tasksRun.Load(),
 		ParcelsSent:  rt.parcelsSent.Load(),
 		ParcelBytes:  rt.parcelBytes.Load(),
@@ -318,10 +285,6 @@ func (rt *Runtime) StatsNow() Stats {
 		FailedSteals: rt.stealsFailed.Load(),
 		LateSpawns:   rt.lateSpawns.Load(),
 	}
-	if rt.net != nil {
-		s.Transport = rt.net.stats()
-	}
-	return s
 }
 
 // TasksExecuted returns the number of tasks run so far. Watchdogs sample it
@@ -335,18 +298,12 @@ func (rt *Runtime) TasksExecuted() int64 { return rt.tasksRun.Load() }
 // only Reset a quiesced runtime: Run has returned and no external goroutine
 // is still delivering work to it.
 //
-// Reset refuses (returning an error, leaving the runtime unusable for
-// further Runs) when pending work remains (an aborted or stalled run —
-// queues may hold tasks whose context is gone) and in wire mode (the
-// delivery engine's sequence windows and dedup filter encode one run's
-// history). Callers handle an error by discarding the runtime and calling
-// New — the pool-and-recreate fallback.
+// Reset refuses when pending work remains — an aborted or stalled run's
+// queues may hold tasks whose context is gone — and the caller then
+// discards the runtime and calls New: the pool-and-recreate fallback.
 func (rt *Runtime) Reset() error {
 	if n := rt.pending.Load(); n != 0 {
 		return fmt.Errorf("amt: Reset with %d pending units (aborted run?)", n)
-	}
-	if rt.net != nil {
-		return fmt.Errorf("amt: Reset in wire mode")
 	}
 	rt.done = make(chan struct{})
 	rt.doneOnce = sync.Once{}
@@ -359,6 +316,13 @@ func (rt *Runtime) Reset() error {
 	rt.lateSpawns.Store(0)
 	return nil
 }
+
+// Hold keeps Run from draining until the matching Release: a cluster rank
+// cannot infer global quiescence from its local counter.
+func (rt *Runtime) Hold() { rt.pending.Add(1) }
+
+// Release releases a Hold.
+func (rt *Runtime) Release() { rt.finish() }
 
 // Abort forces Run to return even though work is still pending. Used by
 // watchdogs that have diagnosed a stalled evaluation: the scheduler loops
@@ -484,8 +448,8 @@ type Stats struct {
 	FailedSteals int64
 	// LateSpawns counts spawns rejected after shutdown.
 	LateSpawns int64
-	// Transport counts delivery-layer and wire activity (retries, dedups,
-	// wire faults) in wire mode; all-zero for an in-process runtime.
+	// Transport is a cluster rank's Cluster.TransportStats for the run,
+	// filled in by whoever ran it there; all-zero in-process.
 	Transport TransportStats
 }
 

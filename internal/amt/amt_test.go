@@ -239,8 +239,7 @@ func TestRuntimeResetParcels(t *testing.T) {
 	}
 }
 
-// Reset must refuse what is single-shot: an aborted run with pending work,
-// and a wire-mode runtime (its delivery engine encodes one run's history).
+// Reset must refuse what is single-shot: an aborted run with pending work.
 func TestRuntimeResetRefusals(t *testing.T) {
 	// Undrained pending work (the signature of a stalled/aborted run whose
 	// queues still hold context-less tasks) must be refused. An ordinary
@@ -254,12 +253,6 @@ func TestRuntimeResetRefusals(t *testing.T) {
 	rt.pending.Add(-1)
 	if err := rt.Reset(); err != nil {
 		t.Fatalf("Reset refused a drained runtime: %v", err)
-	}
-
-	wired := New(Config{World: 2, Rank: 0, Workers: 1, Transport: &recordingWire{}})
-	wired.Run(func() { wired.Locality(0).Spawn(func(*Worker) {}) })
-	if err := wired.Reset(); err == nil {
-		t.Fatal("Reset accepted a wire-mode runtime")
 	}
 }
 

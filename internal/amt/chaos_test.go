@@ -87,16 +87,25 @@ func newChaosWorld(t *testing.T, wl chaosWorkload) *chaosWorld {
 // sockets: rank 0 first (its listener must exist before workers dial), then
 // the workers concurrently (their NewCluster blocks until WELCOME). The
 // heartbeat is lazy — a 1s verdict — so four clusters plus four runtimes
-// sharing two cores under -race never see a busy rank declared dead.
-func chaosClusters(t *testing.T) []*amt.Cluster {
+// sharing two cores under -race never see a busy rank declared dead. fault,
+// when non-nil, is injected on every rank's outbound wire (each rank seeded
+// differently).
+func chaosClusters(t *testing.T, fault *amt.FaultProfile) []*amt.Cluster {
 	t.Helper()
 	addr := filepath.Join(t.TempDir(), "rank0.sock")
 	cfg := func(rank int) amt.ClusterConfig {
-		return amt.ClusterConfig{
+		c := amt.ClusterConfig{
 			Rank: rank, World: chaosRanks, Network: "unix", Addr: addr,
 			Stamp:     "chaos-test-v1",
 			Heartbeat: amt.FailureDetectorConfig{Interval: 50 * time.Millisecond, MissedBeats: 20},
+			Delivery:  chaosDelivery(),
 		}
+		if fault != nil {
+			f := *fault
+			f.Seed = int64(42 + rank)
+			c.Fault = &f
+		}
+		return c
 	}
 	cls := make([]*amt.Cluster, chaosRanks)
 	errs := make([]error, chaosRanks)
@@ -127,29 +136,20 @@ func chaosClusters(t *testing.T) []*amt.Cluster {
 	return cls
 }
 
-// run evaluates the workload across a fresh set of clusters. fault, when
-// non-nil, is injected on every rank's outbound wire (each rank seeded
-// differently); kills maps a worker rank to the fraction of its local
-// progress at which it drops dead — Cluster.Close silences its heartbeats
-// and severs its sockets exactly as a SIGKILL would. It returns rank 0's
-// potentials and every rank's report and error.
+// run evaluates the workload across a fresh set of clusters with the given
+// wire faults (chaosClusters); kills maps a worker rank to the fraction of
+// its local progress at which it drops dead — Cluster.Close silences its
+// heartbeats and severs its sockets exactly as a SIGKILL would. It returns
+// rank 0's potentials and every rank's report and error.
 func (cw *chaosWorld) run(t *testing.T, fault *amt.FaultProfile, kills map[int]float64) ([]float64, []core.ExecReport, []error) {
 	t.Helper()
-	cls := chaosClusters(t)
+	cls := chaosClusters(t, fault)
 	pots := make([][]float64, chaosRanks)
 	reps := make([]core.ExecReport, chaosRanks)
 	errs := make([]error, chaosRanks)
 	var wg sync.WaitGroup
 	for r := 0; r < chaosRanks; r++ {
-		opts := core.DistOptions{
-			Workers: chaosWorkers, Seed: int64(99 + r), Timeout: 2 * time.Minute,
-			Delivery: chaosDelivery(),
-		}
-		if fault != nil {
-			f := *fault
-			f.Seed = int64(42 + r)
-			opts.Fault = &f
-		}
+		opts := core.DistOptions{Workers: chaosWorkers, Timeout: 2 * time.Minute}
 		if at, ok := kills[r]; ok {
 			var die sync.Once
 			cl := cls[r]

@@ -18,23 +18,17 @@ import (
 // "Distribution"). The control plane is a star: rank 0 listens at a
 // well-known address, every worker rank joins with a handshake (rank id,
 // world size, build/version stamp, its own data-plane listen address) and
-// keeps the join connection open as its control channel. Rank 0 validates
-// joins — wrong stamp, out-of-range or duplicate rank, and joins after the
-// run has started are rejected with a reason — and once all ranks are
-// present broadcasts the first membership frame (the START) carrying the
-// full peer address list. From then on the data plane is a mesh of
-// SocketTransport connections (socket.go), while heartbeats keep flowing
-// worker→rank 0 over the control star: rank 0 is the single membership
-// authority — the one failure detector of the system — declaring a silent
-// rank dead after the missed-beat threshold and broadcasting the verdict,
-// with an epoch number, to every survivor. A worker that loses its control
-// connection treats the coordinator as dead and aborts.
-//
-// A standing cluster (the serve worker pool) additionally supports
-// generation-based re-admission: a respawned worker presents a REJOIN
-// handshake, which rank 0 admits between runs — allocating a fresh wire
-// generation, resurrecting the rank's transport links and broadcasting the
-// updated membership to every live rank, the joiner included.
+// keeps the join connection open as its control channel. Rank 0 rejects a
+// bad join with a reason and, once all ranks are present, broadcasts the
+// first membership frame (the START) with the full peer address list. From
+// then on the data plane is a mesh of SocketTransport connections
+// (socket.go), while heartbeats flow worker→rank 0: rank 0 is the single
+// membership authority and failure detector, declaring a silent rank dead
+// and broadcasting the verdict, with an epoch number, to every survivor. A
+// worker that loses its control connection treats the coordinator as dead.
+// A standing cluster (the serve worker pool) re-admits a respawned worker's
+// REJOIN between runs, at a fresh wire generation, with a membership frame
+// to every live rank, the joiner included.
 //
 // The cluster owns the job (Job): rank 0 allocates one at a time (StartJob)
 // and every worker's control loop rebuilds the same value from the job frame
@@ -44,6 +38,13 @@ import (
 // A run puts itself on its rank with one call (Attach), and every data frame
 // meets a three-way generation fence at the receiver (socket.go, fence): a
 // frame cannot reach a rank too early, only too late.
+//
+// Parcels travel one delivery engine per rank (delivery.go), built with the
+// cluster over its data plane and living as long as it: a run attaches its
+// wire handler with its job and detaches when its cursor closes. The
+// engine's dead set is the cluster's: a verdict settles the dead rank's
+// parcels, and a re-admission restarts its pair at sequence 1, each in the
+// critical section that changes the membership.
 //
 // Between the control plane and whoever acts on it there is one mechanism:
 // an ordered event log per rank (Event, Subscribe). A verdict, a
@@ -82,13 +83,10 @@ const retryPrefix = "retry: "
 // FailureDetectorConfig tunes the heartbeat failure detector: every worker
 // rank emits a heartbeat each Interval, and rank 0 declares a rank dead once
 // MissedBeats consecutive ticks of its own Interval monitor saw no new one
-// (Interval × MissedBeats of silence on an unloaded coordinator, longer on
-// a starved one — see monitorLoop). This is the classic heartbeat detector
-// (the fixed-threshold special case of a phi-accrual detector): complete (a
-// crashed rank stops beating and is eventually declared) but only eventually
-// accurate (a tight threshold misjudges a slow rank). A false verdict is
-// made harmless by fencing: the survivors sever the suspect and fail its
-// work over, and the suspect itself fails fast when it sees its own verdict.
+// (see monitorLoop). The classic fixed-threshold detector is complete but
+// only eventually accurate (a tight threshold misjudges a slow rank); a
+// false verdict is made harmless by fencing: the survivors sever the suspect
+// and fail its work over, and the suspect fails fast on its own verdict.
 type FailureDetectorConfig struct {
 	// Interval between heartbeats.
 	Interval time.Duration
@@ -118,6 +116,13 @@ type ClusterConfig struct {
 	// respawned rank): the handshake is a REJOIN, admitted only between
 	// runs and only for a rank with a standing death verdict.
 	Rejoin bool
+	// Delivery tunes the delivery engine (zero value = a socket mesh's
+	// pacing, see DeliveryConfig).
+	Delivery DeliveryConfig
+	// Fault, when non-nil, puts an amt.FaultyTransport built from the profile
+	// between the delivery engine and the sockets, for the cluster's lifetime:
+	// the chaos harness's knob.
+	Fault *FaultProfile
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -188,29 +193,41 @@ type Job struct {
 
 // Subscription is one consumer's cursor into a cluster's event log.
 type Subscription struct {
-	c    *Cluster
-	next int // guarded by Cluster.mu: log position of the next event to hand out
+	c      *Cluster
+	next   int    // guarded by Cluster.mu: log position of the next event to hand out
+	detach func() // detaches the run that attached with it (Attach); nil for a plain cursor
 }
 
 // Subscribe opens a cursor at the oldest retained event, for a consumer that
 // lives as long as the cluster: replay is how an event reaches a late one.
 func (c *Cluster) Subscribe() *Subscription { return c.subscribe(0) }
 
-// Attach puts a run on this rank, in one step: sink receives the data
-// frames of the job's generation — those that got here first were parked
-// and are handed over now, in arrival order — outbound frames are stamped
-// with it, and the returned cursor reads the log from the job's event on.
-// There is no other way to set a rank's generation or its frame sink, so no
-// order to get wrong between them. sink is called on the connection readers'
-// goroutines (the caller's for parked frames), under no lock, and must not
-// block. It stays until the next run's Attach replaces it: a peer
-// whose acknowledgment was lost retransmits to a rank that has finished and
-// cannot finish itself until the finished run's runtime answers.
-func (c *Cluster) Attach(j *Job, sink func(Frame)) *Subscription {
+// Attach puts a run on this rank, in one step: h is handed each parcel of
+// the job's generation once — those that got here first were parked and are
+// handed over now, in arrival order — outbound frames are stamped with the
+// generation, and the returned cursor reads the log from the job's event on;
+// closing it detaches the run. There is no other way to set a rank's
+// generation or its wire handler, so no order to get wrong between them. h
+// runs on the connection readers' goroutines (the caller's for parked
+// frames) under the fence's lock: it must not block or call the cluster.
+func (c *Cluster) Attach(j *Job, h func(Frame)) *Subscription {
 	s := c.subscribe(j.Gen)
-	c.tp.attach(j.Gen, sink)
+	s.detach = c.tp.attach(j.Gen, h)
 	return s
 }
+
+// Send sends one typed encoded parcel of the attached run to a remote rank.
+// It holds one pending unit of rt, the run's runtime, and its payload (not
+// to be reused) until it is acked, abandoned or its destination dies.
+func (c *Cluster) Send(rt *Runtime, dst int, kind uint16, epoch uint32, payload []byte) {
+	rt.parcelsSent.Add(1)
+	rt.parcelBytes.Add(int64(len(payload)))
+	c.eng.send(rt, dst, kind, epoch, payload)
+}
+
+// TransportStats reports the parcel transport of the run attached last,
+// from its Attach on.
+func (c *Cluster) TransportStats() TransportStats { return c.eng.stats() }
 
 // subscribe opens a cursor at the job of generation gen, or, when the log
 // holds none (a later job displaced it; no job has generation 0), at the
@@ -251,13 +268,17 @@ func (s *Subscription) Next() (Event, bool) {
 // Close detaches the cursor: no Next hands out an event once Close has
 // returned, and the log stops retaining events on its behalf. A consumer
 // that must also have finished with the event it was handed last joins its
-// own goroutine.
+// own goroutine. The cursor of an Attach detaches its run as well, unless a
+// later Attach has replaced it.
 func (s *Subscription) Close() {
 	c := s.c
 	c.mu.Lock()
 	delete(c.subs, s)
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	if s.detach != nil {
+		s.detach()
+	}
 }
 
 // publish appends one event to the log, wakes the subscribers and drops
@@ -351,6 +372,7 @@ type Cluster struct {
 	cfg ClusterConfig
 	ln  net.Listener
 	tp  *SocketTransport
+	eng *delivery // the rank's delivery engine over tp, the transport's only receiver
 
 	// mu is the membership lock: state, log and (rank 0) the link queues
 	// change together under it, and nothing under it blocks.
@@ -420,6 +442,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.tp = &SocketTransport{cl: c}
+	var wire Transport = c.tp
+	if cfg.Fault != nil {
+		wire = NewFaultyTransport(wire, *cfg.Fault)
+	}
+	c.eng = newDelivery(cfg.Rank, wire, cfg.Delivery, c.dead)
 	c.wg.Add(1)
 	go c.acceptLoop()
 	if cfg.Rank != 0 {
@@ -444,9 +471,6 @@ func workerBindAddr(cfg ClusterConfig) string {
 	dir := filepath.Dir(cfg.Addr)
 	return filepath.Join(dir, fmt.Sprintf("dashmm-r%d-%d-%d.sock", cfg.Rank, os.Getpid(), bindSerial.Add(1)))
 }
-
-// Transport returns the cluster's data-plane transport.
-func (c *Cluster) Transport() *SocketTransport { return c.tp }
 
 // Generation returns this rank's wire generation: its latest membership's
 // or, since, that of the run attached last. The transport stamps it into
@@ -605,10 +629,10 @@ func (c *Cluster) adoptMembership(payload []byte) error {
 		case r == c.cfg.Rank:
 		case slices.Contains(m.DeadOrder, r):
 			if c.dead[r].CompareAndSwap(false, true) {
-				c.tp.severPeer(r)
+				c.sever(r)
 			}
-		case c.dead[r].CompareAndSwap(true, false):
-			c.tp.revivePeer(r, m.Addrs[r])
+		case c.dead[r].Load():
+			c.revive(r, m.Addrs[r])
 			c.publish(Event{Kind: EventRejoin, Rank: r, Gen: m.Gen})
 		}
 	}
@@ -822,8 +846,7 @@ func (c *Cluster) admit(rank int, addr string, l *ctlLink, rejoin bool) string {
 		c.genCount++
 		c.gen.Store(c.genCount)
 		c.deadOrder = slices.DeleteFunc(c.deadOrder, func(r int) bool { return r == rank })
-		c.dead[rank].Store(false)
-		c.tp.revivePeer(rank, addr)
+		c.revive(rank, addr)
 		c.broadcastMembership()
 		c.publish(Event{Kind: EventRejoin, Rank: rank, Gen: c.genCount})
 	}
@@ -849,7 +872,6 @@ func (c *Cluster) serveData(conn net.Conn, br *bufio.Reader, attach Frame) {
 			// layer retransmits.
 			return
 		}
-		c.tp.bytesIn.Add(int64(FrameHeaderSize + len(f.Payload)))
 		c.tp.fence(f)
 	}
 }
@@ -964,9 +986,29 @@ func (c *Cluster) markDead(rank, epoch int) bool {
 	}
 	c.epoch.Store(int32(epoch))
 	c.deadOrder = append(c.deadOrder, rank)
-	c.tp.severPeer(rank)
+	c.sever(rank)
 	c.publish(Event{Kind: EventDead, Rank: rank, Epoch: epoch})
 	return true
+}
+
+// sever fences a rank just marked dead: its outbound link is retired and
+// every parcel in flight to it settles.
+//
+//dashmm:locked Cluster.mu — documented precondition: in the critical section that marks the rank dead.
+func (c *Cluster) sever(rank int) {
+	c.tp.relink(rank, "")
+	c.eng.sever(rank)
+}
+
+// revive re-admits a rank marked dead: a fresh outbound link at its new
+// address and its pair restarted at sequence 1 while the dead flag still
+// keeps parcels off both, then the flag cleared.
+//
+//dashmm:locked Cluster.mu — documented precondition: in the critical section that re-admits the rank.
+func (c *Cluster) revive(rank int, addr string) {
+	c.tp.relink(rank, addr)
+	c.eng.revive(rank)
+	c.dead[rank].Store(false)
 }
 
 // DeclareDead issues a death verdict for a rank (rank 0 only; also the

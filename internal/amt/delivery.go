@@ -7,55 +7,62 @@ import (
 	"time"
 )
 
-// Reliable parcel delivery between ranks (wire mode, Config.World > 1):
-// per-(src,dst) sequence numbers, receiver-side dedup, acks, and
-// retransmission with exponential backoff + jitter under a delivery
-// deadline. A parcel is an encoded payload plus its kind tag; the payload is
-// retained by the sender-side entry so retransmission re-emits the identical
-// frame, and the receiving process routes decoded frames through the
-// runtime's registered wire handler. The wire contract is at-least-once; the
-// dedup filter turns it into exactly-once effect, so every parcel's inputs
-// are applied once no matter how many copies arrive. A broken socket, a full
-// queue and an injected fault are all the same thing to this engine: loss.
+// Reliable parcel delivery between ranks: one engine per rank, built with
+// its Cluster and living as long as it (Cluster.Send, Cluster.Attach). Per
+// peer, sequence numbers, a receiver window, acks, and retransmission with
+// exponential backoff + jitter under a delivery deadline. The sender retains
+// each payload until it settles, so a retransmission re-emits the identical
+// frame. The wire contract is at-least-once; the window turns it into
+// exactly-once effect. A broken socket, a full queue, an injected fault and a
+// frame beyond the window are all the same thing to this engine: loss.
+//
+// A run attaches its wire handler and detaches when it ends. Sequence spaces
+// are one run long: attaching starts every pair at 1 again, which is sound
+// because the generation fence hands the engine no frame of an earlier run
+// once a later one has attached, and which keeps what a failed run abandoned
+// from leaving a gap below the next run's window. Between runs a late copy is
+// acked — its sender may be waiting for that ack to finish — counted as
+// LateDrops, and dropped. The engine has no membership of its own: it reads
+// the cluster's dead set, and the cluster's verdict settles a dead rank's
+// pair (sever) and its re-admission restarts it (revive), each in the
+// critical section that changes the membership.
 
-// DeliveryConfig tunes the reliable-delivery layer. The zero value picks the
-// defaults noted on each field.
+// DeliveryConfig tunes the reliable-delivery layer. The zero value is a
+// socket mesh's pacing, noted on each field: a faster clock retransmits
+// multi-megabyte parcel bursts while the originals sit in socket buffers.
 type DeliveryConfig struct {
 	// RetryBase is the backoff before the first retransmission (default
-	// 2ms); each further attempt doubles it up to RetryMax (default 64ms).
+	// 200ms); each further attempt doubles it up to RetryMax (default 2s).
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// RetryJitter widens each backoff by a uniform multiplicative factor in
 	// [1, 1+RetryJitter], decorrelating retransmission bursts (default 0.5).
 	RetryJitter float64
 	// Deadline bounds how long a parcel may stay unacked before the sender
-	// gives up (default 10s). A deadline-exceeded parcel is counted and
+	// gives up (default 30s). A deadline-exceeded parcel is counted and
 	// abandoned — the evaluation will report the missing inputs.
 	Deadline time.Duration
 }
 
 func (c DeliveryConfig) withDefaults() DeliveryConfig {
 	if c.RetryBase <= 0 {
-		c.RetryBase = 2 * time.Millisecond
+		c.RetryBase = 200 * time.Millisecond
 	}
 	if c.RetryMax <= 0 {
-		c.RetryMax = 64 * time.Millisecond
+		c.RetryMax = 2 * time.Second
 	}
 	if c.RetryJitter <= 0 {
 		c.RetryJitter = 0.5
 	}
 	if c.Deadline <= 0 {
-		c.Deadline = 10 * time.Second
+		c.Deadline = 30 * time.Second
 	}
 	return c
 }
 
-// TransportStats counts parcel-transport activity during one Run: the
-// delivery layer's view (sent/retried/acked/deadline, delivered/deduped) plus
-// the wire's own counters over the same stretch — the engine is one run
-// long and subtracts what the wire read when it was built, so a run on a
-// standing cluster reports its own traffic. All-zero for an in-process
-// runtime, whose parcels never touch a wire.
+// TransportStats counts one run's parcel transport on its rank from the
+// run's Attach on (a frame that waited at the fence counts towards its run):
+// the delivery layer's view plus the wire's own counters.
 type TransportStats struct {
 	// Sender side.
 	Sent             int64 // application parcels handed to the wire
@@ -64,11 +71,11 @@ type TransportStats struct {
 	DeadlineExceeded int64 // parcels abandoned: delivery deadline or run teardown
 	// Receiver side.
 	Delivered int64 // first copies: the parcel was handed to the wire handler
-	Deduped   int64 // redundant copies suppressed by the sequence filter
+	Deduped   int64 // redundant copies suppressed by the window
 	// Crash handling.
 	Severed   int64 // parcels abandoned because an endpoint rank died
-	LateDrops int64 // copies arriving after the runtime shut down
-	// Wire faults (from Transport.Stats).
+	LateDrops int64 // copies arriving after the run detached
+	// Wire faults (from Transport.Stats), plus frames beyond the window.
 	Dropped    int64
 	Duplicated int64
 	// Wire volume and connection health (from Transport.Stats): messages and
@@ -81,255 +88,244 @@ type TransportStats struct {
 	StaleFenced       int64
 }
 
-// WireHandler consumes one deduplicated inbound data frame on a scheduler
-// worker of the local locality.
-type WireHandler func(w *Worker, f Frame)
+// windowMax bounds how far past a peer's cumulative watermark the receiver
+// accepts a sequence number. A frame beyond it is loss, which the sender's
+// retransmission repairs once the gap below it has filled.
+const windowMax = 4096
 
-// pairKey identifies one directed (src, dst) parcel channel.
-type pairKey struct{ src, dst int32 }
-
-// sendEntry is the sender-side record of one unacked parcel. The frame
-// fields are immutable; every mutable field is owned by the delivery
-// engine's critical section.
+// sendEntry is the sender-side record of one unacked parcel: its frame
+// fields are immutable, the others guarded by delivery.mu.
 type sendEntry struct {
-	key      pairKey
+	dst      int
 	seq      uint64
 	kind     uint16
 	epoch    uint32
 	payload  []byte
+	rt       *Runtime // holds one pending unit of it until the entry settles
 	deadline time.Time
 	backoff  time.Duration // guarded by delivery.mu
 	timer    *time.Timer   // guarded by delivery.mu
 	settled  bool          // guarded by delivery.mu
 }
 
-// delivery is the per-runtime parcel delivery engine.
+// peerState is the sequence space of one pair, both directions.
+type peerState struct {
+	next    uint64                // sender: the last sequence number allocated
+	unacked map[uint64]*sendEntry // sender: parcels awaiting their ack
+	floor   uint64                // receiver: every sequence number <= floor was handed over
+	above   map[uint64]bool       // receiver: handed over, in (floor, floor+windowMax]
+}
+
+// admit runs one sequence number through the window and reports whether it
+// is the first copy, to be handed over, and whether it is inside the window
+// at all — one beyond it is loss, no ack. The watermark advances over every
+// sequence number handed over without a gap below it, and never over a gap.
+func (p *peerState) admit(seq uint64) (fresh, inWindow bool) {
+	switch {
+	case seq <= p.floor || p.above[seq]:
+		return false, true
+	case seq > p.floor+windowMax:
+		return false, false
+	}
+	p.above[seq] = true
+	for p.above[p.floor+1] {
+		delete(p.above, p.floor+1)
+		p.floor++
+	}
+	return true, true
+}
+
+// delivery is one rank's parcel delivery engine.
 type delivery struct {
-	rt   *Runtime
+	rank int
 	cfg  DeliveryConfig
 	wire Transport
-	base WireStats // the wire's counters when this engine was built
+	gone []atomic.Bool // the cluster's dead set (Cluster.dead), read, never written
 
-	mu      sync.Mutex
-	rng     *rand.Rand                        // guarded by mu
-	nextSeq map[pairKey]uint64                // guarded by mu
-	unacked map[pairKey]map[uint64]*sendEntry // guarded by mu
-	// seen is the receiver-side dedup filter. It grows with the parcel count
-	// of one single-shot run; a long-lived engine would compact it with a
-	// cumulative-ack watermark.
-	seen map[pairKey]map[uint64]bool // guarded by mu
-
-	// dead marks ranks whose endpoints have been severed by a death verdict,
-	// indexed by global rank.
-	dead []atomic.Bool
-
-	sent             atomic.Int64
-	retried          atomic.Int64
-	acked            atomic.Int64
-	deadlineExceeded atomic.Int64
-	delivered        atomic.Int64
-	deduped          atomic.Int64
-	severed          atomic.Int64
-	lateDrops        atomic.Int64
+	mu       sync.Mutex
+	rng      *rand.Rand     // guarded by mu
+	peers    []peerState    // guarded by mu: indexed by rank
+	handler  func(Frame)    // guarded by mu: the attached run's; nil between runs
+	run      uint64         // guarded by mu: attachments so far; the latest is the current one
+	count    TransportStats // guarded by mu: the latest run's own counters (stats adds the wire's)
+	wireBase WireStats      // guarded by mu: the wire's counters at the latest attach
 }
 
-func newDelivery(rt *Runtime, wire Transport, cfg DeliveryConfig, seed int64, world int) *delivery {
+func newDelivery(rank int, wire Transport, cfg DeliveryConfig, dead []atomic.Bool) *delivery {
+	peers := make([]peerState, len(dead))
+	for i := range peers {
+		peers[i] = peerState{unacked: map[uint64]*sendEntry{}, above: map[uint64]bool{}}
+	}
 	return &delivery{
-		rt:      rt,
-		cfg:     cfg.withDefaults(),
-		wire:    wire,
-		base:    wire.Stats(),
-		rng:     rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407)),
-		nextSeq: make(map[pairKey]uint64),
-		unacked: make(map[pairKey]map[uint64]*sendEntry),
-		seen:    make(map[pairKey]map[uint64]bool),
-		dead:    make([]atomic.Bool, world),
+		rank:  rank,
+		cfg:   cfg.withDefaults(),
+		wire:  wire,
+		gone:  dead,
+		rng:   rand.New(rand.NewSource(int64(rank)*6364136223846793005 + 1442695040888963407)),
+		peers: peers,
 	}
 }
 
-// OnWire registers the inbound data-frame handler. Must be set before frames
-// can arrive, i.e. before the cluster's data plane starts.
-func (rt *Runtime) OnWire(h WireHandler) { rt.wireHandler = h }
+const allPeers = -1 // settle's every pair
 
-// Hold acquires one pending unit, keeping Run alive while remote input may
-// still arrive: a wire-mode rank cannot infer global quiescence from its
-// local counter, so the driver holds the runtime open until the cluster
-// signals completion.
-func (rt *Runtime) Hold() { rt.pending.Add(1) }
-
-// Release releases a Hold.
-func (rt *Runtime) Release() { rt.finish() }
-
-// SeverRank fences a dead rank's wire endpoints: sends to it are refused,
-// unacked parcels touching it settle, and inbound frames from it are
-// dropped. Called on the cluster's death verdict.
-func (rt *Runtime) SeverRank(rank int) { rt.net.sever(rank) }
-
-// SendWire sends one typed encoded parcel from this rank to a remote rank
-// with reliable-delivery bookkeeping. The payload slice is retained until
-// the parcel settles; callers must not reuse it.
-func (rt *Runtime) SendWire(dst int, kind uint16, epoch uint32, payload []byte) {
-	rt.parcelsSent.Add(1)
-	rt.parcelBytes.Add(int64(len(payload)))
-	rt.net.send(rt.locs[0].Rank, dst, kind, epoch, payload)
-}
-
-// DeliverWireFrame is the inbound edge of wire mode — the frame sink a run
-// attaches to its cluster — called for every decoded frame of its
-// generation. Acks settle sender entries; data frames are deduplicated,
-// acked, and handed to the wire handler on a scheduler worker. Frames from a
-// fenced (dead) source rank are dropped unacknowledged — a corpse gets no
-// replies.
-func (rt *Runtime) DeliverWireFrame(f Frame) {
-	d := rt.net
-	key := pairKey{int32(f.Src), int32(f.Dst)}
-	if f.Ack() {
-		// An ack frame flows dst→src of the data parcel it settles, so the
-		// sender's entry is keyed by the reversed pair.
-		d.onAck(pairKey{int32(f.Dst), int32(f.Src)}, f.Seq)
-		return
-	}
-	if f.Src < 0 || f.Src >= len(d.dead) || d.dead[f.Src].Load() {
-		return
-	}
-	if rt.shuttingDown.Load() {
-		// A copy straggling in after the run completed: count it (never
-		// silently lose it) and still ack so the sender settles.
-		d.lateDrops.Add(1)
-		d.ack(key, f.Seq)
-		return
-	}
+// attach abandons whatever a run before it left unacked, starts every pair's
+// sequence space afresh and the run's counters at zero, makes h the handler
+// of the data frames that reach this rank from now on, and returns the run's
+// number for its detach.
+func (d *delivery) attach(h func(Frame)) uint64 {
+	d.settle(allPeers, true)
 	d.mu.Lock()
-	sm := d.seen[key]
-	if sm == nil {
-		sm = make(map[uint64]bool)
-		d.seen[key] = sm
+	defer d.mu.Unlock()
+	d.count, d.wireBase = TransportStats{}, d.wire.Stats()
+	d.handler = h
+	d.run++
+	return d.run
+}
+
+// detach ends run number run, if it is still the attached one: no frame
+// reaches its handler any more, and what it never got acked is abandoned.
+func (d *delivery) detach(run uint64) {
+	d.mu.Lock()
+	current := d.run == run && d.handler != nil
+	if current {
+		d.handler = nil
 	}
-	dup := sm[f.Seq]
-	sm[f.Seq] = true
 	d.mu.Unlock()
-	if dup {
-		d.deduped.Add(1)
-	} else {
-		d.delivered.Add(1)
-		h := rt.wireHandler
-		rt.locs[0].Spawn(func(w *Worker) { h(w, f) })
+	if current {
+		d.settle(allPeers, false)
 	}
-	// Every copy acks: the previous ack may have been lost.
-	d.ack(key, f.Seq)
 }
 
-// ack emits the delivery acknowledgment for one received parcel.
-func (d *delivery) ack(key pairKey, seq uint64) {
-	d.wire.Send(Message{Src: int(key.dst), Dst: int(key.src), Seq: seq, Ack: true})
-}
+// sever settles every parcel in flight to a rank the cluster has just
+// declared dead, so retry loops aimed at the corpse end at the verdict; the
+// dead set refuses later sends to it and drops its frames.
+func (d *delivery) sever(rank int) { d.settle(rank, false) }
 
-// settle marks every unacked entry matching the filter settled, stops its
-// retransmission timer and releases its pending unit; it returns how many
-// entries it settled.
-func (d *delivery) settle(match func(pairKey) bool) int {
-	var timers []*time.Timer
-	n := 0
+// revive restarts a re-admitted rank's pair while the cluster still lists it
+// dead: its new incarnation numbers from 1, and so does this rank towards it.
+func (d *delivery) revive(rank int) { d.settle(rank, true) }
+
+// settle ends the unacked parcels to peer — their timers stopped, their
+// pending units released, counted as severed, or to allPeers as abandoned at
+// a run's end — and with restart starts those pairs' sequence spaces afresh,
+// in the same critical section.
+func (d *delivery) settle(peer int, restart bool) {
+	var done []*sendEntry
 	d.mu.Lock()
-	for key, um := range d.unacked {
-		if !match(key) {
+	for r := range d.peers {
+		if peer != allPeers && r != peer {
 			continue
 		}
-		for seq, e := range um {
+		p := &d.peers[r]
+		for _, e := range p.unacked {
 			e.settled = true
-			delete(um, seq)
-			if e.timer != nil {
-				timers = append(timers, e.timer)
-			}
-			n++
+			done = append(done, e)
+		}
+		clear(p.unacked)
+		if restart {
+			p.next, p.floor = 0, 0
+			clear(p.above)
 		}
 	}
+	if peer == allPeers {
+		d.count.DeadlineExceeded += int64(len(done))
+	} else {
+		d.count.Severed += int64(len(done))
+	}
 	d.mu.Unlock()
-	for _, t := range timers {
-		t.Stop()
+	for _, e := range done {
+		if e.timer != nil { // nil: settled before its first transmit
+			e.timer.Stop()
+		}
+		e.rt.finish()
 	}
-	for i := 0; i < n; i++ {
-		d.rt.finish()
+}
+
+// receive is the engine's inbound edge, called under the fence's lock for
+// every frame of the attached run's generation (the last run's between
+// runs): acks settle sender entries, data frames go through the window, the
+// fresh ones to the attached run's handler. It reports whether to ack (the
+// caller does, outside its lock): every copy but one beyond the window, or
+// from a dead rank — a corpse gets no replies — or from no rank at all.
+func (d *delivery) receive(f Frame) bool {
+	if f.Src < 0 || f.Src >= len(d.peers) || f.Src == d.rank {
+		return false
 	}
-	return n
+	if f.Ack() {
+		d.onAck(f.Src, f.Seq)
+		return false
+	}
+	if d.gone[f.Src].Load() {
+		return false
+	}
+	d.mu.Lock()
+	h, fresh, inWindow := d.handler, false, true
+	if h != nil {
+		fresh, inWindow = d.peers[f.Src].admit(f.Seq)
+	}
+	switch {
+	case h == nil:
+		d.count.LateDrops++
+	case fresh:
+		d.count.Delivered++
+	case inWindow:
+		d.count.Deduped++
+	default:
+		d.count.Dropped++ // beyond the window: loss
+	}
+	d.mu.Unlock()
+	if fresh {
+		h(f)
+	}
+	return inWindow
 }
 
-// sever tears down a dead rank's endpoints: future sends to it are refused
-// and every in-flight unacked parcel touching it (either direction) is
-// settled, so retry loops aimed at a corpse end at the death verdict instead
-// of hammering the wire until the delivery deadline.
-func (d *delivery) sever(rank int) {
-	d.dead[rank].Store(true)
-	n := d.settle(func(k pairKey) bool { return int(k.src) == rank || int(k.dst) == rank })
-	d.severed.Add(int64(n))
+// ack acknowledges f (the fence's, stamp on) in f's generation: this rank
+// may be in its next run by now, and the sender, still in f's, would park it.
+func (d *delivery) ack(f Frame) {
+	d.wire.Send(Message{Src: d.rank, Dst: f.Src, Seq: f.Seq, Epoch: f.Epoch &^ 0xffff, Ack: true})
 }
 
-// purge settles every outstanding unacked parcel regardless of endpoint.
-// Called at Run teardown so a failed or aborted run's stragglers cannot keep
-// retransmitting into the transport after Run returns: the next run shares
-// the socket, and a re-emitted frame is stamped with the *current* cluster
-// generation at send time — a dead run's payload would ride straight through
-// the next run's generation fence and shadow its real broadcast. A clean run
-// has nothing unacked, so this is a no-op on the success path.
-func (d *delivery) purge() {
-	n := d.settle(func(pairKey) bool { return true })
-	d.deadlineExceeded.Add(int64(n))
-}
-
-// stats merges the delivery-layer counters with what the wire has counted
-// since this engine was built.
+// stats is the latest run's counters plus what the wire has counted since
+// its attach.
 func (d *delivery) stats() TransportStats {
-	w, b := d.wire.Stats(), d.base
-	return TransportStats{
-		Sent:              d.sent.Load(),
-		Retried:           d.retried.Load(),
-		Acked:             d.acked.Load(),
-		DeadlineExceeded:  d.deadlineExceeded.Load(),
-		Delivered:         d.delivered.Load(),
-		Deduped:           d.deduped.Load(),
-		Severed:           d.severed.Load(),
-		LateDrops:         d.lateDrops.Load(),
-		Dropped:           w.Dropped - b.Dropped,
-		Duplicated:        w.Duplicated - b.Duplicated,
-		WireMessages:      w.Messages - b.Messages,
-		BytesOut:          w.BytesOut - b.BytesOut,
-		BytesIn:           w.BytesIn - b.BytesIn,
-		Reconnects:        w.Reconnects - b.Reconnects,
-		HandshakeFailures: w.HandshakeFailures - b.HandshakeFailures,
-		StaleFenced:       w.StaleFenced - b.StaleFenced,
-	}
+	d.mu.Lock()
+	s, b := d.count, d.wireBase
+	d.mu.Unlock()
+	w := d.wire.Stats()
+	s.Dropped += w.Dropped - b.Dropped
+	s.Duplicated = w.Duplicated - b.Duplicated
+	s.WireMessages = w.Messages - b.Messages
+	s.BytesOut, s.BytesIn = w.BytesOut-b.BytesOut, w.BytesIn-b.BytesIn
+	s.Reconnects = w.Reconnects - b.Reconnects
+	s.HandshakeFailures = w.HandshakeFailures - b.HandshakeFailures
+	s.StaleFenced = w.StaleFenced - b.StaleFenced
+	return s
 }
 
 // send allocates a sequence number, registers the parcel for retransmission
-// (holding one runtime pending unit until it settles by ack, deadline or
-// sever, so Run cannot drain while deliveries are outstanding) and puts the
-// first copy on the wire.
-func (d *delivery) send(src, dst int, kind uint16, epoch uint32, payload []byte) {
-	if d.dead[dst].Load() {
-		// The destination has been declared dead: refuse the send outright
-		// rather than spinning a retransmission loop at a corpse.
-		d.severed.Add(1)
+// (holding one pending unit of rt until it settles by ack, deadline or
+// sever, so rt's Run cannot drain while deliveries are outstanding) and puts
+// the first copy on the wire. A send to a dead rank is refused outright
+// rather than spinning a retransmission loop at a corpse.
+func (d *delivery) send(rt *Runtime, dst int, kind uint16, epoch uint32, payload []byte) {
+	d.mu.Lock()
+	if d.gone[dst].Load() {
+		d.count.Severed++
+		d.mu.Unlock()
 		return
 	}
-	key := pairKey{int32(src), int32(dst)}
-	d.mu.Lock()
-	seq := d.nextSeq[key] + 1
-	d.nextSeq[key] = seq
+	rt.pending.Add(1) // released when the entry settles
+	p := &d.peers[dst]
+	p.next++
 	e := &sendEntry{
-		key: key, seq: seq, kind: kind, epoch: epoch, payload: payload,
+		dst: dst, seq: p.next, kind: kind, epoch: epoch, payload: payload, rt: rt,
 		deadline: time.Now().Add(d.cfg.Deadline),
 		backoff:  d.cfg.RetryBase,
 	}
-	um := d.unacked[key]
-	if um == nil {
-		um = make(map[uint64]*sendEntry)
-		d.unacked[key] = um
-	}
-	um[seq] = e
+	p.unacked[e.seq] = e
+	d.count.Sent++
 	d.mu.Unlock()
-
-	d.rt.pending.Add(1) // released when the entry settles
-	d.sent.Add(1)
 	d.transmit(e)
 }
 
@@ -342,67 +338,63 @@ func (d *delivery) transmit(e *sendEntry) {
 		return
 	}
 	wait := time.Duration(float64(e.backoff) * (1 + d.rng.Float64()*d.cfg.RetryJitter))
-	if e.backoff < d.cfg.RetryMax {
-		e.backoff *= 2
-		if e.backoff > d.cfg.RetryMax {
-			e.backoff = d.cfg.RetryMax
-		}
-	}
+	e.backoff = min(2*e.backoff, d.cfg.RetryMax)
 	e.timer = time.AfterFunc(wait, func() { d.retry(e) })
 	d.mu.Unlock()
 	d.wire.Send(Message{
-		Src: int(e.key.src), Dst: int(e.key.dst), Seq: e.seq,
+		Src: d.rank, Dst: e.dst, Seq: e.seq,
 		Kind: e.kind, Epoch: e.epoch, Payload: e.payload,
 	})
 }
 
 // retry fires when a parcel stayed unacked for one backoff period: give up
-// on a severed endpoint or past the deadline, otherwise re-emit the
-// identical frame. A retransmission the receiver had in fact already
-// processed is harmless — the dedup filter suppresses it and re-acks.
+// on a dead peer (the verdict's sever raced this timer) or past the
+// deadline, otherwise re-emit the identical frame. A retransmission the
+// receiver had in fact already processed is harmless — the window
+// suppresses it and re-acks.
 func (d *delivery) retry(e *sendEntry) {
-	severed := d.dead[e.key.dst].Load() || d.dead[e.key.src].Load()
 	d.mu.Lock()
 	if e.settled {
 		d.mu.Unlock()
 		return
 	}
-	expired := time.Now().After(e.deadline)
-	if expired || severed {
+	give := true
+	switch {
+	case d.gone[e.dst].Load():
+		d.count.Severed++
+	case time.Now().After(e.deadline):
+		d.count.DeadlineExceeded++
+	default:
+		give = false
+		d.count.Retried++
+	}
+	if give {
 		e.settled = true
-		delete(d.unacked[e.key], e.seq)
+		delete(d.peers[e.dst].unacked, e.seq)
 	}
 	d.mu.Unlock()
-	switch {
-	case severed:
-		// The sever sweep raced this timer: stop retransmitting and settle.
-		d.severed.Add(1)
-		d.rt.finish()
-	case expired:
-		d.deadlineExceeded.Add(1)
-		d.rt.finish()
-	default:
-		d.retried.Add(1)
+	if give {
+		e.rt.finish()
+	} else {
 		d.transmit(e)
 	}
 }
 
 // onAck settles the entry on the first ack; duplicate acks (and acks for
-// parcels already abandoned at the deadline) are no-ops.
-func (d *delivery) onAck(key pairKey, seq uint64) {
+// parcels already abandoned) are no-ops.
+func (d *delivery) onAck(peer int, seq uint64) {
 	d.mu.Lock()
-	e := d.unacked[key][seq]
+	e := d.peers[peer].unacked[seq]
 	if e == nil {
 		d.mu.Unlock()
 		return
 	}
 	e.settled = true
-	delete(d.unacked[key], seq)
-	timer := e.timer
+	delete(d.peers[peer].unacked, seq)
+	d.count.Acked++
 	d.mu.Unlock()
-	if timer != nil {
-		timer.Stop()
+	if e.timer != nil {
+		e.timer.Stop()
 	}
-	d.acked.Add(1)
-	d.rt.finish()
+	e.rt.finish()
 }

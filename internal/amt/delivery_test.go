@@ -10,17 +10,15 @@ import (
 	"time"
 )
 
-// framePipe is a test-only in-memory Transport joining wire-mode runtimes
+// framePipe is a test-only in-memory Transport joining the delivery engines
 // of one process: every message is encoded with AppendFrame, decoded back
-// with ReadFrame, and handed to the destination runtime's DeliverWireFrame —
-// the codec round trip a socket performs, without the socket.
+// with ReadFrame, and handed to the destination engine's receive — the codec
+// round trip a socket performs, without the socket or the fence.
 type framePipe struct {
-	rts      []*Runtime // indexed by rank; set before any Send
+	engs     []*delivery // indexed by rank; set before any Send
 	messages atomic.Int64
 	bytesOut atomic.Int64
 }
-
-func (p *framePipe) Name() string { return "pipe" }
 
 func (p *framePipe) Stats() WireStats {
 	return WireStats{Messages: p.messages.Load(), BytesOut: p.bytesOut.Load()}
@@ -38,13 +36,16 @@ func (p *framePipe) Send(m Message) {
 	if err != nil {
 		panic("framePipe: frame did not survive its own codec: " + err.Error())
 	}
-	p.rts[m.Dst].DeliverWireFrame(got)
+	if d := p.engs[m.Dst]; d.receive(got) {
+		d.ack(got)
+	}
 }
 
-// pipeWorld is a set of wire-mode runtimes joined by a framePipe, optionally
-// behind one shared FaultyTransport (so both ends report its fault counters).
+// pipeWorld is one delivery engine per rank joined by a framePipe,
+// optionally behind one shared FaultyTransport (so both ends report its
+// fault counters), sharing one dead set as a cluster's ranks agree on one.
 type pipeWorld struct {
-	rts []*Runtime
+	engs []*delivery
 }
 
 func newPipeWorld(world int, fault *FaultProfile, dcfg DeliveryConfig) *pipeWorld {
@@ -53,59 +54,62 @@ func newPipeWorld(world int, fault *FaultProfile, dcfg DeliveryConfig) *pipeWorl
 	if fault != nil {
 		wire = NewFaultyTransport(pipe, *fault)
 	}
-	pw := &pipeWorld{}
+	pw, dead := &pipeWorld{}, make([]atomic.Bool, world)
 	for r := 0; r < world; r++ {
-		pw.rts = append(pw.rts, New(Config{
-			World: world, Rank: r, Workers: 2, Seed: int64(r) + 1,
-			Transport: wire, Delivery: dcfg,
-		}))
+		pw.engs = append(pw.engs, newDelivery(r, wire, dcfg, dead))
 	}
-	pipe.rts = pw.rts
+	pipe.engs = pw.engs
 	return pw
 }
 
-// run executes setup on rank 0 while every other rank stays open for
-// inbound frames; when rank 0's Run returns — every parcel it sent has
-// settled — the receivers are released and drained. It returns each rank's
-// stats.
-func (pw *pipeWorld) run(setup func(rt0 *Runtime)) []Stats {
-	stats := make([]Stats, len(pw.rts))
-	var wg sync.WaitGroup
-	held := make(chan struct{}, len(pw.rts))
-	for r := 1; r < len(pw.rts); r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			rt := pw.rts[r]
-			stats[r] = rt.Run(func() { rt.Hold(); held <- struct{}{} })
-		}(r)
+// run attaches one run on every rank — h is handed each rank's parcels —
+// and executes setup on rank 0's runtime with a sender of its parcels, while
+// every other rank stays open for inbound frames; when rank 0's Run returns
+// — every parcel it sent has settled — the receivers are released and
+// drained. It returns each rank's transport counters.
+func (pw *pipeWorld) run(h func(rank int, f Frame), setup func(send func(dst int, payload []byte))) []TransportStats {
+	rts := make([]*Runtime, len(pw.engs))
+	for r, d := range pw.engs {
+		rts[r] = New(Config{Rank: r, Workers: 2, Seed: int64(r) + 1})
+		d.attach(func(f Frame) { h(r, f) })
 	}
-	for r := 1; r < len(pw.rts); r++ {
+	var wg sync.WaitGroup
+	held := make(chan struct{}, len(rts))
+	for _, rt := range rts[1:] {
+		wg.Add(1)
+		go func(rt *Runtime) {
+			defer wg.Done()
+			rt.Run(func() { rt.Hold(); held <- struct{}{} })
+		}(rt)
+	}
+	for range rts[1:] {
 		<-held
 	}
-	rt0 := pw.rts[0]
-	stats[0] = rt0.Run(func() { setup(rt0) })
-	for r := 1; r < len(pw.rts); r++ {
-		pw.rts[r].Release()
+	rt0 := rts[0]
+	rt0.Run(func() {
+		setup(func(dst int, payload []byte) { pw.engs[0].send(rt0, dst, 1, 0, payload) })
+	})
+	for _, rt := range rts[1:] {
+		rt.Release()
 	}
 	wg.Wait()
+	stats := make([]TransportStats, len(pw.engs))
+	for r, d := range pw.engs {
+		stats[r] = d.stats()
+	}
 	return stats
 }
 
 // sendN fires n indexed parcels from rank 0, round-robin over the other
 // ranks, and returns how many times each was handed to a wire handler plus
-// every rank's stats.
-func sendN(pw *pipeWorld, n int) ([]int64, []Stats) {
+// every rank's counters.
+func sendN(pw *pipeWorld, n int) ([]int64, []TransportStats) {
 	runs := make([]int64, n)
-	for r := 1; r < len(pw.rts); r++ {
-		pw.rts[r].OnWire(func(w *Worker, f Frame) {
-			atomic.AddInt64(&runs[binary.LittleEndian.Uint32(f.Payload)], 1)
-		})
-	}
-	stats := pw.run(func(rt0 *Runtime) {
+	stats := pw.run(func(_ int, f Frame) {
+		atomic.AddInt64(&runs[binary.LittleEndian.Uint32(f.Payload)], 1)
+	}, func(send func(int, []byte)) {
 		for i := 0; i < n; i++ {
-			payload := binary.LittleEndian.AppendUint32(nil, uint32(i))
-			rt0.SendWire(1+i%(len(pw.rts)-1), 1, 0, payload)
+			send(1+i%(len(pw.engs)-1), binary.LittleEndian.AppendUint32(nil, uint32(i)))
 		}
 	})
 	return runs, stats
@@ -119,6 +123,9 @@ func assertExactlyOnce(t *testing.T, runs []int64) {
 		}
 	}
 }
+
+// fastDelivery is a retry clock at the in-memory pipe's scale.
+var fastDelivery = DeliveryConfig{RetryBase: 2 * time.Millisecond, RetryMax: 64 * time.Millisecond, Deadline: 10 * time.Second}
 
 // Parcels between localities of one process are direct spawns: no sequence
 // numbers, no acks, no wire — the transport counters stay all-zero while
@@ -148,10 +155,10 @@ func TestInProcessParcelsBypassDelivery(t *testing.T) {
 func TestReliableDeliveryUnderDrop(t *testing.T) {
 	const n = 200
 	pw := newPipeWorld(2, &FaultProfile{Seed: 1, Drop: 0.3},
-		DeliveryConfig{RetryBase: time.Millisecond, Deadline: 20 * time.Second})
+		DeliveryConfig{RetryBase: time.Millisecond, RetryMax: 64 * time.Millisecond, Deadline: 20 * time.Second})
 	runs, stats := sendN(pw, n)
 	assertExactlyOnce(t, runs)
-	snd, rcv := stats[0].Transport, stats[1].Transport
+	snd, rcv := stats[0], stats[1]
 	if snd.Sent != n {
 		t.Errorf("sent = %d, want %d", snd.Sent, n)
 	}
@@ -174,13 +181,13 @@ func TestReliableDeliveryUnderDrop(t *testing.T) {
 
 func TestDedupUnderDuplication(t *testing.T) {
 	const n = 200
-	pw := newPipeWorld(2, &FaultProfile{Seed: 2, Duplicate: 0.5}, DeliveryConfig{})
+	pw := newPipeWorld(2, &FaultProfile{Seed: 2, Duplicate: 0.5}, fastDelivery)
 	runs, stats := sendN(pw, n)
 	assertExactlyOnce(t, runs)
-	if stats[0].Transport.Duplicated == 0 {
+	if stats[0].Duplicated == 0 {
 		t.Error("50% duplication injected no duplicates")
 	}
-	if stats[1].Transport.Deduped == 0 {
+	if stats[1].Deduped == 0 {
 		t.Error("duplicated deliveries were not deduplicated")
 	}
 }
@@ -189,18 +196,18 @@ func TestReorderAndDelayStillDeliverAll(t *testing.T) {
 	pw := newPipeWorld(3, &FaultProfile{
 		Seed: 3, Delay: 200 * time.Microsecond,
 		Reorder: true, ReorderJitter: 2 * time.Millisecond,
-	}, DeliveryConfig{})
+	}, fastDelivery)
 	runs, _ := sendN(pw, 100)
 	assertExactlyOnce(t, runs)
 }
 
 func TestSlowRankDelaysItsParcels(t *testing.T) {
 	const pause = 10 * time.Millisecond
-	pw := newPipeWorld(2, &FaultProfile{Seed: 4, SlowRank: 1, SlowDelay: pause}, DeliveryConfig{})
+	pw := newPipeWorld(2, &FaultProfile{Seed: 4, SlowRank: 1, SlowDelay: pause}, fastDelivery)
 	var arrived atomic.Int64
 	start := time.Now()
-	pw.rts[1].OnWire(func(*Worker, Frame) { arrived.Store(int64(time.Since(start))) })
-	pw.run(func(rt0 *Runtime) { rt0.SendWire(1, 1, 0, nil) })
+	pw.run(func(int, Frame) { arrived.Store(int64(time.Since(start))) },
+		func(send func(int, []byte)) { send(1, nil) })
 	if got := time.Duration(arrived.Load()); got < pause {
 		t.Errorf("parcel to the paused rank arrived after %v, want >= %v", got, pause)
 	}
@@ -217,7 +224,7 @@ func TestDeliveryDeadlineExceeded(t *testing.T) {
 	})
 	done := make(chan struct{})
 	var runs []int64
-	var stats []Stats
+	var stats []TransportStats
 	go func() {
 		runs, stats = sendN(pw, n)
 		close(done)
@@ -232,7 +239,7 @@ func TestDeliveryDeadlineExceeded(t *testing.T) {
 			t.Errorf("parcel %d was handled %d times over a fully lossy wire", i, r)
 		}
 	}
-	if got := stats[0].Transport.DeadlineExceeded; got != n {
+	if got := stats[0].DeadlineExceeded; got != n {
 		t.Errorf("deadlineExceeded = %d, want %d", got, n)
 	}
 }
@@ -240,20 +247,19 @@ func TestDeliveryDeadlineExceeded(t *testing.T) {
 // TestLCOExactlyOnceOverFaultyWire gates the delivery engine's exactly-once
 // effect the way an LCO input counter sees it: over a dropping+duplicating
 // wire the handler must run once per parcel — exactly `inputs` times, the
-// reduction exact — because the sequence filter dedups before the handler
-// is ever invoked.
+// reduction exact — because the window dedups before the handler is ever
+// invoked.
 func TestLCOExactlyOnceOverFaultyWire(t *testing.T) {
 	const inputs = 64
 	pw := newPipeWorld(2, &FaultProfile{Seed: 6, Drop: 0.2, Duplicate: 0.2},
-		DeliveryConfig{RetryBase: time.Millisecond})
+		DeliveryConfig{RetryBase: time.Millisecond, RetryMax: 64 * time.Millisecond})
 	var sum, handled atomic.Int64
-	pw.rts[1].OnWire(func(_ *Worker, f Frame) {
+	stats := pw.run(func(_ int, f Frame) {
 		handled.Add(1)
 		sum.Add(int64(binary.LittleEndian.Uint32(f.Payload)))
-	})
-	stats := pw.run(func(rt0 *Runtime) {
+	}, func(send func(int, []byte)) {
 		for i := 1; i <= inputs; i++ {
-			rt0.SendWire(1, 1, 0, binary.LittleEndian.AppendUint32(nil, uint32(i)))
+			send(1, binary.LittleEndian.AppendUint32(nil, uint32(i)))
 		}
 	})
 	if handled.Load() != inputs {
@@ -262,35 +268,44 @@ func TestLCOExactlyOnceOverFaultyWire(t *testing.T) {
 	if sum.Load() != inputs*(inputs+1)/2 {
 		t.Errorf("reduction = %d, want %d", sum.Load(), inputs*(inputs+1)/2)
 	}
-	if tr := stats[0].Transport; tr.Retried == 0 || stats[1].Transport.Deduped == 0 {
-		t.Errorf("wire was not faulty enough to prove anything: retried=%d deduped=%d", tr.Retried, stats[1].Transport.Deduped)
+	if stats[0].Retried == 0 || stats[1].Deduped == 0 {
+		t.Errorf("wire was not faulty enough to prove anything: retried=%d deduped=%d", stats[0].Retried, stats[1].Deduped)
 	}
 }
 
-// recordingWire is a transport that swallows every data message (recording
-// its send time) so the delivery layer's retransmission schedule can be
-// observed directly.
+// recordingWire is a transport that swallows every message, recording the
+// send time of each data message (so the delivery layer's retransmission
+// schedule can be observed directly) and every ack.
 type recordingWire struct {
 	mu    sync.Mutex
 	times []time.Time
+	acks  []Message
 }
 
-func (r *recordingWire) Name() string     { return "recording" }
 func (r *recordingWire) Stats() WireStats { return WireStats{} }
 
 func (r *recordingWire) Send(m Message) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if m.Ack {
+		r.acks = append(r.acks, m)
 		return
 	}
-	r.mu.Lock()
 	r.times = append(r.times, time.Now())
-	r.mu.Unlock()
 }
 
 func (r *recordingWire) sends() []time.Time {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]time.Time(nil), r.times...)
+}
+
+// lonelyEngine is rank 0 of a two-rank world whose wire goes nowhere, with a
+// run attached.
+func lonelyEngine(rw *recordingWire, dcfg DeliveryConfig) *delivery {
+	d := newDelivery(0, rw, dcfg, make([]atomic.Bool, 2))
+	d.attach(func(Frame) {})
+	return d
 }
 
 // The retransmission schedule is a contract the chaos suites lean on: each
@@ -307,21 +322,18 @@ func TestDeliveryBackoffEnvelope(t *testing.T) {
 		slack    = 60 * time.Millisecond // timer-firing lateness under CI load
 	)
 	rw := &recordingWire{}
-	rt := New(Config{
-		World: 2, Rank: 0, Workers: 1, Seed: 3, Transport: rw,
-		Delivery: DeliveryConfig{RetryBase: base, RetryMax: max, RetryJitter: jitter, Deadline: deadline},
-	})
+	d := lonelyEngine(rw, DeliveryConfig{RetryBase: base, RetryMax: max, RetryJitter: jitter, Deadline: deadline})
+	rt := New(Config{Workers: 1, Seed: 3})
 	start := time.Now()
-	stats := rt.Run(func() {
-		rt.SendWire(1, 1, 0, []byte("never acked"))
-	})
+	rt.Run(func() { d.send(rt, 1, 1, 0, []byte("never acked")) })
 	elapsed := time.Since(start)
+	stats := d.stats()
 
-	if got := stats.Transport.DeadlineExceeded; got != 1 {
+	if got := stats.DeadlineExceeded; got != 1 {
 		t.Fatalf("DeadlineExceeded = %d, want 1", got)
 	}
-	if stats.Transport.Acked != 0 {
-		t.Fatalf("Acked = %d, want 0", stats.Transport.Acked)
+	if stats.Acked != 0 {
+		t.Fatalf("Acked = %d, want 0", stats.Acked)
 	}
 	if elapsed < deadline {
 		t.Fatalf("run settled after %v, before the %v deadline", elapsed, deadline)
@@ -331,8 +343,8 @@ func TestDeliveryBackoffEnvelope(t *testing.T) {
 	if len(times) < 4 {
 		t.Fatalf("only %d transmissions before the deadline; backoff cap not honored?", len(times))
 	}
-	if int64(stats.Transport.Retried) != int64(len(times)-1) {
-		t.Fatalf("Retried = %d, but %d retransmissions hit the wire", stats.Transport.Retried, len(times)-1)
+	if int64(stats.Retried) != int64(len(times)-1) {
+		t.Fatalf("Retried = %d, but %d retransmissions hit the wire", stats.Retried, len(times)-1)
 	}
 	// Expected backoff step per gap: base doubling to max, then flat.
 	step := base
@@ -343,12 +355,7 @@ func TestDeliveryBackoffEnvelope(t *testing.T) {
 		if gap < lo || gap > hi {
 			t.Fatalf("gap %d = %v outside jittered envelope [%v, %v] (step %v)", i, gap, lo, hi, step)
 		}
-		if step < max {
-			step *= 2
-			if step > max {
-				step = max
-			}
-		}
+		step = min(2*step, max)
 	}
 	// The loop must stop at the deadline: the last transmission fits inside
 	// it, and the count is bounded by the capped schedule.
@@ -363,20 +370,18 @@ func TestDeliveryBackoffEnvelope(t *testing.T) {
 // An ack settles the entry and stops the retransmission loop immediately.
 func TestDeliveryBackoffStopsOnAck(t *testing.T) {
 	rw := &recordingWire{}
-	rt := New(Config{
-		World: 2, Rank: 0, Workers: 1, Seed: 4, Transport: rw,
-		Delivery: DeliveryConfig{RetryBase: 10 * time.Millisecond, RetryMax: 40 * time.Millisecond, Deadline: 5 * time.Second},
-	})
+	d := lonelyEngine(rw, DeliveryConfig{RetryBase: 10 * time.Millisecond, RetryMax: 40 * time.Millisecond, Deadline: 5 * time.Second})
+	rt := New(Config{Workers: 1, Seed: 4})
 	start := time.Now()
-	stats := rt.Run(func() {
-		rt.SendWire(1, 1, 0, []byte("acked late"))
+	rt.Run(func() {
+		d.send(rt, 1, 1, 0, []byte("acked late"))
 		// Let two copies hit the wire, then deliver the ack.
 		go func() {
 			for {
 				if len(rw.sends()) >= 2 {
 					// The ack frame as rank 1 would emit it: src 1, dst 0,
 					// settling rank 0's entry for (0→1, seq 1).
-					rt.DeliverWireFrame(Frame{Flags: FlagAck, Src: 1, Dst: 0, Seq: 1})
+					d.receive(Frame{Flags: FlagAck, Src: 1, Dst: 0, Seq: 1})
 					return
 				}
 				time.Sleep(time.Millisecond)
@@ -384,11 +389,12 @@ func TestDeliveryBackoffStopsOnAck(t *testing.T) {
 		}()
 	})
 	elapsed := time.Since(start)
-	if stats.Transport.Acked != 1 {
-		t.Fatalf("Acked = %d, want 1", stats.Transport.Acked)
+	stats := d.stats()
+	if stats.Acked != 1 {
+		t.Fatalf("Acked = %d, want 1", stats.Acked)
 	}
-	if stats.Transport.DeadlineExceeded != 0 {
-		t.Fatalf("DeadlineExceeded = %d, want 0", stats.Transport.DeadlineExceeded)
+	if stats.DeadlineExceeded != 0 {
+		t.Fatalf("DeadlineExceeded = %d, want 0", stats.DeadlineExceeded)
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("run took %v; ack did not stop the retransmission loop", elapsed)
@@ -408,18 +414,12 @@ func TestDeliveryBackoffStopsOnAck(t *testing.T) {
 func TestSeverStopsRetransmissionToDeadRank(t *testing.T) {
 	const n = 8
 	rw := &recordingWire{} // rank 1 is a corpse: everything sent to it vanishes
-	rt := New(Config{
-		World: 2, Rank: 0, Workers: 1, Transport: rw,
-		Delivery: DeliveryConfig{
-			RetryBase: time.Millisecond,
-			RetryMax:  4 * time.Millisecond,
-			Deadline:  120 * time.Second,
-		},
-	})
+	d := lonelyEngine(rw, DeliveryConfig{RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond, Deadline: 120 * time.Second})
+	rt := New(Config{Workers: 1})
 	severed := make(chan struct{})
 	rt.Run(func() {
 		for i := 0; i < n; i++ {
-			rt.SendWire(1, 1, 0, []byte{byte(i)})
+			d.send(rt, 1, 1, 0, []byte{byte(i)})
 		}
 		// The verdict lands after the retransmission loop has been
 		// exercised; Run cannot return before it, the unacked entries hold
@@ -429,12 +429,13 @@ func TestSeverStopsRetransmissionToDeadRank(t *testing.T) {
 			for len(rw.sends()) < 3*n {
 				time.Sleep(time.Millisecond)
 			}
-			rt.SeverRank(1)
-			rt.SendWire(1, 1, 0, []byte("to a corpse"))
+			d.gone[1].Store(true) // the cluster marks the rank dead, then severs it
+			d.sever(1)
+			d.send(rt, 1, 1, 0, []byte("to a corpse"))
 		}()
 	})
 	<-severed
-	ts := rt.StatsNow().Transport
+	ts := d.stats()
 	if ts.Severed != n+1 {
 		t.Errorf("Severed = %d, want %d unacked parcels settled by the sever + 1 send refused after it", ts.Severed, n)
 	}
@@ -449,9 +450,9 @@ func TestSeverStopsRetransmissionToDeadRank(t *testing.T) {
 	}
 	// Leak check: all retry timers must be dead. Any survivor would bump
 	// Retried after the run.
-	before := rt.StatsNow().Transport.Retried
+	before := d.stats().Retried
 	time.Sleep(30 * time.Millisecond)
-	if after := rt.StatsNow().Transport.Retried; after != before {
+	if after := d.stats().Retried; after != before {
 		t.Errorf("retransmissions continued after the run: %d -> %d", before, after)
 	}
 }

@@ -12,40 +12,60 @@ import (
 // The job, the one attach and the three-way generation fence: a frame that
 // reaches a rank before its run waits for it.
 
-// wireRank is one rank's side of a run on a test cluster: a wire-mode
-// runtime whose handler counts how often each indexed parcel was handled,
-// attached through a sink that records the order frames were handed over.
+// wireRank is one rank's side of a run on a test cluster: a runtime whose
+// parcels go through the cluster's delivery engine, and the run's wire
+// handler, sink, which counts how often each indexed parcel was handled and
+// records the order they were handed over in.
 type wireRank struct {
-	rt      *Runtime
+	c       *Cluster
+	rt      clusterRuntime
 	handled []int64 // per parcel index; atomic
 	total   atomic.Int64
 	mu      sync.Mutex
 	sunk    []uint32 // parcel indexes in the order the sink was handed them
 }
 
+// clusterRuntime is a rank's runtime whose stats carry the transport of the
+// run attached on its cluster, as core.DistRun reports them.
+type clusterRuntime struct {
+	*Runtime
+	c *Cluster
+}
+
+func (r clusterRuntime) Run(setup func()) Stats {
+	s := r.Runtime.Run(setup)
+	s.Transport = r.c.TransportStats()
+	return s
+}
+
+func (r clusterRuntime) StatsNow() Stats {
+	s := r.Runtime.StatsNow()
+	s.Transport = r.c.TransportStats()
+	return s
+}
+
+// newWireRank sets up one rank's side of a run, re-clocking the cluster's
+// delivery engine to dcfg (between runs, when nothing is in flight).
 func newWireRank(c *Cluster, parcels int, dcfg DeliveryConfig) *wireRank {
-	w := &wireRank{handled: make([]int64, parcels)}
-	w.rt = New(Config{World: c.World(), Rank: c.Rank(), Workers: 1, Seed: int64(c.Rank()) + 1,
-		Transport: c.Transport(), Delivery: dcfg})
-	w.rt.OnWire(func(_ *Worker, f Frame) {
-		atomic.AddInt64(&w.handled[binary.LittleEndian.Uint32(f.Payload)], 1)
-		w.total.Add(1)
-	})
-	return w
+	c.eng.mu.Lock()
+	c.eng.cfg = dcfg.withDefaults()
+	c.eng.mu.Unlock()
+	rt := New(Config{Rank: c.Rank(), Workers: 1, Seed: int64(c.Rank()) + 1})
+	return &wireRank{c: c, rt: clusterRuntime{rt, c}, handled: make([]int64, parcels)}
 }
 
 func (w *wireRank) sink(f Frame) {
-	if !f.Ack() {
-		w.mu.Lock()
-		w.sunk = append(w.sunk, binary.LittleEndian.Uint32(f.Payload))
-		w.mu.Unlock()
-	}
-	w.rt.DeliverWireFrame(f)
+	i := binary.LittleEndian.Uint32(f.Payload)
+	w.mu.Lock()
+	w.sunk = append(w.sunk, i)
+	w.mu.Unlock()
+	atomic.AddInt64(&w.handled[i], 1)
+	w.total.Add(1)
 }
 
 func (w *wireRank) send(dst int, idx ...int) {
 	for _, i := range idx {
-		w.rt.SendWire(dst, 1, 0, binary.LittleEndian.AppendUint32(nil, uint32(i)))
+		w.c.Send(w.rt.Runtime, dst, 1, 0, binary.LittleEndian.AppendUint32(nil, uint32(i)))
 	}
 }
 
@@ -67,8 +87,8 @@ func (w *wireRank) receive(t *testing.T, want int) Stats {
 	})
 }
 
-// socketDelivery is a retry clock of the scale core.DistRun runs a socket
-// mesh on (200 ms there), with headroom for a loaded test box.
+// socketDelivery is a retry clock of the scale a socket mesh runs on by
+// default (200 ms), with headroom for a loaded test box.
 var socketDelivery = DeliveryConfig{RetryBase: 500 * time.Millisecond, RetryMax: 2 * time.Second, Deadline: 30 * time.Second}
 
 // (a) Rank 0 starts a job, attaches and sends at once; rank 1 is still
@@ -113,11 +133,11 @@ func TestFrameBeforeItsRunWaitsForIt(t *testing.T) {
 	}
 }
 
-// rawSend puts frames on the wire without a delivery engine: whatever the
-// fence does with them is final.
+// rawSend puts frames on the wire, numbered from 1, without the sender's
+// delivery engine: whatever the receiver does with them is final.
 func rawSend(c *Cluster, dst int, payloads ...string) {
 	for i, p := range payloads {
-		c.Transport().Send(Message{Src: c.Rank(), Dst: dst, Seq: uint64(i), Kind: 7, Payload: []byte(p)})
+		c.Transport().Send(Message{Src: c.Rank(), Dst: dst, Seq: uint64(i + 1), Kind: 7, Payload: []byte(p)})
 	}
 }
 
@@ -171,7 +191,7 @@ func TestParkedFramesWaitForTheirOwnRun(t *testing.T) {
 		t.Fatalf("the run of generation %d was handed %q, %d frames stay parked; want its three and none", second.Gen, p, cls[1].tp.parkedLen())
 	}
 	if n := got.len(); n != 2 {
-		t.Errorf("the finished run's sink was handed %d frames in the end, want its 2", n)
+		t.Errorf("the finished run's handler was handed %d frames in the end, want its 2", n)
 	}
 	if st := cls[1].Transport().Stats(); st.StaleFenced != 0 || st.Dropped != 0 {
 		t.Errorf("rank 1 fenced %d frames and dropped %d, want none", st.StaleFenced, st.Dropped)
@@ -343,8 +363,8 @@ func TestStartJobWaitsForThePreviousEnd(t *testing.T) {
 }
 
 // (g) A run's transport report is its own traffic on every rank of a
-// standing cluster: the delivery engine is one run long and subtracts what
-// the wire had counted when it was built.
+// standing cluster: the delivery engine lives as long as the cluster and
+// subtracts what the wire had counted when the run attached.
 func TestTransportStatsArePerRun(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
 	log1 := watch(t, cls[1])
@@ -381,35 +401,45 @@ func TestTransportStatsArePerRun(t *testing.T) {
 	}
 }
 
-// A run's sink stays until the next run's Attach replaces it: a peer whose
-// acknowledgment was lost retransmits to a rank that has finished, and cannot
-// finish itself until the finished run's runtime answers (under a lossy wire
+// A peer whose acknowledgment was lost retransmits to a rank whose run has
+// finished, and cannot finish itself until it is answered (under a lossy wire
 // that is every other evaluation: TestChaosProfiles times out without it).
+// The rank's delivery engine answers: it outlives the run, so nothing of the
+// run has to.
 func TestFinishedRunStillAcknowledges(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
 	log1 := watch(t, cls[1])
-	w1 := newWireRank(cls[1], 1, socketDelivery)
 	job := cls[0].StartJob(nil)
 	defer job.End()
-	var got frameLog
-	defer cls[0].Attach(job, got.sink).Close()
+	defer cls[0].Attach(job, func(Frame) {}).Close()
+	ack := int64(len(AppendFrame(nil, &Frame{})))
+	acked := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); cls[0].TransportStats().BytesIn < n*ack; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("rank 0 received %d bytes, want %d acknowledgments", cls[0].TransportStats().BytesIn, n)
+			}
+		}
+	}
 
 	parcel := Message{Src: 0, Dst: 1, Seq: 1, Kind: 1, Payload: []byte{0, 0, 0, 0}}
-	run1 := cls[1].Attach(await(t, log1, EventJob).Job, w1.sink)
+	var got frameLog
+	run1 := cls[1].Attach(await(t, log1, EventJob).Job, got.sink)
 	cls[0].Transport().Send(parcel)
-	w1.receive(t, 1)
+	got.wait(t, 1)
 	run1.Close()
-	if f := got.wait(t, 1)[0]; !f.Ack() || f.Seq != parcel.Seq {
-		t.Fatalf("rank 0 was answered %+v, want the acknowledgment of parcel %d", f, parcel.Seq)
-	}
+	acked(1)
 	// The acknowledgment "was lost": rank 0 sends the parcel again.
 	cls[0].Transport().Send(parcel)
-	if f := got.wait(t, 2)[1]; !f.Ack() || f.Seq != parcel.Seq {
-		t.Fatalf("the finished run answered the late copy with %+v, want another acknowledgment", f)
+	acked(2)
+	if n := got.len(); n != 1 {
+		t.Errorf("the parcel was handled %d times, want once", n)
 	}
-	assertExactlyOnce(t, w1.handled)
-	if st := w1.rt.StatsNow().Transport; st.LateDrops != 1 || cls[1].tp.parkedLen() != 0 {
-		t.Errorf("late copy: counted %d times by the finished run, %d frames parked; want 1 and 0", st.LateDrops, cls[1].tp.parkedLen())
+	if st := cls[1].TransportStats(); st.WireMessages != 2 || st.BytesOut != 2*ack {
+		t.Errorf("rank 1 sent %d messages, %d bytes; want its two acknowledgments", st.WireMessages, st.BytesOut)
+	}
+	if st := cls[1].TransportStats(); st.LateDrops != 1 || cls[1].tp.parkedLen() != 0 {
+		t.Errorf("late copy: counted %d times, %d frames parked; want 1 and 0", st.LateDrops, cls[1].tp.parkedLen())
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 // executor extends down to the syscall layer). Connections are asymmetric:
 // a dialed connection is write-only (its first frame is an ATTACH preamble
 // carrying rank/world/stamp), an accepted connection is read-only (served
-// by Cluster.serveData, which hands every frame to the generation fence).
-// Dialing retries with exponential backoff and jitter; a broken or unavailable connection is never an error surfaced to
-// the caller — queued and in-flight frames are simply lost, which the
-// delivery layer (delivery.go) observes as wire loss and repairs with
-// seq/ack/retransmit.
+// by Cluster.serveData: every frame meets the generation fence, then the
+// cluster's delivery engine, its only receiver). Dialing retries with
+// exponential backoff and jitter; a broken or unavailable connection is
+// never an error surfaced to the caller — its frames are simply lost, which
+// the delivery engine (delivery.go) repairs with seq/ack/retransmit.
 type SocketTransport struct {
 	cl *Cluster
 
@@ -30,9 +30,9 @@ type SocketTransport struct {
 
 	// The generation fence (fence, attach).
 	fenceMu     sync.Mutex
-	sink        func(Frame) // guarded by fenceMu: the run attached last; nil before the first
-	parked      []Frame     // guarded by fenceMu: in arrival order, stamps still on
-	parkedBytes int         // guarded by fenceMu: payload bytes in parked
+	ran         bool    // guarded by fenceMu: a run has attached on this rank
+	parked      []Frame // guarded by fenceMu: in arrival order, stamps still on
+	parkedBytes int     // guarded by fenceMu: payload bytes in parked
 
 	dropped        atomic.Int64
 	messages       atomic.Int64
@@ -55,8 +55,18 @@ type peerLink struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  [][]byte // guarded by mu
-	dead   bool     // guarded by mu: rank declared dead, stop dialing
-	closed bool     // guarded by mu: transport shutting down
+	closed bool     // guarded by mu: retired — the rank died or was re-admitted anew, or the transport is closing
+}
+
+// retire closes the link for good: its queue counts as dropped, and its
+// writer stops dialing and exits.
+func (p *peerLink) retire(t *SocketTransport) {
+	p.mu.Lock()
+	p.closed = true
+	t.dropped.Add(int64(len(p.queue)))
+	p.queue = nil
+	p.mu.Unlock()
+	p.cond.Broadcast()
 }
 
 // peerQueueMax bounds each peer's outbound frame queue, and the inbound park
@@ -95,9 +105,6 @@ func (b *backoff) sleep() {
 // reset restarts the pacing after a success.
 func (b *backoff) reset() { b.step = dialBase }
 
-// Name implements Transport.
-func (t *SocketTransport) Name() string { return t.cl.cfg.Network }
-
 // Stats implements Transport.
 func (t *SocketTransport) Stats() WireStats {
 	return WireStats{
@@ -117,46 +124,60 @@ func (t *SocketTransport) Stats() WireStats {
 // (Send). A generation counts up by one per job or re-admission and its stamp
 // wraps every 65 536 of them, so within half a wrap the sign tells newer from
 // older. Older: a corpse's straggler or a finished run's retransmission —
-// dropped unacknowledged, it dies with its sender. Of this rank's generation
-// with a run attached: delivered, the stamp stripped back off. Newer, or of
-// this rank's generation with no run attached yet: the frame beat its run
-// here — parked, unacknowledged, until that run attaches. A full park buffer
-// drops the frame: wire loss, which the sender's delivery engine repairs like
-// any other. The sink is chosen under the lock, called outside it.
+// dropped unacknowledged, it dies with its sender. Of this rank's generation,
+// once a run has attached: to the delivery engine, the stamp stripped back
+// off, under the fence lock (so never to a run an attach has replaced; the
+// ack goes out after it). Newer, or before any run has attached: the frame
+// beat its run here — parked, unacknowledged, until that run attaches; a
+// full park buffer drops it, wire loss like any other. A frame counts as
+// received when it leaves the fence, towards the run it waited for.
 func (t *SocketTransport) fence(f Frame) {
 	t.fenceMu.Lock()
-	var sink func(Frame)
+	ack := false
+	n := int64(FrameHeaderSize + len(f.Payload))
 	switch d := int16(uint16(f.Epoch>>16) - uint16(t.cl.gen.Load())); {
 	case d < 0:
+		t.bytesIn.Add(n)
 		t.staleFenced.Add(1)
-	case d == 0 && t.sink != nil:
-		sink = t.sink
+	case d == 0 && t.ran:
+		t.bytesIn.Add(n)
+		in := f // f keeps its stamp for the ack
+		in.Epoch &= 0xffff
+		ack = t.cl.eng.receive(in)
 	case len(t.parked) >= peerQueueMax || t.parkedBytes+len(f.Payload) > parkBytesMax:
+		t.bytesIn.Add(n)
 		t.dropped.Add(1)
 	default:
 		t.parked = append(t.parked, f)
 		t.parkedBytes += len(f.Payload)
 	}
 	t.fenceMu.Unlock()
-	if sink != nil {
-		f.Epoch &= 0xffff
-		sink(f)
+	if ack {
+		t.cl.eng.ack(f)
 	}
 }
 
-// attach moves this rank to a run's generation and installs its frame sink
-// (Cluster.Attach) in one critical section, then puts the parked frames
-// through the fence again, in arrival order; one of a generation the rank
-// skipped is stale now, and one that arrives meanwhile may overtake them.
-func (t *SocketTransport) attach(gen uint32, sink func(Frame)) {
+// attach attaches a run's handler to the delivery engine and moves this rank
+// to the run's generation (Cluster.Attach) in one critical section — the
+// engine first, so nothing an earlier run left unacked goes out with the new
+// stamp — then puts the parked frames through the fence again, in arrival
+// order. The detach it returns takes the fence lock too: no frame reaches
+// the run's handler once it has returned.
+func (t *SocketTransport) attach(gen uint32, h func(Frame)) (detach func()) {
 	t.fenceMu.Lock()
+	run := t.cl.eng.attach(h)
 	t.cl.gen.Store(gen)
-	t.sink = sink
+	t.ran = true
 	parked := t.parked
 	t.parked, t.parkedBytes = nil, 0
 	t.fenceMu.Unlock()
 	for _, f := range parked {
 		t.fence(f)
+	}
+	return func() {
+		t.fenceMu.Lock()
+		defer t.fenceMu.Unlock()
+		t.cl.eng.detach(run)
 	}
 }
 
@@ -175,7 +196,7 @@ func (t *SocketTransport) setPeers(addrs []string, dead []atomic.Bool) {
 		if r == t.cl.cfg.Rank {
 			continue
 		}
-		p := &peerLink{rank: r, addr: addr, dead: dead[r].Load()}
+		p := &peerLink{rank: r, addr: addr, closed: dead[r].Load()}
 		p.cond = sync.NewCond(&p.mu)
 		t.peers[r] = p
 		t.wg.Add(1)
@@ -200,7 +221,8 @@ func (t *SocketTransport) Send(m Message) {
 		Payload: m.Payload,
 	}
 	if m.Ack {
-		f.Flags |= FlagAck
+		// An ack keeps the stamp of the frame it answers (delivery.ack).
+		f.Flags, f.Epoch = FlagAck, m.Epoch
 	}
 	enc := AppendFrame(nil, &f)
 	t.messages.Add(1)
@@ -215,7 +237,7 @@ func (t *SocketTransport) Send(m Message) {
 		return
 	}
 	p.mu.Lock()
-	if p.dead || p.closed || len(p.queue) >= peerQueueMax {
+	if p.closed || len(p.queue) >= peerQueueMax {
 		p.mu.Unlock()
 		t.dropped.Add(1)
 		return
@@ -226,50 +248,28 @@ func (t *SocketTransport) Send(m Message) {
 	t.bytesOut.Add(int64(len(enc)))
 }
 
-// severPeer marks a rank dead: its queue is discarded and its writer stops
-// dialing the corpse and exits.
-func (t *SocketTransport) severPeer(rank int) {
-	t.mu.Lock()
-	var p *peerLink
-	if t.peers != nil && rank >= 0 && rank < len(t.peers) {
-		p = t.peers[rank]
-	}
-	t.mu.Unlock()
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.dead = true
-	t.dropped.Add(int64(len(p.queue)))
-	p.queue = nil
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-// revivePeer resurrects a re-admitted rank's outbound link at its new
-// address: the severed link (if any) is retired and a fresh writer
-// goroutine spawned. Frames queued for the corpse died with severPeer.
+// relink retires a rank's outbound link — its queue discarded, its writer
+// no longer dialing — when the rank dies (addr ""), and, when it is
+// re-admitted, starts a fresh link and writer at its new address.
 //
 //dashmm:detached the fresh writer exits when its link is closed; close() closes every installed link and t.wg.Wait joins it
-func (t *SocketTransport) revivePeer(rank int, addr string) {
+func (t *SocketTransport) relink(rank int, addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed.Load() || t.peers == nil || rank < 0 || rank >= len(t.peers) || rank == t.cl.cfg.Rank {
+	if t.peers == nil || rank == t.cl.cfg.Rank {
 		return
 	}
 	if old := t.peers[rank]; old != nil {
-		old.mu.Lock()
-		old.closed = true
-		t.dropped.Add(int64(len(old.queue)))
-		old.queue = nil
-		old.mu.Unlock()
-		old.cond.Broadcast()
+		old.retire(t)
 	}
-	p := &peerLink{rank: rank, addr: addr}
-	p.cond = sync.NewCond(&p.mu)
-	t.peers[rank] = p
-	t.wg.Add(1)
-	go t.writerLoop(p)
+	t.peers[rank] = nil
+	if addr != "" && !t.closed.Load() {
+		p := &peerLink{rank: rank, addr: addr}
+		p.cond = sync.NewCond(&p.mu)
+		t.peers[rank] = p
+		t.wg.Add(1)
+		go t.writerLoop(p)
+	}
 }
 
 // close stops every writer goroutine and joins them (called by
@@ -282,14 +282,9 @@ func (t *SocketTransport) close() {
 	peers := t.peers
 	t.mu.Unlock()
 	for _, p := range peers {
-		if p == nil {
-			continue
+		if p != nil {
+			p.retire(t)
 		}
-		p.mu.Lock()
-		p.closed = true
-		p.queue = nil
-		p.mu.Unlock()
-		p.cond.Broadcast()
 	}
 	t.wg.Wait()
 }
@@ -315,12 +310,10 @@ func (t *SocketTransport) writerLoop(p *peerLink) {
 	everConnected := false
 	for {
 		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed && !p.dead {
+		for len(p.queue) == 0 && !p.closed {
 			p.cond.Wait()
 		}
-		if p.closed || p.dead {
-			t.dropped.Add(int64(len(p.queue)))
-			p.queue = nil
+		if p.closed { // retire dropped the queue
 			p.mu.Unlock()
 			return
 		}
@@ -331,8 +324,7 @@ func (t *SocketTransport) writerLoop(p *peerLink) {
 		if conn == nil {
 			conn = t.dialPeer(p, bo)
 			if conn == nil {
-				// Link closed or peer declared dead while dialing: the batch
-				// is lost.
+				// Link retired while dialing: the batch is lost.
 				t.dropped.Add(int64(len(batch)))
 				continue
 			}
@@ -371,12 +363,12 @@ func (t *SocketTransport) writerLoop(p *peerLink) {
 }
 
 // dialPeer connects to a peer, retrying on the shared backoff, and returns
-// nil once the link is closed or the peer is declared dead.
+// nil once the link is retired.
 func (t *SocketTransport) dialPeer(p *peerLink, bo *backoff) net.Conn {
 	bo.reset()
 	for {
 		p.mu.Lock()
-		stop := p.closed || p.dead
+		stop := p.closed
 		p.mu.Unlock()
 		if stop {
 			return nil

@@ -156,6 +156,9 @@ func (l *frameLog) wait(t *testing.T, n int) []Frame {
 	return slices.Clone(l.got)
 }
 
+// Transport returns the cluster's data-plane transport.
+func (c *Cluster) Transport() *SocketTransport { return c.tp }
+
 func (t *SocketTransport) parkedLen() int {
 	t.fenceMu.Lock()
 	defer t.fenceMu.Unlock()

@@ -31,12 +31,11 @@ type Message struct {
 }
 
 // WireStats counts what a Transport did to the messages it carried: the
-// injected or genuine faults (dropped, duplicated, delayed) plus the carried
-// traffic itself in encoded frame bytes.
+// injected or genuine faults (dropped, duplicated) plus the carried traffic
+// itself in encoded frame bytes.
 type WireStats struct {
 	Dropped    int64
 	Duplicated int64
-	Delayed    int64
 	// Messages counts messages handed to the wire (data + acks). BytesOut and
 	// BytesIn are encoded frame bytes sent and received.
 	Messages int64
@@ -54,8 +53,6 @@ type WireStats struct {
 // Transport is the frame wire between ranks. No implementation is assumed
 // reliable: the delivery engine always runs on top.
 type Transport interface {
-	// Name identifies the transport in reports.
-	Name() string
 	// Send conveys one message toward Message.Dst.
 	Send(m Message)
 	// Stats returns the wire-level counters.
@@ -98,7 +95,6 @@ type FaultyTransport struct {
 
 	dropped    atomic.Int64
 	duplicated atomic.Int64
-	delayed    atomic.Int64
 }
 
 // NewFaultyTransport wraps inner with the profile's faults.
@@ -113,16 +109,12 @@ func NewFaultyTransport(inner Transport, p FaultProfile) *FaultyTransport {
 	}
 }
 
-// Name implements Transport.
-func (t *FaultyTransport) Name() string { return "faulty+" + t.inner.Name() }
-
 // Stats implements Transport: the inner wire's counters plus the injected
 // faults.
 func (t *FaultyTransport) Stats() WireStats {
 	s := t.inner.Stats()
 	s.Dropped += t.dropped.Load()
 	s.Duplicated += t.duplicated.Load()
-	s.Delayed += t.delayed.Load()
 	return s
 }
 
@@ -160,7 +152,6 @@ func (t *FaultyTransport) Send(m Message) {
 	}
 	for i := 0; i < copies; i++ {
 		if d := delays[i]; d > 0 {
-			t.delayed.Add(1)
 			time.AfterFunc(d, func() { t.inner.Send(m) })
 		} else {
 			t.inner.Send(m)

@@ -17,20 +17,20 @@ import (
 // identical placement (dist.MinComm is deterministic), so node→rank routing
 // needs no coordination. Rank 0 broadcasts the charge vector, gathers the
 // completed target potentials, and owns the completion decision; data
-// parcels flow point-to-point as typed payloads (wire.go) over the
-// cluster's socket mesh with the amt delivery layer's seq/ack/retransmit
-// underneath.
+// parcels flow point-to-point as typed payloads (wire.go) through the
+// cluster's delivery engine (seq/ack/retransmit over its socket mesh), which
+// lives as long as the cluster: a run attaches to it and detaches at its end.
 //
 // Process death is the one crash model of the system (DESIGN.md, "Failure
 // handling"). The DAG itself carries enough dependency information to
 // re-derive everything a dead rank took with it — the insight of the
 // data-driven FMM literature the paper builds on: on a death verdict —
-// broadcast by rank 0 in a total order every rank observes identically —
-// each survivor independently (1) fences the corpse's wire endpoints,
-// (2) takes the rebuild set to be every node homed on the dead rank,
-// (3) fails their ownership over deterministically (dist.Failover),
-// (4) resets its newly-owned nodes, and (5) replays the in-edges of
-// rebuild-set nodes whose sources it owns and has already fired. Parcels
+// broadcast by rank 0 in a total order every rank observes identically, its
+// parcels to the corpse settled by the cluster — each survivor independently
+// (1) takes the rebuild set to be every node homed on the dead rank, (2)
+// fails their ownership over deterministically (dist.Failover), (3) resets
+// its newly-owned nodes, and (4) replays the in-edges of rebuild-set nodes
+// whose sources it owns and has already fired. Parcels
 // carry complete payload values, so an installed copy is never invalidated
 // by a later death, and the per-edge applied bits make every replayed or
 // duplicated contribution apply exactly once.
@@ -85,17 +85,8 @@ type DistOptions struct {
 	// Workers is the scheduler thread count of this rank's locality
 	// (default 1).
 	Workers int
-	// Seed seeds the runtime's steal and backoff RNGs.
-	Seed int64
 	// Gradient also computes the potential gradient at every target.
 	Gradient bool
-	// Delivery tunes the reliable-delivery layer (zero value = amt
-	// defaults).
-	Delivery amt.DeliveryConfig
-	// Fault, when non-nil, wraps this rank's outbound wire in an
-	// amt.FaultyTransport built from the profile (fresh per run, so the
-	// seeded fault sequence is reproducible): the chaos harness's knob.
-	Fault *amt.FaultProfile
 	// Timeout bounds the whole evaluation; a rank that cannot finish —
 	// coordinator gone, peers wedged — errors out instead of hanging
 	// (default 2 minutes).
@@ -107,8 +98,9 @@ type DistOptions struct {
 	OnProgress func(fired, ownedTotal int)
 	// Job is the cluster job this run is one rank's side of — rank 0 passes
 	// what StartJob returned, a worker what its log handed it — so every rank
-	// starts from the same wire generation and the same dead ranks. Nil on a
-	// one-shot cluster: generation 0, verdicts from the head of the log.
+	// starts from the same wire generation and the same dead ranks; the
+	// generation also seeds the run's steal order. Nil on a one-shot
+	// cluster: generation 0, verdicts from the head of the log.
 	Job *amt.Job
 	// Cancel, when non-nil, aborts the run when closed (a serve request's
 	// deadline propagating into the fabric).
@@ -122,16 +114,8 @@ func (o DistOptions) withDefaults() DistOptions {
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Minute
 	}
-	if o.Delivery == (amt.DeliveryConfig{}) {
-		// Socket transports operate in milliseconds, not the microseconds of
-		// the in-process wire. The amt defaults (2ms retry base) retransmit
-		// multi-megabyte parcel bursts while the originals still sit in the
-		// socket buffers, amplifying wire traffic ~20x; pace retries at
-		// round-trip scale instead.
-		o.Delivery = amt.DeliveryConfig{
-			RetryBase: 200 * time.Millisecond, RetryMax: 2 * time.Second,
-			RetryJitter: 0.5, Deadline: 30 * time.Second,
-		}
+	if o.Job == nil {
+		o.Job = &amt.Job{}
 	}
 	return o
 }
@@ -159,35 +143,30 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	if err := cl.Start(); err != nil {
 		return nil, ExecReport{}, err
 	}
-	job := opts.Job
-	if job == nil {
-		job = &amt.Job{}
-	}
 	// The job's consistent base first: every death before the job, in
 	// verdict order. Everything since comes from the log.
-	for _, r := range job.DeadOrder {
+	for _, r := range opts.Job.DeadOrder {
 		if r == cl.Rank() {
 			return nil, ExecReport{}, fmt.Errorf("core: rank %d is listed dead in the job placement", r)
 		}
 		fb.applyDeath(r)
 	}
-	// The run goes onto its rank in one step — frame sink, outbound stamp
+	// The run goes onto its rank in one step — wire handler, outbound stamp
 	// and log cursor, all at the job's generation; frames of this run that
 	// got here first were waiting at the fence and now queue in the runtime
-	// until Run starts. One watcher reads the cluster's event log from this
-	// run's job on (a one-shot cluster: from the beginning): what happened
-	// before the run got here — a verdict, rank 0 finishing a DAG in which
-	// this rank owns no target, the coordinator going away — is replayed to
-	// it in log order like anything that happens from now on. The watcher
-	// must not outlive the run: a standing cluster keeps logging between
-	// jobs, and a verdict landing in a discarded executor would corrupt the
-	// next run's state. Joined explicitly after rt.Run below, before the
-	// results are read; the defer covers the error paths.
-	run := cl.Attach(job, ex.rt.DeliverWireFrame)
+	// until Run starts, and closing the cursor detaches the run. One watcher
+	// reads the log from the job on (a one-shot cluster: from the
+	// beginning), so a verdict, rank 0 finishing a DAG in which this rank
+	// owns no target, or the coordinator going away before the run got here
+	// is replayed to it in log order. It must not outlive the run — a
+	// verdict landing in a discarded executor would corrupt the next run's
+	// state — so it is joined after rt.Run below, before the results are
+	// read; the defer covers the error paths.
+	run := cl.Attach(opts.Job, fb.onFrame)
 	watched := make(chan struct{})
 	go func() {
 		defer close(watched)
-		fb.watch(run, job.Gen)
+		fb.watch(run, opts.Job.Gen)
 	}()
 	quiesce := func() {
 		run.Close()
@@ -211,7 +190,7 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 		fb.gateMu.Lock()
 		parked := len(fb.deferred)
 		fb.gateMu.Unlock()
-		tr := ex.rt.StatsNow().Transport
+		tr := cl.TransportStats()
 		ex.fail(fmt.Errorf("core: rank %d distributed evaluation timed out after %s "+
 			"(%d/%d owned nodes fired, %d parcels parked, %d decode errors; "+
 			"wire sent=%d acked=%d retried=%d expired=%d dropped=%d)",
@@ -228,7 +207,7 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 			fb.applyCharges(charges)
 			enc := encodeCharges(charges)
 			for r := 1; r < fb.world; r++ {
-				ex.rt.SendWire(r, wireKindCharges, 0, enc)
+				cl.Send(ex.rt, r, wireKindCharges, 0, enc)
 			}
 		}
 	})
@@ -236,7 +215,10 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	// Quiesce before reading any run state: the defer above runs only
 	// after the return values (st.potentials()) have been evaluated, too
 	// late to stop a straggling verdict from mutating st under the copy.
+	// The transport report is read once the run is detached, abandoned
+	// parcels included.
 	quiesce()
+	stats.Transport = cl.TransportStats()
 
 	if err := ex.err(); err != nil {
 		return nil, ExecReport{}, err
@@ -333,7 +315,7 @@ type fabric struct {
 }
 
 // newFabric puts an executor on the cluster: the dedup and recovery indexes
-// over its graph, a wire-mode runtime on the cluster's transport, and node
+// over its graph, a one-locality runtime at this rank, and node
 // continuations that run under the fabric.
 func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 	g := ex.g
@@ -374,21 +356,9 @@ func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 	fb.ownedTotal.Store(owned)
 	fb.ownedLeft.Store(owned)
 
-	var wire amt.Transport = cl.Transport()
-	if opts.Fault != nil {
-		wire = amt.NewFaultyTransport(wire, *opts.Fault)
-	}
 	ex.fab = fb
-	ex.rt = amt.New(amt.Config{
-		World:     fb.world,
-		Rank:      fb.rank,
-		Workers:   opts.Workers,
-		Seed:      opts.Seed,
-		Transport: wire,
-		Delivery:  opts.Delivery,
-	})
+	ex.rt = amt.New(amt.Config{Rank: fb.rank, Workers: opts.Workers, Seed: int64(opts.Job.Gen)})
 	ex.arm()
-	ex.rt.OnWire(fb.onWire)
 	return fb
 }
 
@@ -413,8 +383,12 @@ func (fb *fabric) applyCharges(charges []float64) {
 	fb.drainDeferred()
 }
 
-// onWire is the inbound frame handler, running as a task on this rank's
-// scheduler.
+// onFrame is the run's wire handler: each parcel the delivery engine hands
+// over becomes a task on this rank's scheduler (onWire).
+func (fb *fabric) onFrame(f amt.Frame) {
+	fb.ex.rt.Locality(fb.rank).Spawn(func(w *amt.Worker) { fb.onWire(w, f) })
+}
+
 func (fb *fabric) onWire(w *amt.Worker, f amt.Frame) {
 	switch f.Kind {
 	case wireKindCharges:
@@ -583,7 +557,7 @@ func (fb *fabric) completeLocal() {
 		fb.markCovered(ids)
 		return
 	}
-	fb.ex.rt.SendWire(0, wireKindResult, uint32(fb.deaths.Load()), fb.ex.st.encodeResult(ids))
+	fb.cl.Send(fb.ex.rt, 0, wireKindResult, uint32(fb.deaths.Load()), fb.ex.st.encodeResult(ids))
 }
 
 // handleResult installs a worker's completed-targets report (rank 0). The
@@ -662,7 +636,6 @@ func (fb *fabric) applyDeath(deadRank int) {
 		return
 	}
 	ex := fb.ex
-	ex.rt.SeverRank(deadRank)
 	g := ex.g
 	fb.deadRanks[deadRank] = true
 	var survivors []int32
@@ -756,7 +729,7 @@ func (fb *fabric) applyDeath(deadRank int) {
 	ep := uint32(fb.deaths.Add(1))
 	for k, outIdx := range replays {
 		//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
-		ex.rt.SendWire(int(k.dest), wireKindParcel, ep, ex.st.encodeParcel(&g.Nodes[k.src], outIdx))
+		fb.cl.Send(ex.rt, int(k.dest), wireKindParcel, ep, ex.st.encodeParcel(&g.Nodes[k.src], outIdx))
 	}
 	fb.replayed.Add(replayed)
 	fb.runMu.Unlock()

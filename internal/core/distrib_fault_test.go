@@ -26,6 +26,11 @@ func testDelivery() amt.DeliveryConfig {
 	return amt.DeliveryConfig{RetryBase: 4 * time.Millisecond, RetryMax: time.Second, Deadline: 120 * time.Second}
 }
 
+// faultyWire puts every rank on the acceptance profile.
+func faultyWire(rank int, c *amt.ClusterConfig) {
+	c.Fault, c.Delivery = testFault(rank), testDelivery()
+}
+
 // sumTransport adds up the delivery counters of every rank's report.
 func sumTransport(reps []ExecReport) amt.TransportStats {
 	var s amt.TransportStats
@@ -46,11 +51,7 @@ func sumTransport(reps []ExecReport) amt.TransportStats {
 func TestFaultInjectedEvaluationMatches(t *testing.T) {
 	const world = 4
 	dw := newDistWorld(t, world, 2500)
-	pots, reps, errs := dw.run(distClusters(t, world), func(r int) DistOptions {
-		o := distOpts(r)
-		o.Fault, o.Delivery = testFault(r), testDelivery()
-		return o
-	})
+	pots, reps, errs := dw.run(distClusters(t, world, faultyWire), distOpts)
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, dw.want, 1e-12)
 	ts := sumTransport(reps)
@@ -72,14 +73,16 @@ func TestFaultInjectedEvaluationMatches(t *testing.T) {
 // evaluation must fail loudly and name the transport as the cause.
 func TestDeliveryDeadlineSurfacesInError(t *testing.T) {
 	dw := newDistWorld(t, 2, 1000)
-	_, _, errs := dw.run(distClusters(t, 2), func(r int) DistOptions {
-		o := distOpts(r)
-		o.Timeout = 2 * time.Second
-		o.Fault = &amt.FaultProfile{Seed: 3, Drop: 1.0}
-		o.Delivery = amt.DeliveryConfig{
+	cls := distClusters(t, 2, func(_ int, c *amt.ClusterConfig) {
+		c.Fault = &amt.FaultProfile{Seed: 3, Drop: 1.0}
+		c.Delivery = amt.DeliveryConfig{
 			RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
 			Deadline: 50 * time.Millisecond,
 		}
+	})
+	_, _, errs := dw.run(cls, func(r int) DistOptions {
+		o := distOpts(r)
+		o.Timeout = 2 * time.Second
 		return o
 	})
 	if errs[0] == nil {
@@ -195,10 +198,9 @@ func TestCrashRecoveryDoubleCrash(t *testing.T) {
 func TestCrashRecoveryOverFaultyWire(t *testing.T) {
 	const world, victim = 4, 1
 	dw := newDistWorld(t, world, 2000)
-	cls := distClusters(t, world)
+	cls := distClusters(t, world, faultyWire)
 	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
 		o := distOpts(r)
-		o.Fault, o.Delivery = testFault(r), testDelivery()
 		if r == victim {
 			o.OnProgress = dieAt(cls[r], 0.5)
 		}

@@ -77,7 +77,7 @@ func (dw *distWorld) run(cls []*amt.Cluster, opts func(rank int) DistOptions) ([
 
 // distOpts is the common option set of the in-process multi-rank tests.
 func distOpts(rank int) DistOptions {
-	return DistOptions{Workers: 2, Seed: int64(100 + rank), Timeout: 90 * time.Second}
+	return DistOptions{Workers: 2, Timeout: 90 * time.Second}
 }
 
 // dieAt returns a progress callback that drops the rank dead once it has
@@ -121,8 +121,9 @@ func lazyHeartbeat(c *amt.ClusterConfig) {
 
 // distClusters brings up a world of in-process clusters joined over unix
 // sockets: rank 0 first (its listener must exist before workers dial), then
-// the workers concurrently (their NewCluster blocks until WELCOME).
-func distClusters(t *testing.T, world int) []*amt.Cluster {
+// the workers concurrently (their NewCluster blocks until WELCOME). wire, when
+// given, sets each rank's delivery clock and wire faults.
+func distClusters(t *testing.T, world int, wire ...func(rank int, c *amt.ClusterConfig)) []*amt.Cluster {
 	t.Helper()
 	addr := filepath.Join(t.TempDir(), "rank0.sock")
 	cfg := func(rank int) amt.ClusterConfig {
@@ -131,6 +132,9 @@ func distClusters(t *testing.T, world int) []*amt.Cluster {
 			Stamp: "distrib-test-v1",
 		}
 		lazyHeartbeat(&c)
+		for _, w := range wire {
+			w(rank, &c)
+		}
 		return c
 	}
 	cls := make([]*amt.Cluster, world)

@@ -426,7 +426,7 @@ func (ex *executor) send(w *amt.Worker, n *dag.Node, dest int32, pe *parcelEdges
 		// The payload read is unsynchronized but safe: all inputs are
 		// applied (the node just fired), resets are excluded by runMu, and
 		// no peer installs into a node this rank homes.
-		ex.rt.SendWire(int(dest), wireKindParcel, uint32(fb.deaths.Load()), ex.st.encodeParcel(n, pe.idx))
+		fb.cl.Send(ex.rt, int(dest), wireKindParcel, uint32(fb.deaths.Load()), ex.st.encodeParcel(n, pe.idx))
 		pe.recycle()
 		return
 	}

@@ -15,8 +15,7 @@ import (
 // restart budget is exhausted, because no amount of probing brings an
 // abandoned rank back; only Reset (a successful re-admission) unpins it.
 type breaker struct {
-	threshold int           // consecutive failures that open the breaker
-	cooldown  time.Duration // open → half-open delay
+	cooldown time.Duration // open → half-open delay
 
 	mu       sync.Mutex
 	failures int       // guarded by mu: consecutive failures
@@ -25,14 +24,11 @@ type breaker struct {
 	probing  bool      // guarded by mu: a half-open probe is in flight
 }
 
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
+func newBreaker(cooldown time.Duration) *breaker {
 	if cooldown <= 0 {
 		cooldown = 5 * time.Second
 	}
-	return &breaker{threshold: threshold, cooldown: cooldown, state: "closed"}
+	return &breaker{cooldown: cooldown, state: "closed"}
 }
 
 // allow reports whether a distributed attempt may proceed.
@@ -83,7 +79,7 @@ func (b *breaker) failure() {
 	}
 	b.failures++
 	b.probing = false
-	if b.state == "half-open" || b.failures >= b.threshold {
+	if b.state == "half-open" || b.failures >= breakerThreshold {
 		b.state = "open"
 		b.openedAt = time.Now()
 	}

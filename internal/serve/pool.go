@@ -65,15 +65,13 @@ type PoolConfig struct {
 	JoinTimeout time.Duration
 	// RestartBudget is the strike limit per rank: more than this many
 	// strikes (death verdicts + failed respawn attempts) inside
-	// RestartWindow abandons the rank (defaults 5 strikes / 1 minute).
+	// restartWindow abandons the rank (default 5).
 	RestartBudget int
-	RestartWindow time.Duration
 	// BackoffBase/BackoffMax bound the respawn backoff (defaults 50ms/2s).
 	BackoffBase, BackoffMax time.Duration
-	// BreakerThreshold consecutive distributed failures open the breaker
-	// for BreakerCooldown (defaults 3 / 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long breakerThreshold consecutive distributed
+	// failures open the breaker for (default 5s).
+	BreakerCooldown time.Duration
 	// WorkerCommand overrides the worker argv (tests). Default: this
 	// executable, relying on MaybeWorker to divert it.
 	WorkerCommand []string
@@ -104,9 +102,6 @@ func (c PoolConfig) withDefaults() (PoolConfig, error) {
 	if c.RestartBudget <= 0 {
 		c.RestartBudget = 5
 	}
-	if c.RestartWindow <= 0 {
-		c.RestartWindow = time.Minute
-	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 50 * time.Millisecond
 	}
@@ -122,6 +117,10 @@ func (c PoolConfig) withDefaults() (PoolConfig, error) {
 	}
 	return c, nil
 }
+
+// Strikes count within restartWindow, and breakerThreshold consecutive
+// distributed failures open the breaker.
+const restartWindow, breakerThreshold = time.Minute, 3
 
 // ErrDegraded marks a distributed attempt that was refused or abandoned;
 // the caller falls back to the in-process path.
@@ -161,7 +160,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		cfg:     cfg,
 		cl:      cl,
 		events:  cl.Subscribe(),
-		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker: newBreaker(cfg.BreakerCooldown),
 		ranks:   make([]*rankState, world),
 		cmd:     cfg.WorkerCommand,
 		quit:    make(chan struct{}),
@@ -265,7 +264,6 @@ func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charg
 	defer job.End()
 	pots, rep, err := core.DistRun(entry.plan, p.cl, charges, core.DistOptions{
 		Workers: p.cfg.RankThreads,
-		Seed:    int64(job.Gen),
 		Timeout: timeout,
 		Job:     job,
 		Cancel:  ctx.Done(),
@@ -385,7 +383,7 @@ func (p *Pool) Snapshot() *PoolSnapshot {
 	}
 	now := time.Now()
 	for r := 1; r < len(p.ranks); r++ {
-		s.Ranks = append(s.Ranks, p.ranks[r].health(now, p.cfg.RestartWindow))
+		s.Ranks = append(s.Ranks, p.ranks[r].health(now, restartWindow))
 	}
 	return s
 }

@@ -151,6 +151,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeError writes an error reply. Every 503 — the leader's or a coalesced
+// duplicate's mirror of it — tells the client when to come back.
+func writeError(w http.ResponseWriter, status int, eb errorBody) {
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, status, eb)
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
@@ -227,8 +236,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.finishCall(key, c, http.StatusServiceUnavailable,
 			nil, &errorBody{Error: "deadline expired while queued"})
 		s.metrics.Deadline.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, *c.errBody)
+		writeError(w, http.StatusServiceUnavailable, *c.errBody)
 		return
 	}
 	queueWait := time.Since(t0)
@@ -244,10 +252,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if errb != nil {
 		s.finishCall(key, c, status, nil, errb)
 		s.metrics.observeError(status)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeJSON(w, status, *errb)
+		writeError(w, status, *errb)
 		return
 	}
 	s.metrics.Total.Observe(resp.Report.Total)
@@ -282,15 +287,14 @@ func (s *Server) awaitCall(w http.ResponseWriter, ctx context.Context, c *call, 
 	select {
 	case <-ctx.Done():
 		s.metrics.Deadline.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable,
+		writeError(w, http.StatusServiceUnavailable,
 			errorBody{Error: "deadline expired waiting on a coalesced request"})
 		return
 	case <-c.done:
 	}
 	if c.status != http.StatusOK {
 		s.metrics.observeError(c.status)
-		writeJSON(w, c.status, *c.errBody)
+		writeError(w, c.status, *c.errBody)
 		return
 	}
 	resp := *c.resp

@@ -31,6 +31,13 @@ const paperThr = tree.Threshold
 
 func post(t *testing.T, url string, req Request) (int, *Response, *errorBody) {
 	t.Helper()
+	code, resp, eb, _ := postHeader(t, url, req)
+	return code, resp, eb
+}
+
+// postHeader is post that also returns the reply's header.
+func postHeader(t *testing.T, url string, req Request) (int, *Response, *errorBody, http.Header) {
+	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -45,13 +52,13 @@ func post(t *testing.T, url string, req Request) (int, *Response, *errorBody) {
 		if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
 			t.Fatalf("decoding 200 body: %v", err)
 		}
-		return hr.StatusCode, &resp, nil
+		return hr.StatusCode, &resp, nil, hr.Header
 	}
 	var eb errorBody
 	if err := json.NewDecoder(hr.Body).Decode(&eb); err != nil {
 		t.Fatalf("decoding %d body: %v", hr.StatusCode, err)
 	}
-	return hr.StatusCode, nil, &eb
+	return hr.StatusCode, nil, &eb, hr.Header
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -287,8 +294,9 @@ func TestServeShedsUnderLoad(t *testing.T) {
 
 // A request with deadline_ms expiring while queued is refused with 503 and
 // unregistered, so a later identical request succeeds. A duplicate coalesced
-// on it mirrors that 503 well inside its own, longer deadline, and both are
-// counted as what they were: two deadline refusals, no failure.
+// on it mirrors that 503 well inside its own, longer deadline — Retry-After
+// included, as on the leader's — and both are counted as what they were: two
+// deadline refusals, no failure.
 func TestServeDeadlineWhileQueued(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -298,23 +306,27 @@ func TestServeDeadlineWhileQueued(t *testing.T) {
 	type reply struct {
 		code int
 		eb   *errorBody
+		hdr  http.Header
 	}
 	leader := make(chan reply, 1)
 	go func() {
-		code, _, eb := post(t, ts.URL, Request{N: 800, Threshold: paperThr, DeadlineMS: 1000})
-		leader <- reply{code, eb}
+		code, _, eb, hdr := postHeader(t, ts.URL, Request{N: 800, Threshold: paperThr, DeadlineMS: 1000})
+		leader <- reply{code, eb, hdr}
 	}()
 	waitFor(t, "leader to queue", func() bool { return s.metrics.queued.Load() == 1 })
-	dupCode, _, dupErr := post(t, ts.URL, Request{N: 800, Threshold: paperThr, DeadlineMS: 10_000})
+	dupCode, _, dupErr, dupHdr := postHeader(t, ts.URL, Request{N: 800, Threshold: paperThr, DeadlineMS: 10_000})
 	if s.metrics.Coalesced.Load() != 1 {
 		t.Fatal("the duplicate did not coalesce on the queued leader")
 	}
-	for who, r := range map[string]reply{"leader": <-leader, "duplicate": {dupCode, dupErr}} {
+	for who, r := range map[string]reply{"leader": <-leader, "duplicate": {dupCode, dupErr, dupHdr}} {
 		if r.code != http.StatusServiceUnavailable {
 			t.Fatalf("%s: HTTP %d, want 503", who, r.code)
 		}
 		if !strings.Contains(r.eb.Error, "deadline expired while queued") {
 			t.Errorf("%s: error = %q", who, r.eb.Error)
+		}
+		if got := r.hdr.Get("Retry-After"); got != "1" {
+			t.Errorf("%s: Retry-After = %q, want \"1\" on every 503", who, got)
 		}
 	}
 	if m := s.metrics.snapshot(s.cache.len(), nil); m.Deadline != 2 || m.Failed != 0 {

@@ -37,7 +37,7 @@ type rankState struct {
 	exited chan struct{} // guarded by mu: closed when proc is reaped
 
 	admitMu  sync.Mutex
-	admitted chan uint32 // guarded by admitMu: signaled by the rank's EventRejoin
+	admitted chan struct{} // guarded by admitMu: signaled by the rank's EventRejoin
 }
 
 func (rs *rankState) setState(s string) {
@@ -99,8 +99,8 @@ func (rs *rankState) reap(deadline time.Time) {
 }
 
 // armAdmission installs a fresh admission channel for one respawn attempt.
-func (rs *rankState) armAdmission() chan uint32 {
-	ch := make(chan uint32, 1)
+func (rs *rankState) armAdmission() chan struct{} {
+	ch := make(chan struct{}, 1)
 	rs.admitMu.Lock()
 	rs.admitted = ch
 	rs.admitMu.Unlock()
@@ -108,13 +108,13 @@ func (rs *rankState) armAdmission() chan uint32 {
 }
 
 // noteAdmitted signals the armed respawn attempt, if any.
-func (rs *rankState) noteAdmitted(gen uint32) {
+func (rs *rankState) noteAdmitted() {
 	rs.admitMu.Lock()
 	ch := rs.admitted
 	rs.admitted = nil
 	rs.admitMu.Unlock()
 	if ch != nil {
-		ch <- gen
+		ch <- struct{}{}
 	}
 }
 
@@ -164,7 +164,7 @@ func (p *Pool) supervise() {
 		case amt.EventDead:
 			p.onWorkerDeath(p.ranks[ev.Rank])
 		case amt.EventRejoin:
-			p.ranks[ev.Rank].noteAdmitted(ev.Gen)
+			p.ranks[ev.Rank].noteAdmitted()
 		}
 	}
 }
@@ -184,7 +184,7 @@ func (p *Pool) onWorkerDeath(rs *rankState) {
 	rs.state = "respawning"
 	rs.lastDied = time.Now()
 	rs.mu.Unlock()
-	if rs.strike(p.cfg.RestartBudget, p.cfg.RestartWindow) {
+	if rs.strike(p.cfg.RestartBudget, restartWindow) {
 		p.abandon(rs)
 		return
 	}
@@ -217,7 +217,7 @@ func (p *Pool) respawnLoop(rs *rankState) {
 		rs.kill() // make sure the previous incarnation is really gone
 		admitted := rs.armAdmission()
 		if err := p.spawn(rs, true); err != nil {
-			if rs.strike(p.cfg.RestartBudget, p.cfg.RestartWindow) {
+			if rs.strike(p.cfg.RestartBudget, restartWindow) {
 				p.abandon(rs)
 				return
 			}
@@ -235,7 +235,7 @@ func (p *Pool) respawnLoop(rs *rankState) {
 		case <-p.quit:
 			wait.Stop()
 			return
-		case gen := <-admitted:
+		case <-admitted:
 			wait.Stop()
 			rs.mu.Lock()
 			rs.state = "up"
@@ -245,7 +245,6 @@ func (p *Pool) respawnLoop(rs *rankState) {
 			// the fabric heals; only the forced-open state is cleared, an
 			// organically-open breaker still waits out its cooldown.
 			p.breaker.reset()
-			_ = gen
 			return
 		case <-exited:
 			// The incarnation died before being admitted (crash-looping
@@ -255,7 +254,7 @@ func (p *Pool) respawnLoop(rs *rankState) {
 		case <-wait.C:
 			// Spawned but never admitted within the window.
 		}
-		if rs.strike(p.cfg.RestartBudget, p.cfg.RestartWindow) {
+		if rs.strike(p.cfg.RestartBudget, restartWindow) {
 			p.abandon(rs)
 			return
 		}

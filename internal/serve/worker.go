@@ -144,7 +144,6 @@ func runWorkerJob(cl *amt.Cluster, cache *planCache, threads int, job *amt.Job) 
 	//lint:ignore lockorder entry.mu serializes evaluation of one plan by design (stampede protection): the critical section is the evaluation itself
 	_, _, err = core.DistRun(entry.plan, cl, nil, core.DistOptions{
 		Workers: threads,
-		Seed:    int64(job.Gen),
 		Timeout: timeout,
 		Job:     job,
 	})

@@ -130,7 +130,6 @@ func TestWorkerExitsOnCoordinatorLossIdle(t *testing.T) {
 func TestSupervisorRestartBudgetAbandonsCrashLoop(t *testing.T) {
 	p := fastPool(t, 1, func(cfg *PoolConfig) {
 		cfg.RestartBudget = 3
-		cfg.RestartWindow = time.Minute
 	})
 
 	// Respawns now hit a stub that dies instantly, long before joining.
