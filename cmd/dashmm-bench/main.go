@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -121,8 +122,8 @@ func main() {
 	// resolved value and never tune.
 	sc.threshold = plan.Threshold()
 	if *distRank > 0 {
-		os.Exit(runDistWorker(plan, *distRank, *locs, *netMode, *distAddr,
-			sc.stamp(*locs), fault, *killRank, *killAt))
+		os.Exit(runDistWorker(plan, sc, *distRank, *locs, *netMode, *distAddr,
+			fault, *killRank, *killAt))
 	}
 	fmt.Printf("# dashmm-bench: N=%d %s %s %s, threshold %d, %d leaves to level %d, %d DAG nodes, %d edges, pair kernel %s\n",
 		*n, *distr, plan.Kernel.Name(), plan.Graph.Method, plan.Threshold(),
@@ -135,7 +136,7 @@ func main() {
 		return
 	}
 	if *real {
-		runReal(plan, *n, *traceOut, *locs)
+		runReal(plan, sc, *traceOut, *locs)
 	}
 
 	cm := sim.PaperCostModel()
@@ -249,6 +250,10 @@ func (sc scenario) plan(threshold int) (*core.Plan, error) {
 	return core.NewPlan(points.Generate(d, sc.n, 1), points.Generate(d, sc.n, 2), k,
 		core.Options{Method: m, Threshold: threshold})
 }
+
+// charges is the scenario's charge vector; every rank process of a -net run
+// derives it here, so no two can differ.
+func (sc scenario) charges() []float64 { return points.Charges(sc.n, 3) }
 
 // args renders the scenario as the flags a forked rank is started with.
 func (sc scenario) args() []string {
@@ -405,10 +410,10 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 		kids = append(kids, cmd)
 	}
 
-	q := points.Charges(sc.n, 3)
-	got, rep, err := core.DistRun(plan, cl, q, core.DistOptions{
-		Workers: distWorkers(locs), Timeout: 5 * time.Minute,
-	})
+	q := sc.charges()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	got, rep, err := core.DistRun(ctx, plan, cl, q, core.DistOptions{Workers: distWorkers(locs)})
 	for i, cmd := range kids {
 		werr := cmd.Wait()
 		rank := i + 1
@@ -460,17 +465,19 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 // runDistWorker is one forked worker rank: join the cluster, evaluate, and
 // — when chosen as the chaos victim — SIGKILL itself at the requested local
 // progress fraction, leaving the survivors to detect and recover.
-func runDistWorker(plan *core.Plan, rank, locs int, network, addr, stamp string, fault *amt.FaultProfile, killRank int, killAt float64) int {
+func runDistWorker(plan *core.Plan, sc scenario, rank, locs int, network, addr string, fault *amt.FaultProfile, killRank int, killAt float64) int {
 	cl, err := amt.NewCluster(amt.ClusterConfig{
 		Rank: rank, World: locs, Network: network, Addr: addr,
-		Stamp: stamp, Heartbeat: distHeartbeat(), Fault: fault,
+		Stamp: sc.stamp(locs), Heartbeat: distHeartbeat(), Fault: fault,
 	})
 	if err != nil {
 		log.Printf("rank %d join: %v", rank, err)
 		return 1
 	}
 	defer cl.Close()
-	opts := core.DistOptions{Workers: distWorkers(locs), Timeout: 5 * time.Minute}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	opts := core.DistOptions{Workers: distWorkers(locs)}
 	if killRank == rank {
 		opts.OnProgress = func(fired, owned int) {
 			if owned > 0 && float64(fired) >= killAt*float64(owned) {
@@ -478,7 +485,7 @@ func runDistWorker(plan *core.Plan, rank, locs int, network, addr, stamp string,
 			}
 		}
 	}
-	if _, _, err := core.DistRun(plan, cl, nil, opts); err != nil {
+	if _, _, err := core.DistRun(ctx, plan, cl, sc.charges(), opts); err != nil {
 		log.Printf("rank %d: %v", rank, err)
 		return 1
 	}
@@ -503,7 +510,7 @@ func simulate(g *dag.Graph, cm sim.CostModel, cores int) (*trace.Utilization, si
 // runReal executes the DAG on the goroutine runtime of this machine
 // (optionally split across shared-memory localities) and prints measured
 // utilization and per-op averages.
-func runReal(plan *core.Plan, n int, traceOut string, locs int) {
+func runReal(plan *core.Plan, sc scenario, traceOut string, locs int) {
 	if locs < 1 {
 		locs = 1
 	}
@@ -511,7 +518,7 @@ func runReal(plan *core.Plan, n int, traceOut string, locs int) {
 	if w < 1 {
 		w = 1
 	}
-	q := points.Charges(n, 3)
+	q := sc.charges()
 	tr := trace.New(locs * w)
 	pe, err := plan.NewParallelEvaluation(core.ExecOptions{
 		Localities: locs, Workers: w, Tracer: tr,

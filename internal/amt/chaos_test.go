@@ -13,6 +13,7 @@
 package amt_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"sync"
@@ -147,9 +148,11 @@ func (cw *chaosWorld) run(t *testing.T, fault *amt.FaultProfile, kills map[int]f
 	pots := make([][]float64, chaosRanks)
 	reps := make([]core.ExecReport, chaosRanks)
 	errs := make([]error, chaosRanks)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 	var wg sync.WaitGroup
 	for r := 0; r < chaosRanks; r++ {
-		opts := core.DistOptions{Workers: chaosWorkers, Timeout: 2 * time.Minute}
+		opts := core.DistOptions{Workers: chaosWorkers}
 		if at, ok := kills[r]; ok {
 			var die sync.Once
 			cl := cls[r]
@@ -162,11 +165,7 @@ func (cw *chaosWorld) run(t *testing.T, fault *amt.FaultProfile, kills map[int]f
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			var charges []float64
-			if r == 0 {
-				charges = cw.q
-			}
-			pots[r], reps[r], errs[r] = core.DistRun(cw.plans[r], cls[r], charges, opts)
+			pots[r], reps[r], errs[r] = core.DistRun(ctx, cw.plans[r], cls[r], cw.q, opts)
 		}(r)
 	}
 	wg.Wait()

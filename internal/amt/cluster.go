@@ -196,6 +196,7 @@ type Subscription struct {
 	c      *Cluster
 	next   int    // guarded by Cluster.mu: log position of the next event to hand out
 	detach func() // detaches the run that attached with it (Attach); nil for a plain cursor
+	ended  bool   // the run-complete signal of the cursor's generation was in the log at its start
 }
 
 // Subscribe opens a cursor at the oldest retained event, for a consumer that
@@ -215,6 +216,12 @@ func (c *Cluster) Attach(j *Job, h func(Frame)) *Subscription {
 	s.detach = c.tp.attach(j.Gen, h)
 	return s
 }
+
+// Ended reports whether the run that attached with this cursor had already
+// been ended when it attached: its run-complete signal was in the log. Rank 0
+// finished or failed the run without this rank, so there is nothing left to
+// evaluate here.
+func (s *Subscription) Ended() bool { return s.ended }
 
 // Send sends one typed encoded parcel of the attached run to a remote rank.
 // It holds one pending unit of rt, the run's runtime, and its payload (not
@@ -241,6 +248,7 @@ func (c *Cluster) subscribe(gen uint32) *Subscription {
 	if i := slices.IndexFunc(c.log, isJob); i >= 0 {
 		s.next = c.logBase + i
 	}
+	s.ended = slices.ContainsFunc(c.log[s.next-c.logBase:], func(ev Event) bool { return ev.Kind == EventRunDone && ev.Gen == gen })
 	c.subs[s] = struct{}{}
 	return s
 }
@@ -1048,6 +1056,9 @@ func (c *Cluster) signal(kind uint16, ev EventKind) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return // nothing is appended behind the closure's EventCoordLost (lost)
+	}
 	c.broadcast(&Frame{Kind: kind, Epoch: c.gen.Load()})
 	c.publish(Event{Kind: ev, Gen: c.gen.Load()})
 }

@@ -360,8 +360,9 @@ func (c *Cluster) logLen() int {
 
 // A run-complete signal that precedes the run it ends — rank 0 finishes a
 // DAG in which a worker owns no target without that worker — is replayed to
-// the cursor of that generation when it attaches, once, and a cursor of a
-// later generation is not handed it; two early signals of different
+// the cursor of that generation when it attaches, once, and the run learns
+// from Attach that it has ended; a cursor of a later generation is not handed
+// it; two early signals of different
 // generations are both there, each under its own. (The parent parked one
 // signal in one slot: the second overwrote the first.)
 func TestRunDoneBeforeTheRunIsReplayed(t *testing.T) {
@@ -392,6 +393,9 @@ func TestRunDoneBeforeTheRunIsReplayed(t *testing.T) {
 			ev, _ = main.Next()
 		}
 		run := cls[1].Attach(ev.Job, nowhere)
+		if !run.Ended() {
+			t.Errorf("the run of generation %d attached behind its run-complete signal and was not told it had ended", gen)
+		}
 		evs := held(run)
 		run.Close()
 		if len(evs) == 0 || evs[0].Kind != EventJob || evs[0].Gen != gen {

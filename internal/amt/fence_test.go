@@ -402,10 +402,11 @@ func TestTransportStatsArePerRun(t *testing.T) {
 }
 
 // A peer whose acknowledgment was lost retransmits to a rank whose run has
-// finished, and cannot finish itself until it is answered (under a lossy wire
-// that is every other evaluation: TestChaosProfiles times out without it).
-// The rank's delivery engine answers: it outlives the run, so nothing of the
-// run has to.
+// finished — typically a worker's last result report, to a rank 0 that has
+// ended the run — and cannot finish itself until it is answered (under a
+// lossy wire that is every other evaluation: TestChaosProfiles times out
+// without it). The rank's delivery engine answers: it outlives the run, so
+// nothing of the run has to.
 func TestFinishedRunStillAcknowledges(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
 	log1 := watch(t, cls[1])

@@ -73,8 +73,10 @@ func (p *peerLink) retire(t *SocketTransport) {
 // buffer; overflow is dropped and surfaces as wire loss.
 const peerQueueMax = 8192
 
-// parkBytesMax bounds the payload bytes the park buffer holds: several charge
-// broadcasts with their first parcels at the sizes the daemon admits (8 MB).
+// parkBytesMax bounds the payload bytes the park buffer holds: the parcels
+// peers send into a run before this rank has attached it. Every rank starts
+// its run with the charges, so a peer may be well into its part of the DAG by
+// then; past the bound a frame is wire loss, which its sender retransmits.
 const parkBytesMax = 64 << 20
 
 // Retry pacing, shared by every loop of this package that waits for a peer

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -15,9 +16,10 @@ import (
 // every process builds the identical Plan from the identical scenario, runs
 // one amt locality whose rank is its global cluster rank, and computes the
 // identical placement (dist.MinComm is deterministic), so node→rank routing
-// needs no coordination. Rank 0 broadcasts the charge vector, gathers the
-// completed target potentials, and owns the completion decision; data
-// parcels flow point-to-point as typed payloads (wire.go) through the
+// needs no coordination. Every rank is handed the same charge vector the way
+// it builds the same plan, so a rank's first tasks wait for nobody. Rank 0
+// gathers the completed target potentials and owns the completion decision;
+// data parcels flow point-to-point as typed payloads (wire.go) through the
 // cluster's delivery engine (seq/ack/retransmit over its socket mesh), which
 // lives as long as the cluster: a run attaches to it and detaches at its end.
 //
@@ -41,9 +43,9 @@ import (
 // field never touches the wire). What this file adds is the fabric that
 // executor holds — where the placement can change under it (failover), what
 // quiesces it meanwhile (runMu), what makes an edge or a near list apply
-// once however often it arrives (applied bits, nearDone), what holds parcels
-// back until they can be applied (the charge/verdict gate), and how the
-// result gets home (the rank-0 gather).
+// once however often it arrives (applied bits, nearDone), what holds a parcel
+// back until it can be applied (the verdict gate), and how the result gets
+// home (the rank-0 gather).
 //
 // Concurrency discipline: node fires and parcel applies run under a shared
 // read lock; a death verdict takes the write lock, so recovery observes a
@@ -87,10 +89,6 @@ type DistOptions struct {
 	Workers int
 	// Gradient also computes the potential gradient at every target.
 	Gradient bool
-	// Timeout bounds the whole evaluation; a rank that cannot finish —
-	// coordinator gone, peers wedged — errors out instead of hanging
-	// (default 2 minutes).
-	Timeout time.Duration
 	// OnProgress, when non-nil, is invoked after every locally-fired node
 	// with the cumulative fire count and this rank's current owned-node
 	// total. The chaos harness uses it to SIGKILL the process at a chosen
@@ -102,17 +100,11 @@ type DistOptions struct {
 	// generation also seeds the run's steal order. Nil on a one-shot
 	// cluster: generation 0, verdicts from the head of the log.
 	Job *amt.Job
-	// Cancel, when non-nil, aborts the run when closed (a serve request's
-	// deadline propagating into the fabric).
-	Cancel <-chan struct{}
 }
 
 func (o DistOptions) withDefaults() DistOptions {
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Minute
 	}
 	if o.Job == nil {
 		o.Job = &amt.Job{}
@@ -121,13 +113,14 @@ func (o DistOptions) withDefaults() DistOptions {
 }
 
 // DistRun evaluates the plan across the cluster. Every rank of the cluster
-// must call it with an identically-built plan; rank 0 supplies the charge
-// vector and receives the potentials (and gradients, via the report), the
-// workers pass nil charges and receive nil potentials. DistRun runs the
-// cluster's join barrier itself, so callers go NewCluster → DistRun → Close.
-func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]float64, ExecReport, error) {
+// must call it with an identically-built plan and the same charge vector;
+// rank 0 receives the potentials (and gradients, via the report), the
+// workers nil. A run that ctx ends before it finishes fails with an error
+// wrapping ctx.Err(). DistRun runs the cluster's join barrier itself, so
+// callers go NewCluster → DistRun → Close.
+func DistRun(ctx context.Context, p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) (pots []float64, rep ExecReport, err error) {
 	opts = opts.withDefaults()
-	if cl.Rank() == 0 && len(charges) != len(p.Source.Pts) {
+	if len(charges) != len(p.Source.Pts) {
 		return nil, ExecReport{}, fmt.Errorf("core: %d charges for %d sources", len(charges), len(p.Source.Pts))
 	}
 	if err := p.checkKernel(); err != nil {
@@ -137,6 +130,9 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	if err != nil {
 		return nil, ExecReport{}, err
 	}
+	// The charges are in the state from the start, so whoever seeds a near
+	// task — Run's setup, a verdict below or the watcher's — need not ask.
+	st.reset(charges)
 	// SPMD placement: every rank computes the same assignment.
 	ex := newExecutor(st, dist.MinComm{}, cl.World())
 	fb := newFabric(ex, cl, opts)
@@ -156,13 +152,20 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	// got here first were waiting at the fence and now queue in the runtime
 	// until Run starts, and closing the cursor detaches the run. One watcher
 	// reads the log from the job on (a one-shot cluster: from the
-	// beginning), so a verdict, rank 0 finishing a DAG in which this rank
-	// owns no target, or the coordinator going away before the run got here
-	// is replayed to it in log order. It must not outlive the run — a
-	// verdict landing in a discarded executor would corrupt the next run's
+	// beginning), so a verdict or the coordinator going away before the run
+	// got here is replayed to it in log order. It must not outlive the run —
+	// a verdict landing in a discarded executor would corrupt the next run's
 	// state — so it is joined after rt.Run below, before the results are
 	// read; the defer covers the error paths.
 	run := cl.Attach(opts.Job, fb.onFrame)
+	if run.Ended() {
+		// Rank 0 ended the run before it got here — it finished a DAG in
+		// which this rank owns no target, or it failed: evaluating now would
+		// only send parcels nobody waits for. If this rank's context has
+		// ended as well, that is still the run's error.
+		run.Close()
+		return nil, ExecReport{Localities: fb.world, Workers: opts.Workers}, ctx.Err()
+	}
 	watched := make(chan struct{})
 	go func() {
 		defer close(watched)
@@ -172,45 +175,31 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 		run.Close()
 		<-watched
 	}
+	// Rank 0 ends a run that failed here, so the workers' runs drain; a
+	// finished run is ended by markCovered.
+	defer func() {
+		if err != nil && fb.rank == 0 {
+			cl.Shutdown()
+		}
+	}()
 	defer quiesce()
 
-	if opts.Cancel != nil {
-		cancelStop := make(chan struct{})
-		defer close(cancelStop)
-		go func() {
-			select {
-			case <-opts.Cancel:
-				ex.fail(fmt.Errorf("core: rank %d distributed evaluation canceled", cl.Rank()))
-			case <-cancelStop:
-			}
-		}()
-	}
-
-	timeout := time.AfterFunc(opts.Timeout, func() {
+	stop := context.AfterFunc(ctx, func() {
 		fb.gateMu.Lock()
 		parked := len(fb.deferred)
 		fb.gateMu.Unlock()
 		tr := cl.TransportStats()
-		ex.fail(fmt.Errorf("core: rank %d distributed evaluation timed out after %s "+
+		ex.fail(fmt.Errorf("core: rank %d distributed evaluation: %w "+
 			"(%d/%d owned nodes fired, %d parcels parked, %d decode errors; "+
 			"wire sent=%d acked=%d retried=%d expired=%d dropped=%d)",
-			fb.rank, opts.Timeout, fb.firedCnt.Load(), fb.ownedTotal.Load(),
+			fb.rank, ctx.Err(), fb.firedCnt.Load(), fb.ownedTotal.Load(),
 			parked, fb.decodeErrs.Load(),
 			tr.Sent, tr.Acked, tr.Retried, tr.DeadlineExceeded, tr.Dropped))
 	})
-	defer timeout.Stop()
+	defer stop()
 
 	start := time.Now()
-	stats := ex.rt.Run(func() {
-		ex.rt.Hold()
-		if fb.rank == 0 {
-			fb.applyCharges(charges)
-			enc := encodeCharges(charges)
-			for r := 1; r < fb.world; r++ {
-				cl.Send(ex.rt, r, wireKindCharges, 0, enc)
-			}
-		}
-	})
+	stats := ex.rt.Run(fb.seed)
 	elapsed := time.Since(start)
 	// Quiesce before reading any run state: the defer above runs only
 	// after the return values (st.potentials()) have been evaluated, too
@@ -226,7 +215,7 @@ func DistRun(p *Plan, cl *amt.Cluster, charges []float64, opts DistOptions) ([]f
 	if err := p.checkKernel(); err != nil {
 		return nil, ExecReport{}, err
 	}
-	rep := ExecReport{
+	rep = ExecReport{
 		Runtime:     stats,
 		Elapsed:     elapsed,
 		RemoteBytes: ex.remoteBytes,
@@ -287,14 +276,12 @@ type fabric struct {
 	ownedLeft  atomic.Int64
 	firedCnt   atomic.Int64
 
-	// chargesReady gates data-parcel processing until the charge broadcast
-	// arrived; gateGen versions the defer/retry handshake (bumped per
-	// verdict and at charges-ready); deferred holds parcels waiting for
-	// either.
-	chargesReady atomic.Bool
-	gateMu       sync.Mutex
-	gateGen      atomic.Int64
-	deferred     []amt.Frame // guarded by gateMu
+	// gateGen versions the defer/retry handshake of a parcel that names a
+	// target this rank does not home yet (bumped per verdict); deferred holds
+	// the parcels waiting for the next verdict.
+	gateMu   sync.Mutex
+	gateGen  atomic.Int64
+	deferred []amt.Frame // guarded by gateMu
 
 	// deadRanks mirrors the verdict sequence (identical on every rank:
 	// rank 0 broadcasts in a total order).
@@ -365,22 +352,19 @@ func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 // release lets Run drain (idempotent).
 func (fb *fabric) release() { fb.relOnce.Do(fb.ex.rt.Release) }
 
-// applyCharges installs the charge vector — the near tasks read it — opens
-// the data-parcel gate and seeds this rank's near tasks and roots. Runs
-// once, at setup (rank 0) or on the charge broadcast (workers).
-func (fb *fabric) applyCharges(charges []float64) {
-	fb.runMu.RLock() // a verdict replayed from the log zeroes nodes too (applyDeath, the write half)
+// seed is Run's setup on every rank: it holds the run open until it is
+// released (release) and spawns this rank's near tasks and roots — their
+// inputs, the charges, are here from the start. A rank that owns nothing
+// (tiny DAG, many ranks) completes at once.
+func (fb *fabric) seed() {
+	fb.ex.rt.Hold()
+	fb.runMu.RLock() // a verdict replayed from the log moves nodes here (applyDeath, the write half)
 	defer fb.runMu.RUnlock()
-	fb.ex.st.reset(charges)
-	fb.chargesReady.Store(true)
-	fb.gateGen.Add(1)
 	fb.ex.seedRoots()
-	// A rank that owns nothing (tiny DAG, many ranks) completes immediately.
 	if fb.ownedLeft.Load() == 0 {
 		//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)
 		fb.completeLocal()
 	}
-	fb.drainDeferred()
 }
 
 // onFrame is the run's wire handler: each parcel the delivery engine hands
@@ -391,16 +375,6 @@ func (fb *fabric) onFrame(f amt.Frame) {
 
 func (fb *fabric) onWire(w *amt.Worker, f amt.Frame) {
 	switch f.Kind {
-	case wireKindCharges:
-		if fb.chargesReady.Load() {
-			return // duplicate broadcast (retransmit): already installed
-		}
-		charges, err := decodeCharges(f.Payload, len(fb.ex.st.q))
-		if err != nil {
-			fb.ex.fail(fmt.Errorf("core: rank %d: bad charge broadcast: %w", fb.rank, err))
-			return
-		}
-		fb.applyCharges(charges)
 	case wireKindParcel:
 		fb.handleParcel(w, f)
 	case wireKindResult:
@@ -410,11 +384,10 @@ func (fb *fabric) onWire(w *amt.Worker, f amt.Frame) {
 	}
 }
 
-// handleParcel processes one data parcel, deferring it while its
-// prerequisites (the charge broadcast, a death verdict this rank has not
-// yet observed) are outstanding. The defer/retry loop re-checks the gate
-// generation so a verdict landing between the attempt and the enqueue
-// cannot strand a frame.
+// handleParcel processes one data parcel, deferring it while a death verdict
+// this rank has not yet observed is outstanding. The defer/retry loop
+// re-checks the gate generation so a verdict landing between the attempt and
+// the enqueue cannot strand a frame.
 func (fb *fabric) handleParcel(w *amt.Worker, f amt.Frame) {
 	for {
 		gen := fb.gateGen.Load()
@@ -440,9 +413,6 @@ func (fb *fabric) handleParcel(w *amt.Worker, f amt.Frame) {
 // seeing a foreign target means the sender has processed a death verdict
 // this rank has not, so the frame waits for it.
 func (fb *fabric) tryParcel(w *amt.Worker, f amt.Frame) bool {
-	if !fb.chargesReady.Load() {
-		return false
-	}
 	ex := fb.ex
 	r := amt.NewCursor(f.Payload)
 	src, outIdx, err := decodeParcelHeader(ex.g, &r)
@@ -479,8 +449,8 @@ func (fb *fabric) tryParcel(w *amt.Worker, f amt.Frame) bool {
 	return true
 }
 
-// drainDeferred re-dispatches every deferred parcel after the gate
-// advanced (charges arrived or a verdict was processed).
+// drainDeferred re-dispatches every deferred parcel after a verdict was
+// processed.
 func (fb *fabric) drainDeferred() {
 	fb.gateMu.Lock()
 	frames := fb.deferred
@@ -716,16 +686,8 @@ func (fb *fabric) applyDeath(deadRank int) {
 		}
 	}
 	// Re-seed the rebuilt roots and leaves' near tasks along with everything
-	// else this rank seeds (what already ran is fenced: fired, nearDone) — but
-	// only once charges are installed. Before that (the job's dead-rank base,
-	// or a verdict racing the broadcast) a task would run on zero charges and
-	// its fence would then shadow the real contributions; applyCharges seeds
-	// from the already-updated placement. The store/load order (homes then
-	// chargesReady here; chargesReady then homes there) makes the handoff
-	// airtight: at least one side sees the other's write.
-	if fb.chargesReady.Load() {
-		ex.seedRoots()
-	}
+	// else this rank seeds (what already ran is fenced: fired, nearDone).
+	ex.seedRoots()
 	ep := uint32(fb.deaths.Add(1))
 	for k, outIdx := range replays {
 		//lint:ignore lockorder runMu's read half is held across run-side sends by design: the write half is the rank-death reset, which must only run between parcels (quiescing gate, never held by a sender's peer)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"regexp"
 	"testing"
@@ -51,7 +52,7 @@ func sumTransport(reps []ExecReport) amt.TransportStats {
 func TestFaultInjectedEvaluationMatches(t *testing.T) {
 	const world = 4
 	dw := newDistWorld(t, world, 2500)
-	pots, reps, errs := dw.run(distClusters(t, world, faultyWire), distOpts)
+	pots, reps, errs := dw.run(distCtx(t), distClusters(t, world, faultyWire), distOpts)
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, dw.want, 1e-12)
 	ts := sumTransport(reps)
@@ -80,11 +81,9 @@ func TestDeliveryDeadlineSurfacesInError(t *testing.T) {
 			Deadline: 50 * time.Millisecond,
 		}
 	})
-	_, _, errs := dw.run(cls, func(r int) DistOptions {
-		o := distOpts(r)
-		o.Timeout = 2 * time.Second
-		return o
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_, _, errs := dw.run(ctx, cls, distOpts)
 	if errs[0] == nil {
 		t.Fatal("evaluation over a fully lossy wire reported success")
 	}
@@ -101,7 +100,7 @@ func TestCrashRecoveryMatchesSequential(t *testing.T) {
 	dw := newDistWorld(t, world, 3000)
 	for _, at := range []float64{0.25, 0.50, 0.75} {
 		cls := distClusters(t, world)
-		pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+		pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 			o := distOpts(r)
 			if r == victim {
 				o.OnProgress = dieAt(cls[r], at)
@@ -139,7 +138,7 @@ func TestCrashRecoveryWithGradient(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls := distClusters(t, world)
-	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 		o := distOpts(r)
 		o.Gradient = true
 		if r == victim {
@@ -176,7 +175,7 @@ func TestCrashRecoveryDoubleCrash(t *testing.T) {
 	const world = 4
 	dw := newDistWorld(t, world, 2500)
 	cls := distClusters(t, world)
-	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 		o := distOpts(r)
 		switch r {
 		case 3:
@@ -199,7 +198,7 @@ func TestCrashRecoveryOverFaultyWire(t *testing.T) {
 	const world, victim = 4, 1
 	dw := newDistWorld(t, world, 2000)
 	cls := distClusters(t, world, faultyWire)
-	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 		o := distOpts(r)
 		if r == victim {
 			o.OnProgress = dieAt(cls[r], 0.5)
@@ -220,7 +219,7 @@ func TestCrashRecoveryOverFaultyWire(t *testing.T) {
 func TestDetectorOnlyRunMatches(t *testing.T) {
 	const world = 4
 	dw := newDistWorld(t, world, 2000)
-	pots, reps, errs := dw.run(distClusters(t, world), distOpts)
+	pots, reps, errs := dw.run(distCtx(t), distClusters(t, world), distOpts)
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, dw.want, 1e-12)
 	for r, rep := range reps {
@@ -241,7 +240,7 @@ func TestCrashRecoveryReuse(t *testing.T) {
 	const world, victim = 4, 2
 	dw := newDistWorld(t, world, 1500)
 	cls := distClusters(t, world)
-	pots, _, errs := dw.run(cls, func(r int) DistOptions {
+	pots, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 		o := distOpts(r)
 		if r == victim {
 			o.OnProgress = dieAt(cls[r], 0.4)
@@ -265,7 +264,7 @@ func TestAllWorkersDeadRankZeroFinishesAlone(t *testing.T) {
 	const world = 3
 	dw := newDistWorld(t, world, 1000)
 	cls := distClusters(t, world)
-	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 		o := distOpts(r)
 		switch r {
 		case 1:
@@ -290,7 +289,7 @@ func TestAllRanksDeadFails(t *testing.T) {
 	dw := newDistWorld(t, world, 1000)
 	cls := distClusters(t, world)
 	start := time.Now()
-	pots, _, errs := dw.run(cls, func(r int) DistOptions {
+	pots, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 		o := distOpts(r)
 		o.OnProgress = dieAt(cls[r], 0.3)
 		return o

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/amt"
 )
@@ -54,7 +53,7 @@ func TestDistRunStandingClusterPreDead(t *testing.T) {
 			t.Fatalf("rank %d places the job against dead ranks %v, want [%d]", r, job.DeadOrder, victim)
 		}
 	}
-	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 		o := distOpts(r)
 		o.Job = jobs[r]
 		return o
@@ -87,11 +86,7 @@ func TestDistRunReplaysEarlierVerdictsInLogOrder(t *testing.T) {
 	cls[0].DeclareDead(3)
 	cls[0].DeclareDead(1)
 	cls[1], cls[3] = nil, nil
-	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
-		o := distOpts(r)
-		o.Timeout = 20 * time.Second
-		return o
-	})
+	pots, reps, errs := dw.run(distCtx(t), cls, distOpts)
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, dw.want, 1e-12)
 	for _, r := range []int{0, 2} {

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -49,10 +52,10 @@ func newDistWorld(t *testing.T, world, n int) *distWorld {
 	return dw
 }
 
-// run executes one DistRun on every rank whose cluster slot is non-nil
-// (dead ranks pass nil) and returns rank 0's potentials plus every rank's
-// report and error. opts renders each rank's options.
-func (dw *distWorld) run(cls []*amt.Cluster, opts func(rank int) DistOptions) ([]float64, []ExecReport, []error) {
+// run executes one DistRun under ctx on every rank whose cluster slot is
+// non-nil (dead ranks pass nil) and returns rank 0's potentials plus every
+// rank's report and error. opts renders each rank's options.
+func (dw *distWorld) run(ctx context.Context, cls []*amt.Cluster, opts func(rank int) DistOptions) ([]float64, []ExecReport, []error) {
 	pots := make([][]float64, len(cls))
 	reps := make([]ExecReport, len(cls))
 	errs := make([]error, len(cls))
@@ -64,11 +67,7 @@ func (dw *distWorld) run(cls []*amt.Cluster, opts func(rank int) DistOptions) ([
 		wg.Add(1)
 		go func(r int, cl *amt.Cluster) {
 			defer wg.Done()
-			var charges []float64
-			if r == 0 {
-				charges = dw.q
-			}
-			pots[r], reps[r], errs[r] = DistRun(dw.plans[r], cl, charges, opts(r))
+			pots[r], reps[r], errs[r] = DistRun(ctx, dw.plans[r], cl, dw.q, opts(r))
 		}(r, cl)
 	}
 	wg.Wait()
@@ -77,7 +76,15 @@ func (dw *distWorld) run(cls []*amt.Cluster, opts func(rank int) DistOptions) ([
 
 // distOpts is the common option set of the in-process multi-rank tests.
 func distOpts(rank int) DistOptions {
-	return DistOptions{Workers: 2, Timeout: 90 * time.Second}
+	return DistOptions{Workers: 2}
+}
+
+// distCtx bounds a test's runs: a rank that cannot finish — coordinator
+// gone, peers wedged — errors out after 90 s instead of hanging the suite.
+func distCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	t.Cleanup(cancel)
+	return ctx
 }
 
 // dieAt returns a progress callback that drops the rank dead once it has
@@ -210,7 +217,7 @@ func (dw *distWorld) runJob(t *testing.T, cls []*amt.Cluster) ([]float64, []Exec
 	t.Helper()
 	jobs := startJob(t, cls)
 	defer jobs[0].End()
-	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 		o := distOpts(r)
 		o.Job = jobs[r]
 		return o
@@ -225,7 +232,7 @@ func (dw *distWorld) runJob(t *testing.T, cls []*amt.Cluster) ([]float64, []Exec
 func TestDistRunMatchesSequential(t *testing.T) {
 	const world = 4
 	dw := newDistWorld(t, world, 1500)
-	pots, reps, errs := dw.run(distClusters(t, world), distOpts)
+	pots, reps, errs := dw.run(distCtx(t), distClusters(t, world), distOpts)
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, dw.want, 1e-12)
 	rep := reps[0]
@@ -247,7 +254,7 @@ func TestDistRunRecoversFromRankDeath(t *testing.T) {
 	const victim = world - 1
 	dw := newDistWorld(t, world, 1500)
 	cls := distClusters(t, world)
-	pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 		o := distOpts(r)
 		if r == victim {
 			o.OnProgress = dieAt(cls[r], 0.5)
@@ -269,7 +276,7 @@ func TestDistRunRecoversFromRankDeath(t *testing.T) {
 }
 
 // Closing a rank's cluster under a running evaluation must fail that rank's
-// DistRun at once — not leave it idling until DistOptions.Timeout — whichever
+// DistRun at once — not leave it idling until its context ends — whichever
 // role the rank plays.
 func TestDistRunFailsAtOnceOnClusterClose(t *testing.T) {
 	for _, closer := range []int{1, 0} {
@@ -284,10 +291,6 @@ func TestDistRunFailsAtOnceOnClusterClose(t *testing.T) {
 			go func(r int) {
 				defer wg.Done()
 				o := distOpts(r)
-				var charges []float64
-				if r == 0 {
-					charges = dw.q
-				}
 				if r == closer {
 					var once sync.Once
 					o.OnProgress = func(fired, owned int) {
@@ -299,7 +302,7 @@ func TestDistRunFailsAtOnceOnClusterClose(t *testing.T) {
 						}
 					}
 				}
-				_, _, errs[r] = DistRun(dw.plans[r], cls[r], charges, o)
+				_, _, errs[r] = DistRun(distCtx(t), dw.plans[r], cls[r], dw.q, o)
 				returned[r] = time.Now()
 			}(r)
 		}
@@ -323,9 +326,8 @@ func TestDistRunFailsAtOnceOnClusterClose(t *testing.T) {
 
 // A worker that enters its run only after the coordinator is gone was not
 // listening when the loss was reported; it must still fail at once (it used
-// to wait for charges nobody would send until DistOptions.Timeout — seen as
-// a 90s TestAllRanksDeadFails when rank 0 died before a starved rank 1 got
-// into DistRun).
+// to wait until its deadline — seen as a 90s TestAllRanksDeadFails when rank
+// 0 died before a starved rank 1 got into DistRun).
 func TestDistRunFailsAtOnceWhenCoordinatorAlreadyLost(t *testing.T) {
 	dw := newDistWorld(t, 2, 500)
 	cls := distClusters(t, 2)
@@ -337,13 +339,158 @@ func TestDistRunFailsAtOnceWhenCoordinatorAlreadyLost(t *testing.T) {
 	cls[0].Close()
 	awaitEvent(t, cls[1], amt.EventCoordLost, 0) // the worker has noticed
 	start := time.Now()
-	_, _, err := DistRun(dw.plans[1], cls[1], nil, distOpts(1))
+	_, _, err := DistRun(distCtx(t), dw.plans[1], cls[1], dw.q, distOpts(1))
 	if err == nil || !strings.Contains(err.Error(), "rank 0 lost") {
 		t.Errorf("DistRun on a worker without a coordinator returned %v", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("DistRun took %v to refuse", d)
 	}
+}
+
+// A run ends with its context, on every rank and at once: a cancel during the
+// run, and a deadline that had passed before it, each make every rank return
+// within a second with an error that matches the context's. A cancel on rank
+// 0 alone ends the worker's run too, cleanly and as promptly: rank 0 ends a
+// run that failed there, so nobody waits out a deadline of its own.
+func TestDistRunHonoursItsContext(t *testing.T) {
+	dw := newDistWorld(t, 2, 1500)
+	// run runs rank r under ctx[r] and returns what and when each returned.
+	run := func(ctx [2]context.Context, opts func(int) DistOptions) ([]error, []time.Time) {
+		cls := distClusters(t, 2)
+		errs, returned := make([]error, 2), make([]time.Time, 2)
+		var wg sync.WaitGroup
+		for r := range cls {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				_, _, errs[r] = DistRun(ctx[r], dw.plans[r], cls[r], dw.q, opts(r))
+				returned[r] = time.Now()
+			}(r)
+		}
+		wg.Wait()
+		return errs, returned
+	}
+	// halfway cancels once rank 0 has fired half its nodes, and notes when.
+	halfway := func(cancel context.CancelFunc, at *time.Time) func(int) DistOptions {
+		var once sync.Once
+		return func(r int) DistOptions {
+			o := distOpts(r)
+			if r == 0 {
+				o.OnProgress = func(fired, owned int) {
+					if fired*2 >= owned {
+						once.Do(func() {
+							*at = time.Now()
+							cancel()
+						})
+					}
+				}
+			}
+			return o
+		}
+	}
+	check := func(t *testing.T, errs []error, returned []time.Time, ended time.Time, want ...error) {
+		t.Helper()
+		if ended.IsZero() {
+			t.Fatal("rank 0 never reached its cancel point")
+		}
+		for r, err := range errs {
+			if !errors.Is(err, want[r]) {
+				t.Errorf("rank %d returned %v, want %v", r, err, want[r])
+			}
+			if d := returned[r].Sub(ended); d > time.Second {
+				t.Errorf("rank %d returned %v after the context ended", r, d)
+			}
+		}
+	}
+
+	t.Run("canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var at time.Time
+		errs, returned := run([2]context.Context{ctx, ctx}, halfway(cancel, &at))
+		check(t, errs, returned, at, context.Canceled, context.Canceled)
+	})
+	t.Run("rank 0 canceled alone", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var at time.Time
+		errs, returned := run([2]context.Context{ctx, distCtx(t)}, halfway(cancel, &at))
+		check(t, errs, returned, at, context.Canceled, nil)
+	})
+	t.Run("deadline passed", func(t *testing.T) {
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		defer cancel()
+		start := time.Now()
+		errs, returned := run([2]context.Context{ctx, ctx}, distOpts)
+		check(t, errs, returned, start, context.DeadlineExceeded, context.DeadlineExceeded)
+	})
+}
+
+// A worker's run needs nothing from rank 0 to start: it has the charges, so
+// on a level-1 plan (S->T edges and nothing else) it fires every node it owns
+// — its roots, and the targets its near tasks complete — before rank 0 has
+// entered its run. It used to wait for a charge frame from rank 0.
+func TestWorkerRunNeedsNothingFromRankZero(t *testing.T) {
+	const n = 800
+	sp := points.Generate(points.Cube, n, 1)
+	tp := points.Generate(points.Cube, n, 2)
+	q := points.Charges(n, 3)
+	k := kernel.NewLaplace(4)
+	var plans [2]*Plan
+	for r := range plans {
+		var err error
+		if plans[r], err = NewPlan(sp, tp, k, Options{Threshold: n / 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := plans[0].Graph
+	if s2t := g.EdgeCount[dag.OpS2T]; s2t == 0 || s2t != g.NumEdges() {
+		t.Fatalf("fixture: %d of %d edges are S->T", s2t, g.NumEdges())
+	}
+	homes, _, _ := plans[0].place(dist.MinComm{}, 2)
+	if !slices.ContainsFunc(plans[0].batches.P2P, func(pb dag.P2PBatch) bool { return homes[pb.Target] == 1 }) {
+		t.Fatal("fixture: the worker homes no target leaf")
+	}
+	want, err := plans[0].EvaluateSequential(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := distClusters(t, 2)
+	for _, cl := range cls {
+		if err := cl.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fired := make(chan struct{})
+	o1 := distOpts(1)
+	o1.OnProgress = func(done, owned int) {
+		if done == owned {
+			close(fired)
+		}
+	}
+	var err1 error
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		_, _, err1 = DistRun(distCtx(t), plans[1], cls[1], q, o1)
+	}()
+	select {
+	case <-fired:
+	case <-ran:
+		t.Fatalf("the worker's run ended before it had fired its nodes: %v", err1)
+	case <-time.After(20 * time.Second):
+		t.Fatal("the worker fired nothing of its own within 20s of entering its run without rank 0")
+	}
+	got, _, err := DistRun(distCtx(t), plans[0], cls[0], q, distOpts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if <-ran; err1 != nil {
+		t.Fatalf("the worker: %v", err1)
+	}
+	assertSame(t, got, want, 1e-12)
 }
 
 // Per-rank kernels, as separate OS processes have them: each rank's shift
@@ -372,7 +519,7 @@ func TestDistRunPerRankKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	dw := &distWorld{plans: []*Plan{build(), build()}, q: q, want: want}
-	pots, _, errs := dw.run(distClusters(t, 2), distOpts)
+	pots, _, errs := dw.run(distCtx(t), distClusters(t, 2), distOpts)
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, want, 1e-12)
 	for r, plan := range dw.plans {
@@ -393,7 +540,8 @@ func TestDistRunPerRankKernels(t *testing.T) {
 // in general) lets rank 0 finish without that worker, and rank 0's
 // run-complete signal used to be dropped when it beat the worker into its
 // run — the worker then sat in DistRun until its timeout. The signal is in
-// the cluster's log, and the run reads the log from its beginning.
+// the cluster's log, and a run that finds its own there when it attaches
+// returns without evaluating.
 func TestDistRunWorkerLateToFinishedRun(t *testing.T) {
 	sp := points.Generate(points.Cube, 1, 1)
 	tp := points.Generate(points.Cube, 1, 2)
@@ -411,19 +559,13 @@ func TestDistRunWorkerLateToFinishedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls := distClusters(t, 2)
-	opts := func(r int) DistOptions {
-		o := distOpts(r)
-		o.Timeout = 20 * time.Second
-		return o
-	}
-	// Rank 0 fires both nodes, gathers its own target, broadcasts the
-	// run-complete signal and then only waits for the worker to acknowledge
-	// the charge broadcast. The worker enters its run after that; the grace
-	// period only biases the interleaving towards the one that used to hang
-	// (without it the signal finds the run's watcher waiting and the test
-	// passes for the ordinary reason).
+	// Rank 0 fires both nodes, gathers its own target and broadcasts the
+	// run-complete signal; it sends the worker nothing. The worker enters its
+	// run after that; the grace period only biases the interleaving towards
+	// the one that used to hang (without it the signal may find the run's
+	// watcher waiting and the test passes for the ordinary reason).
 	fired := make(chan struct{})
-	o0 := opts(0)
+	o0 := distOpts(0)
 	o0.OnProgress = func(done, owned int) {
 		if done == owned {
 			close(fired)
@@ -434,12 +576,12 @@ func TestDistRunWorkerLateToFinishedRun(t *testing.T) {
 	ran := make(chan struct{})
 	go func() {
 		defer close(ran)
-		got, _, err0 = DistRun(plans[0], cls[0], q, o0)
+		got, _, err0 = DistRun(distCtx(t), plans[0], cls[0], q, o0)
 	}()
 	<-fired
 	time.Sleep(200 * time.Millisecond)
 	start := time.Now()
-	if _, _, err := DistRun(plans[1], cls[1], nil, opts(1)); err != nil {
+	if _, _, err := DistRun(distCtx(t), plans[1], cls[1], q, distOpts(1)); err != nil {
 		t.Fatalf("the late worker: %v", err)
 	}
 	if d := time.Since(start); d > 10*time.Second {
@@ -452,13 +594,13 @@ func TestDistRunWorkerLateToFinishedRun(t *testing.T) {
 	assertSame(t, got, want, 1e-12)
 }
 
-// A run-complete signal releases the run of its generation and no other.
-// Rank 0 starts three jobs and ends the first and the third at once, before
-// the worker has entered either (it needed nothing from it); the third's
-// signal sits in the worker's log behind the second job when that one's run
-// starts there and reads the log from its job on — it must not take it, and
-// evaluate — and the worker's run of the third job, entered late, is over at
-// once.
+// A run-complete signal ends the run of its generation and no other. Rank 0
+// starts three jobs and ends the first and the third at once, before the
+// worker has entered either; the third's signal sits in the worker's log
+// behind the second job when that one's run starts there and reads the log
+// from its job on — it must not take it, and evaluate — and the worker's run
+// of the third job, entered late, finds its own signal when it attaches and
+// returns without evaluating.
 func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
 	dw := newDistWorld(t, 2, 600)
 	cls := distClusters(t, 2)
@@ -484,16 +626,16 @@ func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
 	opts := func(job [2]*amt.Job) func(int) DistOptions {
 		return func(r int) DistOptions {
 			o := distOpts(r)
-			o.Job, o.Timeout = job[r], 20*time.Second
+			o.Job = job[r]
 			return o
 		}
 	}
-	pots, _, errs := dw.run(cls, opts(jobs[1]))
+	pots, _, errs := dw.run(distCtx(t), cls, opts(jobs[1]))
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, dw.want, 1e-12)
 
 	start := time.Now()
-	if _, _, err := DistRun(dw.plans[1], cls[1], nil, opts(jobs[2])(1)); err != nil {
+	if _, _, err := DistRun(distCtx(t), dw.plans[1], cls[1], dw.q, opts(jobs[2])(1)); err != nil {
 		t.Fatalf("the worker's late run of the third job: %v", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {

@@ -232,8 +232,8 @@ type executor struct {
 	batchTasks   []amt.Task
 	batchScratch sync.Pool
 	// errMu/runErr hold the first fatal error of the current run: the stall
-	// watchdog's diagnosis (recover.go) or, under a fabric, a timeout, a
-	// cancellation, a lost coordinator, a bad charge broadcast.
+	// watchdog's diagnosis (recover.go) or, under a fabric, the end of the
+	// run's context, a lost coordinator, this rank's own death verdict.
 	errMu  sync.Mutex
 	runErr error // guarded by errMu
 }

@@ -59,7 +59,7 @@ func executors(t *testing.T, sp, tp []geom.Point, q []float64, k kernel.Kernel, 
 			plan.Threshold(), TunerEntries()-before, len(rank1.Graph.Nodes), rank1.Graph.EdgeCount, len(plan.Graph.Nodes), plan.Graph.EdgeCount)
 	}
 	dw := &distWorld{plans: []*Plan{plan, rank1}, q: q}
-	pot, _, errs := dw.run(distClusters(t, 2), distOpts)
+	pot, _, errs := dw.run(distCtx(t), distClusters(t, 2), distOpts)
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("DistRun rank %d: %v", r, err)

@@ -103,11 +103,7 @@ func TestSharedKernelAcrossRootCubes(t *testing.T) {
 		wg.Add(1)
 		go func(r int, plan *Plan, cl *amt.Cluster) {
 			defer wg.Done()
-			var charges []float64
-			if r == 0 {
-				charges = q
-			}
-			_, _, err := DistRun(plan, cl, charges, distOpts(r))
+			_, _, err := DistRun(distCtx(t), plan, cl, q, distOpts(r))
 			refused("DistRun", err)
 		}(r, plan, cls[r])
 	}

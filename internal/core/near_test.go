@@ -138,8 +138,8 @@ func TestNearTasksRunOnTheTargetsHome(t *testing.T) {
 }
 
 // No frame leaves an S node for the near field. Two ranks over unix sockets:
-// the application frames of a fault-free run are the charge broadcast, the
-// worker's result report and one parcel per (fired node, distinct remote
+// the application frames of a fault-free run are the worker's result report
+// and one parcel per (fired node, distinct remote
 // home among its out edges other than S->T) — counted here from the plan and
 // the placement. An S node whose only remote edges are S->T sends nothing
 // (it used to send a parcel of edge indexes and no payload).
@@ -170,16 +170,16 @@ func TestDistRunSendsNoNearFieldParcels(t *testing.T) {
 	if nearOnly == 0 {
 		t.Fatal("fixture: no S node has a near list on the other rank")
 	}
-	pots, reps, errs := dw.run(distClusters(t, world), distOpts)
+	pots, reps, errs := dw.run(distCtx(t), distClusters(t, world), distOpts)
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, dw.want, 1e-12)
 	var sent int64
 	for _, rep := range reps {
 		sent += rep.Runtime.Transport.Sent
 	}
-	if want := int64(parcels + (world - 1) + (world - 1)); sent != want {
-		t.Errorf("%d application frames sent, want %d: %d parcels, %d charge broadcast, %d result report (%d S nodes with remote near lists only must send none)",
-			sent, want, parcels, world-1, world-1, nearOnly)
+	if want := int64(parcels + (world - 1)); sent != want {
+		t.Errorf("%d application frames sent, want %d: %d parcels, %d result report (%d S nodes with remote near lists only must send none)",
+			sent, want, parcels, world-1, nearOnly)
 	}
 }
 
@@ -206,7 +206,7 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 			}
 		}
 		cls := distClusters(t, world)
-		pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+		pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 			o := distOpts(r)
 			if r == victim {
 				o.OnProgress = dieAt(cls[r], 0.5)
@@ -257,7 +257,7 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 			t.Fatal(err)
 		}
 		cls := distClusters(t, world)
-		pots, reps, errs := dw.run(cls, func(r int) DistOptions {
+		pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 			o := distOpts(r)
 			if r == victim {
 				// One worker pops the roots before any near task (seedRoots):
@@ -293,7 +293,7 @@ func TestFabricNearTaskContract(t *testing.T) {
 	}
 	ex := newExecutor(st, dist.MinComm{}, 2)
 	fb := newFabric(ex, cls[0], distOpts(0).withDefaults())
-	fb.applyCharges(dw.q)
+	st.reset(dw.q)
 
 	// want[pi]: the leaf's near field, edge by edge through the kernel.
 	lists := st.p.batches.P2P

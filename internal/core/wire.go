@@ -23,10 +23,6 @@ import (
 // Application payload kinds carried in amt.Frame.Kind (must stay below the
 // amt control-plane range 0xff00).
 const (
-	// wireKindCharges is the rank-0 charge broadcast: the full charge vector
-	// in the caller's source order, from which every rank derives its
-	// tree-ordered q exactly as a local run would.
-	wireKindCharges uint16 = 1
 	// wireKindParcel is one coalesced node parcel: source node payload plus
 	// the out-edge indexes bound for the destination rank.
 	wireKindParcel uint16 = 2
@@ -37,29 +33,12 @@ const (
 
 var le = binary.LittleEndian
 
-// encodeCharges serializes the charge vector for the rank-0 broadcast.
-func encodeCharges(charges []float64) []byte {
-	buf := make([]byte, 0, 4+8*len(charges))
-	buf = le.AppendUint32(buf, uint32(len(charges)))
-	return amt.AppendF64s(buf, charges...)
-}
-
-func decodeCharges(b []byte, want int) ([]float64, error) {
-	r := amt.NewCursor(b)
-	n := r.Count(8)
-	if !r.Short() && n != want {
-		return nil, fmt.Errorf("core: charge broadcast carries %d charges, plan has %d sources", n, want)
-	}
-	out := make([]float64, n)
-	r.F64s(out)
-	return out, r.Done()
-}
-
 // appendNodePayload serializes the live expansion payload of one node: its
 // coefficient vectors in the order of state.vectors. Their lengths are
 // implied by the node's kind and masks plus the kernel sizes, all of which
-// every rank derives from the shared Plan; S nodes carry nothing (the charge
-// vector is globally broadcast) and T nodes are sinks that never send.
+// every rank derives from the shared Plan; S nodes carry nothing (every rank
+// starts its run with the charge vector) and T nodes are sinks that never
+// send.
 func (s *state) appendNodePayload(n *dag.Node, buf []byte) []byte {
 	for _, v := range s.vectors(n.ID) {
 		buf = amt.AppendC128s(buf, v)

@@ -31,6 +31,10 @@ func TestGenerateCorpus(t *testing.T) {
 	write("FuzzJobSpec", "golden-spec",
 		[]byte(`{"gen":1,"distribution":"cube","n":64,"seed":1,"kernel":"laplace","digits":3,"threshold":40,"run_seed":1,"timeout_ms":500}`))
 	write("FuzzJobSpec", "empty-predead", []byte(`{"gen":7,"pre_dead":[],"lambda":1e300}`))
+	for name, seed := range map[string]string{"zero": "0", "negative": "-42", "max": "9223372036854775807"} {
+		write("FuzzJobSpec", "charge-seed-"+name,
+			[]byte(`{"distribution":"cube","n":64,"seed":1,"kernel":"laplace","digits":3,"threshold":40,"charge_seed":`+seed+`,"timeout_ms":500}`))
+	}
 
 	rec := &PlanRecord{
 		Key:  "laplace/cube/64",

@@ -4,12 +4,12 @@ import "encoding/json"
 
 // jobSpec is the job payload rank 0 broadcasts over the cluster's control
 // star for one distributed evaluation. It carries everything a worker rank
-// needs to build the identical plan (SPMD: every rank derives the same
-// tree, DAG and placement from the same scenario). What identifies the run
-// — its wire generation, which also seeds it, and the dead-rank base of the
-// placement — is the cluster's to carry (amt.Job). Charges are deliberately
-// absent — rank 0 broadcasts them in-band once the run is up (core.DistRun),
-// so the control frame stays small.
+// needs to build the identical plan and charge vector (SPMD: every rank
+// derives the same tree, DAG, placement and charges from the same scenario).
+// What identifies the run — its wire generation, which also seeds it, and the
+// dead-rank base of the placement — is the cluster's to carry (amt.Job).
+// Charges travel as their generator seed, so the control frame stays small
+// and a request with inline charges stays in-process (distEligible).
 type jobSpec struct {
 	Distribution string  `json:"distribution"`
 	N            int     `json:"n"`
@@ -18,9 +18,10 @@ type jobSpec struct {
 	Lambda       float64 `json:"lambda,omitempty"`
 	Digits       int     `json:"digits"`
 	Threshold    int     `json:"threshold"`
+	ChargeSeed   int64   `json:"charge_seed"`
 
-	// TimeoutMS is rank 0's evaluation budget; workers add a grace margin
-	// on top so a coordinator-side timeout resolves the run before the
+	// TimeoutMS is rank 0's evaluation budget; a worker's run ends a grace
+	// margin later, so a coordinator-side end resolves the run before the
 	// workers give up on their own.
 	TimeoutMS int64 `json:"timeout_ms"`
 }
@@ -58,12 +59,13 @@ func jobSpecFrom(r *Request, threshold int) *jobSpec {
 		Lambda:       r.Lambda,
 		Digits:       r.Digits,
 		Threshold:    threshold,
+		ChargeSeed:   r.ChargeSeed,
 	}
 }
 
 // planRequest reconstructs the Request a worker rank uses to build (and
-// cache) the job's plan. Normalizing it with unlimited points yields the
-// exact same plan inputs rank 0 used.
+// cache) the job's plan and to generate its charges. Normalizing it with
+// unlimited points yields the exact same inputs rank 0 used.
 func (j *jobSpec) planRequest() (*Request, error) {
 	r := &Request{
 		Distribution: j.Distribution,
@@ -73,6 +75,7 @@ func (j *jobSpec) planRequest() (*Request, error) {
 		Lambda:       j.Lambda,
 		Digits:       j.Digits,
 		Threshold:    j.Threshold,
+		ChargeSeed:   j.ChargeSeed,
 	}
 	if err := r.normalize(Config{MaxPoints: -1}.withDefaults()); err != nil {
 		return nil, err

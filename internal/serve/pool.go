@@ -251,29 +251,21 @@ func (p *Pool) Evaluate(ctx context.Context, req *Request, entry *planEntry, cha
 // a standing cluster runs one collective job at a time — and runs rank 0's
 // side of it.
 func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charges []float64) ([]float64, core.ExecReport, error) {
-	timeout := 2 * time.Minute
+	budget := 2 * time.Minute // the workers' backstop when the caller set no deadline
 	if d, ok := ctx.Deadline(); ok {
-		timeout = time.Until(d)
-		if timeout <= 0 {
+		budget = time.Until(d)
+		if budget <= 0 {
 			return nil, core.ExecReport{}, context.DeadlineExceeded
 		}
 	}
 	spec := jobSpecFrom(req, entry.plan.Threshold())
-	spec.TimeoutMS = timeout.Milliseconds()
+	spec.TimeoutMS = budget.Milliseconds()
 	job := p.cl.StartJob(spec.encode())
 	defer job.End()
-	pots, rep, err := core.DistRun(entry.plan, p.cl, charges, core.DistOptions{
+	return core.DistRun(ctx, entry.plan, p.cl, charges, core.DistOptions{
 		Workers: p.cfg.RankThreads,
-		Timeout: timeout,
 		Job:     job,
-		Cancel:  ctx.Done(),
 	})
-	if err != nil {
-		// Release the surviving workers' runs: their rank≠0 DistRun returns
-		// cleanly on Shutdown and they stay alive for the retry.
-		p.cl.Shutdown()
-	}
-	return pots, rep, err
 }
 
 // Close tears the pool down: broadcast EXIT, reap the workers (SIGKILL

@@ -42,9 +42,10 @@ type Request struct {
 	Charges    []float64 `json:"charges,omitempty"`
 	ChargeSeed int64     `json:"charge_seed,omitempty"`
 
-	// DeadlineMS bounds the request's total time in queue; a request that
-	// cannot be admitted before the deadline is shed. 0 uses the server
-	// default.
+	// DeadlineMS bounds the request's time in queue and its evaluation: a
+	// request that cannot be admitted before the deadline is shed, one whose
+	// plan is priced beyond it is refused, and a run over the worker pool
+	// ends with it. 0 uses the server default.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 
 	// Trace captures the evaluation's event trace (trace.WriteJSON lines)
@@ -133,6 +134,9 @@ func (r *Request) normalize(limits Config) error {
 	}
 	if limits.MaxPoints > 0 && r.N > limits.MaxPoints {
 		return fmt.Errorf("n=%d exceeds the server limit of %d points", r.N, limits.MaxPoints)
+	}
+	if limits.MaxPoints > 0 && len(r.Targets) > limits.MaxPoints {
+		return fmt.Errorf("%d inline targets exceed the server limit of %d points", len(r.Targets), limits.MaxPoints)
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
@@ -240,11 +244,12 @@ func hashPoints(h interface{ Write([]byte) (int, error) }, pts [][3]float64) {
 }
 
 // distEligible reports whether the request should route through the
-// worker-rank pool: spec-generated geometry only (inline points do not fit
-// in a job broadcast), no trace capture (traces are per-process), and large
-// enough that distribution beats the in-process path.
+// worker-rank pool: generated points and charges only (every rank generates
+// its own from the job broadcast; inline values do not fit in it), no trace
+// capture (traces are per-process), and large enough that distribution beats
+// the in-process path.
 func (r *Request) distEligible(threshold int) bool {
-	return threshold > 0 && len(r.Sources) == 0 && !r.Trace && r.N >= threshold
+	return threshold > 0 && len(r.Sources) == 0 && len(r.Charges) == 0 && !r.Trace && r.N >= threshold
 }
 
 // ensembles materializes the request's source/target points.

@@ -394,9 +394,10 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 
-	// Distributed routing: large spec-generated requests go over the worker
-	// pool; any pool failure degrades to the in-process path below — unless
-	// the deadline already expired, which is a 503 the client should retry.
+	// Distributed routing: large requests with generated points and charges
+	// go over the worker pool; any pool failure degrades to the in-process
+	// path below — unless the deadline already expired, which is a 503 the
+	// client should retry.
 	degraded := false
 	if s.pool != nil && req.distEligible(s.cfg.DistThreshold) {
 		s.metrics.DistRequests.Add(1)

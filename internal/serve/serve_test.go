@@ -351,6 +351,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	}{
 		{"zero points", Request{}, "n must be positive"},
 		{"too many points", Request{N: 6000}, "server limit"},
+		{"too many inline targets", Request{Sources: [][3]float64{{0, 0, 0}}, Targets: make([][3]float64, 6000)}, "server limit"},
 		{"bad distribution", Request{N: 100, Distribution: "torus"}, "unknown distribution"},
 		{"bad kernel", Request{N: 100, Kernel: "helmholtz"}, "unknown kernel"},
 		{"bad digits", Request{N: 100, Digits: 13}, "out of range"},

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -134,17 +135,17 @@ func runWorkerJob(cl *amt.Cluster, cache *planCache, threads int, job *amt.Job) 
 		cache.drop(req.planKey(), entry)
 		return fmt.Errorf("plan build: %w", err)
 	}
-	// The worker's own timeout backstops a vanished run; it sits a grace
-	// margin above rank 0's budget so the coordinator always times out
-	// first and resolves the run (Shutdown) for everyone. Without the
-	// margin, one slow request would mass-expire every worker at once.
-	timeout := time.Duration(spec.TimeoutMS)*time.Millisecond + 15*time.Second
+	// The worker's own deadline backstops a vanished run; it sits a grace
+	// margin above rank 0's budget so the coordinator always gives up first
+	// and ends the run (Shutdown) for everyone. Without the margin, one slow
+	// request would mass-expire every worker at once.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(spec.TimeoutMS)*time.Millisecond+15*time.Second)
+	defer cancel()
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 	//lint:ignore lockorder entry.mu serializes evaluation of one plan by design (stampede protection): the critical section is the evaluation itself
-	_, _, err = core.DistRun(entry.plan, cl, nil, core.DistOptions{
+	_, _, err = core.DistRun(ctx, entry.plan, cl, req.chargeVector(), core.DistOptions{
 		Workers: threads,
-		Timeout: timeout,
 		Job:     job,
 	})
 	return err

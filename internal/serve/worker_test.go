@@ -74,7 +74,7 @@ func TestWorkerExitsOnCoordinatorLossMidRun(t *testing.T) {
 	}
 
 	// Broadcast a job but never run rank 0's side of it: the worker enters
-	// DistRun and blocks waiting for the charge broadcast...
+	// DistRun, fires what its charges allow and then waits for rank 0...
 	spec := &jobSpec{Distribution: "cube", N: 400, Seed: 1, Kernel: "laplace",
 		Digits: 3, TimeoutMS: 60_000}
 	coord.StartJob(spec.encode())
@@ -166,13 +166,12 @@ func TestSupervisorRestartBudgetAbandonsCrashLoop(t *testing.T) {
 
 // Back-to-back distributed evaluations on a standing pool: the client sends
 // its next request the moment it has decoded the last reply, so rank 0's
-// charge broadcast for job g+1 reaches the worker while that is still
-// leaving job g (or, on a never-seen key, building its plan). The frames
-// wait at the worker's generation fence for the run they belong to; they
-// used to be dropped there as "not this rank's generation" and came back
-// one retransmission interval (200 ms) later, about once per three
-// evaluations. The log line is the latency distribution ROADMAP item 6
-// quotes.
+// first parcels of job g+1 reach the worker while that is still leaving job
+// g (or, on a never-seen key, building its plan). The frames wait at the
+// worker's generation fence for the run they belong to; they used to be
+// dropped there as "not this rank's generation" and came back one
+// retransmission interval (200 ms) later, about once per three evaluations.
+// The log line is the latency distribution ROADMAP item 6 quotes.
 func TestBackToBackJobsNeedNoRetransmission(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks worker processes")
