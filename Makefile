@@ -23,13 +23,12 @@ purego:
 
 # The scheduler, executor, server, distributed driver and tracer are the
 # concurrency-touching packages, the kernel's table cache, lock-free shift
-# table and Prepare are raced by its own tests, and the tree and the direct
-# sum fan out over goroutines of their own (tree.BuildParallel,
-# baseline.Direct); run them under the race detector (the remaining packages
-# start no goroutine, and the full tree under -race is slow on small
-# machines without adding coverage).
+# table and Prepare are raced by its own tests, and the direct sum fans out
+# over goroutines of its own (baseline.Direct); run them under the race
+# detector (the remaining packages start no goroutine, and the full tree
+# under -race is slow on small machines without adding coverage).
 race:
-	$(GO) test -race -timeout 25m ./internal/amt ./internal/core ./internal/kernel ./internal/serve ./internal/dist ./internal/trace ./internal/tree ./internal/baseline
+	$(GO) test -race -timeout 25m ./internal/amt ./internal/core ./internal/kernel ./internal/serve ./internal/trace ./internal/baseline
 
 # bench/ is a module of its own that imports internal/...: vetting it here
 # makes deleting a name the benchmark uses fail in ci, not in the pipeline.

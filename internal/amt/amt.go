@@ -287,10 +287,6 @@ func (rt *Runtime) StatsNow() Stats {
 	}
 }
 
-// TasksExecuted returns the number of tasks run so far. Watchdogs sample it
-// as a cheap progress indicator.
-func (rt *Runtime) TasksExecuted() int64 { return rt.tasksRun.Load() }
-
 // Reset re-arms the runtime for another Run, making it multi-shot: the
 // completion latch is recreated, the shutdown flag cleared and the stats
 // counters zeroed, while the expensive structures New builds — worker
@@ -298,9 +294,8 @@ func (rt *Runtime) TasksExecuted() int64 { return rt.tasksRun.Load() }
 // only Reset a quiesced runtime: Run has returned and no external goroutine
 // is still delivering work to it.
 //
-// Reset refuses when pending work remains — an aborted or stalled run's
-// queues may hold tasks whose context is gone — and the caller then
-// discards the runtime and calls New: the pool-and-recreate fallback.
+// Reset refuses when pending work remains: an aborted run's queues may hold
+// tasks whose context is gone.
 func (rt *Runtime) Reset() error {
 	if n := rt.pending.Load(); n != 0 {
 		return fmt.Errorf("amt: Reset with %d pending units (aborted run?)", n)
@@ -324,10 +319,11 @@ func (rt *Runtime) Hold() { rt.pending.Add(1) }
 // Release releases a Hold.
 func (rt *Runtime) Release() { rt.finish() }
 
-// Abort forces Run to return even though work is still pending. Used by
-// watchdogs that have diagnosed a stalled evaluation: the scheduler loops
-// exit, leftovers are drained, and the caller reports its diagnosis instead
-// of hanging forever.
+// Abort forces Run to return even though work is still pending. Used by a
+// cluster rank whose run has failed (its context ended, the coordinator was
+// lost, the rank was declared dead): the scheduler loops exit, leftovers are
+// drained, and the caller reports the failure instead of waiting for peers
+// that will not answer. An aborted runtime is not Reset.
 func (rt *Runtime) Abort() {
 	rt.signalDone()
 }

@@ -2,6 +2,7 @@ package amt
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -529,20 +530,31 @@ func (c *Cluster) broadcastMembership() {
 // wire generation, snapshots the dead-rank order, queues the job frame for
 // every live worker and logs the job — the snapshot is the membership at the
 // job's place in the log, here and on every worker. Until the job's End,
-// re-admissions are deferred. (On a closed cluster it does not wait: the run
-// will find the closure in the log and fail at once.)
-func (c *Cluster) StartJob(payload []byte) *Job {
+// re-admissions are deferred. If ctx ends first, before or during the wait,
+// StartJob returns ctx.Err() and neither logs a job nor queues a frame. (On
+// a closed cluster it does not wait: the run will find the closure in the
+// log and fail at once.)
+func (c *Cluster) StartJob(ctx context.Context, payload []byte) (*Job, error) {
+	stop := context.AfterFunc(ctx, func() {
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})
+	defer stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.running && !c.closed {
+	for c.running && !c.closed && ctx.Err() == nil {
 		c.cond.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	c.running = true
 	c.genCount++
 	j := &Job{Gen: c.genCount, DeadOrder: slices.Clone(c.deadOrder), Payload: payload, c: c}
 	c.broadcast(&Frame{Kind: ctlJob, Epoch: j.Gen, Payload: payload})
 	c.publish(Event{Kind: EventJob, Gen: j.Gen, Job: j})
-	return j
+	return j, nil
 }
 
 // End ends the job (rank 0 only; call it once): the next StartJob may

@@ -89,7 +89,7 @@ func TestEngineStateStaysBounded(t *testing.T) {
 		}
 	}
 	for i := 1; i <= jobs && !t.Failed(); i++ {
-		job := cls[0].StartJob(nil)
+		job := startJob(cls[0], nil)
 		pingPong(t, cls[0], job)
 		job.End()
 		if i%100 == 0 {
@@ -205,7 +205,7 @@ func noRetry(cfg *ClusterConfig) {
 // verdict, not at a retransmission timer that would find the rank dead.
 func TestVerdictSettlesParcelsToTheDead(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, noRetry)
-	job := cls[0].StartJob(nil)
+	job := startJob(cls[0], nil)
 	defer job.End()
 	defer cls[0].Attach(job, func(Frame) {}).Close()
 	cls[1].Close() // the rank dies before it acknowledges anything
@@ -257,7 +257,7 @@ func TestRespawnedIncarnationStartsClean(t *testing.T) {
 		return out
 	}
 
-	old := cls[0].StartJob(nil)
+	old := startJob(cls[0], nil)
 	exchange(old, await(t, log1, EventJob).Job, "old")
 	old.End()
 	cls[1].Close()
@@ -265,7 +265,7 @@ func TestRespawnedIncarnationStartsClean(t *testing.T) {
 	cls[1] = rejoin(t, dir, 1, 2, noRetry)
 	log1 = watch(t, cls[1])
 
-	job := cls[0].StartJob(nil)
+	job := startJob(cls[0], nil)
 	defer job.End()
 	straggler := Frame{Kind: 1, Src: 1, Dst: 0, Seq: 3, Epoch: uint32(uint16(old.Gen)) << 16, Payload: []byte("old")}
 	cls[0].tp.fence(straggler) // late off the corpse's socket, before the new run attached

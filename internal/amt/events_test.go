@@ -159,7 +159,7 @@ func eventOrderProperty(t *testing.T, seed int64) {
 			for backlog() > ctlQueueMax/4 {
 				time.Sleep(100 * time.Microsecond)
 			}
-			job := cls[0].StartJob(nil)
+			job := startJob(cls[0], nil)
 			cls[0].Shutdown()
 			job.End()
 			pause(rng, 300*time.Microsecond) // re-admission needs the gap: it is refused while a job is in flight
@@ -374,7 +374,7 @@ func TestRunDoneBeforeTheRunIsReplayed(t *testing.T) {
 	nowhere := func(Frame) {}
 	var gens [2]uint32
 	for i := range gens {
-		job := cls[0].StartJob(nil)
+		job := startJob(cls[0], nil)
 		gens[i] = job.Gen
 		run := cls[0].Attach(job, nowhere) // as rank 0's side of the run would
 		cls[0].Shutdown()
@@ -419,7 +419,7 @@ func TestEventLogStaysShort(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
 	logs := []<-chan Event{watch(t, cls[0]), watch(t, cls[1])}
 	for i := 0; i < 2000; i++ {
-		job := cls[0].StartJob([]byte("spec"))
+		job := startJob(cls[0], []byte("spec"))
 		run := cls[0].Attach(job, func(Frame) {})
 		cls[0].Shutdown()
 		run.Close()
@@ -510,7 +510,7 @@ func TestWedgedPeerDelaysNobody(t *testing.T) {
 	// of its link is now parked in the middle of a frame.
 	big := make([]byte, 512<<10)
 	for i := 0; i < 4; i++ {
-		c0.StartJob(big).End()
+		startJob(c0, big).End()
 		await(t, log1, EventJob)
 	}
 	// (a) Broadcasts still reach rank 1 at once — the slowest of several,
@@ -518,7 +518,7 @@ func TestWedgedPeerDelaysNobody(t *testing.T) {
 	var slowest time.Duration
 	for i := 0; i < 5; i++ {
 		start := time.Now()
-		c0.StartJob(nil).End()
+		startJob(c0, nil).End()
 		await(t, log1, EventJob)
 		slowest = max(slowest, time.Since(start))
 	}

@@ -1,7 +1,9 @@
 package amt
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -102,7 +104,7 @@ func TestFrameBeforeItsRunWaitsForIt(t *testing.T) {
 	log1 := watch(t, cls[1])
 	w0, w1 := newWireRank(cls[0], 3, socketDelivery), newWireRank(cls[1], 3, socketDelivery)
 
-	job := cls[0].StartJob(nil)
+	job := startJob(cls[0], nil)
 	defer job.End()
 	start := time.Now()
 	var st0 Stats
@@ -167,13 +169,13 @@ func TestParkedFramesWaitForTheirOwnRun(t *testing.T) {
 	log1 := watch(t, cls[1])
 	nowhere := func(Frame) {}
 
-	first := cls[0].StartJob(nil)
+	first := startJob(cls[0], nil)
 	run := cls[0].Attach(first, nowhere)
 	rawSend(cls[0], 1, "g/0", "g/1")
 	cls[0].Shutdown()
 	run.Close()
 	first.End()
-	second := cls[0].StartJob(nil)
+	second := startJob(cls[0], nil)
 	defer second.End()
 	defer cls[0].Attach(second, nowhere).Close()
 	rawSend(cls[0], 1, "h/0", "h/1", "h/2")
@@ -208,7 +210,7 @@ func TestParkOverflowIsWireLoss(t *testing.T) {
 	dcfg := DeliveryConfig{RetryBase: 300 * time.Millisecond, RetryMax: time.Second, Deadline: 60 * time.Second}
 	w0, w1 := newWireRank(cls[0], peerQueueMax+extra, dcfg), newWireRank(cls[1], peerQueueMax+extra, dcfg)
 
-	job := cls[0].StartJob(nil)
+	job := startJob(cls[0], nil)
 	defer job.End()
 	var st0 Stats
 	held, sent := make(chan struct{}), make(chan struct{})
@@ -259,12 +261,12 @@ func TestGenerationFenceAcrossStampWrap(t *testing.T) {
 	cls[0].genCount = 1<<16 - 3
 	cls[0].mu.Unlock()
 	// A rank follows the jobs: bring rank 1 to within half a wrap of them.
-	cls[0].StartJob(nil).End()
+	startJob(cls[0], nil).End()
 	cls[1].Attach(await(t, log1, EventJob).Job, nowhere).Close()
 
-	last := cls[0].StartJob(nil) // stamp 0xffff
+	last := startJob(cls[0], nil) // stamp 0xffff
 	last.End()
-	wrapped := cls[0].StartJob(nil) // stamp 0
+	wrapped := startJob(cls[0], nil) // stamp 0
 	defer wrapped.End()
 	if last.Gen != 1<<16-1 || wrapped.Gen != 1<<16 {
 		t.Fatalf("generations %d and %d, want 65535 and 65536", last.Gen, wrapped.Gen)
@@ -308,10 +310,10 @@ func TestStartJobWaitsForThePreviousEnd(t *testing.T) {
 	cls[1].Close()
 	cls[0].DeclareDead(1)
 
-	first := cls[0].StartJob(nil)
+	first := startJob(cls[0], nil)
 	var firstEnded atomic.Bool
 	started := make(chan *Job)
-	go func() { started <- cls[0].StartJob(nil) }()
+	go func() { started <- startJob(cls[0], nil) }()
 	rejoined := make(chan error, 1)
 	go func() {
 		cfg := testClusterConfig(dir, 1, 2)
@@ -362,6 +364,50 @@ func TestStartJobWaitsForThePreviousEnd(t *testing.T) {
 	}
 }
 
+// startJob starts c's next job; with no deadline it always starts.
+func startJob(c *Cluster, payload []byte) *Job {
+	j, _ := c.StartJob(context.Background(), payload)
+	return j
+}
+
+// A request whose context ends while its job queues behind another gets the
+// context's error back and leaves no trace: no job in any rank's log, no
+// generation spent, and the next job starts as if it had never asked.
+func TestStartJobHonoursItsContext(t *testing.T) {
+	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
+	log0, log1 := watch(t, cls[0]), watch(t, cls[1])
+	first := startJob(cls[0], []byte("first"))
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	late := make(chan error, 1)
+	go func() {
+		_, err := cls[0].StartJob(ctx, []byte("late"))
+		late <- err
+	}()
+	select {
+	case err := <-late:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("StartJob behind a running job: %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("StartJob still waiting 1s into a 100ms deadline")
+	}
+	first.End()
+	next := startJob(cls[0], []byte("next"))
+	defer next.End()
+	if next.Gen != first.Gen+1 {
+		t.Errorf("next job at generation %d after %d: the refused one spent a generation", next.Gen, first.Gen)
+	}
+	for r, log := range []<-chan Event{log0, log1} {
+		for _, want := range []*Job{first, next} {
+			if ev := await(t, log, EventJob); ev.Gen != want.Gen || string(ev.Job.Payload) != string(want.Payload) {
+				t.Errorf("rank %d: job %q at generation %d in the log, want %q at %d",
+					r, ev.Job.Payload, ev.Gen, want.Payload, want.Gen)
+			}
+		}
+	}
+}
+
 // (g) A run's transport report is its own traffic on every rank of a
 // standing cluster: the delivery engine lives as long as the cluster and
 // subtracts what the wire had counted when the run attached.
@@ -372,7 +418,7 @@ func TestTransportStatsArePerRun(t *testing.T) {
 	ack := int64(len(AppendFrame(nil, &Frame{})))
 	for _, n := range []int{10, 3} {
 		w0, w1 := newWireRank(cls[0], n, socketDelivery), newWireRank(cls[1], n, socketDelivery)
-		job := cls[0].StartJob(nil)
+		job := startJob(cls[0], nil)
 		var st0 Stats
 		sent := make(chan struct{})
 		go func() {
@@ -410,7 +456,7 @@ func TestTransportStatsArePerRun(t *testing.T) {
 func TestFinishedRunStillAcknowledges(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
 	log1 := watch(t, cls[1])
-	job := cls[0].StartJob(nil)
+	job := startJob(cls[0], nil)
 	defer job.End()
 	defer cls[0].Attach(job, func(Frame) {}).Close()
 	ack := int64(len(AppendFrame(nil, &Frame{})))
@@ -451,10 +497,10 @@ func TestJobBaseIsTheMembershipAtItsFrame(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 4, lazyDetector)
 	log1 := watch(t, cls[1])
 	cls[0].DeclareDead(3)
-	first := cls[0].StartJob(nil)
+	first := startJob(cls[0], nil)
 	cls[0].DeclareDead(2)
 	first.End()
-	second := cls[0].StartJob(nil)
+	second := startJob(cls[0], nil)
 	defer second.End()
 
 	seen1 := await(t, log1, EventJob).Job

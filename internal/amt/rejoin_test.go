@@ -58,7 +58,7 @@ func TestRejoinReadmission(t *testing.T) {
 
 	// Data flows at the generation of the next job: fresh rank 1 -> survivor
 	// rank 2.
-	job := cls[0].StartJob(nil)
+	job := startJob(cls[0], nil)
 	defer job.End()
 	var got frameLog
 	defer cls[1].Attach(await(t, watch(t, nc), EventJob).Job, func(Frame) {}).Close()
@@ -97,7 +97,7 @@ func TestGenerationFenceDropsStaleFrames(t *testing.T) {
 
 	// Rank 0 has moved to the job's generation; rank 1 has not attached yet
 	// and still stamps generation 0.
-	job := cls[0].StartJob(nil)
+	job := startJob(cls[0], nil)
 	defer job.End()
 	defer cls[0].Attach(job, got.sink).Close()
 	cls[1].Transport().Send(Message{Src: 1, Dst: 0, Seq: 1, Kind: 7, Payload: []byte("stale")})

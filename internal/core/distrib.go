@@ -134,7 +134,7 @@ func DistRun(ctx context.Context, p *Plan, cl *amt.Cluster, charges []float64, o
 	// task — Run's setup, a verdict below or the watcher's — need not ask.
 	st.reset(charges)
 	// SPMD placement: every rank computes the same assignment.
-	ex := newExecutor(st, dist.MinComm{}, cl.World())
+	ex := newExecutor(st, cl.World())
 	fb := newFabric(ex, cl, opts)
 	if err := cl.Start(); err != nil {
 		return nil, ExecReport{}, err
@@ -189,7 +189,7 @@ func DistRun(ctx context.Context, p *Plan, cl *amt.Cluster, charges []float64, o
 		parked := len(fb.deferred)
 		fb.gateMu.Unlock()
 		tr := cl.TransportStats()
-		ex.fail(fmt.Errorf("core: rank %d distributed evaluation: %w "+
+		fb.fail(fmt.Errorf("core: rank %d distributed evaluation: %w "+
 			"(%d/%d owned nodes fired, %d parcels parked, %d decode errors; "+
 			"wire sent=%d acked=%d retried=%d expired=%d dropped=%d)",
 			fb.rank, ctx.Err(), fb.firedCnt.Load(), fb.ownedTotal.Load(),
@@ -209,7 +209,7 @@ func DistRun(ctx context.Context, p *Plan, cl *amt.Cluster, charges []float64, o
 	quiesce()
 	stats.Transport = cl.TransportStats()
 
-	if err := ex.err(); err != nil {
+	if err := fb.err(); err != nil {
 		return nil, ExecReport{}, err
 	}
 	if err := p.checkKernel(); err != nil {
@@ -294,6 +294,11 @@ type fabric struct {
 
 	relOnce sync.Once
 
+	// errMu/runErr hold the run's first fatal error: the end of its context,
+	// a lost coordinator, this rank's own death verdict.
+	errMu  sync.Mutex
+	runErr error // guarded by errMu
+
 	deaths     atomic.Int64
 	rebuilt    atomic.Int64
 	replayed   atomic.Int64
@@ -351,6 +356,23 @@ func newFabric(ex *executor, cl *amt.Cluster, opts DistOptions) *fabric {
 
 // release lets Run drain (idempotent).
 func (fb *fabric) release() { fb.relOnce.Do(fb.ex.rt.Release) }
+
+// fail records the run's first fatal error and makes rt.Run return.
+func (fb *fabric) fail(err error) {
+	fb.errMu.Lock()
+	if fb.runErr == nil {
+		fb.runErr = err
+	}
+	fb.errMu.Unlock()
+	fb.release()
+	fb.ex.rt.Abort()
+}
+
+func (fb *fabric) err() error {
+	fb.errMu.Lock()
+	defer fb.errMu.Unlock()
+	return fb.runErr
+}
 
 // seed is Run's setup on every rank: it holds the run open until it is
 // released (release) and spawns this rank's near tasks and roots — their
@@ -585,13 +607,13 @@ func (fb *fabric) watch(sub *amt.Subscription, gen uint32) {
 			// The cluster declared *us* dead (a false heartbeat verdict under
 			// load): the survivors have fenced this rank and rebuilt its work,
 			// so fail fast instead of running to the timeout.
-			fb.ex.fail(fmt.Errorf("core: rank %d declared dead by the cluster at epoch %d", fb.rank, ev.Epoch))
+			fb.fail(fmt.Errorf("core: rank %d declared dead by the cluster at epoch %d", fb.rank, ev.Epoch))
 		case ev.Kind == amt.EventDead:
 			fb.applyDeath(ev.Rank)
 		case ev.Kind == amt.EventRunDone && ev.Gen == gen:
 			fb.release()
 		case ev.Kind == amt.EventCoordLost:
-			fb.ex.fail(ev.Err)
+			fb.fail(ev.Err)
 		}
 	}
 }

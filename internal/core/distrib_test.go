@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/amt"
 	"repro/internal/dag"
-	"repro/internal/dist"
 	"repro/internal/kernel"
 	"repro/internal/points"
 )
@@ -202,7 +201,7 @@ func awaitEvent(t *testing.T, cl *amt.Cluster, kind amt.EventKind, gen uint32) a
 func startJob(t *testing.T, cls []*amt.Cluster) []*amt.Job {
 	t.Helper()
 	jobs := make([]*amt.Job, len(cls))
-	jobs[0] = cls[0].StartJob(nil)
+	jobs[0], _ = cls[0].StartJob(context.Background(), nil)
 	for r := 1; r < len(cls); r++ {
 		if cls[r] != nil {
 			jobs[r] = awaitEvent(t, cls[r], amt.EventJob, jobs[0].Gen).Job
@@ -448,7 +447,7 @@ func TestWorkerRunNeedsNothingFromRankZero(t *testing.T) {
 	if s2t := g.EdgeCount[dag.OpS2T]; s2t == 0 || s2t != g.NumEdges() {
 		t.Fatalf("fixture: %d of %d edges are S->T", s2t, g.NumEdges())
 	}
-	homes, _, _ := plans[0].place(dist.MinComm{}, 2)
+	homes, _, _ := plans[0].place(2)
 	if !slices.ContainsFunc(plans[0].batches.P2P, func(pb dag.P2PBatch) bool { return homes[pb.Target] == 1 }) {
 		t.Fatal("fixture: the worker homes no target leaf")
 	}
@@ -613,7 +612,7 @@ func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
 	defer main.Close()
 	var jobs [3][2]*amt.Job
 	for i := range jobs {
-		jobs[i][0] = cls[0].StartJob(nil)
+		jobs[i][0], _ = cls[0].StartJob(context.Background(), nil)
 		if i != 1 {
 			run := cls[0].Attach(jobs[i][0], func(amt.Frame) {})
 			cls[0].Shutdown()
@@ -656,7 +655,7 @@ func TestFabricClaimContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := newExecutor(st, dist.MinComm{}, 2)
+	ex := newExecutor(st, 2)
 	fb := newFabric(ex, cls[0], distOpts(0).withDefaults())
 	held := func(id int32) bool {
 		if ex.locks[id].TryLock() {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/amt"
 	"repro/internal/dag"
-	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/trace"
@@ -19,9 +18,6 @@ type ExecOptions struct {
 	// Localities and Workers shape the runtime (defaults 1 and 1).
 	Localities int
 	Workers    int
-	// Policy places the implicit DAG (default dist.MinComm, the paper's
-	// policy).
-	Policy dist.Policy
 	// Tracer, if non-nil, records one event per operator application for
 	// the utilization analysis.
 	Tracer *trace.Tracer
@@ -34,10 +30,6 @@ type ExecOptions struct {
 	// Gradient also computes the potential gradient at every target;
 	// retrieve it with EvaluateGrad.
 	Gradient bool
-	// StallWindow, when positive, arms a watchdog that aborts the run with
-	// a diagnostic listing the unsatisfied LCOs (owner rank, arrived/needed
-	// counts) if no task executes for a full window, instead of hanging.
-	StallWindow time.Duration
 }
 
 func (o ExecOptions) withDefaults() ExecOptions {
@@ -46,9 +38,6 @@ func (o ExecOptions) withDefaults() ExecOptions {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.Policy == nil {
-		o.Policy = dist.MinComm{}
 	}
 	return o
 }
@@ -108,30 +97,27 @@ type ParallelEvaluation struct {
 	plan *Plan
 	opts ExecOptions
 	ex   *executor
-	// rt is the pooled runtime (nil until the first Run and after a failed
-	// one).
-	rt *amt.Runtime
 }
 
 // NewParallelEvaluation allocates a parallel evaluation context and places
-// the DAG for its shape. The placement lives in the context, not in the
-// plan's graph, so contexts of different shapes may share a plan and run
-// concurrently.
+// the DAG for its shape (dist.MinComm). The placement lives in the context,
+// not in the plan's graph, so contexts of different shapes may share a plan
+// and run concurrently.
 func (p *Plan) NewParallelEvaluation(opts ExecOptions) (*ParallelEvaluation, error) {
 	opts = opts.withDefaults()
 	st, err := p.newState(opts.Gradient)
 	if err != nil {
 		return nil, err
 	}
-	ex := newExecutor(st, opts.Policy, opts.Localities)
+	ex := newExecutor(st, opts.Localities)
 	ex.tracer, ex.priority = opts.Tracer, opts.Priority
 	return &ParallelEvaluation{plan: p, opts: opts, ex: ex}, nil
 }
 
 // Run evaluates the DAG for one charge vector, reusing the context's payload
 // buffers, LCO network and pooled runtime. Everything a run leaves behind —
-// payloads, countdowns, batch counters, a stall diagnosis — is re-armed
-// here, so a context whose last Run failed mid-way needs no scrubbing.
+// payloads, countdowns, batch counters — is re-armed here, so a context whose
+// last Run failed needs no scrubbing.
 func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, error) {
 	p, ex, opts := e.plan, e.ex, e.opts
 	if len(charges) != len(p.Source.Pts) {
@@ -143,46 +129,41 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 	ex.st.reset(charges)
 	ex.arm()
 
-	// One runtime serves every Run, re-armed per generation
-	// (amt.Runtime.Reset) to skip the worker/deque allocation of amt.New; a
-	// runtime that refuses the re-arm (an aborted run left work behind) is
-	// replaced, and a failed run below does not pool its runtime at all.
-	rt := e.rt
-	e.rt = nil
-	runtimeReused := rt != nil && rt.Reset() == nil
-	if !runtimeReused {
-		rt = amt.New(amt.Config{
+	// One runtime serves every Run: built on the first, re-armed per
+	// generation (amt.Runtime.Reset) on every later one, failed runs
+	// included, to skip the worker/deque allocation of amt.New. Nothing
+	// aborts an in-process run — rt.Run returns once every task has — so
+	// the runtime is always quiesced here, and Reset's refusal is a bug
+	// reported, not a case handled.
+	runtimeReused := ex.rt != nil
+	if runtimeReused {
+		if err := ex.rt.Reset(); err != nil {
+			return nil, ExecReport{}, err
+		}
+	} else {
+		ex.rt = amt.New(amt.Config{
 			Localities: opts.Localities,
 			Workers:    opts.Workers,
 			Seed:       opts.Seed,
 		})
 	}
-	ex.rt = rt
 
-	stopWatchdog := func() {}
-	if opts.StallWindow > 0 {
-		stopWatchdog = ex.runWatchdog(opts.StallWindow)
-	}
 	start := time.Now()
-	stats := rt.Run(ex.seedRoots)
+	stats := ex.rt.Run(ex.seedRoots)
 	elapsed := time.Since(start)
-	stopWatchdog()
 
-	if err := ex.err(); err != nil {
-		return nil, ExecReport{}, err
-	}
 	if err := p.checkKernel(); err != nil {
 		return nil, ExecReport{}, err
 	}
 
-	// Sanity: every node must have fired.
+	// Every node must have fired: an LCO that can never be satisfied lets the
+	// run drain without it.
 	for i := range ex.remaining {
 		if ex.remaining[i].Load() > 0 {
 			return nil, ExecReport{}, fmt.Errorf("core: node %d (%v) never triggered (%d inputs missing)",
 				i, ex.g.Nodes[i].Kind, ex.remaining[i].Load())
 		}
 	}
-	e.rt = rt
 	return ex.st.potentials(), ExecReport{
 		Gradients:     ex.st.gradients(),
 		Runtime:       stats,
@@ -206,7 +187,7 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 type executor struct {
 	st       *state
 	g        *dag.Graph
-	rt       *amt.Runtime // the current run's runtime
+	rt       *amt.Runtime // in-process pooled across Runs (nil before the first), one per run under a fabric
 	tracer   *trace.Tracer
 	priority bool
 	// fab is the distributed side of a DistRun (distrib.go); nil in-process.
@@ -231,18 +212,13 @@ type executor struct {
 	batchPending []atomic.Int32
 	batchTasks   []amt.Task
 	batchScratch sync.Pool
-	// errMu/runErr hold the first fatal error of the current run: the stall
-	// watchdog's diagnosis (recover.go) or, under a fabric, the end of the
-	// run's context, a lost coordinator, this rank's own death verdict.
-	errMu  sync.Mutex
-	runErr error // guarded by errMu
 }
 
-// newExecutor builds the LCO network of a state and places it: the policy
+// newExecutor builds the LCO network of a state and places it: the placement
 // runs once, here, and the executor keeps its own copy of the result.
-func newExecutor(st *state, policy dist.Policy, localities int) *executor {
+func newExecutor(st *state, localities int) *executor {
 	g := st.p.Graph
-	homes, remoteBytes, remoteEdges := st.p.place(policy, localities)
+	homes, remoteBytes, remoteEdges := st.p.place(localities)
 	ex := &executor{
 		st:          st,
 		g:           g,
@@ -265,7 +241,7 @@ func newExecutor(st *state, policy dist.Policy, localities int) *executor {
 }
 
 // arm readies the network for a run: every countdown at its node's input
-// count, every batch counter at its source count, no error on record.
+// count, every batch counter at its source count.
 func (ex *executor) arm() {
 	for i := range ex.remaining {
 		ex.remaining[i].Store(ex.g.Nodes[i].In)
@@ -273,28 +249,6 @@ func (ex *executor) arm() {
 	for i := range ex.batchPending {
 		ex.batchPending[i].Store(int32(len(ex.st.p.batches.M2L[i].Srcs)))
 	}
-	ex.errMu.Lock()
-	ex.runErr = nil
-	ex.errMu.Unlock()
-}
-
-// fail records the run's first fatal error and makes rt.Run return.
-func (ex *executor) fail(err error) {
-	ex.errMu.Lock()
-	if ex.runErr == nil {
-		ex.runErr = err
-	}
-	ex.errMu.Unlock()
-	if ex.fab != nil {
-		ex.fab.release()
-	}
-	ex.rt.Abort()
-}
-
-func (ex *executor) err() error {
-	ex.errMu.Lock()
-	defer ex.errMu.Unlock()
-	return ex.runErr
 }
 
 // seedRoots spawns what waits for nothing, on the nodes this runtime hosts:

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/dag"
-	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/points"
@@ -131,17 +130,6 @@ func TestContextsOfDifferentShapesRunConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-func TestParallelAllPolicies(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 2000)
-	for _, pol := range []dist.Policy{dist.Block{}, dist.Cyclic{}, dist.MinComm{}} {
-		got, _, err := plan.Evaluate(q, ExecOptions{Localities: 3, Workers: 2, Policy: pol})
-		if err != nil {
-			t.Fatalf("%s: %v", pol.Name(), err)
-		}
-		assertSame(t, got, want, 1e-9)
-	}
-}
-
 func TestParallelAllMethods(t *testing.T) {
 	for _, m := range []dag.Method{dag.Advanced, dag.Basic, dag.BarnesHut} {
 		plan, q, want := testPlan(t, m, 1500)
@@ -153,23 +141,20 @@ func TestParallelAllMethods(t *testing.T) {
 	}
 }
 
+// Coalescing: one parcel per fired node and destination, so parcels sent
+// are never more than the remote edges of the placement.
 func TestMinCommReducesTraffic(t *testing.T) {
 	plan, q, _ := testPlan(t, dag.Advanced, 4000)
-	_, repCyc, err := plan.Evaluate(q, ExecOptions{Localities: 4, Policy: dist.Cyclic{}})
+	_, rep, err := plan.Evaluate(q, ExecOptions{Localities: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repMin, err := plan.Evaluate(q, ExecOptions{Localities: 4, Policy: dist.MinComm{}})
-	if err != nil {
-		t.Fatal(err)
+	if rep.RemoteEdges == 0 {
+		t.Fatal("fixture: no remote edges on four localities")
 	}
-	if repMin.RemoteBytes >= repCyc.RemoteBytes {
-		t.Errorf("mincomm bytes %d not below cyclic %d", repMin.RemoteBytes, repCyc.RemoteBytes)
-	}
-	// Coalescing: parcels sent must be no more than remote edges.
-	if repMin.Runtime.ParcelsSent > repMin.RemoteEdges {
+	if rep.Runtime.ParcelsSent > rep.RemoteEdges {
 		t.Errorf("parcels %d exceed remote edges %d: coalescing broken",
-			repMin.Runtime.ParcelsSent, repMin.RemoteEdges)
+			rep.Runtime.ParcelsSent, rep.RemoteEdges)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/dag"
-	"repro/internal/dist"
 	"repro/internal/kernel"
 	"repro/internal/points"
 	"repro/internal/trace"
@@ -147,7 +146,7 @@ func TestDistRunSendsNoNearFieldParcels(t *testing.T) {
 	const world = 2
 	dw := newDistWorld(t, world, 4000)
 	plan := dw.plans[0]
-	homes, _, _ := plan.place(dist.MinComm{}, world)
+	homes, _, _ := plan.place(world)
 	parcels, nearOnly := 0, 0
 	for i := range plan.Graph.Nodes {
 		n := &plan.Graph.Nodes[i]
@@ -196,7 +195,7 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 		const world = 4
 		dw := newDistWorld(t, world, 3000)
 		plan := dw.plans[0]
-		homes, _, _ := plan.place(dist.MinComm{}, world)
+		homes, _, _ := plan.place(world)
 		var farIn int64
 		for i := range plan.Graph.Nodes {
 			for _, e := range plan.Graph.Nodes[i].Out {
@@ -242,7 +241,7 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 		if s2t := plan.Graph.EdgeCount[dag.OpS2T]; s2t == 0 || s2t != plan.Graph.NumEdges() {
 			t.Fatalf("fixture: %d of %d edges are S->T", s2t, plan.Graph.NumEdges())
 		}
-		homes, _, _ := plan.place(dist.MinComm{}, world)
+		homes, _, _ := plan.place(world)
 		var lost int64
 		for _, pb := range plan.batches.P2P {
 			if homes[pb.Target] == victim {
@@ -291,7 +290,7 @@ func TestFabricNearTaskContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := newExecutor(st, dist.MinComm{}, 2)
+	ex := newExecutor(st, 2)
 	fb := newFabric(ex, cls[0], distOpts(0).withDefaults())
 	st.reset(dw.q)
 

@@ -8,7 +8,7 @@
 // per destination, counts each target down and spawns it at zero. The
 // in-process ParallelEvaluation and the multi-process DistRun (distrib.go)
 // both run it; DistRun adds a fabric — failover-mutable homes, exactly-once
-// edge claims, the charge/verdict gate, the rank-0 gather — that the executor
+// edge claims, the verdict gate, the rank-0 gather — that the executor
 // holds when there is a cluster and does not otherwise.
 //
 // As in the paper, the same Plan can be evaluated many times for different
@@ -42,10 +42,6 @@ type Options struct {
 	Threshold int
 	// Theta is the Barnes–Hut opening angle (default 0.5).
 	Theta float64
-	// TreeWorkers > 1 partitions the ensembles with the paper's parallel
-	// three-step tree construction (coarse sort, concurrent partitioning,
-	// compact stitch) instead of the sequential builder.
-	TreeWorkers int
 }
 
 // Plan is a prepared evaluation: trees, lists, explicit DAG and the
@@ -70,21 +66,21 @@ type Plan struct {
 	// leaf. The serve plan cache reuses them along with the rest of the plan.
 	batches *dag.Batches
 
-	// placeMu serializes placements: a distribution policy writes
-	// Node.Locality on the shared graph, so place copies the result out
-	// under this lock and no executor reads the graph's copy afterwards.
+	// placeMu serializes placements: dist.MinComm writes Node.Locality on
+	// the shared graph, so place copies the result out under this lock and
+	// no executor reads the graph's copy afterwards.
 	placeMu sync.Mutex
 }
 
-// place runs a distribution policy over the plan's graph and returns the
-// node → locality table with the communication volume it implies. Computed
-// once per evaluation context; contexts of different shapes on one plan each
-// hold their own table.
-func (p *Plan) place(policy dist.Policy, localities int) (homes []int32, remoteBytes, remoteEdges int64) {
+// place runs the paper's placement (dist.MinComm) over the plan's graph and
+// returns the node → locality table with the communication volume it
+// implies. Computed once per evaluation context; contexts of different
+// shapes on one plan each hold their own table.
+func (p *Plan) place(localities int) (homes []int32, remoteBytes, remoteEdges int64) {
 	p.placeMu.Lock()
 	defer p.placeMu.Unlock()
 	g := p.Graph
-	policy.Assign(g, localities)
+	dist.MinComm{}.Assign(g, localities)
 	homes = make([]int32, len(g.Nodes))
 	for i := range g.Nodes {
 		homes[i] = g.Nodes[i].Locality
@@ -125,15 +121,7 @@ func NewPlan(sources, targets []geom.Point, k kernel.Kernel, opts Options) (*Pla
 // assemble builds the trees for one threshold and everything of a plan that
 // follows from them except the batch descriptors.
 func assemble(sources, targets []geom.Point, dom geom.Cube, k kernel.Kernel, o Options, threshold int) (*Plan, error) {
-	var src, tgt *tree.Tree
-	if o.TreeWorkers > 1 {
-		src = tree.BuildParallel(sources, dom, threshold, o.TreeWorkers)
-		tgt = tree.BuildParallel(targets, dom, threshold, o.TreeWorkers)
-	} else {
-		src = tree.Build(sources, dom, threshold)
-		tgt = tree.Build(targets, dom, threshold)
-	}
-	return fromTrees(src, tgt, k, o, threshold)
+	return fromTrees(tree.Build(sources, dom, threshold), tree.Build(targets, dom, threshold), k, o, threshold)
 }
 
 // NewPlanFromTrees assembles a plan from already-built source and target

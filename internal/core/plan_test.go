@@ -333,41 +333,3 @@ func TestEvaluateRejectsWrongChargeCount(t *testing.T) {
 		t.Error("wrong charge count accepted")
 	}
 }
-
-func TestParallelTreeConstructionGivesSameAnswers(t *testing.T) {
-	const n = 4000
-	sp := points.Generate(points.Sphere, n, 61)
-	tp := points.Generate(points.Sphere, n, 62)
-	q := points.Charges(n, 63)
-	k := kernel.NewLaplace(6)
-	seqPlan, err := NewPlan(sp, tp, k, Options{Threshold: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parPlan, err := NewPlan(sp, tp, kernel.NewLaplace(6), Options{Threshold: 40, TreeWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqPlan.Graph.Nodes) != len(parPlan.Graph.Nodes) {
-		t.Fatalf("node counts differ: %d vs %d", len(seqPlan.Graph.Nodes), len(parPlan.Graph.Nodes))
-	}
-	a, err := seqPlan.EvaluateSequential(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parPlan.EvaluateSequential(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var den float64
-	for i := range a {
-		if m := math.Abs(a[i]); m > den {
-			den = m
-		}
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i])/den > 1e-9 {
-			t.Fatalf("mismatch at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}

@@ -2,12 +2,11 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dag"
-	"repro/internal/kernel"
 	"repro/internal/points"
 )
 
@@ -53,49 +52,37 @@ func TestParallelEvaluationRuntimeReuse(t *testing.T) {
 	assertSame(t, got, want2, 1e-9)
 }
 
-// A context needs no scrubbing after a failed Run: the stalled run below (the
-// wedged kernel and watchdog of recover_test.go) leaves payloads, countdowns
-// and a runtime with work behind, and the next Run on the same context —
-// which re-arms all of it at entry — answers correctly on a fresh runtime;
-// the one after pools again. (This is what Plan.Reset used to be called
-// for.)
-func TestPlanResetReexecutable(t *testing.T) {
-	const n = 1000
-	k := &wedgedKernel{Kernel: kernel.NewLaplace(6), release: make(chan struct{})}
-	plan, err := NewPlan(points.Generate(points.Cube, n, 1), points.Generate(points.Cube, n, 2),
-		k, Options{Method: dag.Advanced, Threshold: 40})
+// An LCO that can never be satisfied ends an in-process run with Run's
+// "never triggered" error, with no option set: the node's countdown never
+// reaches zero, everything else drains. The context needs no scrubbing
+// afterwards: the next Run re-arms the countdowns and the same runtime
+// (nothing aborted it, so nothing is left pending) and answers as the
+// sequential walk does.
+func TestUnsatisfiableLCOEndsTheRun(t *testing.T) {
+	plan, q, want := testPlan(t, dag.Advanced, 1500)
+	pe, err := plan.NewParallelEvaluation(ExecOptions{Localities: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := points.Charges(n, 3)
-	pe, err := plan.NewParallelEvaluation(ExecOptions{
-		Localities: 2, Workers: 1, Seed: 3, StallWindow: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	g := plan.Graph
+	stuck := slices.IndexFunc(g.Nodes, func(n dag.Node) bool { return n.Kind == dag.NodeL && n.In > 0 })
+	if stuck < 0 {
+		t.Fatal("fixture: no L node with inputs")
 	}
-	// Run cannot return before its wedged worker does; let it go well after
-	// the watchdog has had its window.
-	defer time.AfterFunc(time.Second, func() { close(k.release) }).Stop()
-	if _, _, err := pe.Run(q); err == nil || !strings.Contains(err.Error(), "stalled") {
-		t.Fatalf("wedged run: err = %v, want a stall diagnosis", err)
-	}
-	want, err := plan.EvaluateSequential(q) // the wedge is spent
-	if err != nil {
-		t.Fatal(err)
+	g.Nodes[stuck].In++
+	_, _, err = pe.Run(q)
+	g.Nodes[stuck].In--
+	if err == nil || !strings.Contains(err.Error(), "never triggered") {
+		t.Fatalf("run with an unsatisfiable LCO: err = %v, want a never-triggered error", err)
 	}
 	got, rep, err := pe.Run(q)
 	if err != nil {
 		t.Fatalf("run after the failed one: %v", err)
 	}
 	assertSame(t, got, want, 1e-12)
-	if rep.RuntimeReused {
-		t.Error("the run after a failed one reused its runtime")
+	if !rep.RuntimeReused {
+		t.Error("the run after a failed one rebuilt its runtime")
 	}
-	if got, rep, err = pe.Run(q); err != nil || !rep.RuntimeReused {
-		t.Errorf("pooling did not resume: reused=%v err=%v", rep.RuntimeReused, err)
-	}
-	assertSame(t, got, want, 1e-12)
 }
 
 // A plan must not pin the contexts made from it: every one-shot Evaluate

@@ -16,16 +16,16 @@ import (
 // decides the same thing every time and everywhere, and that it stays out
 // of the way when the threshold is given.
 
-func tunedPlan(t *testing.T, d points.Distribution, n, digits int, method dag.Method, treeWorkers int) *Plan {
+func tunedPlan(t *testing.T, d points.Distribution, n, digits int, method dag.Method) *Plan {
 	t.Helper()
-	return tunedPlanOn(t, kernel.NewLaplace(kernel.OrderForDigits(digits)), d, n, method, treeWorkers)
+	return tunedPlanOn(t, kernel.NewLaplace(kernel.OrderForDigits(digits)), d, n, method)
 }
 
-func tunedPlanOn(t *testing.T, k kernel.Kernel, d points.Distribution, n int, method dag.Method, treeWorkers int) *Plan {
+func tunedPlanOn(t *testing.T, k kernel.Kernel, d points.Distribution, n int, method dag.Method) *Plan {
 	t.Helper()
 	sp := points.Generate(d, n, 1)
 	tp := points.Generate(d, n, 2)
-	plan, err := NewPlan(sp, tp, k, Options{Method: method, TreeWorkers: treeWorkers})
+	plan, err := NewPlan(sp, tp, k, Options{Method: method})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestTunerDecisionTable(t *testing.T) {
 	for _, pair := range kernel.PairPrices(kernel.NewLaplace(0)) {
 		tuned := func(n int) *Plan {
 			k := pricedKernel{kernel.NewLaplace(kernel.OrderForDigits(3)).(builtinKernel), pair}
-			return tunedPlanOn(t, k, points.Cube, n, dag.Advanced, 0)
+			return tunedPlanOn(t, k, points.Cube, n, dag.Advanced)
 		}
 		small := tuned(2000)
 		if l := small.MaxLevel(); l != 1 {
@@ -105,7 +105,7 @@ func TestTunerCheaperPairNeverFiner(t *testing.T) {
 	prev := 0
 	for _, pair := range kernel.PairPrices(yukawa) {
 		k := pricedKernel{kernel.NewYukawa(kernel.OrderForDigits(3), 4.0).(builtinKernel), pair}
-		plan := tunedPlanOn(t, k, points.Sphere, 12000, dag.Basic, 0)
+		plan := tunedPlanOn(t, k, points.Sphere, 12000, dag.Basic)
 		t.Logf("%.1f ns/pair: threshold %d, level %d, %d leaves", pair, plan.Threshold(), plan.MaxLevel(), plan.Leaves())
 		if plan.Threshold() < prev {
 			t.Errorf("%.1f ns/pair chose threshold %d, finer than the dearer pair's %d", pair, plan.Threshold(), prev)
@@ -166,8 +166,8 @@ func TestTunerMoreDigitsNeverFiner(t *testing.T) {
 		d points.Distribution
 		n int
 	}{{points.Cube, 16000}, {points.Sphere, 12000}, {points.Cube, 5000}} {
-		three := tunedPlan(t, c.d, c.n, 3, dag.Advanced, 0)
-		six := tunedPlan(t, c.d, c.n, 6, dag.Advanced, 0)
+		three := tunedPlan(t, c.d, c.n, 3, dag.Advanced)
+		six := tunedPlan(t, c.d, c.n, 6, dag.Advanced)
 		if six.Threshold() < three.Threshold() {
 			t.Errorf("%v N=%d: 6 digits chose threshold %d, finer than 3 digits' %d",
 				c.d, c.n, six.Threshold(), three.Threshold())
@@ -180,7 +180,7 @@ func TestTunerMoreDigitsNeverFiner(t *testing.T) {
 func TestTunerChoosesCheapestUpToTies(t *testing.T) {
 	for _, m := range []dag.Method{dag.Advanced, dag.Basic, dag.BarnesHut} {
 		for _, n := range []int{3000, 9000} {
-			plan := tunedPlan(t, points.Sphere, n, 3, m, 0)
+			plan := tunedPlan(t, points.Sphere, n, 3, m)
 			tn := plan.Tuning()
 			cheapest := tn.Candidates[0].Total()
 			for _, c := range tn.Candidates {
@@ -214,22 +214,22 @@ func TestTunerChoosesCheapestUpToTies(t *testing.T) {
 // root and at least eight near-field tasks.
 func TestTunerNeverRootLeafAboveSmallestCandidate(t *testing.T) {
 	for _, n := range []int{minThreshold + 1, 100, 700, 2000} {
-		plan := tunedPlan(t, points.Cube, n, 3, dag.Advanced, 0)
+		plan := tunedPlan(t, points.Cube, n, 3, dag.Advanced)
 		if plan.MaxLevel() < 1 {
 			t.Errorf("N=%d: root-leaf tree at threshold %d", n, plan.Threshold())
 		}
 	}
-	plan := tunedPlan(t, points.Cube, minThreshold, 3, dag.Advanced, 0)
+	plan := tunedPlan(t, points.Cube, minThreshold, 3, dag.Advanced)
 	if plan.MaxLevel() != 0 || plan.Threshold() != minThreshold {
 		t.Errorf("N=%d: level %d at threshold %d, want the single leaf", minThreshold, plan.MaxLevel(), plan.Threshold())
 	}
 }
 
-// Equal inputs give equal trees: call after call, whatever builds the
-// candidate trees, and on two ranks tuning at once.
+// Equal inputs give equal trees: call after call, and on two ranks tuning at
+// once.
 func TestTunerIsDeterministic(t *testing.T) {
 	const n = 7000 // past the crossover: the ladder prices far-field candidates
-	ref := tunedPlan(t, points.Cube, n, 3, dag.Advanced, 0)
+	ref := tunedPlan(t, points.Cube, n, 3, dag.Advanced)
 	same := func(what string, p *Plan) {
 		t.Helper()
 		if p.Threshold() != ref.Threshold() || len(p.Graph.Nodes) != len(ref.Graph.Nodes) ||
@@ -244,9 +244,8 @@ func TestTunerIsDeterministic(t *testing.T) {
 		calls = 5
 	}
 	for i := 1; i < calls; i++ {
-		same(fmt.Sprintf("call %d", i), tunedPlan(t, points.Cube, n, 3, dag.Advanced, 0))
+		same(fmt.Sprintf("call %d", i), tunedPlan(t, points.Cube, n, 3, dag.Advanced))
 	}
-	same("TreeWorkers 4", tunedPlan(t, points.Cube, n, 3, dag.Advanced, 4))
 
 	var ranks [2]*Plan
 	var wg sync.WaitGroup

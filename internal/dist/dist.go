@@ -1,22 +1,17 @@
-// Package dist implements the distribution policies that place the nodes of
-// the implicit (LCO) DAG onto localities (paper, Section IV). The only hard
-// constraint is the paper's: nodes tied to leaf data — the S and T bundles,
-// the multipole expansion of a source leaf and the local expansion of a
-// target leaf — are fixed to the locality that owns the underlying points
-// (the a-priori coarse block distribution of each ensemble). Everything
-// else is policy.
+// Package dist places the nodes of the implicit (LCO) DAG onto localities
+// with the paper's communication-minimizing policy (Section IV), fails a dead
+// locality's nodes over to the survivors, and measures the traffic a
+// placement implies. The only hard constraint is the paper's: nodes tied to
+// leaf data — the S and T bundles, the multipole expansion of a source leaf
+// and the local expansion of a target leaf — are fixed to the locality that
+// owns the underlying points (the a-priori coarse block distribution of each
+// ensemble). Everything else is policy.
 package dist
 
 import (
 	"repro/internal/dag"
 	"repro/internal/tree"
 )
-
-// Policy assigns a locality to every node of the graph.
-type Policy interface {
-	Name() string
-	Assign(g *dag.Graph, localities int)
-}
 
 // owner returns the block-distribution owner of a box: points are split
 // into `localities` equal contiguous ranges in tree (Morton-ish) order, and
@@ -35,62 +30,6 @@ func owner(b *tree.Box, total, localities int) int32 {
 	return int32(o)
 }
 
-// Block places every node at the block-distribution owner of its box. It is
-// the straightforward baseline.
-type Block struct{}
-
-// Name implements Policy.
-func (Block) Name() string { return "block" }
-
-// Assign implements Policy.
-func (Block) Assign(g *dag.Graph, localities int) {
-	ns := len(g.Source.Pts)
-	nt := len(g.Target.Pts)
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		switch n.Kind {
-		case dag.NodeS, dag.NodeM, dag.NodeIs:
-			n.Locality = owner(n.Box, ns, localities)
-		default:
-			n.Locality = owner(n.Box, nt, localities)
-		}
-	}
-}
-
-// Cyclic places non-leaf-pinned nodes round-robin, ignoring locality of
-// reference. It is a deliberately bad policy used by the ablation
-// benchmarks to show how much placement matters.
-type Cyclic struct{}
-
-// Name implements Policy.
-func (Cyclic) Name() string { return "cyclic" }
-
-// Assign implements Policy.
-func (Cyclic) Assign(g *dag.Graph, localities int) {
-	ns := len(g.Source.Pts)
-	nt := len(g.Target.Pts)
-	rr := 0
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		switch {
-		case n.Kind == dag.NodeS || n.Kind == dag.NodeT:
-			// Point bundles stay with their data.
-			if n.Kind == dag.NodeS {
-				n.Locality = owner(n.Box, ns, localities)
-			} else {
-				n.Locality = owner(n.Box, nt, localities)
-			}
-		case n.Kind == dag.NodeM && n.Box.IsLeaf():
-			n.Locality = owner(n.Box, ns, localities)
-		case n.Kind == dag.NodeL && n.Box.IsLeaf():
-			n.Locality = owner(n.Box, nt, localities)
-		default:
-			n.Locality = int32(rr % localities)
-			rr++
-		}
-	}
-}
-
 // MinComm is the paper's merge-and-shift-aware policy: leaf-pinned nodes go
 // to their data owner; source-side M and Is nodes go to the owner of their
 // box; the local expansion of a target box goes to its owner; and the
@@ -102,10 +41,7 @@ func (Cyclic) Assign(g *dag.Graph, localities int) {
 // time to hide communication latency".
 type MinComm struct{}
 
-// Name implements Policy.
-func (MinComm) Name() string { return "mincomm" }
-
-// Assign implements Policy.
+// Assign writes every node's Locality.
 func (MinComm) Assign(g *dag.Graph, localities int) {
 	ns := len(g.Source.Pts)
 	nt := len(g.Target.Pts)
@@ -197,7 +133,7 @@ func Failover(homes []int32, dead int32, survivors []int32) int {
 }
 
 // RemoteBytes sums the bytes of edges that cross localities under the
-// current assignment — the communication volume a policy will incur.
+// current assignment — the communication volume the placement will incur.
 func RemoteBytes(g *dag.Graph) int64 {
 	var total int64
 	for i := range g.Nodes {

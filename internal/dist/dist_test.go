@@ -25,14 +25,12 @@ func distGraph(t testing.TB) *dag.Graph {
 
 func TestAllPoliciesAssignEveryNode(t *testing.T) {
 	g := distGraph(t)
-	for _, pol := range []Policy{Block{}, Cyclic{}, MinComm{}} {
-		for _, L := range []int{1, 3, 8} {
-			pol.Assign(g, L)
-			for i := range g.Nodes {
-				loc := g.Nodes[i].Locality
-				if loc < 0 || loc >= int32(L) {
-					t.Fatalf("%s/L=%d: node %d assigned to %d", pol.Name(), L, i, loc)
-				}
+	for _, L := range []int{1, 3, 8} {
+		MinComm{}.Assign(g, L)
+		for i := range g.Nodes {
+			loc := g.Nodes[i].Locality
+			if loc < 0 || loc >= int32(L) {
+				t.Fatalf("L=%d: node %d assigned to %d", L, i, loc)
 			}
 		}
 	}
@@ -45,43 +43,49 @@ func TestLeafPinningConstraint(t *testing.T) {
 	const L = 4
 	ns := len(g.Source.Pts)
 	nt := len(g.Target.Pts)
-	for _, pol := range []Policy{Block{}, Cyclic{}, MinComm{}} {
-		pol.Assign(g, L)
-		for i := range g.Nodes {
-			n := &g.Nodes[i]
-			var want int32 = -1
-			switch {
-			case n.Kind == dag.NodeS:
-				want = owner(n.Box, ns, L)
-			case n.Kind == dag.NodeT:
-				want = owner(n.Box, nt, L)
-			case n.Kind == dag.NodeM && n.Box.IsLeaf():
-				want = owner(n.Box, ns, L)
-			case n.Kind == dag.NodeL && n.Box.IsLeaf():
-				want = owner(n.Box, nt, L)
-			}
-			if want >= 0 && n.Locality != want {
-				t.Fatalf("%s: %v node of leaf %v at locality %d, pinned owner is %d",
-					pol.Name(), n.Kind, n.Box.Index, n.Locality, want)
-			}
+	MinComm{}.Assign(g, L)
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		var want int32 = -1
+		switch {
+		case n.Kind == dag.NodeS:
+			want = owner(n.Box, ns, L)
+		case n.Kind == dag.NodeT:
+			want = owner(n.Box, nt, L)
+		case n.Kind == dag.NodeM && n.Box.IsLeaf():
+			want = owner(n.Box, ns, L)
+		case n.Kind == dag.NodeL && n.Box.IsLeaf():
+			want = owner(n.Box, nt, L)
+		}
+		if want >= 0 && n.Locality != want {
+			t.Fatalf("%v node of leaf %v at locality %d, pinned owner is %d",
+				n.Kind, n.Box.Index, n.Locality, want)
 		}
 	}
 }
 
+// MinComm moves the heaviest fan-in nodes, the target-side intermediates,
+// off their box owner only where that saves bytes: it never crosses more
+// than placing every node at the block owner of its box.
 func TestPolicyTrafficOrdering(t *testing.T) {
 	g := distGraph(t)
 	const L = 8
-	bytes := map[string]int64{}
-	for _, pol := range []Policy{Block{}, Cyclic{}, MinComm{}} {
-		pol.Assign(g, L)
-		bytes[pol.Name()] = RemoteBytes(g)
-		t.Logf("%s: %d remote bytes on %d localities", pol.Name(), bytes[pol.Name()], L)
+	ns, nt := len(g.Source.Pts), len(g.Target.Pts)
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		switch n.Kind {
+		case dag.NodeS, dag.NodeM, dag.NodeIs:
+			n.Locality = owner(n.Box, ns, L)
+		default:
+			n.Locality = owner(n.Box, nt, L)
+		}
 	}
-	if bytes["mincomm"] > bytes["block"] {
-		t.Errorf("mincomm (%d) worse than block (%d)", bytes["mincomm"], bytes["block"])
-	}
-	if bytes["block"] >= bytes["cyclic"] {
-		t.Errorf("block (%d) not below cyclic (%d)", bytes["block"], bytes["cyclic"])
+	block := RemoteBytes(g)
+	MinComm{}.Assign(g, L)
+	mincomm := RemoteBytes(g)
+	t.Logf("%d localities: %d remote bytes at the box owners, %d under mincomm", L, block, mincomm)
+	if mincomm > block {
+		t.Errorf("mincomm (%d) worse than the box owners (%d)", mincomm, block)
 	}
 }
 

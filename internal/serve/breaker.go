@@ -85,6 +85,14 @@ func (b *breaker) failure() {
 	}
 }
 
+// skip records an attempt that never reached the fabric: no verdict, but a
+// half-open probe's slot goes to the next request.
+func (b *breaker) skip() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // forceOpen pins the breaker open until Reset.
 func (b *breaker) forceOpen() {
 	b.mu.Lock()

@@ -72,9 +72,6 @@ type PoolConfig struct {
 	// BreakerCooldown is how long breakerThreshold consecutive distributed
 	// failures open the breaker for (default 5s).
 	BreakerCooldown time.Duration
-	// WorkerCommand overrides the worker argv (tests). Default: this
-	// executable, relying on MaybeWorker to divert it.
-	WorkerCommand []string
 }
 
 func (c PoolConfig) withDefaults() (PoolConfig, error) {
@@ -108,13 +105,6 @@ func (c PoolConfig) withDefaults() (PoolConfig, error) {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 2 * time.Second
 	}
-	if len(c.WorkerCommand) == 0 {
-		self, err := os.Executable()
-		if err != nil {
-			return c, fmt.Errorf("serve: cannot locate own executable for worker re-exec: %w", err)
-		}
-		c.WorkerCommand = []string{self}
-	}
 	return c, nil
 }
 
@@ -126,15 +116,24 @@ const restartWindow, breakerThreshold = time.Minute, 3
 // the caller falls back to the in-process path.
 var ErrDegraded = errors.New("serve: distributed fabric degraded")
 
-// NewPool boots the cluster: bind rank 0, fork the workers, run the join
-// barrier, start the supervisor. On any bootstrap error the forked workers
-// are killed before returning.
+// errNotStarted marks a request whose context ended before its job could
+// start (on arrival, or queued behind another job): the fabric was never
+// tried, so it is no fabric failure.
+var errNotStarted = errors.New("serve: request ended before its distributed job started")
+
+// NewPool boots the cluster: bind rank 0, fork the workers (this executable,
+// which MaybeWorker diverts), run the join barrier, start the supervisor. On
+// any bootstrap error the forked workers are killed before returning.
 //
 //dashmm:detached supervise exits when Pool.Close closes its subscription; p.wg.Wait joins
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	self, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("serve: cannot locate own executable for worker re-exec: %w", err)
 	}
 	if cfg.Addr == "" {
 		cfg.Addr, err = poolAddr(cfg.Network)
@@ -162,7 +161,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		events:  cl.Subscribe(),
 		breaker: newBreaker(cfg.BreakerCooldown),
 		ranks:   make([]*rankState, world),
-		cmd:     cfg.WorkerCommand,
+		cmd:     []string{self},
 		quit:    make(chan struct{}),
 	}
 	for r := 1; r < world; r++ {
@@ -213,7 +212,9 @@ func poolAddr(network string) (string, error) {
 // job, run rank 0's side of DistRun against the cached plan, retry once on
 // the surviving ranks if a worker died mid-run, and feed the breaker.
 // Returns ErrDegraded (possibly wrapped) when the caller should fall back
-// to in-process evaluation.
+// to in-process evaluation. A request whose context ends before its job
+// starts gets an error that is not ErrDegraded, and leaves the breaker and
+// the failure count where they were.
 func (p *Pool) Evaluate(ctx context.Context, req *Request, entry *planEntry, charges []float64) ([]float64, core.ExecReport, error) {
 	select {
 	case <-p.quit:
@@ -229,6 +230,10 @@ func (p *Pool) Evaluate(ctx context.Context, req *Request, entry *planEntry, cha
 		return nil, core.ExecReport{}, fmt.Errorf("%w: no live workers", ErrDegraded)
 	}
 	pots, rep, err := p.runJob(ctx, req, entry, charges)
+	if errors.Is(err, errNotStarted) {
+		p.breaker.skip()
+		return nil, core.ExecReport{}, err
+	}
 	if err != nil && ctx.Err() == nil && p.cl.LiveWorkers() > 0 {
 		// A worker died mid-run (or the run otherwise broke) and time
 		// remains: one retry on whatever ranks survive. The fresh job
@@ -249,18 +254,21 @@ func (p *Pool) Evaluate(ctx context.Context, req *Request, entry *planEntry, cha
 
 // runJob starts one job — the cluster makes it wait for the one before it:
 // a standing cluster runs one collective job at a time — and runs rank 0's
-// side of it.
+// side of it. A job that ctx ends first never starts (errNotStarted).
 func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charges []float64) ([]float64, core.ExecReport, error) {
 	budget := 2 * time.Minute // the workers' backstop when the caller set no deadline
 	if d, ok := ctx.Deadline(); ok {
 		budget = time.Until(d)
 		if budget <= 0 {
-			return nil, core.ExecReport{}, context.DeadlineExceeded
+			return nil, core.ExecReport{}, fmt.Errorf("%w: %w", errNotStarted, context.DeadlineExceeded)
 		}
 	}
 	spec := jobSpecFrom(req, entry.plan.Threshold())
 	spec.TimeoutMS = budget.Milliseconds()
-	job := p.cl.StartJob(spec.encode())
+	job, err := p.cl.StartJob(ctx, spec.encode())
+	if err != nil {
+		return nil, core.ExecReport{}, fmt.Errorf("%w: %w", errNotStarted, err)
+	}
 	defer job.End()
 	return core.DistRun(ctx, entry.plan, p.cl, charges, core.DistOptions{
 		Workers: p.cfg.RankThreads,

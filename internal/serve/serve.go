@@ -418,6 +418,11 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 			r.Distributed = true
 			return &Response{Potentials: pots, Report: r}, 0, nil
 		}
+		if errors.Is(derr, errNotStarted) {
+			// The deadline ended before the job could start: the fabric was
+			// never tried, so nothing degraded.
+			return nil, http.StatusServiceUnavailable, &errorBody{Error: derr.Error()}
+		}
 		s.metrics.DistFailed.Add(1)
 		if reqCtx.Err() != nil {
 			return nil, http.StatusServiceUnavailable, &errorBody{
@@ -454,7 +459,7 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 	}
 	if err != nil {
 		// The cached context stays usable: its next Run re-arms everything
-		// this one left behind, on a fresh runtime.
+		// this one left behind, runtime included.
 		return nil, http.StatusInternalServerError,
 			&errorBody{Error: "evaluation failed: " + err.Error(), Degraded: degraded}
 	}

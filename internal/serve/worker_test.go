@@ -12,11 +12,12 @@ import (
 	"time"
 
 	"repro/internal/amt"
+	"repro/internal/core"
 )
 
-// TestMain diverts worker re-execs: the pool's default WorkerCommand is
-// this test binary, so a forked rank must run the worker loop instead of
-// the test suite.
+// TestMain diverts worker re-execs: the pool forks its own executable, here
+// this test binary, so a forked rank must run the worker loop instead of the
+// test suite.
 func TestMain(m *testing.M) {
 	if MaybeWorker() {
 		return // unreachable: MaybeWorker exits the process
@@ -77,7 +78,7 @@ func TestWorkerExitsOnCoordinatorLossMidRun(t *testing.T) {
 	// DistRun, fires what its charges allow and then waits for rank 0...
 	spec := &jobSpec{Distribution: "cube", N: 400, Seed: 1, Kernel: "laplace",
 		Digits: 3, TimeoutMS: 60_000}
-	coord.StartJob(spec.encode())
+	coord.StartJob(context.Background(), spec.encode())
 
 	// ...give it a moment to get there, then the coordinator dies.
 	time.Sleep(300 * time.Millisecond)
@@ -161,6 +162,42 @@ func TestSupervisorRestartBudgetAbandonsCrashLoop(t *testing.T) {
 	_, _, err := p.Evaluate(ctx, req, nil, nil)
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Evaluate after abandon: %v, want ErrDegraded", err)
+	}
+}
+
+// A request whose context ends before its job starts is no fabric failure:
+// neither one whose deadline had passed on arrival nor one that queued behind
+// another job past it. Three of the first kind used to open the breaker and
+// send healthy distributed traffic in-process for the cooldown.
+func TestExpiredRequestsLeaveTheBreakerClosed(t *testing.T) {
+	p := fastPool(t, 1, nil)
+	req := &Request{N: 5000, Threshold: paperThr}
+	if err := req.normalize(Config{}.withDefaults()); err != nil {
+		t.Fatal(err)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for i := 0; i < breakerThreshold; i++ {
+		if _, _, err := p.Evaluate(expired, req, nil, nil); err == nil || errors.Is(err, ErrDegraded) {
+			t.Fatalf("expired request %d: %v, want a not-started error, not ErrDegraded", i, err)
+		}
+	}
+	// The second kind: the cluster is busy with a job that outlives the
+	// request's deadline (its empty payload is no job spec: the worker logs
+	// that and waits for the next one).
+	held, err := p.cl.StartJob(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, cancel2 := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel2()
+	entry := &planEntry{plan: &core.Plan{}}
+	if _, _, err := p.Evaluate(queued, req, entry, nil); !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrDegraded) {
+		t.Fatalf("request queued past its deadline: %v, want context.DeadlineExceeded, not ErrDegraded", err)
+	}
+	held.End()
+	if s := p.Snapshot(); s.Breaker != "closed" || s.Failed != 0 {
+		t.Errorf("breaker %s, failed %d after four requests that never started; want closed and 0", s.Breaker, s.Failed)
 	}
 }
 

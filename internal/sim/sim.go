@@ -120,7 +120,7 @@ func (h *eventHeap) Pop() interface{} {
 }
 
 // Run simulates one evaluation of the graph. Node localities must have been
-// assigned (dist.Policy.Assign) before calling.
+// assigned (dist.MinComm.Assign) before calling.
 func Run(g *dag.Graph, cfg Config) Result {
 	if cfg.Localities <= 0 {
 		cfg.Localities = 1

@@ -2,7 +2,6 @@ package tree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -342,97 +341,5 @@ func TestMortonKeysUnique(t *testing.T) {
 			t.Fatalf("duplicate key for %v", b.Index)
 		}
 		seen[k] = true
-	}
-}
-
-func TestBuildParallelMatchesSequential(t *testing.T) {
-	for _, dist := range []points.Distribution{points.Cube, points.Sphere, points.Plummer} {
-		pts := points.Generate(dist, 20000, 44)
-		dom := geom.BoundingCube(pts)
-		seq := Build(pts, dom, 50)
-		par := BuildParallel(pts, dom, 50, 4)
-		if len(seq.Boxes) != len(par.Boxes) || len(seq.Leaves) != len(par.Leaves) {
-			t.Fatalf("%v: box/leaf counts differ: %d/%d vs %d/%d",
-				dist, len(seq.Boxes), len(seq.Leaves), len(par.Boxes), len(par.Leaves))
-		}
-		// Same boxes with the same point ranges.
-		for _, b := range seq.Boxes {
-			pb := par.Lookup(b.Index)
-			if pb == nil {
-				t.Fatalf("%v: box %v missing from parallel tree", dist, b.Index)
-			}
-			if pb.Lo != b.Lo || pb.Hi != b.Hi {
-				t.Fatalf("%v: box %v range [%d,%d) vs [%d,%d)",
-					dist, b.Index, pb.Lo, pb.Hi, b.Lo, b.Hi)
-			}
-		}
-		// The reordered point multisets agree per leaf (order within a leaf
-		// may differ).
-		for _, l := range seq.Leaves {
-			pl := par.Lookup(l.Index)
-			a := append([]geom.Point(nil), seq.Points(l)...)
-			bb := append([]geom.Point(nil), par.Points(pl)...)
-			sortPoints(a)
-			sortPoints(bb)
-			for i := range a {
-				if a[i] != bb[i] {
-					t.Fatalf("%v: leaf %v points differ", dist, l.Index)
-				}
-			}
-		}
-		// Perm is still a valid permutation mapping.
-		for i, orig := range par.Perm {
-			if par.Pts[i] != pts[orig] {
-				t.Fatalf("%v: Perm broken at %d", dist, i)
-			}
-		}
-	}
-}
-
-func TestBuildParallelSmallFallsBack(t *testing.T) {
-	pts := points.Generate(points.Cube, 100, 1)
-	dom := geom.BoundingCube(pts)
-	tr := BuildParallel(pts, dom, 60, 8)
-	if tr == nil || len(tr.Leaves) == 0 {
-		t.Fatal("fallback build failed")
-	}
-}
-
-func sortPoints(ps []geom.Point) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].X != ps[j].X {
-			return ps[i].X < ps[j].X
-		}
-		if ps[i].Y != ps[j].Y {
-			return ps[i].Y < ps[j].Y
-		}
-		return ps[i].Z < ps[j].Z
-	})
-}
-
-func TestBuildParallelCollapsesSparseShallowBoxes(t *testing.T) {
-	// Cluster nearly all points in one octant so some level-1 boxes hold
-	// fewer than threshold points: the parallel builder must not split
-	// them where the sequential one would not.
-	rng := rand.New(rand.NewSource(50))
-	pts := make([]geom.Point, 4000)
-	for i := range pts {
-		if i < 3960 {
-			pts[i] = geom.Point{X: rng.Float64() * 0.4, Y: rng.Float64() * 0.4, Z: rng.Float64() * 0.4}
-		} else {
-			pts[i] = geom.Point{X: 0.6 + rng.Float64()*0.4, Y: 0.6 + rng.Float64()*0.4, Z: 0.6 + rng.Float64()*0.4}
-		}
-	}
-	dom := geom.BoundingCube(pts)
-	seq := Build(pts, dom, 60)
-	par := BuildParallel(pts, dom, 60, 4)
-	if len(seq.Boxes) != len(par.Boxes) {
-		t.Fatalf("box counts differ: %d vs %d", len(seq.Boxes), len(par.Boxes))
-	}
-	for _, b := range seq.Boxes {
-		pb := par.Lookup(b.Index)
-		if pb == nil || pb.IsLeaf() != b.IsLeaf() {
-			t.Fatalf("box %v leafness differs", b.Index)
-		}
 	}
 }
