@@ -52,23 +52,19 @@ lint:
 	$(GO) run ./cmd/dashmm-lint ./...
 
 # Compiler-backed //dashmm:noalloc verification: every annotated function
-# must be free of `go build -gcflags=-m` heap escapes (ground truth for the
-# syntactic hotpath-noalloc fast path).
+# must be free of `go build -gcflags=-m` heap escapes.
 escape-gate:
 	$(GO) run ./cmd/dashmm-lint -escape ./...
 
 # Native-fuzz every decode surface for 20s each: the wire frame codec, the
 # control-plane payloads inside it (join preamble, membership), the
 # data-plane payloads inside it (node parcel, result report), the job spec,
-# and the persistent plan-store record; the delivery engine's receiver
-# window against the dedup set it replaced, on arbitrary arrival scripts;
-# and the Cartesian Y_n^m evaluator against its Legendre oracle on
+# and the persistent plan-store record; and the Cartesian Y_n^m evaluator against its Legendre oracle on
 # arbitrary coordinates. The seed corpora
 # live in testdata/fuzz/ and replay under plain `go test` too.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 20s ./internal/amt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeControl$$' -fuzztime 20s ./internal/amt
-	$(GO) test -run '^$$' -fuzz '^FuzzDeliveryWindow$$' -fuzztime 20s ./internal/amt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeParcel$$' -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s ./internal/serve

@@ -434,8 +434,8 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 	ts := rep.Runtime.Transport
 	fmt.Printf("# wire: messages=%d bytes-out=%d bytes-in=%d reconnects=%d handshake-failures=%d\n",
 		ts.WireMessages, ts.BytesOut, ts.BytesIn, ts.Reconnects, ts.HandshakeFailures)
-	fmt.Printf("# delivery: sent=%d acked=%d retried=%d delivered=%d deduped=%d deadline-exceeded=%d dropped=%d duplicated=%d\n",
-		ts.Sent, ts.Acked, ts.Retried, ts.Delivered, ts.Deduped, ts.DeadlineExceeded, ts.Dropped, ts.Duplicated)
+	fmt.Printf("# delivery: sent=%d acked=%d retried=%d delivered=%d deadline-exceeded=%d dropped=%d duplicated=%d\n",
+		ts.Sent, ts.Acked, ts.Retried, ts.Delivered, ts.DeadlineExceeded, ts.Dropped, ts.Duplicated)
 	r := rep.Recovery
 	fmt.Printf("# recovery: ranks-killed=%d subgraph-nodes-reexecuted=%d edges-replayed=%d\n",
 		r.RanksKilled, r.NodesRebuilt, r.EdgesReplayed)

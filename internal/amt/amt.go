@@ -86,21 +86,15 @@ type Worker struct {
 	GlobalID int
 	rng      *rand.Rand
 
-	// normal and high are lock-free Chase–Lev deques (deque.go): LIFO at
-	// the bottom for the owner, FIFO at the top for thieves. high holds
-	// priority tasks, always drained before normal. This is the "binary
-	// choice between low and high priority" extension the paper proposes
-	// in Section VI to cure the critical-path starvation.
-	normal wsDeque
-	high   wsDeque
+	// tasks is a lock-free Chase–Lev deque (deque.go): LIFO at the bottom
+	// for the owner, FIFO at the top for thieves.
+	tasks wsDeque
 	// in receives tasks from goroutines that do not own this worker's
-	// deques (Locality.Spawn, parcels, inbound frames); the owner drains
-	// it ahead of its own deques so injected priority tasks keep beating
-	// queued normal tasks.
+	// deque (Locality.Spawn, parcels, inbound frames); the owner drains it
+	// into its deque before popping.
 	in inbox
-	// spareHigh/spareNormal are the recycled drain buffers of the inbox.
-	spareHigh   []Task
-	spareNormal []Task
+	// spare is the recycled drain buffer of the inbox.
+	spare []Task
 }
 
 // New creates a runtime with the given configuration. Call Run to execute
@@ -123,8 +117,7 @@ func New(cfg Config) *Runtime {
 				GlobalID: gid,
 				rng:      rand.New(rand.NewSource(cfg.Seed + int64(gid)*7919 + 1)),
 			}
-			wk.normal.init()
-			wk.high.init()
+			wk.tasks.init()
 			loc.workers = append(loc.workers, wk)
 			gid++
 		}
@@ -139,42 +132,15 @@ func (rt *Runtime) Locality(l int) *Locality { return rt.locs[l-rt.locs[0].Rank]
 // Rank returns the locality rank the worker belongs to.
 func (w *Worker) Rank() int { return w.loc.Rank }
 
-// pop removes the most recently pushed task (LIFO: cache locality, as in
-// HPX-5's default scheduler), draining the priority lane first. Owner only.
-func (w *Worker) pop() (Task, bool) {
-	if t, ok := w.high.pop(); ok {
-		return t, true
-	}
-	return w.normal.pop()
-}
-
-// steal removes the oldest task (FIFO end), priority lane first. Used by
-// thieves; lock-free.
-func (w *Worker) steal() (Task, bool) {
-	if t, ok := w.high.steal(); ok {
-		return t, true
-	}
-	return w.normal.steal()
-}
-
 // Spawn schedules a task on the worker's own deque. It must only be called
 // from code running on this worker (i.e. inside one of its tasks): the
-// lock-free deques have a single owner. Work arriving from outside any
+// lock-free deque has a single owner. Work arriving from outside any
 // worker goes through Locality.Spawn.
 //
 //dashmm:noalloc
 func (w *Worker) Spawn(t Task) {
 	w.loc.rt.pending.Add(1)
-	w.normal.push(t)
-}
-
-// SpawnHigh schedules a priority task: it runs before any normal task of
-// its worker and is preferred by thieves. Owner-only, like Spawn.
-//
-//dashmm:noalloc
-func (w *Worker) SpawnHigh(t Task) {
-	w.loc.rt.pending.Add(1)
-	w.high.push(t)
+	w.tasks.push(t)
 }
 
 // Spawn schedules a task on the locality, round-robin across its workers'
@@ -182,13 +148,9 @@ func (w *Worker) SpawnHigh(t Task) {
 // (initial tasks, parcel delivery, continuations fired from another
 // locality). A spawn after the runtime has shut down is counted rather than
 // silently lost.
-func (l *Locality) Spawn(t Task) { l.spawn(t, false) }
-
-// SpawnHigh is the priority variant of Spawn.
-func (l *Locality) SpawnHigh(t Task) { l.spawn(t, true) }
-
+//
 //dashmm:noalloc
-func (l *Locality) spawn(t Task, high bool) {
+func (l *Locality) Spawn(t Task) {
 	rt := l.rt
 	if rt.shuttingDown.Load() {
 		rt.lateSpawns.Add(1)
@@ -196,7 +158,7 @@ func (l *Locality) spawn(t Task, high bool) {
 	}
 	rt.pending.Add(1)
 	i := int(l.spawnRR.Add(1)-1) % len(l.workers)
-	l.workers[i].in.add(t, high)
+	l.workers[i].in.add(t)
 }
 
 // SendParcel sends an active-message parcel of the given payload size to
@@ -338,7 +300,7 @@ func (rt *Runtime) sweepLeftovers() {
 			for _, w := range loc.workers {
 				w.in.drain(w)
 				for {
-					t, ok := w.pop()
+					t, ok := w.tasks.pop()
 					if !ok {
 						break
 					}
@@ -353,16 +315,15 @@ func (rt *Runtime) sweepLeftovers() {
 	}
 }
 
-// run is the worker scheduling loop: inbox drained into the own deques
-// (so injected priority work keeps its precedence), own deques (LIFO),
-// then random victims within the locality (the paper's "local randomized
-// workstealing"), then a brief backoff.
+// run is the worker scheduling loop: inbox drained into the own deque, own
+// deque (LIFO), then random victims within the locality (the paper's "local
+// randomized workstealing"), then a brief backoff.
 func (w *Worker) run(stop <-chan struct{}) {
 	rt := w.loc.rt
 	backoff := time.Microsecond
 	for {
 		w.in.drain(w)
-		if t, ok := w.pop(); ok {
+		if t, ok := w.tasks.pop(); ok {
 			w.execute(t)
 			backoff = time.Microsecond
 			continue
@@ -381,7 +342,7 @@ func (w *Worker) run(stop <-chan struct{}) {
 			// is not silently lost.
 			w.in.drain(w)
 			for {
-				t, ok := w.pop()
+				t, ok := w.tasks.pop()
 				if !ok {
 					return
 				}
@@ -405,9 +366,8 @@ func (w *Worker) execute(t Task) {
 }
 
 // trySteal attempts to steal from a random co-located victim: every
-// victim's deques first (priority lane before normal, per victim), then —
-// only if all deques are dry — one task from a victim inbox, so a backlog
-// behind a busy owner cannot strand the locality.
+// victim's deque first, then — only if all deques are dry — one task from a
+// victim inbox, so a backlog behind a busy owner cannot strand the locality.
 func (w *Worker) trySteal() (Task, bool) {
 	ws := w.loc.workers
 	if len(ws) == 1 {
@@ -419,7 +379,7 @@ func (w *Worker) trySteal() (Task, bool) {
 		if v == w {
 			continue
 		}
-		if t, ok := v.steal(); ok {
+		if t, ok := v.tasks.steal(); ok {
 			return t, true
 		}
 	}
@@ -452,9 +412,9 @@ type Stats struct {
 func (s Stats) String() string {
 	out := fmt.Sprintf("tasks=%d parcels=%d parcelBytes=%d steals=%d failedSteals=%d",
 		s.TasksRun, s.ParcelsSent, s.ParcelBytes, s.Steals, s.FailedSteals)
-	if t := s.Transport; t.Sent+t.Retried+t.Dropped+t.Duplicated+t.Deduped+t.DeadlineExceeded > 0 {
-		out += fmt.Sprintf(" transport[sent=%d retried=%d acked=%d delivered=%d deduped=%d dropped=%d duplicated=%d deadline=%d]",
-			t.Sent, t.Retried, t.Acked, t.Delivered, t.Deduped, t.Dropped, t.Duplicated, t.DeadlineExceeded)
+	if t := s.Transport; t.Sent+t.Retried+t.Dropped+t.Duplicated+t.DeadlineExceeded > 0 {
+		out += fmt.Sprintf(" transport[sent=%d retried=%d acked=%d delivered=%d dropped=%d duplicated=%d deadline=%d]",
+			t.Sent, t.Retried, t.Acked, t.Delivered, t.Dropped, t.Duplicated, t.DeadlineExceeded)
 	}
 	if s.LateSpawns > 0 {
 		out += fmt.Sprintf(" lateSpawns=%d", s.LateSpawns)

@@ -1,7 +1,6 @@
 package amt
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,59 +124,6 @@ func TestDeterministicSeeding(t *testing.T) {
 				t.Fatal("worker RNGs differ for equal seeds")
 			}
 		}
-	}
-}
-
-func TestPriorityTasksRunFirst(t *testing.T) {
-	// One worker; queue low tasks then high tasks before releasing the
-	// worker: the high tasks must all run before any low task.
-	rt := New(Config{Localities: 1, Workers: 1})
-	var order []string
-	var mu sync.Mutex
-	rt.Run(func() {
-		loc := rt.Locality(0)
-		loc.Spawn(func(w *Worker) {
-			for i := 0; i < 5; i++ {
-				w.Spawn(func(w2 *Worker) {
-					mu.Lock()
-					order = append(order, "low")
-					mu.Unlock()
-				})
-			}
-			for i := 0; i < 5; i++ {
-				w.SpawnHigh(func(w2 *Worker) {
-					mu.Lock()
-					order = append(order, "high")
-					mu.Unlock()
-				})
-			}
-		})
-	})
-	if len(order) != 10 {
-		t.Fatalf("ran %d of 10 tasks", len(order))
-	}
-	for i := 0; i < 5; i++ {
-		if order[i] != "high" {
-			t.Fatalf("task %d was %q; priority tasks must run first: %v", i, order[i], order)
-		}
-	}
-}
-
-func TestPriorityTasksStolenFirst(t *testing.T) {
-	rt := New(Config{Localities: 1, Workers: 2})
-	var first atomic.Value
-	rt.Run(func() {
-		loc := rt.Locality(0)
-		loc.Spawn(func(w *Worker) {
-			// Fill this worker's queues; the idle second worker steals and
-			// must grab the high task first.
-			w.Spawn(func(w2 *Worker) { first.CompareAndSwap(nil, "low") })
-			w.SpawnHigh(func(w2 *Worker) { first.CompareAndSwap(nil, "high") })
-			time.Sleep(2 * time.Millisecond) // hold the owner busy
-		})
-	})
-	if v := first.Load(); v != "high" {
-		t.Errorf("first stolen task was %v, want high", v)
 	}
 }
 

@@ -3,7 +3,7 @@
 // FaultyTransport between every rank's delivery engine and its socket, gated
 // at 1e-12 relative against the sequential evaluation. This is the
 // acceptance harness for the whole wire stack — the frame codec, the socket
-// transport, seq/ack/retransmit/dedup — on the path production runs: the DAG
+// transport, seq/ack/retransmit and the applied bits — on the path production runs: the DAG
 // tolerates arbitrary edge reordering (Ltaief & Yokota; Agullo et al.), so
 // at-least-once delivery with exactly-once effect must leave the potentials
 // unchanged under drops, duplication, reordering, and a paused rank.
@@ -182,7 +182,6 @@ func sumTransport(reps []core.ExecReport) amt.TransportStats {
 		s.Acked += ts.Acked
 		s.DeadlineExceeded += ts.DeadlineExceeded
 		s.Delivered += ts.Delivered
-		s.Deduped += ts.Deduped
 		s.Dropped += ts.Dropped
 		s.Duplicated += ts.Duplicated
 	}
@@ -193,7 +192,7 @@ type chaosProfile struct {
 	name  string
 	fault amt.FaultProfile
 	// acceptance marks the gating profile: drop=10%, dup=10%, reorder on,
-	// one paused rank — it must observe at least one retry and one dedup.
+	// one paused rank — it must observe at least one retry and one duplicate.
 	acceptance bool
 }
 
@@ -213,8 +212,8 @@ func chaosProfiles() []chaosProfile {
 
 // chaosDelivery: the retry clock is tuned to the profiles' delay scale —
 // base backoff above one slow-rank round trip would hide spurious retries,
-// but spurious retransmits are harmless (deduped), so a snappy base keeps
-// the harness fast. The cap is a full second so the backoff keeps doubling
+// but spurious retransmits are harmless (the applied bits drop their
+// edges), so a snappy base keeps the harness fast. The cap is a full second so the backoff keeps doubling
 // when an instrumented receiver decodes slower than the sender retransmits.
 func chaosDelivery() amt.DeliveryConfig {
 	return amt.DeliveryConfig{
@@ -259,15 +258,12 @@ func TestChaosProfiles(t *testing.T) {
 					if ts.DeadlineExceeded != 0 {
 						t.Errorf("%d parcels exceeded the delivery deadline", ts.DeadlineExceeded)
 					}
-					if ts.Delivered != ts.Sent {
-						t.Errorf("delivered %d of %d parcels", ts.Delivered, ts.Sent)
+					if ts.Delivered < ts.Sent {
+						t.Errorf("delivered %d copies of %d parcels", ts.Delivered, ts.Sent)
 					}
 					if pf.acceptance {
 						if ts.Retried < 1 {
 							t.Error("acceptance profile observed no retry")
-						}
-						if ts.Deduped < 1 {
-							t.Error("acceptance profile observed no dedup")
 						}
 						if ts.Dropped < 1 || ts.Duplicated < 1 {
 							t.Errorf("wire injected dropped=%d duplicated=%d, want both >= 1",

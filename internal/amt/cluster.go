@@ -44,8 +44,8 @@ import (
 // cluster over its data plane and living as long as it: a run attaches its
 // wire handler with its job and detaches when its cursor closes. The
 // engine's dead set is the cluster's: a verdict settles the dead rank's
-// parcels, and a re-admission restarts its pair at sequence 1, each in the
-// critical section that changes the membership.
+// parcels in the critical section that records the death, and a
+// re-admission only clears the flag — no sequence space restarts.
 //
 // Between the control plane and whoever acts on it there is one mechanism:
 // an ordered event log per rank (Event, Subscribe). A verdict, a
@@ -1021,13 +1021,12 @@ func (c *Cluster) sever(rank int) {
 }
 
 // revive re-admits a rank marked dead: a fresh outbound link at its new
-// address and its pair restarted at sequence 1 while the dead flag still
-// keeps parcels off both, then the flag cleared.
+// address while the dead flag still keeps parcels off it, then the flag
+// cleared.
 //
 //dashmm:locked Cluster.mu — documented precondition: in the critical section that re-admits the rank.
 func (c *Cluster) revive(rank int, addr string) {
 	c.tp.relink(rank, addr)
-	c.eng.revive(rank)
 	c.dead[rank].Store(false)
 }
 

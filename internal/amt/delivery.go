@@ -9,23 +9,26 @@ import (
 
 // Reliable parcel delivery between ranks: one engine per rank, built with
 // its Cluster and living as long as it (Cluster.Send, Cluster.Attach). Per
-// peer, sequence numbers, a receiver window, acks, and retransmission with
-// exponential backoff + jitter under a delivery deadline. The sender retains
-// each payload until it settles, so a retransmission re-emits the identical
-// frame. The wire contract is at-least-once; the window turns it into
-// exactly-once effect. A broken socket, a full queue, an injected fault and a
-// frame beyond the window are all the same thing to this engine: loss.
+// peer, sequence numbers, acks, and retransmission with exponential backoff
+// + jitter under a delivery deadline. The sender retains each payload until
+// it settles, so a retransmission re-emits the identical frame. The contract
+// is at-least-once: every copy from a live rank reaches the attached run's
+// handler and is acked, duplicates included. Exactly-once effect is the
+// run's own business (core's per-edge applied bits), and has to be: a source
+// failed over from a dead rank re-sends, from another rank and under fresh
+// sequence numbers, contributions its corpse may already have delivered. A
+// broken socket, a full queue and an injected fault are all the same thing
+// to this engine: loss.
 //
-// A run attaches its wire handler and detaches when it ends. Sequence spaces
-// are one run long: attaching starts every pair at 1 again, which is sound
-// because the generation fence hands the engine no frame of an earlier run
-// once a later one has attached, and which keeps what a failed run abandoned
-// from leaving a gap below the next run's window. Between runs a late copy is
-// acked — its sender may be waiting for that ack to finish — counted as
-// LateDrops, and dropped. The engine has no membership of its own: it reads
-// the cluster's dead set, and the cluster's verdict settles a dead rank's
-// pair (sever) and its re-admission restarts it (revive), each in the
-// critical section that changes the membership.
+// A sequence number only pairs an ack with the entry it settles, so it
+// counts up for the engine's lifetime: no run, verdict or re-admission
+// restarts it, and an ack of an abandoned parcel cannot settle a later one.
+// A run attaches its wire handler and detaches when it ends. Between runs a
+// late copy is acked — its sender may be waiting for that ack to finish —
+// counted as LateDrops, and dropped. The engine has no membership of its
+// own: it reads the cluster's dead set, and the cluster's verdict settles a
+// dead rank's parcels (sever) in the critical section that records the
+// death.
 
 // DeliveryConfig tunes the reliable-delivery layer. The zero value is a
 // socket mesh's pacing, noted on each field: a faster clock retransmits
@@ -70,12 +73,11 @@ type TransportStats struct {
 	Acked            int64 // parcels settled by an ack
 	DeadlineExceeded int64 // parcels abandoned: delivery deadline or run teardown
 	// Receiver side.
-	Delivered int64 // first copies: the parcel was handed to the wire handler
-	Deduped   int64 // redundant copies suppressed by the window
+	Delivered int64 // copies handed to the wire handler, duplicates included
 	// Crash handling.
 	Severed   int64 // parcels abandoned because an endpoint rank died
 	LateDrops int64 // copies arriving after the run detached
-	// Wire faults (from Transport.Stats), plus frames beyond the window.
+	// Wire faults (from Transport.Stats).
 	Dropped    int64
 	Duplicated int64
 	// Wire volume and connection health (from Transport.Stats): messages and
@@ -87,11 +89,6 @@ type TransportStats struct {
 	HandshakeFailures int64
 	StaleFenced       int64
 }
-
-// windowMax bounds how far past a peer's cumulative watermark the receiver
-// accepts a sequence number. A frame beyond it is loss, which the sender's
-// retransmission repairs once the gap below it has filled.
-const windowMax = 4096
 
 // sendEntry is the sender-side record of one unacked parcel: its frame
 // fields are immutable, the others guarded by delivery.mu.
@@ -108,31 +105,10 @@ type sendEntry struct {
 	settled  bool          // guarded by delivery.mu
 }
 
-// peerState is the sequence space of one pair, both directions.
+// peerState is the sender's side of one pair; the receiver keeps none.
 type peerState struct {
-	next    uint64                // sender: the last sequence number allocated
-	unacked map[uint64]*sendEntry // sender: parcels awaiting their ack
-	floor   uint64                // receiver: every sequence number <= floor was handed over
-	above   map[uint64]bool       // receiver: handed over, in (floor, floor+windowMax]
-}
-
-// admit runs one sequence number through the window and reports whether it
-// is the first copy, to be handed over, and whether it is inside the window
-// at all — one beyond it is loss, no ack. The watermark advances over every
-// sequence number handed over without a gap below it, and never over a gap.
-func (p *peerState) admit(seq uint64) (fresh, inWindow bool) {
-	switch {
-	case seq <= p.floor || p.above[seq]:
-		return false, true
-	case seq > p.floor+windowMax:
-		return false, false
-	}
-	p.above[seq] = true
-	for p.above[p.floor+1] {
-		delete(p.above, p.floor+1)
-		p.floor++
-	}
-	return true, true
+	next    uint64                // the last sequence number allocated
+	unacked map[uint64]*sendEntry // parcels awaiting their ack
 }
 
 // delivery is one rank's parcel delivery engine.
@@ -154,7 +130,7 @@ type delivery struct {
 func newDelivery(rank int, wire Transport, cfg DeliveryConfig, dead []atomic.Bool) *delivery {
 	peers := make([]peerState, len(dead))
 	for i := range peers {
-		peers[i] = peerState{unacked: map[uint64]*sendEntry{}, above: map[uint64]bool{}}
+		peers[i] = peerState{unacked: map[uint64]*sendEntry{}}
 	}
 	return &delivery{
 		rank:  rank,
@@ -168,12 +144,11 @@ func newDelivery(rank int, wire Transport, cfg DeliveryConfig, dead []atomic.Boo
 
 const allPeers = -1 // settle's every pair
 
-// attach abandons whatever a run before it left unacked, starts every pair's
-// sequence space afresh and the run's counters at zero, makes h the handler
-// of the data frames that reach this rank from now on, and returns the run's
-// number for its detach.
+// attach abandons whatever a run before it left unacked, starts the run's
+// counters at zero, makes h the handler of the data frames that reach this
+// rank from now on, and returns the run's number for its detach.
 func (d *delivery) attach(h func(Frame)) uint64 {
-	d.settle(allPeers, true)
+	d.settle(allPeers)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.count, d.wireBase = TransportStats{}, d.wire.Stats()
@@ -192,24 +167,19 @@ func (d *delivery) detach(run uint64) {
 	}
 	d.mu.Unlock()
 	if current {
-		d.settle(allPeers, false)
+		d.settle(allPeers)
 	}
 }
 
 // sever settles every parcel in flight to a rank the cluster has just
 // declared dead, so retry loops aimed at the corpse end at the verdict; the
 // dead set refuses later sends to it and drops its frames.
-func (d *delivery) sever(rank int) { d.settle(rank, false) }
-
-// revive restarts a re-admitted rank's pair while the cluster still lists it
-// dead: its new incarnation numbers from 1, and so does this rank towards it.
-func (d *delivery) revive(rank int) { d.settle(rank, true) }
+func (d *delivery) sever(rank int) { d.settle(rank) }
 
 // settle ends the unacked parcels to peer — their timers stopped, their
-// pending units released, counted as severed, or to allPeers as abandoned at
-// a run's end — and with restart starts those pairs' sequence spaces afresh,
-// in the same critical section.
-func (d *delivery) settle(peer int, restart bool) {
+// pending units released — counted as severed, or to allPeers as abandoned
+// at a run's end.
+func (d *delivery) settle(peer int) {
 	var done []*sendEntry
 	d.mu.Lock()
 	for r := range d.peers {
@@ -222,10 +192,6 @@ func (d *delivery) settle(peer int, restart bool) {
 			done = append(done, e)
 		}
 		clear(p.unacked)
-		if restart {
-			p.next, p.floor = 0, 0
-			clear(p.above)
-		}
 	}
 	if peer == allPeers {
 		d.count.DeadlineExceeded += int64(len(done))
@@ -243,10 +209,10 @@ func (d *delivery) settle(peer int, restart bool) {
 
 // receive is the engine's inbound edge, called under the fence's lock for
 // every frame of the attached run's generation (the last run's between
-// runs): acks settle sender entries, data frames go through the window, the
-// fresh ones to the attached run's handler. It reports whether to ack (the
-// caller does, outside its lock): every copy but one beyond the window, or
-// from a dead rank — a corpse gets no replies — or from no rank at all.
+// runs): acks settle sender entries, every data copy goes to the attached
+// run's handler. It reports whether to ack (the caller does, outside its
+// lock): every data copy from a live rank — a corpse gets no replies — and
+// none from no rank at all.
 func (d *delivery) receive(f Frame) bool {
 	if f.Src < 0 || f.Src >= len(d.peers) || f.Src == d.rank {
 		return false
@@ -259,25 +225,17 @@ func (d *delivery) receive(f Frame) bool {
 		return false
 	}
 	d.mu.Lock()
-	h, fresh, inWindow := d.handler, false, true
+	h := d.handler
 	if h != nil {
-		fresh, inWindow = d.peers[f.Src].admit(f.Seq)
-	}
-	switch {
-	case h == nil:
-		d.count.LateDrops++
-	case fresh:
 		d.count.Delivered++
-	case inWindow:
-		d.count.Deduped++
-	default:
-		d.count.Dropped++ // beyond the window: loss
+	} else {
+		d.count.LateDrops++
 	}
 	d.mu.Unlock()
-	if fresh {
+	if h != nil {
 		h(f)
 	}
-	return inWindow
+	return true
 }
 
 // ack acknowledges f (the fence's, stamp on) in f's generation: this rank
@@ -293,7 +251,7 @@ func (d *delivery) stats() TransportStats {
 	s, b := d.count, d.wireBase
 	d.mu.Unlock()
 	w := d.wire.Stats()
-	s.Dropped += w.Dropped - b.Dropped
+	s.Dropped = w.Dropped - b.Dropped
 	s.Duplicated = w.Duplicated - b.Duplicated
 	s.WireMessages = w.Messages - b.Messages
 	s.BytesOut, s.BytesIn = w.BytesOut-b.BytesOut, w.BytesIn-b.BytesIn
@@ -350,8 +308,8 @@ func (d *delivery) transmit(e *sendEntry) {
 // retry fires when a parcel stayed unacked for one backoff period: give up
 // on a dead peer (the verdict's sever raced this timer) or past the
 // deadline, otherwise re-emit the identical frame. A retransmission the
-// receiver had in fact already processed is harmless — the window
-// suppresses it and re-acks.
+// receiver had in fact already processed is handed over again and re-acked;
+// the run's own filter drops it.
 func (d *delivery) retry(e *sendEntry) {
 	d.mu.Lock()
 	if e.settled {

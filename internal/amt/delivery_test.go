@@ -115,6 +115,15 @@ func sendN(pw *pipeWorld, n int) ([]int64, []TransportStats) {
 	return runs, stats
 }
 
+func assertAtLeastOnce(t *testing.T, runs []int64) {
+	t.Helper()
+	for i, r := range runs {
+		if r < 1 {
+			t.Fatalf("parcel %d was never handled", i)
+		}
+	}
+}
+
 func assertExactlyOnce(t *testing.T, runs []int64) {
 	t.Helper()
 	for i, r := range runs {
@@ -157,13 +166,13 @@ func TestReliableDeliveryUnderDrop(t *testing.T) {
 	pw := newPipeWorld(2, &FaultProfile{Seed: 1, Drop: 0.3},
 		DeliveryConfig{RetryBase: time.Millisecond, RetryMax: 64 * time.Millisecond, Deadline: 20 * time.Second})
 	runs, stats := sendN(pw, n)
-	assertExactlyOnce(t, runs)
+	assertAtLeastOnce(t, runs)
 	snd, rcv := stats[0], stats[1]
 	if snd.Sent != n {
 		t.Errorf("sent = %d, want %d", snd.Sent, n)
 	}
-	if rcv.Delivered != n {
-		t.Errorf("delivered = %d, want %d", rcv.Delivered, n)
+	if rcv.Delivered < n {
+		t.Errorf("delivered = %d, want at least %d", rcv.Delivered, n)
 	}
 	if snd.Dropped == 0 {
 		t.Error("30% drop rate injected no drops")
@@ -179,16 +188,23 @@ func TestReliableDeliveryUnderDrop(t *testing.T) {
 	}
 }
 
-func TestDedupUnderDuplication(t *testing.T) {
+// Over a duplicating wire every copy that arrives is handed over and acked:
+// the engine is at-least-once, and the run's own filter drops the repeats.
+// Every parcel still settles by its first ack; none is abandoned.
+func TestDuplicatesReachTheHandler(t *testing.T) {
 	const n = 200
 	pw := newPipeWorld(2, &FaultProfile{Seed: 2, Duplicate: 0.5}, fastDelivery)
 	runs, stats := sendN(pw, n)
-	assertExactlyOnce(t, runs)
-	if stats[0].Duplicated == 0 {
+	assertAtLeastOnce(t, runs)
+	snd, rcv := stats[0], stats[1]
+	if snd.Duplicated == 0 {
 		t.Error("50% duplication injected no duplicates")
 	}
-	if stats[1].Deduped == 0 {
-		t.Error("duplicated deliveries were not deduplicated")
+	if rcv.Delivered <= n {
+		t.Errorf("delivered %d copies of %d parcels: no duplicate reached the handler", rcv.Delivered, n)
+	}
+	if snd.Acked != n || snd.DeadlineExceeded != 0 {
+		t.Errorf("acked %d, abandoned %d; want all %d acked, none abandoned", snd.Acked, snd.DeadlineExceeded, n)
 	}
 }
 
@@ -198,7 +214,7 @@ func TestReorderAndDelayStillDeliverAll(t *testing.T) {
 		Reorder: true, ReorderJitter: 2 * time.Millisecond,
 	}, fastDelivery)
 	runs, _ := sendN(pw, 100)
-	assertExactlyOnce(t, runs)
+	assertAtLeastOnce(t, runs)
 }
 
 func TestSlowRankDelaysItsParcels(t *testing.T) {
@@ -244,32 +260,22 @@ func TestDeliveryDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestLCOExactlyOnceOverFaultyWire gates the delivery engine's exactly-once
-// effect the way an LCO input counter sees it: over a dropping+duplicating
-// wire the handler must run once per parcel — exactly `inputs` times, the
-// reduction exact — because the window dedups before the handler is ever
-// invoked.
-func TestLCOExactlyOnceOverFaultyWire(t *testing.T) {
+// TestLCOAtLeastOnceOverFaultyWire is the engine's contract as an LCO input
+// counter sees it over a dropping and duplicating wire: every parcel is
+// handed over at least once and every one is acked, none abandoned. Counting
+// a repeat once is the run's filter's job (core's applied bits), not this
+// engine's.
+func TestLCOAtLeastOnceOverFaultyWire(t *testing.T) {
 	const inputs = 64
 	pw := newPipeWorld(2, &FaultProfile{Seed: 6, Drop: 0.2, Duplicate: 0.2},
 		DeliveryConfig{RetryBase: time.Millisecond, RetryMax: 64 * time.Millisecond})
-	var sum, handled atomic.Int64
-	stats := pw.run(func(_ int, f Frame) {
-		handled.Add(1)
-		sum.Add(int64(binary.LittleEndian.Uint32(f.Payload)))
-	}, func(send func(int, []byte)) {
-		for i := 1; i <= inputs; i++ {
-			send(1, binary.LittleEndian.AppendUint32(nil, uint32(i)))
-		}
-	})
-	if handled.Load() != inputs {
-		t.Fatalf("handler invoked %d times for %d parcels", handled.Load(), inputs)
+	runs, stats := sendN(pw, inputs)
+	assertAtLeastOnce(t, runs)
+	if snd := stats[0]; snd.Acked != inputs || snd.DeadlineExceeded != 0 {
+		t.Errorf("acked %d, abandoned %d; want all %d acked, none abandoned", snd.Acked, snd.DeadlineExceeded, inputs)
 	}
-	if sum.Load() != inputs*(inputs+1)/2 {
-		t.Errorf("reduction = %d, want %d", sum.Load(), inputs*(inputs+1)/2)
-	}
-	if stats[0].Retried == 0 || stats[1].Deduped == 0 {
-		t.Errorf("wire was not faulty enough to prove anything: retried=%d deduped=%d", stats[0].Retried, stats[1].Deduped)
+	if stats[0].Retried == 0 || stats[0].Duplicated == 0 {
+		t.Errorf("wire was not faulty enough to prove anything: retried=%d duplicated=%d", stats[0].Retried, stats[0].Duplicated)
 	}
 }
 

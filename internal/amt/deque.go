@@ -121,8 +121,8 @@ func (d *wsDeque) push(t Task) {
 func (d *wsDeque) pop() (Task, bool) {
 	// Empty fast path with no stores: bottom is owner-written and top only
 	// advances, so bottom <= top means empty for good until the next push.
-	// This keeps polling an idle lane (the usual state of the high-priority
-	// deque) down to two plain loads instead of the full racy decrement.
+	// This keeps polling an idle deque down to two plain loads instead of the
+	// full racy decrement.
 	if d.bottom.Load() <= d.top.Load() {
 		return nil, false
 	}
@@ -191,38 +191,33 @@ func (d *wsDeque) capacity() int {
 
 // inbox is the multi-producer side entrance of a worker: Locality.Spawn,
 // parcel delivery and continuations fired from another locality arrive
-// here from goroutines that do not own the worker's deques. The owner
-// drains it into its lock-free deques before popping; idle thieves may take
-// single tasks with a non-blocking TryLock so an inbox backlog behind a busy
-// owner cannot starve the locality.
+// here from goroutines that do not own the worker's deque. The owner drains
+// it into its lock-free deque before popping; idle thieves may take single
+// tasks with a non-blocking TryLock so an inbox backlog behind a busy owner
+// cannot starve the locality.
 //
-// Backing arrays are recycled: the owner swaps in spare buffers on drain
-// and clears task references before reuse, so steady-state submission is
-// allocation-free and nothing is retained after a drain.
+// The backing array is recycled: the owner swaps in its spare buffer on
+// drain and clears task references before reuse, so steady-state submission
+// is allocation-free and nothing is retained after a drain.
 type inbox struct {
-	mu     sync.Mutex
-	n      atomic.Int64 // high + normal length, for lock-free empty checks
-	high   []Task       // guarded by mu
-	normal []Task       // guarded by mu
+	mu    sync.Mutex
+	n     atomic.Int64 // len(tasks), for lock-free empty checks
+	tasks []Task       // guarded by mu
 }
 
 // add enqueues a task.
 //
 //dashmm:noalloc
-func (q *inbox) add(t Task, high bool) {
+func (q *inbox) add(t Task) {
 	q.mu.Lock()
-	if high {
-		q.high = append(q.high, t)
-	} else {
-		q.normal = append(q.normal, t)
-	}
+	q.tasks = append(q.tasks, t)
 	q.n.Add(1)
 	q.mu.Unlock()
 }
 
-// drain moves every queued task into the worker's own deques (high lane
-// first), swapping the inbox buffers with the worker's cleared spares.
-// Returns whether any task was moved.
+// drain moves every queued task into the worker's own deque, swapping the
+// inbox buffer with the worker's cleared spare. Returns whether any task was
+// moved.
 //
 //dashmm:noalloc
 func (q *inbox) drain(w *Worker) bool {
@@ -230,29 +225,21 @@ func (q *inbox) drain(w *Worker) bool {
 		return false
 	}
 	q.mu.Lock()
-	hi, lo := q.high, q.normal
-	q.high, q.normal = w.spareHigh[:0], w.spareNormal[:0]
+	ts := q.tasks
+	q.tasks = w.spare[:0]
 	q.n.Store(0)
 	q.mu.Unlock()
-	for _, t := range hi {
-		w.high.push(t)
+	for _, t := range ts {
+		w.tasks.push(t)
 	}
-	for _, t := range lo {
-		w.normal.push(t)
-	}
-	for i := range hi {
-		hi[i] = nil
-	}
-	for i := range lo {
-		lo[i] = nil
-	}
-	w.spareHigh, w.spareNormal = hi[:0], lo[:0]
-	return len(hi)+len(lo) > 0
+	clear(ts)
+	w.spare = ts[:0]
+	return len(ts) > 0
 }
 
-// steal takes one task (preferring the high lane, from the tail — the
-// inbox carries no ordering promise) without blocking. Used by thieves
-// after every victim deque came up empty.
+// steal takes one task (from the tail — the inbox carries no ordering
+// promise) without blocking. Used by thieves after every victim deque came
+// up empty.
 //
 //dashmm:noalloc
 func (q *inbox) steal() (Task, bool) {
@@ -263,19 +250,13 @@ func (q *inbox) steal() (Task, bool) {
 		return nil, false
 	}
 	defer q.mu.Unlock()
-	if n := len(q.high); n > 0 {
-		t := q.high[n-1]
-		q.high[n-1] = nil
-		q.high = q.high[:n-1]
-		q.n.Add(-1)
-		return t, true
+	n := len(q.tasks)
+	if n == 0 {
+		return nil, false
 	}
-	if n := len(q.normal); n > 0 {
-		t := q.normal[n-1]
-		q.normal[n-1] = nil
-		q.normal = q.normal[:n-1]
-		q.n.Add(-1)
-		return t, true
-	}
-	return nil, false
+	t := q.tasks[n-1]
+	q.tasks[n-1] = nil
+	q.tasks = q.tasks[:n-1]
+	q.n.Add(-1)
+	return t, true
 }

@@ -221,12 +221,11 @@ func TestDequeConcurrentStealsPartition(t *testing.T) {
 // state (the spare double-buffer).
 func TestInboxDrainRecyclesBuffers(t *testing.T) {
 	w := &Worker{}
-	w.normal.init()
-	w.high.init()
+	w.tasks.init()
 	ran := 0
 	for cycle := 0; cycle < 100; cycle++ {
 		for i := 0; i < 16; i++ {
-			w.in.add(func(*Worker) { ran++ }, i%2 == 0)
+			w.in.add(func(*Worker) { ran++ })
 		}
 		if !w.in.drain(w) {
 			t.Fatal("drain moved nothing")
@@ -235,7 +234,7 @@ func TestInboxDrainRecyclesBuffers(t *testing.T) {
 			t.Fatal("inbox count nonzero after drain")
 		}
 		for {
-			task, ok := w.pop()
+			task, ok := w.tasks.pop()
 			if !ok {
 				break
 			}
@@ -245,28 +244,9 @@ func TestInboxDrainRecyclesBuffers(t *testing.T) {
 	if ran != 100*16 {
 		t.Fatalf("ran %d of %d inbox tasks", ran, 100*16)
 	}
-	for _, s := range [][]Task{w.spareHigh[:cap(w.spareHigh)], w.spareNormal[:cap(w.spareNormal)]} {
-		for i, task := range s {
-			if task != nil {
-				t.Fatalf("spare buffer slot %d retains a task reference", i)
-			}
+	for i, task := range w.spare[:cap(w.spare)] {
+		if task != nil {
+			t.Fatalf("spare buffer slot %d retains a task reference", i)
 		}
-	}
-}
-
-// TestInboxStealPrefersHigh checks thieves take priority tasks out of an
-// inbox first.
-func TestInboxStealPrefersHigh(t *testing.T) {
-	var in inbox
-	order := []string{}
-	in.add(func(*Worker) { order = append(order, "low") }, false)
-	in.add(func(*Worker) { order = append(order, "high") }, true)
-	task, ok := in.steal()
-	if !ok {
-		t.Fatal("inbox steal failed")
-	}
-	task(nil)
-	if order[0] != "high" {
-		t.Fatalf("inbox steal took %q first, want high", order[0])
 	}
 }

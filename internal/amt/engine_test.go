@@ -2,7 +2,6 @@ package amt
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,14 +12,15 @@ import (
 // carried, and what a dead rank's incarnation left must not reach its
 // successor.
 
-// load reports the most unacked parcels and the widest window of any pair.
-func (d *delivery) load() (unacked, window int) {
+// load reports the most unacked parcels of any pair.
+func (d *delivery) load() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	unacked := 0
 	for _, p := range d.peers {
-		unacked, window = max(unacked, len(p.unacked)), max(window, len(p.above))
+		unacked = max(unacked, len(p.unacked))
 	}
-	return unacked, window
+	return unacked
 }
 
 // pingPong is one rank's side of a job of a two-rank cluster: one parcel to
@@ -52,15 +52,14 @@ func pingPong(t *testing.T, c *Cluster, job *Job) {
 }
 
 // Back-to-back jobs on a standing two-rank cluster, one parcel each way per
-// job: the engine's unacked entries and windows, the parked frames and the
-// event log stay below constants, however many jobs have run. (The dedup set
-// the window replaced grew by one entry per parcel.)
+// job: the engine's unacked entries, the parked frames and the event log stay
+// below constants, however many jobs have run.
 func TestEngineStateStaysBounded(t *testing.T) {
 	jobs := 10_000
 	if testing.Short() {
 		jobs = 1_000
 	}
-	const maxUnacked, maxWindow, maxParked, maxLog = 1, 1, 1, 8
+	const maxUnacked, maxParked, maxLog = 1, 1, 8
 	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
 	worker := cls[1].Subscribe() // the worker's main loop
 	done := make(chan struct{})
@@ -81,10 +80,10 @@ func TestEngineStateStaysBounded(t *testing.T) {
 	check := func(after int) {
 		t.Helper()
 		for r, c := range cls {
-			unacked, window := c.eng.load()
-			if parked, log := c.tp.parkedLen(), c.logLen(); unacked > maxUnacked || window > maxWindow || parked > maxParked || log > maxLog {
-				t.Fatalf("rank %d after %d jobs: %d unacked, window %d, %d parked, %d events; want <= %d, %d, %d, %d",
-					r, after, unacked, window, parked, log, maxUnacked, maxWindow, maxParked, maxLog)
+			unacked := c.eng.load()
+			if parked, log := c.tp.parkedLen(), c.logLen(); unacked > maxUnacked || parked > maxParked || log > maxLog {
+				t.Fatalf("rank %d after %d jobs: %d unacked, %d parked, %d events; want <= %d, %d, %d",
+					r, after, unacked, parked, log, maxUnacked, maxParked, maxLog)
 			}
 		}
 	}
@@ -107,71 +106,53 @@ func TestEngineStateStaysBounded(t *testing.T) {
 	}
 }
 
-// A re-admitted rank's pair starts over at once, in both directions: the
-// survivor's first parcel to the new incarnation is sequence 1 again, and the
-// new incarnation's sequence 1 is handed over although the survivor had
-// handed over 1..3 from the corpse. A copy from the corpse that arrives
-// while the verdict stands is neither handed over nor acknowledged.
-func TestRevivedPairNumbersFromOne(t *testing.T) {
+// A verdict stops a corpse's copies at the survivor: one that arrives while
+// the verdict stands is neither handed over nor acknowledged. After the
+// re-admission the new incarnation's parcels are handed over and acked both
+// ways although its engine numbers from 1 again and the survivor's numbers
+// on: the receiver keeps no sequence state to trip over.
+func TestCorpseCopiesStopAtTheVerdict(t *testing.T) {
 	pipe := &framePipe{}
 	dead := make([]atomic.Bool, 2)
-	type parcel struct {
-		to  int
-		seq uint64
-	}
-	var mu sync.Mutex
-	var handed []parcel
+	var handed atomic.Int64
 	incarnation := func(rank int) *delivery {
 		d := newDelivery(rank, pipe, fastDelivery, dead)
-		d.attach(func(f Frame) {
-			mu.Lock()
-			handed = append(handed, parcel{rank, f.Seq})
-			mu.Unlock()
-		})
+		d.attach(func(Frame) { handed.Add(1) })
 		return d
 	}
 	pipe.engs = []*delivery{incarnation(0), incarnation(1)}
-	take := func() []parcel { // what was handed over since the last take
-		mu.Lock()
-		defer mu.Unlock()
-		got := handed
-		handed = nil
-		slices.SortFunc(got, func(a, b parcel) int { return a.to - b.to })
-		return got
-	}
-	exchange := func() []parcel { // one parcel each way, both acked
-		take()
+	exchange := func() int64 { // one parcel each way, both acked
+		before := handed.Load()
 		rt := New(Config{})
 		rt.Run(func() {
 			pipe.engs[0].send(rt, 1, 1, 0, []byte("to 1"))
 			pipe.engs[1].send(rt, 0, 1, 0, []byte("to 0"))
 		})
-		return take()
+		return handed.Load() - before
 	}
-	for i := uint64(1); i <= 3; i++ {
-		if got := exchange(); !slices.Equal(got, []parcel{{0, i}, {1, i}}) {
-			t.Fatalf("exchange %d handed over %v", i, got)
+	for i := 1; i <= 3; i++ {
+		if got := exchange(); got != 2 {
+			t.Fatalf("exchange %d handed over %d parcels, want 2", i, got)
 		}
 	}
 
 	dead[1].Store(true) // the verdict: the flag, then the sever
 	pipe.engs[0].sever(1)
-	before := pipe.messages.Load()
+	before, msgs := handed.Load(), pipe.messages.Load()
 	if pipe.engs[0].receive(Frame{Kind: 1, Src: 1, Dst: 0, Seq: 4}) {
 		t.Error("the corpse's copy is to be acknowledged")
 	}
-	if n := len(take()); n != 0 || pipe.messages.Load() != before {
-		t.Fatalf("the corpse's copy was handed over %d times, and %d messages answered it", n, pipe.messages.Load()-before)
+	if n := handed.Load() - before; n != 0 || pipe.messages.Load() != msgs {
+		t.Fatalf("the corpse's copy was handed over %d times, and %d messages answered it", n, pipe.messages.Load()-msgs)
 	}
 
-	pipe.engs[1] = incarnation(1) // the respawn; re-admitted: the restart, then the flag
-	pipe.engs[0].revive(1)
+	pipe.engs[1] = incarnation(1) // the respawn; the re-admission clears the flag
 	dead[1].Store(false)
-	if got := exchange(); !slices.Equal(got, []parcel{{0, 1}, {1, 1}}) {
-		t.Fatalf("the first parcels between the survivor and the new incarnation were handed over as %v, want sequence 1 both ways", got)
+	if got := exchange(); got != 2 {
+		t.Fatalf("the survivor and the new incarnation handed over %d parcels, want one each way", got)
 	}
-	if st := pipe.engs[0].stats(); st.Severed != 0 || st.Deduped != 0 {
-		t.Errorf("survivor: %d parcels severed, %d copies deduplicated; want none", st.Severed, st.Deduped)
+	if st := pipe.engs[0].stats(); st.Severed != 0 || st.Acked != 4 {
+		t.Errorf("survivor: %d parcels severed, %d acked; want none severed and all 4 acked", st.Severed, st.Acked)
 	}
 }
 
@@ -228,9 +209,9 @@ func TestVerdictSettlesParcelsToTheDead(t *testing.T) {
 }
 
 // A respawned incarnation starts clean: after the verdict and the
-// re-admission, its first parcels with the survivor are numbered from 1 and
-// handed over both ways, and a straggler of the old incarnation — stamped
-// with a run it died in — is fenced, not handed over.
+// re-admission, its first parcels with the survivor are handed over both
+// ways, and a straggler of the old incarnation — stamped with a run it died
+// in — is fenced, not handed over.
 func TestRespawnedIncarnationStartsClean(t *testing.T) {
 	dir := t.TempDir()
 	cls := startTestCluster(t, dir, 2, noRetry)
@@ -249,13 +230,6 @@ func TestRespawnedIncarnationStartsClean(t *testing.T) {
 		run1.Close()
 		return got0, got1
 	}
-	seqs := func(fs []Frame) []uint64 {
-		var out []uint64
-		for _, f := range fs {
-			out = append(out, f.Seq)
-		}
-		return out
-	}
 
 	old := startJob(cls[0], nil)
 	exchange(old, await(t, log1, EventJob).Job, "old")
@@ -272,8 +246,8 @@ func TestRespawnedIncarnationStartsClean(t *testing.T) {
 	got0, got1 := exchange(job, await(t, log1, EventJob).Job, "new")
 	cls[0].tp.fence(straggler) // and after
 	for r, got := range [][]Frame{got0, got1} {
-		if !slices.Equal(seqs(got), []uint64{1, 2}) || slices.ContainsFunc(got, func(f Frame) bool { return string(f.Payload) != "new" }) {
-			t.Errorf("rank %d was handed %q with sequence numbers %v, want the new incarnation's two parcels numbered 1 and 2", r, payloads(got), seqs(got))
+		if p := payloads(got); !slices.Equal(p, []string{"new", "new"}) {
+			t.Errorf("rank %d was handed %q, want the new incarnation's two parcels", r, p)
 		}
 	}
 	if st := cls[0].tp.Stats(); st.StaleFenced != 2 {

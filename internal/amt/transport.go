@@ -10,8 +10,8 @@ import (
 // The parcel wire. HPX-5 assumes a reliable network (Photon/MPI underneath);
 // this runtime does not: ranks in separate processes exchange encoded frames
 // over a Transport that may lose, duplicate, delay or reorder them, and the
-// delivery engine (delivery.go) restores at-least-once wire delivery with
-// exactly-once effect at the receiver. Localities sharing one process need
+// delivery engine (delivery.go) restores at-least-once delivery, and the
+// run's per-edge applied bits make the effect exactly-once. Localities sharing one process need
 // no wire at all — a parcel between them is a direct Locality.Spawn.
 // DESIGN.md ("Failure handling") records the deviation from the paper's
 // reliable-network model.

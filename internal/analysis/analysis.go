@@ -154,7 +154,6 @@ func DefaultAnalyzers() []Analyzer {
 		NewLockGuard(),
 		NewAtomicField(),
 		NewDeterminism(),
-		NewNoAlloc(),
 		NewGoroutine(),
 		NewLockOrder(),
 		NewWireProto(),

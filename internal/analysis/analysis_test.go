@@ -88,10 +88,6 @@ func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, "determinism", &Determinism{Packages: []string{"fixture/determinism"}})
 }
 
-func TestNoAllocFixture(t *testing.T) {
-	runFixture(t, "noalloc", NewNoAlloc())
-}
-
 func TestGoroutineFixture(t *testing.T) {
 	runFixture(t, "goroutine", &Goroutine{Packages: []string{"fixture/goroutine"}})
 }
@@ -227,8 +223,8 @@ func TestMalformedSuppressions(t *testing.T) {
 
 // TestDiagnosticOrdering checks the driver sorts by file, line, column.
 func TestDiagnosticOrdering(t *testing.T) {
-	_, pass := loadFixture(t, "noalloc")
-	diags := Run([]*Pass{pass}, []Analyzer{NewNoAlloc()})
+	_, pass := loadFixture(t, "lockorder")
+	diags := Run([]*Pass{pass}, []Analyzer{&LockOrder{Packages: []string{"fixture/lockorder"}}})
 	if len(diags) < 2 {
 		t.Fatalf("fixture produced %d diagnostics, want several", len(diags))
 	}
@@ -240,9 +236,9 @@ func TestDiagnosticOrdering(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry pins the suite: seven checkers with stable names.
+// TestAnalyzerRegistry pins the suite: six checkers with stable names.
 func TestAnalyzerRegistry(t *testing.T) {
-	want := []string{"lockguard", "atomicfield", "determinism", "hotpath-noalloc", "goroutine-hygiene", "lockorder", "wireproto"}
+	want := []string{"lockguard", "atomicfield", "determinism", "goroutine-hygiene", "lockorder", "wireproto"}
 	got := DefaultAnalyzers()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(got), len(want))

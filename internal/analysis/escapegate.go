@@ -15,14 +15,13 @@ import (
 	"strings"
 )
 
-// RunEscapeGate is the compiler-backed replacement for the hotpath-noalloc
-// heuristic: it shells out to `go build -gcflags=-m`, parses the escape
-// diagnostics the gc compiler emits (the build cache replays them on cached
-// builds, so repeated runs stay cheap), and reports every "escapes to heap"
-// or "moved to heap" decision that lands inside a //dashmm:noalloc-annotated
-// function. The syntactic checker stays as the fast in-editor path; this is
-// ground truth — if the compiler proves an allocation, the annotation is
-// violated no matter how idiomatic the code looks.
+// RunEscapeGate verifies //dashmm:noalloc against the compiler: it shells
+// out to `go build -gcflags=-m`, parses the escape diagnostics the gc
+// compiler emits (the build cache replays them on cached builds, so repeated
+// runs stay cheap), and reports every "escapes to heap" or "moved to heap"
+// decision that lands inside a //dashmm:noalloc-annotated function. If the
+// compiler proves an allocation, the annotation is violated no matter how
+// idiomatic the code looks.
 //
 // dir is the module directory to run the go tool in; patterns are package
 // patterns ("./..."). Findings use check name "escape-gate" and respect the

@@ -488,8 +488,10 @@ func (fb *fabric) drainDeferred() {
 	}
 }
 
-// claim is the exactly-once filter of executor.deliver: it takes both
-// endpoint locks of the edge (ordered), so the source payload cannot be
+// claim is the exactly-once filter of executor.deliver and the run's only
+// duplicate filter: the delivery engine hands over every copy it receives,
+// and a failed-over source re-sends under fresh sequence numbers. It takes
+// both endpoint locks of the edge (ordered), so the source payload cannot be
 // rewritten mid-read, and tests the edge's applied bit. True leaves both
 // locks held and the bit set — the caller applies the edge and unlocks;
 // false (already applied) leaves nothing held. Callers hold runMu (shared)
@@ -552,7 +554,8 @@ func (fb *fabric) completeLocal() {
 	fb.cl.Send(fb.ex.rt, 0, wireKindResult, uint32(fb.deaths.Load()), fb.ex.st.encodeResult(ids))
 }
 
-// handleResult installs a worker's completed-targets report (rank 0). The
+// handleResult installs a worker's completed-targets report (rank 0); a
+// repeated copy installs the same values again and covers nothing new. The
 // install writes target potentials, so it excludes a failover reset (runMu)
 // and another report's install (covMu); the completion decision after it
 // needs neither.
@@ -718,11 +721,10 @@ func (fb *fabric) applyDeath(deadRank int) {
 	fb.replayed.Add(replayed)
 	fb.runMu.Unlock()
 
-	// A failover can only shrink a rank's unfinished set to empty outside
-	// runNode when the rank owned nothing new; re-check completion for the
-	// degenerate already-drained case (owned nothing, still owns nothing —
-	// covered elsewhere) and unwedge any frames that waited for this
-	// verdict.
+	// Unwedge the frames that waited for this verdict. Completion needs no
+	// re-check here: a failover that hands this rank nodes raises ownedLeft,
+	// and runNode reports once the last of them fires; one that hands it none
+	// leaves its report as it was.
 	fb.gateGen.Add(1)
 	fb.drainDeferred()
 }

@@ -15,8 +15,9 @@ import (
 // against the sequential evaluation.
 
 // testFault is the acceptance wire profile at unit scale. testDelivery
-// starts the retry clock at the harness's delay scale — spurious retransmits
-// are deduped, so a snappy base only makes the tests fast — but lets the
+// starts the retry clock at the harness's delay scale — a spurious
+// retransmit's edges find their applied bits set, so a snappy base only
+// makes the tests fast — but lets the
 // backoff double up to a second: under -race the receivers decode slower
 // than a 64ms-capped sender retransmits, and a flat cap never relieves them.
 func testFault(rank int) *amt.FaultProfile {
@@ -39,7 +40,8 @@ func sumTransport(reps []ExecReport) amt.TransportStats {
 		ts := rep.Runtime.Transport
 		s.Retried += ts.Retried
 		s.DeadlineExceeded += ts.DeadlineExceeded
-		s.Deduped += ts.Deduped
+		s.Sent += ts.Sent
+		s.Delivered += ts.Delivered
 		s.Dropped += ts.Dropped
 		s.Duplicated += ts.Duplicated
 	}
@@ -48,7 +50,7 @@ func sumTransport(reps []ExecReport) amt.TransportStats {
 
 // TestFaultInjectedEvaluationMatches: a lossy, duplicating, reordering wire
 // must not change the computed potentials — the delivery layer retries lost
-// parcels and dedups duplicated ones before any input is applied.
+// parcels, and the applied bits drop the edges of every repeated copy.
 func TestFaultInjectedEvaluationMatches(t *testing.T) {
 	const world = 4
 	dw := newDistWorld(t, world, 2500)
@@ -62,11 +64,43 @@ func TestFaultInjectedEvaluationMatches(t *testing.T) {
 	if ts.Retried == 0 {
 		t.Error("no retries despite 10% drop")
 	}
-	if ts.Deduped == 0 {
-		t.Error("no dedups despite 10% duplication")
+	if ts.Delivered < ts.Sent {
+		t.Errorf("delivered %d copies of %d parcels", ts.Delivered, ts.Sent)
 	}
 	if ts.DeadlineExceeded != 0 {
 		t.Errorf("%d parcels exceeded the deadline", ts.DeadlineExceeded)
+	}
+}
+
+// TestEveryFrameTwice: a wire that delivers every frame twice, acks
+// included, so every parcel and every result report reaches the fabric at
+// least twice and the applied bits are all that stands between the copies
+// and a double-applied edge — with and without a rank dying midway.
+func TestEveryFrameTwice(t *testing.T) {
+	const world, victim = 2, 1
+	dw := newDistWorld(t, world, 2000)
+	twice := func(rank int, c *amt.ClusterConfig) {
+		c.Fault, c.Delivery = &amt.FaultProfile{Seed: int64(21 + rank), Duplicate: 1}, testDelivery()
+	}
+	for _, death := range []bool{false, true} {
+		cls := distClusters(t, world, twice)
+		pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+			o := distOpts(r)
+			if death && r == victim {
+				o.OnProgress = dieAt(cls[r], 0.5)
+			}
+			return o
+		})
+		var victims []int
+		if death {
+			victims = append(victims, victim)
+		}
+		assertSurvivorsOK(t, errs, victims...)
+		assertSame(t, pots, dw.want, 1e-12)
+		if ts := sumTransport(reps); ts.Duplicated == 0 || (!death && ts.Delivered <= ts.Sent) {
+			t.Errorf("death %v: duplicated %d, delivered %d copies of %d parcels; want every frame twice",
+				death, ts.Duplicated, ts.Delivered, ts.Sent)
+		}
 	}
 }
 

@@ -23,10 +23,6 @@ type ExecOptions struct {
 	Tracer *trace.Tracer
 	// Seed makes the scheduler's steal order reproducible.
 	Seed int64
-	// Priority enables the binary priority hints the paper proposes in
-	// Section VI: tasks of the upward source-tree sweep (S and M nodes) run
-	// before everything else, pulling the critical path forward.
-	Priority bool
 	// Gradient also computes the potential gradient at every target;
 	// retrieve it with EvaluateGrad.
 	Gradient bool
@@ -110,7 +106,7 @@ func (p *Plan) NewParallelEvaluation(opts ExecOptions) (*ParallelEvaluation, err
 		return nil, err
 	}
 	ex := newExecutor(st, opts.Localities)
-	ex.tracer, ex.priority = opts.Tracer, opts.Priority
+	ex.tracer = opts.Tracer
 	return &ParallelEvaluation{plan: p, opts: opts, ex: ex}, nil
 }
 
@@ -185,11 +181,10 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 // two things distribution adds — parcels that cross a process boundary, work
 // that may arrive twice — switched on the fabric it then holds.
 type executor struct {
-	st       *state
-	g        *dag.Graph
-	rt       *amt.Runtime // in-process pooled across Runs (nil before the first), one per run under a fabric
-	tracer   *trace.Tracer
-	priority bool
+	st     *state
+	g      *dag.Graph
+	rt     *amt.Runtime // in-process pooled across Runs (nil before the first), one per run under a fabric
+	tracer *trace.Tracer
 	// fab is the distributed side of a DistRun (distrib.go); nil in-process.
 	fab *fabric
 	// homes is the placement: node → locality in-process, node → rank under
@@ -273,16 +268,6 @@ func (ex *executor) seedRoots() {
 // in-process, those the rank homes under a fabric.
 func (ex *executor) hosts(id int32) bool {
 	return ex.fab == nil || int(ex.homes[id].Load()) == ex.fab.rank
-}
-
-// isHigh reports whether a node's continuation carries the high priority
-// hint: the upward source-tree sweep feeding the critical path.
-func (ex *executor) isHigh(id int32) bool {
-	if !ex.priority {
-		return false
-	}
-	k := ex.g.Nodes[id].Kind
-	return k == dag.NodeS || k == dag.NodeM
 }
 
 // parcelEdges is a pooled remote-edge list: the indexes, within the source
@@ -443,28 +428,19 @@ func (ex *executor) record(w *amt.Worker, op dag.OpKind, start, end int64) {
 }
 
 // fireNode spawns the continuation of a node whose last input just arrived
-// (or that has none: seedRoots), on its home locality — the LCO lives there
-// — with the priority hint of its class: onto the worker's own deque when it
-// is at home, through the locality's inbox otherwise (another locality of
-// this process, or no worker at all). Shared by the per-edge delivery, the
-// near tasks and the batch completion path.
+// (or that has none: seedRoots) on its home locality — the LCO lives there:
+// onto the worker's own deque when it is at home, through the locality's
+// inbox otherwise (another locality of this process, or no worker at all).
+// Shared by the per-edge delivery, the near tasks and the batch completion
+// path.
 //
 //dashmm:noalloc
 func (ex *executor) fireNode(w *amt.Worker, id int32) {
-	task, high := ex.tasks[id], ex.isHigh(id)
-	home := int(ex.homes[id].Load())
-	switch {
-	case w == nil || w.Rank() != home:
+	task, home := ex.tasks[id], int(ex.homes[id].Load())
+	if w == nil || w.Rank() != home {
 		// Under a fabric only nodes this rank homes are ever fired here.
-		loc := ex.rt.Locality(home)
-		if high {
-			loc.SpawnHigh(task)
-		} else {
-			loc.Spawn(task)
-		}
-	case high:
-		w.SpawnHigh(task)
-	default:
-		w.Spawn(task)
+		ex.rt.Locality(home).Spawn(task)
+		return
 	}
+	w.Spawn(task)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"testing"
 
@@ -197,40 +196,5 @@ func TestTraceEventsCoverAllOps(t *testing.T) {
 	}
 	if maxU <= 0 {
 		t.Error("utilization all zero")
-	}
-}
-
-func TestPriorityExecutionMatchesAndBiasesOrder(t *testing.T) {
-	plan, q, want := testPlan(t, dag.Advanced, 3000)
-	// With priority hints the upward sweep (S->M, M->M) must complete
-	// earlier in the run than without them. Earlier is a statement about
-	// order, not about the clock — the rank of the last upward event among
-	// all events sorted by start, the best of three runs per arm — so a
-	// neighbour that stalls one run's workers does not decide the test.
-	lastUp := func(priority bool) float64 {
-		best := 1.0
-		for run := 0; run < 3; run++ {
-			tr := trace.New(2)
-			got, _, err := plan.Evaluate(q, ExecOptions{Workers: 2, Tracer: tr, Priority: priority})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSame(t, got, want, 1e-9)
-			events := tr.Snapshot()
-			sort.Slice(events, func(i, j int) bool { return events[i].Start < events[j].Start })
-			last := 0
-			for i, ev := range events {
-				if ev.Class == uint8(dag.OpS2M) || ev.Class == uint8(dag.OpM2M) {
-					last = i
-				}
-			}
-			best = math.Min(best, float64(last)/float64(len(events)))
-		}
-		return best
-	}
-	withPrio, withoutPrio := lastUp(true), lastUp(false)
-	if withPrio > withoutPrio+0.05 {
-		t.Errorf("priority did not pull the upward sweep forward: last upward event at rank %.2f of the run vs %.2f",
-			withPrio, withoutPrio)
 	}
 }
