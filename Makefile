@@ -11,14 +11,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The portable pair loop, and the tests whose fixtures depend on the pair
-# price, on a box whose CPU binds a vector loop (internal/kernel/p2p.go):
-# the purego tag drops the assembly, so every kernel binds and prices the Go
-# loop. A subset that keeps it to a few minutes: pair loops, tuner, oracle
-# (metamorphic and realness), degenerate-input, batched and accuracy gates,
-# the daemon's admission.
+# The portable pair loop and dense kernel, and the tests whose fixtures
+# depend on their prices, on a box whose CPU binds vector ones
+# (internal/kernel/p2p.go, dense.go): the purego tag drops the assembly, so
+# every kernel binds and prices the Go loops. A subset that keeps it to a
+# few minutes: pair loops, dense kernel, tuner, oracle (metamorphic and
+# realness), degenerate-input, batched and accuracy gates, the daemon's
+# admission.
 purego:
-	$(GO) test -tags purego -run 'Pair|P2P|S2T|Yukawa|Tuner|Oracle|Realness|Degenerate|Batched|Accuracy|RefusesPlan|JobSpec|SmallRequest' \
+	$(GO) test -tags purego -run 'Pair|P2P|S2T|Yukawa|Dense|Tuner|Oracle|Realness|Degenerate|Batched|Accuracy|RefusesPlan|JobSpec|SmallRequest' \
 		./internal/kernel ./internal/core ./internal/serve
 
 # The scheduler, executor, server, distributed driver and tracer are the

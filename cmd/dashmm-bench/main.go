@@ -125,10 +125,10 @@ func main() {
 		os.Exit(runDistWorker(plan, sc, *distRank, *locs, *netMode, *distAddr,
 			fault, *killRank, *killAt))
 	}
-	fmt.Printf("# dashmm-bench: N=%d %s %s %s, threshold %d, %d leaves to level %d, %d DAG nodes, %d edges, pair kernel %s\n",
+	fmt.Printf("# dashmm-bench: N=%d %s %s %s, threshold %d, %d leaves to level %d, %d DAG nodes, %d edges, pair kernel %s, dense kernel %s\n",
 		*n, *distr, plan.Kernel.Name(), plan.Graph.Method, plan.Threshold(),
 		plan.Leaves(), plan.MaxLevel(),
-		len(plan.Graph.Nodes), plan.Graph.NumEdges(), kernel.PairKernel(plan.Kernel))
+		len(plan.Graph.Nodes), plan.Graph.NumEdges(), kernel.PairKernel(plan.Kernel), kernel.DenseKernel(plan.Kernel))
 	printLadder(plan)
 
 	if *real && *netMode != "" {

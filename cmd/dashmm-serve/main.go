@@ -131,8 +131,8 @@ func main() {
 	}()
 
 	laplacePair, yukawaPair := serve.PairKernels()
-	log.Printf("dashmm-serve: listening on %s (queue=%d, concurrent=%d, cache=%d plans, pair kernels laplace %s, yukawa %s)",
-		*addr, *maxQueue, *maxConc, *cacheSize, laplacePair, yukawaPair)
+	log.Printf("dashmm-serve: listening on %s (queue=%d, concurrent=%d, cache=%d plans, pair kernels laplace %s, yukawa %s, dense kernel %s)",
+		*addr, *maxQueue, *maxConc, *cacheSize, laplacePair, yukawaPair, serve.DenseKernel())
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		if pool != nil {
 			pool.Close()

@@ -4,10 +4,11 @@ package kernel
 // kernel's own sizes. This is the one cost table of the repository — the
 // leaf-size tuner (core.NewPlan), the daemon's admission check and the
 // printed ladder of dashmm-bench all read it through sim.KernelModel — and
-// it is a pure function of the kernel, the pair loop it bound included: no
-// clock, no micro-benchmark. When an expansion shrinks (fewer coefficients
-// per M/L, a compacter plane-wave rule) or grows (more digits), MLSize and
-// ISize move and every price, and with it the chosen tree, moves by itself.
+// it is a pure function of the kernel, the pair loop and dense kernel it
+// bound included: no clock, no micro-benchmark. When an expansion shrinks
+// (fewer coefficients per M/L, a compacter plane-wave rule) or grows (more
+// digits), MLSize and ISize move and every price, and with it the chosen
+// tree, moves by itself.
 
 // The machine constants: nanoseconds per elementary step on the reference
 // box (2-vCPU Xeon 2.1 GHz guest, go1.24), measured in situ — per-class busy
@@ -28,18 +29,33 @@ const (
 	// real-by-complex multiply-add. Laplace and Yukawa read the same in situ
 	// (4.5 and 4.6 in the quiet mode), so one constant serves both.
 	nsPointTerm = 5.5
-	// One entry of a real-linear table (dense.go: four real multiply-adds)
-	// streamed once per application (M→M, L→L, unbatched M→L).
-	nsDenseMAC = 2.7
-	// The same inside the blocked multi-RHS M→L, where the table stays in L2
-	// across a block of right-hand sides.
-	nsBatchMAC = 1.4
-	// The same in M→I and I→L, whose 0.84 MB per-direction tables stream
-	// from memory on every application.
-	nsWaveMAC = 2.2
 	// One tabulated I→I shift factor of a kept wave term: load, complex
 	// multiply, accumulate.
 	nsShiftTerm = 3.0
+)
+
+// The dense operators by the dense kernel the process bound (dense.go), per
+// entry of a real-linear table (four real multiply-adds), so the price
+// follows the binding as the pair price does. The portable rows are the
+// in-situ constants of the scalar loops; each vector row is its portable
+// row divided by the speedup its class showed in situ — traced busy seconds
+// of the portable binding over the vector one, four alternating rounds of
+// cube N=16k Laplace/Advanced at threshold 60 and sphere N=100k
+// Yukawa/Basic at threshold 240, the box in its slow mode.
+var (
+	// One entry applied once per application (M→M, L→L, unbatched M→L): the
+	// 97 KB table comes from L2 or beyond; in situ the vector kernels run
+	// M→M and L→L 2.3x (AVX2) and 2.6x (AVX-512) faster than the scalar
+	// loop.
+	nsDenseMAC = [...]float64{denseGo: 2.7, denseAVX2: 1.2, denseAVX512: 1.0}
+	// The same inside the blocked multi-RHS M→L, where the table stays in L2
+	// across a block of right-hand sides and two of them share each table
+	// load: 3.2x and 3.7x in situ.
+	nsBatchMAC = [...]float64{denseGo: 1.4, denseAVX2: 0.44, denseAVX512: 0.38}
+	// The same in M→I and I→L, whose 0.84 MB per-direction tables rarely
+	// stay cached between applications: the vector apply is bound by their
+	// traffic (dense.go), 2.0x and 2.3x in situ against 3–3.6x in cache.
+	nsWaveMAC = [...]float64{denseGo: 2.2, denseAVX2: 1.1, denseAVX512: 0.96}
 )
 
 // pairNanos is the price of one source–target pair of the near field by the
@@ -88,6 +104,10 @@ func Price(k Kernel, level int) OpNanos {
 	if pk, ok := k.(interface{ PairNanos() float64 }); ok {
 		pair = pk.PairNanos()
 	}
+	dense := denseGo
+	if _, ok := k.(*base); ok {
+		dense = bestDense // what DenseKernel reports: a wrapped kernel is priced portable
+	}
 	ml := float64(k.MLSize())
 	wave := float64(k.ISize(level))
 	return OpNanos{
@@ -96,11 +116,11 @@ func Price(k Kernel, level int) OpNanos {
 		S2L: nsPointTerm * ml,
 		M2T: nsPointTerm * ml,
 		L2T: nsPointTerm * ml,
-		M2M: nsDenseMAC * ml * ml,
-		M2L: nsBatchMAC * ml * ml,
-		L2L: nsDenseMAC * ml * ml,
-		M2I: nsWaveMAC * wave * ml,
+		M2M: nsDenseMAC[dense] * ml * ml,
+		M2L: nsBatchMAC[dense] * ml * ml,
+		L2L: nsDenseMAC[dense] * ml * ml,
+		M2I: nsWaveMAC[dense] * wave * ml,
 		I2I: nsShiftTerm * wave,
-		I2L: nsWaveMAC * wave * ml,
+		I2L: nsWaveMAC[dense] * wave * ml,
 	}
 }

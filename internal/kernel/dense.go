@@ -22,15 +22,59 @@ import (
 // coefficients, so OperatorTable, the store codec and the cache keep their
 // types. M->M, M->L and L->L (api.go), the batched M->L (batch.go), M->I and
 // I->L (planewave.go) are all one applyTable on a table from denseTable.
+//
+// Both run on one dense kernel per process (denseLoop), bound by the pair
+// loops' CPU probe: the AVX-512 or AVX2+FMA forms of dense_amd64.s, or the
+// portable loops below, which are also their oracle. With its table in
+// cache the scalar apply is compute-bound at about 3 GFLOP/s: an M->I
+// (477 x 55) takes 68 µs, the AVX2 form 23 µs, the AVX-512 form 19 µs.
+// Streamed from memory (BenchmarkDense cycles through 64 tables) they take
+// 163, 111 and 78 µs, so a plane-wave apply, whose 0.84 MB table rarely
+// survives in cache from one application to the next, is now bound by the
+// table's traffic: batching them by (level, direction) is ROADMAP item 1b.
+// (Medians of five on a 2-vCPU 2.1 GHz Xeon guest in its slow mode.)
+
+// denseLoop names the dense kernel behind applyTable and denseTable: the
+// portable loops here, or the vector forms of dense_amd64.s. Unlike the
+// pair loops it is one binding per process, not per kernel.
+type denseLoop uint8
+
+const (
+	denseGo     denseLoop = iota // portable loops: the fallback and the oracle of the other two
+	denseAVX2                    // dense_amd64.s: four float64 lanes, FMA
+	denseAVX512                  // dense_amd64.s: eight float64 lanes, masked tail
+)
+
+// String is the name DenseKernel reports.
+func (l denseLoop) String() string { return [...]string{"go", "avx2", "avx512"}[l] }
+
+// DenseKernel names the implementation of k's dense far-field operators
+// (M->M, M->L, L->L, M->I, I->L and their table builds): "avx512", "avx2"
+// or "go" (the portable loops; also any kernel that is not built in). It is
+// what the CPU offers, probed once per process; nothing selects it.
+func DenseKernel(k Kernel) string {
+	if _, ok := k.(*base); ok {
+		return bestDense.String()
+	}
+	return denseGo.String()
+}
 
 // applyTable accumulates outs[r] += T ins[r] for one table shared by every
-// right-hand side. Two right-hand sides travel per pass over the table, so a
-// batch streams it once per pair and each row fetched feeds four independent
-// accumulator chains; an odd one out splits its a and b terms into four
-// chains of its own.
+// right-hand side, by the dense kernel this process bound.
 //
 //dashmm:noalloc
 func applyTable(tab []complex128, ins, outs [][]complex128) {
+	applyOn(bestDense, tab, ins, outs)
+}
+
+// applyGo is the portable apply: the binding without the assembly and the
+// oracle of the vector ones. Two right-hand sides travel per pass over the
+// table, so a batch streams it once per pair and each row fetched feeds four
+// independent accumulator chains; an odd one out splits its a and b terms
+// into four chains of its own.
+//
+//dashmm:noalloc
+func applyGo(tab []complex128, ins, outs [][]complex128) {
 	if len(ins) == 0 {
 		return
 	}
@@ -92,18 +136,24 @@ func denseTable(rows, cols int, proj, samp []complex128) []complex128 {
 	for i := 0; i < rows; i++ {
 		pi := proj[i*nq : (i+1)*nq]
 		for j := 0; j < cols; j++ {
-			var ar, ai, br, bi float64
-			for q, s := range samp[j*nq : j*nq+len(pi)] {
-				ar += real(pi[q]) * real(s)
-				ai += imag(pi[q]) * real(s)
-				br += real(pi[q]) * imag(s)
-				bi += imag(pi[q]) * imag(s)
-			}
-			tab[2*i*cols+j] = complex(ar, ai)
-			tab[(2*i+1)*cols+j] = complex(br, bi)
+			tab[2*i*cols+j], tab[(2*i+1)*cols+j] = dotOn(bestDense, pi, samp[j*nq:(j+1)*nq])
 		}
 	}
 	return tab
+}
+
+// dotGo is the portable dot of denseTable, a = Σ p_q Re s_q and
+// b = Σ p_q Im s_q over q < len(p): the binding without the assembly and the
+// oracle of the vector ones.
+func dotGo(p, s []complex128) (a, b complex128) {
+	var ar, ai, br, bi float64
+	for q, sv := range s[:len(p)] {
+		ar += real(p[q]) * real(sv)
+		ai += imag(p[q]) * real(sv)
+		br += real(p[q]) * imag(sv)
+		bi += imag(p[q]) * imag(sv)
+	}
+	return complex(ar, ai), complex(br, bi)
 }
 
 // projector returns the MLSize() x nq rows that project samples on the

@@ -5,10 +5,19 @@ package kernel
 import "repro/internal/geom"
 
 // bestLaplacePair and bestYukawaPair are the fastest pair loops of each
-// kernel this CPU and operating system run, probed once per process.
+// kernel this CPU and operating system run.
 var bestLaplacePair, bestYukawaPair = probePairLoops()
 
-func probePairLoops() (laplace, yukawa pairLoop) {
+// cpuVector is what this CPU and operating system offer the vector loops —
+// the pair loops here and the dense kernel (dense_amd64.go) — probed once
+// per process.
+var cpuVector = probeVector()
+
+type vectorFeatures struct {
+	avx2, fma, avx512 bool // avx2 and avx512 include the OS saving their registers
+}
+
+func probeVector() (f vectorFeatures) {
 	const (
 		fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28 // CPUID.1:ECX
 		avx2, avx512f     = 1 << 5, 1 << 16           // CPUID.7.0:EBX
@@ -17,15 +26,23 @@ func probePairLoops() (laplace, yukawa pairLoop) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, c1, _ := cpuid(1, 0)
 	if maxLeaf < 7 || c1&osxsave == 0 || c1&avx == 0 {
-		return laplaceGo, yukawaGo
+		return f
 	}
 	_, b7, _, _ := cpuid(7, 0)
-	switch xcr0 := xgetbv(); {
-	case b7&avx512f != 0 && xcr0&zmm == zmm:
+	xcr0 := xgetbv()
+	f.avx512 = b7&avx512f != 0 && xcr0&zmm == zmm
+	f.avx2 = b7&avx2 != 0 && xcr0&ymm == ymm
+	f.fma = c1&fma != 0
+	return f
+}
+
+func probePairLoops() (laplace, yukawa pairLoop) {
+	switch f := cpuVector; {
+	case f.avx512:
 		return laplaceAVX512, yukawaAVX512
-	case b7&avx2 != 0 && xcr0&ymm == ymm && c1&fma != 0:
+	case f.avx2 && f.fma:
 		return laplaceAVX2, yukawaAVX2
-	case b7&avx2 != 0 && xcr0&ymm == ymm:
+	case f.avx2:
 		return laplaceAVX2, yukawaGo // the AVX2 Yukawa loop reduces and sums by FMA
 	}
 	return laplaceGo, yukawaGo

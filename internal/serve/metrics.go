@@ -262,6 +262,10 @@ type MetricsSnapshot struct {
 	// PairKernel is the near-field pair loop the Laplace numbers above ran
 	// on (PairKernels): "avx512", "avx2" or "go".
 	PairKernel string `json:"pair_kernel"`
+	// DenseKernel is the dense far-field kernel every plan's M->M, M->L,
+	// L->L, M->I and I->L ran on, and every table build (kernel.DenseKernel):
+	// "avx512", "avx2" or "go".
+	DenseKernel string `json:"dense_kernel"`
 
 	QueueWait HistogramSnapshot `json:"queue_wait"`
 	PlanBuild HistogramSnapshot `json:"plan_build"`
@@ -277,10 +281,17 @@ type MetricsSnapshot struct {
 // binds the same loop in a process.
 var pairKernel, yukawaPairKernel = kernel.PairKernel(kernel.NewLaplace(0)), kernel.PairKernel(kernel.NewYukawa(0, 1))
 
+// denseKernel is probed once: one binding serves every kernel of a process.
+var denseKernel = kernel.DenseKernel(kernel.NewLaplace(0))
+
 // PairKernels names the near-field pair loops this process's Laplace and
 // Yukawa kernels run (kernel.PairKernel), so a latency can be attributed to
 // a CPU tier from the daemon's own output.
 func PairKernels() (laplace, yukawa string) { return pairKernel, yukawaPairKernel }
+
+// DenseKernel names the dense far-field kernel this process runs
+// (kernel.DenseKernel).
+func DenseKernel() string { return denseKernel }
 
 func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot {
 	shift := kernel.ShiftTableStats()
@@ -333,6 +344,7 @@ func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot 
 		ShiftTableBytes:  shift.Bytes,
 		ShiftOffLattice:  shift.OffLatticeCalls,
 		PairKernel:       pairKernel,
+		DenseKernel:      denseKernel,
 		QueueWait:        m.QueueWait.Snapshot(),
 		PlanBuild:        m.PlanBuild.Snapshot(),
 		Evaluate:         m.Evaluate.Snapshot(),

@@ -165,6 +165,9 @@ func TestServeCacheHitMatchesDirectEvaluation(t *testing.T) {
 	if m.PairKernel != "avx512" && m.PairKernel != "avx2" && m.PairKernel != "go" {
 		t.Errorf("pair_kernel=%q, want the name of a pair loop", m.PairKernel)
 	}
+	if m.DenseKernel != kernel.DenseKernel(kernel.NewLaplace(0)) {
+		t.Errorf("dense_kernel=%q, want this process's binding %q", m.DenseKernel, kernel.DenseKernel(kernel.NewLaplace(0)))
+	}
 }
 
 // Identical concurrent requests coalesce into one evaluation: with the only
