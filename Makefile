@@ -105,7 +105,8 @@ chaos-short:
 
 # Crash-recovery chaos harness: one of the four ranks drops dead (cluster
 # closed: heartbeats stop, sockets sever) at 25/50/75% of its local progress
-# (plus the combined death-on-faulty-wire profile) on every workload, gated
+# (plus the combined death-on-faulty-wire profile) on every workload; every
+# survivor must fail naming it, and the re-run on the survivors is gated
 # at 1e-12 against the sequential potentials. The full matrix is cheap
 # enough to run in ci; the race job picks the crash tests up via
 # ./internal/amt ./internal/core with the shrunk -short shapes.
@@ -113,11 +114,12 @@ chaos-crash:
 	$(GO) test ./internal/amt -run TestChaosCrash -v -count=1 -timeout 15m
 
 # Multi-process smoke: four real OS processes joined over unix sockets, one
-# worker rank SIGKILLed at 50% of its local progress; the driver gates the
-# gathered potentials at 1e-12 against the sequential evaluation and exits
-# non-zero on any mismatch, wedge, or unexpected child failure. The paper's
-# threshold keeps the recovery replaying a level-3 far field (some 43k
-# edges); the tuner's level-2 tree for these points has under 3k.
+# worker rank SIGKILLed at 50% of its local progress; rank 0 re-runs the
+# job on the survivors, gates the gathered potentials at 1e-12 against the
+# sequential evaluation and exits non-zero on any mismatch, wedge, or
+# unexpected child failure. The paper's threshold keeps the re-run a
+# level-3 far field (some 43k edges); the tuner's level-2 tree for these
+# points has under 3k.
 dist-smoke: build
 	$(GO) run ./cmd/dashmm-bench -real -n 20000 -threshold 60 -locs 4 -net unix -kill-rank 2 -kill-at 0.5
 

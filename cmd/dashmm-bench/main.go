@@ -23,6 +23,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -32,6 +33,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"syscall"
@@ -70,8 +72,9 @@ func main() {
 		// a socket mesh. The fault knobs wrap every rank's outbound frame
 		// wire in an amt.FaultyTransport under the reliable ack/retry
 		// delivery engine; -kill-rank SIGKILLs that worker process at
-		// -kill-at of its local progress. The run must still verify, and the
-		// transport and recovery counters are reported.
+		// -kill-at of its local progress: the run fails on every survivor
+		// and rank 0 re-runs it on them. The answer must still verify, and
+		// the transport counters and the attempts it took are reported.
 		netMode   = flag.String("net", "", "with -real: run -locs separate processes over this network (tcp|unix)")
 		drop      = flag.Float64("drop", 0, "with -net: frame drop probability")
 		dup       = flag.Float64("dup", 0, "with -net: frame duplication probability")
@@ -369,8 +372,9 @@ func coordinatorAddr(network string) string {
 
 // runDistCoordinator is rank 0 of a multi-process run: it forks the worker
 // ranks as child processes of this same binary, evaluates over the socket
-// mesh, verifies the gathered potentials against the sequential evaluation
-// at 1e-12, and reports the transport and recovery counters.
+// mesh — one job per attempt, re-run on the survivors while a rank dies
+// under it — verifies the gathered potentials against the sequential
+// evaluation at 1e-12, and reports the transport counters and the attempts.
 func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, fault *amt.FaultProfile, killRank int, wireArgs []string) {
 	if locs < 2 {
 		log.Fatal("-net requires -locs >= 2")
@@ -410,10 +414,43 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 		kids = append(kids, cmd)
 	}
 
+	// The join barrier: a job frame reaches only the workers that have
+	// joined.
+	if err := cl.Start(); err != nil {
+		log.Fatal(err)
+	}
 	q := sc.charges()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	got, rep, err := core.DistRun(ctx, plan, cl, q, core.DistOptions{Workers: distWorkers(locs)})
+	// The caller loop: a death fails the attempt on every rank, and the next
+	// job is placed on the survivors. Each death shrinks the world, so at
+	// most locs attempts; rank 0 can finish alone.
+	start := time.Now()
+	var got []float64
+	var rep core.ExecReport
+	var job *amt.Job
+	attempts := 0
+	for {
+		attempts++
+		if job, err = cl.StartJob(ctx, nil); err != nil {
+			log.Fatal(err)
+		}
+		got, rep, err = core.DistRun(ctx, plan, cl, q, core.DistOptions{Workers: distWorkers(locs), Job: job})
+		job.End()
+		var lost *core.RankLostError
+		if errors.As(err, &lost) && attempts < locs {
+			fmt.Printf("# attempt %d: %v\n", attempts, err)
+			continue
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		break
+	}
+	answered := time.Since(start)
+	cl.BroadcastExit()
+	// The answering job's base names every rank lost on the way: the
+	// victim, and any a false verdict fenced (it exits with an error).
 	for i, cmd := range kids {
 		werr := cmd.Wait()
 		rank := i + 1
@@ -421,12 +458,13 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 			fmt.Printf("# rank %d (victim) exited: %v\n", rank, werr)
 			continue
 		}
+		if slices.Contains(job.DeadOrder, rank) {
+			fmt.Printf("# rank %d (lost) exited: %v\n", rank, werr)
+			continue
+		}
 		if werr != nil {
 			log.Fatalf("rank %d exited: %v", rank, werr)
 		}
-	}
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	fmt.Printf("\n# distributed run: %d processes (%s) x %d workers, elapsed %v, %s\n",
@@ -436,9 +474,6 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 		ts.WireMessages, ts.BytesOut, ts.BytesIn, ts.Reconnects, ts.HandshakeFailures)
 	fmt.Printf("# delivery: sent=%d acked=%d retried=%d delivered=%d deadline-exceeded=%d dropped=%d duplicated=%d\n",
 		ts.Sent, ts.Acked, ts.Retried, ts.Delivered, ts.DeadlineExceeded, ts.Dropped, ts.Duplicated)
-	r := rep.Recovery
-	fmt.Printf("# recovery: ranks-killed=%d subgraph-nodes-reexecuted=%d edges-replayed=%d\n",
-		r.RanksKilled, r.NodesRebuilt, r.EdgesReplayed)
 
 	want, err := plan.EvaluateSequential(q)
 	if err != nil {
@@ -455,6 +490,9 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 			worst = e
 		}
 	}
+	// elapsed runs from the first attempt's start to the potentials that
+	// verify: detection, the failed attempt and the re-run included.
+	fmt.Printf("# answer: attempts=%d elapsed=%v\n", attempts, answered)
 	if worst > 1e-12 {
 		fmt.Printf("# dist: FAIL max relative error %.3e (gate 1e-12)\n", worst)
 		os.Exit(1)
@@ -462,9 +500,10 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 	fmt.Printf("# dist: PASS max relative error %.3e (gate 1e-12)\n", worst)
 }
 
-// runDistWorker is one forked worker rank: join the cluster, evaluate, and
-// — when chosen as the chaos victim — SIGKILL itself at the requested local
-// progress fraction, leaving the survivors to detect and recover.
+// runDistWorker is one forked worker rank: join the cluster and evaluate each
+// job its log hands it until rank 0 broadcasts the exit — a job that loses
+// another rank is re-run by the next one — and, when chosen as the chaos
+// victim, SIGKILL itself at the requested local progress fraction.
 func runDistWorker(plan *core.Plan, sc scenario, rank, locs int, network, addr string, fault *amt.FaultProfile, killRank int, killAt float64) int {
 	cl, err := amt.NewCluster(amt.ClusterConfig{
 		Rank: rank, World: locs, Network: network, Addr: addr,
@@ -475,6 +514,12 @@ func runDistWorker(plan *core.Plan, sc scenario, rank, locs int, network, addr s
 		return 1
 	}
 	defer cl.Close()
+	if err := cl.Start(); err != nil {
+		log.Printf("rank %d: %v", rank, err)
+		return 1
+	}
+	events := cl.Subscribe()
+	defer events.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	opts := core.DistOptions{Workers: distWorkers(locs)}
@@ -485,11 +530,27 @@ func runDistWorker(plan *core.Plan, sc scenario, rank, locs int, network, addr s
 			}
 		}
 	}
-	if _, _, err := core.DistRun(ctx, plan, cl, sc.charges(), opts); err != nil {
-		log.Printf("rank %d: %v", rank, err)
-		return 1
+	for {
+		ev, ok := events.Next()
+		if !ok {
+			return 1
+		}
+		switch ev.Kind {
+		case amt.EventExit:
+			return 0
+		case amt.EventCoordLost:
+			log.Printf("rank %d: %v", rank, ev.Err)
+			return 1
+		case amt.EventJob:
+			opts.Job = ev.Job
+			_, _, err := core.DistRun(ctx, plan, cl, sc.charges(), opts)
+			var lost *core.RankLostError
+			if err != nil && !(errors.As(err, &lost) && lost.Rank != rank) {
+				log.Printf("rank %d: %v", rank, err)
+				return 1
+			}
+		}
 	}
-	return 0
 }
 
 // simulate runs the DAG on `cores` simulated cores (32 per locality) and

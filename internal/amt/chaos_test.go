@@ -138,13 +138,20 @@ func chaosClusters(t *testing.T, fault *amt.FaultProfile) []*amt.Cluster {
 }
 
 // run evaluates the workload across a fresh set of clusters with the given
-// wire faults (chaosClusters); kills maps a worker rank to the fraction of
-// its local progress at which it drops dead — Cluster.Close silences its
-// heartbeats and severs its sockets exactly as a SIGKILL would. It returns
-// rank 0's potentials and every rank's report and error.
+// wire faults (chaosClusters), as one-shot runs (runOn).
 func (cw *chaosWorld) run(t *testing.T, fault *amt.FaultProfile, kills map[int]float64) ([]float64, []core.ExecReport, []error) {
 	t.Helper()
-	cls := chaosClusters(t, fault)
+	return cw.runOn(t, chaosClusters(t, fault), kills, nil)
+}
+
+// runOn evaluates the workload on the ranks whose cluster slot is non-nil,
+// each as its side of jobs[rank] (nil: one-shot runs); kills maps a worker
+// rank to the fraction of its local progress at which it drops dead —
+// Cluster.Close silences its heartbeats and severs its sockets exactly as a
+// SIGKILL would. It returns rank 0's potentials and every rank's report and
+// error.
+func (cw *chaosWorld) runOn(t *testing.T, cls []*amt.Cluster, kills map[int]float64, jobs []*amt.Job) ([]float64, []core.ExecReport, []error) {
+	t.Helper()
 	pots := make([][]float64, chaosRanks)
 	reps := make([]core.ExecReport, chaosRanks)
 	errs := make([]error, chaosRanks)
@@ -152,7 +159,13 @@ func (cw *chaosWorld) run(t *testing.T, fault *amt.FaultProfile, kills map[int]f
 	defer cancel()
 	var wg sync.WaitGroup
 	for r := 0; r < chaosRanks; r++ {
+		if cls[r] == nil {
+			continue
+		}
 		opts := core.DistOptions{Workers: chaosWorkers}
+		if jobs != nil {
+			opts.Job = jobs[r]
+		}
 		if at, ok := kills[r]; ok {
 			var die sync.Once
 			cl := cls[r]

@@ -182,9 +182,10 @@ type Job struct {
 	// Gen is the job's wire generation, fresh per job. It doubles as the
 	// run's seed wherever every rank wants the same one.
 	Gen uint32
-	// DeadOrder lists the ranks dead when the job was placed, in verdict
-	// order (failover composition is order-sensitive): the base of every
-	// rank's placement. Verdicts since are in the log behind the job.
+	// DeadOrder lists the ranks dead when the job was placed: the base of
+	// every rank's placement, which leaves them out. It is kept in verdict
+	// order, but the order is not significant. Verdicts since are in the log
+	// behind the job.
 	DeadOrder []int
 	// Payload is the application's job description.
 	Payload []byte

@@ -102,23 +102,36 @@ func (pw *pipeWorld) run(h func(rank int, f Frame), setup func(send func(dst int
 
 // sendN fires n indexed parcels from rank 0, round-robin over the other
 // ranks, and returns how many times each was handed to a wire handler plus
-// every rank's counters.
+// every rank's counters. The count stops when rank 0's run has settled —
+// every parcel acked, so handled at least once — and a copy a faulty wire
+// still holds on a timer arrives later: the handler counts under the read
+// half of stop, and sendN takes the write half before it returns, so no
+// late copy writes the counts once the caller reads them.
 func sendN(pw *pipeWorld, n int) ([]int64, []TransportStats) {
 	runs := make([]int64, n)
+	var stop sync.RWMutex
+	stopped := false
 	stats := pw.run(func(_ int, f Frame) {
-		atomic.AddInt64(&runs[binary.LittleEndian.Uint32(f.Payload)], 1)
+		stop.RLock()
+		defer stop.RUnlock()
+		if !stopped {
+			atomic.AddInt64(&runs[binary.LittleEndian.Uint32(f.Payload)], 1)
+		}
 	}, func(send func(int, []byte)) {
 		for i := 0; i < n; i++ {
 			send(1+i%(len(pw.engs)-1), binary.LittleEndian.AppendUint32(nil, uint32(i)))
 		}
 	})
+	stop.Lock()
+	stopped = true
+	stop.Unlock()
 	return runs, stats
 }
 
 func assertAtLeastOnce(t *testing.T, runs []int64) {
 	t.Helper()
-	for i, r := range runs {
-		if r < 1 {
+	for i := range runs {
+		if r := atomic.LoadInt64(&runs[i]); r < 1 {
 			t.Fatalf("parcel %d was never handled", i)
 		}
 	}
@@ -126,8 +139,8 @@ func assertAtLeastOnce(t *testing.T, runs []int64) {
 
 func assertExactlyOnce(t *testing.T, runs []int64) {
 	t.Helper()
-	for i, r := range runs {
-		if r != 1 {
+	for i := range runs {
+		if r := atomic.LoadInt64(&runs[i]); r != 1 {
 			t.Fatalf("parcel %d was handled %d times, want exactly 1", i, r)
 		}
 	}
@@ -250,8 +263,8 @@ func TestDeliveryDeadlineExceeded(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("runtime hung on undeliverable parcels")
 	}
-	for i, r := range runs {
-		if r != 0 {
+	for i := range runs {
+		if r := atomic.LoadInt64(&runs[i]); r != 0 {
 			t.Errorf("parcel %d was handled %d times over a fully lossy wire", i, r)
 		}
 	}

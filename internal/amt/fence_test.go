@@ -493,7 +493,7 @@ func TestFinishedRunStillAcknowledges(t *testing.T) {
 
 // A job's dead-rank base is the membership at the job's place in the log,
 // on a worker as on rank 0: a verdict queued right before the job is in it,
-// one right behind it is not — that one is the run's to replay.
+// one right behind it is not — that one ends the run.
 func TestJobBaseIsTheMembershipAtItsFrame(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 4, lazyDetector)
 	log1 := watch(t, cls[1])

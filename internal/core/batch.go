@@ -151,19 +151,12 @@ func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 // under the single target lock — swept through the kernel's tiled P2P, or
 // chunk by chunk where that does not reach (a gradient run: the tiles compute
 // potentials only; a kernel without the batched surface) — then the target
-// counted down by the whole list. Under a fabric failover is excluded
-// meanwhile, a second run is fenced and a leaf homed elsewhere left alone.
+// counted down by the whole list. It is seeded once per run, on the leaf's
+// home (seedRoots), so it runs once.
 //
 //dashmm:noalloc
 func (ex *executor) runNear(w *amt.Worker, pi int32) {
 	pb, chunks, st := &ex.st.p.batches.P2P[pi], ex.nearChunks[pi], ex.st
-	if fb := ex.fab; fb != nil {
-		fb.runMu.RLock()
-		defer fb.runMu.RUnlock()
-		if !ex.hosts(pb.Target) || fb.nearDone[pb.Target].Swap(true) {
-			return
-		}
-	}
 	tb := ex.g.Nodes[pb.Target].Box
 	tpts, pot := st.tgtPts(tb), st.pot[tb.Lo:tb.Hi]
 	var t0 int64

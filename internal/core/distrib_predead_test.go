@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 
 // A standing cluster serves several jobs back to back (the serve pool's
 // shape), and a rank that died between jobs is excluded up front by the next
-// job's dead-rank base: the survivors replay the death before the run starts,
-// place nothing on the corpse, and still hit the 1e-12 gate.
+// job's dead-rank base: the survivors place nothing on the corpse, address
+// no parcel to it, and still hit the 1e-12 gate.
 func TestDistRunStandingClusterPreDead(t *testing.T) {
 	const world = 3
 	const victim = world - 1
@@ -62,21 +63,37 @@ func TestDistRunStandingClusterPreDead(t *testing.T) {
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, dw.want, 1e-12)
 	for r, rep := range reps[:victim] {
-		if got := rep.Recovery.RanksKilled; got != 1 {
-			t.Errorf("rank %d replayed %d deaths, want the 1 of the job's base", r, got)
+		if sv := rep.Runtime.Transport.Severed; sv != 0 {
+			t.Errorf("rank %d addressed %d parcels to the dead rank", r, sv)
 		}
 	}
 }
 
-// Verdicts that precede a run on a one-shot cluster reach it through the
-// log alone — there is no job to carry them as its base: every survivor's
-// watcher replays them from the head of its log, one after the other in
-// log order, and because failover composition is order-sensitive that is
-// what makes the survivors' placements agree.
+// Verdicts that precede a run: a job's base lists its dead ranks in verdict
+// order, and the order does not matter — bases [3 1] and [1 3] give every
+// survivor the same placement, with nothing on a dead rank. A one-shot run
+// has no base: the verdicts reach it through the log, replayed from its
+// head, and the first of them fails the run with the loss of that rank.
 func TestDistRunReplaysEarlierVerdictsInLogOrder(t *testing.T) {
 	const world = 4
 	dw := newDistWorld(t, world, 1500)
 	cls := distClusters(t, world)
+	var homes [][]int32
+	for _, r := range []int{0, 2} {
+		for _, base := range [][]int{{3, 1}, {1, 3}} {
+			h, _, _ := dw.plans[r].place(survivors(world, base))
+			if slices.ContainsFunc(h, func(home int32) bool { return home == 1 || home == 3 }) {
+				t.Errorf("rank %d, base %v: nodes placed on a dead rank", r, base)
+			}
+			homes = append(homes, h)
+		}
+	}
+	for i := range homes[1:] {
+		if !slices.Equal(homes[i+1], homes[0]) {
+			t.Fatalf("placement %d differs from placement 0: the order of the dead ranks changed it", i+1)
+		}
+	}
+
 	for _, cl := range cls {
 		if err := cl.Start(); err != nil {
 			t.Fatal(err)
@@ -86,12 +103,11 @@ func TestDistRunReplaysEarlierVerdictsInLogOrder(t *testing.T) {
 	cls[0].DeclareDead(3)
 	cls[0].DeclareDead(1)
 	cls[1], cls[3] = nil, nil
-	pots, reps, errs := dw.run(distCtx(t), cls, distOpts)
-	assertSurvivorsOK(t, errs)
-	assertSame(t, pots, dw.want, 1e-12)
+	_, _, errs := dw.run(distCtx(t), cls, distOpts)
 	for _, r := range []int{0, 2} {
-		if got := reps[r].Recovery.RanksKilled; got != 2 {
-			t.Errorf("rank %d replayed %d verdicts, want 2", r, got)
+		var lost *RankLostError
+		if !errors.As(errs[r], &lost) || lost.Rank != 3 {
+			t.Errorf("rank %d returned %v, want the loss of rank 3, the first verdict in its log", r, errs[r])
 		}
 	}
 }

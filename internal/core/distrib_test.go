@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -210,19 +211,57 @@ func startJob(t *testing.T, cls []*amt.Cluster) []*amt.Job {
 	return jobs
 }
 
+// job is one job on the live ranks of a standing cluster, start to end, with
+// each rank's options rendered by opts.
+func (dw *distWorld) job(t *testing.T, cls []*amt.Cluster, opts func(rank int) DistOptions) ([]float64, []ExecReport, []error) {
+	t.Helper()
+	jobs := startJob(t, cls)
+	defer jobs[0].End()
+	return dw.run(distCtx(t), cls, func(r int) DistOptions {
+		o := opts(r)
+		o.Job = jobs[r]
+		return o
+	})
+}
+
 // runJob is one fault-free job on the live ranks of a standing cluster,
 // start to end.
 func (dw *distWorld) runJob(t *testing.T, cls []*amt.Cluster) ([]float64, []ExecReport) {
 	t.Helper()
-	jobs := startJob(t, cls)
-	defer jobs[0].End()
-	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
-		o := distOpts(r)
-		o.Job = jobs[r]
-		return o
-	})
+	pots, reps, errs := dw.job(t, cls, distOpts)
 	assertSurvivorsOK(t, errs)
 	return pots, reps
+}
+
+// assertRankLost fails the test unless every victim errored out and every
+// other live rank failed with a *RankLostError naming one of the victims:
+// a death ends the run everywhere.
+func assertRankLost(t *testing.T, cls []*amt.Cluster, errs []error, victims ...int) {
+	t.Helper()
+	for r, err := range errs {
+		var lost *RankLostError
+		switch {
+		case cls[r] == nil:
+		case slices.Contains(victims, r):
+			if err == nil {
+				t.Errorf("victim rank %d finished cleanly after closing its cluster", r)
+			}
+		case !errors.As(err, &lost) || !slices.Contains(victims, lost.Rank):
+			t.Fatalf("rank %d returned %v, want the loss of a rank in %v", r, err, victims)
+		}
+	}
+}
+
+// rerun is the caller's side of a rank death: every live rank's run failed
+// naming a victim (assertRankLost), and the job is run again on the
+// survivors — placed against the shrunk membership — and returned.
+func (dw *distWorld) rerun(t *testing.T, cls []*amt.Cluster, errs []error, victims ...int) ([]float64, []ExecReport) {
+	t.Helper()
+	assertRankLost(t, cls, errs, victims...)
+	for _, v := range victims {
+		cls[v] = nil
+	}
+	return dw.runJob(t, cls)
 }
 
 // Four ranks over a real unix-socket mesh must reproduce the sequential
@@ -246,31 +285,28 @@ func TestDistRunMatchesSequential(t *testing.T) {
 	}
 }
 
-// Killing a worker rank mid-run must still produce 1e-12 potentials at rank
-// 0, with the recovery counters reporting the failover.
+// Killing a worker rank mid-run fails the run on every survivor with an
+// error that names the victim, and the job re-run on the survivors produces
+// 1e-12 potentials at rank 0.
 func TestDistRunRecoversFromRankDeath(t *testing.T) {
 	const world = 4
 	const victim = world - 1
 	dw := newDistWorld(t, world, 1500)
 	cls := distClusters(t, world)
-	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+	_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 		o := distOpts(r)
 		if r == victim {
 			o.OnProgress = dieAt(cls[r], 0.5)
 		}
 		return o
 	})
-	assertSurvivorsOK(t, errs, victim)
+	if want := fmt.Sprintf("rank %d lost", victim); errs[0] == nil || !strings.Contains(errs[0].Error(), want) {
+		t.Errorf("rank 0 returned %v, want an error saying %q", errs[0], want)
+	}
+	pots, reps := dw.rerun(t, cls, errs, victim)
 	assertSame(t, pots, dw.want, 1e-12)
-	if got := reps[0].Recovery.RanksKilled; got != 1 {
-		t.Errorf("RanksKilled = %d, want 1", got)
-	}
-	var rebuilt int64
-	for _, rep := range reps {
-		rebuilt += rep.Recovery.NodesRebuilt
-	}
-	if rebuilt == 0 {
-		t.Error("no nodes rebuilt despite a rank death")
+	if got := reps[0].Localities; got != world {
+		t.Errorf("the re-run reports %d localities, want the world of %d", got, world)
 	}
 }
 
@@ -315,9 +351,10 @@ func TestDistRunFailsAtOnceOnClusterClose(t *testing.T) {
 		if d := returned[closer].Sub(closedAt); d > time.Second {
 			t.Errorf("rank %d's DistRun outlived its Close by %v", closer, d)
 		}
-		// The other rank: a worker loses its coordinator and fails; rank 0
-		// outlives a closed worker by recovering its share.
-		if other := errs[1-closer]; (closer == 0) != (other != nil) {
+		// The other rank fails too: a worker loses its coordinator, rank 0
+		// loses the closed worker.
+		var lost *RankLostError
+		if other := errs[1-closer]; other == nil || (closer == 1) != (errors.As(other, &lost) && lost.Rank == 1) {
 			t.Errorf("closer %d: rank %d returned %v", closer, 1-closer, other)
 		}
 	}
@@ -447,7 +484,7 @@ func TestWorkerRunNeedsNothingFromRankZero(t *testing.T) {
 	if s2t := g.EdgeCount[dag.OpS2T]; s2t == 0 || s2t != g.NumEdges() {
 		t.Fatalf("fixture: %d of %d edges are S->T", s2t, g.NumEdges())
 	}
-	homes, _, _ := plans[0].place(2)
+	homes, _, _ := plans[0].place(localities(2))
 	if !slices.ContainsFunc(plans[0].batches.P2P, func(pb dag.P2PBatch) bool { return homes[pb.Target] == 1 }) {
 		t.Fatal("fixture: the worker homes no target leaf")
 	}
@@ -642,12 +679,15 @@ func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
 	}
 }
 
-// The exactly-once filter's contract, edge by edge: a first claim leaves
-// both endpoint locks held (the source's too — a parcel install or a
-// failover reset must not rewrite the payload under the apply) and the
-// applied bit set; a second claim of the same edge is refused and leaves
-// nothing held. No end-to-end gate sees a missing source lock (the torn read
-// it permits mixes two copies of the same values), so it is pinned here.
+// The exactly-once filter's contract, parcel by parcel: the first copy of a
+// parcel installs its source payload and applies its edges; deliver applies
+// an edge holding the target's lock alone, as in process — never the
+// source's; and a second copy installs nothing — a payload is never
+// rewritten under an edge that reads it — while its edges find their applied
+// bits set. No end-to-end gate sees a second install (a true copy writes the
+// same values), so it is pinned here, and so is the refusal of a parcel that
+// does not fit the placement every rank computed: from a source this rank
+// homes, or for a target it does not.
 func TestFabricClaimContract(t *testing.T) {
 	dw := newDistWorld(t, 2, 600)
 	cls := distClusters(t, 2)
@@ -655,32 +695,117 @@ func TestFabricClaimContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := newExecutor(st, 2)
+	ex := newExecutor(st, localities(2))
 	fb := newFabric(ex, cls[0], distOpts(0).withDefaults())
-	held := func(id int32) bool {
-		if ex.locks[id].TryLock() {
-			ex.locks[id].Unlock()
-			return false
-		}
-		return true
-	}
-	for i := range ex.g.Nodes {
-		src := int32(i)
-		for out, e := range ex.g.Nodes[i].Out {
-			if !fb.claim(src, e.To, int32(out)) {
-				t.Fatalf("edge %d/%d: first claim refused", src, out)
-			}
-			if !held(src) || !held(e.To) {
-				t.Fatalf("edge %d/%d -> %d: claim holds source %v, target %v; want both", src, out, e.To, held(src), held(e.To))
-			}
-			ex.locks[e.To].Unlock()
-			ex.locks[src].Unlock()
-			if fb.claim(src, e.To, int32(out)) {
-				t.Fatalf("edge %d/%d: claimed twice", src, out)
-			}
-			if held(src) || held(e.To) {
-				t.Fatalf("edge %d/%d: a refused claim left a lock held", src, out)
+	// outIdx: the edges of node id a parcel from rank 1 carries here.
+	outIdx := func(id int) (out []int32) {
+		for j, e := range ex.g.Nodes[id].Out {
+			if ex.hosts(e.To) && e.Op != dag.OpS2T {
+				out = append(out, int32(j))
 			}
 		}
+		return out
 	}
+	src := slices.IndexFunc(ex.g.Nodes, func(n dag.Node) bool {
+		return !ex.hosts(n.ID) && n.Kind != dag.NodeS && len(outIdx(int(n.ID))) >= 2
+	})
+	if src < 0 {
+		t.Fatal("fixture: no expansion on rank 1 feeds two edges on rank 0")
+	}
+	n, edges := &ex.g.Nodes[src], outIdx(src)
+	first, last := edges[:len(edges)-1], edges[len(edges)-1]
+	// parcel encodes the node's parcel as rank 1 would, its payload set to v.
+	sender, err := dw.plans[0].newState(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parcel := func(v complex128, out []int32) amt.Frame {
+		for _, vec := range sender.vectors(n.ID) {
+			for i := range vec {
+				vec[i] = v + complex(float64(i), 0)
+			}
+		}
+		return amt.Frame{Kind: wireKindParcel, Payload: sender.encodeParcel(n, out)}
+	}
+	payload := func() (out [][]complex128) {
+		for _, v := range st.vectors(n.ID) {
+			out = append(out, slices.Clone(v))
+		}
+		return out
+	}
+	countdown := func() (sum int32) {
+		for _, j := range edges {
+			sum += ex.remaining[n.Out[j].To].Load()
+		}
+		return sum
+	}
+	applied := func(j int32) bool { return fb.applied[fb.edgeBase[n.ID]+j].Load() }
+	before := countdown()
+
+	for _, misfit := range []func(dag.Node) bool{
+		func(m dag.Node) bool { return ex.hosts(m.ID) && m.Kind != dag.NodeS && len(m.Out) > 0 },
+		func(m dag.Node) bool {
+			return !ex.hosts(m.ID) && m.Kind != dag.NodeS && len(m.Out) > 0 && !ex.hosts(m.Out[0].To)
+		},
+	} {
+		i := slices.IndexFunc(ex.g.Nodes, misfit)
+		if i < 0 {
+			t.Fatal("fixture: no misfit parcel to send")
+		}
+		m, refused := &ex.g.Nodes[i], fb.decodeErrs.Load()
+		fb.handleParcel(nil, amt.Frame{Kind: wireKindParcel, Payload: st.encodeParcel(m, []int32{0})})
+		if fb.decodeErrs.Load() != refused+1 || fb.installed[m.ID] || fb.applied[fb.edgeBase[m.ID]].Load() {
+			t.Fatalf("a parcel of node %d (homed here %v) for node %d (homed here %v) was not refused",
+				m.ID, ex.hosts(m.ID), m.Out[0].To, ex.hosts(m.Out[0].To))
+		}
+	}
+	fb.decodeErrs.Store(0)
+
+	fb.handleParcel(nil, parcel(0.5, first))
+	if !fb.installed[n.ID] || fb.decodeErrs.Load() != 0 {
+		t.Fatalf("first copy: installed %v, %d decode errors", fb.installed[n.ID], fb.decodeErrs.Load())
+	}
+	for _, j := range first {
+		if !applied(j) {
+			t.Fatalf("edge %d/%d applied without its bit set", n.ID, j)
+		}
+	}
+	if got := countdown(); got != before-int32(len(first)) {
+		t.Fatalf("the first copy counted its targets down by %d, want %d", before-got, len(first))
+	}
+	installed := payload()
+
+	// An edge of the installed source, delivered while someone else holds
+	// the source's lock: it must apply without it.
+	ex.locks[n.ID].Lock()
+	delivered := make(chan struct{})
+	go func() {
+		defer close(delivered)
+		ex.deliver(nil, n, last)
+	}()
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("deliver waited for the source's lock")
+	}
+	ex.locks[n.ID].Unlock()
+	if !applied(last) || countdown() != before-int32(len(edges)) {
+		t.Fatalf("edge %d/%d: applied %v, %d inputs outstanding, want %d", n.ID, last, applied(last), countdown(), before-int32(len(edges)))
+	}
+
+	// A second copy of every edge, carrying other values: nothing
+	// installed, nothing applied.
+	fb.handleParcel(nil, parcel(-3, edges))
+	if got := countdown(); got != before-int32(len(edges)) {
+		t.Errorf("a second copy counted its targets down again: %d inputs outstanding, want %d", got, before-int32(len(edges)))
+	}
+	for i, v := range payload() {
+		if !slices.Equal(v, installed[i]) {
+			t.Fatal("a second copy rewrote the installed payload")
+		}
+	}
+	if !ex.locks[n.ID].TryLock() {
+		t.Fatal("a parcel left its source's lock held")
+	}
+	ex.locks[n.ID].Unlock()
 }

@@ -53,9 +53,6 @@ type ExecReport struct {
 	// RuntimeReused reports that the evaluation ran on a pooled runtime
 	// re-armed from a previous Run instead of a freshly built one.
 	RuntimeReused bool
-	// Recovery reports rank-death recovery activity of a distributed run
-	// (DistRun; zero-valued in-process and when no rank died).
-	Recovery RecoveryStats
 }
 
 // parcelOverhead is the per-edge descriptor cost added to a coalesced
@@ -105,7 +102,7 @@ func (p *Plan) NewParallelEvaluation(opts ExecOptions) (*ParallelEvaluation, err
 	if err != nil {
 		return nil, err
 	}
-	ex := newExecutor(st, opts.Localities)
+	ex := newExecutor(st, localities(opts.Localities))
 	ex.tracer = opts.Tracer
 	return &ParallelEvaluation{plan: p, opts: opts, ex: ex}, nil
 }
@@ -178,7 +175,7 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 // node's slot in locks/remaining/tasks, with its payload in st, is the
 // paper's expansion LCO. ParallelEvaluation runs it over the localities of
 // one process; DistRun runs the same code as one rank of a cluster, with the
-// two things distribution adds — parcels that cross a process boundary, work
+// two things distribution adds — parcels that cross a process boundary, edges
 // that may arrive twice — switched on the fabric it then holds.
 type executor struct {
 	st     *state
@@ -188,10 +185,9 @@ type executor struct {
 	// fab is the distributed side of a DistRun (distrib.go); nil in-process.
 	fab *fabric
 	// homes is the placement: node → locality in-process, node → rank under
-	// a fabric, whose failover is the only writer after construction.
-	// remoteBytes and remoteEdges are the communication volume it implied
-	// when it was computed.
-	homes                    []atomic.Int32
+	// a fabric, fixed at construction. remoteBytes and remoteEdges are the
+	// communication volume it implies.
+	homes                    []int32
 	remoteBytes, remoteEdges int64
 	remaining                []atomic.Int32
 	locks                    []sync.Mutex
@@ -209,17 +205,18 @@ type executor struct {
 	batchScratch sync.Pool
 }
 
-// newExecutor builds the LCO network of a state and places it: the placement
-// runs once, here, and the executor keeps its own copy of the result.
-func newExecutor(st *state, localities int) *executor {
+// newExecutor builds the LCO network of a state and places it over the live
+// localities (Plan.place): the placement runs once, here, and the executor
+// keeps its own copy of the result.
+func newExecutor(st *state, live []int32) *executor {
 	g := st.p.Graph
-	homes, remoteBytes, remoteEdges := st.p.place(localities)
+	homes, remoteBytes, remoteEdges := st.p.place(live)
 	ex := &executor{
 		st:          st,
 		g:           g,
+		homes:       homes,
 		remoteBytes: remoteBytes,
 		remoteEdges: remoteEdges,
-		homes:       make([]atomic.Int32, len(g.Nodes)),
 		remaining:   make([]atomic.Int32, len(g.Nodes)),
 		locks:       make([]sync.Mutex, len(g.Nodes)),
 		tasks:       make([]amt.Task, len(g.Nodes)),
@@ -228,7 +225,6 @@ func newExecutor(st *state, localities int) *executor {
 	// on every trigger — the hot path never allocates a closure.
 	for i := range ex.tasks {
 		id := int32(i)
-		ex.homes[i].Store(homes[i])
 		ex.tasks[i] = func(w *amt.Worker) { ex.runNode(w, id) }
 	}
 	ex.initBatches()
@@ -254,7 +250,7 @@ func (ex *executor) arm() {
 func (ex *executor) seedRoots() {
 	for pi, pb := range ex.st.p.batches.P2P {
 		if ex.hosts(pb.Target) {
-			ex.rt.Locality(int(ex.homes[pb.Target].Load())).Spawn(ex.near[pi])
+			ex.rt.Locality(int(ex.homes[pb.Target])).Spawn(ex.near[pi])
 		}
 	}
 	for _, id := range ex.g.Roots() {
@@ -267,7 +263,7 @@ func (ex *executor) seedRoots() {
 // hosts reports whether this runtime runs node id's tasks: every node's
 // in-process, those the rank homes under a fabric.
 func (ex *executor) hosts(id int32) bool {
-	return ex.fab == nil || int(ex.homes[id].Load()) == ex.fab.rank
+	return ex.fab == nil || int(ex.homes[id]) == ex.fab.rank
 }
 
 // parcelEdges is a pooled remote-edge list: the indexes, within the source
@@ -319,8 +315,8 @@ func (b *remoteBatch) release() {
 
 // runNode is the continuation of node id: process the out-edge list. It
 // runs once per evaluation, when the node's LCO triggers (all inputs
-// arrived); under a fabric, fabric.runNode wraps it in the failover
-// exclusion and the duplicate-trigger fence.
+// arrived); under a fabric, fabric.runNode also counts it towards the rank's
+// completion.
 func (ex *executor) runNode(w *amt.Worker, id int32) {
 	n := &ex.g.Nodes[id]
 	me := int32(w.Rank())
@@ -334,7 +330,7 @@ func (ex *executor) runNode(w *amt.Worker, id int32) {
 			// every source of the batch has triggered (noteBatchSources below).
 			continue
 		}
-		dest := ex.homes[e.To].Load()
+		dest := ex.homes[e.To]
 		if dest == me {
 			ex.deliver(w, n, int32(j))
 			continue
@@ -363,9 +359,9 @@ func (ex *executor) runNode(w *amt.Worker, id int32) {
 func (ex *executor) send(w *amt.Worker, n *dag.Node, dest int32, pe *parcelEdges) {
 	if fb := ex.fab; fb != nil {
 		// The payload read is unsynchronized but safe: all inputs are
-		// applied (the node just fired), resets are excluded by runMu, and
-		// no peer installs into a node this rank homes.
-		fb.cl.Send(ex.rt, int(dest), wireKindParcel, uint32(fb.deaths.Load()), ex.st.encodeParcel(n, pe.idx))
+		// applied (the node just fired), and no parcel installs into a node
+		// this rank homes.
+		fb.cl.Send(ex.rt, int(dest), wireKindParcel, 0, ex.st.encodeParcel(n, pe.idx))
 		pe.recycle()
 		return
 	}
@@ -380,32 +376,26 @@ func (ex *executor) send(w *amt.Worker, n *dag.Node, dest int32, pe *parcelEdges
 
 // deliver applies out-edge `out` of a fired node into its target LCO: the
 // transform plus reduction runs under the target's lock, and the final
-// input triggers the target's continuation. Under a fabric the edge is
-// claimed first (fabric.claim) — the second thing distribution changes: a
-// replayed or duplicated contribution finds its applied bit set and is
-// dropped, and the source's lock is held as well so a parcel install or a
-// failover reset cannot rewrite the payload mid-read. w is nil on the
-// fabric's failover replay, which runs on no worker.
+// input triggers the target's continuation. Under a fabric the edge's
+// applied bit is tested first — the second thing distribution changes: a
+// duplicated contribution finds it set and is dropped. The source payload
+// needs no lock: a local source has fired, and a remote one was installed
+// once (fabric.install) before any of its edges got here.
 //
 //dashmm:noalloc
 func (ex *executor) deliver(w *amt.Worker, from *dag.Node, out int32) {
+	if fb := ex.fab; fb != nil && fb.applied[fb.edgeBase[from.ID]+out].Swap(true) {
+		return
+	}
 	e := from.Out[out]
 	var t0 int64
 	if ex.tracer.Enabled() {
 		t0 = ex.tracer.Now()
 	}
-	fb := ex.fab
-	if fb == nil {
-		ex.locks[e.To].Lock()
-	} else if !fb.claim(from.ID, e.To, out) {
-		return
-	}
+	ex.locks[e.To].Lock()
 	ex.st.apply(from, e)
 	rem := ex.remaining[e.To].Add(-1)
 	ex.locks[e.To].Unlock()
-	if fb != nil {
-		ex.locks[from.ID].Unlock()
-	}
 	if ex.tracer.Enabled() {
 		ex.record(w, e.Op, t0, ex.tracer.Now())
 	}
@@ -436,7 +426,7 @@ func (ex *executor) record(w *amt.Worker, op dag.OpKind, start, end int64) {
 //
 //dashmm:noalloc
 func (ex *executor) fireNode(w *amt.Worker, id int32) {
-	task, home := ex.tasks[id], int(ex.homes[id].Load())
+	task, home := ex.tasks[id], int(ex.homes[id])
 	if w == nil || w.Rank() != home {
 		// Under a fabric only nodes this rank homes are ever fired here.
 		ex.rt.Locality(home).Spawn(task)

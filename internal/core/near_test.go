@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/dag"
 	"repro/internal/kernel"
@@ -14,7 +13,7 @@ import (
 // The near field belongs to its target leaf: under every AMT executor an
 // S->T edge is applied by the one near task of the leaf it ends in, on the
 // leaf's home, and by nothing else — no source node walks it, no parcel
-// carries it, no recovery replays it.
+// carries it.
 
 // nearPlan is the cube fixture of the tests below, with the sequential
 // potentials and (for a gradient-capable kernel) gradients.
@@ -116,7 +115,7 @@ func TestNearTasksRunOnTheTargetsHome(t *testing.T) {
 	}
 	var wantTasks, wantEdges, gotTasks, gotEdges [locs]int
 	for _, pb := range plan.batches.P2P {
-		home := pe.ex.homes[pb.Target].Load()
+		home := pe.ex.homes[pb.Target]
 		wantTasks[home]++
 		wantEdges[home] += len(pb.Edges)
 	}
@@ -146,7 +145,7 @@ func TestDistRunSendsNoNearFieldParcels(t *testing.T) {
 	const world = 2
 	dw := newDistWorld(t, world, 4000)
 	plan := dw.plans[0]
-	homes, _, _ := plan.place(world)
+	homes, _, _ := plan.place(localities(world))
 	parcels, nearOnly := 0, 0
 	for i := range plan.Graph.Nodes {
 		n := &plan.Graph.Nodes[i]
@@ -182,47 +181,49 @@ func TestDistRunSendsNoNearFieldParcels(t *testing.T) {
 	}
 }
 
-// A rank death rebuilds the near field by re-running near tasks, never by
-// replaying S->T edges. On the usual fixture the survivors' replay count
-// stays within the far-field in-edges of the corpse's nodes; on a level-1
-// plan — S->T edges and nothing else, the shape small requests are served
-// with — the victim dies having fired its S nodes and computed nothing, and
-// the survivor replays no edge at all while every potential, each one the
-// near field of a rebuilt target applied exactly once, matches at 1e-12.
+// A rank death is recovered by re-running the job on the survivors, whose
+// placement homes the dead rank's target leaves elsewhere: their near tasks
+// run there, and nothing replays an S->T edge. On the usual fixture the
+// re-run recomputes the far field as well; on a level-1 plan — S->T edges
+// and nothing else, the shape small requests are served with — the victim
+// dies having fired its S nodes and computed nothing, and the survivor's
+// re-run sends no parcel at all while every potential, each one the near
+// field of a target applied exactly once, matches at 1e-12.
 func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 	const victim = 1
+	// lostLeaves counts the target leaves the victim homes in the first
+	// run and the re-run's placement over the survivors leaves on it.
+	lostLeaves := func(t *testing.T, plan *Plan, world int) int {
+		first, _, _ := plan.place(localities(world))
+		again, _, _ := plan.place(survivors(world, []int{victim}))
+		lost := 0
+		for _, pb := range plan.batches.P2P {
+			if again[pb.Target] == victim {
+				t.Fatalf("the re-run homes target leaf %d on the dead rank", pb.Target)
+			}
+			if first[pb.Target] == victim {
+				lost++
+			}
+		}
+		if lost == 0 {
+			t.Fatal("fixture: the victim homes no target leaf")
+		}
+		return lost
+	}
 	t.Run("far field replayed", func(t *testing.T) {
 		const world = 4
 		dw := newDistWorld(t, world, 3000)
-		plan := dw.plans[0]
-		homes, _, _ := plan.place(world)
-		var farIn int64
-		for i := range plan.Graph.Nodes {
-			for _, e := range plan.Graph.Nodes[i].Out {
-				if homes[i] != victim && homes[e.To] == victim && e.Op != dag.OpS2T {
-					farIn++
-				}
-			}
-		}
+		lostLeaves(t, dw.plans[0], world)
 		cls := distClusters(t, world)
-		pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+		_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 			o := distOpts(r)
 			if r == victim {
 				o.OnProgress = dieAt(cls[r], 0.5)
 			}
 			return o
 		})
-		assertSurvivorsOK(t, errs, victim)
+		pots, _ := dw.rerun(t, cls, errs, victim)
 		assertSame(t, pots, dw.want, 1e-12)
-		var replayed int64
-		for r, rep := range reps {
-			if r != victim {
-				replayed += rep.Recovery.EdgesReplayed
-			}
-		}
-		if replayed > farIn {
-			t.Errorf("%d edges replayed into the corpse's nodes, which have %d in-edges from outside other than S->T", replayed, farIn)
-		}
 	})
 	t.Run("near field only", func(t *testing.T) {
 		const world, n = 2, 800
@@ -241,22 +242,13 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 		if s2t := plan.Graph.EdgeCount[dag.OpS2T]; s2t == 0 || s2t != plan.Graph.NumEdges() {
 			t.Fatalf("fixture: %d of %d edges are S->T", s2t, plan.Graph.NumEdges())
 		}
-		homes, _, _ := plan.place(world)
-		var lost int64
-		for _, pb := range plan.batches.P2P {
-			if homes[pb.Target] == victim {
-				lost++
-			}
-		}
-		if lost == 0 {
-			t.Fatal("fixture: the victim homes no target leaf")
-		}
+		lostLeaves(t, plan, world)
 		var err error
 		if dw.want, err = plan.EvaluateSequential(dw.q); err != nil {
 			t.Fatal(err)
 		}
 		cls := distClusters(t, world)
-		pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+		_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 			o := distOpts(r)
 			if r == victim {
 				// One worker pops the roots before any near task (seedRoots):
@@ -265,24 +257,18 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 			}
 			return o
 		})
-		assertSurvivorsOK(t, errs, victim)
+		pots, reps := dw.rerun(t, cls, errs, victim)
 		assertSame(t, pots, dw.want, 1e-12)
-		rec := reps[0].Recovery
-		if rec.RanksKilled != 1 || rec.NodesRebuilt < lost || rec.EdgesReplayed != 0 {
-			t.Errorf("recovery %s: want 1 death, at least the %d target leaves rebuilt, no edge replayed", rec, lost)
+		if sent := reps[0].Runtime.ParcelsSent; sent != 0 {
+			t.Errorf("the survivor's re-run sent %d parcels, want none", sent)
 		}
 	})
 }
 
-// The near task's contract under a fabric, clause by clause, on rank 0 of a
-// two-rank world with no runtime running (the tasks are called directly): it
-// does nothing for a leaf homed elsewhere; it applies a leaf's whole list
-// once and counts the target down by it; a second run is fenced; it waits
-// for a failover in progress; and a failover that rebuilds a leaf here
-// clears the fence — even one left set — and the leaf's near field is
-// applied, once, into the zeroed potentials. No end-to-end gate can see the
-// fences (a live rank keeps its leaves, so the protocol seeds each task
-// once): like the claim's source lock, they are pinned here.
+// The near task's contract under a fabric, on rank 0 of a two-rank world
+// with no runtime running (the task is called directly): it applies its
+// leaf's whole list, once, and counts the target down by it. It is seeded
+// once per run, on its leaf's home (seedRoots), so it needs no fence.
 func TestFabricNearTaskContract(t *testing.T) {
 	dw := newDistWorld(t, 2, 600)
 	cls := distClusters(t, 2)
@@ -290,88 +276,26 @@ func TestFabricNearTaskContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := newExecutor(st, 2)
-	fb := newFabric(ex, cls[0], distOpts(0).withDefaults())
+	ex := newExecutor(st, localities(2))
+	newFabric(ex, cls[0], distOpts(0).withDefaults())
 	st.reset(dw.q)
 
-	// want[pi]: the leaf's near field, edge by edge through the kernel.
 	lists := st.p.batches.P2P
-	want := make([][]float64, len(lists))
-	var mine, foreign []int32
-	for pi, pb := range lists {
-		tb := ex.g.Nodes[pb.Target].Box
-		want[pi] = make([]float64, tb.Hi-tb.Lo)
-		for _, be := range pb.Edges {
-			sb := ex.g.Nodes[be.From].Box
-			st.p.Kernel.S2T(st.srcPts(sb), st.q[sb.Lo:sb.Hi], st.tgtPts(tb), want[pi])
-		}
-		if ex.hosts(pb.Target) {
-			mine = append(mine, int32(pi))
-		} else {
-			foreign = append(foreign, int32(pi))
-		}
+	pi := slices.IndexFunc(lists, func(pb dag.P2PBatch) bool { return ex.hosts(pb.Target) })
+	if pi < 0 || !slices.ContainsFunc(lists, func(pb dag.P2PBatch) bool { return !ex.hosts(pb.Target) }) {
+		t.Fatal("fixture: near lists are not homed on both ranks")
 	}
-	if len(mine) < 2 || len(foreign) == 0 {
-		t.Fatalf("fixture: %d near lists homed here, %d elsewhere", len(mine), len(foreign))
+	// want: the leaf's near field, edge by edge through the kernel.
+	pb := lists[pi]
+	tb := ex.g.Nodes[pb.Target].Box
+	want := make([]float64, tb.Hi-tb.Lo)
+	for _, be := range pb.Edges {
+		sb := ex.g.Nodes[be.From].Box
+		st.p.Kernel.S2T(st.srcPts(sb), st.q[sb.Lo:sb.Hi], st.tgtPts(tb), want)
 	}
-	pot := func(pi int32) []float64 {
-		tb := ex.g.Nodes[lists[pi].Target].Box
-		return st.pot[tb.Lo:tb.Hi]
-	}
-	applied := func(pi int32) bool {
-		t.Helper()
-		if slices.Max(pot(pi)) == 0 && slices.Min(pot(pi)) == 0 {
-			return false
-		}
-		assertSame(t, pot(pi), want[pi], 1e-12)
-		return true
-	}
-
-	if ex.runNear(nil, foreign[0]); applied(foreign[0]) || fb.nearDone[lists[foreign[0]].Target].Load() {
-		t.Error("the near task of a leaf homed on the other rank ran here")
-	}
-
-	pi, tgt := mine[0], lists[mine[0]].Target
-	ex.runNear(nil, pi)
-	if !applied(pi) {
-		t.Fatal("the near task of a leaf homed here applied nothing")
-	}
-	if got, want := ex.remaining[tgt].Load(), ex.g.Nodes[tgt].In-int32(len(lists[pi].Edges)); got != want {
-		t.Errorf("target %d has %d inputs outstanding after its near task, want %d", tgt, got, want)
-	}
-	once := slices.Clone(pot(pi))
-	if ex.runNear(nil, pi); !slices.Equal(pot(pi), once) || ex.remaining[tgt].Load() < 0 {
-		t.Error("a second run of the near task applied the near field again")
-	}
-
-	fb.runMu.Lock()
-	ran := make(chan struct{})
-	go func() {
-		defer close(ran)
-		ex.runNear(nil, mine[1])
-	}()
-	select {
-	case <-ran:
-		t.Error("the near task ran through a failover in progress")
-	case <-time.After(50 * time.Millisecond):
-	}
-	fb.runMu.Unlock()
-	if <-ran; !applied(mine[1]) {
-		t.Error("the near task did not run once the failover was over")
-	}
-
-	fb.nearDone[lists[foreign[0]].Target].Store(true)
-	fb.applyDeath(1)
-	for _, pi := range foreign {
-		if tgt := lists[pi].Target; !ex.hosts(tgt) || fb.nearDone[tgt].Load() || applied(pi) {
-			t.Fatalf("leaf %d after the other rank's death: homed here %v, fence %v, potentials nonzero %v",
-				tgt, ex.hosts(tgt), fb.nearDone[tgt].Load(), applied(pi))
-		}
-		if ex.runNear(nil, pi); !applied(pi) {
-			t.Errorf("rebuilt leaf %d: near field not applied", lists[pi].Target)
-		}
-	}
-	if !slices.Equal(pot(pi), once) {
-		t.Error("a leaf this rank kept was touched by the other rank's failover")
+	ex.runNear(nil, int32(pi))
+	assertSame(t, st.pot[tb.Lo:tb.Hi], want, 1e-12)
+	if got, want := ex.remaining[pb.Target].Load(), ex.g.Nodes[pb.Target].In-int32(len(pb.Edges)); got != want {
+		t.Errorf("target %d has %d inputs outstanding after its near task, want %d", pb.Target, got, want)
 	}
 }

@@ -7,9 +7,9 @@
 // the local ones through state.apply, coalesces the remote ones into a parcel
 // per destination, counts each target down and spawns it at zero. The
 // in-process ParallelEvaluation and the multi-process DistRun (distrib.go)
-// both run it; DistRun adds a fabric — failover-mutable homes, exactly-once
-// edge claims, the verdict gate, the rank-0 gather — that the executor
-// holds when there is a cluster and does not otherwise.
+// both run it; DistRun adds a fabric — parcel installs, per-edge applied
+// bits, the rank-0 gather — that the executor holds when there is a cluster
+// and does not otherwise.
 //
 // As in the paper, the same Plan can be evaluated many times for different
 // charge inputs, amortizing the setup cost (Section IV: "the FMM is widely
@@ -72,20 +72,33 @@ type Plan struct {
 	placeMu sync.Mutex
 }
 
-// place runs the paper's placement (dist.MinComm) over the plan's graph and
-// returns the node → locality table with the communication volume it
-// implies. Computed once per evaluation context; contexts of different
-// shapes on one plan each hold their own table.
-func (p *Plan) place(localities int) (homes []int32, remoteBytes, remoteEdges int64) {
+// place runs the paper's placement (dist.MinComm) over the plan's graph for
+// len(live) localities, maps locality i to live[i], and returns the node →
+// locality table with the communication volume it implies. In-process live
+// is 0..L-1; a distributed run passes the sorted ranks still alive when its
+// job was placed, so a re-run after a death places nothing on the corpse and
+// every survivor computes the same table. Computed once per evaluation
+// context; contexts of different shapes on one plan each hold their own.
+func (p *Plan) place(live []int32) (homes []int32, remoteBytes, remoteEdges int64) {
 	p.placeMu.Lock()
 	defer p.placeMu.Unlock()
 	g := p.Graph
-	dist.MinComm{}.Assign(g, localities)
+	dist.MinComm{}.Assign(g, len(live))
 	homes = make([]int32, len(g.Nodes))
 	for i := range g.Nodes {
-		homes[i] = g.Nodes[i].Locality
+		homes[i] = live[g.Nodes[i].Locality]
 	}
 	return homes, dist.RemoteBytes(g), dist.RemoteEdges(g)
+}
+
+// localities lists 0..n-1: the live set of an in-process evaluation, and of
+// a distributed one nobody has died in.
+func localities(n int) []int32 {
+	live := make([]int32, n)
+	for i := range live {
+		live[i] = int32(i)
+	}
+	return live
 }
 
 // NewPlan partitions the ensembles, computes the dual-tree lists, and builds
@@ -298,34 +311,8 @@ func (s *state) reset(charges []float64) {
 		s.grad[i] = geom.Point{}
 	}
 	for i := range s.exp {
-		s.zeroVectors(int32(i))
-	}
-}
-
-// zeroVectors clears the coefficient vectors of node id.
-func (s *state) zeroVectors(id int32) {
-	for _, v := range s.vectors(id) {
-		clear(v)
-	}
-}
-
-// zeroNode clears the payload of one node for a crash-recovery rebuild:
-// the rebuilt LCO re-accumulates its inputs from scratch, so whatever
-// partial reduction was lost with the dead rank must not linger. S nodes
-// have no derived payload (the charge vector is re-readable input); T nodes
-// own their box's slice of the potential (and gradient) accumulators.
-// Callers serialize against concurrent deliveries via the node's lock.
-func (s *state) zeroNode(n *dag.Node) {
-	s.zeroVectors(n.ID)
-	if n.Kind == dag.NodeT {
-		b := n.Box
-		for j := b.Lo; j < b.Hi; j++ {
-			s.pot[j] = 0
-		}
-		if s.grad != nil {
-			for j := b.Lo; j < b.Hi; j++ {
-				s.grad[j] = geom.Point{}
-			}
+		for _, v := range s.vectors(int32(i)) {
+			clear(v)
 		}
 	}
 }

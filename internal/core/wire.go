@@ -121,8 +121,8 @@ func (s *state) encodeResult(ids []int32) []byte {
 }
 
 // installResult decodes a completed-targets report into the gather state,
-// returning the T node IDs it covered. Overwrites are idempotent: a rank
-// re-reporting after a failover carries the identical deterministic values.
+// returning the T node IDs it covered. Overwrites are idempotent: a repeated
+// copy of a report carries the identical values.
 // The id list is sized from a count that the payload's own length and the
 // plan's target nodes both bound. A refused report covers nothing: what it
 // wrote before the fault, the report that does cover those nodes overwrites.

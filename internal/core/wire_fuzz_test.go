@@ -45,7 +45,7 @@ func newWireFixture(tb testing.TB, gradient bool) *wireFixture {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { cl.Close() })
-	fx := &wireFixture{st: st, fb: newFabric(newExecutor(st, 2), cl, DistOptions{}.withDefaults())}
+	fx := &wireFixture{st: st, fb: newFabric(newExecutor(st, localities(2)), cl, DistOptions{}.withDefaults())}
 	i := slices.IndexFunc(plan.Graph.Nodes, func(n dag.Node) bool { return n.Kind == dag.NodeM && len(n.Out) >= 2 })
 	if i < 0 {
 		tb.Fatal("the fixture plan has no M node with two out edges")
@@ -110,7 +110,7 @@ func (fx *wireFixture) resultSeeds() []wireSeed {
 	}
 }
 
-// decodeParcel is fabric.tryParcel's decode: header, then the node payload.
+// decodeParcel is fabric.handleParcel's decode: header, then the node payload.
 func (fx *wireFixture) decodeParcel(data []byte) (*dag.Node, []int32, error) {
 	r := amt.NewCursor(data)
 	src, outIdx, err := decodeParcelHeader(fx.st.p.Graph, &r)

@@ -1,7 +1,7 @@
 // Package dist places the nodes of the implicit (LCO) DAG onto localities
-// with the paper's communication-minimizing policy (Section IV), fails a dead
-// locality's nodes over to the survivors, and measures the traffic a
-// placement implies. The only hard constraint is the paper's: nodes tied to
+// with the paper's communication-minimizing policy (Section IV) and measures
+// the traffic a placement implies. A dead rank is never failed over: the run
+// it was part of fails, and the re-run places the DAG over the survivors. The only hard constraint is the paper's: nodes tied to
 // leaf data — the S and T bundles, the multipole expansion of a source leaf
 // and the local expansion of a target leaf — are fixed to the locality that
 // owns the underlying points (the a-priori coarse block distribution of each
@@ -102,34 +102,6 @@ func (MinComm) Assign(g *dag.Graph, localities int) {
 		}
 		n.Locality = best
 	}
-}
-
-// Failover reassigns ownership after a locality crash: every entry of
-// homes (the current node→locality assignment, one entry per DAG node)
-// equal to dead is rewritten to one of the surviving ranks, round-robin by
-// node index so the orphaned work spreads evenly across the survivors. The
-// rule is a pure function of (homes, dead, survivors), so every participant
-// of a recovery — and a re-execution of the same failure scenario — picks
-// identical new owners, which is what makes crash recovery deterministic.
-// It returns the number of reassigned nodes. survivors must be non-empty
-// and must not contain dead.
-func Failover(homes []int32, dead int32, survivors []int32) int {
-	if len(survivors) == 0 {
-		panic("dist: Failover with no surviving localities")
-	}
-	for _, s := range survivors {
-		if s == dead {
-			panic("dist: Failover survivor list contains the dead rank")
-		}
-	}
-	moved := 0
-	for i := range homes {
-		if homes[i] == dead {
-			homes[i] = survivors[i%len(survivors)]
-			moved++
-		}
-	}
-	return moved
 }
 
 // RemoteBytes sums the bytes of edges that cross localities under the

@@ -173,74 +173,3 @@ func TestOwnerIsContiguousAndBalanced(t *testing.T) {
 		}
 	}
 }
-
-func TestFailoverRoundRobinDeterministic(t *testing.T) {
-	homes := []int32{0, 1, 2, 1, 3, 1, 0, 1}
-	// Dead entries pick survivors[i % len(survivors)] by node index, so the
-	// same failure scenario always lands the same assignment.
-	want := []int32{0, 2, 2, 0, 3, 3, 0, 2}
-	survivors := []int32{0, 2, 3}
-	moved := Failover(homes, 1, survivors)
-	if moved != 4 {
-		t.Errorf("moved %d nodes, want 4", moved)
-	}
-	for i := range homes {
-		if homes[i] != want[i] {
-			t.Errorf("homes[%d] = %d, want %d", i, homes[i], want[i])
-		}
-	}
-	// Same inputs, same assignment: recovery must be replayable.
-	again := []int32{0, 1, 2, 1, 3, 1, 0, 1}
-	Failover(again, 1, survivors)
-	for i := range again {
-		if again[i] != homes[i] {
-			t.Fatalf("failover is not deterministic at %d: %d vs %d", i, again[i], homes[i])
-		}
-	}
-}
-
-func TestFailoverSpreadsLoad(t *testing.T) {
-	const n = 999
-	homes := make([]int32, n)
-	for i := range homes {
-		homes[i] = 2
-	}
-	survivors := []int32{0, 1, 3}
-	if moved := Failover(homes, 2, survivors); moved != n {
-		t.Fatalf("moved %d, want %d", moved, n)
-	}
-	counts := map[int32]int{}
-	for _, h := range homes {
-		counts[h]++
-	}
-	for _, s := range survivors {
-		if c := counts[s]; c != n/len(survivors) {
-			t.Errorf("survivor %d got %d nodes, want %d", s, c, n/len(survivors))
-		}
-	}
-}
-
-func TestFailoverLeavesSurvivorsAlone(t *testing.T) {
-	homes := []int32{0, 3, 0, 3}
-	if moved := Failover(homes, 1, []int32{0, 3}); moved != 0 {
-		t.Errorf("moved %d nodes of a rank that owned nothing", moved)
-	}
-	for i, h := range homes {
-		if h != []int32{0, 3, 0, 3}[i] {
-			t.Fatalf("survivor-owned node %d reassigned to %d", i, h)
-		}
-	}
-}
-
-func TestFailoverPanics(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	expectPanic("no survivors", func() { Failover([]int32{1}, 1, nil) })
-	expectPanic("dead in survivors", func() { Failover([]int32{1}, 1, []int32{0, 1}) })
-}

@@ -25,7 +25,7 @@ import (
 // refinement threshold. At the few thousand points they use, a request that
 // leaves the threshold to the tuner is served by a level-1 tree with no far
 // field at all; the gates here — 1e-12 against a direct core evaluation,
-// the store's operator round trip, failover mid-run — are about the far
+// the store's operator round trip, a re-run after a mid-run death — are about the far
 // field too. The tuned default has its own tests (tune_test.go).
 const paperThr = tree.Threshold
 

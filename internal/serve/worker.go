@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -19,7 +20,8 @@ import (
 // broadcasts EXIT or disappears.
 //
 // The design is crash-only: any worker-side failure (malformed job, plan
-// build error, failed run) makes RunWorker return an error and the process
+// build error, a run failed by anything but another rank's death, which rank
+// 0 answers with a re-run) makes RunWorker return an error and the process
 // exit; the supervisor on rank 0 observes the death verdict and respawns a
 // fresh incarnation that REJOINs. No in-place repair, no half-alive states.
 
@@ -113,7 +115,11 @@ func RunWorker(env WorkerEnv) error {
 			// and be respawned against whatever coordinator comes next.
 			return nil
 		case amt.EventJob:
-			if err := runWorkerJob(cl, cache, env.Threads, ev.Job); err != nil {
+			// A job that lost another rank failed everywhere; rank 0 re-runs
+			// it on the survivors, this rank included.
+			var lost *core.RankLostError
+			err := runWorkerJob(cl, cache, env.Threads, ev.Job)
+			if err != nil && !(errors.As(err, &lost) && lost.Rank != env.Rank) {
 				return fmt.Errorf("rank %d job (gen %d): %w", env.Rank, ev.Gen, err)
 			}
 		}
