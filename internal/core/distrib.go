@@ -170,12 +170,7 @@ func DistRun(ctx context.Context, p *Plan, cl *amt.Cluster, charges []float64, o
 	quiesce()
 	stats.Transport = cl.TransportStats()
 
-	fb.covMu.Lock()
-	done := fb.done
-	covered := len(fb.covered)
-	fb.covMu.Unlock()
-	// A gathered result stands whatever ended the run after it.
-	if err := fb.err(); err != nil && !done {
+	if err := fb.err(); err != nil {
 		return nil, ExecReport{}, err
 	}
 	if err := p.checkKernel(); err != nil {
@@ -192,6 +187,10 @@ func DistRun(ctx context.Context, p *Plan, cl *amt.Cluster, charges []float64, o
 	if fb.rank != 0 {
 		return nil, rep, nil
 	}
+	fb.covMu.Lock()
+	done := fb.done
+	covered := len(fb.covered)
+	fb.covMu.Unlock()
 	if !done {
 		return nil, ExecReport{}, fmt.Errorf("core: run ended with %d/%d target nodes gathered", covered, len(fb.tnodes))
 	}

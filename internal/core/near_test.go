@@ -191,9 +191,9 @@ func TestDistRunSendsNoNearFieldParcels(t *testing.T) {
 // field of a target applied exactly once, matches at 1e-12.
 func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 	const victim = 1
-	// lostLeaves counts the target leaves the victim homes in the first
-	// run and the re-run's placement over the survivors leaves on it.
-	lostLeaves := func(t *testing.T, plan *Plan, world int) int {
+	// leavesMove checks the fixture: the victim homes target leaves in the
+	// first run, and the re-run's placement over the survivors none.
+	leavesMove := func(t *testing.T, plan *Plan, world int) {
 		first, _, _ := plan.place(localities(world))
 		again, _, _ := plan.place(survivors(world, []int{victim}))
 		lost := 0
@@ -208,12 +208,11 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 		if lost == 0 {
 			t.Fatal("fixture: the victim homes no target leaf")
 		}
-		return lost
 	}
 	t.Run("far field replayed", func(t *testing.T) {
 		const world = 4
 		dw := newDistWorld(t, world, 3000)
-		lostLeaves(t, dw.plans[0], world)
+		leavesMove(t, dw.plans[0], world)
 		cls := distClusters(t, world)
 		_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
 			o := distOpts(r)
@@ -242,7 +241,7 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 		if s2t := plan.Graph.EdgeCount[dag.OpS2T]; s2t == 0 || s2t != plan.Graph.NumEdges() {
 			t.Fatalf("fixture: %d of %d edges are S->T", s2t, plan.Graph.NumEdges())
 		}
-		lostLeaves(t, plan, world)
+		leavesMove(t, plan, world)
 		var err error
 		if dw.want, err = plan.EvaluateSequential(dw.q); err != nil {
 			t.Fatal(err)
