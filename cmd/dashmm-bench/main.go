@@ -8,13 +8,13 @@
 //	        operations up the source tree, the operations bridging the
 //	        trees, and the operations producing the target values.
 //	-real   run the goroutine runtime on this machine instead of the
-//	        simulator and report measured utilization: -locs N splits the
-//	        workers across N shared-memory localities of this process, -net
-//	        tcp|unix forks them as N real rank processes over a socket mesh
-//	        (where the fault and kill knobs apply). The run also checks the
-//	        cost model from inside: the tuner's candidate ladder when
-//	        -threshold is 0, and after the evaluation the predicted against
-//	        the traced busy seconds of every operator class.
+//	        simulator and report measured utilization: one locality of
+//	        GOMAXPROCS workers, or with -locs N -net tcp|unix N rank
+//	        processes over a socket mesh (where the fault and kill knobs
+//	        apply). The run also checks the cost model from inside: the
+//	        tuner's candidate ladder when -threshold is 0, and after the
+//	        evaluation the predicted against the traced busy seconds of
+//	        every operator class.
 //
 // The simulated runs replay the explicit DAG under the Table II cost model
 // with HPX-5-style oblivious FIFO scheduling (see DESIGN.md), which is what
@@ -66,7 +66,7 @@ func main() {
 		lambda   = flag.Float64("lambda", 4, "with -kernel yukawa: screening parameter")
 		method   = flag.String("method", "advanced", "method: advanced | basic | barneshut")
 
-		locs = flag.Int("locs", 1, "with -real: localities to split the workers across")
+		locs = flag.Int("locs", 1, "with -real -net: rank processes to split the workers across")
 
 		// Multi-process mode: -net forks -locs real OS processes joined over
 		// a socket mesh. The fault knobs wrap every rank's outbound frame
@@ -104,6 +104,9 @@ func main() {
 			wireArgs = append(wireArgs, "-"+f.Name+"="+f.Value.String())
 		}
 	})
+	if *real && *netMode == "" && *locs > 1 {
+		log.Fatalf("-locs %d needs -net unix (or tcp): a process is one locality, so more are rank processes", *locs)
+	}
 	var fault *amt.FaultProfile
 	if *drop > 0 || *dup > 0 || *reorder || (*slowRank >= 0 && *slowDelay > 0) {
 		fault = &amt.FaultProfile{
@@ -139,7 +142,7 @@ func main() {
 		return
 	}
 	if *real {
-		runReal(plan, sc, *traceOut, *locs)
+		runReal(plan, sc, *traceOut)
 	}
 
 	cm := sim.PaperCostModel()
@@ -568,22 +571,14 @@ func simulate(g *dag.Graph, cm sim.CostModel, cores int) (*trace.Utilization, si
 	return u, r
 }
 
-// runReal executes the DAG on the goroutine runtime of this machine
-// (optionally split across shared-memory localities) and prints measured
-// utilization and per-op averages.
-func runReal(plan *core.Plan, sc scenario, traceOut string, locs int) {
-	if locs < 1 {
-		locs = 1
-	}
-	w := runtime.GOMAXPROCS(0) / locs
-	if w < 1 {
-		w = 1
-	}
+// runReal executes the DAG on the goroutine runtime of this machine, one
+// locality of GOMAXPROCS workers, and prints measured utilization and per-op
+// averages.
+func runReal(plan *core.Plan, sc scenario, traceOut string) {
+	w := runtime.GOMAXPROCS(0)
 	q := sc.charges()
-	tr := trace.New(locs * w)
-	pe, err := plan.NewParallelEvaluation(core.ExecOptions{
-		Localities: locs, Workers: w, Tracer: tr,
-	})
+	tr := trace.New(w)
+	pe, err := plan.NewParallelEvaluation(core.ExecOptions{Workers: w, Tracer: tr})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -620,11 +615,10 @@ func runReal(plan *core.Plan, sc scenario, traceOut string, locs int) {
 		}
 		fmt.Printf("# trace written to %s (%d events)\n", traceOut, len(events))
 	}
-	totalW := locs * w
-	fmt.Printf("\n# real runtime: %d localities x %d workers, elapsed %v warm (%v cold), %s\n",
-		locs, w, rep.Elapsed, cold.Elapsed, rep.Runtime)
+	fmt.Printf("\n# real runtime: 1 locality x %d workers, elapsed %v warm (%v cold), %s\n",
+		w, rep.Elapsed, cold.Elapsed, rep.Runtime)
 	start, end := trace.Span(events)
-	u := trace.Analyze(events, totalW, 100, start, end)
+	u := trace.Analyze(events, w, 100, start, end)
 	var avg float64
 	for _, v := range u.Total {
 		avg += v

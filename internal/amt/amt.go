@@ -6,23 +6,24 @@
 //     local randomized work stealing (the paper's HPX-5 configuration).
 //   - Parcels: active messages sent to a locality; delivering a parcel
 //     spawns a lightweight thread there (the parcel–thread equivalence of
-//     HPX-5). Sending a parcel is the only way to spawn work.
+//     HPX-5).
 //
 // The runtime ships no LCO, future or global-address-space type. The one
 // control object the paper's application needs — an expansion that reduces
 // its inputs and triggers a continuation on the last one — is the node slot
 // of the executor in internal/core (a lock, an input countdown and a
-// prebuilt Task per DAG node), built directly on Spawn and SendParcel; a
-// second, general LCO API here had no caller.
+// prebuilt Task per DAG node), built directly on Spawn; a second, general
+// LCO API here had no caller.
 //
-// A Runtime is a scheduler and nothing else: it hosts N localities sharing
-// this process's memory — a parcel between them is a direct spawn with
-// modeled byte counts — or one rank of a multi-process cluster, whose wire
-// and delivery engine belong to the Cluster (cluster.go, delivery.go).
+// A Runtime is a scheduler and nothing else: it hosts exactly one locality,
+// as an HPX-5 process does. More localities are more ranks of a
+// multi-process cluster, whose parcels are encoded frames on a wire and
+// delivery engine that belong to the Cluster (cluster.go, delivery.go).
 // DESIGN.md records why this preserves the behaviours the paper measures.
 package amt
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -36,22 +37,21 @@ type Task func(w *Worker)
 
 // Config configures a Runtime.
 type Config struct {
-	// Localities is the number of shared-memory localities hosted by this
-	// process (default 1).
+	// Localities must be 0 or 1: a runtime hosts one locality, and more
+	// are the ranks of a Cluster. New panics on any other value.
 	Localities int
-	// Workers is the number of scheduler threads per locality (default 1).
+	// Workers is the number of scheduler threads of the locality (default 1).
 	Workers int
 	// Seed seeds the per-worker steal RNGs (deterministic scheduling noise).
 	Seed int64
-	// Rank is the rank of the first hosted locality: 0 in-process, the
-	// cluster rank for the one locality of a rank's runtime.
+	// Rank is the rank of the hosted locality: 0 in-process, the cluster
+	// rank on a rank of a Cluster.
 	Rank int
 }
 
-// Runtime is the in-process AMT runtime.
+// Runtime is the AMT runtime of one locality.
 type Runtime struct {
-	cfg  Config
-	locs []*Locality
+	loc *Locality
 
 	pending  atomic.Int64 // outstanding tasks + parcels
 	done     chan struct{}
@@ -69,7 +69,7 @@ type Runtime struct {
 	lateSpawns   atomic.Int64 // spawns rejected because the runtime has shut down
 }
 
-// Locality models one distributed-memory node.
+// Locality is the runtime's one distributed-memory node.
 type Locality struct {
 	rt      *Runtime
 	Rank    int
@@ -80,17 +80,15 @@ type Locality struct {
 // Worker is one scheduler thread of a locality.
 type Worker struct {
 	loc *Locality
-	// ID is the worker index within the locality; GlobalID is unique across
-	// the runtime.
-	ID       int
-	GlobalID int
-	rng      *rand.Rand
+	// ID is the worker index within the locality.
+	ID  int
+	rng *rand.Rand
 
 	// tasks is a lock-free Chase–Lev deque (deque.go): LIFO at the bottom
 	// for the owner, FIFO at the top for thieves.
 	tasks wsDeque
-	// in receives tasks from goroutines that do not own this worker's
-	// deque (Locality.Spawn, parcels, inbound frames); the owner drains it
+	// in receives tasks from goroutines that do not own this worker's deque
+	// (Locality.Spawn: initial tasks, inbound frames); the owner drains it
 	// into its deque before popping.
 	in inbox
 	// spare is the recycled drain buffer of the inbox.
@@ -100,34 +98,36 @@ type Worker struct {
 // New creates a runtime with the given configuration. Call Run to execute
 // work.
 func New(cfg Config) *Runtime {
-	if cfg.Localities <= 0 {
-		cfg.Localities = 1
+	if cfg.Localities < 0 || cfg.Localities > 1 {
+		panic(fmt.Sprintf("amt: %d localities asked of one runtime: it hosts one; run more as the ranks of a Cluster", cfg.Localities))
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	rt := &Runtime{cfg: cfg, done: make(chan struct{})}
-	gid := 0
-	for l := 0; l < cfg.Localities; l++ {
-		loc := &Locality{rt: rt, Rank: cfg.Rank + l}
-		for w := 0; w < cfg.Workers; w++ {
-			wk := &Worker{
-				loc:      loc,
-				ID:       w,
-				GlobalID: gid,
-				rng:      rand.New(rand.NewSource(cfg.Seed + int64(gid)*7919 + 1)),
-			}
-			wk.tasks.init()
-			loc.workers = append(loc.workers, wk)
-			gid++
+	rt := &Runtime{done: make(chan struct{})}
+	rt.loc = &Locality{rt: rt, Rank: cfg.Rank}
+	for w := 0; w < cfg.Workers; w++ {
+		wk := &Worker{
+			loc: rt.loc,
+			ID:  w,
+			rng: rand.New(rand.NewSource(cfg.Seed + int64(w)*7919 + 1)),
 		}
-		rt.locs = append(rt.locs, loc)
+		wk.tasks.init()
+		rt.loc.workers = append(rt.loc.workers, wk)
 	}
 	return rt
 }
 
-// Locality returns the hosted locality of rank l.
-func (rt *Runtime) Locality(l int) *Locality { return rt.locs[l-rt.locs[0].Rank] }
+// Locality returns the hosted locality, which must be of rank r: asking a
+// runtime for another rank's locality is a routing bug, and panics.
+func (rt *Runtime) Locality(r int) *Locality {
+	if r != rt.loc.Rank {
+		panic(errOtherRank)
+	}
+	return rt.loc
+}
+
+var errOtherRank = errors.New("amt: another rank's locality asked of this runtime")
 
 // Rank returns the locality rank the worker belongs to.
 func (w *Worker) Rank() int { return w.loc.Rank }
@@ -145,9 +145,8 @@ func (w *Worker) Spawn(t Task) {
 
 // Spawn schedules a task on the locality, round-robin across its workers'
 // inboxes. It is the entry point for work arriving from outside any worker
-// (initial tasks, parcel delivery, continuations fired from another
-// locality). A spawn after the runtime has shut down is counted rather than
-// silently lost.
+// (initial tasks, parcels off the wire). A spawn after the runtime has shut
+// down is counted rather than silently lost.
 //
 //dashmm:noalloc
 func (l *Locality) Spawn(t Task) {
@@ -159,27 +158,6 @@ func (l *Locality) Spawn(t Task) {
 	rt.pending.Add(1)
 	i := int(l.spawnRR.Add(1)-1) % len(l.workers)
 	l.workers[i].in.add(t)
-}
-
-// SendParcel sends an active-message parcel of the given payload size to
-// another locality of this process, where action runs as a lightweight
-// thread. Sending to the local rank is a plain spawn (no network
-// accounting), which is how HPX-5 abstracts shared- vs distributed-memory
-// execution; a remote send is accounted as a parcel of the modeled size and
-// spawned directly on the destination — localities of one process share its
-// memory, so there is no wire to lose it. Parcels between processes are
-// encoded frames and go through Cluster.Send.
-//
-//dashmm:noalloc
-func (w *Worker) SendParcel(dest int, bytes int, action Task) {
-	rt := w.loc.rt
-	if dest == w.loc.Rank {
-		w.Spawn(action)
-		return
-	}
-	rt.parcelsSent.Add(1)
-	rt.parcelBytes.Add(int64(bytes))
-	rt.locs[dest].Spawn(action)
 }
 
 // finish marks one pending unit complete.
@@ -198,12 +176,11 @@ func (rt *Runtime) signalDone() {
 	rt.doneOnce.Do(func() { close(rt.done) })
 }
 
-// Run seeds the runtime by calling setup on locality 0 (outside any worker)
-// and blocks until all spawned work has drained (or Abort is called). It
-// returns basic execution statistics. A Runtime runs one generation at a
-// time: after Run returns, call Reset to re-arm it for another Run (the
-// long-lived-service path), or create a new one. Reset refuses an aborted
-// run's runtime.
+// Run seeds the runtime by calling setup outside any worker and blocks until
+// all spawned work has drained (or Abort is called). It returns basic
+// execution statistics. A Runtime runs one generation at a time: after Run
+// returns, call Reset to re-arm it for another Run (the long-lived-service
+// path), or create a new one. Reset refuses an aborted run's runtime.
 func (rt *Runtime) Run(setup func()) Stats {
 	// Guard against an immediate empty run.
 	rt.pending.Add(1)
@@ -211,14 +188,12 @@ func (rt *Runtime) Run(setup func()) Stats {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for _, loc := range rt.locs {
-		for _, w := range loc.workers {
-			wg.Add(1)
-			go func(w *Worker) {
-				defer wg.Done()
-				w.run(stop)
-			}(w)
-		}
+	for _, w := range rt.loc.workers {
+		wg.Add(1)
+		go func(w *Worker) {
+			defer wg.Done()
+			w.run(stop)
+		}(w)
 	}
 	rt.finish() // release the setup guard
 	<-rt.done
@@ -296,17 +271,15 @@ func (rt *Runtime) Abort() {
 func (rt *Runtime) sweepLeftovers() {
 	for {
 		n := 0
-		for _, loc := range rt.locs {
-			for _, w := range loc.workers {
-				w.in.drain(w)
-				for {
-					t, ok := w.tasks.pop()
-					if !ok {
-						break
-					}
-					w.execute(t)
-					n++
+		for _, w := range rt.loc.workers {
+			w.in.drain(w)
+			for {
+				t, ok := w.tasks.pop()
+				if !ok {
+					break
 				}
+				w.execute(t)
+				n++
 			}
 		}
 		if n == 0 {
@@ -397,7 +370,9 @@ func (w *Worker) trySteal() (Task, bool) {
 
 // Stats reports what the runtime did during Run.
 type Stats struct {
-	TasksRun     int64
+	TasksRun int64
+	// ParcelsSent and ParcelBytes count the encoded parcels this rank handed
+	// to Cluster.Send (retransmissions not included); zero in-process.
 	ParcelsSent  int64
 	ParcelBytes  int64
 	Steals       int64

@@ -1,20 +1,20 @@
 package amt
 
 import (
+	"encoding/binary"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestRunDrainsAllTasks(t *testing.T) {
-	rt := New(Config{Localities: 2, Workers: 3})
+	rt := New(Config{Workers: 3})
 	var count atomic.Int64
 	stats := rt.Run(func() {
-		for l := 0; l < 2; l++ {
-			loc := rt.Locality(l)
-			for i := 0; i < 100; i++ {
-				loc.Spawn(func(w *Worker) { count.Add(1) })
-			}
+		loc := rt.Locality(0)
+		for i := 0; i < 200; i++ {
+			loc.Spawn(func(w *Worker) { count.Add(1) })
 		}
 	})
 	if count.Load() != 200 {
@@ -26,7 +26,7 @@ func TestRunDrainsAllTasks(t *testing.T) {
 }
 
 func TestNestedSpawns(t *testing.T) {
-	rt := New(Config{Localities: 1, Workers: 4})
+	rt := New(Config{Workers: 4})
 	var count atomic.Int64
 	rt.Run(func() {
 		rt.Locality(0).Spawn(func(w *Worker) {
@@ -49,37 +49,96 @@ func TestNestedSpawns(t *testing.T) {
 	}
 }
 
-func TestParcelCrossLocality(t *testing.T) {
-	rt := New(Config{Localities: 4, Workers: 2})
-	var delivered atomic.Int64
-	ranks := make(chan int, 64)
-	stats := rt.Run(func() {
-		rt.Locality(0).Spawn(func(w *Worker) {
-			for dest := 0; dest < 4; dest++ {
-				d := dest
-				w.SendParcel(d, 1000, func(w2 *Worker) {
-					delivered.Add(1)
-					ranks <- w2.Rank()
-				})
+// A runtime hosts one locality: asking New for more, or the runtime for
+// another rank's locality, is refused with a panic — more localities are the
+// ranks of a Cluster.
+func TestOneLocalityPerRuntime(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("New with 2 localities", func() { New(Config{Localities: 2}) })
+	mustPanic("New with -1 localities", func() { New(Config{Localities: -1}) })
+	rt := New(Config{Localities: 1, Rank: 3})
+	if loc := rt.Locality(3); loc.Rank != 3 {
+		t.Errorf("the runtime of rank 3 hosts locality %d", loc.Rank)
+	}
+	mustPanic("Locality(0) of the runtime of rank 3", func() { rt.Locality(0) })
+}
+
+// fanOut runs one job on cls: rank 0's runtime rt0 sends one parcel of size
+// bytes to every other rank, each of which must handle its own and no
+// other. logs[r] is rank r's event log (r >= 1). It returns rank 0's stats.
+func fanOut(t *testing.T, cls []*Cluster, logs []<-chan Event, rt0 clusterRuntime, size int) Stats {
+	t.Helper()
+	world := len(cls)
+	ws := make([]*wireRank, world)
+	for r, c := range cls {
+		ws[r] = newWireRank(c, world, socketDelivery)
+	}
+	job := startJob(cls[0], nil)
+	defer job.End()
+	var st0 Stats
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		defer cls[0].Attach(job, ws[0].sink).Close()
+		st0 = rt0.Run(func() {
+			for dst := 1; dst < world; dst++ {
+				payload := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(dst))
+				cls[0].Send(rt0.Runtime, dst, 1, 0, append(payload, make([]byte, size-len(payload))...))
 			}
 		})
-	})
-	close(ranks)
-	if delivered.Load() != 4 {
-		t.Fatalf("delivered %d of 4 parcels", delivered.Load())
+	}()
+	var wg sync.WaitGroup
+	for r := 1; r < world; r++ {
+		run := cls[r].Attach(await(t, logs[r], EventJob).Job, ws[r].sink)
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer run.Close()
+			ws[r].receive(t, 1)
+		}(r)
 	}
-	seen := map[int]bool{}
-	for r := range ranks {
-		seen[r] = true
-	}
-	for dest := 0; dest < 4; dest++ {
-		if !seen[dest] {
-			t.Errorf("parcel to locality %d executed elsewhere", dest)
+	wg.Wait()
+	<-sent // every acknowledgment is in, so every parcel has been counted out
+	for r := 1; r < world; r++ {
+		for i := range ws[r].handled {
+			want := int64(0)
+			if i == r {
+				want = 1
+			}
+			if got := atomic.LoadInt64(&ws[r].handled[i]); got != want {
+				t.Errorf("rank %d handled the parcel for rank %d %d times, want %d", r, i, got, want)
+			}
 		}
 	}
-	// Local sends are not parcels: 3 remote sends.
+	return st0
+}
+
+// watchWorkers returns the event logs of every rank but 0.
+func watchWorkers(t *testing.T, cls []*Cluster) []<-chan Event {
+	logs := make([]<-chan Event, len(cls))
+	for r := 1; r < len(cls); r++ {
+		logs[r] = watch(t, cls[r])
+	}
+	return logs
+}
+
+// A parcel to another locality is a frame to another rank: it runs there
+// and nowhere else, and the sender's runtime counts it and its payload
+// bytes.
+func TestParcelCrossLocality(t *testing.T) {
+	cls := startTestCluster(t, t.TempDir(), 4, lazyDetector)
+	rt0 := clusterRuntime{New(Config{Workers: 2}), cls[0]}
+	stats := fanOut(t, cls, watchWorkers(t, cls), rt0, 1000)
 	if stats.ParcelsSent != 3 {
-		t.Errorf("parcelsSent = %d, want 3 (local delivery is not a parcel)", stats.ParcelsSent)
+		t.Errorf("parcelsSent = %d, want 3", stats.ParcelsSent)
 	}
 	if stats.ParcelBytes != 3000 {
 		t.Errorf("parcelBytes = %d, want 3000", stats.ParcelBytes)
@@ -88,7 +147,7 @@ func TestParcelCrossLocality(t *testing.T) {
 
 func TestWorkStealingSpreadsLoad(t *testing.T) {
 	// One worker receives all spawns; with stealing, others must run some.
-	rt := New(Config{Localities: 1, Workers: 4})
+	rt := New(Config{Workers: 4})
 	var perWorker [4]atomic.Int64
 	rt.Run(func() {
 		loc := rt.Locality(0)
@@ -114,8 +173,8 @@ func TestDeterministicSeeding(t *testing.T) {
 	// Two runtimes with the same seed produce workers with identical RNG
 	// streams (scheduling itself is still timing-dependent, but the steal
 	// order source is reproducible).
-	a := New(Config{Localities: 1, Workers: 2, Seed: 42})
-	b := New(Config{Localities: 1, Workers: 2, Seed: 42})
+	a := New(Config{Workers: 2, Seed: 42})
+	b := New(Config{Workers: 2, Seed: 42})
 	for i := 0; i < 2; i++ {
 		wa := a.Locality(0).workers[i]
 		wb := b.Locality(0).workers[i]
@@ -130,15 +189,13 @@ func TestDeterministicSeeding(t *testing.T) {
 // A Reset runtime must execute a second generation of work exactly like a
 // fresh one, with per-generation stats.
 func TestRuntimeResetMultiShot(t *testing.T) {
-	rt := New(Config{Localities: 2, Workers: 3})
+	rt := New(Config{Workers: 3})
 	var count atomic.Int64
 	run := func(n int) Stats {
 		return rt.Run(func() {
-			for l := 0; l < 2; l++ {
-				loc := rt.Locality(l)
-				for i := 0; i < n; i++ {
-					loc.Spawn(func(w *Worker) { count.Add(1) })
-				}
+			loc := rt.Locality(0)
+			for i := 0; i < 2*n; i++ {
+				loc.Spawn(func(w *Worker) { count.Add(1) })
 			}
 		})
 	}
@@ -158,29 +215,20 @@ func TestRuntimeResetMultiShot(t *testing.T) {
 	}
 }
 
-// Cross-locality parcels must keep working after a Reset (they carry no
-// per-run state).
+// Parcels to other ranks must keep working after a Reset (they carry no
+// per-run state), and the sender counts each generation's alone.
 func TestRuntimeResetParcels(t *testing.T) {
-	rt := New(Config{Localities: 3, Workers: 2})
+	cls := startTestCluster(t, t.TempDir(), 3, lazyDetector)
+	logs := watchWorkers(t, cls)
+	rt0 := clusterRuntime{New(Config{Workers: 2}), cls[0]}
 	for gen := 0; gen < 2; gen++ {
-		var delivered atomic.Int64
-		stats := rt.Run(func() {
-			rt.Locality(0).Spawn(func(w *Worker) {
-				for dest := 1; dest < 3; dest++ {
-					w.SendParcel(dest, 64, func(w2 *Worker) { delivered.Add(1) })
-				}
-			})
-		})
-		if delivered.Load() != 2 {
-			t.Fatalf("gen %d delivered %d parcels, want 2", gen, delivered.Load())
-		}
-		if stats.ParcelsSent != 2 || stats.ParcelBytes != 128 {
-			t.Fatalf("gen %d parcel stats %+v", gen, stats)
-		}
-		if gen == 0 {
-			if err := rt.Reset(); err != nil {
+		if gen > 0 {
+			if err := rt0.Reset(); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if stats := fanOut(t, cls, logs, rt0, 64); stats.ParcelsSent != 2 || stats.ParcelBytes != 128 {
+			t.Fatalf("gen %d counts %d parcels of %d bytes, want 2 of 128", gen, stats.ParcelsSent, stats.ParcelBytes)
 		}
 	}
 }
@@ -190,7 +238,7 @@ func TestRuntimeResetRefusals(t *testing.T) {
 	// Undrained pending work (the signature of a stalled/aborted run whose
 	// queues still hold context-less tasks) must be refused. An ordinary
 	// Abort drains via sweepLeftovers, so inject the pending unit directly.
-	rt := New(Config{Localities: 1, Workers: 1})
+	rt := New(Config{Workers: 1})
 	rt.Run(func() { rt.Locality(0).Spawn(func(*Worker) {}) })
 	rt.pending.Add(1)
 	if err := rt.Reset(); err == nil {
@@ -208,7 +256,7 @@ func TestRuntimeResetRefusals(t *testing.T) {
 // spawn — never vanish.
 func TestShutdownSpawnNeverSilentlyLost(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		rt := New(Config{Localities: 2, Workers: 2})
+		rt := New(Config{Workers: 2})
 		var ran atomic.Int64
 		const spawned = 64
 		rt.Run(func() {
@@ -218,7 +266,7 @@ func TestShutdownSpawnNeverSilentlyLost(t *testing.T) {
 				// to be dropped from undrained inboxes.
 				rt.Abort()
 				for i := 0; i < spawned; i++ {
-					rt.Locality(i % 2).Spawn(func(*Worker) { ran.Add(1) })
+					rt.Locality(0).Spawn(func(*Worker) { ran.Add(1) })
 				}
 			})
 		})

@@ -149,31 +149,6 @@ func assertExactlyOnce(t *testing.T, runs []int64) {
 // fastDelivery is a retry clock at the in-memory pipe's scale.
 var fastDelivery = DeliveryConfig{RetryBase: 2 * time.Millisecond, RetryMax: 64 * time.Millisecond, Deadline: 10 * time.Second}
 
-// Parcels between localities of one process are direct spawns: no sequence
-// numbers, no acks, no wire — the transport counters stay all-zero while
-// the parcel accounting still moves.
-func TestInProcessParcelsBypassDelivery(t *testing.T) {
-	const n = 50
-	rt := New(Config{Localities: 2, Workers: 2})
-	runs := make([]int64, n)
-	stats := rt.Run(func() {
-		rt.Locality(0).Spawn(func(w *Worker) {
-			for i := 0; i < n; i++ {
-				i := i
-				w.SendParcel(1, 64, func(*Worker) { atomic.AddInt64(&runs[i], 1) })
-			}
-		})
-	})
-	assertExactlyOnce(t, runs)
-	if stats.Transport != (TransportStats{}) {
-		t.Errorf("in-process parcels touched the delivery engine: %+v", stats.Transport)
-	}
-	if stats.ParcelsSent != n || stats.ParcelBytes != 64*n {
-		t.Errorf("parcel accounting = %d parcels / %d bytes, want %d / %d",
-			stats.ParcelsSent, stats.ParcelBytes, n, 64*n)
-	}
-}
-
 func TestReliableDeliveryUnderDrop(t *testing.T) {
 	const n = 200
 	pw := newPipeWorld(2, &FaultProfile{Seed: 1, Drop: 0.3},

@@ -189,12 +189,12 @@ func (d *wsDeque) capacity() int {
 	return len(d.buf.Load().slot)
 }
 
-// inbox is the multi-producer side entrance of a worker: Locality.Spawn,
-// parcel delivery and continuations fired from another locality arrive
-// here from goroutines that do not own the worker's deque. The owner drains
-// it into its lock-free deque before popping; idle thieves may take single
-// tasks with a non-blocking TryLock so an inbox backlog behind a busy owner
-// cannot starve the locality.
+// inbox is the multi-producer side entrance of a worker: Locality.Spawn's
+// initial tasks and inbound wire frames arrive here from goroutines that do
+// not own the worker's deque. The owner drains it into its lock-free deque
+// before popping; idle thieves may take single tasks with a non-blocking
+// TryLock so an inbox backlog behind a busy owner cannot starve the
+// locality.
 //
 // The backing array is recycled: the owner swaps in its spare buffer on
 // drain and clears task references before reuse, so steady-state submission

@@ -411,14 +411,24 @@ func TestStartJobHonoursItsContext(t *testing.T) {
 
 // (g) A run's transport report is its own traffic on every rank of a
 // standing cluster: the delivery engine lives as long as the cluster and
-// subtracts what the wire had counted when the run attached.
+// subtracts what the wire had counted when the run attached. So are the
+// parcel counts of rank 0's runtime, re-armed (Reset) for the second run:
+// one parcel and its payload bytes per Send, none per retransmission.
 func TestTransportStatsArePerRun(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
 	log1 := watch(t, cls[1])
 	data := int64(len(AppendFrame(nil, &Frame{Payload: make([]byte, 4)})))
 	ack := int64(len(AppendFrame(nil, &Frame{})))
+	var rt0 clusterRuntime
 	for _, n := range []int{10, 3} {
 		w0, w1 := newWireRank(cls[0], n, socketDelivery), newWireRank(cls[1], n, socketDelivery)
+		if rt0.Runtime != nil {
+			if err := rt0.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			w0.rt = rt0
+		}
+		rt0 = w0.rt
 		job := startJob(cls[0], nil)
 		var st0 Stats
 		sent := make(chan struct{})
@@ -439,6 +449,9 @@ func TestTransportStatsArePerRun(t *testing.T) {
 		job.End()
 		assertExactlyOnce(t, w1.handled)
 		nn := int64(n)
+		if st0.ParcelsSent != nn || st0.ParcelBytes != 4*nn {
+			t.Errorf("rank 0, run of %d parcels: its runtime counts %d parcels of %d bytes; want %d of %d", n, st0.ParcelsSent, st0.ParcelBytes, nn, 4*nn)
+		}
 		if tr := st0.Transport; tr.BytesOut != nn*data || tr.BytesIn != nn*ack || tr.WireMessages != nn {
 			t.Errorf("rank 0, run of %d parcels: %d bytes out, %d in, %d messages; want %d, %d, %d", n, tr.BytesOut, tr.BytesIn, tr.WireMessages, nn*data, nn*ack, nn)
 		}

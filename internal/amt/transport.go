@@ -11,9 +11,9 @@ import (
 // this runtime does not: ranks in separate processes exchange encoded frames
 // over a Transport that may lose, duplicate, delay or reorder them, and the
 // delivery engine (delivery.go) restores at-least-once delivery, and the
-// run's per-edge applied bits make the effect exactly-once. Localities sharing one process need
-// no wire at all — a parcel between them is a direct Locality.Spawn.
-// DESIGN.md ("Failure handling") records the deviation from the paper's
+// run's per-edge applied bits make the effect exactly-once. A process hosts
+// one locality (Runtime), so every parcel crosses this wire. DESIGN.md
+// ("Failure handling") records the deviation from the paper's
 // reliable-network model.
 
 // Message is one wire-level transmission between ranks: either a data parcel

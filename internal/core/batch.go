@@ -13,11 +13,11 @@ import (
 // prebuilt task.
 //
 // A near list belongs to its target leaf. Its inputs — source points, and
-// charges once a run has them — are on every locality and rank at t = 0, so
-// its task is seeded with the roots on the leaf's home, waits for nothing
-// and applies every S->T edge of the leaf under one target lock. No source
-// node walks an S->T edge and none crosses a locality or a rank: one path
-// under every AMT executor, gradients or not, batch-capable kernel or not.
+// charges once a run has them — are on every rank at t = 0, so its task is
+// seeded with the roots on the leaf's home, waits for nothing and applies
+// every S->T edge of the leaf under one target lock. No source node walks an
+// S->T edge and none crosses a rank: one path under every AMT executor,
+// gradients or not, batch-capable kernel or not.
 //
 // An M->L batch is guarded by a pending-source counter: a triggering node
 // skips its batched out-edges on the per-edge path and decrements the
@@ -79,7 +79,7 @@ func (ex *executor) initBatches() {
 
 // noteBatchSources records that node id has triggered against every M->L
 // batch it feeds; the last source in spawns the batch task on the triggering
-// worker's locality.
+// worker.
 //
 //dashmm:noalloc
 func (ex *executor) noteBatchSources(w *amt.Worker, id int32) {

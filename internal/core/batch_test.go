@@ -36,7 +36,7 @@ func assertBatchedMatchesSequential(t *testing.T, what string, plan *Plan, q []f
 	if err != nil {
 		t.Fatalf("%s sequential: %v", what, err)
 	}
-	got, _, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2})
+	got, _, err := plan.Evaluate(q, ExecOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("%s batched: %v", what, err)
 	}
@@ -46,7 +46,7 @@ func assertBatchedMatchesSequential(t *testing.T, what string, plan *Plan, q []f
 	if err != nil {
 		t.Fatalf("%s sequential gradient: %v", what, err)
 	}
-	gotPot, rep, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2, Gradient: true})
+	gotPot, rep, err := plan.Evaluate(q, ExecOptions{Workers: 2, Gradient: true})
 	if err != nil {
 		t.Fatalf("%s batched gradient: %v", what, err)
 	}

@@ -127,10 +127,9 @@ func DistRun(ctx context.Context, p *Plan, cl *amt.Cluster, charges []float64, o
 	if run.Ended() {
 		// Rank 0 ended the run before it got here — it finished a DAG in
 		// which this rank owns no target, or it failed: evaluating now would
-		// only send parcels nobody waits for. If this rank's context has
-		// ended as well, that is still the run's error.
-		run.Close()
-		return nil, ExecReport{Localities: fb.world, Workers: opts.Workers}, ctx.Err()
+		// only send parcels nobody waits for. The log says which.
+		defer run.Close()
+		return nil, ExecReport{Localities: fb.world, Workers: opts.Workers}, endedRunErr(ctx, run, opts.Job.Gen)
 	}
 	watched := make(chan struct{})
 	go func() {
@@ -177,12 +176,10 @@ func DistRun(ctx context.Context, p *Plan, cl *amt.Cluster, charges []float64, o
 		return nil, ExecReport{}, err
 	}
 	rep = ExecReport{
-		Runtime:     stats,
-		Elapsed:     elapsed,
-		RemoteBytes: ex.remoteBytes,
-		RemoteEdges: ex.remoteEdges,
-		Localities:  fb.world,
-		Workers:     opts.Workers,
+		Runtime:    stats,
+		Elapsed:    elapsed,
+		Localities: fb.world,
+		Workers:    opts.Workers,
 	}
 	if fb.rank != 0 {
 		return nil, rep, nil
@@ -198,10 +195,35 @@ func DistRun(ctx context.Context, p *Plan, cl *amt.Cluster, charges []float64, o
 	return st.potentials(), rep, nil
 }
 
+// endedRunErr is the error of a run that rank 0 ended before this rank
+// attached: the cursor's log, replayed from the job to the run-complete
+// signal, holds what a watcher would have seen. The first death verdict in it
+// failed the run (*RankLostError), as would the coordinator's loss; a run
+// with neither finished, and this rank's context ending is still its error.
+func endedRunErr(ctx context.Context, run *amt.Subscription, gen uint32) error {
+	for {
+		ev, ok := run.Next()
+		switch {
+		case !ok, ev.Kind == amt.EventRunDone && ev.Gen == gen:
+			return ctx.Err()
+		case ev.Kind == amt.EventDead:
+			return &RankLostError{Rank: ev.Rank}
+		case ev.Kind == amt.EventCoordLost:
+			return ev.Err
+		}
+	}
+}
+
 // survivors lists the ranks of a world of n that are not in dead, in rank
 // order: the order of the verdicts does not matter.
 func survivors(n int, dead []int) []int32 {
-	return slices.DeleteFunc(localities(n), func(r int32) bool { return slices.Contains(dead, int(r)) })
+	var live []int32
+	for r := range n {
+		if !slices.Contains(dead, r) {
+			live = append(live, int32(r))
+		}
+	}
+	return live
 }
 
 // fabric is one rank's side of a distributed run: everything DistRun needs

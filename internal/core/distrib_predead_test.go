@@ -81,7 +81,7 @@ func TestDistRunReplaysEarlierVerdictsInLogOrder(t *testing.T) {
 	var homes [][]int32
 	for _, r := range []int{0, 2} {
 		for _, base := range [][]int{{3, 1}, {1, 3}} {
-			h, _, _ := dw.plans[r].place(survivors(world, base))
+			h := dw.plans[r].place(survivors(world, base))
 			if slices.ContainsFunc(h, func(home int32) bool { return home == 1 || home == 3 }) {
 				t.Errorf("rank %d, base %v: nodes placed on a dead rank", r, base)
 			}
@@ -109,5 +109,32 @@ func TestDistRunReplaysEarlierVerdictsInLogOrder(t *testing.T) {
 		if !errors.As(errs[r], &lost) || lost.Rank != 3 {
 			t.Errorf("rank %d returned %v, want the loss of rank 3, the first verdict in its log", r, errs[r])
 		}
+	}
+}
+
+// A rank that attaches after rank 0 has already failed the run — here on a
+// death verdict, with the run-complete signal in the late rank's log before
+// it gets there — reads the log from its job instead of evaluating: its run
+// failed with the loss of the first rank named dead; it did not finish.
+// Rank 0 runs alone first, so the order is deterministic.
+func TestDistRunAttachedAfterAFailedRunReportsTheLoss(t *testing.T) {
+	const world = 3
+	dw := newDistWorld(t, world, 600)
+	cls := distClusters(t, world)
+	for _, cl := range cls {
+		if err := cl.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cls[0].DeclareDead(2)
+	_, _, err0 := DistRun(distCtx(t), dw.plans[0], cls[0], dw.q, distOpts(0))
+	var lost *RankLostError
+	if !errors.As(err0, &lost) || lost.Rank != 2 {
+		t.Fatalf("rank 0 returned %v, want the loss of rank 2", err0)
+	}
+	awaitEvent(t, cls[1], amt.EventRunDone, 0)
+	_, _, err1 := DistRun(distCtx(t), dw.plans[1], cls[1], dw.q, distOpts(1))
+	if !errors.As(err1, &lost) || lost.Rank != 2 {
+		t.Errorf("rank 1, attached after rank 0 ended the run, returned %v, want the loss of rank 2", err1)
 	}
 }

@@ -285,6 +285,53 @@ func TestDistRunMatchesSequential(t *testing.T) {
 	}
 }
 
+// Coalescing on the wire: a fired node ships one parcel per remote
+// destination rank however many of its out edges go there, and the near
+// field ships none. So each rank's runtime hands the cluster some parcels,
+// and at most one per distinct (source node it homes, remote destination
+// rank) pair over the placement's non-S->T out edges, plus a worker's one
+// result frame.
+func TestMinCommReducesTraffic(t *testing.T) {
+	for _, world := range []int{2, 4} {
+		t.Run(fmt.Sprintf("%d ranks", world), func(t *testing.T) {
+			dw := newDistWorld(t, world, 1500)
+			g := dw.plans[0].Graph
+			homes := dw.plans[0].place(survivors(world, nil))
+			pairs := make([]int64, world)
+			var remote, coalesced int64
+			for i := range g.Nodes {
+				var dests []int32
+				for _, e := range g.Nodes[i].Out {
+					if d := homes[e.To]; e.Op != dag.OpS2T && d != homes[i] {
+						remote++
+						if !slices.Contains(dests, d) {
+							dests = append(dests, d)
+						}
+					}
+				}
+				pairs[homes[i]] += int64(len(dests))
+				coalesced += int64(len(dests))
+			}
+			if remote <= coalesced {
+				t.Fatalf("fixture: %d remote edges in %d (node, rank) pairs, nothing to coalesce", remote, coalesced)
+			}
+			pots, reps, errs := dw.run(distCtx(t), distClusters(t, world), distOpts)
+			assertSurvivorsOK(t, errs)
+			assertSame(t, pots, dw.want, 1e-12)
+			for r, rep := range reps {
+				limit := pairs[r]
+				if r != 0 {
+					limit++ // the result report
+				}
+				if sent := rep.Runtime.ParcelsSent; sent == 0 || sent > limit {
+					t.Errorf("rank %d sent %d parcels, want 1..%d: %d (node, rank) pairs and %d result frame",
+						r, sent, limit, pairs[r], limit-pairs[r])
+				}
+			}
+		})
+	}
+}
+
 // Killing a worker rank mid-run fails the run on every survivor with an
 // error that names the victim, and the job re-run on the survivors produces
 // 1e-12 potentials at rank 0.
@@ -484,7 +531,7 @@ func TestWorkerRunNeedsNothingFromRankZero(t *testing.T) {
 	if s2t := g.EdgeCount[dag.OpS2T]; s2t == 0 || s2t != g.NumEdges() {
 		t.Fatalf("fixture: %d of %d edges are S->T", s2t, g.NumEdges())
 	}
-	homes, _, _ := plans[0].place(localities(2))
+	homes := plans[0].place(survivors(2, nil))
 	if !slices.ContainsFunc(plans[0].batches.P2P, func(pb dag.P2PBatch) bool { return homes[pb.Target] == 1 }) {
 		t.Fatal("fixture: the worker homes no target leaf")
 	}
@@ -695,7 +742,7 @@ func TestFabricClaimContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := newExecutor(st, localities(2))
+	ex := newExecutor(st, survivors(2, nil))
 	fb := newFabric(ex, cls[0], distOpts(0).withDefaults())
 	// outIdx: the edges of node id a parcel from rank 1 carries here.
 	outIdx := func(id int) (out []int32) {

@@ -15,9 +15,11 @@ import (
 
 // ExecOptions configures a parallel evaluation on the AMT runtime.
 type ExecOptions struct {
-	// Localities and Workers shape the runtime (defaults 1 and 1).
+	// Localities must be 0 or 1: a runtime hosts one locality, and more are
+	// the ranks of a DistRun. NewParallelEvaluation refuses any other value.
 	Localities int
-	Workers    int
+	// Workers is the scheduler thread count (default 1).
+	Workers int
 	// Tracer, if non-nil, records one event per operator application for
 	// the utilization analysis.
 	Tracer *trace.Tracer
@@ -29,9 +31,6 @@ type ExecOptions struct {
 }
 
 func (o ExecOptions) withDefaults() ExecOptions {
-	if o.Localities <= 0 {
-		o.Localities = 1
-	}
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
@@ -43,30 +42,24 @@ type ExecReport struct {
 	// Gradients holds the per-target potential gradient when
 	// ExecOptions.Gradient was set (nil otherwise), in the caller's target
 	// order.
-	Gradients   []geom.Point
-	Runtime     amt.Stats
-	Elapsed     time.Duration
-	RemoteBytes int64
-	RemoteEdges int64
-	Localities  int
-	Workers     int
+	Gradients []geom.Point
+	Runtime   amt.Stats
+	Elapsed   time.Duration
+	// Localities is 1 in-process and the cluster's world under DistRun.
+	Localities int
+	Workers    int
 	// RuntimeReused reports that the evaluation ran on a pooled runtime
 	// re-armed from a previous Run instead of a freshly built one.
 	RuntimeReused bool
 }
 
-// parcelOverhead is the per-edge descriptor cost added to a coalesced
-// parcel (operation type + target global address), as in Section IV.
-const parcelOverhead = 16
-
 // Evaluate runs the DAG on the AMT runtime: every expansion node is an LCO
 // — its payload, a lock, an input countdown and a prebuilt continuation —
-// and the last arriving input spawns the continuation, which processes the
-// out edges: local edges sequentially (the paper's cache-locality choice),
-// remote edges coalesced into one parcel per destination locality carrying
-// the expansion data and the relevant edges — except the S->T edges, whose
-// inputs are all there at t = 0: each target leaf applies its whole near
-// list in one task of its own (batch.go).
+// and the last arriving input spawns the continuation, which applies the
+// out edges sequentially (the paper's cache-locality choice) — except the
+// S->T edges, whose inputs are all there at t = 0: each target leaf applies
+// its whole near list in one task of its own (batch.go). The runtime hosts
+// one locality; DistRun spreads the same executor over ranks.
 //
 // For the paper's iterative use case (many charge vectors over one DAG)
 // prefer NewParallelEvaluation, which allocates the payloads and the LCO
@@ -93,16 +86,19 @@ type ParallelEvaluation struct {
 }
 
 // NewParallelEvaluation allocates a parallel evaluation context and places
-// the DAG for its shape (dist.MinComm). The placement lives in the context,
-// not in the plan's graph, so contexts of different shapes may share a plan
-// and run concurrently.
+// the DAG on its one locality (dist.MinComm over [0]). The placement lives in
+// the context, not in the plan's graph, so contexts may share a plan and run
+// concurrently. More than one locality is an error: that is DistRun's job.
 func (p *Plan) NewParallelEvaluation(opts ExecOptions) (*ParallelEvaluation, error) {
 	opts = opts.withDefaults()
+	if opts.Localities < 0 || opts.Localities > 1 {
+		return nil, fmt.Errorf("core: %d localities asked of an in-process evaluation: it runs on one; add Workers, or run ranks with DistRun", opts.Localities)
+	}
 	st, err := p.newState(opts.Gradient)
 	if err != nil {
 		return nil, err
 	}
-	ex := newExecutor(st, localities(opts.Localities))
+	ex := newExecutor(st, []int32{0})
 	ex.tracer = opts.Tracer
 	return &ParallelEvaluation{plan: p, opts: opts, ex: ex}, nil
 }
@@ -134,11 +130,7 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 			return nil, ExecReport{}, err
 		}
 	} else {
-		ex.rt = amt.New(amt.Config{
-			Localities: opts.Localities,
-			Workers:    opts.Workers,
-			Seed:       opts.Seed,
-		})
+		ex.rt = amt.New(amt.Config{Workers: opts.Workers, Seed: opts.Seed})
 	}
 
 	start := time.Now()
@@ -161,9 +153,7 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 		Gradients:     ex.st.gradients(),
 		Runtime:       stats,
 		Elapsed:       elapsed,
-		RemoteBytes:   ex.remoteBytes,
-		RemoteEdges:   ex.remoteEdges,
-		Localities:    opts.Localities,
+		Localities:    1,
 		Workers:       opts.Workers,
 		RuntimeReused: runtimeReused,
 	}, nil
@@ -173,10 +163,11 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 // implementation of "node fired → walk Out → apply local edges → coalesce
 // remote edges per destination → count the target down → spawn it": a DAG
 // node's slot in locks/remaining/tasks, with its payload in st, is the
-// paper's expansion LCO. ParallelEvaluation runs it over the localities of
-// one process; DistRun runs the same code as one rank of a cluster, with the
-// two things distribution adds — parcels that cross a process boundary, edges
-// that may arrive twice — switched on the fabric it then holds.
+// paper's expansion LCO. ParallelEvaluation runs it on the one locality of a
+// process, where every edge is local; DistRun runs the same code as one rank
+// of a cluster, with the two things distribution adds — parcels that cross a
+// process boundary, edges that may arrive twice — switched on the fabric it
+// then holds.
 type executor struct {
 	st     *state
 	g      *dag.Graph
@@ -184,14 +175,12 @@ type executor struct {
 	tracer *trace.Tracer
 	// fab is the distributed side of a DistRun (distrib.go); nil in-process.
 	fab *fabric
-	// homes is the placement: node → locality in-process, node → rank under
-	// a fabric, fixed at construction. remoteBytes and remoteEdges are the
-	// communication volume it implies.
-	homes                    []int32
-	remoteBytes, remoteEdges int64
-	remaining                []atomic.Int32
-	locks                    []sync.Mutex
-	tasks                    []amt.Task // prebuilt node continuations, indexed by node ID
+	// homes is the placement, node → rank, fixed at construction: all 0
+	// in-process.
+	homes     []int32
+	remaining []atomic.Int32
+	locks     []sync.Mutex
+	tasks     []amt.Task // prebuilt node continuations, indexed by node ID
 	// Batched execution (batch.go): the kernel's batched surface (nil when it
 	// has none), per target leaf a prebuilt near task and its source chunks,
 	// one pending-source counter and prebuilt task per M->L batch (nil when the
@@ -206,20 +195,17 @@ type executor struct {
 }
 
 // newExecutor builds the LCO network of a state and places it over the live
-// localities (Plan.place): the placement runs once, here, and the executor
-// keeps its own copy of the result.
+// ranks (Plan.place): the placement runs once, here, and the executor keeps
+// its own copy of the result.
 func newExecutor(st *state, live []int32) *executor {
 	g := st.p.Graph
-	homes, remoteBytes, remoteEdges := st.p.place(live)
 	ex := &executor{
-		st:          st,
-		g:           g,
-		homes:       homes,
-		remoteBytes: remoteBytes,
-		remoteEdges: remoteEdges,
-		remaining:   make([]atomic.Int32, len(g.Nodes)),
-		locks:       make([]sync.Mutex, len(g.Nodes)),
-		tasks:       make([]amt.Task, len(g.Nodes)),
+		st:        st,
+		g:         g,
+		homes:     st.p.place(live),
+		remaining: make([]atomic.Int32, len(g.Nodes)),
+		locks:     make([]sync.Mutex, len(g.Nodes)),
+		tasks:     make([]amt.Task, len(g.Nodes)),
 	}
 	// One continuation closure per node, built once and spawned by pointer
 	// on every trigger — the hot path never allocates a closure.
@@ -267,9 +253,8 @@ func (ex *executor) hosts(id int32) bool {
 }
 
 // parcelEdges is a pooled remote-edge list: the indexes, within the source
-// node's Out list, of the edges bound for one destination. Ownership passes
-// to the parcel, which recycles the list once every edge is delivered
-// (in-process) or encoded (under a fabric).
+// node's Out list, of the edges bound for one destination rank. Ownership
+// passes to send, which recycles the list once the parcel is encoded.
 type parcelEdges struct{ idx []int32 }
 
 var parcelEdgesPool = sync.Pool{New: func() any { return new(parcelEdges) }}
@@ -279,8 +264,8 @@ func (pe *parcelEdges) recycle() {
 	parcelEdgesPool.Put(pe)
 }
 
-// remoteBatch groups one node's remote out-edges by destination locality.
-// Nodes touch only a few localities, so a linear scan over a small pooled
+// remoteBatch groups one node's remote out-edges by destination rank. Nodes
+// touch only a few ranks, so a linear scan over a small pooled
 // slice beats a map allocation per trigger.
 type remoteBatch struct {
 	dests []int32
@@ -344,34 +329,22 @@ func (ex *executor) runNode(w *amt.Worker, id int32) {
 		// One coalesced parcel per destination: expansion data + edge
 		// descriptors travel once, the transforms run at the receiver.
 		for i, dest := range batch.dests {
-			ex.send(w, n, dest, batch.lists[i])
+			ex.send(n, dest, batch.lists[i])
 		}
 		batch.release()
 	}
 	ex.noteBatchSources(w, id)
 }
 
-// send ships the out-edges of a fired node bound for one destination. Between
-// localities of one process the parcel is a closure over the shared state,
-// accounted at the modeled size; between ranks it is the node's payload by
-// value plus the edge indexes (wire.go), which the receiving fabric installs
-// and hands to deliver — the first of the two things distribution changes.
-func (ex *executor) send(w *amt.Worker, n *dag.Node, dest int32, pe *parcelEdges) {
-	if fb := ex.fab; fb != nil {
-		// The payload read is unsynchronized but safe: all inputs are
-		// applied (the node just fired), and no parcel installs into a node
-		// this rank homes.
-		fb.cl.Send(ex.rt, int(dest), wireKindParcel, 0, ex.st.encodeParcel(n, pe.idx))
-		pe.recycle()
-		return
-	}
-	bytes := int(n.Bytes) + parcelOverhead*len(pe.idx)
-	w.SendParcel(int(dest), bytes, func(w2 *amt.Worker) {
-		for _, j := range pe.idx {
-			ex.deliver(w2, n, j)
-		}
-		pe.recycle()
-	})
+// send ships the out-edges of a fired node bound for another rank: the
+// node's payload by value plus the edge indexes (wire.go), which the
+// receiving fabric installs and hands to deliver — the first of the two
+// things distribution changes. Only a fabric's placement has another rank.
+// The payload read is unsynchronized but safe: all inputs are applied (the
+// node just fired), and no parcel installs into a node this rank homes.
+func (ex *executor) send(n *dag.Node, dest int32, pe *parcelEdges) {
+	ex.fab.cl.Send(ex.rt, int(dest), wireKindParcel, 0, ex.st.encodeParcel(n, pe.idx))
+	pe.recycle()
 }
 
 // deliver applies out-edge `out` of a fired node into its target LCO: the
@@ -408,9 +381,9 @@ func (ex *executor) deliver(w *amt.Worker, from *dag.Node, out int32) {
 //
 //dashmm:noalloc
 func (ex *executor) record(w *amt.Worker, op dag.OpKind, start, end int64) {
-	ex.tracer.Record(w.GlobalID, trace.Event{
+	ex.tracer.Record(w.ID, trace.Event{
 		Class:    uint8(op),
-		Worker:   int32(w.GlobalID),
+		Worker:   int32(w.ID),
 		Locality: int32(w.Rank()),
 		Start:    start,
 		End:      end,
@@ -418,19 +391,16 @@ func (ex *executor) record(w *amt.Worker, op dag.OpKind, start, end int64) {
 }
 
 // fireNode spawns the continuation of a node whose last input just arrived
-// (or that has none: seedRoots) on its home locality — the LCO lives there:
-// onto the worker's own deque when it is at home, through the locality's
-// inbox otherwise (another locality of this process, or no worker at all).
-// Shared by the per-edge delivery, the near tasks and the batch completion
-// path.
+// (or that has none: seedRoots) on this runtime's locality — only nodes it
+// homes are fired here: onto the worker's own deque, or through the
+// locality's inbox when there is no worker (seedRoots). Shared by the
+// per-edge delivery, the near tasks and the batch completion path.
 //
 //dashmm:noalloc
 func (ex *executor) fireNode(w *amt.Worker, id int32) {
-	task, home := ex.tasks[id], int(ex.homes[id])
-	if w == nil || w.Rank() != home {
-		// Under a fabric only nodes this rank homes are ever fired here.
-		ex.rt.Locality(home).Spawn(task)
+	if w == nil {
+		ex.rt.Locality(int(ex.homes[id])).Spawn(ex.tasks[id])
 		return
 	}
-	w.Spawn(task)
+	w.Spawn(ex.tasks[id])
 }

@@ -12,7 +12,7 @@ import (
 // reference, with correct buffer resets in between.
 func TestParallelEvaluationReuse(t *testing.T) {
 	plan, q1, want1 := testPlan(t, dag.Advanced, 2000)
-	pe, err := plan.NewParallelEvaluation(ExecOptions{Localities: 2, Workers: 2})
+	pe, err := plan.NewParallelEvaluation(ExecOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

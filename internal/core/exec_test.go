@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -60,32 +61,39 @@ func assertSameGrad(t *testing.T, got, want []geom.Point, tol float64) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	plan, q, want := testPlan(t, dag.Advanced, 3000)
-	for _, cfg := range []struct{ locs, workers int }{
-		{1, 1}, {1, 4}, {2, 2}, {4, 1}, {4, 4},
-	} {
-		got, rep, err := plan.Evaluate(q, ExecOptions{
-			Localities: cfg.locs, Workers: cfg.workers,
-		})
+	for _, workers := range []int{1, 2, 4} {
+		got, rep, err := plan.Evaluate(q, ExecOptions{Workers: workers})
 		if err != nil {
-			t.Fatalf("%dx%d: %v", cfg.locs, cfg.workers, err)
+			t.Fatalf("%d workers: %v", workers, err)
 		}
 		// Floating-point addition order differs between runs, so allow a
 		// tiny relative slack.
 		assertSame(t, got, want, 1e-9)
-		if cfg.locs > 1 && rep.Runtime.ParcelsSent == 0 {
-			t.Errorf("%dx%d: no parcels sent across localities", cfg.locs, cfg.workers)
-		}
-		if cfg.locs == 1 && rep.Runtime.ParcelsSent != 0 {
-			t.Errorf("single locality sent %d parcels", rep.Runtime.ParcelsSent)
+		if rep.Runtime.ParcelsSent != 0 {
+			t.Errorf("%d workers: an in-process run sent %d parcels", workers, rep.Runtime.ParcelsSent)
 		}
 	}
 }
 
+// An in-process evaluation runs on one locality: asking it for more is an
+// error that points at the knobs that do add parallelism.
+func TestInProcessEvaluationRefusesLocalities(t *testing.T) {
+	plan, _, _ := testPlan(t, dag.Basic, 500)
+	for _, locs := range []int{2, 64, -1} {
+		_, err := plan.NewParallelEvaluation(ExecOptions{Localities: locs, Workers: 2})
+		if err == nil || !strings.Contains(err.Error(), "Workers") || !strings.Contains(err.Error(), "DistRun") {
+			t.Errorf("%d localities: err = %v, want a refusal naming Workers and DistRun", locs, err)
+		}
+	}
+	if _, err := plan.NewParallelEvaluation(ExecOptions{Localities: 1}); err != nil {
+		t.Errorf("one locality refused: %v", err)
+	}
+}
+
 // Contexts of different shapes share a plan: each holds its own placement,
-// computed once at construction, so a one-locality and a two-locality
-// context may be built and run at the same time (Run used to re-place the
-// plan's shared graph on every call, racing on Node.Locality and routing the
-// one-locality context's edges to a locality it does not have).
+// computed once at construction, so contexts of one and of two workers may
+// be built and run at the same time (Run used to re-place the plan's shared
+// graph on every call, racing on Node.Locality).
 func TestContextsOfDifferentShapesRunConcurrently(t *testing.T) {
 	plan, q, want := testPlan(t, dag.Advanced, 2000)
 	var den float64
@@ -93,9 +101,9 @@ func TestContextsOfDifferentShapesRunConcurrently(t *testing.T) {
 		den = math.Max(den, math.Abs(want[i]))
 	}
 	var wg sync.WaitGroup
-	for _, locs := range []int{1, 2} {
+	for _, workers := range []int{1, 2} {
 		wg.Add(1)
-		go func(locs int) {
+		go func(workers int) {
 			defer wg.Done()
 			var pe *ParallelEvaluation
 			for run := 0; run < 6; run++ {
@@ -103,28 +111,25 @@ func TestContextsOfDifferentShapesRunConcurrently(t *testing.T) {
 				// other goroutine's context is running on it.
 				if run%2 == 0 {
 					var err error
-					if pe, err = plan.NewParallelEvaluation(ExecOptions{Localities: locs, Workers: 2}); err != nil {
+					if pe, err = plan.NewParallelEvaluation(ExecOptions{Workers: workers}); err != nil {
 						t.Error(err)
 						return
 					}
 				}
-				got, rep, err := pe.Run(q)
+				got, _, err := pe.Run(q)
 				if err != nil {
-					t.Errorf("localities %d run %d: %v", locs, run, err)
+					t.Errorf("workers %d run %d: %v", workers, run, err)
 					return
-				}
-				if (rep.RemoteEdges > 0) != (locs > 1) {
-					t.Errorf("localities %d: report carries %d remote edges", locs, rep.RemoteEdges)
 				}
 				var worst float64
 				for i := range want {
 					worst = math.Max(worst, math.Abs(got[i]-want[i])/den)
 				}
 				if worst > 1e-12 {
-					t.Errorf("localities %d run %d: potentials differ from sequential by %.2e", locs, run, worst)
+					t.Errorf("workers %d run %d: potentials differ from sequential by %.2e", workers, run, worst)
 				}
 			}
-		}(locs)
+		}(workers)
 	}
 	wg.Wait()
 }
@@ -132,7 +137,7 @@ func TestContextsOfDifferentShapesRunConcurrently(t *testing.T) {
 func TestParallelAllMethods(t *testing.T) {
 	for _, m := range []dag.Method{dag.Advanced, dag.Basic, dag.BarnesHut} {
 		plan, q, want := testPlan(t, m, 1500)
-		got, _, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 3})
+		got, _, err := plan.Evaluate(q, ExecOptions{Workers: 3})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -140,27 +145,10 @@ func TestParallelAllMethods(t *testing.T) {
 	}
 }
 
-// Coalescing: one parcel per fired node and destination, so parcels sent
-// are never more than the remote edges of the placement.
-func TestMinCommReducesTraffic(t *testing.T) {
-	plan, q, _ := testPlan(t, dag.Advanced, 4000)
-	_, rep, err := plan.Evaluate(q, ExecOptions{Localities: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RemoteEdges == 0 {
-		t.Fatal("fixture: no remote edges on four localities")
-	}
-	if rep.Runtime.ParcelsSent > rep.RemoteEdges {
-		t.Errorf("parcels %d exceed remote edges %d: coalescing broken",
-			rep.Runtime.ParcelsSent, rep.RemoteEdges)
-	}
-}
-
 func TestTraceEventsCoverAllOps(t *testing.T) {
 	plan, q, _ := testPlan(t, dag.Advanced, 3000)
-	tr := trace.New(2 * 2)
-	_, _, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2, Tracer: tr})
+	tr := trace.New(2)
+	_, _, err := plan.Evaluate(q, ExecOptions{Workers: 2, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +175,7 @@ func TestTraceEventsCoverAllOps(t *testing.T) {
 	}
 	// Utilization analysis over the run must be positive and bounded.
 	start, end := trace.Span(events)
-	u := trace.Analyze(events, 4, 50, start, end)
+	u := trace.Analyze(events, 2, 50, start, end)
 	var maxU float64
 	for _, v := range u.Total {
 		if v > maxU {

@@ -100,7 +100,7 @@ func TestGradientParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2, Gradient: true})
+	_, rep, err := plan.Evaluate(q, ExecOptions{Workers: 2, Gradient: true})
 	if err != nil {
 		t.Fatal(err)
 	}

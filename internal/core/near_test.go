@@ -2,9 +2,11 @@ package core
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/points"
 	"repro/internal/trace"
@@ -71,8 +73,8 @@ func TestNearFieldIsOneTaskPerTargetLeaf(t *testing.T) {
 		if _, batched := plan.Kernel.(kernel.BatchKernel); batched != c.gradient {
 			t.Fatalf("%s: the fixture kernel's batched surface is visible: %v", c.name, batched)
 		}
-		tr := trace.New(2 * 2)
-		got, rep, err := plan.Evaluate(q, ExecOptions{Localities: 2, Workers: 2, Gradient: c.gradient, Tracer: tr})
+		tr := trace.New(2)
+		got, rep, err := plan.Evaluate(q, ExecOptions{Workers: 2, Gradient: c.gradient, Tracer: tr})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -99,39 +101,80 @@ func TestNearFieldIsOneTaskPerTargetLeaf(t *testing.T) {
 	}
 }
 
-// Every near task runs on its target's home locality: per locality, the
-// traced S->T events are the member edges of the near lists homed there. (A
-// batch used to run wherever its last source happened to fire.)
+// nearSpy is one rank's kernel with its batched surface hidden, so every
+// near task sweeps its list through S2T; it records, by the first target
+// point, which target leaves were swept on its rank.
+type nearSpy struct {
+	kernel.Kernel
+	mu    sync.Mutex
+	swept map[geom.Point]int
+}
+
+func (k *nearSpy) S2T(spts []geom.Point, q []float64, tpts []geom.Point, pot []float64) {
+	k.mu.Lock()
+	k.swept[tpts[0]]++
+	k.mu.Unlock()
+	k.Kernel.S2T(spts, q, tpts, pot)
+}
+
+// Every near task runs on its target's home rank: over three ranks, the
+// target leaves whose near lists a rank sweeps are exactly the leaves the
+// placement homes there. (A batch used to run wherever its last source
+// happened to fire.)
 func TestNearTasksRunOnTheTargetsHome(t *testing.T) {
-	const locs = 3
-	plan, q := nearPlan(t, kernel.NewLaplace(kernel.OrderForDigits(3)), 4000)
-	tr := trace.New(locs * 2)
-	pe, err := plan.NewParallelEvaluation(ExecOptions{Localities: locs, Workers: 2, Tracer: tr})
-	if err != nil {
+	const world = 3
+	n := 4000
+	if raceEnabled {
+		n /= 2
+	}
+	sp := points.Generate(points.Cube, n, 1)
+	tp := points.Generate(points.Cube, n, 2)
+	inner := kernel.NewLaplace(kernel.OrderForDigits(3))
+	dw := &distWorld{q: points.Charges(n, 3)}
+	spies := make([]*nearSpy, world)
+	for r := range spies {
+		spies[r] = &nearSpy{Kernel: inner, swept: map[geom.Point]int{}}
+		plan, err := NewPlan(sp, tp, spies[r], Options{Method: dag.Advanced, Threshold: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dw.plans = append(dw.plans, plan)
+	}
+	plan := dw.plans[0]
+	var err error
+	if dw.want, err = plan.EvaluateSequential(dw.q); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pe.Run(q); err != nil {
-		t.Fatal(err)
-	}
-	var wantTasks, wantEdges, gotTasks, gotEdges [locs]int
+	clear(spies[0].swept)
+	homes := plan.place(survivors(world, nil))
+	home := map[geom.Point]int32{}
+	var wantLeaves [world]int
 	for _, pb := range plan.batches.P2P {
-		home := pe.ex.homes[pb.Target]
-		wantTasks[home]++
-		wantEdges[home] += len(pb.Edges)
+		home[plan.Target.Pts[plan.Graph.Nodes[pb.Target].Box.Lo]] = homes[pb.Target]
+		wantLeaves[homes[pb.Target]]++
 	}
-	wide, markers := s2tEvents(tr.Snapshot())
-	for _, ev := range wide {
-		gotTasks[ev.Locality]++
-		gotEdges[ev.Locality]++
+	if slices.Min(wantLeaves[:]) == 0 {
+		t.Fatalf("fixture: near lists per home rank %v", wantLeaves)
 	}
-	for _, ev := range markers {
-		gotEdges[ev.Locality]++
+
+	pots, _, errs := dw.run(distCtx(t), distClusters(t, world), distOpts)
+	assertSurvivorsOK(t, errs)
+	assertSame(t, pots, dw.want, 1e-12)
+	var gotLeaves [world]int
+	for r, k := range spies {
+		for leaf := range k.swept {
+			h, ok := home[leaf]
+			if !ok {
+				t.Fatalf("rank %d swept a near list into a point that starts no target leaf", r)
+			}
+			if int(h) != r {
+				t.Errorf("rank %d swept the near list of a target leaf homed on rank %d", r, h)
+			}
+			gotLeaves[r]++
+		}
 	}
-	if slices.Min(wantTasks[:]) == 0 {
-		t.Fatalf("fixture: near lists per home locality %v", wantTasks)
-	}
-	if gotTasks != wantTasks || gotEdges != wantEdges {
-		t.Errorf("near tasks per locality %v (S->T edges %v), want %v (%v) by the targets' homes", gotTasks, gotEdges, wantTasks, wantEdges)
+	if gotLeaves != wantLeaves {
+		t.Errorf("target leaves swept per rank %v, want %v by the targets' homes", gotLeaves, wantLeaves)
 	}
 }
 
@@ -145,7 +188,7 @@ func TestDistRunSendsNoNearFieldParcels(t *testing.T) {
 	const world = 2
 	dw := newDistWorld(t, world, 4000)
 	plan := dw.plans[0]
-	homes, _, _ := plan.place(localities(world))
+	homes := plan.place(survivors(world, nil))
 	parcels, nearOnly := 0, 0
 	for i := range plan.Graph.Nodes {
 		n := &plan.Graph.Nodes[i]
@@ -194,8 +237,8 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 	// leavesMove checks the fixture: the victim homes target leaves in the
 	// first run, and the re-run's placement over the survivors none.
 	leavesMove := func(t *testing.T, plan *Plan, world int) {
-		first, _, _ := plan.place(localities(world))
-		again, _, _ := plan.place(survivors(world, []int{victim}))
+		first := plan.place(survivors(world, nil))
+		again := plan.place(survivors(world, []int{victim}))
 		lost := 0
 		for _, pb := range plan.batches.P2P {
 			if again[pb.Target] == victim {
@@ -275,7 +318,7 @@ func TestFabricNearTaskContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := newExecutor(st, localities(2))
+	ex := newExecutor(st, survivors(2, nil))
 	newFabric(ex, cls[0], distOpts(0).withDefaults())
 	st.reset(dw.q)
 

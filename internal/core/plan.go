@@ -73,32 +73,21 @@ type Plan struct {
 }
 
 // place runs the paper's placement (dist.MinComm) over the plan's graph for
-// len(live) localities, maps locality i to live[i], and returns the node →
-// locality table with the communication volume it implies. In-process live
-// is 0..L-1; a distributed run passes the sorted ranks still alive when its
-// job was placed, so a re-run after a death places nothing on the corpse and
-// every survivor computes the same table. Computed once per evaluation
-// context; contexts of different shapes on one plan each hold their own.
-func (p *Plan) place(live []int32) (homes []int32, remoteBytes, remoteEdges int64) {
+// len(live) ranks, maps rank index i to live[i], and returns the node → rank
+// table. In-process live is [0]; a distributed run passes the sorted ranks
+// still alive when its job was placed, so a re-run after a death places
+// nothing on the corpse and every survivor computes the same table. Computed
+// once per evaluation context; contexts on one plan each hold their own.
+func (p *Plan) place(live []int32) []int32 {
 	p.placeMu.Lock()
 	defer p.placeMu.Unlock()
 	g := p.Graph
 	dist.MinComm{}.Assign(g, len(live))
-	homes = make([]int32, len(g.Nodes))
+	homes := make([]int32, len(g.Nodes))
 	for i := range g.Nodes {
 		homes[i] = live[g.Nodes[i].Locality]
 	}
-	return homes, dist.RemoteBytes(g), dist.RemoteEdges(g)
-}
-
-// localities lists 0..n-1: the live set of an in-process evaluation, and of
-// a distributed one nobody has died in.
-func localities(n int) []int32 {
-	live := make([]int32, n)
-	for i := range live {
-		live[i] = int32(i)
-	}
-	return live
+	return homes
 }
 
 // NewPlan partitions the ensembles, computes the dual-tree lists, and builds

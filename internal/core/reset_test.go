@@ -15,7 +15,7 @@ import (
 // stay bit-compatible with the sequential reference across generations.
 func TestParallelEvaluationRuntimeReuse(t *testing.T) {
 	plan, q, want := testPlan(t, dag.Advanced, 2500)
-	pe, err := plan.NewParallelEvaluation(ExecOptions{Localities: 2, Workers: 2})
+	pe, err := plan.NewParallelEvaluation(ExecOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestParallelEvaluationRuntimeReuse(t *testing.T) {
 // sequential walk does.
 func TestUnsatisfiableLCOEndsTheRun(t *testing.T) {
 	plan, q, want := testPlan(t, dag.Advanced, 1500)
-	pe, err := plan.NewParallelEvaluation(ExecOptions{Localities: 2, Workers: 2})
+	pe, err := plan.NewParallelEvaluation(ExecOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,16 +9,14 @@ import (
 	"repro/internal/geom"
 )
 
-// Typed wire payloads for multi-process evaluation (distrib.go). In-process
-// parcels are closures over the shared evaluation state; across a process
-// boundary the same information travels as values: the source node's
-// expansion payload plus the indexes of the out-edges the receiver must
-// apply. The receiver installs the payload into its own state's buffers for
-// that node — state.apply then reads it exactly as it would a local
-// payload, so the operator semantics stay single-definition. Every decoder
-// is length-checked and errors (never panics) on truncated or malformed
-// input; the sizes are implied by the shared Plan, which all ranks build
-// identically.
+// Typed wire payloads for multi-process evaluation (distrib.go). A parcel
+// carries values: the source node's expansion payload plus the indexes of
+// the out-edges the receiver must apply. The receiver installs the payload
+// into its own state's buffers for that node — state.apply then reads it
+// exactly as it would a local payload, so the operator semantics stay
+// single-definition. Every decoder is length-checked and errors (never
+// panics) on truncated or malformed input; the sizes are implied by the
+// shared Plan, which all ranks build identically.
 
 // Application payload kinds carried in amt.Frame.Kind (must stay below the
 // amt control-plane range 0xff00).

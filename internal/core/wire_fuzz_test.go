@@ -45,7 +45,7 @@ func newWireFixture(tb testing.TB, gradient bool) *wireFixture {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { cl.Close() })
-	fx := &wireFixture{st: st, fb: newFabric(newExecutor(st, localities(2)), cl, DistOptions{}.withDefaults())}
+	fx := &wireFixture{st: st, fb: newFabric(newExecutor(st, survivors(2, nil)), cl, DistOptions{}.withDefaults())}
 	i := slices.IndexFunc(plan.Graph.Nodes, func(n dag.Node) bool { return n.Kind == dag.NodeM && len(n.Out) >= 2 })
 	if i < 0 {
 		tb.Fatal("the fixture plan has no M node with two out edges")

@@ -34,9 +34,9 @@ type planEntry struct {
 	plan      *core.Plan
 	buildTime time.Duration
 
-	mu        sync.Mutex          // serializes build-shape + evaluate on this plan
-	evals     map[string]*evalCtx // "LxW" -> context, at most maxShapesPerPlan; guarded by mu
-	evalClock int64               // shape-LRU tick; guarded by mu
+	mu        sync.Mutex       // serializes build-shape + evaluate on this plan
+	evals     map[int]*evalCtx // worker count -> context, at most maxShapesPerPlan; guarded by mu
+	evalClock int64            // shape-LRU tick; guarded by mu
 
 	// fromStore marks an entry revived from the persistent plan store, at
 	// start-up (RecoverFromStore) or by the build that found its record;
@@ -95,7 +95,7 @@ func (c *planCache) get(key string) (e *planEntry, hit bool, evicted int) {
 		return e, true, 0
 	}
 	evicted = c.makeRoom()
-	e = &planEntry{key: key, evals: make(map[string]*evalCtx)}
+	e = &planEntry{key: key, evals: make(map[int]*evalCtx)}
 	e.lastUsed = c.clock
 	c.entries[key] = e
 	return e, false, evicted
@@ -189,38 +189,33 @@ func (e *planEntry) ensureBuilt(r *Request, st *Store) error {
 }
 
 // shape returns (building if needed) the pooled evaluation context for the
-// request's execution shape, dropping the least recently used one when the
-// entry is at its cap (the plan holds no reference to its contexts, so a
-// dropped one is garbage). Caller must hold e.mu.
+// request's execution shape, its worker count, dropping the least recently
+// used one when the entry is at its cap (the plan holds no reference to its
+// contexts, so a dropped one is garbage). Caller must hold e.mu.
 //
 //dashmm:locked planEntry.mu — documented precondition: handleEvaluate calls shape inside the entry's critical section.
 func (e *planEntry) shape(r *Request) (*evalCtx, error) {
-	key := fmt.Sprintf("%dx%d", r.Localities, r.Workers)
 	e.evalClock++
-	if ctx := e.evals[key]; ctx != nil {
+	if ctx := e.evals[r.Workers]; ctx != nil {
 		ctx.lastUsed = e.evalClock
 		return ctx, nil
 	}
 	for len(e.evals) >= maxShapesPerPlan {
-		oldest := ""
-		for k, ctx := range e.evals {
-			if oldest == "" || ctx.lastUsed < e.evals[oldest].lastUsed {
-				oldest = k
+		oldest := 0 // no shape has 0 workers
+		for w, ctx := range e.evals {
+			if oldest == 0 || ctx.lastUsed < e.evals[oldest].lastUsed {
+				oldest = w
 			}
 		}
 		delete(e.evals, oldest)
 	}
-	tr := trace.New(r.Localities * r.Workers)
+	tr := trace.New(r.Workers)
 	tr.SetEnabled(false)
-	pe, err := e.plan.NewParallelEvaluation(core.ExecOptions{
-		Localities: r.Localities,
-		Workers:    r.Workers,
-		Tracer:     tr,
-	})
+	pe, err := e.plan.NewParallelEvaluation(core.ExecOptions{Workers: r.Workers, Tracer: tr})
 	if err != nil {
 		return nil, err
 	}
 	ctx := &evalCtx{pe: pe, tracer: tr, lastUsed: e.evalClock}
-	e.evals[key] = ctx
+	e.evals[r.Workers] = ctx
 	return ctx, nil
 }

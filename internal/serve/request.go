@@ -35,7 +35,7 @@ type Request struct {
 	Threshold int     `json:"threshold,omitempty"`
 
 	// Execution shape.
-	Localities int `json:"localities,omitempty"` // default 1
+	Localities int `json:"localities,omitempty"` // 0 or 1: one process is one locality; parallelism is workers
 	Workers    int `json:"workers,omitempty"`    // default 1
 
 	// Charges: inline values or a generator seed (default seed 3).
@@ -102,10 +102,9 @@ type errorBody struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// maxShapeThreads bounds localities × workers of one request: every thread
-// is a scheduler goroutine plus a tracer lane, so the product — not each
-// factor — is what one admitted request costs.
-const maxShapeThreads = 256
+// maxWorkers bounds the scheduler threads of one request: each is a
+// goroutine plus a tracer lane that the admitted request holds.
+const maxWorkers = 256
 
 // normalize applies defaults and validates the request against the server
 // limits. It returns a user-facing error for malformed requests.
@@ -166,15 +165,14 @@ func (r *Request) normalize(limits Config) error {
 	if r.Threshold < 0 {
 		return fmt.Errorf("threshold must be non-negative")
 	}
-	if r.Localities <= 0 {
-		r.Localities = 1
+	if r.Localities < 0 || r.Localities > 1 {
+		return fmt.Errorf("localities=%d: an evaluation runs on one locality per process; ask for workers instead", r.Localities)
 	}
 	if r.Workers <= 0 {
 		r.Workers = 1
 	}
-	if r.Localities > 64 || r.Workers > 256 || r.Localities*r.Workers > maxShapeThreads {
-		return fmt.Errorf("execution shape %dx%d too large (at most %d scheduler threads per request)",
-			r.Localities, r.Workers, maxShapeThreads)
+	if r.Workers > maxWorkers {
+		return fmt.Errorf("%d workers too large (at most %d scheduler threads per request)", r.Workers, maxWorkers)
 	}
 	if len(r.Charges) > 0 && len(r.Charges) != r.N {
 		return fmt.Errorf("%d charges for %d sources", len(r.Charges), r.N)
@@ -230,7 +228,7 @@ func (r *Request) requestKey() string {
 		}
 		charges = fmt.Sprintf("q=%016x", h.Sum64())
 	}
-	return fmt.Sprintf("%s|%dx%d|%s|trace=%v", r.planKey(), r.Localities, r.Workers, charges, r.Trace)
+	return fmt.Sprintf("%s|w=%d|%s|trace=%v", r.planKey(), r.Workers, charges, r.Trace)
 }
 
 func hashPoints(h interface{ Write([]byte) (int, error) }, pts [][3]float64) {

@@ -354,16 +354,16 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 	// nothing can cancel). Threads beyond the machine's cores buy no time:
 	// the shape is the client's number, the cores are not.
 	plan := entry.plan
-	cores := min(req.Localities*req.Workers, runtime.GOMAXPROCS(0))
+	cores := min(req.Workers, runtime.GOMAXPROCS(0))
 	predicted := time.Duration(plan.PredictedNanos() / float64(cores))
 	if limit := s.deadline(req); predicted > limit {
 		if !hit {
 			s.cache.drop(req.planKey(), entry) // built for a request it was refused to: not worth a cache slot
 		}
 		return nil, http.StatusBadRequest, &errorBody{Error: fmt.Sprintf(
-			"predicted evaluation time %.1fs (%.1f core-seconds on %d of this machine's %d cores, %dx%d threads asked for, threshold %d, %d leaves) exceeds the %v deadline: "+
+			"predicted evaluation time %.1fs (%.1f core-seconds on %d of this machine's %d cores, %d workers asked for, threshold %d, %d leaves) exceeds the %v deadline: "+
 				"raise deadline_ms or, up to the cores, the thread count, or leave threshold unset",
-			predicted.Seconds(), plan.PredictedNanos()/1e9, cores, runtime.GOMAXPROCS(0), req.Localities, req.Workers,
+			predicted.Seconds(), plan.PredictedNanos()/1e9, cores, runtime.GOMAXPROCS(0), req.Workers,
 			plan.Threshold(), plan.Leaves(), limit)}
 	}
 	report := func(rep core.ExecReport, evalDur time.Duration) Report {

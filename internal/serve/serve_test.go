@@ -359,7 +359,8 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"bad kernel", Request{N: 100, Kernel: "helmholtz"}, "unknown kernel"},
 		{"bad digits", Request{N: 100, Digits: 13}, "out of range"},
 		{"charge mismatch", Request{N: 100, Charges: []float64{1, 2}}, "charges for"},
-		{"shape product", Request{N: 100, Localities: 64, Workers: 256}, "too large"},
+		{"too many workers", Request{N: 100, Workers: 257}, "too large"},
+		{"localities", Request{N: 100, Localities: 2}, "workers"},
 	}
 	for _, c := range cases {
 		code, _, eb := post(t, ts.URL, c.req)
@@ -386,10 +387,10 @@ func TestServeShapePoolIsBounded(t *testing.T) {
 
 	var first []float64
 	for i := 0; i < maxShapesPerPlan+3; i++ {
-		req := Request{N: 900, Threshold: paperThr, Localities: 1 + i%2, Workers: 1 + i}
+		req := Request{N: 900, Threshold: paperThr, Workers: 1 + i}
 		code, resp, eb := post(t, ts.URL, req)
 		if code != http.StatusOK {
-			t.Fatalf("shape %dx%d: HTTP %d %+v", req.Localities, req.Workers, code, eb)
+			t.Fatalf("%d workers: HTTP %d %+v", req.Workers, code, eb)
 		}
 		if first == nil {
 			first = resp.Potentials
@@ -400,7 +401,7 @@ func TestServeShapePoolIsBounded(t *testing.T) {
 			worst = math.Max(worst, math.Abs(resp.Potentials[j]-w))
 		}
 		if worst/den > 1e-12 {
-			t.Errorf("shape %dx%d differs from the first by %.3e relative", req.Localities, req.Workers, worst/den)
+			t.Errorf("%d workers differ from the first by %.3e relative", req.Workers, worst/den)
 		}
 		if s.cache.len() != 1 {
 			t.Fatalf("%d plans cached, want the one shared key", s.cache.len())
@@ -505,7 +506,7 @@ func TestServeSmoke(t *testing.T) {
 		{N: 1100, Distribution: "sphere"}, // second plan
 		{N: 1100, Distribution: "sphere", Trace: true},
 		{N: 700, Kernel: "yukawa", Digits: 2}, // third plan
-		{N: 900, Localities: 2, Workers: 2},   // multi-locality shape
+		{N: 900, Localities: 1, Workers: 3},   // a third shape, locality given
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(reqs))

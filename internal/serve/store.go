@@ -430,7 +430,7 @@ func (s *Server) RecoverFromStore() (recovered, skipped int, err error) {
 			skipped++
 			continue
 		}
-		e := &planEntry{key: rec.Key, evals: make(map[string]*evalCtx), fromStore: true}
+		e := &planEntry{key: rec.Key, evals: make(map[int]*evalCtx), fromStore: true}
 		e.build.Do(func() { e.plan = plan })
 		s.cache.put(rec.Key, e)
 		recovered++

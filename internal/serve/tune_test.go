@@ -271,7 +271,7 @@ func TestServeRefusesPlanPricedBeyondDeadline(t *testing.T) {
 	cores := runtime.GOMAXPROCS(0)
 	short := int((limit / time.Duration(cores)).Milliseconds())
 	code, _, eb = post(t, ts.URL, Request{N: big, Threshold: big, Workers: 256, DeadlineMS: short})
-	if code != http.StatusBadRequest || !strings.Contains(eb.Error, fmt.Sprintf("on %d of this machine's %d cores, 1x256 threads asked for", cores, cores)) {
+	if code != http.StatusBadRequest || !strings.Contains(eb.Error, fmt.Sprintf("on %d of this machine's %d cores, 256 workers asked for", cores, cores)) {
 		t.Errorf("256 workers on %d cores against %d ms: HTTP %d %v, want a 400 naming the cores it priced", cores, short, code, eb)
 	}
 
