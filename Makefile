@@ -59,7 +59,7 @@ escape-gate:
 
 # Native-fuzz every decode surface for 20s each: the wire frame codec, the
 # control-plane payloads inside it (join preamble, membership), the
-# data-plane payloads inside it (node parcel, result report), the job spec,
+# data-plane parcel inside it (an expansion's or a gathered target's), the job spec,
 # and the persistent plan-store record; and the Cartesian Y_n^m evaluator against its Legendre oracle on
 # arbitrary coordinates. The seed corpora
 # live in testdata/fuzz/ and replay under plain `go test` too.
@@ -67,7 +67,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 20s ./internal/amt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeControl$$' -fuzztime 20s ./internal/amt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeParcel$$' -fuzztime 20s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzYnmCartesian$$' -fuzztime 20s ./internal/sphharm

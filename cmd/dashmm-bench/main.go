@@ -438,7 +438,7 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 		if job, err = cl.StartJob(ctx, nil); err != nil {
 			log.Fatal(err)
 		}
-		got, rep, err = core.DistRun(ctx, plan, cl, q, core.DistOptions{Workers: distWorkers(locs), Job: job})
+		got, rep, err = core.DistRun(ctx, plan, cl, q, core.ExecOptions{Workers: distWorkers(locs), Job: job})
 		job.End()
 		var lost *core.RankLostError
 		if errors.As(err, &lost) && attempts < locs {
@@ -525,7 +525,7 @@ func runDistWorker(plan *core.Plan, sc scenario, rank, locs int, network, addr s
 	defer events.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	opts := core.DistOptions{Workers: distWorkers(locs)}
+	opts := core.ExecOptions{Workers: distWorkers(locs)}
 	if killRank == rank {
 		opts.OnProgress = func(fired, owned int) {
 			if owned > 0 && float64(fired) >= killAt*float64(owned) {

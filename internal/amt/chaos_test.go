@@ -162,7 +162,7 @@ func (cw *chaosWorld) runOn(t *testing.T, cls []*amt.Cluster, kills map[int]floa
 		if cls[r] == nil {
 			continue
 		}
-		opts := core.DistOptions{Workers: chaosWorkers}
+		opts := core.ExecOptions{Workers: chaosWorkers}
 		if jobs != nil {
 			opts.Job = jobs[r]
 		}

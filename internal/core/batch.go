@@ -119,8 +119,8 @@ func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 			}
 		}
 		var t0 int64
-		if ex.tracer.Enabled() {
-			t0 = ex.tracer.Now()
+		if ex.opts.Tracer.Enabled() {
+			t0 = ex.opts.Tracer.Now()
 		}
 		ex.bk.M2LBatch(mb.Offs[lo:hi], mb.Side, mb.Level, sc.ins[:nb], sc.outs[:nb])
 		for k := 0; k < nb; k++ {
@@ -132,10 +132,10 @@ func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 				dst[j] += v
 			}
 			ex.locks[be.To].Unlock()
-			if ex.tracer.Enabled() {
+			if ex.opts.Tracer.Enabled() {
 				// One event per member edge, partitioning the block's wall
 				// time so the utilization analysis conserves operator mass.
-				now := ex.tracer.Now()
+				now := ex.opts.Tracer.Now()
 				ex.record(w, dag.OpM2L, t0, now)
 				t0 = now
 			}
@@ -160,8 +160,8 @@ func (ex *executor) runNear(w *amt.Worker, pi int32) {
 	tb := ex.g.Nodes[pb.Target].Box
 	tpts, pot := st.tgtPts(tb), st.pot[tb.Lo:tb.Hi]
 	var t0 int64
-	if ex.tracer.Enabled() {
-		t0 = ex.tracer.Now()
+	if ex.opts.Tracer.Enabled() {
+		t0 = ex.opts.Tracer.Now()
 	}
 	ex.locks[pb.Target].Lock()
 	switch {
@@ -178,10 +178,10 @@ func (ex *executor) runNear(w *amt.Worker, pi int32) {
 		}
 	}
 	ex.locks[pb.Target].Unlock()
-	if ex.tracer.Enabled() {
+	if ex.opts.Tracer.Enabled() {
 		// One event per member edge: the first spans the sweep, the rest are
 		// zero-width markers, conserving both event counts and time mass.
-		end := ex.tracer.Now()
+		end := ex.opts.Tracer.Now()
 		for k := range pb.Edges {
 			start := end
 			if k == 0 {

@@ -75,8 +75,8 @@ func TestFaultInjectedEvaluationMatches(t *testing.T) {
 }
 
 // TestEveryFrameTwice: a wire that delivers every frame twice, acks
-// included, so every parcel and every result report reaches the fabric at
-// least twice and the applied bits are all that stands between the copies
+// included, so every parcel — a gathered target's too — reaches the fabric
+// at least twice and the applied bits are all that stands between the copies
 // and a double-applied edge — with and without a rank dying midway. With a
 // death the gated run is the re-run on the survivors, over the same wire:
 // three ranks, so that two are left to send each other every frame twice.
@@ -91,7 +91,7 @@ func TestEveryFrameTwice(t *testing.T) {
 			world, victim = 3, 2
 		}
 		cls := distClusters(t, world, twice)
-		pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+		pots, reps, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 			o := distOpts(r)
 			if r == victim {
 				o.OnProgress = dieAt(cls[r], 0.5)
@@ -142,7 +142,7 @@ func TestCrashRecoveryMatchesSequential(t *testing.T) {
 	dw := newDistWorld(t, world, 3000)
 	for _, at := range []float64{0.25, 0.50, 0.75} {
 		cls := distClusters(t, world)
-		_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+		_, _, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 			o := distOpts(r)
 			if r == victim {
 				o.OnProgress = dieAt(cls[r], at)
@@ -167,12 +167,12 @@ func TestCrashRecoveryWithGradient(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls := distClusters(t, world)
-	gradient := func(r int) DistOptions {
+	gradient := func(r int) ExecOptions {
 		o := distOpts(r)
 		o.Gradient = true
 		return o
 	}
-	_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+	_, _, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 		o := gradient(r)
 		if r == victim {
 			o.OnProgress = dieAt(cls[r], 0.5)
@@ -210,7 +210,7 @@ func TestCrashRecoveryDoubleCrash(t *testing.T) {
 	const world = 4
 	dw := newDistWorld(t, world, 2500)
 	cls := distClusters(t, world)
-	_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+	_, _, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 		o := distOpts(r)
 		if r == 3 {
 			o.OnProgress = dieAt(cls[r], 0.3)
@@ -219,7 +219,7 @@ func TestCrashRecoveryDoubleCrash(t *testing.T) {
 	})
 	assertRankLost(t, cls, errs, 3)
 	cls[3] = nil
-	_, _, errs = dw.job(t, cls, func(r int) DistOptions {
+	_, _, errs = dw.job(t, cls, func(r int) ExecOptions {
 		o := distOpts(r)
 		if r == 1 {
 			o.OnProgress = dieAt(cls[r], 0.7)
@@ -236,7 +236,7 @@ func TestCrashRecoveryOverFaultyWire(t *testing.T) {
 	const world, victim = 4, 1
 	dw := newDistWorld(t, world, 2000)
 	cls := distClusters(t, world, faultyWire)
-	_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+	_, _, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 		o := distOpts(r)
 		if r == victim {
 			o.OnProgress = dieAt(cls[r], 0.5)
@@ -273,7 +273,7 @@ func TestCrashRecoveryReuse(t *testing.T) {
 	const world, victim = 4, 2
 	dw := newDistWorld(t, world, 1500)
 	cls := distClusters(t, world)
-	_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+	_, _, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 		o := distOpts(r)
 		if r == victim {
 			o.OnProgress = dieAt(cls[r], 0.4)
@@ -298,7 +298,7 @@ func TestAllWorkersDeadRankZeroFinishesAlone(t *testing.T) {
 	const world = 3
 	dw := newDistWorld(t, world, 1000)
 	cls := distClusters(t, world)
-	_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+	_, _, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 		o := distOpts(r)
 		if r == 1 {
 			o.OnProgress = dieAt(cls[r], 0.2)
@@ -307,7 +307,7 @@ func TestAllWorkersDeadRankZeroFinishesAlone(t *testing.T) {
 	})
 	assertRankLost(t, cls, errs, 1)
 	cls[1] = nil
-	_, _, errs = dw.job(t, cls, func(r int) DistOptions {
+	_, _, errs = dw.job(t, cls, func(r int) ExecOptions {
 		o := distOpts(r)
 		if r == 2 {
 			o.OnProgress = dieAt(cls[r], 0.3)
@@ -329,7 +329,7 @@ func TestAllRanksDeadFails(t *testing.T) {
 	dw := newDistWorld(t, world, 1000)
 	cls := distClusters(t, world)
 	start := time.Now()
-	pots, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+	pots, _, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 		o := distOpts(r)
 		o.OnProgress = dieAt(cls[r], 0.3)
 		return o

@@ -54,7 +54,7 @@ func TestDistRunStandingClusterPreDead(t *testing.T) {
 			t.Fatalf("rank %d places the job against dead ranks %v, want [%d]", r, job.DeadOrder, victim)
 		}
 	}
-	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+	pots, reps, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 		o := distOpts(r)
 		o.Job = jobs[r]
 		return o

@@ -15,6 +15,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/kernel"
 	"repro/internal/points"
+	"repro/internal/trace"
 )
 
 // distWorld is one scenario prepared for in-process multi-rank runs. The
@@ -55,7 +56,7 @@ func newDistWorld(t *testing.T, world, n int) *distWorld {
 // run executes one DistRun under ctx on every rank whose cluster slot is
 // non-nil (dead ranks pass nil) and returns rank 0's potentials plus every
 // rank's report and error. opts renders each rank's options.
-func (dw *distWorld) run(ctx context.Context, cls []*amt.Cluster, opts func(rank int) DistOptions) ([]float64, []ExecReport, []error) {
+func (dw *distWorld) run(ctx context.Context, cls []*amt.Cluster, opts func(rank int) ExecOptions) ([]float64, []ExecReport, []error) {
 	pots := make([][]float64, len(cls))
 	reps := make([]ExecReport, len(cls))
 	errs := make([]error, len(cls))
@@ -75,8 +76,23 @@ func (dw *distWorld) run(ctx context.Context, cls []*amt.Cluster, opts func(rank
 }
 
 // distOpts is the common option set of the in-process multi-rank tests.
-func distOpts(rank int) DistOptions {
-	return DistOptions{Workers: 2}
+func distOpts(rank int) ExecOptions {
+	return ExecOptions{Workers: 2}
+}
+
+// rankExecutor is rank cl.Rank()'s executor of a fault-free run on st, on
+// its fabric and armed, with no runtime running: the contract tests call its
+// handlers directly.
+func rankExecutor(t *testing.T, st *state, cl *amt.Cluster) (*executor, *fabric) {
+	t.Helper()
+	opts, err := distOpts(cl.Rank()).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := newExecutor(st, survivors(cl.World(), nil), cl.Rank(), opts)
+	fb := newFabric(ex, cl)
+	ex.arm()
+	return ex, fb
 }
 
 // distCtx bounds a test's runs: a rank that cannot finish — coordinator
@@ -213,11 +229,11 @@ func startJob(t *testing.T, cls []*amt.Cluster) []*amt.Job {
 
 // job is one job on the live ranks of a standing cluster, start to end, with
 // each rank's options rendered by opts.
-func (dw *distWorld) job(t *testing.T, cls []*amt.Cluster, opts func(rank int) DistOptions) ([]float64, []ExecReport, []error) {
+func (dw *distWorld) job(t *testing.T, cls []*amt.Cluster, opts func(rank int) ExecOptions) ([]float64, []ExecReport, []error) {
 	t.Helper()
 	jobs := startJob(t, cls)
 	defer jobs[0].End()
-	return dw.run(distCtx(t), cls, func(r int) DistOptions {
+	return dw.run(distCtx(t), cls, func(r int) ExecOptions {
 		o := opts(r)
 		o.Job = jobs[r]
 		return o
@@ -285,21 +301,58 @@ func TestDistRunMatchesSequential(t *testing.T) {
 	}
 }
 
+// A distributed run traces like an in-process one: each rank's tracer
+// records one event per edge that rank applies, stamped with its rank, and
+// every edge is applied once somewhere — near tasks and gathered targets
+// included — so the two ranks' events add up to the graph's edges.
+func TestDistRunTracesEveryEdgeOnce(t *testing.T) {
+	const world = 2
+	dw := newDistWorld(t, world, 1500)
+	tracers := make([]*trace.Tracer, world)
+	pots, _, errs := dw.run(distCtx(t), distClusters(t, world), func(r int) ExecOptions {
+		o := distOpts(r)
+		tracers[r] = trace.New(o.Workers)
+		o.Tracer = tracers[r]
+		return o
+	})
+	assertSurvivorsOK(t, errs)
+	assertSame(t, pots, dw.want, 1e-12)
+	var events int64
+	for r, tr := range tracers {
+		evs := tr.Snapshot()
+		if len(evs) == 0 {
+			t.Errorf("rank %d traced nothing", r)
+		}
+		for _, ev := range evs {
+			if ev.Locality != int32(r) {
+				t.Fatalf("rank %d traced an event of locality %d", r, ev.Locality)
+			}
+		}
+		events += int64(len(evs))
+	}
+	if want := dw.plans[0].Graph.NumEdges(); events != want {
+		t.Errorf("the ranks traced %d events for %d edges", events, want)
+	}
+}
+
 // Coalescing on the wire: a fired node ships one parcel per remote
 // destination rank however many of its out edges go there, and the near
 // field ships none. So each rank's runtime hands the cluster some parcels,
 // and at most one per distinct (source node it homes, remote destination
-// rank) pair over the placement's non-S->T out edges, plus a worker's one
-// result frame.
+// rank) pair over the placement's non-S->T out edges, plus, on a worker, one
+// per target node it homes: the gather.
 func TestMinCommReducesTraffic(t *testing.T) {
 	for _, world := range []int{2, 4} {
 		t.Run(fmt.Sprintf("%d ranks", world), func(t *testing.T) {
 			dw := newDistWorld(t, world, 1500)
 			g := dw.plans[0].Graph
 			homes := dw.plans[0].place(survivors(world, nil))
-			pairs := make([]int64, world)
+			pairs, gathers := make([]int64, world), make([]int64, world)
 			var remote, coalesced int64
 			for i := range g.Nodes {
+				if g.Nodes[i].Kind == dag.NodeT && homes[i] != 0 {
+					gathers[homes[i]]++
+				}
 				var dests []int32
 				for _, e := range g.Nodes[i].Out {
 					if d := homes[e.To]; e.Op != dag.OpS2T && d != homes[i] {
@@ -319,13 +372,10 @@ func TestMinCommReducesTraffic(t *testing.T) {
 			assertSurvivorsOK(t, errs)
 			assertSame(t, pots, dw.want, 1e-12)
 			for r, rep := range reps {
-				limit := pairs[r]
-				if r != 0 {
-					limit++ // the result report
-				}
+				limit := pairs[r] + gathers[r]
 				if sent := rep.Runtime.ParcelsSent; sent == 0 || sent > limit {
-					t.Errorf("rank %d sent %d parcels, want 1..%d: %d (node, rank) pairs and %d result frame",
-						r, sent, limit, pairs[r], limit-pairs[r])
+					t.Errorf("rank %d sent %d parcels, want 1..%d: %d (node, rank) pairs and %d target nodes",
+						r, sent, limit, pairs[r], gathers[r])
 				}
 			}
 		})
@@ -340,7 +390,7 @@ func TestDistRunRecoversFromRankDeath(t *testing.T) {
 	const victim = world - 1
 	dw := newDistWorld(t, world, 1500)
 	cls := distClusters(t, world)
-	_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+	_, _, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 		o := distOpts(r)
 		if r == victim {
 			o.OnProgress = dieAt(cls[r], 0.5)
@@ -439,7 +489,7 @@ func TestDistRunFailsAtOnceWhenCoordinatorAlreadyLost(t *testing.T) {
 func TestDistRunHonoursItsContext(t *testing.T) {
 	dw := newDistWorld(t, 2, 1500)
 	// run runs rank r under ctx[r] and returns what and when each returned.
-	run := func(ctx [2]context.Context, opts func(int) DistOptions) ([]error, []time.Time) {
+	run := func(ctx [2]context.Context, opts func(int) ExecOptions) ([]error, []time.Time) {
 		cls := distClusters(t, 2)
 		errs, returned := make([]error, 2), make([]time.Time, 2)
 		var wg sync.WaitGroup
@@ -455,9 +505,9 @@ func TestDistRunHonoursItsContext(t *testing.T) {
 		return errs, returned
 	}
 	// halfway cancels once rank 0 has fired half its nodes, and notes when.
-	halfway := func(cancel context.CancelFunc, at *time.Time) func(int) DistOptions {
+	halfway := func(cancel context.CancelFunc, at *time.Time) func(int) ExecOptions {
 		var once sync.Once
-		return func(r int) DistOptions {
+		return func(r int) ExecOptions {
 			o := distOpts(r)
 			if r == 0 {
 				o.OnProgress = func(fired, owned int) {
@@ -706,8 +756,8 @@ func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
 		jobs[i][1] = awaitEvent(t, cls[1], amt.EventJob, jobs[i][0].Gen).Job
 	}
 	awaitEvent(t, cls[1], amt.EventRunDone, jobs[2][0].Gen)
-	opts := func(job [2]*amt.Job) func(int) DistOptions {
-		return func(r int) DistOptions {
+	opts := func(job [2]*amt.Job) func(int) ExecOptions {
+		return func(r int) ExecOptions {
 			o := distOpts(r)
 			o.Job = job[r]
 			return o
@@ -742,8 +792,7 @@ func TestFabricClaimContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := newExecutor(st, survivors(2, nil))
-	fb := newFabric(ex, cls[0], distOpts(0).withDefaults())
+	ex, fb := rankExecutor(t, st, cls[0])
 	// outIdx: the edges of node id a parcel from rank 1 carries here.
 	outIdx := func(id int) (out []int32) {
 		for j, e := range ex.g.Nodes[id].Out {
@@ -855,4 +904,34 @@ func TestFabricClaimContract(t *testing.T) {
 		t.Fatal("a parcel left its source's lock held")
 	}
 	ex.locks[n.ID].Unlock()
+
+	// A target node's parcel is the gather: at rank 0 the first copy installs
+	// its potentials and counts the target in, a second counts nothing; at a
+	// worker rank it is refused.
+	target := func(ex *executor, m dag.Node) bool { return m.Kind == dag.NodeT && !ex.hosts(m.ID) }
+	tn := &ex.g.Nodes[slices.IndexFunc(ex.g.Nodes, func(m dag.Node) bool { return target(ex, m) })]
+	b := tn.Box
+	for i := b.Lo; i < b.Hi; i++ {
+		sender.pot[i] = float64(i) + 0.25
+	}
+	left, refused := ex.targetsLeft.Load(), fb.decodeErrs.Load()
+	for range 2 {
+		fb.handleParcel(nil, amt.Frame{Kind: wireKindParcel, Payload: sender.encodeParcel(tn, nil)})
+	}
+	if got := ex.targetsLeft.Load(); got != left-1 || fb.decodeErrs.Load() != refused {
+		t.Errorf("a target parcel delivered twice at rank 0: %d -> %d targets left, %d decode errors", left, got, fb.decodeErrs.Load()-refused)
+	}
+	if !slices.Equal(st.pot[b.Lo:b.Hi], sender.pot[b.Lo:b.Hi]) {
+		t.Error("rank 0 did not install the gathered potentials")
+	}
+	wst, err := dw.plans[1].newState(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wex, wfb := rankExecutor(t, wst, cls[1])
+	tn = &wex.g.Nodes[slices.IndexFunc(wex.g.Nodes, func(m dag.Node) bool { return target(wex, m) })]
+	wfb.handleParcel(nil, amt.Frame{Kind: wireKindParcel, Payload: sender.encodeParcel(tn, nil)})
+	if wfb.decodeErrs.Load() != 1 || wfb.installed[tn.ID] || slices.ContainsFunc(wst.pot, func(v float64) bool { return v != 0 }) {
+		t.Errorf("a target parcel at a worker rank: %d decode errors, installed %v", wfb.decodeErrs.Load(), wfb.installed[tn.ID])
+	}
 }

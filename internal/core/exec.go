@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,28 +14,47 @@ import (
 	"repro/internal/trace"
 )
 
-// ExecOptions configures a parallel evaluation on the AMT runtime.
+// ExecOptions configures an evaluation on the AMT runtime: an in-process
+// ParallelEvaluation, or one rank's side of a DistRun.
 type ExecOptions struct {
 	// Localities must be 0 or 1: a runtime hosts one locality, and more are
-	// the ranks of a DistRun. NewParallelEvaluation refuses any other value.
+	// the ranks of a DistRun. Both entry points refuse any other value.
 	Localities int
 	// Workers is the scheduler thread count (default 1).
 	Workers int
 	// Tracer, if non-nil, records one event per operator application for
-	// the utilization analysis.
+	// the utilization analysis: under DistRun, each one this rank applies.
 	Tracer *trace.Tracer
-	// Seed makes the scheduler's steal order reproducible.
+	// Seed makes the scheduler's steal order reproducible; a distributed
+	// run adds its job's generation.
 	Seed int64
-	// Gradient also computes the potential gradient at every target;
-	// retrieve it with EvaluateGrad.
+	// Gradient also computes the potential gradient at every target; it
+	// comes back in ExecReport.Gradients.
 	Gradient bool
+	// OnProgress, when non-nil, is invoked after every node the runtime fires
+	// with the cumulative fire count and the number of nodes it homes. The
+	// chaos harness uses it to SIGKILL a rank at a chosen local progress
+	// fraction; core stays OS-agnostic.
+	OnProgress func(fired, owned int)
+	// Job is the cluster job a DistRun is one rank's side of — rank 0 passes
+	// what StartJob returned, a worker what its log handed it — so every rank
+	// starts from the same wire generation and places the DAG over the same
+	// live ranks. Nil in process and on a one-shot cluster: generation 0,
+	// nobody dead.
+	Job *amt.Job
 }
 
-func (o ExecOptions) withDefaults() ExecOptions {
+func (o ExecOptions) withDefaults() (ExecOptions, error) {
+	if o.Localities < 0 || o.Localities > 1 {
+		return o, fmt.Errorf("core: %d localities asked of one runtime: it hosts one; add Workers, or run ranks with DistRun", o.Localities)
+	}
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	return o
+	if o.Job == nil {
+		o.Job = &amt.Job{}
+	}
+	return o, nil
 }
 
 // ExecReport describes one parallel evaluation.
@@ -80,9 +100,7 @@ func (p *Plan) Evaluate(charges []float64, opts ExecOptions) ([]float64, ExecRep
 // skip the amt.New worker/deque setup. The plan holds no reference to its
 // contexts: one is garbage as soon as its last user drops it.
 type ParallelEvaluation struct {
-	plan *Plan
-	opts ExecOptions
-	ex   *executor
+	ex *executor
 }
 
 // NewParallelEvaluation allocates a parallel evaluation context and places
@@ -90,89 +108,39 @@ type ParallelEvaluation struct {
 // the context, not in the plan's graph, so contexts may share a plan and run
 // concurrently. More than one locality is an error: that is DistRun's job.
 func (p *Plan) NewParallelEvaluation(opts ExecOptions) (*ParallelEvaluation, error) {
-	opts = opts.withDefaults()
-	if opts.Localities < 0 || opts.Localities > 1 {
-		return nil, fmt.Errorf("core: %d localities asked of an in-process evaluation: it runs on one; add Workers, or run ranks with DistRun", opts.Localities)
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	st, err := p.newState(opts.Gradient)
 	if err != nil {
 		return nil, err
 	}
-	ex := newExecutor(st, []int32{0})
-	ex.tracer = opts.Tracer
-	return &ParallelEvaluation{plan: p, opts: opts, ex: ex}, nil
+	return &ParallelEvaluation{ex: newExecutor(st, []int32{0}, 0, opts)}, nil
 }
 
 // Run evaluates the DAG for one charge vector, reusing the context's payload
-// buffers, LCO network and pooled runtime. Everything a run leaves behind —
-// payloads, countdowns, batch counters — is re-armed here, so a context whose
-// last Run failed needs no scrubbing.
+// buffers, LCO network and pooled runtime.
 func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, error) {
-	p, ex, opts := e.plan, e.ex, e.opts
-	if len(charges) != len(p.Source.Pts) {
-		return nil, ExecReport{}, fmt.Errorf("core: %d charges for %d sources", len(charges), len(p.Source.Pts))
-	}
-	if err := p.checkKernel(); err != nil {
-		return nil, ExecReport{}, err
-	}
-	ex.st.reset(charges)
-	ex.arm()
-
-	// One runtime serves every Run: built on the first, re-armed per
-	// generation (amt.Runtime.Reset) on every later one, failed runs
-	// included, to skip the worker/deque allocation of amt.New. Nothing
-	// aborts an in-process run — rt.Run returns once every task has — so
-	// the runtime is always quiesced here, and Reset's refusal is a bug
-	// reported, not a case handled.
-	runtimeReused := ex.rt != nil
-	if runtimeReused {
-		if err := ex.rt.Reset(); err != nil {
-			return nil, ExecReport{}, err
-		}
-	} else {
-		ex.rt = amt.New(amt.Config{Workers: opts.Workers, Seed: opts.Seed})
-	}
-
-	start := time.Now()
-	stats := ex.rt.Run(ex.seedRoots)
-	elapsed := time.Since(start)
-
-	if err := p.checkKernel(); err != nil {
-		return nil, ExecReport{}, err
-	}
-
-	// Every node must have fired: an LCO that can never be satisfied lets the
-	// run drain without it.
-	for i := range ex.remaining {
-		if ex.remaining[i].Load() > 0 {
-			return nil, ExecReport{}, fmt.Errorf("core: node %d (%v) never triggered (%d inputs missing)",
-				i, ex.g.Nodes[i].Kind, ex.remaining[i].Load())
-		}
-	}
-	return ex.st.potentials(), ExecReport{
-		Gradients:     ex.st.gradients(),
-		Runtime:       stats,
-		Elapsed:       elapsed,
-		Localities:    1,
-		Workers:       opts.Workers,
-		RuntimeReused: runtimeReused,
-	}, nil
+	return e.ex.run(context.Background(), charges)
 }
 
 // executor is the LCO network of one evaluation context, and the one
 // implementation of "node fired → walk Out → apply local edges → coalesce
 // remote edges per destination → count the target down → spawn it": a DAG
 // node's slot in locks/remaining/tasks, with its payload in st, is the
-// paper's expansion LCO. ParallelEvaluation runs it on the one locality of a
-// process, where every edge is local; DistRun runs the same code as one rank
-// of a cluster, with the two things distribution adds — parcels that cross a
-// process boundary, edges that may arrive twice — switched on the fabric it
-// then holds.
+// paper's expansion LCO. ParallelEvaluation runs it as rank 0 of a world of
+// one, where every edge is local; DistRun runs the same code as one rank
+// of a cluster, with what distribution adds — parcels that cross a process
+// boundary, edges that may arrive twice — switched on the fabric it then
+// holds. Either way a fired target node is gathered at rank 0 (gather).
 type executor struct {
-	st     *state
-	g      *dag.Graph
-	rt     *amt.Runtime // in-process pooled across Runs (nil before the first), one per run under a fabric
-	tracer *trace.Tracer
+	st   *state
+	g    *dag.Graph
+	opts ExecOptions
+	// rank is the rank the executor runs as: 0 in process.
+	rank int32
+	rt   *amt.Runtime // built on the first run, re-armed on every later one
 	// fab is the distributed side of a DistRun (distrib.go); nil in-process.
 	fab *fabric
 	// homes is the placement, node → rank, fixed at construction: all 0
@@ -181,6 +149,11 @@ type executor struct {
 	remaining []atomic.Int32
 	locks     []sync.Mutex
 	tasks     []amt.Task // prebuilt node continuations, indexed by node ID
+	// owned counts the nodes this rank homes and fired those fired so far
+	// (OnProgress); targets counts the graph's target nodes and targetsLeft,
+	// at rank 0, those not yet gathered.
+	owned, targets     int
+	fired, targetsLeft atomic.Int64
 	// Batched execution (batch.go): the kernel's batched surface (nil when it
 	// has none), per target leaf a prebuilt near task and its source chunks,
 	// one pending-source counter and prebuilt task per M->L batch (nil when the
@@ -194,14 +167,16 @@ type executor struct {
 	batchScratch sync.Pool
 }
 
-// newExecutor builds the LCO network of a state and places it over the live
-// ranks (Plan.place): the placement runs once, here, and the executor keeps
-// its own copy of the result.
-func newExecutor(st *state, live []int32) *executor {
+// newExecutor builds the LCO network of a state for the given rank and places
+// it over the live ranks (Plan.place): the placement runs once, here, and the
+// executor keeps its own copy of the result.
+func newExecutor(st *state, live []int32, rank int, opts ExecOptions) *executor {
 	g := st.p.Graph
 	ex := &executor{
 		st:        st,
 		g:         g,
+		opts:      opts,
+		rank:      int32(rank),
 		homes:     st.p.place(live),
 		remaining: make([]atomic.Int32, len(g.Nodes)),
 		locks:     make([]sync.Mutex, len(g.Nodes)),
@@ -212,13 +187,73 @@ func newExecutor(st *state, live []int32) *executor {
 	for i := range ex.tasks {
 		id := int32(i)
 		ex.tasks[i] = func(w *amt.Worker) { ex.runNode(w, id) }
+		if ex.hosts(id) {
+			ex.owned++
+		}
+		if g.Nodes[i].Kind == dag.NodeT {
+			ex.targets++
+		}
 	}
 	ex.initBatches()
 	return ex
 }
 
+// run is the one evaluation body, of ParallelEvaluation.Run and of DistRun
+// alike. Everything a run leaves behind — payloads, countdowns, batch
+// counters — is re-armed here, so a context whose last run failed needs no
+// scrubbing. Rank 0 returns the potentials, a worker rank nil.
+func (ex *executor) run(ctx context.Context, charges []float64) ([]float64, ExecReport, error) {
+	p := ex.st.p
+	if len(charges) != len(p.Source.Pts) {
+		return nil, ExecReport{}, fmt.Errorf("core: %d charges for %d sources", len(charges), len(p.Source.Pts))
+	}
+	if err := p.checkKernel(); err != nil {
+		return nil, ExecReport{}, err
+	}
+	// The charges are in the state from the start, so whoever seeds a near
+	// task need not ask.
+	ex.st.reset(charges)
+	ex.arm()
+
+	// One runtime serves every run of a context: built on the first, re-armed
+	// per generation (amt.Runtime.Reset) on every later one, failed runs
+	// included, to skip the worker/deque allocation of amt.New. Nothing
+	// aborts an in-process run — rt.Run returns once every task has — so
+	// the runtime is always quiesced here, and Reset's refusal is a bug
+	// reported, not a case handled. A DistRun's executor runs once.
+	rep := ExecReport{Localities: 1, Workers: ex.opts.Workers, RuntimeReused: ex.rt != nil}
+	if rep.RuntimeReused {
+		if err := ex.rt.Reset(); err != nil {
+			return nil, ExecReport{}, err
+		}
+	} else {
+		ex.rt = amt.New(amt.Config{Rank: int(ex.rank), Workers: ex.opts.Workers, Seed: ex.opts.Seed + int64(ex.opts.Job.Gen)})
+	}
+	if ex.fab == nil {
+		start := time.Now()
+		rep.Runtime = ex.rt.Run(ex.seedRoots)
+		rep.Elapsed = time.Since(start)
+	} else if err := ex.fab.run(ctx, &rep); err != nil {
+		return nil, ExecReport{}, err
+	}
+
+	if err := p.checkKernel(); err != nil {
+		return nil, ExecReport{}, err
+	}
+	if ex.rank != 0 {
+		return nil, rep, nil
+	}
+	// Every target must be in: an LCO that can never be satisfied lets the
+	// run drain without the targets downstream of it.
+	if left := ex.targetsLeft.Load(); left > 0 {
+		return nil, ExecReport{}, fmt.Errorf("core: %d of %d target nodes never triggered", left, ex.targets)
+	}
+	rep.Gradients = ex.st.gradients()
+	return ex.st.potentials(), rep, nil
+}
+
 // arm readies the network for a run: every countdown at its node's input
-// count, every batch counter at its source count.
+// count, every batch counter at its source count, every target to gather.
 func (ex *executor) arm() {
 	for i := range ex.remaining {
 		ex.remaining[i].Store(ex.g.Nodes[i].In)
@@ -226,6 +261,8 @@ func (ex *executor) arm() {
 	for i := range ex.batchPending {
 		ex.batchPending[i].Store(int32(len(ex.st.p.batches.M2L[i].Srcs)))
 	}
+	ex.fired.Store(0)
+	ex.targetsLeft.Store(int64(ex.targets))
 }
 
 // seedRoots spawns what waits for nothing, on the nodes this runtime hosts:
@@ -236,7 +273,7 @@ func (ex *executor) arm() {
 func (ex *executor) seedRoots() {
 	for pi, pb := range ex.st.p.batches.P2P {
 		if ex.hosts(pb.Target) {
-			ex.rt.Locality(int(ex.homes[pb.Target])).Spawn(ex.near[pi])
+			ex.rt.Locality(int(ex.rank)).Spawn(ex.near[pi])
 		}
 	}
 	for _, id := range ex.g.Roots() {
@@ -246,10 +283,10 @@ func (ex *executor) seedRoots() {
 	}
 }
 
-// hosts reports whether this runtime runs node id's tasks: every node's
-// in-process, those the rank homes under a fabric.
+// hosts reports whether this runtime runs node id's tasks: the nodes its
+// rank homes, every node in-process.
 func (ex *executor) hosts(id int32) bool {
-	return ex.fab == nil || int(ex.homes[id]) == ex.fab.rank
+	return ex.homes[id] == ex.rank
 }
 
 // parcelEdges is a pooled remote-edge list: the indexes, within the source
@@ -298,13 +335,11 @@ func (b *remoteBatch) release() {
 	remoteBatchPool.Put(b)
 }
 
-// runNode is the continuation of node id: process the out-edge list. It
-// runs once per evaluation, when the node's LCO triggers (all inputs
-// arrived); under a fabric, fabric.runNode also counts it towards the rank's
-// completion.
+// runNode is the continuation of node id: process the out-edge list, then
+// gather the node if it is a target. It runs once per evaluation, when the
+// node's LCO triggers (all inputs arrived).
 func (ex *executor) runNode(w *amt.Worker, id int32) {
 	n := &ex.g.Nodes[id]
-	me := int32(w.Rank())
 	// Local edges first, sequentially: the large input payload is reused
 	// while hot (Section VI discusses this trade-off).
 	var batch *remoteBatch
@@ -316,7 +351,7 @@ func (ex *executor) runNode(w *amt.Worker, id int32) {
 			continue
 		}
 		dest := ex.homes[e.To]
-		if dest == me {
+		if dest == ex.rank {
 			ex.deliver(w, n, int32(j))
 			continue
 		}
@@ -334,6 +369,12 @@ func (ex *executor) runNode(w *amt.Worker, id int32) {
 		batch.release()
 	}
 	ex.noteBatchSources(w, id)
+	if n.Kind == dag.NodeT {
+		ex.gather(n)
+	}
+	if fired := ex.fired.Add(1); ex.opts.OnProgress != nil {
+		ex.opts.OnProgress(int(fired), ex.owned)
+	}
 }
 
 // send ships the out-edges of a fired node bound for another rank: the
@@ -345,6 +386,28 @@ func (ex *executor) runNode(w *amt.Worker, id int32) {
 func (ex *executor) send(n *dag.Node, dest int32, pe *parcelEdges) {
 	ex.fab.cl.Send(ex.rt, int(dest), wireKindParcel, 0, ex.st.encodeParcel(n, pe.idx))
 	pe.recycle()
+}
+
+// gather brings a fired target node to rank 0. A worker rank sends its
+// potentials (and gradients) there as an ordinary parcel with no edges,
+// which rank 0's fabric installs and counts in (handleParcel); rank 0 counts
+// its own in here.
+func (ex *executor) gather(n *dag.Node) {
+	if ex.rank != 0 {
+		ex.fab.cl.Send(ex.rt, 0, wireKindParcel, 0, ex.st.encodeParcel(n, nil))
+		return
+	}
+	ex.gathered()
+}
+
+// gathered counts one target node in at rank 0. The last one completes the
+// run: under a fabric it ends the run on the cluster and lets everyone drain;
+// in process the runtime drains by itself.
+func (ex *executor) gathered() {
+	if ex.targetsLeft.Add(-1) == 0 && ex.fab != nil {
+		ex.fab.cl.Shutdown()
+		ex.fab.release()
+	}
 }
 
 // deliver applies out-edge `out` of a fired node into its target LCO: the
@@ -362,15 +425,15 @@ func (ex *executor) deliver(w *amt.Worker, from *dag.Node, out int32) {
 	}
 	e := from.Out[out]
 	var t0 int64
-	if ex.tracer.Enabled() {
-		t0 = ex.tracer.Now()
+	if ex.opts.Tracer.Enabled() {
+		t0 = ex.opts.Tracer.Now()
 	}
 	ex.locks[e.To].Lock()
 	ex.st.apply(from, e)
 	rem := ex.remaining[e.To].Add(-1)
 	ex.locks[e.To].Unlock()
-	if ex.tracer.Enabled() {
-		ex.record(w, e.Op, t0, ex.tracer.Now())
+	if ex.opts.Tracer.Enabled() {
+		ex.record(w, e.Op, t0, ex.opts.Tracer.Now())
 	}
 	if rem == 0 {
 		ex.fireNode(w, e.To)
@@ -381,7 +444,7 @@ func (ex *executor) deliver(w *amt.Worker, from *dag.Node, out int32) {
 //
 //dashmm:noalloc
 func (ex *executor) record(w *amt.Worker, op dag.OpKind, start, end int64) {
-	ex.tracer.Record(w.ID, trace.Event{
+	ex.opts.Tracer.Record(w.ID, trace.Event{
 		Class:    uint8(op),
 		Worker:   int32(w.ID),
 		Locality: int32(w.Rank()),

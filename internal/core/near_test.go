@@ -179,8 +179,8 @@ func TestNearTasksRunOnTheTargetsHome(t *testing.T) {
 }
 
 // No frame leaves an S node for the near field. Two ranks over unix sockets:
-// the application frames of a fault-free run are the worker's result report
-// and one parcel per (fired node, distinct remote
+// the application frames of a fault-free run are one parcel per target node
+// the worker homes (the gather) and one per (fired node, distinct remote
 // home among its out edges other than S->T) — counted here from the plan and
 // the placement. An S node whose only remote edges are S->T sends nothing
 // (it used to send a parcel of edge indexes and no payload).
@@ -189,9 +189,12 @@ func TestDistRunSendsNoNearFieldParcels(t *testing.T) {
 	dw := newDistWorld(t, world, 4000)
 	plan := dw.plans[0]
 	homes := plan.place(survivors(world, nil))
-	parcels, nearOnly := 0, 0
+	parcels, gathers, nearOnly := 0, 0, 0
 	for i := range plan.Graph.Nodes {
 		n := &plan.Graph.Nodes[i]
+		if n.Kind == dag.NodeT && homes[i] != 0 {
+			gathers++
+		}
 		var far, near []int32
 		for _, e := range n.Out {
 			dest := homes[e.To]
@@ -218,9 +221,9 @@ func TestDistRunSendsNoNearFieldParcels(t *testing.T) {
 	for _, rep := range reps {
 		sent += rep.Runtime.Transport.Sent
 	}
-	if want := int64(parcels + (world - 1)); sent != want {
-		t.Errorf("%d application frames sent, want %d: %d parcels, %d result report (%d S nodes with remote near lists only must send none)",
-			sent, want, parcels, world-1, nearOnly)
+	if want := int64(parcels + gathers); sent != want {
+		t.Errorf("%d application frames sent, want %d: %d parcels, %d target nodes gathered from workers (%d S nodes with remote near lists only must send none)",
+			sent, want, parcels, gathers, nearOnly)
 	}
 }
 
@@ -257,7 +260,7 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 		dw := newDistWorld(t, world, 3000)
 		leavesMove(t, dw.plans[0], world)
 		cls := distClusters(t, world)
-		_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+		_, _, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 			o := distOpts(r)
 			if r == victim {
 				o.OnProgress = dieAt(cls[r], 0.5)
@@ -290,7 +293,7 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 			t.Fatal(err)
 		}
 		cls := distClusters(t, world)
-		_, _, errs := dw.run(distCtx(t), cls, func(r int) DistOptions {
+		_, _, errs := dw.run(distCtx(t), cls, func(r int) ExecOptions {
 			o := distOpts(r)
 			if r == victim {
 				// One worker pops the roots before any near task (seedRoots):
@@ -318,8 +321,7 @@ func TestFabricNearTaskContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := newExecutor(st, survivors(2, nil))
-	newFabric(ex, cls[0], distOpts(0).withDefaults())
+	ex, _ := rankExecutor(t, st, cls[0])
 	st.reset(dw.q)
 
 	lists := st.p.batches.P2P

@@ -5,11 +5,12 @@
 //
 // There is one executor (exec.go): a fired node walks its out edges, applies
 // the local ones through state.apply, coalesces the remote ones into a parcel
-// per destination, counts each target down and spawns it at zero. The
-// in-process ParallelEvaluation and the multi-process DistRun (distrib.go)
-// both run it; DistRun adds a fabric — parcel installs, per-edge applied
-// bits, the rank-0 gather — that the executor holds when there is a cluster
-// and does not otherwise.
+// per destination, counts each target down and spawns it at zero; a fired
+// target node is gathered at rank 0, from another rank as one more parcel.
+// The in-process ParallelEvaluation and the multi-process DistRun
+// (distrib.go) both end in its one run body; DistRun adds a fabric — the
+// wire, parcel installs, per-edge applied bits — that the executor holds
+// when there is a cluster and does not otherwise.
 //
 // As in the paper, the same Plan can be evaluated many times for different
 // charge inputs, amortizing the setup cost (Section IV: "the FMM is widely

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/amt"
 	"repro/internal/dag"
+	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/points"
 )
@@ -19,12 +20,11 @@ import (
 // never panics"). A frame that reaches them passed the codec's CRC, which
 // says it was not damaged on the way, not that its sender is sane.
 
-// wireFixture is rank 0's side of a two-rank run on a small fixed plan: the
-// state the decoders write into and the fabric that counts what they refuse.
+// wireFixture is a small fixed plan's state, which the decoders write into,
+// with an expansion-carrying node and a target node to encode parcels of.
 type wireFixture struct {
-	st *state
-	fb *fabric
-	m  *dag.Node // an expansion-carrying node with out edges
+	st   *state
+	m, t *dag.Node // an M node with out edges, a target node
 }
 
 func newWireFixture(tb testing.TB, gradient bool) *wireFixture {
@@ -39,18 +39,14 @@ func newWireFixture(tb testing.TB, gradient bool) *wireFixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	addr := filepath.Join(tb.TempDir(), "rank0.sock")
-	cl, err := amt.NewCluster(amt.ClusterConfig{Rank: 0, World: 2, Network: "unix", Addr: addr, Stamp: "wire-fuzz"})
-	if err != nil {
-		tb.Fatal(err)
+	fx := &wireFixture{st: st}
+	nodes := plan.Graph.Nodes
+	i := slices.IndexFunc(nodes, func(n dag.Node) bool { return n.Kind == dag.NodeM && len(n.Out) >= 2 })
+	j := slices.IndexFunc(nodes, func(n dag.Node) bool { return n.Kind == dag.NodeT && n.Box.Hi-n.Box.Lo >= 2 })
+	if i < 0 || j < 0 {
+		tb.Fatal("the fixture plan has no M node with two out edges or no target node with two points")
 	}
-	tb.Cleanup(func() { cl.Close() })
-	fx := &wireFixture{st: st, fb: newFabric(newExecutor(st, survivors(2, nil)), cl, DistOptions{}.withDefaults())}
-	i := slices.IndexFunc(plan.Graph.Nodes, func(n dag.Node) bool { return n.Kind == dag.NodeM && len(n.Out) >= 2 })
-	if i < 0 {
-		tb.Fatal("the fixture plan has no M node with two out edges")
-	}
-	fx.m = &plan.Graph.Nodes[i]
+	fx.m, fx.t = &nodes[i], &nodes[j]
 	return fx
 }
 
@@ -66,13 +62,21 @@ func patchU32(b []byte, off int, v uint32) []byte {
 	return out
 }
 
-// parcelSeeds: a golden parcel of the fixture's M node and the ways a
-// hostile or damaged one goes wrong.
+// parcelSeeds: a golden parcel of the fixture's M node, one of its target
+// node (the gather), and the ways a hostile or damaged one goes wrong.
 func (fx *wireFixture) parcelSeeds() []wireSeed {
 	for i := range fx.st.exp[fx.m.ID] {
 		fx.st.exp[fx.m.ID][i] = complex(float64(i)+0.5, -float64(i))
 	}
+	for i := range fx.st.pot {
+		fx.st.pot[i] = float64(i) / 8
+	}
+	for i := range fx.st.grad {
+		fx.st.grad[i] = geom.Point{X: float64(i), Y: -0.5, Z: 0.25}
+	}
 	golden := fx.st.encodeParcel(fx.m, []int32{1, 0})
+	target := fx.st.encodeParcel(fx.t, nil)
+	withEdge := slices.Concat(patchU32(target[:8], 4, 1), []byte{0, 0, 0, 0}, target[8:])
 	return []wireSeed{
 		{"golden-parcel", golden, true},
 		{"truncated-vector", golden[:len(golden)-5], false},
@@ -82,31 +86,10 @@ func (fx *wireFixture) parcelSeeds() []wireSeed {
 		{"edge-index-beyond-out", patchU32(golden, 8, uint32(len(fx.m.Out))), false},
 		{"oversized-edge-count", patchU32(golden, 4, 0xffffffff), false},
 		{"more-edges-than-the-node-has", patchU32(golden, 4, uint32(len(fx.m.Out))+1), false},
-	}
-}
-
-// resultSeeds: a golden report of two target nodes, and what can be wrong
-// with one. The oversized count is the frame that used to take rank 0 down:
-// twelve bytes asking for a 16 GiB id list.
-func (fx *wireFixture) resultSeeds() []wireSeed {
-	for i := range fx.st.pot {
-		fx.st.pot[i] = float64(i) / 8
-	}
-	ids := fx.fb.tnodes[:2]
-	golden := fx.st.encodeResult(ids)
-	flag := uint32(0)
-	if fx.st.grad == nil {
-		flag = 1
-	}
-	return []wireSeed{
-		{"golden-result", golden, true},
-		{"truncated-potentials", golden[:len(golden)-3], false},
-		{"trailing-bytes", append(slices.Clone(golden), 0), false},
-		{"oversized-count", []byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, false},
-		{"more-nodes-than-the-plan-has-targets", patchU32(golden, 4, uint32(len(fx.fb.tnodes))+1), false},
-		{"not-a-target-node", patchU32(golden, 8, uint32(fx.m.ID)), false},
-		{"node-out-of-range", patchU32(golden, 8, 0xfffffff0), false},
-		{"gradient-flag-contradicts-the-state", patchU32(golden, 0, flag), false},
+		{"golden-target", target, true},
+		{"target-truncated-potentials", target[:len(target)-3], false},
+		{"target-trailing-bytes", append(slices.Clone(target), 0), false},
+		{"target-with-an-edge", withEdge, false},
 	}
 }
 
@@ -143,50 +126,12 @@ func checkParcel(t *testing.T, fx *wireFixture, data []byte) error {
 
 // FuzzDecodeParcel: never panic, never size anything from a count the
 // payload advertises beyond its own length, accept only in-range nodes and
-// edges, and only the canonical encoding.
+// edges, and only the canonical encoding — on a plain and a gradient state,
+// whose target parcels differ in length.
 func FuzzDecodeParcel(f *testing.F) {
-	fx := newWireFixture(f, false)
-	for _, seed := range fx.parcelSeeds() {
-		f.Add(seed.data)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) { checkParcel(t, fx, data) })
-}
-
-// checkResult runs one report through the decoder and then, as a frame,
-// through rank 0's gather.
-func checkResult(t *testing.T, fx *wireFixture, data []byte) error {
-	ids, err := fx.st.installResult(data, len(fx.fb.tnodes))
-	if 4*cap(ids) > len(data) || cap(ids) > len(fx.fb.tnodes) {
-		t.Fatalf("%d-byte report sized an id list of %d (the plan has %d target nodes)", len(data), cap(ids), len(fx.fb.tnodes))
-	}
-	covered, refused := len(fx.fb.covered), fx.fb.decodeErrs.Load()
-	fx.fb.handleResult(amt.Frame{Kind: wireKindResult, Payload: data})
-	if err != nil {
-		if len(fx.fb.covered) != covered || fx.fb.decodeErrs.Load() != refused+1 {
-			t.Fatalf("refused report (%v): coverage %d -> %d, decode errors %d -> %d", err, covered, len(fx.fb.covered), refused, fx.fb.decodeErrs.Load())
-		}
-		return err
-	}
-	for _, id := range ids {
-		if fx.st.p.Graph.Nodes[id].Kind != dag.NodeT || !fx.fb.covered[id] {
-			t.Fatalf("accepted report: node %d is a target %v, covered %v", id, fx.st.p.Graph.Nodes[id].Kind == dag.NodeT, fx.fb.covered[id])
-		}
-	}
-	// What was installed is what a re-report would carry.
-	again, err := fx.st.installResult(fx.st.encodeResult(ids), len(fx.fb.tnodes))
-	if err != nil || !slices.Equal(again, ids) {
-		t.Fatalf("re-decoding a report the codec produced: ids %v -> %v, %v", ids, again, err)
-	}
-	return nil
-}
-
-// FuzzDecodeResult: never panic, never size the id list from the advertised
-// count beyond the payload's length or the plan's target nodes, and a
-// refused report is counted and covers nothing.
-func FuzzDecodeResult(f *testing.F) {
 	plain, grad := newWireFixture(f, false), newWireFixture(f, true)
 	for _, fx := range []*wireFixture{plain, grad} {
-		for _, seed := range fx.resultSeeds() {
+		for _, seed := range fx.parcelSeeds() {
 			f.Add(fx == grad, seed.data)
 		}
 	}
@@ -195,7 +140,7 @@ func FuzzDecodeResult(f *testing.F) {
 		if gradient {
 			fx = grad
 		}
-		checkResult(t, fx, data)
+		checkParcel(t, fx, data)
 	})
 }
 
@@ -216,19 +161,13 @@ func TestWireSeeds(t *testing.T) {
 	}
 	quote := func(b []byte) string { return "[]byte(" + strconv.Quote(string(b)) + ")\n" }
 	plain, grad := newWireFixture(t, false), newWireFixture(t, true)
-	for _, seed := range plain.parcelSeeds() {
-		if err := checkParcel(t, plain, seed.data); (err == nil) != seed.ok {
-			t.Errorf("parcel %s: %v", seed.name, err)
-		}
-		write("FuzzDecodeParcel", seed.name, quote(seed.data))
-	}
 	for _, fx := range []*wireFixture{plain, grad} {
-		for _, seed := range fx.resultSeeds() {
-			if err := checkResult(t, fx, seed.data); (err == nil) != seed.ok {
-				t.Errorf("result %s (gradient %v): %v", seed.name, fx == grad, err)
+		for _, seed := range fx.parcelSeeds() {
+			if err := checkParcel(t, fx, seed.data); (err == nil) != seed.ok {
+				t.Errorf("parcel %s (gradient %v): %v", seed.name, fx == grad, err)
 			}
 			if fx == plain {
-				write("FuzzDecodeResult", seed.name, "bool(false)\n"+quote(seed.data))
+				write("FuzzDecodeParcel", seed.name, "bool(false)\n"+quote(seed.data))
 			}
 		}
 	}

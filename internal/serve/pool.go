@@ -270,7 +270,7 @@ func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charg
 		return nil, core.ExecReport{}, fmt.Errorf("%w: %w", errNotStarted, err)
 	}
 	defer job.End()
-	return core.DistRun(ctx, entry.plan, p.cl, charges, core.DistOptions{
+	return core.DistRun(ctx, entry.plan, p.cl, charges, core.ExecOptions{
 		Workers: p.cfg.RankThreads,
 		Job:     job,
 	})

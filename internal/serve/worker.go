@@ -150,7 +150,7 @@ func runWorkerJob(cl *amt.Cluster, cache *planCache, threads int, job *amt.Job) 
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 	//lint:ignore lockorder entry.mu serializes evaluation of one plan by design (stampede protection): the critical section is the evaluation itself
-	_, _, err = core.DistRun(ctx, entry.plan, cl, req.chargeVector(), core.DistOptions{
+	_, _, err = core.DistRun(ctx, entry.plan, cl, req.chargeVector(), core.ExecOptions{
 		Workers: threads,
 		Job:     job,
 	})
