@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check bench-check serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
+.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check lines bench-check serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,16 @@ fuzz-smoke:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Non-test .go lines of the runtime packages — the scheduler and wire (amt),
+# the executor and fabric (core), the daemon (serve) — and their sum: the
+# code-size row ROADMAP tracks, from one command.
+LINES_PKGS = internal/amt internal/core internal/serve
+lines:
+	@total=0; for p in $(LINES_PKGS); do \
+		n=$$(cat $$(ls $$p/*.go | grep -v '_test\.go$$') | wc -l); \
+		printf '%-16s %6d\n' $$p $$n; total=$$((total + n)); \
+	done; printf '%-16s %6d\n' total $$total
 
 # Evaluation-service smoke test: concurrent mixed requests against an
 # in-process server (httptest), asserting every response is a 200 and the

@@ -91,7 +91,7 @@ func fanOut(t *testing.T, cls []*Cluster, logs []<-chan Event, rt0 clusterRuntim
 		st0 = rt0.Run(func() {
 			for dst := 1; dst < world; dst++ {
 				payload := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(dst))
-				cls[0].Send(rt0.Runtime, dst, 1, 0, append(payload, make([]byte, size-len(payload))...))
+				cls[0].Send(rt0.Runtime, dst, 1, append(payload, make([]byte, size-len(payload))...))
 			}
 		})
 	}()

@@ -3,7 +3,7 @@
 // FaultyTransport between every rank's delivery engine and its socket, gated
 // at 1e-12 relative against the sequential evaluation. This is the
 // acceptance harness for the whole wire stack — the frame codec, the socket
-// transport, seq/ack/retransmit and the applied bits — on the path production runs: the DAG
+// transport, seq/ack/retransmit and the parcel install — on the path production runs: the DAG
 // tolerates arbitrary edge reordering (Ltaief & Yokota; Agullo et al.), so
 // at-least-once delivery with exactly-once effect must leave the potentials
 // unchanged under drops, duplication, reordering, and a paused rank.
@@ -225,8 +225,8 @@ func chaosProfiles() []chaosProfile {
 
 // chaosDelivery: the retry clock is tuned to the profiles' delay scale —
 // base backoff above one slow-rank round trip would hide spurious retries,
-// but spurious retransmits are harmless (the applied bits drop their
-// edges), so a snappy base keeps the harness fast. The cap is a full second so the backoff keeps doubling
+// but spurious retransmits are harmless (a repeated copy installs and
+// applies nothing), so a snappy base keeps the harness fast. The cap is a full second so the backoff keeps doubling
 // when an instrumented receiver decodes slower than the sender retransmits.
 func chaosDelivery() amt.DeliveryConfig {
 	return amt.DeliveryConfig{

@@ -25,8 +25,8 @@ import (
 // then on the data plane is a mesh of SocketTransport connections
 // (socket.go), while heartbeats flow worker→rank 0: rank 0 is the single
 // membership authority and failure detector, declaring a silent rank dead
-// and broadcasting the verdict, with an epoch number, to every survivor. A
-// worker that loses its control connection treats the coordinator as dead.
+// and broadcasting the verdict to every survivor. A worker that loses its
+// control connection treats the coordinator as dead.
 // A standing cluster (the serve worker pool) re-admits a respawned worker's
 // REJOIN between runs, at a fresh wire generation, with a membership frame
 // to every live rank, the joiner included.
@@ -68,7 +68,7 @@ const (
 	ctlWelcome  uint16 = 0xff02 // rank0 → worker: join accepted
 	ctlReject   uint16 = 0xff03 // rank0 → worker: join refused (payload: reason)
 	ctlBeat     uint16 = 0xff05 // worker → rank0: heartbeat
-	ctlDead     uint16 = 0xff06 // rank0 → workers: death verdict (frame dst = the dead rank, frame epoch = verdict epoch)
+	ctlDead     uint16 = 0xff06 // rank0 → workers: death verdict (frame dst = the dead rank)
 	ctlShutdown uint16 = 0xff07 // rank0 → workers: run complete, drain (frame epoch = the run's wire generation)
 	ctlAttach   uint16 = 0xff08 // data-plane connection preamble (payload: hello)
 	ctlRejoin   uint16 = 0xff09 // worker → rank0: re-admission request after a respawn (payload: hello)
@@ -87,7 +87,7 @@ const retryPrefix = "retry: "
 // (see monitorLoop). The classic fixed-threshold detector is complete but
 // only eventually accurate (a tight threshold misjudges a slow rank); a
 // false verdict is made harmless by fencing: the survivors sever the suspect
-// and fail its work over, and the suspect fails fast on its own verdict.
+// and fail the run, and the suspect fails fast on its own verdict.
 type FailureDetectorConfig struct {
 	// Interval between heartbeats.
 	Interval time.Duration
@@ -143,9 +143,9 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 type EventKind uint8
 
 const (
-	// EventDead is a death verdict for Rank, the Epoch-th of this cluster.
-	// Rank 0 logs it when it issues the verdict, every rank the verdict
-	// reaches when it arrives — the suspect included.
+	// EventDead is a death verdict for Rank. Rank 0 logs it when it issues
+	// the verdict, every rank the verdict reaches when it arrives — the
+	// suspect included.
 	EventDead EventKind = iota + 1
 	// EventRejoin is the re-admission of a respawned Rank at wire
 	// generation Gen: logged by rank 0 when it admits the rank and by every
@@ -166,12 +166,11 @@ const (
 
 // Event is one entry of a rank's membership log.
 type Event struct {
-	Kind  EventKind
-	Rank  int    // EventDead, EventRejoin
-	Epoch int    // EventDead
-	Gen   uint32 // EventRejoin, EventJob, EventRunDone
-	Job   *Job   // EventJob; shared between subscribers, read-only
-	Err   error  // EventCoordLost
+	Kind EventKind
+	Rank int    // EventDead, EventRejoin
+	Gen  uint32 // EventRejoin, EventJob, EventRunDone
+	Job  *Job   // EventJob; shared between subscribers, read-only
+	Err  error  // EventCoordLost
 }
 
 // Job is one run's identity on the cluster, the same value on every rank:
@@ -228,10 +227,10 @@ func (s *Subscription) Ended() bool { return s.ended }
 // Send sends one typed encoded parcel of the attached run to a remote rank.
 // It holds one pending unit of rt, the run's runtime, and its payload (not
 // to be reused) until it is acked, abandoned or its destination dies.
-func (c *Cluster) Send(rt *Runtime, dst int, kind uint16, epoch uint32, payload []byte) {
+func (c *Cluster) Send(rt *Runtime, dst int, kind uint16, payload []byte) {
 	rt.parcelsSent.Add(1)
 	rt.parcelBytes.Add(int64(len(payload)))
-	c.eng.send(rt, dst, kind, epoch, payload)
+	c.eng.send(rt, dst, kind, payload)
 }
 
 // TransportStats reports the parcel transport of the run attached last,
@@ -404,7 +403,6 @@ type Cluster struct {
 	ctl net.Conn // worker side: the join connection to rank 0; after the handshake beatLoop is its only writer
 
 	dead     []atomic.Bool
-	epoch    atomic.Int32  // death verdicts issued/processed
 	gen      atomic.Uint32 // this rank's wire generation: a membership's, then each attached run's (written by tp.attach under its fence lock)
 	lastBeat []atomic.Int64
 
@@ -523,7 +521,7 @@ func (c *Cluster) broadcast(f *Frame) []byte {
 //
 //dashmm:locked Cluster.mu — documented precondition: called from the critical section that changed the membership.
 func (c *Cluster) broadcastMembership() {
-	m := membership{Gen: c.gen.Load(), Epoch: uint32(c.epoch.Load()), Addrs: c.peerAddrs, DeadOrder: c.deadOrder}
+	m := membership{Gen: c.gen.Load(), Addrs: c.peerAddrs, DeadOrder: c.deadOrder}
 	c.broadcast(&Frame{Kind: ctlGen, Payload: appendMembership(nil, &m)})
 }
 
@@ -633,7 +631,7 @@ func (c *Cluster) join() error {
 }
 
 // adoptMembership installs a membership frame from rank 0 (workers): the
-// wire generation, verdict epoch, peer addresses and dead-rank order. The
+// wire generation, peer addresses and dead-rank order. The
 // first one is the START. A rank listed dead is severed; a rank no longer
 // listed (a re-admitted respawn) is revived at its new address and logged.
 func (c *Cluster) adoptMembership(payload []byte) error {
@@ -645,7 +643,6 @@ func (c *Cluster) adoptMembership(payload []byte) error {
 	defer c.mu.Unlock()
 	c.started = true
 	c.peerAddrs, c.deadOrder = m.Addrs, m.DeadOrder
-	c.epoch.Store(int32(m.Epoch))
 	c.gen.Store(m.Gen)
 	for r := range c.dead {
 		switch {
@@ -930,7 +927,7 @@ func (c *Cluster) workerControlLoop(br *bufio.Reader) {
 		switch f.Kind {
 		case ctlDead:
 			if f.Dst < c.cfg.World {
-				c.markDead(f.Dst, int(f.Epoch))
+				c.markDead(f.Dst)
 			}
 		case ctlJob:
 			// deadOrder at this frame is rank 0's at the allocation: every
@@ -1002,18 +999,17 @@ func (c *Cluster) monitorLoop() {
 	}
 }
 
-// markDead records one death verdict on this rank — flag, epoch, verdict
-// order, transport fence, log — and reports whether it was news.
+// markDead records one death verdict on this rank — flag, verdict order,
+// transport fence, log — and reports whether it was news.
 //
 //dashmm:locked Cluster.mu — documented precondition: rank 0 issues and a worker applies a verdict inside one critical section.
-func (c *Cluster) markDead(rank, epoch int) bool {
+func (c *Cluster) markDead(rank int) bool {
 	if !c.dead[rank].CompareAndSwap(false, true) {
 		return false
 	}
-	c.epoch.Store(int32(epoch))
 	c.deadOrder = append(c.deadOrder, rank)
 	c.sever(rank)
-	c.publish(Event{Kind: EventDead, Rank: rank, Epoch: epoch})
+	c.publish(Event{Kind: EventDead, Rank: rank})
 	return true
 }
 
@@ -1038,19 +1034,19 @@ func (c *Cluster) revive(rank int, addr string) {
 
 // DeclareDead issues a death verdict for a rank (rank 0 only; also the
 // test hook for injected deaths): mark, fence the transport, log, and queue
-// the verdict with its epoch for every surviving worker and for the suspect
-// itself. It returns once the verdict is in the log and the queues, not
-// once anyone has acted on it. Idempotent.
+// the verdict for every surviving worker and for the suspect itself. It
+// returns once the verdict is in the log and the queues, not once anyone has
+// acted on it. Idempotent.
 func (c *Cluster) DeclareDead(rank int) {
 	if c.cfg.Rank != 0 || rank <= 0 || rank >= c.cfg.World {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.markDead(rank, int(c.epoch.Load())+1) {
+	if !c.markDead(rank) {
 		return
 	}
-	verdict := c.broadcast(&Frame{Kind: ctlDead, Dst: rank, Epoch: uint32(c.epoch.Load())})
+	verdict := c.broadcast(&Frame{Kind: ctlDead, Dst: rank})
 	if suspect := c.links[rank]; suspect != nil {
 		// Best effort: a corpse's connection is gone, but a live suspect (a
 		// false verdict) must learn it has been fenced — it fails its run

@@ -15,7 +15,7 @@ import (
 // "Distribution"). Framing is hand-rolled and length-prefixed: a fixed
 // 32-byte header carrying a magic tag, a codec version, the message
 // metadata the delivery layer needs (src/dst rank, sequence number, ack
-// flag, recovery epoch, payload kind) and a CRC32 over header+payload, then
+// flag, epoch, payload kind) and a CRC32 over header+payload, then
 // the payload bytes. The decoder errors — never panics, never hangs — on a
 // truncated, corrupted or oversized frame; the transport reacts by dropping
 // the connection, which the delivery layer experiences as wire loss.
@@ -29,7 +29,7 @@ import (
 //	6    2     kind  (payload type tag, app-defined)
 //	8    2     src rank
 //	10   2     dst rank
-//	12   4     recovery epoch
+//	12   4     epoch (a data frame: the sender's wire generation)
 //	16   8     sequence number
 //	24   4     payload length
 //	28   4     CRC32 (IEEE) over header[0:28] + payload
@@ -61,9 +61,10 @@ var (
 	errShortPayload = errors.New("amt: truncated frame payload")
 )
 
-// Frame is one decoded wire message: the delivery-layer metadata plus the
-// opaque typed payload. It is the wire form of Message for transports that
-// cross a process boundary.
+// Frame is one wire message: the delivery-layer metadata plus the opaque
+// typed payload. A data frame's Epoch is its sender's wire generation (the
+// transport stamps it, the receiver's fence reads it); a control frame's is
+// what its kind says (cluster.go).
 type Frame struct {
 	Kind     uint16
 	Flags    uint8
@@ -182,7 +183,6 @@ type hello struct {
 // re-admission sends the next.
 type membership struct {
 	Gen       uint32   // wire generation every receiver adopts
-	Epoch     uint32   // death verdicts issued so far
 	Addrs     []string // data-plane listen address per rank
 	DeadOrder []int    // currently-dead ranks in verdict order
 }
@@ -328,7 +328,6 @@ func decodeHello(b []byte) (hello, error) {
 
 func appendMembership(dst []byte, m *membership) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, m.Gen)
-	dst = binary.LittleEndian.AppendUint32(dst, m.Epoch)
 	dst = appendU16(dst, len(m.Addrs))
 	for _, a := range m.Addrs {
 		dst = appendStr(dst, a)
@@ -347,7 +346,6 @@ func decodeMembership(b []byte, world int) (membership, error) {
 	r := NewCursor(b)
 	var m membership
 	m.Gen = r.U32()
-	m.Epoch = r.U32()
 	if n := int(r.U16()); !r.Short() && n != world {
 		return m, fmt.Errorf("amt: membership lists %d ranks, world is %d", n, world)
 	}

@@ -14,11 +14,10 @@ import (
 // it settles, so a retransmission re-emits the identical frame. The contract
 // is at-least-once: every copy from a live rank reaches the attached run's
 // handler and is acked, duplicates included. Exactly-once effect is the
-// run's own business (core's per-edge applied bits), and has to be: a source
-// failed over from a dead rank re-sends, from another rank and under fresh
-// sequence numbers, contributions its corpse may already have delivered. A
-// broken socket, a full queue and an injected fault are all the same thing
-// to this engine: loss.
+// run's own business: a copy is byte for byte the frame first sent, so the
+// run keeps the first and drops the rest (core installs a node's payload,
+// and applies its edges, once). A broken socket, a full queue and an
+// injected fault are all the same thing to this engine: loss.
 //
 // A sequence number only pairs an ack with the entry it settles, so it
 // counts up for the engine's lifetime: no run, verdict or re-admission
@@ -96,7 +95,6 @@ type sendEntry struct {
 	dst      int
 	seq      uint64
 	kind     uint16
-	epoch    uint32
 	payload  []byte
 	rt       *Runtime // holds one pending unit of it until the entry settles
 	deadline time.Time
@@ -238,10 +236,10 @@ func (d *delivery) receive(f Frame) bool {
 	return true
 }
 
-// ack acknowledges f (the fence's, stamp on) in f's generation: this rank
-// may be in its next run by now, and the sender, still in f's, would park it.
+// ack acknowledges f in f's generation: this rank may be in its next run by
+// now, and the sender, still in f's, would park it.
 func (d *delivery) ack(f Frame) {
-	d.wire.Send(Message{Src: d.rank, Dst: f.Src, Seq: f.Seq, Epoch: f.Epoch &^ 0xffff, Ack: true})
+	d.wire.Send(Frame{Flags: FlagAck, Src: d.rank, Dst: f.Src, Seq: f.Seq, Epoch: f.Epoch})
 }
 
 // stats is the latest run's counters plus what the wire has counted since
@@ -266,7 +264,7 @@ func (d *delivery) stats() TransportStats {
 // sever, so rt's Run cannot drain while deliveries are outstanding) and puts
 // the first copy on the wire. A send to a dead rank is refused outright
 // rather than spinning a retransmission loop at a corpse.
-func (d *delivery) send(rt *Runtime, dst int, kind uint16, epoch uint32, payload []byte) {
+func (d *delivery) send(rt *Runtime, dst int, kind uint16, payload []byte) {
 	d.mu.Lock()
 	if d.gone[dst].Load() {
 		d.count.Severed++
@@ -277,7 +275,7 @@ func (d *delivery) send(rt *Runtime, dst int, kind uint16, epoch uint32, payload
 	p := &d.peers[dst]
 	p.next++
 	e := &sendEntry{
-		dst: dst, seq: p.next, kind: kind, epoch: epoch, payload: payload, rt: rt,
+		dst: dst, seq: p.next, kind: kind, payload: payload, rt: rt,
 		deadline: time.Now().Add(d.cfg.Deadline),
 		backoff:  d.cfg.RetryBase,
 	}
@@ -299,9 +297,8 @@ func (d *delivery) transmit(e *sendEntry) {
 	e.backoff = min(2*e.backoff, d.cfg.RetryMax)
 	e.timer = time.AfterFunc(wait, func() { d.retry(e) })
 	d.mu.Unlock()
-	d.wire.Send(Message{
-		Src: d.rank, Dst: e.dst, Seq: e.seq,
-		Kind: e.kind, Epoch: e.epoch, Payload: e.payload,
+	d.wire.Send(Frame{
+		Kind: e.kind, Src: d.rank, Dst: e.dst, Seq: e.seq, Payload: e.payload,
 	})
 }
 
@@ -309,7 +306,7 @@ func (d *delivery) transmit(e *sendEntry) {
 // on a dead peer (the verdict's sever raced this timer) or past the
 // deadline, otherwise re-emit the identical frame. A retransmission the
 // receiver had in fact already processed is handed over again and re-acked;
-// the run's own filter drops it.
+// the run's install drops it.
 func (d *delivery) retry(e *sendEntry) {
 	d.mu.Lock()
 	if e.settled {

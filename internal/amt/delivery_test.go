@@ -11,7 +11,7 @@ import (
 )
 
 // framePipe is a test-only in-memory Transport joining the delivery engines
-// of one process: every message is encoded with AppendFrame, decoded back
+// of one process: every frame is encoded with AppendFrame, decoded back
 // with ReadFrame, and handed to the destination engine's receive — the codec
 // round trip a socket performs, without the socket or the fence.
 type framePipe struct {
@@ -24,11 +24,7 @@ func (p *framePipe) Stats() WireStats {
 	return WireStats{Messages: p.messages.Load(), BytesOut: p.bytesOut.Load()}
 }
 
-func (p *framePipe) Send(m Message) {
-	f := Frame{Kind: m.Kind, Src: m.Src, Dst: m.Dst, Epoch: m.Epoch, Seq: m.Seq, Payload: m.Payload}
-	if m.Ack {
-		f.Flags |= FlagAck
-	}
+func (p *framePipe) Send(f Frame) {
 	enc := AppendFrame(nil, &f)
 	p.messages.Add(1)
 	p.bytesOut.Add(int64(len(enc)))
@@ -36,7 +32,7 @@ func (p *framePipe) Send(m Message) {
 	if err != nil {
 		panic("framePipe: frame did not survive its own codec: " + err.Error())
 	}
-	if d := p.engs[m.Dst]; d.receive(got) {
+	if d := p.engs[f.Dst]; d.receive(got) {
 		d.ack(got)
 	}
 }
@@ -87,7 +83,7 @@ func (pw *pipeWorld) run(h func(rank int, f Frame), setup func(send func(dst int
 	}
 	rt0 := rts[0]
 	rt0.Run(func() {
-		setup(func(dst int, payload []byte) { pw.engs[0].send(rt0, dst, 1, 0, payload) })
+		setup(func(dst int, payload []byte) { pw.engs[0].send(rt0, dst, 1, payload) })
 	})
 	for _, rt := range rts[1:] {
 		rt.Release()
@@ -251,7 +247,7 @@ func TestDeliveryDeadlineExceeded(t *testing.T) {
 // TestLCOAtLeastOnceOverFaultyWire is the engine's contract as an LCO input
 // counter sees it over a dropping and duplicating wire: every parcel is
 // handed over at least once and every one is acked, none abandoned. Counting
-// a repeat once is the run's filter's job (core's applied bits), not this
+// a repeat once is the run's filter's job (core's parcel install), not this
 // engine's.
 func TestLCOAtLeastOnceOverFaultyWire(t *testing.T) {
 	const inputs = 64
@@ -267,22 +263,22 @@ func TestLCOAtLeastOnceOverFaultyWire(t *testing.T) {
 	}
 }
 
-// recordingWire is a transport that swallows every message, recording the
-// send time of each data message (so the delivery layer's retransmission
+// recordingWire is a transport that swallows every frame, recording the
+// send time of each data frame (so the delivery layer's retransmission
 // schedule can be observed directly) and every ack.
 type recordingWire struct {
 	mu    sync.Mutex
 	times []time.Time
-	acks  []Message
+	acks  []Frame
 }
 
 func (r *recordingWire) Stats() WireStats { return WireStats{} }
 
-func (r *recordingWire) Send(m Message) {
+func (r *recordingWire) Send(f Frame) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m.Ack {
-		r.acks = append(r.acks, m)
+	if f.Ack() {
+		r.acks = append(r.acks, f)
 		return
 	}
 	r.times = append(r.times, time.Now())
@@ -319,7 +315,7 @@ func TestDeliveryBackoffEnvelope(t *testing.T) {
 	d := lonelyEngine(rw, DeliveryConfig{RetryBase: base, RetryMax: max, RetryJitter: jitter, Deadline: deadline})
 	rt := New(Config{Workers: 1, Seed: 3})
 	start := time.Now()
-	rt.Run(func() { d.send(rt, 1, 1, 0, []byte("never acked")) })
+	rt.Run(func() { d.send(rt, 1, 1, []byte("never acked")) })
 	elapsed := time.Since(start)
 	stats := d.stats()
 
@@ -368,7 +364,7 @@ func TestDeliveryBackoffStopsOnAck(t *testing.T) {
 	rt := New(Config{Workers: 1, Seed: 4})
 	start := time.Now()
 	rt.Run(func() {
-		d.send(rt, 1, 1, 0, []byte("acked late"))
+		d.send(rt, 1, 1, []byte("acked late"))
 		// Let two copies hit the wire, then deliver the ack.
 		go func() {
 			for {
@@ -413,7 +409,7 @@ func TestSeverStopsRetransmissionToDeadRank(t *testing.T) {
 	severed := make(chan struct{})
 	rt.Run(func() {
 		for i := 0; i < n; i++ {
-			d.send(rt, 1, 1, 0, []byte{byte(i)})
+			d.send(rt, 1, 1, []byte{byte(i)})
 		}
 		// The verdict lands after the retransmission loop has been
 		// exercised; Run cannot return before it, the unacked entries hold
@@ -425,7 +421,7 @@ func TestSeverStopsRetransmissionToDeadRank(t *testing.T) {
 			}
 			d.gone[1].Store(true) // the cluster marks the rank dead, then severs it
 			d.sever(1)
-			d.send(rt, 1, 1, 0, []byte("to a corpse"))
+			d.send(rt, 1, 1, []byte("to a corpse"))
 		}()
 	})
 	<-severed

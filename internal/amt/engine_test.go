@@ -38,7 +38,7 @@ func pingPong(t *testing.T, c *Cluster, job *Job) {
 	rt := New(Config{Rank: c.Rank()})
 	rt.Run(func() {
 		rt.Hold()
-		c.Send(rt, 1-c.Rank(), 1, 0, []byte("ping"))
+		c.Send(rt, 1-c.Rank(), 1, []byte("ping"))
 		// It ends with the other rank's parcel or its deadline, well inside
 		// the test.
 		go func() {
@@ -126,8 +126,8 @@ func TestCorpseCopiesStopAtTheVerdict(t *testing.T) {
 		before := handed.Load()
 		rt := New(Config{})
 		rt.Run(func() {
-			pipe.engs[0].send(rt, 1, 1, 0, []byte("to 1"))
-			pipe.engs[1].send(rt, 0, 1, 0, []byte("to 0"))
+			pipe.engs[0].send(rt, 1, 1, []byte("to 1"))
+			pipe.engs[1].send(rt, 0, 1, []byte("to 0"))
 		})
 		return handed.Load() - before
 	}
@@ -195,7 +195,7 @@ func TestVerdictSettlesParcelsToTheDead(t *testing.T) {
 	rt := New(Config{})
 	var verdict time.Time
 	rt.Run(func() {
-		cls[0].Send(rt, 1, 1, 0, []byte("to a rank about to be declared dead"))
+		cls[0].Send(rt, 1, 1, []byte("to a rank about to be declared dead"))
 		time.AfterFunc(50*time.Millisecond, func() {
 			verdict = time.Now()
 			cls[0].DeclareDead(1)
@@ -222,8 +222,8 @@ func TestRespawnedIncarnationStartsClean(t *testing.T) {
 		run0, run1 := cls[0].Attach(job0, in0.sink), cls[1].Attach(job1, in1.sink)
 		for r, rt := range []*Runtime{New(Config{}), New(Config{Rank: 1})} {
 			rt.Run(func() {
-				cls[r].Send(rt, 1-r, 1, 0, []byte(payload))
-				cls[r].Send(rt, 1-r, 1, 0, []byte(payload))
+				cls[r].Send(rt, 1-r, 1, []byte(payload))
+				cls[r].Send(rt, 1-r, 1, []byte(payload))
 			})
 		}
 		got0, got1 = in0.wait(t, 2), in1.wait(t, 2)
@@ -242,7 +242,7 @@ func TestRespawnedIncarnationStartsClean(t *testing.T) {
 
 	job := startJob(cls[0], nil)
 	defer job.End()
-	straggler := Frame{Kind: 1, Src: 1, Dst: 0, Seq: 3, Epoch: uint32(uint16(old.Gen)) << 16, Payload: []byte("old")}
+	straggler := Frame{Kind: 1, Src: 1, Dst: 0, Seq: 3, Epoch: old.Gen, Payload: []byte("old")}
 	cls[0].tp.fence(straggler) // late off the corpse's socket, before the new run attached
 	got0, got1 := exchange(job, await(t, log1, EventJob).Job, "new")
 	cls[0].tp.fence(straggler) // and after

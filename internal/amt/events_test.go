@@ -27,7 +27,7 @@ func (ev Event) String() string {
 	if ev.Job != nil {
 		job = fmt.Sprintf(" placed with %v dead, payload %q", ev.Job.DeadOrder, ev.Job.Payload)
 	}
-	return fmt.Sprintf("%s rank=%d epoch=%d gen=%d%s", kind, ev.Rank, ev.Epoch, ev.Gen, job)
+	return fmt.Sprintf("%s rank=%d gen=%d%s", kind, ev.Rank, ev.Gen, job)
 }
 
 // lines renders a stretch of a log for comparison and for the eye.
@@ -235,15 +235,12 @@ func eventOrderProperty(t *testing.T, seed int64) {
 	var lastRejoinGen uint32
 	membershipAt := map[uint32]jobSeen{} // per job generation: what a worker must have adopted by then
 	jobAt := map[uint32]int{}
-	var verdicts, died2 int
+	var died2 int
 	var died3, back3 []int
 	for i, ev := range order {
 		switch ev.Kind {
 		case EventDead:
 			dead = append(dead, ev.Rank)
-			if verdicts++; ev.Epoch != verdicts {
-				t.Errorf("event %d: %v, but it is verdict number %d", i, ev, verdicts)
-			}
 			if ev.Rank == 2 {
 				died2 = i + 1
 			} else {

@@ -68,7 +68,7 @@ func (w *wireRank) sink(f Frame) {
 
 func (w *wireRank) send(dst int, idx ...int) {
 	for _, i := range idx {
-		w.c.Send(w.rt.Runtime, dst, 1, 0, binary.LittleEndian.AppendUint32(nil, uint32(i)))
+		w.c.Send(w.rt.Runtime, dst, 1, binary.LittleEndian.AppendUint32(nil, uint32(i)))
 	}
 }
 
@@ -140,7 +140,7 @@ func TestFrameBeforeItsRunWaitsForIt(t *testing.T) {
 // delivery engine: whatever the receiver does with them is final.
 func rawSend(c *Cluster, dst int, payloads ...string) {
 	for i, p := range payloads {
-		c.Transport().Send(Message{Src: c.Rank(), Dst: dst, Seq: uint64(i + 1), Kind: 7, Payload: []byte(p)})
+		c.Transport().Send(Frame{Src: c.Rank(), Dst: dst, Seq: uint64(i + 1), Kind: 7, Payload: []byte(p)})
 	}
 }
 
@@ -159,6 +159,43 @@ func awaitParked(t *testing.T, c *Cluster, n int) {
 		if time.Now().After(deadline) {
 			t.Fatalf("rank %d holds %d parked frames after 10s, want %d", c.Rank(), c.tp.parkedLen(), n)
 		}
+	}
+}
+
+// attach drains the park buffer while frames of the next run keep arriving
+// at the fence. The hand-over happens under fenceMu, so every frame either
+// leaves with the drained batch — through the fence again, where it is now
+// of the attached run's generation — or is parked behind it: once the last
+// run has attached, each frame has left the fence exactly once. (The frames
+// name this rank as their source, so the engine hands them to nobody.)
+// Under -race this is the gate for a park buffer touched outside the lock.
+func TestAttachDrainsParkedUnderFence(t *testing.T) {
+	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
+	tp := cls[1].tp
+	const frames = 5000
+	payload := []byte("early")
+	in := tp.Stats().BytesIn
+	arrived := make(chan struct{})
+	go func() {
+		defer close(arrived)
+		for i := range frames {
+			tp.fence(Frame{Kind: 7, Src: 1, Dst: 1, Epoch: cls[1].gen.Load() + 1, Seq: uint64(i + 1), Payload: payload})
+		}
+	}()
+	gen := uint32(1)
+	for ; ; gen++ {
+		tp.attach(gen, func(Frame) {})()
+		select {
+		case <-arrived:
+		default:
+			continue
+		}
+		break
+	}
+	tp.attach(gen+2, func(Frame) {})() // past every frame's generation
+	left := (tp.Stats().BytesIn - in) / int64(FrameHeaderSize+len(payload))
+	if n := tp.parkedLen(); n != 0 || left != frames {
+		t.Fatalf("%d of %d frames left the fence, %d are still parked", left, frames, n)
 	}
 }
 
@@ -252,8 +289,9 @@ func TestParkOverflowIsWireLoss(t *testing.T) {
 	}
 }
 
-// (e) A stamp is the generation's low 16 bits and wraps; newer and older
-// are told apart across the wrap.
+// (e) A frame carries its sender's whole 32-bit generation: nothing
+// truncates it, so generation order holds across 65,536, where a 16-bit
+// stamp would wrap — newer and older are told apart across that boundary.
 func TestGenerationFenceAcrossStampWrap(t *testing.T) {
 	cls := startTestCluster(t, t.TempDir(), 2, lazyDetector)
 	log1 := watch(t, cls[1])
@@ -261,13 +299,13 @@ func TestGenerationFenceAcrossStampWrap(t *testing.T) {
 	cls[0].mu.Lock()
 	cls[0].genCount = 1<<16 - 3
 	cls[0].mu.Unlock()
-	// A rank follows the jobs: bring rank 1 to within half a wrap of them.
+	// A rank follows the jobs: bring rank 1 up to them.
 	startJob(cls[0], nil).End()
 	cls[1].Attach(await(t, log1, EventJob).Job, nowhere).Close()
 
-	last := startJob(cls[0], nil) // stamp 0xffff
+	last := startJob(cls[0], nil) // 0xffff
 	last.End()
-	wrapped := startJob(cls[0], nil) // stamp 0
+	wrapped := startJob(cls[0], nil) // 0x10000
 	defer wrapped.End()
 	if last.Gen != 1<<16-1 || wrapped.Gen != 1<<16 {
 		t.Fatalf("generations %d and %d, want 65535 and 65536", last.Gen, wrapped.Gen)
@@ -278,7 +316,7 @@ func TestGenerationFenceAcrossStampWrap(t *testing.T) {
 	rawSend(cls[0], 1, "after the wrap")
 	awaitParked(t, cls[1], 2)
 
-	// Stamp 0 is newer than 0xffff: it stays parked while its predecessor runs.
+	// 0x10000 is newer than 0xffff: it stays parked while its predecessor runs.
 	var got frameLog
 	cls[1].Attach(await(t, log1, EventJob).Job, got.sink).Close()
 	if p := payloads(got.wait(t, 1)); p[0] != "before the wrap" || cls[1].tp.parkedLen() != 1 {
@@ -288,7 +326,7 @@ func TestGenerationFenceAcrossStampWrap(t *testing.T) {
 	if p := payloads(got.wait(t, 2)); p[1] != "after the wrap" {
 		t.Fatalf("the run of generation 65536 was handed %q", p[1:])
 	}
-	// Stamp 0xffff is older than 0: a straggler, fenced.
+	// 0xffff is older than 0x10000: a straggler, fenced.
 	cls[0].Attach(last, nowhere).Close()
 	rawSend(cls[0], 1, "straggler")
 	for deadline := time.Now().Add(10 * time.Second); cls[1].Transport().Stats().StaleFenced == 0; time.Sleep(time.Millisecond) {
@@ -483,7 +521,7 @@ func TestFinishedRunStillAcknowledges(t *testing.T) {
 		}
 	}
 
-	parcel := Message{Src: 0, Dst: 1, Seq: 1, Kind: 1, Payload: []byte{0, 0, 0, 0}}
+	parcel := Frame{Src: 0, Dst: 1, Seq: 1, Kind: 1, Payload: []byte{0, 0, 0, 0}}
 	var got frameLog
 	run1 := cls[1].Attach(await(t, log1, EventJob).Job, got.sink)
 	cls[0].Transport().Send(parcel)

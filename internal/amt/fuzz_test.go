@@ -64,7 +64,7 @@ type controlSeed struct {
 // damaged one goes wrong, for a world of 4.
 func controlSeeds() []controlSeed {
 	h := appendHello(nil, &hello{Rank: 3, World: 4, Stamp: "stamp-v1", Addr: "/tmp/r3.sock"})
-	m := appendMembership(nil, &membership{Gen: 7, Epoch: 2,
+	m := appendMembership(nil, &membership{Gen: 7,
 		Addrs: []string{"/tmp/r0.sock", "/tmp/r1.sock", "", "/tmp/r3.sock"}, DeadOrder: []int{2, 1}})
 	patch := func(b []byte, off int, v ...byte) []byte {
 		out := append([]byte(nil), b...)
@@ -76,9 +76,9 @@ func controlSeeds() []controlSeed {
 		{"golden-membership", m},
 		{"hello-truncated-addr", h[:len(h)-3]},
 		{"hello-trailing-bytes", append(append([]byte(nil), h...), 0)},
-		{"truncated-addr-list", m[:8+2+14+5]},
+		{"truncated-addr-list", m[:4+2+14+5]},
 		{"truncated-dead-list", m[:len(m)-1]},
-		{"oversized-addr-count", patch(m, 8, 0xff, 0xff)},
+		{"oversized-addr-count", patch(m, 4, 0xff, 0xff)},
 		{"oversized-dead-count", patch(m, len(m)-6, 0xff, 0xff)},
 		{"dead-rank-beyond-world", patch(m, len(m)-4, 4, 0)},
 		{"dead-rank-twice", patch(m, len(m)-2, 2, 0)},

@@ -9,7 +9,7 @@ import (
 // depends on who sent it and on whether a run is attached, never on its
 // sequence number: the same number again, an older one and a far newer one
 // are treated alike. Duplicates reach the run's handler; the run's own filter
-// (core's per-edge applied bits) is what makes the effect exactly-once.
+// (core's parcel install) is what makes the effect exactly-once.
 func TestReceiverContract(t *testing.T) {
 	for _, tc := range []struct {
 		name           string

@@ -66,9 +66,9 @@ func TestRejoinReadmission(t *testing.T) {
 	if gen := cls[2].Generation(); gen != job.Gen || gen <= 1 {
 		t.Fatalf("rank 2 runs the job at generation %d, rank 0 allocated %d behind the re-admission's 1", gen, job.Gen)
 	}
-	cls[1].Transport().Send(Message{Src: 1, Dst: 2, Seq: 9, Kind: 7, Epoch: 42, Payload: []byte("hello again")})
-	// The wire generation is stripped back off before delivery.
-	if f := got.wait(t, 1)[0]; f.Epoch != 42 || string(f.Payload) != "hello again" {
+	cls[1].Transport().Send(Frame{Src: 1, Dst: 2, Seq: 9, Kind: 7, Payload: []byte("hello again")})
+	// The frame arrives stamped with the sender's generation: the job's.
+	if f := got.wait(t, 1)[0]; f.Epoch != job.Gen || string(f.Payload) != "hello again" {
 		t.Fatalf("delivered frame = %+v", f)
 	}
 }
@@ -100,7 +100,7 @@ func TestGenerationFenceDropsStaleFrames(t *testing.T) {
 	job := startJob(cls[0], nil)
 	defer job.End()
 	defer cls[0].Attach(job, got.sink).Close()
-	cls[1].Transport().Send(Message{Src: 1, Dst: 0, Seq: 1, Kind: 7, Payload: []byte("stale")})
+	cls[1].Transport().Send(Frame{Src: 1, Dst: 0, Seq: 1, Kind: 7, Payload: []byte("stale")})
 	deadline := time.Now().Add(5 * time.Second)
 	for cls[0].Transport().Stats().StaleFenced == 0 {
 		if time.Now().After(deadline) {
@@ -114,8 +114,8 @@ func TestGenerationFenceDropsStaleFrames(t *testing.T) {
 
 	// Rank 1 attaches to the job; its next frame passes the fence.
 	defer cls[1].Attach(await(t, log1, EventJob).Job, func(Frame) {}).Close()
-	cls[1].Transport().Send(Message{Src: 1, Dst: 0, Seq: 2, Kind: 7, Epoch: 7, Payload: []byte("fresh")})
-	if f := got.wait(t, 1)[0]; string(f.Payload) != "fresh" || f.Epoch != 7 {
+	cls[1].Transport().Send(Frame{Src: 1, Dst: 0, Seq: 2, Kind: 7, Payload: []byte("fresh")})
+	if f := got.wait(t, 1)[0]; string(f.Payload) != "fresh" || f.Epoch != job.Gen {
 		t.Fatalf("delivered frame = %+v", f)
 	}
 }

@@ -31,7 +31,7 @@ type SocketTransport struct {
 	// The generation fence (fence, attach).
 	fenceMu     sync.Mutex
 	ran         bool    // guarded by fenceMu: a run has attached on this rank
-	parked      []Frame // guarded by fenceMu: in arrival order, stamps still on
+	parked      []Frame // guarded by fenceMu: in arrival order
 	parkedBytes int     // guarded by fenceMu: payload bytes in parked
 
 	dropped        atomic.Int64
@@ -121,31 +121,28 @@ func (t *SocketTransport) Stats() WireStats {
 }
 
 // fence is the generation fence every inbound data frame meets, three ways
-// on the signed distance from this rank's generation to the frame's stamp —
-// the sender's generation, low 16 bits, riding in the epoch's high half
-// (Send). A generation counts up by one per job or re-admission and its stamp
-// wraps every 65 536 of them, so within half a wrap the sign tells newer from
-// older. Older: a corpse's straggler or a finished run's retransmission —
-// dropped unacknowledged, it dies with its sender. Of this rank's generation,
-// once a run has attached: to the delivery engine, the stamp stripped back
-// off, under the fence lock (so never to a run an attach has replaced; the
-// ack goes out after it). Newer, or before any run has attached: the frame
-// beat its run here — parked, unacknowledged, until that run attaches; a
-// full park buffer drops it, wire loss like any other. A frame counts as
-// received when it leaves the fence, towards the run it waited for.
+// on the signed distance from this rank's generation to the frame's Epoch —
+// the sender's generation (Send). A generation counts up by one per job or
+// re-admission, so the sign of the 32-bit difference tells newer from older.
+// Older: a corpse's straggler or a finished run's retransmission — dropped
+// unacknowledged, it dies with its sender. Of this rank's generation, once a
+// run has attached: to the delivery engine, under the fence lock (so never
+// to a run an attach has replaced; the ack goes out after it). Newer, or
+// before any run has attached: the frame beat its run here — parked,
+// unacknowledged, until that run attaches; a full park buffer drops it, wire
+// loss like any other. A frame counts as received when it leaves the fence,
+// towards the run it waited for.
 func (t *SocketTransport) fence(f Frame) {
 	t.fenceMu.Lock()
 	ack := false
 	n := int64(FrameHeaderSize + len(f.Payload))
-	switch d := int16(uint16(f.Epoch>>16) - uint16(t.cl.gen.Load())); {
+	switch d := int32(f.Epoch - t.cl.gen.Load()); {
 	case d < 0:
 		t.bytesIn.Add(n)
 		t.staleFenced.Add(1)
 	case d == 0 && t.ran:
 		t.bytesIn.Add(n)
-		in := f // f keeps its stamp for the ack
-		in.Epoch &= 0xffff
-		ack = t.cl.eng.receive(in)
+		ack = t.cl.eng.receive(f)
 	case len(t.parked) >= peerQueueMax || t.parkedBytes+len(f.Payload) > parkBytesMax:
 		t.bytesIn.Add(n)
 		t.dropped.Add(1)
@@ -207,32 +204,21 @@ func (t *SocketTransport) setPeers(addrs []string, dead []atomic.Bool) {
 	}
 }
 
-// Send implements Transport: encode the message as a wire frame and queue
-// it on the destination's link. Unknown destinations, dead peers, a full
-// queue, and a not-yet-started mesh all count as wire loss.
-func (t *SocketTransport) Send(m Message) {
-	f := Frame{
-		Kind: m.Kind,
-		Src:  m.Src,
-		Dst:  m.Dst,
-		// This rank's wire generation rides in the epoch's high 16 bits; the
-		// receiver's fence strips it back off. The run-level epoch in the low
-		// bits stays far below 2^16 (it counts death verdicts), so nothing is
-		// lost to the split.
-		Epoch:   (m.Epoch & 0xffff) | uint32(uint16(t.cl.gen.Load()))<<16,
-		Seq:     m.Seq,
-		Payload: m.Payload,
-	}
-	if m.Ack {
-		// An ack keeps the stamp of the frame it answers (delivery.ack).
-		f.Flags, f.Epoch = FlagAck, m.Epoch
+// Send implements Transport: stamp a data frame with this rank's wire
+// generation (an ack keeps the one of the frame it answers, delivery.ack),
+// encode it and queue it on the destination's link. Unknown destinations,
+// dead peers, a full queue, and a not-yet-started mesh all count as wire
+// loss.
+func (t *SocketTransport) Send(f Frame) {
+	if !f.Ack() {
+		f.Epoch = t.cl.gen.Load()
 	}
 	enc := AppendFrame(nil, &f)
 	t.messages.Add(1)
 	t.mu.Lock()
 	var p *peerLink
-	if m.Dst >= 0 && m.Dst < len(t.peers) {
-		p = t.peers[m.Dst]
+	if f.Dst >= 0 && f.Dst < len(t.peers) {
+		p = t.peers[f.Dst]
 	}
 	t.mu.Unlock()
 	if p == nil {

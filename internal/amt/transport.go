@@ -10,27 +10,13 @@ import (
 // The parcel wire. HPX-5 assumes a reliable network (Photon/MPI underneath);
 // this runtime does not: ranks in separate processes exchange encoded frames
 // over a Transport that may lose, duplicate, delay or reorder them, and the
-// delivery engine (delivery.go) restores at-least-once delivery, and the
-// run's per-edge applied bits make the effect exactly-once. A process hosts
-// one locality (Runtime), so every parcel crosses this wire. DESIGN.md
-// ("Failure handling") records the deviation from the paper's
-// reliable-network model.
+// delivery engine (delivery.go) restores at-least-once delivery; the run's
+// install of a node's payload, once however often its parcel arrives, makes
+// the effect exactly-once. A process hosts one locality (Runtime), so every
+// parcel crosses this wire. DESIGN.md ("Failure handling") records the
+// deviation from the paper's reliable-network model.
 
-// Message is one wire-level transmission between ranks: either a data parcel
-// (a typed, encoded Payload plus its Kind tag, see codec.go) or an ack
-// flowing back to the sender. A Transport may deliver it zero times, once,
-// or several times, possibly delayed and out of order with respect to other
-// messages.
-type Message struct {
-	Src, Dst int
-	Seq      uint64
-	Ack      bool
-	Kind     uint16
-	Epoch    uint32
-	Payload  []byte
-}
-
-// WireStats counts what a Transport did to the messages it carried: the
+// WireStats counts what a Transport did to the frames it carried: the
 // injected or genuine faults (dropped, duplicated) plus the carried traffic
 // itself in encoded frame bytes.
 type WireStats struct {
@@ -53,8 +39,11 @@ type WireStats struct {
 // Transport is the frame wire between ranks. No implementation is assumed
 // reliable: the delivery engine always runs on top.
 type Transport interface {
-	// Send conveys one message toward Message.Dst.
-	Send(m Message)
+	// Send conveys one frame toward f.Dst: a data parcel (a typed, encoded
+	// Payload plus its Kind tag) or an ack (Flags: FlagAck) flowing back to
+	// the sender. The wire may deliver it zero times, once, or several
+	// times, possibly delayed and out of order with respect to other frames.
+	Send(f Frame)
 	// Stats returns the wire-level counters.
 	Stats() WireStats
 }
@@ -84,7 +73,7 @@ type FaultProfile struct {
 }
 
 // FaultyTransport decorates a Transport with seeded drop / duplicate / delay
-// / reorder / slow-rank faults, applied to each Message before it reaches
+// / reorder / slow-rank faults, applied to each Frame before it reaches
 // the inner wire. It is safe for concurrent use.
 type FaultyTransport struct {
 	inner Transport
@@ -118,10 +107,10 @@ func (t *FaultyTransport) Stats() WireStats {
 	return s
 }
 
-// Send implements Transport: draw the fate of the message (drop, duplicate,
+// Send implements Transport: draw the fate of the frame (drop, duplicate,
 // or single delivery) and a delay for each surviving copy, then hand the
 // copies to the inner wire.
-func (t *FaultyTransport) Send(m Message) {
+func (t *FaultyTransport) Send(f Frame) {
 	var delays [2]time.Duration
 	t.mu.Lock()
 	copies := 1
@@ -133,7 +122,7 @@ func (t *FaultyTransport) Send(m Message) {
 	}
 	for i := 0; i < copies; i++ {
 		d := t.prof.Delay
-		if t.prof.SlowDelay > 0 && (m.Src == t.prof.SlowRank || m.Dst == t.prof.SlowRank) {
+		if t.prof.SlowDelay > 0 && (f.Src == t.prof.SlowRank || f.Dst == t.prof.SlowRank) {
 			d += t.prof.SlowDelay
 		}
 		if t.prof.Reorder {
@@ -152,9 +141,9 @@ func (t *FaultyTransport) Send(m Message) {
 	}
 	for i := 0; i < copies; i++ {
 		if d := delays[i]; d > 0 {
-			time.AfterFunc(d, func() { t.inner.Send(m) })
+			time.AfterFunc(d, func() { t.inner.Send(f) })
 		} else {
-			t.inner.Send(m)
+			t.inner.Send(f)
 		}
 	}
 }

@@ -39,10 +39,12 @@ import (
 // and gathers a target, its deliver applies edges and its near tasks apply
 // the S->T edges of the leaves the rank homes (the near field never touches
 // the wire). What this file adds is the fabric that executor holds: the run
-// on the cluster (join, attach, event log, context); the install of a remote
-// node's payload, once however often its parcel arrives, which at rank 0
-// counts a gathered target in once; and the applied bits that make each edge
-// apply once, because delivery is at-least-once.
+// on the cluster (join, attach, event log, context), and the install of a
+// remote node's payload — the one duplicate filter a run needs, because
+// delivery is at-least-once. A node fires once per run and coalesces its
+// edges for a rank into one parcel, whose every copy is the same frame, so
+// the copy that installs the payload delivers the parcel's edges (or, at
+// rank 0, counts a gathered target in) and every later copy does nothing.
 
 // RankLostError ends a distributed run when a rank of its job dies: every
 // live rank's DistRun returns it, naming the dead rank (match it with
@@ -122,11 +124,7 @@ type fabric struct {
 
 	// installed marks a remote node whose payload a parcel has put into this
 	// rank's state; it is read and set only under the node's lock (install).
-	// applied (indexed edgeBase[source] + out-edge index) fences an edge
-	// against a second application.
 	installed []bool
-	edgeBase  []int32
-	applied   []atomic.Bool
 
 	relOnce sync.Once
 
@@ -138,25 +136,15 @@ type fabric struct {
 	decodeErrs atomic.Int64
 }
 
-// newFabric puts an executor on the cluster: the dedup indexes over its
-// graph, and M->L per edge.
+// newFabric puts an executor on the cluster: an install mark per node, and
+// M->L per edge.
 func newFabric(ex *executor, cl *amt.Cluster) *fabric {
-	g := ex.g
-	n := len(g.Nodes)
 	fb := &fabric{
 		ex: ex, cl: cl,
-		installed: make([]bool, n),
-		edgeBase:  make([]int32, n+1),
-	}
-	var edges int32
-	for i := range g.Nodes {
-		fb.edgeBase[i] = edges
-		edges += int32(len(g.Nodes[i].Out))
+		installed: make([]bool, len(ex.g.Nodes)),
 	}
 	// M->L batches complete in shared memory: list 2 runs per edge here.
 	ex.batchPending, ex.batchTasks = nil, nil
-	fb.edgeBase[n] = edges
-	fb.applied = make([]atomic.Bool, edges)
 	ex.fab = fb
 	return fb
 }
@@ -250,10 +238,11 @@ func (fb *fabric) onFrame(f amt.Frame) {
 	fb.ex.rt.Locality(int(fb.ex.rank)).Spawn(func(w *amt.Worker) { fb.handleParcel(w, f) })
 }
 
-// handleParcel installs one parcel's source payload and hands its edges to
-// the executor's deliver, whose applied bits drop the edges of a repeated
-// copy; a target node's parcel is rank 0's gather, counted in on its first
-// install. Every rank computed the same placement, so a parcel from a source
+// handleParcel installs one parcel's source payload and, on that first
+// install only, hands its edges to the executor's deliver; a target node's
+// parcel is rank 0's gather, counted in on its first install. A repeated
+// copy installs nothing and delivers nothing: the first delivered these very
+// edges. Every rank computed the same placement, so a parcel from a source
 // this rank homes, naming a target it does not, or of a target node reaching
 // a worker rank, is malformed.
 func (fb *fabric) handleParcel(w *amt.Worker, f amt.Frame) {
@@ -280,7 +269,10 @@ func (fb *fabric) handleParcel(w *amt.Worker, f amt.Frame) {
 		fb.decodeErrs.Add(1)
 		return
 	}
-	if n.Kind == dag.NodeT && first {
+	if !first {
+		return
+	}
+	if n.Kind == dag.NodeT {
 		ex.gathered()
 	}
 	for _, j := range outIdx {
@@ -313,15 +305,18 @@ func (fb *fabric) install(n *dag.Node, r *amt.Cursor) (first, ok bool) {
 // verdict — for any rank, this one included (a false heartbeat verdict
 // fences it) — fails the run, the run-complete signal of this run's
 // generation lets it drain, and losing the coordinator (or the cluster)
-// fails it.
+// fails it. At rank 0 a verdict after the last target is in fails nothing:
+// the answer is whole, and the verdict settled the dead rank's parcels, so
+// Run still returns.
 func (fb *fabric) watch(sub *amt.Subscription, gen uint32) {
+	ex := fb.ex
 	for {
 		ev, ok := sub.Next()
 		if !ok {
 			return
 		}
 		switch {
-		case ev.Kind == amt.EventDead:
+		case ev.Kind == amt.EventDead && (ex.rank != 0 || ex.targetsLeft.Load() > 0):
 			fb.fail(&RankLostError{Rank: ev.Rank})
 		case ev.Kind == amt.EventRunDone && ev.Gen == gen:
 			fb.release()

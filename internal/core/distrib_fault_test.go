@@ -18,7 +18,7 @@ import (
 
 // testFault is the acceptance wire profile at unit scale. testDelivery
 // starts the retry clock at the harness's delay scale — a spurious
-// retransmit's edges find their applied bits set, so a snappy base only
+// retransmit installs and applies nothing, so a snappy base only
 // makes the tests fast — but lets the
 // backoff double up to a second: under -race the receivers decode slower
 // than a 64ms-capped sender retransmits, and a flat cap never relieves them.
@@ -52,7 +52,7 @@ func sumTransport(reps []ExecReport) amt.TransportStats {
 
 // TestFaultInjectedEvaluationMatches: a lossy, duplicating, reordering wire
 // must not change the computed potentials — the delivery layer retries lost
-// parcels, and the applied bits drop the edges of every repeated copy.
+// parcels, and a repeated copy installs and applies nothing.
 func TestFaultInjectedEvaluationMatches(t *testing.T) {
 	const world = 4
 	dw := newDistWorld(t, world, 2500)
@@ -76,8 +76,8 @@ func TestFaultInjectedEvaluationMatches(t *testing.T) {
 
 // TestEveryFrameTwice: a wire that delivers every frame twice, acks
 // included, so every parcel — a gathered target's too — reaches the fabric
-// at least twice and the applied bits are all that stands between the copies
-// and a double-applied edge — with and without a rank dying midway. With a
+// at least twice and the parcel install is all that stands between the
+// copies and a double-applied edge — with and without a rank dying midway. With a
 // death the gated run is the re-run on the survivors, over the same wire:
 // three ranks, so that two are left to send each other every frame twice.
 func TestEveryFrameTwice(t *testing.T) {

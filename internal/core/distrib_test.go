@@ -780,9 +780,9 @@ func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
 // parcel installs its source payload and applies its edges; deliver applies
 // an edge holding the target's lock alone, as in process — never the
 // source's; and a second copy installs nothing — a payload is never
-// rewritten under an edge that reads it — while its edges find their applied
-// bits set. No end-to-end gate sees a second install (a true copy writes the
-// same values), so it is pinned here, and so is the refusal of a parcel that
+// rewritten under an edge that reads it — and applies nothing. No
+// end-to-end gate sees a second install (a true copy writes the same
+// values), so it is pinned here, and so is the refusal of a parcel that
 // does not fit the placement every rank computed: from a source this rank
 // homes, or for a target it does not.
 func TestFabricClaimContract(t *testing.T) {
@@ -835,7 +835,6 @@ func TestFabricClaimContract(t *testing.T) {
 		}
 		return sum
 	}
-	applied := func(j int32) bool { return fb.applied[fb.edgeBase[n.ID]+j].Load() }
 	before := countdown()
 
 	for _, misfit := range []func(dag.Node) bool{
@@ -850,7 +849,7 @@ func TestFabricClaimContract(t *testing.T) {
 		}
 		m, refused := &ex.g.Nodes[i], fb.decodeErrs.Load()
 		fb.handleParcel(nil, amt.Frame{Kind: wireKindParcel, Payload: st.encodeParcel(m, []int32{0})})
-		if fb.decodeErrs.Load() != refused+1 || fb.installed[m.ID] || fb.applied[fb.edgeBase[m.ID]].Load() {
+		if fb.decodeErrs.Load() != refused+1 || fb.installed[m.ID] {
 			t.Fatalf("a parcel of node %d (homed here %v) for node %d (homed here %v) was not refused",
 				m.ID, ex.hosts(m.ID), m.Out[0].To, ex.hosts(m.Out[0].To))
 		}
@@ -860,11 +859,6 @@ func TestFabricClaimContract(t *testing.T) {
 	fb.handleParcel(nil, parcel(0.5, first))
 	if !fb.installed[n.ID] || fb.decodeErrs.Load() != 0 {
 		t.Fatalf("first copy: installed %v, %d decode errors", fb.installed[n.ID], fb.decodeErrs.Load())
-	}
-	for _, j := range first {
-		if !applied(j) {
-			t.Fatalf("edge %d/%d applied without its bit set", n.ID, j)
-		}
 	}
 	if got := countdown(); got != before-int32(len(first)) {
 		t.Fatalf("the first copy counted its targets down by %d, want %d", before-got, len(first))
@@ -885,8 +879,8 @@ func TestFabricClaimContract(t *testing.T) {
 		t.Fatal("deliver waited for the source's lock")
 	}
 	ex.locks[n.ID].Unlock()
-	if !applied(last) || countdown() != before-int32(len(edges)) {
-		t.Fatalf("edge %d/%d: applied %v, %d inputs outstanding, want %d", n.ID, last, applied(last), countdown(), before-int32(len(edges)))
+	if got := countdown(); got != before-int32(len(edges)) {
+		t.Fatalf("edge %d/%d: %d inputs outstanding, want %d", n.ID, last, got, before-int32(len(edges)))
 	}
 
 	// A second copy of every edge, carrying other values: nothing
@@ -933,5 +927,65 @@ func TestFabricClaimContract(t *testing.T) {
 	wfb.handleParcel(nil, amt.Frame{Kind: wireKindParcel, Payload: sender.encodeParcel(tn, nil)})
 	if wfb.decodeErrs.Load() != 1 || wfb.installed[tn.ID] || slices.ContainsFunc(wst.pot, func(v float64) bool { return v != 0 }) {
 		t.Errorf("a target parcel at a worker rank: %d decode errors, installed %v", wfb.decodeErrs.Load(), wfb.installed[tn.ID])
+	}
+}
+
+// A death verdict that reaches rank 0 after its last target is in comes too
+// late to matter: the potentials are whole. Rank 0's run is still waiting
+// for the acks of its own parcels — here one to the rank the verdict names,
+// which never acks it — and the verdict must not fail the run: it settles
+// that parcel, and the run returns. With one target still out, the same
+// verdict fails the run. Closing the cluster afterwards makes the watcher
+// read its log to the end, so the verdict has been judged either way.
+func TestVerdictAfterLastGatherKeepsTheAnswer(t *testing.T) {
+	dw := newDistWorld(t, 2, 600)
+	for _, left := range []int64{0, 1} {
+		t.Run(fmt.Sprintf("targets-left=%d", left), func(t *testing.T) {
+			cls := distClusters(t, 2)
+			for _, cl := range cls {
+				if err := cl.Start(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := dw.plans[0].newState(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, fb := rankExecutor(t, st, cls[0])
+			ex.rt = amt.New(amt.Config{Workers: 1})
+			run := cls[0].Attach(ex.opts.Job, fb.onFrame)
+			watched := make(chan struct{})
+			go func() {
+				defer close(watched)
+				fb.watch(run, ex.opts.Job.Gen)
+			}()
+			seeded, ran := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(ran)
+				ex.rt.Run(func() {
+					defer close(seeded)
+					ex.rt.Hold() // as fabric.seed: released by the last target
+					// Rank 1 never attaches this run: the parcel waits at its
+					// fence, unacknowledged.
+					cls[0].Send(ex.rt, 1, wireKindParcel, []byte("never acked"))
+					ex.targetsLeft.Store(left + 1)
+					ex.gathered()
+				})
+			}()
+			<-seeded
+			cls[0].DeclareDead(1)
+			select {
+			case <-ran:
+			case <-time.After(10 * time.Second):
+				t.Fatal("rank 0's run did not return after the verdict")
+			}
+			cls[0].Close()
+			<-watched
+			run.Close()
+			var lost *RankLostError
+			if failed := errors.As(fb.err(), &lost) && lost.Rank == 1; failed != (left > 0) {
+				t.Errorf("with %d targets left the verdict for rank 1 left the run's error at %v", left, fb.err())
+			}
+		})
 	}
 }

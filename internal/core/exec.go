@@ -132,8 +132,8 @@ func (e *ParallelEvaluation) Run(charges []float64) ([]float64, ExecReport, erro
 // paper's expansion LCO. ParallelEvaluation runs it as rank 0 of a world of
 // one, where every edge is local; DistRun runs the same code as one rank
 // of a cluster, with what distribution adds — parcels that cross a process
-// boundary, edges that may arrive twice — switched on the fabric it then
-// holds. Either way a fired target node is gathered at rank 0 (gather).
+// boundary, and may arrive twice — switched on the fabric it then holds.
+// Either way a fired target node is gathered at rank 0 (gather).
 type executor struct {
 	st   *state
 	g    *dag.Graph
@@ -379,12 +379,12 @@ func (ex *executor) runNode(w *amt.Worker, id int32) {
 
 // send ships the out-edges of a fired node bound for another rank: the
 // node's payload by value plus the edge indexes (wire.go), which the
-// receiving fabric installs and hands to deliver — the first of the two
-// things distribution changes. Only a fabric's placement has another rank.
+// receiving fabric installs and hands to deliver. Only a fabric's placement
+// has another rank.
 // The payload read is unsynchronized but safe: all inputs are applied (the
 // node just fired), and no parcel installs into a node this rank homes.
 func (ex *executor) send(n *dag.Node, dest int32, pe *parcelEdges) {
-	ex.fab.cl.Send(ex.rt, int(dest), wireKindParcel, 0, ex.st.encodeParcel(n, pe.idx))
+	ex.fab.cl.Send(ex.rt, int(dest), wireKindParcel, ex.st.encodeParcel(n, pe.idx))
 	pe.recycle()
 }
 
@@ -394,7 +394,7 @@ func (ex *executor) send(n *dag.Node, dest int32, pe *parcelEdges) {
 // its own in here.
 func (ex *executor) gather(n *dag.Node) {
 	if ex.rank != 0 {
-		ex.fab.cl.Send(ex.rt, 0, wireKindParcel, 0, ex.st.encodeParcel(n, nil))
+		ex.fab.cl.Send(ex.rt, 0, wireKindParcel, ex.st.encodeParcel(n, nil))
 		return
 	}
 	ex.gathered()
@@ -412,17 +412,14 @@ func (ex *executor) gathered() {
 
 // deliver applies out-edge `out` of a fired node into its target LCO: the
 // transform plus reduction runs under the target's lock, and the final
-// input triggers the target's continuation. Under a fabric the edge's
-// applied bit is tested first — the second thing distribution changes: a
-// duplicated contribution finds it set and is dropped. The source payload
-// needs no lock: a local source has fired, and a remote one was installed
-// once (fabric.install) before any of its edges got here.
+// input triggers the target's continuation. It runs once per edge, in
+// process and under a fabric alike: a remote source's edges come from the
+// one copy of its parcel that installed it (fabric.handleParcel). The source
+// payload needs no lock: a local source has fired, and a remote one was
+// installed before any of its edges got here.
 //
 //dashmm:noalloc
 func (ex *executor) deliver(w *amt.Worker, from *dag.Node, out int32) {
-	if fb := ex.fab; fb != nil && fb.applied[fb.edgeBase[from.ID]+out].Swap(true) {
-		return
-	}
 	e := from.Out[out]
 	var t0 int64
 	if ex.opts.Tracer.Enabled() {

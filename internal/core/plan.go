@@ -9,7 +9,7 @@
 // target node is gathered at rank 0, from another rank as one more parcel.
 // The in-process ParallelEvaluation and the multi-process DistRun
 // (distrib.go) both end in its one run body; DistRun adds a fabric — the
-// wire, parcel installs, per-edge applied bits — that the executor holds
+// wire, parcel installs — that the executor holds
 // when there is a cluster and does not otherwise.
 //
 // As in the paper, the same Plan can be evaluated many times for different
