@@ -61,8 +61,9 @@ escape-gate:
 
 # Native-fuzz every decode surface for 20s each: the wire frame codec, the
 # control-plane payloads inside it (join preamble, membership), the
-# data-plane parcel inside it (an expansion's or a gathered target's), the job spec,
-# and the persistent plan-store record; and the Cartesian Y_n^m evaluator against its Legendre oracle on
+# data-plane parcel inside it (an expansion's or a gathered target's), the
+# job payload (a plan spec, the JSON section of a plan-store record), and the
+# persistent plan-store record; and the Cartesian Y_n^m evaluator against its Legendre oracle on
 # arbitrary coordinates. The seed corpora
 # live in testdata/fuzz/ and replay under plain `go test` too.
 fuzz-smoke:
@@ -79,14 +80,17 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Non-test .go lines of the runtime packages — the scheduler and wire (amt),
-# the executor and fabric (core), the daemon (serve) — and their sum: the
-# code-size row ROADMAP tracks, from one command.
+# the executor and fabric (core), the daemon (serve) — and their sum, then
+# the //lint:ignore suppressions in those files: the code-size and
+# suppression rows ROADMAP tracks, from one command.
 LINES_PKGS = internal/amt internal/core internal/serve
 lines:
-	@total=0; for p in $(LINES_PKGS); do \
-		n=$$(cat $$(ls $$p/*.go | grep -v '_test\.go$$') | wc -l); \
+	@total=0; ignores=0; for p in $(LINES_PKGS); do \
+		files=$$(ls $$p/*.go | grep -v '_test\.go$$'); \
+		n=$$(cat $$files | wc -l); \
 		printf '%-16s %6d\n' $$p $$n; total=$$((total + n)); \
-	done; printf '%-16s %6d\n' total $$total
+		ignores=$$((ignores + $$(cat $$files | grep -c '//lint:ignore'))); \
+	done; printf '%-16s %6d\n' total $$total; printf '%-16s %6d\n' lint:ignore $$ignores
 
 # Evaluation-service smoke test: concurrent mixed requests against an
 # in-process server (httptest), asserting every response is a 200 and the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -10,37 +11,55 @@ import (
 	"repro/internal/tree"
 )
 
-// FuzzJobSpec drives the control-plane job codec with arbitrary bytes.
-// Decode must never panic; a spec it accepts must reach a fixpoint after
-// one canonicalizing round trip (the first decode may normalize, e.g. a
-// field of an older spec — gen, pre_dead, run_seed: the cluster carries
-// those now — is dropped, but after that the encoding must be stable).
+// FuzzJobSpec drives the job payload, a plan spec, with arbitrary bytes.
+// Decode must never panic, and neither may resolving a spec it accepts; an
+// accepted spec must reach a fixpoint after one canonicalizing round trip
+// (the first decode may normalize, e.g. a field of an older job payload —
+// gen, pre_dead, run_seed, timeout_ms — is dropped, but after that the
+// encoding must be stable).
 func FuzzJobSpec(f *testing.F) {
-	f.Add((&jobSpec{
-		Distribution: "cube", N: 64, Seed: 1,
-		Kernel: "laplace", Digits: 3, Threshold: 40, TimeoutMS: 500,
-	}).encode())
-	f.Add((&jobSpec{
-		Distribution: "sphere", N: 10, Seed: 3,
-		Kernel: "yukawa", Lambda: 2.5, Digits: 6, Threshold: 10, TimeoutMS: 100,
-	}).encode())
+	for _, spec := range []planSpec{
+		{Request: Request{Distribution: "cube", N: 64, Seed: 1, Kernel: "laplace", Digits: 3,
+			ChargeSeed: 3, DeadlineMS: 500}, ResolvedThreshold: 40},
+		{Request: Request{Distribution: "sphere", N: 10, Seed: 3, Kernel: "yukawa", Lambda: 2.5, Digits: 6,
+			Threshold: 10, DeadlineMS: 100}, ResolvedThreshold: 10},
+	} {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	f.Add([]byte(`{"gen":7,"pre_dead":[],"n":-1,"lambda":1e300}`))
 	f.Add([]byte(`{"gen":`))
 
+	decode := func(b []byte) (planSpec, error) {
+		var spec planSpec
+		err := json.Unmarshal(b, &spec)
+		return spec, err
+	}
+	encode := func(t *testing.T, spec planSpec) []byte {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("encoding a decoded spec: %v", err)
+		}
+		return b
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		j1, err := decodeJobSpec(data)
+		j1, err := decode(data)
 		if err != nil {
 			return
 		}
-		canon := j1.encode()
-		j2, err := decodeJobSpec(canon)
+		j1.resolve()
+		canon := encode(t, j1)
+		j2, err := decode(canon)
 		if err != nil {
 			t.Fatalf("re-decoding an encoding the codec produced: %v", err)
 		}
-		if enc2 := j2.encode(); !bytes.Equal(canon, enc2) {
+		if enc2 := encode(t, j2); !bytes.Equal(canon, enc2) {
 			t.Fatalf("encoding not a fixpoint:\n first %s\nsecond %s", canon, enc2)
 		}
-		j3, err := decodeJobSpec(j2.encode())
+		j3, err := decode(encode(t, j2))
 		if err != nil {
 			t.Fatalf("third decode: %v", err)
 		}

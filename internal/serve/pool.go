@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -58,7 +59,7 @@ type PoolConfig struct {
 	// RankThreads is each rank's scheduler thread count (default
 	// GOMAXPROCS / (Workers+1), at least 1).
 	RankThreads int
-	// Heartbeat tunes the death detector (default 25ms × 8).
+	// Heartbeat tunes the death detector (zero: amt's defaults).
 	Heartbeat amt.FailureDetectorConfig
 	// JoinTimeout bounds the bootstrap barrier and each respawn's
 	// re-admission wait (default 30s).
@@ -86,12 +87,6 @@ func (c PoolConfig) withDefaults() (PoolConfig, error) {
 	}
 	if c.RankThreads <= 0 {
 		c.RankThreads = max(1, runtime.GOMAXPROCS(0)/(c.Workers+1))
-	}
-	if c.Heartbeat.Interval <= 0 {
-		c.Heartbeat.Interval = 25 * time.Millisecond
-	}
-	if c.Heartbeat.MissedBeats <= 0 {
-		c.Heartbeat.MissedBeats = 8
 	}
 	if c.JoinTimeout <= 0 {
 		c.JoinTimeout = 30 * time.Second
@@ -264,9 +259,11 @@ func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charg
 			return nil, core.ExecReport{}, fmt.Errorf("%w: %w", errNotStarted, context.DeadlineExceeded)
 		}
 	}
-	spec := jobSpecFrom(req, entry.plan.Threshold())
-	spec.TimeoutMS = budget.Milliseconds()
-	job, err := p.cl.StartJob(ctx, spec.encode())
+	spec := specOf(req, entry.plan)
+	spec.ChargeSeed = req.ChargeSeed
+	spec.DeadlineMS = int(budget.Milliseconds())
+	payload, _ := json.Marshal(spec) // a normalized request's scalars: cannot fail
+	job, err := p.cl.StartJob(ctx, payload)
 	if err != nil {
 		return nil, core.ExecReport{}, fmt.Errorf("%w: %w", errNotStarted, err)
 	}

@@ -102,6 +102,9 @@ type errorBody struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
+// maxDeadlineMS is the largest deadline_ms a time.Duration holds.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // maxWorkers bounds the scheduler threads of one request: each is a
 // goroutine plus a tracer lane that the admitted request holds.
 const maxWorkers = 256
@@ -182,6 +185,9 @@ func (r *Request) normalize(limits Config) error {
 	}
 	if r.DeadlineMS < 0 {
 		return fmt.Errorf("deadline_ms must be non-negative")
+	}
+	if int64(r.DeadlineMS) > maxDeadlineMS {
+		return fmt.Errorf("deadline_ms=%d too large (the largest accepted value is %d)", r.DeadlineMS, maxDeadlineMS)
 	}
 	return nil
 }

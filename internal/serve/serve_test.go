@@ -361,6 +361,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"charge mismatch", Request{N: 100, Charges: []float64{1, 2}}, "charges for"},
 		{"too many workers", Request{N: 100, Workers: 257}, "too large"},
 		{"localities", Request{N: 100, Localities: 2}, "workers"},
+		{"deadline past a time.Duration", Request{N: 500, DeadlineMS: 10_000_000_000_000}, "largest accepted value is 9223372036854"},
 	}
 	for _, c := range cases {
 		code, _, eb := post(t, ts.URL, c.req)

@@ -96,22 +96,64 @@ func (st *Store) Dir() string { return st.dir }
 type PlanRecord struct {
 	Key  string
 	Spec Request // plan-determining spec fields only
-	// Threshold is the refinement threshold the skeletons were built with.
-	// Spec.Threshold keeps the request's value (0 = tuned) so the key still
-	// matches; this one makes the record self-describing, so a later change
-	// of the cost table never invalidates it. Zero in a record written
-	// before the tuner existed, when an unset threshold meant the paper's.
+	// Threshold is the refinement threshold the skeletons were built with,
+	// so a later change of the cost table never invalidates the record;
+	// Spec.Threshold keeps the request's (0 = tuned) so the key still matches.
 	Threshold int
 	Source    tree.Skeleton
 	Target    tree.Skeleton
 	Ops       []kernel.OperatorTable
 }
 
-// storedSpec is the JSON section of a record: the spec with the resolved
-// threshold beside it.
-type storedSpec struct {
+// planSpec describes one plan: its request's plan-determining fields and the
+// threshold its trees were built with. It is a record's JSON section and,
+// with ChargeSeed and DeadlineMS (rank 0's time budget) set, the job payload
+// every worker rank builds rank 0's plan from.
+type planSpec struct {
 	Request
 	ResolvedThreshold int `json:"resolved_threshold,omitempty"`
+}
+
+// specOf captures a normalized request's plan-defining fields and the
+// threshold its plan resolved (the request's may be 0, "choose for me").
+func specOf(req *Request, plan *core.Plan) planSpec {
+	return planSpec{
+		Request: Request{
+			Distribution: req.Distribution,
+			N:            req.N,
+			Seed:         req.Seed,
+			Kernel:       req.Kernel,
+			Lambda:       req.Lambda,
+			Digits:       req.Digits,
+			Threshold:    req.Threshold,
+		},
+		ResolvedThreshold: plan.Threshold(),
+	}
+}
+
+// resolve returns the normalized request a plan is built from and the
+// threshold to build it with, never tuned: the resolved one, else the
+// request's, else the paper's (an unset threshold before the tuner existed).
+// Inline points or charges cannot be regenerated from a spec: refused.
+func (ps planSpec) resolve() (Request, int, error) {
+	req := ps.Request
+	if len(req.Sources) > 0 || len(req.Targets) > 0 || len(req.Charges) > 0 {
+		return req, 0, errors.New("plan spec carries inline points or charges")
+	}
+	if err := req.normalize(Config{}); err != nil {
+		return req, 0, err
+	}
+	thr := ps.ResolvedThreshold
+	if thr < 0 {
+		return req, 0, fmt.Errorf("resolved threshold %d", thr)
+	}
+	if thr == 0 {
+		thr = req.Threshold
+	}
+	if thr == 0 {
+		thr = tree.Threshold
+	}
+	return req, thr, nil
 }
 
 // recordPath names the record file for a plan key: a stable content hash of
@@ -226,7 +268,7 @@ func readRecordFile(path string) (*PlanRecord, error) {
 // little-endian binary (bulk data).
 func appendRecord(dst []byte, rec *PlanRecord) []byte {
 	dst = amt.AppendBytes(dst, []byte(rec.Key))
-	spec, _ := json.Marshal(storedSpec{Request: rec.Spec, ResolvedThreshold: rec.Threshold})
+	spec, _ := json.Marshal(planSpec{Request: rec.Spec, ResolvedThreshold: rec.Threshold})
 	dst = amt.AppendBytes(dst, spec)
 	dst = appendSkeleton(dst, rec.Source)
 	dst = appendSkeleton(dst, rec.Target)
@@ -267,7 +309,7 @@ func decodeRecord(payload []byte) (*PlanRecord, error) {
 	rec := &PlanRecord{Key: string(r.Bytes())}
 	specJSON := r.Bytes()
 	if !r.Short() {
-		var spec storedSpec
+		var spec planSpec
 		if err := json.Unmarshal(specJSON, &spec); err != nil {
 			return nil, fmt.Errorf("serve: store record spec: %w", err)
 		}
@@ -321,22 +363,13 @@ func readSkeleton(r *amt.Cursor) tree.Skeleton {
 
 // --- record <-> plan -----------------------------------------------------
 
-// recordFor snapshots a built, warmed plan into its spilled form. Only the
-// plan-determining spec fields are kept: charges, execution shape, deadline
-// and trace flags are per-request, not per-plan.
+// recordFor snapshots a built, warmed plan into its spilled form.
 func recordFor(req *Request, plan *core.Plan) *PlanRecord {
+	spec := specOf(req, plan)
 	rec := &PlanRecord{
-		Key: req.planKey(),
-		Spec: Request{
-			Distribution: req.Distribution,
-			N:            req.N,
-			Seed:         req.Seed,
-			Kernel:       req.Kernel,
-			Lambda:       req.Lambda,
-			Digits:       req.Digits,
-			Threshold:    req.Threshold,
-		},
-		Threshold: plan.Threshold(),
+		Key:       req.planKey(),
+		Spec:      spec.Request,
+		Threshold: spec.ResolvedThreshold,
 		Source:    plan.Source.Skeleton(),
 		Target:    plan.Target.Skeleton(),
 	}
@@ -351,11 +384,8 @@ func recordFor(req *Request, plan *core.Plan) *PlanRecord {
 // the spilled dense operators seed the kernel cache, and only the
 // (deterministic, comparatively cheap) lists + DAG assembly reruns.
 func (rec *PlanRecord) rebuild() (*core.Plan, error) {
-	spec := rec.Spec
-	if len(spec.Sources) > 0 || len(spec.Targets) > 0 {
-		return nil, errors.New("serve: store record carries inline ensembles")
-	}
-	if err := spec.normalize(Config{}); err != nil {
+	spec, thr, err := planSpec{Request: rec.Spec, ResolvedThreshold: rec.Threshold}.resolve()
+	if err != nil {
 		return nil, fmt.Errorf("serve: store record spec: %w", err)
 	}
 	if got := spec.planKey(); got != rec.Key {
@@ -373,19 +403,6 @@ func (rec *PlanRecord) rebuild() (*core.Plan, error) {
 	k := spec.newKernel()
 	if oc, ok := k.(kernel.OperatorCache); ok {
 		oc.ImportOperators(rec.Ops)
-	}
-	// The trees come from the skeletons, never from a tuner run; the
-	// threshold only has to say truthfully what they were built with, for
-	// the job specs that ship it to worker ranks.
-	thr := rec.Threshold
-	if thr < 0 {
-		return nil, fmt.Errorf("serve: store record resolved threshold %d", thr)
-	}
-	if thr == 0 {
-		thr = spec.Threshold
-	}
-	if thr == 0 {
-		thr = tree.Threshold
 	}
 	plan, err := core.NewPlanFromTrees(src, tgt, k, core.Options{Threshold: thr})
 	if err != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -66,10 +67,10 @@ func TestServeSmallRequestFallsThroughToNearField(t *testing.T) {
 	}
 }
 
-// One tree on every rank: the job spec carries the threshold rank 0's plan
-// resolved, so a worker handed the spec builds the same DAG without running
-// the tuner, through the same decode + planRequest + ensureBuilt path
-// runWorkerJob takes.
+// One tree on every rank: the job payload is rank 0's plan spec, which
+// carries the threshold rank 0's plan resolved, so a worker handed it builds
+// the same DAG without running the tuner, through the same marshal ->
+// unmarshal -> resolve -> ensureBuilt path runWorkerJob takes.
 func TestJobSpecShipsResolvedThreshold(t *testing.T) {
 	req := &Request{N: 20000} // past the crossover at every pair loop's price: the tuned tree has a far field
 	if err := req.normalize(Config{}.withDefaults()); err != nil {
@@ -84,20 +85,25 @@ func TestJobSpecShipsResolvedThreshold(t *testing.T) {
 		t.Fatal("rank 0's plan was not tuned")
 	}
 
-	spec, err := decodeJobSpec(jobSpecFrom(req, rank0.plan.Threshold()).encode())
+	payload, err := json.Marshal(specOf(req, rank0.plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Threshold != rank0.plan.Threshold() || spec.Threshold == 0 {
-		t.Fatalf("job spec threshold %d, rank 0 resolved %d", spec.Threshold, rank0.plan.Threshold())
+	var spec planSpec
+	if err := json.Unmarshal(payload, &spec); err != nil {
+		t.Fatal(err)
 	}
-	wreq, err := spec.planRequest()
+	wreq, thr, err := spec.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if thr != rank0.plan.Threshold() || thr == 0 {
+		t.Fatalf("job spec resolves to threshold %d, rank 0 resolved %d", thr, rank0.plan.Threshold())
+	}
+	wreq.Threshold = thr
 	before := core.TunerEntries()
 	worker := &planEntry{}
-	if err := worker.ensureBuilt(wreq, nil); err != nil {
+	if err := worker.ensureBuilt(&wreq, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := core.TunerEntries() - before; got != 0 {

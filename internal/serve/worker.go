@@ -126,30 +126,30 @@ func RunWorker(env WorkerEnv) error {
 	}
 }
 
-// runWorkerJob executes one broadcast job on a worker rank.
+// runWorkerJob executes one broadcast job, rank 0's plan spec, on a worker
+// rank. Jobs run one at a time on RunWorker's goroutine: no entry lock.
 func runWorkerJob(cl *amt.Cluster, cache *planCache, threads int, job *amt.Job) error {
-	spec, err := decodeJobSpec(job.Payload)
-	if err != nil {
+	var spec planSpec
+	if err := json.Unmarshal(job.Payload, &spec); err != nil {
 		return fmt.Errorf("bad job payload: %w", err)
 	}
-	req, err := spec.planRequest()
+	req, thr, err := spec.resolve()
 	if err != nil {
 		return fmt.Errorf("bad job scenario: %w", err)
 	}
+	req.Threshold = thr
 	entry, _, _ := cache.get(req.planKey())
-	if err := entry.ensureBuilt(req, nil); err != nil {
+	if err := entry.ensureBuilt(&req, nil); err != nil {
 		cache.drop(req.planKey(), entry)
 		return fmt.Errorf("plan build: %w", err)
 	}
 	// The worker's own deadline backstops a vanished run; it sits a grace
 	// margin above rank 0's budget so the coordinator always gives up first
 	// and ends the run (Shutdown) for everyone. Without the margin, one slow
-	// request would mass-expire every worker at once.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(spec.TimeoutMS)*time.Millisecond+15*time.Second)
+	// request would mass-expire every worker at once. Time sums do not wrap.
+	backstop := time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond).Add(15 * time.Second)
+	ctx, cancel := context.WithDeadline(context.Background(), backstop)
 	defer cancel()
-	entry.mu.Lock()
-	defer entry.mu.Unlock()
-	//lint:ignore lockorder entry.mu serializes evaluation of one plan by design (stampede protection): the critical section is the evaluation itself
 	_, _, err = core.DistRun(ctx, entry.plan, cl, req.chargeVector(), core.ExecOptions{
 		Workers: threads,
 		Job:     job,

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,9 +79,12 @@ func TestWorkerExitsOnCoordinatorLossMidRun(t *testing.T) {
 
 	// Broadcast a job but never run rank 0's side of it: the worker enters
 	// DistRun, fires what its charges allow and then waits for rank 0...
-	spec := &jobSpec{Distribution: "cube", N: 400, Seed: 1, Kernel: "laplace",
-		Digits: 3, TimeoutMS: 60_000}
-	coord.StartJob(context.Background(), spec.encode())
+	payload, err := json.Marshal(planSpec{Request: Request{Distribution: "cube", N: 400, Seed: 1,
+		Kernel: "laplace", Digits: 3, DeadlineMS: 60_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.StartJob(context.Background(), payload)
 
 	// ...give it a moment to get there, then the coordinator dies.
 	time.Sleep(300 * time.Millisecond)
@@ -183,8 +189,8 @@ func TestExpiredRequestsLeaveTheBreakerClosed(t *testing.T) {
 		}
 	}
 	// The second kind: the cluster is busy with a job that outlives the
-	// request's deadline (its empty payload is no job spec: the worker logs
-	// that and waits for the next one).
+	// request's deadline (its empty payload is no plan spec: the worker exits
+	// on it and is respawned).
 	held, err := p.cl.StartJob(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -242,5 +248,94 @@ func TestBackToBackJobsNeedNoRetransmission(t *testing.T) {
 		requests, n, lat[requests/2], lat[requests*9/10], lat[requests-1], sum/requests, retried, float64(retried)/requests)
 	if retried > 2 {
 		t.Errorf("%d frames were retransmitted over %d fault-free evaluations, want none (2 tolerated)", retried, requests)
+	}
+}
+
+// One description of a plan: for a served distributed request, the job
+// payload rank 0 broadcast is the spec its store record holds, plus the
+// request's charge seed and rank 0's time budget. The budget is the largest
+// accepted, so the worker's backstop (15 s past it) must not wrap negative:
+// a worker that fails its run at once exits, and the second request finds it
+// dead.
+func TestJobPayloadIsTheRecordSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks worker processes")
+	}
+	pool := fastPool(t, 1, nil)
+	events := pool.cl.Subscribe()
+	defer events.Close()
+	srv := New(Config{DistThreshold: 1000})
+	srv.AttachPool(pool)
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.UseStore(st)
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	const deadlineMS = int(maxDeadlineMS)
+	for i := 0; i < 2; i++ {
+		status, resp, eb := post(t, hs.URL, Request{N: 4000, DeadlineMS: deadlineMS})
+		if status != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d %+v", i, status, eb)
+		}
+		if !resp.Report.Distributed || resp.Report.Degraded {
+			t.Fatalf("request %d: report %+v; want distributed, not degraded", i, resp.Report)
+		}
+	}
+	if s := pool.Snapshot(); s.Retries != 0 || s.Failed != 0 {
+		t.Errorf("pool %+v; want no retry and no failure", s)
+	}
+	var job planSpec
+	for ev, ok := events.Next(); ; ev, ok = events.Next() {
+		if !ok {
+			t.Fatal("event log ended without a job")
+		}
+		if ev.Kind == amt.EventJob {
+			if err := json.Unmarshal(ev.Job.Payload, &job); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	recs, _, err := st.Load()
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("store: %d records, %v", len(recs), err)
+	}
+	if job.ChargeSeed != 3 || job.DeadlineMS <= 0 || job.DeadlineMS > deadlineMS {
+		t.Errorf("job charge seed %d, deadline %d ms; want the default seed 3 and a budget within %d ms", job.ChargeSeed, job.DeadlineMS, deadlineMS)
+	}
+	job.ChargeSeed, job.DeadlineMS = 0, 0
+	if rec := (planSpec{Request: recs[0].Spec, ResolvedThreshold: recs[0].Threshold}); !reflect.DeepEqual(job, rec) {
+		t.Errorf("job spec %+v\nrecord spec %+v", job, rec)
+	}
+}
+
+// A job carrying inline points or charges is refused: every rank generates
+// its own from the spec's seeds, so such a job could only be wrong.
+func TestResolveRefusesInlineJob(t *testing.T) {
+	base := Request{Distribution: "cube", N: 2, Seed: 1, Kernel: "laplace", Digits: 3}
+	for name, mut := range map[string]func(*Request){
+		"sources": func(r *Request) { r.Sources = [][3]float64{{0, 0, 0}, {1, 1, 1}} },
+		"targets": func(r *Request) { r.Targets = [][3]float64{{0, 0, 0}, {1, 1, 1}} },
+		"charges": func(r *Request) { r.Charges = []float64{1, -1} },
+	} {
+		req := base
+		mut(&req)
+		payload, err := json.Marshal(planSpec{Request: req, ResolvedThreshold: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec planSpec
+		if err := json.Unmarshal(payload, &spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := spec.resolve(); err == nil || !strings.Contains(err.Error(), "inline") {
+			t.Errorf("job with inline %s: resolve error %v, want a refusal naming inline values", name, err)
+		}
+	}
+	if _, thr, err := (planSpec{Request: base, ResolvedThreshold: 60}).resolve(); err != nil || thr != 60 {
+		t.Errorf("the same job without inline values: threshold %d, %v; want 60, nil", thr, err)
 	}
 }

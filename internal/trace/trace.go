@@ -11,9 +11,7 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -273,14 +271,4 @@ func (u *Utilization) Starvation(frac float64) (first, last int, plateau float64
 		}
 	}
 	return 0, 0, plateau, false
-}
-
-// Format renders the total utilization as a two-column table.
-func (u *Utilization) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%4s %8s\n", "k", "f_k")
-	for k, v := range u.Total {
-		fmt.Fprintf(&sb, "%4d %8.4f\n", k, v)
-	}
-	return sb.String()
 }
