@@ -11,15 +11,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The portable pair loop and dense kernel, and the tests whose fixtures
-# depend on their prices, on a box whose CPU binds vector ones
-# (internal/kernel/p2p.go, dense.go): the purego tag drops the assembly, so
-# every kernel binds and prices the Go loops. A subset that keeps it to a
-# few minutes: pair loops, dense kernel, tuner, oracle (metamorphic and
+# The portable pair loop, dense kernel and point operators, and the tests
+# whose fixtures depend on their prices, on a box whose CPU binds vector
+# ones (internal/kernel/p2p.go, dense.go, point.go): the purego tag drops the
+# assembly, so every kernel binds and prices the Go loops. A subset that
+# keeps it to a few minutes: pair loops, point operators (against the
+# Legendre oracle too), dense kernel, tuner, oracle (metamorphic and
 # realness), degenerate-input, batched and accuracy gates, the daemon's
 # admission.
 purego:
-	$(GO) test -tags purego -run 'Pair|P2P|S2T|Yukawa|Dense|Tuner|Oracle|Realness|Degenerate|Batched|Accuracy|RefusesPlan|JobSpec|SmallRequest' \
+	$(GO) test -tags purego -run 'Pair|P2P|S2T|Point|Yukawa|Dense|Tuner|Oracle|Realness|Degenerate|Batched|Accuracy|RefusesPlan|JobSpec|SmallRequest' \
 		./internal/kernel ./internal/core ./internal/serve
 
 # The scheduler, executor, server, distributed driver and tracer are the
@@ -64,7 +65,8 @@ escape-gate:
 # data-plane parcel inside it (an expansion's or a gathered target's), the
 # job payload (a plan spec, the JSON section of a plan-store record), and the
 # persistent plan-store record; and the Cartesian Y_n^m evaluator against its Legendre oracle on
-# arbitrary coordinates. The seed corpora
+# arbitrary coordinates, and the vector point operators against the
+# portable ones on arbitrary coordinates, centres and charges. The seed corpora
 # live in testdata/fuzz/ and replay under plain `go test` too.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 20s ./internal/amt
@@ -73,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzYnmCartesian$$' -fuzztime 20s ./internal/sphharm
+	$(GO) test -run '^$$' -fuzz '^FuzzPointBlock$$' -fuzztime 20s ./internal/kernel
 
 # Fail if any file needs gofmt; prints the offending files.
 fmt-check:

@@ -26,24 +26,25 @@ func (b *base) Direct(t, s geom.Point) float64 {
 	return b.directF(r)
 }
 
-// S2M implements Kernel.
+// S2M implements Kernel, on the point block of the process's binding
+// (point.go).
 func (b *base) S2M(c geom.Point, spts []geom.Point, q []float64, out []complex128) {
-	b.project(c, spts, q, b.radReg, out)
+	b.pointProject(bestDense, regular, c, spts, q, out)
 }
 
 // S2L implements Kernel.
 func (b *base) S2L(c geom.Point, spts []geom.Point, q []float64, out []complex128) {
-	b.project(c, spts, q, b.radOut, out)
+	b.pointProject(bestDense, outer, c, spts, q, out)
 }
 
 // M2T implements Kernel.
 func (b *base) M2T(c geom.Point, m []complex128, tpts []geom.Point, pot []float64) {
-	b.evalAt(c, m, b.radOut, tpts, pot)
+	b.pointEval(bestDense, outer, c, m, tpts, pot)
 }
 
 // L2T implements Kernel.
 func (b *base) L2T(c geom.Point, l []complex128, tpts []geom.Point, pot []float64) {
-	b.evalAt(c, l, b.radReg, tpts, pot)
+	b.pointEval(bestDense, regular, c, l, tpts, pot)
 }
 
 // M2M implements Kernel. The projection sphere radius scales with the

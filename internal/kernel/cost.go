@@ -23,26 +23,33 @@ package kernel
 // which prints the calibrated price of every operator class beside the one
 // this table predicts.
 const (
-	// One source point folded into, or one target point evaluated from, one
-	// stored (m >= 0) M/L coefficient (S→M, S→L, M→T, L→T): its share of the
-	// Cartesian Y_n^m recurrence and the radial functions, and one
-	// real-by-complex multiply-add. Laplace and Yukawa read the same in situ
-	// (4.5 and 4.6 in the quiet mode), so one constant serves both.
-	nsPointTerm = 5.5
 	// One tabulated I→I shift factor of a kept wave term: load, complex
 	// multiply, accumulate.
 	nsShiftTerm = 3.0
 )
 
-// The dense operators by the dense kernel the process bound (dense.go), per
-// entry of a real-linear table (four real multiply-adds), so the price
-// follows the binding as the pair price does. The portable rows are the
+// The point and dense operators by the dense kernel the process bound
+// (point.go, dense.go) — per coefficient of a point, per entry of a
+// real-linear table (four real multiply-adds) — so the price follows the
+// binding as the pair price does. The portable rows are the
 // in-situ constants of the scalar loops; each vector row is its portable
 // row divided by the speedup its class showed in situ — traced busy seconds
-// of the portable binding over the vector one, four alternating rounds of
-// cube N=16k Laplace/Advanced at threshold 60 and sphere N=100k
-// Yukawa/Basic at threshold 240, the box in its slow mode.
+// of the portable binding over the vector one (for the dense rows four
+// alternating rounds of cube N=16k Laplace/Advanced at threshold 60 and
+// sphere N=100k Yukawa/Basic at threshold 240, the box in its slow mode).
 var (
+	// One source point folded into, or one target point evaluated from, one
+	// stored (m >= 0) M/L coefficient (S→M, S→L, M→T, L→T), by the point
+	// block of the same binding (point.go): its share of the Cartesian
+	// Y_n^m recurrence and the radial functions, and one real-by-complex
+	// multiply-add. The portable row is the scalar loop's in-situ constant
+	// (Laplace and Yukawa read 4.5 and 4.6 in the quiet mode, so one row
+	// serves both); the vector blocks ran the four classes 4.1–5.7x (AVX2)
+	// and 4.8–7.6x (AVX-512) faster in situ, three alternating rounds of
+	// sphere N=100k Yukawa/Basic at threshold 240 and cube N=16k
+	// Laplace/Advanced (S→M only: there a leaf's L→T waits behind its near
+	// field).
+	nsPointTerm = [...]float64{denseGo: 5.5, denseAVX2: 1.2, denseAVX512: 1.0}
 	// One entry applied once per application (M→M, L→L, unbatched M→L): the
 	// 97 KB table comes from L2 or beyond; in situ the vector kernels run
 	// M→M and L→L 2.3x (AVX2) and 2.6x (AVX-512) faster than the scalar
@@ -112,10 +119,10 @@ func Price(k Kernel, level int) OpNanos {
 	wave := float64(k.ISize(level))
 	return OpNanos{
 		S2T: pair,
-		S2M: nsPointTerm * ml,
-		S2L: nsPointTerm * ml,
-		M2T: nsPointTerm * ml,
-		L2T: nsPointTerm * ml,
+		S2M: nsPointTerm[dense] * ml,
+		S2L: nsPointTerm[dense] * ml,
+		M2T: nsPointTerm[dense] * ml,
+		L2T: nsPointTerm[dense] * ml,
 		M2M: nsDenseMAC[dense] * ml * ml,
 		M2L: nsBatchMAC[dense] * ml * ml,
 		L2L: nsDenseMAC[dense] * ml * ml,

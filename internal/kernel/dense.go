@@ -34,9 +34,10 @@ import (
 // table's traffic: batching them by (level, direction) is ROADMAP item 1b.
 // (Medians of five on a 2-vCPU 2.1 GHz Xeon guest in its slow mode.)
 
-// denseLoop names the dense kernel behind applyTable and denseTable: the
-// portable loops here, or the vector forms of dense_amd64.s. Unlike the
-// pair loops it is one binding per process, not per kernel.
+// denseLoop names the dense kernel behind applyTable and denseTable — the
+// portable loops here, or the vector forms of dense_amd64.s — and the point
+// block's binding (point.go). Unlike the pair loops it is one binding per
+// process, not per kernel.
 type denseLoop uint8
 
 const (
@@ -49,9 +50,11 @@ const (
 func (l denseLoop) String() string { return [...]string{"go", "avx2", "avx512"}[l] }
 
 // DenseKernel names the implementation of k's dense far-field operators
-// (M->M, M->L, L->L, M->I, I->L and their table builds): "avx512", "avx2"
-// or "go" (the portable loops; also any kernel that is not built in). It is
-// what the CPU offers, probed once per process; nothing selects it.
+// (M->M, M->L, L->L, M->I, I->L and their table builds) and of its point
+// operators (S->M, S->L, M->T, L->T: the point block of point.go binds with
+// the dense kernel): "avx512", "avx2" or "go" (the portable loops; also any
+// kernel that is not built in). It is what the CPU offers, probed once per
+// process; nothing selects it.
 func DenseKernel(k Kernel) string {
 	if _, ok := k.(*base); ok {
 		return bestDense.String()

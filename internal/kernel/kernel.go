@@ -116,6 +116,13 @@ type base struct {
 	radReg radialFunc // regular radial functions R_n (r^n or i_n(kr))
 	radOut radialFunc // outer radial functions O_n (r^{-n-1} or k_n(kr))
 	cn     []float64  // moment prefactor c_n (see S2M)
+	// steps is the Y_n^m recurrence flattened for the point block
+	// (point.go): (a, b) per packed slot, K_0^0 in slot 0. Borrowed from the
+	// order's sphere rule, like coef.
+	steps []float64
+	// regScale and outScale are the Yukawa radial halves' scale rows, which
+	// the point block's lane-wise Bessel passes multiply by; nil for Laplace.
+	regScale, outScale []float64
 
 	// Sphere quadrature for the projection-based translations: directions
 	// and weights integrating spherical harmonics of degree <= band exactly,
@@ -161,6 +168,7 @@ const sphOversample = 3 // extra theta rows beyond exactness
 // function of p alone and immutable once built.
 type sphRule struct {
 	coef  *sphharm.Coef
+	steps []float64
 	nodes []sphNode
 }
 
@@ -176,7 +184,11 @@ func sphereFor(p int) *sphRule {
 	if r, ok := sphRules.Load(p); ok {
 		return r.(*sphRule)
 	}
-	r := &sphRule{coef: sphharm.NewCoef(p)}
+	r := &sphRule{coef: sphharm.NewCoef(p), steps: make([]float64, 2*sphharm.TriSize(p))}
+	for i := range sphharm.TriSize(p) {
+		r.steps[2*i], r.steps[2*i+1] = r.coef.Step(i)
+	}
+	r.steps[0] = r.coef.K(0, 0)
 	nth := p + 1 + sphOversample
 	nph := 2*p + 2 + 2*sphOversample
 	xs, ws := sphharm.GaussLegendre(nth)
@@ -204,6 +216,7 @@ func newBase(name string, p int, radReg, radOut radialFunc, cn []float64) *base 
 		name:   name,
 		p:      p,
 		coef:   sph.coef,
+		steps:  sph.steps,
 		sph:    sph.nodes,
 		radReg: radReg,
 		radOut: radOut,
@@ -225,8 +238,14 @@ type workspace struct {
 	rad     []float64
 	ylm     []complex128
 	scratch []complex128
+	pt      *pointBlock // the point operators' block on a vector binding, on first use
 }
 
+// newWorkspace stays out of line, like newPointBlock: a free-list miss
+// allocates, and the //dashmm:noalloc functions that take a workspace must
+// not inline the allocation.
+//
+//go:noinline
 func (b *base) newWorkspace() *workspace {
 	return &workspace{
 		rad:     make([]float64, b.p+1),
@@ -235,11 +254,11 @@ func (b *base) newWorkspace() *workspace {
 	}
 }
 
-// wsPool is a tiny free list of workspaces; a sync.Pool would also do but
+// wsChan is a tiny free list of workspaces; a sync.Pool would also do but
 // this keeps allocation behaviour deterministic for the benchmarks.
 type wsChan chan *workspace
 
-func newWSChan(b *base) wsChan { return make(chan *workspace, 64) }
+func newWSChan() wsChan { return make(chan *workspace, 64) }
 
 func (c wsChan) get(b *base) *workspace {
 	select {

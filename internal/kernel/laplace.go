@@ -32,6 +32,6 @@ func NewLaplace(p int) Kernel {
 	b.pair = bestLaplacePair
 	b.pwScaleFree = true
 	b.pwNodes = func(side float64) (u, mu, w []float64) { return laplaceNodes() }
-	b.wsp = newWSChan(b)
+	b.wsp = newWSChan()
 	return b
 }

@@ -1,6 +1,7 @@
 //go:build !purego
 
 #include "textflag.h"
+#include "vexp_amd64.h"
 
 // The vector pair loops (p2p.go states the contract, DESIGN.md "Batched
 // execution" the numerics). All four walk the block in register
@@ -163,77 +164,10 @@ done256:
 // The vector Yukawa pair loops: q·e^{-λr}/r with the Laplace loops' block
 // walk and mask (DESIGN.md "Batched execution" states the numerics). r² is
 // the portable loop's, unfused and in its order, and r its exact square
-// root, so t = -λr is the portable loop's t bit for bit; e^t = 2^k·e^f with
-// k = round(t·log₂e), f = t − k·ln2 (Cody–Waite, by FMA) and a degree-13
-// Taylor polynomial for e^f on |f| ≤ ln2/2, t clamped at -746 first so that
-// a huge or overflowed λr gives 0, as in the portable loop, and not the NaN
-// of a reduction of -1e300.
-//
-// yukconst: every constant four times over, so the AVX2 loop can take it as
-// a ymm memory operand and the AVX-512 loop as a broadcast.
-#define YK_CLAMP 0
-#define YK_LOG2E 32
-#define YK_LN2HI 64
-#define YK_LN2LO 96
-#define YK_MAGIC 128
-#define YK_C0    160
-#define YK_C1    192
-#define YK_C2    224
-#define YK_C3    256
-#define YK_C4    288
-#define YK_C5    320
-#define YK_C6    352
-#define YK_C7    384
-#define YK_C8    416
-#define YK_C9    448
-#define YK_C10   480
-#define YK_C11   512
-#define YK_C12   544
-#define YK_C13   576
-
-#define YKCONST(off, bits) \
-	DATA yukconst<>+off(SB)/8, bits    \
-	DATA yukconst<>+off+8(SB)/8, bits  \
-	DATA yukconst<>+off+16(SB)/8, bits \
-	DATA yukconst<>+off+24(SB)/8, bits
-
-YKCONST(YK_CLAMP, $0xc087500000000000) // -746: e^-746 rounds to 0
-YKCONST(YK_LOG2E, $0x3ff71547652b82fe) // log₂e
-YKCONST(YK_LN2HI, $0x3fe62e42fee00000) // ln2, high part (math.Exp's)
-YKCONST(YK_LN2LO, $0x3dea39ef35793c76) // ln2, low part
-YKCONST(YK_MAGIC, $0x43300000000003ff) // 2^52 + 1023: k + magic holds k + 1023 in its low bits
-YKCONST(YK_C0, $0x3ff0000000000000)    // 1/n!, n = 0…13
-YKCONST(YK_C1, $0x3ff0000000000000)
-YKCONST(YK_C2, $0x3fe0000000000000)
-YKCONST(YK_C3, $0x3fc5555555555555)
-YKCONST(YK_C4, $0x3fa5555555555555)
-YKCONST(YK_C5, $0x3f81111111111111)
-YKCONST(YK_C6, $0x3f56c16c16c16c17)
-YKCONST(YK_C7, $0x3f2a01a01a01a01a)
-YKCONST(YK_C8, $0x3efa01a01a01a01a)
-YKCONST(YK_C9, $0x3ec71de3a556c734)
-YKCONST(YK_C10, $0x3e927e4fb7789f5c)
-YKCONST(YK_C11, $0x3e5ae64567f544e4)
-YKCONST(YK_C12, $0x3e21eed8eff8d898)
-YKCONST(YK_C13, $0x3de6124613a86d09)
-GLOBL yukconst<>(SB), RODATA|NOPTR, $608
-
-// P = Σ f^n/n! by Horner, f in F.
-#define EXPPOLY512(F, P) \
-	VBROADCASTSD      yukconst<>+YK_C13(SB), P \
-	VFMADD213PD.BCST  yukconst<>+YK_C12(SB), F, P \
-	VFMADD213PD.BCST  yukconst<>+YK_C11(SB), F, P \
-	VFMADD213PD.BCST  yukconst<>+YK_C10(SB), F, P \
-	VFMADD213PD.BCST  yukconst<>+YK_C9(SB), F, P  \
-	VFMADD213PD.BCST  yukconst<>+YK_C8(SB), F, P  \
-	VFMADD213PD.BCST  yukconst<>+YK_C7(SB), F, P  \
-	VFMADD213PD.BCST  yukconst<>+YK_C6(SB), F, P  \
-	VFMADD213PD.BCST  yukconst<>+YK_C5(SB), F, P  \
-	VFMADD213PD.BCST  yukconst<>+YK_C4(SB), F, P  \
-	VFMADD213PD.BCST  yukconst<>+YK_C3(SB), F, P  \
-	VFMADD213PD.BCST  yukconst<>+YK_C2(SB), F, P  \
-	VFMADD213PD.BCST  yukconst<>+YK_C1(SB), F, P  \
-	VFMADD213PD.BCST  yukconst<>+YK_C0(SB), F, P
+// root, so t = -λr is the portable loop's t bit for bit; e^t is
+// vexp_amd64.h's, t clamped at -746 first so that a huge or overflowed λr
+// gives 0, as in the portable loop, and not the NaN of a reduction of
+// -1e300.
 
 // One vector of eight targets against the source in Z8..Z10, charge Z11;
 // Z16 = -λ, Z17 = 1. K is Laplace's mask; y ≈ 1/r to 14 bits, then twice
@@ -260,12 +194,7 @@ GLOBL yukconst<>(SB), RODATA|NOPTR, $608
 	VFMADD231PD      C, B, B            \
 	VMULPD           Z16, A, A          \
 	VMAXPD.BCST      yukconst<>+YK_CLAMP(SB), A, A \
-	VMULPD.BCST      yukconst<>+YK_LOG2E(SB), A, C \
-	VRNDSCALEPD      $0, C, C           \
-	VFNMADD231PD.BCST yukconst<>+YK_LN2HI(SB), C, A \
-	VFNMADD231PD.BCST yukconst<>+YK_LN2LO(SB), C, A \
-	EXPPOLY512(A, D)                    \
-	VSCALEFPD        C, D, D            \
+	EXP512(A, C, D)                     \
 	VMULPD           B, D, D            \
 	VFMADD231PD      D, Z11, K, ACC
 
@@ -322,29 +251,9 @@ ydone512:
 	VZEROUPPER
 	RET
 
-// P = Σ f^n/n! by Horner, f in F; the coefficients as ymm memory operands.
-#define EXPPOLY256(F, P) \
-	VMOVUPD      yukconst<>+YK_C13(SB), P \
-	VFMADD213PD  yukconst<>+YK_C12(SB), F, P \
-	VFMADD213PD  yukconst<>+YK_C11(SB), F, P \
-	VFMADD213PD  yukconst<>+YK_C10(SB), F, P \
-	VFMADD213PD  yukconst<>+YK_C9(SB), F, P  \
-	VFMADD213PD  yukconst<>+YK_C8(SB), F, P  \
-	VFMADD213PD  yukconst<>+YK_C7(SB), F, P  \
-	VFMADD213PD  yukconst<>+YK_C6(SB), F, P  \
-	VFMADD213PD  yukconst<>+YK_C5(SB), F, P  \
-	VFMADD213PD  yukconst<>+YK_C4(SB), F, P  \
-	VFMADD213PD  yukconst<>+YK_C3(SB), F, P  \
-	VFMADD213PD  yukconst<>+YK_C2(SB), F, P  \
-	VFMADD213PD  yukconst<>+YK_C1(SB), F, P  \
-	VFMADD213PD  yukconst<>+YK_C0(SB), F, P
-
 // One vector of four targets against the source at R8, charge at R9; Y15 =
-// -λ, Y8..Y14 scratch. 2^k is two factors 2^⌊k/2⌋·2^⌈k/2⌉ (the halving
-// multiplies by 1/2!), each an integer placed in an exponent field by the
-// magic add and a shift (k ≥ -1077 halves to normal powers of two), so
-// the product rounds once into the subnormals; then (q·e^t)/r, the portable
-// loop's last two operations, masked to +0 where r² = 0. An overflowed r²
+// -λ, Y8..Y14 scratch. e^t by EXP256; then (q·e^t)/r, the portable loop's
+// last two operations, masked to +0 where r² = 0. An overflowed r²
 // divides to 0 and a NaN one stays NaN, as in the portable loop.
 #define YUK256(TX, TY, TZ, ACC) \
 	VBROADCASTSD (R8), Y8        \
@@ -363,20 +272,7 @@ ydone512:
 	VSQRTPD      Y8, Y8          \
 	VMULPD       Y15, Y8, Y9     \
 	VMAXPD       yukconst<>+YK_CLAMP(SB), Y9, Y9 \
-	VMULPD       yukconst<>+YK_LOG2E(SB), Y9, Y10 \
-	VROUNDPD     $0, Y10, Y10    \
-	VFNMADD231PD yukconst<>+YK_LN2HI(SB), Y10, Y9 \
-	VFNMADD231PD yukconst<>+YK_LN2LO(SB), Y10, Y9 \
-	EXPPOLY256(Y9, Y11)          \
-	VMULPD       yukconst<>+YK_C2(SB), Y10, Y12 \
-	VROUNDPD     $1, Y12, Y12    \
-	VSUBPD       Y12, Y10, Y10   \
-	VADDPD       yukconst<>+YK_MAGIC(SB), Y12, Y12 \
-	VADDPD       yukconst<>+YK_MAGIC(SB), Y10, Y10 \
-	VPSLLQ       $52, Y12, Y12   \
-	VPSLLQ       $52, Y10, Y10   \
-	VMULPD       Y12, Y11, Y11   \
-	VMULPD       Y10, Y11, Y11   \
+	EXP256(Y9, Y10, Y11, Y12)    \
 	VBROADCASTSD (R9), Y12       \
 	VMULPD       Y12, Y11, Y11   \
 	VDIVPD       Y8, Y11, Y11    \

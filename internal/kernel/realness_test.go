@@ -343,7 +343,7 @@ func TestPointOperatorsMatchLegendreReference(t *testing.T) {
 
 // (e) The one apply allocates nothing, behind every operator that calls it:
 // the single right-hand-side wrappers build their one-element blocks on the
-// stack.
+// stack. Nor do the point operators, whose block lives in the workspace.
 func TestRealnessApplyNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	const side, level = 0.125, 3
@@ -355,6 +355,8 @@ func TestRealnessApplyNoAlloc(t *testing.T) {
 		child := c.Add(geom.Point{X: side / 2, Y: -side / 2, Z: side / 2})
 		tab := tc.k.(*base).m2lTable(M2LOffset{DX: 2}, side)
 		ins, outs := [][]complex128{m, m, m}, [][]complex128{l, make([]complex128, len(l)), make([]complex128, len(l))}
+		pts, q := randBox(rng, c, side, 21), randCharges(rng, 21)
+		far, pot := c.Add(geom.Point{X: 2 * side}), make([]float64, len(pts))
 		for name, f := range map[string]func(){
 			"applyTable": func() { applyTable(tab, ins, outs) },
 			"M2M":        func() { tc.k.M2M(child, c, side, m, l) },
@@ -362,6 +364,10 @@ func TestRealnessApplyNoAlloc(t *testing.T) {
 			"M2L":        func() { tc.k.M2L(c, c.Add(geom.Point{X: 2 * side}), side, m, l) },
 			"M2I":        func() { tc.k.M2I(geom.Up, level, m, x) },
 			"I2L":        func() { tc.k.I2L(geom.Up, level, x, l) },
+			"S2M":        func() { tc.k.S2M(c, pts, q, l) },
+			"S2L":        func() { tc.k.S2L(far, pts, q, l) },
+			"M2T":        func() { tc.k.M2T(far, m, pts, pot) },
+			"L2T":        func() { tc.k.L2T(c, m, pts, pot) },
 		} {
 			f() // build the table
 			if allocs := testing.AllocsPerRun(10, f); allocs != 0 {

@@ -58,7 +58,8 @@ func NewYukawa(p int, lambda float64) Kernel {
 		return -math.Exp(-lambda*r) * (lambda*r + 1) / (r * r)
 	}
 	b.pair, b.lambda = bestYukawaPair, lambda
+	b.regScale, b.outScale = regScale, outScale
 	b.pwNodes = func(side float64) (u, mu, w []float64) { return yukawaNodes(lambda * side) }
-	b.wsp = newWSChan(b)
+	b.wsp = newWSChan()
 	return b
 }

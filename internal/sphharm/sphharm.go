@@ -101,6 +101,12 @@ func NewCoef(p int) *Coef {
 	return c
 }
 
+// Step returns the coefficients of YnmPackedXYZ's step into packed slot i =
+// TriIndex(n, m): (a_n^m, b_n^m) for m < n, (d_n, 0) on the diagonal and
+// (0, 0) at slot 0, for vector forms of the recurrence that run it on
+// several directions at once.
+func (c *Coef) Step(i int) (a, b float64) { return c.rec[i].a, c.rec[i].b }
+
 // K returns K_n^{|m|}.
 func (c *Coef) K(n, m int) float64 {
 	if m < 0 {
