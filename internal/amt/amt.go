@@ -23,7 +23,6 @@
 package amt
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -49,9 +48,12 @@ type Config struct {
 	Rank int
 }
 
-// Runtime is the AMT runtime of one locality.
+// Runtime is the AMT runtime of one locality: its rank, its scheduler
+// workers and the counters of a run.
 type Runtime struct {
-	loc *Locality
+	rank    int
+	workers []*Worker
+	spawnRR atomic.Int64
 
 	pending  atomic.Int64 // outstanding tasks + parcels
 	done     chan struct{}
@@ -69,18 +71,10 @@ type Runtime struct {
 	lateSpawns   atomic.Int64 // spawns rejected because the runtime has shut down
 }
 
-// Locality is the runtime's one distributed-memory node.
-type Locality struct {
-	rt      *Runtime
-	Rank    int
-	workers []*Worker
-	spawnRR atomic.Int64
-}
-
-// Worker is one scheduler thread of a locality.
+// Worker is one scheduler thread of a runtime.
 type Worker struct {
-	loc *Locality
-	// ID is the worker index within the locality.
+	rt *Runtime
+	// ID is the worker index within the runtime.
 	ID  int
 	rng *rand.Rand
 
@@ -88,7 +82,7 @@ type Worker struct {
 	// for the owner, FIFO at the top for thieves.
 	tasks wsDeque
 	// in receives tasks from goroutines that do not own this worker's deque
-	// (Locality.Spawn: initial tasks, inbound frames); the owner drains it
+	// (Runtime.Spawn: initial tasks, inbound frames); the owner drains it
 	// into its deque before popping.
 	in inbox
 	// spare is the recycled drain buffer of the inbox.
@@ -104,60 +98,52 @@ func New(cfg Config) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	rt := &Runtime{done: make(chan struct{})}
-	rt.loc = &Locality{rt: rt, Rank: cfg.Rank}
+	rt := &Runtime{rank: cfg.Rank, done: make(chan struct{})}
 	for w := 0; w < cfg.Workers; w++ {
 		wk := &Worker{
-			loc: rt.loc,
+			rt:  rt,
 			ID:  w,
 			rng: rand.New(rand.NewSource(cfg.Seed + int64(w)*7919 + 1)),
 		}
 		wk.tasks.init()
-		rt.loc.workers = append(rt.loc.workers, wk)
+		rt.workers = append(rt.workers, wk)
 	}
 	return rt
 }
 
-// Locality returns the hosted locality, which must be of rank r: asking a
-// runtime for another rank's locality is a routing bug, and panics.
-func (rt *Runtime) Locality(r int) *Locality {
-	if r != rt.loc.Rank {
-		panic(errOtherRank)
-	}
-	return rt.loc
-}
+// Locality returns the runtime, which is its one locality; the rank is not
+// checked. It remains for callers written against the multi-locality
+// runtime (the benchmark module's scheduler probe); new code calls Spawn.
+func (rt *Runtime) Locality(int) *Runtime { return rt }
 
-var errOtherRank = errors.New("amt: another rank's locality asked of this runtime")
-
-// Rank returns the locality rank the worker belongs to.
-func (w *Worker) Rank() int { return w.loc.Rank }
+// Rank returns the rank of the runtime the worker belongs to.
+func (w *Worker) Rank() int { return w.rt.rank }
 
 // Spawn schedules a task on the worker's own deque. It must only be called
 // from code running on this worker (i.e. inside one of its tasks): the
 // lock-free deque has a single owner. Work arriving from outside any
-// worker goes through Locality.Spawn.
+// worker goes through Runtime.Spawn.
 //
 //dashmm:noalloc
 func (w *Worker) Spawn(t Task) {
-	w.loc.rt.pending.Add(1)
+	w.rt.pending.Add(1)
 	w.tasks.push(t)
 }
 
-// Spawn schedules a task on the locality, round-robin across its workers'
+// Spawn schedules a task on the runtime, round-robin across its workers'
 // inboxes. It is the entry point for work arriving from outside any worker
 // (initial tasks, parcels off the wire). A spawn after the runtime has shut
 // down is counted rather than silently lost.
 //
 //dashmm:noalloc
-func (l *Locality) Spawn(t Task) {
-	rt := l.rt
+func (rt *Runtime) Spawn(t Task) {
 	if rt.shuttingDown.Load() {
 		rt.lateSpawns.Add(1)
 		return
 	}
 	rt.pending.Add(1)
-	i := int(l.spawnRR.Add(1)-1) % len(l.workers)
-	l.workers[i].in.add(t)
+	i := int(rt.spawnRR.Add(1)-1) % len(rt.workers)
+	rt.workers[i].in.add(t)
 }
 
 // finish marks one pending unit complete.
@@ -188,7 +174,7 @@ func (rt *Runtime) Run(setup func()) Stats {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for _, w := range rt.loc.workers {
+	for _, w := range rt.workers {
 		wg.Add(1)
 		go func(w *Worker) {
 			defer wg.Done()
@@ -271,7 +257,7 @@ func (rt *Runtime) Abort() {
 func (rt *Runtime) sweepLeftovers() {
 	for {
 		n := 0
-		for _, w := range rt.loc.workers {
+		for _, w := range rt.workers {
 			w.in.drain(w)
 			for {
 				t, ok := w.tasks.pop()
@@ -292,7 +278,7 @@ func (rt *Runtime) sweepLeftovers() {
 // deque (LIFO), then random victims within the locality (the paper's "local
 // randomized workstealing"), then a brief backoff.
 func (w *Worker) run(stop <-chan struct{}) {
-	rt := w.loc.rt
+	rt := w.rt
 	backoff := time.Microsecond
 	for {
 		w.in.drain(w)
@@ -332,7 +318,7 @@ func (w *Worker) run(stop <-chan struct{}) {
 
 //dashmm:noalloc
 func (w *Worker) execute(t Task) {
-	rt := w.loc.rt
+	rt := w.rt
 	rt.tasksRun.Add(1)
 	t(w)
 	rt.finish()
@@ -342,7 +328,7 @@ func (w *Worker) execute(t Task) {
 // victim's deque first, then — only if all deques are dry — one task from a
 // victim inbox, so a backlog behind a busy owner cannot strand the locality.
 func (w *Worker) trySteal() (Task, bool) {
-	ws := w.loc.workers
+	ws := w.rt.workers
 	if len(ws) == 1 {
 		return nil, false
 	}

@@ -12,9 +12,8 @@ func TestRunDrainsAllTasks(t *testing.T) {
 	rt := New(Config{Workers: 3})
 	var count atomic.Int64
 	stats := rt.Run(func() {
-		loc := rt.Locality(0)
 		for i := 0; i < 200; i++ {
-			loc.Spawn(func(w *Worker) { count.Add(1) })
+			rt.Spawn(func(w *Worker) { count.Add(1) })
 		}
 	})
 	if count.Load() != 200 {
@@ -29,7 +28,7 @@ func TestNestedSpawns(t *testing.T) {
 	rt := New(Config{Workers: 4})
 	var count atomic.Int64
 	rt.Run(func() {
-		rt.Locality(0).Spawn(func(w *Worker) {
+		rt.Spawn(func(w *Worker) {
 			// A task tree of depth 10, fanout 2.
 			var rec func(d int) Task
 			rec = func(d int) Task {
@@ -49,9 +48,8 @@ func TestNestedSpawns(t *testing.T) {
 	}
 }
 
-// A runtime hosts one locality: asking New for more, or the runtime for
-// another rank's locality, is refused with a panic — more localities are the
-// ranks of a Cluster.
+// A runtime hosts one locality: asking New for more is refused with a panic
+// — more localities are the ranks of a Cluster.
 func TestOneLocalityPerRuntime(t *testing.T) {
 	mustPanic := func(what string, f func()) {
 		t.Helper()
@@ -64,11 +62,6 @@ func TestOneLocalityPerRuntime(t *testing.T) {
 	}
 	mustPanic("New with 2 localities", func() { New(Config{Localities: 2}) })
 	mustPanic("New with -1 localities", func() { New(Config{Localities: -1}) })
-	rt := New(Config{Localities: 1, Rank: 3})
-	if loc := rt.Locality(3); loc.Rank != 3 {
-		t.Errorf("the runtime of rank 3 hosts locality %d", loc.Rank)
-	}
-	mustPanic("Locality(0) of the runtime of rank 3", func() { rt.Locality(0) })
 }
 
 // fanOut runs one job on cls: rank 0's runtime rt0 sends one parcel of size
@@ -150,8 +143,7 @@ func TestWorkStealingSpreadsLoad(t *testing.T) {
 	rt := New(Config{Workers: 4})
 	var perWorker [4]atomic.Int64
 	rt.Run(func() {
-		loc := rt.Locality(0)
-		loc.Spawn(func(w *Worker) {
+		rt.Spawn(func(w *Worker) {
 			for i := 0; i < 400; i++ {
 				w.Spawn(func(w2 *Worker) {
 					perWorker[w2.ID].Add(1)
@@ -176,8 +168,8 @@ func TestDeterministicSeeding(t *testing.T) {
 	a := New(Config{Workers: 2, Seed: 42})
 	b := New(Config{Workers: 2, Seed: 42})
 	for i := 0; i < 2; i++ {
-		wa := a.Locality(0).workers[i]
-		wb := b.Locality(0).workers[i]
+		wa := a.workers[i]
+		wb := b.workers[i]
 		for j := 0; j < 10; j++ {
 			if wa.rng.Int63() != wb.rng.Int63() {
 				t.Fatal("worker RNGs differ for equal seeds")
@@ -193,9 +185,8 @@ func TestRuntimeResetMultiShot(t *testing.T) {
 	var count atomic.Int64
 	run := func(n int) Stats {
 		return rt.Run(func() {
-			loc := rt.Locality(0)
 			for i := 0; i < 2*n; i++ {
-				loc.Spawn(func(w *Worker) { count.Add(1) })
+				rt.Spawn(func(w *Worker) { count.Add(1) })
 			}
 		})
 	}
@@ -239,7 +230,7 @@ func TestRuntimeResetRefusals(t *testing.T) {
 	// queues still hold context-less tasks) must be refused. An ordinary
 	// Abort drains via sweepLeftovers, so inject the pending unit directly.
 	rt := New(Config{Workers: 1})
-	rt.Run(func() { rt.Locality(0).Spawn(func(*Worker) {}) })
+	rt.Run(func() { rt.Spawn(func(*Worker) {}) })
 	rt.pending.Add(1)
 	if err := rt.Reset(); err == nil {
 		t.Fatal("Reset accepted a runtime with pending work")
@@ -260,13 +251,13 @@ func TestShutdownSpawnNeverSilentlyLost(t *testing.T) {
 		var ran atomic.Int64
 		const spawned = 64
 		rt.Run(func() {
-			rt.Locality(0).Spawn(func(w *Worker) {
+			rt.Spawn(func(w *Worker) {
 				// Completing the runtime and spawning afterwards races the
 				// worker stop path — exactly the window where parcels used
 				// to be dropped from undrained inboxes.
 				rt.Abort()
 				for i := 0; i < spawned; i++ {
-					rt.Locality(0).Spawn(func(*Worker) { ran.Add(1) })
+					rt.Spawn(func(*Worker) { ran.Add(1) })
 				}
 			})
 		})

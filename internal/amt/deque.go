@@ -189,7 +189,7 @@ func (d *wsDeque) capacity() int {
 	return len(d.buf.Load().slot)
 }
 
-// inbox is the multi-producer side entrance of a worker: Locality.Spawn's
+// inbox is the multi-producer side entrance of a worker: Runtime.Spawn's
 // initial tasks and inbound wire frames arrive here from goroutines that do
 // not own the worker's deque. The owner drains it into its lock-free deque
 // before popping; idle thieves may take single tasks with a non-blocking

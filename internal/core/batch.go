@@ -17,7 +17,7 @@ import (
 // seeded with the roots on the leaf's home, waits for nothing and applies
 // every S->T edge of the leaf under one target lock. No source node walks an
 // S->T edge and none crosses a rank: one path under every AMT executor,
-// gradients or not, batch-capable kernel or not.
+// gradients or not.
 //
 // An M->L batch is guarded by a pending-source counter: a triggering node
 // skips its batched out-edges on the per-edge path and decrements the
@@ -43,9 +43,8 @@ type batchScratch struct {
 
 // initBatches wires the plan's descriptors into the executor: per target
 // leaf the source chunks of its near list (points and charge slots do not
-// move for the life of the state) and a prebuilt near task; for a
-// batch-capable kernel per-batch pending counters, prebuilt M->L batch tasks
-// and their scratch pool.
+// move for the life of the state) and a prebuilt near task; per M->L batch a
+// pending counter and a prebuilt task, and their scratch pool.
 func (ex *executor) initBatches() {
 	st, b := ex.st, ex.st.p.batches
 	ex.near = make([]amt.Task, len(b.P2P))
@@ -57,9 +56,6 @@ func (ex *executor) initBatches() {
 			sb := ex.g.Nodes[be.From].Box
 			ex.nearChunks[i] = append(ex.nearChunks[i], kernel.P2PChunk{Pts: st.srcPts(sb), Q: st.q[sb.Lo:sb.Hi]})
 		}
-	}
-	if ex.bk, _ = st.p.Kernel.(kernel.BatchKernel); ex.bk == nil {
-		return
 	}
 	ex.batchPending = make([]atomic.Int32, len(b.M2L))
 	ex.batchTasks = make([]amt.Task, len(b.M2L))
@@ -122,7 +118,7 @@ func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 		if ex.opts.Tracer.Enabled() {
 			t0 = ex.opts.Tracer.Now()
 		}
-		ex.bk.M2LBatch(mb.Offs[lo:hi], mb.Side, mb.Level, sc.ins[:nb], sc.outs[:nb])
+		st.p.Kernel.M2LBatch(mb.Offs[lo:hi], mb.Side, mb.Level, sc.ins[:nb], sc.outs[:nb])
 		for k := 0; k < nb; k++ {
 			be := mb.Edges[lo+k]
 			out := sc.outs[k]
@@ -148,40 +144,37 @@ func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 }
 
 // runNear is the near task of one target leaf: its source chunks applied
-// under the single target lock — swept through the kernel's tiled P2P, or
-// chunk by chunk where that does not reach (a gradient run: the tiles compute
-// potentials only; a kernel without the batched surface) — then the target
-// counted down by the whole list. It is seeded once per run, on the leaf's
-// home (seedRoots), so it runs once.
+// under the single target lock — swept through the kernel's tiled P2P, or,
+// in a gradient run (the tiles compute potentials only), chunk by chunk —
+// then the target counted down by the whole list. It is seeded once per
+// run, on the leaf's home (seedRoots), so it runs once. The span it records
+// is the sweep, not the wait for the lock.
 //
 //dashmm:noalloc
 func (ex *executor) runNear(w *amt.Worker, pi int32) {
 	pb, chunks, st := &ex.st.p.batches.P2P[pi], ex.nearChunks[pi], ex.st
 	tb := ex.g.Nodes[pb.Target].Box
 	tpts, pot := st.tgtPts(tb), st.pot[tb.Lo:tb.Hi]
-	var t0 int64
+	var t0, end int64
+	ex.locks[pb.Target].Lock()
 	if ex.opts.Tracer.Enabled() {
 		t0 = ex.opts.Tracer.Now()
 	}
-	ex.locks[pb.Target].Lock()
-	switch {
-	case st.grad != nil:
-		gk, grad := st.p.Kernel.(kernel.GradKernel), st.grad[tb.Lo:tb.Hi]
+	if st.grad != nil {
+		grad := st.grad[tb.Lo:tb.Hi]
 		for _, ch := range chunks {
-			gk.S2TGrad(ch.Pts, ch.Q, tpts, pot, grad)
+			st.p.Kernel.S2TGrad(ch.Pts, ch.Q, tpts, pot, grad)
 		}
-	case ex.bk != nil:
-		ex.bk.P2P(chunks, tpts, pot)
-	default:
-		for _, ch := range chunks {
-			st.p.Kernel.S2T(ch.Pts, ch.Q, tpts, pot)
-		}
+	} else {
+		st.p.Kernel.P2P(chunks, tpts, pot)
+	}
+	if ex.opts.Tracer.Enabled() {
+		end = ex.opts.Tracer.Now()
 	}
 	ex.locks[pb.Target].Unlock()
 	if ex.opts.Tracer.Enabled() {
 		// One event per member edge: the first spans the sweep, the rest are
 		// zero-width markers, conserving both event counts and time mass.
-		end := ex.opts.Tracer.Now()
 		for k := range pb.Edges {
 			start := end
 			if k == 0 {

@@ -72,13 +72,9 @@ func DistRun(ctx context.Context, p *Plan, cl *amt.Cluster, charges []float64, o
 	if slices.Contains(opts.Job.DeadOrder, cl.Rank()) {
 		return nil, ExecReport{}, fmt.Errorf("core: rank %d is listed dead in the job placement", cl.Rank())
 	}
-	st, err := p.newState(opts.Gradient)
-	if err != nil {
-		return nil, ExecReport{}, err
-	}
 	// SPMD placement: every rank computes the same assignment, over the
 	// ranks alive when the job was placed.
-	ex := newExecutor(st, survivors(cl.World(), opts.Job.DeadOrder), cl.Rank(), opts)
+	ex := newExecutor(p.newState(opts.Gradient), survivors(cl.World(), opts.Job.DeadOrder), cl.Rank(), opts)
 	newFabric(ex, cl)
 	return ex.run(ctx, charges)
 }
@@ -235,7 +231,7 @@ func (fb *fabric) seed() {
 // onFrame is the run's wire handler: each parcel the delivery engine hands
 // over becomes a task on this rank's scheduler (handleParcel).
 func (fb *fabric) onFrame(f amt.Frame) {
-	fb.ex.rt.Locality(int(fb.ex.rank)).Spawn(func(w *amt.Worker) { fb.handleParcel(w, f) })
+	fb.ex.rt.Spawn(func(w *amt.Worker) { fb.handleParcel(w, f) })
 }
 
 // handleParcel installs one parcel's source payload and, on that first

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -25,6 +26,7 @@ import (
 // once per scenario, not once per rank (every plan has the same root cube,
 // so each Prepare after the first is a no-op that keeps the built tables).
 type distWorld struct {
+	t     testing.TB
 	plans []*Plan
 	q     []float64
 	want  []float64 // plans[0].EvaluateSequential(q)
@@ -38,7 +40,7 @@ func newDistWorld(t *testing.T, world, n int) *distWorld {
 	sp := points.Generate(points.Cube, n, 1)
 	tp := points.Generate(points.Cube, n, 2)
 	k := kernel.NewLaplace(6)
-	dw := &distWorld{q: points.Charges(n, 3)}
+	dw := &distWorld{t: t, q: points.Charges(n, 3)}
 	for r := 0; r < world; r++ {
 		plan, err := NewPlan(sp, tp, k, Options{Method: dag.Advanced, Threshold: 40})
 		if err != nil {
@@ -55,7 +57,9 @@ func newDistWorld(t *testing.T, world, n int) *distWorld {
 
 // run executes one DistRun under ctx on every rank whose cluster slot is
 // non-nil (dead ranks pass nil) and returns rank 0's potentials plus every
-// rank's report and error. opts renders each rank's options.
+// rank's report and error. opts renders each rank's options. A rank's
+// DistRun must have joined the event-log watcher it started by the time it
+// returns, whatever the run's outcome.
 func (dw *distWorld) run(ctx context.Context, cls []*amt.Cluster, opts func(rank int) ExecOptions) ([]float64, []ExecReport, []error) {
 	pots := make([][]float64, len(cls))
 	reps := make([]ExecReport, len(cls))
@@ -69,6 +73,9 @@ func (dw *distWorld) run(ctx context.Context, cls []*amt.Cluster, opts func(rank
 		go func(r int, cl *amt.Cluster) {
 			defer wg.Done()
 			pots[r], reps[r], errs[r] = DistRun(ctx, dw.plans[r], cl, dw.q, opts(r))
+			if g := strayGoroutine("repro/internal/core.(*fabric).watch(", "repro/internal/core.(*fabric).run"); g != "" {
+				dw.t.Errorf("rank %d: DistRun returned before its watcher:\n%s", r, g)
+			}
 		}(r, cl)
 	}
 	wg.Wait()
@@ -651,7 +658,7 @@ func TestDistRunPerRankKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw := &distWorld{plans: []*Plan{build(), build()}, q: q, want: want}
+	dw := &distWorld{t: t, plans: []*Plan{build(), build()}, q: q, want: want}
 	pots, _, errs := dw.run(distCtx(t), distClusters(t, 2), distOpts)
 	assertSurvivorsOK(t, errs)
 	assertSame(t, pots, want, 1e-12)
@@ -788,10 +795,7 @@ func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
 func TestFabricClaimContract(t *testing.T) {
 	dw := newDistWorld(t, 2, 600)
 	cls := distClusters(t, 2)
-	st, err := dw.plans[0].newState(false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := dw.plans[0].newState(false)
 	ex, fb := rankExecutor(t, st, cls[0])
 	// outIdx: the edges of node id a parcel from rank 1 carries here.
 	outIdx := func(id int) (out []int32) {
@@ -811,10 +815,7 @@ func TestFabricClaimContract(t *testing.T) {
 	n, edges := &ex.g.Nodes[src], outIdx(src)
 	first, last := edges[:len(edges)-1], edges[len(edges)-1]
 	// parcel encodes the node's parcel as rank 1 would, its payload set to v.
-	sender, err := dw.plans[0].newState(false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sender := dw.plans[0].newState(false)
 	parcel := func(v complex128, out []int32) amt.Frame {
 		for _, vec := range sender.vectors(n.ID) {
 			for i := range vec {
@@ -918,10 +919,7 @@ func TestFabricClaimContract(t *testing.T) {
 	if !slices.Equal(st.pot[b.Lo:b.Hi], sender.pot[b.Lo:b.Hi]) {
 		t.Error("rank 0 did not install the gathered potentials")
 	}
-	wst, err := dw.plans[1].newState(false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wst := dw.plans[1].newState(false)
 	wex, wfb := rankExecutor(t, wst, cls[1])
 	tn = &wex.g.Nodes[slices.IndexFunc(wex.g.Nodes, func(m dag.Node) bool { return target(wex, m) })]
 	wfb.handleParcel(nil, amt.Frame{Kind: wireKindParcel, Payload: sender.encodeParcel(tn, nil)})
@@ -947,10 +945,7 @@ func TestVerdictAfterLastGatherKeepsTheAnswer(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			st, err := dw.plans[0].newState(false)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := dw.plans[0].newState(false)
 			ex, fb := rankExecutor(t, st, cls[0])
 			ex.rt = amt.New(amt.Config{Workers: 1})
 			run := cls[0].Attach(ex.opts.Job, fb.onFrame)
@@ -988,4 +983,26 @@ func TestVerdictAfterLastGatherKeepsTheAnswer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// strayGoroutine returns the stack of a goroutine that is running fn and
+// was started by the calling goroutine from within creator, or "" when
+// there is none: a call that starts a goroutine from creator must have
+// joined it by the time it returns.
+func strayGoroutine(fn, creator string) string {
+	self := make([]byte, 64)
+	self = self[:runtime.Stack(self, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(self), "goroutine "), " ")
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, fn) && strings.Contains(g, "created by "+creator+" in goroutine "+id+"\n") {
+			return g
+		}
+	}
+	return ""
 }

@@ -112,11 +112,7 @@ func (p *Plan) NewParallelEvaluation(opts ExecOptions) (*ParallelEvaluation, err
 	if err != nil {
 		return nil, err
 	}
-	st, err := p.newState(opts.Gradient)
-	if err != nil {
-		return nil, err
-	}
-	return &ParallelEvaluation{ex: newExecutor(st, []int32{0}, 0, opts)}, nil
+	return &ParallelEvaluation{ex: newExecutor(p.newState(opts.Gradient), []int32{0}, 0, opts)}, nil
 }
 
 // Run evaluates the DAG for one charge vector, reusing the context's payload
@@ -154,12 +150,10 @@ type executor struct {
 	// at rank 0, those not yet gathered.
 	owned, targets     int
 	fired, targetsLeft atomic.Int64
-	// Batched execution (batch.go): the kernel's batched surface (nil when it
-	// has none), per target leaf a prebuilt near task and its source chunks,
-	// one pending-source counter and prebuilt task per M->L batch (nil when the
-	// context runs list 2 per edge: under a fabric, on a kernel without the
-	// surface), and the pooled GEMM scratch.
-	bk           kernel.BatchKernel
+	// Batched execution (batch.go): per target leaf a prebuilt near task and
+	// its source chunks, one pending-source counter and prebuilt task per M->L
+	// batch (nil under a fabric, which runs list 2 per edge), and the pooled
+	// GEMM scratch.
 	near         []amt.Task
 	nearChunks   [][]kernel.P2PChunk
 	batchPending []atomic.Int32
@@ -273,7 +267,7 @@ func (ex *executor) arm() {
 func (ex *executor) seedRoots() {
 	for pi, pb := range ex.st.p.batches.P2P {
 		if ex.hosts(pb.Target) {
-			ex.rt.Locality(int(ex.rank)).Spawn(ex.near[pi])
+			ex.rt.Spawn(ex.near[pi])
 		}
 	}
 	for _, id := range ex.g.Roots() {
@@ -416,22 +410,23 @@ func (ex *executor) gathered() {
 // process and under a fabric alike: a remote source's edges come from the
 // one copy of its parcel that installed it (fabric.handleParcel). The source
 // payload needs no lock: a local source has fired, and a remote one was
-// installed before any of its edges got here.
+// installed before any of its edges got here. The span it records is the
+// transform, not the wait for the lock.
 //
 //dashmm:noalloc
 func (ex *executor) deliver(w *amt.Worker, from *dag.Node, out int32) {
 	e := from.Out[out]
+	ex.locks[e.To].Lock()
 	var t0 int64
 	if ex.opts.Tracer.Enabled() {
 		t0 = ex.opts.Tracer.Now()
 	}
-	ex.locks[e.To].Lock()
 	ex.st.apply(from, e)
-	rem := ex.remaining[e.To].Add(-1)
-	ex.locks[e.To].Unlock()
 	if ex.opts.Tracer.Enabled() {
 		ex.record(w, e.Op, t0, ex.opts.Tracer.Now())
 	}
+	rem := ex.remaining[e.To].Add(-1)
+	ex.locks[e.To].Unlock()
 	if rem == 0 {
 		ex.fireNode(w, e.To)
 	}
@@ -451,15 +446,15 @@ func (ex *executor) record(w *amt.Worker, op dag.OpKind, start, end int64) {
 }
 
 // fireNode spawns the continuation of a node whose last input just arrived
-// (or that has none: seedRoots) on this runtime's locality — only nodes it
-// homes are fired here: onto the worker's own deque, or through the
-// locality's inbox when there is no worker (seedRoots). Shared by the
-// per-edge delivery, the near tasks and the batch completion path.
+// (or that has none: seedRoots) on this runtime — only nodes it homes are
+// fired here: onto the worker's own deque, or through the runtime's inboxes
+// when there is no worker (seedRoots). Shared by the per-edge delivery, the
+// near tasks and the batch completion path.
 //
 //dashmm:noalloc
 func (ex *executor) fireNode(w *amt.Worker, id int32) {
 	if w == nil {
-		ex.rt.Locality(int(ex.homes[id])).Spawn(ex.tasks[id])
+		ex.rt.Spawn(ex.tasks[id])
 		return
 	}
 	w.Spawn(ex.tasks[id])

@@ -2,10 +2,13 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/amt"
 	"repro/internal/dag"
 	"repro/internal/geom"
 	"repro/internal/kernel"
@@ -184,5 +187,64 @@ func TestTraceEventsCoverAllOps(t *testing.T) {
 	}
 	if maxU <= 0 {
 		t.Error("utilization all zero")
+	}
+}
+
+// An operator's span times the operator, not the wait for its target's
+// lock: with a target leaf's lock held elsewhere for 50 ms, an L->T edge
+// delivered into it and the leaf's near task each record one event far
+// shorter than the hold.
+func TestOperatorSpanExcludesLockWait(t *testing.T) {
+	const hold = 50 * time.Millisecond
+	plan, q, _ := testPlan(t, dag.Advanced, 3000)
+	var from *dag.Node
+	out := -1
+	for i := range plan.Graph.Nodes {
+		if out = slices.IndexFunc(plan.Graph.Nodes[i].Out, func(e dag.Edge) bool { return e.Op == dag.OpL2T }); out >= 0 {
+			from = &plan.Graph.Nodes[i]
+			break
+		}
+	}
+	if from == nil {
+		t.Fatal("fixture: no L->T edge")
+	}
+	to := from.Out[out].To
+	near := slices.IndexFunc(plan.batches.P2P, func(pb dag.P2PBatch) bool { return pb.Target == to })
+	for _, c := range []struct {
+		name string
+		op   dag.OpKind
+		run  func(ex *executor, w *amt.Worker)
+	}{
+		{"deliver", dag.OpL2T, func(ex *executor, w *amt.Worker) { ex.deliver(w, from, int32(out)) }},
+		{"near task", dag.OpS2T, func(ex *executor, w *amt.Worker) { ex.runNear(w, int32(near)) }},
+	} {
+		tr := trace.New(1)
+		ex := newExecutor(plan.newState(false), []int32{0}, 0, ExecOptions{Workers: 1, Tracer: tr})
+		ex.st.reset(q)
+		rt := amt.New(amt.Config{Workers: 1})
+		ex.locks[to].Lock()
+		waiting, ran := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(ran)
+			rt.Run(func() {
+				rt.Spawn(func(w *amt.Worker) {
+					close(waiting)
+					c.run(ex, w)
+				})
+			})
+		}()
+		<-waiting
+		time.Sleep(hold)
+		ex.locks[to].Unlock()
+		<-ran
+		var width time.Duration
+		for _, ev := range tr.Snapshot() {
+			if ev.Class == uint8(c.op) {
+				width = max(width, time.Duration(ev.End-ev.Start))
+			}
+		}
+		if width == 0 || width > hold/2 {
+			t.Errorf("%s: the %v span is %v with the target's lock held for %v; want the operator alone", c.name, c.op, width, hold)
+		}
 	}
 }

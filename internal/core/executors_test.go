@@ -58,7 +58,7 @@ func executors(t *testing.T, sp, tp []geom.Point, q []float64, k kernel.Kernel, 
 		t.Fatalf("rank 1 built from the resolved threshold %d: tuner entered %d times, %d nodes / edges %v against rank 0's %d / %v",
 			plan.Threshold(), TunerEntries()-before, len(rank1.Graph.Nodes), rank1.Graph.EdgeCount, len(plan.Graph.Nodes), plan.Graph.EdgeCount)
 	}
-	dw := &distWorld{plans: []*Plan{plan, rank1}, q: q}
+	dw := &distWorld{t: t, plans: []*Plan{plan, rank1}, q: q}
 	pot, _, errs := dw.run(distCtx(t), distClusters(t, 2), distOpts)
 	for r, err := range errs {
 		if err != nil {

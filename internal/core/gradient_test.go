@@ -136,21 +136,3 @@ func TestNewtonThirdLawOnIdenticalEnsembles(t *testing.T) {
 		t.Errorf("net internal force %.2e of total force magnitude", total.Norm()/scale)
 	}
 }
-
-func TestGradientRejectsUnsupportedKernel(t *testing.T) {
-	// All built-in kernels support gradients; the error path is still
-	// exercised through the interface check with a wrapper.
-	const n = 200
-	sp := points.Generate(points.Cube, n, 90)
-	tp := points.Generate(points.Cube, n, 91)
-	plan, err := NewPlan(sp, tp, nonGradKernel{kernel.NewLaplace(4)}, Options{Threshold: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := plan.EvaluateSequentialGrad(points.Charges(n, 92)); err == nil {
-		t.Error("gradient evaluation accepted a kernel without gradient support")
-	}
-}
-
-// nonGradKernel hides the GradKernel methods of the wrapped kernel.
-type nonGradKernel struct{ kernel.Kernel }

@@ -17,16 +17,15 @@ import (
 // leaf's home, and by nothing else — no source node walks it, no parcel
 // carries it.
 
-// nearPlan is the cube fixture of the tests below, with the sequential
-// potentials and (for a gradient-capable kernel) gradients.
-func nearPlan(t *testing.T, k kernel.Kernel, n int) (*Plan, []float64) {
+// nearPlan is the cube fixture of the tests below, and its charges.
+func nearPlan(t *testing.T, n int) (*Plan, []float64) {
 	t.Helper()
 	if raceEnabled {
 		n /= 2
 	}
 	sp := points.Generate(points.Cube, n, 1)
 	tp := points.Generate(points.Cube, n, 2)
-	plan, err := NewPlan(sp, tp, k, Options{Method: dag.Advanced, Threshold: 40})
+	plan, err := NewPlan(sp, tp, kernel.NewLaplace(kernel.OrderForDigits(3)), Options{Method: dag.Advanced, Threshold: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,27 +51,21 @@ func s2tEvents(events []trace.Event) (wide, markers []trace.Event) {
 	return wide, markers
 }
 
-// One near task per target leaf whatever the run computes and whatever the
-// kernel offers: a gradient run (which used to apply its near field edge by
-// edge, one lock and one S2TGrad call each) and a kernel that hides its
-// batched surface (which used to get no near list at all) trace exactly one
-// S->T event of nonzero width per target leaf and one marker for every other
-// member edge, at 1e-12 of the sequential walker (gradients 1e-9, the gate
-// of TestGradientParallelMatchesSequential).
+// One near task per target leaf whatever the run computes: a gradient run
+// (which used to apply its near field edge by edge, one lock and one S2TGrad
+// call each) and a potential run trace exactly one S->T event of nonzero
+// width per target leaf and one marker for every other member edge, at
+// 1e-12 of the sequential walker (gradients 1e-9, the gate of
+// TestGradientParallelMatchesSequential).
 func TestNearFieldIsOneTaskPerTargetLeaf(t *testing.T) {
-	p := kernel.OrderForDigits(3)
 	for _, c := range []struct {
 		name     string
-		k        kernel.Kernel
 		gradient bool
 	}{
-		{"gradient run", kernel.NewLaplace(p), true},
-		{"kernel without the batched surface", struct{ kernel.Kernel }{kernel.NewLaplace(p)}, false},
+		{"gradient run", true},
+		{"potential run", false},
 	} {
-		plan, q := nearPlan(t, c.k, 4000)
-		if _, batched := plan.Kernel.(kernel.BatchKernel); batched != c.gradient {
-			t.Fatalf("%s: the fixture kernel's batched surface is visible: %v", c.name, batched)
-		}
+		plan, q := nearPlan(t, 4000)
 		tr := trace.New(2)
 		got, rep, err := plan.Evaluate(q, ExecOptions{Workers: 2, Gradient: c.gradient, Tracer: tr})
 		if err != nil {
@@ -101,20 +94,19 @@ func TestNearFieldIsOneTaskPerTargetLeaf(t *testing.T) {
 	}
 }
 
-// nearSpy is one rank's kernel with its batched surface hidden, so every
-// near task sweeps its list through S2T; it records, by the first target
-// point, which target leaves were swept on its rank.
+// nearSpy is one rank's kernel that records, by the first target point,
+// which target leaves a near task swept on its rank.
 type nearSpy struct {
 	kernel.Kernel
 	mu    sync.Mutex
 	swept map[geom.Point]int
 }
 
-func (k *nearSpy) S2T(spts []geom.Point, q []float64, tpts []geom.Point, pot []float64) {
+func (k *nearSpy) P2P(chunks []kernel.P2PChunk, tpts []geom.Point, pot []float64) {
 	k.mu.Lock()
 	k.swept[tpts[0]]++
 	k.mu.Unlock()
-	k.Kernel.S2T(spts, q, tpts, pot)
+	k.Kernel.P2P(chunks, tpts, pot)
 }
 
 // Every near task runs on its target's home rank: over three ranks, the
@@ -130,7 +122,7 @@ func TestNearTasksRunOnTheTargetsHome(t *testing.T) {
 	sp := points.Generate(points.Cube, n, 1)
 	tp := points.Generate(points.Cube, n, 2)
 	inner := kernel.NewLaplace(kernel.OrderForDigits(3))
-	dw := &distWorld{q: points.Charges(n, 3)}
+	dw := &distWorld{t: t, q: points.Charges(n, 3)}
 	spies := make([]*nearSpy, world)
 	for r := range spies {
 		spies[r] = &nearSpy{Kernel: inner, swept: map[geom.Point]int{}}
@@ -145,7 +137,6 @@ func TestNearTasksRunOnTheTargetsHome(t *testing.T) {
 	if dw.want, err = plan.EvaluateSequential(dw.q); err != nil {
 		t.Fatal(err)
 	}
-	clear(spies[0].swept)
 	homes := plan.place(survivors(world, nil))
 	home := map[geom.Point]int32{}
 	var wantLeaves [world]int
@@ -274,7 +265,7 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 		const world, n = 2, 800
 		sp := points.Generate(points.Cube, n, 1)
 		tp := points.Generate(points.Cube, n, 2)
-		dw := &distWorld{q: points.Charges(n, 3)}
+		dw := &distWorld{t: t, q: points.Charges(n, 3)}
 		k := kernel.NewLaplace(4)
 		for r := 0; r < world; r++ {
 			plan, err := NewPlan(sp, tp, k, Options{Threshold: n / 4})
@@ -317,10 +308,7 @@ func TestCrashRecoveryRerunsNearTasks(t *testing.T) {
 func TestFabricNearTaskContract(t *testing.T) {
 	dw := newDistWorld(t, 2, 600)
 	cls := distClusters(t, 2)
-	st, err := dw.plans[0].newState(false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := dw.plans[0].newState(false)
 	ex, _ := rankExecutor(t, st, cls[0])
 	st.reset(dw.q)
 

@@ -199,11 +199,7 @@ func (p *Plan) Tuning() *Tuning { return p.tuning }
 // Every executor calls this on entry and again before handing out results,
 // so a rebind that lands mid-run is reported too.
 func (p *Plan) checkKernel() error {
-	rb, ok := p.Kernel.(interface{ RootSide() float64 })
-	if !ok {
-		return nil
-	}
-	if got, want := rb.RootSide(), p.Source.Domain.Side; got != want {
+	if got, want := p.Kernel.RootSide(), p.Source.Domain.Side; got != want {
 		return fmt.Errorf("core: kernel %s is prepared for a root cube of side %g, this plan's is %g: "+
 			"a kernel value serves one root cube at a time — give each plan its own kernel", p.Kernel.Name(), got, want)
 	}
@@ -229,9 +225,9 @@ type state struct {
 }
 
 // newState allocates zeroed payloads for every node of the graph; withGrad
-// also allocates the gradient accumulators (requires a kernel.GradKernel).
-// Charges arrive per run, through reset.
-func (p *Plan) newState(withGrad bool) (*state, error) {
+// also allocates the gradient accumulators. Charges arrive per run, through
+// reset.
+func (p *Plan) newState(withGrad bool) *state {
 	g := p.Graph
 	k := p.Kernel
 	s := &state{
@@ -243,9 +239,6 @@ func (p *Plan) newState(withGrad bool) (*state, error) {
 		pot: make([]float64, len(p.Target.Pts)),
 	}
 	if withGrad {
-		if _, ok := k.(kernel.GradKernel); !ok {
-			return nil, fmt.Errorf("core: kernel %s does not support gradients", k.Name())
-		}
 		s.grad = make([]geom.Point, len(p.Target.Pts))
 	}
 	for i := range g.Nodes {
@@ -273,7 +266,7 @@ func (p *Plan) newState(withGrad bool) (*state, error) {
 			}
 		}
 	}
-	return s, nil
+	return s
 }
 
 // vectors returns the coefficient vectors of node id's payload, in wire
@@ -352,7 +345,7 @@ func (s *state) apply(from *dag.Node, e dag.Edge) {
 	case dag.OpL2T:
 		b := to.Box
 		if s.grad != nil {
-			k.(kernel.GradKernel).L2TGrad(from.Box.Center, s.exp[from.ID], s.tgtPts(b),
+			k.L2TGrad(from.Box.Center, s.exp[from.ID], s.tgtPts(b),
 				s.pot[b.Lo:b.Hi], s.grad[b.Lo:b.Hi])
 			return
 		}
@@ -360,7 +353,7 @@ func (s *state) apply(from *dag.Node, e dag.Edge) {
 	case dag.OpM2T:
 		b := to.Box
 		if s.grad != nil {
-			k.(kernel.GradKernel).M2TGrad(from.Box.Center, s.exp[from.ID], s.tgtPts(b),
+			k.M2TGrad(from.Box.Center, s.exp[from.ID], s.tgtPts(b),
 				s.pot[b.Lo:b.Hi], s.grad[b.Lo:b.Hi])
 			return
 		}
@@ -371,7 +364,7 @@ func (s *state) apply(from *dag.Node, e dag.Edge) {
 	case dag.OpS2T:
 		sb, tb := from.Box, to.Box
 		if s.grad != nil {
-			k.(kernel.GradKernel).S2TGrad(s.srcPts(sb), s.q[sb.Lo:sb.Hi], s.tgtPts(tb),
+			k.S2TGrad(s.srcPts(sb), s.q[sb.Lo:sb.Hi], s.tgtPts(tb),
 				s.pot[tb.Lo:tb.Hi], s.grad[tb.Lo:tb.Hi])
 			return
 		}
@@ -488,15 +481,11 @@ type Evaluation struct {
 func (p *Plan) NewEvaluation() (*Evaluation, error) { return p.newEvaluation(false) }
 
 func (p *Plan) newEvaluation(withGrad bool) (*Evaluation, error) {
-	st, err := p.newState(withGrad)
-	if err != nil {
-		return nil, err
-	}
 	order := p.Graph.TopoOrder()
 	if len(order) != len(p.Graph.Nodes) {
 		return nil, fmt.Errorf("core: graph is not a DAG")
 	}
-	return &Evaluation{plan: p, st: st, order: order}, nil
+	return &Evaluation{plan: p, st: p.newState(withGrad), order: order}, nil
 }
 
 // Run evaluates the DAG for one charge vector, reusing the context's

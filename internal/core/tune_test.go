@@ -35,19 +35,13 @@ func tunedPlanOn(t *testing.T, k kernel.Kernel, d points.Distribution, n int, me
 	return plan
 }
 
-// pricedKernel is a built-in kernel — batched, gradient and root-side
-// surfaces included — that charges a given price per near-field pair,
-// whichever pair loop the test machine binds (kernel.Price asks for
-// PairNanos): what the tuner decides for it is the same on every CPU.
+// pricedKernel is a built-in kernel that charges a given price per
+// near-field pair, whichever pair loop the test machine binds (kernel.Price
+// asks for PairNanos): what the tuner decides for it is the same on every
+// CPU.
 type pricedKernel struct {
-	builtinKernel
+	kernel.Kernel
 	pairNanos float64
-}
-
-type builtinKernel interface {
-	kernel.BatchKernel
-	kernel.GradKernel
-	RootSide() float64
 }
 
 func (k pricedKernel) PairNanos() float64 { return k.pairNanos }
@@ -55,7 +49,7 @@ func (k pricedKernel) PairNanos() float64 { return k.pairNanos }
 // portablePriced prices k's near field as the portable Laplace loop, the
 // price the N of the far-field fixtures were chosen at.
 func portablePriced(k kernel.Kernel) kernel.Kernel {
-	return pricedKernel{k.(builtinKernel), kernel.PairPrices(kernel.NewLaplace(0))[0]}
+	return pricedKernel{k, kernel.PairPrices(kernel.NewLaplace(0))[0]}
 }
 
 // The decision table of the issue: below the crossover the plan is the
@@ -65,7 +59,7 @@ func portablePriced(k kernel.Kernel) kernel.Kernel {
 func TestTunerDecisionTable(t *testing.T) {
 	for _, pair := range kernel.PairPrices(kernel.NewLaplace(0)) {
 		tuned := func(n int) *Plan {
-			k := pricedKernel{kernel.NewLaplace(kernel.OrderForDigits(3)).(builtinKernel), pair}
+			k := pricedKernel{kernel.NewLaplace(kernel.OrderForDigits(3)), pair}
 			return tunedPlanOn(t, k, points.Cube, n, dag.Advanced)
 		}
 		small := tuned(2000)
@@ -104,7 +98,7 @@ func TestTunerCheaperPairNeverFiner(t *testing.T) {
 	yukawa := kernel.NewYukawa(kernel.OrderForDigits(3), 4.0)
 	prev := 0
 	for _, pair := range kernel.PairPrices(yukawa) {
-		k := pricedKernel{kernel.NewYukawa(kernel.OrderForDigits(3), 4.0).(builtinKernel), pair}
+		k := pricedKernel{kernel.NewYukawa(kernel.OrderForDigits(3), 4.0), pair}
 		plan := tunedPlanOn(t, k, points.Sphere, 12000, dag.Basic)
 		t.Logf("%.1f ns/pair: threshold %d, level %d, %d leaves", pair, plan.Threshold(), plan.MaxLevel(), plan.Leaves())
 		if plan.Threshold() < prev {

@@ -35,10 +35,7 @@ func newWireFixture(tb testing.TB, gradient bool) *wireFixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	st, err := plan.newState(gradient)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	st := plan.newState(gradient)
 	fx := &wireFixture{st: st}
 	nodes := plan.Graph.Nodes
 	i := slices.IndexFunc(nodes, func(n dag.Node) bool { return n.Kind == dag.NodeM && len(n.Out) >= 2 })

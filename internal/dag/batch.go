@@ -73,11 +73,9 @@ type m2lGroupKey struct {
 // the batched M->L edges with Edge.Batched. It is deterministic (same graph,
 // same descriptors) and idempotent: every flag is recomputed from the
 // current geometry, so a graph whose box centers were perturbed after a
-// previous build reclassifies cleanly. A kernel that does not implement
-// kernel.BatchKernel gets the near lists and no M->L batch.
+// previous build reclassifies cleanly.
 func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 	b := &Batches{SrcBatches: make([][]int32, len(g.Nodes))}
-	bk, batchable := k.(kernel.BatchKernel)
 
 	// Far field: group list-2 edges by (side, offset); off-lattice edges
 	// keep flowing per-edge. Near field: one list per target, a map from the
@@ -100,11 +98,11 @@ func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 				b.P2P[pi].Edges = append(b.P2P[pi].Edges, BatchEdge{From: int32(i), Out: int32(j), To: e.To})
 				continue
 			}
-			if e.Op != OpM2L || !batchable {
+			if e.Op != OpM2L {
 				continue
 			}
 			from, to := n.Box, g.Nodes[e.To].Box
-			off, onLattice := bk.M2LOffsetOf(from.Center, to.Center, from.Side)
+			off, onLattice := k.M2LOffsetOf(from.Center, to.Center, from.Side)
 			if !onLattice {
 				continue
 			}

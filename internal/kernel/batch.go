@@ -25,12 +25,10 @@ func (o M2LOffset) Scale(side float64) geom.Point {
 	return geom.Point{X: float64(o.DX) * side, Y: float64(o.DY) * side, Z: float64(o.DZ) * side}
 }
 
-// BatchKernel is the batched execution surface of a kernel: lattice
+// BatchKernel is the batched execution part of Kernel: lattice
 // classification for plan-build-time batching, the blocked multi-RHS M->L
-// apply, and the tiled near-field P2P (p2p.go). Both built-in kernels
-// implement it.
+// apply, and the tiled near-field P2P (p2p.go).
 type BatchKernel interface {
-	Kernel
 	// M2LOffsetOf classifies a translation against the list-2 lattice;
 	// ok=false means the geometry is off-lattice and the edge must be
 	// applied individually.

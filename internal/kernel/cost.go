@@ -99,18 +99,13 @@ type OpNanos struct {
 	M2I, I2I, I2L float64 // per direction, on a wave of the priced level
 }
 
-// PairNanos reports the kernel's near-field cost per source–target pair.
+// PairNanos implements Kernel.
 func (b *base) PairNanos() float64 { return pairNanos[b.pair] }
 
 // Price returns what the kernel charges for its operators at a tree level.
 // The kernel must be prepared at least that deep (ISize reads the level's
-// plane-wave rule). A kernel that does not report its own pair cost is
-// charged the portable Laplace loop's.
+// plane-wave rule).
 func Price(k Kernel, level int) OpNanos {
-	pair := pairNanos[laplaceGo]
-	if pk, ok := k.(interface{ PairNanos() float64 }); ok {
-		pair = pk.PairNanos()
-	}
 	dense := denseGo
 	if _, ok := k.(*base); ok {
 		dense = bestDense // what DenseKernel reports: a wrapped kernel is priced portable
@@ -118,7 +113,7 @@ func Price(k Kernel, level int) OpNanos {
 	ml := float64(k.MLSize())
 	wave := float64(k.ISize(level))
 	return OpNanos{
-		S2T: pair,
+		S2T: k.PairNanos(),
 		S2M: nsPointTerm[dense] * ml,
 		S2L: nsPointTerm[dense] * ml,
 		M2T: nsPointTerm[dense] * ml,

@@ -37,8 +37,8 @@ const (
 	pwI2LKind = 4
 )
 
-// OperatorCache is implemented by the built-in kernels: it exposes the
-// dense-operator cache for persistence. Callers type-assert.
+// OperatorCache is the persistence part of Kernel: it exposes the
+// dense-operator cache.
 type OperatorCache interface {
 	// ExportOperators snapshots every cached dense operator, in a
 	// deterministic order (so spilled records are byte-stable).

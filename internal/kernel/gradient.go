@@ -14,10 +14,9 @@ import "repro/internal/geom"
 // expansion center; the differencing error is far below the expansion
 // truncation error at every tested order (see gradient_test.go).
 
-// GradKernel is implemented by kernels that can evaluate potential
-// gradients. Both built-in kernels implement it.
+// GradKernel is the gradient part of Kernel: the three target-facing
+// operators with the potential's gradient.
 type GradKernel interface {
-	Kernel
 	// S2TGrad accumulates the direct potential and its gradient at the
 	// targets.
 	S2TGrad(spts []geom.Point, q []float64, tpts []geom.Point, pot []float64, grad []geom.Point)

@@ -10,7 +10,7 @@ import (
 
 // directGrad computes the reference gradient by the analytic pointwise
 // derivative.
-func directGrad(k GradKernel, spts []geom.Point, q []float64, tpts []geom.Point) []geom.Point {
+func directGrad(k Kernel, spts []geom.Point, q []float64, tpts []geom.Point) []geom.Point {
 	out := make([]geom.Point, len(tpts))
 	b := k.(*base)
 	for ti, t := range tpts {
@@ -38,7 +38,7 @@ func gradRelErr(got, want []geom.Point) float64 {
 func TestS2TGradMatchesAnalytic(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, tc := range kernels(t) {
-		k := tc.k.(GradKernel)
+		k := tc.k
 		spts := randBox(rng, geom.Point{X: 0.3, Y: 0.3, Z: 0.3}, 0.2, 20)
 		q := randCharges(rng, 20)
 		tpts := randBox(rng, geom.Point{X: 0.7, Y: 0.6, Z: 0.4}, 0.2, 15)
@@ -63,7 +63,7 @@ func TestS2TGradMatchesAnalytic(t *testing.T) {
 func TestM2TGradAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, tc := range kernels(t) {
-		k := tc.k.(GradKernel)
+		k := tc.k
 		c := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
 		spts := randBox(rng, c, 0.25, 30)
 		q := randCharges(rng, 30)
@@ -83,7 +83,7 @@ func TestM2TGradAccuracy(t *testing.T) {
 func TestL2TGradAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for _, tc := range kernels(t) {
-		k := tc.k.(GradKernel)
+		k := tc.k
 		c := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
 		spts := randBox(rng, c.Add(geom.Point{X: -0.5, Y: 0.5, Z: 0.25}), 0.25, 30)
 		q := randCharges(rng, 30)

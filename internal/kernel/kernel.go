@@ -34,11 +34,20 @@ import (
 	"repro/internal/sphharm"
 )
 
-// Kernel is the interaction-specific part of the FMM. Implementations are
-// safe for concurrent use after Prepare has been called. All "out"
-// parameters are accumulated into (so a zeroed slice receives the plain
-// result); this matches the LCO reduction semantics of the runtime.
+// Kernel is the interaction-specific part of the FMM, and the whole
+// contract between a kernel and everything that drives it: the operators,
+// their batched, gradient and operator-cache forms, the root cube it is
+// bound to and its near-field price. The two built-in kernels implement it;
+// a test double wraps one by embedding it and overrides what it observes.
+// Implementations are safe for concurrent use after Prepare has been
+// called. All "out" parameters are accumulated into (so a zeroed slice
+// receives the plain result); this matches the LCO reduction semantics of
+// the runtime.
 type Kernel interface {
+	BatchKernel
+	GradKernel
+	OperatorCache
+
 	// Name identifies the kernel ("laplace" or "yukawa").
 	Name() string
 	// P returns the truncation order of the M and L expansions.
@@ -57,8 +66,8 @@ type Kernel interface {
 	// preparing again for the identical side is idempotent (built tables are
 	// kept, deeper levels appended) and safe while operators run; preparing
 	// for a different side rebinds the kernel and invalidates every plan
-	// built on the old binding (the built-in kernels report their binding
-	// through a RootSide method, which core.Plan checks on every run). A root
+	// built on the old binding (RootSide reports the binding, and core.Plan
+	// checks it on every run). A root
 	// cube whose plane-wave rule would exceed the size bound (a Yukawa λ·side
 	// too large: ErrRuleTooLarge) is refused before anything is allocated and
 	// leaves the kernel as it was.
@@ -100,6 +109,13 @@ type Kernel interface {
 	// I2L converts an accumulated incoming plane-wave expansion into a local
 	// expansion about the box center.
 	I2L(dir geom.Direction, level int, in, out []complex128)
+
+	// RootSide reports the root-cube side the kernel is prepared for (0
+	// before the first Prepare).
+	RootSide() float64
+	// PairNanos reports the near-field cost per source–target pair of the
+	// pair loop the kernel bound (cost.go).
+	PairNanos() float64
 }
 
 // radialFunc fills out[n], n = 0..p, with a radial basis function at r.

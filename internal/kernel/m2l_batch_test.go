@@ -30,7 +30,7 @@ func TestM2LBatchMatchesPerEdge(t *testing.T) {
 	const side = 0.125
 	from := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
 	for _, tc := range kernels(t) {
-		k := tc.k.(BatchKernel)
+		k := tc.k
 		batch := func(input func() []complex128) (ins, outs [][]complex128) {
 			for range batchOffs {
 				ins = append(ins, input())
@@ -65,7 +65,7 @@ func TestM2LBatchMatchesPerEdge(t *testing.T) {
 func TestM2LBatchAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, tc := range kernels(t) {
-		k := tc.k.(BatchKernel)
+		k := tc.k
 		sq := k.MLSize()
 		in := make([]complex128, sq)
 		for j := range in {
@@ -91,7 +91,7 @@ func TestM2LBatchAccumulates(t *testing.T) {
 func TestM2LBatchSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, tc := range kernels(t) {
-		k := tc.k.(BatchKernel)
+		k := tc.k
 		ins := make([][]complex128, len(batchOffs))
 		outs := make([][]complex128, len(batchOffs))
 		for i := range ins {

@@ -344,7 +344,7 @@ func TestYukawaLoopsDomainEdges(t *testing.T) {
 // remainder handling.
 func TestP2PTiledMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, k := range []BatchKernel{NewLaplace(2).(BatchKernel), NewYukawa(2, 4.0).(BatchKernel)} {
+	for _, k := range []Kernel{NewLaplace(2), NewYukawa(2, 4.0)} {
 		center := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
 		tpts := randBox(rng, center, 0.125, 150)
 		var chunks []P2PChunk

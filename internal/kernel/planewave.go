@@ -241,9 +241,8 @@ func (b *base) preparePW(rootSide float64, maxLevel int) error {
 	return nil
 }
 
-// RootSide reports the root-cube side the kernel is currently prepared for
-// (0 before the first Prepare). core.Plan compares it against its own
-// domain to detect a kernel that was rebound under it.
+// RootSide implements Kernel. core.Plan compares it against its own domain
+// to detect a kernel that was rebound under it.
 func (b *base) RootSide() float64 {
 	if t := b.pw.Load(); t != nil {
 		return t.rootSide

@@ -147,7 +147,7 @@ func TestRealnessTranslations(t *testing.T) {
 		for i := range offs {
 			ins[i], batched[i] = in, make([]complex128, len(in))
 		}
-		tc.k.(BatchKernel).M2LBatch(offs, side, 3, ins, batched)
+		tc.k.M2LBatch(offs, side, 3, ins, batched)
 		for i, off := range offs {
 			to := parent.Add(off.Scale(side))
 			want := packML(b.p, ref.translate(parent, to, b.aM2L*side, full, b.radOut, b.radReg))
@@ -229,7 +229,6 @@ func TestRealnessEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	for _, tc := range kernels(t) {
 		b := tc.k.(*base)
-		gk := tc.k.(GradKernel)
 		ref := newRefEngine(tc.k)
 		c := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
 		coeff := randPacked(rng, tc.k.MLSize())
@@ -241,8 +240,8 @@ func TestRealnessEvaluations(t *testing.T) {
 			eval func(geom.Point, []complex128, []geom.Point, []float64)
 			grad func(geom.Point, []complex128, []geom.Point, []float64, []geom.Point)
 		}{
-			{"M2T", randBox(rng, c.Add(geom.Point{X: 0.5, Y: 0.25, Z: -0.25}), 0.25, 30), b.radOut, tc.k.M2T, gk.M2TGrad},
-			{"L2T", randBox(rng, c, 0.25, 30), b.radReg, tc.k.L2T, gk.L2TGrad},
+			{"M2T", randBox(rng, c.Add(geom.Point{X: 0.5, Y: 0.25, Z: -0.25}), 0.25, 30), b.radOut, tc.k.M2T, tc.k.M2TGrad},
+			{"L2T", randBox(rng, c, 0.25, 30), b.radReg, tc.k.L2T, tc.k.L2TGrad},
 		} {
 			n := len(op.tpts)
 			want := make([]float64, n)

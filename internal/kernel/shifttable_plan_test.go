@@ -108,7 +108,7 @@ func TestShiftTableOnEveryPlanEdge(t *testing.T) {
 
 		k := spy.Kernel
 		rev := pc.kernel() // same root cube, slots touched in reverse order
-		rev.Prepare(k.(interface{ RootSide() float64 }).RootSide(), plan.Source.MaxLevel+plan.Target.MaxLevel+1)
+		rev.Prepare(k.RootSide(), plan.Source.MaxLevel+plan.Target.MaxLevel+1)
 		for i := len(spy.order) - 1; i >= 0; i-- {
 			c := spy.order[i]
 			n := rev.ISize(c.level)

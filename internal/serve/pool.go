@@ -275,7 +275,8 @@ func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charg
 }
 
 // Close tears the pool down: broadcast EXIT, reap the workers (SIGKILL
-// stragglers), close the cluster, join the supervisor.
+// stragglers), close the cluster, join the supervisor, the respawn loops and
+// every worker process's reaper. No goroutine of the pool outlives it.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
 		close(p.quit)
@@ -327,7 +328,9 @@ func (p *Pool) spawn(rs *rankState, rejoin bool) error {
 		return err
 	}
 	exited := make(chan struct{})
+	p.wg.Add(1)
 	go func() { // reap: no zombies, and the supervisor can watch for early exits
+		defer p.wg.Done()
 		cmd.Wait()
 		close(exited)
 	}()

@@ -366,17 +366,14 @@ func readSkeleton(r *amt.Cursor) tree.Skeleton {
 // recordFor snapshots a built, warmed plan into its spilled form.
 func recordFor(req *Request, plan *core.Plan) *PlanRecord {
 	spec := specOf(req, plan)
-	rec := &PlanRecord{
+	return &PlanRecord{
 		Key:       req.planKey(),
 		Spec:      spec.Request,
 		Threshold: spec.ResolvedThreshold,
 		Source:    plan.Source.Skeleton(),
 		Target:    plan.Target.Skeleton(),
+		Ops:       plan.Kernel.ExportOperators(),
 	}
-	if oc, ok := plan.Kernel.(kernel.OperatorCache); ok {
-		rec.Ops = oc.ExportOperators()
-	}
-	return rec
 }
 
 // rebuild revives the record into a built plan: points regenerate from the
@@ -401,9 +398,7 @@ func (rec *PlanRecord) rebuild() (*core.Plan, error) {
 		return nil, fmt.Errorf("serve: store record target tree: %w", err)
 	}
 	k := spec.newKernel()
-	if oc, ok := k.(kernel.OperatorCache); ok {
-		oc.ImportOperators(rec.Ops)
-	}
+	k.ImportOperators(rec.Ops)
 	plan, err := core.NewPlanFromTrees(src, tgt, k, core.Options{Threshold: thr})
 	if err != nil {
 		return nil, fmt.Errorf("serve: store record plan: %w", err)

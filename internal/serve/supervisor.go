@@ -235,7 +235,10 @@ func (p *Pool) respawnLoop(rs *rankState) {
 		wait := time.NewTimer(p.cfg.JoinTimeout + 5*time.Second)
 		select {
 		case <-p.quit:
+			// Close may have reaped the rank before this incarnation was
+			// set: it must not outlive the pool.
 			wait.Stop()
+			rs.kill()
 			return
 		case <-admitted:
 			wait.Stop()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -169,6 +170,72 @@ func TestSupervisorRestartBudgetAbandonsCrashLoop(t *testing.T) {
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Evaluate after abandon: %v, want ErrDegraded", err)
 	}
+}
+
+// Pool.Close joins every goroutine the pool started — the supervisor, the
+// respawn loops, the reapers of its worker processes — so none of them
+// touches the pool once Close has returned. The test holds the worker
+// command, so the respawn loop of a killed rank waits on its way to the
+// fork, and closes the pool under it.
+func TestPoolCloseJoinsItsGoroutines(t *testing.T) {
+	p := fastPool(t, 1, nil)
+	p.SetWorkerCommand([]string{"/bin/sh", "-c", "exit 1"})
+	p.cmdMu.Lock()
+	held := true
+	release := func() {
+		if held {
+			held = false
+			p.cmdMu.Unlock()
+		}
+	}
+	defer release()
+	p.ranks[1].kill()
+	for deadline := time.Now().Add(30 * time.Second); poolGoroutine("serve.(*Pool).workerCommand(") == ""; {
+		if time.Now().After(deadline) {
+			t.Fatal("no respawn loop reached the worker command within 30 s of the kill")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed: // Close left the respawn loop behind, still waiting
+	case <-time.After(time.Second):
+		release()
+		<-closed
+	}
+	// The goroutine whose WaitGroup.Done let Close return may still be
+	// returning; one still there 100 ms later outlived Close.
+	g := poolGoroutine("serve.(*Pool)", "serve.(*rankState)")
+	for deadline := time.Now().Add(100 * time.Millisecond); g != "" && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		g = poolGoroutine("serve.(*Pool)", "serve.(*rankState)")
+	}
+	if g != "" {
+		t.Errorf("a goroutine of the pool outlived Close:\n%s", g)
+	}
+}
+
+// poolGoroutine returns the stack of a goroutine with a frame in any of the
+// given functions (or created by one), or "" when there is none.
+func poolGoroutine(fns ...string) string {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		for _, fn := range fns {
+			if strings.Contains(g, fn) {
+				return g
+			}
+		}
+	}
+	return ""
 }
 
 // A request whose context ends before its job starts is no fabric failure:
