@@ -138,8 +138,7 @@ func main() {
 	printLadder(plan)
 
 	if *real && *netMode != "" {
-		runDistCoordinator(plan, sc, *netMode, *locs, fault, *killRank, wireArgs)
-		return
+		os.Exit(runDistCoordinator(plan, sc, *netMode, *locs, fault, *killRank, wireArgs))
 	}
 	if *real {
 		runReal(plan, sc, *traceOut)
@@ -355,11 +354,16 @@ func distWorkers(locs int) int {
 }
 
 // coordinatorAddr picks rank 0's well-known address before the workers are
-// forked: a tmpdir socket for unix, a just-probed free loopback port for tcp.
+// forked: a socket in a fresh per-run temp dir for unix (every rank binds
+// its own beside it), a just-probed free loopback port for tcp.
 func coordinatorAddr(network string) string {
 	switch network {
 	case "unix":
-		return filepath.Join(os.TempDir(), fmt.Sprintf("dashmm-bench-%d.sock", os.Getpid()))
+		dir, err := os.MkdirTemp("", "dashmm-bench")
+		if err != nil {
+			log.Fatal(err)
+		}
+		return filepath.Join(dir, "coord.sock")
 	case "tcp":
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -378,7 +382,9 @@ func coordinatorAddr(network string) string {
 // mesh — one job per attempt, re-run on the survivors while a rank dies
 // under it — verifies the gathered potentials against the sequential
 // evaluation at 1e-12, and reports the transport counters and the attempts.
-func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, fault *amt.FaultProfile, killRank int, wireArgs []string) {
+// It returns the process's exit status, having removed the unix sockets'
+// per-run dir (a killed rank's socket included).
+func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, fault *amt.FaultProfile, killRank int, wireArgs []string) int {
 	if locs < 2 {
 		log.Fatal("-net requires -locs >= 2")
 	}
@@ -387,20 +393,22 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 	}
 	addr := coordinatorAddr(network)
 	if network == "unix" {
-		defer os.Remove(addr)
+		defer os.RemoveAll(filepath.Dir(addr))
 	}
 	cl, err := amt.NewCluster(amt.ClusterConfig{
 		Rank: 0, World: locs, Network: network, Addr: addr,
 		Stamp: sc.stamp(locs), Heartbeat: distHeartbeat(), Fault: fault,
 	})
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	defer cl.Close()
 
 	self, err := os.Executable()
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	kids := make([]*exec.Cmd, 0, locs-1)
 	for r := 1; r < locs; r++ {
@@ -412,7 +420,8 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			log.Fatalf("fork rank %d: %v", r, err)
+			log.Printf("fork rank %d: %v", r, err)
+			return 1
 		}
 		kids = append(kids, cmd)
 	}
@@ -420,7 +429,8 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 	// The join barrier: a job frame reaches only the workers that have
 	// joined.
 	if err := cl.Start(); err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	q := sc.charges()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -436,7 +446,8 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 	for {
 		attempts++
 		if job, err = cl.StartJob(ctx, nil); err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		got, rep, err = core.DistRun(ctx, plan, cl, q, core.ExecOptions{Workers: distWorkers(locs), Job: job})
 		job.End()
@@ -446,7 +457,8 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 			continue
 		}
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		break
 	}
@@ -466,7 +478,8 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 			continue
 		}
 		if werr != nil {
-			log.Fatalf("rank %d exited: %v", rank, werr)
+			log.Printf("rank %d exited: %v", rank, werr)
+			return 1
 		}
 	}
 
@@ -480,7 +493,8 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 
 	want, err := plan.EvaluateSequential(q)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	var den, worst float64
 	for i := range want {
@@ -498,9 +512,10 @@ func runDistCoordinator(plan *core.Plan, sc scenario, network string, locs int, 
 	fmt.Printf("# answer: attempts=%d elapsed=%v\n", attempts, answered)
 	if worst > 1e-12 {
 		fmt.Printf("# dist: FAIL max relative error %.3e (gate 1e-12)\n", worst)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("# dist: PASS max relative error %.3e (gate 1e-12)\n", worst)
+	return 0
 }
 
 // runDistWorker is one forked worker rank: join the cluster and evaluate each

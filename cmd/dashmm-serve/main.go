@@ -16,10 +16,13 @@
 //
 // With -workers N the daemon forks N worker-rank processes (this same
 // binary, re-executed) into a supervised standing pool: requests of at
-// least -dist-threshold points run distributed across the ranks, dead
-// workers are respawned and re-admitted with a fresh wire generation, and
-// when the fabric cannot be healed the daemon degrades to in-process
-// evaluation (responses marked "degraded") instead of failing.
+// least -dist-threshold points run distributed across the ranks. A worker
+// whose process exits is forked again and re-admitted with a fresh wire
+// generation; a job that loses a rank is re-run on the survivors; a rank
+// that keeps crashing is abandoned and jobs place over the rest. Only when
+// no worker is live, or the breaker is open after repeated failures, does
+// the daemon degrade to in-process evaluation (responses marked "degraded")
+// instead of failing.
 //
 // Example:
 //

@@ -27,9 +27,10 @@ import (
 // membership authority and failure detector, declaring a silent rank dead
 // and broadcasting the verdict to every survivor. A worker that loses its
 // control connection treats the coordinator as dead.
-// A standing cluster (the serve worker pool) re-admits a respawned worker's
-// REJOIN between runs, at a fresh wire generation, with a membership frame
-// to every live rank, the joiner included.
+// After START the same handshake is a re-admission: a standing cluster (the
+// serve worker pool) admits a join from a rank with a death verdict between
+// runs, at a fresh wire generation, with a membership frame to every live
+// rank, the joiner included.
 //
 // The cluster owns the job (Job): rank 0 allocates one at a time (StartJob)
 // and every worker's control loop rebuilds the same value from the job frame
@@ -71,14 +72,13 @@ const (
 	ctlDead     uint16 = 0xff06 // rank0 → workers: death verdict (frame dst = the dead rank)
 	ctlShutdown uint16 = 0xff07 // rank0 → workers: run complete, drain (frame epoch = the run's wire generation)
 	ctlAttach   uint16 = 0xff08 // data-plane connection preamble (payload: hello)
-	ctlRejoin   uint16 = 0xff09 // worker → rank0: re-admission request after a respawn (payload: hello)
 	ctlGen      uint16 = 0xff0a // rank0 → workers: membership (payload: membership) — START is the first, each re-admission sends the next
 	ctlJob      uint16 = 0xff0b // rank0 → workers: application job broadcast (frame epoch = wire generation)
 	ctlExit     uint16 = 0xff0c // rank0 → workers: pool teardown, exit the process
 )
 
-// retryPrefix marks a REJECT reason as transient: the joiner should back
-// off and retry the handshake instead of giving up.
+// retryPrefix marks a REJECT reason as transient: the joiner backs off and
+// retries the handshake, for as long as its JoinTimeout lasts.
 const retryPrefix = "retry: "
 
 // FailureDetectorConfig tunes the heartbeat failure detector: every worker
@@ -113,10 +113,6 @@ type ClusterConfig struct {
 	// JoinTimeout bounds the bootstrap: workers dialing rank 0 and rank 0
 	// awaiting the full roster (default 30s).
 	JoinTimeout time.Duration
-	// Rejoin makes a worker re-enter an already-started cluster (a
-	// respawned rank): the handshake is a REJOIN, admitted only between
-	// runs and only for a rank with a standing death verdict.
-	Rejoin bool
 	// Delivery tunes the delivery engine (zero value = a socket mesh's
 	// pacing, see DeliveryConfig).
 	Delivery DeliveryConfig
@@ -388,7 +384,7 @@ type Cluster struct {
 	mu        sync.Mutex
 	cond      *sync.Cond                 // on mu: the log grew, the roster grew, started, running or closed flipped
 	started   bool                       // guarded by mu: first membership sent/adopted
-	running   bool                       // guarded by mu; rank0: a job is in flight — the next one waits, rejoins are deferred
+	running   bool                       // guarded by mu; rank0: a job is in flight — the next one waits, re-admissions are deferred
 	closed    bool                       // guarded by mu: Close ran
 	links     map[int]*ctlLink           // guarded by mu; rank0: control link per joined worker
 	peerAddrs []string                   // guarded by mu: data-plane listen address per rank
@@ -576,12 +572,8 @@ func (c *Cluster) join() error {
 	// N respawned workers racing back to a recovering coordinator must not
 	// stampede it in lockstep: the seed separates ranks and incarnations.
 	bo := newBackoff(int64(c.cfg.Rank)*1_000_003 + int64(os.Getpid())*7919 + 1)
-	kind := ctlHello
-	if c.cfg.Rejoin {
-		kind = ctlRejoin
-	}
 	h := hello{Rank: c.cfg.Rank, World: c.cfg.World, Stamp: c.cfg.Stamp, Addr: c.ln.Addr().String()}
-	request := AppendFrame(nil, &Frame{Kind: kind, Src: c.cfg.Rank, Payload: appendHello(nil, &h)})
+	request := AppendFrame(nil, &Frame{Kind: ctlHello, Src: c.cfg.Rank, Payload: appendHello(nil, &h)})
 	lastErr := errors.New("join timeout")
 	for {
 		if time.Now().After(deadline) {
@@ -609,9 +601,9 @@ func (c *Cluster) join() error {
 		case ctlReject:
 			conn.Close()
 			reason := string(resp.Payload)
-			// A transient rejection (a job is mid-flight) is retried in
-			// place instead of burning a whole process respawn.
-			if c.cfg.Rejoin && strings.HasPrefix(reason, retryPrefix) {
+			// A transient rejection (no verdict yet, a job mid-flight) is
+			// retried in place instead of burning a whole process respawn.
+			if strings.HasPrefix(reason, retryPrefix) {
 				lastErr = fmt.Errorf("rejected: %s", reason)
 				bo.sleep()
 				continue
@@ -676,7 +668,7 @@ func (c *Cluster) lost() error {
 // broadcasts the first membership with the peer address list; workers wait
 // for it — or for the loss of the coordinator, which is then the error.
 // After Start returns successfully the data plane is usable. On a cluster
-// that already started (a standing pool running many jobs, a rejoined
+// that already started (a standing pool running many jobs, a re-admitted
 // worker) Start returns at once.
 //
 // monitorLoop exits on c.quit; Close closes quit and c.wg.Wait joins it.
@@ -767,7 +759,7 @@ func (c *Cluster) serveConn(conn net.Conn) {
 	switch {
 	case err != nil:
 		c.tp.handshakeFails.Add(1)
-	case first.Kind == ctlHello || first.Kind == ctlRejoin:
+	case first.Kind == ctlHello:
 		c.serveJoin(conn, br, first)
 	case first.Kind == ctlAttach:
 		c.serveData(conn, br, first)
@@ -776,7 +768,7 @@ func (c *Cluster) serveConn(conn net.Conn) {
 	}
 }
 
-// serveJoin handles one worker's join (or rejoin) request on rank 0:
+// serveJoin handles one worker's join request on rank 0:
 // validate the preamble, admit the rank, then read its heartbeats for as
 // long as the link lives.
 //
@@ -799,7 +791,7 @@ func (c *Cluster) serveJoin(conn net.Conn, br *bufio.Reader, first Frame) {
 		reason = fmt.Sprintf("rank %d out of range [1,%d)", h.Rank, c.cfg.World)
 	default:
 		l = &ctlLink{conn: conn, q: make(chan []byte, ctlQueueMax), shut: make(chan struct{})}
-		reason = c.admit(h.Rank, h.Addr, l, first.Kind == ctlRejoin)
+		reason = c.admit(h.Rank, h.Addr, l)
 	}
 	if reason != "" {
 		c.tp.handshakeFails.Add(1)
@@ -827,14 +819,12 @@ func (c *Cluster) serveJoin(conn net.Conn, br *bufio.Reader, first Frame) {
 
 // admit installs a validated joiner's link: the whole effect of a join on
 // the membership, in one critical section. It returns the reason when the
-// join is refused. Before START the roster simply fills in (a respawn
-// racing the initial bootstrap lands here too and is indistinguishable from
-// a first join); after it only a REJOIN of a rank with a standing verdict
-// is admitted, between jobs: the rank gets a fresh wire generation — frames
-// of the corpse's incarnation carry an older one and are fenced — and the
-// new membership goes to every live rank, the joiner included, before any
-// job placed against it can.
-func (c *Cluster) admit(rank int, addr string, l *ctlLink, rejoin bool) string {
+// join is refused. Before START the roster simply fills in; after it a join
+// is the re-admission of a rank with a standing verdict, between jobs: the
+// rank gets a fresh wire generation — frames of the corpse's incarnation
+// carry an older one and are fenced — and the new membership goes to every
+// live rank, the joiner included, before any job placed against it can.
+func (c *Cluster) admit(rank int, addr string, l *ctlLink) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch {
@@ -842,10 +832,6 @@ func (c *Cluster) admit(rank int, addr string, l *ctlLink, rejoin bool) string {
 		if c.links[rank] != nil {
 			return fmt.Sprintf("rank %d already joined", rank)
 		}
-	case !rejoin:
-		// A plain join after START — including a crashed rank's restart
-		// that predates re-admission — would run against a stale peer list.
-		return "run already started: late joiners are not admitted"
 	case !c.dead[rank].Load():
 		// Either a duplicate process, or the old incarnation's silence has
 		// not yet crossed the verdict threshold. The latter resolves itself.

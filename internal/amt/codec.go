@@ -170,7 +170,7 @@ func readPayload(br *bufio.Reader, n int) ([]byte, error) {
 // a count off the wire, and only the canonical encoding is accepted (no
 // trailing bytes), so accept ⇒ re-encode is byte-identical.
 
-// hello is the preamble of a control join (HELLO, REJOIN) and of a
+// hello is the preamble of a control join (HELLO) and of a
 // data-plane connection (ATTACH, which leaves Addr empty).
 type hello struct {
 	Rank, World int

@@ -163,7 +163,6 @@ func rejoin(t *testing.T, dir string, rank, world int, mut func(*ClusterConfig))
 	t.Helper()
 	cfg := testClusterConfig(dir, rank, world)
 	mut(&cfg)
-	cfg.Rejoin = true
 	nc, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatalf("rejoin: %v", err)

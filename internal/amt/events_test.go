@@ -206,7 +206,6 @@ func eventOrderProperty(t *testing.T, seed int64) {
 			cls[3].Close()
 			cfg := testClusterConfig(dir, 3, world)
 			lazyDetector(&cfg)
-			cfg.Rejoin = true
 			nc, err := NewCluster(cfg)
 			if err != nil {
 				t.Errorf("rejoin %d: %v", i, err)

@@ -357,7 +357,6 @@ func TestStartJobWaitsForThePreviousEnd(t *testing.T) {
 	go func() {
 		cfg := testClusterConfig(dir, 1, 2)
 		lazyDetector(&cfg)
-		cfg.Rejoin = true
 		nc, err := NewCluster(cfg)
 		if err == nil {
 			cls[1] = nc // Cleanup closes it

@@ -23,10 +23,9 @@ func TestRejoinReadmission(t *testing.T) {
 	}
 
 	// A fresh incarnation rejoins. NewCluster's handshake waits out the
-	// transient rejects (verdict racing the REJOIN) internally.
+	// transient rejects (verdict racing the join) internally.
 	cfg := testClusterConfig(dir, 1, 3)
 	fast(&cfg)
-	cfg.Rejoin = true
 	nc, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatalf("rejoin: %v", err)
@@ -79,7 +78,6 @@ func TestRejoinWithoutVerdictRejected(t *testing.T) {
 	dir := t.TempDir()
 	startTestCluster(t, dir, 2, nil)
 	cfg := testClusterConfig(dir, 1, 2)
-	cfg.Rejoin = true
 	cfg.JoinTimeout = 500 * time.Millisecond
 	if nc, err := NewCluster(cfg); err == nil {
 		nc.Close()

@@ -11,15 +11,14 @@ import (
 // fallback (marked Degraded) instead of burning its deadline against a
 // broken fabric. After a cooldown the breaker goes half-open: one probe
 // request is let through, and its outcome closes or re-opens the breaker.
-// ForceOpen pins it open — the supervisor pulls that lever when a rank's
-// restart budget is exhausted, because no amount of probing brings an
-// abandoned rank back; only Reset (a successful re-admission) unpins it.
+// An abandoned rank does not touch it: it is one more dead rank, and jobs
+// place over the survivors.
 type breaker struct {
 	cooldown time.Duration // open → half-open delay
 
 	mu       sync.Mutex
 	failures int       // guarded by mu: consecutive failures
-	state    string    // guarded by mu: closed | open | half-open | forced-open
+	state    string    // guarded by mu: closed | open | half-open
 	openedAt time.Time // guarded by mu
 	probing  bool      // guarded by mu: a half-open probe is in flight
 }
@@ -38,8 +37,6 @@ func (b *breaker) allow() bool {
 	switch b.state {
 	case "closed":
 		return true
-	case "forced-open":
-		return false
 	case "open":
 		if time.Since(b.openedAt) < b.cooldown {
 			return false
@@ -62,9 +59,6 @@ func (b *breaker) allow() bool {
 func (b *breaker) success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == "forced-open" {
-		return
-	}
 	b.failures = 0
 	b.probing = false
 	b.state = "closed"
@@ -74,9 +68,6 @@ func (b *breaker) success() {
 func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == "forced-open" {
-		return
-	}
 	b.failures++
 	b.probing = false
 	if b.state == "half-open" || b.failures >= breakerThreshold {
@@ -90,25 +81,6 @@ func (b *breaker) failure() {
 func (b *breaker) skip() {
 	b.mu.Lock()
 	b.probing = false
-	b.mu.Unlock()
-}
-
-// forceOpen pins the breaker open until Reset.
-func (b *breaker) forceOpen() {
-	b.mu.Lock()
-	b.state = "forced-open"
-	b.probing = false
-	b.mu.Unlock()
-}
-
-// reset returns a forced-open breaker to service (a rank was successfully
-// re-admitted after an abandon). No-op otherwise.
-func (b *breaker) reset() {
-	b.mu.Lock()
-	if b.state == "forced-open" {
-		b.state = "closed"
-		b.failures = 0
-	}
 	b.mu.Unlock()
 }
 

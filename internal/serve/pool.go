@@ -20,14 +20,15 @@ import (
 
 // Pool is a supervised standing worker-rank pool: the daemon (rank 0 of an
 // amt.Cluster) plus N self-exec worker processes, held across requests so a
-// distributed evaluation pays no bootstrap cost. The supervisor respawns
-// dead ranks (full-jitter exponential backoff, a sliding-window restart
-// budget) and the cluster re-admits them with a fresh wire generation; when
-// a rank's budget is exhausted the breaker is forced open and the server
-// degrades distributed-eligible requests to the in-process path.
+// distributed evaluation pays no bootstrap cost. A worker process's exit
+// is the one respawn trigger (full-jitter exponential backoff, a
+// sliding-window restart budget), and the cluster re-admits the new
+// incarnation with a fresh wire generation; a rank whose budget is exhausted
+// stays dead, and jobs place over the survivors.
 type Pool struct {
 	cfg     PoolConfig
 	stamp   string // handshake stamp, fixed at construction
+	sockDir string // the temp dir NewPool made for rank 0's socket ("" for a given Addr or tcp); Close removes it
 	cl      *amt.Cluster
 	events  *amt.Subscription // the supervisor's cursor: verdicts and re-admissions, from the cluster's first event
 	breaker *breaker
@@ -61,12 +62,12 @@ type PoolConfig struct {
 	RankThreads int
 	// Heartbeat tunes the death detector (zero: amt's defaults).
 	Heartbeat amt.FailureDetectorConfig
-	// JoinTimeout bounds the bootstrap barrier and each respawn's
-	// re-admission wait (default 30s).
+	// JoinTimeout bounds the bootstrap barrier and each incarnation's join;
+	// one not admitted within it plus 5s is killed (default 30s).
 	JoinTimeout time.Duration
 	// RestartBudget is the strike limit per rank: more than this many
-	// strikes (death verdicts + failed respawn attempts) inside
-	// restartWindow abandons the rank (default 5).
+	// strikes (process exits) inside restartWindow abandons the rank
+	// (default 5).
 	RestartBudget int
 	// BackoffBase/BackoffMax bound the respawn backoff (defaults 50ms/2s).
 	BackoffBase, BackoffMax time.Duration
@@ -118,10 +119,11 @@ var errNotStarted = errors.New("serve: request ended before its distributed job 
 
 // NewPool boots the cluster: bind rank 0, fork the workers (this executable,
 // which MaybeWorker diverts), run the join barrier, start the supervisor. On
-// any bootstrap error the forked workers are killed before returning.
+// any bootstrap error the forked workers are killed and reaped, and the
+// socket directory NewPool made is removed, before returning.
 //
-// The supervisor goroutine exits when Pool.Close closes its subscription;
-// p.wg.Wait joins it.
+// The event reader exits when Pool.Close closes its subscription, each
+// rank's loop on p.quit; p.wg.Wait joins them.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -131,8 +133,9 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: cannot locate own executable for worker re-exec: %w", err)
 	}
+	sockDir := ""
 	if cfg.Addr == "" {
-		cfg.Addr, err = poolAddr(cfg.Network)
+		cfg.Addr, sockDir, err = poolAddr(cfg.Network)
 		if err != nil {
 			return nil, err
 		}
@@ -149,10 +152,13 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		JoinTimeout: cfg.JoinTimeout,
 	})
 	if err != nil {
+		os.RemoveAll(sockDir)
 		return nil, err
 	}
 	p := &Pool{
 		cfg:     cfg,
+		stamp:   stamp,
+		sockDir: sockDir,
 		cl:      cl,
 		events:  cl.Subscribe(),
 		breaker: newBreaker(cfg.BreakerCooldown),
@@ -163,50 +169,59 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	for r := 1; r < world; r++ {
 		p.ranks[r] = &rankState{rank: r, state: "starting"}
 	}
-	p.stamp = stamp
 	for r := 1; r < world; r++ {
-		if err := p.spawn(p.ranks[r], false); err != nil {
-			p.killAll()
-			cl.Close()
-			return nil, fmt.Errorf("serve: spawn worker rank %d: %w", r, err)
+		if err = p.spawn(p.ranks[r]); err != nil {
+			err = fmt.Errorf("serve: spawn worker rank %d: %w", r, err)
+			break
 		}
 	}
-	if err := cl.Start(); err != nil {
-		p.killAll()
-		cl.Close()
-		return nil, fmt.Errorf("serve: pool bootstrap: %w", err)
+	if err == nil {
+		if err = cl.Start(); err != nil {
+			err = fmt.Errorf("serve: pool bootstrap: %w", err)
+		}
 	}
+	if err != nil {
+		for _, rs := range p.ranks[1:] {
+			rs.kill()
+		}
+		cl.Close()
+		p.wg.Wait() // the reapers of the killed workers
+		os.RemoveAll(sockDir)
+		return nil, err
+	}
+	p.wg.Add(world)
 	for r := 1; r < world; r++ {
 		p.ranks[r].setState("up")
+		go p.superviseRank(p.ranks[r])
 	}
-	p.wg.Add(1)
 	go p.supervise()
 	return p, nil
 }
 
-// poolAddr picks rank 0's default address.
-func poolAddr(network string) (string, error) {
+// poolAddr picks rank 0's default address, and for unix the fresh temp dir
+// that holds it and the workers' sockets.
+func poolAddr(network string) (addr, dir string, err error) {
 	if network == "unix" {
 		dir, err := os.MkdirTemp("", "dashmm-serve-pool")
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return filepath.Join(dir, "coord.sock"), nil
+		return filepath.Join(dir, "coord.sock"), dir, nil
 	}
 	// TCP: probe a free localhost port. The tiny close-to-bind window is
 	// the same compromise cmd/dashmm-bench makes.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
-	addr := ln.Addr().String()
+	addr = ln.Addr().String()
 	ln.Close()
-	return addr, nil
+	return addr, "", nil
 }
 
 // Evaluate runs one distributed evaluation over the pool: broadcast the
-// job, run rank 0's side of DistRun against the cached plan, retry once on
-// the surviving ranks if a worker died mid-run, and feed the breaker.
+// job, run rank 0's side of DistRun against the cached plan, re-run it on
+// the survivors while a rank is lost under it, and feed the breaker.
 // Returns ErrDegraded (possibly wrapped) when the caller should fall back
 // to in-process evaluation. A request whose context ends before its job
 // starts gets an error that is not ErrDegraded, and leaves the breaker and
@@ -230,11 +245,12 @@ func (p *Pool) Evaluate(ctx context.Context, req *Request, entry *planEntry, cha
 		p.breaker.skip()
 		return nil, core.ExecReport{}, err
 	}
-	if err != nil && ctx.Err() == nil && p.cl.LiveWorkers() > 0 {
-		// A worker died mid-run (or the run otherwise broke) and time
-		// remains: one retry on whatever ranks survive. The fresh job
-		// carries the updated dead-rank base, so the retry places nothing
-		// on the corpse.
+	// A rank lost mid-run fails the job on every rank. While time remains
+	// and a worker is live, the next job, whose dead-rank base places
+	// nothing on the corpse, re-runs it: at most one re-run per worker, the
+	// rule of dashmm-bench -net. Any other failure is not re-run.
+	var lost *core.RankLostError
+	for re := 0; re < p.cfg.Workers && errors.As(err, &lost) && ctx.Err() == nil && p.cl.LiveWorkers() > 0; re++ {
 		p.retries.Add(1)
 		pots, rep, err = p.runJob(ctx, req, entry, charges)
 	}
@@ -275,8 +291,9 @@ func (p *Pool) runJob(ctx context.Context, req *Request, entry *planEntry, charg
 }
 
 // Close tears the pool down: broadcast EXIT, reap the workers (SIGKILL
-// stragglers), close the cluster, join the supervisor, the respawn loops and
-// every worker process's reaper. No goroutine of the pool outlives it.
+// stragglers), close the cluster, join the event reader, the rank loops and
+// every worker process's reaper, and remove the socket directory NewPool
+// made. No goroutine of the pool outlives it.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
 		close(p.quit)
@@ -288,6 +305,7 @@ func (p *Pool) Close() {
 		}
 		p.cl.Close()
 		p.wg.Wait()
+		os.RemoveAll(p.sockDir)
 	})
 }
 
@@ -305,9 +323,13 @@ func (p *Pool) workerCommand() []string {
 	return p.cmd
 }
 
-// spawn forks one worker process for a rank. Caller transitions the rank
-// state.
-func (p *Pool) spawn(rs *rankState, rejoin bool) error {
+// errPoolClosed refuses a fork once Close has begun.
+var errPoolClosed = errors.New("serve: pool closed")
+
+// spawn forks the rank's next worker process — the first incarnation and
+// every respawn alike — and starts its reaper. It refuses once the pool is
+// closing, so no incarnation escapes Close's reap.
+func (p *Pool) spawn(rs *rankState) error {
 	argv := p.workerCommand()
 	env := WorkerEnv{
 		Rank:        rs.rank,
@@ -316,7 +338,6 @@ func (p *Pool) spawn(rs *rankState, rejoin bool) error {
 		Addr:        p.cfg.Addr,
 		Stamp:       p.stamp,
 		Threads:     p.cfg.RankThreads,
-		Rejoin:      rejoin,
 		Heartbeat:   p.cfg.Heartbeat,
 		JoinTimeout: p.cfg.JoinTimeout,
 	}
@@ -324,25 +345,25 @@ func (p *Pool) spawn(rs *rankState, rejoin bool) error {
 	cmd.Env = append(os.Environ(), env.environ())
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	select {
+	case <-p.quit:
+		return errPoolClosed
+	default:
+	}
 	if err := cmd.Start(); err != nil {
 		return err
 	}
 	exited := make(chan struct{})
 	p.wg.Add(1)
-	go func() { // reap: no zombies, and the supervisor can watch for early exits
+	go func() { // reap: no zombies, and the rank's loop waits on the exit
 		defer p.wg.Done()
 		cmd.Wait()
 		close(exited)
 	}()
-	rs.setProc(cmd.Process, exited)
+	rs.proc, rs.exited = cmd.Process, exited
 	return nil
-}
-
-// killAll SIGKILLs every tracked worker process (bootstrap failure path).
-func (p *Pool) killAll() {
-	for r := 1; r < len(p.ranks); r++ {
-		p.ranks[r].kill()
-	}
 }
 
 // PoolSnapshot is the /metrics rendering of the pool.

@@ -22,8 +22,9 @@ import (
 // The design is crash-only: any worker-side failure (malformed job, plan
 // build error, a run failed by anything but another rank's death, which rank
 // 0 answers with a re-run) makes RunWorker return an error and the process
-// exit; the supervisor on rank 0 observes the death verdict and respawns a
-// fresh incarnation that REJOINs. No in-place repair, no half-alive states.
+// exit; the supervisor on rank 0 sees the exit and forks a fresh
+// incarnation, which joins like the first one did. No in-place repair, no
+// half-alive states.
 
 // envWorker is the one environment variable of the worker re-exec handshake:
 // it carries the encoded WorkerEnv, and its presence makes a process a worker.
@@ -37,7 +38,6 @@ type WorkerEnv struct {
 	Addr        string
 	Stamp       string
 	Threads     int
-	Rejoin      bool
 	Heartbeat   amt.FailureDetectorConfig // durations travel as integer nanoseconds
 	JoinTimeout time.Duration
 }
@@ -84,7 +84,6 @@ func RunWorker(env WorkerEnv) error {
 		Stamp:       env.Stamp,
 		Heartbeat:   env.Heartbeat,
 		JoinTimeout: env.JoinTimeout,
-		Rejoin:      env.Rejoin,
 	})
 	if err != nil {
 		return err

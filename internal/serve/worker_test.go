@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,12 +22,27 @@ import (
 
 // TestMain diverts worker re-execs: the pool forks its own executable, here
 // this test binary, so a forked rank must run the worker loop instead of the
-// test suite.
+// test suite. It also fails the run when a pool's socket directory outlives
+// the tests that made it.
 func TestMain(m *testing.M) {
 	if MaybeWorker() {
 		return // unreachable: MaybeWorker exits the process
 	}
-	os.Exit(m.Run())
+	before := poolSocketDirs()
+	code := m.Run()
+	for _, dir := range poolSocketDirs() {
+		if !slices.Contains(before, dir) {
+			fmt.Fprintln(os.Stderr, "FAIL: a pool left its socket directory behind:", dir)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// poolSocketDirs lists the socket directories pools made under the temp dir.
+func poolSocketDirs() []string {
+	dirs, _ := filepath.Glob(filepath.Join(os.TempDir(), "dashmm-serve-pool*"))
+	return dirs
 }
 
 // fastPool is a small real pool (forked worker processes) tuned for tests.
@@ -133,8 +149,8 @@ func TestWorkerExitsOnCoordinatorLossIdle(t *testing.T) {
 }
 
 // A crash-looping worker (respawns exit immediately) burns through the
-// restart budget and is abandoned: rank pinned "dead", breaker forced
-// open, Evaluate degrading from then on.
+// restart budget and is abandoned: rank pinned "dead", and with no live
+// worker left Evaluate degrades from then on.
 func TestSupervisorRestartBudgetAbandonsCrashLoop(t *testing.T) {
 	p := fastPool(t, 1, func(cfg *PoolConfig) {
 		cfg.RestartBudget = 3
@@ -147,7 +163,7 @@ func TestSupervisorRestartBudgetAbandonsCrashLoop(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		s := p.Snapshot()
-		if s.Ranks[0].State == "dead" && s.Breaker == "forced-open" {
+		if s.Ranks[0].State == "dead" && s.LiveWorkers == 0 {
 			if s.Ranks[0].Strikes <= p.cfg.RestartBudget {
 				t.Fatalf("abandoned with %d strikes, want > budget %d",
 					s.Ranks[0].Strikes, p.cfg.RestartBudget)
