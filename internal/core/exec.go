@@ -151,11 +151,14 @@ type executor struct {
 	owned, targets     int
 	fired, targetsLeft atomic.Int64
 	// Batched execution (batch.go): per target leaf a prebuilt near task and
-	// its source chunks, one pending-source counter and prebuilt task per M->L
-	// batch (nil under a fabric, which runs list 2 per edge), and the pooled
-	// GEMM scratch.
+	// its source chunks, and per worker the near tasks' scratch sums (nearGrad
+	// in a gradient run only); one pending-source counter and prebuilt task
+	// per far batch (nil under a fabric, which runs M->L, M->I and I->L per
+	// edge), and the pooled GEMM scratch.
 	near         []amt.Task
 	nearChunks   [][]kernel.P2PChunk
+	nearPot      [][]float64
+	nearGrad     [][]geom.Point
 	batchPending []atomic.Int32
 	batchTasks   []amt.Task
 	batchScratch sync.Pool
@@ -253,7 +256,7 @@ func (ex *executor) arm() {
 		ex.remaining[i].Store(ex.g.Nodes[i].In)
 	}
 	for i := range ex.batchPending {
-		ex.batchPending[i].Store(int32(len(ex.st.p.batches.M2L[i].Srcs)))
+		ex.batchPending[i].Store(int32(len(ex.st.p.batches.Far[i].Srcs)))
 	}
 	ex.fired.Store(0)
 	ex.targetsLeft.Store(int64(ex.targets))

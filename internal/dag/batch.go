@@ -4,20 +4,24 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/geom"
 	"repro/internal/kernel"
 )
 
-// Batch descriptors (DESIGN.md, "Batched execution"): the graph's list-2
-// M->L edges are aggregated at plan-build time by the dense operator they
-// apply — one batch per (level, side, lattice offset) — and the near-field
-// S->T edges by their target leaf. An M->L batch fires once every source
-// feeding it has triggered, replacing many per-edge operator applications
-// with one blocked multi-RHS apply; edges whose geometry falls off the
-// interaction lattice are left unbatched and flow through the ordinary
-// per-edge path. A near list has nothing to wait for — every rank holds
-// every source point and, once a run has its charges, every charge — so it
-// names no sources: the AMT executors run it as one task of its target leaf.
-// Either way it is an execution strategy, never a semantics change.
+// Batch descriptors (DESIGN.md, "Batched execution"): the graph's dense
+// far-field edges are aggregated at plan-build time by the table they apply
+// — the list-2 M->L edges one batch per (level, side, lattice offset), the
+// plane-wave M->I and I->L edges per (class, level), cut into runs of at
+// most WaveBatchSources sources that the executor walks direction by
+// direction — and the near-field S->T edges by their target leaf. A far
+// batch fires once every source feeding it has triggered, replacing many
+// per-edge operator applications with blocked multi-RHS applies; M->L edges
+// whose geometry falls off the interaction lattice are left unbatched and
+// flow through the ordinary per-edge path. A near list has nothing to wait
+// for — every rank holds every source point and, once a run has its
+// charges, every charge — so it names no sources: the AMT executors run it
+// as one task of its target leaf. Either way it is an execution strategy,
+// never a semantics change.
 
 // BatchEdge locates one member edge of a batch: out-edge Out of node From,
 // delivering into To (denormalized from Nodes[From].Out[Out].To so the
@@ -28,18 +32,36 @@ type BatchEdge struct {
 	To   int32
 }
 
-// M2LBatch groups the same-level list-2 edges sharing one cached dense
-// operator, in source-id order; every edge of the batch has the same
-// offset, so the kernel's multi-RHS apply sees one maximal run.
-type M2LBatch struct {
-	// Side is the source box side; Level the tree level of the sources.
-	Side  float64
+// WaveBatchSources bounds the sources of one plane-wave batch. The batch
+// fires when its last source triggers, and its I->L members then wait for
+// the whole batch before their L nodes move on: a bound keeps that tail
+// short and lets a level's batches run on different workers, while 32
+// sources still fill two 16-wide blocks per direction.
+const WaveBatchSources = 32
+
+// FarBatch groups far-field edges one batch task applies together, in
+// source-id order.
+//
+//   - Op OpM2L: same-level list-2 edges sharing one cached dense operator;
+//     every edge has the same offset, so the kernel's multi-RHS apply sees
+//     one maximal run.
+//   - Op OpM2I or OpI2L: the M->I edges (sources: M nodes) or I->L edges
+//     (sources: It nodes) of one level, one edge per source. Their tables
+//     are per (direction, level), so the task walks the six directions from
+//     First and applies each one's table to every member that carries it.
+type FarBatch struct {
+	Op OpKind
+	// Level is the tree level of the sources.
 	Level int
-	// Off is the shared lattice offset of every edge.
-	Off kernel.M2LOffset
-	// Offs holds Off repeated per edge, in the layout kernel.M2LBatch
-	// consumes (kept materialized so the hot path never allocates).
-	Offs  []kernel.M2LOffset
+	// Side is the source box side of an M->L batch; Offs holds its one
+	// offset repeated per edge, in the layout kernel.M2LBatch consumes
+	// (kept materialized so the hot path never allocates).
+	Side float64
+	Offs []kernel.M2LOffset
+	// First is the direction a plane-wave batch starts its walk at. A
+	// level's tables are built on first use; spreading the batches' first
+	// directions over the six lets concurrent batches build different ones.
+	First geom.Direction
 	Edges []BatchEdge
 	// Srcs lists the distinct source nodes feeding the batch; the batch
 	// fires when all of them have triggered.
@@ -56,72 +78,89 @@ type P2PBatch struct {
 // Batches is the batch-descriptor set carried by a core.Plan (and therefore
 // reused by the serve plan cache along with the rest of the plan).
 type Batches struct {
-	M2L []M2LBatch
+	Far []FarBatch
 	P2P []P2PBatch
-	// SrcBatches[node] lists the M2L batches the node feeds; the executor
+	// SrcBatches[node] lists the far batches the node feeds; the executor
 	// decrements each batch's pending counter once when the node triggers.
 	SrcBatches [][]int32
 }
 
-// m2lGroupKey identifies one far-field batch.
+// m2lGroupKey identifies one M->L batch.
 type m2lGroupKey struct {
 	sideBits uint64
 	off      kernel.M2LOffset
 }
 
-// BuildBatches aggregates the graph's list-2 and near-field edges and marks
-// the batched M->L edges with Edge.Batched. It is deterministic (same graph,
-// same descriptors) and idempotent: every flag is recomputed from the
-// current geometry, so a graph whose box centers were perturbed after a
-// previous build reclassifies cleanly.
+// waveGroupKey identifies the plane-wave edges of one class and level,
+// before they are cut into batches.
+type waveGroupKey struct {
+	op    OpKind
+	level int
+}
+
+// BuildBatches aggregates the graph's list-2, plane-wave and near-field
+// edges and marks the batched far-field edges with Edge.Batched. It is
+// deterministic (same graph, same descriptors) and idempotent: every flag
+// is recomputed from the current geometry, so a graph whose box centers
+// were perturbed after a previous build reclassifies cleanly.
 func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 	b := &Batches{SrcBatches: make([][]int32, len(g.Nodes))}
 
-	// Far field: group list-2 edges by (side, offset); off-lattice edges
-	// keep flowing per-edge. Near field: one list per target, a map from the
-	// target to its index in b.P2P while the nodes are walked in id order.
-	m2l := make(map[m2lGroupKey]*M2LBatch)
+	// Far field: group list-2 edges by (side, offset), off-lattice edges
+	// keep flowing per-edge; plane-wave edges by (class, level). Near field:
+	// one list per target, a map from the target to its index in b.P2P
+	// while the nodes are walked in id order.
+	m2l := make(map[m2lGroupKey]*FarBatch)
 	var m2lKeys []m2lGroupKey
+	waves := make(map[waveGroupKey][]BatchEdge)
+	var waveKeys []waveGroupKey
 	near := make(map[int32]int)
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		for j := range n.Out {
 			e := &n.Out[j]
 			e.Batched = false
-			if e.Op == OpS2T {
+			be := BatchEdge{From: int32(i), Out: int32(j), To: e.To}
+			switch e.Op {
+			case OpS2T:
 				pi, ok := near[e.To]
 				if !ok {
 					pi = len(b.P2P)
 					near[e.To] = pi
 					b.P2P = append(b.P2P, P2PBatch{Target: e.To})
 				}
-				b.P2P[pi].Edges = append(b.P2P[pi].Edges, BatchEdge{From: int32(i), Out: int32(j), To: e.To})
-				continue
-			}
-			if e.Op != OpM2L {
-				continue
-			}
-			from, to := n.Box, g.Nodes[e.To].Box
-			off, onLattice := k.M2LOffsetOf(from.Center, to.Center, from.Side)
-			if !onLattice {
-				continue
-			}
-			key := m2lGroupKey{sideBits: math.Float64bits(from.Side), off: off}
-			mb := m2l[key]
-			if mb == nil {
-				mb = &M2LBatch{Side: from.Side, Level: from.Level(), Off: off}
-				m2l[key] = mb
-				m2lKeys = append(m2lKeys, key)
-			}
-			e.Batched = true
-			mb.Edges = append(mb.Edges, BatchEdge{From: int32(i), Out: int32(j), To: e.To})
-			mb.Offs = append(mb.Offs, off)
-			if n := len(mb.Srcs); n == 0 || mb.Srcs[n-1] != int32(i) {
-				mb.Srcs = append(mb.Srcs, int32(i)) // nodes are walked in id order
+				b.P2P[pi].Edges = append(b.P2P[pi].Edges, be)
+			case OpM2I, OpI2L:
+				key := waveGroupKey{op: e.Op, level: n.Level()}
+				if _, ok := waves[key]; !ok {
+					waveKeys = append(waveKeys, key)
+				}
+				e.Batched = true
+				waves[key] = append(waves[key], be) // one edge per source, in id order
+			case OpM2L:
+				from, to := n.Box, g.Nodes[e.To].Box
+				off, onLattice := k.M2LOffsetOf(from.Center, to.Center, from.Side)
+				if !onLattice {
+					continue
+				}
+				key := m2lGroupKey{sideBits: math.Float64bits(from.Side), off: off}
+				mb := m2l[key]
+				if mb == nil {
+					mb = &FarBatch{Op: OpM2L, Side: from.Side, Level: from.Level()}
+					m2l[key] = mb
+					m2lKeys = append(m2lKeys, key)
+				}
+				e.Batched = true
+				mb.Edges = append(mb.Edges, be)
+				mb.Offs = append(mb.Offs, off)
+				if n := len(mb.Srcs); n == 0 || mb.Srcs[n-1] != int32(i) {
+					mb.Srcs = append(mb.Srcs, int32(i)) // nodes are walked in id order
+				}
 			}
 		}
 	}
-	// Deterministic batch order: by level (coarse first), then offset.
+	// Deterministic batch order: M->L by level (coarse first), then offset;
+	// then the plane-wave batches by class and level.
 	sort.Slice(m2lKeys, func(a, c int) bool {
 		ka, kc := m2lKeys[a], m2lKeys[c]
 		if m2l[ka].Level != m2l[kc].Level {
@@ -135,14 +174,44 @@ func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 		}
 		return ka.off.DZ < kc.off.DZ
 	})
-	for bi, key := range m2lKeys {
-		mb := m2l[key]
-		b.M2L = append(b.M2L, *mb)
-		for _, s := range mb.Srcs {
+	for _, key := range m2lKeys {
+		b.Far = append(b.Far, *m2l[key])
+	}
+	sort.Slice(waveKeys, func(a, c int) bool {
+		ka, kc := waveKeys[a], waveKeys[c]
+		if ka.op != kc.op {
+			return ka.op < kc.op
+		}
+		return ka.level < kc.level
+	})
+	for _, key := range waveKeys {
+		b.Far = append(b.Far, waveBatches(key, waves[key])...)
+	}
+	for bi, fb := range b.Far {
+		for _, s := range fb.Srcs {
 			b.SrcBatches[s] = append(b.SrcBatches[s], int32(bi))
 		}
 	}
 	// Deterministic near-list order: by target.
 	sort.Slice(b.P2P, func(a, c int) bool { return b.P2P[a].Target < b.P2P[c].Target })
 	return b
+}
+
+// waveBatches cuts the plane-wave edges of one class and level into runs of
+// near-equal length, at most WaveBatchSources sources each. Run c of n
+// starts its direction walk at c·6/n.
+func waveBatches(key waveGroupKey, edges []BatchEdge) []FarBatch {
+	n := (len(edges) + WaveBatchSources - 1) / WaveBatchSources
+	out := make([]FarBatch, n)
+	for c := range out {
+		lo, hi := c*len(edges)/n, (c+1)*len(edges)/n
+		fb := &out[c]
+		fb.Op, fb.Level = key.op, key.level
+		fb.First = geom.Direction(c * geom.NumDirections / n)
+		fb.Edges = edges[lo:hi:hi]
+		for _, be := range fb.Edges {
+			fb.Srcs = append(fb.Srcs, be.From)
+		}
+	}
+	return out
 }

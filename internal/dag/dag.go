@@ -87,9 +87,12 @@ type Edge struct {
 	// merged/shared child-level waves rather than its own-level
 	// accumulation.
 	ToMerged bool
-	// Batched marks an M->L edge owned by a batch descriptor (see
-	// BuildBatches): an executor that runs the batches skips it on the
-	// per-edge path. Off-lattice M->L edges stay unbatched.
+	// Batched marks a dense far-field edge owned by a batch descriptor (see
+	// BuildBatches): every M->I and I->L edge and every M->L edge on the
+	// list-2 lattice (off-lattice M->L edges stay unbatched). An executor
+	// that runs the batches skips it on the per-edge path; one under a
+	// fabric runs no batches, so there all three classes go per edge, as
+	// they do in the sequential walker.
 	Batched bool
 	// Bytes is the payload size transferred along the edge, for the network
 	// model and the Table II census.

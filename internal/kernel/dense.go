@@ -29,10 +29,13 @@ import (
 // cache the scalar apply is compute-bound at about 3 GFLOP/s: an M->I
 // (477 x 55) takes 68 µs, the AVX2 form 23 µs, the AVX-512 form 19 µs.
 // Streamed from memory (BenchmarkDense cycles through 64 tables) they take
-// 163, 111 and 78 µs, so a plane-wave apply, whose 0.84 MB table rarely
-// survives in cache from one application to the next, is now bound by the
-// table's traffic: batching them by (level, direction) is ROADMAP item 1b.
-// (Medians of five on a 2-vCPU 2.1 GHz Xeon guest in its slow mode.)
+// 163, 111 and 78 µs (medians of five on a 2-vCPU 2.1 GHz Xeon guest in its
+// slow mode), so one plane-wave apply is bound by its 0.84 MB table's
+// traffic. The executor therefore applies M->I and I->L by (level,
+// direction) in blocks of right-hand sides (M2IBatch, I2LBatch), which
+// stream the table once per block: BenchmarkDense's m2i_batch16 takes
+// 15 µs per right-hand side on AVX-512 where m2i_streamed takes 62, about
+// the in-cache apply's 14.6 (same guest, another day).
 
 // denseLoop names the dense kernel behind applyTable and denseTable — the
 // portable loops here, or the vector forms of dense_amd64.s — and the point

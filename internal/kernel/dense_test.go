@@ -148,9 +148,10 @@ func TestDenseKernelNamesTheBinding(t *testing.T) {
 // BenchmarkDense times every bound dense kernel on the benchmark's shapes
 // at three digits, Laplace level 3: the M->L table (55x55) per right-hand
 // side alone and in a block of 16, the M->I (477x55) and I->L (55x477)
-// tables in cache and streamed (cycling through 64 distinct tables), and
-// the dots of one M->I table build. It reports µs per operation and
-// publishes nothing.
+// tables in cache, streamed (cycling through 64 distinct tables) and
+// streamed in blocks of 16 right-hand sides (the executor's plane-wave
+// batches), and the dots of one M->I table build. It reports µs per
+// operation and per right-hand side, and publishes nothing.
 func BenchmarkDense(b *testing.B) {
 	k := NewLaplace(OrderForDigits(3)).(*base)
 	k.Prepare(1, 4)
@@ -175,9 +176,10 @@ func BenchmarkDense(b *testing.B) {
 	m2l, m2i, i2l := tables(ml, ml), tables(wave, ml), tables(ml, wave)
 	mIn, wIn := random(ml), random(wave)
 	mOut, wOut := make([]complex128, ml), make([]complex128, wave)
-	var block16In, block16Out [][]complex128
+	var block16In, block16Out, wave16In, wave16Out [][]complex128
 	for range 16 {
 		block16In, block16Out = append(block16In, random(ml)), append(block16Out, make([]complex128, ml))
+		wave16In, wave16Out = append(wave16In, random(wave)), append(wave16Out, make([]complex128, wave))
 	}
 	proj, samp := random(wave*nq), random(ml*nq)
 	for _, l := range denseLoops() {
@@ -193,6 +195,8 @@ func BenchmarkDense(b *testing.B) {
 			{"m2i_streamed", m2i, [][]complex128{mIn}, [][]complex128{wOut}, true},
 			{"i2l", i2l, [][]complex128{wIn}, [][]complex128{mOut}, false},
 			{"i2l_streamed", i2l, [][]complex128{wIn}, [][]complex128{mOut}, true},
+			{"m2i_batch16", m2i, block16In, wave16Out, true},
+			{"i2l_batch16", i2l, wave16In, block16Out, true},
 		} {
 			b.Run(fmt.Sprintf("%v/%s", l, c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -202,7 +206,9 @@ func BenchmarkDense(b *testing.B) {
 					}
 					applyOn(l, tab, c.ins, c.outs)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "µs/op")
+				perOp := float64(b.Elapsed().Nanoseconds()) / 1e3 / float64(b.N)
+				b.ReportMetric(perOp, "µs/op")
+				b.ReportMetric(perOp/float64(len(c.ins)), "µs/rhs")
 			})
 		}
 		b.Run(fmt.Sprintf("%v/m2i_build_dots", l), func(b *testing.B) {

@@ -108,6 +108,74 @@ func TestM2LBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// waveBlock draws n packed M expansions and n half waves of the level, with
+// zeroed outputs of the matching shapes for M2IBatch and I2LBatch.
+func waveBlock(rng *rand.Rand, k Kernel, level, n int) (ms, xs, ws, ls [][]complex128) {
+	for range n {
+		ms = append(ms, randomML(rng, k))
+		xs = append(xs, make([]complex128, k.ISize(level)))
+		w := make([]complex128, k.ISize(level))
+		for j := range w {
+			w[j] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		ws = append(ws, w)
+		ls = append(ls, make([]complex128, k.MLSize()))
+	}
+	return ms, xs, ws, ls
+}
+
+// TestWaveBatchAccumulates checks that the batched plane-wave applies add
+// into their outputs rather than overwriting them, like every operator.
+func TestWaveBatchAccumulates(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	const level = 3
+	for _, tc := range kernels(t) {
+		k := tc.k
+		ms, once, ws, lOnce := waveBlock(rng, k, level, 3)
+		_, twice, _, lTwice := waveBlock(rng, k, level, 3)
+		k.M2IBatch(geom.North, level, ms, once)
+		k.I2LBatch(geom.North, level, ws, lOnce)
+		for range 2 {
+			k.M2IBatch(geom.North, level, ms, twice)
+			k.I2LBatch(geom.North, level, ws, lTwice)
+		}
+		for r := range ms {
+			for _, v := range [][]complex128{twice[r], lTwice[r]} {
+				for j := range v {
+					v[j] /= 2
+				}
+			}
+			if e := maxCoefDiff(twice[r], once[r]); e > 1e-14 {
+				t.Errorf("%s rhs %d: M2IBatch does not accumulate: rel diff %.2e", tc.name, r, e)
+			}
+			if e := maxCoefDiff(lTwice[r], lOnce[r]); e > 1e-14 {
+				t.Errorf("%s rhs %d: I2LBatch does not accumulate: rel diff %.2e", tc.name, r, e)
+			}
+		}
+	}
+}
+
+// TestWaveBatchSteadyStateAllocs gates the batched plane-wave applies at
+// zero steady-state allocations, matching their //dashmm:noalloc
+// annotations.
+func TestWaveBatchSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const level = 3
+	for _, tc := range kernels(t) {
+		k := tc.k
+		ms, xs, ws, ls := waveBlock(rng, k, level, 5)
+		for name, f := range map[string]func(){
+			"M2IBatch": func() { k.M2IBatch(geom.West, level, ms, xs) },
+			"I2LBatch": func() { k.I2LBatch(geom.West, level, ws, ls) },
+		} {
+			f() // build the tables
+			if allocs := testing.AllocsPerRun(10, f); allocs != 0 {
+				t.Errorf("%s: %s allocates %.1f/op in steady state", tc.name, name, allocs)
+			}
+		}
+	}
+}
+
 // TestYukawaProjectedM2LNoAlloc pins the fix for the projected Yukawa M->L
 // path, whose Bessel recurrence allocated its backward-recursion scratch on
 // every call (208 B/op before the fixed-size buffer in sphharm). Projection

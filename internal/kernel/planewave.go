@@ -329,9 +329,10 @@ func (t *pwTables) build(dir geom.Direction, lv *pwLevel) (m2i, i2l []complex128
 // ISize implements Kernel.
 func (b *base) ISize(level int) int { return b.pw.Load().levels[level].rule.total }
 
-// M2I implements Kernel: the level's (dir) table applied to a packed M.
+// M2I implements Kernel: the level's (dir) table applied to a packed M,
+// the one-right-hand-side M2IBatch.
 func (b *base) M2I(dir geom.Direction, level int, in, out []complex128) {
-	applyTable(b.pw.Load().table(pwM2IKind, dir, level), [][]complex128{in}, [][]complex128{out})
+	b.M2IBatch(dir, level, [][]complex128{in}, [][]complex128{out})
 }
 
 // I2I implements Kernel: the diagonal translation out[t] += in[t]*E_t(shift).
@@ -353,7 +354,8 @@ func (b *base) I2I(dir geom.Direction, level int, shift geom.Point, in, out []co
 	i2iOffLattice(lv.rule, v, in, out)
 }
 
-// I2L implements Kernel: the level's (dir) table applied to a half wave.
+// I2L implements Kernel: the level's (dir) table applied to a half wave,
+// the one-right-hand-side I2LBatch.
 func (b *base) I2L(dir geom.Direction, level int, in, out []complex128) {
-	applyTable(b.pw.Load().table(pwI2LKind, dir, level), [][]complex128{in}, [][]complex128{out})
+	b.I2LBatch(dir, level, [][]complex128{in}, [][]complex128{out})
 }

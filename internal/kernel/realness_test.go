@@ -220,6 +220,28 @@ func TestRealnessPlaneWaves(t *testing.T) {
 				t.Errorf("%s %v: I2L packed vs reference rel diff %.2e > 1e-12", tc.name, dir, e)
 			}
 			requireRealM0(t, tc.name+" I2L", b.p, l)
+			// The batched forms, on five right-hand sides (two pairs and one
+			// alone through the apply), against one call per right-hand side.
+			const rhs = 5
+			var ms, ws, gotX, wantX, gotL, wantL [][]complex128
+			for range rhs {
+				ms = append(ms, randPacked(rng, tc.k.MLSize()))
+				ws = append(ws, randPacked(rng, tc.k.ISize(level)))
+				gotX, wantX = append(gotX, make([]complex128, tc.k.ISize(level))), append(wantX, make([]complex128, tc.k.ISize(level)))
+				gotL, wantL = append(gotL, make([]complex128, tc.k.MLSize())), append(wantL, make([]complex128, tc.k.MLSize()))
+			}
+			tc.k.M2IBatch(dir, level, ms, gotX)
+			tc.k.I2LBatch(dir, level, ws, gotL)
+			for r := range rhs {
+				tc.k.M2I(dir, level, ms[r], wantX[r])
+				tc.k.I2L(dir, level, ws[r], wantL[r])
+				if e := maxCoefDiff(gotX[r], wantX[r]); e > 1e-14 {
+					t.Errorf("%s %v rhs %d: M2IBatch vs M2I rel diff %.2e > 1e-14", tc.name, dir, r, e)
+				}
+				if e := maxCoefDiff(gotL[r], wantL[r]); e > 1e-14 {
+					t.Errorf("%s %v rhs %d: I2LBatch vs I2L rel diff %.2e > 1e-14", tc.name, dir, r, e)
+				}
+			}
 		}
 	}
 }
