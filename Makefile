@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check lines bench-check serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
+.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check generate-check lines bench-check serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,14 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The checked-in Laplace plane-wave rules (internal/kernel/pwrule_laplace.go)
+# must be what the generator makes: regenerate them and fail on any byte of
+# difference. (The kernel's tests compare them by value, which also holds on
+# a platform that rounds the generator's arithmetic differently.)
+generate-check:
+	$(GO) generate ./internal/kernel
+	git diff --exit-code -- internal/kernel/pwrule_laplace.go
+
 # Non-test .go lines of the runtime packages — the scheduler and wire (amt),
 # the executor and fabric (core), the daemon (serve) — and their sum, then
 # the //lint:ignore suppressions in those files: the code-size and
@@ -148,4 +156,4 @@ chaos-crash:
 dist-smoke: build
 	$(GO) run ./cmd/dashmm-bench -real -n 20000 -threshold 60 -locs 4 -net unix -kill-rank 2 -kill-at 0.5
 
-ci: build vet fmt-check lint escape-gate test purego bench-check fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke
+ci: build vet fmt-check generate-check lint escape-gate test purego bench-check fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke

@@ -32,10 +32,10 @@ import (
 // three classes per edge.
 
 // batchBlock is the far-field GEMM block: 16 right-hand sides share one
-// table — the 97 KB M->L table of an offset, or the 0.84 MB M->I or I->L
+// table — the 97 KB M->L table of an offset, or the 0.47 MB M->I or I->L
 // table of a direction at p = 9 — while it stays L2-resident, and their
-// outputs go to pooled scratch (14 KB of L expansions, or 122 KB of
-// 477-term waves), out of the target locks while the table streams.
+// outputs go to pooled scratch (14 KB of L expansions, or 69 KB of
+// 268-term waves), out of the target locks while the table streams.
 const batchBlock = 16
 
 // batchScratch is the pooled per-task scratch of the batch tasks: buf holds

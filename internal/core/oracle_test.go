@@ -143,11 +143,11 @@ func TestOracleLaplaceTranslationAndScale(t *testing.T) {
 }
 
 // (iii) The potentials match direct summation to the requested digits on
-// 200 seeded targets. Six digits costs ~10 s a case (p = 18 tables), so it
-// runs on one case per shape and per kernel, at N = 2000. (Known floor, the
-// same before the shift table: the plane-wave rule does not grow with the
-// requested digits, and sphere/Yukawa at N = 3000 stalls at 4.4e-6 whether
-// 3 or 6 digits are asked for — ROADMAP, item 1d.)
+// 200 seeded targets. Six digits (p = 17 tables, and for Laplace the 865-term
+// plane-wave rule of that order) runs on both Laplace cases and on
+// sphere/Yukawa, at N = 2000. (Known floor: Yukawa's plane-wave rule does
+// not grow with the requested digits, and sphere/Yukawa at N = 3000 stalls
+// at 4.4e-6 whether 3 or 6 digits are asked for — ROADMAP, item 1d.)
 func TestOracleDirectSumAtRequestedDigits(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sequential accuracy gate: nothing to instrument")
@@ -158,7 +158,7 @@ func TestOracleDirectSumAtRequestedDigits(t *testing.T) {
 		tp := points.Generate(oc.distr, n, 72)
 		q := points.Charges(n, 73)
 		for _, digits := range []int{3, 6} {
-			if digits == 6 && ci != 0 && ci != 3 {
+			if digits == 6 && ci == 1 { // cube/yukawa
 				continue
 			}
 			k := oc.kernel(kernel.OrderForDigits(digits))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync/atomic"
 	"time"
 
@@ -86,7 +87,8 @@ func TunerEntries() int64 { return tunerEntries.Load() }
 // stops at the second distinct tree that fails to beat the best so far, or
 // at the first whose far field alone costs more than the best whole plan:
 // refining further only moves work out of S→T into a far field that does
-// not shrink, so nothing finer can win.
+// not shrink, so nothing finer can win. A rung the kernel refuses as too
+// deep (kernel.ErrRuleTooLarge) ends the walk too: no finer one is shallower.
 func tune(sources, targets []geom.Point, k kernel.Kernel, o Options) (*Plan, error) {
 	dom := geom.BoundingCube(sources, targets)
 	t := minThreshold
@@ -105,6 +107,9 @@ func tune(sources, targets []geom.Point, k kernel.Kernel, o Options) (*Plan, err
 			continue
 		}
 		p, err := assemble(sources, targets, dom, k, o, t)
+		if errors.Is(err, kernel.ErrRuleTooLarge) && best >= 0 {
+			break // a finer tree needs more plane-wave tables than the kernel admits
+		}
 		if err != nil {
 			return nil, err
 		}

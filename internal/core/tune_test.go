@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -52,10 +53,16 @@ func portablePriced(k kernel.Kernel) kernel.Kernel {
 	return pricedKernel{k, kernel.PairPrices(kernel.NewLaplace(0))[0]}
 }
 
-// The decision table of the issue: below the crossover the plan is the
-// level-1 near field, the benchmark's 16k cube sits at level 2 with about
-// 250 points per leaf, and a larger cube goes deeper — at the price of every
-// Laplace pair loop, so the table holds on whatever CPU builds the plan.
+// The decision table: below the crossover the plan is the level-1 near
+// field, the benchmark's 16k cube sits at level 2 with about 250 points per
+// leaf on the vector pair loops, and a larger cube goes deeper — at the
+// price of every Laplace pair loop, so the table holds on whatever CPU
+// builds the plan. At the portable loop's 3.8 ns a pair the 16k cube goes
+// to level 3 (about 31 points per leaf): with plane waves sized per accuracy
+// (268 terms at three digits, 477 before) its far field is cheap enough, and
+// a purego dashmm-bench -real -n 16000 ran it warm in 81–100 ms against
+// 125–135 ms at threshold 480, three alternating pairs (cold 250–330 ms
+// against 178–205: the second plane-wave level builds its own tables).
 func TestTunerDecisionTable(t *testing.T) {
 	for _, pair := range kernel.PairPrices(kernel.NewLaplace(0)) {
 		tuned := func(n int) *Plan {
@@ -71,11 +78,15 @@ func TestTunerDecisionTable(t *testing.T) {
 		}
 
 		mid := tuned(16000)
-		if l := mid.MaxLevel(); l != 2 {
-			t.Errorf("%.1f ns/pair, cube N=16000: level %d (threshold %d), want 2", pair, l, mid.Threshold())
+		wantLevel, wantPer := 2, 250.0
+		if pair > 3 {
+			wantLevel, wantPer = 3, 31
 		}
-		if per := float64(2*16000) / float64(mid.Leaves()); per < 200 || per > 300 {
-			t.Errorf("%.1f ns/pair, cube N=16000: %.0f points per leaf, want about 250", pair, per)
+		if l := mid.MaxLevel(); l != wantLevel {
+			t.Errorf("%.1f ns/pair, cube N=16000: level %d (threshold %d), want %d", pair, l, mid.Threshold(), wantLevel)
+		}
+		if per := float64(2*16000) / float64(mid.Leaves()); per < 0.8*wantPer || per > 1.2*wantPer {
+			t.Errorf("%.1f ns/pair, cube N=16000: %.0f points per leaf, want about %.0f", pair, per, wantPer)
 		}
 		if mid.Graph.EdgeCount[dag.OpM2I] == 0 || mid.Graph.EdgeCount[dag.OpI2L] == 0 {
 			t.Errorf("%.1f ns/pair, cube N=16000: no plane-wave edges at threshold %d", pair, mid.Threshold())
@@ -166,6 +177,25 @@ func TestTunerMoreDigitsNeverFiner(t *testing.T) {
 			t.Errorf("%v N=%d: 6 digits chose threshold %d, finer than 3 digits' %d",
 				c.d, c.n, six.Threshold(), three.Threshold())
 		}
+	}
+}
+
+// A rung the kernel refuses as too deep ends the ladder, not the plan: at
+// twelve digits a Laplace kernel admits trees two levels deep (one level's
+// plane-wave tables are 747 MB), and a near field priced dear enough to
+// want finer trees gets the deepest admitted. An explicit threshold past it
+// is refused.
+func TestTunerStopsAtTheDeepestAdmittedTree(t *testing.T) {
+	const n = 16000
+	k := pricedKernel{kernel.NewLaplace(kernel.OrderForDigits(12)), 1e4}
+	plan := tunedPlanOn(t, k, points.Cube, n, dag.Advanced)
+	if l := plan.MaxLevel(); l != 2 {
+		t.Errorf("level %d (threshold %d), want 2, the deepest the kernel admits", l, plan.Threshold())
+	}
+	sp := points.Generate(points.Cube, n, 1)
+	tp := points.Generate(points.Cube, n, 2)
+	if _, err := NewPlan(sp, tp, k, Options{Threshold: plan.Threshold() / 4}); !errors.Is(err, kernel.ErrRuleTooLarge) {
+		t.Errorf("threshold %d: NewPlan returned %v, want ErrRuleTooLarge", plan.Threshold()/4, err)
 	}
 }
 

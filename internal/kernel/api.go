@@ -123,11 +123,14 @@ type xlKey struct {
 // other: a record from other accuracy settings or from a build with another
 // table layout must neither corrupt the cache nor stay referenced. ok is set
 // once mx is that validated table, and is all a hit and ExportOperators
-// read; once makes racing first lookups build one table, not one each.
+// read; once makes racing first lookups build one table, not one each. rule
+// is the fingerprint of the plane-wave rule a M->I or I->L table was built
+// from (pwRule.fingerprint; 0 for the translations).
 type tableEntry struct {
 	once sync.Once
 	ok   atomic.Bool
 	mx   []complex128
+	rule uint64
 }
 
 // entry returns the cache slot of key, creating it empty.

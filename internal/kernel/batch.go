@@ -10,10 +10,11 @@ import "repro/internal/geom"
 // load between two). For the list-2 M->L, whose 97 KB table is per (side,
 // lattice offset), per right-hand side in a block of 16 against one alone:
 // 1.5 against 1.8 µs on the AVX-512 kernel, 1.9 against 2.2 on AVX2, 6.4
-// against 7.9 on the portable loops. For M->I and I->L, whose 0.84 MB tables
-// are per (direction, level) and otherwise stream from beyond L2 on every
-// application, the block is where most of the gain is: BenchmarkDense's
-// m2i_batch16 and i2l_batch16 against m2i_streamed and i2l_streamed.
+// against 7.9 on the portable loops. For M->I and I->L, whose tables (0.47
+// MB at three digits) are per (direction, level) and otherwise stream from
+// beyond L2 on every application, the block is where most of the gain is:
+// BenchmarkDense's m2i_batch16 and i2l_batch16 against m2i_streamed and
+// i2l_streamed.
 
 // M2LOffset is the integer lattice offset (to - from) / side of a list-2
 // M->L translation. Together with the box side it identifies one cached

@@ -59,16 +59,18 @@ var (
 	// across a block of right-hand sides and two of them share each table
 	// load: 3.2x and 3.7x in situ.
 	nsBatchMAC = [...]float64{denseGo: 1.4, denseAVX2: 0.44, denseAVX512: 0.38}
-	// The same in M→I and I→L, whose 0.84 MB tables are per (direction,
-	// level). The executor applies each to the boxes of a level in blocks
-	// of up to 16 right-hand sides (core/batch.go), so a table streams from
-	// beyond L2 once per block, not once per box as in the per-edge apply
-	// (2.2 / 1.1 / 0.96, bound by that traffic: dense.go). In situ on cube
-	// N=16k Laplace/Advanced, two alternating rounds per binding, M→I and
-	// I→L ran at 0.6–0.7 and 0.5–0.55 of the per-edge price on AVX-512,
-	// 0.73 and 0.6 on AVX2, 0.9 and 0.6 on the portable loops, whose apply
-	// is compute-bound and had less traffic to save. Under a fabric the
-	// two classes still run per edge (core/distrib.go), at the old price.
+	// The same in M→I and I→L, whose tables are per (direction, level):
+	// 2·ISize·MLSize entries, 0.47 MB at three digits (0.84 MB, 477-term
+	// waves, when these rows were measured). The executor applies each to
+	// the boxes of a level in blocks of up to 16 right-hand sides
+	// (core/batch.go), so a table streams from beyond L2 once per block,
+	// not once per box as in the per-edge apply (2.2 / 1.1 / 0.96, bound
+	// by that traffic: dense.go). In situ on cube N=16k Laplace/Advanced,
+	// two alternating rounds per binding, M→I and I→L ran at 0.6–0.7 and
+	// 0.5–0.55 of the per-edge price on AVX-512, 0.73 and 0.6 on AVX2, 0.9
+	// and 0.6 on the portable loops, whose apply is compute-bound and had
+	// less traffic to save. Under a fabric the two classes still run per
+	// edge (core/distrib.go), at the old price.
 	nsWaveMAC = [...]float64{denseGo: 1.6, denseAVX2: 0.73, denseAVX512: 0.57}
 )
 

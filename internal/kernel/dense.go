@@ -27,15 +27,15 @@ import (
 // loops' CPU probe: the AVX-512 or AVX2+FMA forms of dense_amd64.s, or the
 // portable loops below, which are also their oracle. With its table in
 // cache the scalar apply is compute-bound at about 3 GFLOP/s: an M->I
-// (477 x 55) takes 68 µs, the AVX2 form 23 µs, the AVX-512 form 19 µs.
-// Streamed from memory (BenchmarkDense cycles through 64 tables) they take
-// 163, 111 and 78 µs (medians of five on a 2-vCPU 2.1 GHz Xeon guest in its
-// slow mode), so one plane-wave apply is bound by its 0.84 MB table's
-// traffic. The executor therefore applies M->I and I->L by (level,
-// direction) in blocks of right-hand sides (M2IBatch, I2LBatch), which
-// stream the table once per block: BenchmarkDense's m2i_batch16 takes
-// 15 µs per right-hand side on AVX-512 where m2i_streamed takes 62, about
-// the in-cache apply's 14.6 (same guest, another day).
+// (268 x 55 at three digits) takes 38 µs, the AVX2 form 7.4 µs, the
+// AVX-512 form 7.1 µs. Streamed from memory (BenchmarkDense cycles through
+// 64 tables) they take 51, 20 and 22 µs (medians of five to seven on a
+// 2-vCPU 2.1 GHz Xeon guest), so one plane-wave apply is bound by its
+// 0.47 MB table's traffic. The executor therefore applies M->I and I->L by
+// (level, direction) in blocks of right-hand sides (M2IBatch, I2LBatch),
+// which stream the table once per block: BenchmarkDense's m2i_batch16 takes
+// 8.1 µs per right-hand side on AVX-512 where m2i_streamed takes 22, a
+// little above the in-cache apply's 7.1.
 
 // denseLoop names the dense kernel behind applyTable and denseTable — the
 // portable loops here, or the vector forms of dense_amd64.s — and the point

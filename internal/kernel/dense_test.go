@@ -147,7 +147,8 @@ func TestDenseKernelNamesTheBinding(t *testing.T) {
 
 // BenchmarkDense times every bound dense kernel on the benchmark's shapes
 // at three digits, Laplace level 3: the M->L table (55x55) per right-hand
-// side alone and in a block of 16, the M->I (477x55) and I->L (55x477)
+// side alone and in a block of 16, the M->I (ISize x 55: 268 x 55 at three
+// digits) and I->L (55 x 268)
 // tables in cache, streamed (cycling through 64 distinct tables) and
 // streamed in blocks of 16 right-hand sides (the executor's plane-wave
 // batches), and the dots of one M->I table build. It reports µs per

@@ -22,11 +22,14 @@ import "sort"
 // for (so the key survives a round trip through disk bit-exactly). For kinds
 // 0-2 (M->M, L->L, M->L) DX/DY/DZ are the octant or lattice offset; for
 // kinds 3-4, the plane-wave M->I and I->L matrices, DX carries the direction
-// and DY the tree level.
+// and DY the tree level, and Rule fingerprints the plane-wave rule the table
+// was built from (0 for the translations): an import of another rule's table
+// is rebuilt, whatever its size.
 type OperatorTable struct {
 	Kind       uint8
 	SideBits   uint64
 	DX, DY, DZ int8
+	Rule       uint64
 	Mx         []complex128
 }
 
@@ -46,9 +49,10 @@ type OperatorCache interface {
 	// ImportOperators seeds the cache with previously exported operators.
 	// A table is validated when an operator first asks for it: one whose
 	// size does not match what the kernel's order and the level's quadrature
-	// rule call for is rebuilt in place (a record from a different accuracy
-	// must not corrupt the cache). Not safe to call concurrently with
-	// operator use.
+	// rule call for, or (plane-wave kinds) whose Rule is not the level's
+	// rule's fingerprint, is rebuilt in place (a record from a different
+	// accuracy or another build's rule must not corrupt the cache). Not safe
+	// to call concurrently with operator use.
 	ImportOperators([]OperatorTable)
 }
 
@@ -65,6 +69,7 @@ func (b *base) ExportOperators() []OperatorTable {
 				DX:       key.ox,
 				DY:       key.oy,
 				DZ:       key.oz,
+				Rule:     e.rule,
 				Mx:       e.mx,
 			})
 		}
@@ -93,6 +98,6 @@ func (b *base) ExportOperators() []OperatorTable {
 func (b *base) ImportOperators(ts []OperatorTable) {
 	for _, t := range ts {
 		key := xlKey{kind: t.Kind, sideBits: t.SideBits, ox: t.DX, oy: t.DY, oz: t.DZ}
-		b.tabs.Store(key, &tableEntry{mx: t.Mx})
+		b.tabs.Store(key, &tableEntry{mx: t.Mx, rule: t.Rule})
 	}
 }

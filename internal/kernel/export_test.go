@@ -93,8 +93,9 @@ func TestOperatorExportImportRoundTrip(t *testing.T) {
 
 // A table set in the shape the previous layout spilled — (p+1)^2-square
 // translation matrices, plane-wave matrices over every alpha-node of an
-// unpaired rule — fails the size checks of the first lookups: nothing is
-// adopted, no entry that has been asked for still references an old table
+// unpaired rule — fails the size checks of the first lookups, even with the
+// plane-wave tables vouched for by the level's own rule fingerprint (orders
+// clamped to one generated rule share it): nothing is adopted, no entry that has been asked for still references an old table
 // (12 x 1.5 MB per revived plan used to stay referenced for the kernel's
 // lifetime), and the operators are rebuilt in the current layout and deliver
 // the accuracy.
@@ -102,12 +103,11 @@ func TestImportOfPreviousLayoutIsDroppedAndRebuilt(t *testing.T) {
 	p := OrderForDigits(3)
 	k := NewLaplace(p).(*base)
 	sqOld := sphharm.SqSize(p)
-	totalOld := 0
-	uh, _, _ := laplaceNodes()
-	for _, u := range uh {
-		totalOld += int(math.Ceil(pwAlphaC*u*pwRhoMax)) + pwAlphaB
-	}
+	totalOld := 2 * makeRule(laplaceNodes(p), 1).total
 	side := func(level int) uint64 { return math.Float64bits(1.0 / float64(int(1)<<level)) }
+	rule := func(level int) uint64 {
+		return makeRule(laplaceNodes(p), math.Float64frombits(side(level))).fingerprint
+	}
 	ops := []OperatorTable{
 		{Kind: m2mKind, SideBits: side(3), DX: 1, DY: 1, DZ: 1, Mx: make([]complex128, sqOld*sqOld)},
 		{Kind: m2lKind, SideBits: side(2), DX: 2, Mx: make([]complex128, sqOld*sqOld)},
@@ -115,8 +115,8 @@ func TestImportOfPreviousLayoutIsDroppedAndRebuilt(t *testing.T) {
 	for _, level := range []int{2, 4} {
 		for dir := int8(0); dir < int8(geom.NumDirections); dir++ {
 			ops = append(ops,
-				OperatorTable{Kind: pwM2IKind, SideBits: side(level), DX: dir, DY: int8(level), Mx: make([]complex128, totalOld*sqOld)},
-				OperatorTable{Kind: pwI2LKind, SideBits: side(level), DX: dir, DY: int8(level), Mx: make([]complex128, sqOld*totalOld)})
+				OperatorTable{Kind: pwM2IKind, SideBits: side(level), DX: dir, DY: int8(level), Rule: rule(level), Mx: make([]complex128, totalOld*sqOld)},
+				OperatorTable{Kind: pwI2LKind, SideBits: side(level), DX: dir, DY: int8(level), Rule: rule(level), Mx: make([]complex128, sqOld*totalOld)})
 		}
 	}
 	k.ImportOperators(ops)
@@ -143,6 +143,41 @@ func TestImportOfPreviousLayoutIsDroppedAndRebuilt(t *testing.T) {
 	}
 	if e := runPW(t, k, 2, 0.25, 1, -1, 2, 31); e > 1e-3 {
 		t.Errorf("rebuilt plane-wave operators: rel err %.2e > 1e-3", e)
+	}
+}
+
+// A plane-wave pair is adopted only under the rule it was built from: an
+// import of the right size whose fingerprint is another rule's (another
+// order's here, or none, as a record from before the fingerprint carries) is
+// rebuilt, and the rebuilt pair exports the level's own fingerprint.
+func TestImportOfAnotherRuleIsRebuilt(t *testing.T) {
+	p := OrderForDigits(3)
+	src := NewLaplace(p).(*base)
+	src.Prepare(1.0, 2)
+	src.pw.Load().table(pwM2IKind, geom.Up, 2)
+	good := src.ExportOperators()
+	own := src.pw.Load().levels[2].rule.fingerprint
+	other := makeRule(laplaceNodes(p+1), 0.25).fingerprint
+	if len(good) != 2 || good[0].Rule != own || good[1].Rule != own || own == other {
+		t.Fatalf("exported %d tables, fingerprints %x/%x; level rule %x, another order's %x", len(good), good[0].Rule, good[1].Rule, own, other)
+	}
+	for _, rule := range []uint64{own, other, 0} {
+		k := NewLaplace(p).(*base)
+		ops := append([]OperatorTable(nil), good...)
+		for i := range ops {
+			ops[i].Rule = rule
+		}
+		k.ImportOperators(ops)
+		k.Prepare(1.0, 2)
+		adopted := &lookup(k, ops[0])[0] == &ops[0].Mx[0]
+		if adopted != (rule == own) {
+			t.Errorf("fingerprint %x against the level's %x: adopted %v", rule, own, adopted)
+		}
+		for _, op := range k.ExportOperators() {
+			if op.Rule != own {
+				t.Errorf("fingerprint %x: table of kind %d exports fingerprint %x, want the level's %x", rule, op.Kind, op.Rule, own)
+			}
+		}
 	}
 }
 

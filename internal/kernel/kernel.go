@@ -67,10 +67,10 @@ type Kernel interface {
 	// kept, deeper levels appended) and safe while operators run; preparing
 	// for a different side rebinds the kernel and invalidates every plan
 	// built on the old binding (RootSide reports the binding, and core.Plan
-	// checks it on every run). A root
-	// cube whose plane-wave rule would exceed the size bound (a Yukawa λ·side
-	// too large: ErrRuleTooLarge) is refused before anything is allocated and
-	// leaves the kernel as it was.
+	// checks it on every run). A binding past the plane-wave size bounds
+	// (ErrRuleTooLarge: a Yukawa λ·side too large, or a Laplace tree too
+	// deep for the tables of its order) is refused before anything is
+	// allocated and leaves the kernel as it was.
 	Prepare(rootSide float64, maxLevel int) error
 
 	// Direct evaluates the kernel G(t, s) for one pair of points.
@@ -149,19 +149,20 @@ type base struct {
 	// Projection radii, as multiples of the relevant box side.
 	aM2M, aM2L, aL2L float64
 
-	directF func(r float64) float64                 // pointwise kernel G(r)
-	gradF   func(r float64) float64                 // dG/dr, for gradient eval
-	pwNodes func(side float64) (u, mu, w []float64) // box-unit quadrature generator
+	directF func(r float64) float64    // pointwise kernel G(r)
+	gradF   func(r float64) float64    // dG/dr, for gradient eval
+	pwNodes func(side float64) boxRule // box-unit plane-wave rule of a box side
 	// pair is the near-field pair loop behind S2T and P2P (p2p.go), bound at
 	// construction; lambda is the screening parameter its Yukawa loop reads.
 	pair   pairLoop
 	lambda float64
-	// pwScaleFree marks a kernel whose box-unit quadrature is the same at
-	// every box side (Laplace): its I->I shift table is shared process-wide.
-	pwScaleFree bool
-	prepMu      sync.Mutex               // serializes Prepare
-	pw          atomic.Pointer[pwTables] // plane-wave machinery, published by Prepare
-	wsp         wsChan                   // scratch workspace free list
+	// pwShift is the process-wide I->I shift table of a kernel whose
+	// box-unit rule is the same at every box side (Laplace: one table per
+	// generated rule), nil when each level's rule has a table of its own.
+	pwShift *shiftTable
+	prepMu  sync.Mutex               // serializes Prepare
+	pw      atomic.Pointer[pwTables] // plane-wave machinery, published by Prepare
+	wsp     wsChan                   // scratch workspace free list
 
 	// tabs is the kernel's one dense-table cache, xlKey -> *tableEntry: the
 	// eight parent/child translations of M->M and L->L and the per-lattice-

@@ -30,8 +30,9 @@ func NewLaplace(p int) Kernel {
 	b.directF = func(r float64) float64 { return 1 / r }
 	b.gradF = func(r float64) float64 { return -1 / (r * r) }
 	b.pair = bestLaplacePair
-	b.pwScaleFree = true
-	b.pwNodes = func(side float64) (u, mu, w []float64) { return laplaceNodes() }
+	rule := laplaceNodes(p)
+	b.pwNodes = func(float64) boxRule { return rule }
+	b.pwShift = laplaceShiftFor(p)
 	b.wsp = newWSChan()
 	return b
 }

@@ -7,8 +7,7 @@
 //	Yukawa:   e^{-kr}/r  = int_0^inf u/mu e^{-mu z} J0(u rho) du,  mu = sqrt(u^2+k^2)
 //
 // with J0(u rho) = (1/M) sum_j e^{i u (x cos a_j + y sin a_j)} by the
-// trapezoid rule. Discretizing u with mapped Gauss–Legendre quadrature gives
-// the directional plane-wave expansion
+// trapezoid rule. Discretizing u gives the directional plane-wave expansion
 //
 //	X[k,j] = sum_s q_s e^{+mu_k zeta_s} e^{-i u_k (xi_s cos a_j + eta_s sin a_j)}
 //
@@ -25,15 +24,23 @@
 // (see DESIGN.md for why this substitutes for the Yarvin–Rokhlin generalized
 // quadratures).
 //
-// The quadrature is generated in box units (z in [1, 4], rho <= 4*sqrt(2))
-// and rescaled per tree level; for the scale-variant Yukawa kernel the
-// number of terms depends on kappa*side and hence on the level, reproducing
-// the depth-dependent I-expansion length noted in the paper.
+// Both rules are in box units (z in [1, 4], rho <= 4*sqrt(2)) and rescaled
+// per tree level. Laplace's is generated per truncation order (package
+// pwrule, checked in as pwrule_laplace.go): nodes picked by a pivoted QR
+// from Gauss–Legendre candidates, accurate to the (sqrt(3)/4)^p the
+// multipole truncation is, 268 terms per direction at three digits, 865 at
+// six. Yukawa's is a Gauss–Legendre rule whose cutoff and node count depend
+// on kappa*side and hence on the level, reproducing the depth-dependent
+// I-expansion length noted in the paper.
 package kernel
 
+//go:generate go run ./pwrulegen -o pwrule_laplace.go
+
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"repro/internal/geom"
@@ -56,13 +63,39 @@ type pwRule struct {
 	// is even, so the dropped node j + m_k/2 is a_j + pi).
 	cosA [][]float64
 	sinA [][]float64
+	// fingerprint identifies the rule a level's M->I and I->L tables were
+	// built from (FNV-1a over the bits of u, mu, w and m_k): a spilled table
+	// of another rule is rebuilt even when its size matches.
+	fingerprint uint64
 }
 
-// The quadrature generation constants: one rule, whatever accuracy is asked
-// (ROADMAP item 2 owns a per-accuracy one).
+// boxRule is a plane-wave quadrature in box units: nodes u and decay rates
+// mu (Laplace: mu = u), weights w and alpha counts m (every one even).
+type boxRule struct {
+	u, mu, w []float64
+	m        []int
+}
+
+// terms is the complex coefficients the rule keeps per direction, Σ m_k/2.
+func (n boxRule) terms() int {
+	t := 0
+	for _, m := range n.m {
+		t += m / 2
+	}
+	return t
+}
+
+// laplaceRuleOrder is the order whose generated rule a Laplace kernel of
+// order p uses: its own, clamped to the orders generated.
+func laplaceRuleOrder(p int) int { return min(max(p, laplaceMinOrder), len(laplaceRules)-1) }
+
+// laplaceNodes returns the generated box-unit rule of order p.
+func laplaceNodes(p int) boxRule { return laplaceRules[laplaceRuleOrder(p)] }
+
+// The Yukawa rule's generation constants.
 const (
-	pwUmax   = 13.0  // box-unit integration cutoff (Laplace)
-	pwNu     = 20    // number of Gauss–Legendre u-nodes (Laplace)
+	pwUmax   = 13.0  // box-unit integration cutoff at kappa*side = 0
+	pwNu     = 20    // number of Gauss–Legendre u-nodes at kappa*side = 0
 	pwRhoMax = 5.657 // 4*sqrt(2): max lateral offset in box units
 	// Alpha count: m_k = ceil(pwAlphaC * u_k * pwRhoMax) + pwAlphaB, rounded
 	// up to even.
@@ -70,22 +103,28 @@ const (
 	pwAlphaB = 10
 )
 
-// makeRule assembles a rule from box-unit nodes (uh, muh, wh) for boxes of
-// the given world side.
-func makeRule(uh, muh, wh []float64, side float64) *pwRule {
+// makeRule assembles a rule from box-unit nodes for boxes of the given
+// world side.
+func makeRule(n boxRule, side float64) *pwRule {
 	r := &pwRule{
-		u:   make([]float64, len(uh)),
-		mu:  make([]float64, len(uh)),
-		w:   make([]float64, len(uh)),
-		uh:  uh,
-		muh: muh,
+		u:   make([]float64, len(n.u)),
+		mu:  make([]float64, len(n.u)),
+		w:   make([]float64, len(n.u)),
+		uh:  n.u,
+		muh: n.mu,
 	}
-	for k := range uh {
-		r.u[k] = uh[k] / side
-		r.mu[k] = muh[k] / side
-		r.w[k] = wh[k] / side
-		mk := int(math.Ceil(pwAlphaC*uh[k]*pwRhoMax)) + pwAlphaB
-		mk += mk & 1
+	h := fnv.New64a()
+	for k := range n.u {
+		r.u[k] = n.u[k] / side
+		r.mu[k] = n.mu[k] / side
+		r.w[k] = n.w[k] / side
+		mk := n.m[k]
+		var node [32]byte
+		binary.LittleEndian.PutUint64(node[0:], math.Float64bits(r.u[k]))
+		binary.LittleEndian.PutUint64(node[8:], math.Float64bits(r.mu[k]))
+		binary.LittleEndian.PutUint64(node[16:], math.Float64bits(r.w[k]))
+		binary.LittleEndian.PutUint64(node[24:], uint64(mk))
+		h.Write(node[:])
 		r.off = append(r.off, r.total)
 		r.total += mk / 2
 		ca := make([]float64, mk/2)
@@ -98,22 +137,8 @@ func makeRule(uh, muh, wh []float64, side float64) *pwRule {
 		r.cosA = append(r.cosA, ca)
 		r.sinA = append(r.sinA, sa)
 	}
+	r.fingerprint = h.Sum64()
 	return r
-}
-
-// laplaceNodes returns box-unit Gauss–Legendre nodes for the Laplace
-// exponential integral on [0, umax].
-func laplaceNodes() (u, mu, w []float64) {
-	xs, ws := sphharm.GaussLegendre(pwNu)
-	u = make([]float64, pwNu)
-	mu = make([]float64, pwNu)
-	w = make([]float64, pwNu)
-	for k := range xs {
-		u[k] = pwUmax * (xs[k] + 1) / 2
-		mu[k] = u[k]
-		w[k] = ws[k] * pwUmax / 2
-	}
-	return u, mu, w
 }
 
 // yukawaCutoff returns the integration cutoff and the node count of the
@@ -128,12 +153,20 @@ func yukawaCutoff(x float64) (umax, nu float64) {
 	return umax, math.Ceil(pwNu * max(1, umax/pwUmax))
 }
 
-// maxRuleTerms bounds the plane-wave rule of a level: the complex
-// coefficients one direction keeps. Laplace's rule is 477 terms at every
-// level; Yukawa's grows as about 57·λ·side (yukawaRuleTerms), so the bound
-// is λ·side ≲ 18 000 on the root cube — λ up to that on the unit-cube
-// ensembles of points.Generate.
+// maxRuleTerms bounds the Yukawa plane-wave rule of a level: the complex
+// coefficients one direction keeps. Its rule grows as about 57·λ·side
+// (yukawaRuleTerms), so the bound is λ·side ≲ 18 000 on the root cube — λ
+// up to that on the unit-cube ensembles of points.Generate.
 const maxRuleTerms = 1 << 20
+
+// maxWaveTableBytes bounds the M->I and I->L tables a Laplace kernel
+// prepared for a tree can build: twelve per level (six directions, two
+// kinds) of 2·ISize·MLSize complex values each, on every level from 2, the
+// first with list-2 boxes, to the deepest prepared. The generated rule grows
+// with the order — one table is 0.47 MB at three digits, 4.7 MB at six and
+// 62 MB (747 MB a level) at twelve — so a deep tree at high accuracy is
+// refused here rather than left to build gigabytes on first use.
+const maxWaveTableBytes = 2 << 30
 
 // yukawaRuleTerms bounds from above, without building it, the terms per
 // direction of the rule yukawaNodes(x) makes: the Gauss–Legendre nodes are
@@ -145,39 +178,47 @@ func yukawaRuleTerms(x float64) float64 {
 }
 
 // ErrRuleTooLarge is the error Prepare returns for a root cube whose
-// plane-wave rule would exceed maxRuleTerms.
+// plane-wave rule would exceed maxRuleTerms (Yukawa), or for a tree whose
+// plane-wave tables could exceed maxWaveTableBytes (Laplace).
 var ErrRuleTooLarge = errors.New("kernel: plane-wave rule too large")
 
-// checkRule refuses a root cube whose level-0 rule — the largest of any
-// level, x halves with the side — would exceed the bound.
-func (b *base) checkRule(rootSide float64) error {
-	if b.pwScaleFree {
+// checkRule refuses a binding whose plane-wave work is past its bound: for
+// Yukawa the level-0 rule, the largest of any level (x halves with the
+// side); for Laplace, whose rule is the same at every level, the tables of
+// levels 2..maxLevel.
+func (b *base) checkRule(rootSide float64, maxLevel int) error {
+	if b.pwShift == nil {
+		if n := yukawaRuleTerms(b.lambda * rootSide); !(n <= maxRuleTerms) {
+			return fmt.Errorf("%w: yukawa lambda %g on a root cube of side %g needs %.3g plane-wave terms per direction, over the bound of %d (lambda·side at most about 18000)",
+				ErrRuleTooLarge, b.lambda, rootSide, n, maxRuleTerms)
+		}
 		return nil
 	}
-	if n := yukawaRuleTerms(b.lambda * rootSide); !(n <= maxRuleTerms) {
-		return fmt.Errorf("%w: yukawa lambda %g on a root cube of side %g needs %.3g plane-wave terms per direction, over the bound of %d (lambda·side at most about 18000)",
-			ErrRuleTooLarge, b.lambda, rootSide, n, maxRuleTerms)
+	perLevel := 12 * 2 * 16 * float64(b.pwNodes(rootSide).terms()*b.MLSize())
+	if bytes := float64(max(0, maxLevel-1)) * perLevel; bytes > maxWaveTableBytes {
+		return fmt.Errorf("%w: laplace order %d needs %.3g GB of plane-wave tables for tree levels 0..%d, over the bound of %.3g GB (levels 0..%d at most at this order)",
+			ErrRuleTooLarge, b.p, bytes/1e9, maxLevel, maxWaveTableBytes/1e9, 1+int(maxWaveTableBytes/perLevel))
 	}
 	return nil
 }
 
-// yukawaNodes returns box-unit nodes for the Sommerfeld integral with
+// yukawaNodes returns the box-unit rule of the Sommerfeld integral with
 // kappa*side = x (yukawaCutoff).
-func yukawaNodes(x float64) (u, mu, w []float64) {
+func yukawaNodes(x float64) boxRule {
 	umax, fnu := yukawaCutoff(x)
 	nu := int(fnu)
 	xs, ws := sphharm.GaussLegendre(nu)
-	u = make([]float64, nu)
-	mu = make([]float64, nu)
-	w = make([]float64, nu)
+	r := boxRule{u: make([]float64, nu), mu: make([]float64, nu), w: make([]float64, nu), m: make([]int, nu)}
 	for k := range xs {
 		uk := umax * (xs[k] + 1) / 2
 		muk := math.Sqrt(uk*uk + x*x)
-		u[k] = uk
-		mu[k] = muk
-		w[k] = ws[k] * umax / 2 * uk / muk
+		r.u[k] = uk
+		r.mu[k] = muk
+		r.w[k] = ws[k] * umax / 2 * uk / muk
+		mk := int(math.Ceil(pwAlphaC*uk*pwRhoMax)) + pwAlphaB
+		r.m[k] = mk + mk&1
 	}
-	return u, mu, w
+	return r
 }
 
 // pwTables holds, per tree level, the quadrature rule the level's M->I and
@@ -204,9 +245,9 @@ type pwLevel struct {
 // preparing for a different side rebinds the kernel: plans built on the old
 // binding then refuse to run (see core.Plan), and every table of theirs is
 // dropped with it. Prepare calls serialize on prepMu; operators never take
-// it. A root cube checkRule refuses changes nothing.
+// it. A binding checkRule refuses changes nothing.
 func (b *base) preparePW(rootSide float64, maxLevel int) error {
-	if err := b.checkRule(rootSide); err != nil {
+	if err := b.checkRule(rootSide, maxLevel); err != nil {
 		return err
 	}
 	b.prepMu.Lock()
@@ -224,16 +265,13 @@ func (b *base) preparePW(rootSide float64, maxLevel int) error {
 	}
 	for l := len(t.levels); l <= maxLevel; l++ {
 		side := rootSide / float64(int64(1)<<uint(l))
-		uh, muh, wh := b.pwNodes(side)
 		lv := &pwLevel{
-			rule:  makeRule(uh, muh, wh, side),
+			rule:  makeRule(b.pwNodes(side), side),
 			side:  side,
-			shift: &shiftTable{},
+			shift: b.pwShift,
 		}
-		if b.pwScaleFree {
-			// The box-unit rule does not depend on the side: one table for
-			// every level, kernel and plan of the process.
-			lv.shift = &laplaceShift
+		if lv.shift == nil {
+			lv.shift = &shiftTable{}
 		}
 		t.levels = append(t.levels, lv)
 	}
@@ -260,15 +298,19 @@ func (t *pwTables) table(kind uint8, dir geom.Direction, l int) []complex128 {
 	if !e.ok.Load() {
 		// The M->I entry's once guards the pair: the two tables come out of
 		// one sampling pass and one projector, and two workers that race for
-		// either build the 47-57 ms pair once. An imported pair is kept when
-		// both tables fit the level's rule and rebuilt otherwise.
+		// either build the pair once (≈ 10 ms at three digits on AVX-512,
+		// the bench's kernel.m2i_build_ms). An imported
+		// pair is kept when both tables were built from the level's rule
+		// (fingerprint) and fit it (size), and rebuilt otherwise.
 		key.kind = pwM2IKind
 		m2i := t.b.entry(key)
 		key.kind = pwI2LKind
 		i2l := t.b.entry(key)
 		m2i.once.Do(func() {
-			if want := 2 * lv.rule.total * t.b.MLSize(); len(m2i.mx) != want || len(i2l.mx) != want {
+			want, fp := 2*lv.rule.total*t.b.MLSize(), lv.rule.fingerprint
+			if len(m2i.mx) != want || len(i2l.mx) != want || m2i.rule != fp || i2l.rule != fp {
 				m2i.mx, i2l.mx = t.build(dir, lv)
+				m2i.rule, i2l.rule = fp, fp
 			}
 			m2i.ok.Store(true)
 			i2l.ok.Store(true)

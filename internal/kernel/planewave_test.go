@@ -183,10 +183,10 @@ func TestYukawaISizeVariesWithDepth(t *testing.T) {
 // from Prepare, which leaves the kernel as it was.
 func TestYukawaRuleBound(t *testing.T) {
 	for _, x := range []float64{0, 0.5, 4, 40, 1e3, 1e4} {
-		uh, muh, wh := yukawaNodes(x)
-		r := makeRule(uh, muh, wh, 1)
-		if est := yukawaRuleTerms(x); est < float64(r.total) || est > float64(r.total+len(uh)) {
-			t.Errorf("λ·side %g: rule of %d terms on %d nodes, bounded at %.0f", x, r.total, len(uh), est)
+		n := yukawaNodes(x)
+		r := makeRule(n, 1)
+		if est := yukawaRuleTerms(x); est < float64(r.total) || est > float64(r.total+len(n.u)) {
+			t.Errorf("λ·side %g: rule of %d terms on %d nodes, bounded at %.0f", x, r.total, len(n.u), est)
 		}
 	}
 	k := NewYukawa(2, 1e4)
@@ -204,6 +204,29 @@ func TestYukawaRuleBound(t *testing.T) {
 	}
 	if err := NewLaplace(2).Prepare(1e300, 2); err != nil {
 		t.Errorf("Laplace is scale-free, yet: %v", err)
+	}
+}
+
+// The Laplace table bound: at twelve digits (p = 34) one level's twelve
+// plane-wave tables are 747 MB, so a kernel prepared two plane-wave levels
+// deep is admitted, a deeper one is ErrRuleTooLarge from Prepare, which
+// leaves the kernel as it was, and at three digits forty levels are far
+// inside the bound.
+func TestLaplaceWaveTableBound(t *testing.T) {
+	k := NewLaplace(OrderForDigits(12))
+	if err := k.Prepare(1, 3); err != nil {
+		t.Fatalf("twelve digits, levels 0..3: %v", err)
+	}
+	for _, deep := range []int{4, 8, 30} {
+		if err := k.Prepare(1, deep); !errors.Is(err, ErrRuleTooLarge) {
+			t.Errorf("twelve digits, levels 0..%d: Prepare returned %v, want ErrRuleTooLarge", deep, err)
+		}
+	}
+	if got := len(k.(*base).pw.Load().levels); got != 4 {
+		t.Errorf("a refused Prepare left %d levels prepared, want the 4 of the admitted one", got)
+	}
+	if err := NewLaplace(OrderForDigits(3)).Prepare(1, 40); err != nil {
+		t.Errorf("three digits, levels 0..40: %v", err)
 	}
 }
 

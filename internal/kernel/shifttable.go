@@ -15,9 +15,10 @@
 //   - the key has no direction in it: the six rotations are symmetries of
 //     the lattice, so the Up table serves all six directions;
 //   - for Laplace the box-unit rule is the same at every side, so one
-//     process-wide table (laplaceShift) serves every level, kernel and
-//     cached plan; Yukawa's rule depends on kappa*side, so each pwLevel owns
-//     a table that dies with the plan's kernel;
+//     process-wide table per generated rule (laplaceShiftFor) serves every
+//     level, kernel and cached plan of that order; Yukawa's rule depends on
+//     kappa*side, so each pwLevel owns a table that dies with the plan's
+//     kernel;
 //   - a slot is always filled from the canonical lattice vector decoded from
 //     its index, never from the centre difference of whichever edge touched
 //     it first, so sequential, parallel and per-rank runs build bit-identical
@@ -26,7 +27,7 @@
 //     load. Racing fillers compute identical bits and all but one discard.
 //
 // The table is bounded by the lattice, (2*shiftReach+1)^3 slots, of which a
-// DAG touches ~100 (7.7 KB each at 3 digits). It is deliberately not part of
+// DAG touches ~100 (4.3 KB each at 3 digits). It is deliberately not part of
 // ExportOperators: refilling every slot a plan uses costs ~2 ms, spilling
 // them would grow each store record by ~8 %.
 package kernel
@@ -58,8 +59,20 @@ type shiftTable struct {
 	slots [shiftSpan * shiftSpan * shiftSpan]atomic.Pointer[[]complex128]
 }
 
-// laplaceShift is the process-wide table of the default Laplace rule.
-var laplaceShift shiftTable
+// laplaceShifts[p] is the process-wide table of the generated Laplace rule
+// of order p, made on first use.
+var laplaceShifts [len(laplaceRules)]atomic.Pointer[shiftTable]
+
+// laplaceShiftFor returns the table of the rule a Laplace kernel of order p
+// uses (laplaceRuleOrder).
+func laplaceShiftFor(p int) *shiftTable {
+	slot := &laplaceShifts[laplaceRuleOrder(p)]
+	if t := slot.Load(); t != nil {
+		return t
+	}
+	slot.CompareAndSwap(nil, new(shiftTable))
+	return slot.Load()
+}
 
 // offLatticeCalls counts I2I applications that missed the lattice.
 var offLatticeCalls atomic.Int64
@@ -151,11 +164,12 @@ func mulAcc(f, in, out []complex128) {
 	}
 }
 
-// ShiftStats describes the process-wide I->I shift table.
+// ShiftStats describes the process-wide I->I shift tables.
 type ShiftStats struct {
-	// Slots and Bytes are the filled slots of the shared (Laplace) table and
-	// the memory they hold. Per-level Yukawa tables belong to their kernel
-	// and are reclaimed with it; they are not counted here.
+	// Slots and Bytes are the filled slots of the shared (Laplace) tables,
+	// one per order in use, and the memory they hold. Per-level Yukawa
+	// tables belong to their kernel and are reclaimed with it; they are not
+	// counted here.
 	Slots int
 	Bytes int64
 	// OffLatticeCalls counts I->I applications, of any kernel, whose shift
@@ -168,10 +182,16 @@ type ShiftStats struct {
 // ShiftTableStats snapshots the shift-table counters.
 func ShiftTableStats() ShiftStats {
 	s := ShiftStats{OffLatticeCalls: offLatticeCalls.Load()}
-	for i := range laplaceShift.slots {
-		if f := laplaceShift.slots[i].Load(); f != nil {
-			s.Slots++
-			s.Bytes += int64(len(*f)) * 16
+	for i := range laplaceShifts {
+		t := laplaceShifts[i].Load()
+		if t == nil {
+			continue
+		}
+		for j := range t.slots {
+			if f := t.slots[j].Load(); f != nil {
+				s.Slots++
+				s.Bytes += int64(len(*f)) * 16
+			}
 		}
 	}
 	return s

@@ -60,23 +60,28 @@ func TestShiftSlotSharedAcrossDirections(t *testing.T) {
 	}
 }
 
-// Laplace's box-unit rule is side-free: every level of every kernel shares
-// the process-wide table. Yukawa's is not: one table per level.
+// Laplace's box-unit rule is side-free: every level of every kernel of one
+// order shares the process-wide table of that order's rule, and another
+// order has a table of its own. Yukawa's is not: one table per level.
 func TestShiftTableSharing(t *testing.T) {
 	p := OrderForDigits(3)
-	l1, l2 := NewLaplace(p).(*base), NewLaplace(p+2).(*base)
+	l1, l1b, l2 := NewLaplace(p).(*base), NewLaplace(p).(*base), NewLaplace(p+2).(*base)
 	l1.Prepare(1.0, 4)
+	l1b.Prepare(3.7, 2)
 	l2.Prepare(3.7, 2)
-	for _, b := range []*base{l1, l2} {
+	for _, b := range []*base{l1, l1b, l2} {
 		for l, lv := range b.pw.Load().levels {
-			if lv.shift != &laplaceShift {
-				t.Errorf("laplace level %d does not use the process-wide table", l)
+			if lv.shift != laplaceShiftFor(b.p) {
+				t.Errorf("laplace p=%d level %d does not use its order's process-wide table", b.p, l)
 			}
 		}
 	}
+	if laplaceShiftFor(p) == laplaceShiftFor(p+2) {
+		t.Error("two orders' rules share one shift table")
+	}
 	y := NewYukawa(p, 4.0).(*base)
 	y.Prepare(1.0, 3)
-	seen := map[*shiftTable]bool{&laplaceShift: true}
+	seen := map[*shiftTable]bool{laplaceShiftFor(p): true}
 	for l, lv := range y.pw.Load().levels {
 		if seen[lv.shift] {
 			t.Errorf("yukawa level %d shares a shift table", l)
@@ -208,11 +213,18 @@ func TestShiftTableStats(t *testing.T) {
 	n := lap.ISize(1)
 	lap.I2I(geom.Up, 1, geom.Point{Z: 1.0}, Ones(n), make([]complex128, n))
 	s := ShiftTableStats()
-	if s.Slots < 1 || s.Slots != filledSlots(&laplaceShift) {
-		t.Errorf("Slots = %d, table holds %d", s.Slots, filledSlots(&laplaceShift))
+	slots, bytes := 0, int64(0)
+	for p := range laplaceShifts {
+		if tab := laplaceShifts[p].Load(); tab != nil {
+			slots += filledSlots(tab)
+			bytes += int64(filledSlots(tab)) * int64(makeRule(laplaceNodes(p), 1).total) * 16
+		}
 	}
-	if want := int64(s.Slots) * int64(n) * 16; s.Bytes != want {
-		t.Errorf("Bytes = %d, want %d slots x %d terms x 16", s.Bytes, s.Slots, n)
+	if s.Slots < 1 || s.Slots != slots {
+		t.Errorf("Slots = %d, tables hold %d", s.Slots, slots)
+	}
+	if s.Bytes != bytes {
+		t.Errorf("Bytes = %d, want %d: filled slots x terms x 16", s.Bytes, bytes)
 	}
 	if s.OffLatticeCalls != offLatticeCalls.Load() {
 		t.Errorf("OffLatticeCalls = %d, counter reads %d", s.OffLatticeCalls, offLatticeCalls.Load())
@@ -265,7 +277,7 @@ func TestShiftSlotOfRejectsOffLattice(t *testing.T) {
 			for z := -shiftReach; z <= shiftReach; z++ {
 				v := geom.Point{X: float64(x) / 2, Y: float64(y)/2 + 1e-9, Z: float64(z)/2 - 1e-9}
 				slot, ok := shiftSlotOf(v)
-				if !ok || seen[slot] || slot < 0 || slot >= len(laplaceShift.slots) {
+				if !ok || seen[slot] || slot < 0 || slot >= len(shiftTable{}.slots) {
 					t.Fatalf("%v: slot %d ok=%v (duplicate %v)", v, slot, ok, seen[slot])
 				}
 				seen[slot] = true

@@ -59,7 +59,7 @@ func NewYukawa(p int, lambda float64) Kernel {
 	}
 	b.pair, b.lambda = bestYukawaPair, lambda
 	b.regScale, b.outScale = regScale, outScale
-	b.pwNodes = func(side float64) (u, mu, w []float64) { return yukawaNodes(lambda * side) }
+	b.pwNodes = func(side float64) boxRule { return yukawaNodes(lambda * side) }
 	b.wsp = newWSChan()
 	return b
 }

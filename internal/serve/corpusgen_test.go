@@ -48,6 +48,8 @@ func TestGenerateCorpus(t *testing.T) {
 		Ops: []kernel.OperatorTable{
 			{Kind: 1, SideBits: 0x3ff0000000000000, DX: 1, DY: -1,
 				Mx: []complex128{complex(1.5, -2.5)}},
+			{Kind: 3, SideBits: 0x3fd0000000000000, DX: 2, DY: 2, Rule: 0x9e3779b97f4a7c15,
+				Mx: []complex128{complex(-1, 0.5)}},
 		},
 	}
 	golden := appendRecord(nil, rec)

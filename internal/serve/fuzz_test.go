@@ -94,6 +94,8 @@ func FuzzStoreLoad(f *testing.F) {
 		Ops: []kernel.OperatorTable{
 			{Kind: 1, SideBits: 0x3ff0000000000000, DX: 1, DY: -1, DZ: 0,
 				Mx: []complex128{complex(1.5, -2.5), complex(0, 3)}},
+			{Kind: 3, SideBits: 0x3fd0000000000000, DX: 2, DY: 2, Rule: 0x9e3779b97f4a7c15,
+				Mx: []complex128{complex(-1, 0.5)}},
 		},
 	}
 	f.Add(appendRecord(nil, rec))

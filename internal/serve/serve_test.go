@@ -358,6 +358,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"bad distribution", Request{N: 100, Distribution: "torus"}, "unknown distribution"},
 		{"bad kernel", Request{N: 100, Kernel: "helmholtz"}, "unknown kernel"},
 		{"bad digits", Request{N: 100, Digits: 13}, "out of range"},
+		{"tree too deep for its digits' plane-wave tables", Request{N: 2000, Digits: 12, Threshold: 8}, "plane-wave tables"},
 		{"charge mismatch", Request{N: 100, Charges: []float64{1, 2}}, "charges for"},
 		{"too many workers", Request{N: 100, Workers: 257}, "too large"},
 		{"localities", Request{N: 100, Localities: 2}, "workers"},

@@ -56,8 +56,11 @@ import (
 //	20   ...   payload
 
 const (
-	storeMagic   = 0x444d4d50 // "DMMP"
-	storeVersion = 1
+	storeMagic = 0x444d4d50 // "DMMP"
+	// storeVersion is the payload layout. Version 2 gives every operator
+	// table its plane-wave rule fingerprint; a record of any other version
+	// is skipped and its plan rebuilt.
+	storeVersion = 2
 	// storeHeaderSize is the fixed record header length in bytes.
 	storeHeaderSize = 20
 	// maxStoreRecord bounds a record so a corrupted length field cannot
@@ -277,6 +280,7 @@ func appendRecord(dst []byte, rec *PlanRecord) []byte {
 		dst = append(dst, op.Kind)
 		dst = le.AppendUint64(dst, op.SideBits)
 		dst = append(dst, byte(op.DX), byte(op.DY), byte(op.DZ))
+		dst = le.AppendUint64(dst, op.Rule)
 		dst = le.AppendUint32(dst, uint32(len(op.Mx)))
 		dst = amt.AppendC128s(dst, op.Mx)
 	}
@@ -317,13 +321,14 @@ func decodeRecord(payload []byte) (*PlanRecord, error) {
 	}
 	rec.Source = readSkeleton(&r)
 	rec.Target = readSkeleton(&r)
-	for i, nOps := 0, r.Count(1+8+3+4); i < nOps && !r.Short(); i++ {
+	for i, nOps := 0, r.Count(1+8+3+8+4); i < nOps && !r.Short(); i++ {
 		op := kernel.OperatorTable{
 			Kind:     r.U8(),
 			SideBits: r.U64(),
 			DX:       int8(r.U8()),
 			DY:       int8(r.U8()),
 			DZ:       int8(r.U8()),
+			Rule:     r.U64(),
 		}
 		op.Mx = make([]complex128, r.Count(16))
 		r.C128s(op.Mx)

@@ -71,8 +71,8 @@ func TestStoreRecordCodecRoundTrip(t *testing.T) {
 		Source:    skeleton(1),
 		Target:    skeleton(2),
 		Ops: []kernel.OperatorTable{{
-			Kind: 2, SideBits: math.Float64bits(0.25), DX: -3, DY: 2, DZ: 1,
-			Mx: []complex128{complex(1, -2)},
+			Kind: 3, SideBits: math.Float64bits(0.25), DX: -3, DY: 2, DZ: 1,
+			Rule: 0x9e3779b97f4a7c15, Mx: []complex128{complex(1, -2)},
 		}},
 	}
 	requireEveryField(t, reflect.ValueOf(full).Elem(), "PlanRecord")
@@ -254,6 +254,82 @@ func TestStoreRevivesRecordOfPreviousTableLayout(t *testing.T) {
 	}
 	if planeWave == 0 || planeWave == len(rec.Ops) {
 		t.Fatalf("fixture: %d plane-wave tables of %d, want both families", planeWave, len(rec.Ops))
+	}
+	if _, err := st1.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{})
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.UseStore(st2)
+	if recovered, skipped, err := s2.RecoverFromStore(); err != nil || recovered != 1 || skipped != 0 {
+		t.Fatalf("recovered %d, skipped %d, err %v; want 1, 0, nil", recovered, skipped, err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	code, warm, _ := post(t, ts2.URL, req)
+	if code != http.StatusOK {
+		t.Fatalf("post-restart request: HTTP %d", code)
+	}
+	if !warm.Report.StoreHit || warm.Report.PlanBuild != 0 {
+		t.Fatalf("post-restart request not served from the store: %+v", warm.Report)
+	}
+	for i, want := range cold.Potentials {
+		if d := math.Abs(warm.Potentials[i]-want) / math.Max(1, math.Abs(want)); d > 1e-12 {
+			t.Fatalf("potential %d from the revived plan off the cold build's by %.2e", i, d)
+		}
+	}
+}
+
+// A spilled plane-wave table is reused only under the rule it was built
+// from. A record whose wave tables carry another rule's fingerprint and
+// values, sizes unchanged (what a binary with another rule of the same size
+// would have spilled), is revived with those tables rebuilt: it answers as
+// the fresh plan did, where adopting them by size would double the far field
+// they carry.
+func TestStoreRebuildsWaveTablesOfAnotherRule(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{N: 5000, Threshold: paperThr, Workers: 1, Localities: 1}
+
+	s1 := New(Config{})
+	st1, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.UseStore(st1)
+	ts1 := httptest.NewServer(s1.Handler())
+	code, cold, _ := post(t, ts1.URL, req)
+	ts1.Close()
+	if code != http.StatusOK {
+		t.Fatalf("first-life request: HTTP %d", code)
+	}
+
+	if err := req.normalize(Config{}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st1.Get(req.planKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waves := 0
+	for i, op := range rec.Ops {
+		if op.Kind < 3 { // the plane-wave kinds
+			continue
+		}
+		if op.Rule == 0 {
+			t.Fatalf("wave table %d spilled without a rule fingerprint", i)
+		}
+		rec.Ops[i].Rule ^= 1
+		for j := range op.Mx {
+			op.Mx[j] *= 2
+		}
+		waves++
+	}
+	if waves == 0 {
+		t.Fatal("fixture: the record holds no plane-wave table")
 	}
 	if _, err := st1.Put(rec); err != nil {
 		t.Fatal(err)

