@@ -66,7 +66,10 @@ escape-gate:
 # job payload (a plan spec, the JSON section of a plan-store record), and the
 # persistent plan-store record; and the Cartesian Y_n^m evaluator against its Legendre oracle on
 # arbitrary coordinates, and the vector point operators against the
-# portable ones on arbitrary coordinates, centres and charges. The seed corpora
+# portable ones on arbitrary coordinates, centres and charges, and every pair
+# loop this CPU runs — float64 ones against the portable loop, float32 ones
+# against a float32 reference and their float64 twins — on arbitrary near
+# fields. The seed corpora
 # live in testdata/fuzz/ and replay under plain `go test` too.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 20s ./internal/amt
@@ -76,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzYnmCartesian$$' -fuzztime 20s ./internal/sphharm
 	$(GO) test -run '^$$' -fuzz '^FuzzPointBlock$$' -fuzztime 20s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzPairLoops$$' -fuzztime 20s ./internal/kernel
 
 # Fail if any file needs gofmt; prints the offending files.
 fmt-check:

@@ -13,8 +13,9 @@ import (
 
 // Direct computes the exact potentials of every target due to every source
 // with the given kernel, splitting the target range across `workers`
-// goroutines. Coincident points are skipped, matching the library's
-// self-interaction convention.
+// goroutines. It runs the kernel's float64 pair loop (kernel.S2TFloat64)
+// also where the kernel's own S2T binds a float32 one. Coincident points
+// are skipped, matching the library's self-interaction convention.
 func Direct(k kernel.Kernel, spts []geom.Point, q []float64, tpts []geom.Point, workers int) []float64 {
 	if workers <= 0 {
 		workers = 1
@@ -34,7 +35,7 @@ func Direct(k kernel.Kernel, spts []geom.Point, q []float64, tpts []geom.Point, 
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			k.S2T(spts, q, tpts[lo:hi], pot[lo:hi])
+			kernel.S2TFloat64(k, spts, q, tpts[lo:hi], pot[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -167,7 +167,9 @@ func TestOracleEveryExecutorEveryLeafSize(t *testing.T) {
 }
 
 // Reordering the sources (charges with them) or the targets permutes the
-// potentials and nothing else, at 1e-10, through every executor at every
+// potentials and nothing else, at 1e-10 on the float64 pair loop (at f32Tol
+// on a float32 one, whose narrowing origin follows the points a leaf's
+// block holds), through every executor at every
 // leaf size: the tree sorts points into leaves, and only the summation order
 // inside a leaf may notice where they came from. The Basic method runs where
 // it differs from the default one — at the paper's threshold, which leaves
@@ -197,16 +199,19 @@ func TestOraclePermutationInvariance(t *testing.T) {
 		runs = append(runs, run{th, dag.Advanced})
 	}
 	for _, r := range runs {
-		opts := Options{Method: r.method, Threshold: r.threshold}
-		_, base := executors(t, sp, tp, q, kernel.NewLaplace(p), opts)
-		_, perm := executors(t, sp2, tp2, q2, kernel.NewLaplace(p), opts)
-		for name, got := range perm {
-			want := make([]float64, n)
-			for i := range want {
-				want[i] = base[name][pt[i]]
-			}
-			if e := relL2(got, want, nil); e > 1e-10 {
-				t.Errorf("%s %v, %s: permuted ensembles differ by rel L2 %.2e > 1e-10", r.name, r.method, name, e)
+		for _, newK := range []func(int) kernel.Kernel{kernel.NewLaplace, kernel.NewLaplaceFloat64} {
+			opts := Options{Method: r.method, Threshold: r.threshold}
+			k := newK(p)
+			_, base := executors(t, sp, tp, q, k, opts)
+			_, perm := executors(t, sp2, tp2, q2, newK(p), opts)
+			for name, got := range perm {
+				want := make([]float64, n)
+				for i := range want {
+					want[i] = base[name][pt[i]]
+				}
+				if e, tol := relL2(got, want, nil), metaTol(k, 1e-10); !(e <= tol) {
+					t.Errorf("%s %v, %s pair loop, %s: permuted ensembles differ by rel L2 %.2e > %.0e", r.name, r.method, kernel.PairKernel(k), name, e, tol)
+				}
 			}
 		}
 	}

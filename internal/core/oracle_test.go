@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dag"
@@ -30,16 +31,34 @@ type oracleCase struct {
 	kernel func(p int) kernel.Kernel
 }
 
+// oracleCases are Laplace as NewLaplace binds it (a float32 near field at
+// three digits where the CPU has one), Laplace on the float64 pair loop,
+// and Yukawa, on the cube and on the sphere.
 func oracleCases() []oracleCase {
-	lap := func(p int) kernel.Kernel { return kernel.NewLaplace(p) }
 	yuk := func(p int) kernel.Kernel { return kernel.NewYukawa(p, 4.0) }
 	var cs []oracleCase
 	for _, d := range []points.Distribution{points.Cube, points.Sphere} {
 		cs = append(cs,
-			oracleCase{d, fmt.Sprintf("%v/laplace", d), lap},
+			oracleCase{d, fmt.Sprintf("%v/laplace", d), kernel.NewLaplace},
+			oracleCase{d, fmt.Sprintf("%v/laplace-f64", d), kernel.NewLaplaceFloat64},
 			oracleCase{d, fmt.Sprintf("%v/yukawa", d), yuk})
 	}
 	return cs
+}
+
+// f32Tol is what a metamorphic gate holds a kernel to whose near field runs
+// a float32 pair loop: the five digits those loops are certified at
+// (internal/kernel, TestFloat32PairOrder). The same gate holds the float64
+// binding (kernel.NewLaplaceFloat64) to its own tolerance.
+const f32Tol = 1e-5
+
+// metaTol is a gate's tolerance for kernel k: tol, or f32Tol where k binds a
+// float32 pair loop (kernel.PairKernel "…-f32").
+func metaTol(k kernel.Kernel, tol float64) float64 {
+	if strings.HasSuffix(kernel.PairKernel(k), "-f32") {
+		return max(tol, f32Tol)
+	}
+	return tol
 }
 
 // relL2 is ||got - want|| / ||want|| over the given target indices (all of
@@ -78,7 +97,8 @@ func TestOracleLinearityInCharges(t *testing.T) {
 			mix[i] = a*q1[i] + q2[i]
 		}
 		for _, m := range fmmMethods {
-			plan := paperPlan(t, m, sp, tp, oc.kernel(kernel.OrderForDigits(3)))
+			k := oc.kernel(kernel.OrderForDigits(3))
+			plan := paperPlan(t, m, sp, tp, k)
 			ev, err := plan.NewEvaluation()
 			if err != nil {
 				t.Fatal(err)
@@ -93,8 +113,8 @@ func TestOracleLinearityInCharges(t *testing.T) {
 			for i := range want {
 				want[i] = a*phi[0][i] + phi[1][i]
 			}
-			if e := relL2(phi[2], want, nil); e > 1e-10 {
-				t.Errorf("%s %v: Phi(a q1 + q2) vs a Phi(q1) + Phi(q2): rel L2 %.2e > 1e-10", oc.name, m, e)
+			if e, tol := relL2(phi[2], want, nil), metaTol(k, 1e-10); !(e <= tol) {
+				t.Errorf("%s %v: Phi(a q1 + q2) vs a Phi(q1) + Phi(q2): rel L2 %.2e > %.0e", oc.name, m, e, tol)
 			}
 		}
 	}
@@ -120,22 +140,25 @@ func TestOracleLaplaceTranslationAndScale(t *testing.T) {
 		tp := points.Generate(d, n, 62)
 		q := points.Charges(n, 63)
 		p := kernel.OrderForDigits(3)
-		for _, method := range fmmMethods {
-			base, err := paperPlan(t, method, sp, tp, kernel.NewLaplace(p)).EvaluateSequential(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range maps {
-				got, err := paperPlan(t, method, affine(sp, m.s, m.t), affine(tp, m.s, m.t), kernel.NewLaplace(p)).EvaluateSequential(q)
+		for _, newK := range []func(int) kernel.Kernel{kernel.NewLaplace, kernel.NewLaplaceFloat64} {
+			for _, method := range fmmMethods {
+				k := newK(p)
+				base, err := paperPlan(t, method, sp, tp, k).EvaluateSequential(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := make([]float64, n)
-				for i := range want {
-					want[i] = base[i] / m.s
-				}
-				if e := relL2(got, want, nil); e > 1e-10 {
-					t.Errorf("%v %v: x -> %g x + %v: rel L2 %.2e > 1e-10", d, method, m.s, m.t, e)
+				for _, m := range maps {
+					got, err := paperPlan(t, method, affine(sp, m.s, m.t), affine(tp, m.s, m.t), newK(p)).EvaluateSequential(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := make([]float64, n)
+					for i := range want {
+						want[i] = base[i] / m.s
+					}
+					if e, tol := relL2(got, want, nil), metaTol(k, 1e-10); !(e <= tol) {
+						t.Errorf("%v %v, %s pair loop: x -> %g x + %v: rel L2 %.2e > %.0e", d, method, kernel.PairKernel(k), m.s, m.t, e, tol)
+					}
 				}
 			}
 		}
@@ -145,7 +168,8 @@ func TestOracleLaplaceTranslationAndScale(t *testing.T) {
 // (iii) The potentials match direct summation to the requested digits on
 // 200 seeded targets. Six digits (p = 17 tables, and for Laplace the 865-term
 // plane-wave rule of that order) runs on both Laplace cases and on
-// sphere/Yukawa, at N = 2000. (Known floor: Yukawa's plane-wave rule does
+// sphere/Yukawa, at N = 2000, and Laplace at three digits on a neutral and
+// an offset cube. (Known floor: Yukawa's plane-wave rule does
 // not grow with the requested digits, and sphere/Yukawa at N = 3000 stalls
 // at 4.4e-6 whether 3 or 6 digits are asked for — ROADMAP, item 1d.)
 func TestOracleDirectSumAtRequestedDigits(t *testing.T) {
@@ -153,12 +177,12 @@ func TestOracleDirectSumAtRequestedDigits(t *testing.T) {
 		t.Skip("sequential accuracy gate: nothing to instrument")
 	}
 	const n = 2000
-	for ci, oc := range oracleCases() {
+	for _, oc := range oracleCases() {
 		sp := points.Generate(oc.distr, n, 71)
 		tp := points.Generate(oc.distr, n, 72)
 		q := points.Charges(n, 73)
 		for _, digits := range []int{3, 6} {
-			if digits == 6 && ci == 1 { // cube/yukawa
+			if digits == 6 && oc.distr == points.Cube && strings.HasSuffix(oc.name, "yukawa") {
 				continue
 			}
 			k := oc.kernel(kernel.OrderForDigits(digits))
@@ -178,6 +202,44 @@ func TestOracleDirectSumAtRequestedDigits(t *testing.T) {
 			} else {
 				t.Logf("%s at %d digits: rel L2 %.2e", oc.name, digits, e)
 			}
+		}
+	}
+	// Laplace at three digits, as NewLaplace binds it (a float32 near field
+	// where the CPU has one), on two ensembles that stress it: charges of
+	// both signs summing to zero, so a potential is a small difference of
+	// large sums; and the cube centred at 1e6, where a float32 image of the
+	// absolute coordinates would keep no digit of a leaf.
+	for _, v := range []struct {
+		name    string
+		shift   float64
+		neutral bool
+	}{{"cube, neutral charges", 0, true}, {"cube at 1e6", 1e6, false}} {
+		sp := affine(points.Generate(points.Cube, n, 75), 1, geom.Point{X: v.shift, Y: v.shift, Z: v.shift})
+		tp := affine(points.Generate(points.Cube, n, 76), 1, geom.Point{X: v.shift, Y: v.shift, Z: v.shift})
+		q := points.Charges(n, 77)
+		if v.neutral {
+			var mean float64
+			for _, x := range q {
+				mean += x / n
+			}
+			for i := range q {
+				q[i] -= mean
+			}
+		}
+		k := kernel.NewLaplace(kernel.OrderForDigits(3))
+		got, err := advancedPlan(t, sp, tp, k).EvaluateSequential(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := sampleIdx(rand.New(rand.NewSource(78)), n, 200)
+		want := make([]float64, n)
+		for i, x := range directRef(k, sp, q, tp, idx) {
+			want[i] = x
+		}
+		if e := relL2(got, want, idx); !(e <= 1e-3) {
+			t.Errorf("%s, %s pair loop, at 3 digits: rel L2 %.2e > 1e-3", v.name, kernel.PairKernel(k), e)
+		} else {
+			t.Logf("%s, %s pair loop, at 3 digits: rel L2 %.2e", v.name, kernel.PairKernel(k), e)
 		}
 	}
 }
@@ -231,9 +293,18 @@ func TestOracleSuperpositionOfEnsembles(t *testing.T) {
 			for i := range want {
 				want[i] = phiA[i] + phiB[i]
 			}
-			if e := relL2(phiU[:n], want, nil); e > 1e-10 {
-				t.Errorf("%s %v: Phi[A ∪ B] vs Phi[A] + Phi[B]: rel L2 %.2e > 1e-10", oc.name, m, e)
+			if e, tol := relL2(phiU[:n], want, nil), metaTol(planA.Kernel, 1e-10); !(e <= tol) {
+				t.Errorf("%s %v: Phi[A ∪ B] vs Phi[A] + Phi[B]: rel L2 %.2e > %.0e", oc.name, m, e, tol)
 			}
 		}
 	}
+}
+
+// maxAbs is the largest |v| of a potential vector.
+func maxAbs(v []float64) float64 {
+	var m float64
+	for _, x := range v {
+		m = math.Max(m, math.Abs(x))
+	}
+	return m
 }

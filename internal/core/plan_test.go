@@ -279,11 +279,16 @@ func TestDisjointEnsemblesWithPruning(t *testing.T) {
 }
 
 func TestPlanReuseAcrossCharges(t *testing.T) {
+	for _, k := range []kernel.Kernel{kernel.NewLaplaceFloat64(7), kernel.NewLaplace(7)} {
+		planReuseAcrossCharges(t, k, metaTol(k, 1e-12))
+	}
+}
+
+func planReuseAcrossCharges(t *testing.T, k kernel.Kernel, tol float64) {
 	// The paper's iterative use case: one DAG, many charge vectors.
 	const n = 2000
 	sp := points.Generate(points.Cube, n, 14)
 	tp := points.Generate(points.Cube, n, 15)
-	k := kernel.NewLaplace(7)
 	plan, err := NewPlan(sp, tp, k, Options{Threshold: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +310,8 @@ func TestPlanReuseAcrossCharges(t *testing.T) {
 		}
 	}
 	for i := range a3 {
-		if math.Abs(a3[i]-a1[i]-a2[i])/den > 1e-12 {
-			t.Fatalf("linearity violated at %d", i)
+		if math.Abs(a3[i]-a1[i]-a2[i])/den > tol {
+			t.Fatalf("%s pair loop: linearity violated at %d", kernel.PairKernel(k), i)
 		}
 	}
 }

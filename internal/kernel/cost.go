@@ -70,25 +70,37 @@ var (
 	// 0.5–0.55 of the per-edge price on AVX-512, 0.73 and 0.6 on AVX2, 0.9
 	// and 0.6 on the portable loops, whose apply is compute-bound and had
 	// less traffic to save. Under a fabric the two classes still run per
-	// edge (core/distrib.go), at the old price.
+	// edge (core/distrib.go) and cost a rank the per-edge price, but plans
+	// are priced by this row wherever they run: batching them there too
+	// measured flat on dist2_cube16k, where they are ≈ 4 of 48 ms busy, and
+	// its per-run scratch grew the heap past its bound (EXPERIMENTS.md,
+	// "Single-precision pair loop"; ROADMAP item 6).
 	nsWaveMAC = [...]float64{denseGo: 1.6, denseAVX2: 0.73, denseAVX512: 0.57}
 )
 
 // pairNanos is the price of one source–target pair of the near field by the
-// pair loop the kernel bound (p2p.go), so the price follows the binding: for
-// 1/r a scalar square root and divide, the same four lanes at a time, or
-// eight lanes of rsqrt estimate and two Newton steps; for e^{-λr}/r a
-// scalar math.Exp, or a polynomial exponential four lanes at a time with an
-// exact divide or eight with a Newton reciprocal. The Yukawa prices are in
-// situ on sphere N=100k Yukawa/Basic at threshold 240.
+// pair loop the kernel bound (p2p.go), so the price follows the binding —
+// for Laplace the order too: for 1/r a scalar square root and divide, the
+// same four lanes at a time, or eight lanes of rsqrt estimate and two
+// Newton steps; in float32 (p ≤ pF32) eight or sixteen lanes of rsqrt
+// estimate and one Newton step, the sources narrowed once per block; for
+// e^{-λr}/r a scalar math.Exp, or a polynomial exponential four lanes at a
+// time with an exact divide or eight with a Newton reciprocal. The Yukawa
+// prices are in situ on sphere N=100k Yukawa/Basic at threshold 240. Each
+// float32 row is its float64 twin's divided by the speedup S→T showed in
+// situ, traced busy seconds of the twin over the float32 loop on cube N=16k
+// Laplace/Advanced at threshold 480, alternating runs: 2.0–2.6 on AVX-512
+// (six pairs), 4.9–5.5 on AVX2 (three pairs, the probe forced to AVX2).
 var pairNanos = [...]float64{
 	laplaceGo: 3.8, laplaceAVX2: 1.9, laplaceAVX512: 0.6,
+	laplaceF32AVX2: 0.36, laplaceF32AVX512: 0.27,
 	yukawaGo: 12.7, yukawaAVX2: 2.5, yukawaAVX512: 1.6,
 }
 
 // PairPrices lists the price of every pair loop of k's kernel, portable
-// (dearest) first, whichever one this process bound: the tuner's decisions
-// are tested at each. A kernel that is not built in gets Laplace's list.
+// (dearest) first and for Laplace the float32 loops last, whichever one this
+// process bound: the tuner's decisions are tested at each. A kernel that is
+// not built in gets Laplace's list.
 func PairPrices(k Kernel) []float64 {
 	if b, ok := k.(*base); ok && b.pair >= yukawaGo {
 		return append([]float64(nil), pairNanos[yukawaGo:]...)

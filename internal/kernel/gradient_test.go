@@ -49,14 +49,20 @@ func TestS2TGradMatchesAnalytic(t *testing.T) {
 		if e := gradRelErr(grad, want); e > 1e-12 {
 			t.Errorf("%s: S2TGrad rel err %.2e", tc.name, e)
 		}
-		// And the potential part must equal the plain S2T.
+		// And the potential part must equal the plain S2T on the float64
+		// pair loop (S2TGrad is float64 whatever loop S2T binds).
 		pot2 := make([]float64, len(tpts))
-		k.S2T(spts, q, tpts, pot2)
+		S2TFloat64(k, spts, q, tpts, pot2)
 		for i := range pot {
 			if math.Abs(pot[i]-pot2[i]) > 1e-13*math.Abs(pot2[i]) {
 				t.Fatalf("%s: potential drift in S2TGrad", tc.name)
 			}
 		}
+		// The bound S2T, float32 where the CPU and order allow, within its
+		// own bound of that.
+		pot3 := make([]float64, len(tpts))
+		k.S2T(spts, q, tpts, pot3)
+		within32(t, tc.name, pot3, pot, sumAbs([]P2PChunk{{Pts: spts, Q: q}}, tpts))
 	}
 }
 

@@ -49,10 +49,10 @@ func randCharges(rng *rand.Rand, n int) []float64 {
 	return q
 }
 
-// direct computes the reference potentials.
+// direct computes the reference potentials, on the float64 pair loop.
 func direct(k Kernel, spts []geom.Point, q []float64, tpts []geom.Point) []float64 {
 	pot := make([]float64, len(tpts))
-	k.S2T(spts, q, tpts, pot)
+	S2TFloat64(k, spts, q, tpts, pot)
 	return pot
 }
 

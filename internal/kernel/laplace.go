@@ -4,8 +4,17 @@ import "math"
 
 // NewLaplace returns the scale-invariant Laplace kernel 1/r (the potential
 // of electrostatics and Newtonian gravitation) with multipole truncation
-// order p. Use OrderForDigits to pick p from an accuracy requirement.
-func NewLaplace(p int) Kernel {
+// order p. Use OrderForDigits to pick p from an accuracy requirement. At p
+// ≤ pF32 (five digits) its near field runs a float32 pair loop where the
+// CPU has one (p2p.go, PairKernel names it).
+func NewLaplace(p int) Kernel { return newLaplace(p, laplacePairFor(p)) }
+
+// NewLaplaceFloat64 is NewLaplace with its near field on the float64 pair
+// loop at every order: for a test that holds a low-order near field to
+// float64 rounding.
+func NewLaplaceFloat64(p int) Kernel { return newLaplace(p, bestLaplacePair) }
+
+func newLaplace(p int, pair pairLoop) Kernel {
 	cn := make([]float64, p+1)
 	for n := 0; n <= p; n++ {
 		cn[n] = 4 * math.Pi / float64(2*n+1)
@@ -29,7 +38,7 @@ func NewLaplace(p int) Kernel {
 		cn)
 	b.directF = func(r float64) float64 { return 1 / r }
 	b.gradF = func(r float64) float64 { return -1 / (r * r) }
-	b.pair = bestLaplacePair
+	b.pair = pair
 	rule := laplaceNodes(p)
 	b.pwNodes = func(float64) boxRule { return rule }
 	b.pwShift = laplaceShiftFor(p)

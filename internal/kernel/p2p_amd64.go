@@ -4,9 +4,10 @@ package kernel
 
 import "repro/internal/geom"
 
-// bestLaplacePair and bestYukawaPair are the fastest pair loops of each
-// kernel this CPU and operating system run.
-var bestLaplacePair, bestYukawaPair = probePairLoops()
+// bestLaplacePair and bestYukawaPair are the fastest float64 pair loops of
+// each kernel this CPU and operating system run, bestLaplacePair32 the
+// fastest Laplace loop at an order that allows float32 (laplacePairFor).
+var bestLaplacePair, bestLaplacePair32, bestYukawaPair = probePairLoops()
 
 // cpuVector is what this CPU and operating system offer the vector loops —
 // the pair loops here and the dense kernel (dense_amd64.go) — probed once
@@ -36,19 +37,33 @@ func probeVector() (f vectorFeatures) {
 	return f
 }
 
-func probePairLoops() (laplace, yukawa pairLoop) {
+func probePairLoops() (laplace, laplace32, yukawa pairLoop) {
 	switch f := cpuVector; {
 	case f.avx512:
-		return laplaceAVX512, yukawaAVX512
+		return laplaceAVX512, laplaceF32AVX512, yukawaAVX512
 	case f.avx2 && f.fma:
-		return laplaceAVX2, yukawaAVX2
+		return laplaceAVX2, laplaceF32AVX2, yukawaAVX2
 	case f.avx2:
-		return laplaceAVX2, yukawaGo // the AVX2 Yukawa loop reduces and sums by FMA
+		return laplaceAVX2, laplaceAVX2, yukawaGo // the float32 and Yukawa AVX2 loops use FMA
 	}
-	return laplaceGo, yukawaGo
+	return laplaceGo, laplaceGo, yukawaGo
 }
 
-// pairsOn runs the named pair loop; lambda is read by the Yukawa ones.
+// runs reports whether this CPU runs pair loop l.
+func (l pairLoop) runs() bool {
+	switch f := cpuVector; l {
+	case laplaceAVX512, laplaceF32AVX512, yukawaAVX512:
+		return f.avx512
+	case laplaceF32AVX2, yukawaAVX2:
+		return f.avx2 && f.fma
+	case laplaceAVX2:
+		return f.avx2
+	}
+	return true
+}
+
+// pairsOn runs the named float64 pair loop; lambda is read by the Yukawa
+// ones.
 func pairsOn(l pairLoop, lambda float64, src []geom.Point, q []float64, blk *pairBlock) {
 	switch l {
 	case laplaceAVX512:
@@ -64,6 +79,16 @@ func pairsOn(l pairLoop, lambda float64, src []geom.Point, q []float64, blk *pai
 	default:
 		laplacePairs(src, q, blk)
 	}
+}
+
+// pairs32On runs the named float32 pair loop on the narrowed sources ns
+// (src are the same sources in float64, for the exact-coincidence check)
+// and reports false on a hazard.
+func pairs32On(l pairLoop, ns []src32, src []geom.Point, blk *pairBlock) bool {
+	if l == laplaceF32AVX512 {
+		return laplacePairs32AVX512(ns, src[:len(ns)], blk) == 0
+	}
+	return laplacePairs32AVX2(ns, src[:len(ns)], blk) == 0
 }
 
 // laplacePairsAVX512 computes 1/r as a 14-bit reciprocal-square-root
@@ -90,6 +115,20 @@ func yukawaPairsAVX512(lambda float64, src []geom.Point, q []float64, blk *pairB
 //
 //go:noescape
 func yukawaPairsAVX2(lambda float64, src []geom.Point, q []float64, blk *pairBlock)
+
+// laplacePairs32AVX512 is the float32 Laplace loop sixteen lanes at a
+// time: 1/r as VRSQRT14PS refined by one Newton step, within 3·2⁻²⁴ of 1/√r²
+// for the float32 r² (TestFloat32LoopsPerPair). It returns nonzero on a
+// hazard (pairLoop), leaving blk.part undefined.
+//
+//go:noescape
+func laplacePairs32AVX512(ns []src32, src []geom.Point, blk *pairBlock) int
+
+// laplacePairs32AVX2 is the same eight lanes at a time from VRSQRTPS's 12
+// bits: within 6·2⁻²⁴.
+//
+//go:noescape
+func laplacePairs32AVX2(ns []src32, src []geom.Point, blk *pairBlock) int
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)

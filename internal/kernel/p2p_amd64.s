@@ -4,15 +4,28 @@
 #include "vexp_amd64.h"
 
 // The vector pair loops (p2p.go states the contract, DESIGN.md "Batched
-// execution" the numerics). All four walk the block in register
-// groups of two vectors of targets, and for each group stream the sources,
-// broadcast one at a time from the []geom.Point (24 bytes apart).
+// execution" the numerics). All six walk the block in register groups of
+// two vectors of targets, and for each group stream the sources, broadcast
+// one at a time: the float64 loops' from the []geom.Point (24 bytes apart),
+// the float32 loops' from the narrowed []src32 (16 bytes apart). The four
+// float64 loops accumulate into acc. The two float32 loops — Laplace at
+// p ≤ pF32 — sum one sub-chunk of at most 256 sources into part, in
+// float32, on the block's float32 image (coordinates relative to the
+// block's origin, never absolute ones); a pair whose narrowed r² is below
+// r2Min is skipped if its float64 coordinates equal the source's, and is
+// otherwise a hazard: the loop returns 1 and the driver recomputes the
+// block and sub-chunk with the float64 loop.
 //
-// pairBlock layout: n at 0, then x, y, z, acc, 64 float64 each.
-#define BLK_X   8
-#define BLK_Y   520
-#define BLK_Z   1032
-#define BLK_ACC 1544
+// pairBlock layout: n at 0, then x, y, z, acc, 256 float64 each, then x32,
+// y32, z32, part, 256 float32 each (TestPairBlockLayout).
+#define BLK_X    8
+#define BLK_Y    2056
+#define BLK_Z    4104
+#define BLK_ACC  6152
+#define BLK_X32  8200
+#define BLK_Y32  9224
+#define BLK_Z32  10248
+#define BLK_PART 11272
 
 DATA pairconst<>+0(SB)/8, $0.5
 DATA pairconst<>+8(SB)/8, $0x7ff0000000000000 // +Inf
@@ -158,6 +171,233 @@ source256:
 	JNZ  group256
 
 done256:
+	VZEROUPPER
+	RET
+
+// The float32 Laplace pair loops: q·1/r on the block's float32 image (p2p.go:
+// narrow, narrowSources), into a partial sum per target that the driver
+// widens. Each vector of 32-bit constants is stored whole for the AVX2
+// loop's memory operands: 3, then r2Min = 2⁻¹⁶, the least narrowed r²
+// summed (p2p.go).
+DATA pair32c<>+0(SB)/8, $0x4040000040400000
+DATA pair32c<>+8(SB)/8, $0x4040000040400000
+DATA pair32c<>+16(SB)/8, $0x4040000040400000
+DATA pair32c<>+24(SB)/8, $0x4040000040400000
+DATA pair32c<>+32(SB)/8, $0x3780000037800000
+DATA pair32c<>+40(SB)/8, $0x3780000037800000
+DATA pair32c<>+48(SB)/8, $0x3780000037800000
+DATA pair32c<>+56(SB)/8, $0x3780000037800000
+GLOBL pair32c<>(SB), RODATA|NOPTR, $64
+
+// One vector of sixteen targets against the source in Z8..Z10, half its
+// charge in Z11; Z16 = 3, Z17 = r2Min. K = r² ≥ r2Min (r² is finite: the
+// driver narrowed only finite coordinates near the block); y ≈ r²^-½ to 14
+// bits, then one Newton step in the form w = y·(3 − (r²·y)·y) ≈ 2/r, which
+// the halved charge undoes; acc += (q/2)·w under K. Twelve vector
+// operations (VRSQRT14PS is two) per sixteen pairs on the two ports that
+// run 512-bit arithmetic.
+#define PAIR32x512(TX, TY, TZ, ACC, A, B, C, K) \
+	VSUBPS       Z8, TX, A    \
+	VSUBPS       Z9, TY, B    \
+	VSUBPS       Z10, TZ, C   \
+	VMULPS       A, A, A      \
+	VFMADD231PS  B, B, A      \
+	VFMADD231PS  C, C, A      \
+	VCMPPS       $0x1d, Z17, A, K \
+	VRSQRT14PS   A, B         \
+	VMULPS       B, A, C      \
+	VFNMADD213PS Z16, B, C    \
+	VMULPS       C, B, B      \
+	VFMADD231PS  B, Z11, K, ACC
+
+// Eight float64 lanes at OFF from the group's float64 coordinates (R12)
+// equal to the source in Z24..Z26, as the mask K.
+#define EQ64x512(OFF, K) \
+	VCMPPD $0, BLK_X+OFF(R12), Z24, K    \
+	VCMPPD $0, BLK_Y+OFF(R12), Z25, K, K \
+	VCMPPD $0, BLK_Z+OFF(R12), Z26, K, K
+
+// func laplacePairs32AVX512(ns []src32, src []geom.Point, blk *pairBlock) int
+TEXT ·laplacePairs32AVX512(SB), NOSPLIT, $0-64
+	MOVQ ns_base+0(FP), SI
+	MOVQ ns_len+8(FP), CX
+	MOVQ src_base+24(FP), DI
+	MOVQ blk+48(FP), BX
+	MOVQ $0, ret+56(FP)
+	MOVQ (BX), DX
+	ADDQ $31, DX
+	SHRQ $5, DX               // groups of 32 targets
+	JZ   fdone512
+	TESTQ CX, CX
+	JZ   fdone512
+	MOVQ BX, R12              // the group's float64 coordinates, 256 bytes a group
+	VBROADCASTSS pair32c<>+0(SB), Z16
+	VBROADCASTSS pair32c<>+32(SB), Z17
+
+fgroup512:
+	VMOVUPS BLK_X32(BX), Z0
+	VMOVUPS BLK_X32+64(BX), Z1
+	VMOVUPS BLK_Y32(BX), Z2
+	VMOVUPS BLK_Y32+64(BX), Z3
+	VMOVUPS BLK_Z32(BX), Z4
+	VMOVUPS BLK_Z32+64(BX), Z5
+	VPXORD  Z6, Z6, Z6
+	VPXORD  Z7, Z7, Z7
+	MOVQ SI, R8
+	MOVQ DI, R9
+	MOVQ CX, R10
+
+fsource512:
+	VBROADCASTSS (R8), Z8
+	VBROADCASTSS 4(R8), Z9
+	VBROADCASTSS 8(R8), Z10
+	VBROADCASTSS 12(R8), Z11
+	PAIR32x512(Z0, Z2, Z4, Z6, Z12, Z13, Z14, K1)
+	PAIR32x512(Z1, Z3, Z5, Z7, Z19, Z20, Z21, K2)
+	KANDW    K1, K2, K3
+	KORTESTW K3, K3
+	JCC      fclose512        // a lane below r2Min
+fnext512:
+	ADDQ $16, R8
+	ADDQ $24, R9
+	DECQ R10
+	JNZ  fsource512
+
+	VMOVUPS Z6, BLK_PART(BX)
+	VMOVUPS Z7, BLK_PART+64(BX)
+	ADDQ $128, BX
+	ADDQ $256, R12
+	DECQ DX
+	JNZ  fgroup512
+
+fdone512:
+	VZEROUPPER
+	RET
+
+// A lane below r2Min is a hazard unless its float64 coordinates
+// equal the source's: K1 and K2 gain the equal lanes, and the loop goes on
+// if that covers all 32.
+fclose512:
+	VBROADCASTSD (R9), Z24
+	VBROADCASTSD 8(R9), Z25
+	VBROADCASTSD 16(R9), Z26
+	EQ64x512(0, K3)
+	EQ64x512(64, K4)
+	KUNPCKBW K3, K4, K3       // lanes 0..15: K4 above K3
+	KORW     K1, K3, K1
+	EQ64x512(128, K4)
+	EQ64x512(192, K5)
+	KUNPCKBW K4, K5, K4       // lanes 16..31
+	KORW     K2, K4, K2
+	KANDW    K1, K2, K3
+	KORTESTW K3, K3
+	JCS      fnext512
+	MOVQ $1, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// One vector of eight targets against the source in Y8..Y10, half its
+// charge in Y11; Y12..Y15 scratch, the constants from memory. PAIR32x512's
+// operations from VRSQRTPS's 12 bits, K as the vector mask Y15 (a lane
+// below r2Min, where y may be ∞ or NaN, is masked to +0); the mask's sign
+// bits are left in AX.
+#define PAIR32x256(TX, TY, TZ, ACC) \
+	VSUBPS       Y8, TX, Y12        \
+	VSUBPS       Y9, TY, Y13        \
+	VSUBPS       Y10, TZ, Y14       \
+	VMULPS       Y12, Y12, Y12      \
+	VFMADD231PS  Y13, Y13, Y12      \
+	VFMADD231PS  Y14, Y14, Y12      \
+	VCMPPS       $0x1d, pair32c<>+32(SB), Y12, Y15 \
+	VRSQRTPS     Y12, Y13           \
+	VMULPS       Y13, Y12, Y14      \
+	VFNMADD213PS pair32c<>+0(SB), Y13, Y14 \
+	VMULPS       Y14, Y13, Y13      \
+	VANDPS       Y15, Y13, Y13      \
+	VFMADD231PS  Y13, Y11, ACC      \
+	VMOVMSKPS    Y15, AX
+
+// Four float64 lanes at OFF from the group's float64 coordinates (R12)
+// equal to the source in Y12..Y14, ORed into R11 at bit SHIFT.
+#define EQ64x256(OFF, SHIFT) \
+	VCMPPD    $0, BLK_X+OFF(R12), Y12, Y8  \
+	VCMPPD    $0, BLK_Y+OFF(R12), Y13, Y9  \
+	VCMPPD    $0, BLK_Z+OFF(R12), Y14, Y10 \
+	VANDPD    Y9, Y8, Y8                   \
+	VANDPD    Y10, Y8, Y8                  \
+	VMOVMSKPD Y8, AX                       \
+	SHLL      $SHIFT, AX                   \
+	ORL       AX, R11
+
+// func laplacePairs32AVX2(ns []src32, src []geom.Point, blk *pairBlock) int
+TEXT ·laplacePairs32AVX2(SB), NOSPLIT, $0-64
+	MOVQ ns_base+0(FP), SI
+	MOVQ ns_len+8(FP), CX
+	MOVQ src_base+24(FP), DI
+	MOVQ blk+48(FP), BX
+	MOVQ $0, ret+56(FP)
+	MOVQ (BX), DX
+	ADDQ $15, DX
+	SHRQ $4, DX               // groups of 16 targets
+	JZ   fdone256
+	TESTQ CX, CX
+	JZ   fdone256
+	MOVQ BX, R12              // the group's float64 coordinates, 128 bytes a group
+
+fgroup256:
+	VMOVUPS BLK_X32(BX), Y0
+	VMOVUPS BLK_X32+32(BX), Y1
+	VMOVUPS BLK_Y32(BX), Y2
+	VMOVUPS BLK_Y32+32(BX), Y3
+	VMOVUPS BLK_Z32(BX), Y4
+	VMOVUPS BLK_Z32+32(BX), Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	MOVQ SI, R8
+	MOVQ DI, R9
+	MOVQ CX, R10
+
+fsource256:
+	VBROADCASTSS (R8), Y8
+	VBROADCASTSS 4(R8), Y9
+	VBROADCASTSS 8(R8), Y10
+	VBROADCASTSS 12(R8), Y11
+	PAIR32x256(Y0, Y2, Y4, Y6)
+	MOVL AX, R11
+	PAIR32x256(Y1, Y3, Y5, Y7)
+	SHLL $8, AX
+	ORL  AX, R11              // the 16 lanes' range mask
+	CMPL R11, $0xffff
+	JNE  fclose256
+fnext256:
+	ADDQ $16, R8
+	ADDQ $24, R9
+	DECQ R10
+	JNZ  fsource256
+
+	VMOVUPS Y6, BLK_PART(BX)
+	VMOVUPS Y7, BLK_PART+32(BX)
+	ADDQ $64, BX
+	ADDQ $128, R12
+	DECQ DX
+	JNZ  fgroup256
+
+fdone256:
+	VZEROUPPER
+	RET
+
+// As fclose512: the equal lanes join the range mask in R11.
+fclose256:
+	VBROADCASTSD (R9), Y12
+	VBROADCASTSD 8(R9), Y13
+	VBROADCASTSD 16(R9), Y14
+	EQ64x256(0, 0)
+	EQ64x256(32, 4)
+	EQ64x256(64, 8)
+	EQ64x256(96, 12)
+	CMPL R11, $0xffff
+	JEQ  fnext256
+	MOVQ $1, ret+56(FP)
 	VZEROUPPER
 	RET
 

@@ -5,7 +5,10 @@ package kernel
 import "repro/internal/geom"
 
 // Without the assembly every kernel binds its portable pair loop.
-const bestLaplacePair, bestYukawaPair = laplaceGo, yukawaGo
+const bestLaplacePair, bestLaplacePair32, bestYukawaPair = laplaceGo, laplaceGo, yukawaGo
+
+// runs reports whether this build runs pair loop l: the portable ones only.
+func (l pairLoop) runs() bool { return l == laplaceGo || l == yukawaGo }
 
 func pairsOn(l pairLoop, lambda float64, src []geom.Point, q []float64, blk *pairBlock) {
 	if l == yukawaGo {
@@ -14,3 +17,6 @@ func pairsOn(l pairLoop, lambda float64, src []geom.Point, q []float64, blk *pai
 	}
 	laplacePairs(src, q, blk)
 }
+
+// pairs32On is never reached: no float32 loop binds in this build.
+func pairs32On(pairLoop, []src32, []geom.Point, *pairBlock) bool { return false }

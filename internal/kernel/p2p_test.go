@@ -13,21 +13,19 @@ import (
 // The pair loops, each held to the portable one. A loop this CPU lacks is
 // not run (under -tags purego or off amd64 only the portable loop is).
 
-// laplaceLoops lists the Laplace pair loops this process can run: the
-// probe returns the best one and each implies the ones before it.
-func laplaceLoops() []pairLoop {
-	var ls []pairLoop
-	for l := laplaceGo; l <= bestLaplacePair; l++ {
-		ls = append(ls, l)
-	}
-	return ls
-}
+// laplaceLoops lists the Laplace pair loops this process can run, the
+// float64 ones first.
+func laplaceLoops() []pairLoop { return loopsRun(laplaceGo, laplaceF32AVX512) }
 
-// yukawaLoops lists the Yukawa pair loops this process can run, likewise.
-func yukawaLoops() []pairLoop {
+// yukawaLoops lists the Yukawa pair loops this process can run.
+func yukawaLoops() []pairLoop { return loopsRun(yukawaGo, yukawaAVX512) }
+
+func loopsRun(first, last pairLoop) []pairLoop {
 	var ls []pairLoop
-	for l := yukawaGo; l <= bestYukawaPair; l++ {
-		ls = append(ls, l)
+	for l := first; l <= last; l++ {
+		if l.runs() {
+			ls = append(ls, l)
+		}
 	}
 	return ls
 }
@@ -100,7 +98,7 @@ func pairFixture(rng *rand.Rand, nt int, scale float64, sign int) ([]P2PChunk, [
 	return chunks, tpts
 }
 
-var pairTargetCounts = []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 250}
+var pairTargetCounts = []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 250, 257, 300}
 
 func TestPairLoopsMatchPortable(t *testing.T) {
 	for _, lambda := range []float64{0.5, 4, 40} {
@@ -126,6 +124,10 @@ func TestPairLoopsMatchPortable(t *testing.T) {
 							if twice[i] != 2*got[i] {
 								t.Fatalf("%s: a second apply made potential %d %v from %v", name, i, twice[i], got[i])
 							}
+						}
+						if k.pair.narrowed() {
+							within32(t, name, got, want, sumAbs(chunks, tpts))
+							continue
 						}
 						if bitExact(k.pair) {
 							for i := range want {
@@ -174,6 +176,9 @@ func TestPairLoopsPerPairAccuracy(t *testing.T) {
 	}
 	src, q := []geom.Point{{}}, []float64{1}
 	for _, l := range laplaceLoops() {
+		if l.narrowed() {
+			continue // TestFloat32LoopsPerPair
+		}
 		rng := rand.New(rand.NewSource(5))
 		var worst float64
 		var tpts [blockTargets]geom.Point
@@ -341,14 +346,20 @@ func TestYukawaLoopsDomainEdges(t *testing.T) {
 // TestP2PTiledMatchesDirect checks the blocked multi-chunk P2P of both
 // kernels against a scalar loop over Kernel.Direct, which shares no code
 // with the pair loops, with more targets than two blocks to cover the
-// remainder handling.
+// remainder handling: the float64 loops to 1e-13, and where the CPU binds a
+// float32 loop at this order, that loop to pairBound32.
 func TestP2PTiledMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, k := range []Kernel{NewLaplace(2), NewYukawa(2, 4.0)} {
+	lap := NewLaplace(2).(*base)
+	ks := []*base{laplaceOn(lap.pair.wide()), NewYukawa(2, 4.0).(*base)}
+	if lap.pair.narrowed() {
+		ks = append(ks, lap)
+	}
+	for _, k := range ks {
 		center := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
-		tpts := randBox(rng, center, 0.125, 150)
+		tpts := randBox(rng, center, 0.125, 600)
 		var chunks []P2PChunk
-		want := make([]float64, len(tpts))
+		want, abs := make([]float64, len(tpts)), make([]float64, len(tpts))
 		for c := 0; c < 3; c++ {
 			sc := center.Add(geom.Point{X: float64(c+1) * 0.125})
 			spts := randBox(rng, sc, 0.125, 37)
@@ -357,13 +368,18 @@ func TestP2PTiledMatchesDirect(t *testing.T) {
 			for ti, tp := range tpts {
 				for si, sp := range spts {
 					want[ti] += q[si] * k.Direct(tp, sp)
+					abs[ti] += math.Abs(q[si]) / tp.Dist(sp)
 				}
 			}
 		}
 		got := make([]float64, len(tpts))
 		k.P2P(chunks, tpts, got)
+		if k.pair.narrowed() {
+			within32(t, k.name+"/"+k.pair.String(), got, want, abs)
+			continue
+		}
 		if e := relErr(got, want); e > 1e-13 {
-			t.Errorf("%s: blocked P2P vs the scalar Direct loop rel err %.2e", k.Name(), e)
+			t.Errorf("%s/%v: blocked P2P vs the scalar Direct loop rel err %.2e", k.Name(), k.pair, e)
 		}
 	}
 }

@@ -259,9 +259,13 @@ type MetricsSnapshot struct {
 	ShiftTableBytes int64 `json:"shift_table_bytes"`
 	ShiftOffLattice int64 `json:"shift_off_lattice_calls"`
 
-	// PairKernel is the near-field pair loop the Laplace numbers above ran
-	// on (PairKernels): "avx512", "avx2" or "go".
-	PairKernel string `json:"pair_kernel"`
+	// PairKernel and PairKernelF64 are the near-field pair loops of this
+	// process's Laplace kernels (PairKernels): at up to five digits —
+	// "avx512-f32" or "avx2-f32" where the CPU has a float32 loop — and
+	// above, always float64 ("avx512", "avx2" or "go"). A request's own
+	// loop is in its report.
+	PairKernel    string `json:"pair_kernel"`
+	PairKernelF64 string `json:"pair_kernel_f64"`
 	// DenseKernel is the dense far-field kernel every plan's M->M, M->L,
 	// L->L, M->I and I->L ran on, and every table build (kernel.DenseKernel):
 	// "avx512", "avx2" or "go".
@@ -277,17 +281,25 @@ type MetricsSnapshot struct {
 	Dist *PoolSnapshot `json:"dist,omitempty"`
 }
 
-// pairKernel and yukawaPairKernel are probed once: every kernel of a family
-// binds the same loop in a process.
-var pairKernel, yukawaPairKernel = kernel.PairKernel(kernel.NewLaplace(0)), kernel.PairKernel(kernel.NewYukawa(0, 1))
+// The pair loops are probed once. A Yukawa kernel binds the same loop at
+// every order; a Laplace kernel binds pairKernel at up to five digits (the
+// default three among them) and pairKernelF64 above.
+var (
+	pairKernel       = kernel.PairKernel(kernel.NewLaplace(kernel.OrderForDigits(3)))
+	pairKernelF64    = kernel.PairKernel(kernel.NewLaplaceFloat64(0))
+	yukawaPairKernel = kernel.PairKernel(kernel.NewYukawa(0, 1))
+)
 
 // denseKernel is probed once: one binding serves every kernel of a process.
 var denseKernel = kernel.DenseKernel(kernel.NewLaplace(0))
 
-// PairKernels names the near-field pair loops this process's Laplace and
-// Yukawa kernels run (kernel.PairKernel), so a latency can be attributed to
-// a CPU tier from the daemon's own output.
-func PairKernels() (laplace, yukawa string) { return pairKernel, yukawaPairKernel }
+// PairKernels names the near-field pair loops this process's kernels run
+// (kernel.PairKernel) — Laplace's at up to five digits and above, and
+// Yukawa's — so a latency can be attributed to a CPU tier and precision
+// from the daemon's own output.
+func PairKernels() (laplace, laplaceF64, yukawa string) {
+	return pairKernel, pairKernelF64, yukawaPairKernel
+}
 
 // DenseKernel names the dense far-field kernel this process runs
 // (kernel.DenseKernel).
@@ -344,6 +356,7 @@ func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot 
 		ShiftTableBytes:  shift.Bytes,
 		ShiftOffLattice:  shift.OffLatticeCalls,
 		PairKernel:       pairKernel,
+		PairKernelF64:    pairKernelF64,
 		DenseKernel:      denseKernel,
 		QueueWait:        m.QueueWait.Snapshot(),
 		PlanBuild:        m.PlanBuild.Snapshot(),

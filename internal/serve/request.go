@@ -92,6 +92,10 @@ type Report struct {
 	Threshold       int   `json:"threshold"`
 	Leaves          int   `json:"leaves"`
 	PredictedEvalNS int64 `json:"predicted_eval_ns"`
+	// PairKernel is the near-field pair loop the plan's kernel bound
+	// (kernel.PairKernel): for Laplace it follows the requested digits as
+	// well as the CPU ("avx512-f32" at up to five digits, "avx512" above).
+	PairKernel string `json:"pair_kernel"`
 }
 
 // errorBody is the JSON error payload.

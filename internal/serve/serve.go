@@ -385,6 +385,7 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 			Threshold:       plan.Threshold(),
 			Leaves:          plan.Leaves(),
 			PredictedEvalNS: int64(plan.PredictedNanos()),
+			PairKernel:      kernel.PairKernel(plan.Kernel),
 		}
 	}
 

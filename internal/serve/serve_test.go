@@ -162,8 +162,9 @@ func TestServeCacheHitMatchesDirectEvaluation(t *testing.T) {
 		t.Errorf("shift table after a Laplace evaluation: %d slots, %d bytes, %d off-lattice calls; want > 0, > 0, 0",
 			m.ShiftTableSlots, m.ShiftTableBytes, m.ShiftOffLattice)
 	}
-	if m.PairKernel != "avx512" && m.PairKernel != "avx2" && m.PairKernel != "go" {
-		t.Errorf("pair_kernel=%q, want the name of a pair loop", m.PairKernel)
+	loops := map[string]bool{"avx512": true, "avx2": true, "go": true, "avx512-f32": true, "avx2-f32": true}
+	if !loops[m.PairKernel] || !loops[m.PairKernelF64] || strings.HasSuffix(m.PairKernelF64, "-f32") {
+		t.Errorf("pair_kernel=%q, pair_kernel_f64=%q, want the names of a pair loop and a float64 one", m.PairKernel, m.PairKernelF64)
 	}
 	if m.DenseKernel != kernel.DenseKernel(kernel.NewLaplace(0)) {
 		t.Errorf("dense_kernel=%q, want this process's binding %q", m.DenseKernel, kernel.DenseKernel(kernel.NewLaplace(0)))
@@ -573,4 +574,25 @@ func TestServeSmoke(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= before+2
 	})
+}
+
+// A report names the pair loop its own plan's kernel bound, which for
+// Laplace follows the requested digits: the /metrics loop of up to five
+// digits at the default three, the float64 one at nine.
+func TestReportNamesItsPairLoop(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		digits int
+		want   string
+	}{{0, pairKernel}, {9, pairKernelF64}, {3, pairKernel}} {
+		code, resp, eb := post(t, ts.URL, Request{N: 300, Digits: c.digits})
+		if code != http.StatusOK {
+			t.Fatalf("digits %d: HTTP %d: %v", c.digits, code, eb)
+		}
+		if resp.Report.PairKernel != c.want {
+			t.Errorf("digits %d: report names pair loop %q, want %q", c.digits, resp.Report.PairKernel, c.want)
+		}
+	}
 }
