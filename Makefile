@@ -94,24 +94,28 @@ generate-check:
 	$(GO) generate ./internal/kernel
 	git diff --exit-code -- internal/kernel/pwrule_laplace.go
 
-# Non-test .go lines of the runtime packages — the scheduler and wire (amt),
-# the executor and fabric (core), the daemon (serve) — and their sum, then
-# the //lint:ignore suppressions in those files: the code-size and
-# suppression rows ROADMAP tracks, from one command.
+# Non-test, hand-written .go lines of the runtime packages — the scheduler
+# and wire (amt), the executor and fabric (core), the daemon (serve) — and
+# their sum, then the //lint:ignore suppressions in those files: the
+# code-size and suppression rows ROADMAP tracks, from one command.
 # The kernel and DAG packages, which the executor drives, follow outside the
 # total (their assembly is not counted), so the total's series stays
-# comparable.
+# comparable. No row counts a file whose first line is Go's generated-code
+# marker (`// Code generated ... DO NOT EDIT.`), such as the kernel's
+# plane-wave rules in internal/kernel/pwrule_laplace.go.
 LINES_PKGS = internal/amt internal/core internal/serve
 LINES_MORE = internal/kernel internal/dag
 lines:
-	@total=0; ignores=0; for p in $(LINES_PKGS); do \
-		files=$$(ls $$p/*.go | grep -v '_test\.go$$'); \
+	@src() { for f in $$1/*.go; do case $$f in *_test.go) continue;; esac; \
+		head -1 $$f | grep -q '^// Code generated .* DO NOT EDIT\.$$' || echo $$f; done; }; \
+	total=0; ignores=0; for p in $(LINES_PKGS); do \
+		files=$$(src $$p); \
 		n=$$(cat $$files | wc -l); \
 		printf '%-16s %6d\n' $$p $$n; total=$$((total + n)); \
 		ignores=$$((ignores + $$(cat $$files | grep -c '//lint:ignore'))); \
 	done; printf '%-16s %6d\n' total $$total; printf '%-16s %6d\n' lint:ignore $$ignores; \
 	for p in $(LINES_MORE); do \
-		printf '%-16s %6d\n' $$p $$(cat $$(ls $$p/*.go | grep -v '_test\.go$$') | wc -l); \
+		printf '%-16s %6d\n' $$p $$(cat $$(src $$p) | wc -l); \
 	done
 
 # Evaluation-service smoke test: concurrent mixed requests against an

@@ -651,5 +651,5 @@ func runReal(plan *core.Plan, sc scenario, traceOut string) {
 	}
 	printModelCheck(plan, events)
 	st := kernel.ShiftTableStats()
-	fmt.Printf("# I->I shift table: slots=%d bytes=%d off-lattice-calls=%d\n", st.Slots, st.Bytes, st.OffLatticeCalls)
+	fmt.Printf("# I->I shift table: slots=%d bytes=%d\n", st.Slots, st.Bytes)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dag"
-	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/points"
 )
@@ -177,52 +176,6 @@ func TestBatchedWavesAcrossLevels(t *testing.T) {
 		}
 		assertBatchedMatchesSequential(t, what, plan, points.Charges(6000, 3))
 	}
-}
-
-// TestBatchedMixedLatticeFallsBackPerEdge is the end-to-end mirror of
-// kernel.TestM2LCacheFallsBackOffLattice: with part of the list-2 geometry
-// pushed off the interaction lattice, BuildBatches must leave those edges
-// unbatched, the executor must run the resulting batched/per-edge mix, and
-// the potentials must match the per-edge sequential reference to 1e-12.
-func TestBatchedMixedLatticeFallsBackPerEdge(t *testing.T) {
-	plan, q, _ := testPlan(t, dag.Basic, 1500)
-
-	// Nudge some source boxes with list-2 edges off the lattice. The graph
-	// and the sequential reference both read the same mutated centers, so
-	// this stays a pure batched-vs-per-edge comparison.
-	perturbed := 0
-	for i := range plan.Graph.Nodes {
-		n := &plan.Graph.Nodes[i]
-		if n.Kind != dag.NodeM || len(n.Out) == 0 || n.Out[0].Op != dag.OpM2L {
-			continue
-		}
-		if perturbed%3 == 0 {
-			n.Box.Center = n.Box.Center.Add(geom.Point{X: 0.3071 * n.Box.Side})
-		}
-		perturbed++
-	}
-	if perturbed < 3 {
-		t.Fatalf("only %d list-2 sources found, fixture too small", perturbed)
-	}
-	plan.batches = dag.BuildBatches(plan.Graph, plan.Kernel)
-
-	var batchedEdges, fallbackEdges int
-	for i := range plan.Graph.Nodes {
-		for _, e := range plan.Graph.Nodes[i].Out {
-			if e.Op != dag.OpM2L {
-				continue
-			}
-			if e.Batched {
-				batchedEdges++
-			} else {
-				fallbackEdges++
-			}
-		}
-	}
-	if batchedEdges == 0 || fallbackEdges == 0 {
-		t.Fatalf("want a batched/per-edge mix, got %d batched, %d fallback", batchedEdges, fallbackEdges)
-	}
-	assertBatchedMatchesSequential(t, "mixed lattice", plan, q)
 }
 
 // TestBatchedSteadyStateAllocsPerEdge extends the zero-allocation gate to

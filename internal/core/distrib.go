@@ -133,13 +133,13 @@ type fabric struct {
 }
 
 // newFabric puts an executor on the cluster: an install mark per node, and
-// M->L per edge.
+// the far field per edge.
 func newFabric(ex *executor, cl *amt.Cluster) *fabric {
 	fb := &fabric{
 		ex: ex, cl: cl,
 		installed: make([]bool, len(ex.g.Nodes)),
 	}
-	// M->L batches complete in shared memory: list 2 runs per edge here.
+	// Far batches complete in shared memory: the far field runs per edge here.
 	ex.batchPending, ex.batchTasks = nil, nil
 	ex.fab = fb
 	return fb

@@ -341,10 +341,10 @@ func (ex *executor) runNode(w *amt.Worker, id int32) {
 	// while hot (Section VI discusses this trade-off).
 	var batch *remoteBatch
 	for j, e := range n.Out {
-		if e.Op == dag.OpS2T || (e.Batched && ex.batchTasks != nil) {
+		if e.Op == dag.OpS2T || (ex.batchTasks != nil && dag.FarBatched(e.Op)) {
 			// Not this node's to walk: an S->T edge belongs to its target's
-			// near task, a batched M->L edge to the batch task that fires when
-			// every source of the batch has triggered (noteBatchSources below).
+			// near task, a far edge to the batch task that fires when every
+			// source of the batch has triggered (noteBatchSources below).
 			continue
 		}
 		dest := ex.homes[e.To]

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/amt"
@@ -186,4 +188,65 @@ func TestPrepareWhilePlanRuns(t *testing.T) {
 			t.Fatalf("%s: rebind during a run: %v", k.Name(), err)
 		}
 	}
+}
+
+// rebindOnI2I rebinds its kernel to a root cube three times the plan's on
+// the first I2I after arm, as a plan built over other points on the same
+// kernel value would in the middle of a run; shear, when set, moves every
+// shift off the lattice instead, with the binding left alone.
+type rebindOnI2I struct {
+	kernel.Kernel
+	side  float64
+	armed atomic.Bool
+	shear bool
+}
+
+func (k *rebindOnI2I) I2I(dir geom.Direction, level int, shift geom.Point, in, out []complex128) {
+	if k.armed.CompareAndSwap(true, false) {
+		k.Kernel.Prepare(3*k.side, 8)
+	}
+	if k.shear {
+		shift.X += 1e-3 * k.side
+	}
+	k.Kernel.I2I(dir, level, shift, in, out)
+}
+
+// A rebind that lands mid-run puts the plan's I->I shifts off the new
+// binding's lattice and the kernel panics; every executor turns exactly that
+// panic into the run's root-cube error, deterministically here. An I->I
+// off the lattice under the plan's own binding stays a panic.
+func TestRebindMidRunIsAnErrorNotAPanic(t *testing.T) {
+	sp := points.Generate(points.Cube, 1500, 1)
+	tp := points.Generate(points.Cube, 1500, 2)
+	q := points.Charges(1500, 3)
+	k := &rebindOnI2I{Kernel: kernel.NewLaplace(kernel.OrderForDigits(3))}
+	plan := advancedPlan(t, sp, tp, k)
+	k.side = plan.Source.Domain.Side
+	par, err := plan.NewParallelEvaluation(ExecOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func() error{
+		"EvaluateSequential":     func() error { _, err := plan.EvaluateSequential(q); return err },
+		"ParallelEvaluation.Run": func() error { _, _, err := par.Run(q); return err },
+	}
+	for name, run := range runs {
+		k.Prepare(k.side, plan.MaxLevel()+1) // bound back to the plan's cube
+		k.armed.Store(true)
+		if err := run(); err == nil || !strings.Contains(err.Error(), "root cube") {
+			t.Errorf("%s with a rebind mid-run: err = %v, want a root-cube error", name, err)
+		}
+		if k.armed.Load() {
+			t.Fatalf("%s: the plan made no I->I call", name)
+		}
+	}
+
+	k.Prepare(k.side, plan.MaxLevel()+1)
+	k.shear = true
+	defer func() {
+		if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "I2I") {
+			t.Errorf("an off-lattice I2I under the plan's binding: recovered %v, want the kernel's panic", v)
+		}
+	}()
+	plan.EvaluateSequential(q)
 }

@@ -122,7 +122,9 @@ func TestOracleLinearityInCharges(t *testing.T) {
 
 // (ii) 1/r is translation invariant and homogeneous of degree -1: moving
 // and scaling both ensembles rigidly, x -> s x + t, gives Phi/s. Each plan
-// gets a fresh kernel (a kernel serves one root cube).
+// gets a fresh kernel (a kernel serves one root cube). The 1e-10 map puts
+// the boxes far below unit side, where the lattice tolerances must be
+// relative to the side.
 func TestOracleLaplaceTranslationAndScale(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sequential property: nothing to instrument")
@@ -134,6 +136,7 @@ func TestOracleLaplaceTranslationAndScale(t *testing.T) {
 	}{
 		{1, geom.Point{X: 0.3, Y: -1.7, Z: 2.2}},
 		{0.37, geom.Point{X: -5, Y: 0.125, Z: 40}},
+		{1e-10, geom.Point{X: 3e-10, Y: -1e-10}},
 	}
 	for _, d := range []points.Distribution{points.Cube, points.Sphere} {
 		sp := points.Generate(d, n, 61)

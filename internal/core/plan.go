@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/dag"
@@ -66,11 +65,6 @@ type Plan struct {
 	// far-field edges grouped per dense operator, near-field edges per target
 	// leaf. The serve plan cache reuses them along with the rest of the plan.
 	batches *dag.Batches
-
-	// placeMu serializes placements: dist.MinComm writes Node.Locality on
-	// the shared graph, so place copies the result out under this lock and
-	// no executor reads the graph's copy afterwards.
-	placeMu sync.Mutex
 }
 
 // place runs the paper's placement (dist.MinComm) over the plan's graph for
@@ -78,15 +72,12 @@ type Plan struct {
 // table. In-process live is [0]; a distributed run passes the sorted ranks
 // still alive when its job was placed, so a re-run after a death places
 // nothing on the corpse and every survivor computes the same table. Computed
-// once per evaluation context; contexts on one plan each hold their own.
+// once per evaluation context, reading the graph only: contexts on one plan
+// place concurrently and each holds its own.
 func (p *Plan) place(live []int32) []int32 {
-	p.placeMu.Lock()
-	defer p.placeMu.Unlock()
-	g := p.Graph
-	dist.MinComm{}.Assign(g, len(live))
-	homes := make([]int32, len(g.Nodes))
-	for i := range g.Nodes {
-		homes[i] = live[g.Nodes[i].Locality]
+	homes := dist.MinComm{}.Homes(p.Graph, len(live))
+	for i, h := range homes {
+		homes[i] = live[h]
 	}
 	return homes
 }
@@ -390,8 +381,15 @@ func (s *state) apply(from *dag.Node, e dag.Edge) {
 
 // applyI2I handles the four I->I shapes: child-to-parent merge, box-to-box
 // transfer, hoisted transfer into a shared wave, and parent-to-children
-// distribution.
+// distribution. A kernel rebound to another root cube under the run puts
+// the shifts off its lattice and I2I panics: the run drains and reports the
+// rebind (checkKernel). Any other panic stays one.
 func (s *state) applyI2I(from, to *dag.Node, e dag.Edge) {
+	defer func() {
+		if v := recover(); v != nil && s.p.checkKernel() == nil {
+			panic(v)
+		}
+	}()
 	k := s.p.Kernel
 	shift := to.Box.Center.Sub(from.Box.Center)
 	if e.DirMask != 0 {

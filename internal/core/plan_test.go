@@ -81,25 +81,13 @@ func TestAccuracyEndToEnd(t *testing.T) {
 	}
 }
 
-// offLatticeM2L presents every M->L translation to the wrapped kernel with
-// the box side inflated by one part in 1e8: the centre difference is then
-// no integer multiple of the side, so the kernel takes the path production
-// takes for off-lattice geometry — spectral projection — for the same
-// translation, with a projection radius that differs in the eighth digit.
-type offLatticeM2L struct{ kernel.Kernel }
-
-func (k offLatticeM2L) M2L(from, to geom.Point, side float64, in, out []complex128) {
-	k.Kernel.M2L(from, to, side*(1+1e-8), in, out)
-}
-
-// TestAccuracyM2LPaths extends the E9 gate to the M→L operator tables: the
-// basic method's M2L edges are evaluated once through the cached dense
-// translation tables and once through the projection fallback (reached as
-// production reaches it, by an off-lattice offset), and both must pass the
-// 3-digit gate against direct summation — for both kernels, on the cube and
-// sphere distributions. The two paths must also agree with each other to
-// near machine precision, since the table is built from the same
-// translation operator it replaces.
+// TestAccuracyM2LPaths extends the E9 gate to the two paths the M→L edges
+// take through the operator tables: per edge (the sequential walker) and
+// batched by lattice offset (a 2-worker ParallelEvaluation). Both must pass
+// the 3-digit gate against direct summation — for both kernels, on the cube
+// and sphere distributions — and agree with each other to 1e-12. (The tables
+// themselves are held against an independent projection by the kernel's
+// TestM2LCachedMatchesProjection.)
 func TestAccuracyM2LPaths(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sequential accuracy gate: no concurrency to instrument, ~10x slower under race")
@@ -120,44 +108,23 @@ func TestAccuracyM2LPaths(t *testing.T) {
 			if plan.Graph.EdgeCount[dag.OpM2L] == 0 {
 				t.Fatalf("%v/%s: basic plan has no M2L edges", distrib, k.Name())
 			}
-			cached, err := plan.EvaluateSequential(q)
+			perEdge, err := plan.EvaluateSequential(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The same trees, lists and DAG over the same prepared kernel;
-			// only M2L is rerouted.
-			offPlan, err := NewPlanFromTrees(plan.Source, plan.Target, offLatticeM2L{k}, Options{Method: dag.Basic, Threshold: 60})
-			if err != nil {
-				t.Fatal(err)
-			}
-			projected, err := offPlan.EvaluateSequential(q)
+			batched, _, err := plan.Evaluate(q, ExecOptions{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(44))
 			ref := directRef(k, sp, q, tp, sampleIdx(rng, n, 50))
-			if e := maxRelErr(cached, ref); e > 1.5e-3 {
-				t.Errorf("%v/%s cached M2L: rel err %.2e > 1.5e-3", distrib, k.Name(), e)
+			if e := maxRelErr(perEdge, ref); e > 1.5e-3 {
+				t.Errorf("%v/%s per-edge M2L: rel err %.2e > 1.5e-3", distrib, k.Name(), e)
 			}
-			if e := maxRelErr(projected, ref); e > 1.5e-3 {
-				t.Errorf("%v/%s projected M2L: rel err %.2e > 1.5e-3", distrib, k.Name(), e)
+			if e := maxRelErr(batched, ref); e > 1.5e-3 {
+				t.Errorf("%v/%s batched M2L: rel err %.2e > 1.5e-3", distrib, k.Name(), e)
 			}
-			var den, worst float64
-			for i := range projected {
-				den = math.Max(den, math.Abs(projected[i]))
-			}
-			same := true
-			for i := range cached {
-				worst = math.Max(worst, math.Abs(cached[i]-projected[i])/den)
-				same = same && cached[i] == projected[i]
-			}
-			if same {
-				t.Fatalf("%v/%s: bit-identical potentials — the off-lattice wrapper did not reroute M2L", distrib, k.Name())
-			}
-			if worst > 1e-9 {
-				t.Fatalf("%v/%s: cached and projected M2L diverge by %.2e", distrib, k.Name(), worst)
-			}
-			t.Logf("%v/%s: cached vs projected M2L %.2e", distrib, k.Name(), worst)
+			assertSame(t, batched, perEdge, 1e-12)
 		}
 	}
 }

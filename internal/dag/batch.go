@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -15,9 +16,10 @@ import (
 // most WaveBatchSources sources that the executor walks direction by
 // direction — and the near-field S->T edges by their target leaf. A far
 // batch fires once every source feeding it has triggered, replacing many
-// per-edge operator applications with blocked multi-RHS applies; M->L edges
-// whose geometry falls off the interaction lattice are left unbatched and
-// flow through the ordinary per-edge path. A near list has nothing to wait
+// per-edge operator applications with blocked multi-RHS applies. Every edge
+// of the three far classes is a member of exactly one far batch
+// (FarBatched): box centres are root-relative (package tree), so every
+// list-2 offset is on the kernel's lattice. A near list has nothing to wait
 // for — every rank holds every source point and, once a run has its
 // charges, every charge — so it names no sources: the AMT executors run it
 // as one task of its target leaf. Either way it is an execution strategy,
@@ -98,18 +100,20 @@ type waveGroupKey struct {
 	level int
 }
 
+// FarBatched reports whether the edges of op are far-batch members: every
+// M->L, M->I and I->L edge of a graph is in exactly one FarBatch.
+func FarBatched(op OpKind) bool { return op == OpM2L || op == OpM2I || op == OpI2L }
+
 // BuildBatches aggregates the graph's list-2, plane-wave and near-field
-// edges and marks the batched far-field edges with Edge.Batched. It is
-// deterministic (same graph, same descriptors) and idempotent: every flag
-// is recomputed from the current geometry, so a graph whose box centers
-// were perturbed after a previous build reclassifies cleanly.
+// edges. It reads the graph and never writes it, and it is deterministic
+// (same graph, same descriptors). A list-2 edge off the kernel's lattice is
+// a programming error and panics.
 func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 	b := &Batches{SrcBatches: make([][]int32, len(g.Nodes))}
 
-	// Far field: group list-2 edges by (side, offset), off-lattice edges
-	// keep flowing per-edge; plane-wave edges by (class, level). Near field:
-	// one list per target, a map from the target to its index in b.P2P
-	// while the nodes are walked in id order.
+	// Far field: group list-2 edges by (side, offset), plane-wave edges by
+	// (class, level). Near field: one list per target, a map from the
+	// target to its index in b.P2P while the nodes are walked in id order.
 	m2l := make(map[m2lGroupKey]*FarBatch)
 	var m2lKeys []m2lGroupKey
 	waves := make(map[waveGroupKey][]BatchEdge)
@@ -119,7 +123,6 @@ func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 		n := &g.Nodes[i]
 		for j := range n.Out {
 			e := &n.Out[j]
-			e.Batched = false
 			be := BatchEdge{From: int32(i), Out: int32(j), To: e.To}
 			switch e.Op {
 			case OpS2T:
@@ -135,13 +138,13 @@ func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 				if _, ok := waves[key]; !ok {
 					waveKeys = append(waveKeys, key)
 				}
-				e.Batched = true
 				waves[key] = append(waves[key], be) // one edge per source, in id order
 			case OpM2L:
 				from, to := n.Box, g.Nodes[e.To].Box
 				off, onLattice := k.M2LOffsetOf(from.Center, to.Center, from.Side)
 				if !onLattice {
-					continue
+					panic(fmt.Sprintf("dag: M->L edge %v -> %v: offset %v is off the list-2 lattice of boxes of side %g",
+						from.Index, to.Index, to.Center.Sub(from.Center), from.Side))
 				}
 				key := m2lGroupKey{sideBits: math.Float64bits(from.Side), off: off}
 				mb := m2l[key]
@@ -150,7 +153,6 @@ func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 					m2l[key] = mb
 					m2lKeys = append(m2lKeys, key)
 				}
-				e.Batched = true
 				mb.Edges = append(mb.Edges, be)
 				mb.Offs = append(mb.Offs, off)
 				if n := len(mb.Srcs); n == 0 || mb.Srcs[n-1] != int32(i) {

@@ -70,7 +70,9 @@ func (o OpKind) String() string {
 }
 
 // Edge is one dependence of the DAG: when the owning node triggers, Op is
-// applied to its payload and the result is delivered to node To.
+// applied to its payload and the result is delivered to node To. Box
+// centres are root-relative (package tree), so every M->M, M->L, L->L and
+// I->I lands on the kernel's lattice; one off it panics in the kernel.
 type Edge struct {
 	To int32
 	Op OpKind
@@ -87,13 +89,6 @@ type Edge struct {
 	// merged/shared child-level waves rather than its own-level
 	// accumulation.
 	ToMerged bool
-	// Batched marks a dense far-field edge owned by a batch descriptor (see
-	// BuildBatches): every M->I and I->L edge and every M->L edge on the
-	// list-2 lattice (off-lattice M->L edges stay unbatched). An executor
-	// that runs the batches skips it on the per-edge path; one under a
-	// fabric runs no batches, so there all three classes go per edge, as
-	// they do in the sequential walker.
-	Batched bool
 	// Bytes is the payload size transferred along the edge, for the network
 	// model and the Table II census.
 	Bytes int32
@@ -113,7 +108,8 @@ type Node struct {
 	Out []Edge
 	// Bytes is the size of the node's payload, for Table I.
 	Bytes int32
-	// Locality is assigned by the distribution policy before execution.
+	// Locality is written by dist.MinComm.Assign (simulator, traffic
+	// measures); the executors place through dist.MinComm.Homes instead.
 	Locality int32
 	// OwnMask is the set of directions this node carries at its own level:
 	// for Is, the outgoing waves it computes from its multipole; for It,

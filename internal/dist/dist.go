@@ -41,38 +41,39 @@ func owner(b *tree.Box, total, localities int) int32 {
 // time to hide communication latency".
 type MinComm struct{}
 
-// Assign writes every node's Locality.
-func (MinComm) Assign(g *dag.Graph, localities int) {
+// Homes returns every node's locality, indexed by node ID. It reads the
+// graph and never writes it, so contexts sharing one graph (a plan's
+// concurrent evaluations) place it at the same time without a lock.
+func (MinComm) Homes(g *dag.Graph, localities int) []int32 {
 	ns := len(g.Source.Pts)
 	nt := len(g.Target.Pts)
+	homes := make([]int32, len(g.Nodes))
 	// First pass: everything but It at its box owner.
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		switch n.Kind {
 		case dag.NodeS, dag.NodeM, dag.NodeIs:
-			n.Locality = owner(n.Box, ns, localities)
+			homes[i] = owner(n.Box, ns, localities)
 		default:
-			n.Locality = owner(n.Box, nt, localities)
+			homes[i] = owner(n.Box, nt, localities)
 		}
 	}
 	if localities == 1 {
-		return
+		return homes
 	}
 	// Second pass: tally incoming bytes per It node per source locality.
 	inBytes := make(map[int32]map[int32]int64)
 	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		for _, e := range n.Out {
-			to := &g.Nodes[e.To]
-			if to.Kind != dag.NodeIt {
+		for _, e := range g.Nodes[i].Out {
+			if g.Nodes[e.To].Kind != dag.NodeIt {
 				continue
 			}
-			m := inBytes[to.ID]
+			m := inBytes[e.To]
 			if m == nil {
 				m = make(map[int32]int64)
-				inBytes[to.ID] = m
+				inBytes[e.To] = m
 			}
-			m[n.Locality] += int64(e.Bytes)
+			m[homes[i]] += int64(e.Bytes)
 		}
 	}
 	for i := range g.Nodes {
@@ -83,7 +84,7 @@ func (MinComm) Assign(g *dag.Graph, localities int) {
 		home := owner(n.Box, nt, localities)
 		best := home
 		var bestBytes int64 = -1
-		if m := inBytes[n.ID]; m != nil {
+		if m := inBytes[int32(i)]; m != nil {
 			// The I->L edge to the local expansion weighs in for the home
 			// locality. Scan localities in rank order — not map order — so
 			// equal-byte ties resolve identically on every process: in
@@ -100,7 +101,16 @@ func (MinComm) Assign(g *dag.Graph, localities int) {
 				}
 			}
 		}
-		n.Locality = best
+		homes[i] = best
+	}
+	return homes
+}
+
+// Assign writes Homes into every node's Locality, where RemoteBytes,
+// RemoteEdges and the simulator read the placement.
+func (p MinComm) Assign(g *dag.Graph, localities int) {
+	for i, h := range p.Homes(g, localities) {
+		g.Nodes[i].Locality = h
 	}
 }
 

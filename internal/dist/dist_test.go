@@ -173,3 +173,26 @@ func TestOwnerIsContiguousAndBalanced(t *testing.T) {
 		}
 	}
 }
+
+// Homes is Assign without the write: the same table, and the graph's
+// Locality fields stay as they were.
+func TestHomesIsAssignWithoutTheWrite(t *testing.T) {
+	g := distGraph(t)
+	for _, L := range []int{1, 2, 5} {
+		for i := range g.Nodes {
+			g.Nodes[i].Locality = -1
+		}
+		homes := MinComm{}.Homes(g, L)
+		for i := range g.Nodes {
+			if g.Nodes[i].Locality != -1 {
+				t.Fatalf("L=%d: Homes wrote node %d's Locality", L, i)
+			}
+		}
+		MinComm{}.Assign(g, L)
+		for i, h := range homes {
+			if g.Nodes[i].Locality != h {
+				t.Fatalf("L=%d: node %d: Homes %d, Assign %d", L, i, h, g.Nodes[i].Locality)
+			}
+		}
+	}
+}

@@ -34,9 +34,6 @@ func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y + p.Z*q.Z }
 // Norm returns the Euclidean length of p.
 func (p Point) Norm() float64 { return math.Sqrt(p.Dot(p)) }
 
-// Norm2 returns the squared Euclidean length of p.
-func (p Point) Norm2() float64 { return p.Dot(p) }
-
 // Dist returns |p - q|.
 func (p Point) Dist(q Point) float64 { return p.Sub(q).Norm() }
 
@@ -190,24 +187,6 @@ func (ix Index) Cube(domain Cube) Cube {
 		},
 		Side: side,
 	}
-}
-
-// ChildContaining returns the octant (0..7) of the child of the box whose
-// cube within domain contains p.
-func (ix Index) ChildContaining(domain Cube, p Point) int {
-	c := ix.Cube(domain)
-	mid := c.Center()
-	o := 0
-	if p.X >= mid.X {
-		o |= 1
-	}
-	if p.Y >= mid.Y {
-		o |= 2
-	}
-	if p.Z >= mid.Z {
-		o |= 4
-	}
-	return o
 }
 
 // Key packs the index into a single uint64 suitable for map keys and

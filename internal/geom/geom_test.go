@@ -78,16 +78,20 @@ func TestIndexCubeNesting(t *testing.T) {
 	if c.Side != 1 {
 		t.Errorf("level-2 side %v, want 1", c.Side)
 	}
-	// The child cube containing a point must contain it.
+	// A point in a box's cube is in the cube of exactly one of its children.
 	p := Point{0.3, 2.9, -0.7}
-	root := Root
-	cur := root
+	cur := Root
 	for l := 0; l < 5; l++ {
-		o := cur.ChildContaining(dom, p)
-		cur = cur.Child(o)
-		if !cur.Cube(dom).Contains(p) {
-			t.Fatalf("level %d cube %v does not contain %v", l+1, cur, p)
+		var in []Index
+		for o := 0; o < 8; o++ {
+			if c := cur.Child(o); c.Cube(dom).Contains(p) {
+				in = append(in, c)
+			}
 		}
+		if len(in) != 1 {
+			t.Fatalf("level %d: %v lies in %d children of %v, want 1", l+1, p, len(in), cur)
+		}
+		cur = in[0]
 	}
 }
 

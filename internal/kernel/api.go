@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -8,9 +9,10 @@ import (
 	"repro/internal/geom"
 )
 
-// The exported operator set, implemented on the shared engine, which borrows
-// a scratch workspace from the kernel's free list per call so concurrent
-// callers do not contend or allocate in steady state.
+// The exported operator set, implemented on the shared engine: the point
+// operators borrow a scratch workspace from the kernel's free list per call
+// so concurrent callers do not contend or allocate in steady state, and the
+// translations replay the cached table of their lattice vector.
 
 // Prepare implements Kernel.
 func (b *base) Prepare(rootSide float64, maxLevel int) error {
@@ -51,7 +53,7 @@ func (b *base) L2T(c geom.Point, l []complex128, tpts []geom.Point, pot []float6
 // parent box so aliasing stays level-independent. The eight parent/child
 // offsets recur for every box of a level, so the translation table is built
 // once per (level, octant) and replayed (exactly the same linear operator,
-// precomputed).
+// precomputed). A centre difference that is not one of the eight panics.
 func (b *base) M2M(from, to geom.Point, childSide float64, in, out []complex128) {
 	b.xlate(m2mKind, from, to, childSide, in, out)
 }
@@ -60,13 +62,15 @@ func (b *base) M2M(from, to geom.Point, childSide float64, in, out []complex128)
 // boxes recur for every box of a level (the classic 189-offset interaction
 // list, up to 316 distinct lattice offsets with |d|∞ in [2,3]), so the
 // M->L table is built once per (kernel, box side, lattice offset) and
-// replayed as a single apply. Geometry off that lattice falls back to
-// spectral projection.
+// replayed as a single apply. A plan's centres are root-relative (package
+// tree), so every M->L it makes is on that lattice; a centre difference off
+// it panics.
 func (b *base) M2L(from, to geom.Point, side float64, in, out []complex128) {
 	b.xlate(m2lKind, from, to, side, in, out)
 }
 
-// L2L implements Kernel. Like M2M, the eight offsets are table-cached.
+// L2L implements Kernel. Like M2M, the eight offsets are table-cached, and
+// any other centre difference panics.
 func (b *base) L2L(from, to geom.Point, childSide float64, in, out []complex128) {
 	b.xlate(l2lKind, from, to, childSide, in, out)
 }
@@ -79,6 +83,8 @@ const (
 	l2lKind
 	m2lKind
 )
+
+var xlNames = [...]string{m2mKind: "M2M", l2lKind: "L2L", m2lKind: "M2L"}
 
 // xlParams returns the input and output radial families and the projection
 // radius of a translation between boxes of the given side (the child's, for
@@ -93,17 +99,25 @@ func (b *base) xlParams(kind uint8, side float64) (inRF, outRF radialFunc, a flo
 	return b.radOut, b.radReg, b.aM2L * side
 }
 
-// xlate applies one translation: through the cached table when the centre
-// difference is on the kind's lattice, by projection otherwise.
+// xlate applies one translation through the cached table of its centre
+// difference. A difference off the kind's lattice is a programming error:
+// no root-relative plan makes one.
 func (b *base) xlate(kind uint8, from, to geom.Point, side float64, in, out []complex128) {
-	if tab := b.xlTableFor(kind, to.Sub(from), side); tab != nil {
-		applyTable(tab, [][]complex128{in}, [][]complex128{out})
-		return
+	off := to.Sub(from)
+	tab := b.xlTableFor(kind, off, side)
+	if tab == nil {
+		offLattice(xlNames[kind], off, side)
 	}
-	inRF, outRF, a := b.xlParams(kind, side)
-	ws := b.wsp.get(b)
-	b.translate(ws, from, to, a, in, inRF, outRF, out)
-	b.wsp.put(ws)
+	applyTable(tab, [][]complex128{in}, [][]complex128{out})
+}
+
+// offLattice panics for an operator handed a centre difference off its
+// lattice. It stays out of line so the operators' hot paths keep their
+// no-allocation guarantee.
+//
+//go:noinline
+func offLattice(op string, off geom.Point, side float64) {
+	panic(fmt.Sprintf("kernel: %s offset %v is off the lattice of boxes of side %g", op, off, side))
 }
 
 // xlKey identifies one cached dense table: operator kind, box side (exact
@@ -143,7 +157,7 @@ func (b *base) entry(key xlKey) *tableEntry {
 }
 
 // xlTableFor resolves a centre difference to its cached table, or nil when
-// it is not on the kind's lattice (callers then fall back to projection).
+// it is not on the kind's lattice.
 func (b *base) xlTableFor(kind uint8, off geom.Point, side float64) []complex128 {
 	if kind == m2lKind {
 		o, ok := b.M2LOffsetOf(geom.Point{}, off, side)
@@ -190,8 +204,8 @@ func (b *base) m2lTable(off M2LOffset, side float64) []complex128 {
 
 // M2LOffsetOf implements BatchKernel: it classifies the translation from ->
 // to against the list-2 interaction lattice of boxes with the given side. An
-// offset is cacheable when every component is an integer multiple of the
-// side and the Chebyshev norm lies in [2, 3] — nearer pairs are not
+// offset is on it when every component is an integer multiple of the side
+// and the Chebyshev norm lies in [2, 3] — nearer pairs are not
 // well-separated (the projection sphere would not enclose the targets) and
 // farther ones are off the bounded list-2 key space.
 func (b *base) M2LOffsetOf(from, to geom.Point, side float64) (M2LOffset, bool) {
@@ -234,12 +248,14 @@ func abs8(v int8) int8 {
 }
 
 // signOf reports whether v is (to rounding) +h or -h and with which sign.
+// The tolerance is relative to h, so a box far below unit side keeps the
+// sign of its offset.
 func signOf(v, h float64) (int8, bool) {
 	const tol = 1e-9
 	switch {
-	case math.Abs(v-h) <= tol*math.Max(1, h):
+	case math.Abs(v-h) <= tol*h:
 		return 1, true
-	case math.Abs(v+h) <= tol*math.Max(1, h):
+	case math.Abs(v+h) <= tol*h:
 		return -1, true
 	}
 	return 0, false

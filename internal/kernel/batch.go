@@ -34,8 +34,9 @@ func (o M2LOffset) Scale(side float64) geom.Point {
 // M->I and I->L applies, and the tiled near-field P2P (p2p.go).
 type BatchKernel interface {
 	// M2LOffsetOf classifies a translation against the list-2 lattice;
-	// ok=false means the geometry is off-lattice and the edge must be
-	// applied individually.
+	// ok=false means the geometry is off it. Box centres are root-relative
+	// (package tree), so no plan's list-2 edge is: dag.BuildBatches panics
+	// on one, as M2L does.
 	M2LOffsetOf(from, to geom.Point, side float64) (M2LOffset, bool)
 	// M2LBatch applies the M->L operator of each offs[i] (boxes of side
 	// `side` at tree level `level`) to ins[i], accumulating into outs[i].

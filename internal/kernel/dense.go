@@ -183,9 +183,10 @@ func (b *base) projector(rf radialFunc, a float64) []complex128 {
 	return proj
 }
 
-// translationTable builds the operator translate applies — an expansion in
-// the radial family inRF about the origin, re-expanded in outRF about `to`
-// through the sphere of radius a. Coefficient x_n^m stands for the field
+// translationTable builds a translation by spectral projection — an
+// expansion in the radial family inRF about the origin, re-expanded in outRF
+// about `to` through the sphere of radius a (the field sampled on the
+// sphere and projected onto outRF by orthogonality). Coefficient x_n^m stands for the field
 // c_m rad_n Re(x Y_n^m), c_0 = 1 and c_m = 2 otherwise, whose samples for
 // Re x = 1 and Im x = 1 are the two parts of c_m rad_n conj(Y_n^m).
 func (b *base) translationTable(to geom.Point, a float64, inRF, outRF radialFunc) []complex128 {

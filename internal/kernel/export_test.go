@@ -275,11 +275,12 @@ func TestSphereQuadratureSharedPerOrder(t *testing.T) {
 		t.Error("a different order borrowed this order's rule")
 	}
 
-	// Off-lattice M->L projects through the rule's nodes directly.
+	// Every kernel builds its M->L tables by projecting through the rule's
+	// nodes: concurrent builds on the shared rule land on the same bits.
 	rng := rand.New(rand.NewSource(8))
 	m := randomML(rng, first)
 	from := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
-	to := from.Add(geom.Point{X: 0.3071, Y: 0.011, Z: -0.29})
+	to := from.Add(geom.Point{X: 0.25, Y: 0.125, Z: -0.25})
 	want := make([]complex128, first.MLSize())
 	first.M2L(from, to, 0.125, m, want)
 	var wg sync.WaitGroup
@@ -294,7 +295,7 @@ func TestSphereQuadratureSharedPerOrder(t *testing.T) {
 			got := make([]complex128, k.MLSize())
 			k.M2L(from, to, 0.125, m, got)
 			if e := maxCoefDiff(got, want); e != 0 {
-				t.Errorf("concurrent projection through the shared rule differs by %.2e", e)
+				t.Errorf("concurrent table build through the shared rule differs by %.2e", e)
 			}
 		}(k)
 	}

@@ -48,6 +48,3 @@ func Ones(n int) []complex128 {
 	}
 	return x
 }
-
-// OffLatticeCalls reads the off-lattice counter.
-func OffLatticeCalls() int64 { return offLatticeCalls.Load() }

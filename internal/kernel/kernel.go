@@ -90,11 +90,19 @@ type Kernel interface {
 	// L2T evaluates a local expansion at the targets.
 	L2T(c geom.Point, l []complex128, tpts []geom.Point, pot []float64)
 
+	// The translations take box centres in one frame — a plan's are
+	// root-relative (package tree) — and replay the cached table of their
+	// centre difference. A difference off the operator's lattice (for M2M
+	// and L2L one of the eight parent/child vectors, for M2L a list-2
+	// offset) is a programming error: the operator panics, naming itself,
+	// the offset and the side.
+	//
 	// M2M translates a child multipole expansion (child box side childSide,
 	// centered at from) to the parent center to.
 	M2M(from, to geom.Point, childSide float64, in, out []complex128)
 	// M2L converts a multipole expansion of a source box with side `side`
-	// centered at from into a local expansion about to.
+	// centered at from into a local expansion about to; to - from is a
+	// list-2 offset, an integer multiple of side with Chebyshev norm 2 or 3.
 	M2L(from, to geom.Point, side float64, in, out []complex128)
 	// L2L translates a parent local expansion to a child center; childSide
 	// is the side of the child box.
@@ -104,7 +112,10 @@ type Kernel interface {
 	// outgoing plane-wave expansion for direction dir about the same center.
 	M2I(dir geom.Direction, level int, in, out []complex128)
 	// I2I translates a plane-wave expansion by the world-frame vector shift
-	// (a diagonal, pointwise operation) and accumulates it into out.
+	// (a diagonal, pointwise operation) and accumulates it into out. The
+	// shift joins two box centres of the plan: a half-box lattice vector of
+	// the level within reach; any other panics, naming the shift and the
+	// level's box side.
 	I2I(dir geom.Direction, level int, shift geom.Point, in, out []complex128)
 	// I2L converts an accumulated incoming plane-wave expansion into a local
 	// expansion about the box center.
@@ -252,10 +263,9 @@ func (b *base) MLSize() int  { return sphharm.TriSize(b.p) }
 // allocate. Callers on distinct goroutines get distinct workspaces via the
 // free list below.
 type workspace struct {
-	rad     []float64
-	ylm     []complex128
-	scratch []complex128
-	pt      *pointBlock // the point operators' block on a vector binding, on first use
+	rad []float64
+	ylm []complex128
+	pt  *pointBlock // the point operators' block on a vector binding, on first use
 }
 
 // newWorkspace stays out of line, like newPointBlock: a free-list miss
@@ -265,9 +275,8 @@ type workspace struct {
 //go:noinline
 func (b *base) newWorkspace() *workspace {
 	return &workspace{
-		rad:     make([]float64, b.p+1),
-		ylm:     make([]complex128, sphharm.TriSize(b.p)),
-		scratch: make([]complex128, sphharm.TriSize(b.p)),
+		rad: make([]float64, b.p+1),
+		ylm: make([]complex128, sphharm.TriSize(b.p)),
 	}
 }
 
@@ -359,31 +368,4 @@ func (b *base) evalAt(c geom.Point, coeff []complex128, rf radialFunc, tpts []ge
 		pot[i] += b.evalExpansion(ws, c, coeff, rf, t)
 	}
 	b.wsp.put(ws)
-}
-
-// translate implements the projection-based translations for geometry no
-// cached table covers (dense.go builds the same operator as a table). The
-// field of the input expansion (with radial family inRF about center from)
-// is sampled on the sphere of radius a about to and projected onto the
-// output radial family outRF; the result is accumulated into out.
-func (b *base) translate(ws *workspace, from, to geom.Point, a float64, in []complex128, inRF, outRF radialFunc, out []complex128) {
-	// coeff_n^m = int f(a Omega) conj(Y_n^m) dOmega / outRF_n(a).
-	for i := range ws.scratch {
-		ws.scratch[i] = 0
-	}
-	for _, n := range b.sph {
-		fw := n.w * b.evalExpansion(ws, from, in, inRF, to.Add(n.dir.Scale(a)))
-		for idx, y := range n.y {
-			ws.scratch[idx] += complex(fw*real(y), -fw*imag(y))
-		}
-	}
-	outRF(a, ws.rad)
-	idx := 0
-	for n := 0; n <= b.p; n++ {
-		inv := 1 / ws.rad[n]
-		for m := 0; m <= n; m++ {
-			out[idx] += complex(inv*real(ws.scratch[idx]), inv*imag(ws.scratch[idx]))
-			idx++
-		}
-	}
 }

@@ -21,10 +21,9 @@ var batchOffs = []M2LOffset{
 
 // TestM2LBatchMatchesPerEdge checks that the multi-RHS batched apply is the
 // same linear operator as the per-edge M2L, run by run, for both kernels:
-// coefficient by coefficient against the per-edge table apply and the
-// full-layout reference engine, and in the field against the projection the
-// tables tabulate (reached by an off-lattice side: see
-// TestM2LCachedMatchesProjection).
+// coefficient by coefficient against the per-edge table apply and against
+// the projection the tables tabulate, computed by the full-layout reference
+// engine.
 func TestM2LBatchMatchesPerEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const side = 0.125
@@ -40,7 +39,6 @@ func TestM2LBatchMatchesPerEdge(t *testing.T) {
 			return ins, outs
 		}
 		ins, got := batch(func() []complex128 { return randomML(rng, k) })
-		boxIns, boxGot := batch(func() []complex128 { return boxML(rng, k, from, side) })
 		for i, off := range batchOffs {
 			to := from.Add(off.Scale(side))
 			perEdge := make([]complex128, k.MLSize())
@@ -50,11 +48,6 @@ func TestM2LBatchMatchesPerEdge(t *testing.T) {
 			}
 			if e := maxCoefDiff(got[i], referenceM2L(k, from, to, side, ins[i])); e > 1e-12 {
 				t.Errorf("%s edge %d off %+v: batched vs reference engine rel diff %.2e", tc.name, i, off, e)
-			}
-			projected := make([]complex128, k.MLSize())
-			projectedM2L(t, k, from, to, side, boxIns[i], projected)
-			if e := fieldDiff(rng, k, to, side, boxGot[i], projected); e > 1e-10 {
-				t.Errorf("%s edge %d off %+v: batched vs projected field rel diff %.2e", tc.name, i, off, e)
 			}
 		}
 	}
@@ -176,24 +169,25 @@ func TestWaveBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestYukawaProjectedM2LNoAlloc pins the fix for the projected Yukawa M->L
-// path, whose Bessel recurrence allocated its backward-recursion scratch on
-// every call (208 B/op before the fixed-size buffer in sphharm). Projection
-// is what an off-lattice offset gets.
-func TestYukawaProjectedM2LNoAlloc(t *testing.T) {
+// TestYukawaBesselRecursionNoAlloc pins the fix for the Yukawa Bessel
+// recurrence, which allocated its backward-recursion scratch on every call
+// (208 B/op before the fixed-size buffer in sphharm). The L->T gradient runs
+// the scalar recurrence seven times per target on every call, on every
+// binding.
+func TestYukawaBesselRecursionNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	p := OrderForDigits(3)
 	k := NewYukawa(p, 4.0)
 	k.Prepare(1.0, 5)
-	m := randomML(rng, k)
-	l := make([]complex128, k.MLSize())
-	from := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
-	to := from.Add(geom.Point{X: 0.25, Y: 0.125, Z: -0.125})
-	projectedM2L(t, k, from, to, 0.125, m, l) // warm the workspace pool
+	l := randomML(rng, k)
+	c := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
+	tpts := randBox(rng, c, 0.125, 8)
+	pot, grad := make([]float64, len(tpts)), make([]geom.Point, len(tpts))
+	k.L2TGrad(c, l, tpts, pot, grad) // warm the workspace pool
 	allocs := testing.AllocsPerRun(10, func() {
-		k.M2L(from, to, 0.125*(1+1e-8), m, l)
+		k.L2TGrad(c, l, tpts, pot, grad)
 	})
 	if allocs != 0 {
-		t.Errorf("projected Yukawa M2L allocates %.1f/op in steady state", allocs)
+		t.Errorf("Yukawa L2TGrad allocates %.1f/op in steady state", allocs)
 	}
 }

@@ -1,9 +1,10 @@
 package kernel
 
 import (
-	"math"
+	"fmt"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -52,52 +53,11 @@ func maxCoefDiff(a, b []complex128) float64 {
 	return num / den
 }
 
-// projectedM2L applies M->L through the projection fallback, reached the way
-// production reaches it: an offset off the list-2 lattice. The boxes keep
-// their centres; the side is presented one part in 1e8 larger, so the
-// centre difference is no integer multiple of it and the projection radius
-// moves in the eighth digit — which an expansion of actual sources (boxML)
-// feels only through its truncation error, some 1e-4 of 1e-8. It fails the
-// test if a table would serve the call after all.
-func projectedM2L(t *testing.T, k Kernel, from, to geom.Point, side float64, in, out []complex128) {
-	t.Helper()
-	off := side * (1 + 1e-8)
-	if k.(*base).xlTableFor(m2lKind, to.Sub(from), off) != nil {
-		t.Fatalf("offset %v at side %g is still on the lattice", to.Sub(from), off)
-	}
-	k.M2L(from, to, off, in, out)
-}
-
 // referenceM2L applies M->L through the full-layout complex reference engine
 // (reference_test.go), which shares none of the production operators.
 func referenceM2L(k Kernel, from, to geom.Point, side float64, in []complex128) []complex128 {
 	b := k.(*base)
 	return packML(b.p, newRefEngine(k).translate(from, to, b.aM2L*side, unpackML(b.p, in), b.radOut, b.radReg))
-}
-
-// fieldDiff compares two local expansions about c where they are used: at
-// thirty points of the box of side `side` around c, relative to the largest
-// value there.
-func fieldDiff(rng *rand.Rand, k Kernel, c geom.Point, side float64, a, b []complex128) float64 {
-	tpts := randBox(rng, c, side, 30)
-	pa, pb := make([]float64, len(tpts)), make([]float64, len(tpts))
-	k.L2T(c, a, tpts, pa)
-	k.L2T(c, b, tpts, pb)
-	var num, den float64
-	for i := range pa {
-		num = math.Max(num, math.Abs(pa[i]-pb[i]))
-		den = math.Max(den, math.Abs(pb[i]))
-	}
-	return num / den
-}
-
-// boxML is the multipole expansion of forty random charges in the box of the
-// given centre and side: an input with the decaying spectrum every
-// expansion in a plan has.
-func boxML(rng *rand.Rand, k Kernel, c geom.Point, side float64) []complex128 {
-	m := make([]complex128, k.MLSize())
-	k.S2M(c, randBox(rng, c, side, 40), randCharges(rng, 40), m)
-	return m
 }
 
 // randomML is a random packed expansion of a real potential: the imaginary
@@ -112,32 +72,19 @@ func randomML(rng *rand.Rand, k Kernel) []complex128 {
 	return packML(b.p, unpackML(b.p, m))
 }
 
-// TestM2LCachedMatchesProjection checks that the cached dense operator, the
-// spectral projection it tabulates and the full-layout reference engine
-// agree to near machine precision on every lattice offset class, for both
-// kernels: the three are the same linear operator. The reference engine
-// projects at the same radius to the bit and is held coefficient by
-// coefficient; the production fallback's radius moved in the eighth digit,
-// which reshuffles the aliased high degrees, so it is held in the field the
-// expansion produces in its box.
+// TestM2LCachedMatchesProjection checks that the cached dense operator and
+// the full-layout reference engine's spectral projection agree to near
+// machine precision on every lattice offset class, for both kernels: the
+// two are the same linear operator, projected at the same radius to the
+// bit, so any input will do — every degree at O(1) — and they are held
+// coefficient by coefficient.
 func TestM2LCachedMatchesProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, tc := range kernels(t) {
 		for _, c := range m2lCases {
 			from, to := c.centers()
-			m := boxML(rng, tc.k, from, c.side)
+			m := randomML(rng, tc.k)
 			cached := make([]complex128, tc.k.MLSize())
-			projected := make([]complex128, tc.k.MLSize())
-			tc.k.M2L(from, to, c.side, m, cached)
-			projectedM2L(t, tc.k, from, to, c.side, m, projected)
-			if e := fieldDiff(rng, tc.k, to, c.side, cached, projected); e > 1e-10 {
-				t.Errorf("%s offset (%d,%d,%d) side %g: cached vs projected field rel diff %.2e",
-					tc.name, c.dx, c.dy, c.dz, c.side, e)
-			}
-			// Against the reference engine the radius is the same to the
-			// bit, so any input will do: every degree at O(1).
-			m = randomML(rng, tc.k)
-			cached = make([]complex128, tc.k.MLSize())
 			tc.k.M2L(from, to, c.side, m, cached)
 			if e := maxCoefDiff(cached, referenceM2L(tc.k, from, to, c.side, m)); e > 1e-12 {
 				t.Errorf("%s offset (%d,%d,%d) side %g: cached vs reference engine rel diff %.2e",
@@ -147,32 +94,94 @@ func TestM2LCachedMatchesProjection(t *testing.T) {
 	}
 }
 
-// TestM2LCacheFallsBackOffLattice checks that geometry off the interaction
-// lattice bypasses the tables — none is looked up, none is built — and
-// lands on the reference engine's result.
+// offLatticeSide is the box side of the off-lattice cases: the I->I ones
+// run at level 3 of the unit root cube.
+const offLatticeSide = 0.125
+
+// offLatticeCase is one translation handed a centre difference off its
+// lattice (or, for I->I, on it but beyond its reach).
+type offLatticeCase struct {
+	op  string
+	off geom.Point
+}
+
+// checkOffLatticePanics runs each case on every kernel and checks that it
+// panics, naming the operator, the offset and the box side.
+func checkOffLatticePanics(t *testing.T, tc testCase, cases []offLatticeCase) {
+	t.Helper()
+	const side = offLatticeSide
+	from := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
+	in := make([]complex128, max(tc.k.MLSize(), tc.k.ISize(3)))
+	out := make([]complex128, len(in))
+	for _, c := range cases {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			switch c.op {
+			case "M2M":
+				tc.k.M2M(from, from.Add(c.off), side, in, out)
+			case "L2L":
+				tc.k.L2L(from, from.Add(c.off), side, in, out)
+			case "M2L":
+				tc.k.M2L(from, from.Add(c.off), side, in, out)
+			case "I2I":
+				tc.k.I2I(geom.North, 3, c.off, in, out)
+			}
+			return "<nil>"
+		}()
+		off := from.Add(c.off).Sub(from)
+		if c.op == "I2I" {
+			off = c.off
+		}
+		for _, want := range []string{c.op, fmt.Sprint(off), fmt.Sprintf("side %g", side)} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s %s %v: panic %q does not name %q", tc.name, c.op, c.off, msg, want)
+			}
+		}
+	}
+}
+
+// TestTranslationsPanicOffLattice checks that an M->M or L->L handed a
+// centre difference off its lattice panics, naming the operator, the offset
+// and the box side: plans are root-relative, so such a call is a
+// programming error, never a slow path.
+func TestTranslationsPanicOffLattice(t *testing.T) {
+	const side = offLatticeSide
+	cases := []offLatticeCase{
+		{"M2M", geom.Point{X: 0.3 * side}},
+		{"M2M", geom.Point{X: side, Y: side / 2, Z: side / 2}},
+		{"L2L", geom.Point{X: side / 2, Y: -side / 2, Z: 0.51 * side}},
+	}
+	for _, tc := range kernels(t) {
+		checkOffLatticePanics(t, tc, cases)
+	}
+}
+
+// TestM2LCacheFallsBackOffLattice checks that an M->L off the interaction
+// lattice resolves to no table, builds none, and panics rather than falling
+// back to a slow path.
 func TestM2LCacheFallsBackOffLattice(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
+	const side = offLatticeSide
+	cases := []offLatticeCase{
+		{"M2L", geom.Point{X: 0.3071, Y: 0.011, Z: -0.29}},
+		{"M2L", geom.Point{X: side, Y: -side}},    // near, not list 2
+		{"M2L", geom.Point{X: 4 * side, Z: side}}, // beyond list 2
+		{"M2L", geom.Point{X: 2 * side * (1 + 1e-5)}},
+	}
 	for _, tc := range kernels(t) {
 		b := tc.k.(*base)
-		m := randomML(rng, tc.k)
-		from := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
-		// Not an integer multiple of the side: must not be cached.
-		to := from.Add(geom.Point{X: 0.3071, Y: 0.011, Z: -0.29})
-		if b.xlTableFor(m2lKind, to.Sub(from), 0.125) != nil {
-			t.Fatalf("%s: off-lattice offset resolved to a table", tc.name)
+		for _, c := range cases {
+			if b.xlTableFor(m2lKind, c.off, side) != nil {
+				t.Fatalf("%s %v: off-lattice offset resolved to a table", tc.name, c.off)
+			}
 		}
 		tables := func() (n int) {
 			b.tabs.Range(func(any, any) bool { n++; return true })
 			return n
 		}
 		before := tables()
-		got := make([]complex128, tc.k.MLSize())
-		tc.k.M2L(from, to, 0.125, m, got)
+		checkOffLatticePanics(t, tc, cases)
 		if after := tables(); after != before {
 			t.Errorf("%s: off-lattice M2L built %d tables", tc.name, after-before)
-		}
-		if e := maxCoefDiff(got, referenceM2L(tc.k, from, to, 0.125, m)); e > 1e-12 {
-			t.Errorf("%s: off-lattice M2L vs reference engine rel diff %.2e", tc.name, e)
 		}
 	}
 }

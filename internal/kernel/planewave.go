@@ -380,20 +380,20 @@ func (b *base) M2I(dir geom.Direction, level int, in, out []complex128) {
 // I2I implements Kernel: the diagonal translation out[t] += in[t]*E_t(shift).
 // shift is the world-frame vector from the old center to the new center.
 // Outgoing expansions about c satisfy X_{c'}[t] = X_c[t] * E_t(c'-c); every
-// shift the merge-and-shift DAG uses is a half-box lattice vector, so E is
-// read from the level's shift table and the operator is the pointwise
-// multiply the paper prices it as. A shift off the lattice (no DAG edge
-// produces one) computes its factors for the call.
+// shift the merge-and-shift DAG uses joins two root-relative box centres
+// (package tree), a half-box lattice vector, so E is read from the level's
+// shift table and the operator is the pointwise multiply the paper prices
+// it as. A shift off the lattice or beyond its reach panics.
 //
 //dashmm:noalloc
 func (b *base) I2I(dir geom.Direction, level int, shift geom.Point, in, out []complex128) {
 	lv := b.pw.Load().levels[level]
 	v := dir.RotateToUp(shift).Scale(1 / lv.side) // box units, direction's frame
-	if slot, ok := shiftSlotOf(v); ok {
-		mulAcc(lv.shift.factors(slot, lv.rule), in, out)
-		return
+	slot, ok := shiftSlotOf(v)
+	if !ok {
+		offLattice("I2I", shift, lv.side)
 	}
-	i2iOffLattice(lv.rule, v, in, out)
+	mulAcc(lv.shift.factors(slot, lv.rule), in, out)
 }
 
 // I2L implements Kernel: the level's (dir) table applied to a half wave,

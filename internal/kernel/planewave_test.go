@@ -136,7 +136,8 @@ func TestPlaneWaveMergeAtParent(t *testing.T) {
 
 func TestPlaneWaveShiftComposition(t *testing.T) {
 	// I2I(a+b) must equal I2I(a) followed by I2I(b): the translations are
-	// exact group actions on the wave coefficients.
+	// exact group actions on the wave coefficients. The shifts are half-box
+	// lattice vectors of the level (side 0.25), as every plan's are.
 	for _, tc := range kernels(t) {
 		level := 2
 		rng := rand.New(rand.NewSource(23))
@@ -144,8 +145,8 @@ func TestPlaneWaveShiftComposition(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		a := geom.Point{X: 0.1, Y: -0.05, Z: 0.2}
-		b := geom.Point{X: -0.02, Y: 0.07, Z: 0.15}
+		a := geom.Point{X: 0.125, Y: -0.125, Z: 0.25}
+		b := geom.Point{X: -0.125, Y: 0.25, Z: 0.375}
 		oneShot := make([]complex128, len(x))
 		tc.k.I2I(geom.Up, level, a.Add(b), x, oneShot)
 		step1 := make([]complex128, len(x))

@@ -200,10 +200,11 @@ func TestRealnessPlaneWaves(t *testing.T) {
 			if e := maxCoefDiff(x, packWave(rule, fullX)); e > 1e-12 {
 				t.Errorf("%s %v: M2I packed vs reference rel diff %.2e > 1e-12", tc.name, dir, e)
 			}
-			// I->I on the lattice and off it.
+			// I->I on a box and on a half-box lattice vector (an off-lattice
+			// shift panics: TestTranslationsPanicOffLattice).
 			for _, shift := range []geom.Point{
 				dir.RotateFromUp(geom.Point{X: side, Y: -side, Z: 2 * side}),
-				dir.RotateFromUp(geom.Point{X: 0.013, Y: 0.041, Z: 0.29}),
+				dir.RotateFromUp(geom.Point{X: side / 2, Y: 1.5 * side, Z: -2.5 * side}),
 			} {
 				got := make([]complex128, len(x))
 				tc.k.I2I(dir, level, shift, x, got)

@@ -48,8 +48,9 @@ const (
 	shiftReach = 8
 	shiftSpan  = 2*shiftReach + 1
 	// shiftTol is how far (in half-units) a component may sit from an
-	// integer and still be a lattice shift; box centres are exact dyadic
-	// subdivisions of the root cube, so real edges land within ~1e-15.
+	// integer and still be a lattice shift; box centres are dyadic
+	// subdivisions of a root cube centred at the origin (package tree), so
+	// real edges land within ~1e-12 at the deepest level.
 	shiftTol = 1e-6
 )
 
@@ -73,9 +74,6 @@ func laplaceShiftFor(p int) *shiftTable {
 	slot.CompareAndSwap(nil, new(shiftTable))
 	return slot.Load()
 }
-
-// offLatticeCalls counts I2I applications that missed the lattice.
-var offLatticeCalls atomic.Int64
 
 // shiftSlotOf resolves a rotated-frame shift in box units to its slot. It
 // fails for a shift off the half-box lattice or beyond shiftReach.
@@ -132,8 +130,7 @@ func (t *shiftTable) fill(slot int, r *pwRule) []complex128 {
 // shiftFactors writes E_t(v) for every kept term of the rule into dst (the
 // factor of a dropped term is the conjugate, like its coefficient, so the
 // kept half translates by itself); v is the shift in box units in the
-// direction's rotated frame. It is the only place the factors are computed:
-// table slots and off-lattice calls both use it.
+// direction's rotated frame. It is the only place the factors are computed.
 func (r *pwRule) shiftFactors(v geom.Point, dst []complex128) {
 	for k := range r.uh {
 		e := math.Exp(-r.muh[k] * v.Z)
@@ -144,14 +141,6 @@ func (r *pwRule) shiftFactors(v geom.Point, dst []complex128) {
 			row[j] = complex(e*cos, e*sin)
 		}
 	}
-}
-
-// i2iOffLattice applies a shift no slot describes (v in box units).
-func i2iOffLattice(r *pwRule, v geom.Point, in, out []complex128) {
-	offLatticeCalls.Add(1)
-	f := make([]complex128, r.total)
-	r.shiftFactors(v, f)
-	mulAcc(f, in, out)
 }
 
 // mulAcc accumulates out[t] += in[t] * f[t].
@@ -172,16 +161,11 @@ type ShiftStats struct {
 	// counted here.
 	Slots int
 	Bytes int64
-	// OffLatticeCalls counts I->I applications, of any kernel, whose shift
-	// was not a half-box lattice vector within reach and so bypassed the
-	// tables. The DAG produces none; a nonzero reading means something is
-	// paying the transcendental price per call.
-	OffLatticeCalls int64
 }
 
 // ShiftTableStats snapshots the shift-table counters.
 func ShiftTableStats() ShiftStats {
-	s := ShiftStats{OffLatticeCalls: offLatticeCalls.Load()}
+	var s ShiftStats
 	for i := range laplaceShifts {
 		t := laplaceShifts[i].Load()
 		if t == nil {

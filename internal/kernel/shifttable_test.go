@@ -20,6 +20,26 @@ func filledSlots(t *shiftTable) int {
 	return n
 }
 
+// TestShiftOffLatticeBypassesTable checks that an off-lattice I->I shift
+// (and one on the lattice but beyond the reach) fills no slot and panics
+// rather than computing its factors for the call.
+func TestShiftOffLatticeBypassesTable(t *testing.T) {
+	const side = offLatticeSide
+	cases := []offLatticeCase{
+		{"I2I", geom.Point{X: 0.1, Y: -0.05, Z: 0.2}},
+		{"I2I", geom.Point{X: side, Y: side / 2 * (1 + 1e-5), Z: side}},
+		{"I2I", geom.Point{Z: 4.5 * side}}, // on the lattice, beyond its reach
+	}
+	for _, tc := range kernels(t) {
+		lv := tc.k.(*base).pw.Load().levels[3]
+		filled := filledSlots(lv.shift)
+		checkOffLatticePanics(t, tc, cases)
+		if filledSlots(lv.shift) != filled {
+			t.Errorf("%s: off-lattice shift filled a slot", tc.name)
+		}
+	}
+}
+
 // The table key has no direction in it: a shift that looks the same in each
 // direction's rotated frame resolves to one slot pointer for all six, and
 // what the operator multiplies by equals the formula at that shift.
@@ -87,39 +107,6 @@ func TestShiftTableSharing(t *testing.T) {
 			t.Errorf("yukawa level %d shares a shift table", l)
 		}
 		seen[lv.shift] = true
-	}
-}
-
-// An off-lattice shift (and one on the lattice but beyond the reach) runs
-// the factor routine for the call: right answer, counter bumped, no slot.
-func TestShiftOffLatticeBypassesTable(t *testing.T) {
-	const level = 2
-	side := 0.25
-	shifts := []geom.Point{
-		{X: 0.1, Y: -0.05, Z: 0.2},
-		{X: side, Y: side / 2 * (1 + 1e-5), Z: side},
-		{X: 0, Y: 0, Z: 4.5 * side},
-	}
-	for _, tc := range kernels(t) {
-		lv := tc.k.(*base).pw.Load().levels[level]
-		n := tc.k.ISize(level)
-		for _, s := range shifts {
-			before, filled := offLatticeCalls.Load(), filledSlots(lv.shift)
-			got := make([]complex128, n)
-			tc.k.I2I(geom.North, level, s, Ones(n), got)
-			if d := offLatticeCalls.Load() - before; d != 1 {
-				t.Errorf("%s %v: off-lattice counter moved by %d, want 1", tc.name, s, d)
-			}
-			if filledSlots(lv.shift) != filled {
-				t.Errorf("%s %v: off-lattice shift filled a slot", tc.name, s)
-			}
-			want := RefShiftFactors(tc.k, geom.North, level, s)
-			for i := range want {
-				if cAbs(got[i]-want[i]) > 1e-13*math.Max(1, cAbs(want[i])) {
-					t.Fatalf("%s %v: term %d got %v formula %v", tc.name, s, i, got[i], want[i])
-				}
-			}
-		}
 	}
 }
 
@@ -225,9 +212,6 @@ func TestShiftTableStats(t *testing.T) {
 	}
 	if s.Bytes != bytes {
 		t.Errorf("Bytes = %d, want %d: filled slots x terms x 16", s.Bytes, bytes)
-	}
-	if s.OffLatticeCalls != offLatticeCalls.Load() {
-		t.Errorf("OffLatticeCalls = %d, counter reads %d", s.OffLatticeCalls, offLatticeCalls.Load())
 	}
 }
 

@@ -253,11 +253,9 @@ type MetricsSnapshot struct {
 	Inflight   int64 `json:"inflight"`
 
 	// The process-wide I->I shift table (kernel.ShiftTableStats): resident
-	// slots and bytes, and how many I->I applications missed the lattice
-	// and paid the transcendental price per call — 0 in a healthy daemon.
+	// slots and bytes.
 	ShiftTableSlots int   `json:"shift_table_slots"`
 	ShiftTableBytes int64 `json:"shift_table_bytes"`
-	ShiftOffLattice int64 `json:"shift_off_lattice_calls"`
 
 	// PairKernel and PairKernelF64 are the near-field pair loops of this
 	// process's Laplace kernels (PairKernels): at up to five digits —
@@ -354,7 +352,6 @@ func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot 
 		Inflight:         m.inflight.Load(),
 		ShiftTableSlots:  shift.Slots,
 		ShiftTableBytes:  shift.Bytes,
-		ShiftOffLattice:  shift.OffLatticeCalls,
 		PairKernel:       pairKernel,
 		PairKernelF64:    pairKernelF64,
 		DenseKernel:      denseKernel,

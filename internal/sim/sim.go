@@ -80,12 +80,6 @@ type Result struct {
 	TasksRun int64
 }
 
-// Efficiency returns the parallel efficiency relative to a baseline
-// (typically the 1-locality makespan): eff = base / (scale * makespan).
-func Efficiency(base, makespan float64, scale float64) float64 {
-	return base / (makespan * scale)
-}
-
 // task is one schedulable unit: a node trigger processing local out-edges,
 // or an arrived parcel applying a group of edges.
 type task struct {

@@ -21,8 +21,8 @@ type Skeleton struct {
 }
 
 // SkeletonBox is one box of a Skeleton. Center, side, parent and children
-// are all derivable from the Index and the domain; Lo/Hi delimit the box's
-// slice of the reordered point array.
+// are all derivable from the Index and the domain's side; Lo/Hi delimit the
+// box's slice of the reordered point array.
 type SkeletonBox struct {
 	Index  geom.Index
 	Lo, Hi int
@@ -68,8 +68,9 @@ func FromSkeleton(pts []geom.Point, sk Skeleton) (*Tree, error) {
 		Perm:   append([]int(nil), sk.Perm...),
 		byKey:  make(map[uint64]*Box, len(sk.Boxes)),
 	}
+	c := sk.Domain.Center()
 	for i, p := range sk.Perm {
-		t.Pts[i] = pts[p]
+		t.Pts[i] = pts[p].Sub(c)
 	}
 	root := sk.Boxes[0]
 	if root.Index != geom.Root || root.Lo != 0 || root.Hi != n {
@@ -86,15 +87,8 @@ func FromSkeleton(pts []geom.Point, sk Skeleton) (*Tree, error) {
 		if _, dup := t.byKey[sb.Index.Key()]; dup {
 			return nil, fmt.Errorf("tree: skeleton repeats box %v", sb.Index)
 		}
-		cube := sb.Index.Cube(sk.Domain)
-		b := &Box{
-			Index:  sb.Index,
-			Center: cube.Center(),
-			Side:   cube.Side,
-			Lo:     sb.Lo,
-			Hi:     sb.Hi,
-			Seq:    i,
-		}
+		b := newBox(sb.Index, sk.Domain.Side, sb.Lo, sb.Hi)
+		b.Seq = i
 		if i > 0 {
 			parent := t.byKey[sb.Index.Parent().Key()]
 			if parent == nil {

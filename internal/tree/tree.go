@@ -5,6 +5,14 @@
 // target box, the four interaction lists of the adaptive FMM and the
 // pruning of target sub-trees that are well-separated from the entire
 // source tree (paper, Section II).
+//
+// Geometry is root-relative: Tree.Pts and every Box.Center are coordinates
+// relative to Tree.Domain.Center(), and box centres are computed from the
+// integer Index on a root cube of the domain's side centred at the origin.
+// Tree.Domain itself stays the caller's absolute cube. So the centre
+// difference of two boxes is a multiple of their side to within ~1e-12 of
+// it wherever the ensembles sit, and every translation the DAG makes lands
+// on the kernel's lattice tables (off them, the kernel panics).
 package tree
 
 import (
@@ -58,8 +66,8 @@ type Tree struct {
 	Boxes []*Box
 	// Leaves lists the leaf boxes.
 	Leaves []*Box
-	// Pts is the reordered ensemble; Perm[i] is the original index of
-	// reordered position i.
+	// Pts is the reordered ensemble, relative to Domain.Center(); Perm[i]
+	// is the original index of reordered position i.
 	Pts  []geom.Point
 	Perm []int
 	// MaxLevel is the deepest level with boxes.
@@ -78,28 +86,24 @@ const MaxDepth = 15
 
 // Build constructs the adaptive octree of the points over the domain,
 // refining until each leaf holds at most threshold points or sits at
-// MaxDepth.
+// MaxDepth. The points are stored, and partitioned, relative to the
+// domain's centre.
 func Build(pts []geom.Point, domain geom.Cube, threshold int) *Tree {
 	if threshold < 1 {
 		panic("tree: threshold must be at least 1")
 	}
 	t := &Tree{
 		Domain: domain,
-		Pts:    append([]geom.Point(nil), pts...),
+		Pts:    make([]geom.Point, len(pts)),
 		Perm:   make([]int, len(pts)),
 		byKey:  make(map[uint64]*Box),
 	}
-	for i := range t.Perm {
+	c := domain.Center()
+	for i, p := range pts {
+		t.Pts[i] = p.Sub(c)
 		t.Perm[i] = i
 	}
-	rootCube := domain
-	t.Root = &Box{
-		Index:  geom.Root,
-		Center: rootCube.Center(),
-		Side:   rootCube.Side,
-		Lo:     0,
-		Hi:     len(pts),
-	}
+	t.Root = newBox(geom.Root, domain.Side, 0, len(pts))
 	scratchP := make([]geom.Point, len(pts))
 	scratchI := make([]int, len(pts))
 	t.split(t.Root, threshold, scratchP, scratchI)
@@ -135,7 +139,7 @@ func (t *Tree) split(b *Box, threshold int, scratchP []geom.Point, scratchI []in
 	// Bucket the points of b by octant with a stable counting pass.
 	var count [8]int
 	for i := b.Lo; i < b.Hi; i++ {
-		count[b.Index.ChildContaining(t.Domain, t.Pts[i])]++
+		count[octant(b.Center, t.Pts[i])]++
 	}
 	var start [8]int
 	for o := 1; o < 8; o++ {
@@ -143,7 +147,7 @@ func (t *Tree) split(b *Box, threshold int, scratchP []geom.Point, scratchI []in
 	}
 	pos := start
 	for i := b.Lo; i < b.Hi; i++ {
-		o := b.Index.ChildContaining(t.Domain, t.Pts[i])
+		o := octant(b.Center, t.Pts[i])
 		scratchP[b.Lo+pos[o]] = t.Pts[i]
 		scratchI[b.Lo+pos[o]] = t.Perm[i]
 		pos[o]++
@@ -155,20 +159,37 @@ func (t *Tree) split(b *Box, threshold int, scratchP []geom.Point, scratchI []in
 		if count[o] == 0 {
 			continue
 		}
-		ci := b.Index.Child(o)
-		cc := ci.Cube(t.Domain)
-		c := &Box{
-			Index:  ci,
-			Center: cc.Center(),
-			Side:   cc.Side,
-			Parent: b,
-			Lo:     b.Lo + start[o],
-			Hi:     b.Lo + start[o] + count[o],
-		}
+		c := newBox(b.Index.Child(o), t.Domain.Side, b.Lo+start[o], b.Lo+start[o]+count[o])
+		c.Parent = b
 		b.Children[o] = c
 		b.NChildren++
 		t.split(c, threshold, scratchP, scratchI)
 	}
+}
+
+// newBox makes the box of index ix in a tree whose root cube has the given
+// side, holding points [lo, hi): its centre is the cube's, in the tree's
+// root-relative frame.
+func newBox(ix geom.Index, rootSide float64, lo, hi int) *Box {
+	h := rootSide / 2
+	cube := ix.Cube(geom.Cube{Low: geom.Point{X: -h, Y: -h, Z: -h}, Side: rootSide})
+	return &Box{Index: ix, Center: cube.Center(), Side: cube.Side, Lo: lo, Hi: hi}
+}
+
+// octant returns which child of a box centred at c holds p (bit 0 high x,
+// bit 1 high y, bit 2 high z, as geom.Index.Child).
+func octant(c, p geom.Point) int {
+	o := 0
+	if p.X >= c.X {
+		o |= 1
+	}
+	if p.Y >= c.Y {
+		o |= 2
+	}
+	if p.Z >= c.Z {
+		o |= 4
+	}
+	return o
 }
 
 // Lookup returns the box with the given index, or nil.

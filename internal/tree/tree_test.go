@@ -21,11 +21,16 @@ func TestBuildPartitionInvariants(t *testing.T) {
 	pts := points.Generate(points.Cube, 5000, 3)
 	dom := geom.BoundingCube(pts)
 	tr := Build(pts, dom, 25)
-	// Every box's cube contains its points.
+	// Every box's cube contains its points (Pts and Center are relative to
+	// the domain's centre), and the box is centred on its cube.
+	c := dom.Center()
 	for _, b := range tr.Boxes {
 		cube := b.Index.Cube(dom)
+		if d := b.Center.Add(c).Dist(cube.Center()); d > 1e-12 {
+			t.Fatalf("%v: centre %v is %g from its cube's", b, b.Center, d)
+		}
 		for _, p := range tr.Points(b) {
-			if !cube.Contains(p) {
+			if p := p.Add(c); !cube.Contains(p) {
 				t.Fatalf("%v does not contain %v", b, p)
 			}
 		}
@@ -55,8 +60,8 @@ func TestBuildPartitionInvariants(t *testing.T) {
 			t.Fatalf("Perm repeats %d", orig)
 		}
 		seen[orig] = true
-		if tr.Pts[i] != pts[orig] {
-			t.Fatalf("Pts[%d] != pts[Perm[%d]]", i, i)
+		if tr.Pts[i] != pts[orig].Sub(c) {
+			t.Fatalf("Pts[%d] != pts[Perm[%d]] - domain centre", i, i)
 		}
 	}
 }
