@@ -133,9 +133,9 @@ func main() {
 		close(done)
 	}()
 
-	laplacePair, laplaceF64, yukawaPair := serve.PairKernels()
-	log.Printf("dashmm-serve: listening on %s (queue=%d, concurrent=%d, cache=%d plans, pair kernels laplace %s (above 5 digits %s), yukawa %s, dense kernel %s)",
-		*addr, *maxQueue, *maxConc, *cacheSize, laplacePair, laplaceF64, yukawaPair, serve.DenseKernel())
+	laplacePair, laplaceF64, yukawaPair, yukawaF64 := serve.PairKernels()
+	log.Printf("dashmm-serve: listening on %s (queue=%d, concurrent=%d, cache=%d plans, pair kernels laplace %s (above 5 digits %s), yukawa %s (above 5 digits %s), dense kernel %s)",
+		*addr, *maxQueue, *maxConc, *cacheSize, laplacePair, laplaceF64, yukawaPair, yukawaF64, serve.DenseKernel())
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		if pool != nil {
 			pool.Close()

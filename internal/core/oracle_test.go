@@ -31,17 +31,19 @@ type oracleCase struct {
 	kernel func(p int) kernel.Kernel
 }
 
-// oracleCases are Laplace as NewLaplace binds it (a float32 near field at
-// three digits where the CPU has one), Laplace on the float64 pair loop,
-// and Yukawa, on the cube and on the sphere.
+// oracleCases are each kernel as its constructor binds it (a float32 near
+// field at three digits where the CPU has one) and on the float64 pair
+// loop, on the cube and on the sphere.
 func oracleCases() []oracleCase {
 	yuk := func(p int) kernel.Kernel { return kernel.NewYukawa(p, 4.0) }
+	yuk64 := func(p int) kernel.Kernel { return kernel.NewYukawaFloat64(p, 4.0) }
 	var cs []oracleCase
 	for _, d := range []points.Distribution{points.Cube, points.Sphere} {
 		cs = append(cs,
 			oracleCase{d, fmt.Sprintf("%v/laplace", d), kernel.NewLaplace},
 			oracleCase{d, fmt.Sprintf("%v/laplace-f64", d), kernel.NewLaplaceFloat64},
-			oracleCase{d, fmt.Sprintf("%v/yukawa", d), yuk})
+			oracleCase{d, fmt.Sprintf("%v/yukawa", d), yuk},
+			oracleCase{d, fmt.Sprintf("%v/yukawa-f64", d), yuk64})
 	}
 	return cs
 }
@@ -49,7 +51,8 @@ func oracleCases() []oracleCase {
 // f32Tol is what a metamorphic gate holds a kernel to whose near field runs
 // a float32 pair loop: the five digits those loops are certified at
 // (internal/kernel, TestFloat32PairOrder). The same gate holds the float64
-// binding (kernel.NewLaplaceFloat64) to its own tolerance.
+// bindings (kernel.NewLaplaceFloat64, kernel.NewYukawaFloat64) to its own
+// tolerance.
 const f32Tol = 1e-5
 
 // metaTol is a gate's tolerance for kernel k: tol, or f32Tol where k binds a
@@ -185,7 +188,7 @@ func TestOracleDirectSumAtRequestedDigits(t *testing.T) {
 		tp := points.Generate(oc.distr, n, 72)
 		q := points.Charges(n, 73)
 		for _, digits := range []int{3, 6} {
-			if digits == 6 && oc.distr == points.Cube && strings.HasSuffix(oc.name, "yukawa") {
+			if digits == 6 && oc.distr == points.Cube && strings.Contains(oc.name, "yukawa") {
 				continue
 			}
 			k := oc.kernel(kernel.OrderForDigits(digits))

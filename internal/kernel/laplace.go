@@ -7,7 +7,7 @@ import "math"
 // order p. Use OrderForDigits to pick p from an accuracy requirement. At p
 // ≤ pF32 (five digits) its near field runs a float32 pair loop where the
 // CPU has one (p2p.go, PairKernel names it).
-func NewLaplace(p int) Kernel { return newLaplace(p, laplacePairFor(p)) }
+func NewLaplace(p int) Kernel { return newLaplace(p, pairFor(p, bestLaplacePair32, bestLaplacePair)) }
 
 // NewLaplaceFloat64 is NewLaplace with its near field on the float64 pair
 // loop at every order: for a test that holds a low-order near field to

@@ -5,9 +5,10 @@ package kernel
 import "repro/internal/geom"
 
 // bestLaplacePair and bestYukawaPair are the fastest float64 pair loops of
-// each kernel this CPU and operating system run, bestLaplacePair32 the
-// fastest Laplace loop at an order that allows float32 (laplacePairFor).
-var bestLaplacePair, bestLaplacePair32, bestYukawaPair = probePairLoops()
+// each kernel this CPU and operating system run, bestLaplacePair32 and
+// bestYukawaPair32 the fastest at an order that allows float32
+// (pairFor).
+var bestLaplacePair, bestLaplacePair32, bestYukawaPair, bestYukawaPair32 = probePairLoops()
 
 // cpuVector is what this CPU and operating system offer the vector loops —
 // the pair loops here and the dense kernel (dense_amd64.go) — probed once
@@ -37,24 +38,24 @@ func probeVector() (f vectorFeatures) {
 	return f
 }
 
-func probePairLoops() (laplace, laplace32, yukawa pairLoop) {
+func probePairLoops() (laplace, laplace32, yukawa, yukawa32 pairLoop) {
 	switch f := cpuVector; {
 	case f.avx512:
-		return laplaceAVX512, laplaceF32AVX512, yukawaAVX512
+		return laplaceAVX512, laplaceF32AVX512, yukawaAVX512, yukawaF32AVX512
 	case f.avx2 && f.fma:
-		return laplaceAVX2, laplaceF32AVX2, yukawaAVX2
+		return laplaceAVX2, laplaceF32AVX2, yukawaAVX2, yukawaF32AVX2
 	case f.avx2:
-		return laplaceAVX2, laplaceAVX2, yukawaGo // the float32 and Yukawa AVX2 loops use FMA
+		return laplaceAVX2, laplaceAVX2, yukawaGo, yukawaGo // the float32 and Yukawa AVX2 loops use FMA
 	}
-	return laplaceGo, laplaceGo, yukawaGo
+	return laplaceGo, laplaceGo, yukawaGo, yukawaGo
 }
 
 // runs reports whether this CPU runs pair loop l.
 func (l pairLoop) runs() bool {
 	switch f := cpuVector; l {
-	case laplaceAVX512, laplaceF32AVX512, yukawaAVX512:
+	case laplaceAVX512, laplaceF32AVX512, yukawaAVX512, yukawaF32AVX512:
 		return f.avx512
-	case laplaceF32AVX2, yukawaAVX2:
+	case laplaceF32AVX2, yukawaAVX2, yukawaF32AVX2:
 		return f.avx2 && f.fma
 	case laplaceAVX2:
 		return f.avx2
@@ -83,12 +84,19 @@ func pairsOn(l pairLoop, lambda float64, src []geom.Point, q []float64, blk *pai
 
 // pairs32On runs the named float32 pair loop on the narrowed sources ns
 // (src are the same sources in float64, for the exact-coincidence check)
-// and reports false on a hazard.
-func pairs32On(l pairLoop, ns []src32, src []geom.Point, blk *pairBlock) bool {
-	if l == laplaceF32AVX512 {
-		return laplacePairs32AVX512(ns, src[:len(ns)], blk) == 0
+// and reports false on a hazard; lam, λ in the block's image, is read by
+// the Yukawa ones.
+func pairs32On(l pairLoop, lam float32, ns []src32, src []geom.Point, blk *pairBlock) bool {
+	src = src[:len(ns)]
+	switch l {
+	case laplaceF32AVX512:
+		return laplacePairs32AVX512(ns, src, blk) == 0
+	case yukawaF32AVX512:
+		return yukawaPairs32AVX512(lam, ns, src, blk) == 0
+	case yukawaF32AVX2:
+		return yukawaPairs32AVX2(lam, ns, src, blk) == 0
 	}
-	return laplacePairs32AVX2(ns, src[:len(ns)], blk) == 0
+	return laplacePairs32AVX2(ns, src, blk) == 0
 }
 
 // laplacePairsAVX512 computes 1/r as a 14-bit reciprocal-square-root
@@ -129,6 +137,24 @@ func laplacePairs32AVX512(ns []src32, src []geom.Point, blk *pairBlock) int
 //
 //go:noescape
 func laplacePairs32AVX2(ns []src32, src []geom.Point, blk *pairBlock) int
+
+// yukawaPairs32AVX512 is the float32 Yukawa loop sixteen lanes at a time:
+// laplacePairs32AVX512's w ≈ 2/r, t = −(λ′/2)·r²·w = −λ′r, and e^t by a
+// degree-6 polynomial and VSCALEFPS, so that q/2·e^t·w is within
+// (3 + 4 + 5·|t|)·2⁻²⁴ of the correctly rounded float32 e^{−λ′r}/r of the
+// float32 r² where e^{−λ′r} is at least 2⁻¹²⁵, and within 2⁻¹²⁵/r below
+// (TestFloat32LoopsPerPair). It returns nonzero on a hazard (pairLoop),
+// leaving blk.part undefined.
+//
+//go:noescape
+func yukawaPairs32AVX512(lam float32, ns []src32, src []geom.Point, blk *pairBlock) int
+
+// yukawaPairs32AVX2 is the same eight lanes at a time from VRSQRTPS's 12
+// bits, 2^k added to e^f's exponent field: within (6 + 4 + 8·|t|)·2⁻²⁴,
+// and e^t taken as 0 where it is not a normal float32 (t below −86.9).
+//
+//go:noescape
+func yukawaPairs32AVX2(lam float32, ns []src32, src []geom.Point, blk *pairBlock) int
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)

@@ -4,12 +4,12 @@
 #include "vexp_amd64.h"
 
 // The vector pair loops (p2p.go states the contract, DESIGN.md "Batched
-// execution" the numerics). All six walk the block in register groups of
+// execution" the numerics). All eight walk the block in register groups of
 // two vectors of targets, and for each group stream the sources, broadcast
 // one at a time: the float64 loops' from the []geom.Point (24 bytes apart),
 // the float32 loops' from the narrowed []src32 (16 bytes apart). The four
-// float64 loops accumulate into acc. The two float32 loops — Laplace at
-// p ≤ pF32 — sum one sub-chunk of at most 256 sources into part, in
+// float64 loops accumulate into acc. The four float32 loops — both kernels
+// at p ≤ pF32 — sum one sub-chunk of at most 256 sources into part, in
 // float32, on the block's float32 image (coordinates relative to the
 // block's origin, never absolute ones); a pair whose narrowed r² is below
 // r2Min is skipped if its float64 coordinates equal the source's, and is
@@ -174,10 +174,10 @@ done256:
 	VZEROUPPER
 	RET
 
-// The float32 Laplace pair loops: q·1/r on the block's float32 image (p2p.go:
+// The float32 pair loops: q·G(r) on the block's float32 image (p2p.go:
 // narrow, narrowSources), into a partial sum per target that the driver
 // widens. Each vector of 32-bit constants is stored whole for the AVX2
-// loop's memory operands: 3, then r2Min = 2⁻¹⁶, the least narrowed r²
+// loops' memory operands: 3, then r2Min = 2⁻¹⁶, the least narrowed r²
 // summed (p2p.go).
 DATA pair32c<>+0(SB)/8, $0x4040000040400000
 DATA pair32c<>+8(SB)/8, $0x4040000040400000
@@ -190,24 +190,30 @@ DATA pair32c<>+56(SB)/8, $0x3780000037800000
 GLOBL pair32c<>(SB), RODATA|NOPTR, $64
 
 // One vector of sixteen targets against the source in Z8..Z10, half its
-// charge in Z11; Z16 = 3, Z17 = r2Min. K = r² ≥ r2Min (r² is finite: the
-// driver narrowed only finite coordinates near the block); y ≈ r²^-½ to 14
-// bits, then one Newton step in the form w = y·(3 − (r²·y)·y) ≈ 2/r, which
-// the halved charge undoes; acc += (q/2)·w under K. Twelve vector
-// operations (VRSQRT14PS is two) per sixteen pairs on the two ports that
-// run 512-bit arithmetic.
-#define PAIR32x512(TX, TY, TZ, ACC, A, B, C, K) \
+// charge in Z11; Z16 = 3, Z17 = r2Min. R2x512 leaves r² in A and K = r² ≥
+// r2Min (r² is finite: the driver narrowed only finite coordinates near the
+// block); W32x512 then takes y ≈ r²^-½ to 14 bits and one Newton step in the
+// form w = y·(3 − (r²·y)·y) ≈ 2/r, which the halved charge undoes, into B.
+#define R2x512(TX, TY, TZ, A, B, C, K) \
 	VSUBPS       Z8, TX, A    \
 	VSUBPS       Z9, TY, B    \
 	VSUBPS       Z10, TZ, C   \
 	VMULPS       A, A, A      \
 	VFMADD231PS  B, B, A      \
 	VFMADD231PS  C, C, A      \
-	VCMPPS       $0x1d, Z17, A, K \
+	VCMPPS       $0x1d, Z17, A, K
+
+#define W32x512(A, B, C) \
 	VRSQRT14PS   A, B         \
 	VMULPS       B, A, C      \
 	VFNMADD213PS Z16, B, C    \
-	VMULPS       C, B, B      \
+	VMULPS       C, B, B
+
+// Laplace: acc += (q/2)·w under K. Twelve vector operations (VRSQRT14PS is
+// two) per sixteen pairs on the two ports that run 512-bit arithmetic.
+#define PAIR32x512(TX, TY, TZ, ACC, A, B, C, K) \
+	R2x512(TX, TY, TZ, A, B, C, K) \
+	W32x512(A, B, C)               \
 	VFMADD231PS  B, Z11, K, ACC
 
 // Eight float64 lanes at OFF from the group's float64 coordinates (R12)
@@ -216,6 +222,26 @@ GLOBL pair32c<>(SB), RODATA|NOPTR, $64
 	VCMPPD $0, BLK_X+OFF(R12), Z24, K    \
 	VCMPPD $0, BLK_Y+OFF(R12), Z25, K, K \
 	VCMPPD $0, BLK_Z+OFF(R12), Z26, K, K
+
+// Lanes of the 32 in K1 and K2 below r2Min are a hazard unless their
+// float64 coordinates equal the source's (at R9): K1 and K2 gain the equal
+// lanes, and the loop goes on at NEXT if that covers all 32; otherwise the
+// code after the macro reports the hazard.
+#define HAZARD512(NEXT) \
+	VBROADCASTSD (R9), Z24    \
+	VBROADCASTSD 8(R9), Z25   \
+	VBROADCASTSD 16(R9), Z26  \
+	EQ64x512(0, K3)           \
+	EQ64x512(64, K4)          \
+	KUNPCKBW K3, K4, K3       \
+	KORW     K1, K3, K1       \
+	EQ64x512(128, K4)         \
+	EQ64x512(192, K5)         \
+	KUNPCKBW K4, K5, K4       \
+	KORW     K2, K4, K2       \
+	KANDW    K1, K2, K3       \
+	KORTESTW K3, K3           \
+	JCS      NEXT
 
 // func laplacePairs32AVX512(ns []src32, src []geom.Point, blk *pairBlock) int
 TEXT ·laplacePairs32AVX512(SB), NOSPLIT, $0-64
@@ -274,24 +300,8 @@ fdone512:
 	VZEROUPPER
 	RET
 
-// A lane below r2Min is a hazard unless its float64 coordinates
-// equal the source's: K1 and K2 gain the equal lanes, and the loop goes on
-// if that covers all 32.
 fclose512:
-	VBROADCASTSD (R9), Z24
-	VBROADCASTSD 8(R9), Z25
-	VBROADCASTSD 16(R9), Z26
-	EQ64x512(0, K3)
-	EQ64x512(64, K4)
-	KUNPCKBW K3, K4, K3       // lanes 0..15: K4 above K3
-	KORW     K1, K3, K1
-	EQ64x512(128, K4)
-	EQ64x512(192, K5)
-	KUNPCKBW K4, K5, K4       // lanes 16..31
-	KORW     K2, K4, K2
-	KANDW    K1, K2, K3
-	KORTESTW K3, K3
-	JCS      fnext512
+	HAZARD512(fnext512)
 	MOVQ $1, ret+56(FP)
 	VZEROUPPER
 	RET
@@ -328,6 +338,18 @@ fclose512:
 	VMOVMSKPD Y8, AX                       \
 	SHLL      $SHIFT, AX                   \
 	ORL       AX, R11
+
+// As HAZARD512: the equal lanes join the 16 lanes' range mask in R11.
+#define HAZARD256(NEXT) \
+	VBROADCASTSD (R9), Y12   \
+	VBROADCASTSD 8(R9), Y13  \
+	VBROADCASTSD 16(R9), Y14 \
+	EQ64x256(0, 0)           \
+	EQ64x256(32, 4)          \
+	EQ64x256(64, 8)          \
+	EQ64x256(96, 12)         \
+	CMPL R11, $0xffff        \
+	JEQ  NEXT
 
 // func laplacePairs32AVX2(ns []src32, src []geom.Point, blk *pairBlock) int
 TEXT ·laplacePairs32AVX2(SB), NOSPLIT, $0-64
@@ -386,18 +408,267 @@ fdone256:
 	VZEROUPPER
 	RET
 
-// As fclose512: the equal lanes join the range mask in R11.
 fclose256:
-	VBROADCASTSD (R9), Y12
-	VBROADCASTSD 8(R9), Y13
-	VBROADCASTSD 16(R9), Y14
-	EQ64x256(0, 0)
-	EQ64x256(32, 4)
-	EQ64x256(64, 8)
-	EQ64x256(96, 12)
-	CMPL R11, $0xffff
-	JEQ  fnext256
+	HAZARD256(fnext256)
 	MOVQ $1, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// The float32 Yukawa pair loops: q·e^{−λr}/r, Laplace's loops with
+// t = −(λ′/2)·r²·w = −λ′r formed from their w ≈ 2/r (λ′, λ in the block's
+// image, is an argument), e^t = 2^k·e^f with k = round(t·log₂e) and
+// f = t − k·ln2 (Cody–Waite, by FMA), and e^f on |f| ≤ ln2/2 by a degree-6
+// polynomial fitted for least relative error with float32 coefficients
+// (0.3·2⁻²⁴ in exact arithmetic). Every constant eight times over, as
+// pair32c.
+#define Y32_NHALF 0
+#define Y32_TMIN  32
+#define Y32_CLAMP 64
+#define Y32_LOG2E 96
+#define Y32_LN2HI 128
+#define Y32_LN2LO 160
+#define Y32_MAGIC 192
+#define Y32_C0    224
+#define Y32_C1    256
+#define Y32_C2    288
+#define Y32_C3    320
+#define Y32_C4    352
+#define Y32_C5    384
+#define Y32_C6    416
+
+#define Y32CONST(off, bits) \
+	DATA yuk32c<>+off(SB)/8, bits    \
+	DATA yuk32c<>+off+8(SB)/8, bits  \
+	DATA yuk32c<>+off+16(SB)/8, bits \
+	DATA yuk32c<>+off+24(SB)/8, bits
+
+Y32CONST(Y32_NHALF, $0xbf000000bf000000) // −½: −λ′/2 from λ′
+Y32CONST(Y32_TMIN, $0xc2adcccdc2adcccd)  // −86.9: above it e^t is a normal float32 (AVX2)
+Y32CONST(Y32_CLAMP, $0xc2dc0000c2dc0000) // −110: e^−110 scales to 0 (AVX-512)
+Y32CONST(Y32_LOG2E, $0x3fb8aa3b3fb8aa3b) // log₂e
+Y32CONST(Y32_LN2HI, $0x3f3172183f317218) // ln2 rounded to float32
+Y32CONST(Y32_LN2LO, $0xb102e308b102e308) // ln2 − ln2hi
+Y32CONST(Y32_MAGIC, $0x4b4000004b400000) // 1.5·2²³: k + magic holds k in its low bits
+Y32CONST(Y32_C0, $0x3f8000003f800000)    // 1
+Y32CONST(Y32_C1, $0x3f8000003f800000)    // 1
+Y32CONST(Y32_C2, $0x3efffffe3efffffe)    // 0.49999994
+Y32CONST(Y32_C3, $0x3e2aaa0c3e2aaa0c)    // 0.1666643
+Y32CONST(Y32_C4, $0x3d2aac123d2aac12)    // 0.041668005
+Y32CONST(Y32_C5, $0x3c0933ec3c0933ec)    // 0.008374196
+Y32CONST(Y32_C6, $0x3ab573703ab57370)    // 0.0013843607
+GLOBL yuk32c<>(SB), RODATA|NOPTR, $448
+
+// P = Σ c_n f^n by Horner, f in F, c6 in Z30, the rest broadcast.
+#define EXPPOLY32x512(F, P) \
+	VMOVAPS          Z30, P \
+	VFMADD213PS.BCST yuk32c<>+Y32_C5(SB), F, P \
+	VFMADD213PS.BCST yuk32c<>+Y32_C4(SB), F, P \
+	VFMADD213PS.BCST yuk32c<>+Y32_C3(SB), F, P \
+	VFMADD213PS.BCST yuk32c<>+Y32_C2(SB), F, P \
+	VFMADD213PS.BCST yuk32c<>+Y32_C1(SB), F, P \
+	VFMADD213PS.BCST yuk32c<>+Y32_C0(SB), F, P
+
+// One vector of sixteen targets against the source in Z8..Z10, half its
+// charge in Z11; Z15 = −110, Z18 = −λ′/2, Z27..Z29 = log₂e, ln2hi, ln2lo,
+// Z30 = c6. Laplace's r², mask and w, r² raised to r2Min first, so that a
+// lane outside K — a coincident pair's r² = 0 among them — stays finite
+// (with the ∞ of the rsqrt of 0 and the NaNs after it, a leaf against
+// itself ran at twice the cost of two distinct leaves; the AVX2 loop, with
+// no VRNDSCALEPS or VSCALEFPS, showed no such cost). t clamped at −110,
+// so that a huge λ′r gives 0 and
+// not the NaN of a reduction of −1e10; 2^k by VSCALEFPS, which rounds once
+// into the subnormals; acc += (q/2)·(e^t·w) under K. 29 vector operations
+// per sixteen pairs.
+#define YUK32x512(TX, TY, TZ, ACC, A, B, C, D, K) \
+	R2x512(TX, TY, TZ, A, B, C, K) \
+	VMAXPS       Z17, A, A    \
+	W32x512(A, B, C)          \
+	VMULPS       Z18, A, A    \
+	VMULPS       B, A, A      \
+	VMAXPS       Z15, A, A    \
+	VMULPS       Z27, A, C    \
+	VRNDSCALEPS  $0, C, C     \
+	VFNMADD231PS Z28, C, A    \
+	VFNMADD231PS Z29, C, A    \
+	EXPPOLY32x512(A, D)       \
+	VSCALEFPS    C, D, D      \
+	VMULPS       B, D, D      \
+	VFMADD231PS  D, Z11, K, ACC
+
+// func yukawaPairs32AVX512(lam float32, ns []src32, src []geom.Point, blk *pairBlock) int
+TEXT ·yukawaPairs32AVX512(SB), NOSPLIT, $0-72
+	MOVQ ns_base+8(FP), SI
+	MOVQ ns_len+16(FP), CX
+	MOVQ src_base+32(FP), DI
+	MOVQ blk+56(FP), BX
+	MOVQ $0, ret+64(FP)
+	MOVQ (BX), DX
+	ADDQ $31, DX
+	SHRQ $5, DX               // groups of 32 targets
+	JZ   ydone32x512
+	TESTQ CX, CX
+	JZ   ydone32x512
+	MOVQ BX, R12              // the group's float64 coordinates, 256 bytes a group
+	VBROADCASTSS pair32c<>+0(SB), Z16
+	VBROADCASTSS pair32c<>+32(SB), Z17
+	VBROADCASTSS lam+0(FP), Z18
+	VMULPS.BCST  yuk32c<>+Y32_NHALF(SB), Z18, Z18
+	VBROADCASTSS yuk32c<>+Y32_CLAMP(SB), Z15
+	VBROADCASTSS yuk32c<>+Y32_LOG2E(SB), Z27
+	VBROADCASTSS yuk32c<>+Y32_LN2HI(SB), Z28
+	VBROADCASTSS yuk32c<>+Y32_LN2LO(SB), Z29
+	VBROADCASTSS yuk32c<>+Y32_C6(SB), Z30
+
+ygroup32x512:
+	VMOVUPS BLK_X32(BX), Z0
+	VMOVUPS BLK_X32+64(BX), Z1
+	VMOVUPS BLK_Y32(BX), Z2
+	VMOVUPS BLK_Y32+64(BX), Z3
+	VMOVUPS BLK_Z32(BX), Z4
+	VMOVUPS BLK_Z32+64(BX), Z5
+	VPXORD  Z6, Z6, Z6
+	VPXORD  Z7, Z7, Z7
+	MOVQ SI, R8
+	MOVQ DI, R9
+	MOVQ CX, R10
+
+ysource32x512:
+	VBROADCASTSS (R8), Z8
+	VBROADCASTSS 4(R8), Z9
+	VBROADCASTSS 8(R8), Z10
+	VBROADCASTSS 12(R8), Z11
+	YUK32x512(Z0, Z2, Z4, Z6, Z12, Z13, Z14, Z19, K1)
+	YUK32x512(Z1, Z3, Z5, Z7, Z20, Z21, Z22, Z23, K2)
+	KANDW    K1, K2, K3
+	KORTESTW K3, K3
+	JCC      yclose32x512     // a lane below r2Min
+ynext32x512:
+	ADDQ $16, R8
+	ADDQ $24, R9
+	DECQ R10
+	JNZ  ysource32x512
+
+	VMOVUPS Z6, BLK_PART(BX)
+	VMOVUPS Z7, BLK_PART+64(BX)
+	ADDQ $128, BX
+	ADDQ $256, R12
+	DECQ DX
+	JNZ  ygroup32x512
+
+ydone32x512:
+	VZEROUPPER
+	RET
+
+yclose32x512:
+	HAZARD512(ynext32x512)
+	MOVQ $1, ret+64(FP)
+	VZEROUPPER
+	RET
+
+// One vector of eight targets against the source at R8; Y15 = −λ′/2, Y8..Y14
+// scratch, the other constants from memory. PAIR32x256's w and r² mask
+// (its sign bits left in AX, for the hazard check); e^t from the
+// polynomial with k added to its exponent field — right where k ≥ −125,
+// i.e. t > −86.9, and t at or below that (NaN too) is masked to 0 with the
+// lanes below r2Min; then acc += (q/2)·(e^t·w). The source is broadcast
+// here, not once for both vectors, to free the registers.
+#define YUK32x256(TX, TY, TZ, ACC) \
+	VBROADCASTSS (R8), Y8              \
+	VBROADCASTSS 4(R8), Y9             \
+	VBROADCASTSS 8(R8), Y10            \
+	VSUBPS       Y8, TX, Y8            \
+	VSUBPS       Y9, TY, Y9            \
+	VSUBPS       Y10, TZ, Y10          \
+	VMULPS       Y8, Y8, Y8            \
+	VFMADD231PS  Y9, Y9, Y8            \
+	VFMADD231PS  Y10, Y10, Y8          \
+	VCMPPS       $0x1d, pair32c<>+32(SB), Y8, Y14 \
+	VMOVMSKPS    Y14, AX               \
+	VRSQRTPS     Y8, Y9                \
+	VMULPS       Y9, Y8, Y10           \
+	VFNMADD213PS pair32c<>+0(SB), Y9, Y10 \
+	VMULPS       Y10, Y9, Y9           \
+	VMULPS       Y15, Y8, Y8           \
+	VMULPS       Y9, Y8, Y8            \
+	VCMPPS       $0x1e, yuk32c<>+Y32_TMIN(SB), Y8, Y10 \
+	VANDPS       Y10, Y14, Y14         \
+	VMOVUPS      yuk32c<>+Y32_MAGIC(SB), Y11 \
+	VFMADD231PS  yuk32c<>+Y32_LOG2E(SB), Y8, Y11 \
+	VSUBPS       yuk32c<>+Y32_MAGIC(SB), Y11, Y12 \
+	VFNMADD231PS yuk32c<>+Y32_LN2HI(SB), Y12, Y8 \
+	VFNMADD231PS yuk32c<>+Y32_LN2LO(SB), Y12, Y8 \
+	VMOVUPS      yuk32c<>+Y32_C6(SB), Y12 \
+	VFMADD213PS  yuk32c<>+Y32_C5(SB), Y8, Y12 \
+	VFMADD213PS  yuk32c<>+Y32_C4(SB), Y8, Y12 \
+	VFMADD213PS  yuk32c<>+Y32_C3(SB), Y8, Y12 \
+	VFMADD213PS  yuk32c<>+Y32_C2(SB), Y8, Y12 \
+	VFMADD213PS  yuk32c<>+Y32_C1(SB), Y8, Y12 \
+	VFMADD213PS  yuk32c<>+Y32_C0(SB), Y8, Y12 \
+	VPSLLD       $23, Y11, Y11         \
+	VPADDD       Y11, Y12, Y12         \
+	VMULPS       Y9, Y12, Y12          \
+	VANDPS       Y14, Y12, Y12         \
+	VBROADCASTSS 12(R8), Y13           \
+	VFMADD231PS  Y12, Y13, ACC
+
+// func yukawaPairs32AVX2(lam float32, ns []src32, src []geom.Point, blk *pairBlock) int
+TEXT ·yukawaPairs32AVX2(SB), NOSPLIT, $0-72
+	MOVQ ns_base+8(FP), SI
+	MOVQ ns_len+16(FP), CX
+	MOVQ src_base+32(FP), DI
+	MOVQ blk+56(FP), BX
+	MOVQ $0, ret+64(FP)
+	MOVQ (BX), DX
+	ADDQ $15, DX
+	SHRQ $4, DX               // groups of 16 targets
+	JZ   ydone32x256
+	TESTQ CX, CX
+	JZ   ydone32x256
+	MOVQ BX, R12              // the group's float64 coordinates, 128 bytes a group
+	VBROADCASTSS lam+0(FP), Y15
+	VMULPS       yuk32c<>+Y32_NHALF(SB), Y15, Y15
+
+ygroup32x256:
+	VMOVUPS BLK_X32(BX), Y0
+	VMOVUPS BLK_X32+32(BX), Y1
+	VMOVUPS BLK_Y32(BX), Y2
+	VMOVUPS BLK_Y32+32(BX), Y3
+	VMOVUPS BLK_Z32(BX), Y4
+	VMOVUPS BLK_Z32+32(BX), Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	MOVQ SI, R8
+	MOVQ DI, R9
+	MOVQ CX, R10
+
+ysource32x256:
+	YUK32x256(Y0, Y2, Y4, Y6)
+	MOVL AX, R11
+	YUK32x256(Y1, Y3, Y5, Y7)
+	SHLL $8, AX
+	ORL  AX, R11              // the 16 lanes' range mask
+	CMPL R11, $0xffff
+	JNE  yclose32x256
+ynext32x256:
+	ADDQ $16, R8
+	ADDQ $24, R9
+	DECQ R10
+	JNZ  ysource32x256
+
+	VMOVUPS Y6, BLK_PART(BX)
+	VMOVUPS Y7, BLK_PART+32(BX)
+	ADDQ $64, BX
+	ADDQ $128, R12
+	DECQ DX
+	JNZ  ygroup32x256
+
+ydone32x256:
+	VZEROUPPER
+	RET
+
+yclose32x256:
+	HAZARD256(ynext32x256)
+	MOVQ $1, ret+64(FP)
 	VZEROUPPER
 	RET
 

@@ -20,7 +20,19 @@ import (
 // Laplace form with the same moment prefactor c_n = 4 pi/(2n+1), so the
 // whole spherical-harmonic engine is shared and well conditioned at every
 // tree depth.
+//
+// At p ≤ pF32 (five digits) its near field runs a float32 pair loop where
+// the CPU has one (p2p.go, PairKernel names it).
 func NewYukawa(p int, lambda float64) Kernel {
+	return newYukawa(p, lambda, pairFor(p, bestYukawaPair32, bestYukawaPair))
+}
+
+// NewYukawaFloat64 is NewYukawa with its near field on the float64 pair
+// loop at every order: for a test that holds a low-order near field to
+// float64 rounding.
+func NewYukawaFloat64(p int, lambda float64) Kernel { return newYukawa(p, lambda, bestYukawaPair) }
+
+func newYukawa(p int, lambda float64, pair pairLoop) Kernel {
 	if lambda <= 0 {
 		panic("kernel: Yukawa lambda must be positive")
 	}
@@ -57,7 +69,7 @@ func NewYukawa(p int, lambda float64) Kernel {
 		// d/dr e^{-lr}/r = -e^{-lr} (l r + 1) / r^2
 		return -math.Exp(-lambda*r) * (lambda*r + 1) / (r * r)
 	}
-	b.pair, b.lambda = bestYukawaPair, lambda
+	b.pair, b.lambda = pair, lambda
 	b.regScale, b.outScale = regScale, outScale
 	b.pwNodes = func(side float64) boxRule { return yukawaNodes(lambda * side) }
 	b.wsp = newWSChan()

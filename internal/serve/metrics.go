@@ -258,12 +258,15 @@ type MetricsSnapshot struct {
 	ShiftTableBytes int64 `json:"shift_table_bytes"`
 
 	// PairKernel and PairKernelF64 are the near-field pair loops of this
-	// process's Laplace kernels (PairKernels): at up to five digits —
+	// process's Laplace kernels, PairKernelYukawa and PairKernelYukawaF64
+	// its Yukawa kernels' (PairKernels): at up to five digits —
 	// "avx512-f32" or "avx2-f32" where the CPU has a float32 loop — and
 	// above, always float64 ("avx512", "avx2" or "go"). A request's own
 	// loop is in its report.
-	PairKernel    string `json:"pair_kernel"`
-	PairKernelF64 string `json:"pair_kernel_f64"`
+	PairKernel          string `json:"pair_kernel"`
+	PairKernelF64       string `json:"pair_kernel_f64"`
+	PairKernelYukawa    string `json:"pair_kernel_yukawa"`
+	PairKernelYukawaF64 string `json:"pair_kernel_yukawa_f64"`
 	// DenseKernel is the dense far-field kernel every plan's M->M, M->L,
 	// L->L, M->I and I->L ran on, and every table build (kernel.DenseKernel):
 	// "avx512", "avx2" or "go".
@@ -279,24 +282,25 @@ type MetricsSnapshot struct {
 	Dist *PoolSnapshot `json:"dist,omitempty"`
 }
 
-// The pair loops are probed once. A Yukawa kernel binds the same loop at
-// every order; a Laplace kernel binds pairKernel at up to five digits (the
-// default three among them) and pairKernelF64 above.
+// The pair loops are probed once. A kernel binds pairKernel (Laplace) or
+// yukawaPairKernel at up to five digits, the default three among them, and
+// the F64 loop above.
 var (
-	pairKernel       = kernel.PairKernel(kernel.NewLaplace(kernel.OrderForDigits(3)))
-	pairKernelF64    = kernel.PairKernel(kernel.NewLaplaceFloat64(0))
-	yukawaPairKernel = kernel.PairKernel(kernel.NewYukawa(0, 1))
+	pairKernel          = kernel.PairKernel(kernel.NewLaplace(kernel.OrderForDigits(3)))
+	pairKernelF64       = kernel.PairKernel(kernel.NewLaplaceFloat64(0))
+	yukawaPairKernel    = kernel.PairKernel(kernel.NewYukawa(kernel.OrderForDigits(3), 1))
+	yukawaPairKernelF64 = kernel.PairKernel(kernel.NewYukawaFloat64(0, 1))
 )
 
 // denseKernel is probed once: one binding serves every kernel of a process.
 var denseKernel = kernel.DenseKernel(kernel.NewLaplace(0))
 
 // PairKernels names the near-field pair loops this process's kernels run
-// (kernel.PairKernel) — Laplace's at up to five digits and above, and
-// Yukawa's — so a latency can be attributed to a CPU tier and precision
+// (kernel.PairKernel) — Laplace's and Yukawa's, each at up to five digits
+// and above — so a latency can be attributed to a CPU tier and precision
 // from the daemon's own output.
-func PairKernels() (laplace, laplaceF64, yukawa string) {
-	return pairKernel, pairKernelF64, yukawaPairKernel
+func PairKernels() (laplace, laplaceF64, yukawa, yukawaF64 string) {
+	return pairKernel, pairKernelF64, yukawaPairKernel, yukawaPairKernelF64
 }
 
 // DenseKernel names the dense far-field kernel this process runs
@@ -340,25 +344,27 @@ func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot 
 		DistFailed:   m.DistFailed.Load(),
 		DegradedOK:   m.DegradedOK.Load(),
 
-		WireMessages:     m.WireMessages.Load(),
-		WireBytesOut:     m.WireBytesOut.Load(),
-		WireBytesIn:      m.WireBytesIn.Load(),
-		WireReconnects:   m.WireReconnects.Load(),
-		WireHandshakes:   m.WireHandshakes.Load(),
-		WireRetried:      m.WireRetried.Load(),
-		WireDeadlineLost: m.WireDeadlineLost.Load(),
-		WireStaleFenced:  m.WireStaleFenced.Load(),
-		QueueDepth:       m.queued.Load(),
-		Inflight:         m.inflight.Load(),
-		ShiftTableSlots:  shift.Slots,
-		ShiftTableBytes:  shift.Bytes,
-		PairKernel:       pairKernel,
-		PairKernelF64:    pairKernelF64,
-		DenseKernel:      denseKernel,
-		QueueWait:        m.QueueWait.Snapshot(),
-		PlanBuild:        m.PlanBuild.Snapshot(),
-		Evaluate:         m.Evaluate.Snapshot(),
-		Total:            m.Total.Snapshot(),
-		Dist:             dist,
+		WireMessages:        m.WireMessages.Load(),
+		WireBytesOut:        m.WireBytesOut.Load(),
+		WireBytesIn:         m.WireBytesIn.Load(),
+		WireReconnects:      m.WireReconnects.Load(),
+		WireHandshakes:      m.WireHandshakes.Load(),
+		WireRetried:         m.WireRetried.Load(),
+		WireDeadlineLost:    m.WireDeadlineLost.Load(),
+		WireStaleFenced:     m.WireStaleFenced.Load(),
+		QueueDepth:          m.queued.Load(),
+		Inflight:            m.inflight.Load(),
+		ShiftTableSlots:     shift.Slots,
+		ShiftTableBytes:     shift.Bytes,
+		PairKernel:          pairKernel,
+		PairKernelF64:       pairKernelF64,
+		PairKernelYukawa:    yukawaPairKernel,
+		PairKernelYukawaF64: yukawaPairKernelF64,
+		DenseKernel:         denseKernel,
+		QueueWait:           m.QueueWait.Snapshot(),
+		PlanBuild:           m.PlanBuild.Snapshot(),
+		Evaluate:            m.Evaluate.Snapshot(),
+		Total:               m.Total.Snapshot(),
+		Dist:                dist,
 	}
 }

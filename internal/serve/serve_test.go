@@ -166,6 +166,9 @@ func TestServeCacheHitMatchesDirectEvaluation(t *testing.T) {
 	if !loops[m.PairKernel] || !loops[m.PairKernelF64] || strings.HasSuffix(m.PairKernelF64, "-f32") {
 		t.Errorf("pair_kernel=%q, pair_kernel_f64=%q, want the names of a pair loop and a float64 one", m.PairKernel, m.PairKernelF64)
 	}
+	if !loops[m.PairKernelYukawa] || !loops[m.PairKernelYukawaF64] || strings.HasSuffix(m.PairKernelYukawaF64, "-f32") {
+		t.Errorf("pair_kernel_yukawa=%q, pair_kernel_yukawa_f64=%q, want the names of a pair loop and a float64 one", m.PairKernelYukawa, m.PairKernelYukawaF64)
+	}
 	if m.DenseKernel != kernel.DenseKernel(kernel.NewLaplace(0)) {
 		t.Errorf("dense_kernel=%q, want this process's binding %q", m.DenseKernel, kernel.DenseKernel(kernel.NewLaplace(0)))
 	}
@@ -576,23 +579,34 @@ func TestServeSmoke(t *testing.T) {
 	})
 }
 
-// A report names the pair loop its own plan's kernel bound, which for
-// Laplace follows the requested digits: the /metrics loop of up to five
-// digits at the default three, the float64 one at nine.
+// A report names the pair loop its own plan's kernel bound, which follows
+// the requested digits for both kernels: the /metrics loop of up to five
+// digits at the default three — a float32 one ("…-f32") wherever the CPU
+// runs the Yukawa vector loops — and the float64 one at nine.
 func TestReportNamesItsPairLoop(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for _, c := range []struct {
+		kernel string
 		digits int
 		want   string
-	}{{0, pairKernel}, {9, pairKernelF64}, {3, pairKernel}} {
-		code, resp, eb := post(t, ts.URL, Request{N: 300, Digits: c.digits})
+	}{
+		{"", 0, pairKernel}, {"", 9, pairKernelF64}, {"", 3, pairKernel},
+		{"yukawa", 3, yukawaPairKernel}, {"yukawa", 9, yukawaPairKernelF64},
+	} {
+		code, resp, eb := post(t, ts.URL, Request{N: 300, Kernel: c.kernel, Digits: c.digits})
 		if code != http.StatusOK {
-			t.Fatalf("digits %d: HTTP %d: %v", c.digits, code, eb)
+			t.Fatalf("%q, digits %d: HTTP %d: %v", c.kernel, c.digits, code, eb)
 		}
 		if resp.Report.PairKernel != c.want {
-			t.Errorf("digits %d: report names pair loop %q, want %q", c.digits, resp.Report.PairKernel, c.want)
+			t.Errorf("%q, digits %d: report names pair loop %q, want %q", c.kernel, c.digits, resp.Report.PairKernel, c.want)
+		}
+	}
+	vector := yukawaPairKernelF64 != "go" // AVX-512, or AVX2 with FMA: what the float32 loops need
+	for _, k := range [][2]string{{pairKernel, pairKernelF64}, {yukawaPairKernel, yukawaPairKernelF64}} {
+		if low, high := k[0], k[1]; strings.HasSuffix(high, "-f32") || vector && !strings.HasSuffix(low, "-f32") {
+			t.Errorf("pair loops %q at three digits and %q at nine: want a float32 one and a float64 one", low, high)
 		}
 	}
 }
