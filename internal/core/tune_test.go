@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/kernel"
 	"repro/internal/points"
+	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -116,6 +118,39 @@ func TestTunerCheaperPairNeverFiner(t *testing.T) {
 			t.Errorf("%.1f ns/pair chose threshold %d, finer than the dearer pair's %d", pair, plan.Threshold(), prev)
 		}
 		prev = plan.Threshold()
+	}
+}
+
+// The near field is priced by the loop that runs it. At λ = 1e4 every box
+// of the sphere has λ·side far above the float32 Yukawa loops' bound on λ′
+// (kernel.Price), so the driver runs its blocks on the float64 twin and the
+// plan's S→T is priced at the twin's rate, kernel.NewYukawaFloat64's; at
+// λ = 0.25 every box, the root included, is within it and the rate is the
+// bound loop's. On a CPU without a float32 loop the two rates agree.
+func TestTunerPricesTheLoopThatRuns(t *testing.T) {
+	p := kernel.OrderForDigits(3)
+	for _, c := range []struct {
+		lambda, rate float64
+	}{
+		{1e4, kernel.NewYukawaFloat64(p, 1e4).PairNanos()},
+		{0.25, kernel.NewYukawa(p, 0.25).PairNanos()},
+	} {
+		plan := tunedPlanOn(t, kernel.NewYukawa(p, c.lambda), points.Sphere, 12000, dag.Basic)
+		if side := plan.Source.Domain.Side; c.lambda < 1 && c.lambda*side > 1 {
+			t.Fatalf("root side %g: λ = %g leaves the root above the bound", side, c.lambda)
+		}
+		g := plan.Graph
+		var pairs float64
+		for i := range g.Nodes {
+			for _, e := range g.Nodes[i].Out {
+				if e.Op == dag.OpS2T {
+					pairs += sim.Units(g, &g.Nodes[i], e)
+				}
+			}
+		}
+		if got := plan.Predicted()[dag.OpS2T] / pairs; math.Abs(got-c.rate) > 1e-9*c.rate {
+			t.Errorf("λ = %g: S→T priced at %.3g ns a pair, want %.3g (threshold %d, level %d)", c.lambda, got, c.rate, plan.Threshold(), plan.MaxLevel())
+		}
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 type CostModel struct {
 	// OpNanos is the cost per work unit of each operator class; see Units.
 	OpNanos [dag.NumOpKinds]float64
-	// Wave, when non-nil, prices the three plane-wave operators per
-	// direction and per tree level (the index) instead of per edge through
+	// Level, when non-nil, prices S→T per pair and the three plane-wave
+	// operators per direction by tree level (the index) instead of through
 	// OpNanos: an M→I edge carries one to six directions and, for the
-	// scale-variant Yukawa kernel, a wave's length depends on its level.
-	Wave []WaveNanos
+	// scale-variant Yukawa kernel, a wave's length depends on its level, as
+	// does whether a target leaf's pairs run in float32 (kernel.Price).
+	Level []LevelNanos
 	// TaskOverhead is the fixed scheduling cost per task (thread spawn,
 	// LCO bookkeeping).
 	TaskOverhead float64
@@ -34,9 +35,10 @@ type CostModel struct {
 	RecvNanosPerByte float64
 }
 
-// WaveNanos is the cost of one direction of each plane-wave operator on a
-// wave of one tree level.
-type WaveNanos struct{ M2I, I2I, I2L float64 }
+// LevelNanos is the cost at one tree level of one S→T pair into a target
+// box of that level and of one direction of each plane-wave operator on a
+// wave of that level.
+type LevelNanos struct{ S2T, M2I, I2I, I2L float64 }
 
 // Units returns the number of cost units of an edge: point-dependent
 // operators scale with the number of points involved, expansion-to-
@@ -56,17 +58,20 @@ func Units(g *dag.Graph, from *dag.Node, e dag.Edge) float64 {
 }
 
 // EdgeNanos is the modelled execution time of one edge: Units x OpNanos, or
-// for a plane-wave edge of a model with Wave set, directions x the price of
-// the level the executor applies the operator at (core's state.apply).
+// in a model with Level set, for an S→T edge Units x the price of the
+// target's level and for a plane-wave edge directions x the price of the
+// level the executor applies the operator at (core's state.apply).
 func (m *CostModel) EdgeNanos(g *dag.Graph, from *dag.Node, e dag.Edge) float64 {
-	if m.Wave == nil {
+	if m.Level == nil {
 		return Units(g, from, e) * m.OpNanos[e.Op]
 	}
 	switch e.Op {
+	case dag.OpS2T:
+		return Units(g, from, e) * m.Level[g.Nodes[e.To].Level()].S2T
 	case dag.OpM2I:
-		return float64(bits.OnesCount8(e.DirMask)) * m.Wave[from.Level()].M2I
+		return float64(bits.OnesCount8(e.DirMask)) * m.Level[from.Level()].M2I
 	case dag.OpI2L:
-		return float64(bits.OnesCount8(from.OwnMask)) * m.Wave[from.Level()].I2L
+		return float64(bits.OnesCount8(from.OwnMask)) * m.Level[from.Level()].I2L
 	case dag.OpI2I:
 		to := &g.Nodes[e.To]
 		switch {
@@ -75,11 +80,11 @@ func (m *CostModel) EdgeNanos(g *dag.Graph, from *dag.Node, e dag.Edge) float64 
 			if e.ToMerged {
 				lvl++
 			}
-			return m.Wave[lvl].I2I
+			return m.Level[lvl].I2I
 		case e.FromMerged: // distribution: the parent's child-level waves
-			return float64(bits.OnesCount8(e.DirMask)) * m.Wave[to.Level()].I2I
+			return float64(bits.OnesCount8(e.DirMask)) * m.Level[to.Level()].I2I
 		default: // merge: the child's own waves
-			return float64(bits.OnesCount8(e.DirMask)) * m.Wave[from.Level()].I2I
+			return float64(bits.OnesCount8(e.DirMask)) * m.Level[from.Level()].I2I
 		}
 	}
 	return Units(g, from, e) * m.OpNanos[e.Op]
@@ -110,7 +115,7 @@ func KernelModel(k kernel.Kernel, maxLevel int) CostModel {
 	}}
 	for l := 0; l <= maxLevel+1; l++ {
 		p := kernel.Price(k, l)
-		m.Wave = append(m.Wave, WaveNanos{M2I: p.M2I, I2I: p.I2I, I2L: p.I2L})
+		m.Level = append(m.Level, LevelNanos{S2T: p.S2T, M2I: p.M2I, I2I: p.I2I, I2L: p.I2L})
 	}
 	return m
 }
