@@ -69,7 +69,8 @@ escape-gate:
 # portable ones on arbitrary coordinates, centres and charges, and every pair
 # loop this CPU runs — float64 ones against the portable loop, float32 ones
 # against a float32 reference and their float64 twins — on arbitrary near
-# fields. The seed corpora
+# fields; and every dense kernel against the complex formula on arbitrary
+# table shapes and right-hand-side counts. The seed corpora
 # live in testdata/fuzz/ and replay under plain `go test` too.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 20s ./internal/amt
@@ -80,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzYnmCartesian$$' -fuzztime 20s ./internal/sphharm
 	$(GO) test -run '^$$' -fuzz '^FuzzPointBlock$$' -fuzztime 20s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzPairLoops$$' -fuzztime 20s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzDenseApply$$' -fuzztime 20s ./internal/kernel
 
 # Fail if any file needs gofmt; prints the offending files.
 fmt-check:

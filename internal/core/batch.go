@@ -33,9 +33,11 @@ import (
 
 // batchBlock is the far-field GEMM block: 16 right-hand sides share one
 // table — the 97 KB M->L table of an offset, or the 0.47 MB M->I or I->L
-// table of a direction at p = 9 — while it stays L2-resident, and their
-// outputs go to pooled scratch (14 KB of L expansions, or 69 KB of
-// 268-term waves), out of the target locks while the table streams.
+// table of a direction at p = 9 — as four tiles of the kernel's register
+// GEMM, each 32 table rows read once from memory and three more times from
+// L1 (kernel/dense.go), and their outputs go to pooled scratch (14 KB of L
+// expansions, or 69 KB of 268-term waves), out of the target locks while
+// the table streams.
 const batchBlock = 16
 
 // batchScratch is the pooled per-task scratch of the batch tasks: buf holds

@@ -138,8 +138,10 @@ type xlKey struct {
 // table layout must neither corrupt the cache nor stay referenced. ok is set
 // once mx is that validated table, and is all a hit and ExportOperators
 // read; once makes racing first lookups build one table, not one each. rule
-// is the fingerprint of the plane-wave rule a M->I or I->L table was built
-// from (pwRule.fingerprint; 0 for the translations).
+// is the table's stamp: the layout's (tableLayout) for the translations, and
+// for a M->I or I->L table the layout's xored into the fingerprint of the
+// plane-wave rule it was built from (pwRule.fingerprint). A table whose
+// stamp is not the one its key calls for is rebuilt whatever its size.
 type tableEntry struct {
 	once sync.Once
 	ok   atomic.Bool
@@ -185,9 +187,9 @@ func (b *base) xlTable(kind uint8, side float64, o M2LOffset, to geom.Point) []c
 	e := b.entry(xlKey{kind: kind, sideBits: math.Float64bits(side), ox: o.DX, oy: o.DY, oz: o.DZ})
 	if !e.ok.Load() {
 		e.once.Do(func() {
-			if ml := b.MLSize(); len(e.mx) != 2*ml*ml {
+			if ml := b.MLSize(); len(e.mx) != 2*ml*ml || e.rule != tableLayout {
 				inRF, outRF, a := b.xlParams(kind, side)
-				e.mx = b.translationTable(to, a, inRF, outRF)
+				e.mx, e.rule = b.translationTable(to, a, inRF, outRF), tableLayout
 			}
 			e.ok.Store(true)
 		})

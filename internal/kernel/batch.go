@@ -6,15 +6,13 @@ import "repro/internal/geom"
 // applies a small set of dense tables across many edges per level, and a
 // per-edge apply reads its table from L2 or beyond once per edge. Grouping
 // the edges that share one table into a multi-RHS apply reads it once per
-// pair of right-hand sides instead (dense.go: both bindings share each table
-// load between two). For the list-2 M->L, whose 97 KB table is per (side,
-// lattice offset), per right-hand side in a block of 16 against one alone:
-// 1.5 against 1.8 µs on the AVX-512 kernel, 1.9 against 2.2 on AVX2, 6.4
-// against 7.9 on the portable loops. For M->I and I->L, whose tables (0.47
-// MB at three digits) are per (direction, level) and otherwise stream from
-// beyond L2 on every application, the block is where most of the gain is:
-// BenchmarkDense's m2i_batch16 and i2l_batch16 against m2i_streamed and
-// i2l_streamed.
+// tile of four right-hand sides instead, from L1 while a tile's rows are
+// in use (dense.go). For the list-2 M->L, whose 97 KB table is per (side,
+// lattice offset), BenchmarkDense's m2l_batch16 against m2l is the gain per
+// right-hand side; for M->I and I->L, whose tables (0.47 MB at three
+// digits) are per (direction, level) and otherwise stream from beyond L2
+// on every application, m2i_batch16 and i2l_batch16 against m2i_streamed
+// and i2l_streamed (EXPERIMENTS.md has both commits' rows).
 
 // M2LOffset is the integer lattice offset (to - from) / side of a list-2
 // M->L translation. Together with the box side it identifies one cached

@@ -58,26 +58,31 @@ var (
 	// loop.
 	nsDenseMAC = [...]float64{denseGo: 2.7, denseAVX2: 1.2, denseAVX512: 1.0}
 	// The same inside the blocked multi-RHS M→L, where the table stays in L2
-	// across a block of right-hand sides and two of them share each table
-	// load: 3.2x and 3.7x in situ.
+	// across a block of right-hand sides and a tile of four shares each
+	// table load: 3.2x and 3.7x in situ when two shared it, and the tile
+	// (dense.go) reads 0.82–1.0 of these prices on sphere N=100k
+	// Yukawa/Basic (AVX2 and AVX-512), inside ±30 %.
 	nsBatchMAC = [...]float64{denseGo: 1.4, denseAVX2: 0.44, denseAVX512: 0.38}
 	// The same in M→I and I→L, whose tables are per (direction, level):
 	// 2·ISize·MLSize entries, 0.47 MB at three digits (0.84 MB, 477-term
 	// waves, when these rows were measured). The executor applies each to
 	// the boxes of a level in blocks of up to 16 right-hand sides
 	// (core/batch.go), so a table streams from beyond L2 once per block,
-	// not once per box as in the per-edge apply (2.2 / 1.1 / 0.96, bound
-	// by that traffic: dense.go). In situ on cube N=16k Laplace/Advanced,
-	// two alternating rounds per binding, M→I and I→L ran at 0.6–0.7 and
-	// 0.5–0.55 of the per-edge price on AVX-512, 0.73 and 0.6 on AVX2, 0.9
-	// and 0.6 on the portable loops, whose apply is compute-bound and had
-	// less traffic to save. Under a fabric the two classes still run per
+	// not once per box as in the per-edge apply. In situ on cube N=16k
+	// Laplace/Advanced, two alternating rounds per binding, M→I and I→L
+	// ran at 0.6–0.7 and 0.5–0.55 of the per-edge price on AVX-512, 0.73
+	// and 0.6 on AVX2, 0.9 and 0.6 on the portable loops, whose apply is
+	// compute-bound and had less traffic to save. The register tile
+	// (dense.go) then ran them 1.5–2.2x (AVX-512) and 1.1–1.7x (AVX2)
+	// faster than the old AVX rows priced, at threshold 480 and 240; the
+	// vector rows are re-set to the middle of those ratios, each class at
+	// both levels within ±30 %. Under a fabric the two classes still run per
 	// edge (core/distrib.go) and cost a rank the per-edge price, but plans
 	// are priced by this row wherever they run: batching them there too
 	// measured flat on dist2_cube16k, where they are ≈ 4 of 48 ms busy, and
 	// its per-run scratch grew the heap past its bound (EXPERIMENTS.md,
 	// "Single-precision pair loop"; ROADMAP item 6).
-	nsWaveMAC = [...]float64{denseGo: 1.6, denseAVX2: 0.73, denseAVX512: 0.57}
+	nsWaveMAC = [...]float64{denseGo: 1.6, denseAVX2: 0.50, denseAVX512: 0.33}
 )
 
 // pairNanos is the price of one source–target pair of the near field by the

@@ -16,74 +16,72 @@ func probeDense() denseLoop {
 	return denseGo
 }
 
-// applyOn runs the named dense kernel's apply: outs[r] += T ins[r].
+// tileOn runs the named dense kernel's tile: ys[t][:h] += A xs[t][:k] for
+// tileRHS right-hand sides and the h x k block A of up to two panels' rows
+// (h ≤ tileRows): p0 its first min(h, panelRows) rows and p1 the rest, each
+// column-major. The AVX-512 tile also prefetches k cache lines from pf into
+// L2: the caller's next rows, which nothing here dereferences.
 //
 //dashmm:noalloc
-func applyOn(l denseLoop, tab []complex128, ins, outs [][]complex128) {
-	if l == denseGo || len(ins) == 0 {
-		applyGo(tab, ins, outs)
+func tileOn(l denseLoop, p0, p1 []float64, pf uintptr, h, k int, xs, ys *[tileRHS][]float64) {
+	if l == denseGo {
+		tileGo(p0, p1, h, k, xs, ys)
 		return
 	}
-	cols, rows := len(ins[0]), len(outs[0])
-	tab = tab[:2*rows*cols] // the assembly trusts the lengths
-	r := 0
-	for ; r+2 <= len(ins); r += 2 {
-		in0, in1, out0, out1 := ins[r][:cols], ins[r+1][:cols], outs[r][:rows], outs[r+1][:rows]
-		if l == denseAVX512 {
-			denseApply2AVX512(tab, in0, in1, out0, out1)
-		} else {
-			denseApply2AVX2(tab, in0, in1, out0, out1)
-		}
+	h0 := min(h, panelRows)
+	_ = p0[h0*k-1] // the assembly trusts the lengths
+	b := &p0[0]
+	if h > h0 {
+		b = &p1[:(h-h0)*k][0]
 	}
-	if r < len(ins) {
-		if l == denseAVX512 {
-			denseApplyAVX512(tab, ins[r][:cols], outs[r][:rows])
-		} else {
-			denseApplyAVX2(tab, ins[r][:cols], outs[r][:rows])
+	var px, py [tileRHS]*float64
+	for t := range xs {
+		px[t], py[t] = &xs[t][:k][0], &ys[t][:h][0]
+	}
+	if l == denseAVX512 {
+		denseTileAVX512(&p0[0], b, pf, h, k, &px, &py)
+		return
+	}
+	denseTileAVX2(&p0[0], h0, k, &px, &py)
+	if h > h0 {
+		for t := range py {
+			py[t] = &ys[t][h0]
 		}
+		denseTileAVX2(b, h-h0, k, &px, &py)
 	}
 }
 
-// dotOn runs the named dense kernel's dot: Σ p_q Re s_q and Σ p_q Im s_q
-// over q < len(p).
-func dotOn(l denseLoop, p, s []complex128) (a, b complex128) {
-	s = s[:len(p)] // the assembly trusts the lengths
+// gemvOn runs the named dense kernel's GEMV: y[:m] += A x[:k].
+//
+//dashmm:noalloc
+func gemvOn(l denseLoop, a []float64, m, k int, x, y []float64) {
+	_, _, _ = a[m*k-1], x[k-1], y[m-1] // the assembly trusts the lengths
 	switch l {
 	case denseAVX512:
-		return denseDotAVX512(p, s)
+		denseGemvAVX512(&a[0], m, k, &x[0], &y[0])
 	case denseAVX2:
-		return denseDotAVX2(p, s)
+		denseGemvAVX2(&a[0], m, k, &x[0], &y[0])
+	default:
+		gemvGo(a, m, k, x, y)
 	}
-	return dotGo(p, s)
 }
 
-// denseApplyAVX512 is applyGo for one right-hand side, eight float64 lanes
-// at a time: out[i] += Σ_j a_ij Re in[j] + b_ij Im in[j] for i < len(out),
-// j < len(in), over tab's leading 2·len(out)·len(in) elements.
+// denseTileAVX512 is tileGo on up to two panels, eight float64 lanes per
+// register, masked on a short panel.
 //
 //go:noescape
-func denseApplyAVX512(tab, in, out []complex128)
+func denseTileAVX512(a, b *float64, pf uintptr, h, k int, xs, ys *[tileRHS]*float64)
 
-// denseApply2AVX512 is the same for two right-hand sides of equal shape
-// sharing each table load.
+// denseGemvAVX512 is gemvGo, eight float64 lanes per register.
 //
 //go:noescape
-func denseApply2AVX512(tab, in0, in1, out0, out1 []complex128)
+func denseGemvAVX512(a *float64, m, k int, x, y *float64)
 
-// denseApplyAVX2 and denseApply2AVX2 are the same four lanes at a time.
+// denseTileAVX2 and denseGemvAVX2 are the same four lanes per register,
+// a panel's eight rows at a time; the tile takes one panel.
 //
 //go:noescape
-func denseApplyAVX2(tab, in, out []complex128)
+func denseTileAVX2(a *float64, h, k int, xs, ys *[tileRHS]*float64)
 
 //go:noescape
-func denseApply2AVX2(tab, in0, in1, out0, out1 []complex128)
-
-// denseDotAVX512 is dotGo eight lanes at a time, len(s) = len(p).
-//
-//go:noescape
-func denseDotAVX512(p, s []complex128) (a, b complex128)
-
-// denseDotAVX2 is the same four lanes at a time.
-//
-//go:noescape
-func denseDotAVX2(p, s []complex128) (a, b complex128)
+func denseGemvAVX2(a *float64, m, k int, x, y *float64)

@@ -6,6 +6,9 @@ package kernel
 const bestDense = denseGo
 
 //dashmm:noalloc
-func applyOn(_ denseLoop, tab []complex128, ins, outs [][]complex128) { applyGo(tab, ins, outs) }
+func tileOn(_ denseLoop, p0, p1 []float64, _ uintptr, h, k int, xs, ys *[tileRHS][]float64) {
+	tileGo(p0, p1, h, k, xs, ys)
+}
 
-func dotOn(_ denseLoop, p, s []complex128) (a, b complex128) { return dotGo(p, s) }
+//dashmm:noalloc
+func gemvOn(_ denseLoop, a []float64, m, k int, x, y []float64) { gemvGo(a, m, k, x, y) }

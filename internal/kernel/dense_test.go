@@ -20,10 +20,11 @@ func denseLoops() []denseLoop {
 	return ls
 }
 
-// denseShapes are the row and column counts the oracles sweep: every tail
-// length of both vector widths, a row pair and an odd row out, the packed
-// M/L size at three digits and a plane-wave length.
-var denseShapes = []int{1, 2, 3, 4, 5, 7, 8, 9, 55, 477}
+// denseShapes are the row and column counts the oracles sweep: 1–17 reach
+// every tail of both panel heights (2·rows mod 16 and mod 8) and every
+// column count's parity, 55 is the packed M/L size at three digits, 268 a
+// plane-wave length, 477 a longer one.
+var denseShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 55, 268, 477}
 
 // fenced returns n random complex values inside a slice whose neighbours on
 // both sides are NaN, so a kernel that reads past either end poisons its
@@ -59,74 +60,166 @@ func closeTo(got, want float64, n int, mag float64) bool {
 	return math.Abs(got-want) <= 2*float64(n+1)*0x1p-52*mag
 }
 
-// TestDenseApplyMatchesPortable holds every bound apply to the portable
-// one on every shape and right-hand-side count: accumulated into outputs
-// that start nonzero, entry by entry within the rounding of its terms, and
-// reading and writing nothing outside the table, the inputs and the
-// outputs.
+// packTable packs the rows x cols coefficients a_ij = a[i*cols+j] and
+// b_ij = b[i*cols+j] into dst, 2·rows·cols elements, in the table layout
+// (dense.go): R[2i][2j] = Re a_ij, R[2i][2j+1] = Re b_ij, R[2i+1][2j] =
+// Im a_ij, R[2i+1][2j+1] = Im b_ij, placed by panelIndex.
+func packTable(dst []complex128, rows, cols int, a, b []complex128) {
+	r := floats(dst)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			at := func(ri, c int) *float64 { return &r[panelIndex(2*rows, 2*cols, ri, c)] }
+			v, w := a[i*cols+j], b[i*cols+j]
+			*at(2*i, 2*j), *at(2*i, 2*j+1), *at(2*i+1, 2*j), *at(2*i+1, 2*j+1) = real(v), real(w), imag(v), imag(w)
+		}
+	}
+}
+
+// checkApply runs l's apply of the table of the coefficients a and b
+// (packTable) on nrhs right-hand sides, every slice fenced with NaN, and
+// holds each output to the complex formula out_i += a_ij Re x_j + b_ij Im
+// x_j within the rounding of its terms.
+func checkApply(t *testing.T, rng *rand.Rand, l denseLoop, rows, cols, nrhs int, a, b []complex128) {
+	t.Helper()
+	tab, tabAll := fenced(rng, 2*rows*cols)
+	packTable(tab, rows, cols, a, b)
+	ins, outs := make([][]complex128, nrhs), make([][]complex128, nrhs)
+	inAll, outAll := make([][]complex128, nrhs), make([][]complex128, nrhs)
+	start := make([][]complex128, nrhs)
+	for r := range ins {
+		ins[r], inAll[r] = fenced(rng, cols)
+		outs[r], outAll[r] = fenced(rng, rows)
+		start[r] = append([]complex128(nil), outs[r]...)
+	}
+	applyOn(l, tab, ins, outs)
+	name := fmt.Sprintf("%v %dx%d, %d rhs", l, rows, cols, nrhs)
+	if !fenceIntact(tabAll, 2*rows*cols) {
+		t.Fatalf("%s: wrote outside the table", name)
+	}
+	for r := range outs {
+		if !fenceIntact(inAll[r], cols) || !fenceIntact(outAll[r], rows) {
+			t.Fatalf("%s: wrote outside the slices", name)
+		}
+		for i, got := range outs[r] {
+			w := start[r][i]
+			wr, wi := real(w), imag(w)
+			magR, magI := math.Abs(wr), math.Abs(wi)
+			for j, x := range ins[r] {
+				aij, bij := a[i*cols+j], b[i*cols+j]
+				tr, ti := real(aij)*real(x)+real(bij)*imag(x), imag(aij)*real(x)+imag(bij)*imag(x)
+				wr, wi = wr+tr, wi+ti
+				magR += math.Abs(real(aij)*real(x)) + math.Abs(real(bij)*imag(x))
+				magI += math.Abs(imag(aij)*real(x)) + math.Abs(imag(bij)*imag(x))
+			}
+			if !closeTo(real(got), wr, 2*cols, magR) || !closeTo(imag(got), wi, 2*cols, magI) {
+				t.Fatalf("%s: out[%d][%d] = %v, formula %v (term magnitudes %.3g, %.3g)", name, r, i, got, complex(wr, wi), magR, magI)
+			}
+		}
+	}
+}
+
+// randomCoefs returns n random complex coefficients.
+func randomCoefs(rng *rand.Rand, n int) []complex128 {
+	v := make([]complex128, n)
+	for i := range v {
+		v[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	return v
+}
+
+// TestDenseApplyMatchesPortable holds every bound apply, the portable one
+// included, to the complex formula on every shape and on 1–9 right-hand
+// sides (every remainder of a tile): accumulated into outputs that start
+// nonzero, entry by entry within the rounding of its terms, and reading
+// and writing nothing outside the table, the inputs and the outputs.
 func TestDenseApplyMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, l := range denseLoops() {
-		for _, rows := range denseShapes {
-			for _, cols := range denseShapes {
-				tab, tabAll := fenced(rng, 2*rows*cols)
-				for _, nrhs := range []int{1, 2, 3, 5} {
-					ins, outs := make([][]complex128, nrhs), make([][]complex128, nrhs)
-					inAll, outAll := make([][]complex128, nrhs), make([][]complex128, nrhs)
-					start, want := make([][]complex128, nrhs), make([][]complex128, nrhs)
-					for r := range ins {
-						ins[r], inAll[r] = fenced(rng, cols)
-						outs[r], outAll[r] = fenced(rng, rows)
-						start[r] = append([]complex128(nil), outs[r]...)
-						want[r] = append([]complex128(nil), outs[r]...)
+	for _, rows := range denseShapes {
+		for _, cols := range denseShapes {
+			a, b := randomCoefs(rng, rows*cols), randomCoefs(rng, rows*cols)
+			for _, l := range denseLoops() {
+				for nrhs := 1; nrhs <= 9; nrhs++ {
+					if rows*cols > 4000 && nrhs != 1 && nrhs != 5 && nrhs != 9 {
+						continue // the large shapes at one GEMV, one tile plus one, two plus one
 					}
-					applyGo(tab, ins, want)
-					applyOn(l, tab, ins, outs)
-					name := fmt.Sprintf("%v %dx%d, %d rhs", l, rows, cols, nrhs)
-					for r := range outs {
-						if !fenceIntact(inAll[r], cols) || !fenceIntact(outAll[r], rows) || !fenceIntact(tabAll, 2*rows*cols) {
-							t.Fatalf("%s: wrote outside the slices", name)
-						}
-						for i, got := range outs[r] {
-							magR, magI := math.Abs(real(start[r][i])), math.Abs(imag(start[r][i]))
-							for j, x := range ins[r] {
-								a, b := tab[2*i*cols+j], tab[(2*i+1)*cols+j]
-								magR += math.Abs(real(a)*real(x)) + math.Abs(real(b)*imag(x))
-								magI += math.Abs(imag(a)*real(x)) + math.Abs(imag(b)*imag(x))
-							}
-							w := want[r][i]
-							if !closeTo(real(got), real(w), 2*cols, magR) || !closeTo(imag(got), imag(w), 2*cols, magI) {
-								t.Fatalf("%s: out[%d][%d] = %v, portable %v (term magnitudes %.3g, %.3g)", name, r, i, got, w, magR, magI)
-							}
-						}
-					}
+					checkApply(t, rng, l, rows, cols, nrhs, a, b)
 				}
 			}
 		}
 	}
 }
 
-// TestDenseDotMatchesPortable holds every bound dot to the portable one on
-// every length, both sums, within the rounding of their terms and reading
-// nothing outside the two streams.
-func TestDenseDotMatchesPortable(t *testing.T) {
+// FuzzDenseApply holds every bound apply to the complex formula on an
+// arbitrary shape and right-hand-side count.
+func FuzzDenseApply(f *testing.F) {
+	f.Add(int64(1), uint16(55), uint16(55), uint8(16))
+	f.Add(int64(2), uint16(268), uint16(55), uint8(3))
+	f.Add(int64(3), uint16(7), uint16(268), uint8(5))
+	f.Add(int64(4), uint16(1), uint16(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols uint16, nrhs uint8) {
+		rows, cols, nrhs = 1+rows%300, 1+cols%300, 1+nrhs%17
+		rng := rand.New(rand.NewSource(seed))
+		a, b := randomCoefs(rng, int(rows)*int(cols)), randomCoefs(rng, int(rows)*int(cols))
+		for _, l := range denseLoops() {
+			checkApply(t, rng, l, int(rows), int(cols), int(nrhs), a, b)
+		}
+	})
+}
+
+// buildOperands packs the complex projector rows proj[i*nq+q] and samples
+// samp[j*nq+q] the way denseTable's producers do: P panel-packed, S as
+// real and imaginary planes.
+func buildOperands(rows, cols, nq int, proj, samp []complex128) (p, s []float64) {
+	p, s = make([]float64, 2*rows*nq), make([]float64, 2*cols*nq)
+	for i := 0; i < rows; i++ {
+		for q := 0; q < nq; q++ {
+			setPanel(p, rows, nq, i, q, proj[i*nq+q])
+		}
+	}
+	for j := 0; j < cols; j++ {
+		for q, v := range samp[j*nq : (j+1)*nq] {
+			s[2*j*nq+q], s[(2*j+1)*nq+q] = real(v), imag(v)
+		}
+	}
+	return p, s
+}
+
+// TestDenseTableMatchesPortable holds every bound table build to the
+// portable one on every shape and node count — odd ones included, which no
+// apply reaches — entry by entry within the rounding of its terms.
+func TestDenseTableMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	for _, l := range denseLoops() {
-		for _, n := range append([]int{0, 338}, denseShapes...) {
-			p, _ := fenced(rng, n)
-			s, _ := fenced(rng, n)
-			a, b := dotOn(l, p, s)
-			wa, wb := dotGo(p, s)
-			var ar, ai, br, bi float64
-			for q := range p {
-				ar += math.Abs(real(p[q]) * real(s[q]))
-				ai += math.Abs(imag(p[q]) * real(s[q]))
-				br += math.Abs(real(p[q]) * imag(s[q]))
-				bi += math.Abs(imag(p[q]) * imag(s[q]))
-			}
-			if !closeTo(real(a), real(wa), n, ar) || !closeTo(imag(a), imag(wa), n, ai) ||
-				!closeTo(real(b), real(wb), n, br) || !closeTo(imag(b), imag(wb), n, bi) {
-				t.Errorf("%v length %d: (%v, %v), portable (%v, %v)", l, n, a, b, wa, wb)
+	for _, rows := range []int{1, 2, 7, 8, 9, 55, 268} {
+		for _, cols := range []int{1, 2, 3, 8, 55} {
+			for _, nq := range []int{1, 2, 3, 5, 338} {
+				proj, samp := randomCoefs(rng, rows*nq), randomCoefs(rng, cols*nq)
+				pp, ss := buildOperands(rows, cols, nq, proj, samp)
+				want := denseTableOn(denseGo, rows, cols, pp, ss)
+				for _, l := range denseLoops()[1:] {
+					got := denseTableOn(l, rows, cols, pp, ss)
+					g, w := floats(got), floats(want)
+					for i := 0; i < 2*rows; i++ {
+						p := proj[i/2*nq : (i/2+1)*nq]
+						for c := 0; c < 2*cols; c++ {
+							s := samp[c/2*nq : (c/2+1)*nq]
+							var mag float64
+							for q := range p {
+								pv, sv := real(p[q]), real(s[q])
+								if i%2 == 1 {
+									pv = imag(p[q])
+								}
+								if c%2 == 1 {
+									sv = imag(s[q])
+								}
+								mag += math.Abs(pv * sv)
+							}
+							at := panelIndex(2*rows, 2*cols, i, c)
+							if !closeTo(g[at], w[at], nq, mag) {
+								t.Fatalf("%v %dx%d, %d nodes: R[%d][%d] = %v, portable %v", l, rows, cols, nq, i, c, g[at], w[at])
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -151,8 +244,8 @@ func TestDenseKernelNamesTheBinding(t *testing.T) {
 // digits) and I->L (55 x 268)
 // tables in cache, streamed (cycling through 64 distinct tables) and
 // streamed in blocks of 16 right-hand sides (the executor's plane-wave
-// batches), and the dots of one M->I table build. It reports µs per
-// operation and per right-hand side, and publishes nothing.
+// batches), and one whole M->L and M->I table build (denseTable). It
+// reports µs per operation and per right-hand side, and publishes nothing.
 func BenchmarkDense(b *testing.B) {
 	k := NewLaplace(OrderForDigits(3)).(*base)
 	k.Prepare(1, 4)
@@ -182,7 +275,8 @@ func BenchmarkDense(b *testing.B) {
 		block16In, block16Out = append(block16In, random(ml)), append(block16Out, make([]complex128, ml))
 		wave16In, wave16Out = append(wave16In, random(wave)), append(wave16Out, make([]complex128, wave))
 	}
-	proj, samp := random(wave*nq), random(ml*nq)
+	m2lP, m2lS := buildOperands(ml, ml, nq, random(ml*nq), random(ml*nq))
+	m2iP, m2iS := buildOperands(wave, ml, nq, random(wave*nq), random(ml*nq))
 	for _, l := range denseLoops() {
 		for _, c := range []struct {
 			name      string
@@ -212,15 +306,20 @@ func BenchmarkDense(b *testing.B) {
 				b.ReportMetric(perOp/float64(len(c.ins)), "µs/rhs")
 			})
 		}
-		b.Run(fmt.Sprintf("%v/m2i_build_dots", l), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < wave; r++ {
-					for c := 0; c < ml; c++ {
-						dotOn(l, proj[r*nq:(r+1)*nq], samp[c*nq:(c+1)*nq])
-					}
+		for _, c := range []struct {
+			name       string
+			rows, cols int
+			p, s       []float64
+		}{
+			{"m2l_build", ml, ml, m2lP, m2lS},
+			{"m2i_build", wave, ml, m2iP, m2iS},
+		} {
+			b.Run(fmt.Sprintf("%v/%s", l, c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					denseTableOn(l, c.rows, c.cols, c.p, c.s)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+			})
+		}
 	}
 }

@@ -22,9 +22,10 @@ import "sort"
 // for (so the key survives a round trip through disk bit-exactly). For kinds
 // 0-2 (M->M, L->L, M->L) DX/DY/DZ are the octant or lattice offset; for
 // kinds 3-4, the plane-wave M->I and I->L matrices, DX carries the direction
-// and DY the tree level, and Rule fingerprints the plane-wave rule the table
-// was built from (0 for the translations): an import of another rule's table
-// is rebuilt, whatever its size.
+// and DY the tree level. Rule stamps the table layout (tableLayout), xored
+// for the plane-wave kinds into the fingerprint of the rule the table was
+// built from: an import of another layout's or another rule's table is
+// rebuilt, whatever its size.
 type OperatorTable struct {
 	Kind       uint8
 	SideBits   uint64
@@ -49,10 +50,11 @@ type OperatorCache interface {
 	// ImportOperators seeds the cache with previously exported operators.
 	// A table is validated when an operator first asks for it: one whose
 	// size does not match what the kernel's order and the level's quadrature
-	// rule call for, or (plane-wave kinds) whose Rule is not the level's
-	// rule's fingerprint, is rebuilt in place (a record from a different
-	// accuracy or another build's rule must not corrupt the cache). Not safe
-	// to call concurrently with operator use.
+	// rule call for, or whose Rule is not the stamp of this table layout
+	// (with, for the plane-wave kinds, the level's rule's fingerprint), is
+	// rebuilt in place (a record from a different accuracy, another layout
+	// or another build's rule must not corrupt the cache). Not safe to call
+	// concurrently with operator use.
 	ImportOperators([]OperatorTable)
 }
 

@@ -146,22 +146,24 @@ func TestImportOfPreviousLayoutIsDroppedAndRebuilt(t *testing.T) {
 	}
 }
 
-// A plane-wave pair is adopted only under the rule it was built from: an
-// import of the right size whose fingerprint is another rule's (another
-// order's here, or none, as a record from before the fingerprint carries) is
-// rebuilt, and the rebuilt pair exports the level's own fingerprint.
+// A plane-wave pair is adopted only under the rule and layout it was built
+// from: an import of the right size whose stamp is another rule's (another
+// order's here), the level's own rule's without the layout (a record of the
+// row layout before the panels), or none (a record from before the
+// fingerprint) is rebuilt, and the rebuilt pair exports the level's own
+// stamp.
 func TestImportOfAnotherRuleIsRebuilt(t *testing.T) {
 	p := OrderForDigits(3)
 	src := NewLaplace(p).(*base)
 	src.Prepare(1.0, 2)
 	src.pw.Load().table(pwM2IKind, geom.Up, 2)
 	good := src.ExportOperators()
-	own := src.pw.Load().levels[2].rule.fingerprint
-	other := makeRule(laplaceNodes(p+1), 0.25).fingerprint
+	own := src.pw.Load().levels[2].rule.fingerprint ^ tableLayout
+	other := makeRule(laplaceNodes(p+1), 0.25).fingerprint ^ tableLayout
 	if len(good) != 2 || good[0].Rule != own || good[1].Rule != own || own == other {
 		t.Fatalf("exported %d tables, fingerprints %x/%x; level rule %x, another order's %x", len(good), good[0].Rule, good[1].Rule, own, other)
 	}
-	for _, rule := range []uint64{own, other, 0} {
+	for _, rule := range []uint64{own, other, own ^ tableLayout, 0} {
 		k := NewLaplace(p).(*base)
 		ops := append([]OperatorTable(nil), good...)
 		for i := range ops {
@@ -177,6 +179,81 @@ func TestImportOfAnotherRuleIsRebuilt(t *testing.T) {
 			if op.Rule != own {
 				t.Errorf("fingerprint %x: table of kind %d exports fingerprint %x, want the level's %x", rule, op.Kind, op.Rule, own)
 			}
+		}
+	}
+}
+
+// A spilled table set in the row layout before the panels — the same keys
+// and sizes, row i of a table its cols a's then its cols b's, the stamps
+// that layout exported (0 for the translations, the bare rule fingerprint
+// for the plane waves) — is rebuilt on first use, never adopted: adopting
+// it by size would scramble every operator. The rebuilt operators give what
+// a cold kernel gives, and the kernel exports its own stamped tables.
+func TestImportOfRowLayoutIsRebuilt(t *testing.T) {
+	p := OrderForDigits(3)
+	const level = 2
+	cold := NewLaplace(p).(*base)
+	cold.Prepare(1.0, 3)
+	ml, wave := cold.MLSize(), cold.ISize(level)
+	rng := rand.New(rand.NewSource(9))
+	m, w := randomML(rng, cold), randomCoefs(rng, wave)
+	c1, c2 := geom.Point{X: 0.125, Y: 0.125, Z: 0.125}, geom.Point{X: 0.25, Y: 0.25, Z: 0.25}
+	far := geom.Point{X: 0.625, Y: 0.125, Z: 0.125}
+	apply := func(k *base) [][]complex128 {
+		outs := [][]complex128{make([]complex128, ml), make([]complex128, ml), make([]complex128, ml), make([]complex128, wave), make([]complex128, ml)}
+		k.M2M(c1, c2, 0.25, m, outs[0])
+		k.L2L(c2, c1, 0.25, m, outs[1])
+		k.M2L(c1, far, 0.25, m, outs[2])
+		k.M2I(geom.Up, level, m, outs[3])
+		k.I2L(geom.Up, level, w, outs[4])
+		return outs
+	}
+	want := apply(cold)
+	ops := cold.ExportOperators()
+	if len(ops) != 5 {
+		t.Fatalf("exported %d tables, want M->M, L->L, M->L and a plane-wave pair", len(ops))
+	}
+	fp := cold.pw.Load().levels[level].rule.fingerprint
+	old := make([]OperatorTable, len(ops))
+	for n, op := range ops {
+		rows, cols, stamp, rule := ml, ml, tableLayout, uint64(0)
+		switch op.Kind {
+		case pwM2IKind:
+			rows, stamp, rule = wave, fp^tableLayout, fp
+		case pwI2LKind:
+			cols, stamp, rule = wave, fp^tableLayout, fp
+		}
+		if op.Rule != stamp {
+			t.Fatalf("table of kind %d exported stamp %x, want %x", op.Kind, op.Rule, stamp)
+		}
+		r, mx := floats(op.Mx), make([]complex128, len(op.Mx))
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				at := func(ri, c int) float64 { return r[panelIndex(2*rows, 2*cols, ri, c)] }
+				mx[2*i*cols+j] = complex(at(2*i, 2*j), at(2*i+1, 2*j))
+				mx[(2*i+1)*cols+j] = complex(at(2*i, 2*j+1), at(2*i+1, 2*j+1))
+			}
+		}
+		old[n] = op
+		old[n].Mx, old[n].Rule = mx, rule
+	}
+
+	k := NewLaplace(p).(*base)
+	k.ImportOperators(old)
+	k.Prepare(1.0, 3)
+	got := apply(k)
+	for n := range want {
+		if e := maxCoefDiff(got[n], want[n]); e > 1e-12 {
+			t.Errorf("operator %d from the imported row-layout tables off the cold kernel's by %.2e", n, e)
+		}
+	}
+	again := k.ExportOperators()
+	if len(again) != len(ops) {
+		t.Fatalf("re-exported %d tables, want %d", len(again), len(ops))
+	}
+	for n, op := range again {
+		if op.Rule != ops[n].Rule || &op.Mx[0] == &old[n].Mx[0] {
+			t.Errorf("table of kind %d: exported stamp %x (want %x), imported slice kept: %v", op.Kind, op.Rule, ops[n].Rule, &op.Mx[0] == &old[n].Mx[0])
 		}
 	}
 }

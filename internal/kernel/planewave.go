@@ -300,14 +300,14 @@ func (t *pwTables) table(kind uint8, dir geom.Direction, l int) []complex128 {
 		// one sampling pass and one projector, and two workers that race for
 		// either build the pair once (≈ 10 ms at three digits on AVX-512,
 		// the bench's kernel.m2i_build_ms). An imported
-		// pair is kept when both tables were built from the level's rule
-		// (fingerprint) and fit it (size), and rebuilt otherwise.
+		// pair is kept when both tables were built from the level's rule in
+		// this layout (stamp) and fit it (size), and rebuilt otherwise.
 		key.kind = pwM2IKind
 		m2i := t.b.entry(key)
 		key.kind = pwI2LKind
 		i2l := t.b.entry(key)
 		m2i.once.Do(func() {
-			want, fp := 2*lv.rule.total*t.b.MLSize(), lv.rule.fingerprint
+			want, fp := 2*lv.rule.total*t.b.MLSize(), lv.rule.fingerprint^tableLayout
 			if len(m2i.mx) != want || len(i2l.mx) != want || m2i.rule != fp || i2l.rule != fp {
 				m2i.mx, i2l.mx = t.build(dir, lv)
 				m2i.rule, i2l.rule = fp, fp
@@ -336,8 +336,8 @@ func (t *pwTables) build(dir geom.Direction, lv *pwLevel) (m2i, i2l []complex128
 	b := t.b
 	ml, nq, r := b.MLSize(), len(b.sph), lv.rule
 	a := 0.9 * lv.side
-	gOut := make([]complex128, r.total*nq)
-	eIn := make([]complex128, r.total*nq)
+	gOut := make([]float64, 2*r.total*nq) // M->I's P, panel-packed
+	eIn := make([]float64, 2*r.total*nq)  // I->L's S planes
 	for q, node := range b.sph {
 		v := dir.RotateToUp(node.dir.Scale(a))
 		for k, cosA := range r.cosA {
@@ -345,27 +345,29 @@ func (t *pwTables) build(dir geom.Direction, lv *pwLevel) (m2i, i2l []complex128
 			wk := r.w[k] / float64(len(cosA)) / e
 			for j := range cosA {
 				sin, cos := math.Sincos(r.u[k] * (v.X*cosA[j] + v.Y*r.sinA[k][j]))
-				tc := (r.off[k]+j)*nq + q
-				gOut[tc] = complex(e*cos, -e*sin)
-				eIn[tc] = complex(wk*cos, -wk*sin)
+				t := r.off[k] + j
+				setPanel(gOut, r.total, nq, t, q, complex(e*cos, -e*sin))
+				eIn[2*t*nq+q], eIn[(2*t+1)*nq+q] = wk*cos, -wk*sin
 			}
 		}
 	}
 	proj := b.projector(b.radReg, a)
 	i2l = denseTable(ml, r.total, proj, eIn)
-	// The projector's rows, scaled in place, are M->I's samples.
+	// The projector's rows, scaled, are M->I's samples.
+	samp := make([]float64, 2*ml*nq)
 	idx := 0
 	for n := 0; n <= b.p; n++ {
 		f := 1 / b.cn[n]
 		for m := 0; m <= n; m++ {
-			for q, pv := range proj[idx*nq : (idx+1)*nq] {
-				proj[idx*nq+q] = complex(f*real(pv), f*imag(pv))
+			for q := 0; q < nq; q++ {
+				at := panelIndex(2*ml, nq, 2*idx, q)
+				samp[2*idx*nq+q], samp[(2*idx+1)*nq+q] = f*proj[at], f*proj[at+1]
 			}
 			f = 2 / b.cn[n]
 			idx++
 		}
 	}
-	return denseTable(r.total, ml, gOut, proj), i2l
+	return denseTable(r.total, ml, gOut, samp), i2l
 }
 
 // ISize implements Kernel.
