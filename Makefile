@@ -162,8 +162,11 @@ chaos-crash:
 # sequential evaluation and exits non-zero on any mismatch, wedge, or
 # unexpected child failure. The paper's threshold keeps the re-run a
 # level-3 far field (some 43k edges); the tuner's level-2 tree for these
-# points has under 3k.
+# points has under 3k. The second line runs the same with the basic method:
+# on the re-run's three ranks 24.7k of its 56k list-2 M->L edges feed a batch
+# from another rank, where 98 of the advanced method's 1.2k far edges do.
 dist-smoke: build
 	$(GO) run ./cmd/dashmm-bench -real -n 20000 -threshold 60 -locs 4 -net unix -kill-rank 2 -kill-at 0.5
+	$(GO) run ./cmd/dashmm-bench -real -n 20000 -threshold 60 -method basic -locs 4 -net unix -kill-rank 2 -kill-at 0.5
 
 ci: build vet fmt-check generate-check lint escape-gate test purego bench-check fuzz-smoke race serve-smoke serve-chaos chaos-short chaos-crash dist-smoke

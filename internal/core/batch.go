@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/amt"
@@ -21,45 +22,63 @@ import (
 // gradients or not.
 //
 // A far batch — list-2 M->L, or the plane-wave M->I or I->L of one level —
-// is guarded by a pending-source counter: a triggering node skips its
-// batched out-edges on the per-edge path and decrements the counters of the
-// batches it feeds; the last source in spawns the batch task, which applies
-// every member edge through the kernel's blocked multi-RHS applies and then
-// runs the ordinary LCO bookkeeping per edge — target lock, reduction,
-// input countdown, trigger — so downstream scheduling is identical to
-// per-edge execution. These complete in shared memory (the member edges
-// bypass the parcel accounting), so an executor under a fabric runs all
-// three classes per edge.
+// runs on every rank as its members whose targets the rank hosts, guarded by
+// a pending count of their distinct sources: a triggering node skips its
+// batched out-edges into this rank on the per-edge path and counts itself
+// into the batches it feeds here, and a remote source counts itself in when
+// its parcel first installs here (fabric.handleParcel); the last source in
+// spawns the batch task, which applies every member edge through the
+// kernel's blocked multi-RHS applies and then runs the ordinary LCO
+// bookkeeping per edge — target lock, reduction, input countdown, trigger —
+// so downstream scheduling is identical to per-edge execution. In process a
+// rank hosts every member, and each batch is its descriptor.
 
 // batchBlock is the far-field GEMM block: 16 right-hand sides share one
 // table — the 97 KB M->L table of an offset, or the 0.47 MB M->I or I->L
 // table of a direction at p = 9 — as four tiles of the kernel's register
 // GEMM, each 32 table rows read once from memory and three more times from
-// L1 (kernel/dense.go), and their outputs go to pooled scratch (14 KB of L
-// expansions, or 69 KB of 268-term waves), out of the target locks while
-// the table streams.
+// L1 (kernel/dense.go), and their outputs go to the worker's scratch (14 KB
+// of L expansions, or 69 KB of 268-term waves), out of the target locks
+// while the table streams.
 const batchBlock = 16
 
-// batchScratch is the pooled per-task scratch of the batch tasks: buf holds
-// batchBlock contiguous outputs of the plan's largest far-field vector (a
-// packed M/L expansion, or the widest half wave of a level with plane-wave
-// batches), outs slices them to the block's vector length; sum holds one
-// L expansion per member of a plane-wave batch (when the plan has any),
-// where an I->L member's directions meet before its one locked add.
-type batchScratch struct {
+// farBatch is this rank's share of a far batch: the descriptor with Edges cut
+// to the members whose targets the rank hosts, the count of their distinct
+// sources, which the batch waits for run by run (pending), and its task.
+type farBatch struct {
+	dag.FarBatch
+	sources int32
+	pending atomic.Int32
+	task    amt.Task
+}
+
+// scratch is one worker's, indexed by its ID, so it dies with its executor:
+// the near tasks' sums (grad in a gradient run only); the far batch tasks'
+// GEMM block — buf holds batchBlock contiguous outputs of the plan's largest
+// far-field vector (a packed M/L expansion, or the widest half wave of a
+// level with plane-wave batches), outs slices them to the block's vector
+// length — and sum, one L expansion per member of a plane-wave batch, where
+// an I->L member's directions meet before its one locked add; and runNode's
+// remote out-edges, lists[i] those bound for rank dests[i].
+type scratch struct {
+	pot  []float64
+	grad []geom.Point
 	buf  []complex128
 	sum  []complex128
 	ins  [batchBlock][]complex128
 	outs [batchBlock][]complex128
 	// sel lists the members of a plane-wave batch that carry the direction
 	// in flight.
-	sel [dag.WaveBatchSources]int
+	sel   [dag.WaveBatchSources]int
+	dests []int32
+	lists [][]int32
 }
 
 // initBatches wires the plan's descriptors into the executor: per target
 // leaf the source chunks of its near list (points and charge slots do not
-// move for the life of the state) and a prebuilt near task; per far batch a
-// pending counter and a prebuilt task, and their scratch pool.
+// move for the life of the state) and a prebuilt near task; per far batch
+// this rank's share and a prebuilt task, and per node the far batches it
+// feeds here; per worker its scratch.
 func (ex *executor) initBatches() {
 	st, b := ex.st, ex.st.p.batches
 	ex.near = make([]amt.Task, len(b.P2P))
@@ -74,49 +93,66 @@ func (ex *executor) initBatches() {
 			ex.nearChunks[i] = append(ex.nearChunks[i], kernel.P2PChunk{Pts: st.srcPts(sb), Q: st.q[sb.Lo:sb.Hi]})
 		}
 	}
-	ex.batchPending = make([]atomic.Int32, len(b.Far))
-	ex.batchTasks = make([]amt.Task, len(b.Far))
+	ex.far = make([]farBatch, len(b.Far))
+	ex.feeds = make([][]int32, len(ex.g.Nodes))
 	ml := st.p.Kernel.MLSize()
 	width, sums := ml, 0
-	for i, fb := range b.Far {
-		bi := int32(i)
+	for i := range b.Far {
+		fb := &ex.far[i]
+		fb.FarBatch = b.Far[i]
+		fb.Edges = ex.hostedMembers(fb.Edges)
+		for m, be := range fb.Edges {
+			if m == 0 || fb.Edges[m-1].From != be.From { // members are in source order
+				fb.sources++
+				ex.feeds[be.From] = append(ex.feeds[be.From], int32(i))
+			}
+		}
 		if fb.Op == dag.OpM2L {
-			ex.batchTasks[i] = func(w *amt.Worker) { ex.runBatchM2L(w, bi) }
+			fb.task = func(w *amt.Worker) { ex.runBatchM2L(w, fb) }
 			continue
 		}
-		ex.batchTasks[i] = func(w *amt.Worker) { ex.runBatchWave(w, bi) }
+		fb.task = func(w *amt.Worker) { ex.runBatchWave(w, fb) }
 		width, sums = max(width, st.p.Kernel.ISize(fb.Level)), dag.WaveBatchSources*ml
 	}
-	ex.batchScratch.New = func() any {
-		return &batchScratch{buf: make([]complex128, batchBlock*width), sum: make([]complex128, sums)}
-	}
-	// The near tasks' sums, one leaf's worth per worker: plain slices, not
-	// the pool, because a fabric builds an executor per run and a pool's
-	// items outlive its executor by a garbage-collection cycle.
-	ex.nearPot = make([][]float64, ex.opts.Workers)
-	for i := range ex.nearPot {
-		ex.nearPot[i] = make([]float64, leaf)
-	}
-	if st.grad != nil {
-		ex.nearGrad = make([][]geom.Point, ex.opts.Workers)
-		for i := range ex.nearGrad {
-			ex.nearGrad[i] = make([]geom.Point, leaf)
+	ex.scratch = make([]scratch, ex.opts.Workers)
+	for i := range ex.scratch {
+		sc := &ex.scratch[i]
+		sc.pot, sc.buf, sc.sum = make([]float64, leaf), make([]complex128, batchBlock*width), make([]complex128, sums)
+		if st.grad != nil {
+			sc.grad = make([]geom.Point, leaf)
 		}
 	}
 }
 
-// noteBatchSources records that node id has triggered against every far
-// batch it feeds; the last source in spawns the batch task on the
-// triggering worker.
+// hostedMembers is the members of a far batch whose targets this rank hosts:
+// the descriptor's own slice when it hosts them all, as in process.
+func (ex *executor) hostedMembers(edges []dag.BatchEdge) []dag.BatchEdge {
+	if !slices.ContainsFunc(edges, func(be dag.BatchEdge) bool { return !ex.hosts(be.To) }) {
+		return edges
+	}
+	return slices.DeleteFunc(slices.Clone(edges), func(be dag.BatchEdge) bool { return !ex.hosts(be.To) })
+}
+
+// scratchOf is worker w's scratch; a call from outside the runtime (w nil)
+// uses worker 0's.
+//
+//dashmm:noalloc
+func (ex *executor) scratchOf(w *amt.Worker) *scratch {
+	if w == nil {
+		return &ex.scratch[0]
+	}
+	return &ex.scratch[w.ID]
+}
+
+// noteBatchSources records that node id has triggered, here or, installed
+// from its parcel, on another rank, against every far batch it feeds on this
+// rank; the last source in spawns the batch task on the worker.
 //
 //dashmm:noalloc
 func (ex *executor) noteBatchSources(w *amt.Worker, id int32) {
-	if ex.batchTasks == nil {
-		return
-	}
-	for _, bi := range ex.st.p.batches.SrcBatches[id] {
-		if ex.batchPending[bi].Add(-1) == 0 {
-			w.Spawn(ex.batchTasks[bi])
+	for _, bi := range ex.feeds[id] {
+		if fb := &ex.far[bi]; fb.pending.Add(-1) == 0 {
+			w.Spawn(fb.task)
 		}
 	}
 }
@@ -124,7 +160,7 @@ func (ex *executor) noteBatchSources(w *amt.Worker, id int32) {
 // block slices the scratch into n output vectors of length size, zeroed.
 //
 //dashmm:noalloc
-func (sc *batchScratch) block(n, size int) [][]complex128 {
+func (sc *scratch) block(n, size int) [][]complex128 {
 	for k := 0; k < n; k++ {
 		out := sc.buf[k*size : (k+1)*size : (k+1)*size]
 		clear(out)
@@ -134,17 +170,15 @@ func (sc *batchScratch) block(n, size int) [][]complex128 {
 }
 
 // runBatchM2L applies one list-2 batch: blocks of batchBlock edges are run
-// through the kernel's multi-RHS apply into pooled scratch (no lock held
+// through the kernel's multi-RHS apply into the worker's scratch (no lock held
 // while the GEMM streams), then each edge's result is reduced into its
 // target under the target lock with the usual LCO countdown. Every source
 // of the batch is complete before the task spawns, so the source payloads
 // are immutable here and are read without their locks.
 //
 //dashmm:noalloc
-func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
-	mb := &ex.st.p.batches.Far[bi]
-	sc := ex.batchScratch.Get().(*batchScratch)
-	st := ex.st
+func (ex *executor) runBatchM2L(w *amt.Worker, mb *farBatch) {
+	sc, st := ex.scratchOf(w), ex.st
 	for lo := 0; lo < len(mb.Edges); lo += batchBlock {
 		hi := min(lo+batchBlock, len(mb.Edges))
 		nb := hi - lo
@@ -177,7 +211,6 @@ func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 			}
 		}
 	}
-	ex.batchScratch.Put(sc)
 }
 
 // runBatchWave applies one plane-wave batch: the M->I or I->L edges of up
@@ -193,10 +226,8 @@ func (ex *executor) runBatchM2L(w *amt.Worker, bi int32) {
 // task's span split evenly between them.
 //
 //dashmm:noalloc
-func (ex *executor) runBatchWave(w *amt.Worker, bi int32) {
-	fb := &ex.st.p.batches.Far[bi]
-	sc := ex.batchScratch.Get().(*batchScratch)
-	st, k := ex.st, ex.st.p.Kernel
+func (ex *executor) runBatchWave(w *amt.Worker, fb *farBatch) {
+	sc, st, k := ex.scratchOf(w), ex.st, ex.st.p.Kernel
 	var t0 int64
 	if ex.opts.Tracer.Enabled() {
 		t0 = ex.opts.Tracer.Now()
@@ -239,14 +270,13 @@ func (ex *executor) runBatchWave(w *amt.Worker, bi int32) {
 			ex.fireNode(w, be.To)
 		}
 	}
-	ex.batchScratch.Put(sc)
 }
 
 // waveDirs is the direction set member m of a plane-wave batch carries: its
 // M->I edge's DirMask, or its It source's OwnMask for I->L.
 //
 //dashmm:noalloc
-func (ex *executor) waveDirs(fb *dag.FarBatch, m int) uint8 {
+func (ex *executor) waveDirs(fb *farBatch, m int) uint8 {
 	be := fb.Edges[m]
 	n := &ex.g.Nodes[be.From]
 	if fb.Op == dag.OpM2I {
@@ -261,7 +291,7 @@ func (ex *executor) waveDirs(fb *dag.FarBatch, m int) uint8 {
 // under the node's lock; I->L straight into the members' sums.
 //
 //dashmm:noalloc
-func (ex *executor) applyWaveBlock(fb *dag.FarBatch, sc *batchScratch, dir geom.Direction, block []int, sums []complex128) {
+func (ex *executor) applyWaveBlock(fb *farBatch, sc *scratch, dir geom.Direction, block []int, sums []complex128) {
 	st, k := ex.st, ex.st.p.Kernel
 	nb := len(block)
 	if fb.Op == dag.OpI2L {
@@ -302,12 +332,8 @@ func (ex *executor) applyWaveBlock(fb *dag.FarBatch, sc *batchScratch, dir geom.
 func (ex *executor) runNear(w *amt.Worker, pi int32) {
 	pb, chunks, st := &ex.st.p.batches.P2P[pi], ex.nearChunks[pi], ex.st
 	tb := ex.g.Nodes[pb.Target].Box
-	tpts := st.tgtPts(tb)
-	slot := 0 // a call from outside the runtime (w nil) uses worker 0's scratch
-	if w != nil {
-		slot = w.ID
-	}
-	pot := ex.nearPot[slot][:len(tpts)]
+	tpts, sc := st.tgtPts(tb), ex.scratchOf(w)
+	pot := sc.pot[:len(tpts)]
 	clear(pot)
 	var t0 int64
 	if ex.opts.Tracer.Enabled() {
@@ -315,7 +341,7 @@ func (ex *executor) runNear(w *amt.Worker, pi int32) {
 	}
 	var grad []geom.Point
 	if st.grad != nil {
-		grad = ex.nearGrad[slot][:len(tpts)]
+		grad = sc.grad[:len(tpts)]
 		clear(grad)
 		for _, ch := range chunks {
 			st.p.Kernel.S2TGrad(ch.Pts, ch.Q, tpts, pot, grad)

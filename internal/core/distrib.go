@@ -36,15 +36,17 @@ import (
 //
 // A rank runs the same executor, through the same run body, as an
 // in-process evaluation (exec.go): its runNode walks a fired node's out edges
-// and gathers a target, its deliver applies edges and its near tasks apply
-// the S->T edges of the leaves the rank homes (the near field never touches
-// the wire). What this file adds is the fabric that executor holds: the run
-// on the cluster (join, attach, event log, context), and the install of a
+// and gathers a target, its deliver applies edges, its far batches apply the
+// M->L, M->I and I->L edges into the nodes the rank homes and its near tasks
+// the S->T edges of the leaves it homes (the near field never touches the
+// wire). What this file adds is the fabric that executor holds: the run on
+// the cluster (join, attach, event log, context), and the install of a
 // remote node's payload — the one duplicate filter a run needs, because
 // delivery is at-least-once. A node fires once per run and coalesces its
 // edges for a rank into one parcel, whose every copy is the same frame, so
-// the copy that installs the payload delivers the parcel's edges (or, at
-// rank 0, counts a gathered target in) and every later copy does nothing.
+// the copy that installs the payload delivers the parcel's edges and counts
+// its source into the rank's far batches (or, at rank 0, counts a gathered
+// target in) and every later copy does nothing.
 
 // RankLostError ends a distributed run when a rank of its job dies: every
 // live rank's DistRun returns it, naming the dead rank (match it with
@@ -132,15 +134,12 @@ type fabric struct {
 	decodeErrs atomic.Int64
 }
 
-// newFabric puts an executor on the cluster: an install mark per node, and
-// the far field per edge.
+// newFabric puts an executor on the cluster: an install mark per node.
 func newFabric(ex *executor, cl *amt.Cluster) *fabric {
 	fb := &fabric{
 		ex: ex, cl: cl,
 		installed: make([]bool, len(ex.g.Nodes)),
 	}
-	// Far batches complete in shared memory: the far field runs per edge here.
-	ex.batchPending, ex.batchTasks = nil, nil
 	ex.fab = fb
 	return fb
 }
@@ -235,12 +234,13 @@ func (fb *fabric) onFrame(f amt.Frame) {
 }
 
 // handleParcel installs one parcel's source payload and, on that first
-// install only, hands its edges to the executor's deliver; a target node's
+// install only, hands its edges to the executor's deliver — all but its far
+// edges, whose batches it counts the source into instead; a target node's
 // parcel is rank 0's gather, counted in on its first install. A repeated
-// copy installs nothing and delivers nothing: the first delivered these very
-// edges. Every rank computed the same placement, so a parcel from a source
-// this rank homes, naming a target it does not, or of a target node reaching
-// a worker rank, is malformed.
+// copy installs, delivers and counts nothing: the first did it all. Every
+// rank computed the same placement, so a parcel from a source this rank
+// homes, naming a target it does not, or of a target node reaching a worker
+// rank, is malformed.
 func (fb *fabric) handleParcel(w *amt.Worker, f amt.Frame) {
 	ex := fb.ex
 	r := amt.NewCursor(f.Payload)
@@ -272,8 +272,11 @@ func (fb *fabric) handleParcel(w *amt.Worker, f amt.Frame) {
 		ex.gathered()
 	}
 	for _, j := range outIdx {
-		ex.deliver(w, n, j)
+		if !dag.FarBatched(n.Out[j].Op) {
+			ex.deliver(w, n, j)
+		}
 	}
+	ex.noteBatchSources(w, src)
 }
 
 // install puts a remote node's payload into this rank's state the first

@@ -784,39 +784,52 @@ func TestRunDoneReleasesOnlyItsGeneration(t *testing.T) {
 }
 
 // The exactly-once filter's contract, parcel by parcel: the first copy of a
-// parcel installs its source payload and applies its edges; deliver applies
-// an edge holding the target's lock alone, as in process — never the
-// source's; and a second copy installs nothing — a payload is never
-// rewritten under an edge that reads it — and applies nothing. No
-// end-to-end gate sees a second install (a true copy writes the same
-// values), so it is pinned here, and so is the refusal of a parcel that
-// does not fit the placement every rank computed: from a source this rank
-// homes, or for a target it does not.
+// parcel installs its source payload, applies its edges but the far ones
+// and counts its source once into every far batch it feeds here; deliver
+// applies an edge holding the target's lock alone, as in process — never
+// the source's; and a second copy installs nothing — a payload is never
+// rewritten under an edge that reads it — applies nothing and counts
+// nothing. No end-to-end gate sees a second install (a true copy writes the
+// same values), so it is pinned here, and so is the refusal of a parcel
+// that does not fit the placement every rank computed: from a source this
+// rank homes, or for a target it does not.
 func TestFabricClaimContract(t *testing.T) {
 	dw := newDistWorld(t, 2, 600)
 	cls := distClusters(t, 2)
 	st := dw.plans[0].newState(false)
 	ex, fb := rankExecutor(t, st, cls[0])
-	// outIdx: the edges of node id a parcel from rank 1 carries here.
-	outIdx := func(id int) (out []int32) {
+	// carried: the edges of node id a parcel from rank 1 carries here, those
+	// deliver applies and the far ones its batches here take.
+	carried := func(id int32) (delivered, far []int32) {
 		for j, e := range ex.g.Nodes[id].Out {
-			if ex.hosts(e.To) && e.Op != dag.OpS2T {
-				out = append(out, int32(j))
+			switch {
+			case !ex.hosts(e.To) || e.Op == dag.OpS2T:
+			case dag.FarBatched(e.Op):
+				far = append(far, int32(j))
+			default:
+				delivered = append(delivered, int32(j))
 			}
 		}
-		return out
+		return delivered, far
 	}
+	remote := func(n dag.Node) bool { return !ex.hosts(n.ID) && n.Kind != dag.NodeS }
 	src := slices.IndexFunc(ex.g.Nodes, func(n dag.Node) bool {
-		return !ex.hosts(n.ID) && n.Kind != dag.NodeS && len(outIdx(int(n.ID))) >= 2
+		delivered, _ := carried(n.ID)
+		return remote(n) && len(delivered) >= 2
 	})
-	if src < 0 {
-		t.Fatal("fixture: no expansion on rank 1 feeds two edges on rank 0")
+	// A source of far batches here, each of which waits for another source
+	// too: with no runtime running, a batch that fired could not spawn.
+	farSrc := slices.IndexFunc(ex.g.Nodes, func(n dag.Node) bool {
+		_, far := carried(n.ID)
+		return remote(n) && len(far) > 0 &&
+			!slices.ContainsFunc(ex.feeds[n.ID], func(bi int32) bool { return ex.far[bi].sources < 2 })
+	})
+	if src < 0 || farSrc < 0 {
+		t.Fatal("fixture: no expansion on rank 1 feeds two edges, or a far batch, on rank 0")
 	}
-	n, edges := &ex.g.Nodes[src], outIdx(src)
-	first, last := edges[:len(edges)-1], edges[len(edges)-1]
-	// parcel encodes the node's parcel as rank 1 would, its payload set to v.
+	// parcel encodes node n's parcel as rank 1 would, its payload set to v.
 	sender := dw.plans[0].newState(false)
-	parcel := func(v complex128, out []int32) amt.Frame {
+	parcel := func(n *dag.Node, v complex128, out []int32) amt.Frame {
 		for _, vec := range sender.vectors(n.ID) {
 			for i := range vec {
 				vec[i] = v + complex(float64(i), 0)
@@ -824,19 +837,18 @@ func TestFabricClaimContract(t *testing.T) {
 		}
 		return amt.Frame{Kind: wireKindParcel, Payload: sender.encodeParcel(n, out)}
 	}
-	payload := func() (out [][]complex128) {
+	payload := func(n *dag.Node) (out [][]complex128) {
 		for _, v := range st.vectors(n.ID) {
 			out = append(out, slices.Clone(v))
 		}
 		return out
 	}
-	countdown := func() (sum int32) {
+	countdown := func(n *dag.Node, edges []int32) (sum int32) {
 		for _, j := range edges {
 			sum += ex.remaining[n.Out[j].To].Load()
 		}
 		return sum
 	}
-	before := countdown()
 
 	for _, misfit := range []func(dag.Node) bool{
 		func(m dag.Node) bool { return ex.hosts(m.ID) && m.Kind != dag.NodeS && len(m.Out) > 0 },
@@ -857,14 +869,18 @@ func TestFabricClaimContract(t *testing.T) {
 	}
 	fb.decodeErrs.Store(0)
 
-	fb.handleParcel(nil, parcel(0.5, first))
+	n := &ex.g.Nodes[src]
+	edges, _ := carried(n.ID)
+	first, last := edges[:len(edges)-1], edges[len(edges)-1]
+	before := countdown(n, edges)
+	fb.handleParcel(nil, parcel(n, 0.5, first))
 	if !fb.installed[n.ID] || fb.decodeErrs.Load() != 0 {
 		t.Fatalf("first copy: installed %v, %d decode errors", fb.installed[n.ID], fb.decodeErrs.Load())
 	}
-	if got := countdown(); got != before-int32(len(first)) {
+	if got := countdown(n, edges); got != before-int32(len(first)) {
 		t.Fatalf("the first copy counted its targets down by %d, want %d", before-got, len(first))
 	}
-	installed := payload()
+	installed := payload(n)
 
 	// An edge of the installed source, delivered while someone else holds
 	// the source's lock: it must apply without it.
@@ -880,17 +896,17 @@ func TestFabricClaimContract(t *testing.T) {
 		t.Fatal("deliver waited for the source's lock")
 	}
 	ex.locks[n.ID].Unlock()
-	if got := countdown(); got != before-int32(len(edges)) {
+	if got := countdown(n, edges); got != before-int32(len(edges)) {
 		t.Fatalf("edge %d/%d: %d inputs outstanding, want %d", n.ID, last, got, before-int32(len(edges)))
 	}
 
 	// A second copy of every edge, carrying other values: nothing
 	// installed, nothing applied.
-	fb.handleParcel(nil, parcel(-3, edges))
-	if got := countdown(); got != before-int32(len(edges)) {
+	fb.handleParcel(nil, parcel(n, -3, edges))
+	if got := countdown(n, edges); got != before-int32(len(edges)) {
 		t.Errorf("a second copy counted its targets down again: %d inputs outstanding, want %d", got, before-int32(len(edges)))
 	}
-	for i, v := range payload() {
+	for i, v := range payload(n) {
 		if !slices.Equal(v, installed[i]) {
 			t.Fatal("a second copy rewrote the installed payload")
 		}
@@ -899,6 +915,29 @@ func TestFabricClaimContract(t *testing.T) {
 		t.Fatal("a parcel left its source's lock held")
 	}
 	ex.locks[n.ID].Unlock()
+
+	// A parcel's far edges are its batches' here: its first copy applies
+	// none of them and counts the source once into every batch it feeds; a
+	// second copy counts it again into none.
+	m := &ex.g.Nodes[farSrc]
+	_, far := carried(m.ID)
+	pending := func() (sum int32) {
+		for _, bi := range ex.feeds[m.ID] {
+			sum += ex.far[bi].pending.Load()
+		}
+		return sum
+	}
+	farBefore, want := countdown(m, far), pending()-int32(len(ex.feeds[m.ID]))
+	for c := 1; c <= 2; c++ {
+		fb.handleParcel(nil, parcel(m, 0.5, far))
+		if got := countdown(m, far); got != farBefore {
+			t.Fatalf("copy %d applied %d far edges one by one; its batches take them", c, farBefore-got)
+		}
+		if got := pending(); got != want {
+			t.Fatalf("after copy %d the %d far batches node %d feeds wait for %d sources, want %d",
+				c, len(ex.feeds[m.ID]), m.ID, got, want)
+		}
+	}
 
 	// A target node's parcel is the gather: at rank 0 the first copy installs
 	// its potentials and counts the target in, a second counts nothing; at a

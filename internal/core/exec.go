@@ -151,17 +151,13 @@ type executor struct {
 	owned, targets     int
 	fired, targetsLeft atomic.Int64
 	// Batched execution (batch.go): per target leaf a prebuilt near task and
-	// its source chunks, and per worker the near tasks' scratch sums (nearGrad
-	// in a gradient run only); one pending-source counter and prebuilt task
-	// per far batch (nil under a fabric, which runs M->L, M->I and I->L per
-	// edge), and the pooled GEMM scratch.
-	near         []amt.Task
-	nearChunks   [][]kernel.P2PChunk
-	nearPot      [][]float64
-	nearGrad     [][]geom.Point
-	batchPending []atomic.Int32
-	batchTasks   []amt.Task
-	batchScratch sync.Pool
+	// its source chunks; this rank's share of every far batch, and per node
+	// the far batches it feeds here; per worker its scratch.
+	near       []amt.Task
+	nearChunks [][]kernel.P2PChunk
+	far        []farBatch
+	feeds      [][]int32
+	scratch    []scratch
 }
 
 // newExecutor builds the LCO network of a state for the given rank and places
@@ -255,8 +251,8 @@ func (ex *executor) arm() {
 	for i := range ex.remaining {
 		ex.remaining[i].Store(ex.g.Nodes[i].In)
 	}
-	for i := range ex.batchPending {
-		ex.batchPending[i].Store(int32(len(ex.st.p.batches.Far[i].Srcs)))
+	for i := range ex.far {
+		ex.far[i].pending.Store(ex.far[i].sources)
 	}
 	ex.fired.Store(0)
 	ex.targetsLeft.Store(int64(ex.targets))
@@ -286,85 +282,57 @@ func (ex *executor) hosts(id int32) bool {
 	return ex.homes[id] == ex.rank
 }
 
-// parcelEdges is a pooled remote-edge list: the indexes, within the source
-// node's Out list, of the edges bound for one destination rank. Ownership
-// passes to send, which recycles the list once the parcel is encoded.
-type parcelEdges struct{ idx []int32 }
-
-var parcelEdgesPool = sync.Pool{New: func() any { return new(parcelEdges) }}
-
-func (pe *parcelEdges) recycle() {
-	pe.idx = pe.idx[:0]
-	parcelEdgesPool.Put(pe)
-}
-
-// remoteBatch groups one node's remote out-edges by destination rank. Nodes
-// touch only a few ranks, so a linear scan over a small pooled
-// slice beats a map allocation per trigger.
-type remoteBatch struct {
-	dests []int32
-	lists []*parcelEdges
-}
-
-var remoteBatchPool = sync.Pool{New: func() any { return new(remoteBatch) }}
-
+// add files out-edge out of the node in flight under destination rank dest.
+// Nodes touch only a few ranks, so a linear scan over a small slice beats a
+// map.
+//
 //dashmm:noalloc
-func (b *remoteBatch) add(dest, out int32) {
-	for i, d := range b.dests {
+func (sc *scratch) add(dest, out int32) {
+	for i, d := range sc.dests {
 		if d == dest {
-			b.lists[i].idx = append(b.lists[i].idx, out)
+			sc.lists[i] = append(sc.lists[i], out)
 			return
 		}
 	}
-	pe := parcelEdgesPool.Get().(*parcelEdges)
-	pe.idx = append(pe.idx[:0], out)
-	b.dests = append(b.dests, dest)
-	b.lists = append(b.lists, pe)
-}
-
-//dashmm:noalloc
-func (b *remoteBatch) release() {
-	for i := range b.lists {
-		b.lists[i] = nil // ownership moved to the parcels
+	i := len(sc.dests)
+	sc.dests = append(sc.dests, dest)
+	if i == len(sc.lists) {
+		sc.lists = append(sc.lists, nil)
 	}
-	b.dests = b.dests[:0]
-	b.lists = b.lists[:0]
-	remoteBatchPool.Put(b)
+	sc.lists[i] = append(sc.lists[i][:0], out)
 }
 
 // runNode is the continuation of node id: process the out-edge list, then
 // gather the node if it is a target. It runs once per evaluation, when the
 // node's LCO triggers (all inputs arrived).
+//
+//dashmm:noalloc
 func (ex *executor) runNode(w *amt.Worker, id int32) {
-	n := &ex.g.Nodes[id]
+	n, sc := &ex.g.Nodes[id], ex.scratchOf(w)
 	// Local edges first, sequentially: the large input payload is reused
 	// while hot (Section VI discusses this trade-off).
-	var batch *remoteBatch
 	for j, e := range n.Out {
-		if e.Op == dag.OpS2T || (ex.batchTasks != nil && dag.FarBatched(e.Op)) {
+		dest := ex.homes[e.To]
+		switch {
+		case e.Op == dag.OpS2T, dest == ex.rank && dag.FarBatched(e.Op):
 			// Not this node's to walk: an S->T edge belongs to its target's
 			// near task, a far edge to the batch task that fires when every
-			// source of the batch has triggered (noteBatchSources below).
-			continue
-		}
-		dest := ex.homes[e.To]
-		if dest == ex.rank {
+			// source of the batch's members here has triggered
+			// (noteBatchSources below). A far edge into another rank rides
+			// the parcel, whose install there counts this node in.
+		case dest == ex.rank:
 			ex.deliver(w, n, int32(j))
-			continue
+		default:
+			sc.add(dest, int32(j))
 		}
-		if batch == nil {
-			batch = remoteBatchPool.Get().(*remoteBatch)
-		}
-		batch.add(dest, int32(j))
 	}
-	if batch != nil {
-		// One coalesced parcel per destination: expansion data + edge
-		// descriptors travel once, the transforms run at the receiver.
-		for i, dest := range batch.dests {
-			ex.send(n, dest, batch.lists[i])
-		}
-		batch.release()
+	// One coalesced parcel per destination: expansion data + edge
+	// descriptors travel once, the transforms and batches run at the
+	// receiver.
+	for i, dest := range sc.dests {
+		ex.send(n, dest, sc.lists[i])
 	}
+	sc.dests = sc.dests[:0]
 	ex.noteBatchSources(w, id)
 	if n.Kind == dag.NodeT {
 		ex.gather(n)
@@ -376,13 +344,12 @@ func (ex *executor) runNode(w *amt.Worker, id int32) {
 
 // send ships the out-edges of a fired node bound for another rank: the
 // node's payload by value plus the edge indexes (wire.go), which the
-// receiving fabric installs and hands to deliver. Only a fabric's placement
-// has another rank.
+// receiving fabric installs and hands to deliver or counts into its far
+// batches. Only a fabric's placement has another rank.
 // The payload read is unsynchronized but safe: all inputs are applied (the
 // node just fired), and no parcel installs into a node this rank homes.
-func (ex *executor) send(n *dag.Node, dest int32, pe *parcelEdges) {
-	ex.fab.cl.Send(ex.rt, int(dest), wireKindParcel, ex.st.encodeParcel(n, pe.idx))
-	pe.recycle()
+func (ex *executor) send(n *dag.Node, dest int32, idx []int32) {
+	ex.fab.cl.Send(ex.rt, int(dest), wireKindParcel, ex.st.encodeParcel(n, idx))
 }
 
 // gather brings a fired target node to rank 0. A worker rank sends its
@@ -409,12 +376,12 @@ func (ex *executor) gathered() {
 
 // deliver applies out-edge `out` of a fired node into its target LCO: the
 // transform plus reduction runs under the target's lock, and the final
-// input triggers the target's continuation. It runs once per edge, in
-// process and under a fabric alike: a remote source's edges come from the
-// one copy of its parcel that installed it (fabric.handleParcel). The source
-// payload needs no lock: a local source has fired, and a remote one was
-// installed before any of its edges got here. The span it records is the
-// transform, not the wait for the lock.
+// input triggers the target's continuation. It runs once per edge that no
+// near task or far batch applies, in process and under a fabric alike: a
+// remote source's edges come from the one copy of its parcel that installed
+// it (fabric.handleParcel). The source payload needs no lock: a local source
+// has fired, and a remote one was installed before any of its edges got
+// here. The span it records is the transform, not the wait for the lock.
 //
 //dashmm:noalloc
 func (ex *executor) deliver(w *amt.Worker, from *dag.Node, out int32) {

@@ -316,8 +316,10 @@ func (s *state) gradients() []geom.Point {
 
 // apply executes one DAG edge: it transforms the payload of node `from` and
 // accumulates the result into the payload of edge.To. It is the single
-// definition of operator semantics shared by every executor. Concurrent
-// callers must serialize per destination node (the LCO lock in the runtime
+// definition of operator semantics shared by every executor; its S->T, M->L,
+// M->I and I->L arms are the sequential walker's alone, the reference the
+// AMT executors' near tasks and far batches are held to. Concurrent callers
+// must serialize per destination node (the LCO lock in the runtime
 // executor).
 func (s *state) apply(from *dag.Node, e dag.Edge) {
 	g := s.p.Graph

@@ -15,15 +15,15 @@ import (
 // plane-wave M->I and I->L edges per (class, level), cut into runs of at
 // most WaveBatchSources sources that the executor walks direction by
 // direction — and the near-field S->T edges by their target leaf. A far
-// batch fires once every source feeding it has triggered, replacing many
-// per-edge operator applications with blocked multi-RHS applies. Every edge
-// of the three far classes is a member of exactly one far batch
-// (FarBatched): box centres are root-relative (package tree), so every
-// list-2 offset is on the kernel's lattice. A near list has nothing to wait
-// for — every rank holds every source point and, once a run has its
-// charges, every charge — so it names no sources: the AMT executors run it
-// as one task of its target leaf. Either way it is an execution strategy,
-// never a semantics change.
+// batch fires, on each rank hosting targets of it, once every source feeding
+// those targets has triggered, replacing many per-edge operator applications
+// with blocked multi-RHS applies. Every edge of the three far classes is a
+// member of exactly one far batch (FarBatched): box centres are
+// root-relative (package tree), so every list-2 offset is on the kernel's
+// lattice. A near list has nothing to wait for — every rank holds every
+// source point and, once a run has its charges, every charge — so the AMT
+// executors run it as one task of its target leaf. Either way it is an
+// execution strategy, never a semantics change.
 
 // BatchEdge locates one member edge of a batch: out-edge Out of node From,
 // delivering into To (denormalized from Nodes[From].Out[Out].To so the
@@ -64,10 +64,8 @@ type FarBatch struct {
 	// level's tables are built on first use; spreading the batches' first
 	// directions over the six lets concurrent batches build different ones.
 	First geom.Direction
+	// Edges are the members, in source-id order.
 	Edges []BatchEdge
-	// Srcs lists the distinct source nodes feeding the batch; the batch
-	// fires when all of them have triggered.
-	Srcs []int32
 }
 
 // P2PBatch is the near list of one target leaf: every S->T edge into the
@@ -82,9 +80,6 @@ type P2PBatch struct {
 type Batches struct {
 	Far []FarBatch
 	P2P []P2PBatch
-	// SrcBatches[node] lists the far batches the node feeds; the executor
-	// decrements each batch's pending counter once when the node triggers.
-	SrcBatches [][]int32
 }
 
 // m2lGroupKey identifies one M->L batch.
@@ -109,7 +104,7 @@ func FarBatched(op OpKind) bool { return op == OpM2L || op == OpM2I || op == OpI
 // (same graph, same descriptors). A list-2 edge off the kernel's lattice is
 // a programming error and panics.
 func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
-	b := &Batches{SrcBatches: make([][]int32, len(g.Nodes))}
+	b := &Batches{}
 
 	// Far field: group list-2 edges by (side, offset), plane-wave edges by
 	// (class, level). Near field: one list per target, a map from the
@@ -153,11 +148,8 @@ func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 					m2l[key] = mb
 					m2lKeys = append(m2lKeys, key)
 				}
-				mb.Edges = append(mb.Edges, be)
+				mb.Edges = append(mb.Edges, be) // nodes are walked in id order
 				mb.Offs = append(mb.Offs, off)
-				if n := len(mb.Srcs); n == 0 || mb.Srcs[n-1] != int32(i) {
-					mb.Srcs = append(mb.Srcs, int32(i)) // nodes are walked in id order
-				}
 			}
 		}
 	}
@@ -189,11 +181,6 @@ func BuildBatches(g *Graph, k kernel.Kernel) *Batches {
 	for _, key := range waveKeys {
 		b.Far = append(b.Far, waveBatches(key, waves[key])...)
 	}
-	for bi, fb := range b.Far {
-		for _, s := range fb.Srcs {
-			b.SrcBatches[s] = append(b.SrcBatches[s], int32(bi))
-		}
-	}
 	// Deterministic near-list order: by target.
 	sort.Slice(b.P2P, func(a, c int) bool { return b.P2P[a].Target < b.P2P[c].Target })
 	return b
@@ -211,9 +198,6 @@ func waveBatches(key waveGroupKey, edges []BatchEdge) []FarBatch {
 		fb.Op, fb.Level = key.op, key.level
 		fb.First = geom.Direction(c * geom.NumDirections / n)
 		fb.Edges = edges[lo:hi:hi]
-		for _, be := range fb.Edges {
-			fb.Srcs = append(fb.Srcs, be.From)
-		}
 	}
 	return out
 }

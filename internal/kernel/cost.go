@@ -76,12 +76,8 @@ var (
 	// (dense.go) then ran them 1.5–2.2x (AVX-512) and 1.1–1.7x (AVX2)
 	// faster than the old AVX rows priced, at threshold 480 and 240; the
 	// vector rows are re-set to the middle of those ratios, each class at
-	// both levels within ±30 %. Under a fabric the two classes still run per
-	// edge (core/distrib.go) and cost a rank the per-edge price, but plans
-	// are priced by this row wherever they run: batching them there too
-	// measured flat on dist2_cube16k, where they are ≈ 4 of 48 ms busy, and
-	// its per-run scratch grew the heap past its bound (EXPERIMENTS.md,
-	// "Single-precision pair loop"; ROADMAP item 6).
+	// both levels within ±30 %. Every placement runs the two classes
+	// batched, a rank its share of each batch (core/batch.go).
 	nsWaveMAC = [...]float64{denseGo: 1.6, denseAVX2: 0.50, denseAVX512: 0.33}
 )
 
