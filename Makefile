@@ -101,8 +101,9 @@ generate-check:
 # their sum, then the //lint:ignore suppressions in those files: the
 # code-size and suppression rows ROADMAP tracks, from one command.
 # The kernel and DAG packages, which the executor drives, follow outside the
-# total (their assembly is not counted), so the total's series stays
-# comparable. No row counts a file whose first line is Go's generated-code
+# total, so the total's series stays comparable, and then the kernel's
+# hand-written assembly (*.s and the *.h they include) as a row of its own.
+# No row counts a file whose first line is Go's generated-code
 # marker (`// Code generated ... DO NOT EDIT.`), such as the kernel's
 # plane-wave rules in internal/kernel/pwrule_laplace.go.
 LINES_PKGS = internal/amt internal/core internal/serve
@@ -118,7 +119,8 @@ lines:
 	done; printf '%-16s %6d\n' total $$total; printf '%-16s %6d\n' lint:ignore $$ignores; \
 	for p in $(LINES_MORE); do \
 		printf '%-16s %6d\n' $$p $$(cat $$(src $$p) | wc -l); \
-	done
+	done; \
+	printf '%-16s %6d\n' 'kernel asm' $$(cat internal/kernel/*.s internal/kernel/*.h | wc -l)
 
 # Evaluation-service smoke test: concurrent mixed requests against an
 # in-process server (httptest), asserting every response is a 200 and the

@@ -89,14 +89,14 @@ type TransportStats struct {
 	StaleFenced       int64
 }
 
-// sendEntry is the sender-side record of one unacked parcel: its frame
-// fields are immutable, the others guarded by delivery.mu.
+// sendEntry is the sender-side record of one unacked parcel: dst, seq, kind
+// and deadline are immutable, the others guarded by delivery.mu.
 type sendEntry struct {
 	dst      int
 	seq      uint64
 	kind     uint16
-	payload  []byte
-	rt       *Runtime // holds one pending unit of it until the entry settles
+	payload  []byte   // guarded by delivery.mu: nil once settled
+	rt       *Runtime // guarded by delivery.mu: holds one pending unit of it until the entry settles
 	deadline time.Time
 	backoff  time.Duration // guarded by delivery.mu
 	timer    *time.Timer   // guarded by delivery.mu
@@ -174,11 +174,28 @@ func (d *delivery) detach(run uint64) {
 // dead set refuses later sends to it and drops its frames.
 func (d *delivery) sever(rank int) { d.settle(rank) }
 
+// release settles e: unregistered, its timer stopped, its payload and runtime
+// dropped — a stopped timer can stay in Go's timer heap until its deadline,
+// and must pin neither — and the runtime returned, for the caller to finish
+// its pending unit outside the lock.
+//
+//dashmm:locked delivery.mu — settle, retry and onAck call it inside their critical sections.
+func (d *delivery) release(e *sendEntry) *Runtime {
+	delete(d.peers[e.dst].unacked, e.seq)
+	e.settled = true
+	if e.timer != nil { // nil: settled before its first transmit
+		e.timer.Stop()
+	}
+	rt := e.rt
+	e.rt, e.payload = nil, nil
+	return rt
+}
+
 // settle ends the unacked parcels to peer — their timers stopped, their
 // pending units released — counted as severed, or to allPeers as abandoned
 // at a run's end.
 func (d *delivery) settle(peer int) {
-	var done []*sendEntry
+	var done []*Runtime
 	d.mu.Lock()
 	for r := range d.peers {
 		if peer != allPeers && r != peer {
@@ -186,10 +203,8 @@ func (d *delivery) settle(peer int) {
 		}
 		p := &d.peers[r]
 		for _, e := range p.unacked {
-			e.settled = true
-			done = append(done, e)
+			done = append(done, d.release(e))
 		}
-		clear(p.unacked)
 	}
 	if peer == allPeers {
 		d.count.DeadlineExceeded += int64(len(done))
@@ -197,11 +212,8 @@ func (d *delivery) settle(peer int) {
 		d.count.Severed += int64(len(done))
 	}
 	d.mu.Unlock()
-	for _, e := range done {
-		if e.timer != nil { // nil: settled before its first transmit
-			e.timer.Stop()
-		}
-		e.rt.finish()
+	for _, rt := range done {
+		rt.finish()
 	}
 }
 
@@ -296,9 +308,10 @@ func (d *delivery) transmit(e *sendEntry) {
 	wait := time.Duration(float64(e.backoff) * (1 + d.rng.Float64()*d.cfg.RetryJitter))
 	e.backoff = min(2*e.backoff, d.cfg.RetryMax)
 	e.timer = time.AfterFunc(wait, func() { d.retry(e) })
+	payload := e.payload
 	d.mu.Unlock()
 	d.wire.Send(Frame{
-		Kind: e.kind, Src: d.rank, Dst: e.dst, Seq: e.seq, Payload: e.payload,
+		Kind: e.kind, Src: d.rank, Dst: e.dst, Seq: e.seq, Payload: payload,
 	})
 }
 
@@ -313,6 +326,7 @@ func (d *delivery) retry(e *sendEntry) {
 		d.mu.Unlock()
 		return
 	}
+	var rt *Runtime
 	give := true
 	switch {
 	case d.gone[e.dst].Load():
@@ -324,12 +338,11 @@ func (d *delivery) retry(e *sendEntry) {
 		d.count.Retried++
 	}
 	if give {
-		e.settled = true
-		delete(d.peers[e.dst].unacked, e.seq)
+		rt = d.release(e)
 	}
 	d.mu.Unlock()
 	if give {
-		e.rt.finish()
+		rt.finish()
 	} else {
 		d.transmit(e)
 	}
@@ -344,12 +357,8 @@ func (d *delivery) onAck(peer int, seq uint64) {
 		d.mu.Unlock()
 		return
 	}
-	e.settled = true
-	delete(d.peers[peer].unacked, seq)
+	rt := d.release(e)
 	d.count.Acked++
 	d.mu.Unlock()
-	if e.timer != nil {
-		e.timer.Stop()
-	}
-	e.rt.finish()
+	rt.finish()
 }

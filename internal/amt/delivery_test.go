@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -393,6 +394,51 @@ func TestDeliveryBackoffStopsOnAck(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if m := len(rw.sends()); m != n {
 		t.Fatalf("%d transmissions after the ack settled the entry", m-n)
+	}
+}
+
+// An acked parcel is garbage at once: its entry's stopped retransmission
+// timer can stay in Go's timer heap until its deadline, and the entry must
+// not pin the parcel (or its runtime) meanwhile. The heap is a busy
+// process's: timers due before every retransmission outnumber the stopped
+// ones four to one, and one due long after follows each, so the runtime
+// sweeps none of the stopped ones out early. Read before any of them fires.
+func TestAckedParcelsPinNothing(t *testing.T) {
+	const parcels, size, due = 64, 1 << 20, 180 * time.Millisecond
+	start := time.Now()
+	busy := func(after time.Duration) {
+		tm := time.AfterFunc(after, func() {})
+		t.Cleanup(func() { tm.Stop() })
+	}
+	for range 4 * parcels {
+		busy(due)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	d := lonelyEngine(&recordingWire{}, DeliveryConfig{})
+	rt := New(Config{Workers: 1})
+	base := heap()
+	rt.Run(func() {
+		for i := range parcels {
+			d.send(rt, 1, 1, make([]byte, size))
+			busy(time.Hour)
+			d.receive(Frame{Flags: FlagAck, Src: 1, Dst: 0, Seq: uint64(i + 1)})
+		}
+	})
+	grown := heap() - base
+	if elapsed := time.Since(start); elapsed >= due {
+		t.Skipf("the sends took %v: the other timers may have fired", elapsed)
+	}
+	runtime.KeepAlive(d)
+	if acked := d.stats().Acked; acked != parcels {
+		t.Fatalf("Acked = %d, want %d", acked, parcels)
+	}
+	if grown > 2<<20 {
+		t.Errorf("%d acked %d-byte parcels left the live heap %d KB above its baseline", parcels, size, grown>>10)
 	}
 }
 

@@ -54,12 +54,12 @@ type farBatch struct {
 
 // scratch is one worker's, indexed by its ID, so it dies with its executor:
 // the near tasks' sums (grad in a gradient run only); the far batch tasks'
-// GEMM block — buf holds batchBlock contiguous outputs of the plan's largest
-// far-field vector (a packed M/L expansion, or the widest half wave of a
-// level with plane-wave batches), outs slices them to the block's vector
-// length — and sum, one L expansion per member of a plane-wave batch, where
-// an I->L member's directions meet before its one locked add; and runNode's
-// remote out-edges, lists[i] those bound for rank dests[i].
+// GEMM block — buf holds batchBlock contiguous outputs of the widest
+// far-field vector of the batches the rank hosts members of (a packed M/L
+// expansion or a half wave; none without), outs slices them to the block's
+// vector length — and sum, one L expansion per member of a plane-wave batch,
+// where an I->L member's directions meet before its one locked add; and
+// runNode's remote out-edges, lists[i] those bound for rank dests[i].
 type scratch struct {
 	pot  []float64
 	grad []geom.Point
@@ -96,11 +96,13 @@ func (ex *executor) initBatches() {
 	ex.far = make([]farBatch, len(b.Far))
 	ex.feeds = make([][]int32, len(ex.g.Nodes))
 	ml := st.p.Kernel.MLSize()
-	width, sums := ml, 0
+	width, sums := 0, 0
 	for i := range b.Far {
 		fb := &ex.far[i]
 		fb.FarBatch = b.Far[i]
-		fb.Edges = ex.hostedMembers(fb.Edges)
+		if fb.Edges = ex.hostedMembers(fb.Edges); len(fb.Edges) == 0 {
+			continue // no source counts it down here: it never runs
+		}
 		for m, be := range fb.Edges {
 			if m == 0 || fb.Edges[m-1].From != be.From { // members are in source order
 				fb.sources++
@@ -109,6 +111,7 @@ func (ex *executor) initBatches() {
 		}
 		if fb.Op == dag.OpM2L {
 			fb.task = func(w *amt.Worker) { ex.runBatchM2L(w, fb) }
+			width = max(width, ml)
 			continue
 		}
 		fb.task = func(w *amt.Worker) { ex.runBatchWave(w, fb) }
@@ -184,7 +187,7 @@ func (ex *executor) runBatchM2L(w *amt.Worker, mb *farBatch) {
 		nb := hi - lo
 		outs := sc.block(nb, st.p.Kernel.MLSize())
 		for k := 0; k < nb; k++ {
-			sc.ins[k] = st.exp[mb.Edges[lo+k].From]
+			sc.ins[k] = st.exp(mb.Edges[lo+k].From)
 		}
 		var t0 int64
 		if ex.opts.Tracer.Enabled() {
@@ -193,12 +196,7 @@ func (ex *executor) runBatchM2L(w *amt.Worker, mb *farBatch) {
 		st.p.Kernel.M2LBatch(mb.Offs[lo:hi], mb.Side, mb.Level, sc.ins[:nb], outs)
 		for k := 0; k < nb; k++ {
 			be := mb.Edges[lo+k]
-			ex.locks[be.To].Lock()
-			dst := st.exp[be.To]
-			for j, v := range outs[k] {
-				dst[j] += v
-			}
-			ex.locks[be.To].Unlock()
+			ex.addInto(be.To, st.exp(be.To), outs[k])
 			if ex.opts.Tracer.Enabled() {
 				// One event per member edge, partitioning the block's wall
 				// time so the utilization analysis conserves operator mass.
@@ -251,12 +249,7 @@ func (ex *executor) runBatchWave(w *amt.Worker, fb *farBatch) {
 	}
 	if fb.Op == dag.OpI2L {
 		for m, be := range fb.Edges {
-			ex.locks[be.To].Lock()
-			dst := st.exp[be.To]
-			for j, v := range sums[m*ml : (m+1)*ml] {
-				dst[j] += v
-			}
-			ex.locks[be.To].Unlock()
+			ex.addInto(be.To, st.exp(be.To), sums[m*ml:(m+1)*ml])
 		}
 	}
 	if ex.opts.Tracer.Enabled() {
@@ -297,7 +290,7 @@ func (ex *executor) applyWaveBlock(fb *farBatch, sc *scratch, dir geom.Direction
 	if fb.Op == dag.OpI2L {
 		ml := k.MLSize()
 		for i, m := range block {
-			sc.ins[i] = st.own[fb.Edges[m].From][dir]
+			sc.ins[i] = st.wave(fb.Edges[m].From, int(dir), false)
 			sc.outs[i] = sums[m*ml : (m+1)*ml : (m+1)*ml]
 		}
 		k.I2LBatch(dir, fb.Level, sc.ins[:nb], sc.outs[:nb])
@@ -305,18 +298,25 @@ func (ex *executor) applyWaveBlock(fb *farBatch, sc *scratch, dir geom.Direction
 	}
 	outs := sc.block(nb, k.ISize(fb.Level))
 	for i, m := range block {
-		sc.ins[i] = st.exp[fb.Edges[m].From]
+		sc.ins[i] = st.exp(fb.Edges[m].From)
 	}
 	k.M2IBatch(dir, fb.Level, sc.ins[:nb], outs)
 	for i, m := range block {
 		to := fb.Edges[m].To
-		ex.locks[to].Lock()
-		dst := st.own[to][dir]
-		for j, v := range outs[i] {
-			dst[j] += v
-		}
-		ex.locks[to].Unlock()
+		ex.addInto(to, st.wave(to, int(dir), false), outs[i])
 	}
+}
+
+// addInto adds v into dst, a vector of node id's payload, under the node's
+// lock.
+//
+//dashmm:noalloc
+func (ex *executor) addInto(id int32, dst, v []complex128) {
+	ex.locks[id].Lock()
+	for j, x := range v {
+		dst[j] += x
+	}
+	ex.locks[id].Unlock()
 }
 
 // runNear is the near task of one target leaf: its source chunks swept

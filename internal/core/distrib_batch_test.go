@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dag"
 	"repro/internal/geom"
@@ -148,38 +147,30 @@ func TestDistRunBatchesTheFarField(t *testing.T) {
 // stays on the runtime's pool list until the collection after its last use,
 // pinning whatever holds it, so with collection off between the runs one
 // collection at the end would find every run's executors pinned. Each
-// reading first waits out the last run's retransmission timers: a stopped
-// one may stay in the runtime's timer heap until its deadline, and its
-// settled parcel keeps the run's runtime, and through it the executor.
+// reading is taken at once: a stopped retransmission timer may stay in the
+// runtime's timer heap until its deadline, but its settled parcel keeps
+// neither the parcel nor the run's runtime (amt's TestAckedParcelsPinNothing).
 func TestDistRunsLeaveNoScratchBehind(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is not meaningful under the race detector")
 	}
 	dw := newDistWorld(t, 2, 1500)
 	cls := distClusters(t, 2)
-	live := func(reps []ExecReport) int64 {
-		wait := 400 * time.Millisecond // a first transmit's: 200 ms base, half again of jitter
-		for _, rep := range reps {
-			if rep.Runtime.Transport.Retried > 0 {
-				wait = 3 * time.Second // the 2 s cap's
-			}
-		}
-		time.Sleep(wait)
+	live := func() int64 {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	_, reps := dw.runJob(t, cls)
-	base := live(reps)
+	dw.runJob(t, cls)
+	base := live()
 	gc := debug.SetGCPercent(-1)
 	for range 29 {
-		var pots []float64
-		pots, reps = dw.runJob(t, cls)
+		pots, _ := dw.runJob(t, cls)
 		assertSame(t, pots, dw.want, 1e-12)
 	}
 	debug.SetGCPercent(gc)
-	growth := live(reps) - base
+	growth := live() - base
 	runtime.KeepAlive(dw) // or its plans are garbage too
 	t.Logf("live heap grew by %d KB over 29 runs", growth>>10)
 	if growth > 1<<20 {

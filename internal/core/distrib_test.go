@@ -830,18 +830,11 @@ func TestFabricClaimContract(t *testing.T) {
 	// parcel encodes node n's parcel as rank 1 would, its payload set to v.
 	sender := dw.plans[0].newState(false)
 	parcel := func(n *dag.Node, v complex128, out []int32) amt.Frame {
-		for _, vec := range sender.vectors(n.ID) {
-			for i := range vec {
-				vec[i] = v + complex(float64(i), 0)
-			}
+		vec := sender.payload(n.ID)
+		for i := range vec {
+			vec[i] = v + complex(float64(i), 0)
 		}
 		return amt.Frame{Kind: wireKindParcel, Payload: sender.encodeParcel(n, out)}
-	}
-	payload := func(n *dag.Node) (out [][]complex128) {
-		for _, v := range st.vectors(n.ID) {
-			out = append(out, slices.Clone(v))
-		}
-		return out
 	}
 	countdown := func(n *dag.Node, edges []int32) (sum int32) {
 		for _, j := range edges {
@@ -880,7 +873,7 @@ func TestFabricClaimContract(t *testing.T) {
 	if got := countdown(n, edges); got != before-int32(len(first)) {
 		t.Fatalf("the first copy counted its targets down by %d, want %d", before-got, len(first))
 	}
-	installed := payload(n)
+	installed := slices.Clone(st.payload(n.ID))
 
 	// An edge of the installed source, delivered while someone else holds
 	// the source's lock: it must apply without it.
@@ -906,10 +899,8 @@ func TestFabricClaimContract(t *testing.T) {
 	if got := countdown(n, edges); got != before-int32(len(edges)) {
 		t.Errorf("a second copy counted its targets down again: %d inputs outstanding, want %d", got, before-int32(len(edges)))
 	}
-	for i, v := range payload(n) {
-		if !slices.Equal(v, installed[i]) {
-			t.Fatal("a second copy rewrote the installed payload")
-		}
+	if !slices.Equal(st.payload(n.ID), installed) {
+		t.Fatal("a second copy rewrote the installed payload")
 	}
 	if !ex.locks[n.ID].TryLock() {
 		t.Fatal("a parcel left its source's lock held")

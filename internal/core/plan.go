@@ -20,7 +20,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
+	"unsafe"
 
 	"repro/internal/dag"
 	"repro/internal/dist"
@@ -65,6 +67,10 @@ type Plan struct {
 	// far-field edges grouped per dense operator, near-field edges per target
 	// leaf. The serve plan cache reuses them along with the rest of the plan.
 	batches *dag.Batches
+
+	// spans lays out the payloads of every evaluation context of the plan,
+	// node by node, in one slab (layoutPayloads).
+	spans []span
 }
 
 // place runs the paper's placement (dist.MinComm) over the plan's graph for
@@ -155,6 +161,7 @@ func fromTrees(src, tgt *tree.Tree, k kernel.Kernel, o Options, threshold int) (
 	return &Plan{
 		Kernel: k, Source: src, Target: tgt, Lists: lists, Graph: g,
 		threshold: threshold, predicted: model.Predict(g),
+		spans: layoutPayloads(g, k),
 	}, nil
 }
 
@@ -197,15 +204,49 @@ func (p *Plan) checkKernel() error {
 	return nil
 }
 
+// span is a node's range of a state's slab, slab[lo:hi]: its M or L
+// expansion, or its waves — waves[0] its own, waves[1] its merged (Is) or
+// shared (It) child-level ones, each set in its mask's direction order from
+// at, size coefficients a wave. That is the wire order.
+type span struct {
+	lo, hi int
+	waves  [2]struct{ at, size int }
+}
+
+// slabAlign puts every span on a 64-byte line, in coefficients: two nodes
+// added into under their own locks by different workers never share one.
+const slabAlign = 4
+
+// layoutPayloads lays the payloads of g's nodes out in one slab, in node-id
+// order: the last node's span ends it.
+func layoutPayloads(g *dag.Graph, k kernel.Kernel) []span {
+	spans, at := make([]span, len(g.Nodes)), 0
+	for i := range g.Nodes {
+		n, sp := &g.Nodes[i], &spans[i]
+		sp.lo = (at + slabAlign - 1) &^ (slabAlign - 1)
+		sp.hi = sp.lo
+		switch n.Kind {
+		case dag.NodeM, dag.NodeL:
+			sp.hi += k.MLSize()
+		case dag.NodeIs, dag.NodeIt:
+			own, mrg := &sp.waves[0], &sp.waves[1]
+			own.at, own.size = sp.lo, k.ISize(n.Level())
+			mrg.at = own.at + bits.OnesCount8(n.OwnMask)*own.size
+			if n.MergedMask != 0 {
+				mrg.size = k.ISize(n.Level() + 1)
+			}
+			sp.hi = mrg.at + bits.OnesCount8(n.MergedMask)*mrg.size
+		}
+		at = sp.hi
+	}
+	return spans
+}
+
 // state holds the payloads of one evaluation of the DAG.
 type state struct {
 	p *Plan
-	// exp holds the M or L coefficients of NodeM / NodeL nodes.
-	exp [][]complex128
-	// own holds the own-level directional waves of Is / It nodes.
-	own [][geom.NumDirections][]complex128
-	// mrg holds the merged (Is) or shared (It) child-level waves.
-	mrg [][geom.NumDirections][]complex128
+	// slab holds every node's payload (Plan.spans).
+	slab []complex128
 	// q is the source charge vector in tree order.
 	q []float64
 	// pot is the target potential vector in tree order.
@@ -219,56 +260,48 @@ type state struct {
 // also allocates the gradient accumulators. Charges arrive per run, through
 // reset.
 func (p *Plan) newState(withGrad bool) *state {
-	g := p.Graph
-	k := p.Kernel
 	s := &state{
-		p:   p,
-		exp: make([][]complex128, len(g.Nodes)),
-		own: make([][geom.NumDirections][]complex128, len(g.Nodes)),
-		mrg: make([][geom.NumDirections][]complex128, len(g.Nodes)),
-		q:   make([]float64, len(p.Source.Pts)),
-		pot: make([]float64, len(p.Target.Pts)),
+		p:    p,
+		slab: newSlab(p.spans[len(p.spans)-1].hi),
+		q:    make([]float64, len(p.Source.Pts)),
+		pot:  make([]float64, len(p.Target.Pts)),
 	}
 	if withGrad {
 		s.grad = make([]geom.Point, len(p.Target.Pts))
 	}
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		switch n.Kind {
-		case dag.NodeM, dag.NodeL:
-			s.exp[i] = make([]complex128, k.MLSize())
-		case dag.NodeIs, dag.NodeIt:
-			lvl := n.Level()
-			if n.OwnMask != 0 {
-				sz := k.ISize(lvl)
-				for d := 0; d < geom.NumDirections; d++ {
-					if n.OwnMask&(1<<uint(d)) != 0 {
-						s.own[i][d] = make([]complex128, sz)
-					}
-				}
-			}
-			if n.MergedMask != 0 {
-				sz := k.ISize(lvl + 1)
-				for d := 0; d < geom.NumDirections; d++ {
-					if n.MergedMask&(1<<uint(d)) != 0 {
-						s.mrg[i][d] = make([]complex128, sz)
-					}
-				}
-			}
-		}
-	}
 	return s
 }
 
-// vectors returns the coefficient vectors of node id's payload, in wire
-// order: the M or L expansion, then the own-level and the merged directional
-// waves in direction order. A vector the node does not have (its kind, its
-// masks) is empty; S and T nodes have none.
-func (s *state) vectors(id int32) (v [1 + 2*geom.NumDirections][]complex128) {
-	v[0] = s.exp[id]
-	copy(v[1:], s.own[id][:])
-	copy(v[1+geom.NumDirections:], s.mrg[id][:])
-	return v
+// newSlab allocates n zeroed coefficients from the start of a 64-byte line.
+func newSlab(n int) []complex128 {
+	buf := make([]complex128, n+slabAlign-1)
+	skip := int(-uintptr(unsafe.Pointer(unsafe.SliceData(buf))) % 64 / 16)
+	return buf[skip : skip+n : skip+n]
+}
+
+// payload is node id's payload, in wire order: none for S and T nodes.
+//
+//dashmm:noalloc
+func (s *state) payload(id int32) []complex128 {
+	sp := &s.p.spans[id]
+	return s.slab[sp.lo:sp.hi:sp.hi]
+}
+
+// exp is an M or L node's expansion, its whole payload.
+func (s *state) exp(id int32) []complex128 { return s.payload(id) }
+
+// wave is an Is or It node's own wave of direction d or, merged, its merged
+// (Is) or shared (It) one; the node's mask must have d.
+//
+//dashmm:noalloc
+func (s *state) wave(id int32, d int, merged bool) []complex128 {
+	n, w := &s.p.Graph.Nodes[id], s.p.spans[id].waves[0]
+	mask := n.OwnMask
+	if merged {
+		mask, w = n.MergedMask, s.p.spans[id].waves[1]
+	}
+	lo := w.at + bits.OnesCount8(mask&(1<<d-1))*w.size
+	return s.slab[lo : lo+w.size]
 }
 
 // reset installs a charge vector and zeroes everything computed from the
@@ -278,17 +311,9 @@ func (s *state) reset(charges []float64) {
 	for i, orig := range s.p.Source.Perm {
 		s.q[i] = charges[orig]
 	}
-	for i := range s.pot {
-		s.pot[i] = 0
-	}
-	for i := range s.grad {
-		s.grad[i] = geom.Point{}
-	}
-	for i := range s.exp {
-		for _, v := range s.vectors(int32(i)) {
-			clear(v)
-		}
-	}
+	clear(s.pot)
+	clear(s.grad)
+	clear(s.slab)
 }
 
 // potentials un-permutes the tree-ordered potentials back to the caller's
@@ -328,32 +353,32 @@ func (s *state) apply(from *dag.Node, e dag.Edge) {
 	switch e.Op {
 	case dag.OpS2M:
 		b := from.Box
-		k.S2M(b.Center, s.srcPts(b), s.q[b.Lo:b.Hi], s.exp[to.ID])
+		k.S2M(b.Center, s.srcPts(b), s.q[b.Lo:b.Hi], s.exp(to.ID))
 	case dag.OpM2M:
-		k.M2M(from.Box.Center, to.Box.Center, from.Box.Side, s.exp[from.ID], s.exp[to.ID])
+		k.M2M(from.Box.Center, to.Box.Center, from.Box.Side, s.exp(from.ID), s.exp(to.ID))
 	case dag.OpM2L:
-		k.M2L(from.Box.Center, to.Box.Center, from.Box.Side, s.exp[from.ID], s.exp[to.ID])
+		k.M2L(from.Box.Center, to.Box.Center, from.Box.Side, s.exp(from.ID), s.exp(to.ID))
 	case dag.OpL2L:
-		k.L2L(from.Box.Center, to.Box.Center, to.Box.Side, s.exp[from.ID], s.exp[to.ID])
+		k.L2L(from.Box.Center, to.Box.Center, to.Box.Side, s.exp(from.ID), s.exp(to.ID))
 	case dag.OpL2T:
 		b := to.Box
 		if s.grad != nil {
-			k.L2TGrad(from.Box.Center, s.exp[from.ID], s.tgtPts(b),
+			k.L2TGrad(from.Box.Center, s.exp(from.ID), s.tgtPts(b),
 				s.pot[b.Lo:b.Hi], s.grad[b.Lo:b.Hi])
 			return
 		}
-		k.L2T(from.Box.Center, s.exp[from.ID], s.tgtPts(b), s.pot[b.Lo:b.Hi])
+		k.L2T(from.Box.Center, s.exp(from.ID), s.tgtPts(b), s.pot[b.Lo:b.Hi])
 	case dag.OpM2T:
 		b := to.Box
 		if s.grad != nil {
-			k.M2TGrad(from.Box.Center, s.exp[from.ID], s.tgtPts(b),
+			k.M2TGrad(from.Box.Center, s.exp(from.ID), s.tgtPts(b),
 				s.pot[b.Lo:b.Hi], s.grad[b.Lo:b.Hi])
 			return
 		}
-		k.M2T(from.Box.Center, s.exp[from.ID], s.tgtPts(b), s.pot[b.Lo:b.Hi])
+		k.M2T(from.Box.Center, s.exp(from.ID), s.tgtPts(b), s.pot[b.Lo:b.Hi])
 	case dag.OpS2L:
 		b := from.Box
-		k.S2L(to.Box.Center, s.srcPts(b), s.q[b.Lo:b.Hi], s.exp[to.ID])
+		k.S2L(to.Box.Center, s.srcPts(b), s.q[b.Lo:b.Hi], s.exp(to.ID))
 	case dag.OpS2T:
 		sb, tb := from.Box, to.Box
 		if s.grad != nil {
@@ -365,13 +390,13 @@ func (s *state) apply(from *dag.Node, e dag.Edge) {
 	case dag.OpM2I:
 		for d := 0; d < geom.NumDirections; d++ {
 			if e.DirMask&(1<<uint(d)) != 0 {
-				k.M2I(geom.Direction(d), from.Level(), s.exp[from.ID], s.own[to.ID][d])
+				k.M2I(geom.Direction(d), from.Level(), s.exp(from.ID), s.wave(to.ID, d, false))
 			}
 		}
 	case dag.OpI2L:
 		for d := 0; d < geom.NumDirections; d++ {
 			if from.OwnMask&(1<<uint(d)) != 0 {
-				k.I2L(geom.Direction(d), from.Level(), s.own[from.ID][d], s.exp[to.ID])
+				k.I2L(geom.Direction(d), from.Level(), s.wave(from.ID, d, false), s.exp(to.ID))
 			}
 		}
 	case dag.OpI2I:
@@ -392,41 +417,20 @@ func (s *state) applyI2I(from, to *dag.Node, e dag.Edge) {
 			panic(v)
 		}
 	}()
-	k := s.p.Kernel
-	shift := to.Box.Center.Sub(from.Box.Center)
-	if e.DirMask != 0 {
-		// Merge (Is->Is) or distribution (It->It): per-direction, reading
-		// own (merge) or shared (distribution) waves.
-		for d := 0; d < geom.NumDirections; d++ {
-			if e.DirMask&(1<<uint(d)) == 0 {
-				continue
-			}
-			dir := geom.Direction(d)
-			if e.FromMerged {
-				// Distribution: parent's shared (child-level) wave into the
-				// child's own accumulation.
-				k.I2I(dir, to.Level(), shift, s.mrg[from.ID][d], s.own[to.ID][d])
-			} else {
-				// Merge: child's own wave into the parent's merged buffer.
-				k.I2I(dir, from.Level(), shift, s.own[from.ID][d], s.mrg[to.ID][d])
-			}
-		}
-		return
-	}
-	// Transfer (Is->It): one direction.
-	d := int(e.Dir)
-	dir := geom.Direction(d)
-	in := s.own[from.ID][d]
-	lvl := to.Level()
-	if e.FromMerged {
-		in = s.mrg[from.ID][d]
-	}
-	out := s.own[to.ID][d]
+	k, lvl := s.p.Kernel, to.Level()
 	if e.ToMerged {
-		out = s.mrg[to.ID][d]
-		lvl = to.Level() + 1
+		lvl++ // into a merged or shared wave: the children's level
 	}
-	k.I2I(dir, lvl, shift, in, out)
+	shift := to.Box.Center.Sub(from.Box.Center)
+	dirs := e.DirMask // merge (Is->Is) or distribution (It->It)
+	if dirs == 0 {
+		dirs = 1 << uint(e.Dir) // transfer (Is->It): one direction
+	}
+	for d := 0; d < geom.NumDirections; d++ {
+		if dirs&(1<<uint(d)) != 0 {
+			k.I2I(geom.Direction(d), lvl, shift, s.wave(from.ID, d, e.FromMerged), s.wave(to.ID, d, e.ToMerged))
+		}
+	}
 }
 
 func (s *state) srcPts(b *tree.Box) []geom.Point { return s.p.Source.Pts[b.Lo:b.Hi] }

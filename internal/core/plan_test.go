@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dag"
 	"repro/internal/geom"
@@ -303,5 +305,76 @@ func TestEvaluateRejectsWrongChargeCount(t *testing.T) {
 	}
 	if _, err := plan.EvaluateSequential(make([]float64, 99)); err == nil {
 		t.Error("wrong charge count accepted")
+	}
+}
+
+// Every payload of an evaluation context lives in one slab laid out once per
+// plan: each expansion node's range starts on a cache line and ends before
+// the next node's, holds its expansion or its waves at the kernel's sizes
+// and in the wire's order, and S and T nodes have none. A context costs the
+// same few allocations whatever the size of its graph.
+func TestStatePayloadLayout(t *testing.T) {
+	plan := func(m dag.Method, n, threshold int) *Plan {
+		p, err := NewPlan(points.Generate(points.Cube, n, 1), points.Generate(points.Cube, n, 2),
+			kernel.NewLaplace(3), Options{Method: m, Threshold: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	small, large := plan(dag.Advanced, 1000, 40), plan(dag.Advanced, 16000, 40)
+	for _, p := range []*Plan{plan(dag.Basic, 2000, 16), large} {
+		st, k := p.newState(false), p.Kernel
+		var prevHi int
+		waves := map[bool]int{}
+		for i := range p.Graph.Nodes {
+			n := &p.Graph.Nodes[i]
+			pl, sp := st.payload(n.ID), p.spans[i]
+			if sp.lo < prevHi {
+				t.Fatalf("%v node %d: its range starts at %d, inside the previous one (ends %d)", p.Graph.Method, i, sp.lo, prevHi)
+			}
+			prevHi = sp.hi
+			at := 0
+			next := func(v []complex128, size int, what string) {
+				if len(v) != size || (size > 0 && &v[0] != &pl[at]) {
+					t.Fatalf("%v node %d (%v): %s is %d coefficients at its payload's %d, want %d",
+						p.Graph.Method, i, n.Kind, what, len(v), at, size)
+				}
+				at += size
+			}
+			switch n.Kind {
+			case dag.NodeM, dag.NodeL:
+				next(st.exp(n.ID), k.MLSize(), "the expansion")
+			case dag.NodeIs, dag.NodeIt:
+				for _, merged := range []bool{false, true} {
+					mask, lvl := n.OwnMask, n.Level()
+					if merged {
+						mask, lvl = n.MergedMask, lvl+1
+					}
+					for d := range geom.NumDirections {
+						if mask&(1<<d) != 0 {
+							next(st.wave(n.ID, d, merged), k.ISize(lvl), fmt.Sprintf("wave %d (merged %v)", d, merged))
+							waves[merged]++
+						}
+					}
+				}
+			}
+			if at != len(pl) {
+				t.Fatalf("%v node %d (%v): %d payload coefficients, its vectors hold %d", p.Graph.Method, i, n.Kind, len(pl), at)
+			}
+			if addr := uintptr(unsafe.Pointer(unsafe.SliceData(pl))); len(pl) > 0 && addr%64 != 0 {
+				t.Fatalf("%v node %d: payload at %#x, not on a 64-byte line", p.Graph.Method, i, addr)
+			}
+		}
+		if p.Graph.Method == dag.Advanced && (waves[false] == 0 || waves[true] == 0) {
+			t.Fatalf("the advanced plan has %d own and %d merged waves: the layout of both goes unchecked", waves[false], waves[true])
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	allocs := func(p *Plan) float64 { return testing.AllocsPerRun(10, func() { p.newState(true) }) }
+	if a, b := allocs(small), allocs(large); a != b || a > 5 {
+		t.Errorf("newState: %v allocations for %d nodes, %v for %d: want the same few", a, len(small.Graph.Nodes), b, len(large.Graph.Nodes))
 	}
 }

@@ -11,8 +11,9 @@ import (
 
 // Typed wire payloads for multi-process evaluation (distrib.go). A parcel
 // carries values: the source node's payload plus the indexes of the
-// out-edges the receiver must apply. The receiver installs the payload into
-// its own state's buffers for that node — state.apply then reads it exactly
+// out-edges the receiver must apply. An expansion node's payload is its one
+// range of the state's slab (Plan.spans), copied out and, at the receiver,
+// into the same range of its own slab — state.apply then reads it exactly
 // as it would a local payload, so the operator semantics stay
 // single-definition. A target node's parcel, with no edges, is the gather:
 // its potentials go to rank 0. Every decoder is length-checked and errors
@@ -28,11 +29,11 @@ const wireKindParcel uint16 = 2
 var le = binary.LittleEndian
 
 // appendNodePayload serializes the live payload of one node: an expansion
-// node's coefficient vectors in the order of state.vectors, a T node's
-// potentials and then, in a gradient run, its gradients. Their lengths are
-// implied by the node's kind, box and masks plus the kernel sizes, all of
-// which every rank derives from the shared Plan; S nodes carry nothing
-// (every rank starts its run with the charge vector).
+// node's slab range (state.payload), a T node's potentials and then, in a
+// gradient run, its gradients. Their lengths are implied by the node's kind,
+// box and masks plus the kernel sizes, all of which every rank derives from
+// the shared Plan; S nodes carry nothing (every rank starts its run with the
+// charge vector).
 func (s *state) appendNodePayload(n *dag.Node, buf []byte) []byte {
 	if n.Kind == dag.NodeT {
 		b := n.Box
@@ -44,16 +45,13 @@ func (s *state) appendNodePayload(n *dag.Node, buf []byte) []byte {
 		}
 		return buf
 	}
-	for _, v := range s.vectors(n.ID) {
-		buf = amt.AppendC128s(buf, v)
-	}
-	return buf
+	return amt.AppendC128s(buf, s.payload(n.ID))
 }
 
 // installNodePayload decodes a node payload into this rank's copy of the
-// node's buffers (sized at newState from the same plan, so the shapes
-// match by construction; mismatches mean a corrupt or foreign frame and
-// surface in the cursor). Callers serialize against readers of the node's
+// node's range (laid out by the same plan, so the shapes match by
+// construction; mismatches mean a corrupt or foreign frame and surface in
+// the cursor). Callers serialize against readers of the node's
 // payload via the node's lock.
 func (s *state) installNodePayload(n *dag.Node, r *amt.Cursor) {
 	if n.Kind == dag.NodeT {
@@ -67,9 +65,7 @@ func (s *state) installNodePayload(n *dag.Node, r *amt.Cursor) {
 		}
 		return
 	}
-	for _, v := range s.vectors(n.ID) {
-		r.C128s(v)
-	}
+	r.C128s(s.payload(n.ID))
 }
 
 // encodeParcel serializes one coalesced node parcel: the source node, the

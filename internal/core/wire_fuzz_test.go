@@ -62,8 +62,8 @@ func patchU32(b []byte, off int, v uint32) []byte {
 // parcelSeeds: a golden parcel of the fixture's M node, one of its target
 // node (the gather), and the ways a hostile or damaged one goes wrong.
 func (fx *wireFixture) parcelSeeds() []wireSeed {
-	for i := range fx.st.exp[fx.m.ID] {
-		fx.st.exp[fx.m.ID][i] = complex(float64(i)+0.5, -float64(i))
+	for i := range fx.st.exp(fx.m.ID) {
+		fx.st.exp(fx.m.ID)[i] = complex(float64(i)+0.5, -float64(i))
 	}
 	for i := range fx.st.pot {
 		fx.st.pot[i] = float64(i) / 8
