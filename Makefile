@@ -101,8 +101,10 @@ generate-check:
 # their sum, then the //lint:ignore suppressions in those files: the
 # code-size and suppression rows ROADMAP tracks, from one command.
 # The kernel and DAG packages, which the executor drives, follow outside the
-# total, so the total's series stays comparable, and then the kernel's
-# hand-written assembly (*.s and the *.h they include) as a row of its own.
+# total, so the total's series stays comparable, then the kernel's
+# hand-written assembly (*.s and the *.h they include) as a row of its own,
+# then the commands and the examples (every program under cmd/ and
+# examples/, one row each).
 # No row counts a file whose first line is Go's generated-code
 # marker (`// Code generated ... DO NOT EDIT.`), such as the kernel's
 # plane-wave rules in internal/kernel/pwrule_laplace.go.
@@ -120,7 +122,10 @@ lines:
 	for p in $(LINES_MORE); do \
 		printf '%-16s %6d\n' $$p $$(cat $$(src $$p) | wc -l); \
 	done; \
-	printf '%-16s %6d\n' 'kernel asm' $$(cat internal/kernel/*.s internal/kernel/*.h | wc -l)
+	printf '%-16s %6d\n' 'kernel asm' $$(cat internal/kernel/*.s internal/kernel/*.h | wc -l); \
+	for p in cmd examples; do \
+		printf '%-16s %6d\n' $$p $$(cat $$(for d in $$p/*/; do src $${d%/}; done) | wc -l); \
+	done
 
 # Evaluation-service smoke test: concurrent mixed requests against an
 # in-process server (httptest), asserting every response is a 200 and the

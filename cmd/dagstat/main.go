@@ -37,20 +37,15 @@ func main() {
 	)
 	flag.Parse()
 
-	dist, err := parseDist(*distName)
+	dist, err := points.ParseDistribution(*distName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var k kernel.Kernel
-	switch *kernName {
-	case "laplace":
-		k = kernel.NewLaplace(kernel.OrderForDigits(*digits))
-	case "yukawa":
-		k = kernel.NewYukawa(kernel.OrderForDigits(*digits), *lambda)
-	default:
-		log.Fatalf("unknown kernel %q", *kernName)
+	k, err := kernel.New(*kernName, kernel.OrderForDigits(*digits), *lambda)
+	if err != nil {
+		log.Fatal(err)
 	}
-	m, err := parseMethod(*method)
+	m, err := dag.ParseMethod(*method)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,30 +81,6 @@ func main() {
 	if !*withTime {
 		fmt.Println("(rerun with -time for the t_avg column)")
 	}
-}
-
-func parseDist(s string) (points.Distribution, error) {
-	switch s {
-	case "cube":
-		return points.Cube, nil
-	case "sphere":
-		return points.Sphere, nil
-	case "plummer":
-		return points.Plummer, nil
-	}
-	return 0, fmt.Errorf("unknown distribution %q", s)
-}
-
-func parseMethod(s string) (dag.Method, error) {
-	switch s {
-	case "advanced":
-		return dag.Advanced, nil
-	case "basic":
-		return dag.Basic, nil
-	case "barneshut":
-		return dag.BarnesHut, nil
-	}
-	return 0, fmt.Errorf("unknown method %q", s)
 }
 
 func init() {

@@ -221,36 +221,17 @@ type scenario struct {
 
 // plan builds the scenario's plan with the given threshold (0: tuned).
 func (sc scenario) plan(threshold int) (*core.Plan, error) {
-	var d points.Distribution
-	switch sc.dist {
-	case "cube":
-		d = points.Cube
-	case "sphere":
-		d = points.Sphere
-	case "plummer":
-		d = points.Plummer
-	default:
-		return nil, fmt.Errorf("unknown -dist %q (want cube, sphere or plummer)", sc.dist)
+	d, err := points.ParseDistribution(sc.dist)
+	if err != nil {
+		return nil, err
 	}
-	var k kernel.Kernel
-	switch sc.kernel {
-	case "laplace":
-		k = kernel.NewLaplace(kernel.OrderForDigits(sc.digits))
-	case "yukawa":
-		k = kernel.NewYukawa(kernel.OrderForDigits(sc.digits), sc.lambda)
-	default:
-		return nil, fmt.Errorf("unknown -kernel %q (want laplace or yukawa)", sc.kernel)
+	k, err := kernel.New(sc.kernel, kernel.OrderForDigits(sc.digits), sc.lambda)
+	if err != nil {
+		return nil, err
 	}
-	var m dag.Method
-	switch sc.method {
-	case "advanced":
-		m = dag.Advanced
-	case "basic":
-		m = dag.Basic
-	case "barneshut":
-		m = dag.BarnesHut
-	default:
-		return nil, fmt.Errorf("unknown -method %q (want advanced, basic or barneshut)", sc.method)
+	m, err := dag.ParseMethod(sc.method)
+	if err != nil {
+		return nil, err
 	}
 	return core.NewPlan(points.Generate(d, sc.n, 1), points.Generate(d, sc.n, 2), k,
 		core.Options{Method: m, Threshold: threshold})

@@ -1,7 +1,8 @@
 // Command dashmm-serve is the long-lived evaluation daemon: it keeps built
-// plans (tree + DAG + kernel tables), evaluation contexts and amt runtimes
-// warm across requests, so the iterative-evaluation amortization of the
-// paper's Section IV extends across clients of a service.
+// plans (tree + DAG + kernel tables), each with one evaluation context and
+// amt runtime, warm across requests, so the iterative-evaluation
+// amortization of the paper's Section IV extends across clients of a
+// service.
 //
 // Endpoints:
 //
@@ -11,8 +12,9 @@
 //	GET  /debug/pprof/  standard pprof handlers
 //
 // A minimal request is {"n": 10000}; see internal/serve.Request for the
-// full schema (distribution / inline points, kernel, accuracy, execution
-// shape, charges, deadline_ms, trace).
+// full schema (distribution / inline points, kernel, accuracy, charges,
+// deadline_ms, trace). Every in-process evaluation runs on GOMAXPROCS /
+// -max-concurrent scheduler threads.
 //
 // With -workers N the daemon forks N worker-rank processes (this same
 // binary, re-executed) into a supervised standing pool: requests of at
@@ -27,7 +29,7 @@
 // Example:
 //
 //	dashmm-serve -addr :8075 -workers 4 &
-//	curl -s localhost:8075/evaluate -d '{"n":20000,"workers":4}' | head -c 200
+//	curl -s localhost:8075/evaluate -d '{"n":20000}' | head -c 200
 //	curl -s localhost:8075/metrics          # per-rank health under "dist"
 package main
 

@@ -153,11 +153,9 @@ func main() {
 func buildWorkload(wl workload, digits, thr int, model string) (*dag.Graph, sim.CostModel) {
 	sp := points.Generate(wl.dist, wl.n, 1)
 	tp := points.Generate(wl.dist, wl.n, 2)
-	var k kernel.Kernel
-	if wl.kernel == "laplace" {
-		k = kernel.NewLaplace(kernel.OrderForDigits(digits))
-	} else {
-		k = kernel.NewYukawa(kernel.OrderForDigits(digits), 4.0)
+	k, err := kernel.New(wl.kernel, kernel.OrderForDigits(digits), 4.0)
+	if err != nil {
+		log.Fatal(err)
 	}
 	plan, err := core.NewPlan(sp, tp, k, core.Options{Threshold: thr})
 	if err != nil {
@@ -193,11 +191,9 @@ func calibrationRun(wl workload, digits, thr int) sim.CostModel {
 	sp := points.Generate(wl.dist, n, 1)
 	tp := points.Generate(wl.dist, n, 2)
 	q := points.Charges(n, 3)
-	var k kernel.Kernel
-	if wl.kernel == "laplace" {
-		k = kernel.NewLaplace(kernel.OrderForDigits(digits))
-	} else {
-		k = kernel.NewYukawa(kernel.OrderForDigits(digits), 4.0)
+	k, err := kernel.New(wl.kernel, kernel.OrderForDigits(digits), 4.0)
+	if err != nil {
+		log.Fatal(err)
 	}
 	plan, err := core.NewPlan(sp, tp, k, core.Options{Threshold: thr})
 	if err != nil {

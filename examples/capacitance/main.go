@@ -10,8 +10,8 @@
 // by the positivity-preserving multiplicative fixed point q_i <- q_i / phi_i
 // (charge flows away from over-potential regions), using the FMM evaluation
 // as the matrix-vector product. The plan (tree + lists + DAG + operator
-// tables) is built once; each iteration reuses it through the Evaluation
-// context. The converged total charge approximates the analytic capacitance
+// tables) is built once; each iteration reruns it on one ParallelEvaluation
+// context, whose payload buffers, LCO network and runtime are reused. The converged total charge approximates the analytic capacitance
 // of a sphere (C = R in Gaussian units; R = 0.5 here).
 //
 //	go run ./examples/capacitance
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -39,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev, err := plan.NewEvaluation()
+	ev, err := plan.NewParallelEvaluation(core.ExecOptions{Workers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 		q[i] = 1.0 / n
 	}
 	for it := 0; it < iters; it++ {
-		pot, err := ev.Run(q)
+		pot, _, err := ev.Run(q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -68,28 +68,3 @@ func TestSteadyStateAllocsPerEdge(t *testing.T) {
 		t.Errorf("steady-state allocations %.4f per edge exceed 0.05 (%.0f per run)", perEdge, allocs)
 	}
 }
-
-// TestSequentialEvaluationAllocs gates the sequential reusable context the
-// same way (it shares state buffers and the kernel workspace free list).
-func TestSequentialEvaluationAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting is not meaningful under the race detector")
-	}
-	plan, q, _ := testPlan(t, dag.Advanced, 2000)
-	ev, err := plan.NewEvaluation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Run(q); err != nil {
-		t.Fatal(err)
-	}
-	edges := float64(plan.Graph.NumEdges())
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := ev.Run(q); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if perEdge := allocs / edges; perEdge > 0.05 {
-		t.Errorf("sequential steady-state allocations %.4f per edge exceed 0.05 (%.0f per run)", perEdge, allocs)
-	}
-}

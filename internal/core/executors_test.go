@@ -15,13 +15,13 @@ import (
 )
 
 // Oracle, metamorphic and degenerate-input gates through every executor —
-// EvaluateSequential, Evaluation.Run, ParallelEvaluation.Run and a two-rank
+// EvaluateSequential, ParallelEvaluation.Run and a two-rank
 // DistRun over unix sockets — at the threshold the tuner picks and at
 // explicit thresholds that give a root-leaf and a level-1 tree: the shapes
 // small ensembles are now served with, which no path-vs-path gate reached
 // while every fixture sat at 40 or 60.
 
-// executors runs one charge vector through all four executors on plans
+// executors runs one charge vector through all three executors on plans
 // built with the given method and threshold and returns each one's
 // potentials. Rank 1 of the distributed run builds its own plan from the
 // threshold rank 0's plan resolved, as a worker rank handed the job spec does.
@@ -33,13 +33,6 @@ func executors(t *testing.T, sp, tp []geom.Point, q []float64, k kernel.Kernel, 
 	}
 	out := map[string][]float64{}
 	if out["EvaluateSequential"], err = plan.EvaluateSequential(q); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := plan.NewEvaluation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["Evaluation.Run"], err = ev.Run(q); err != nil {
 		t.Fatal(err)
 	}
 	pe, err := plan.NewParallelEvaluation(ExecOptions{Workers: 2})

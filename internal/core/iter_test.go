@@ -8,6 +8,8 @@ import (
 	"repro/internal/points"
 )
 
+// The reusable evaluation context, on one worker, matches the sequential
+// oracle run after run.
 func TestEvaluationMatchesSequential(t *testing.T) {
 	const n = 3000
 	pts := points.Generate(points.Sphere, n, 21)
@@ -21,12 +23,12 @@ func TestEvaluationMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := plan.NewEvaluation()
+	pe, err := plan.NewParallelEvaluation(ExecOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 2; trial++ {
-		got, err := ev.Run(q)
+		got, _, err := pe.Run(q)
 		if err != nil {
 			t.Fatal(err)
 		}

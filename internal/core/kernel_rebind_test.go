@@ -76,10 +76,6 @@ func TestSharedKernelAcrossRootCubes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := planA.NewEvaluation()
-	if err != nil {
-		t.Fatal(err)
-	}
 	par, err := planA.NewParallelEvaluation(ExecOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +91,6 @@ func TestSharedKernelAcrossRootCubes(t *testing.T) {
 	}
 	_, err = planA.EvaluateSequential(q)
 	refused("EvaluateSequential", err)
-	_, err = seq.Run(q)
-	refused("Evaluation.Run", err)
 	_, _, err = par.Run(q)
 	refused("ParallelEvaluation.Run", err)
 	cls := distClusters(t, 2)
@@ -116,10 +110,6 @@ func TestSharedKernelAcrossRootCubes(t *testing.T) {
 	advancedPlan(t, sp, tp, k)
 	got, err := planA.EvaluateSequential(q)
 	if err != nil {
-		t.Fatal(err)
-	}
-	assertSame(t, got, want, 1e-12)
-	if got, err = seq.Run(q); err != nil {
 		t.Fatal(err)
 	}
 	assertSame(t, got, want, 1e-12)

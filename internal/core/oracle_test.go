@@ -102,13 +102,10 @@ func TestOracleLinearityInCharges(t *testing.T) {
 		for _, m := range fmmMethods {
 			k := oc.kernel(kernel.OrderForDigits(3))
 			plan := paperPlan(t, m, sp, tp, k)
-			ev, err := plan.NewEvaluation()
-			if err != nil {
-				t.Fatal(err)
-			}
 			var phi [3][]float64
+			var err error
 			for i, q := range [][]float64{q1, q2, mix} {
-				if phi[i], err = ev.Run(q); err != nil {
+				if phi[i], err = plan.EvaluateSequential(q); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -437,30 +437,26 @@ func (s *state) srcPts(b *tree.Box) []geom.Point { return s.p.Source.Pts[b.Lo:b.
 func (s *state) tgtPts(b *tree.Box) []geom.Point { return s.p.Target.Pts[b.Lo:b.Hi] }
 
 // EvaluateSequential runs the DAG in one goroutine in topological order and
-// returns the potentials in the caller's target order: a one-shot
-// Evaluation. It is the reference executor used by the correctness tests and
-// by the cost calibration of the simulator — per-edge through state.apply by
-// construction, no batches, no runtime.
+// returns the potentials in the caller's target order. It is the reference
+// executor used by the correctness tests and by the cost calibration of the
+// simulator — per-edge through state.apply by construction, no batches, no
+// runtime.
 func (p *Plan) EvaluateSequential(charges []float64) ([]float64, error) {
-	e, err := p.newEvaluation(false)
+	st, err := p.walk(charges, false)
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(charges)
+	return st.potentials(), nil
 }
 
 // EvaluateSequentialGrad also computes the potential gradient (field /
 // force) at every target.
 func (p *Plan) EvaluateSequentialGrad(charges []float64) ([]float64, []geom.Point, error) {
-	e, err := p.newEvaluation(true)
+	st, err := p.walk(charges, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	pot, err := e.Run(charges)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pot, e.st.gradients(), nil
+	return st.potentials(), st.gradients(), nil
 }
 
 // Stats summarizes the plan for diagnostics.
@@ -471,47 +467,26 @@ func (p *Plan) Stats() string {
 		dag.FormatNodeCensus(nodes), dag.FormatEdgeCensus(edges, nil))
 }
 
-// Evaluation is a reusable evaluation context over one Plan: the payload
-// buffers are allocated once and reset between runs, serving the paper's
-// iterative use case where the same DAG is evaluated for many charge
-// vectors and the setup cost is amortized (Section IV).
-type Evaluation struct {
-	plan  *Plan
-	st    *state
-	order []int32
-}
-
-// NewEvaluation allocates an evaluation context.
-func (p *Plan) NewEvaluation() (*Evaluation, error) { return p.newEvaluation(false) }
-
-func (p *Plan) newEvaluation(withGrad bool) (*Evaluation, error) {
+// walk is the one sequential walker: fresh payload buffers, then every edge
+// in topological order, each through state.apply.
+func (p *Plan) walk(charges []float64, withGrad bool) (*state, error) {
+	if len(charges) != len(p.Source.Pts) {
+		return nil, fmt.Errorf("core: %d charges for %d sources", len(charges), len(p.Source.Pts))
+	}
 	order := p.Graph.TopoOrder()
 	if len(order) != len(p.Graph.Nodes) {
 		return nil, fmt.Errorf("core: graph is not a DAG")
 	}
-	return &Evaluation{plan: p, st: p.newState(withGrad), order: order}, nil
-}
-
-// Run evaluates the DAG for one charge vector, reusing the context's
-// buffers, and returns the potentials in the caller's target order. It is
-// the one sequential walker: every edge in topological order, each through
-// state.apply.
-func (e *Evaluation) Run(charges []float64) ([]float64, error) {
-	if len(charges) != len(e.plan.Source.Pts) {
-		return nil, fmt.Errorf("core: %d charges for %d sources", len(charges), len(e.plan.Source.Pts))
-	}
-	if err := e.plan.checkKernel(); err != nil {
+	if err := p.checkKernel(); err != nil {
 		return nil, err
 	}
-	e.st.reset(charges)
-	for _, id := range e.order {
-		n := &e.plan.Graph.Nodes[id]
+	st := p.newState(withGrad)
+	st.reset(charges)
+	for _, id := range order {
+		n := &p.Graph.Nodes[id]
 		for _, ed := range n.Out {
-			e.st.apply(n, ed)
+			st.apply(n, ed)
 		}
 	}
-	if err := e.plan.checkKernel(); err != nil {
-		return nil, err
-	}
-	return e.st.potentials(), nil
+	return st, p.checkKernel()
 }

@@ -154,6 +154,20 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod returns the method a command-line name asks for: "advanced",
+// "basic" or "barneshut".
+func ParseMethod(s string) (Method, error) {
+	switch s {
+	case "advanced":
+		return Advanced, nil
+	case "basic":
+		return Basic, nil
+	case "barneshut":
+		return BarnesHut, nil
+	}
+	return 0, fmt.Errorf("unknown method %q (want advanced, basic or barneshut)", s)
+}
+
 // Config controls DAG construction.
 type Config struct {
 	Method Method

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/sphharm"
@@ -31,6 +32,22 @@ func NewYukawa(p int, lambda float64) Kernel {
 // loop at every order: for a test that holds a low-order near field to
 // float64 rounding.
 func NewYukawaFloat64(p int, lambda float64) Kernel { return newYukawa(p, lambda, bestYukawaPair) }
+
+// New returns the kernel a name asks for at truncation order p: "laplace"
+// (NewLaplace; lambda is ignored) or "yukawa" (NewYukawa, lambda positive
+// and finite).
+func New(name string, p int, lambda float64) (Kernel, error) {
+	switch name {
+	case "laplace":
+		return NewLaplace(p), nil
+	case "yukawa":
+		if !(lambda > 0) || math.IsInf(lambda, 0) {
+			return nil, fmt.Errorf("invalid lambda %v", lambda)
+		}
+		return NewYukawa(p, lambda), nil
+	}
+	return nil, fmt.Errorf("unknown kernel %q (want laplace or yukawa)", name)
+}
 
 func newYukawa(p int, lambda float64, pair pairLoop) Kernel {
 	if lambda <= 0 {

@@ -5,6 +5,7 @@
 package points
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -32,6 +33,16 @@ func (d Distribution) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseDistribution is the inverse of Distribution.String.
+func ParseDistribution(s string) (Distribution, error) {
+	for d := Cube; d <= Plummer; d++ {
+		if d.String() == s {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown distribution %q (want cube, sphere or plummer)", s)
 }
 
 // Generate returns n points drawn from the distribution with the given seed.

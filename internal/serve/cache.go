@@ -11,21 +11,15 @@ import (
 	"repro/internal/trace"
 )
 
-// maxShapesPerPlan caps the pooled evaluation contexts of one plan entry.
-// Each holds a full set of per-node payload buffers, so a client cycling
-// execution shapes on one cached key must recycle them, not grow the daemon.
-const maxShapesPerPlan = 4
-
 // planEntry is one cached plan: the built tree + DAG + kernel tables, plus
-// a long-lived ParallelEvaluation context for each of the most recently
-// used execution shapes requested against it. The entry mutex serializes
-// evaluations on the plan. What it protects is the shape map, stored, and
-// the one pooled context each shape has: a context's payload buffers hold
-// one run at a time. Placement lives in the context, not in the plan's
-// graph (core.NewParallelEvaluation), so the plan itself would bear
-// overlapping runs; a second context per plan was weighed for that and
-// rejected — 7 MB for each warm key, +13 % live heap on the served
-// workload, over its bound (CHANGES.md, PR 14 re-check).
+// the one long-lived ParallelEvaluation context every in-process request on
+// it runs on. The entry mutex serializes evaluations on the plan. What it
+// protects is stored and the context, whose payload buffers hold one run
+// at a time. Placement lives in the context, not in the plan's graph
+// (core.NewParallelEvaluation), so the plan itself would bear overlapping
+// runs; a second context per plan was weighed for that and rejected — 7 MB
+// for each warm key, +13 % live heap on the served workload, over its
+// bound (CHANGES.md records the measurement).
 type planEntry struct {
 	key string
 
@@ -34,9 +28,8 @@ type planEntry struct {
 	plan      *core.Plan
 	buildTime time.Duration
 
-	mu        sync.Mutex       // serializes build-shape + evaluate on this plan
-	evals     map[int]*evalCtx // worker count -> context, at most maxShapesPerPlan; guarded by mu
-	evalClock int64            // shape-LRU tick; guarded by mu
+	mu   sync.Mutex // serializes context build + evaluate on this plan
+	eval *evalCtx   // built by the first in-process request; guarded by mu
 
 	// fromStore marks an entry revived from the persistent plan store, at
 	// start-up (RecoverFromStore) or by the build that found its record;
@@ -51,14 +44,12 @@ type planEntry struct {
 	lastUsed int64 // cache clock tick; guarded by planCache.mu
 }
 
-// evalCtx is a pooled evaluation context for one execution shape: the
-// ParallelEvaluation (payload buffers, LCO network, pooled runtime) and a
-// permanently attached tracer that is enabled only for requests asking for
-// a capture.
+// evalCtx is a plan's evaluation context: the ParallelEvaluation (payload
+// buffers, LCO network, pooled runtime) and a permanently attached tracer
+// that is enabled only for requests asking for a capture.
 type evalCtx struct {
-	pe       *core.ParallelEvaluation
-	tracer   *trace.Tracer
-	lastUsed int64 // planEntry.evalClock at the last request; guarded by planEntry.mu
+	pe     *core.ParallelEvaluation
+	tracer *trace.Tracer
 }
 
 // planCache is an LRU cache of built plans keyed by Request.planKey().
@@ -95,7 +86,7 @@ func (c *planCache) get(key string) (e *planEntry, hit bool, evicted int) {
 		return e, true, 0
 	}
 	evicted = c.makeRoom()
-	e = &planEntry{key: key, evals: make(map[int]*evalCtx)}
+	e = &planEntry{key: key}
 	e.lastUsed = c.clock
 	c.entries[key] = e
 	return e, false, evicted
@@ -188,34 +179,21 @@ func (e *planEntry) ensureBuilt(r *Request, st *Store) error {
 	return e.buildErr
 }
 
-// shape returns (building if needed) the pooled evaluation context for the
-// request's execution shape, its worker count, dropping the least recently
-// used one when the entry is at its cap (the plan holds no reference to its
-// contexts, so a dropped one is garbage). Caller must hold e.mu.
+// context returns the entry's evaluation context, building it on first
+// use with the given number of scheduler threads (Server.workers: the same
+// for every entry of a daemon). Caller must hold e.mu.
 //
-//dashmm:locked planEntry.mu — documented precondition: handleEvaluate calls shape inside the entry's critical section.
-func (e *planEntry) shape(r *Request) (*evalCtx, error) {
-	e.evalClock++
-	if ctx := e.evals[r.Workers]; ctx != nil {
-		ctx.lastUsed = e.evalClock
-		return ctx, nil
+//dashmm:locked planEntry.mu — documented precondition: evaluate calls context inside the entry's critical section.
+func (e *planEntry) context(workers int) (*evalCtx, error) {
+	if e.eval != nil {
+		return e.eval, nil
 	}
-	for len(e.evals) >= maxShapesPerPlan {
-		oldest := 0 // no shape has 0 workers
-		for w, ctx := range e.evals {
-			if oldest == 0 || ctx.lastUsed < e.evals[oldest].lastUsed {
-				oldest = w
-			}
-		}
-		delete(e.evals, oldest)
-	}
-	tr := trace.New(r.Workers)
+	tr := trace.New(workers)
 	tr.SetEnabled(false)
-	pe, err := e.plan.NewParallelEvaluation(core.ExecOptions{Workers: r.Workers, Tracer: tr})
+	pe, err := e.plan.NewParallelEvaluation(core.ExecOptions{Workers: workers, Tracer: tr})
 	if err != nil {
 		return nil, err
 	}
-	ctx := &evalCtx{pe: pe, tracer: tr, lastUsed: e.evalClock}
-	e.evals[r.Workers] = ctx
-	return ctx, nil
+	e.eval = &evalCtx{pe: pe, tracer: tr}
+	return e.eval, nil
 }

@@ -4,65 +4,25 @@ import (
 	"math"
 	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/amt"
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/tree"
 )
 
 // Metrics is the server's expvar-style counter set, exposed as JSON at
-// /metrics. Counters are monotonically increasing atomics; gauges
-// (queue depth, in-flight evaluations) are sampled at render time.
+// /metrics. The counters are the fields of one MetricsSnapshot, bumped
+// under a leaf mutex (count) and copied under it to render; the gauges
+// admission reads back (queue depth, in-flight evaluations) are atomics,
+// and the latency histograms are lock-free.
 type Metrics struct {
-	Requests   atomic.Int64 // evaluation requests received
-	OK         atomic.Int64 // 200 responses
-	BadRequest atomic.Int64 // 400 responses
-	Shed       atomic.Int64 // 429 responses (queue full)
-	Deadline   atomic.Int64 // 503 responses (deadline expired: queued, coalesced, or with a failed pool run)
-	Failed     atomic.Int64 // 500 responses (plan build and evaluation errors)
-
-	CacheHits    atomic.Int64 // plan served from the cache
-	CacheMisses  atomic.Int64 // plan built for the request
-	CacheEvicted atomic.Int64 // plans dropped by the LRU
-	Coalesced    atomic.Int64 // requests piggybacked on an identical in-flight one
-
-	// Persistent plan-store counters (all zero when serving without -store).
-	StoreRecovered atomic.Int64 // plans recovered from the store at startup
-	StoreHits      atomic.Int64 // requests served from a store-recovered plan
-	StoreWrites    atomic.Int64 // plan records spilled to the store
-	StoreBytes     atomic.Int64 // bytes written to the store
-	StoreCorrupt   atomic.Int64 // corrupt/truncated store records skipped
-	StoreFailed    atomic.Int64 // store writes that errored (disk trouble)
-
-	RuntimeReuses atomic.Int64 // evaluations on a pooled runtime generation
-	Traces        atomic.Int64 // per-request trace captures
-
-	DistRequests atomic.Int64 // evaluations attempted over the worker pool
-	DistOK       atomic.Int64 // evaluations completed over the worker pool
-	DistFailed   atomic.Int64 // pool attempts that failed or were refused
-	DegradedOK   atomic.Int64 // eligible requests served in-process instead
-
-	// Cumulative parcel-transport counters across evaluations, so wire
-	// health (encode/decode volume, retransmissions, socket reconnects,
-	// rejected handshakes) is visible at /metrics without scraping logs.
-	WireMessages     atomic.Int64
-	WireBytesOut     atomic.Int64
-	WireBytesIn      atomic.Int64
-	WireReconnects   atomic.Int64
-	WireHandshakes   atomic.Int64 // failed handshakes
-	WireRetried      atomic.Int64
-	WireDeadlineLost atomic.Int64 // parcels abandoned at the delivery deadline
-	WireStaleFenced  atomic.Int64 // frames dropped by the generation fence
-
-	// PlansByLevel counts plans built (not revived) by the deeper tree's
-	// max level: where the leaf-size tuner, or the requests' explicit
-	// thresholds, put this daemon's work. Level 1 is the all-near-field
-	// plan small ensembles fall through to.
-	PlansByLevel [tree.MaxDepth + 1]atomic.Int64
+	mu sync.Mutex      // leaf: nothing is acquired under it
+	c  MetricsSnapshot // the counters; guarded by mu
 
 	queued   atomic.Int64 // requests waiting for an evaluation slot (gauge)
 	inflight atomic.Int64 // evaluations currently running (gauge)
@@ -74,10 +34,11 @@ type Metrics struct {
 	Total     Histogram
 }
 
-// observePlanLevel counts one freshly built plan under its max tree level
-// (tree.Build stops at tree.MaxDepth).
-func (m *Metrics) observePlanLevel(p *core.Plan) {
-	m.PlansByLevel[p.MaxLevel()].Add(1)
+// count applies f to the counters under the lock.
+func (m *Metrics) count(f func(c *MetricsSnapshot)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f(&m.c)
 }
 
 // observeError counts one evaluation that did not end in a 200, under the
@@ -86,27 +47,39 @@ func (m *Metrics) observePlanLevel(p *core.Plan) {
 // expired deadline a 503, anything else a server-side failure. Every
 // request moves exactly one outcome counter.
 func (m *Metrics) observeError(status int) {
-	switch status {
-	case http.StatusBadRequest:
-		m.BadRequest.Add(1)
-	case http.StatusServiceUnavailable:
-		m.Deadline.Add(1)
-	default:
-		m.Failed.Add(1)
+	m.count(func(c *MetricsSnapshot) {
+		switch status {
+		case http.StatusBadRequest:
+			c.BadRequest++
+		case http.StatusServiceUnavailable:
+			c.Deadline++
+		default:
+			c.Failed++
+		}
+	})
+}
+
+// observePlanLevel counts one freshly built plan under its max tree level
+// (tree.Build stops at tree.MaxDepth).
+func (c *MetricsSnapshot) observePlanLevel(p *core.Plan) {
+	l := p.MaxLevel()
+	for len(c.PlansByLevel) <= l {
+		c.PlansByLevel = append(c.PlansByLevel, 0)
 	}
+	c.PlansByLevel[l]++
 }
 
 // observeTransport folds one evaluation's transport counters into the
-// cumulative wire metrics.
-func (m *Metrics) observeTransport(ts amt.TransportStats) {
-	m.WireMessages.Add(ts.WireMessages)
-	m.WireBytesOut.Add(ts.BytesOut)
-	m.WireBytesIn.Add(ts.BytesIn)
-	m.WireReconnects.Add(ts.Reconnects)
-	m.WireHandshakes.Add(ts.HandshakeFailures)
-	m.WireRetried.Add(ts.Retried)
-	m.WireDeadlineLost.Add(ts.DeadlineExceeded)
-	m.WireStaleFenced.Add(ts.StaleFenced)
+// cumulative wire counters.
+func (c *MetricsSnapshot) observeTransport(ts amt.TransportStats) {
+	c.WireMessages += ts.WireMessages
+	c.WireBytesOut += ts.BytesOut
+	c.WireBytesIn += ts.BytesIn
+	c.WireReconnects += ts.Reconnects
+	c.WireHandshakes += ts.HandshakeFailures
+	c.WireRetried += ts.Retried
+	c.WireDeadlineLost += ts.DeadlineExceeded
+	c.WireStaleFenced += ts.StaleFenced
 }
 
 // histBuckets is the number of power-of-two latency buckets; bucket 0
@@ -207,47 +180,55 @@ func bucketLabel(i int) string {
 	return "us<=" + strconv.FormatInt(1<<uint(i), 10)
 }
 
-// MetricsSnapshot is the JSON body of /metrics.
+// MetricsSnapshot is the JSON body of /metrics. Its counters are
+// monotonically increasing; the gauges, names and histograms from
+// QueueDepth on are filled in when it is rendered.
 type MetricsSnapshot struct {
-	Requests   int64 `json:"requests"`
-	OK         int64 `json:"ok"`
-	BadRequest int64 `json:"bad_request"`
-	Shed       int64 `json:"shed"`
-	Deadline   int64 `json:"deadline"`
-	Failed     int64 `json:"failed"`
+	Requests   int64 `json:"requests"`    // evaluation requests received
+	OK         int64 `json:"ok"`          // 200 responses
+	BadRequest int64 `json:"bad_request"` // 400 responses
+	Shed       int64 `json:"shed"`        // 429 responses (queue full)
+	Deadline   int64 `json:"deadline"`    // 503 responses (deadline expired: queued, coalesced, or with a failed pool run)
+	Failed     int64 `json:"failed"`      // 500 responses (plan build and evaluation errors)
 
-	CacheHits    int64 `json:"cache_hits"`
-	CacheMisses  int64 `json:"cache_misses"`
-	CacheEvicted int64 `json:"cache_evicted"`
-	CachedPlans  int64 `json:"cached_plans"`
-	Coalesced    int64 `json:"coalesced"`
-	// PlansByLevel[l] is the number of plans built with max tree level l
-	// (trailing zero levels trimmed).
+	CacheHits    int64 `json:"cache_hits"`    // plan served from the cache
+	CacheMisses  int64 `json:"cache_misses"`  // plan built (or revived) for the request
+	CacheEvicted int64 `json:"cache_evicted"` // plans dropped by the LRU
+	CachedPlans  int64 `json:"cached_plans"`  // gauge
+	Coalesced    int64 `json:"coalesced"`     // requests piggybacked on an identical in-flight one
+	// PlansByLevel[l] is the number of plans built (not revived) with max
+	// tree level l (trailing zero levels trimmed): where the leaf-size
+	// tuner, or the requests' explicit thresholds, put this daemon's work.
+	// Level 1 is the all-near-field plan small ensembles fall through to.
 	PlansByLevel []int64 `json:"plans_by_max_level"`
 
-	StoreRecovered int64 `json:"store_recovered"`
-	StoreHits      int64 `json:"store_hits"`
-	StoreWrites    int64 `json:"store_writes"`
-	StoreBytes     int64 `json:"store_bytes"`
-	StoreCorrupt   int64 `json:"store_corrupt"`
-	StoreFailed    int64 `json:"store_write_failed"`
+	// Persistent plan-store counters (all zero when serving without -store).
+	StoreRecovered int64 `json:"store_recovered"`    // plans recovered from the store, at start-up or on first request
+	StoreHits      int64 `json:"store_hits"`         // requests served from a store-recovered plan
+	StoreWrites    int64 `json:"store_writes"`       // plan records spilled to the store
+	StoreBytes     int64 `json:"store_bytes"`        // bytes written to the store
+	StoreCorrupt   int64 `json:"store_corrupt"`      // corrupt/truncated store records skipped
+	StoreFailed    int64 `json:"store_write_failed"` // store writes that errored (disk trouble)
 
-	RuntimeReuses int64 `json:"runtime_reuses"`
-	Traces        int64 `json:"traces"`
+	RuntimeReuses int64 `json:"runtime_reuses"` // evaluations on a pooled runtime generation
+	Traces        int64 `json:"traces"`         // per-request trace captures
 
-	DistRequests int64 `json:"dist_requests"`
-	DistOK       int64 `json:"dist_ok"`
-	DistFailed   int64 `json:"dist_failed"`
-	DegradedOK   int64 `json:"degraded"`
+	DistRequests int64 `json:"dist_requests"` // evaluations attempted over the worker pool
+	DistOK       int64 `json:"dist_ok"`       // evaluations completed over the worker pool
+	DistFailed   int64 `json:"dist_failed"`   // pool attempts that failed or were refused
+	DegradedOK   int64 `json:"degraded"`      // eligible requests served in-process instead
 
+	// Cumulative parcel-transport counters across evaluations, so wire
+	// health (encode/decode volume, retransmissions, socket reconnects,
+	// rejected handshakes) is visible at /metrics without scraping logs.
 	WireMessages     int64 `json:"wire_messages"`
 	WireBytesOut     int64 `json:"wire_bytes_out"`
 	WireBytesIn      int64 `json:"wire_bytes_in"`
 	WireReconnects   int64 `json:"wire_reconnects"`
-	WireHandshakes   int64 `json:"wire_handshake_failures"`
+	WireHandshakes   int64 `json:"wire_handshake_failures"` // failed handshakes
 	WireRetried      int64 `json:"wire_retried"`
-	WireDeadlineLost int64 `json:"wire_deadline_exceeded"`
-	WireStaleFenced  int64 `json:"wire_stale_fenced"`
+	WireDeadlineLost int64 `json:"wire_deadline_exceeded"` // parcels abandoned at the delivery deadline
+	WireStaleFenced  int64 `json:"wire_stale_fenced"`      // frames dropped by the generation fence
 
 	QueueDepth int64 `json:"queue_depth"`
 	Inflight   int64 `json:"inflight"`
@@ -307,64 +288,22 @@ func PairKernels() (laplace, laplaceF64, yukawa, yukawaF64 string) {
 // (kernel.DenseKernel).
 func DenseKernel() string { return denseKernel }
 
+// snapshot copies the counters under the lock and fills in the gauges,
+// names and histograms.
 func (m *Metrics) snapshot(cachedPlans int, dist *PoolSnapshot) MetricsSnapshot {
+	m.mu.Lock()
+	s := m.c
+	s.PlansByLevel = slices.Clone(s.PlansByLevel)
+	m.mu.Unlock()
 	shift := kernel.ShiftTableStats()
-	var byLevel []int64
-	for l := range m.PlansByLevel {
-		if n := m.PlansByLevel[l].Load(); n > 0 {
-			byLevel = append(byLevel, make([]int64, l+1-len(byLevel))...)
-			byLevel[l] = n
-		}
-	}
-	return MetricsSnapshot{
-		Requests:      m.Requests.Load(),
-		OK:            m.OK.Load(),
-		BadRequest:    m.BadRequest.Load(),
-		Shed:          m.Shed.Load(),
-		Deadline:      m.Deadline.Load(),
-		Failed:        m.Failed.Load(),
-		CacheHits:     m.CacheHits.Load(),
-		CacheMisses:   m.CacheMisses.Load(),
-		CacheEvicted:  m.CacheEvicted.Load(),
-		CachedPlans:   int64(cachedPlans),
-		Coalesced:     m.Coalesced.Load(),
-		PlansByLevel:  byLevel,
-		RuntimeReuses: m.RuntimeReuses.Load(),
-		Traces:        m.Traces.Load(),
-
-		StoreRecovered: m.StoreRecovered.Load(),
-		StoreHits:      m.StoreHits.Load(),
-		StoreWrites:    m.StoreWrites.Load(),
-		StoreBytes:     m.StoreBytes.Load(),
-		StoreCorrupt:   m.StoreCorrupt.Load(),
-		StoreFailed:    m.StoreFailed.Load(),
-
-		DistRequests: m.DistRequests.Load(),
-		DistOK:       m.DistOK.Load(),
-		DistFailed:   m.DistFailed.Load(),
-		DegradedOK:   m.DegradedOK.Load(),
-
-		WireMessages:        m.WireMessages.Load(),
-		WireBytesOut:        m.WireBytesOut.Load(),
-		WireBytesIn:         m.WireBytesIn.Load(),
-		WireReconnects:      m.WireReconnects.Load(),
-		WireHandshakes:      m.WireHandshakes.Load(),
-		WireRetried:         m.WireRetried.Load(),
-		WireDeadlineLost:    m.WireDeadlineLost.Load(),
-		WireStaleFenced:     m.WireStaleFenced.Load(),
-		QueueDepth:          m.queued.Load(),
-		Inflight:            m.inflight.Load(),
-		ShiftTableSlots:     shift.Slots,
-		ShiftTableBytes:     shift.Bytes,
-		PairKernel:          pairKernel,
-		PairKernelF64:       pairKernelF64,
-		PairKernelYukawa:    yukawaPairKernel,
-		PairKernelYukawaF64: yukawaPairKernelF64,
-		DenseKernel:         denseKernel,
-		QueueWait:           m.QueueWait.Snapshot(),
-		PlanBuild:           m.PlanBuild.Snapshot(),
-		Evaluate:            m.Evaluate.Snapshot(),
-		Total:               m.Total.Snapshot(),
-		Dist:                dist,
-	}
+	s.CachedPlans = int64(cachedPlans)
+	s.QueueDepth, s.Inflight = m.queued.Load(), m.inflight.Load()
+	s.ShiftTableSlots, s.ShiftTableBytes = shift.Slots, shift.Bytes
+	s.PairKernel, s.PairKernelF64 = pairKernel, pairKernelF64
+	s.PairKernelYukawa, s.PairKernelYukawaF64 = yukawaPairKernel, yukawaPairKernelF64
+	s.DenseKernel = denseKernel
+	s.QueueWait, s.PlanBuild = m.QueueWait.Snapshot(), m.PlanBuild.Snapshot()
+	s.Evaluate, s.Total = m.Evaluate.Snapshot(), m.Total.Snapshot()
+	s.Dist = dist
+	return s
 }

@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 )
@@ -64,5 +68,49 @@ func TestHistogramQuantileTightAtPowerOfTwo(t *testing.T) {
 	}
 	if _, ok := s.Bucket["us<=4"]; !ok {
 		t.Errorf("bucket labels = %v, want a us<=4 entry", s.Bucket)
+	}
+}
+
+// /metrics renders exactly these keys (a daemon without a worker pool): the
+// counters moved into one struct without any of them appearing, vanishing
+// or being renamed.
+func TestMetricsKeySet(t *testing.T) {
+	want := []string{
+		"bad_request", "cache_evicted", "cache_hits", "cache_misses", "cached_plans", "coalesced",
+		"deadline", "degraded", "dense_kernel", "dist_failed", "dist_ok", "dist_requests",
+		"evaluate", "failed", "inflight", "ok", "pair_kernel", "pair_kernel_f64",
+		"pair_kernel_yukawa", "pair_kernel_yukawa_f64", "plan_build", "plans_by_max_level",
+		"queue_depth", "queue_wait", "requests", "runtime_reuses", "shed", "shift_table_bytes",
+		"shift_table_slots", "store_bytes", "store_corrupt", "store_hits", "store_recovered",
+		"store_write_failed", "store_writes", "total", "traces", "wire_bytes_in",
+		"wire_bytes_out", "wire_deadline_exceeded", "wire_handshake_failures", "wire_messages",
+		"wire_reconnects", "wire_retried", "wire_stale_fenced",
+	}
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, _, eb := post(t, ts.URL, Request{N: 300}); code != http.StatusOK {
+		t.Fatalf("request: HTTP %d %v", code, eb)
+	}
+	hr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	var m map[string]json.RawMessage
+	if err := json.NewDecoder(hr.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range m {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("/metrics keys\n got %q\nwant %q", got, want)
+	}
+	var plans []int64
+	if err := json.Unmarshal(m["plans_by_max_level"], &plans); err != nil || len(plans) < 2 || plans[len(plans)-1] != 1 {
+		t.Errorf("plans_by_max_level %s after one plan: want one plan at its level, trailing zeros trimmed", m["plans_by_max_level"])
 	}
 }

@@ -34,9 +34,11 @@ type Request struct {
 	Digits    int     `json:"digits,omitempty"` // accuracy digits (default 3)
 	Threshold int     `json:"threshold,omitempty"`
 
-	// Execution shape.
-	Localities int `json:"localities,omitempty"` // 0 or 1: one process is one locality; parallelism is workers
-	Workers    int `json:"workers,omitempty"`    // default 1
+	// Execution shape. Both are validated and select nothing: one process
+	// is one locality, and every in-process evaluation runs on the daemon's
+	// GOMAXPROCS / MaxConcurrent threads (Report.Workers says how many).
+	Localities int `json:"localities,omitempty"` // 0 or 1
+	Workers    int `json:"workers,omitempty"`    // at most 256
 
 	// Charges: inline values or a generator seed (default seed 3).
 	Charges    []float64 `json:"charges,omitempty"`
@@ -109,8 +111,7 @@ type errorBody struct {
 // maxDeadlineMS is the largest deadline_ms a time.Duration holds.
 const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 
-// maxWorkers bounds the scheduler threads of one request: each is a
-// goroutine plus a tracer lane that the admitted request holds.
+// maxWorkers bounds the workers field.
 const maxWorkers = 256
 
 // normalize applies defaults and validates the request against the server
@@ -130,10 +131,8 @@ func (r *Request) normalize(limits Config) error {
 		r.Distribution = "cube"
 	}
 	r.Distribution = strings.ToLower(r.Distribution)
-	switch r.Distribution {
-	case "cube", "sphere", "plummer":
-	default:
-		return fmt.Errorf("unknown distribution %q (want cube, sphere or plummer)", r.Distribution)
+	if _, err := points.ParseDistribution(r.Distribution); err != nil {
+		return err
 	}
 	if r.N <= 0 {
 		return fmt.Errorf("n must be positive")
@@ -151,17 +150,8 @@ func (r *Request) normalize(limits Config) error {
 		r.Kernel = "laplace"
 	}
 	r.Kernel = strings.ToLower(r.Kernel)
-	switch r.Kernel {
-	case "laplace":
-	case "yukawa":
-		if r.Lambda == 0 {
-			r.Lambda = 4.0
-		}
-		if r.Lambda < 0 || math.IsNaN(r.Lambda) || math.IsInf(r.Lambda, 0) {
-			return fmt.Errorf("invalid lambda %v", r.Lambda)
-		}
-	default:
-		return fmt.Errorf("unknown kernel %q (want laplace or yukawa)", r.Kernel)
+	if r.Kernel == "yukawa" && r.Lambda == 0 {
+		r.Lambda = 4.0
 	}
 	if r.Digits == 0 {
 		r.Digits = 3
@@ -169,14 +159,14 @@ func (r *Request) normalize(limits Config) error {
 	if r.Digits < 1 || r.Digits > 12 {
 		return fmt.Errorf("digits=%d out of range [1,12]", r.Digits)
 	}
+	if _, err := kernel.New(r.Kernel, kernel.OrderForDigits(r.Digits), r.Lambda); err != nil {
+		return err
+	}
 	if r.Threshold < 0 {
 		return fmt.Errorf("threshold must be non-negative")
 	}
 	if r.Localities < 0 || r.Localities > 1 {
 		return fmt.Errorf("localities=%d: an evaluation runs on one locality per process; ask for workers instead", r.Localities)
-	}
-	if r.Workers <= 0 {
-		r.Workers = 1
 	}
 	if r.Workers > maxWorkers {
 		return fmt.Errorf("%d workers too large (at most %d scheduler threads per request)", r.Workers, maxWorkers)
@@ -224,9 +214,8 @@ func (r *Request) accuracyKey() string {
 }
 
 // requestKey identifies a whole evaluation for coalescing: the plan, the
-// execution shape, the charge vector and whether a trace is wanted. Two
-// concurrent requests with equal keys produce byte-identical responses and
-// share one evaluation.
+// charge vector and whether a trace is wanted. Two concurrent requests with
+// equal keys produce byte-identical responses and share one evaluation.
 func (r *Request) requestKey() string {
 	charges := fmt.Sprintf("qseed=%d", r.ChargeSeed)
 	if len(r.Charges) > 0 {
@@ -238,7 +227,7 @@ func (r *Request) requestKey() string {
 		}
 		charges = fmt.Sprintf("q=%016x", h.Sum64())
 	}
-	return fmt.Sprintf("%s|w=%d|%s|trace=%v", r.planKey(), r.Workers, charges, r.Trace)
+	return fmt.Sprintf("%s|%s|trace=%v", r.planKey(), charges, r.Trace)
 }
 
 func hashPoints(h interface{ Write([]byte) (int, error) }, pts [][3]float64) {
@@ -260,30 +249,19 @@ func (r *Request) distEligible(threshold int) bool {
 	return threshold > 0 && len(r.Sources) == 0 && len(r.Charges) == 0 && !r.Trace && r.N >= threshold
 }
 
-// ensembles materializes the request's source/target points.
+// ensembles materializes the (normalized) request's source/target points.
 func (r *Request) ensembles() (src, tgt []geom.Point) {
 	if len(r.Sources) > 0 {
 		return toGeom(r.Sources), toGeom(r.Targets)
 	}
-	var d points.Distribution
-	switch r.Distribution {
-	case "sphere":
-		d = points.Sphere
-	case "plummer":
-		d = points.Plummer
-	default:
-		d = points.Cube
-	}
+	d, _ := points.ParseDistribution(r.Distribution) // normalize refused any other
 	return points.Generate(d, r.N, r.Seed), points.Generate(d, r.N, r.Seed+1)
 }
 
 // newKernel constructs the kernel the (normalized) request asks for.
 func (r *Request) newKernel() kernel.Kernel {
-	order := kernel.OrderForDigits(r.Digits)
-	if r.Kernel == "yukawa" {
-		return kernel.NewYukawa(order, r.Lambda)
-	}
-	return kernel.NewLaplace(order)
+	k, _ := kernel.New(r.Kernel, kernel.OrderForDigits(r.Digits), r.Lambda) // normalize refused what New refuses
+	return k
 }
 
 // charges materializes the request's charge vector.

@@ -4,10 +4,10 @@
 // same tree + DAG is evaluated for many charge vectors, so setup cost must
 // be amortized. This package lifts that amortization across requests of a
 // daemon: plans (tree + lists + DAG + kernel tables) are cached by their
-// problem key, evaluation contexts (payload buffers, LCO network) are
-// pooled per execution shape, and the amt runtime itself is multi-shot
-// (amt.Runtime.Reset), so a warm request skips every allocation the first
-// request paid for.
+// problem key, each cached plan keeps one evaluation context (payload
+// buffers, LCO network) with GOMAXPROCS / MaxConcurrent scheduler threads,
+// and the amt runtime itself is multi-shot (amt.Runtime.Reset), so a warm
+// request skips every allocation the first request paid for.
 //
 // Admission control keeps the daemon stable under load: a bounded queue
 // sheds excess requests with 429, per-request deadlines turn into 503
@@ -93,6 +93,7 @@ type call struct {
 // Server is the evaluation daemon. Create with New, mount via Handler.
 type Server struct {
 	cfg     Config
+	workers int // scheduler threads of every in-process evaluation: the cores one slot of MaxConcurrent gets
 	cache   *planCache
 	metrics Metrics
 	sem     chan struct{}
@@ -110,12 +111,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		cache: newPlanCache(cfg.CacheSize),
-		sem:   make(chan struct{}, cfg.MaxConcurrent),
-		start: time.Now(),
-		calls: make(map[string]*call),
-		mux:   http.NewServeMux(),
+		cfg:     cfg,
+		workers: max(1, runtime.GOMAXPROCS(0)/cfg.MaxConcurrent),
+		cache:   newPlanCache(cfg.CacheSize),
+		sem:     make(chan struct{}, cfg.MaxConcurrent),
+		start:   time.Now(),
+		calls:   make(map[string]*call),
+		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/evaluate", s.handleEvaluate)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -133,8 +135,15 @@ func New(cfg Config) *Server {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the server's counters (for tests and embedding).
-func (s *Server) Metrics() *Metrics { return &s.metrics }
+// Metrics renders the /metrics body: the counters, gauges and latency
+// histograms, and the worker-rank pool's health when one is attached.
+func (s *Server) Metrics() MetricsSnapshot {
+	var dist *PoolSnapshot
+	if s.pool != nil {
+		dist = s.pool.Snapshot()
+	}
+	return s.metrics.snapshot(s.cache.len(), dist)
+}
 
 // AttachPool routes distributed-eligible requests through a worker-rank
 // pool. Attach before serving; the server does not own the pool (the caller
@@ -168,11 +177,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var dist *PoolSnapshot
-	if s.pool != nil {
-		dist = s.pool.Snapshot()
-	}
-	writeJSON(w, http.StatusOK, s.metrics.snapshot(s.cache.len(), dist))
+	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
@@ -181,18 +186,18 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
-	s.metrics.Requests.Add(1)
+	s.metrics.count(func(m *MetricsSnapshot) { m.Requests++ })
 	t0 := time.Now()
 
 	var req Request
 	body := http.MaxBytesReader(w, r.Body, 64<<20)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.metrics.BadRequest.Add(1)
+		s.metrics.observeError(http.StatusBadRequest)
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if err := req.normalize(s.cfg); err != nil {
-		s.metrics.BadRequest.Add(1)
+		s.metrics.observeError(http.StatusBadRequest)
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
@@ -200,7 +205,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(&req))
 	defer cancel()
 
-	// Coalescing: an identical request already in flight (same plan, shape,
+	// Coalescing: an identical request already in flight (same plan,
 	// charges and trace flag) is waited on instead of re-evaluated. The
 	// leader is registered before it queues for a slot, so duplicates
 	// arriving any time before its response coalesce deterministically.
@@ -208,7 +213,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	s.callMu.Lock()
 	if c := s.calls[key]; c != nil {
 		s.callMu.Unlock()
-		s.metrics.Coalesced.Add(1)
+		s.metrics.count(func(m *MetricsSnapshot) { m.Coalesced++ })
 		s.awaitCall(w, ctx, c, t0)
 		return
 	}
@@ -218,7 +223,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if n := s.metrics.queued.Add(1); n > int64(s.cfg.MaxQueue) {
 		s.metrics.queued.Add(-1)
 		s.callMu.Unlock()
-		s.metrics.Shed.Add(1)
+		s.metrics.count(func(m *MetricsSnapshot) { m.Shed++ })
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests,
 			errorBody{Error: fmt.Sprintf("queue full (%d waiting)", s.cfg.MaxQueue)})
@@ -235,7 +240,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.metrics.queued.Add(-1)
 		s.finishCall(key, c, http.StatusServiceUnavailable,
 			nil, &errorBody{Error: "deadline expired while queued"})
-		s.metrics.Deadline.Add(1)
+		s.metrics.observeError(http.StatusServiceUnavailable)
 		writeError(w, http.StatusServiceUnavailable, *c.errBody)
 		return
 	}
@@ -257,7 +262,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.Total.Observe(resp.Report.Total)
 	s.finishCall(key, c, http.StatusOK, resp, nil)
-	s.metrics.OK.Add(1)
+	s.metrics.count(func(m *MetricsSnapshot) { m.OK++ })
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -286,7 +291,7 @@ func (s *Server) finishCall(key string, c *call, status int, resp *Response, err
 func (s *Server) awaitCall(w http.ResponseWriter, ctx context.Context, c *call, t0 time.Time) {
 	select {
 	case <-ctx.Done():
-		s.metrics.Deadline.Add(1)
+		s.metrics.observeError(http.StatusServiceUnavailable)
 		writeError(w, http.StatusServiceUnavailable,
 			errorBody{Error: "deadline expired waiting on a coalesced request"})
 		return
@@ -301,7 +306,7 @@ func (s *Server) awaitCall(w http.ResponseWriter, ctx context.Context, c *call, 
 	resp.Report.Coalesced = true
 	resp.Report.QueueWait = time.Since(t0)
 	resp.Report.Total = time.Since(t0)
-	s.metrics.OK.Add(1)
+	s.metrics.count(func(m *MetricsSnapshot) { m.OK++ })
 	writeJSON(w, http.StatusOK, &resp)
 }
 
@@ -312,14 +317,14 @@ func (s *Server) awaitCall(w http.ResponseWriter, ctx context.Context, c *call, 
 // failures, 503 when the degraded fallback could not fit in the deadline).
 func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.Duration, t0 time.Time) (*Response, int, *errorBody) {
 	entry, hit, evicted := s.cache.get(req.planKey())
-	if evicted > 0 {
-		s.metrics.CacheEvicted.Add(int64(evicted))
-	}
-	if hit {
-		s.metrics.CacheHits.Add(1)
-	} else {
-		s.metrics.CacheMisses.Add(1)
-	}
+	s.metrics.count(func(m *MetricsSnapshot) {
+		m.CacheEvicted += int64(evicted)
+		if hit {
+			m.CacheHits++
+		} else {
+			m.CacheMisses++
+		}
+	})
 	if err := entry.ensureBuilt(req, s.store); err != nil {
 		// A failed build latches its error in the entry forever; drop it so
 		// a transient failure does not poison the key until LRU eviction.
@@ -330,40 +335,43 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 		}
 		return nil, http.StatusInternalServerError, &errorBody{Error: "plan build failed: " + err.Error()}
 	}
-	if entry.fromStore {
-		s.metrics.StoreHits.Add(1)
-	}
 	var planBuild time.Duration
-	switch {
-	case hit:
-	case entry.fromStore: // revived by this request, not built
+	if !hit {
 		planBuild = entry.buildTime
-		s.metrics.StoreRecovered.Add(1)
-	default:
-		planBuild = entry.buildTime
-		s.metrics.PlanBuild.Observe(planBuild)
-		s.metrics.observePlanLevel(entry.plan)
-		if entry.reviveErr != nil {
-			s.metrics.StoreCorrupt.Add(1)
-		}
 	}
+	if !hit && !entry.fromStore {
+		s.metrics.PlanBuild.Observe(planBuild)
+	}
+	s.metrics.count(func(m *MetricsSnapshot) {
+		switch {
+		case entry.fromStore:
+			m.StoreHits++
+			if !hit { // revived by this request, not built
+				m.StoreRecovered++
+			}
+		case !hit:
+			m.observePlanLevel(entry.plan)
+			if entry.reviveErr != nil {
+				m.StoreCorrupt++
+			}
+		}
+	})
 
 	// The plan is priced before any operator table is built: a request
 	// whose predicted run time exceeds its own deadline is refused now
 	// instead of holding a slot past it (a single-leaf plan is one S→T task
-	// nothing can cancel). Threads beyond the machine's cores buy no time:
-	// the shape is the client's number, the cores are not.
+	// nothing can cancel). It is priced on the threads the plan's context
+	// runs, whatever the request's workers field says.
 	plan := entry.plan
-	cores := min(req.Workers, runtime.GOMAXPROCS(0))
-	predicted := time.Duration(plan.PredictedNanos() / float64(cores))
+	predicted := time.Duration(plan.PredictedNanos() / float64(s.workers))
 	if limit := s.deadline(req); predicted > limit {
 		if !hit {
 			s.cache.drop(req.planKey(), entry) // built for a request it was refused to: not worth a cache slot
 		}
 		return nil, http.StatusBadRequest, &errorBody{Error: fmt.Sprintf(
-			"predicted evaluation time %.1fs (%.1f core-seconds on %d of this machine's %d cores, %d workers asked for, threshold %d, %d leaves) exceeds the %v deadline: "+
-				"raise deadline_ms or, up to the cores, the thread count, or leave threshold unset",
-			predicted.Seconds(), plan.PredictedNanos()/1e9, cores, runtime.GOMAXPROCS(0), req.Workers,
+			"predicted evaluation time %.1fs (%.1f core-seconds on %d of this machine's %d cores, threshold %d, %d leaves) exceeds the %v deadline: "+
+				"raise deadline_ms or leave threshold unset",
+			predicted.Seconds(), plan.PredictedNanos()/1e9, s.workers, runtime.GOMAXPROCS(0),
 			plan.Threshold(), plan.Leaves(), limit)}
 	}
 	report := func(rep core.ExecReport, evalDur time.Duration) Report {
@@ -389,9 +397,9 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 		}
 	}
 
-	// Evaluations on one plan serialize on its pooled contexts (one per
-	// shape, one run at a time each; see planEntry). Different plans still
-	// run concurrently up to MaxConcurrent.
+	// Evaluations on one plan serialize on its one context (one run at a
+	// time; see planEntry). Different plans still run concurrently up to
+	// MaxConcurrent.
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 
@@ -401,7 +409,7 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 	// client should retry.
 	degraded := false
 	if s.pool != nil && req.distEligible(s.cfg.DistThreshold) {
-		s.metrics.DistRequests.Add(1)
+		s.metrics.count(func(m *MetricsSnapshot) { m.DistRequests++ })
 		// Measure from just before the pool runs, as the in-process path
 		// measures from after ensureBuilt: subtracting queueWait from the
 		// request total would fold cold plan-build (and entry-lock wait)
@@ -410,10 +418,12 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 		//lint:ignore lockorder entry.mu serializes evaluation of one plan by design (stampede protection): the critical section is the evaluation itself
 		pots, rep, derr := s.pool.Evaluate(reqCtx, req, entry, req.chargeVector())
 		if derr == nil {
-			s.metrics.DistOK.Add(1)
 			evalDur := time.Since(evalStart)
 			s.metrics.Evaluate.Observe(evalDur)
-			s.metrics.observeTransport(rep.Runtime.Transport)
+			s.metrics.count(func(m *MetricsSnapshot) {
+				m.DistOK++
+				m.observeTransport(rep.Runtime.Transport)
+			})
 			s.persistPlan(req, entry)
 			r := report(rep, evalDur)
 			r.Distributed = true
@@ -424,7 +434,7 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 			// never tried, so nothing degraded.
 			return nil, http.StatusServiceUnavailable, &errorBody{Error: derr.Error()}
 		}
-		s.metrics.DistFailed.Add(1)
+		s.metrics.count(func(m *MetricsSnapshot) { m.DistFailed++ })
 		if reqCtx.Err() != nil {
 			return nil, http.StatusServiceUnavailable, &errorBody{
 				Error:    "distributed evaluation failed and the deadline expired: " + derr.Error(),
@@ -432,11 +442,11 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 			}
 		}
 		// Fabric down but time remains: serve in-process, marked degraded.
-		s.metrics.DegradedOK.Add(1)
+		s.metrics.count(func(m *MetricsSnapshot) { m.DegradedOK++ })
 		degraded = true
 	}
 
-	ctx, err := entry.shape(req)
+	ctx, err := entry.context(s.workers)
 	if err != nil {
 		return nil, http.StatusInternalServerError, &errorBody{Error: "evaluation context: " + err.Error()}
 	}
@@ -455,7 +465,7 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 		var buf bytes.Buffer
 		if werr := trace.WriteJSON(&buf, events); werr == nil {
 			traceJSONL = buf.String()
-			s.metrics.Traces.Add(1)
+			s.metrics.count(func(m *MetricsSnapshot) { m.Traces++ })
 		}
 	}
 	if err != nil {
@@ -465,10 +475,12 @@ func (s *Server) evaluate(reqCtx context.Context, req *Request, queueWait time.D
 			&errorBody{Error: "evaluation failed: " + err.Error(), Degraded: degraded}
 	}
 	s.metrics.Evaluate.Observe(evalDur)
-	s.metrics.observeTransport(rep.Runtime.Transport)
-	if rep.RuntimeReused {
-		s.metrics.RuntimeReuses.Add(1)
-	}
+	s.metrics.count(func(m *MetricsSnapshot) {
+		m.observeTransport(rep.Runtime.Transport)
+		if rep.RuntimeReused {
+			m.RuntimeReuses++
+		}
+	})
 	s.persistPlan(req, entry)
 
 	r := report(rep, evalDur)

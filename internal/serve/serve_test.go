@@ -214,7 +214,7 @@ func TestServeCoalescesDuplicates(t *testing.T) {
 			results <- resp
 		}()
 	}
-	waitFor(t, "duplicates to coalesce", func() bool { return s.metrics.Coalesced.Load() == dupes })
+	waitFor(t, "duplicates to coalesce", func() bool { return s.Metrics().Coalesced == dupes })
 	<-s.sem // release the slot; the leader evaluates
 
 	wg.Wait()
@@ -275,8 +275,8 @@ func TestServeShedsUnderLoad(t *testing.T) {
 	if !strings.Contains(eb.Error, "queue full") {
 		t.Errorf("shed error = %q", eb.Error)
 	}
-	if s.metrics.Shed.Load() != 1 {
-		t.Errorf("shed counter = %d, want 1", s.metrics.Shed.Load())
+	if s.Metrics().Shed != 1 {
+		t.Errorf("shed counter = %d, want 1", s.Metrics().Shed)
 	}
 
 	// A duplicate of the queued leader still coalesces (no queue slot
@@ -322,7 +322,7 @@ func TestServeDeadlineWhileQueued(t *testing.T) {
 	}()
 	waitFor(t, "leader to queue", func() bool { return s.metrics.queued.Load() == 1 })
 	dupCode, _, dupErr, dupHdr := postHeader(t, ts.URL, Request{N: 800, Threshold: paperThr, DeadlineMS: 10_000})
-	if s.metrics.Coalesced.Load() != 1 {
+	if s.Metrics().Coalesced != 1 {
 		t.Fatal("the duplicate did not coalesce on the queued leader")
 	}
 	for who, r := range map[string]reply{"leader": <-leader, "duplicate": {dupCode, dupErr, dupHdr}} {
@@ -378,48 +378,79 @@ func TestServeRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, eb.Error, c.want)
 		}
 	}
-	if got := s.metrics.BadRequest.Load(); got != int64(len(cases)) {
+	if got := s.Metrics().BadRequest; got != int64(len(cases)) {
 		t.Errorf("bad_request counter = %d, want %d", got, len(cases))
 	}
 }
 
-// A client cycling execution shapes on one cached plan must recycle the
-// entry's pooled evaluation contexts, not grow them without bound — and the
-// answers must not depend on which context served them.
-func TestServeShapePoolIsBounded(t *testing.T) {
+// A cached plan holds one evaluation context, sized from the cores, whatever
+// workers its requests ask for: a client cycling them on one key neither
+// grows the entry nor changes the answer. One context of an N=16k plan is
+// 2.3 MB at one worker and 31 MB at 256, so a context per requested
+// value would show in the live heap.
+func TestServeHoldsOneContextPerPlan(t *testing.T) {
+	const n = 16000
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
 	var first []float64
-	for i := 0; i < maxShapesPerPlan+3; i++ {
-		req := Request{N: 900, Threshold: paperThr, Workers: 1 + i}
-		code, resp, eb := post(t, ts.URL, req)
+	var base uint64
+	for _, workers := range []int{1, 2, 64, 256} {
+		code, resp, eb := post(t, ts.URL, Request{N: n, Workers: workers})
 		if code != http.StatusOK {
-			t.Fatalf("%d workers: HTTP %d %+v", req.Workers, code, eb)
+			t.Fatalf("%d workers: HTTP %d %+v", workers, code, eb)
 		}
-		if first == nil {
-			first = resp.Potentials
+		if resp.Report.Workers != s.workers {
+			t.Errorf("%d workers asked for: the report says %d threads ran, want the daemon's %d", workers, resp.Report.Workers, s.workers)
 		}
-		var den, worst float64
-		for j, w := range first {
-			den = math.Max(den, math.Abs(w))
-			worst = math.Max(worst, math.Abs(resp.Potentials[j]-w))
-		}
-		if worst/den > 1e-12 {
-			t.Errorf("%d workers differ from the first by %.3e relative", req.Workers, worst/den)
-		}
-		if s.cache.len() != 1 {
-			t.Fatalf("%d plans cached, want the one shared key", s.cache.len())
-		}
-		for _, e := range s.cache.entries {
-			e.mu.Lock()
-			pooled := len(e.evals)
-			e.mu.Unlock()
-			if pooled > maxShapesPerPlan {
-				t.Fatalf("after %d shapes the entry pools %d contexts, cap is %d", i+1, pooled, maxShapesPerPlan)
+		if first != nil {
+			var den, worst float64
+			for j, w := range first {
+				den = math.Max(den, math.Abs(w))
+				worst = math.Max(worst, math.Abs(resp.Potentials[j]-w))
 			}
+			if worst/den > 1e-12 {
+				t.Errorf("%d workers differ from the first answer by %.3e relative", workers, worst/den)
+			}
+			continue
 		}
+		first = resp.Potentials
+		base = heap()
+	}
+	grown := int64(heap()) - int64(base)
+
+	if s.cache.len() != 1 {
+		t.Fatalf("%d plans cached, want the one shared key", s.cache.len())
+	}
+	var e *planEntry
+	for _, e = range s.cache.entries {
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.eval == nil {
+		t.Fatal("the entry holds no evaluation context")
+	}
+	// What one more context of the plan holds, run once.
+	before := heap()
+	pe, err := e.plan.NewParallelEvaluation(core.ExecOptions{Workers: s.workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pe.Run(points.Charges(n, 3)); err != nil {
+		t.Fatal(err)
+	}
+	one := int64(heap()) - int64(before)
+	runtime.KeepAlive(pe)
+	t.Logf("one context %.2f MB; live heap grew %.2f MB over three more requests", float64(one)/1e6, float64(grown)/1e6)
+	if float64(grown) >= 1.5*float64(one) {
+		t.Errorf("three requests at other worker counts grew the live heap by %d bytes, one context holds %d", grown, one)
 	}
 }
 
@@ -496,8 +527,8 @@ func TestServeObservabilityEndpoints(t *testing.T) {
 	}
 }
 
-// The ci smoke test: concurrent mixed requests (different problems, shapes,
-// charge vectors, some duplicates, one trace) all succeed, the metrics add
+// The ci smoke test: concurrent mixed requests (different problems, worker
+// counts, charge vectors, some duplicates, one trace) all succeed, the metrics add
 // up, and the server leaks no goroutines.
 func TestServeSmoke(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -507,12 +538,12 @@ func TestServeSmoke(t *testing.T) {
 	reqs := []Request{
 		{N: 900},
 		{N: 900},                          // duplicate of the first (coalesces or hits)
-		{N: 900, Workers: 2},              // same plan, new shape
+		{N: 900, Workers: 2},              // same plan and context: workers selects nothing
 		{N: 900, ChargeSeed: 7},           // same plan, new charges
 		{N: 1100, Distribution: "sphere"}, // second plan
 		{N: 1100, Distribution: "sphere", Trace: true},
 		{N: 700, Kernel: "yukawa", Digits: 2}, // third plan
-		{N: 900, Localities: 1, Workers: 3},   // a third shape, locality given
+		{N: 900, Localities: 1, Workers: 3},   // the same again, locality given
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(reqs))

@@ -214,13 +214,15 @@ func (st *Store) Get(key string) (*PlanRecord, error) {
 	return rec, nil
 }
 
-// Load reads every record in the store. Corrupt, truncated or
-// version-skewed records are skipped and counted, never fatal; only a
-// directory-level failure returns an error.
-func (st *Store) Load() (recs []*PlanRecord, corrupt int, err error) {
+// Load reads the store's records one at a time, handing each readable one
+// to f, and stops early when f returns false: Load itself holds one record
+// at a time. Corrupt, truncated or version-skewed records are skipped
+// and counted, never fatal; only a directory-level failure returns an
+// error.
+func (st *Store) Load(f func(*PlanRecord) bool) (corrupt int, err error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: reading plan store: %w", err)
+		return 0, fmt.Errorf("serve: reading plan store: %w", err)
 	}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".plan") {
@@ -231,9 +233,11 @@ func (st *Store) Load() (recs []*PlanRecord, corrupt int, err error) {
 			corrupt++
 			continue
 		}
-		recs = append(recs, rec)
+		if !f(rec) {
+			break
+		}
 	}
-	return recs, corrupt, nil
+	return corrupt, nil
 }
 
 func readRecordFile(path string) (*PlanRecord, error) {
@@ -421,35 +425,37 @@ func (s *Server) UseStore(st *Store) { s.store = st }
 // Store returns the attached plan store (nil without one).
 func (s *Server) Store() *Store { return s.store }
 
-// RecoverFromStore loads every readable record from the attached store and
-// installs the revived plans in the cache, so the first request on a
-// previously-warm key is a cache hit with zero plan rebuilds. Unreadable
-// records — corrupt, truncated, version-skewed, or no longer revivable —
-// are skipped and counted (store_corrupt in /metrics), never fatal. Records
-// beyond the cache's capacity are evicted again as they load; their keys
-// are revived on first request instead (planEntry.ensureBuilt).
+// RecoverFromStore revives the attached store's records into the cache, one
+// record at a time, until the cache is full, so the first request on a
+// previously-warm key is a cache hit with zero plan rebuilds. The keys it
+// has no room for are revived on their first request instead
+// (planEntry.ensureBuilt). Unreadable records — corrupt, truncated,
+// version-skewed, or no longer revivable — are skipped and counted
+// (store_corrupt in /metrics), never fatal.
 func (s *Server) RecoverFromStore() (recovered, skipped int, err error) {
 	if s.store == nil {
 		return 0, 0, errors.New("serve: no store attached")
 	}
-	recs, corrupt, err := s.store.Load()
-	if err != nil {
-		return 0, 0, err
-	}
-	skipped = corrupt
-	for _, rec := range recs {
+	corrupt, err := s.store.Load(func(rec *PlanRecord) bool {
 		plan, rerr := rec.rebuild()
 		if rerr != nil {
 			skipped++
-			continue
+			return true
 		}
-		e := &planEntry{key: rec.Key, evals: make(map[int]*evalCtx), fromStore: true}
+		e := &planEntry{key: rec.Key, fromStore: true}
 		e.build.Do(func() { e.plan = plan })
 		s.cache.put(rec.Key, e)
 		recovered++
+		return s.cache.len() < s.cfg.CacheSize
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	s.metrics.StoreCorrupt.Add(int64(skipped))
-	s.metrics.StoreRecovered.Add(int64(recovered))
+	skipped += corrupt
+	s.metrics.count(func(m *MetricsSnapshot) {
+		m.StoreCorrupt += int64(skipped)
+		m.StoreRecovered += int64(recovered)
+	})
 	return recovered, skipped, nil
 }
 
@@ -465,10 +471,12 @@ func (s *Server) persistPlan(req *Request, entry *planEntry) {
 	}
 	entry.stored = true
 	n, err := s.store.Put(recordFor(req, entry.plan))
-	if err != nil {
-		s.metrics.StoreFailed.Add(1)
-		return
-	}
-	s.metrics.StoreWrites.Add(1)
-	s.metrics.StoreBytes.Add(n)
+	s.metrics.count(func(m *MetricsSnapshot) {
+		if err != nil {
+			m.StoreFailed++
+			return
+		}
+		m.StoreWrites++
+		m.StoreBytes += n
+	})
 }

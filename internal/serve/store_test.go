@@ -419,7 +419,7 @@ func TestStoreCorruptRecordsSkippedNeverFatal(t *testing.T) {
 	if skipped != 5 {
 		t.Errorf("skipped %d records, want 5", skipped)
 	}
-	if got := s.metrics.StoreCorrupt.Load(); got != 5 {
+	if got := s.Metrics().StoreCorrupt; got != 5 {
 		t.Errorf("store_corrupt=%d, want 5", got)
 	}
 	if s.cache.len() != 1 {
@@ -481,14 +481,19 @@ func TestStoreSkipsInlinePlans(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("inline request: HTTP %d", code)
 	}
-	if got := s.metrics.StoreWrites.Load(); got != 0 {
+	if got := s.Metrics().StoreWrites; got != 0 {
 		t.Errorf("inline plan spilled (%d writes)", got)
 	}
-	recs, _, err := st.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
+	if recs := loadAll(t, st); len(recs) != 0 {
 		t.Errorf("store holds %d records after inline request, want 0", len(recs))
 	}
+}
+
+// loadAll reads every readable record of a store.
+func loadAll(t *testing.T, st *Store) (recs []*PlanRecord) {
+	t.Helper()
+	if _, err := st.Load(func(rec *PlanRecord) bool { recs = append(recs, rec); return true }); err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }

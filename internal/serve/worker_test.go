@@ -313,7 +313,7 @@ func TestBackToBackJobsNeedNoRetransmission(t *testing.T) {
 	if status, resp, eb := post(t, hs.URL, req); status != http.StatusOK || !resp.Report.Distributed {
 		t.Fatalf("cold request: status=%d report=%+v err=%+v", status, resp, eb)
 	}
-	before := srv.metrics.WireRetried.Load()
+	before := srv.Metrics().WireRetried
 	lat := make([]time.Duration, requests)
 	var sum time.Duration
 	for i := range lat {
@@ -325,7 +325,7 @@ func TestBackToBackJobsNeedNoRetransmission(t *testing.T) {
 			t.Fatalf("request %d: status=%d report=%+v err=%+v", i, status, resp, eb)
 		}
 	}
-	retried := srv.metrics.WireRetried.Load() - before
+	retried := srv.Metrics().WireRetried - before
 	slices.Sort(lat)
 	t.Logf("%d back-to-back evaluations, N=%d, 2 ranks: p50 %v, p90 %v, max %v, mean %v; %d retransmissions (%.3f per evaluation)",
 		requests, n, lat[requests/2], lat[requests*9/10], lat[requests-1], sum/requests, retried, float64(retried)/requests)
@@ -382,9 +382,9 @@ func TestJobPayloadIsTheRecordSpec(t *testing.T) {
 			break
 		}
 	}
-	recs, _, err := st.Load()
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("store: %d records, %v", len(recs), err)
+	recs := loadAll(t, st)
+	if len(recs) != 1 {
+		t.Fatalf("store: %d records", len(recs))
 	}
 	if job.ChargeSeed != 3 || job.DeadlineMS <= 0 || job.DeadlineMS > deadlineMS {
 		t.Errorf("job charge seed %d, deadline %d ms; want the default seed 3 and a budget within %d ms", job.ChargeSeed, job.DeadlineMS, deadlineMS)
