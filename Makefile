@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check generate-check lines bench-check serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
+.PHONY: build test purego race vet lint escape-gate fuzz-smoke fmt-check generate-check lines asm-listing bench-check serve-smoke serve-chaos chaos chaos-short chaos-crash dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -89,12 +89,15 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The checked-in Laplace plane-wave rules (internal/kernel/pwrule_laplace.go)
-# must be what the generator makes: regenerate them and fail on any byte of
-# difference. (The kernel's tests compare them by value, which also holds on
-# a platform that rounds the generator's arithmetic differently.)
+# and the generated vector assembly (internal/kernel/asmgen's p2p_amd64.s and
+# point_amd64.s) must be what the generators make: regenerate them and fail
+# on any byte of difference. (The kernel's tests compare the rules by value,
+# which also holds on a platform that rounds the generator's arithmetic
+# differently; asmgen's own test compares the assembly byte for byte.)
+GENERATED = internal/kernel/pwrule_laplace.go internal/kernel/p2p_amd64.s internal/kernel/point_amd64.s
 generate-check:
 	$(GO) generate ./internal/kernel
-	git diff --exit-code -- internal/kernel/pwrule_laplace.go
+	git diff --exit-code -- $(GENERATED)
 
 # Non-test, hand-written .go lines of the runtime packages — the scheduler
 # and wire (amt), the executor and fabric (core), the daemon (serve) — and
@@ -102,12 +105,14 @@ generate-check:
 # code-size and suppression rows ROADMAP tracks, from one command.
 # The kernel and DAG packages, which the executor drives, follow outside the
 # total, so the total's series stays comparable, then the kernel's
-# hand-written assembly (*.s and the *.h they include) as a row of its own,
-# then the commands and the examples (every program under cmd/ and
-# examples/, one row each).
+# hand-written assembly (*.s and any *.h they include) as a row of its own,
+# then the assembly generator's non-test Go lines (internal/kernel/asmgen:
+# the descriptions the generated assembly comes from), then the commands
+# and the examples (every program under cmd/ and examples/, one row each).
 # No row counts a file whose first line is Go's generated-code
 # marker (`// Code generated ... DO NOT EDIT.`), such as the kernel's
-# plane-wave rules in internal/kernel/pwrule_laplace.go.
+# plane-wave rules in internal/kernel/pwrule_laplace.go and the generated
+# assembly.
 LINES_PKGS = internal/amt internal/core internal/serve
 LINES_MORE = internal/kernel internal/dag
 lines:
@@ -122,10 +127,27 @@ lines:
 	for p in $(LINES_MORE); do \
 		printf '%-16s %6d\n' $$p $$(cat $$(src $$p) | wc -l); \
 	done; \
-	printf '%-16s %6d\n' 'kernel asm' $$(cat internal/kernel/*.s internal/kernel/*.h | wc -l); \
+	printf '%-16s %6d\n' 'kernel asm' $$(cat $$(for f in internal/kernel/*.s internal/kernel/*.h; do [ -e $$f ] || continue; \
+		head -1 $$f | grep -q '^// Code generated .* DO NOT EDIT\.$$' || echo $$f; done) | wc -l); \
+	printf '%-16s %6d\n' 'kernel gen' $$(cat $$(src internal/kernel/asmgen) | wc -l); \
 	for p in cmd examples; do \
 		printf '%-16s %6d\n' $$p $$(cat $$(for d in $$p/*/; do src $${d%/}; done) | wc -l); \
 	done
+
+# The machine code of the kernel's assembly (internal/kernel/*_amd64.s):
+# for every routine and constant table, go tool asm -S's header line, hex
+# bytes and relocations, without the source lines, one block per symbol
+# sorted by name. Two commits' listings diff empty exactly when no
+# routine's code and no table changed; an assembly change that means to
+# keep its machine code (a regenerated file, a moved routine) shows it
+# with one diff. Not part of ci.
+asm-listing:
+	@cd internal/kernel && out=$$(for f in *_amd64.s; do \
+		$(GO) tool asm -S -p repro/internal/kernel -I "$$($(GO) env GOROOT)/pkg/include" \
+			-D GOOS_linux -D GOARCH_amd64 -o /dev/null $$f || exit 1; \
+	done) && printf '%s\n' "$$out" | \
+	awk '/^[^ \t]/ { sym = $$1 } /^[^ \t]/ || /^\t(0x[0-9a-f]+ [0-9a-f][0-9a-f] |rel )/ { printf "%s %07d\t%s\n", sym, NR, $$0 }' | \
+	LC_ALL=C sort -k1,1 -k2,2n | cut -f2-
 
 # Evaluation-service smoke test: concurrent mixed requests against an
 # in-process server (httptest), asserting every response is a 200 and the

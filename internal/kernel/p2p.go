@@ -42,7 +42,8 @@ const (
 // accumulators. A float32 loop reads the block's float32 image (narrow):
 // the targets relative to the block's origin o, times scale, and writes its
 // sub-chunk's partial sums to part. The assembly loops address the fields
-// by offset (p2p_amd64.s, TestPairBlockLayout): keep the layout.
+// by offset (p2p_amd64.s, generated by asmgen from its p2p.go;
+// TestPairBlockLayout): keep the layout.
 type pairBlock struct {
 	n                   int // targets in use
 	x, y, z, acc        [blockTargets]float64

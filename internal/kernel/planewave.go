@@ -35,6 +35,7 @@
 package kernel
 
 //go:generate go run ./pwrulegen -o pwrule_laplace.go
+//go:generate go run ./asmgen
 
 import (
 	"encoding/binary"

@@ -29,7 +29,7 @@ import (
 // differ in summation order only. Yukawa's radial halves are within a few
 // ulp: the Miller pass for i_n starts at the largest lane's start index and
 // fuses its multiply-add, and k_n's e^{-x} is the pair loops' polynomial
-// exponential (vexp_amd64.h). Any lane those
+// exponential (asmgen's vexp.go). Any lane those
 // cannot serve — x = λr below 1e-8 (r = 0 included) or above 300, or NaN,
 // or a Miller pass that passes 1e250 — gets the scalar radial function,
 // branches and all.
@@ -55,7 +55,8 @@ func (b *base) radial(f family) radialFunc {
 
 // pointBlock is a block of points in structure-of-arrays form with the
 // buffers of one pass. The assembly addresses the fields by offset
-// (point_amd64.s; TestPointBlockLayout pins it): keep the layout. Lanes
+// (point_amd64.s, generated by asmgen from its point.go; TestPointBlockLayout
+// pins it): keep the layout. Lanes
 // from n up repeat point n-1, with charge 0 and radial functions 0 when
 // projecting, and are dropped when evaluating.
 type pointBlock struct {

@@ -166,7 +166,7 @@ func (r *Request) normalize(limits Config) error {
 		return fmt.Errorf("threshold must be non-negative")
 	}
 	if r.Localities < 0 || r.Localities > 1 {
-		return fmt.Errorf("localities=%d: an evaluation runs on one locality per process; ask for workers instead", r.Localities)
+		return fmt.Errorf("localities=%d: a process is one locality; more localities are the daemon's worker ranks (dashmm-serve -workers N)", r.Localities)
 	}
 	if r.Workers > maxWorkers {
 		return fmt.Errorf("%d workers too large (at most %d scheduler threads per request)", r.Workers, maxWorkers)

@@ -365,7 +365,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"tree too deep for its digits' plane-wave tables", Request{N: 2000, Digits: 12, Threshold: 8}, "plane-wave tables"},
 		{"charge mismatch", Request{N: 100, Charges: []float64{1, 2}}, "charges for"},
 		{"too many workers", Request{N: 100, Workers: 257}, "too large"},
-		{"localities", Request{N: 100, Localities: 2}, "workers"},
+		{"localities", Request{N: 100, Localities: 2}, "worker ranks (dashmm-serve -workers N)"},
 		{"deadline past a time.Duration", Request{N: 500, DeadlineMS: 10_000_000_000_000}, "largest accepted value is 9223372036854"},
 	}
 	for _, c := range cases {
