@@ -91,11 +91,14 @@ fmt-check:
 # The checked-in Laplace plane-wave rules (internal/kernel/pwrule_laplace.go)
 # and the generated vector assembly (internal/kernel/asmgen's p2p_amd64.s and
 # point_amd64.s) must be what the generators make: regenerate them and fail
-# on any byte of difference. (The kernel's tests compare the rules by value,
-# which also holds on a platform that rounds the generator's arithmetic
-# differently; asmgen's own test compares the assembly byte for byte.)
+# on any byte of difference. An uncommitted edit to a generated file fails
+# first, before the generator would overwrite it. (The kernel's tests compare
+# the rules by value, which also holds on a platform that rounds the
+# generator's arithmetic differently; asmgen's own test compares the
+# assembly byte for byte.)
 GENERATED = internal/kernel/pwrule_laplace.go internal/kernel/p2p_amd64.s internal/kernel/point_amd64.s
 generate-check:
+	git diff --exit-code -- $(GENERATED)
 	$(GO) generate ./internal/kernel
 	git diff --exit-code -- $(GENERATED)
 

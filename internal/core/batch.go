@@ -34,7 +34,8 @@ import (
 // rank hosts every member, and each batch is its descriptor.
 
 // batchBlock is the far-field GEMM block: 16 right-hand sides share one
-// table — the 97 KB M->L table of an offset, or the 0.47 MB M->I or I->L
+// table — the M->L table of an offset (97 KB at a face offset, the block
+// of its order elsewhere), or the 0.47 MB M->I or I->L
 // table of a direction at p = 9 — as four tiles of the kernel's register
 // GEMM, each 32 table rows read once from memory and three more times from
 // L1 (kernel/dense.go), and their outputs go to the worker's scratch (14 KB

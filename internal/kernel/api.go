@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/geom"
+	"repro/internal/sphharm"
 )
 
 // The exported operator set, implemented on the shared engine: the point
@@ -62,7 +63,9 @@ func (b *base) M2M(from, to geom.Point, childSide float64, in, out []complex128)
 // boxes recur for every box of a level (the classic 189-offset interaction
 // list, up to 316 distinct lattice offsets with |d|∞ in [2,3]), so the
 // M->L table is built once per (kernel, box side, lattice offset) and
-// replayed as a single apply. A plan's centres are root-relative (package
+// replayed as a single apply. The table of offset o has order m2lOrder(p, o):
+// it reads the M coefficients up to that degree and adds into the L
+// coefficients up to it. A plan's centres are root-relative (package
 // tree), so every M->L it makes is on that lattice; a centre difference off
 // it panics.
 func (b *base) M2L(from, to geom.Point, side float64, in, out []complex128) {
@@ -104,11 +107,11 @@ func (b *base) xlParams(kind uint8, side float64) (inRF, outRF radialFunc, a flo
 // no root-relative plan makes one.
 func (b *base) xlate(kind uint8, from, to geom.Point, side float64, in, out []complex128) {
 	off := to.Sub(from)
-	tab := b.xlTableFor(kind, off, side)
+	tab, n := b.xlTableFor(kind, off, side)
 	if tab == nil {
 		offLattice(xlNames[kind], off, side)
 	}
-	applyTable(tab, [][]complex128{in}, [][]complex128{out})
+	applyTable(tab, n, n, [][]complex128{in}, [][]complex128{out})
 }
 
 // offLattice panics for an operator handed a centre difference off its
@@ -158,13 +161,14 @@ func (b *base) entry(key xlKey) *tableEntry {
 	return v.(*tableEntry)
 }
 
-// xlTableFor resolves a centre difference to its cached table, or nil when
-// it is not on the kind's lattice.
-func (b *base) xlTableFor(kind uint8, off geom.Point, side float64) []complex128 {
+// xlTableFor resolves a centre difference to its cached table and the
+// table's size (rows and columns), or nil when it is not on the kind's
+// lattice.
+func (b *base) xlTableFor(kind uint8, off geom.Point, side float64) ([]complex128, int) {
 	if kind == m2lKind {
 		o, ok := b.M2LOffsetOf(geom.Point{}, off, side)
 		if !ok {
-			return nil
+			return nil, 0
 		}
 		return b.m2lTable(o, side)
 	}
@@ -173,35 +177,59 @@ func (b *base) xlTableFor(kind uint8, off geom.Point, side float64) []complex128
 	oy, oky := signOf(off.Y, h)
 	oz, okz := signOf(off.Z, h)
 	if !okx || !oky || !okz {
-		return nil
+		return nil, 0
 	}
 	o := M2LOffset{DX: ox, DY: oy, DZ: oz}
 	return b.xlTable(kind, side, o, o.Scale(h))
 }
 
-// xlTable returns the cached table of (kind, side, lattice vector o),
-// building it on first use from the canonical centre difference `to`. The
-// operator depends only on that vector (never on the absolute centers),
-// which is what makes one table serve every edge of a batch.
-func (b *base) xlTable(kind uint8, side float64, o M2LOffset, to geom.Point) []complex128 {
+// xlTable returns the cached table of (kind, side, lattice vector o) and
+// its size n — TriSize of the table's order: m2lOrder(o) for M->L, the
+// kernel's order otherwise — building it on first use from the canonical
+// centre difference `to`. The operator depends only on that vector (never
+// on the absolute centers), which is what makes one table serve every edge
+// of a batch. A cached table of another size (an import from another order,
+// or a full-order M->L table from before the per-offset orders) is rebuilt.
+func (b *base) xlTable(kind uint8, side float64, o M2LOffset, to geom.Point) ([]complex128, int) {
+	p := b.p
+	if kind == m2lKind {
+		p = m2lOrder(b.p, o)
+	}
+	n := sphharm.TriSize(p)
 	e := b.entry(xlKey{kind: kind, sideBits: math.Float64bits(side), ox: o.DX, oy: o.DY, oz: o.DZ})
 	if !e.ok.Load() {
 		e.once.Do(func() {
-			if ml := b.MLSize(); len(e.mx) != 2*ml*ml || e.rule != tableLayout {
+			if len(e.mx) != 2*n*n || e.rule != tableLayout {
 				inRF, outRF, a := b.xlParams(kind, side)
-				e.mx, e.rule = b.translationTable(to, a, inRF, outRF), tableLayout
+				e.mx, e.rule = b.translationTable(to, a, inRF, outRF, p), tableLayout
 			}
 			e.ok.Store(true)
 		})
 	}
-	return e.mx
+	return e.mx, n
 }
 
-// m2lTable returns the cached M->L table of one lattice offset. Keyed by
-// exact box side bits plus the integer offset, so the scale-variant Yukawa
-// kernel gets per-level operators for free.
-func (b *base) m2lTable(off M2LOffset, side float64) []complex128 {
+// m2lTable returns the cached M->L table of one lattice offset and its
+// size. Keyed by exact box side bits plus the integer offset, so the
+// scale-variant Yukawa kernel gets per-level operators for free.
+func (b *base) m2lTable(off M2LOffset, side float64) ([]complex128, int) {
 	return b.xlTable(m2lKind, side, off, off.Scale(side))
+}
+
+// m2lOrder is the order p_o of the M->L table of list-2 offset o for
+// expansions of order p (Petersen et al.'s variable order, J. Chem. Phys.
+// 1994): the least order whose truncation term at o, (r0/|o|)^p_o, is no
+// larger than the order-p term at the nearest offset, (r0/2)^p — the ratio
+// OrderForDigits sizes p for — with r0 = √3/2 the radius of a box and |o|
+// in box sides, clamped to [1, p]. The table is the top-left TriSize(p_o)
+// block of the order-p one. At p = 9 the 316 offsets take 5 to 9 (the six
+// face offsets at |o| = 2 keep p), a third of the full order's MACs.
+func m2lOrder(p int, o M2LOffset) int {
+	r0 := math.Sqrt(3) / 2
+	dx, dy, dz := float64(o.DX), float64(o.DY), float64(o.DZ)
+	d := math.Sqrt(dx*dx + dy*dy + dz*dz)
+	po := int(math.Ceil(float64(p) * math.Log(2/r0) / math.Log(d/r0)))
+	return min(max(po, 1), p)
 }
 
 // M2LOffsetOf implements BatchKernel: it classifies the translation from ->

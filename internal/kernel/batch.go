@@ -7,9 +7,11 @@ import "repro/internal/geom"
 // per-edge apply reads its table from L2 or beyond once per edge. Grouping
 // the edges that share one table into a multi-RHS apply reads it once per
 // tile of four right-hand sides instead, from L1 while a tile's rows are
-// in use (dense.go). For the list-2 M->L, whose 97 KB table is per (side,
-// lattice offset), BenchmarkDense's m2l_batch16 against m2l is the gain per
-// right-hand side; for M->I and I->L, whose tables (0.47 MB at three
+// in use (dense.go). For the list-2 M->L, whose table is per (side,
+// lattice offset) — 97 KB at a face offset, the block of its order
+// (m2lOrder) elsewhere — BenchmarkDense's m2l_batch16 against m2l is the
+// gain per right-hand side (m2l_far_batch16 against m2l_far at a far
+// offset's block); for M->I and I->L, whose tables (0.47 MB at three
 // digits) are per (direction, level) and otherwise stream from beyond L2
 // on every application, m2i_batch16 and i2l_batch16 against m2i_streamed
 // and i2l_streamed (EXPERIMENTS.md has both commits' rows).
@@ -37,7 +39,9 @@ type BatchKernel interface {
 	// on one, as M2L does.
 	M2LOffsetOf(from, to geom.Point, side float64) (M2LOffset, bool)
 	// M2LBatch applies the M->L operator of each offs[i] (boxes of side
-	// `side` at tree level `level`) to ins[i], accumulating into outs[i].
+	// `side` at tree level `level`) to ins[i], accumulating into outs[i]:
+	// for a built-in kernel the offset's block of order m2lOrder, which
+	// leaves the coefficients of outs[i] above that order as they were.
 	// Runs of equal consecutive offsets share one operator fetch and one
 	// blocked multi-RHS apply; callers sort their batches by offset to
 	// maximize run length. Every offset is on the lattice (M2LOffsetOf
@@ -66,7 +70,8 @@ func (b *base) M2LBatch(offs []M2LOffset, side float64, level int, ins, outs [][
 		for hi < len(offs) && offs[hi] == offs[lo] {
 			hi++
 		}
-		applyTable(b.m2lTable(offs[lo], side), ins[lo:hi], outs[lo:hi])
+		tab, n := b.m2lTable(offs[lo], side)
+		applyTable(tab, n, n, ins[lo:hi], outs[lo:hi])
 		lo = hi
 	}
 }
@@ -75,12 +80,14 @@ func (b *base) M2LBatch(offs []M2LOffset, side float64, level int, ins, outs [][
 //
 //dashmm:noalloc
 func (b *base) M2IBatch(dir geom.Direction, level int, ins, outs [][]complex128) {
-	applyTable(b.pw.Load().table(pwM2IKind, dir, level), ins, outs)
+	t := b.pw.Load()
+	applyTable(t.table(pwM2IKind, dir, level), t.levels[level].rule.total, b.MLSize(), ins, outs)
 }
 
 // I2LBatch implements BatchKernel.
 //
 //dashmm:noalloc
 func (b *base) I2LBatch(dir geom.Direction, level int, ins, outs [][]complex128) {
-	applyTable(b.pw.Load().table(pwI2LKind, dir, level), ins, outs)
+	t := b.pw.Load()
+	applyTable(t.table(pwI2LKind, dir, level), b.MLSize(), t.levels[level].rule.total, ins, outs)
 }

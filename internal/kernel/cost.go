@@ -166,7 +166,7 @@ func Price(k Kernel, level int) OpNanos {
 		M2T: nsPointTerm[dense] * ml,
 		L2T: nsPointTerm[dense] * ml,
 		M2M: nsDenseMAC[dense] * ml * ml,
-		M2L: nsBatchMAC[dense] * ml * ml,
+		M2L: nsBatchMAC[dense] * ml * ml, // every offset at order p, though a far one's table is a smaller block (m2lOrder)
 		L2L: nsDenseMAC[dense] * ml * ml,
 		M2I: nsWaveMAC[dense] * wave * ml,
 		I2I: nsShiftTerm * wave,

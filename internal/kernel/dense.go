@@ -107,12 +107,15 @@ func floats(v []complex128) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(v))), 2*len(v))
 }
 
-// applyTable accumulates outs[r] += T ins[r] for one table shared by every
-// right-hand side, by the dense kernel this process bound.
+// applyTable accumulates outs[r][:rows] += T ins[r][:cols] for one rows x
+// cols table shared by every right-hand side, by the dense kernel this
+// process bound. The vectors may be longer than the table: an M->L table
+// of a far offset is the top-left block of the full-order operator
+// (m2lOrder), and reads a prefix of each M and adds into a prefix of each L.
 //
 //dashmm:noalloc
-func applyTable(tab []complex128, ins, outs [][]complex128) {
-	applyOn(bestDense, tab, ins, outs)
+func applyTable(tab []complex128, rows, cols int, ins, outs [][]complex128) {
+	applyOn(bestDense, tab, rows, cols, ins, outs)
 }
 
 // applyOn is applyTable on the named dense kernel: every tile of tileRHS
@@ -122,11 +125,11 @@ func applyTable(tab []complex128, ins, outs [][]complex128) {
 // …) is the oracle of the vector forms.
 //
 //dashmm:noalloc
-func applyOn(l denseLoop, tab []complex128, ins, outs [][]complex128) {
-	if len(ins) == 0 || len(ins[0]) == 0 || len(outs[0]) == 0 {
+func applyOn(l denseLoop, tab []complex128, rows, cols int, ins, outs [][]complex128) {
+	if len(ins) == 0 || rows == 0 || cols == 0 {
 		return
 	}
-	k, m := 2*len(ins[0]), 2*len(outs[0])
+	k, m := 2*cols, 2*rows
 	a := floats(tab)[:m*k]
 	tiled := len(ins) - len(ins)%tileRHS
 	for i := 0; i < m && tiled > 0; i += tileRows {
@@ -295,18 +298,20 @@ func setPanel(p []float64, rows, nq, i, q int, v complex128) {
 	p[at], p[at+1] = real(v), imag(v)
 }
 
-// projector returns the MLSize() x nq complex rows that project samples on
-// the sphere of radius a onto packed coefficients of the radial family rf,
-// by orthogonality, p_iq = w_q conj(Y_i(q)) / rf_{n_i}(a): denseTable's
-// panel-packed P.
-func (b *base) projector(rf radialFunc, a float64) []float64 {
-	ml, nq := b.MLSize(), len(b.sph)
+// projector returns the TriSize(p) x nq complex rows that project samples
+// on the sphere of radius a onto the packed coefficients of degree up to p
+// (p ≤ b.p) of the radial family rf, by orthogonality, p_iq = w_q
+// conj(Y_i(q)) / rf_{n_i}(a): denseTable's panel-packed P. Row i does not
+// depend on p, so a lower p's P is the first rows of a higher one's, each
+// in its own panel layout.
+func (b *base) projector(rf radialFunc, a float64, p int) []float64 {
+	ml, nq := sphharm.TriSize(p), len(b.sph)
 	rad := make([]float64, b.p+1)
 	rf(a, rad)
 	proj := make([]float64, 2*ml*nq)
 	for q, node := range b.sph {
 		idx := 0
-		for n := 0; n <= b.p; n++ {
+		for n := 0; n <= p; n++ {
 			f := node.w / rad[n]
 			for m := 0; m <= n; m++ {
 				setPanel(proj, ml, nq, idx, q, complex(f*real(node.y[idx]), -f*imag(node.y[idx])))
@@ -320,20 +325,33 @@ func (b *base) projector(rf radialFunc, a float64) []float64 {
 // translationTable builds a translation by spectral projection — an
 // expansion in the radial family inRF about the origin, re-expanded in outRF
 // about `to` through the sphere of radius a (the field sampled on the
-// sphere and projected onto outRF by orthogonality). Coefficient x_n^m stands for the field
-// c_m rad_n Re(x Y_n^m), c_0 = 1 and c_m = 2 otherwise, whose samples for
-// Re x = 1 and Im x = 1 are the two parts of c_m rad_n conj(Y_n^m).
-func (b *base) translationTable(to geom.Point, a float64, inRF, outRF radialFunc) []complex128 {
-	ml, nq := b.MLSize(), len(b.sph)
+// sphere and projected onto outRF by orthogonality).
+//
+// The table maps the coefficients of degree up to p (p ≤ b.p) to those of
+// degree up to p: TriSize(p) square. The sphere rule is the kernel's at
+// every p, so each entry is the same sum over the same nodes as in the
+// order-b.p table, whose top-left block this is.
+func (b *base) translationTable(to geom.Point, a float64, inRF, outRF radialFunc, p int) []complex128 {
+	ml := sphharm.TriSize(p)
+	return denseTable(ml, ml, b.projector(outRF, a, p), b.translationSamples(to, a, inRF, p))
+}
+
+// translationSamples is translationTable's S: the samples, as planes, of
+// the input coefficients of degree up to p at the sphere nodes.
+// Coefficient x_n^m stands for the field c_m rad_n Re(x Y_n^m), c_0 = 1 and
+// c_m = 2 otherwise, whose samples for Re x = 1 and Im x = 1 are the two
+// parts of c_m rad_n conj(Y_n^m).
+func (b *base) translationSamples(to geom.Point, a float64, inRF radialFunc, p int) []float64 {
+	ml, nq := sphharm.TriSize(p), len(b.sph)
 	ws := b.newWorkspace()
-	samp := make([]float64, 2*ml*nq) // denseTable's S planes
+	samp := make([]float64, 2*ml*nq)
 	for q, node := range b.sph {
 		v := to.Add(node.dir.Scale(a))
 		x, y, z, r := sphharm.Direction(v.X, v.Y, v.Z)
 		inRF(r, ws.rad)
 		b.coef.YnmPackedXYZ(x, y, z, ws.ylm)
 		idx := 0
-		for n := 0; n <= b.p; n++ {
+		for n := 0; n <= p; n++ {
 			f := ws.rad[n]
 			for m := 0; m <= n; m++ {
 				samp[2*idx*nq+q], samp[(2*idx+1)*nq+q] = f*real(ws.ylm[idx]), -f*imag(ws.ylm[idx])
@@ -342,5 +360,5 @@ func (b *base) translationTable(to geom.Point, a float64, inRF, outRF radialFunc
 			}
 		}
 	}
-	return denseTable(ml, ml, b.projector(outRF, a), samp)
+	return samp
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sphharm"
 )
 
 // The dense kernels, each held to the portable loops. A form this CPU lacks
@@ -91,7 +93,16 @@ func checkApply(t *testing.T, rng *rand.Rand, l denseLoop, rows, cols, nrhs int,
 		outs[r], outAll[r] = fenced(rng, rows)
 		start[r] = append([]complex128(nil), outs[r]...)
 	}
-	applyOn(l, tab, ins, outs)
+	// The apply is handed slices that run on into their fences: it must
+	// read cols coefficients of each input and write rows of each output,
+	// whatever the slices' lengths, as a block table of a longer vector
+	// does.
+	const pad = 8
+	longIns, longOuts := make([][]complex128, nrhs), make([][]complex128, nrhs)
+	for r := range ins {
+		longIns[r], longOuts[r] = inAll[r][pad:], outAll[r][pad:]
+	}
+	applyOn(l, tab, rows, cols, longIns, longOuts)
 	name := fmt.Sprintf("%v %dx%d, %d rhs", l, rows, cols, nrhs)
 	if !fenceIntact(tabAll, 2*rows*cols) {
 		t.Fatalf("%s: wrote outside the table", name)
@@ -239,8 +250,10 @@ func TestDenseKernelNamesTheBinding(t *testing.T) {
 }
 
 // BenchmarkDense times every bound dense kernel on the benchmark's shapes
-// at three digits, Laplace level 3: the M->L table (55x55) per right-hand
-// side alone and in a block of 16, the M->I (ISize x 55: 268 x 55 at three
+// at three digits, Laplace level 3: the M->L table of a face offset
+// ((2,0,0): 55x55) and of a far one (order 5: its 21x21 block, applied to
+// the same 55-coefficient vectors) per right-hand side alone and in a
+// block of 16, the M->I (ISize x 55: 268 x 55 at three
 // digits) and I->L (55 x 268)
 // tables in cache, streamed (cycling through 64 distinct tables) and
 // streamed in blocks of 16 right-hand sides (the executor's plane-wave
@@ -267,7 +280,8 @@ func BenchmarkDense(b *testing.B) {
 		}
 		return ts
 	}
-	m2l, m2i, i2l := tables(ml, ml), tables(wave, ml), tables(ml, wave)
+	far := sphharm.TriSize(m2lOrder(k.p, M2LOffset{DX: 3, DY: 3, DZ: 3}))
+	m2l, m2lFar, m2i, i2l := tables(ml, ml), tables(far, far), tables(wave, ml), tables(ml, wave)
 	mIn, wIn := random(ml), random(wave)
 	mOut, wOut := make([]complex128, ml), make([]complex128, wave)
 	var block16In, block16Out, wave16In, wave16Out [][]complex128
@@ -279,19 +293,22 @@ func BenchmarkDense(b *testing.B) {
 	m2iP, m2iS := buildOperands(wave, ml, nq, random(wave*nq), random(ml*nq))
 	for _, l := range denseLoops() {
 		for _, c := range []struct {
-			name      string
-			tabs      [][]complex128
-			ins, outs [][]complex128
-			stream    bool
+			name       string
+			tabs       [][]complex128
+			rows, cols int
+			ins, outs  [][]complex128
+			stream     bool
 		}{
-			{"m2l", m2l, [][]complex128{mIn}, [][]complex128{mOut}, false},
-			{"m2l_batch16", m2l, block16In, block16Out, false},
-			{"m2i", m2i, [][]complex128{mIn}, [][]complex128{wOut}, false},
-			{"m2i_streamed", m2i, [][]complex128{mIn}, [][]complex128{wOut}, true},
-			{"i2l", i2l, [][]complex128{wIn}, [][]complex128{mOut}, false},
-			{"i2l_streamed", i2l, [][]complex128{wIn}, [][]complex128{mOut}, true},
-			{"m2i_batch16", m2i, block16In, wave16Out, true},
-			{"i2l_batch16", i2l, wave16In, block16Out, true},
+			{"m2l", m2l, ml, ml, [][]complex128{mIn}, [][]complex128{mOut}, false},
+			{"m2l_batch16", m2l, ml, ml, block16In, block16Out, false},
+			{"m2l_far", m2lFar, far, far, [][]complex128{mIn}, [][]complex128{mOut}, false},
+			{"m2l_far_batch16", m2lFar, far, far, block16In, block16Out, false},
+			{"m2i", m2i, wave, ml, [][]complex128{mIn}, [][]complex128{wOut}, false},
+			{"m2i_streamed", m2i, wave, ml, [][]complex128{mIn}, [][]complex128{wOut}, true},
+			{"i2l", i2l, ml, wave, [][]complex128{wIn}, [][]complex128{mOut}, false},
+			{"i2l_streamed", i2l, ml, wave, [][]complex128{wIn}, [][]complex128{mOut}, true},
+			{"m2i_batch16", m2i, wave, ml, block16In, wave16Out, true},
+			{"i2l_batch16", i2l, ml, wave, wave16In, block16Out, true},
 		} {
 			b.Run(fmt.Sprintf("%v/%s", l, c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -299,7 +316,7 @@ func BenchmarkDense(b *testing.B) {
 					if c.stream {
 						tab = c.tabs[i%streamed]
 					}
-					applyOn(l, tab, c.ins, c.outs)
+					applyOn(l, tab, c.rows, c.cols, c.ins, c.outs)
 				}
 				perOp := float64(b.Elapsed().Nanoseconds()) / 1e3 / float64(b.N)
 				b.ReportMetric(perOp, "µs/op")

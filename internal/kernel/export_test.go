@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,9 +18,11 @@ func lookup(b *base, op OperatorTable) []complex128 {
 	side, o := math.Float64frombits(op.SideBits), M2LOffset{DX: op.DX, DY: op.DY, DZ: op.DZ}
 	switch op.Kind {
 	case m2mKind, l2lKind:
-		return b.xlTable(op.Kind, side, o, o.Scale(side/2))
+		tab, _ := b.xlTable(op.Kind, side, o, o.Scale(side/2))
+		return tab
 	case m2lKind:
-		return b.m2lTable(o, side)
+		tab, _ := b.m2lTable(o, side)
+		return tab
 	}
 	return b.pw.Load().table(op.Kind, geom.Direction(op.DX), int(op.DY))
 }
@@ -258,6 +261,53 @@ func TestImportOfRowLayoutIsRebuilt(t *testing.T) {
 	}
 }
 
+// A spilled M->L table from before the per-offset orders is full-order at
+// every offset. At a far offset — (3,3,3), order 5 of 9 — it fails the size
+// check of its first lookup and is rebuilt as the offset's block, which
+// ExportOperators then carries; at a face offset, (2,0,0), whose order is
+// p, the full table is the block and is adopted as is.
+func TestImportOfFullOrderM2LTableIsCutToItsBlock(t *testing.T) {
+	p := OrderForDigits(3)
+	const side = 0.25
+	src := NewLaplace(p).(*base)
+	src.Prepare(1.0, 3)
+	inRF, outRF, a := src.xlParams(m2lKind, side)
+	far, face := M2LOffset{DX: 3, DY: 3, DZ: 3}, M2LOffset{DX: 2}
+	ops := []OperatorTable{
+		{Kind: m2lKind, SideBits: math.Float64bits(side), DX: face.DX, Rule: tableLayout,
+			Mx: src.translationTable(face.Scale(side), a, inRF, outRF, p)},
+		{Kind: m2lKind, SideBits: math.Float64bits(side), DX: far.DX, DY: far.DY, DZ: far.DZ, Rule: tableLayout,
+			Mx: src.translationTable(far.Scale(side), a, inRF, outRF, p)},
+	}
+	k := NewLaplace(p).(*base)
+	k.ImportOperators(ops)
+	k.Prepare(1.0, 3)
+	if got := lookup(k, ops[0]); &got[0] != &ops[0].Mx[0] {
+		t.Errorf("the order-p table of %+v was rebuilt instead of adopted", face)
+	}
+	po := m2lOrder(p, far)
+	if po >= p {
+		t.Fatalf("%+v has order %d at p = %d: not a far offset", far, po, p)
+	}
+	n := sphharm.TriSize(po)
+	got := lookup(k, ops[1])
+	if len(got) != 2*n*n || &got[0] == &ops[1].Mx[0] {
+		t.Fatalf("the full-order table of %+v: %d elements after its first lookup, want the block's %d", far, len(got), 2*n*n)
+	}
+	if want, _ := src.m2lTable(far, side); !slices.Equal(got, want) {
+		t.Errorf("the rebuilt block of %+v is not a cold kernel's", far)
+	}
+	out := k.ExportOperators()
+	if len(out) != 2 {
+		t.Fatalf("exported %d tables, want 2", len(out))
+	}
+	for _, op := range out {
+		if op.DX == far.DX && (len(op.Mx) != 2*n*n || op.Rule != tableLayout) {
+			t.Errorf("exported %+v table has %d elements and stamp %x, want the block's %d and %x", far, len(op.Mx), op.Rule, 2*n*n, tableLayout)
+		}
+	}
+}
+
 // Prepare for a different root side drops every table of the old binding —
 // translations and plane-wave pairs alike (only the plane-wave levels used to
 // be replaced; the M->M, L->L and M->L tables of the old sides stayed cached
@@ -295,7 +345,7 @@ func TestRacingLookupsShareOneTable(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			xl[r] = k.m2lTable(M2LOffset{DX: 2}, 0.25)
+			xl[r], _ = k.m2lTable(M2LOffset{DX: 2}, 0.25)
 			if r%2 == 0 {
 				m2i[r], i2l[r] = k.pw.Load().table(pwM2IKind, geom.Up, 2), k.pw.Load().table(pwI2LKind, geom.Up, 2)
 			} else {

@@ -103,6 +103,8 @@ type Kernel interface {
 	// M2L converts a multipole expansion of a source box with side `side`
 	// centered at from into a local expansion about to; to - from is a
 	// list-2 offset, an integer multiple of side with Chebyshev norm 2 or 3.
+	// A built-in kernel truncates it at the offset's order (m2lOrder): the
+	// coefficients of out above that degree are left as they were.
 	M2L(from, to geom.Point, side float64, in, out []complex128)
 	// L2L translates a parent local expansion to a child center; childSide
 	// is the side of the child box.

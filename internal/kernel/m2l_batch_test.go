@@ -23,7 +23,7 @@ var batchOffs = []M2LOffset{
 // same linear operator as the per-edge M2L, run by run, for both kernels:
 // coefficient by coefficient against the per-edge table apply and against
 // the projection the tables tabulate, computed by the full-layout reference
-// engine.
+// engine and cut to each offset's block (referenceM2L).
 func TestM2LBatchMatchesPerEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const side = 0.125

@@ -352,7 +352,7 @@ func (t *pwTables) build(dir geom.Direction, lv *pwLevel) (m2i, i2l []complex128
 			}
 		}
 	}
-	proj := b.projector(b.radReg, a)
+	proj := b.projector(b.radReg, a, b.p)
 	i2l = denseTable(ml, r.total, proj, eIn)
 	// The projector's rows, scaled, are M->I's samples.
 	samp := make([]float64, 2*ml*nq)

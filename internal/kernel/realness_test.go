@@ -81,7 +81,8 @@ func TestRealnessOfExpansions(t *testing.T) {
 }
 
 // (b) The translations: M->M and L->L at all eight octants, M->L at every
-// offset of the list-2 lattice, per edge and batched.
+// offset of the list-2 lattice, per edge and batched, against the
+// reference cut to the offset's block (blockM2L) and zero above it.
 func TestRealnessTranslations(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	const side = 0.125
@@ -130,19 +131,7 @@ func TestRealnessTranslations(t *testing.T) {
 			want = packML(b.p, ref.translate(parent, child, b.aL2L*side, full, b.radReg, b.radReg))
 			check("L2L", onSphere(got, b.radReg, b.aL2L*side), onSphere(want, b.radReg, b.aL2L*side))
 		}
-		var offs []M2LOffset
-		for dx := int8(-3); dx <= 3; dx++ {
-			for dy := int8(-3); dy <= 3; dy++ {
-				for dz := int8(-3); dz <= 3; dz++ {
-					if max(abs8(dx), abs8(dy), abs8(dz)) >= 2 {
-						offs = append(offs, M2LOffset{DX: dx, DY: dy, DZ: dz})
-					}
-				}
-			}
-		}
-		if len(offs) != 316 {
-			t.Fatalf("list-2 lattice has %d offsets, want 316", len(offs))
-		}
+		offs := listTwoOffsets(t)
 		ins, batched := make([][]complex128, len(offs)), make([][]complex128, len(offs))
 		for i := range offs {
 			ins[i], batched[i] = in, make([]complex128, len(in))
@@ -150,11 +139,16 @@ func TestRealnessTranslations(t *testing.T) {
 		tc.k.M2LBatch(offs, side, 3, ins, batched)
 		for i, off := range offs {
 			to := parent.Add(off.Scale(side))
-			want := packML(b.p, ref.translate(parent, to, b.aM2L*side, full, b.radOut, b.radReg))
+			po := m2lOrder(b.p, off)
+			want := blockM2L(po, func(x []complex128) []complex128 {
+				return packML(b.p, ref.translate(parent, to, b.aM2L*side, unpackML(b.p, x), b.radOut, b.radReg))
+			}, in)
 			got := make([]complex128, len(in))
 			tc.k.M2L(parent, to, side, in, got)
 			check("M2L", got, want)
 			check("M2LBatch", batched[i], want)
+			zeroAbove(t, tc.name+" M2L", po, got)
+			zeroAbove(t, tc.name+" M2LBatch", po, batched[i])
 		}
 	}
 }
@@ -375,12 +369,12 @@ func TestRealnessApplyNoAlloc(t *testing.T) {
 		x := make([]complex128, tc.k.ISize(level))
 		c := geom.Point{X: 0.5, Y: 0.5, Z: 0.5}
 		child := c.Add(geom.Point{X: side / 2, Y: -side / 2, Z: side / 2})
-		tab := tc.k.(*base).m2lTable(M2LOffset{DX: 2}, side)
+		tab, n := tc.k.(*base).m2lTable(M2LOffset{DX: 2}, side)
 		ins, outs := [][]complex128{m, m, m}, [][]complex128{l, make([]complex128, len(l)), make([]complex128, len(l))}
 		pts, q := randBox(rng, c, side, 21), randCharges(rng, 21)
 		far, pot := c.Add(geom.Point{X: 2 * side}), make([]float64, len(pts))
 		for name, f := range map[string]func(){
-			"applyTable": func() { applyTable(tab, ins, outs) },
+			"applyTable": func() { applyTable(tab, n, n, ins, outs) },
 			"M2M":        func() { tc.k.M2M(child, c, side, m, l) },
 			"L2L":        func() { tc.k.L2L(c, child, side, m, l) },
 			"M2L":        func() { tc.k.M2L(c, c.Add(geom.Point{X: 2 * side}), side, m, l) },
